@@ -140,6 +140,7 @@ class LeveledQueue:
             deque() for _ in PRIORITIES
         )
         self._size = 0
+        self._wakes = 0
 
     def put(self, message: "TaskMessage", force: bool = False) -> bool:
         """Append to the message's priority lane.
@@ -168,24 +169,34 @@ class LeveledQueue:
         """Pop the most urgent message; None on empty/timeout.
 
         ``timeout=None`` is non-blocking, matching the broker's
-        historical ``get_nowait`` contract.
+        historical ``get_nowait`` contract.  A :meth:`wake` during the
+        wait ends it early, as a timeout would.
         """
         with self._cond:
             if timeout is None:
                 message = self._pop_locked()
             else:
                 deadline = time.monotonic() + timeout
+                wakes = self._wakes
                 while True:
                     message = self._pop_locked()
                     if message is not None:
                         break
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    if remaining <= 0 or wakes != self._wakes:
                         return None
                     self._cond.wait(timeout=remaining)
         if message is not None:
             self._report_depth()
         return message
+
+    def wake(self) -> None:
+        """Make every blocked :meth:`get` return now (None unless a
+        message is there) so its caller can re-check a stop flag;
+        nothing is dequeued and later ``get`` calls block as usual."""
+        with self._cond:
+            self._wakes += 1
+            self._cond.notify_all()
 
     def _pop_locked(self) -> Optional["TaskMessage"]:
         for lane in self._levels:

@@ -802,6 +802,7 @@ class SchedulerApp:
     def shutdown(self) -> None:
         """Stop the worker threads (queued tasks are abandoned)."""
         self._stop.set()
+        self.broker.wake()  # idle workers re-check _stop now, not next poll
         # Snapshot under the lock: _respawn_dead_workers mutates the
         # list concurrently until the threads see the stop flag.
         with self._lock:

@@ -163,6 +163,10 @@ class Broker:
         non-blocking."""
         return self._queue.get(timeout=timeout)
 
+    def wake(self) -> None:
+        """End every blocked ``consume`` early (shutdown's doorbell)."""
+        self._queue.wake()
+
     def evict_lower(self, level: int) -> Optional[TaskMessage]:
         """Shed the newest queued message less urgent than ``level``."""
         return self._queue.evict_lower(level)

@@ -99,6 +99,17 @@ class LeaseManager:
                 del self._leases[lease.task_id]
         return sorted(dead, key=lambda lease: lease.acquired_at)
 
+    def next_deadline(self) -> Optional[float]:
+        """Earliest deadline among live leases (``time.monotonic``
+        clock), or None when nothing is leased — how long an
+        event-driven reaper may sleep before :meth:`expired` can have
+        anything to return."""
+        with self._lock:
+            return min(
+                (lease.deadline for lease in self._leases.values()),
+                default=None,
+            )
+
     def holder(self, task_id: str) -> Optional[str]:
         with self._lock:
             lease = self._leases.get(task_id)

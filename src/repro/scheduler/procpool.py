@@ -12,7 +12,10 @@ processes instead:
   arguments, typically built from a content-addressed
   :class:`~repro.art.spec.RunSpec` document;
 - each worker process executes one envelope at a time and ships the
-  outcome back over a result queue;
+  outcome back over its own result pipe; one parent-side **reactor**
+  thread blocks on every result pipe, every worker's process sentinel
+  and a wake pipe, so a result completes its handle the moment it is
+  readable and a dead worker is replaced the moment it dies;
 - worker *crash* detection reuses the scheduler's lease machinery
   (:mod:`repro.scheduler.lease`): the parent heartbeats leases only for
   workers it can still see alive, so a SIGKILLed worker's lease expires
@@ -32,7 +35,6 @@ import importlib
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 import traceback
@@ -51,17 +53,14 @@ from repro.telemetry import (
 )
 
 #: Default time a worker process may go silent before its job is
-#: reclaimed.  Processes heartbeat via the parent's monitor (the parent
-#: renews leases for workers it can observe alive), so the TTL only has
-#: to cover one monitor interval plus scheduling noise.
+#: reclaimed.  Processes heartbeat via the parent's reactor (it renews
+#: leases for workers it can observe alive, at least every quarter
+#: TTL), so the TTL only has to cover scheduling noise.
 DEFAULT_PROC_LEASE_TTL = 2.0
 
 #: Extra deliveries a job may receive after worker crashes before it is
 #: failed outright (the first delivery is not a *re*-delivery).
 DEFAULT_MAX_REDELIVERIES = 3
-
-_MONITOR_INTERVAL = 0.05
-_RESULT_POLL = 0.1
 
 #: Marker key for an interned-payload reference inside envelope args.
 #: ``{"__intern__": <content hash>}`` is replaced, inside the worker,
@@ -199,6 +198,7 @@ class _JobRecord:
         self.envelope = envelope
         self.handle = handle
         self.deliveries = 0
+        self.submitted = time.monotonic()
 
     @property
     def task_id(self) -> str:
@@ -215,12 +215,13 @@ def _resolve_target(spec: str) -> Callable:
 
 
 def _worker_main(worker: str, inbox, outbox) -> None:
-    """Worker-process loop: execute wire batches until the ``None`` sentinel.
+    """Worker-process loop: execute wire batches until the empty stop
+    message (or EOF — the parent is gone).
 
     Runs in a freshly spawned interpreter; everything it needs arrives
-    through the wire.  Each inbox item is one parent-pickled **batch**
+    through the wire.  Each inbox message is one parent-pickled **batch**
     (``{"jobs": [...], "shared": {hash: payload}}``) — one pickle + one
-    queue round-trip per shard, not per job.  ``shared`` payloads are
+    pipe round-trip per shard, not per job.  ``shared`` payloads are
     interned in a per-process cache keyed by content hash; job arguments
     reference them via :func:`intern_ref` placeholders, so a payload the
     worker has already seen never crosses the pipe again.  Telemetry,
@@ -232,8 +233,11 @@ def _worker_main(worker: str, inbox, outbox) -> None:
 
     interned: Dict[str, Any] = {}
     while True:
-        wire = inbox.get()
-        if wire is None:
+        try:
+            wire = inbox.recv_bytes()
+        except EOFError:
+            return
+        if not wire:
             return
         batch = pickle.loads(wire)
         interned.update(batch.get("shared") or {})
@@ -265,21 +269,21 @@ def _worker_main(worker: str, inbox, outbox) -> None:
                     }
                     _telemetry.disable()
             result["host_seconds"] = time.monotonic() - started
-            outbox.put(result)
+            outbox.send(result)
 
 
 class _WorkerSlot:
-    """One worker seat: the live process, its private inbox/outbox, and
-    the batch currently assigned to it (at most one batch at a time,
-    which is what keeps crash attribution exact — every job in
-    ``current`` died with this worker).
+    """One worker seat: the live process, the parent's ends of its
+    private inbox/outbox pipes, and the batch currently assigned to it
+    (at most one batch at a time, which is what keeps crash attribution
+    exact — every job in ``current`` died with this worker — and means
+    the worker is blocked reading whenever the parent writes).
 
-    The outbox is private for a reason: a queue's writer side holds a
-    shared lock while its feeder thread flushes, and a SIGKILL that
-    lands mid-flush leaves that lock acquired forever.  With one queue
-    per worker a dying writer can only poison its own pipe — results it
-    failed to flush are recovered by lease expiry, and no other worker
-    ever blocks on the corpse's lock.
+    The outbox is private for a reason: the worker is its only writer,
+    so a SIGKILL that lands mid-write can only tear the dying worker's
+    own stream — the reader sees EOF after the torn message, results
+    that never made it out are recovered by lease expiry, and no other
+    worker shares a lock or a byte stream with the corpse.
 
     ``interned`` mirrors the worker's payload intern cache: content
     hashes already shipped down this seat's pipe.  A respawned worker
@@ -297,6 +301,16 @@ class _WorkerSlot:
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    def send(self, wire: bytes) -> None:
+        try:
+            self.inbox.send_bytes(wire)
+        except OSError:
+            pass  # died under the write: its sentinel and leases tell
+
+    def close(self) -> None:
+        self.inbox.close()
+        self.outbox.close()
 
 
 class ProcessPool:
@@ -324,22 +338,24 @@ class ProcessPool:
         self.worker_count = workers
         self.max_redeliveries = max_redeliveries
         # How many pending jobs one idle worker receives per wire batch
-        # (one pickle + one queue round-trip for the whole shard).  1
+        # (one pickle + one pipe round-trip for the whole shard).  1
         # preserves the historical job-at-a-time transport.
         self.dispatch_batch = dispatch_batch
         self._context = multiprocessing.get_context(start_method)
         self._leases = LeaseManager(ttl=lease_ttl)
-        # One condition guards pending/inflight/slot state; blocking
-        # queue operations always happen outside it.
+        # One condition guards pending/inflight/slot/wake state; pipe
+        # transfers to and from workers always happen outside it.
         self._state = threading.Condition()
         self._pending: "deque[_JobRecord]" = deque()
         self._inflight: Dict[str, _JobRecord] = {}
         self._slots: List[_WorkerSlot] = []
         self._closed = False
         self._stop = threading.Event()
-        self._started = False
-        self._monitor: Optional[threading.Thread] = None
-        self._collector: Optional[threading.Thread] = None
+        self._reactor: Optional[threading.Thread] = None
+        # The reactor's doorbell: at most one byte is ever in the pipe
+        # (``_woken``), so ringing it under the lock cannot block.
+        self._doorbell: Any = None
+        self._woken = False
 
     # ------------------------------------------------------------- submit
 
@@ -356,12 +372,12 @@ class ProcessPool:
             if self._closed:
                 raise StateError("process pool is closed")
             self._pending.append(record)
-            self._state.notify_all()
+            self._ensure_started()
+            self._wake()
         get_metrics().counter(
             "procpool_jobs_submitted_total",
             "Envelopes handed to the process pool",
         ).inc()
-        self._ensure_started()
         return handle
 
     def map_envelopes(
@@ -385,54 +401,90 @@ class ProcessPool:
             ]
 
     def _ensure_started(self) -> None:
-        with self._state:
-            if self._started:
-                return
-            self._started = True
-            for index in range(self.worker_count):
-                self._slots.append(self._spawn_slot(index))
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="procpool-monitor", daemon=True
-        )
-        self._collector = threading.Thread(
-            target=self._collector_loop,
-            name="procpool-collector",
+        """Spawn the workers and the reactor on first use (``_state``
+        held)."""
+        if self._reactor is not None:
+            return
+        doorbell, self._doorbell = self._context.Pipe(duplex=False)
+        for index in range(self.worker_count):
+            self._slots.append(self._spawn_slot(index))
+        self._reactor = threading.Thread(
+            target=self._reactor_loop,
+            args=(doorbell,),
+            name="procpool-reactor",
             daemon=True,
         )
-        self._monitor.start()
-        self._collector.start()
+        self._reactor.start()
+
+    def _wake(self) -> None:
+        """Ring the reactor's doorbell (``_state`` held)."""
+        if self._doorbell is not None and not self._woken:
+            self._woken = True
+            self._doorbell.send_bytes(b"!")
 
     def _spawn_slot(self, index: int) -> _WorkerSlot:
         name = f"procpool-worker-{index}"
-        inbox = self._context.Queue()
-        outbox = self._context.Queue()
+        jobs, inbox = self._context.Pipe(duplex=False)
+        outbox, results = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(name, inbox, outbox),
+            args=(name, jobs, results),
             name=name,
             daemon=True,
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            # The worker owns the far ends now; with ours closed its
+            # death reads as EOF here instead of as silence.
+            jobs.close()
+            results.close()
         return _WorkerSlot(name, process, inbox, outbox)
 
-    # ------------------------------------------------------------ monitor
+    # ------------------------------------------------------------ reactor
 
-    def _monitor_loop(self) -> None:
-        """Dispatch, heartbeat, crash-detect, and redeliver — one loop.
+    def _reactor_loop(self, doorbell) -> None:
+        """Recover, heartbeat, redeliver, dispatch, then block — one loop.
 
-        Heartbeats are issued *on behalf of* workers the parent can see
-        alive; a killed worker stops earning them, its lease expires,
-        and the expiry path below redelivers or dead-letters the job —
-        the same contract the thread scheduler's reaper enforces.
+        The only place the pool waits: on every worker's result pipe and
+        process sentinel plus the doorbell, for no longer than the next
+        heartbeat or lease expiry is due (forever when nothing is
+        leased).  Heartbeats are issued *on behalf of* workers the
+        parent can see alive; a killed worker stops earning them, its
+        lease expires, and the expiry path redelivers or dead-letters
+        the job — the same contract the thread scheduler's reaper
+        enforces.  Renewal runs before expiry so a stalled parent never
+        reclaims a job from a healthy worker.
         """
+        # Imported here so only a pool that starts pays for the module
+        # (sockets, selectors, tempfile): every CLI verb imports this one.
+        from multiprocessing.connection import wait
+
         while not self._stop.is_set():
-            self._assign_pending()
+            self._recover_lost_workers()
             for task_id in self._observed_live_jobs():
                 self._leases.heartbeat(task_id)
-            self._recover_lost_workers()
             self._reap_expired()
+            self._assign_pending()
             with self._state:
-                self._state.wait(timeout=_MONITOR_INTERVAL)
+                slots = list(self._slots)
+            expiry = self._leases.next_deadline()
+            ready = wait(
+                [doorbell]
+                + [slot.outbox for slot in slots]
+                + [slot.process.sentinel for slot in slots],
+                timeout=None
+                if expiry is None
+                else min(expiry - time.monotonic(), self._leases.ttl / 4),
+            )
+            if doorbell in ready:
+                with self._state:
+                    doorbell.recv_bytes()
+                    self._woken = False
+            for slot in slots:
+                if slot.outbox in ready:
+                    self._drain_outbox(slot.outbox)
+        doorbell.close()
 
     def _assign_pending(self) -> None:
         """Hand queued jobs to idle live workers, a batch per worker.
@@ -500,7 +552,7 @@ class ProcessPool:
                 wire_bytes=len(wire),
                 interned=len(shared),
             )
-            slot.inbox.put(wire)
+            slot.send(wire)
 
     def _observed_live_jobs(self) -> List[str]:
         """Task ids whose assigned worker the parent can still see."""
@@ -513,21 +565,21 @@ class ProcessPool:
             ]
 
     def _recover_lost_workers(self) -> None:
-        """Respawn dead workers; their in-flight jobs stay leased and
-        are reclaimed by lease expiry, not by this path — one recovery
-        mechanism, not two racing ones."""
-        lost: List[Tuple[int, _WorkerSlot]] = []
+        """Respawn dead workers (the sentinel woke the reactor); their
+        in-flight jobs stay leased and are reclaimed by lease expiry,
+        not by this path — one recovery mechanism, not two racing
+        ones."""
         with self._state:
-            if self._stop.is_set():
-                return
-            for index, slot in enumerate(self._slots):
-                if slot.alive():
-                    continue
-                lost.append((index, slot))
+            lost = [
+                (index, slot)
+                for index, slot in enumerate(self._slots)
+                if not slot.alive()
+            ]
         for index, slot in lost:
             # Salvage results the worker flushed before dying — a job
             # that completed must win over its own redelivery.
             self._drain_outbox(slot.outbox)
+            slot.close()
             replacement = self._spawn_slot(index)
             with self._state:
                 self._slots[index] = replacement
@@ -584,30 +636,19 @@ class ProcessPool:
                 self._pending.appendleft(record)
                 self._state.notify_all()
 
-    # ---------------------------------------------------------- collector
+    # ------------------------------------------------------------ results
 
-    def _collector_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._state:
-                outboxes = [slot.outbox for slot in self._slots]
-            drained = sum(
-                self._drain_outbox(outbox) for outbox in outboxes
-            )
-            if not drained:
-                time.sleep(_RESULT_POLL)
-
-    def _drain_outbox(self, outbox) -> int:
+    def _drain_outbox(self, outbox) -> None:
         """Absorb every result currently readable from one worker's
-        outbox.  A worker killed mid-flush can leave a truncated pickle
-        in its (private) pipe; that read fails, the remainder of the
-        pipe dies with the slot, and lease expiry redelivers the jobs
-        whose results never made it out."""
-        drained = 0
-        while True:
+        outbox.  A worker killed mid-write leaves a truncated message in
+        its (private) pipe; that read fails, the pipe is closed with
+        the slot, and lease expiry redelivers the jobs whose results
+        never made it out."""
+        while outbox.poll():
             try:
-                result = outbox.get_nowait()
-            except queue.Empty:
-                break
+                result = outbox.recv()
+            except EOFError:
+                break  # clean end of a dead worker's stream
             except Exception as error:
                 # Torn write from a killed worker; the jobs behind it
                 # are recovered by lease expiry, not this read.
@@ -616,8 +657,6 @@ class ProcessPool:
                 )
                 break
             self._absorb_result(result)
-            drained += 1
-        return drained
 
     def _absorb_result(self, result: Dict[str, Any]) -> None:
         task_id = result["task_id"]
@@ -642,6 +681,10 @@ class ProcessPool:
         )
         if record is None:
             return  # job already reaped (late result after redelivery)
+        get_metrics().histogram(
+            "procpool_roundtrip_seconds",
+            "Parent-side time from submit() to the handle completing",
+        ).observe(time.monotonic() - record.submitted)
         record.handle._complete(
             value=result["value"],
             error=result["error"],
@@ -672,26 +715,39 @@ class ProcessPool:
                 )
 
     def shutdown(self) -> None:
-        """Terminate workers and parent-side service threads."""
+        """Stop the reactor, fail every job still outstanding with a
+        :class:`WorkerJobError` (no waiter may hang on an abandoned
+        pool), terminate the workers and close every pipe."""
         self._stop.set()
         with self._state:
             self._closed = True
-            slots = list(self._slots)
+            self._wake()
+            reactor, self._reactor = self._reactor, None
+        if reactor is not None:
+            reactor.join(timeout=2.0)
+        with self._state:
+            slots, self._slots = self._slots, []
+            doorbell, self._doorbell = self._doorbell, None
+            orphans = [*self._pending, *self._inflight.values()]
+            self._pending.clear()
+            self._inflight.clear()
+            self._state.notify_all()
+        for record in orphans:
+            self._leases.release(record.task_id)
+            record.handle._complete(error="process pool shut down")
         for slot in slots:
-            if slot.alive():
-                slot.inbox.put(None)
-        for thread in (self._monitor, self._collector):
-            if thread is not None:
-                thread.join(timeout=2.0)
+            if slot.current:
+                slot.process.kill()  # mid-job: it would not read a stop
+            else:
+                slot.send(b"")
         for slot in slots:
             slot.process.join(timeout=2.0)
             if slot.alive():
                 slot.process.kill()
                 slot.process.join(timeout=2.0)
-            slot.outbox.cancel_join_thread()
-        with self._state:
-            self._slots.clear()
-            self._started = False
+            slot.close()
+        if doorbell is not None:
+            doorbell.close()
 
     def __enter__(self) -> "ProcessPool":
         return self

@@ -8,6 +8,8 @@ simulation-shaped work).
 
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -183,3 +185,92 @@ def test_worker_telemetry_merges_into_parent_session():
         # pool bookkeeping is visible too
         dispatches = active.events.records(kind="procpool.dispatch")
         assert len(dispatches) >= 3
+
+
+def _service_threads():
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("procpool-") and t.is_alive()
+    ]
+
+
+def test_sequential_round_trips_are_event_driven():
+    """50 submit→result round trips of a trivial envelope: a result
+    completes its handle when it is readable, not at the next poll tick
+    (a 100 ms result poll needs >= 5 s here)."""
+    with ProcessPool(workers=1) as pool:
+        assert pool.submit(JobEnvelope(target="os:getpid")).result(60)
+        started = time.monotonic()
+        for n in range(50):
+            handle = pool.submit(
+                JobEnvelope(target="math:factorial", args=(n % 5,))
+            )
+            handle.result(timeout=60)
+        assert time.monotonic() - started < 2.5
+
+
+def test_one_service_thread_while_running_none_after_shutdown():
+    before = _service_threads()
+    pool = ProcessPool(workers=2)
+    try:
+        assert pool.submit(JobEnvelope(target="os:getpid")).result(60)
+        assert len(_service_threads()) == len(before) + 1
+    finally:
+        pool.shutdown()
+    assert _service_threads() == before
+
+
+def test_shutdown_fails_outstanding_handles_promptly():
+    """shutdown() with a job in flight and jobs pending neither waits
+    for the worker nor leaves a waiter hanging on an abandoned handle."""
+    pool = ProcessPool(workers=1)
+    warm = pool.submit(JobEnvelope(target="os:getpid"))
+    assert warm.result(timeout=60)  # worker is up: the sleeper ships now
+    handles = [pool.submit(JobEnvelope(target="time:sleep", args=(10,)))]
+    handles += [
+        pool.submit(JobEnvelope(target="math:factorial", args=(n,)))
+        for n in range(3)
+    ]
+    time.sleep(0.2)
+    started = time.monotonic()
+    pool.shutdown()
+    assert time.monotonic() - started < 1.0
+    for handle in handles:
+        with pytest.raises(WorkerJobError) as excinfo:
+            handle.result(timeout=1)
+        assert "shut down" in str(excinfo.value)
+    assert pool._leases.active() == 0
+    assert warm.result(timeout=1)  # completed handles keep their value
+
+
+def test_killed_idle_worker_is_respawned_without_a_submit():
+    """The process sentinel, not the next submission or a timer, tells
+    the reactor an idle worker died."""
+    with telemetry.session() as active:
+        with ProcessPool(workers=1) as pool:
+            first = pool.submit(JobEnvelope(target="os:getpid")).result(60)
+            os.kill(first, signal.SIGKILL)
+            lost = active.metrics.counter("procpool_workers_lost_total")
+            deadline = time.monotonic() + 10
+            while lost.value() < 1:
+                assert time.monotonic() < deadline, "worker not respawned"
+                time.sleep(0.01)
+            assert pool.worker_pids() not in ([], [first])
+            second = pool.submit(JobEnvelope(target="os:getpid")).result(60)
+            assert second != first
+            assert lost.value() == 1
+
+
+def test_roundtrip_histogram_recorded_when_telemetry_is_on():
+    with telemetry.session() as active:
+        with ProcessPool(workers=1) as pool:
+            pool.map_envelopes(
+                [JobEnvelope(target="os:getpid") for _ in range(3)],
+                timeout=60,
+            )
+        sample = active.metrics.histogram(
+            "procpool_roundtrip_seconds"
+        ).samples()[0]
+    assert sample["count"] == 3
+    assert sample["sum"] > 0

@@ -34,12 +34,20 @@ def test_batched_dispatch_preserves_order_and_results():
 def test_batches_cut_wire_roundtrips():
     # The sleeper occupies the lone worker while the factorials queue
     # up, so they all travel as one wire batch when it frees up.
-    envelopes = [JobEnvelope(target="time:sleep", args=(0.3,))] + [
+    envelopes = [
         JobEnvelope(target="math:factorial", args=(n,)) for n in range(5)
     ]
     with telemetry.session() as session:
         with ProcessPool(workers=1, dispatch_batch=6) as pool:
+            sleeper = pool.submit(
+                JobEnvelope(target="time:sleep", args=(0.3,))
+            )
+            deadline = time.monotonic() + 10
+            while not session.events.records(kind="procpool.batch"):
+                assert time.monotonic() < deadline, "sleeper never shipped"
+                time.sleep(0.005)
             pool.map_envelopes(envelopes, timeout=60)
+            sleeper.result(timeout=60)
         batches = session.events.records(kind="procpool.batch")
     # Two pickles crossed the pipe: the sleeper, then all five
     # factorials as one batch.

@@ -133,7 +133,9 @@ def naive_transport_bytes(runs) -> int:
     batching, no interning (the pre-batching wire format)."""
     total = 0
     for run in runs:
-        envelope = envelope_for_run(run, repeats=REPEATS, intern=False)
+        envelope = envelope_for_run(
+            run, run._inputs(), repeats=REPEATS, intern=False
+        )
         wire = pickle.dumps(
             {
                 "jobs": [

@@ -72,7 +72,7 @@ def timed_launch(db: ArtifactDB, name: str) -> float:
     # cold/warm contrast is in the execution phase, so time only that.
     experiment.create_runs()
     started = time.perf_counter()
-    summaries = experiment.launch(backend="inline")
+    summaries = experiment.launch(substrate="inline")
     elapsed = time.perf_counter() - started
     assert len(summaries) == len(APPS) * len(CPU_COUNTS)
     assert all(s["success"] for s in summaries)

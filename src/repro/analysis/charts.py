@@ -20,6 +20,7 @@ STATUS_GLYPHS = {
     "gem5_segfault": "S",
     "deadlock": "D",
     "timeout": "T",
+    "failed": "F",  # the run itself failed: no simulation outcome
 }
 
 

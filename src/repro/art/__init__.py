@@ -10,9 +10,8 @@ reproducible by construction:
 - :mod:`repro.art.run` — run objects: special artifacts that reference all
   the input artifacts plus the parameters of one simulation (the paper's
   Fig 4 ``createFSRun``), execute it, and archive the results;
-- :mod:`repro.art.tasks` — hand run objects to a job scheduler (Celery-like
-  app or multiprocessing-like pool) and collect states (Fig 5's
-  ``apply_async`` loop);
+- :mod:`repro.art.tasks` — hand run objects to a job scheduler and collect
+  states (Fig 5's ``apply_async`` loop): one planner, three substrates;
 - :mod:`repro.art.workflow` — the Fig 1 component graph, derived from
   artifact input edges.
 
@@ -38,7 +37,6 @@ from repro.art.tasks import (
     run_job,
     run_jobs_pool,
     run_jobs_scheduler,
-    run_jobs_batch,
 )
 from repro.art.workflow import workflow_graph
 from repro.art.launch import Experiment
@@ -67,7 +65,6 @@ __all__ = [
     "run_job",
     "run_jobs_pool",
     "run_jobs_scheduler",
-    "run_jobs_batch",
     "workflow_graph",
     "Experiment",
     "export_archive",

@@ -6,7 +6,7 @@ asynchronously.  :class:`Experiment` captures that pattern declaratively:
 
 - one or more *stacks* (named artifact sets — e.g. one per Ubuntu release),
 - parameter *axes* to sweep,
-- a backend choice (pool / scheduler / inline),
+- a substrate to execute on (inline / threads / processes),
 
 and it records the experiment itself as a document so the database tells
 the whole story: which artifacts, which cross product, which outcomes.
@@ -27,14 +27,8 @@ from repro.common.timeutil import iso_now
 from repro import telemetry
 from repro.art.artifact import Artifact
 from repro.art.db import ArtifactDB
-from repro.art.checkpoints import CheckpointStore
 from repro.art.run import Gem5Run, RunStatus
-from repro.art.tasks import (
-    run_boot_stage,
-    run_job,
-    run_jobs_pool,
-    run_jobs_scheduler,
-)
+from repro.art.tasks import run_jobs_scheduler
 
 #: Artifact roles a full-system stack must provide.
 FS_STACK_ROLES = (
@@ -200,7 +194,6 @@ class Experiment:
 
     def launch(
         self,
-        backend: str = "pool",
         workers: int = 4,
         resume: bool = False,
         use_cache: bool = True,
@@ -209,11 +202,7 @@ class Experiment:
         priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
-        """Execute every run via the chosen backend and return summaries.
-
-        Backends mirror the paper's three options: ``pool``
-        (multiprocessing-style), ``scheduler`` (Celery-style), ``inline``
-        (no job manager at all).
+        """Execute every run and return summaries.
 
         ``resume=True`` makes the launch idempotent: runs already marked
         done in the database are skipped, so an interrupted experiment
@@ -225,13 +214,14 @@ class Experiment:
         runs; ``use_cache=False`` (the CLI's ``--no-cache``) forces every
         point to simulate.
 
-        ``substrate`` (scheduler backend only) picks where simulations
-        execute: ``"threads"`` in-process, ``"processes"`` sharded
-        across OS worker processes for real CPU parallelism
-        (the CLI's ``--substrate processes``).
+        ``substrate`` picks where simulations execute (the CLI's
+        ``--substrate``): ``"threads"`` on the scheduler's worker
+        threads, ``"processes"`` sharded across OS worker processes for
+        real CPU parallelism, ``"inline"`` on the calling thread with
+        no job manager at all (a raising run propagates).
 
-        ``tenant``/``priority`` (scheduler backend only) are the
-        admission-control coordinates the campaign submits under: an
+        ``tenant``/``priority`` are the admission-control coordinates
+        the campaign submits under on the scheduled substrates: an
         interactive debug sweep can jump the queue ahead of a bulk
         cross product, and a shared service can meter each tenant.
 
@@ -251,7 +241,6 @@ class Experiment:
             ]
         return self._execute_pending(
             pending,
-            backend,
             workers,
             phase="launch",
             use_cache=use_cache,
@@ -263,7 +252,6 @@ class Experiment:
 
     def resume(
         self,
-        backend: str = "pool",
         workers: int = 4,
         retry_failures: bool = False,
         use_cache: bool = True,
@@ -292,7 +280,6 @@ class Experiment:
         ]
         return self._execute_pending(
             pending,
-            backend,
             workers,
             phase="resume",
             use_cache=use_cache,
@@ -319,7 +306,6 @@ class Experiment:
     def _execute_pending(
         self,
         pending: List[Gem5Run],
-        backend: str,
         workers: int,
         phase: str,
         use_cache: bool = True,
@@ -328,21 +314,11 @@ class Experiment:
         priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
-        if backend not in ("pool", "scheduler", "inline"):
-            raise ValidationError(
-                f"unknown backend {backend!r}; "
-                "one of ('pool', 'scheduler', 'inline')"
-            )
-        if substrate != "threads" and backend != "scheduler":
-            raise ValidationError(
-                f"substrate {substrate!r} requires the scheduler backend"
-            )
         span = telemetry.get_tracer().span(
             "experiment",
             attributes={
                 "name": self.name,
                 "experiment_id": self.experiment_id,
-                "backend": backend,
                 "phase": phase,
                 "runs": len(pending),
                 "use_cache": use_cache,
@@ -354,54 +330,28 @@ class Experiment:
             f"experiment.{phase}",
             experiment_id=self.experiment_id,
             name=self.name,
-            backend=backend,
+            substrate=substrate,
             pending=len(pending),
             run_ids=[run.run_id for run in pending],
         )
         self._journal(
             "resuming" if phase == "resume" else "launching",
-            backend=backend,
+            substrate=substrate,
             workers=workers,
             pending=len(pending),
         )
-        store: Optional[CheckpointStore] = None
-        if use_checkpoints and pending:
-            store = CheckpointStore(self.db)
         interrupted = True
         try:
             with span:
-                if backend == "scheduler":
-                    run_jobs_scheduler(
-                        pending,
-                        worker_count=workers,
-                        use_cache=use_cache,
-                        substrate=substrate,
-                        tenant=tenant,
-                        priority=priority,
-                        use_checkpoints=use_checkpoints,
-                        checkpoint_store=store,
-                    )
-                else:
-                    # pool/inline backends stage the boot phase here;
-                    # the scheduler backend stages it internally.
-                    if store is not None:
-                        run_boot_stage(
-                            pending, store, worker_count=workers
-                        )
-                    if backend == "pool":
-                        run_jobs_pool(
-                            pending,
-                            processes=workers,
-                            use_cache=use_cache,
-                            checkpoint_store=store,
-                        )
-                    else:
-                        for run in pending:
-                            run_job(
-                                run,
-                                use_cache=use_cache,
-                                checkpoint_store=store,
-                            )
+                run_jobs_scheduler(
+                    pending,
+                    worker_count=workers,
+                    use_cache=use_cache,
+                    substrate=substrate,
+                    tenant=tenant,
+                    priority=priority,
+                    use_checkpoints=use_checkpoints,
+                )
             interrupted = False
         finally:
             # The journal survives a crash here: a campaign killed
@@ -426,12 +376,15 @@ class Experiment:
     def load(cls, db: ArtifactDB, name_or_id: str) -> "Experiment":
         """Rehydrate an experiment (and its runs) from the database.
 
-        Accepts the experiment's name or id.  The result is frozen —
-        stacks and runs already exist — but fully resumable and
-        reportable.
+        Accepts the experiment's name or id; of several experiments
+        sharing a name (one per repeated sweep) the most recently
+        created is loaded.  The result is frozen — stacks and runs
+        already exist — but fully resumable and reportable.
         """
         experiments = db.database.collection(EXPERIMENTS)
-        doc = experiments.find_one({"name": name_or_id})
+        doc = experiments.find_one(
+            {"name": name_or_id}, sort=[("created_at_wall", -1)]
+        )
         if doc is None:
             doc = experiments.find_one({"_id": name_or_id})
         if doc is None:

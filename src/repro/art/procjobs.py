@@ -11,11 +11,12 @@ exists), returning plain data the parent archives.
 
 Division of labor:
 
-- parent (:func:`payload_for_run` / :func:`envelope_for_run`): resolve
-  artifact payloads/metadata into plain dicts; dedup, caching and all
-  database writes stay here;
-- worker (:func:`execute_run_payload`): rebuild the simulator inputs
-  from the payload, simulate, and return ``{"summary", "stats_txt",
+- parent (:func:`payload_for_run` / :func:`envelope_for_run`): turn the
+  run's resolved inputs (:meth:`~repro.art.run.Gem5Run._inputs`) into
+  plain dicts; dedup, caching and all database writes stay here;
+- worker (:func:`execute_run_payload`): rebuild the inputs from the
+  payload, call the same :func:`repro.art.run.simulate` the in-process
+  path calls, and return ``{"summary", "stats_txt",
   "stats_fingerprint"}`` — the parent uploads the stats blob and updates
   the run document.
 
@@ -30,9 +31,9 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro import telemetry
-from repro.common.errors import StateError, ValidationError
+from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
-from repro.art.artifact import Artifact, load_disk_image
+from repro.art.run import boot_checkpoint, simulate
 from repro.scheduler.procpool import JobEnvelope, intern_ref
 from repro.sim.checkpoint import Checkpoint
 
@@ -47,18 +48,51 @@ BOOT_TARGET = "repro.art.procjobs:execute_boot_payload"
 PAYLOAD_VERSION = 1
 
 
+def _wire_inputs(inputs: Dict[str, Any]) -> Dict[str, Any]:
+    """The picklable form of :meth:`Gem5Run._inputs` (empty for kinds
+    their params alone describe)."""
+    if "disk_image" not in inputs:
+        return {}
+    return dict(inputs, disk_image=inputs["disk_image"].to_dict())
+
+
+def _live_inputs(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker side of :func:`_wire_inputs`."""
+    if "disk_image" not in payload:
+        return {}
+    from repro.vfs.image import DiskImage
+
+    return {
+        "build": payload["build"],
+        "kernel_version": payload["kernel_version"],
+        "disk_image": DiskImage.from_dict(payload["disk_image"]),
+    }
+
+
+def _intern(
+    payload: Dict[str, Any], key: str, content_hash: str,
+    shared: Dict[str, Any],
+) -> None:
+    """Move ``payload[key]`` into ``shared`` behind an
+    :func:`intern_ref`, so each worker receives it at most once."""
+    shared[content_hash] = payload[key]
+    payload[key] = intern_ref(content_hash)
+
+
 def payload_for_run(
     run,
+    inputs: Dict[str, Any],
+    restore: Optional[Checkpoint] = None,
     repeats: int = 1,
-    restore_from: Optional[Checkpoint] = None,
 ) -> Dict[str, Any]:
     """Build the self-contained, picklable payload for one run.
 
-    Resolves every artifact reference *now*, in the parent — the worker
-    never sees the database.  ``repeats`` re-runs the simulation that
-    many times in the worker, asserting identical stats each time.
-    ``restore_from`` makes the worker restore a boot checkpoint instead
-    of booting (the planner's variant-stage fan-out).
+    ``inputs`` (:meth:`Gem5Run._inputs`) were resolved in the parent —
+    the worker never sees the database.  ``repeats`` re-runs the
+    simulation that many times in the worker, asserting identical
+    stats each time.  ``restore`` makes the worker restore a boot
+    checkpoint instead of booting (the planner's variant-stage
+    fan-out).
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
@@ -69,61 +103,18 @@ def payload_for_run(
         "fingerprint": run.fingerprint,
         "params": dict(run.params),
         "repeats": repeats,
+        **_wire_inputs(inputs),
     }
-    if run.kind == "fs":
-        gem5 = Artifact.load(run.db, run.artifacts["gem5"])
-        kernel = Artifact.load(run.db, run.artifacts["linux_binary"])
-        disk = Artifact.load(run.db, run.artifacts["disk_image"])
-        payload["build"] = {
-            "version": gem5.metadata.get("version", "20.1.0.4"),
-            "isa": gem5.metadata.get("isa", "X86"),
-            "variant": gem5.metadata.get("variant", "opt"),
-        }
-        payload["kernel_version"] = kernel.metadata["kernel_version"]
-        payload["disk_image"] = load_disk_image(disk).to_dict()
-        if restore_from is not None:
-            payload["restore_from"] = restore_from.to_dict()
-    elif run.kind == "gpu":
-        if restore_from is not None:
-            raise ValidationError("only fs runs restore boot checkpoints")
-        # params alone describe a GPU run (workload is a catalog key)
-    else:
-        raise ValidationError(f"unknown run kind {run.kind!r}")
-    return payload
-
-
-def _interned_payload(
-    run, payload: Dict[str, Any]
-) -> Optional[Dict[str, Any]]:
-    """Replace the payload's bulk values with :func:`intern_ref` s.
-
-    Returns ``(payload', shared)`` folded into one dict under the keys
-    the envelope needs, or None when the payload has nothing worth
-    interning.  The disk image tree dominates an fs payload's pickled
-    size and is identical across a sweep; the checkpoint document
-    repeats across every variant of a prefix.  Both are content-hashed
-    already, which is what makes the intern key free.
-    """
-    shared: Dict[str, Any] = {}
-    payload = dict(payload)
-    if "disk_image" in payload:
-        disk = Artifact.load(run.db, run.artifacts["disk_image"])
-        shared[disk.hash] = payload["disk_image"]
-        payload["disk_image"] = intern_ref(disk.hash)
-    restore = payload.get("restore_from")
     if restore is not None:
-        shared[restore["checkpoint_id"]] = restore
-        payload["restore_from"] = intern_ref(restore["checkpoint_id"])
-    if not shared:
-        return None
-    return {"payload": payload, "shared": shared}
+        payload["restore_from"] = restore.to_dict()
+    return payload
 
 
 def envelope_for_run(
     run,
+    inputs: Dict[str, Any],
+    restore: Optional[Checkpoint] = None,
     repeats: int = 1,
-    with_telemetry: Optional[bool] = None,
-    restore_from: Optional[Checkpoint] = None,
     intern: bool = True,
 ) -> JobEnvelope:
     """Wrap a run's payload in a process-pool envelope.
@@ -131,96 +122,59 @@ def envelope_for_run(
     The envelope's ``task_id`` is the run's instance id and its
     ``fingerprint`` the run's content identity, so pool telemetry and
     lease events correlate with run documents without a join table.
-    When ``with_telemetry`` is unset, the worker records telemetry
-    exactly when the parent currently does.  ``intern`` (default on)
-    ships the bulk payload values — disk image tree, checkpoint
-    document — through the pool's content-hash intern cache, so each
-    worker receives them at most once across the whole sweep.
+    The worker records telemetry exactly when the parent currently
+    does.  ``intern`` (default on) ships the bulk payload values — the
+    disk image tree, which dominates an fs payload's pickled size and
+    is identical across a sweep, and the checkpoint document, which
+    repeats across every variant of a prefix — through the pool's
+    content-hash intern cache, so each worker receives them at most
+    once across the whole sweep.  Both are content-hashed already,
+    which is what makes the intern key free.
     """
-    telemetry_on = (
-        telemetry.enabled() if with_telemetry is None else with_telemetry
-    )
-    payload = payload_for_run(
-        run, repeats=repeats, restore_from=restore_from
-    )
+    payload = payload_for_run(run, inputs, restore, repeats)
     shared: Dict[str, Any] = {}
-    if intern:
-        interned = _interned_payload(run, payload)
-        if interned is not None:
-            payload = interned["payload"]
-            shared = interned["shared"]
+    if intern and "disk_image" in payload:
+        _intern(
+            payload, "disk_image", run.spec.artifacts["disk_image"], shared
+        )
+    if intern and restore is not None:
+        _intern(payload, "restore_from", restore.checkpoint_id, shared)
     return JobEnvelope(
         target=RUN_TARGET,
         args=(payload,),
         task_id=run.run_id,
         fingerprint=run.fingerprint,
-        telemetry=telemetry_on,
+        telemetry=telemetry.enabled(),
         shared=shared,
     )
 
 
-def boot_payload_for_run(
-    run, boot_cpu: str = "kvm"
-) -> Dict[str, Any]:
-    """Build the boot-stage payload for one prefix's checkpoint job.
+def envelope_for_boot(run, boot_cpu: str = "kvm") -> JobEnvelope:
+    """Wrap a prefix cohort's boot job in a process-pool envelope.
 
-    ``run`` is any representative of the prefix cohort: the payload
-    carries only the boot-determining subset (kernel, disk image,
-    platform shape, boot type) plus ``boot_cpu`` — the cheap CPU model
-    the boot executes under (kvm by default, which the fault model
-    supports on every platform shape).
+    ``run`` is any representative of the prefix cohort; ``boot_cpu`` is
+    the cheap CPU model the boot executes under (kvm by default, which
+    the fault model supports on every platform shape).
     """
     if run.kind != "fs":
         raise ValidationError("only fs runs have a boot stage")
-    params = dict(run.params)
-    gem5 = Artifact.load(run.db, run.artifacts["gem5"])
-    kernel = Artifact.load(run.db, run.artifacts["linux_binary"])
-    disk = Artifact.load(run.db, run.artifacts["disk_image"])
-    return {
+    payload = {
         "version": PAYLOAD_VERSION,
-        "kind": "fs",
         "run_id": run.run_id,
-        "prefix": run.prefix,
-        "build": {
-            "version": gem5.metadata.get("version", "20.1.0.4"),
-            "isa": gem5.metadata.get("isa", "X86"),
-            "variant": gem5.metadata.get("variant", "opt"),
-        },
-        "kernel_version": kernel.metadata["kernel_version"],
-        "disk_image": load_disk_image(disk).to_dict(),
-        "params": {
-            "cpu_type": boot_cpu,
-            "num_cpus": params["num_cpus"],
-            "memory_system": params["memory_system"],
-            "memory_tech": params["memory_tech"],
-            "memory_channels": params["memory_channels"],
-            "boot_type": params.get("boot_type", "systemd"),
-        },
+        "params": dict(run.params),
+        "boot_cpu": boot_cpu,
+        **_wire_inputs(run._inputs()),
     }
-
-
-def envelope_for_boot(
-    run,
-    boot_cpu: str = "kvm",
-    with_telemetry: Optional[bool] = None,
-    intern: bool = True,
-) -> JobEnvelope:
-    """Wrap a prefix cohort's boot job in a process-pool envelope."""
-    telemetry_on = (
-        telemetry.enabled() if with_telemetry is None else with_telemetry
-    )
-    payload = boot_payload_for_run(run, boot_cpu=boot_cpu)
     shared: Dict[str, Any] = {}
-    if intern:
-        disk = Artifact.load(run.db, run.artifacts["disk_image"])
-        shared[disk.hash] = payload["disk_image"]
-        payload = dict(payload, disk_image=intern_ref(disk.hash))
+    _intern(
+        payload, "disk_image", run.spec.artifacts["disk_image"], shared
+    )
     return JobEnvelope(
         target=BOOT_TARGET,
         args=(payload,),
         task_id=f"boot-{run.prefix}",
         fingerprint=run.prefix or "",
-        telemetry=telemetry_on,
+        telemetry=telemetry.enabled(),
         shared=shared,
     )
 
@@ -234,45 +188,22 @@ def execute_run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     part of the reproducibility contract and process isolation is the
     best place to catch violations.
     """
-    kind = payload.get("kind")
-    if kind == "fs":
-        # Hoisted out of the repeat loop: the image deserialization (and
-        # its memoized content hash), the checkpoint rebuild and the
-        # simulator construction are identical for every repeat of a
-        # deterministic simulation.
-        from repro.vfs.image import DiskImage
-
-        image = DiskImage.from_dict(payload["disk_image"])
-        restore = None
-        if payload.get("restore_from") is not None:
-            restore = Checkpoint.from_dict(payload["restore_from"])
-        simulator = _fs_simulator(payload)
-
-        def execute(p):
-            return _execute_fs(p, simulator, image, restore)
-
-    elif kind == "gpu":
-        execute = _execute_gpu
-    else:
-        raise ValidationError(f"unknown payload kind {kind!r}")
+    restore = None
+    if payload.get("restore_from") is not None:
+        restore = Checkpoint.from_dict(payload["restore_from"])
     repeats = int(payload.get("repeats", 1))
-    summary, result = execute(payload)
+    summary, result = simulate(
+        payload["kind"],
+        payload["params"],
+        _live_inputs(payload),
+        restore,
+        repeats=repeats,
+    )
     stats_txt = result.stats_txt()
-    fingerprint = sha256_text(stats_txt)
-    # Repeats compare raw stats dicts — equivalent to comparing the
-    # rendered text (stats_txt derives from stats deterministically)
-    # without paying serialization+hash per repeat.
-    for _ in range(repeats - 1):
-        _, again = execute(payload)
-        if again.stats != result.stats:
-            raise StateError(
-                f"non-deterministic simulation: run {payload['run_id']} "
-                "produced different stats on repeat"
-            )
     return {
         "summary": summary,
         "stats_txt": stats_txt,
-        "stats_fingerprint": fingerprint,
+        "stats_fingerprint": sha256_text(stats_txt),
         "repeats": repeats,
     }
 
@@ -281,99 +212,13 @@ def execute_boot_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side boot stage: boot once, return the checkpoint.
 
     Imported by dotted path inside a spawned worker process.  Returns
-    ``{"checkpoint": dict-or-None, "summary": {...}}``; a boot that
-    fails the fault model yields no checkpoint and the cohort degrades
-    to full boots — degradation, never escalation.
+    ``{"checkpoint": dict-or-None}``; a boot that fails the fault model
+    yields no checkpoint and the cohort degrades to full boots —
+    degradation, never escalation.
     """
-    from repro.vfs.image import DiskImage
-
-    params = payload["params"]
-    simulator = _fs_simulator(payload)
-    image = DiskImage.from_dict(payload["disk_image"])
-    checkpoint, result = simulator.take_boot_checkpoint(
-        kernel=payload["kernel_version"],
-        disk_image=image,
-        boot_type=params.get("boot_type", "systemd"),
+    checkpoint, _ = boot_checkpoint(
+        payload["params"], _live_inputs(payload), payload["boot_cpu"]
     )
     return {
-        "prefix": payload.get("prefix"),
-        "checkpoint": None if checkpoint is None else checkpoint.to_dict(),
-        "summary": {
-            "simulation_status": result.status.value,
-            "reason": result.reason,
-            "boot_seconds": result.boot_seconds,
-            "instructions": result.instructions,
-        },
+        "checkpoint": None if checkpoint is None else checkpoint.to_dict()
     }
-
-
-def _fs_simulator(payload: Dict[str, Any]):
-    """Build the simulator a payload describes (once per envelope)."""
-    from repro.sim.buildinfo import Gem5Build
-    from repro.sim.config import SystemConfig
-    from repro.sim.simulator import Gem5Simulator
-
-    params = payload["params"]
-    build = Gem5Build(**payload["build"])
-    config = SystemConfig(
-        cpu_type=params["cpu_type"],
-        num_cpus=params["num_cpus"],
-        memory_system=params["memory_system"],
-        memory_tech=params["memory_tech"],
-        memory_channels=params["memory_channels"],
-    )
-    return Gem5Simulator(build, config)
-
-
-def _execute_fs(
-    payload: Dict[str, Any],
-    simulator,
-    image,
-    restore: Optional[Checkpoint] = None,
-):
-    from repro.sim.simulator import SimulationStatus
-
-    params = payload["params"]
-    result = simulator.run_fs(
-        kernel=payload["kernel_version"],
-        disk_image=image,
-        benchmark=params.get("benchmark"),
-        input_size=params.get("input_size"),
-        boot_type=params.get("boot_type", "systemd"),
-        restore_from=restore,
-    )
-    summary = {
-        "simulation_status": result.status.value,
-        "reason": result.reason,
-        "sim_seconds": result.sim_seconds,
-        "boot_seconds": result.boot_seconds,
-        "workload_seconds": result.workload_seconds,
-        "instructions": result.instructions,
-        "config": result.config_summary,
-        "workload": result.workload_name,
-        "restored_boot": restore is not None,
-        "success": result.status is SimulationStatus.OK,
-    }
-    return summary, result
-
-
-def _execute_gpu(payload: Dict[str, Any]):
-    from repro.gpu.config import GPUConfig
-    from repro.gpu.device import GPUDevice
-    from repro.gpu.workloads import get_gpu_workload
-
-    params = payload["params"]
-    workload = get_gpu_workload(params["workload"])
-    config = GPUConfig(**dict(params["gpu_config"]))
-    device = GPUDevice(config)
-    result = device.execute(workload.kernel, params["register_allocator"])
-    summary = {
-        "simulation_status": "ok",
-        "workload": workload.name,
-        "suite": workload.suite,
-        "register_allocator": result.allocator,
-        "shader_ticks": result.shader_ticks,
-        "occupancy_per_simd": result.occupancy_per_simd,
-        "success": True,
-    }
-    return summary, result

@@ -26,9 +26,10 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
 
-from repro.common.errors import NotFoundError, ValidationError
+from repro.common.errors import NotFoundError, StateError, ValidationError
 from repro.common.ids import new_uuid
 from repro.common.timeutil import iso_now
 from repro import chaos, telemetry
@@ -53,12 +54,6 @@ class RunStatus(str, enum.Enum):
     DONE = "done"
     FAILED = "failed"
     TIMED_OUT = "timed_out"
-
-
-#: Simulation statuses that count as a *failed* run (vs a successful run
-#: of a simulation that itself reported a failure — for boot tests even a
-#: kernel panic is a valid, recorded outcome).
-_HARD_FAILURES = ()
 
 
 @dataclass
@@ -293,18 +288,74 @@ class Gem5Run:
         archived in the database next to the stats blob, so the timeline
         can be rehydrated from the database alone.
         """
+
+        def in_process(inputs, restore):
+            started = time.monotonic()
+            summary, result = simulate(
+                self.kind, self.params, inputs, restore
+            )
+            stats_txt = result.stats_txt()
+            return summary, stats_txt, time.monotonic() - started, {}
+
+        return self._execute(in_process, use_cache, checkpoint_store)
+
+    def run_in_pool(
+        self,
+        pool,
+        use_cache: bool = True,
+        repeats: int = 1,
+        checkpoint_store=None,
+    ) -> Dict[str, object]:
+        """Execute this run on a process-pool substrate.
+
+        Everything but the simulation itself — cache consult, checkpoint
+        consult, status transitions, stats-blob upload, cache store —
+        is :meth:`run`'s, in the parent; the worker process only
+        simulates (see :mod:`repro.art.procjobs`).  A worker failure
+        marks the run FAILED and re-raises, and the gem5art timeout is
+        enforced on the worker's host wall-clock seconds.
+        """
+        from repro.art.procjobs import envelope_for_run
+
+        def in_worker(inputs, restore):
+            handle = pool.submit(
+                envelope_for_run(self, inputs, restore, repeats=repeats)
+            )
+            outcome = handle.result()
+            return (
+                outcome["summary"],
+                outcome["stats_txt"],
+                handle.host_seconds,
+                {
+                    "stats_fingerprint": outcome["stats_fingerprint"],
+                    "worker": handle.worker,
+                },
+            )
+
+        return self._execute(
+            in_worker, use_cache, checkpoint_store, substrate="processes"
+        )
+
+    def _execute(
+        self, simulate_on, use_cache: bool, checkpoint_store, **attributes
+    ) -> Dict[str, object]:
+        """The one run skeleton.  ``simulate_on(inputs, restore)`` is
+        the only substrate-specific step: it turns the resolved inputs
+        into ``(summary, stats_txt, host_seconds, extra_summary_fields)``
+        on this thread or in a worker process."""
         span = telemetry.get_tracer().span(
             "run",
             attributes={
                 "run_id": self.run_id,
                 "kind": self.kind,
                 "fingerprint": self.fingerprint,
+                **attributes,
             },
         )
         try:
             with span:
-                summary = self._run_or_adopt(
-                    use_cache, span, checkpoint_store
+                summary = self._adopt_or_simulate(
+                    simulate_on, use_cache, checkpoint_store, span
                 )
                 span.set_attribute("status", self.status.value)
                 span.set_attribute(
@@ -321,53 +372,9 @@ class Gem5Run:
             self._archive_telemetry(span)
         return summary
 
-    def run_in_pool(
-        self,
-        pool,
-        use_cache: bool = True,
-        repeats: int = 1,
-        checkpoint_store=None,
+    def _adopt_or_simulate(
+        self, simulate_on, use_cache: bool, checkpoint_store, span
     ) -> Dict[str, object]:
-        """Execute this run on a process-pool substrate.
-
-        The cache consult, status transitions, stats-blob upload and
-        cache store all happen here in the parent — the worker process
-        only simulates (see :mod:`repro.art.procjobs`).  Semantics match
-        :meth:`run`: a cache hit adopts without simulating, a worker
-        failure marks the run FAILED and re-raises, and the gem5art
-        timeout is enforced on the worker's host wall-clock seconds.
-        """
-        span = telemetry.get_tracer().span(
-            "run",
-            attributes={
-                "run_id": self.run_id,
-                "kind": self.kind,
-                "fingerprint": self.fingerprint,
-                "substrate": "processes",
-            },
-        )
-        try:
-            with span:
-                summary = self._run_or_adopt_in_pool(
-                    pool, use_cache, repeats, span, checkpoint_store
-                )
-                span.set_attribute("status", self.status.value)
-                span.set_attribute(
-                    "workload", summary.get("workload", "")
-                )
-        finally:
-            span.set_attribute("status", self.status.value)
-            telemetry.get_metrics().counter(
-                "runs_total", "gem5art runs by final status"
-            ).inc(outcome=self.status.value)
-            self._archive_telemetry(span)
-        return summary
-
-    def _run_or_adopt_in_pool(
-        self, pool, use_cache: bool, repeats: int, span, checkpoint_store
-    ) -> Dict[str, object]:
-        from repro.art.procjobs import envelope_for_run
-
         cache = (
             RunCache(self.db) if use_cache and self.fingerprint else None
         )
@@ -377,24 +384,26 @@ class Gem5Run:
                 span.set_attribute("cache", "hit")
                 return self.adopt_cached(entry)
             span.set_attribute("cache", "miss")
-        restore = None
-        if checkpoint_store is not None and self.kind == "fs":
-            # Full compatibility (including the image hash) is
-            # re-verified inside the worker; the prefix key already
-            # guarantees it, so a mismatch there is a loud failure,
-            # not a silent wrong restore.
-            restore = checkpoint_store.get(self.prefix)
-        if restore is not None:
-            span.set_attribute("boot", "restored")
-        envelope = envelope_for_run(
-            self, repeats=repeats, restore_from=restore
-        )
         self._set_status(
             RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
         )
-        handle = pool.submit(envelope)
         try:
-            outcome = handle.result()
+            inputs = self._inputs()
+            restore = self._consult_checkpoint(checkpoint_store, inputs)
+            if restore is not None:
+                span.set_attribute("boot", "restored")
+            summary, stats_txt, host_seconds, extras = simulate_on(
+                inputs, restore
+            )
+            summary = dict(
+                summary,
+                stats_file_id=self.db.upload_file(
+                    stats_txt.encode("utf-8"),
+                    filename=f"stats-{self.run_id}.txt",
+                ),
+                **extras,
+                host_seconds=host_seconds,
+            )
         except Exception as error:
             self.results = {"error": str(error)}
             self._set_status(
@@ -403,41 +412,16 @@ class Gem5Run:
                 extra={"finished_at_wall": iso_now()},
             )
             raise
-        summary = dict(outcome["summary"])
-        stats_file_id = self.db.upload_file(
-            outcome["stats_txt"].encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
-        summary["stats_file_id"] = stats_file_id
-        summary["stats_fingerprint"] = outcome["stats_fingerprint"]
-        summary["host_seconds"] = handle.host_seconds
-        summary["worker"] = handle.worker
-        finished = {"finished_at_wall": iso_now()}
-        if handle.host_seconds > self.timeout:
+        timed_out = host_seconds > self.timeout
+        if timed_out:
             summary["timed_out"] = True
-            self.results = summary
-            self._set_status(RunStatus.TIMED_OUT, summary, extra=finished)
-            return summary
         self.results = summary
-        self._set_status(RunStatus.DONE, summary, extra=finished)
-        if cache is not None and self.status is RunStatus.DONE:
-            cache.store(self.fingerprint, self.db.get_run(self.run_id))
-        return summary
-
-    def _run_or_adopt(
-        self, use_cache: bool, span, checkpoint_store=None
-    ) -> Dict[str, object]:
-        cache = (
-            RunCache(self.db) if use_cache and self.fingerprint else None
+        self._set_status(
+            RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
+            summary,
+            extra={"finished_at_wall": iso_now()},
         )
-        if cache is not None:
-            entry = cache.consult(self.fingerprint)
-            if entry is not None:
-                span.set_attribute("cache", "hit")
-                return self.adopt_cached(entry)
-            span.set_attribute("cache", "miss")
-        summary = self._run_guarded(checkpoint_store)
-        if cache is not None and self.status is RunStatus.DONE:
+        if cache is not None and not timed_out:
             cache.store(self.fingerprint, self.db.get_run(self.run_id))
         return summary
 
@@ -458,38 +442,6 @@ class Gem5Run:
         )
         return results
 
-    def _run_guarded(self, checkpoint_store=None) -> Dict[str, object]:
-        self._set_status(
-            RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
-        )
-        started = time.monotonic()
-        try:
-            if self.kind == "fs":
-                summary = self._run_fs(checkpoint_store)
-            elif self.kind == "gpu":
-                summary = self._run_gpu()
-            else:
-                raise ValidationError(f"unknown run kind {self.kind!r}")
-        except Exception as error:
-            self.results = {"error": str(error)}
-            self._set_status(
-                RunStatus.FAILED,
-                self.results,
-                extra={"finished_at_wall": iso_now()},
-            )
-            raise
-        elapsed = time.monotonic() - started
-        summary["host_seconds"] = elapsed
-        finished = {"finished_at_wall": iso_now()}
-        if elapsed > self.timeout:
-            summary["timed_out"] = True
-            self.results = summary
-            self._set_status(RunStatus.TIMED_OUT, summary, extra=finished)
-            return summary
-        self.results = summary
-        self._set_status(RunStatus.DONE, summary, extra=finished)
-        return summary
-
     def _archive_telemetry(self, span) -> None:
         """Store this run's span subtree as a blob next to its stats."""
         if not telemetry.enabled() or not span.span_id:
@@ -504,31 +456,43 @@ class Gem5Run:
             kind="run",
         )
 
-    def _fs_inputs(self):
-        """Reconstruct (build, kernel_version, image) from the artifacts."""
+    def _inputs(self) -> Dict[str, object]:
+        """Resolve the input artifacts into what :func:`simulate`
+        consumes.
+
+        For an fs run: the simulator ``build`` (a plain dict), the
+        ``kernel_version`` and the live ``disk_image``.  Other kinds
+        are described by their params alone.
+        """
+        if self.kind != "fs":
+            return {}
         gem5_artifact = Artifact.load(self.db, self.artifacts["gem5"])
         kernel_artifact = Artifact.load(
             self.db, self.artifacts["linux_binary"]
         )
         disk_artifact = Artifact.load(self.db, self.artifacts["disk_image"])
-        build = Gem5Build(
-            version=gem5_artifact.metadata.get("version", "20.1.0.4"),
-            isa=gem5_artifact.metadata.get("isa", "X86"),
-            variant=gem5_artifact.metadata.get("variant", "opt"),
-        )
-        kernel_version = kernel_artifact.metadata["kernel_version"]
-        image = load_disk_image(disk_artifact)
-        return build, kernel_version, image
+        return {
+            "build": {
+                "version": gem5_artifact.metadata.get(
+                    "version", "20.1.0.4"
+                ),
+                "isa": gem5_artifact.metadata.get("isa", "X86"),
+                "variant": gem5_artifact.metadata.get("variant", "opt"),
+            },
+            "kernel_version": kernel_artifact.metadata["kernel_version"],
+            "disk_image": load_disk_image(disk_artifact),
+        }
 
     def _consult_checkpoint(
-        self, store, kernel_version: str, image
+        self, store, inputs: Dict[str, object]
     ) -> Optional[Checkpoint]:
         """Fetch this run's boot checkpoint, degrading on any doubt.
 
         The store's ``get`` already degrades on missing/corrupt entries;
         this layer additionally re-verifies restore compatibility and
         treats a mismatch as a miss (full boot) rather than a failure —
-        a stale or hand-edited store must never wedge a sweep.
+        a stale or hand-edited store must never wedge a sweep.  It runs
+        before dispatch, so every substrate degrades the same way.
         """
         if store is None or self.kind != "fs":
             return None
@@ -540,8 +504,8 @@ class Gem5Run:
             return None
         try:
             checkpoint.check_compatible(
-                kernel_version=kernel_version,
-                disk_image_hash=image.content_hash(),
+                kernel_version=inputs["kernel_version"],
+                disk_image_hash=inputs["disk_image"].content_hash(),
                 num_cpus=self.params["num_cpus"],
                 memory_system=self.params["memory_system"],
             )
@@ -567,83 +531,10 @@ class Gem5Run:
         """
         if self.kind != "fs":
             return None
-        build, kernel_version, image = self._fs_inputs()
-        config = SystemConfig(
-            cpu_type=boot_cpu,
-            num_cpus=self.params["num_cpus"],
-            memory_system=self.params["memory_system"],
-            memory_tech=self.params["memory_tech"],
-            memory_channels=self.params["memory_channels"],
-        )
-        simulator = Gem5Simulator(build, config)
-        checkpoint, _ = simulator.take_boot_checkpoint(
-            kernel=kernel_version,
-            disk_image=image,
-            boot_type=self.params.get("boot_type", "systemd"),
+        checkpoint, _ = boot_checkpoint(
+            self.params, self._inputs(), boot_cpu
         )
         return checkpoint
-
-    def _run_fs(self, checkpoint_store=None) -> Dict[str, object]:
-        build, kernel_version, image = self._fs_inputs()
-        config = SystemConfig(
-            cpu_type=self.params["cpu_type"],
-            num_cpus=self.params["num_cpus"],
-            memory_system=self.params["memory_system"],
-            memory_tech=self.params["memory_tech"],
-            memory_channels=self.params["memory_channels"],
-        )
-        simulator = Gem5Simulator(build, config)
-        restore = self._consult_checkpoint(
-            checkpoint_store, kernel_version, image
-        )
-        result = simulator.run_fs(
-            kernel=kernel_version,
-            disk_image=image,
-            benchmark=self.params.get("benchmark"),
-            input_size=self.params.get("input_size"),
-            boot_type=self.params.get("boot_type", "systemd"),
-            restore_from=restore,
-        )
-        stats_file_id = self.db.upload_file(
-            result.stats_txt().encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
-        return {
-            "simulation_status": result.status.value,
-            "reason": result.reason,
-            "sim_seconds": result.sim_seconds,
-            "boot_seconds": result.boot_seconds,
-            "workload_seconds": result.workload_seconds,
-            "instructions": result.instructions,
-            "config": result.config_summary,
-            "workload": result.workload_name,
-            "stats_file_id": stats_file_id,
-            "restored_boot": restore is not None,
-            "success": result.status is SimulationStatus.OK,
-        }
-
-    def _run_gpu(self) -> Dict[str, object]:
-        workload = get_gpu_workload(self.params["workload"])
-        config_params = dict(self.params["gpu_config"])
-        config = GPUConfig(**config_params)
-        device = GPUDevice(config)
-        result = device.execute(
-            workload.kernel, self.params["register_allocator"]
-        )
-        stats_file_id = self.db.upload_file(
-            result.stats_txt().encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
-        return {
-            "simulation_status": "ok",
-            "workload": workload.name,
-            "suite": workload.suite,
-            "register_allocator": result.allocator,
-            "shader_ticks": result.shader_ticks,
-            "occupancy_per_simd": result.occupancy_per_simd,
-            "stats_file_id": stats_file_id,
-            "success": True,
-        }
 
     # ------------------------------------------------------------ storage
 
@@ -663,3 +554,102 @@ class Gem5Run:
         telemetry.get_event_log().emit(
             "run.status", run_id=self.run_id, status=status.value
         )
+
+
+# ------------------------------------------------------------- simulation
+#
+# The only code that drives the simulator for a run.  ``Gem5Run.run``
+# calls it with live inputs; a process-pool worker calls it after
+# deserializing its payload (:mod:`repro.art.procjobs`).  Both therefore
+# produce the same summary by construction.
+
+
+def simulate(kind: str, params, inputs, restore=None, repeats: int = 1):
+    """Simulate one run: ``(summary, result)``.
+
+    ``inputs`` is :meth:`Gem5Run._inputs` (or a worker's rebuild of
+    it); the summary has every result field that does not need the
+    database.  ``repeats`` re-runs the (deterministic) simulation on
+    the same simulator and raises if any repeat produces different
+    statistics.
+    """
+    if kind == "fs":
+        # Built once, outside the repeat loop.
+        simulator = _fs_simulator(params, inputs, params["cpu_type"])
+        once = partial(_simulate_fs, simulator, params, inputs, restore)
+    elif kind == "gpu":
+        once = partial(_simulate_gpu, params)
+    else:
+        raise ValidationError(f"unknown run kind {kind!r}")
+    summary, result = once()
+    # Repeats compare raw stats dicts — equivalent to comparing the
+    # rendered text (stats_txt derives from stats deterministically)
+    # without paying serialization+hash per repeat.
+    for _ in range(repeats - 1):
+        if once()[1].stats != result.stats:
+            raise StateError(
+                "non-deterministic simulation: a repeat produced "
+                "different stats"
+            )
+    return summary, result
+
+
+def boot_checkpoint(params, inputs, boot_cpu: str = "kvm"):
+    """Boot an fs run's platform shape under ``boot_cpu``:
+    ``(checkpoint-or-None, result)``."""
+    return _fs_simulator(params, inputs, boot_cpu).take_boot_checkpoint(
+        kernel=inputs["kernel_version"],
+        disk_image=inputs["disk_image"],
+        boot_type=params.get("boot_type", "systemd"),
+    )
+
+
+def _fs_simulator(params, inputs, cpu_type: str) -> Gem5Simulator:
+    config = SystemConfig(
+        cpu_type=cpu_type,
+        num_cpus=params["num_cpus"],
+        memory_system=params["memory_system"],
+        memory_tech=params["memory_tech"],
+        memory_channels=params["memory_channels"],
+    )
+    return Gem5Simulator(Gem5Build(**inputs["build"]), config)
+
+
+def _simulate_fs(simulator, params, inputs, restore):
+    result = simulator.run_fs(
+        kernel=inputs["kernel_version"],
+        disk_image=inputs["disk_image"],
+        benchmark=params.get("benchmark"),
+        input_size=params.get("input_size"),
+        boot_type=params.get("boot_type", "systemd"),
+        restore_from=restore,
+    )
+    summary = {
+        "simulation_status": result.status.value,
+        "reason": result.reason,
+        "sim_seconds": result.sim_seconds,
+        "boot_seconds": result.boot_seconds,
+        "workload_seconds": result.workload_seconds,
+        "instructions": result.instructions,
+        "config": result.config_summary,
+        "workload": result.workload_name,
+        "restored_boot": restore is not None,
+        "success": result.status is SimulationStatus.OK,
+    }
+    return summary, result
+
+
+def _simulate_gpu(params):
+    workload = get_gpu_workload(params["workload"])
+    device = GPUDevice(GPUConfig(**dict(params["gpu_config"])))
+    result = device.execute(workload.kernel, params["register_allocator"])
+    summary = {
+        "simulation_status": "ok",
+        "workload": workload.name,
+        "suite": workload.suite,
+        "register_allocator": result.allocator,
+        "shader_ticks": result.shader_ticks,
+        "occupancy_per_simd": result.occupancy_per_simd,
+        "success": True,
+    }
+    return summary, result

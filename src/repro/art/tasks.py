@@ -1,10 +1,15 @@
 """Task execution — the paper's Fig 5 launch-script tail.
 
-Run objects are handed to an external task manager: a Celery-like
-:class:`~repro.scheduler.SchedulerApp`, a multiprocessing-like
-:class:`~repro.scheduler.SimplePool`, or no scheduler at all (synchronous
-:func:`run_job`).  All three return the same summaries, so launch scripts
-can switch managers freely — exactly the flexibility Section IV-D claims.
+Run objects are plain callables that any task manager can launch.
+:func:`run_jobs_scheduler` is the one planner every sweep goes through
+(``Experiment.launch``, the CLI, the pipeline runner): it stages the
+boot phase, then executes one ``job(index)`` closure per run on the
+chosen *substrate* — the calling thread, the Celery-like
+:class:`~repro.scheduler.SchedulerApp`'s worker threads, or a
+:class:`~repro.scheduler.ProcessPool` behind it.  :func:`run_job` and
+:func:`run_jobs_pool` are the paper's literal launch-script tail
+(``multiprocessing``'s ``apply_async`` over ``run.run``) and serve as
+the reference the planner is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from repro.art.cache import RunCache
 from repro.art.checkpoints import CheckpointStore
 from repro.art.run import Gem5Run
 from repro.common.errors import ValidationError
+from repro.sim.checkpoint import Checkpoint
 from repro.scheduler import (
     AdmissionController,
     AdmissionRejected,
@@ -26,24 +32,13 @@ from repro.scheduler import (
     TaskState,
 )
 from repro.telemetry import get_metrics, get_tracer
-from repro.scheduler.batch import (
-    BatchSystem,
-    JobDescription,
-    JobState,
-    Machine,
-)
+
+#: Where a sweep's simulations execute.
+SUBSTRATES = ("inline", "threads", "processes")
 
 
-def run_job(
-    run: Gem5Run,
-    use_cache: bool = True,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> Dict[str, object]:
+def run_job(run: Gem5Run, use_cache: bool = True) -> Dict[str, object]:
     """Execute one run synchronously (the no-scheduler option)."""
-    if checkpoint_store is not None:
-        return run.run(
-            use_cache=use_cache, checkpoint_store=checkpoint_store
-        )
     return run.run(use_cache=use_cache)
 
 
@@ -51,7 +46,6 @@ def run_jobs_pool(
     runs: Sequence[Gem5Run],
     processes: int = 4,
     use_cache: bool = True,
-    checkpoint_store: Optional[CheckpointStore] = None,
 ) -> List[Dict[str, object]]:
     """Execute runs through the multiprocessing-style pool, preserving
     input order in the returned summaries.
@@ -64,11 +58,7 @@ def run_jobs_pool(
 
     def execute(run: Gem5Run) -> Dict[str, object]:
         with tracer.activate(parent):
-            return run_job(
-                run,
-                use_cache=use_cache,
-                checkpoint_store=checkpoint_store,
-            )
+            return run_job(run, use_cache=use_cache)
 
     with SimplePool(processes=processes) as pool:
         handles = [pool.apply_async(execute, (run,)) for run in runs]
@@ -116,14 +106,22 @@ def run_boot_stage(
 
     def boot_one(prefix: str) -> object:
         representative = runs[plan[prefix][0]]
-        if pool is not None:
-            thunk = _pool_boot(representative, pool, boot_cpu)
-        else:
-            def thunk():
+
+        def boot():
+            if pool is None:
                 return representative.take_boot_checkpoint(
                     boot_cpu=boot_cpu
                 )
-        return store.get_or_boot(prefix, thunk)
+            from repro.art.procjobs import envelope_for_boot
+
+            outcome = pool.submit(
+                envelope_for_boot(representative, boot_cpu=boot_cpu)
+            ).result()
+            if outcome["checkpoint"] is None:
+                return None
+            return Checkpoint.from_dict(outcome["checkpoint"])
+
+        return store.get_or_boot(prefix, boot)
 
     checkpoints: Dict[str, object] = {}
     with get_tracer().span(
@@ -149,21 +147,6 @@ def run_boot_stage(
     return checkpoints
 
 
-def _pool_boot(run: Gem5Run, pool: ProcessPool, boot_cpu: str):
-    """A boot thunk that ships the boot job to a worker process."""
-    from repro.art.procjobs import envelope_for_boot
-    from repro.sim.checkpoint import Checkpoint
-
-    def boot():
-        handle = pool.submit(envelope_for_boot(run, boot_cpu=boot_cpu))
-        outcome = handle.result()
-        if outcome.get("checkpoint") is None:
-            return None
-        return Checkpoint.from_dict(outcome["checkpoint"])
-
-    return boot
-
-
 def run_jobs_scheduler(
     runs: Sequence[Gem5Run],
     worker_count: int = 4,
@@ -180,16 +163,29 @@ def run_jobs_scheduler(
     repeats: int = 1,
     dispatch_batch: int = 1,
 ) -> List[Dict[str, object]]:
-    """Execute runs through the Celery-like scheduler app.
+    """Plan and execute a sweep: boot stage, then one job per run.
 
-    Each job's gem5art timeout is enforced by the scheduler; jobs that
-    exceed it are reported with a ``timed_out`` summary rather than
-    raising, since a timeout is a recorded outcome for the database.
+    ``substrate`` picks where the jobs execute:
 
-    ``retry_policy`` opts jobs into the scheduler's retry/backoff
-    machinery (e.g. re-running simulations that died on flaky
-    infrastructure); the default stays fail-fast, recording the first
-    failure.
+    - ``"inline"`` runs them on the calling thread, in order, with no
+      job manager at all; a raising run propagates;
+    - ``"threads"`` submits them to the Celery-like scheduler app and
+      runs them on its worker threads (GIL-bound but zero-overhead);
+    - ``"processes"`` does the same, and each leader ships its
+      simulation to a :class:`~repro.scheduler.ProcessPool` worker
+      process for real CPU parallelism.
+
+    Dedup, coalescing, caching and every database write stay in the
+    parent on every substrate — only simulations cross the process
+    boundary.
+
+    On the scheduled substrates each job's gem5art timeout is enforced
+    by the scheduler; jobs that exceed it are reported with a
+    ``timed_out`` summary rather than raising, since a timeout is a
+    recorded outcome for the database.  ``retry_policy`` opts jobs into
+    the scheduler's retry/backoff machinery (e.g. re-running
+    simulations that died on flaky infrastructure); the default stays
+    fail-fast, recording the first failure.
 
     With ``use_cache`` (the default), runs carrying equal spec
     fingerprints are **single-flighted**: the first submission becomes
@@ -200,22 +196,14 @@ def run_jobs_scheduler(
     disables both the cache consult and the coalescing — every run
     simulates.
 
-    ``substrate`` picks where leader executions happen: ``"threads"``
-    runs them on the scheduler's own worker threads (GIL-bound but
-    zero-overhead), ``"processes"`` ships each leader's simulation to a
-    :class:`~repro.scheduler.ProcessPool` worker process for real CPU
-    parallelism.  Dedup, coalescing, caching and every database write
-    stay in the parent either way — only simulations cross the process
-    boundary.
-
     ``tenant``/``priority`` are the admission coordinates every job is
     submitted under (a campaign typically submits as one tenant at one
     priority); ``queue_limit``/``admission`` opt the underlying app into
     bounded-queue overload protection.  Admission happens in the parent
-    broker on *both* substrates.  A job refused by admission is not an
-    exception here: its summary reports ``admission_rejected`` with the
-    structured ``retry_after``, because a rejected point — like a timed
-    out one — is a recorded outcome for the database.
+    broker.  A job refused by admission is not an exception here: its
+    summary reports ``admission_rejected`` with the structured
+    ``retry_after``, because a rejected point — like a timed out one —
+    is a recorded outcome for the database.
 
     With ``use_checkpoints`` the sweep runs as a **staged pipeline**:
     the runs are grouped by boot-prefix fingerprint, a boot stage takes
@@ -230,46 +218,34 @@ def run_jobs_scheduler(
     simulations); ``dispatch_batch`` sets how many queued jobs the
     process pool ships to a worker per transport round-trip.
     """
-    if substrate not in ("threads", "processes"):
+    if substrate not in SUBSTRATES:
         raise ValidationError(
-            f"unknown substrate {substrate!r} "
-            "(expected 'threads' or 'processes')"
+            f"unknown substrate {substrate!r} (expected one of "
+            f"{SUBSTRATES})"
         )
     pool = (
         ProcessPool(workers=worker_count, dispatch_batch=dispatch_batch)
         if substrate == "processes"
         else None
     )
-    app = SchedulerApp(
-        name="gem5art",
-        worker_count=worker_count,
-        queue_limit=queue_limit,
-        admission=admission,
-    )
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
         store = checkpoint_store or CheckpointStore(runs[0].db)
 
-    @app.task(name="gem5art.run_gem5_job", retry_policy=retry_policy)
-    def run_gem5_job(index: int):
-        # Only pass the staged-pipeline kwargs when they are in play, so
-        # duck-typed run objects with the classic signature keep working.
+    def job(index: int) -> Dict[str, object]:
         if pool is not None:
-            if store is not None or repeats != 1:
-                return runs[index].run_in_pool(
-                    pool,
-                    use_cache=use_cache,
-                    repeats=repeats,
-                    checkpoint_store=store,
-                )
-            return runs[index].run_in_pool(pool, use_cache=use_cache)
-        if store is not None:
-            return runs[index].run(
-                use_cache=use_cache, checkpoint_store=store
+            return runs[index].run_in_pool(
+                pool,
+                use_cache=use_cache,
+                repeats=repeats,
+                checkpoint_store=store,
             )
-        return runs[index].run(use_cache=use_cache)
+        return runs[index].run(
+            use_cache=use_cache, checkpoint_store=store
+        )
 
     stages = ExitStack()
+    app: Optional[SchedulerApp] = None
     try:
         if store is not None:
             run_boot_stage(
@@ -280,6 +256,17 @@ def run_jobs_scheduler(
                     "stage.variants", attributes={"runs": len(runs)}
                 )
             )
+        if substrate == "inline":
+            return [job(index) for index in range(len(runs))]
+        app = SchedulerApp(
+            name="gem5art",
+            worker_count=worker_count,
+            queue_limit=queue_limit,
+            admission=admission,
+        )
+        run_gem5_job = app.task(
+            name="gem5art.run_gem5_job", retry_policy=retry_policy
+        )(job)
         handles = []
         leaders: Dict[str, str] = {}
         followers: List[bool] = []
@@ -361,45 +348,7 @@ def run_jobs_scheduler(
         return summaries
     finally:
         stages.close()
-        app.shutdown()
+        if app is not None:
+            app.shutdown()
         if pool is not None:
             pool.shutdown()
-
-
-def run_jobs_batch(
-    runs: Sequence[Gem5Run],
-    machines: Sequence[Machine] = None,
-    requirements: Dict[str, object] = None,
-) -> List[Dict[str, object]]:
-    """Execute runs through the Condor-style batch system.
-
-    ``machines`` defaults to a single 4-slot local node.  All jobs share
-    ``requirements`` (e.g. ``{"memory_mb": 16384}``); jobs no machine can
-    satisfy come back as held, not errors.
-    """
-    pool = BatchSystem()
-    for machine in machines or (Machine("localhost", slots=4),):
-        pool.add_machine(machine)
-    jobs = [
-        pool.submit(
-            JobDescription(
-                executable=run.run, requirements=dict(requirements or {})
-            )
-        )
-        for run in runs
-    ]
-    summaries: List[Dict[str, object]] = []
-    for run, job in zip(runs, jobs):
-        state = job.wait(timeout=max(60.0, run.timeout))
-        if state is JobState.COMPLETED:
-            summaries.append(job.result)
-        else:
-            summaries.append(
-                {
-                    "success": False,
-                    "batch_state": state.value,
-                    "error": job.error,
-                    "run_id": run.run_id,
-                }
-            )
-    return summaries

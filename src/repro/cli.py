@@ -24,7 +24,8 @@ experiments without writing a launch script:
   seeded mixed-priority overload demo through a bounded app and prints
   the accept/reject/shed ledger, queue depths, and breaker states.
 
-``boot-tests`` and ``resume`` accept ``--cache``/``--no-cache`` to control
+``boot-tests`` and ``resume`` accept ``--substrate inline|threads|processes``
+to choose where simulations execute, ``--cache``/``--no-cache`` to control
 whether runs may adopt memoized results instead of simulating,
 ``--checkpoints``/``--no-checkpoints`` to stage the sweep as one boot per
 unique boot prefix plus restored variants, and ``--tenant``/``--priority``
@@ -73,18 +74,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--telemetry",
         action="store_true",
         help="record spans/metrics/events and archive them in the "
-        "database (implies the experiment-backed path)",
+        "database",
     )
     boot.add_argument(
         "--db",
         default=None,
         metavar="URI",
-        help="database URI (memory:// or file:///dir); routes the grid "
-        "through gem5art run objects so it can be traced later",
+        help="database URI (memory:// or file:///dir) the run objects "
+        "are archived in, so the grid can be resumed or traced later "
+        "(default: memory://)",
     )
     boot.add_argument(
         "--workers", type=int, default=8,
-        help="scheduler worker threads for the experiment-backed path",
+        help="scheduler workers (threads or processes)",
     )
     _add_substrate_flag(boot)
     _add_cache_flags(boot)
@@ -125,10 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--db", required=True, metavar="URI",
         help="database URI the experiment was recorded into "
         "(file:///dir for anything that survives a crash)",
-    )
-    resume.add_argument(
-        "--backend", default="pool",
-        choices=("pool", "scheduler", "inline"),
     )
     resume.add_argument("--workers", type=int, default=4)
     resume.add_argument(
@@ -376,13 +374,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _add_substrate_flag(subparser) -> None:
-    """``--substrate threads|processes`` (scheduler backend only)."""
+    """``--substrate inline|threads|processes``."""
     subparser.add_argument(
         "--substrate", default="threads",
-        choices=("threads", "processes"),
-        help="where scheduler-backend simulations execute: in-process "
-        "worker threads (default) or OS worker processes for real CPU "
-        "parallelism",
+        choices=("inline", "threads", "processes"),
+        help="where simulations execute: the scheduler's in-process "
+        "worker threads (default), OS worker processes for real CPU "
+        "parallelism, or inline on the calling thread with no "
+        "scheduler at all",
     )
 
 
@@ -463,18 +462,13 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_boot_tests(args) -> int:
-    if args.telemetry or args.db:
-        return _cmd_boot_tests_experiment(args)
-    return _cmd_boot_tests_direct(args)
-
-
-def _cmd_boot_tests_experiment(args) -> int:
-    """The experiment-backed boot grid: artifacts + run objects + an
-    archived, traceable timeline — what the paper means by a run the
-    database alone can explain."""
+    """The Fig 8 boot grid: artifacts + run objects + an archived,
+    traceable timeline — what the paper means by a run the database
+    alone can explain (``memory://`` without ``--db``)."""
     import collections
 
     from repro import telemetry
+    from repro.analysis import status_grid
     from repro.art import (
         ArtifactDB,
         Experiment,
@@ -531,8 +525,8 @@ def _cmd_boot_tests_experiment(args) -> int:
             num_cpus=[1, 2, 4, 8],
         )
         print(f"launching {experiment.size()} boot tests ...")
+        runs = experiment.create_runs()
         summaries = experiment.launch(
-            backend="scheduler",
             workers=args.workers,
             use_cache=args.use_cache,
             substrate=args.substrate,
@@ -540,15 +534,30 @@ def _cmd_boot_tests_experiment(args) -> int:
             priority=args.priority,
             use_checkpoints=args.use_checkpoints,
         )
-        counts = collections.Counter(
-            (s or {}).get("simulation_status", "failed")
-            for s in summaries
-        )
+        counts = collections.Counter()
+        cells = {}
+        columns = []
+        for run, summary in zip(runs, summaries):
+            status = (summary or {}).get("simulation_status", "failed")
+            counts[status] += 1
+            params = run.params
+            kernel = experiment.stack_of(run.run_id).removeprefix("linux-")
+            column = (
+                f"{params['cpu_type'][:2]}."
+                f"{params['memory_system'][:2]}{params['num_cpus']}"
+            )
+            if column not in columns:
+                columns.append(column)
+            cells[(f"{kernel}/{params['boot_type']}", column)] = status
+        rows = sorted({row for row, _ in cells})
+        print(status_grid(cells, rows, columns, title="Fig 8 boot tests"))
+        print()
         for status, count in sorted(counts.items()):
             print(f"{status:<14} {count}")
         db.save()
-        print(f"\nexperiment {experiment.experiment_id} archived "
-              f"as 'boot-tests'")
+        if args.db:
+            print(f"\nexperiment {experiment.experiment_id} archived "
+                  f"as 'boot-tests'")
         if args.telemetry:
             print("telemetry recorded; inspect with:\n"
                   f"  repro trace boot-tests --db {args.db or 'memory://'}"
@@ -556,51 +565,6 @@ def _cmd_boot_tests_experiment(args) -> int:
     finally:
         if args.telemetry:
             telemetry.disable()
-    return 0
-
-
-def _cmd_boot_tests_direct(args) -> int:
-    import collections
-    import itertools
-
-    from repro.analysis import status_grid
-    from repro.guest import BOOT_TEST_KERNEL_VERSIONS
-    from repro.resources import build_resource
-    from repro.sim import Gem5Build, Gem5Simulator, SystemConfig
-
-    kernels = (
-        BOOT_TEST_KERNEL_VERSIONS[:1]
-        if args.quick
-        else BOOT_TEST_KERNEL_VERSIONS
-    )
-    boot_types = ("init",) if args.quick else ("init", "systemd")
-    image = build_resource("boot-exit").image
-    counts = collections.Counter()
-    cells = {}
-    columns = []
-    for boot, kernel, cpu, mem, cores in itertools.product(
-        boot_types,
-        kernels,
-        ("kvm", "atomic", "timing", "o3"),
-        ("classic", "MI_example", "MESI_Two_Level"),
-        (1, 2, 4, 8),
-    ):
-        config = SystemConfig(
-            cpu_type=cpu, num_cpus=cores, memory_system=mem
-        )
-        result = Gem5Simulator(Gem5Build(), config).run_fs(
-            kernel, image, boot_type=boot
-        )
-        counts[result.status.value] += 1
-        column = f"{cpu[:2]}.{mem[:2]}{cores}"
-        if column not in columns:
-            columns.append(column)
-        cells[(f"{kernel}/{boot}", column)] = result.status.value
-    rows = sorted({row for row, _ in cells})
-    print(status_grid(cells, rows, columns, title="Fig 8 boot tests"))
-    print()
-    for status, count in sorted(counts.items()):
-        print(f"{status:<14} {count}")
     return 0
 
 
@@ -731,11 +695,10 @@ def _cmd_resume(args) -> int:
         return 0
     print(
         f"resuming {experiment.name!r}: {len(pending)} of {total} runs "
-        f"pending ({args.backend} backend, {args.workers} workers)"
+        f"pending ({args.substrate} substrate, {args.workers} workers)"
     )
     try:
         experiment.resume(
-            backend=args.backend,
             workers=args.workers,
             retry_failures=args.retry_failures,
             use_cache=args.use_cache,

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
 from repro.common.jsonutil import canonical_dumps, loads
+from repro.art.tasks import SUBSTRATES
 from repro.art.workflow import topological_order
 from repro.pipeline.gates import validate_gate_spec
 
@@ -43,7 +44,6 @@ KNOWN_STAGE_KINDS = ("artifacts", "sweep", "analyze", "render", "python")
 #: Execution settings a manifest may override (defaults mirror the
 #: ``boot-tests`` CLI defaults).
 EXECUTION_DEFAULTS: Dict[str, object] = {
-    "backend": "scheduler",
     "workers": 4,
     "substrate": "threads",
     "use_cache": True,
@@ -53,8 +53,7 @@ EXECUTION_DEFAULTS: Dict[str, object] = {
 }
 
 _EXECUTION_CHOICES = {
-    "backend": ("scheduler", "pool", "inline"),
-    "substrate": ("threads", "processes"),
+    "substrate": SUBSTRATES,
     "priority": ("interactive", "default", "bulk"),
 }
 

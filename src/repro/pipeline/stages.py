@@ -196,7 +196,6 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     execution = ctx.execution
     runs = experiment.create_runs()
     experiment.launch(
-        backend=execution.get("backend", "scheduler"),
         workers=int(execution.get("workers", 4)),
         use_cache=bool(execution.get("use_cache", True)),
         substrate=execution.get("substrate", "threads"),

@@ -40,13 +40,6 @@ from repro.scheduler.procpool import (
     ProcJobHandle,
     WorkerJobError,
 )
-from repro.scheduler.batch import (
-    BatchSystem,
-    BatchJob,
-    JobDescription,
-    JobState,
-    Machine,
-)
 
 __all__ = [
     "PRIORITIES",
@@ -74,9 +67,4 @@ __all__ = [
     "ProcessPool",
     "ProcJobHandle",
     "WorkerJobError",
-    "BatchSystem",
-    "BatchJob",
-    "JobDescription",
-    "JobState",
-    "Machine",
 ]

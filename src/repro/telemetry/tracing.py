@@ -184,7 +184,7 @@ class Tracer:
         """Make ``parent`` the implicit parent on *this* thread.
 
         Used by executors whose worker threads receive a span context
-        from another thread (e.g. the pool backend): inside the block,
+        from another thread (e.g. ``run_jobs_pool``): inside the block,
         new spans nest under the remote parent without an extra
         intermediate span."""
         ctx = self._resolve_parent(parent)

@@ -35,7 +35,7 @@ def launched_experiment(db, name="mini"):
     )
     experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     experiment.sweep(benchmark=["ferret"], num_cpus=[1, 8])
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
     return experiment
 
 

@@ -25,13 +25,14 @@ def db():
 def count_simulations(monkeypatch):
     """Patch the execution slow path; cache hits must never reach it."""
     executed = []
-    original = Gem5Run._run_guarded
+    original = Gem5Run._set_status
 
-    def recording(self, checkpoint_store=None):
-        executed.append(self.run_id)
-        return original(self, checkpoint_store)
+    def recording(self, status, *args, **kwargs):
+        if status is RunStatus.RUNNING:
+            executed.append(self.run_id)
+        return original(self, status, *args, **kwargs)
 
-    monkeypatch.setattr(Gem5Run, "_run_guarded", recording)
+    monkeypatch.setattr(Gem5Run, "_set_status", recording)
     return executed
 
 
@@ -114,12 +115,12 @@ def test_simulation_level_failures_are_memoizable(db, fs_artifacts,
 def test_relaunched_experiment_executes_nothing(db, monkeypatch):
     """The acceptance bar: an identical experiment relaunched against a
     warm database is satisfied entirely from the cache."""
-    make_experiment(db, apps=("ferret", "vips")).launch(backend="inline")
+    make_experiment(db, apps=("ferret", "vips")).launch(substrate="inline")
 
     executed = count_simulations(monkeypatch)
     relaunch = make_experiment(db, apps=("ferret", "vips"))
     with telemetry.session() as session:
-        summaries = relaunch.launch(backend="inline")
+        summaries = relaunch.launch(substrate="inline")
 
     assert executed == []
     assert len(summaries) == 4
@@ -129,10 +130,10 @@ def test_relaunched_experiment_executes_nothing(db, monkeypatch):
 
 
 def test_relaunch_with_no_cache_simulates_every_point(db, monkeypatch):
-    make_experiment(db).launch(backend="inline")
+    make_experiment(db).launch(substrate="inline")
     executed = count_simulations(monkeypatch)
     relaunch = make_experiment(db)
-    relaunch.launch(backend="inline", use_cache=False)
+    relaunch.launch(substrate="inline", use_cache=False)
     assert len(executed) == 2
 
 
@@ -223,7 +224,7 @@ def test_artifact_invalidation_cascades_to_dependents_only(db, monkeypatch):
     experiment.add_stack("focal", **focal)
     experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     experiment.sweep(benchmark=["ferret"], num_cpus=[1, 8])
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
 
     cache = RunCache(db)
     assert len(cache.entries()) == 4
@@ -236,7 +237,7 @@ def test_artifact_invalidation_cascades_to_dependents_only(db, monkeypatch):
     relaunch.add_stack("focal", **focal)
     relaunch.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     relaunch.sweep(benchmark=["ferret"], num_cpus=[1, 8])
-    relaunch.launch(backend="inline")
+    relaunch.launch(substrate="inline")
     # The two focal points adopt; the two invalidated bionic points
     # simulate again.
     assert len(executed) == 2

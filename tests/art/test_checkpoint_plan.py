@@ -12,7 +12,6 @@ from repro.art import (
     register_gem5_binary,
     register_repo,
     run_boot_stage,
-    run_job,
     run_jobs_scheduler,
 )
 from repro.sim import Gem5Build
@@ -153,7 +152,7 @@ def test_boot_stage_failure_degrades_to_full_boots(db, fs_artifacts):
     assert checkpoints == {run.prefix: None}
     assert store.lookup(run.prefix) is None
     with telemetry.session() as session:
-        summary = run_job(run, checkpoint_store=store)
+        summary = run.run(checkpoint_store=store)
         misses = session.metrics.counter("checkpoint_misses_total")
         assert misses.value(reason="absent") == 1
     assert summary["success"]

@@ -39,7 +39,7 @@ def test_report_counts_outcomes_per_stack(db):
     experiment.add_stack("focal", **stack_artifacts(db, "ubuntu-20.04"))
     experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     experiment.sweep(benchmark=["ferret"], num_cpus=[1, 8])
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
 
     report = experiment.report()
     assert report["experiment"] == "report-me"

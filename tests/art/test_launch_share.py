@@ -11,13 +11,11 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_batch,
     verify_archive,
 )
 from repro.common.errors import StateError, ValidationError
 from repro.guest import get_distro
 from repro.resources import build_resource
-from repro.scheduler import Machine
 from repro.sim import Gem5Build
 
 
@@ -79,7 +77,7 @@ def test_experiment_recorded_in_db(db):
 
 def test_experiment_launch_inline_and_report(db):
     experiment = make_experiment(db)
-    summaries = experiment.launch(backend="inline")
+    summaries = experiment.launch(substrate="inline")
     assert all(s["success"] for s in summaries)
     report = experiment.report()
     assert report["runs"] == 2
@@ -87,7 +85,7 @@ def test_experiment_launch_inline_and_report(db):
 
 
 def test_experiment_launch_pool_backend(db):
-    summaries = make_experiment(db).launch(backend="pool", workers=2)
+    summaries = make_experiment(db).launch(workers=2)
     assert len(summaries) == 2
 
 
@@ -121,9 +119,16 @@ def test_experiment_validation(db):
 
 
 def test_experiment_unknown_backend(db):
+    """``substrate`` is the one execution knob: an unknown value is
+    rejected, and the old ``backend`` spelling is not silently
+    accepted."""
     experiment = make_experiment(db)
-    with pytest.raises(ValidationError):
-        experiment.launch(backend="slurm")
+    with pytest.raises(ValidationError, match="substrate"):
+        experiment.launch(substrate="slurm")
+    with pytest.raises(TypeError):
+        experiment.launch(backend="inline")
+    with pytest.raises(TypeError):
+        experiment.resume(backend="inline")
 
 
 def test_experiment_double_create_rejected(db):
@@ -133,21 +138,12 @@ def test_experiment_double_create_rejected(db):
         experiment.create_runs()
 
 
-def test_run_jobs_batch_backend(db):
-    experiment = make_experiment(db)
-    runs = experiment.create_runs()
-    summaries = run_jobs_batch(
-        runs, machines=[Machine("sim-host", slots=2)]
-    )
-    assert all(s["success"] for s in summaries)
-
-
 # ----------------------------------------------------------------- share
 
 
 def run_small_experiment(db):
     experiment = make_experiment(db)
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
     return experiment
 
 

@@ -41,7 +41,7 @@ def test_resume_executes_exactly_the_missing_runs(db, monkeypatch):
     assert loaded.pending_runs() == expected
 
     executed = record_executions(monkeypatch)
-    summaries = loaded.resume(backend="inline")
+    summaries = loaded.resume(substrate="inline")
     assert executed == expected  # exactly M - N runs, in creation order
     assert loaded.pending_runs() == []
     # Summaries still cover every run, finished or resumed.
@@ -55,10 +55,10 @@ def test_resume_executes_exactly_the_missing_runs(db, monkeypatch):
 
 def test_resume_of_finished_experiment_executes_nothing(db, monkeypatch):
     experiment = make_experiment(db)
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
     loaded = Experiment.load(db, "parsec-mini")
     executed = record_executions(monkeypatch)
-    summaries = loaded.resume(backend="inline")
+    summaries = loaded.resume(substrate="inline")
     assert executed == []
     assert len(summaries) == 2
 
@@ -69,8 +69,8 @@ def test_resume_is_idempotent_across_repeats(db, monkeypatch):
     runs[0].run()
     loaded = Experiment.load(db, "parsec-mini")
     executed = record_executions(monkeypatch)
-    loaded.resume(backend="inline")
-    loaded.resume(backend="inline")
+    loaded.resume(substrate="inline")
+    loaded.resume(substrate="inline")
     assert executed == [runs[1].run_id]  # second resume found nothing
 
 
@@ -90,7 +90,7 @@ def test_retry_failures_requeues_failed_and_timed_out_runs(db, monkeypatch):
         runs[2].run_id,
     ]
     executed = record_executions(monkeypatch)
-    loaded.resume(backend="inline", retry_failures=True)
+    loaded.resume(substrate="inline", retry_failures=True)
     assert executed == [runs[1].run_id, runs[2].run_id]
     assert loaded.pending_runs(retry_failures=True) == []
 
@@ -100,7 +100,7 @@ def test_launch_resume_flag_skips_done_runs(db, monkeypatch):
     runs = experiment.create_runs()
     runs[0].run()
     executed = record_executions(monkeypatch)
-    experiment.launch(backend="inline", resume=True)
+    experiment.launch(substrate="inline", resume=True)
     assert executed == [runs[1].run_id]
 
 
@@ -131,10 +131,10 @@ def test_resume_without_runs_is_an_error(db):
 
 def test_launch_journals_lifecycle_status(db):
     experiment = make_experiment(db)
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
     doc = db.database.collection("experiments").find_one(
         {"name": "parsec-mini"}
     )
     assert doc["status"] == "finished"
     assert doc["status_at_wall"]
-    assert doc["backend"] == "inline"
+    assert doc["substrate"] == "inline"

@@ -46,7 +46,7 @@ def test_resume_skips_completed_runs():
     runs[0].run()
     first_results = db.get_run(runs[0].run_id)["results"]
 
-    summaries = experiment.launch(backend="inline", resume=True)
+    summaries = experiment.launch(substrate="inline", resume=True)
     assert len(summaries) == 2
     assert all(s is not None and s["success"] for s in summaries)
     # The completed run was NOT re-executed (results object unchanged,
@@ -57,14 +57,14 @@ def test_resume_skips_completed_runs():
 def test_resume_on_fresh_experiment_runs_everything():
     db = ArtifactDB()
     experiment = make_experiment(db)
-    summaries = experiment.launch(backend="inline", resume=True)
+    summaries = experiment.launch(substrate="inline", resume=True)
     assert all(s["success"] for s in summaries)
 
 
 def test_full_launch_returns_stored_results():
     db = ArtifactDB()
     experiment = make_experiment(db)
-    summaries = experiment.launch(backend="pool", workers=2)
+    summaries = experiment.launch(workers=2)
     for summary, run_id in zip(
         summaries,
         db.database.collection("experiments").find_one(

@@ -170,7 +170,7 @@ class _SlowRun:
     timeout = 0.05
     fingerprint = ""
 
-    def run(self, use_cache=True):
+    def run(self, **kwargs):
         import time
 
         time.sleep(2.0)
@@ -254,7 +254,7 @@ def test_scheduler_processes_substrate_coalesces_identical_runs(
 
 
 def test_unknown_substrate_rejected(db, fs_artifacts):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="inline.*threads.*processes"):
         run_jobs_scheduler(
             [make_run(db, fs_artifacts)], substrate="fibers"
         )

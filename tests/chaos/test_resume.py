@@ -36,7 +36,7 @@ def test_interrupted_experiment_resumes_remaining_runs(monkeypatch):
     ]
     with chaos.injected(seed=31, rules=rules):
         with pytest.raises(FaultInjectedError):
-            experiment.launch(backend="inline")
+            experiment.launch(substrate="inline")
 
     doc = db.database.collection("experiments").find_one(
         {"name": "parsec-mini"}
@@ -57,7 +57,7 @@ def test_interrupted_experiment_resumes_remaining_runs(monkeypatch):
         return original_run(self, *args, **kwargs)
 
     monkeypatch.setattr(Gem5Run, "run", recording_run)
-    summaries = loaded.resume(backend="inline")
+    summaries = loaded.resume(substrate="inline")
 
     assert executed == run_ids[3:]  # exactly M - N runs, by id
     assert loaded.pending_runs() == []
@@ -87,7 +87,7 @@ def test_interrupt_replays_identically_from_the_chaos_seed():
         ]
         with chaos.injected(seed, rules):
             with pytest.raises(FaultInjectedError):
-                experiment.launch(backend="inline")
+                experiment.launch(substrate="inline")
         statuses = [
             db.get_run(run.run_id)["status"] for run in runs
         ]
@@ -96,3 +96,30 @@ def test_interrupt_replays_identically_from_the_chaos_seed():
     first = interrupted_campaign(seed=77)
     second = interrupted_campaign(seed=77)
     assert first == second == ["done"] * 3 + ["created"] * 3
+
+
+def test_resume_by_name_finishes_the_latest_same_named_sweep():
+    """Two sweeps share a name (``repro boot-tests --db X`` twice); the
+    second is interrupted.  Loading by name must find *it*, not the
+    first, finished one."""
+    db = ArtifactDB()
+    make_experiment(db).launch(substrate="inline")
+
+    second = make_experiment(db)
+    runs = second.create_runs()
+    # The second sweep adopts cached results; its second status write
+    # dies, leaving one run done and one never started.
+    rules = [FaultRule("run.status", after=1, times=1)]
+    with chaos.injected(seed=5, rules=rules):
+        with pytest.raises(FaultInjectedError):
+            second.launch(substrate="inline")
+
+    loaded = Experiment.load(db, "parsec-mini")
+    assert loaded.experiment_id == second.experiment_id
+    assert loaded.pending_runs() == [runs[1].run_id]
+    summaries = loaded.resume(substrate="inline")
+    assert all(s["success"] for s in summaries)
+    docs = db.database.collection("experiments").find(
+        {"name": "parsec-mini"}
+    )
+    assert [doc["status"] for doc in docs] == ["finished", "finished"]

@@ -4,7 +4,7 @@ degrade to re-execution, never to wrong results or crashes."""
 import pytest
 
 from repro import chaos, telemetry
-from repro.art import ArtifactDB, Gem5Run, RunCache
+from repro.art import ArtifactDB, Gem5Run, RunCache, RunStatus
 from repro.chaos import FaultRule
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
@@ -17,13 +17,14 @@ def db():
 
 def count_simulations(monkeypatch):
     executed = []
-    original = Gem5Run._run_guarded
+    original = Gem5Run._set_status
 
-    def recording(self, checkpoint_store=None):
-        executed.append(self.run_id)
-        return original(self, checkpoint_store)
+    def recording(self, status, *args, **kwargs):
+        if status is RunStatus.RUNNING:
+            executed.append(self.run_id)
+        return original(self, status, *args, **kwargs)
 
-    monkeypatch.setattr(Gem5Run, "_run_guarded", recording)
+    monkeypatch.setattr(Gem5Run, "_set_status", recording)
     return executed
 
 

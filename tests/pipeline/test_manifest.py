@@ -166,11 +166,21 @@ def test_execution_validation():
             "pipeline: demo\nexecution: {gpus: 4}\n"
             "stages: [{name: a, kind: python}]"
         )
-    with pytest.raises(ValidationError, match="execution.backend"):
+    # ``backend`` is gone; the error points at the surviving knob.
+    with pytest.raises(ValidationError, match="backend.*substrate"):
         parse_manifest_text(
-            "pipeline: demo\nexecution: {backend: slurm}\n"
+            "pipeline: demo\nexecution: {backend: scheduler}\n"
             "stages: [{name: a, kind: python}]"
         )
+    with pytest.raises(ValidationError, match="execution.substrate"):
+        parse_manifest_text(
+            "pipeline: demo\nexecution: {substrate: fibers}\n"
+            "stages: [{name: a, kind: python}]"
+        )
+    assert parse_manifest_text(
+        "pipeline: demo\nexecution: {substrate: inline}\n"
+        "stages: [{name: a, kind: python}]"
+    ).execution["substrate"] == "inline"
     with pytest.raises(ValidationError, match="positive int"):
         parse_manifest_text(
             "pipeline: demo\nexecution: {workers: 0}\n"

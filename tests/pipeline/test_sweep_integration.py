@@ -11,7 +11,6 @@ from repro.pipeline import parse_manifest_text, run_pipeline
 MINI_SWEEP = """
 pipeline: boot-mini
 execution:
-  backend: scheduler
   workers: 2
   substrate: threads
   use_checkpoints: true

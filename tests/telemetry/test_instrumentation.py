@@ -168,7 +168,7 @@ def test_experiment_trace_rehydrates_from_database_alone(tmp_path):
     experiment.fix(cpu_type="timing", num_cpus=1)
     experiment.sweep(benchmark=["ferret", "blackscholes"])
     with telemetry.session():
-        experiment.launch(backend="scheduler", workers=2)
+        experiment.launch(workers=2)
     db.save()
 
     # A brand-new process: fresh connection, no live telemetry session.

@@ -34,12 +34,39 @@ def test_selftest_gcn3(capsys):
     assert "square" in out
 
 
-def test_boot_tests_quick(capsys):
-    assert main(["boot-tests", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "Fig 8" in out
-    assert "legend:" in out
-    assert "unsupported" in out
+#: What ``boot-tests --quick`` printed at the commit that still had a
+#: run-object-free "direct" path (the header and rule lines, 350
+#: columns wide, are rebuilt from the axes).
+_QUICK_GRID_ROW = (
+    "4.4.186/init |  P  P  P  P  P  P  P  P  P  P  P  P  P  P  P  P"
+    "  -  -  -  -  -  -  -  -  P  -  -  -  P  P  P  P  P  P  P  P"
+    "  K  -  -  -  K  K  K  D  K  K  K  K"
+)
+_QUICK_COUNTS = (
+    "legend: D=deadlock, K=kernel_panic, P=ok, -=unsupported\n"
+    "\n"
+    "deadlock       1\n"
+    "kernel_panic   8\n"
+    "ok             25\n"
+    "unsupported    14\n"
+)
+
+
+def test_boot_tests_quick(tmp_path, capsys):
+    header = "             | " + " ".join(
+        f"{cpu[:2]}.{memory[:2]}{cores}"
+        for cpu in ("kvm", "atomic", "timing", "o3")
+        for memory in ("classic", "MI_example", "MESI_Two_Level")
+        for cores in (1, 2, 4, 8)
+    )
+    golden = "\n".join(
+        ["Fig 8 boot tests", header, "-" * len(header), _QUICK_GRID_ROW]
+    ) + "\n" + _QUICK_COUNTS
+    for extra in ([], ["--db", f"file://{tmp_path}/bootdb"]):
+        assert main(["boot-tests", "--quick", *extra]) == 0
+        out = capsys.readouterr().out
+        assert golden in out, extra
+        assert ("archived as 'boot-tests'" in out) == bool(extra)
 
 
 def test_parsec_subset(capsys):
@@ -106,7 +133,7 @@ def test_report_command(tmp_path, capsys):
     )
     experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     experiment.sweep(benchmark=["swaptions"], num_cpus=[1])
-    experiment.launch(backend="inline")
+    experiment.launch(substrate="inline")
     archive = str(tmp_path / "archive")
     export_archive(db, archive)
     capsys.readouterr()  # discard setup output
@@ -164,8 +191,8 @@ def test_resume_command_backend_and_workers_flags(tmp_path, capsys):
                 "parsec-mini",
                 "--db",
                 uri,
-                "--backend",
-                "scheduler",
+                "--substrate",
+                "processes",
                 "--workers",
                 "2",
             ]
@@ -173,7 +200,8 @@ def test_resume_command_backend_and_workers_flags(tmp_path, capsys):
         == 0
     )
     out = capsys.readouterr().out
-    assert "scheduler backend, 2 workers" in out
+    assert "processes substrate, 2 workers" in out
+    assert "up to date" in out
 
 
 def test_resume_command_unknown_experiment(tmp_path, capsys):

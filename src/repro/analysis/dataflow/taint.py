@@ -16,9 +16,10 @@ question: does a nondeterministic **value** — wherever it was minted —
 - **Sinks** — the :class:`~repro.art.spec.RunSpec` constructor and
   ``from_artifacts`` (anything in a spec lands in the fingerprint),
   ``canonical_dumps`` and the ``sha256_*`` content hashes, WAL
-  ``append``, the run-cache key surface (``RunCache.lookup`` /
-  ``consult`` / ``store`` / ``invalidate``), and the admission decision
-  log (``Decision`` / ``_log_locked`` / ``_overflow_record_locked``).
+  ``append``, the memo-store key surface shared by the run cache and
+  the checkpoint store (``MemoStore.lookup`` / ``consult`` / ``store``,
+  ``RunCache.invalidate``), and the admission decision log
+  (``Decision`` / ``_log_locked`` / ``_overflow_record_locked``).
 - **Propagation** — through assignments, arithmetic/f-strings/
   containers, ``self.X`` attributes (flow-insensitive per class), and
   across calls via per-function summaries (tainted returns, tainted
@@ -85,9 +86,9 @@ SINK_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.common.jsonutil.canonical_dumps", "canonical_dumps"),
     ("repro.common.hashing.sha256", "content hashing"),
     ("repro.art.spec.RunSpec", "RunSpec fingerprint identity"),
-    ("repro.art.cache.RunCache.lookup", "run-cache key"),
-    ("repro.art.cache.RunCache.consult", "run-cache key"),
-    ("repro.art.cache.RunCache.store", "run-cache entry"),
+    ("repro.art.cache.MemoStore.lookup", "memo-store key"),
+    ("repro.art.cache.MemoStore.consult", "memo-store key"),
+    ("repro.art.cache.MemoStore.store", "memo-store entry"),
     ("repro.art.cache.RunCache.invalidate", "run-cache key"),
     ("repro.db.engine.wal.WalWriter.append", "WAL append"),
     (

@@ -9,61 +9,28 @@ boot a shared, content-addressed stage: a
 legally restore it, so N variants sharing a boot prefix pay for exactly
 one boot.
 
-Single-flight **boot leadership** reuses the broker's in-flight registry
-(:class:`~repro.scheduler.broker.SingleFlight`): of N concurrent
-``get_or_boot`` calls for one prefix, exactly one becomes the leader and
-boots; the rest wait on the leader's completion event and adopt the
-stored checkpoint.
-
-Failure modes degrade, never escalate — exactly like the run cache.  The
-chaos point ``checkpoint.get`` can inject read faults; a missing entry,
-a missing blob, or a corrupt blob (the FileStore is content-addressed,
-so corruption is self-detecting) all count as a miss and fall back to a
-full boot.  A corrupt entry is evicted blob-and-all so the re-boot can
-heal the store.
+Storage, verification and degradation are the memo protocol of
+:class:`~repro.art.cache.MemoStore` (chaos point ``checkpoint.get``;
+every miss falls back to a full boot).  What the store adds is
+single-flight **boot leadership**: of N concurrent ``get_or_boot``
+calls for one prefix, exactly one becomes the leader and boots; the rest
+wait on the leader's completion event and adopt the stored checkpoint.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
-from repro import chaos, telemetry
-from repro.common.errors import (
-    CorruptBlobError,
-    FaultInjectedError,
-    NotFoundError,
-)
-from repro.common.ids import new_uuid
+from repro import telemetry
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
-from repro.art.db import ArtifactDB
-from repro.scheduler.broker import SingleFlight
+from repro.art.cache import Entry, MemoStore, evict_blob
+from repro.art.db import CHECKPOINTS, ArtifactDB
 from repro.sim.checkpoint import Checkpoint
 
 
-def _hits_counter():
-    return telemetry.get_metrics().counter(
-        "checkpoint_hits_total",
-        "Boots avoided by restoring an archived checkpoint",
-    )
-
-
-def _misses_counter():
-    return telemetry.get_metrics().counter(
-        "checkpoint_misses_total",
-        "Checkpoint consultations that fell back to a full boot",
-    )
-
-
-def _boots_counter():
-    return telemetry.get_metrics().counter(
-        "checkpoint_boots_total",
-        "Full boots executed to populate the checkpoint store",
-    )
-
-
-class CheckpointStore:
+class CheckpointStore(MemoStore):
     """Prefix fingerprint → archived boot checkpoint, over an ArtifactDB.
 
     The checkpoint *document* lives in the ``checkpoints`` collection
@@ -72,98 +39,28 @@ class CheckpointStore:
     verification is a re-download away.
     """
 
+    noun = "checkpoint"
+    collection_name = CHECKPOINTS
+    key_field = "prefix"
+    origin_field = "checkpoint_id"
+    tally_field = tally_stat = "restores"
+    label_field = "boot_type"
+
     def __init__(self, db: ArtifactDB):
-        self.db = db
-        self._flight = SingleFlight()
-        self._boot_done_lock = threading.Lock()
-        self._boot_done: Dict[str, threading.Event] = {}
+        super().__init__(db)
+        self._lock = threading.Lock()
+        #: prefix → completion event of the boot in flight for it.
+        self._booting: Dict[str, threading.Event] = {}
 
-    # -------------------------------------------------------------- lookup
-
-    def lookup(self, prefix: str) -> Optional[Dict[str, Any]]:
-        """The raw store entry for a prefix fingerprint, or None."""
-        return self.db.get_checkpoint_entry(prefix)
-
-    def get(self, prefix: Optional[str]) -> Optional[Checkpoint]:
-        """Fetch and *verify* a checkpoint; None means boot in full.
-
-        Fires the ``checkpoint.get`` chaos point; an injected read
-        fault, a missing entry/blob, or a corrupt blob all degrade to a
-        miss (the full boot always remains the slow path).  Corruption
-        evicts the entry and its blob so the next boot re-populates a
-        pristine content address.
-        """
-        if prefix is None:
-            return None
-        try:
-            chaos.fire("checkpoint.get", prefix=prefix)
-            entry = self.lookup(prefix)
-        except FaultInjectedError as error:
-            telemetry.get_event_log().emit(
-                "checkpoint.error", prefix=prefix, error=str(error)
-            )
-            self._miss(prefix, reason="read-fault")
-            return None
-        if entry is None:
-            self._miss(prefix, reason="absent")
-            return None
-        try:
-            payload = self.db.download_file(entry["file_id"])
-            checkpoint = Checkpoint.from_dict(loads(payload.decode("utf-8")))
-        except CorruptBlobError as error:
-            telemetry.get_event_log().emit(
-                "checkpoint.corrupt",
-                prefix=prefix,
-                checkpoint_id=entry.get("checkpoint_id"),
-                error=str(error),
-            )
-            self.db.delete_checkpoint_entry(prefix)
-            # Purge the rotten blob: the store is dedup-by-digest, so
-            # only an empty address lets the fallback boot re-archive
-            # pristine bytes under the same content hash.
-            self.db.delete_file(entry["file_id"])
-            self._miss(prefix, reason="corrupt")
-            return None
-        except (NotFoundError, FaultInjectedError) as error:
-            telemetry.get_event_log().emit(
-                "checkpoint.error", prefix=prefix, error=str(error)
-            )
-            self._miss(prefix, reason="blob-missing")
-            return None
-        self._hit(prefix, entry)
-        return checkpoint
-
-    def _hit(self, prefix: str, entry: Dict[str, Any]) -> None:
-        _hits_counter().inc(boot_type=entry.get("boot_type", "unknown"))
-        self.db.update_checkpoint_entry(prefix, {"$inc": {"restores": 1}})
-        telemetry.get_event_log().emit(
-            "checkpoint.hit",
-            prefix=prefix,
-            checkpoint_id=entry.get("checkpoint_id"),
-        )
-
-    def _miss(self, prefix: str, reason: str) -> None:
-        _misses_counter().inc(reason=reason)
-        telemetry.get_event_log().emit(
-            "checkpoint.miss", prefix=prefix, reason=reason
-        )
-
-    # --------------------------------------------------------------- store
-
-    def store(self, prefix: str, checkpoint: Checkpoint) -> bool:
-        """Archive a boot checkpoint under its prefix fingerprint.
-
-        Idempotent and first-writer-wins, like the run cache: once a
-        prefix has a checkpoint, concurrent boots that lost the race do
-        not overwrite it.  Returns True when a new entry was written.
-        """
-        if self.db.get_checkpoint_entry(prefix) is not None:
-            return False
+    def encode(self, prefix: str, checkpoint: Checkpoint) -> Entry:
+        """Archive the payload blob and describe it as a store entry (a
+        writer that then loses the insert race leaves at worst an
+        unreferenced blob: equal checkpoints share one address)."""
         payload = canonical_dumps(checkpoint.to_dict()).encode("utf-8")
         file_id = self.db.upload_file(
             payload, filename=f"checkpoint-{checkpoint.checkpoint_id}.json"
         )
-        entry = {
+        return {
             "_id": f"ckpt-{prefix}",
             "prefix": prefix,
             "checkpoint_id": checkpoint.checkpoint_id,
@@ -176,13 +73,16 @@ class CheckpointStore:
             "restores": 0,
             "stored_at_wall": iso_now(),
         }
-        self.db.put_checkpoint_entry(entry)
-        telemetry.get_event_log().emit(
-            "checkpoint.store",
-            prefix=prefix,
-            checkpoint_id=checkpoint.checkpoint_id,
-        )
-        return True
+
+    def blob_id(self, entry: Entry) -> str:
+        return entry["file_id"]
+
+    def decode(self, entry: Entry, payload: bytes) -> Checkpoint:
+        return Checkpoint.from_dict(loads(payload.decode("utf-8")))
+
+    def get(self, prefix: Optional[str]) -> Optional[Checkpoint]:
+        """Fetch and *verify* a checkpoint; None means boot in full."""
+        return None if prefix is None else self.consult(prefix)
 
     # ----------------------------------------------------- boot leadership
 
@@ -190,52 +90,46 @@ class CheckpointStore:
         self,
         prefix: str,
         boot: Callable[[], Optional[Checkpoint]],
-        wait_timeout: Optional[float] = None,
     ) -> Optional[Checkpoint]:
         """Adopt the prefix's checkpoint, booting (once) if absent.
 
-        Of N concurrent callers for one prefix, exactly one acquires
-        boot leadership via the broker's in-flight registry and runs
-        ``boot``; the others wait for the leader and adopt what it
-        stored.  ``boot`` returning None (an unbootable platform) is a
-        valid outcome: everyone degrades to their own full run, but the
-        boot was still attempted exactly once for the cohort.
+        Of N concurrent callers for one prefix, whoever registers the
+        completion event leads: it consults the store and runs ``boot``
+        on a miss; the others wait for the leader and adopt what it
+        stored.  Leadership is decided *before* the first consult, so no
+        caller can miss, be overtaken by a complete boot, and boot again.
+        ``boot`` returning None (an unbootable platform) is a valid
+        outcome: everyone degrades to their own full run, but the boot
+        was still attempted exactly once for the cohort.
         """
-        found = self.get(prefix)
-        if found is not None:
-            return found
-        # The completion event must exist before the leadership race is
-        # decided, or a follower could acquire after the leader released
-        # and wait on nothing.
-        with self._boot_done_lock:
-            done = self._boot_done.setdefault(prefix, threading.Event())
-        token = new_uuid()
-        leader = self._flight.acquire(prefix, token)
-        if leader is None:
-            try:
-                _boots_counter().inc()
-                telemetry.get_event_log().emit(
-                    "checkpoint.boot", prefix=prefix, leader=token
-                )
+        with self._lock:
+            done = self._booting.get(prefix)
+            leading = done is None
+            if leading:
+                done = self._booting[prefix] = threading.Event()
+        if not leading:
+            done.wait()
+            return self.get(prefix)
+        try:
+            checkpoint = self.get(prefix)
+            if checkpoint is None:
+                telemetry.get_metrics().counter(
+                    "checkpoint_boots_total",
+                    "Full boots executed to populate the checkpoint store",
+                ).inc()
+                self._emit("boot", prefix=prefix)
                 checkpoint = boot()
                 if checkpoint is not None:
                     self.store(prefix, checkpoint)
-                return checkpoint
-            finally:
-                self._flight.release(prefix, token)
-                with self._boot_done_lock:
-                    self._boot_done.pop(prefix, None)
-                done.set()
-        done.wait(timeout=wait_timeout)
-        return self.get(prefix)
-
-    def boot_leader(self, prefix: str) -> Optional[str]:
-        """The in-flight boot leader's token for a prefix, if any."""
-        return self._flight.leader(prefix)
+            return checkpoint
+        finally:
+            with self._lock:
+                del self._booting[prefix]
+            done.set()
 
     # ------------------------------------------------------------- hygiene
 
-    def gc(self, live_prefixes) -> int:
+    def gc(self, live_prefixes: Iterable[str]) -> int:
         """Evict checkpoints whose prefix no longer has live run specs.
 
         ``live_prefixes`` is the set of prefix fingerprints still
@@ -245,39 +139,21 @@ class CheckpointStore:
         """
         live = set(live_prefixes)
         evicted = 0
-        for entry in self.db.checkpoint_entries():
+        for entry in self.entries():
             if entry["prefix"] in live:
                 continue
-            self.db.delete_checkpoint_entry(entry["prefix"])
-            self.db.delete_file(entry["file_id"])
-            telemetry.get_event_log().emit(
-                "checkpoint.gc",
-                prefix=entry["prefix"],
-                checkpoint_id=entry.get("checkpoint_id"),
-            )
+            self.collection.delete_one({"prefix": entry["prefix"]})
+            evict_blob(self.db, entry["file_id"])
+            self._emit("gc", **self._names(entry))
             evicted += 1
         return evicted
 
     # --------------------------------------------------------------- query
 
-    def entries(self) -> List[Dict[str, Any]]:
-        """Every checkpoint entry, in insertion order."""
-        return self.db.checkpoint_entries()
-
-    def stats(self) -> Dict[str, Any]:
+    def stats(self) -> Entry:
         """Summary counts for ``repro ckpt stats``."""
-        entries = self.entries()
-        by_boot_type: Dict[str, int] = {}
-        restores = 0
-        boot_seconds = 0.0
-        for entry in entries:
-            boot_type = entry.get("boot_type") or "unknown"
-            by_boot_type[boot_type] = by_boot_type.get(boot_type, 0) + 1
-            restores += int(entry.get("restores") or 0)
-            boot_seconds += float(entry.get("boot_seconds") or 0.0)
-        return {
-            "entries": len(entries),
-            "restores": restores,
-            "boot_seconds_archived": boot_seconds,
-            "by_boot_type": by_boot_type,
-        }
+        stats = super().stats()
+        stats["boot_seconds_archived"] = sum(
+            float(entry.get("boot_seconds") or 0.0) for entry in self.entries()
+        )
+        return stats

@@ -26,15 +26,15 @@ class ArtifactDB:
         self.database = database or connect("memory://")
         self.artifacts = self.database.collection(ARTIFACTS)
         self.runs = self.database.collection(RUNS)
-        self.run_cache = self.database.collection(RUN_CACHE)
-        self.checkpoints = self.database.collection(CHECKPOINTS)
+        run_cache = self.database.collection(RUN_CACHE)
+        checkpoints = self.database.collection(CHECKPOINTS)
         self.artifacts.create_unique_index("hash")
         # One archived result per fingerprint: the memoization layer's
         # equivalent of the artifact collection's no-duplicates rule.
-        self.run_cache.create_unique_index("fingerprint")
+        run_cache.create_unique_index("fingerprint")
         # One boot checkpoint per prefix fingerprint: N variants sharing
         # a boot prefix must converge on one snapshot.
-        self.checkpoints.create_unique_index("prefix")
+        checkpoints.create_unique_index("prefix")
 
     # ---------------------------------------------------------- artifacts
 
@@ -90,57 +90,6 @@ class ArtifactDB:
 
     def query_runs(self, query=None, **kwargs) -> List[Dict[str, Any]]:
         return self.runs.find(query, **kwargs)
-
-    def runs_by_fingerprint(
-        self, fingerprint: str
-    ) -> List[Dict[str, Any]]:
-        """Every run document sharing one spec fingerprint (instances of
-        the same experiment point)."""
-        return self.runs.find({"fingerprint": fingerprint})
-
-    # ----------------------------------------------------------- run cache
-
-    def put_cache_entry(self, document: Dict[str, Any]) -> str:
-        return self.run_cache.insert_one(document)
-
-    def get_cache_entry(
-        self, fingerprint: str
-    ) -> Optional[Dict[str, Any]]:
-        return self.run_cache.find_one({"fingerprint": fingerprint})
-
-    def update_cache_entry(
-        self, fingerprint: str, update: Dict[str, Any]
-    ) -> bool:
-        return self.run_cache.update_one(
-            {"fingerprint": fingerprint}, update
-        )
-
-    def delete_cache_entry(self, fingerprint: str) -> bool:
-        return self.run_cache.delete_one({"fingerprint": fingerprint})
-
-    def cache_entries(self, query=None) -> List[Dict[str, Any]]:
-        return self.run_cache.find(query)
-
-    # --------------------------------------------------------- checkpoints
-
-    def put_checkpoint_entry(self, document: Dict[str, Any]) -> str:
-        return self.checkpoints.insert_one(document)
-
-    def get_checkpoint_entry(
-        self, prefix: str
-    ) -> Optional[Dict[str, Any]]:
-        return self.checkpoints.find_one({"prefix": prefix})
-
-    def update_checkpoint_entry(
-        self, prefix: str, update: Dict[str, Any]
-    ) -> bool:
-        return self.checkpoints.update_one({"prefix": prefix}, update)
-
-    def delete_checkpoint_entry(self, prefix: str) -> bool:
-        return self.checkpoints.delete_one({"prefix": prefix})
-
-    def checkpoint_entries(self, query=None) -> List[Dict[str, Any]]:
-        return self.checkpoints.find(query)
 
     # --------------------------------------------------------------- misc
 

@@ -94,10 +94,6 @@ def topological_order(
     return order
 
 
-#: Backwards-compatible private alias (pre-pipeline callers).
-_topological_order = topological_order
-
-
 def dot_escape(text: str) -> str:
     """Escape a string for use inside a double-quoted DOT id or label.
 

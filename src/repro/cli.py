@@ -722,8 +722,11 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    from repro.art import ArtifactDB, RunCache
+def _open_memo(args, store_class):
+    """``--db`` as an ArtifactDB plus one memo store (``RunCache`` or
+    ``CheckpointStore``) on it — or ``(None, None)`` once the connection
+    error has been printed."""
+    from repro.art import ArtifactDB
     from repro.common.errors import ReproError
     from repro.db import connect
 
@@ -731,33 +734,50 @@ def _cmd_cache(args) -> int:
         db = ArtifactDB(connect(args.db))
     except ReproError as error:
         print(f"error: {error}")
-        return 1
-    cache = RunCache(db)
-    if args.action == "stats":
-        stats = cache.stats()
-        print(f"entries    {stats['entries']}")
-        print(f"adoptions  {stats['adoptions']}")
-        for kind, count in sorted(stats["by_kind"].items()):
-            print(f"  {kind:<9}{count}")
+        return None, None
+    return db, store_class(db)
+
+
+def _print_memo(store, action, widths, extra_totals, title, columns):
+    """``stats`` (entries, the adoption tally and any ``(label, key,
+    format)`` extras, one ``label value`` line each, then the per-label
+    breakdown; ``widths`` pads the two kinds of label) or ``ls`` (one
+    row per entry; a column is ``(header, entry field, max width)``) of
+    a memo store."""
+    if action == "stats":
+        stats = store.stats()
+        tally = store.tally_stat
+        for label, key, spec in [
+            ("entries", "entries", ""), (tally, tally, ""), *extra_totals
+        ]:
+            print(f"{label:<{widths[0]}}{stats[key]:{spec}}")
+        by_label = stats[f"by_{store.label_field}"]
+        for name, count in sorted(by_label.items()):
+            print(f"  {name:<{widths[1]}}{count}")
         return 0
-    if args.action == "ls":
-        table = TextTable(
-            ["Fingerprint", "Kind", "Run", "Hits", "Stored"],
-            title="RESULT CACHE",
+    table = TextTable([header for header, _, _ in columns], title=title)
+    for entry in store.entries():
+        table.add_row(
+            [str(entry.get(field, "?"))[:limit] for _, field, limit in columns]
         )
-        for entry in cache.entries():
-            table.add_row(
-                [
-                    entry["fingerprint"][:12],
-                    entry.get("kind", "?"),
-                    str(entry.get("run_id", "?"))[:8],
-                    str(entry.get("hits", 0)),
-                    str(entry.get("stored_at_wall", "?"))[:19],
-                ]
-            )
-        print(table.render())
-        return 0
-    # invalidate
+    print(table.render())
+    return 0
+
+
+def _cmd_cache(args) -> int:
+    from repro.art import RunCache
+    from repro.common.errors import ReproError
+
+    db, cache = _open_memo(args, RunCache)
+    if db is None:
+        return 1
+    if args.action != "invalidate":
+        return _print_memo(
+            cache, args.action, (11, 9), [], "RESULT CACHE",
+            [("Fingerprint", "fingerprint", 12), ("Kind", "kind", None),
+             ("Run", "run_id", 8), ("Hits", "hits", None),
+             ("Stored", "stored_at_wall", 19)],
+        )
     if not args.token:
         print("error: invalidate needs a fingerprint or artifact hash")
         return 2
@@ -777,43 +797,22 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_ckpt(args) -> int:
-    from repro.art import ArtifactDB, CheckpointStore
+    from repro.art import CheckpointStore
     from repro.art.spec import RunSpec
-    from repro.common.errors import ReproError
-    from repro.db import connect
 
-    try:
-        db = ArtifactDB(connect(args.db))
-    except ReproError as error:
-        print(f"error: {error}")
+    db, store = _open_memo(args, CheckpointStore)
+    if db is None:
         return 1
-    store = CheckpointStore(db)
-    if args.action == "stats":
-        stats = store.stats()
-        print(f"entries       {stats['entries']}")
-        print(f"restores      {stats['restores']}")
-        print(f"boot seconds  {stats['boot_seconds_archived']:.1f}")
-        for boot_type, count in sorted(stats["by_boot_type"].items()):
-            print(f"  {boot_type:<11}{count}")
-        return 0
-    if args.action == "ls":
-        table = TextTable(
-            ["Prefix", "Kernel", "Boot", "CPUs", "Restores", "Stored"],
-            title="CHECKPOINT STORE",
+    if args.action != "gc":
+        return _print_memo(
+            store, args.action, (14, 11),
+            [("boot seconds", "boot_seconds_archived", ".1f")],
+            "CHECKPOINT STORE",
+            [("Prefix", "prefix", 12), ("Kernel", "kernel_version", None),
+             ("Boot", "boot_type", None), ("CPUs", "num_cpus", None),
+             ("Restores", "restores", None),
+             ("Stored", "stored_at_wall", 19)],
         )
-        for entry in store.entries():
-            table.add_row(
-                [
-                    entry["prefix"][:12],
-                    entry.get("kernel_version", "?"),
-                    entry.get("boot_type", "?"),
-                    str(entry.get("num_cpus", "?")),
-                    str(entry.get("restores", 0)),
-                    str(entry.get("stored_at_wall", "?"))[:19],
-                ]
-            )
-        print(table.render())
-        return 0
     # gc: a checkpoint is live while some run document's spec still
     # hashes to its prefix.
     live = set()

@@ -17,6 +17,10 @@ from typing import Any
 _BYTES_TAG = "$bytes"
 _DATETIME_TAG = "$datetime"
 _SET_TAG = "$set"
+#: Wraps a *user* dict whose only key is one of the tags (or this one),
+#: so that ``loads(dumps(v)) == v`` holds for every JSON value.
+_LITERAL_TAG = "$literal"
+_TAGS = frozenset({_BYTES_TAG, _DATETIME_TAG, _SET_TAG, _LITERAL_TAG})
 
 
 def _normalize_numbers(value: Any) -> Any:
@@ -54,7 +58,10 @@ def _encode_special(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_encode_special(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _encode_special(v) for k, v in value.items()}
+        encoded = {str(k): _encode_special(v) for k, v in value.items()}
+        if len(encoded) == 1 and next(iter(encoded)) in _TAGS:
+            return {_LITERAL_TAG: encoded}
+        return encoded
     if isinstance(value, list):
         return [_encode_special(v) for v in value]
     return value
@@ -62,12 +69,16 @@ def _encode_special(value: Any) -> Any:
 
 def _decode_special(value: Any) -> Any:
     if isinstance(value, dict):
-        if set(value.keys()) == {_DATETIME_TAG}:
-            return datetime.datetime.fromisoformat(value[_DATETIME_TAG])
-        if set(value.keys()) == {_BYTES_TAG}:
-            return base64.b64decode(value[_BYTES_TAG])
-        if set(value.keys()) == {_SET_TAG}:
-            return set(_decode_special(v) for v in value[_SET_TAG])
+        if len(value) == 1:
+            ((tag, inner),) = value.items()
+            if tag == _DATETIME_TAG:
+                return datetime.datetime.fromisoformat(inner)
+            if tag == _BYTES_TAG:
+                return base64.b64decode(inner)
+            if tag == _SET_TAG:
+                return set(_decode_special(v) for v in inner)
+            if tag == _LITERAL_TAG and isinstance(inner, dict):
+                value = inner  # its single key is data, not a tag
         return {k: _decode_special(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_decode_special(v) for v in value]

@@ -15,24 +15,22 @@ Every pipeline run writes two kinds of documents into the
 
 The stage documents double as the cross-run cache: a later pipeline run
 that computes the same stage fingerprint adopts the recorded outputs
-instead of re-executing, after re-downloading the outputs blob so the
-FileStore's integrity check vouches for it.  A corrupt or missing blob
-degrades to re-execution — same posture as the run cache.
+instead of re-executing, after reading the outputs blob back through the
+memo protocol's :func:`~repro.art.cache.read_verified` — a missing blob
+degrades to re-execution, a corrupt one is evicted first so that the
+re-execution heals its content address.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import (
-    CorruptBlobError,
-    NotFoundError,
-    ReproError,
-)
+from repro.common.errors import NotFoundError
 from repro.common.hashing import sha256_text
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
+from repro.art.cache import read_verified
 from repro.art.db import ArtifactDB
 from repro.pipeline.manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -160,10 +158,6 @@ class PipelineJournal:
         payload = canonical_dumps(outputs).encode("utf-8")
         return self.db.upload_file(payload, filename="stage-outputs.json")
 
-    def load_outputs(self, blob_id: str) -> Dict[str, Any]:
-        """Re-download and parse an outputs blob (integrity-checked)."""
-        return loads(self.db.download_file(blob_id).decode("utf-8"))
-
     def record_stage(
         self,
         pipeline_id: str,
@@ -242,8 +236,9 @@ class PipelineJournal:
         Only gate-passing, successfully executed (or previously adopted)
         records qualify — a failed attempt is never a cache hit.  The
         outputs blob is re-downloaded so the FileStore's content check
-        vouches for it; a corrupt or evicted blob disqualifies the
-        record (re-execute) instead of propagating garbage downstream.
+        vouches for it; a corrupt (now evicted) or missing blob
+        disqualifies the record (re-execute) instead of propagating
+        garbage downstream.
         """
         candidates = self.collection.find(
             {
@@ -257,12 +252,9 @@ class PipelineJournal:
             blob_id = doc.get("outputs_blob")
             if not blob_id:
                 continue
-            try:
-                outputs = self.load_outputs(blob_id)
-            except (CorruptBlobError, NotFoundError, ReproError):
+            payload, _, _ = read_verified(self.db, blob_id)
+            if payload is None:
                 continue
-            except (ValueError, UnicodeDecodeError):
-                continue
-            doc["outputs"] = outputs
+            doc["outputs"] = loads(payload.decode("utf-8"))
             return doc
         return None

@@ -18,8 +18,8 @@ paper:
 - gem5-style statistics output.
 """
 
+from repro.common.statsdb import StatsDB
 from repro.sim.events import EventQueue
-from repro.sim.stats import StatsDB
 from repro.sim.config import (
     SystemConfig,
     CacheConfig,

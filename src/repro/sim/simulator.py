@@ -16,6 +16,7 @@ from typing import Dict, Optional
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.hashing import sha256_text
 from repro.common.jsonutil import canonical_dumps
+from repro.common.statsdb import StatsDB
 from repro.guest.compilers import get_compiler
 from repro.guest.kernels import LinuxKernel, get_kernel
 from repro.sim.buildinfo import Gem5Build
@@ -31,7 +32,6 @@ from repro.sim.m5ops import (
     M5_RESETSTATS,
     M5OpLog,
 )
-from repro.sim.stats import StatsDB
 from repro.sim.workload.boot import boot_workload
 from repro.sim.workload.registry import (
     DEFAULT_INPUTS,

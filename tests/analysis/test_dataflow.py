@@ -201,6 +201,43 @@ def test_taint_through_call_hops_is_flagged(tmp_path):
     assert "via serialize()" in finding.message
 
 
+def test_memo_store_key_sink_is_inherited(tmp_path):
+    """The memo-store key surface is the base class's: a tainted key is
+    flagged whichever store (run cache, checkpoints) it reaches."""
+    paths = _write_tree(
+        tmp_path,
+        {
+            "repro/art/cache.py": """
+                class MemoStore:
+                    def consult(self, key):
+                        return None
+            """,
+            "repro/art/checkpoints.py": """
+                from repro.art.cache import MemoStore
+
+                class CheckpointStore(MemoStore):
+                    def get(self, prefix):
+                        return self.consult(prefix)
+            """,
+            "repro/expt/plan.py": """
+                import time
+
+                from repro.art.checkpoints import CheckpointStore
+
+                class Planner:
+                    def __init__(self):
+                        self.store = CheckpointStore()
+
+                    def boot_stage(self):
+                        return self.store.get(str(time.time()))
+            """,
+        },
+    )
+    (finding,) = deep_lint_paths(paths)
+    assert finding.rule_id == "DET-FLOW"
+    assert "memo-store key via get()" in finding.message
+
+
 def test_sanctioned_chokepoint_is_clean(tmp_path):
     """Values minted by the timeutil choke point are deterministic by
     contract (replayable); routing through it is the sanctioned fix."""

@@ -1,14 +1,14 @@
-"""Tests for the prefix-keyed CheckpointStore: storage, degradation,
-and single-flight boot leadership (the staged pipeline's stage 1)."""
+"""Tests for the prefix-keyed CheckpointStore: storage, gc, and
+single-flight boot leadership (the staged pipeline's stage 1).  How a
+consult degrades is the memo protocol's matrix, ``test_memo.py``."""
 
 import threading
 import time
 
 import pytest
 
-from repro import chaos, telemetry
+from repro import telemetry
 from repro.art import ArtifactDB, CheckpointStore
-from repro.chaos import FaultRule
 from repro.sim import Checkpoint
 
 
@@ -61,43 +61,6 @@ def test_first_writer_wins(store):
     assert store.get("prefix-a").boot_seconds == 10.0
 
 
-def test_absent_entry_is_a_counted_miss(store):
-    with telemetry.session() as session:
-        assert store.get("nowhere") is None
-    misses = session.metrics.counter("checkpoint_misses_total")
-    assert misses.value(reason="absent") == 1
-
-
-def test_read_fault_degrades_to_miss(store):
-    store.store("prefix-a", make_checkpoint())
-    rules = [FaultRule("checkpoint.get", error="store unreachable")]
-    with telemetry.session() as session:
-        with chaos.injected(seed=7, rules=rules):
-            assert store.get("prefix-a") is None
-    misses = session.metrics.counter("checkpoint_misses_total")
-    assert misses.value(reason="read-fault") == 1
-    # The fault was transient: the entry itself is intact.
-    assert store.get("prefix-a") is not None
-
-
-def test_corrupt_blob_is_evicted_and_healed(db, store):
-    store.store("prefix-a", make_checkpoint())
-    file_id = store.lookup("prefix-a")["file_id"]
-    # Bit-rot the archived payload behind the store's back.
-    db.database.files._memory[file_id] = b"tampered bytes"
-    with telemetry.session() as session:
-        assert store.get("prefix-a") is None
-        misses = session.metrics.counter("checkpoint_misses_total")
-        assert misses.value(reason="corrupt") == 1
-        corrupt = session.events.records(kind="checkpoint.corrupt")
-        assert len(corrupt) == 1
-    # Entry and blob are gone, so the fallback boot can re-archive
-    # pristine bytes under the same content address.
-    assert store.lookup("prefix-a") is None
-    assert store.store("prefix-a", make_checkpoint()) is True
-    assert store.get("prefix-a") is not None
-
-
 def test_get_or_boot_single_flight(store):
     """Acceptance: N concurrent same-prefix callers produce exactly one
     boot; everyone adopts what the leader stored."""
@@ -129,6 +92,38 @@ def test_get_or_boot_single_flight(store):
         assert boots_counter.value() == 1
     expected = make_checkpoint()
     assert all(result == expected for result in results)
+
+
+def test_get_or_boot_overtaken_after_a_miss_does_not_boot_again(store):
+    """A caller's consult misses, and before it acts on that miss another
+    caller boots, stores and retires.  Acting on the stale miss would
+    boot the prefix a second time."""
+    boots = []
+
+    def boot():
+        boots.append(1)
+        return make_checkpoint()
+
+    original, overtaker = store.get, []
+
+    def get_then_be_overtaken(prefix):
+        found = original(prefix)
+        if not overtaker:
+            overtaker.append(
+                threading.Thread(
+                    target=store.get_or_boot, args=(prefix, boot)
+                )
+            )
+            overtaker[0].start()
+            # Either it finishes a whole boot, or it is waiting for us.
+            overtaker[0].join(timeout=0.3)
+        return found
+
+    store.get = get_then_be_overtaken
+    assert store.get_or_boot("prefix-a", boot) == make_checkpoint()
+    overtaker[0].join(timeout=5.0)
+    assert not overtaker[0].is_alive()
+    assert len(boots) == 1
 
 
 def test_get_or_boot_skips_boot_on_hit(store):

@@ -2,7 +2,7 @@
 
 import datetime
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.common.jsonutil import canonical_dumps, dumps, loads
 
@@ -55,7 +55,14 @@ json_values = st.recursive(
 
 
 @given(json_values)
+@example({"$bytes": None})
+@example({"$set": 3})
+@example({"$datetime": "x"})
+@example({"$bytes": "YWJj"})
+@example({"$literal": {"$set": [1]}})
 def test_roundtrip_property(value):
+    # A user dict that merely looks like a type tag is data: it must
+    # neither crash the decoder nor come back as bytes/datetime/set.
     assert loads(dumps(value)) == value
 
 

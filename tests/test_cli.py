@@ -339,3 +339,143 @@ def test_db_recover_empty(tmp_path, capsys):
 def test_db_bad_uri(capsys):
     assert main(["db", "stats", "--db", "bogus://nope"]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+# ------------------------------------------------------- cache / ckpt verbs
+#
+# Both verbs read entry documents other commits wrote, so the primed
+# entries are spelled out field by field; the expected text is what the
+# commit before the shared memo protocol printed for them.
+
+
+def _primed_memo_db(tmp_path):
+    from repro.art import ArtifactDB
+    from repro.db import connect
+
+    uri = f"file://{tmp_path}/memodb"
+    db = ArtifactDB(connect(uri))
+    run_cache = db.database.collection("run_cache")
+    for index, (fingerprint, kind, image) in enumerate(
+        [("aa11" * 16, "fs", "d1" * 16), ("aa22" * 16, "fs", "d1" * 16),
+         ("bb33" * 16, "gpu", "d2" * 16)]
+    ):
+        run_cache.insert_one(
+            {
+                "_id": f"cache-{fingerprint}",
+                "fingerprint": fingerprint,
+                "kind": kind,
+                "artifact_hashes": {"disk_image": image},
+                "run_id": f"0000000{index}-run",
+                "status": "done",
+                "results": {"success": True},
+                "hits": index,
+                "stored_at_wall": f"2021-03-0{index + 1}T10:00:00.123456",
+            }
+        )
+    checkpoints = db.database.collection("checkpoints")
+    blobs = []
+    for index, (prefix, boot_type) in enumerate(
+        [("cc44" * 16, "init"), ("dd55" * 16, "systemd")]
+    ):
+        blobs.append(db.upload_file(f"payload {index}".encode()))
+        checkpoints.insert_one(
+            {
+                "_id": f"ckpt-{prefix}",
+                "prefix": prefix,
+                "checkpoint_id": f"ckpt-id-{index}",
+                "file_id": blobs[-1],
+                "kernel_version": "5.4.49",
+                "boot_type": boot_type,
+                "num_cpus": 2 ** index,
+                "memory_system": "classic",
+                "boot_seconds": 1.25 + index,
+                "restores": 3 * index,
+                "stored_at_wall": f"2021-03-0{index + 1}T11:00:00.123456",
+            }
+        )
+    db.save()
+    return uri, blobs
+
+
+def test_cache_verb(tmp_path, capsys):
+    uri, _ = _primed_memo_db(tmp_path)
+    assert main(["cache", "stats", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "entries    3\n"
+        "adoptions  3\n"
+        "  fs       2\n"
+        "  gpu      1\n"
+    )
+    assert main(["cache", "ls", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "RESULT CACHE\n"
+        "Fingerprint  | Kind | Run      | Hits | Stored             \n"
+        "-------------+------+----------+------+--------------------\n"
+        "aa11aa11aa11 | fs   | 00000000 | 0    | 2021-03-01T10:00:00\n"
+        "aa22aa22aa22 | fs   | 00000001 | 1    | 2021-03-02T10:00:00\n"
+        "bb33bb33bb33 | gpu  | 00000002 | 2    | 2021-03-03T10:00:00\n"
+    )
+    assert main(["cache", "invalidate", "--db", uri]) == 2
+    assert capsys.readouterr().out == (
+        "error: invalidate needs a fingerprint or artifact hash\n"
+    )
+    assert main(["cache", "invalidate", "nomatch", "--db", uri]) == 1
+    assert capsys.readouterr().out == "no cache entries match 'nomatch'\n"
+    # "aa" abbreviates two fingerprints: refuse to guess.
+    assert main(["cache", "invalidate", "aa", "--db", uri]) == 2
+    assert capsys.readouterr().out.startswith("error: ambiguous prefix 'aa'")
+    assert main(["cache", "invalidate", "bb33", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "evicted 1 cache entry; "
+        "dependent runs will re-execute on next launch\n"
+    )
+    # An artifact hash cascades to every run that consumed the image.
+    assert main(["cache", "invalidate", "d1" * 16, "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "evicted 2 cache entries; "
+        "dependent runs will re-execute on next launch\n"
+    )
+    assert main(["cache", "stats", "--db", uri]) == 0
+    assert capsys.readouterr().out == "entries    0\nadoptions  0\n"
+    assert main(["cache", "stats", "--db", "nosuch://x"]) == 1
+    assert capsys.readouterr().out.startswith("error: ")
+
+
+def test_ckpt_verb(tmp_path, capsys):
+    from repro.db import connect
+
+    uri, blobs = _primed_memo_db(tmp_path)
+    assert main(["ckpt", "stats", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "entries       2\n"
+        "restores      3\n"
+        "boot seconds  3.5\n"
+        "  init       1\n"
+        "  systemd    1\n"
+    )
+    assert main(["ckpt", "ls", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "CHECKPOINT STORE\n"
+        "Prefix       | Kernel | Boot    | CPUs | Restores | Stored"
+        "             \n"
+        "-------------+--------+---------+------+----------+-------"
+        "-------------\n"
+        "cc44cc44cc44 | 5.4.49 | init    | 1    | 0        | "
+        "2021-03-01T11:00:00\n"
+        "dd55dd55dd55 | 5.4.49 | systemd | 2    | 3        | "
+        "2021-03-02T11:00:00\n"
+    )
+    # No run document references either boot prefix: both are orphans,
+    # and their payload blobs go with them.
+    assert main(["ckpt", "gc", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "evicted 2 orphaned checkpoints (0 live boot prefixes)\n"
+    )
+    files = connect(uri).files
+    assert [blob in files for blob in blobs] == [False, False]
+    assert main(["ckpt", "stats", "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        "entries       0\nrestores      0\nboot seconds  0.0\n"
+    )
+    assert main(["ckpt", "gc", "--db", "nosuch://x"]) == 1
+    assert capsys.readouterr().out.startswith("error: ")

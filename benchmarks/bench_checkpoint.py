@@ -7,11 +7,11 @@ axes: CPU model, memory technology, channel count) — and runs it twice
 through the scheduler on the process substrate:
 
 - **baseline** — every variant boots Linux in full
-  (``use_checkpoints=False``, one job per transport round-trip);
+  (``use_checkpoints=False``);
 - **checkpointed** — the staged pipeline: one ``take_boot_checkpoint``
   job per unique prefix, then the variant fan-out restores from the
-  cohort's checkpoint, shipped in dispatch batches with payload
-  interning (``use_checkpoints=True``).
+  cohort's checkpoint, shipped with payload interning
+  (``use_checkpoints=True``).
 
 Each variant job re-simulates ``REPEATS`` times (work amplification, as
 in ``bench_procpool``), so per-job transport overhead cannot masquerade
@@ -20,7 +20,7 @@ workload timings — a restored run that *measures* differently from a
 booted one would be a correctness bug, not a win.
 
 Also records the transport story: bytes actually shipped to workers
-(batched + interned) vs the naive one-full-pickle-per-job encoding.
+(interned) vs the naive one-full-pickle-per-job encoding.
 
 Run as a script (deliberately not named ``test_*``):
 
@@ -64,7 +64,6 @@ MIN_SPEEDUP = 5.0
 MIN_CORES_FOR_FLOOR = 4
 
 WORKERS = 4
-DISPATCH_BATCH = 4
 REPEATS = 4000
 KERNEL = "4.19.83"
 
@@ -129,8 +128,8 @@ def build_runs(db: ArtifactDB):
 
 
 def naive_transport_bytes(runs) -> int:
-    """Bytes the sweep would ship with one full pickle per job — no
-    batching, no interning (the pre-batching wire format)."""
+    """Bytes the sweep would ship with one full pickle per job — the
+    pool's wire format without interning."""
     total = 0
     for run in runs:
         envelope = envelope_for_run(
@@ -138,15 +137,13 @@ def naive_transport_bytes(runs) -> int:
         )
         wire = pickle.dumps(
             {
-                "jobs": [
-                    {
-                        "target": envelope.target,
-                        "args": envelope.args,
-                        "kwargs": envelope.kwargs,
-                        "task_id": envelope.task_id,
-                        "telemetry": envelope.telemetry,
-                    }
-                ],
+                "job": {
+                    "target": envelope.target,
+                    "args": envelope.args,
+                    "kwargs": envelope.kwargs,
+                    "task_id": envelope.task_id,
+                    "telemetry": envelope.telemetry,
+                },
                 "shared": {},
             },
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -168,7 +165,6 @@ def run_phase(checkpointed: bool) -> dict:
             use_cache=False,
             use_checkpoints=checkpointed,
             repeats=REPEATS,
-            dispatch_batch=DISPATCH_BATCH if checkpointed else 1,
         )
         elapsed = time.perf_counter() - started
         metrics = telemetry.get_metrics()
@@ -228,7 +224,6 @@ def main() -> int:
         "boot_prefixes": len(PREFIX_SHAPES),
         "repeats": REPEATS,
         "workers": WORKERS,
-        "dispatch_batch": DISPATCH_BATCH,
         "effective_cores": cores,
         "baseline_seconds": round(baseline["seconds"], 3),
         "checkpointed_seconds": round(staged["seconds"], 3),
@@ -268,7 +263,7 @@ def main() -> int:
         failed = True
     if bytes_reduction < 1.0:
         print(
-            "FAIL: batched+interned transport shipped more bytes than "
+            "FAIL: interned transport shipped more bytes than "
             "the naive per-job encoding"
         )
         failed = True

@@ -8,7 +8,7 @@ de-duplicates: registering identical content twice returns the same
 artifact, while registering the same hash with conflicting attributes is an
 error.
 
-Payload sources, in priority order:
+Payload sources, in order of precedence:
 
 - ``content=`` bytes — for simulated components built in memory (a kernel
   binary from :func:`repro.guest.kernels.build_kernel_binary`, a serialized

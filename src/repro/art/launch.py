@@ -50,6 +50,23 @@ RESUMABLE_STATUSES = (RunStatus.CREATED.value, RunStatus.RUNNING.value)
 FAILED_STATUSES = (RunStatus.FAILED.value, RunStatus.TIMED_OUT.value)
 
 
+def find_experiment(db: ArtifactDB, name_or_id: str) -> Dict[str, Any]:
+    """The experiment document a name or id addresses; of several
+    experiments sharing a name (one per repeated sweep) the most
+    recently created."""
+    experiments = db.database.collection(EXPERIMENTS)
+    doc = experiments.find_one(
+        {"name": name_or_id}, sort=[("created_at_wall", -1)]
+    )
+    if doc is None:
+        doc = experiments.find_one({"_id": name_or_id})
+    if doc is None:
+        raise NotFoundError(
+            f"no experiment named (or with id) {name_or_id!r}"
+        )
+    return doc
+
+
 class Experiment:
     """A declarative cross-product experiment over gem5art runs."""
 
@@ -195,19 +212,13 @@ class Experiment:
     def launch(
         self,
         workers: int = 4,
-        resume: bool = False,
         use_cache: bool = True,
         substrate: str = "threads",
-        tenant: str = "default",
-        priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
-        """Execute every run and return summaries.
-
-        ``resume=True`` makes the launch idempotent: runs already marked
-        done in the database are skipped, so an interrupted experiment
-        can be re-launched and only the missing points execute.  The
-        returned summaries always cover *every* run, in creation order.
+        """Execute every run and return summaries, in creation order
+        (:meth:`resume` is the idempotent re-launch that skips runs the
+        database already marks done).
 
         ``use_cache`` (default) consults the fingerprint result cache
         before each simulation and single-flights identical concurrent
@@ -220,33 +231,20 @@ class Experiment:
         real CPU parallelism, ``"inline"`` on the calling thread with
         no job manager at all (a raising run propagates).
 
-        ``tenant``/``priority`` are the admission-control coordinates
-        the campaign submits under on the scheduled substrates: an
-        interactive debug sweep can jump the queue ahead of a bulk
-        cross product, and a shared service can meter each tenant.
-
         ``use_checkpoints`` turns the launch into a staged pipeline:
-        the pending runs are grouped by boot-prefix fingerprint, one
+        the runs are grouped by boot-prefix fingerprint, one
         boot checkpoint is taken per unique prefix (single-flighted),
         and each point then restores from its cohort's checkpoint
         instead of re-booting (the CLI's ``--checkpoints``).
         """
         if self._runs is None:
             self.create_runs()
-        pending = self._runs
-        if resume:
-            pending_ids = set(self.pending_runs())
-            pending = [
-                run for run in self._runs if run.run_id in pending_ids
-            ]
         return self._execute_pending(
-            pending,
+            self._runs,
             workers,
             phase="launch",
             use_cache=use_cache,
             substrate=substrate,
-            tenant=tenant,
-            priority=priority,
             use_checkpoints=use_checkpoints,
         )
 
@@ -256,8 +254,6 @@ class Experiment:
         retry_failures: bool = False,
         use_cache: bool = True,
         substrate: str = "threads",
-        tenant: str = "default",
-        priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
         """Re-launch only the runs an interrupted campaign still owes.
@@ -284,8 +280,6 @@ class Experiment:
             phase="resume",
             use_cache=use_cache,
             substrate=substrate,
-            tenant=tenant,
-            priority=priority,
             use_checkpoints=use_checkpoints,
         )
 
@@ -310,8 +304,6 @@ class Experiment:
         phase: str,
         use_cache: bool = True,
         substrate: str = "threads",
-        tenant: str = "default",
-        priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
         span = telemetry.get_tracer().span(
@@ -348,8 +340,6 @@ class Experiment:
                     worker_count=workers,
                     use_cache=use_cache,
                     substrate=substrate,
-                    tenant=tenant,
-                    priority=priority,
                     use_checkpoints=use_checkpoints,
                 )
             interrupted = False
@@ -376,21 +366,11 @@ class Experiment:
     def load(cls, db: ArtifactDB, name_or_id: str) -> "Experiment":
         """Rehydrate an experiment (and its runs) from the database.
 
-        Accepts the experiment's name or id; of several experiments
-        sharing a name (one per repeated sweep) the most recently
-        created is loaded.  The result is frozen — stacks and runs
-        already exist — but fully resumable and reportable.
+        Accepts the experiment's name or id (see
+        :func:`find_experiment`).  The result is frozen — stacks and
+        runs already exist — but fully resumable and reportable.
         """
-        experiments = db.database.collection(EXPERIMENTS)
-        doc = experiments.find_one(
-            {"name": name_or_id}, sort=[("created_at_wall", -1)]
-        )
-        if doc is None:
-            doc = experiments.find_one({"_id": name_or_id})
-        if doc is None:
-            raise NotFoundError(
-                f"no experiment named (or with id) {name_or_id!r}"
-            )
+        doc = find_experiment(db, name_or_id)
         experiment = cls(db, doc["name"], metadata=doc.get("metadata"))
         experiment.experiment_id = doc["_id"]
         experiment._loaded = True

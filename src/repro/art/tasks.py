@@ -22,15 +22,7 @@ from repro.art.checkpoints import CheckpointStore
 from repro.art.run import Gem5Run
 from repro.common.errors import ValidationError
 from repro.sim.checkpoint import Checkpoint
-from repro.scheduler import (
-    AdmissionController,
-    AdmissionRejected,
-    ProcessPool,
-    RetryPolicy,
-    SchedulerApp,
-    SimplePool,
-    TaskState,
-)
+from repro.scheduler import ProcessPool, SchedulerApp, TaskState
 from repro.telemetry import get_metrics, get_tracer
 
 #: Where a sweep's simulations execute.
@@ -53,6 +45,8 @@ def run_jobs_pool(
     The submitting thread's span context is captured here and re-parented
     on each pool thread (pool threads cannot see the submitter's
     thread-local span stack)."""
+    from repro.scheduler import SimplePool  # deferred: see its __getattr__
+
     tracer = get_tracer()
     parent = tracer.current_context_dict()
 
@@ -94,9 +88,11 @@ def run_boot_stage(
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
 
     Groups the sweep by prefix fingerprint and drives one
-    ``take_boot_checkpoint`` job per group — inline on the calling
-    thread for the thread substrate, or as a boot envelope on the
-    process pool.  Boot leadership is single-flighted through the
+    ``take_boot_checkpoint`` job per group — in this process, or as a
+    boot envelope on the process pool.  Distinct prefixes boot
+    concurrently on up to ``worker_count`` threads; with one worker (the
+    inline substrate) or one prefix they boot on the calling thread, in
+    plan order.  Boot leadership is single-flighted through the
     store, so racing stages (or racing experiments sharing one store)
     still produce exactly one boot per prefix.  Returns
     ``{prefix: checkpoint-or-None}``; a None cohort degrades to full
@@ -128,16 +124,17 @@ def run_boot_stage(
         "stage.boot",
         attributes={"prefixes": len(plan), "runs": len(runs)},
     ):
-        if len(plan) <= 1:
+        boot_threads = min(worker_count, len(plan))
+        if boot_threads <= 1:
             for prefix in plan:
                 checkpoints[prefix] = boot_one(prefix)
         else:
             # Boots for distinct prefixes are independent; drive them
             # concurrently (on the process substrate each thread only
             # blocks on a pool handle, so worker processes fill up).
-            with SimplePool(
-                processes=min(worker_count, len(plan))
-            ) as boot_pool:
+            from repro.scheduler import SimplePool  # deferred, as above
+
+            with SimplePool(processes=boot_threads) as boot_pool:
                 handles = {
                     prefix: boot_pool.apply_async(boot_one, (prefix,))
                     for prefix in plan
@@ -150,18 +147,11 @@ def run_boot_stage(
 def run_jobs_scheduler(
     runs: Sequence[Gem5Run],
     worker_count: int = 4,
-    timeout_per_job: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     use_cache: bool = True,
     substrate: str = "threads",
-    tenant: str = "default",
-    priority: str = "default",
-    queue_limit: Optional[int] = None,
-    admission: Optional[AdmissionController] = None,
     use_checkpoints: bool = False,
     checkpoint_store: Optional[CheckpointStore] = None,
     repeats: int = 1,
-    dispatch_batch: int = 1,
 ) -> List[Dict[str, object]]:
     """Plan and execute a sweep: boot stage, then one job per run.
 
@@ -179,13 +169,11 @@ def run_jobs_scheduler(
     parent on every substrate — only simulations cross the process
     boundary.
 
-    On the scheduled substrates each job's gem5art timeout is enforced
-    by the scheduler; jobs that exceed it are reported with a
-    ``timed_out`` summary rather than raising, since a timeout is a
-    recorded outcome for the database.  ``retry_policy`` opts jobs into
-    the scheduler's retry/backoff machinery (e.g. re-running
-    simulations that died on flaky infrastructure); the default stays
-    fail-fast, recording the first failure.
+    On the scheduled substrates each job's gem5art timeout
+    (``run.timeout``) is enforced by the scheduler; jobs that exceed it
+    are reported with a ``timed_out`` summary rather than raising, since
+    a timeout is a recorded outcome for the database.  Jobs are
+    fail-fast: the first failure is the recorded one.
 
     With ``use_cache`` (the default), runs carrying equal spec
     fingerprints are **single-flighted**: the first submission becomes
@@ -195,15 +183,6 @@ def run_jobs_scheduler(
     (now cached) result into its own run document.  ``use_cache=False``
     disables both the cache consult and the coalescing — every run
     simulates.
-
-    ``tenant``/``priority`` are the admission coordinates every job is
-    submitted under (a campaign typically submits as one tenant at one
-    priority); ``queue_limit``/``admission`` opt the underlying app into
-    bounded-queue overload protection.  Admission happens in the parent
-    broker.  A job refused by admission is not an exception here: its
-    summary reports ``admission_rejected`` with the structured
-    ``retry_after``, because a rejected point — like a timed out one —
-    is a recorded outcome for the database.
 
     With ``use_checkpoints`` the sweep runs as a **staged pipeline**:
     the runs are grouped by boot-prefix fingerprint, a boot stage takes
@@ -215,8 +194,7 @@ def run_jobs_scheduler(
     degrades that cohort back to full boots; nothing is lost but time.
 
     ``repeats`` amplifies each process-substrate job (one envelope, N
-    simulations); ``dispatch_batch`` sets how many queued jobs the
-    process pool ships to a worker per transport round-trip.
+    simulations).
     """
     if substrate not in SUBSTRATES:
         raise ValidationError(
@@ -224,7 +202,7 @@ def run_jobs_scheduler(
             f"{SUBSTRATES})"
         )
     pool = (
-        ProcessPool(workers=worker_count, dispatch_batch=dispatch_batch)
+        ProcessPool(workers=worker_count)
         if substrate == "processes"
         else None
     )
@@ -249,7 +227,10 @@ def run_jobs_scheduler(
     try:
         if store is not None:
             run_boot_stage(
-                runs, store, worker_count=worker_count, pool=pool
+                runs,
+                store,
+                worker_count=1 if substrate == "inline" else worker_count,
+                pool=pool,
             )
             stages.enter_context(
                 get_tracer().span(
@@ -258,38 +239,22 @@ def run_jobs_scheduler(
             )
         if substrate == "inline":
             return [job(index) for index in range(len(runs))]
-        app = SchedulerApp(
-            name="gem5art",
-            worker_count=worker_count,
-            queue_limit=queue_limit,
-            admission=admission,
-        )
-        run_gem5_job = app.task(
-            name="gem5art.run_gem5_job", retry_policy=retry_policy
-        )(job)
+        app = SchedulerApp(name="gem5art", worker_count=worker_count)
+        run_gem5_job = app.task(name="gem5art.run_gem5_job")(job)
         handles = []
         leaders: Dict[str, str] = {}
         followers: List[bool] = []
-        rejections: Dict[int, AdmissionRejected] = {}
         for index in range(len(runs)):
             dedup_key = (
                 runs[index].fingerprint
                 if use_cache and runs[index].fingerprint
                 else None
             )
-            try:
-                handle = run_gem5_job.apply_async(
-                    args=(index,),
-                    timeout=timeout_per_job or runs[index].timeout,
-                    dedup_key=dedup_key,
-                    tenant=tenant,
-                    priority=priority,
-                )
-            except AdmissionRejected as rejection:
-                rejections[index] = rejection
-                handles.append(None)
-                followers.append(False)
-                continue
+            handle = run_gem5_job.apply_async(
+                args=(index,),
+                timeout=runs[index].timeout,
+                dedup_key=dedup_key,
+            )
             coalesced = (
                 dedup_key is not None
                 and leaders.get(dedup_key) is not None
@@ -307,20 +272,6 @@ def run_jobs_scheduler(
             followers.append(coalesced)
         summaries: List[Dict[str, object]] = []
         for index, handle in enumerate(handles):
-            if handle is None:
-                rejection = rejections[index]
-                summaries.append(
-                    {
-                        "success": False,
-                        "admission_rejected": True,
-                        "reason": rejection.reason,
-                        "retry_after": rejection.retry_after,
-                        "parked": rejection.parked,
-                        "error": str(rejection),
-                        "run_id": runs[index].run_id,
-                    }
-                )
-                continue
             state = app.backend.wait(handle.task_id)
             if state is TaskState.SUCCESS:
                 summary = handle.get()

@@ -18,18 +18,14 @@ experiments without writing a launch script:
   run spec references anymore);
 - ``db stats|compact|scrub|recover`` — storage-engine maintenance:
   per-collection segment/WAL shape, forced segment compaction, blob
-  re-verification with quarantine, and a crash-recovery report;
-- ``admit stats|limits`` — admission control: ``limits`` prints the
-  effective per-tenant limits an app would run with; ``stats`` drives a
-  seeded mixed-priority overload demo through a bounded app and prints
-  the accept/reject/shed ledger, queue depths, and breaker states.
+  re-verification with quarantine, and a crash-recovery report.
 
-``boot-tests`` and ``resume`` accept ``--substrate inline|threads|processes``
-to choose where simulations execute, ``--cache``/``--no-cache`` to control
-whether runs may adopt memoized results instead of simulating,
+``boot-tests`` and ``resume`` accept ``--workers N``,
+``--substrate inline|threads|processes`` to choose where simulations
+execute, ``--cache``/``--no-cache`` to control whether runs may adopt
+memoized results instead of simulating, and
 ``--checkpoints``/``--no-checkpoints`` to stage the sweep as one boot per
-unique boot prefix plus restored variants, and ``--tenant``/``--priority``
-to choose the admission coordinates the campaign submits under.
+unique boot prefix plus restored variants.
 """
 
 from __future__ import annotations
@@ -84,14 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "are archived in, so the grid can be resumed or traced later "
         "(default: memory://)",
     )
-    boot.add_argument(
-        "--workers", type=int, default=8,
-        help="scheduler workers (threads or processes)",
-    )
-    _add_substrate_flag(boot)
-    _add_cache_flags(boot)
-    _add_checkpoint_flags(boot)
-    _add_admission_flags(boot)
+    _add_sweep_flags(boot)
 
     parsec = commands.add_parser(
         "parsec", help="run the Fig 6/7 PARSEC OS study"
@@ -128,62 +117,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="database URI the experiment was recorded into "
         "(file:///dir for anything that survives a crash)",
     )
-    resume.add_argument("--workers", type=int, default=4)
     resume.add_argument(
         "--retry-failures", action="store_true",
         help="also re-queue runs that finished as failed/timed_out",
     )
-    _add_substrate_flag(resume)
-    _add_cache_flags(resume)
-    _add_checkpoint_flags(resume)
-    _add_admission_flags(resume)
-
-    admit = commands.add_parser(
-        "admit",
-        help="admission control: effective limits, or a seeded "
-        "overload demo with decision accounting",
-    )
-    admit.add_argument(
-        "action", choices=("stats", "limits"),
-        help="limits: print the effective admission configuration; "
-        "stats: flood a bounded app with seeded mixed-priority "
-        "submissions and print the accept/reject/shed ledger",
-    )
-    admit.add_argument(
-        "--queue-limit", type=int, default=16,
-        help="broker queue bound (resident messages, all levels)",
-    )
-    admit.add_argument(
-        "--rate", type=float, default=None,
-        help="per-tenant sustained submissions/second (token bucket)",
-    )
-    admit.add_argument(
-        "--burst", type=float, default=None,
-        help="token-bucket burst capacity (default: the rate)",
-    )
-    admit.add_argument(
-        "--max-queued", type=int, default=None,
-        help="per-tenant backlog quota",
-    )
-    admit.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="per-tenant concurrent-execution quota",
-    )
-    admit.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        help="consecutive dead-letters before a task name's circuit "
-        "breaker opens",
-    )
-    admit.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the demo's tenant/priority mix and all backoff "
-        "jitter (identical seeds produce identical decision sequences)",
-    )
-    admit.add_argument(
-        "--flood", type=int, default=200,
-        help="submissions the stats demo drives through the app",
-    )
-    admit.add_argument("--workers", type=int, default=2)
+    _add_sweep_flags(resume)
 
     cache = commands.add_parser(
         "cache",
@@ -366,15 +304,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cache": _cmd_cache,
         "ckpt": _cmd_ckpt,
         "db": _cmd_db,
-        "admit": _cmd_admit,
         "reproduce": _cmd_reproduce,
         "pipeline": _cmd_pipeline,
     }[args.command]
     return handler(args)
 
 
-def _add_substrate_flag(subparser) -> None:
-    """``--substrate inline|threads|processes``."""
+def _add_sweep_flags(subparser) -> None:
+    """The flags ``boot-tests`` and ``resume`` share: ``--workers``,
+    ``--substrate``, ``--cache``/``--no-cache`` (default: on) and
+    ``--checkpoints``/``--no-checkpoints`` (default: off)."""
+    subparser.add_argument(
+        "--workers", type=int, default=None,
+        help="scheduler workers, threads or processes (default: "
+        "Experiment's)",
+    )
     subparser.add_argument(
         "--substrate", default="threads",
         choices=("inline", "threads", "processes"),
@@ -383,25 +327,15 @@ def _add_substrate_flag(subparser) -> None:
         "parallelism, or inline on the calling thread with no "
         "scheduler at all",
     )
-
-
-def _add_admission_flags(subparser) -> None:
-    """``--tenant`` / ``--priority`` admission coordinates."""
     subparser.add_argument(
-        "--tenant", default="default",
-        help="admission tenant the campaign's submissions are "
-        "charged to (quota ledger and rate bucket)",
+        "--cache", dest="use_cache", action="store_true", default=True,
+        help="adopt memoized results for runs whose fingerprint is "
+        "already cached (default)",
     )
     subparser.add_argument(
-        "--priority", default="default",
-        choices=("interactive", "default", "bulk"),
-        help="queue lane: interactive jumps ahead of default, bulk is "
-        "shed first under overload",
+        "--no-cache", dest="use_cache", action="store_false",
+        help="ignore the result cache; every run simulates",
     )
-
-
-def _add_checkpoint_flags(subparser) -> None:
-    """``--checkpoints`` / ``--no-checkpoints`` pair (default: off)."""
     subparser.add_argument(
         "--checkpoints", dest="use_checkpoints", action="store_true",
         default=False,
@@ -415,17 +349,17 @@ def _add_checkpoint_flags(subparser) -> None:
     )
 
 
-def _add_cache_flags(subparser) -> None:
-    """``--cache`` / ``--no-cache`` pair (default: cache on)."""
-    subparser.add_argument(
-        "--cache", dest="use_cache", action="store_true", default=True,
-        help="adopt memoized results for runs whose fingerprint is "
-        "already cached (default)",
-    )
-    subparser.add_argument(
-        "--no-cache", dest="use_cache", action="store_false",
-        help="ignore the result cache; every run simulates",
-    )
+def _sweep_options(args) -> dict:
+    """The ``Experiment.launch``/``resume`` keywords the sweep flags
+    set; without ``--workers`` the experiment's own default applies."""
+    options = {
+        "use_cache": args.use_cache,
+        "substrate": args.substrate,
+        "use_checkpoints": args.use_checkpoints,
+    }
+    if args.workers is not None:
+        options["workers"] = args.workers
+    return options
 
 
 def _cmd_resources(args) -> int:
@@ -526,14 +460,7 @@ def _cmd_boot_tests(args) -> int:
         )
         print(f"launching {experiment.size()} boot tests ...")
         runs = experiment.create_runs()
-        summaries = experiment.launch(
-            workers=args.workers,
-            use_cache=args.use_cache,
-            substrate=args.substrate,
-            tenant=args.tenant,
-            priority=args.priority,
-            use_checkpoints=args.use_checkpoints,
-        )
+        summaries = experiment.launch(**_sweep_options(args))
         counts = collections.Counter()
         cells = {}
         columns = []
@@ -693,19 +620,17 @@ def _cmd_resume(args) -> int:
             f"{experiment.name!r} are finished"
         )
         return 0
+    options = _sweep_options(args)
+    workers = (
+        f", {options['workers']} workers" if "workers" in options else ""
+    )
     print(
         f"resuming {experiment.name!r}: {len(pending)} of {total} runs "
-        f"pending ({args.substrate} substrate, {args.workers} workers)"
+        f"pending ({args.substrate} substrate{workers})"
     )
     try:
         experiment.resume(
-            workers=args.workers,
-            retry_failures=args.retry_failures,
-            use_cache=args.use_cache,
-            substrate=args.substrate,
-            tenant=args.tenant,
-            priority=args.priority,
-            use_checkpoints=args.use_checkpoints,
+            retry_failures=args.retry_failures, **options
         )
     except ReproError as error:
         print(f"error: {error}")
@@ -890,7 +815,6 @@ def _cmd_db(args) -> int:
         if args.action == "scrub":
             report = db.files.scrub()
             print(f"scanned      {report['scanned']}")
-            print(f"repaired     {len(report['repaired'])}")
             print(f"quarantined  {len(report['quarantined'])}")
             print(f"tmp swept    {report['tmp_swept']}")
             for digest in report["quarantined"]:
@@ -923,103 +847,6 @@ def _cmd_db(args) -> int:
         return 0
     finally:
         db.close()
-
-
-def _cmd_admit(args) -> int:
-    """Admission-control inspection: effective limits, or a seeded
-    overload demo whose decision ledger is printed for triage."""
-    from repro.common.rng import RngStream
-    from repro.scheduler import (
-        AdmissionController,
-        AdmissionRejected,
-        SchedulerApp,
-        TenantLimits,
-    )
-
-    limits = TenantLimits(
-        rate=args.rate,
-        burst=args.burst,
-        max_queued=args.max_queued,
-        max_inflight=args.max_inflight,
-    )
-    if args.action == "limits":
-        table = TextTable(["setting", "value"])
-        table.add_row(["queue_limit", str(args.queue_limit)])
-        table.add_row(["rate (submissions/s)", str(limits.rate or "unlimited")])
-        table.add_row(
-            ["burst", str(limits.burst or limits.rate or "unlimited")]
-        )
-        table.add_row(["max_queued", str(limits.max_queued or "unlimited")])
-        table.add_row(
-            ["max_inflight", str(limits.max_inflight or "unlimited")]
-        )
-        table.add_row(["breaker_threshold", str(args.breaker_threshold)])
-        table.add_row(["seed", str(args.seed)])
-        print(table.render())
-        print(
-            "\npriorities: interactive > default > bulk "
-            "(bulk shed first under overload)"
-        )
-        return 0
-
-    admission = AdmissionController(
-        default_limits=limits,
-        breaker_threshold=args.breaker_threshold,
-        seed=args.seed,
-    )
-    app = SchedulerApp(
-        name="admit-demo",
-        worker_count=args.workers,
-        queue_limit=args.queue_limit,
-        admission=admission,
-    )
-
-    @app.task(name="admit.demo")
-    def demo_task(index: int) -> int:
-        return sum(range(200)) + index
-
-    mix = RngStream(args.seed, "admit", "demo")
-    tenants = ("alice", "bob", "carol")
-    outcomes = {"accepted": 0, "rejected": 0}
-    try:
-        for index in range(args.flood):
-            tenant = mix.choice(tenants)
-            priority = mix.choice(("interactive", "default", "bulk"))
-            try:
-                demo_task.apply_async(
-                    args=(index,), tenant=tenant, priority=priority
-                )
-                outcomes["accepted"] += 1
-            except AdmissionRejected:
-                outcomes["rejected"] += 1
-        app.drain(timeout=60.0)
-    finally:
-        app.shutdown()
-    stats = admission.stats()
-    table = TextTable(["measure", "count"])
-    table.add_row(["submissions", str(args.flood)])
-    table.add_row(["accepted", str(outcomes["accepted"])])
-    table.add_row(["rejected", str(outcomes["rejected"])])
-    for reason, count in sorted(stats["rejected_by_reason"].items()):
-        table.add_row([f"  rejected: {reason}", str(count)])
-    table.add_row(["shed", str(stats["outcomes"].get("shed", 0))])
-    table.add_row(["overflow parked", str(stats["overflow"])])
-    print(table.render())
-    depth = app.broker.queue_depth()
-    print(
-        "\nqueue depth after drain: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(depth.items()))
-    )
-    if stats["breakers"]:
-        print(
-            "breakers: "
-            + ", ".join(
-                f"{name}={state}"
-                for name, state in sorted(stats["breakers"].items())
-            )
-        )
-    print(f"decisions logged: {stats['decisions']} (seed {args.seed})")
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -1089,7 +916,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.art import ArtifactDB
-    from repro.art.launch import EXPERIMENTS
+    from repro.art.launch import find_experiment
     from repro.common.errors import ReproError
     from repro.db import connect
     from repro.telemetry import (
@@ -1100,13 +927,7 @@ def _cmd_trace(args) -> int:
 
     try:
         db = ArtifactDB(connect(args.db))
-        experiments = db.database.collection(EXPERIMENTS)
-        doc = experiments.find_one({"name": args.experiment})
-        if doc is None:
-            doc = experiments.find_one({"_id": args.experiment})
-        if doc is None:
-            print(f"error: no experiment {args.experiment!r} in {args.db}")
-            return 1
+        doc = find_experiment(db, args.experiment)
         snapshot = rehydrate_telemetry(db, doc["_id"])
     except ReproError as error:
         print(f"error: {error}")
@@ -1144,7 +965,7 @@ def _trace_timing_table(doc, spans) -> str:
 
     table = TextTable(
         ["Run", "Workload", "Status", "Wall ms", "Phases"],
-        title=f"experiment {doc['name']} — per-run timing",
+        title=f"experiment {doc['name']} {doc['_id']} — per-run timing",
     )
     run_spans = [s for s in spans if s["name"] == "run"]
     run_spans.sort(key=lambda s: s["start_wall"])

@@ -9,11 +9,8 @@ under ``files/`` via the :class:`~repro.db.filestore.FileStore`::
     <root>/
         engine/<collection>/   # WAL + segments + manifest per collection
         files/<xx>/<digest>    # sharded content-addressed blobs
-        <name>.jsonl           # legacy layout, imported on open then
-        <name>.jsonl.imported  # renamed aside as the completion marker
 
-Unlike the original JSON-lines layout (rewritten wholesale by ``save()``),
-every acknowledged write is WAL-logged immediately; ``save()`` degrades to
+Every acknowledged write is WAL-logged immediately; ``save()`` is only
 an fsync barrier and reopening a database is crash recovery: segments
 replay strictly checksummed, the WAL tail is healed, and whatever a
 ``durability=strict`` writer acknowledged is guaranteed back.
@@ -26,14 +23,10 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import loads
 from repro.db.collection import Collection
 from repro.db.engine import DURABILITY_MODES, StorageEngine
-from repro.db.engine.wal import fsync_dir
 from repro.db.filestore import FileStore
 
-_COLLECTION_SUFFIX = ".jsonl"
-_IMPORTED_SUFFIX = ".imported"
 _ENGINE_DIR = "engine"
 
 
@@ -71,7 +64,6 @@ class Database:
                 **(engine_options or {}),
             )
             self._recover()
-            self._import_legacy_jsonl()
 
     # ---------------------------------------------------------- collections
 
@@ -99,11 +91,6 @@ class Database:
             self._collections.pop(name, None)
             if self._engine is not None:
                 self._engine.drop(name)
-            if self.root is not None:
-                legacy = self._legacy_path(name)
-                for path in (legacy, legacy + _IMPORTED_SUFFIX):
-                    if os.path.exists(path):
-                        os.remove(path)
 
     # ---------------------------------------------------------------- files
 
@@ -160,42 +147,6 @@ class Database:
             coll.load_replayed(documents, indexes)
             self._collections[name] = coll
             self._recovery[name] = report
-
-    def _import_legacy_jsonl(self) -> None:
-        """One-shot migration from the pre-engine JSON-lines layout.
-
-        Crash-atomic: the legacy file only counts as consumed once the
-        import finished — the imported records are fsynced, then the
-        file is renamed aside to ``<name>.jsonl.imported`` as the
-        completion marker.  A crash mid-import therefore leaves the
-        ``.jsonl`` behind next to partial engine state; the next open
-        detects that pairing, discards the partial state, and redoes
-        the whole import instead of silently keeping half a migration.
-        """
-        for entry in sorted(os.listdir(self.root)):
-            if not entry.endswith(_COLLECTION_SUFFIX):
-                continue
-            name = entry[: -len(_COLLECTION_SUFFIX)]
-            if name in self._collections:
-                # A completed import renames the legacy file away, so
-                # engine state plus a lingering .jsonl can only mean an
-                # earlier import crashed partway through.
-                self._engine.drop(name)
-                self._collections.pop(name, None)
-                self._recovery.pop(name, None)
-            coll = self.collection(name)
-            path = os.path.join(self.root, entry)
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        coll.insert_one(loads(line))
-            self._engine.store(name).flush()
-            os.replace(path, path + _IMPORTED_SUFFIX)
-            fsync_dir(self.root)
-
-    def _legacy_path(self, name: str) -> str:
-        return os.path.join(self.root, name + _COLLECTION_SUFFIX)
 
     def recovery_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-collection crash-recovery summary from this open:

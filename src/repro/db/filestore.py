@@ -9,14 +9,12 @@ Blobs live either in memory (``root=None``) or on disk **sharded by hash
 prefix**: blob ``ab12…`` lives at ``<root>/ab/ab12…``.  Content
 addressing makes the first-byte fan-out free — no routing table, the id
 *is* the route — and keeps directories at ~1/256th of the store, which
-is what lets a million-blob archive survive ``listdir``.  Blobs written
-by older releases directly under ``<root>`` are still found, and
-:meth:`scrub` migrates them into their shard.
+is what lets a million-blob archive survive ``listdir``.
 
 :meth:`scrub` is the bit-rot police: it re-hashes every blob, moves
 corrupt ones into ``<root>/quarantine/`` (so a later ``put`` of the
 pristine content can repopulate the address), and reports through the
-``filestore_scrub_{scanned,repaired,quarantined}_total`` counters.
+``filestore_scrub_{scanned,quarantined}_total`` counters.
 """
 
 from __future__ import annotations
@@ -61,13 +59,6 @@ def _scanned_counter():
     return telemetry.get_metrics().counter(
         "filestore_scrub_scanned_total",
         "Blobs re-hashed by FileStore.scrub",
-    )
-
-
-def _repaired_counter():
-    return telemetry.get_metrics().counter(
-        "filestore_scrub_repaired_total",
-        "Blobs scrub migrated from the legacy flat layout into shards",
     )
 
 
@@ -215,8 +206,8 @@ class FileStore:
                     raise NotFoundError(f"no blob with id {digest}")
                 data = self._memory[digest]
             else:
-                path = self._find(digest)
-                if path is None:
+                path = self._blob_path(digest)
+                if not os.path.isfile(path):
                     raise NotFoundError(f"no blob with id {digest}")
                 with open(path, "rb") as handle:
                     data = handle.read()
@@ -250,8 +241,8 @@ class FileStore:
             self._metadata.pop(digest, None)
             if self.root is None:
                 return self._memory.pop(digest, None) is not None
-            path = self._find(digest)
-            if path is None:
+            path = self._blob_path(digest)
+            if not os.path.isfile(path):
                 return False
             os.remove(path)
             return True
@@ -259,22 +250,15 @@ class FileStore:
     # --------------------------------------------------------------- scrub
 
     def scrub(self) -> Dict[str, object]:
-        """Re-verify every blob; quarantine rot, heal the layout.
+        """Re-verify every blob and quarantine rot.
 
-        Three outcomes per blob:
-
-        - hash matches, sharded path — healthy, left alone;
-        - hash matches, legacy flat path — **repaired**: moved into its
-          hash-prefix shard;
-        - hash mismatch — **quarantined**: moved to
-          ``<root>/quarantine/<digest>`` (in-memory stores just drop
-          it), freeing the address for a pristine re-put.
-
-        Stale ``*.tmp`` files from crashed puts are also swept (as on
-        open), reported as ``tmp_swept``.
+        A blob whose hash no longer matches is **quarantined**: moved to
+        ``<root>/quarantine/<digest>`` (in-memory stores just drop it),
+        freeing the address for a pristine re-put.  Stale ``*.tmp``
+        files from crashed puts are also swept (as on open), reported
+        as ``tmp_swept``.
         """
         scanned = 0
-        repaired: List[str] = []
         quarantined: List[str] = []
         tmp_swept = 0
         if self.root is not None:
@@ -292,8 +276,8 @@ class FileStore:
                         self._metadata.pop(digest, None)
                         quarantined.append(digest)
                     continue
-                path = self._find(digest)
-                if path is None:
+                path = self._blob_path(digest)
+                if not os.path.isfile(path):
                     continue
                 with open(path, "rb") as handle:
                     data = handle.read()
@@ -305,19 +289,11 @@ class FileStore:
                     os.replace(path, target)
                     self._metadata.pop(digest, None)
                     quarantined.append(digest)
-                elif path == self._legacy_path(digest):
-                    sharded = self._blob_path(digest)
-                    os.makedirs(os.path.dirname(sharded), exist_ok=True)
-                    os.replace(path, sharded)
-                    repaired.append(digest)
         _scanned_counter().inc(scanned)
-        if repaired:
-            _repaired_counter().inc(len(repaired))
         if quarantined:
             _quarantined_counter().inc(len(quarantined))
         return {
             "scanned": scanned,
-            "repaired": repaired,
             "quarantined": quarantined,
             "tmp_swept": tmp_swept,
         }
@@ -329,7 +305,7 @@ class FileStore:
         if self.root is None:
             with self._lock:
                 return digest in self._memory
-        return self._find(digest) is not None
+        return os.path.isfile(self._blob_path(digest))
 
     def list_ids(self) -> List[str]:
         if self.root is None:
@@ -338,16 +314,12 @@ class FileStore:
         ids = set()
         for entry in os.listdir(self.root):
             path = os.path.join(self.root, entry)
-            if os.path.isdir(path):
-                if entry == _QUARANTINE_DIR:
-                    continue
+            if entry != _QUARANTINE_DIR and os.path.isdir(path):
                 ids.update(
                     blob
                     for blob in os.listdir(path)
                     if not blob.endswith(".tmp")
                 )
-            elif not entry.endswith(".tmp"):
-                ids.add(entry)
         return sorted(ids)
 
     def metadata(self, digest: str) -> Dict:
@@ -372,8 +344,8 @@ class FileStore:
             return stats
         total = 0
         for digest in ids:
-            path = self._find(digest)
-            if path is not None and os.path.isfile(path):
+            path = self._blob_path(digest)
+            if os.path.isfile(path):
                 total += os.path.getsize(path)
         stats["bytes"] = total
         stats["shards"] = sum(
@@ -399,13 +371,3 @@ class FileStore:
     def _blob_path(self, digest: str) -> str:
         """Sharded home of a blob: first-byte fan-out subdirectory."""
         return os.path.join(self.root, digest[:2], digest)
-
-    def _legacy_path(self, digest: str) -> str:
-        """Pre-sharding flat location, still honoured on reads."""
-        return os.path.join(self.root, digest)
-
-    def _find(self, digest: str) -> Optional[str]:
-        for path in (self._blob_path(digest), self._legacy_path(digest)):
-            if os.path.isfile(path):
-                return path
-        return None

@@ -41,20 +41,13 @@ MANIFEST_SCHEMA_VERSION = 1
 #: :mod:`repro.pipeline.stages`).
 KNOWN_STAGE_KINDS = ("artifacts", "sweep", "analyze", "render", "python")
 
-#: Execution settings a manifest may override (defaults mirror the
-#: ``boot-tests`` CLI defaults).
+#: Execution settings a manifest may override (the keywords and
+#: defaults of ``Experiment.launch``).
 EXECUTION_DEFAULTS: Dict[str, object] = {
     "workers": 4,
     "substrate": "threads",
     "use_cache": True,
     "use_checkpoints": False,
-    "tenant": "default",
-    "priority": "default",
-}
-
-_EXECUTION_CHOICES = {
-    "substrate": SUBSTRATES,
-    "priority": ("interactive", "default", "bulk"),
 }
 
 
@@ -223,12 +216,11 @@ def _validate_execution(raw: Mapping[str, Any]) -> Dict[str, Any]:
         )
     settings = dict(EXECUTION_DEFAULTS)
     settings.update(raw)
-    for key, choices in _EXECUTION_CHOICES.items():
-        if settings[key] not in choices:
-            raise ValidationError(
-                f"execution.{key} must be one of {choices} "
-                f"(got {settings[key]!r})"
-            )
+    if settings["substrate"] not in SUBSTRATES:
+        raise ValidationError(
+            f"execution.substrate must be one of {SUBSTRATES} "
+            f"(got {settings['substrate']!r})"
+        )
     workers = settings["workers"]
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(

@@ -193,16 +193,10 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
         )
     if fixed:
         experiment.fix(**fixed)
-    execution = ctx.execution
     runs = experiment.create_runs()
-    experiment.launch(
-        workers=int(execution.get("workers", 4)),
-        use_cache=bool(execution.get("use_cache", True)),
-        substrate=execution.get("substrate", "threads"),
-        tenant=execution.get("tenant", "default"),
-        priority=execution.get("priority", "default"),
-        use_checkpoints=bool(execution.get("use_checkpoints", False)),
-    )
+    # The manifest's validated ``execution`` settings are exactly
+    # ``launch``'s keywords.
+    experiment.launch(**ctx.execution)
     counts: Dict[str, int] = {}
     run_ids = []
     for run in runs:

@@ -1,147 +1,50 @@
-"""A ``multiprocessing.Pool``-shaped fallback.
-
-The paper offers the Python multiprocessing library as the lighter-weight
-alternative to Celery.  :class:`SimplePool` mirrors the relevant API surface
-(`apply_async`, `map`, `close`, `join`) over a **fixed set of worker
-threads** so launch scripts can switch between the two scheduler styles
-with one line: a 480-job submission queues 480 envelopes, not 480 OS
-threads.  For real CPU parallelism over the GIL-bound simulator, use
-:class:`repro.scheduler.procpool.ProcessPool` — this class keeps the
-stdlib-compatible facade for in-process use.
-
-API fidelity matters because callers are written against the stdlib
-contract: ``PoolResult.get(timeout=...)`` raises
-:class:`multiprocessing.TimeoutError`, ``successful()`` raises
-:class:`ValueError` before the result is ready, and ``close()`` stops
-intake while letting already-queued work finish.
-"""
-
-from __future__ import annotations
+"""``multiprocessing.Pool``'s surface and contract over stdlib pool threads."""
 
 import multiprocessing
-import queue
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.common.errors import StateError
 
 
 class PoolResult:
-    """Handle returned by :meth:`SimplePool.apply_async`."""
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-
-    def _complete(
-        self, value: Any = None, error: Optional[BaseException] = None
-    ):
-        self._value = value
-        self._error = error
-        self._event.set()
-
-    def ready(self) -> bool:
-        return self._event.is_set()
+    """``multiprocessing.pool.AsyncResult``'s contract over a ``Future``."""
+    def __init__(self, future: Future):
+        self._future, self.ready = future, future.done
 
     def successful(self) -> bool:
         if not self.ready():
             raise ValueError("result is not ready")
-        return self._error is None
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        self._event.wait(timeout=timeout)
+        return self._future.exception() is None
 
     def get(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout=timeout):
-            raise multiprocessing.TimeoutError(
-                "timed out waiting for pool result"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
+        if wait([self._future], timeout).not_done:
+            raise multiprocessing.TimeoutError("pool result not ready")
+        return self._future.result()
 
 
-class SimplePool:
-    """A fixed-size worker pool with multiprocessing.Pool semantics."""
-
+class SimplePool(ThreadPoolExecutor):
+    """The paper's lighter alternative to Celery: a fixed set of threads."""
     def __init__(self, processes: int = 4):
         if processes < 1:
             raise StateError("pool needs at least one worker")
-        self.processes = processes
-        self._tasks: "queue.Queue" = queue.Queue()
-        self._closed = False
-        self._lock = threading.Lock()
-        self._threads = [
-            threading.Thread(
-                target=self._worker,
-                name=f"simplepool-worker-{index}",
-                daemon=True,
-            )
-            for index in range(processes)
-        ]
-        for thread in self._threads:
-            thread.start()
+        super().__init__(processes, "simplepool-worker")
 
-    def _worker(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None:
-                return
-            func, args, kwds, result = item
-            try:
-                result._complete(value=func(*args, **kwds))
-            except BaseException as exc:  # propagate to .get()
-                result._complete(error=exc)
-
-    def apply_async(
-        self, func: Callable, args: tuple = (), kwds: Optional[dict] = None
-    ) -> PoolResult:
-        result = PoolResult()
-        # The unbounded queue's put() never blocks, so enqueueing under
-        # the lock is safe and makes close() race-free: after close()
-        # wins the lock, no new task can slip in behind the sentinels.
-        with self._lock:
-            if self._closed:
-                raise StateError("pool is closed")
-            self._tasks.put((func, args, kwds or {}, result))
-        return result
+    def apply_async(self, func: Callable, args=(), kwds=None) -> PoolResult:
+        try:
+            return PoolResult(self.submit(func, *args, **(kwds or {})))
+        except RuntimeError as error:  # submit() after close()
+            raise StateError("pool is closed") from error
 
     def map(self, func: Callable, iterable: Iterable) -> List[Any]:
-        """Apply ``func`` to every item, preserving order.
-
-        Waits for *every* submitted item before raising, so an early
-        failure cannot orphan still-queued work; the first error (in
-        input order) is then re-raised, matching ``Pool.map``.
-        """
         handles = [self.apply_async(func, (item,)) for item in iterable]
-        for handle in handles:
-            handle.wait()
+        wait([h._future for h in handles])  # none left behind an early error
         return [handle.get() for handle in handles]
 
     def close(self) -> None:
-        """Stop accepting new work; queued work still runs.
-
-        One exit sentinel per worker is queued *behind* the pending
-        tasks, so workers drain the queue before exiting.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._threads:
-                self._tasks.put(None)
+        self.shutdown(wait=False)  # stops intake; queued work still runs
 
     def join(self) -> None:
-        with self._lock:
-            if not self._closed:
-                raise StateError("join() requires close() first")
-        for thread in self._threads:
-            thread.join()
-
-    def __enter__(self) -> "SimplePool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-        self.join()
+        if not self._shutdown:
+            raise StateError("join() requires close() first")
+        self.shutdown(wait=True)

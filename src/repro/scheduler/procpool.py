@@ -4,7 +4,7 @@ The paper offers the Python multiprocessing library as the lighter-weight
 alternative to Celery for driving gem5art's 480-run boot-test cross
 product.  A thread pool cannot deliver that promise for a GIL-bound
 pure-Python simulator: every "parallel" run serializes on the interpreter
-lock.  :class:`ProcessPool` shards a batch of jobs across real OS
+lock.  :class:`ProcessPool` shards a sweep's jobs across real OS
 processes instead:
 
 - jobs travel as **pickle-safe** :class:`JobEnvelope` s — a dotted-path
@@ -215,19 +215,18 @@ def _resolve_target(spec: str) -> Callable:
 
 
 def _worker_main(worker: str, inbox, outbox) -> None:
-    """Worker-process loop: execute wire batches until the empty stop
+    """Worker-process loop: execute wire messages until the empty stop
     message (or EOF — the parent is gone).
 
     Runs in a freshly spawned interpreter; everything it needs arrives
-    through the wire.  Each inbox message is one parent-pickled **batch**
-    (``{"jobs": [...], "shared": {hash: payload}}``) — one pickle + one
-    pipe round-trip per shard, not per job.  ``shared`` payloads are
-    interned in a per-process cache keyed by content hash; job arguments
-    reference them via :func:`intern_ref` placeholders, so a payload the
-    worker has already seen never crosses the pipe again.  Telemetry,
-    when requested, is recorded in a private per-process session and
-    shipped back inside the result so the parent can merge it — worker
-    and parent never share a registry.
+    through the wire.  Each inbox message is one parent-pickled job
+    (``{"job": {...}, "shared": {hash: payload}}``).  ``shared``
+    payloads are interned in a per-process cache keyed by content hash;
+    job arguments reference them via :func:`intern_ref` placeholders, so
+    a payload the worker has already seen never crosses the pipe again.
+    Telemetry, when requested, is recorded in a private per-process
+    session and shipped back inside the result so the parent can merge
+    it — worker and parent never share a registry.
     """
     from repro import telemetry as _telemetry
 
@@ -239,45 +238,45 @@ def _worker_main(worker: str, inbox, outbox) -> None:
             return
         if not wire:
             return
-        batch = pickle.loads(wire)
-        interned.update(batch.get("shared") or {})
-        for job in batch["jobs"]:
-            started = time.monotonic()
-            result: Dict[str, Any] = {
-                "task_id": job["task_id"],
-                "worker": worker,
-                "pid": os.getpid(),
-                "ok": False,
-                "value": None,
-                "error": None,
-                "telemetry": None,
-            }
-            session = _telemetry.enable() if job["telemetry"] else None
-            try:
-                target = _resolve_target(job["target"])
-                args = _resolve_interned(job["args"], interned)
-                kwargs = _resolve_interned(job["kwargs"], interned)
-                result["value"] = target(*args, **kwargs)
-                result["ok"] = True
-            except Exception:
-                result["error"] = traceback.format_exc()
-            finally:
-                if session is not None:
-                    result["telemetry"] = {
-                        "metrics": session.metrics.collect(),
-                        "events": session.events.records(),
-                    }
-                    _telemetry.disable()
-            result["host_seconds"] = time.monotonic() - started
-            outbox.send(result)
+        message = pickle.loads(wire)
+        interned.update(message["shared"])
+        job = message["job"]
+        started = time.monotonic()
+        result: Dict[str, Any] = {
+            "task_id": job["task_id"],
+            "worker": worker,
+            "pid": os.getpid(),
+            "ok": False,
+            "value": None,
+            "error": None,
+            "telemetry": None,
+        }
+        session = _telemetry.enable() if job["telemetry"] else None
+        try:
+            target = _resolve_target(job["target"])
+            args = _resolve_interned(job["args"], interned)
+            kwargs = _resolve_interned(job["kwargs"], interned)
+            result["value"] = target(*args, **kwargs)
+            result["ok"] = True
+        except Exception:
+            result["error"] = traceback.format_exc()
+        finally:
+            if session is not None:
+                result["telemetry"] = {
+                    "metrics": session.metrics.collect(),
+                    "events": session.events.records(),
+                }
+                _telemetry.disable()
+        result["host_seconds"] = time.monotonic() - started
+        outbox.send(result)
 
 
 class _WorkerSlot:
     """One worker seat: the live process, the parent's ends of its
-    private inbox/outbox pipes, and the batch currently assigned to it
-    (at most one batch at a time, which is what keeps crash attribution
-    exact — every job in ``current`` died with this worker — and means
-    the worker is blocked reading whenever the parent writes).
+    private inbox/outbox pipes, and the job currently assigned to it
+    (at most one at a time, which is what keeps crash attribution exact
+    — ``current`` died with this worker — and means the worker is
+    blocked reading whenever the parent writes).
 
     The outbox is private for a reason: the worker is its only writer,
     so a SIGKILL that lands mid-write can only tear the dying worker's
@@ -296,7 +295,7 @@ class _WorkerSlot:
         self.process = process
         self.inbox = inbox
         self.outbox = outbox
-        self.current: Dict[str, _JobRecord] = {}
+        self.current: Optional[_JobRecord] = None
         self.interned: set = set()
 
     def alive(self) -> bool:
@@ -327,20 +326,13 @@ class ProcessPool:
         lease_ttl: float = DEFAULT_PROC_LEASE_TTL,
         max_redeliveries: int = DEFAULT_MAX_REDELIVERIES,
         start_method: str = "spawn",
-        dispatch_batch: int = 1,
     ):
         if workers < 1:
             raise ValidationError("process pool needs at least one worker")
         if max_redeliveries < 0:
             raise ValidationError("max_redeliveries must be >= 0")
-        if dispatch_batch < 1:
-            raise ValidationError("dispatch_batch must be >= 1")
         self.worker_count = workers
         self.max_redeliveries = max_redeliveries
-        # How many pending jobs one idle worker receives per wire batch
-        # (one pickle + one pipe round-trip for the whole shard).  1
-        # preserves the historical job-at-a-time transport.
-        self.dispatch_batch = dispatch_batch
         self._context = multiprocessing.get_context(start_method)
         self._leases = LeaseManager(ttl=lease_ttl)
         # One condition guards pending/inflight/slot/wake state; pipe
@@ -487,58 +479,46 @@ class ProcessPool:
         doorbell.close()
 
     def _assign_pending(self) -> None:
-        """Hand queued jobs to idle live workers, a batch per worker.
+        """Hand queued jobs to idle live workers, one job per worker.
 
-        Each idle worker receives up to ``dispatch_batch`` jobs as one
-        parent-pickled wire message.  Shared payloads are delta-encoded
-        against the slot's intern mirror: a content hash this worker has
-        already received ships as a reference, not a payload.  Leases
-        stay per-job — a crashed worker's whole batch expires, but jobs
-        that already produced results released their leases, so
-        redelivery re-dispatches only the incomplete remainder.
+        Each job travels as one parent-pickled wire message.  One, not a
+        batch: the sweep planner never has more jobs pending than there
+        are workers, so a batch could only hand two workers' jobs to
+        one.  Shared payloads are delta-encoded against the slot's
+        intern mirror: a content hash this worker has already received
+        ships as a reference, not a payload.
         """
-        assignments: List[Tuple[_WorkerSlot, List[_JobRecord]]] = []
+        assignments: List[Tuple[_WorkerSlot, _JobRecord]] = []
         with self._state:
             for slot in self._slots:
                 if not self._pending:
                     break
-                if slot.current or not slot.alive():
+                if slot.current is not None or not slot.alive():
                     continue
-                batch: List[_JobRecord] = []
-                while self._pending and len(batch) < self.dispatch_batch:
-                    record = self._pending.popleft()
-                    slot.current[record.task_id] = record
-                    self._inflight[record.task_id] = record
-                    batch.append(record)
-                assignments.append((slot, batch))
-        for slot, batch in assignments:
-            jobs: List[Dict[str, Any]] = []
+                record = self._pending.popleft()
+                slot.current = record
+                self._inflight[record.task_id] = record
+                assignments.append((slot, record))
+        for slot, record in assignments:
+            self._leases.acquire(record, slot.name)
+            record.handle.worker = slot.name
+            envelope = record.envelope
             shared: Dict[str, Any] = {}
-            for record in batch:
-                self._leases.acquire(record, slot.name)
-                record.handle.worker = slot.name
-                envelope = record.envelope
-                for content_hash, payload in envelope.shared.items():
-                    if content_hash not in slot.interned:
-                        shared[content_hash] = payload
-                        slot.interned.add(content_hash)
-                jobs.append(
-                    {
+            for content_hash, payload in envelope.shared.items():
+                if content_hash not in slot.interned:
+                    shared[content_hash] = payload
+                    slot.interned.add(content_hash)
+            wire = pickle.dumps(
+                {
+                    "job": {
                         "target": envelope.target,
                         "args": envelope.args,
                         "kwargs": envelope.kwargs,
                         "task_id": envelope.task_id,
                         "telemetry": envelope.telemetry,
-                    }
-                )
-                get_event_log().emit(
-                    "procpool.dispatch",
-                    task_id=record.task_id,
-                    worker=slot.name,
-                    delivery=record.deliveries,
-                )
-            wire = pickle.dumps(
-                {"jobs": jobs, "shared": shared},
+                    },
+                    "shared": shared,
+                },
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             get_metrics().counter(
@@ -546,9 +526,10 @@ class ProcessPool:
                 "Bytes of pickled job transport shipped to workers",
             ).inc(len(wire))
             get_event_log().emit(
-                "procpool.batch",
+                "procpool.dispatch",
+                task_id=record.task_id,
                 worker=slot.name,
-                jobs=len(jobs),
+                delivery=record.deliveries,
                 wire_bytes=len(wire),
                 interned=len(shared),
             )
@@ -558,10 +539,9 @@ class ProcessPool:
         """Task ids whose assigned worker the parent can still see."""
         with self._state:
             return [
-                task_id
+                slot.current.task_id
                 for slot in self._slots
-                if slot.current and slot.alive()
-                for task_id in slot.current
+                if slot.current is not None and slot.alive()
             ]
 
     def _recover_lost_workers(self) -> None:
@@ -591,7 +571,11 @@ class ProcessPool:
                 "procpool.worker_lost",
                 worker=slot.name,
                 pid=slot.process.pid,
-                task_ids=sorted(slot.current),
+                task_id=(
+                    slot.current.task_id
+                    if slot.current is not None
+                    else None
+                ),
             )
 
     def _reap_expired(self) -> None:
@@ -600,8 +584,7 @@ class ProcessPool:
             record = lease.message
             with self._state:
                 self._inflight.pop(record.task_id, None)
-                for slot in self._slots:
-                    slot.current.pop(record.task_id, None)
+                self._vacate(record.task_id)
             if record.handle.ready():
                 continue  # raced with a late result
             if record.deliveries > self.max_redeliveries:
@@ -636,6 +619,12 @@ class ProcessPool:
                 self._pending.appendleft(record)
                 self._state.notify_all()
 
+    def _vacate(self, task_id: str) -> None:
+        """Free the seat holding ``task_id`` (``_state`` held)."""
+        for slot in self._slots:
+            if slot.current is not None and slot.current.task_id == task_id:
+                slot.current = None
+
     # ------------------------------------------------------------ results
 
     def _drain_outbox(self, outbox) -> None:
@@ -663,8 +652,7 @@ class ProcessPool:
         self._leases.release(task_id)
         with self._state:
             record = self._inflight.pop(task_id, None)
-            for slot in self._slots:
-                slot.current.pop(task_id, None)
+            self._vacate(task_id)
             self._state.notify_all()
         buffer = result.get("telemetry")
         if buffer:
@@ -736,7 +724,7 @@ class ProcessPool:
             self._leases.release(record.task_id)
             record.handle._complete(error="process pool shut down")
         for slot in slots:
-            if slot.current:
+            if slot.current is not None:
                 slot.process.kill()  # mid-job: it would not read a stop
             else:
                 slot.send(b"")

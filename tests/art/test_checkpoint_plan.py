@@ -1,6 +1,8 @@
 """Tests for the staged execution planner: boot stage fan-out over
 prefix cohorts, then variant jobs restoring the shared checkpoint."""
 
+import threading
+
 import pytest
 
 from repro import telemetry
@@ -98,11 +100,34 @@ def test_scheduler_boots_once_per_prefix_processes(db, fs_artifacts):
             worker_count=2,
             substrate="processes",
             use_checkpoints=True,
-            dispatch_batch=2,
         )
         boots = session.metrics.counter("checkpoint_boots_total")
         assert boots.value() == len(PREFIXES)
     assert all(s["success"] for s in summaries)
+    assert all(s["restored_boot"] for s in summaries)
+
+
+def test_inline_boots_on_the_calling_thread_in_plan_order(
+    db, fs_artifacts, monkeypatch
+):
+    """``substrate="inline"`` promises no job manager at all — the boot
+    stage included, however many prefixes the sweep has."""
+    runs = sweep(db, fs_artifacts)
+    booted = []
+    take_boot_checkpoint = Gem5Run.take_boot_checkpoint
+
+    def recording(run, **kwargs):
+        booted.append((threading.get_ident(), run.prefix))
+        return take_boot_checkpoint(run, **kwargs)
+
+    monkeypatch.setattr(Gem5Run, "take_boot_checkpoint", recording)
+    summaries = run_jobs_scheduler(
+        runs, worker_count=4, substrate="inline", use_checkpoints=True
+    )
+    assert booted == [
+        (threading.get_ident(), prefix)
+        for prefix in group_runs_by_prefix(runs)
+    ]
     assert all(s["restored_boot"] for s in summaries)
 
 

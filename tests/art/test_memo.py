@@ -95,7 +95,7 @@ def user(request, db):
 
 
 def blob_path(db, blob_id):
-    return db.database.files._find(blob_id)
+    return db.database.files._blob_path(blob_id)
 
 
 def rot(db, blob_id):

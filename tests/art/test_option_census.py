@@ -1,0 +1,55 @@
+"""The option census of the run path.
+
+Every independently settable value between the CLI and the worker
+processes multiplies the configurations the substrate-equivalence and
+chaos suites have to cover, so the lists are pinned here: a new knob is
+a reviewed diff of this file, not drift.
+"""
+
+import inspect
+
+import pytest
+
+from repro.art import Experiment, run_jobs_scheduler
+from repro.pipeline import EXECUTION_DEFAULTS
+from repro.scheduler import ProcessPool
+
+
+@pytest.mark.parametrize(
+    "function, options",
+    [
+        (
+            run_jobs_scheduler,
+            ["runs", "worker_count", "use_cache", "substrate",
+             "use_checkpoints", "checkpoint_store", "repeats"],
+        ),
+        (
+            Experiment.launch,
+            ["self", "workers", "use_cache", "substrate", "use_checkpoints"],
+        ),
+        (
+            Experiment.resume,
+            ["self", "workers", "retry_failures", "use_cache", "substrate",
+             "use_checkpoints"],
+        ),
+        (
+            ProcessPool.__init__,
+            ["self", "workers", "lease_ttl", "max_redeliveries",
+             "start_method"],
+        ),
+    ],
+)
+def test_run_path_options(function, options):
+    assert list(inspect.signature(function).parameters) == options
+
+
+def test_manifest_execution_settings_are_launch_keywords():
+    """``stage_sweep`` passes the validated settings straight through."""
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(
+            Experiment.launch
+        ).parameters.items()
+        if name != "self"
+    }
+    assert EXECUTION_DEFAULTS == defaults

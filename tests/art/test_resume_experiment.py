@@ -100,7 +100,7 @@ def test_launch_resume_flag_skips_done_runs(db, monkeypatch):
     runs = experiment.create_runs()
     runs[0].run()
     executed = record_executions(monkeypatch)
-    experiment.launch(substrate="inline", resume=True)
+    experiment.resume(substrate="inline")
     assert executed == [runs[1].run_id]
 
 

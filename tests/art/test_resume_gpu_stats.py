@@ -46,7 +46,7 @@ def test_resume_skips_completed_runs():
     runs[0].run()
     first_results = db.get_run(runs[0].run_id)["results"]
 
-    summaries = experiment.launch(substrate="inline", resume=True)
+    summaries = experiment.resume(substrate="inline")
     assert len(summaries) == 2
     assert all(s is not None and s["success"] for s in summaries)
     # The completed run was NOT re-executed (results object unchanged,
@@ -57,7 +57,8 @@ def test_resume_skips_completed_runs():
 def test_resume_on_fresh_experiment_runs_everything():
     db = ArtifactDB()
     experiment = make_experiment(db)
-    summaries = experiment.launch(substrate="inline", resume=True)
+    experiment.create_runs()
+    summaries = experiment.resume(substrate="inline")
     assert all(s["success"] for s in summaries)
 
 

@@ -273,64 +273,6 @@ def test_stale_unreferenced_segments_are_swept(tmp_path):
     reopened.close()
 
 
-# ------------------------------------------------------------ migration
-
-
-def test_legacy_jsonl_imported_once(tmp_path):
-    root = tmp_path / "db"
-    root.mkdir()
-    with open(root / "runs.jsonl", "w", encoding="utf-8") as handle:
-        handle.write('{"_id": "legacy1", "n": 1}\n')
-        handle.write('{"_id": "legacy2", "n": 2}\n')
-    db = Database("test", root=str(root), engine_options=NO_COMPACT)
-    assert db["runs"].count() == 2
-    db["runs"].insert_one({"_id": "new1"})
-    db.close()
-    # A completed import renames the legacy file aside as its marker.
-    assert not (root / "runs.jsonl").exists()
-    assert (root / "runs.jsonl.imported").exists()
-    # Second open replays the engine; the consumed jsonl must NOT
-    # double-import (which would raise DuplicateError or double count).
-    again = Database("test", root=str(root), engine_options=NO_COMPACT)
-    assert again["runs"].count() == 3
-    again.close()
-
-
-def test_crashed_partial_import_is_redone(tmp_path):
-    """Engine state next to a still-named .jsonl means the previous
-    import crashed partway: the partial state is discarded and the
-    import redone in full, not silently left half-migrated."""
-    root = tmp_path / "db"
-    root.mkdir()
-    partial = Database("test", root=str(root), engine_options=NO_COMPACT)
-    partial["runs"].insert_one({"_id": "legacy1", "n": 1})
-    partial.close()
-    # The legacy file a crashed import never renamed away — including
-    # the doc the partial state already holds.
-    with open(root / "runs.jsonl", "w", encoding="utf-8") as handle:
-        handle.write('{"_id": "legacy1", "n": 1}\n')
-        handle.write('{"_id": "legacy2", "n": 2}\n')
-        handle.write('{"_id": "legacy3", "n": 3}\n')
-    db = Database("test", root=str(root), engine_options=NO_COMPACT)
-    assert db["runs"].count() == 3  # nothing skipped, no DuplicateError
-    assert db["runs"].find_one({"_id": "legacy3"})["n"] == 3
-    assert not (root / "runs.jsonl").exists()
-    assert (root / "runs.jsonl.imported").exists()
-    db.close()
-
-
-def test_drop_collection_removes_imported_marker(tmp_path):
-    root = tmp_path / "db"
-    root.mkdir()
-    with open(root / "runs.jsonl", "w", encoding="utf-8") as handle:
-        handle.write('{"_id": "a"}\n')
-    db = Database("test", root=str(root), engine_options=NO_COMPACT)
-    assert (root / "runs.jsonl.imported").exists()
-    db.drop_collection("runs")
-    assert not (root / "runs.jsonl.imported").exists()
-    db.close()
-
-
 # ---------------------------------------------------------------- misc
 
 

@@ -21,16 +21,6 @@ def test_blobs_land_in_hash_prefix_shards(tmp_path):
     assert store.get_bytes(digest) == b"sharded payload"
 
 
-def test_legacy_flat_blobs_still_readable(tmp_path):
-    data = b"written by an older release"
-    digest = sha256_bytes(data)
-    (tmp_path / digest).write_bytes(data)
-    store = FileStore(str(tmp_path))
-    assert store.exists(digest)
-    assert store.get_bytes(digest) == data
-    assert digest in store.list_ids()
-
-
 def test_stats_report_shard_fanout(tmp_path):
     store = FileStore(str(tmp_path))
     digests = {store.put_bytes(bytes([i]) * 10) for i in range(20)}
@@ -145,7 +135,6 @@ def test_scrub_clean_store(tmp_path):
     store.put_bytes(b"two")
     report = store.scrub()
     assert report["scanned"] == 2
-    assert report["repaired"] == []
     assert report["quarantined"] == []
 
 
@@ -164,18 +153,6 @@ def test_scrub_quarantines_corrupt_blob(tmp_path):
     assert store.get_bytes(bad) == b"will rot"
 
 
-def test_scrub_migrates_legacy_blob_into_shard(tmp_path):
-    data = b"legacy but healthy"
-    digest = sha256_bytes(data)
-    (tmp_path / digest).write_bytes(data)
-    store = FileStore(str(tmp_path))
-    report = store.scrub()
-    assert report["repaired"] == [digest]
-    assert os.path.isfile(tmp_path / digest[:2] / digest)
-    assert not os.path.exists(tmp_path / digest)
-    assert store.get_bytes(digest) == data
-
-
 def test_scrub_memory_store_drops_corruption():
     store = FileStore(None)
     digest = store.put_bytes(b"original")
@@ -189,14 +166,11 @@ def test_scrub_increments_counters(tmp_path):
     store = FileStore(str(tmp_path))
     bad = store.put_bytes(b"doomed")
     (tmp_path / bad[:2] / bad).write_bytes(b"xx")
-    legacy_data = b"flat file"
-    legacy = sha256_bytes(legacy_data)
-    (tmp_path / legacy).write_bytes(legacy_data)
+    store.put_bytes(b"healthy")
     with telemetry.session() as session:
         store.scrub()
         metrics = session.metrics
         assert metrics.counter("filestore_scrub_scanned_total").value() == 2
-        assert metrics.counter("filestore_scrub_repaired_total").value() == 1
         assert (
             metrics.counter("filestore_scrub_quarantined_total").value() == 1
         )

@@ -172,6 +172,17 @@ def test_execution_validation():
             "pipeline: demo\nexecution: {backend: scheduler}\n"
             "stages: [{name: a, kind: python}]"
         )
+    # Nor are admission coordinates (a sweep's scheduler app is
+    # private): the error names the four settings there are.
+    with pytest.raises(
+        ValidationError,
+        match=r"priority.*known: \['substrate', 'use_cache', "
+        r"'use_checkpoints', 'workers'\]",
+    ):
+        parse_manifest_text(
+            "pipeline: demo\nexecution: {priority: bulk}\n"
+            "stages: [{name: a, kind: python}]"
+        )
     with pytest.raises(ValidationError, match="execution.substrate"):
         parse_manifest_text(
             "pipeline: demo\nexecution: {substrate: fibers}\n"

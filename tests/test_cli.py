@@ -204,6 +204,22 @@ def test_resume_command_backend_and_workers_flags(tmp_path, capsys):
     assert "up to date" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boot-tests", "--quick", "--tenant", "x"],
+        ["resume", "parsec-mini", "--db", "memory://", "--priority", "bulk"],
+        ["admit", "stats"],
+    ],
+)
+def test_admission_flags_and_verb_are_gone(argv):
+    """A sweep runs on a private scheduler app — one submitter, one
+    lane — so the CLI offers no admission coordinates to set."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
 def test_resume_command_unknown_experiment(tmp_path, capsys):
     uri = f"file://{tmp_path}/emptydb"
     assert main(["resume", "ghost", "--db", uri]) == 1
@@ -245,6 +261,29 @@ def test_boot_tests_telemetry_then_trace(tmp_path, capsys):
         e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"
     }
     assert {"experiment", "run", "phase.boot"} <= names
+
+
+def test_trace_opens_the_newest_same_named_experiment(tmp_path, capsys):
+    """``boot-tests`` prints ``repro trace boot-tests`` as its hint, so
+    the name must address the sweep that just ran — the one ``resume``
+    would load — not the first one archived under it."""
+    import re
+
+    uri = f"file://{tmp_path}/tracedb"
+    ids = []
+    for _ in range(2):
+        assert (
+            main(["boot-tests", "--quick", "--telemetry", "--db", uri]) == 0
+        )
+        ids.append(
+            re.search(
+                r"experiment (\S+) archived", capsys.readouterr().out
+            ).group(1)
+        )
+    assert main(["trace", "boot-tests", "--db", uri]) == 0
+    out = capsys.readouterr().out
+    assert f"experiment boot-tests {ids[1]}" in out
+    assert ids[0] not in out
 
 
 def test_trace_unknown_experiment(tmp_path, capsys):

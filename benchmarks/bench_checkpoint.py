@@ -44,6 +44,7 @@ from repro import telemetry
 from repro.art import (
     ArtifactDB,
     Gem5Run,
+    InputResolver,
     register_disk_image,
     register_gem5_binary,
     register_kernel_binary,
@@ -131,9 +132,10 @@ def naive_transport_bytes(runs) -> int:
     """Bytes the sweep would ship with one full pickle per job — the
     pool's wire format without interning."""
     total = 0
+    resolver = InputResolver()
     for run in runs:
         envelope = envelope_for_run(
-            run, run._inputs(), repeats=REPEATS, intern=False
+            run, resolver.wire(run), repeats=REPEATS, intern=False
         )
         wire = pickle.dumps(
             {

@@ -27,7 +27,7 @@ from repro.art.artifact import (
     register_disk_image,
     register_repo,
 )
-from repro.art.run import Gem5Run, RunStatus
+from repro.art.run import Gem5Run, InputResolver, RunStatus
 from repro.art.spec import RunSpec
 from repro.art.cache import RunCache
 from repro.art.checkpoints import CheckpointStore
@@ -56,6 +56,7 @@ __all__ = [
     "register_disk_image",
     "register_repo",
     "Gem5Run",
+    "InputResolver",
     "RunStatus",
     "RunSpec",
     "RunCache",

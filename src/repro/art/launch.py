@@ -270,12 +270,8 @@ class Experiment:
                 "no runs to resume; launch the experiment first or load "
                 "it from the database with Experiment.load"
             )
-        pending_ids = set(self.pending_runs(retry_failures=retry_failures))
-        pending = [
-            run for run in self._runs if run.run_id in pending_ids
-        ]
         return self._execute_pending(
-            pending,
+            self._pending(retry_failures),
             workers,
             phase="resume",
             use_cache=use_cache,
@@ -288,14 +284,25 @@ class Experiment:
         the *database's* current run statuses (not in-memory state)."""
         if self._runs is None:
             return []
+        return [run.run_id for run in self._pending(retry_failures)]
+
+    def _pending(self, retry_failures: bool) -> List[Gem5Run]:
+        """The runs behind :meth:`pending_runs`.  A run the database
+        says is settled takes its status and results from there — it
+        may have finished through another object or process — so what a
+        sweep returns never needs a second read."""
         resumable = set(RESUMABLE_STATUSES)
         if retry_failures:
             resumable.update(FAILED_STATUSES)
-        return [
-            run.run_id
-            for run in self._runs
-            if self.db.get_run(run.run_id)["status"] in resumable
-        ]
+        pending = []
+        for run in self._runs:
+            doc = self.db.get_run(run.run_id)
+            if doc["status"] in resumable:
+                pending.append(run)
+            else:
+                run.status = RunStatus(doc["status"])
+                run.results = doc.get("results")
+        return pending
 
     def _execute_pending(
         self,
@@ -355,10 +362,7 @@ class Experiment:
                 interrupted=interrupted,
             )
             self._archive_telemetry(span)
-        return [
-            self.db.get_run(run.run_id).get("results")
-            for run in self._runs
-        ]
+        return [run.results for run in self._runs]
 
     # ----------------------------------------------------------- loading
 

@@ -11,9 +11,10 @@ exists), returning plain data the parent archives.
 
 Division of labor:
 
-- parent (:func:`payload_for_run` / :func:`envelope_for_run`): turn the
-  run's resolved inputs (:meth:`~repro.art.run.Gem5Run._inputs`) into
-  plain dicts; dedup, caching and all database writes stay here;
+- parent (:func:`payload_for_run` / :func:`envelope_for_run`): wrap the
+  run's resolved inputs in their picklable form
+  (:meth:`~repro.art.run.InputResolver.wire`, built once per sweep);
+  dedup, caching and all database writes stay here;
 - worker (:func:`execute_run_payload`): rebuild the inputs from the
   payload, call the same :func:`repro.art.run.simulate` the in-process
   path calls, and return ``{"summary", "stats_txt",
@@ -48,16 +49,8 @@ BOOT_TARGET = "repro.art.procjobs:execute_boot_payload"
 PAYLOAD_VERSION = 1
 
 
-def _wire_inputs(inputs: Dict[str, Any]) -> Dict[str, Any]:
-    """The picklable form of :meth:`Gem5Run._inputs` (empty for kinds
-    their params alone describe)."""
-    if "disk_image" not in inputs:
-        return {}
-    return dict(inputs, disk_image=inputs["disk_image"].to_dict())
-
-
 def _live_inputs(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker side of :func:`_wire_inputs`."""
+    """Worker side of :meth:`~repro.art.run.InputResolver.wire`."""
     if "disk_image" not in payload:
         return {}
     from repro.vfs.image import DiskImage
@@ -87,8 +80,8 @@ def payload_for_run(
 ) -> Dict[str, Any]:
     """Build the self-contained, picklable payload for one run.
 
-    ``inputs`` (:meth:`Gem5Run._inputs`) were resolved in the parent —
-    the worker never sees the database.  ``repeats`` re-runs the
+    ``inputs`` (:meth:`~repro.art.run.InputResolver.wire`) were
+    resolved in the parent — the worker never sees the database.  ``repeats`` re-runs the
     simulation that many times in the worker, asserting identical
     stats each time.  ``restore`` makes the worker restore a boot
     checkpoint instead of booting (the planner's variant-stage
@@ -103,7 +96,7 @@ def payload_for_run(
         "fingerprint": run.fingerprint,
         "params": dict(run.params),
         "repeats": repeats,
-        **_wire_inputs(inputs),
+        **inputs,
     }
     if restore is not None:
         payload["restore_from"] = restore.to_dict()
@@ -149,10 +142,13 @@ def envelope_for_run(
     )
 
 
-def envelope_for_boot(run, boot_cpu: str = "kvm") -> JobEnvelope:
+def envelope_for_boot(
+    run, inputs: Dict[str, Any], boot_cpu: str = "kvm"
+) -> JobEnvelope:
     """Wrap a prefix cohort's boot job in a process-pool envelope.
 
-    ``run`` is any representative of the prefix cohort; ``boot_cpu`` is
+    ``run`` is any representative of the prefix cohort and ``inputs``
+    its :meth:`~repro.art.run.InputResolver.wire` form; ``boot_cpu`` is
     the cheap CPU model the boot executes under (kvm by default, which
     the fault model supports on every platform shape).
     """
@@ -163,7 +159,7 @@ def envelope_for_boot(run, boot_cpu: str = "kvm") -> JobEnvelope:
         "run_id": run.run_id,
         "params": dict(run.params),
         "boot_cpu": boot_cpu,
-        **_wire_inputs(run._inputs()),
+        **inputs,
     }
     shared: Dict[str, Any] = {}
     _intern(

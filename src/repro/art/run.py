@@ -24,10 +24,11 @@ the archived, hash-verified result at near-zero cost.
 from __future__ import annotations
 
 import enum
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.common.errors import NotFoundError, StateError, ValidationError
 from repro.common.ids import new_uuid
@@ -44,6 +45,7 @@ from repro.sim.buildinfo import Gem5Build
 from repro.sim.checkpoint import Checkpoint
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Gem5Simulator, SimulationStatus
+from repro.vfs.image import DiskImage
 
 
 class RunStatus(str, enum.Enum):
@@ -263,6 +265,7 @@ class Gem5Run:
         self,
         use_cache: bool = True,
         checkpoint_store=None,
+        resolver: Optional["InputResolver"] = None,
     ) -> Dict[str, object]:
         """Execute the simulation — or adopt its memoized result — and
         archive the outcome.
@@ -283,21 +286,27 @@ class Gem5Run:
         archived boot instead of re-simulating it; a missing, corrupt
         or incompatible checkpoint degrades to a full boot.
 
+        ``resolver`` (an :class:`InputResolver`) is the planner's memo
+        of this sweep's input artifacts; a bare ``run()`` resolves
+        through one of its own.
+
         With telemetry enabled, the run is wrapped in a ``run`` span
         (parenting the simulator's phase spans) and its span subtree is
         archived in the database next to the stats blob, so the timeline
         can be rehydrated from the database alone.
         """
 
-        def in_process(inputs, restore):
+        def in_process(resolver: "InputResolver", restore):
             started = time.monotonic()
             summary, result = simulate(
-                self.kind, self.params, inputs, restore
+                self.kind, self.params, resolver.live(self), restore
             )
             stats_txt = result.stats_txt()
             return summary, stats_txt, time.monotonic() - started, {}
 
-        return self._execute(in_process, use_cache, checkpoint_store)
+        return self._execute(
+            in_process, use_cache, checkpoint_store, resolver
+        )
 
     def run_in_pool(
         self,
@@ -305,6 +314,7 @@ class Gem5Run:
         use_cache: bool = True,
         repeats: int = 1,
         checkpoint_store=None,
+        resolver: Optional["InputResolver"] = None,
     ) -> Dict[str, object]:
         """Execute this run on a process-pool substrate.
 
@@ -317,9 +327,11 @@ class Gem5Run:
         """
         from repro.art.procjobs import envelope_for_run
 
-        def in_worker(inputs, restore):
+        def in_worker(resolver: "InputResolver", restore):
             handle = pool.submit(
-                envelope_for_run(self, inputs, restore, repeats=repeats)
+                envelope_for_run(
+                    self, resolver.wire(self), restore, repeats=repeats
+                )
             )
             outcome = handle.result()
             return (
@@ -333,16 +345,26 @@ class Gem5Run:
             )
 
         return self._execute(
-            in_worker, use_cache, checkpoint_store, substrate="processes"
+            in_worker,
+            use_cache,
+            checkpoint_store,
+            resolver,
+            substrate="processes",
         )
 
     def _execute(
-        self, simulate_on, use_cache: bool, checkpoint_store, **attributes
+        self,
+        simulate_on,
+        use_cache: bool,
+        checkpoint_store,
+        resolver: Optional["InputResolver"],
+        **attributes,
     ) -> Dict[str, object]:
-        """The one run skeleton.  ``simulate_on(inputs, restore)`` is
-        the only substrate-specific step: it turns the resolved inputs
-        into ``(summary, stats_txt, host_seconds, extra_summary_fields)``
-        on this thread or in a worker process."""
+        """The one run skeleton.  ``simulate_on(resolver, restore)`` is
+        the only substrate-specific step: it takes from the resolver the
+        form of the inputs its substrate consumes and turns them into
+        ``(summary, stats_txt, host_seconds, extra_summary_fields)`` on
+        this thread or in a worker process."""
         span = telemetry.get_tracer().span(
             "run",
             attributes={
@@ -355,7 +377,11 @@ class Gem5Run:
         try:
             with span:
                 summary = self._adopt_or_simulate(
-                    simulate_on, use_cache, checkpoint_store, span
+                    simulate_on,
+                    use_cache,
+                    checkpoint_store,
+                    resolver or InputResolver(),
+                    span,
                 )
                 span.set_attribute("status", self.status.value)
                 span.set_attribute(
@@ -373,7 +399,12 @@ class Gem5Run:
         return summary
 
     def _adopt_or_simulate(
-        self, simulate_on, use_cache: bool, checkpoint_store, span
+        self,
+        simulate_on,
+        use_cache: bool,
+        checkpoint_store,
+        resolver: "InputResolver",
+        span,
     ) -> Dict[str, object]:
         cache = (
             RunCache(self.db) if use_cache and self.fingerprint else None
@@ -388,12 +419,11 @@ class Gem5Run:
             RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
         )
         try:
-            inputs = self._inputs()
-            restore = self._consult_checkpoint(checkpoint_store, inputs)
+            restore = self._consult_checkpoint(checkpoint_store, resolver)
             if restore is not None:
                 span.set_attribute("boot", "restored")
             summary, stats_txt, host_seconds, extras = simulate_on(
-                inputs, restore
+                resolver, restore
             )
             summary = dict(
                 summary,
@@ -405,24 +435,33 @@ class Gem5Run:
                 host_seconds=host_seconds,
             )
         except Exception as error:
-            self.results = {"error": str(error)}
             self._set_status(
                 RunStatus.FAILED,
-                self.results,
+                {"error": str(error)},
                 extra={"finished_at_wall": iso_now()},
             )
             raise
         timed_out = host_seconds > self.timeout
         if timed_out:
             summary["timed_out"] = True
-        self.results = summary
         self._set_status(
             RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
             summary,
             extra={"finished_at_wall": iso_now()},
         )
         if cache is not None and not timed_out:
-            cache.store(self.fingerprint, self.db.get_run(self.run_id))
+            # The fields of this run's document a cache entry is made
+            # of, as just written — not read back.
+            cache.store(
+                self.fingerprint,
+                {
+                    "_id": self.run_id,
+                    "kind": self.kind,
+                    "status": self.status.value,
+                    "spec": self.spec.to_document(),
+                    "results": summary,
+                },
+            )
         return summary
 
     def adopt_cached(self, entry: Dict[str, object]) -> Dict[str, object]:
@@ -430,7 +469,6 @@ class Gem5Run:
         single simulated tick, its document pointing at the same
         (hash-verified) stats blob the original execution produced."""
         results = dict(entry["results"])
-        self.results = results
         self._set_status(
             RunStatus(entry["status"]),
             results,
@@ -456,35 +494,8 @@ class Gem5Run:
             kind="run",
         )
 
-    def _inputs(self) -> Dict[str, object]:
-        """Resolve the input artifacts into what :func:`simulate`
-        consumes.
-
-        For an fs run: the simulator ``build`` (a plain dict), the
-        ``kernel_version`` and the live ``disk_image``.  Other kinds
-        are described by their params alone.
-        """
-        if self.kind != "fs":
-            return {}
-        gem5_artifact = Artifact.load(self.db, self.artifacts["gem5"])
-        kernel_artifact = Artifact.load(
-            self.db, self.artifacts["linux_binary"]
-        )
-        disk_artifact = Artifact.load(self.db, self.artifacts["disk_image"])
-        return {
-            "build": {
-                "version": gem5_artifact.metadata.get(
-                    "version", "20.1.0.4"
-                ),
-                "isa": gem5_artifact.metadata.get("isa", "X86"),
-                "variant": gem5_artifact.metadata.get("variant", "opt"),
-            },
-            "kernel_version": kernel_artifact.metadata["kernel_version"],
-            "disk_image": load_disk_image(disk_artifact),
-        }
-
     def _consult_checkpoint(
-        self, store, inputs: Dict[str, object]
+        self, store, resolver: "InputResolver"
     ) -> Optional[Checkpoint]:
         """Fetch this run's boot checkpoint, degrading on any doubt.
 
@@ -499,6 +510,7 @@ class Gem5Run:
         prefix = self.prefix
         if prefix is None:
             return None
+        inputs = resolver.live(self)
         checkpoint = store.get(prefix)
         if checkpoint is None:
             return None
@@ -520,7 +532,9 @@ class Gem5Run:
         return checkpoint
 
     def take_boot_checkpoint(
-        self, boot_cpu: str = "kvm"
+        self,
+        boot_cpu: str = "kvm",
+        resolver: Optional["InputResolver"] = None,
     ) -> Optional[Checkpoint]:
         """Boot this run's prefix once and capture a checkpoint.
 
@@ -532,7 +546,7 @@ class Gem5Run:
         if self.kind != "fs":
             return None
         checkpoint, _ = boot_checkpoint(
-            self.params, self._inputs(), boot_cpu
+            self.params, (resolver or InputResolver()).live(self), boot_cpu
         )
         return checkpoint
 
@@ -551,9 +565,110 @@ class Gem5Run:
         if extra:
             update["$set"].update(extra)
         self.db.update_run(self.run_id, update)
+        if results is not None:
+            # Only what the database acknowledged: ``results`` is what
+            # a sweep returns in place of reading the document back.
+            self.results = results
         telemetry.get_event_log().emit(
             "run.status", run_id=self.run_id, status=status.value
         )
+
+
+# ----------------------------------------------------------------- inputs
+
+
+class InputResolver:
+    """A sweep's input artifacts, each resolved once.
+
+    Artifacts are content-hashed and immutable, so what a run reads
+    from one is a pure function of the hash its spec already carries.
+    A resolver lives for one planner call (or one bare ``run()``),
+    loads each distinct ``(role, content hash)`` at most once however
+    many runs and worker threads ask — the blob's SHA-256 is verified
+    on that one read — and hands every asker the same object.  A load
+    that raises is not remembered: each dependent run fails with (and
+    archives) its own error.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._resolved: Dict[Hashable, Any] = {}
+
+    def live(self, run: Gem5Run) -> Dict[str, object]:
+        """What :func:`simulate` consumes.
+
+        For an fs run: the simulator ``build`` (a plain dict), the
+        ``kernel_version`` and the live ``disk_image`` — shared, so
+        read-only.  Other kinds are described by their params alone.
+        """
+        if run.kind != "fs":
+            return {}
+        return {
+            "build": self._artifact(run, "gem5", _build_of),
+            "kernel_version": self._artifact(
+                run, "linux_binary", _kernel_version_of
+            ),
+            "disk_image": self._artifact(
+                run, "disk_image", _published_disk_image
+            ),
+        }
+
+    def wire(self, run: Gem5Run) -> Dict[str, Any]:
+        """The picklable form of :meth:`live` a worker process rebuilds
+        its inputs from (:mod:`repro.art.procjobs`)."""
+        inputs = self.live(run)
+        if inputs:
+            inputs["disk_image"] = self._once(
+                ("disk_image.wire", _content_key(run, "disk_image")),
+                inputs["disk_image"].to_dict,
+            )
+        return inputs
+
+    def _artifact(
+        self, run: Gem5Run, role: str, decode: Callable[[Artifact], Any]
+    ) -> Any:
+        return self._once(
+            (role, _content_key(run, role)),
+            lambda: decode(Artifact.load(run.db, run.artifacts[role])),
+        )
+
+    def _once(self, key: Hashable, load: Callable[[], Any]) -> Any:
+        # Single-flight: the lock is held across the load, so racing
+        # threads wait for the first one's result instead of repeating
+        # its database reads.
+        with self._lock:
+            if key not in self._resolved:
+                self._resolved[key] = load()
+            return self._resolved[key]
+
+
+def _content_key(run: Gem5Run, role: str) -> str:
+    """The content hash of a run's input artifact; its instance id for
+    a document so old it carries no spec."""
+    identities = run.artifacts if run.spec is None else run.spec.artifacts
+    return identities[role]
+
+
+def _build_of(gem5_artifact: Artifact) -> Dict[str, object]:
+    metadata = gem5_artifact.metadata
+    return {
+        "version": metadata.get("version", "20.1.0.4"),
+        "isa": metadata.get("isa", "X86"),
+        "variant": metadata.get("variant", "opt"),
+    }
+
+
+def _kernel_version_of(kernel_artifact: Artifact) -> str:
+    return kernel_artifact.metadata["kernel_version"]
+
+
+def _published_disk_image(disk_artifact: Artifact) -> DiskImage:
+    image = load_disk_image(disk_artifact)
+    # content_hash() fills the image's memo fields lazily and without a
+    # lock; filling them here, before any other thread can see the
+    # image, leaves the shared object read-only.
+    image.content_hash()
+    return image
 
 
 # ------------------------------------------------------------- simulation
@@ -567,7 +682,7 @@ class Gem5Run:
 def simulate(kind: str, params, inputs, restore=None, repeats: int = 1):
     """Simulate one run: ``(summary, result)``.
 
-    ``inputs`` is :meth:`Gem5Run._inputs` (or a worker's rebuild of
+    ``inputs`` is :meth:`InputResolver.live` (or a worker's rebuild of
     it); the summary has every result field that does not need the
     database.  ``repeats`` re-runs the (deterministic) simulation on
     the same simulator and raises if any repeat produces different

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.art.cache import RunCache
 from repro.art.checkpoints import CheckpointStore
-from repro.art.run import Gem5Run
+from repro.art.run import Gem5Run, InputResolver
 from repro.common.errors import ValidationError
 from repro.sim.checkpoint import Checkpoint
 from repro.scheduler import ProcessPool, SchedulerApp, TaskState
@@ -84,6 +84,7 @@ def run_boot_stage(
     worker_count: int = 4,
     pool: Optional[ProcessPool] = None,
     boot_cpu: str = "kvm",
+    resolver: Optional[InputResolver] = None,
 ) -> Dict[str, object]:
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
 
@@ -96,9 +97,11 @@ def run_boot_stage(
     store, so racing stages (or racing experiments sharing one store)
     still produce exactly one boot per prefix.  Returns
     ``{prefix: checkpoint-or-None}``; a None cohort degrades to full
-    boots downstream.
+    boots downstream.  ``resolver`` is the planner's memo of the sweep's
+    input artifacts (the stage's own when called alone).
     """
     plan = group_runs_by_prefix(runs)
+    resolver = resolver or InputResolver()
 
     def boot_one(prefix: str) -> object:
         representative = runs[plan[prefix][0]]
@@ -106,12 +109,16 @@ def run_boot_stage(
         def boot():
             if pool is None:
                 return representative.take_boot_checkpoint(
-                    boot_cpu=boot_cpu
+                    boot_cpu=boot_cpu, resolver=resolver
                 )
             from repro.art.procjobs import envelope_for_boot
 
             outcome = pool.submit(
-                envelope_for_boot(representative, boot_cpu=boot_cpu)
+                envelope_for_boot(
+                    representative,
+                    resolver.wire(representative),
+                    boot_cpu=boot_cpu,
+                )
             ).result()
             if outcome["checkpoint"] is None:
                 return None
@@ -209,6 +216,9 @@ def run_jobs_scheduler(
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
         store = checkpoint_store or CheckpointStore(runs[0].db)
+    # Dies with this call: a later sweep on the same connection re-reads
+    # (and re-verifies) its artifacts.
+    resolver = InputResolver()
 
     def job(index: int) -> Dict[str, object]:
         if pool is not None:
@@ -217,9 +227,10 @@ def run_jobs_scheduler(
                 use_cache=use_cache,
                 repeats=repeats,
                 checkpoint_store=store,
+                resolver=resolver,
             )
         return runs[index].run(
-            use_cache=use_cache, checkpoint_store=store
+            use_cache=use_cache, checkpoint_store=store, resolver=resolver
         )
 
     stages = ExitStack()
@@ -231,6 +242,7 @@ def run_jobs_scheduler(
                 store,
                 worker_count=1 if substrate == "inline" else worker_count,
                 pool=pool,
+                resolver=resolver,
             )
             stages.enter_context(
                 get_tracer().span(

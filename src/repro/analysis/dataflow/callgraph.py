@@ -9,7 +9,7 @@ actually uses (and the imprecision is documented in
   following single-inheritance bases defined in the project;
 - ``self.attr.method(...)`` — resolved when ``attr``'s type was
   inferred from an ``__init__`` assignment of a project class
-  (``self._queue = LeveledQueue(...)`` types ``_queue``);
+  (``self.backend = ResultBackend()`` types ``backend``);
 - ``name(...)`` / ``mod.func(...)`` / ``mod.Class(...)`` — resolved
   through the file's import-alias map and the module symbol tables;
   constructing a project class resolves to its ``__init__``.

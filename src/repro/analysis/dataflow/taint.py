@@ -1,8 +1,8 @@
 """Determinism taint: wall-clock/uuid/random values must not reach
 content identity.
 
-The run cache, single-flight dedup, WAL replay, and the admission
-decision log all assume their inputs are *pure functions of content*.
+The run cache, the planner's fingerprint coalescing and WAL replay all
+assume their inputs are *pure functions of content*.
 The single-file determinism rules forbid raw nondeterminism inside the
 deterministic zones; this pass asks the sharper, whole-program
 question: does a nondeterministic **value** — wherever it was minted —
@@ -16,10 +16,9 @@ question: does a nondeterministic **value** — wherever it was minted —
 - **Sinks** — the :class:`~repro.art.spec.RunSpec` constructor and
   ``from_artifacts`` (anything in a spec lands in the fingerprint),
   ``canonical_dumps`` and the ``sha256_*`` content hashes, WAL
-  ``append``, the memo-store key surface shared by the run cache and
-  the checkpoint store (``MemoStore.lookup`` / ``consult`` / ``store``,
-  ``RunCache.invalidate``), and the admission decision log
-  (``Decision`` / ``_log_locked`` / ``_overflow_record_locked``).
+  ``append``, and the memo-store key surface shared by the run cache
+  and the checkpoint store (``MemoStore.lookup`` / ``consult`` /
+  ``store``, ``RunCache.invalidate``).
 - **Propagation** — through assignments, arithmetic/f-strings/
   containers, ``self.X`` attributes (flow-insensitive per class), and
   across calls via per-function summaries (tainted returns, tainted
@@ -91,16 +90,6 @@ SINK_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.art.cache.MemoStore.store", "memo-store entry"),
     ("repro.art.cache.RunCache.invalidate", "run-cache key"),
     ("repro.db.engine.wal.WalWriter.append", "WAL append"),
-    (
-        "repro.scheduler.admission.AdmissionController._log_locked",
-        "admission decision log",
-    ),
-    (
-        "repro.scheduler.admission.AdmissionController."
-        "_overflow_record_locked",
-        "admission decision log",
-    ),
-    ("repro.scheduler.admission.Decision", "admission decision log"),
 )
 
 #: Attribute-call fallback: ``<receiver>.append(...)`` where the

@@ -1,8 +1,8 @@
 """Dynamic lock-order checking: find ABBA deadlocks before they hang.
 
 Static rules can police single-file lock discipline, but an
-acquisition-order inversion lives *between* files: the reaper takes the
-lease lock then the backend's, a worker takes them the other way round,
+acquisition-order inversion lives *between* files: one thread takes the
+lease lock then the backend's, another takes them the other way round,
 and the deadlock only fires under exactly the wrong interleaving.  The
 classic detector (Linux lockdep, TSan's deadlock detector) does not wait
 for the interleaving: it records the *acquisition graph* — an edge

@@ -1,7 +1,7 @@
 """Concurrency rules: lock discipline for the scheduler substrate.
 
-PR 2 grew the codebase to ~15 lock sites spread over the broker, lease
-manager, reaper, result backend, and batch negotiator.  The discipline
+The scheduler's lock sites are spread over the broker, the result
+backend, the lease manager and the process pool's reactor.  The discipline
 that keeps them deadlock-free is simple but unwritten: locks are
 per-instance and acquired with ``with``; nothing blocks while holding
 one; long lease-holding loops heartbeat.  These rules write it down.

@@ -221,8 +221,8 @@ class Experiment:
         database already marks done).
 
         ``use_cache`` (default) consults the fingerprint result cache
-        before each simulation and single-flights identical concurrent
-        runs; ``use_cache=False`` (the CLI's ``--no-cache``) forces every
+        before each simulation and coalesces runs with equal
+        fingerprints; ``use_cache=False`` (the CLI's ``--no-cache``) forces every
         point to simulate.
 
         ``substrate`` picks where simulations execute (the CLI's

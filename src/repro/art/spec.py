@@ -20,8 +20,8 @@ specs produce equal fingerprints regardless of dict insertion order,
 sweep-axis declaration order, or int-vs-float parameter spelling; the
 fingerprint is therefore the *identity key* of a run, while the run's
 UUID remains merely its instance id.  The result-memoization layer
-(:mod:`repro.art.cache`) and the scheduler's single-flight dedup key on
-it.
+(:mod:`repro.art.cache`) and the planner's coalescing of duplicate runs
+key on it.
 """
 
 from __future__ import annotations

@@ -168,13 +168,12 @@ def run_jobs_scheduler(
       job manager at all; a raising run propagates;
     - ``"threads"`` submits them to the Celery-like scheduler app and
       runs them on its worker threads (GIL-bound but zero-overhead);
-    - ``"processes"`` does the same, and each leader ships its
+    - ``"processes"`` does the same, and each job ships its
       simulation to a :class:`~repro.scheduler.ProcessPool` worker
       process for real CPU parallelism.
 
-    Dedup, coalescing, caching and every database write stay in the
-    parent on every substrate — only simulations cross the process
-    boundary.
+    Coalescing, caching and every database write stay in the parent on
+    every substrate — only simulations cross the process boundary.
 
     On the scheduled substrates each job's gem5art timeout
     (``run.timeout``) is enforced by the scheduler; jobs that exceed it
@@ -183,13 +182,14 @@ def run_jobs_scheduler(
     fail-fast: the first failure is the recorded one.
 
     With ``use_cache`` (the default), runs carrying equal spec
-    fingerprints are **single-flighted**: the first submission becomes
-    the leader and actually executes; concurrent identical submissions
-    coalesce onto the leader's task instead of enqueuing duplicate
-    simulations, and once the leader finishes each follower adopts the
-    (now cached) result into its own run document.  ``use_cache=False``
-    disables both the cache consult and the coalescing — every run
-    simulates.
+    fingerprints are **coalesced**, and which ones is a property of the
+    run list, not of timing: the first run with a fingerprint is its
+    leader and executes; every later one is a follower, is never
+    enqueued, and adopts the leader's cached result into its own run
+    document when the collect loop reaches it.  A follower whose leader
+    left no cache entry (it failed or timed out) is submitted like any
+    other run and ends on its own record.  ``use_cache=False`` disables
+    both the cache consult and the coalescing — every run simulates.
 
     With ``use_checkpoints`` the sweep runs as a **staged pipeline**:
     the runs are grouped by boot-prefix fingerprint, a boot stage takes
@@ -253,59 +253,52 @@ def run_jobs_scheduler(
             return [job(index) for index in range(len(runs))]
         app = SchedulerApp(name="gem5art", worker_count=worker_count)
         run_gem5_job = app.task(name="gem5art.run_gem5_job")(job)
-        handles = []
-        leaders: Dict[str, str] = {}
-        followers: List[bool] = []
-        for index in range(len(runs)):
-            dedup_key = (
-                runs[index].fingerprint
-                if use_cache and runs[index].fingerprint
-                else None
+
+        def submit(index: int):
+            return run_gem5_job.apply_async(
+                args=(index,), timeout=runs[index].timeout
             )
-            handle = run_gem5_job.apply_async(
-                args=(index,),
-                timeout=runs[index].timeout,
-                dedup_key=dedup_key,
-            )
-            coalesced = (
-                dedup_key is not None
-                and leaders.get(dedup_key) is not None
-                and leaders[dedup_key] == handle.task_id
-            )
-            if dedup_key is not None and not coalesced:
-                leaders[dedup_key] = handle.task_id
-            if coalesced:
-                get_metrics().counter(
-                    "runcache_coalesced_total",
-                    "Runs coalesced onto an identical in-flight "
-                    "execution",
-                ).inc()
-            handles.append(handle)
-            followers.append(coalesced)
+
+        # Coalescing is decided here, from the run list, before anything
+        # is submitted: the first index carrying a fingerprint leads,
+        # later ones follow and are not enqueued.
+        leaders: Dict[str, int] = {}
+        handles = {}
+        for index, run in enumerate(runs):
+            fingerprint = run.fingerprint if use_cache else None
+            if fingerprint and leaders.setdefault(fingerprint, index) != index:
+                continue
+            handles[index] = submit(index)
         summaries: List[Dict[str, object]] = []
-        for index, handle in enumerate(handles):
-            state = app.backend.wait(handle.task_id)
+        for index, run in enumerate(runs):
+            if index not in handles:
+                # A follower: its leader sits earlier in the list, so it
+                # has been collected.  Adopt what it cached so the
+                # database records this point too — or, when it left
+                # nothing (failed, timed out), run like any other point.
+                adopted = RunCache(run.db).consult(run.fingerprint)
+                if adopted is not None:
+                    get_metrics().counter(
+                        "runcache_coalesced_total",
+                        "Duplicate runs that adopted their leader's "
+                        "result instead of being enqueued",
+                    ).inc()
+                    summaries.append(run.adopt_cached(adopted))
+                    continue
+                handles[index] = submit(index)
+            task_id = handles[index].task_id
+            state = app.backend.wait(task_id)
+            record = app.backend.record(task_id)
             if state is TaskState.SUCCESS:
-                summary = handle.get()
-                if followers[index]:
-                    # The follower's own document never executed; adopt
-                    # the leader's (now cached) result so the database
-                    # records this point too.
-                    adopted = RunCache(runs[index].db).consult(
-                        runs[index].fingerprint
-                    )
-                    if adopted is not None:
-                        summary = runs[index].adopt_cached(adopted)
-                summaries.append(summary)
+                summaries.append(record["result"])
             else:
-                record = app.backend.record(handle.task_id)
                 summaries.append(
                     {
                         "success": False,
                         "timed_out": state is TaskState.TIMEOUT,
                         "scheduler_state": state.value,
                         "error": record["error"],
-                        "run_id": runs[index].run_id,
+                        "run_id": run.run_id,
                     }
                 )
         return summaries

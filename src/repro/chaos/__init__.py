@@ -8,7 +8,10 @@ function of a seed, so any failure a chaos test provokes can be replayed
 exactly from ``(seed, rules)`` alone.  Reproducibility includes
 reproducing what happens when infrastructure fails.
 
-Failure points currently wired into production code:
+Failure points wired into production code — the registry: a tier-1 test
+(``tests/chaos/test_registry.py``) scans ``src/repro`` for ``chaos.fire``
+calls and fails unless the set it finds is exactly this table, and every
+point here is named by a ``FaultRule`` in some test:
 
 ======================  ====================================================
 point                   fired
@@ -18,7 +21,15 @@ point                   fired
 ``backend.transition``  before a task state transition is applied
 ``task.execute``        on the worker thread, before a task attempt
 ``task.run``            on the task helper thread, inside the task body
+``procpool.submit``     before an envelope is queued on the process pool
 ``run.status``          before a run document status update
+``runcache.get``        before a run-cache consult reads its entry (a
+                        fault is a miss: the run simulates)
+``checkpoint.get``      before a checkpoint-store consult reads its entry
+                        (a fault is a miss: the run boots in full)
+``pipeline.stage``      before a pipeline stage's body executes
+``pipeline.gate``       before a pipeline gate is evaluated (a fault is a
+                        failed verdict)
 ``wal.append``          before a WAL record is written (crash here =
                         write accepted but never logged, so never
                         acknowledged)

@@ -1,6 +1,6 @@
 """Background compaction: the engine's housekeeping heartbeat.
 
-Mirrors the scheduler's lease-reaper idiom: a single daemon thread wakes
+The usual housekeeping idiom: a single daemon thread wakes
 on an interval (or immediately on ``stop()`` via the event), scans every
 collection store, and merges any whose sealed-segment count reached the
 threshold.  The thread counts heartbeats so tests and ``repro db stats``

@@ -19,18 +19,7 @@ evaluations, and threads share the in-process database):
 
 from repro.scheduler.states import TaskState
 from repro.scheduler.result import AsyncResult, ResultBackend
-from repro.scheduler.retry import RetryPolicy, TaskOutcome
 from repro.scheduler.lease import DEFAULT_LEASE_TTL, Lease, LeaseManager
-from repro.scheduler.admission import (
-    PRIORITIES,
-    AdmissionController,
-    AdmissionRejected,
-    CircuitBreaker,
-    LeveledQueue,
-    OverflowRecord,
-    TenantLimits,
-    TokenBucket,
-)
 from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.app import SchedulerApp
 from repro.scheduler.procpool import (
@@ -41,19 +30,9 @@ from repro.scheduler.procpool import (
 )
 
 __all__ = [
-    "PRIORITIES",
-    "AdmissionController",
-    "AdmissionRejected",
-    "CircuitBreaker",
-    "LeveledQueue",
-    "OverflowRecord",
-    "TenantLimits",
-    "TokenBucket",
     "TaskState",
     "AsyncResult",
     "ResultBackend",
-    "RetryPolicy",
-    "TaskOutcome",
     "DEFAULT_LEASE_TTL",
     "Lease",
     "LeaseManager",

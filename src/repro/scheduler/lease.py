@@ -1,13 +1,16 @@
-"""Task leases: at-least-once delivery for crash-prone workers.
+"""Task leases: at-least-once delivery for holders that can die silently.
 
-A worker that dequeues a message holds a *lease* on it — a claim with a
+A worker that is handed a message holds a *lease* on it — a claim with a
 deadline.  Live workers renew the deadline by heartbeating while the task
 runs; if the worker dies (or wedges hard enough to stop heartbeating), the
-lease expires and the scheduler's reaper reclaims the message, either
-re-publishing it for another worker or dead-lettering it once its
+lease expires and the owner's reaper reclaims the message, either
+re-dispatching it to another worker or dead-lettering it once its
 redelivery budget is spent.  This is the standard visibility-timeout
-contract of SQS/Pub-Sub brokers, reduced to one process: ``drain()`` can
-no longer hang forever on a task whose worker no longer exists.
+contract of SQS/Pub-Sub brokers, reduced to one host.  Its one user is
+:class:`~repro.scheduler.ProcessPool`: a SIGKILLed worker *process* runs
+no handler, so silence is the only signal.  (A worker *thread* always
+runs its ``except`` clause and hands its message back itself — see
+:mod:`repro.scheduler.app`.)
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.errors import ValidationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.broker import TaskMessage
 
 #: Default time a worker may go silent before its task is reclaimed.

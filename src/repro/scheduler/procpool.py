@@ -16,17 +16,18 @@ processes instead:
   thread blocks on every result pipe, every worker's process sentinel
   and a wake pipe, so a result completes its handle the moment it is
   readable and a dead worker is replaced the moment it dies;
-- worker *crash* detection reuses the scheduler's lease machinery
+- worker *crash* detection is the package's one lease stack
   (:mod:`repro.scheduler.lease`): the parent heartbeats leases only for
   workers it can still see alive, so a SIGKILLed worker's lease expires
   and the job is **redelivered** to a respawned worker — bounded by a
-  redelivery budget, exactly like the thread scheduler's reaper;
+  redelivery budget, then dead-lettered;
 - per-process telemetry buffers (metrics + events recorded inside the
   worker) are merged into the parent's session when results drain.
 
-The pool deliberately stays below the broker: single-flight dedup and the
-result cache keep living in the parent (:class:`SchedulerApp` /
-:mod:`repro.art.cache`); only leader executions ship to workers.
+The pool deliberately stays below the planner: coalescing of duplicate
+runs and the result cache keep living in the parent
+(:mod:`repro.art.tasks` / :mod:`repro.art.cache`); only leader
+executions ship to workers.
 """
 
 from __future__ import annotations
@@ -444,8 +445,7 @@ class ProcessPool:
         leased).  Heartbeats are issued *on behalf of* workers the
         parent can see alive; a killed worker stops earning them, its
         lease expires, and the expiry path redelivers or dead-letters
-        the job — the same contract the thread scheduler's reaper
-        enforces.  Renewal runs before expiry so a stalled parent never
+        the job.  Renewal runs before expiry so a stalled parent never
         reclaims a job from a healthy worker.
         """
         # Imported here so only a pool that starts pays for the module

@@ -179,7 +179,8 @@ class AsyncResult:
         """Wait for completion and return the result.
 
         Raises :class:`StateError` carrying the task error when the task
-        failed, timed out, was revoked, or did not finish before ``timeout``.
+        failed, timed out, was dead-lettered, or did not finish before
+        ``timeout``.
         """
         state = self._backend.wait(self.task_id, timeout=timeout)
         record = self._backend.record(self.task_id)

@@ -14,14 +14,9 @@ class TaskState(str, enum.Enum):
     SUCCESS = "SUCCESS"
     FAILURE = "FAILURE"
     TIMEOUT = "TIMEOUT"
-    REVOKED = "REVOKED"
     #: Retry/redelivery budget exhausted; the task is parked with a
     #: dead-letter record in the result backend for post-mortem triage.
     DEAD_LETTER = "DEAD_LETTER"
-    #: Evicted from the queue under overload to admit higher-priority
-    #: work; the submission is recorded in the admission controller's
-    #: overflow log for later replay.
-    SHED = "SHED"
 
     @property
     def is_terminal(self) -> bool:
@@ -30,9 +25,7 @@ class TaskState(str, enum.Enum):
             TaskState.SUCCESS,
             TaskState.FAILURE,
             TaskState.TIMEOUT,
-            TaskState.REVOKED,
             TaskState.DEAD_LETTER,
-            TaskState.SHED,
         )
 
 
@@ -41,14 +34,7 @@ ALLOWED_TRANSITIONS = {
     # PENDING -> DEAD_LETTER: a message can exhaust its redelivery budget
     # without ever starting when every worker that picks it up crashes
     # before the STARTED transition.
-    # PENDING -> SHED: a still-queued message can be evicted under
-    # overload to make room for higher-priority work.
-    TaskState.PENDING: {
-        TaskState.STARTED,
-        TaskState.REVOKED,
-        TaskState.DEAD_LETTER,
-        TaskState.SHED,
-    },
+    TaskState.PENDING: {TaskState.STARTED, TaskState.DEAD_LETTER},
     TaskState.STARTED: {
         TaskState.SUCCESS,
         TaskState.FAILURE,
@@ -56,22 +42,13 @@ ALLOWED_TRANSITIONS = {
         TaskState.RETRY,
         TaskState.DEAD_LETTER,
     },
-    # RETRY -> DEAD_LETTER covers a reclaimed (lease-expired) task whose
-    # redelivery budget ran out before any worker picked it back up.
-    # RETRY -> SHED mirrors PENDING -> SHED for reclaimed messages
-    # waiting in the queue for redelivery.
-    TaskState.RETRY: {
-        TaskState.STARTED,
-        TaskState.REVOKED,
-        TaskState.DEAD_LETTER,
-        TaskState.SHED,
-    },
+    # RETRY -> DEAD_LETTER covers a handed-back task whose redelivery
+    # budget ran out on a later delivery that crashed before STARTED.
+    TaskState.RETRY: {TaskState.STARTED, TaskState.DEAD_LETTER},
     TaskState.SUCCESS: set(),
     TaskState.FAILURE: set(),
     TaskState.TIMEOUT: set(),
-    TaskState.REVOKED: set(),
     TaskState.DEAD_LETTER: set(),
-    TaskState.SHED: set(),
 }
 
 

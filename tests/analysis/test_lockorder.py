@@ -182,14 +182,14 @@ def test_monitored_instruments_repro_locks_only(tmp_path):
 
 def test_clean_scheduler_drain_under_load_has_no_cycles():
     """The ISSUE acceptance scenario: a full scheduler app — broker,
-    leases, result backend, reaper, respawn — driven with enough tasks
-    to overlap, reports zero lock-order cycles."""
+    result backend, worker threads — driven with enough tasks to
+    overlap, reports zero lock-order cycles."""
     with monitored() as monitor:
         app = SchedulerApp(name="lockcheck", worker_count=4)
         # The app's locks really are instrumented ...
         assert isinstance(app._lock, OrderedLock)
         assert isinstance(app._idle, OrderedCondition)
-        assert isinstance(app.broker.leases._lock, OrderedLock)
+        assert isinstance(app.broker._ready, OrderedCondition)
 
         @app.task(name="spin")
         def spin(n):

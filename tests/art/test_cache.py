@@ -1,5 +1,7 @@
 """Tests for the fingerprint result cache: memoized relaunches,
-single-flight coalescing, and invalidation cascades."""
+planned coalescing of duplicate runs, and invalidation cascades."""
+
+import threading
 
 import pytest
 
@@ -169,6 +171,85 @@ def test_distinct_fingerprints_do_not_coalesce(db, fs_artifacts,
     summaries = run_jobs_scheduler(runs, worker_count=3)
     assert sorted(executed) == sorted(run.run_id for run in runs)
     assert all(s["success"] for s in summaries)
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_coalescing_is_decided_from_the_run_list(db, fs_artifacts, workers):
+    """Leadership is the first index with a fingerprint — not whoever
+    is still in flight at submit time — so the count is exact
+    (duplicates - distinct) whatever the worker count."""
+    runs = [
+        make_run(db, fs_artifacts, num_cpus=cpus, cpu_type="atomic")
+        for cpus in (1, 2, 1, 2, 1)
+    ]
+    with telemetry.session() as session:
+        run_jobs_scheduler(runs, worker_count=workers)
+        coalesced = session.metrics.counter("runcache_coalesced_total")
+        assert coalesced.value() == 3
+    assert [db.get_run(run.run_id).get("cached_from") for run in runs] == [
+        None, None, runs[0].run_id, runs[1].run_id, runs[0].run_id,
+    ]
+
+
+@pytest.mark.parametrize("substrate", ("threads", "processes"))
+def test_followers_of_a_failed_leader_end_on_their_own_records(
+    db, fs_artifacts, substrate
+):
+    """A leader that caches nothing leaves nothing to adopt: each
+    follower runs like any other point and records its own failure."""
+    runs = [
+        make_run(db, fs_artifacts, benchmark="not-installed")
+        for _ in range(3)
+    ]
+    assert len({run.fingerprint for run in runs}) == 1
+    with telemetry.session() as session:
+        summaries = run_jobs_scheduler(
+            runs, worker_count=1, substrate=substrate
+        )
+        coalesced = session.metrics.counter("runcache_coalesced_total")
+        assert coalesced.value() == 0
+    docs = [db.get_run(run.run_id) for run in runs]
+    assert [doc["status"] for doc in docs] == ["failed"] * 3
+    for doc in docs:
+        assert "not-installed" in doc["results"]["error"]
+    assert [s["run_id"] for s in summaries] == [run.run_id for run in runs]
+    assert not any(s["success"] for s in summaries)
+
+
+class _HungRun:
+    """Stand-in run that outlives its job timeout; all share one
+    fingerprint."""
+
+    fingerprint = "hung-fingerprint"
+    timeout = 0.05
+
+    def __init__(self, db, release):
+        self.db = db
+        self.release = release
+        self.run_id = f"hung-{id(self)}"
+        self.executed = False
+
+    def run(self, *args, **kwargs):
+        self.executed = True
+        self.release.wait(10)
+        return {"success": True}
+
+    run_in_pool = run
+
+
+@pytest.mark.parametrize("substrate", ("threads", "processes"))
+def test_followers_of_a_timed_out_leader_run_themselves(db, substrate):
+    release = threading.Event()
+    runs = [_HungRun(db, release) for _ in range(3)]
+    try:
+        summaries = run_jobs_scheduler(
+            runs, worker_count=1, substrate=substrate
+        )
+    finally:
+        release.set()
+    assert [run.executed for run in runs] == [True] * 3
+    assert [s["run_id"] for s in summaries] == [run.run_id for run in runs]
+    assert all(s["timed_out"] for s in summaries)
 
 
 # ---------------------------------------------------------- invalidation

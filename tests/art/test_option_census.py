@@ -12,7 +12,8 @@ import pytest
 
 from repro.art import Experiment, run_jobs_scheduler
 from repro.pipeline import EXECUTION_DEFAULTS
-from repro.scheduler import ProcessPool
+from repro.scheduler import ProcessPool, SchedulerApp
+from repro.scheduler.app import RegisteredTask
 
 
 @pytest.mark.parametrize(
@@ -37,6 +38,9 @@ from repro.scheduler import ProcessPool
             ["self", "workers", "lease_ttl", "max_redeliveries",
              "start_method"],
         ),
+        (SchedulerApp.__init__, ["self", "name", "worker_count"]),
+        (SchedulerApp.task, ["self", "name", "max_retries", "timeout"]),
+        (RegisteredTask.apply_async, ["self", "args", "kwargs", "timeout"]),
     ],
 )
 def test_run_path_options(function, options):

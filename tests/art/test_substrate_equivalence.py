@@ -37,7 +37,7 @@ def db():
     return ArtifactDB()
 
 
-def quick_fig8(db):
+def quick_fig8(db, boot_type=("init",)):
     """The experiment ``repro boot-tests --quick`` declares."""
     gem5_repo = register_repo(db, "gem5", version="v20.1.0.4")
     resources_repo = register_repo(
@@ -61,7 +61,7 @@ def quick_fig8(db):
         ),
     )
     experiment.sweep(
-        boot_type=["init"],
+        boot_type=list(boot_type),
         cpu_type=["kvm", "atomic", "timing", "o3"],
         memory_system=["classic", "MI_example", "MESI_Two_Level"],
         num_cpus=[1, 2, 4, 8],
@@ -106,6 +106,44 @@ def test_fig8_quick_grid_is_identical_on_every_substrate():
     assert [triple[:2] for triple in outcomes[("inline", True)]] == [
         triple[:2] for triple in outcomes[("inline", False)]
     ]
+
+
+def test_duplicated_grid_coalesces_the_same_way_on_every_substrate():
+    """The duplicate-fingerprint column: every point of the grid twice.
+    Coalescing can make a sweep faster, never different — same triples,
+    same number of adopted documents, and a coalesced count that does
+    not depend on how many workers raced."""
+    outcomes, adopted, coalesced = {}, {}, {}
+    for substrate, workers in (
+        ("inline", 1), ("threads", 1), ("threads", 3), ("processes", 2),
+    ):
+        db = ArtifactDB()
+        with telemetry.session() as session:
+            summaries = quick_fig8(db, boot_type=("init", "init")).launch(
+                workers=workers, substrate=substrate
+            )
+            coalesced[(substrate, workers)] = session.metrics.counter(
+                "runcache_coalesced_total"
+            ).value()
+        assert len(summaries) == 96
+        outcomes[(substrate, workers)] = run_triples(db)
+        adopted[(substrate, workers)] = sum(
+            bool(doc.get("cache_hit"))
+            for doc in db.database.collection("runs").find()
+        )
+    reference = outcomes[("inline", 1)]
+    assert len({fingerprint for fingerprint, _, _ in reference}) == 48
+    for key in outcomes:
+        assert outcomes[key] == reference, key
+        assert adopted[key] == 48, key
+    # Inline has no planner-level coalescing (the second of a pair hits
+    # the cache by itself); scheduled substrates never enqueue it.
+    assert coalesced == {
+        ("inline", 1): 0,
+        ("threads", 1): 48,
+        ("threads", 3): 48,
+        ("processes", 2): 48,
+    }
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)

@@ -131,32 +131,6 @@ def test_failure_without_retry_budget_is_not_dead_lettered(app):
     assert app.backend.dead_letters() == []
 
 
-def test_revoke_queued_task():
-    app = SchedulerApp(worker_count=1)
-    try:
-        gate = threading.Event()
-
-        @app.task(name="blocker")
-        def blocker():
-            gate.wait(timeout=5)
-            return "unblocked"
-
-        @app.task(name="victim")
-        def victim():
-            return "ran"
-
-        first = blocker.apply_async()
-        second = victim.apply_async()
-        app.revoke(second)
-        gate.set()
-        first.get(timeout=5)
-        with pytest.raises(StateError):
-            second.get(timeout=5)
-        assert second.state is TaskState.REVOKED
-    finally:
-        app.shutdown()
-
-
 def test_many_parallel_tasks(app):
     @app.task(name="square")
     def square(x):

@@ -1,4 +1,5 @@
-"""Unit tests for retry policies, task leases, and leak tracking."""
+"""Unit tests for the retry state machine, task leases (the process
+pool's), and helper-thread leak tracking."""
 
 import time
 
@@ -8,69 +9,11 @@ from repro.common.errors import StateError, ValidationError
 from repro.scheduler import (
     DEFAULT_LEASE_TTL,
     LeaseManager,
-    RetryPolicy,
     ResultBackend,
     SchedulerApp,
     TaskState,
 )
 from repro.scheduler.broker import TaskMessage
-
-
-# ------------------------------------------------------------ RetryPolicy
-
-
-def test_policy_validation():
-    with pytest.raises(ValidationError):
-        RetryPolicy(max_retries=-1)
-    with pytest.raises(ValidationError):
-        RetryPolicy(base_delay=-0.1)
-    with pytest.raises(ValidationError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValidationError):
-        RetryPolicy(jitter=1.5)
-
-
-def test_default_policy_retries_immediately():
-    policy = RetryPolicy(max_retries=3)
-    assert policy.schedule("any") == [0.0, 0.0, 0.0]
-
-
-def test_backoff_grows_exponentially_and_caps_at_max_delay():
-    policy = RetryPolicy(
-        max_retries=6, base_delay=1.0, multiplier=2.0, max_delay=10.0
-    )
-    assert policy.schedule("t") == [1.0, 2.0, 4.0, 8.0, 10.0, 10.0]
-
-
-def test_jitter_stays_within_spread_and_is_deterministic():
-    policy = RetryPolicy(
-        max_retries=5, base_delay=1.0, multiplier=1.0, jitter=0.25, seed=42
-    )
-    first = policy.schedule("task-a")
-    assert first == policy.schedule("task-a")  # pure function of inputs
-    for delay in first:
-        assert 0.75 <= delay <= 1.25
-    assert len(set(first)) > 1  # jitter actually varies per attempt
-    assert first != policy.schedule("task-b")  # keyed per task
-    reseeded = RetryPolicy(
-        max_retries=5, base_delay=1.0, multiplier=1.0, jitter=0.25, seed=43
-    )
-    assert first != reseeded.schedule("task-a")
-
-
-def test_should_retry_respects_budget_and_exception_classes():
-    policy = RetryPolicy(max_retries=2, retry_on=(IOError,))
-    assert policy.should_retry(0, IOError("disk"))
-    assert policy.should_retry(1, IOError("disk"))
-    assert not policy.should_retry(2, IOError("disk"))  # budget spent
-    assert not policy.should_retry(0, ValueError("bad input"))
-    # No exception object (the attempt's thread died): treated transient.
-    assert policy.should_retry(0, None)
-
-
-def test_attempt_numbers_are_one_based():
-    with pytest.raises(ValidationError):
-        RetryPolicy(max_retries=1, base_delay=1.0).backoff("t", 0)
 
 
 # ------------------------------------------------------- state machine
@@ -154,51 +97,6 @@ def test_expired_pops_only_overdue_leases_in_acquisition_order():
     assert leases.active() == 1  # the fresh lease survives
 
 
-def test_lease_expiry_reclaims_task_from_a_killed_worker():
-    """Satellite acceptance: a lease held by a worker that will never
-    heartbeat (it is "dead") expires, and the reaper re-publishes the
-    message so a live worker completes it."""
-    import threading
-
-    gate = threading.Event()
-    app = SchedulerApp(name="reclaim", worker_count=2, lease_ttl=0.15)
-    try:
-        @app.task(name="blocker")
-        def blocker():
-            gate.wait(10)
-            return "unblocked"
-
-        @app.task(name="steady")
-        def steady():
-            return "done"
-
-        # Occupy both workers so the test can steal the next message.
-        blockers = [app.send_task("blocker") for _ in range(2)]
-        deadline = time.monotonic() + 5
-        while any(
-            app.backend.state(b.task_id) is not TaskState.STARTED
-            for b in blockers
-        ):
-            assert time.monotonic() < deadline, "blockers never started"
-            time.sleep(0.005)
-
-        # Forge a stuck delivery: claim the message for a worker thread
-        # that does not exist, so nothing ever heartbeats the lease.
-        handle = app.send_task("steady")
-        message = app.broker.consume(timeout=2.0)
-        assert message is not None and message.task_id == handle.task_id
-        app.broker.leases.acquire(message, "worker-that-died")
-        gate.set()
-
-        assert handle.get(timeout=10) == "done"
-        assert message.deliveries == 2  # the forged claim plus the real one
-        for b in blockers:
-            assert b.get(timeout=10) == "unblocked"
-    finally:
-        gate.set()
-        app.shutdown()
-
-
 # ---------------------------------------------------------- leak tracking
 
 
@@ -220,11 +118,12 @@ def test_timed_out_tasks_leak_tracked_threads():
         app.shutdown()
 
 
-def test_leak_cap_fails_new_tasks_with_a_clear_error():
+def test_leak_cap_fails_new_tasks_with_a_clear_error(monkeypatch):
     import threading
 
+    monkeypatch.setattr("repro.scheduler.app.MAX_LEAKED_THREADS", 1)
     release = threading.Event()
-    app = SchedulerApp(name="capped", worker_count=1, max_leaked_threads=1)
+    app = SchedulerApp(name="capped", worker_count=1)
     try:
         @app.task(name="hang", timeout=0.05)
         def hang():
@@ -234,7 +133,7 @@ def test_leak_cap_fails_new_tasks_with_a_clear_error():
         with pytest.raises(StateError, match="timed out"):
             first.get(timeout=10)
         blocked = hang.apply_async()
-        with pytest.raises(StateError, match="max_leaked_threads"):
+        with pytest.raises(StateError, match="MAX_LEAKED_THREADS = 1"):
             blocked.get(timeout=10)
         assert blocked.state is TaskState.FAILURE
     finally:

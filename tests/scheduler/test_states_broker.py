@@ -1,5 +1,8 @@
 """Tests for the task state machine and broker."""
 
+import threading
+import time
+
 from hypothesis import given, strategies as st
 
 from repro.scheduler.broker import Broker, TaskMessage
@@ -16,9 +19,7 @@ def test_terminal_states():
         TaskState.SUCCESS,
         TaskState.FAILURE,
         TaskState.TIMEOUT,
-        TaskState.REVOKED,
         TaskState.DEAD_LETTER,
-        TaskState.SHED,
     }
 
 
@@ -52,13 +53,22 @@ def test_broker_empty_returns_none():
     assert Broker().consume(timeout=0.01) is None
 
 
-def test_broker_revocation():
+def test_broker_wake_ends_a_blocked_consume_early():
     broker = Broker()
-    message = TaskMessage(task_name="x")
-    broker.publish(message)
-    broker.revoke(message.task_id)
-    assert broker.is_revoked(message.task_id)
-    assert not broker.is_revoked("other")
+    woken = []
+    consumer = threading.Thread(
+        target=lambda: woken.append(broker.consume(timeout=5.0))
+    )
+    consumer.start()
+    time.sleep(0.02)  # let it block
+    started = time.monotonic()
+    broker.wake()
+    consumer.join(timeout=5.0)
+    assert woken == [None]
+    assert time.monotonic() - started < 1.0
+    # Nothing was dequeued and later consumers block as usual.
+    broker.publish(TaskMessage(task_name="x"))
+    assert broker.consume(timeout=0.01).task_name == "x"
 
 
 def test_message_ids_unique():

@@ -1,10 +1,13 @@
 """The acceptance contract: telemetry never perturbs simulation, and
 archived traces are rehydratable from the database alone."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
+import repro.scheduler
 from repro import telemetry
 from repro.art import (
     ArtifactDB,
@@ -205,3 +208,30 @@ def test_rehydrate_missing_owner_raises():
     db = make_db()
     with pytest.raises(NotFoundError):
         rehydrate_telemetry(db, "nope")
+
+
+def test_every_scheduler_metric_and_event_is_documented():
+    """docs/telemetry.md lists every metric and event name the
+    scheduler package emits (the first slice of the inventory test)."""
+    documented = (
+        pathlib.Path(__file__).parents[2] / "docs" / "telemetry.md"
+    ).read_text()
+    emitted = set()
+    for path in pathlib.Path(repro.scheduler.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr
+                in ("counter", "gauge", "histogram", "emit")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                emitted.add(node.args[0].value)
+    assert "scheduler_tasks_submitted_total" in emitted
+    assert "task.redelivered" in emitted
+    missing = {
+        name for name in emitted
+        if f"`{name}`" not in documented and f"`{name}{{" not in documented
+    }
+    assert missing == set()

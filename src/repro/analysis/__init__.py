@@ -6,15 +6,15 @@ Two halves share this package:
   workflow: :mod:`queries` pulls run summaries out of the database into
   flat records, :mod:`series` reshapes them (group-by, speedups,
   normalization), and :mod:`charts` renders ASCII bar charts and the
-  Fig 8 status grid.
+  Fig 8 status grid.  This half is what the package exports.
 - **Static + dynamic analysis of the codebase itself** — the
   determinism/concurrency/hygiene rule packs (:mod:`rules_determinism`,
-  :mod:`rules_concurrency`, :mod:`rules_hygiene`) running on the
-  :mod:`engine`, plus the dynamic lock-order checker
-  (:mod:`lockorder`).  This half is a *dev-tool layer*: it may import
-  anything for analysis purposes, but no runtime subsystem (scheduler,
-  sim, art, db) imports it back.  The ``repro lint`` CLI verb and CI
-  are its consumers.
+  :mod:`rules_concurrency`, :mod:`rules_hygiene`) on the :mod:`engine`,
+  the whole-program passes in :mod:`dataflow`, and the dynamic
+  lock-order checker (:mod:`lockorder`).  This half is a *dev-tool
+  layer*: no runtime subsystem (scheduler, sim, art, db) imports it, and
+  it is imported only when :func:`lint_paths` runs — ``repro lint`` and
+  CI are its consumers.
 """
 
 from repro.analysis.queries import run_records, group_by, pivot
@@ -31,52 +31,18 @@ from repro.analysis.validation import (
     diagnose_configs,
     within_tolerance,
 )
-from repro.analysis.engine import Analyzer, Finding, Rule, iter_python_files
-from repro.analysis.rules_determinism import DETERMINISM_RULES
-from repro.analysis.rules_concurrency import CONCURRENCY_RULES
-from repro.analysis.rules_hygiene import HYGIENE_RULES
-from repro.analysis.lockorder import (
-    LockOrderMonitor,
-    OrderedCondition,
-    OrderedLock,
-    monitored,
-)
-
-
-def default_rules():
-    """One instance of every rule in the repo rule pack."""
-    classes = DETERMINISM_RULES + CONCURRENCY_RULES + HYGIENE_RULES
-    return [cls() for cls in classes]
 
 
 def lint_paths(paths):
-    """Run the full rule pack over files/directories; sorted findings."""
-    return Analyzer(default_rules()).analyze_paths(paths)
+    """Run every lint rule and whole-program pass over files/directories;
+    sorted findings (see :func:`repro.analysis.dataflow.lint_paths`)."""
+    from repro.analysis.dataflow import lint_paths as lint
 
-
-def deep_lint_paths(paths):
-    """Run the whole-program passes (races, taint, layering); sorted
-    findings.  Imported lazily: most callers only want the rule pack."""
-    from repro.analysis.dataflow import deep_lint_paths as _deep
-
-    return _deep(paths)
+    return lint(paths)
 
 
 __all__ = [
-    "Analyzer",
-    "Finding",
-    "Rule",
-    "iter_python_files",
-    "default_rules",
-    "deep_lint_paths",
     "lint_paths",
-    "DETERMINISM_RULES",
-    "CONCURRENCY_RULES",
-    "HYGIENE_RULES",
-    "LockOrderMonitor",
-    "OrderedCondition",
-    "OrderedLock",
-    "monitored",
     "experiment_report",
     "compare_stats",
     "diagnose_configs",

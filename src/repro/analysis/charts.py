@@ -12,6 +12,9 @@ from typing import Dict, List, Sequence
 from repro.analysis.series import Series
 from repro.common.errors import ValidationError
 
+#: Columns the longest bar of a chart spans.
+BAR_WIDTH = 40
+
 #: Glyphs for status grids, chosen to be unambiguous in monospace.
 STATUS_GLYPHS = {
     "ok": "P",  # pass
@@ -26,7 +29,6 @@ STATUS_GLYPHS = {
 
 def bar_chart(
     series_list: Sequence[Series],
-    width: int = 40,
     title: str = None,
     unit: str = "",
 ) -> str:
@@ -45,7 +47,7 @@ def bar_chart(
         (abs(value) for s in series_list for value in s.values.values()),
         default=0.0,
     )
-    scale = (width / peak) if peak > 0 else 0.0
+    scale = (BAR_WIDTH / peak) if peak > 0 else 0.0
     label_width = max((len(label) for label in labels), default=0)
     name_width = max(len(s.name) for s in series_list)
     lines: List[str] = []
@@ -69,14 +71,12 @@ def status_grid(
     row_labels: Sequence,
     column_labels: Sequence,
     title: str = None,
-    glyphs: Dict[str, str] = None,
 ) -> str:
     """Render a (row, column) → status mapping as a compact grid.
 
     ``cells`` must contain an entry for every (row, column) pair.  The
     legend of glyph meanings is appended automatically.
     """
-    glyph_map = glyphs or STATUS_GLYPHS
     row_width = max((len(str(r)) for r in row_labels), default=0)
     lines: List[str] = []
     if title:
@@ -95,13 +95,13 @@ def status_grid(
                     f"status_grid missing cell ({row!r}, {column!r})"
                 )
             status = cells[(row, column)]
-            if status not in glyph_map:
+            if status not in STATUS_GLYPHS:
                 raise ValidationError(f"no glyph for status {status!r}")
             used.add(status)
-            rendered.append(f"{glyph_map[status]:>2}")
+            rendered.append(f"{STATUS_GLYPHS[status]:>2}")
         lines.append(f"{str(row):<{row_width}} | " + " ".join(rendered))
     legend = ", ".join(
-        f"{glyph_map[status]}={status}" for status in sorted(used)
+        f"{STATUS_GLYPHS[status]}={status}" for status in sorted(used)
     )
     lines.append(f"legend: {legend}")
     return "\n".join(lines)

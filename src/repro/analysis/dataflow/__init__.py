@@ -1,65 +1,73 @@
-"""Whole-program ("deep") analyses under the lint engine.
+"""The lint driver and its whole-program passes.
 
-``repro lint --deep`` layers three interprocedural passes on top of the
-single-file rule packs:
+:func:`lint_paths` is the one way in: it parses every file once into a
+:class:`~repro.analysis.dataflow.graph.Project`, runs the three
+single-file rule packs over each parsed file, and then the five
+whole-program passes over the project and its call graph:
 
 - :mod:`~repro.analysis.dataflow.races` — RacerD-style lockset race
   detection (``RACE-INCONSISTENT``);
 - :mod:`~repro.analysis.dataflow.taint` — determinism taint from
   wall-clock/uuid/random sources into identity sinks (``DET-FLOW``);
 - :mod:`~repro.analysis.dataflow.layering` — the architecture layer DAG,
-  machine-enforced (``ARCH-LAYER``).
+  machine-enforced (``ARCH-LAYER``);
+- :mod:`~repro.analysis.dataflow.reach` — definitions no root reaches
+  (``DEAD-REACH``);
+- :mod:`~repro.analysis.dataflow.census` — defaulted parameters no
+  non-test caller passes (``DEAD-PARAM``).
 
-All three emit ordinary :class:`~repro.analysis.engine.Finding` objects,
-so ``# repro: noqa[...]`` pragmas and the baseline ratchet apply
-unchanged.
+Everything emits ordinary :class:`~repro.analysis.engine.Finding`
+objects and ``# repro: noqa[...]`` pragmas are applied here, once, for
+all of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
-from repro.analysis.engine import Finding
 from repro.analysis.dataflow.callgraph import CallGraph
-from repro.analysis.dataflow.graph import ModuleInfo, Project
+from repro.analysis.dataflow.census import find_unpassed_parameters
+from repro.analysis.dataflow.graph import Project
 from repro.analysis.dataflow.layering import find_layering_violations
 from repro.analysis.dataflow.races import find_races
+from repro.analysis.dataflow.reach import (
+    ENTRY_MODULE,
+    Liveness,
+    find_unreachable,
+)
 from repro.analysis.dataflow.taint import find_taint_flows
-
-__all__ = [
-    "CallGraph",
-    "Project",
-    "deep_lint_paths",
-    "find_layering_violations",
-    "find_races",
-    "find_taint_flows",
-]
+from repro.analysis.engine import Finding, run_rules
+from repro.analysis.rules_concurrency import CONCURRENCY_RULES
+from repro.analysis.rules_determinism import DETERMINISM_RULES
+from repro.analysis.rules_hygiene import HYGIENE_RULES
 
 
-def deep_lint_paths(paths: Iterable[str]) -> List[Finding]:
-    """Run all whole-program passes over ``paths``.
-
-    Returns sorted findings with ``# repro: noqa`` pragmas already
-    applied (matching the single-file engine's contract).
-    """
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
+    """Every rule and pass over files/directories: sorted findings with
+    ``# repro: noqa`` pragmas already applied."""
     project = Project.load(paths)
     graph = CallGraph(project)
-    findings = (
-        find_races(project, graph)
-        + find_taint_flows(project, graph)
-        + find_layering_violations(project)
-    )
-    by_path: Dict[str, ModuleInfo] = {
-        module.path: module for module in project.modules.values()
-    }
+    rules = [
+        cls()
+        for cls in DETERMINISM_RULES + CONCURRENCY_RULES + HYGIENE_RULES
+    ]
+    findings = list(project.parse_findings)
+    for name in sorted(project.modules):
+        findings.extend(run_rules(project.modules[name], rules))
+    findings.extend(find_races(graph))
+    findings.extend(find_taint_flows(graph))
+    findings.extend(find_layering_violations(project))
+    if ENTRY_MODULE in project.modules:
+        liveness = Liveness(project, graph)
+        findings.extend(find_unreachable(liveness))
+        findings.extend(find_unpassed_parameters(liveness))
+    by_path = {module.path: module for module in project.modules.values()}
     kept = [
         finding
         for finding in findings
-        if not (
-            finding.file in by_path
-            and by_path[finding.file].suppressed(
-                finding.line, finding.rule_id
-            )
+        if finding.file not in by_path
+        or not by_path[finding.file].suppressed(
+            finding.line, finding.rule_id
         )
     ]
     kept.sort(key=Finding.sort_key)

@@ -29,11 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.graph import ModuleInfo, Project
-from repro.analysis.rules_concurrency import (
-    LOCK_FACTORIES,
-    _is_lockish_name,
-)
+from repro.analysis.dataflow.graph import Project
+from repro.analysis.engine import FileContext, self_attr
 
 #: Methods that run before any second thread can hold the instance —
 #: accesses there are construction, not sharing.
@@ -47,7 +44,7 @@ class FunctionInfo:
     """One function or method definition."""
 
     qualname: str  #: ``repro.mod.Class.method`` / ``repro.mod.func``
-    module: ModuleInfo
+    module: FileContext
     node: ast.AST  #: FunctionDef | AsyncFunctionDef
     cls_name: Optional[str] = None  #: enclosing class, when a method
 
@@ -55,17 +52,13 @@ class FunctionInfo:
     def name(self) -> str:
         return self.node.name
 
-    @property
-    def is_method(self) -> bool:
-        return self.cls_name is not None
-
 
 @dataclass
 class ClassInfo:
     """One class definition plus the inferred facts about it."""
 
     qualname: str  #: ``repro.mod.Class``
-    module: ModuleInfo
+    module: FileContext
     node: ast.ClassDef
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: ``self.X`` attributes assigned a threading lock factory.
@@ -100,7 +93,6 @@ class CallGraph:
     """Functions, classes, and resolved call edges of a project."""
 
     def __init__(self, project: Project):
-        self.project = project
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self._index(project)
@@ -121,11 +113,12 @@ class CallGraph:
                 elif isinstance(node, ast.ClassDef):
                     self._index_class(module, node)
 
-    def _index_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
+    def _index_class(self, module: FileContext, node: ast.ClassDef) -> None:
         cls = ClassInfo(
             qualname=f"{module.name}.{node.name}",
             module=module,
             node=node,
+            lock_attrs=module.lock_attrs[node.name],
         )
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -142,7 +135,7 @@ class CallGraph:
     def _infer_class_facts(self) -> None:
         for cls in self.classes.values():
             for base in cls.node.bases:
-                resolved = self._resolve_dotted(cls.module, base)
+                resolved = cls.module.qualified_name(base)
                 if resolved and resolved in self.classes:
                     cls.bases.append(resolved)
             # ``__init__`` first so its assignment wins ties; then the
@@ -162,41 +155,13 @@ class CallGraph:
                 continue
             if not isinstance(node.value, ast.Call):
                 continue
-            type_name = self._resolve_dotted(cls.module, node.value.func)
+            type_name = cls.module.qualified_name(node.value.func)
             if type_name is None:
                 continue
-            for target in node.targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                cls.attr_types.setdefault(target.attr, type_name)
-                if type_name in LOCK_FACTORIES:
-                    cls.lock_attrs.add(target.attr)
+            for attr in filter(None, map(self_attr, node.targets)):
+                cls.attr_types.setdefault(attr, type_name)
 
     # ---------------------------------------------------------- resolution
-
-    def _resolve_dotted(
-        self, module: ModuleInfo, node: ast.AST
-    ) -> Optional[str]:
-        """Name/Attribute chain -> dotted name through import aliases."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = module.imports.get(node.id, None)
-        if root is None:
-            # A module-level symbol of this file, or a plain local name.
-            if node.id in module.symbols:
-                root = f"{module.name}.{node.id}"
-            else:
-                root = node.id
-        parts.append(root)
-        return ".".join(reversed(parts))
 
     def resolve_call(
         self,
@@ -211,11 +176,11 @@ class CallGraph:
         """
         func = call.func
         # self.method(...) / self.attr.method(...)
-        if fn.is_method and isinstance(func, ast.Attribute):
+        if fn.cls_name and isinstance(func, ast.Attribute):
             target = self._resolve_self_call(fn, func)
             if target is not None:
                 return target, None
-        dotted = self._resolve_dotted(fn.module, func)
+        dotted = fn.module.qualified_name(func)
         if dotted is None:
             return None, None
         return self._resolve_dotted_callee(dotted)
@@ -231,11 +196,7 @@ class CallGraph:
         receiver = func.value
         if isinstance(receiver, ast.Name) and receiver.id == "self":
             return cls.lookup_method(self, func.attr)
-        if (
-            isinstance(receiver, ast.Attribute)
-            and isinstance(receiver.value, ast.Name)
-            and receiver.value.id == "self"
-        ):
+        if self_attr(receiver):
             attr_type = cls.attr_types.get(receiver.attr)
             if attr_type and attr_type in self.classes:
                 return self.classes[attr_type].lookup_method(
@@ -253,18 +214,6 @@ class CallGraph:
             # A constructor with no project __init__ is still a project
             # call target for taint purposes; surface the class itself.
             return init, dotted if init is None else None
-        # ``mod.symbol`` where ``mod`` resolves to a project module.
-        prefix = self.project.resolve_module_prefix(dotted)
-        if prefix is not None and prefix != dotted:
-            rest = dotted[len(prefix) + 1 :]
-            candidate = f"{prefix}.{rest}"
-            if candidate in self.functions:
-                return self.functions[candidate], None
-            if candidate in self.classes:
-                init = self.classes[candidate].lookup_method(
-                    self, "__init__"
-                )
-                return init, candidate if init is None else None
         return None, dotted
 
     # ------------------------------------------------------------- queries
@@ -277,12 +226,3 @@ class CallGraph:
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qualname in sorted(self.functions):
             yield self.functions[qualname]
-
-    def iter_calls(
-        self, fn: FunctionInfo
-    ) -> Iterator[Tuple[ast.Call, Optional[FunctionInfo], Optional[str]]]:
-        """Every call site in ``fn`` with its resolution."""
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                target, external = self.resolve_call(fn, node)
-                yield node, target, external

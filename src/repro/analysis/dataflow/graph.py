@@ -1,16 +1,18 @@
 """Whole-program module table and import graph.
 
-The single-file lint engine (:mod:`repro.analysis.engine`) sees one
-function at a time; everything in :mod:`repro.analysis.dataflow` needs
-the *program*: which modules exist, what each one imports, and (for the
-call graph built on top) which symbols each module defines.  This module
-is that substrate.
+The rule packs see one function at a time; everything in
+:mod:`repro.analysis.dataflow` needs the *program*: which modules exist,
+what each one imports, and (for the call graph built on top) which
+symbols each module defines.  This module is that substrate.
 
-A :class:`Project` is a parsed snapshot of a source tree:
+A :class:`Project` is a parsed snapshot of a source tree — every file
+read and parsed exactly once, into the
+:class:`~repro.analysis.engine.FileContext` the rule packs run on:
 
-- :class:`ModuleInfo` — one parsed file: logical dotted name
-  (``repro.sim.engine``), AST, source lines, the import-alias map the
-  engine already computes, and the resolved **import edges**;
+- ``modules`` — logical dotted name (``repro.sim.engine``) -> parsed
+  file, with its resolved **import edges** filled in;
+- ``parse_findings`` — one ``PARSE`` finding per file that did not
+  parse (the analyzer never crashes on bad input);
 - :class:`ImportEdge` — one ``import``/``from`` statement resolved to
   the dotted module it depends on, with the source line (findings point
   at it) and whether the import is gated behind
@@ -28,15 +30,10 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysis.engine import (
-    _collect_imports,
-    _collect_noqa,
-    iter_python_files,
-    logical_module,
-)
+from repro.analysis.engine import FileContext, Finding, iter_python_files
 
 
 @dataclass(frozen=True)
@@ -50,87 +47,49 @@ class ImportEdge:
     toplevel: bool = True  #: module scope (False: deferred, in a def)
 
 
-class ModuleInfo:
-    """One parsed source file and its module-level facts."""
-
-    def __init__(self, name: str, path: str, source: str, tree: ast.Module):
-        self.name = name
-        self.path = path
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = tree
-        #: local name -> fully qualified dotted name (import aliases).
-        self.imports: Dict[str, str] = _collect_imports(tree)
-        #: line -> suppressed rule ids (``# repro: noqa`` pragmas).
-        self.noqa = _collect_noqa(self.lines)
-        #: filled by :meth:`Project._resolve_imports`.
-        self.import_edges: List[ImportEdge] = []
-        #: module-level symbol name -> "function" | "class".
-        self.symbols: Dict[str, str] = {}
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.symbols[node.name] = "function"
-            elif isinstance(node, ast.ClassDef):
-                self.symbols[node.name] = "class"
-
-    @property
-    def package(self) -> str:
-        """The dotted package holding this module (its parent)."""
-        return self.name.rpartition(".")[0]
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-    def suppressed(self, lineno: int, rule_id: str) -> bool:
-        rules = self.noqa.get(lineno)
-        if rules is None:
-            return False
-        return not rules or rule_id in rules
-
-
 class Project:
     """A parsed source tree, keyed by logical module name."""
 
-    def __init__(self, modules: Dict[str, ModuleInfo]):
+    def __init__(
+        self,
+        modules: Dict[str, FileContext],
+        parse_findings: List[Finding],
+    ):
         self.modules = modules
+        self.parse_findings = parse_findings
 
     @classmethod
     def load(cls, paths: Iterable[str]) -> "Project":
-        """Parse every ``.py`` file under ``paths`` (deterministic
-        order); files that fail to parse are skipped — the shallow lint
-        pass already reports ``PARSE`` findings for them."""
-        modules: Dict[str, ModuleInfo] = {}
+        """Parse every ``.py`` file under ``paths`` once (deterministic
+        order); a file that fails to parse becomes a ``PARSE`` finding
+        and is otherwise left out."""
+        modules: Dict[str, FileContext] = {}
+        parse_findings: List[Finding] = []
         for path in iter_python_files(paths):
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
                 tree = ast.parse(source, filename=path)
-            except (OSError, SyntaxError):
+            except SyntaxError as error:
+                parse_findings.append(
+                    Finding(
+                        file=path,
+                        line=error.lineno or 1,
+                        col=error.offset or 0,
+                        rule_id="PARSE",
+                        severity="error",
+                        message=f"syntax error: {error.msg}",
+                    )
+                )
                 continue
-            name = logical_module(path)
-            modules[name] = ModuleInfo(name, path, source, tree)
-        project = cls(modules)
-        project._resolve_imports()
+            module = FileContext(path, source, tree)
+            modules[module.name] = module
+        project = cls(modules, parse_findings)
+        for module in modules.values():
+            module.import_edges = list(project._edges_for(module))
         return project
 
-    # --------------------------------------------------------- resolution
-
-    def resolve_module_prefix(self, dotted: str) -> Optional[str]:
-        """Longest prefix of ``dotted`` that names a project module."""
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.modules:
-                return candidate
-        return None
-
-    def _resolve_imports(self) -> None:
-        for module in self.modules.values():
-            module.import_edges = list(self._edges_for(module))
-
-    def _edges_for(self, module: ModuleInfo) -> Iterable[ImportEdge]:
+    def _edges_for(self, module: FileContext) -> Iterable[ImportEdge]:
         type_checking_spans = _type_checking_lines(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -162,7 +121,7 @@ class Project:
                     )
 
     def _import_from_base(
-        self, module: ModuleInfo, node: ast.ImportFrom
+        self, module: FileContext, node: ast.ImportFrom
     ) -> Optional[str]:
         if node.level == 0:
             return node.module
@@ -203,10 +162,10 @@ def _type_checking_lines(tree: ast.Module) -> Set[int]:
     return lines
 
 
-def top_package(module_name: str, root: str = "repro") -> Optional[str]:
-    """First package component under ``root``: ``repro.sim.engine`` →
+def top_package(module_name: str) -> Optional[str]:
+    """First package component under ``repro``: ``repro.sim.engine`` →
     ``sim``; the root module itself (``repro``) has none."""
     parts = module_name.split(".")
-    if not parts or parts[0] != root or len(parts) < 2:
+    if not parts or parts[0] != "repro" or len(parts) < 2:
         return None
     return parts[1]

@@ -20,20 +20,17 @@ root ``__init__`` re-exports nothing heavy).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+import graphlib
+from typing import Dict, FrozenSet, List, Set
 
 from repro.analysis.engine import Finding
-from repro.analysis.dataflow.graph import (
-    ImportEdge,
-    ModuleInfo,
-    Project,
-    top_package,
-)
+from repro.analysis.dataflow.graph import ImportEdge, Project, top_package
 
 RULE_ID = "ARCH-LAYER"
 SEVERITY = "error"
 
-_EVERYTHING = frozenset(
+#: Everything ``art`` — the paper's framework layer — is built on.
+_BELOW_ART = frozenset(
     {
         "common",
         "telemetry",
@@ -46,9 +43,6 @@ _EVERYTHING = frozenset(
         "packer",
         "sim",
         "resources",
-        "art",
-        "pipeline",
-        "analysis",
     }
 )
 
@@ -70,70 +64,22 @@ ALLOWED_DEPENDENCIES: Dict[str, FrozenSet[str]] = {
     "resources": frozenset(
         {"common", "vfs", "guest", "gpu", "packer", "sim"}
     ),
-    "art": frozenset(
-        {
-            "common",
-            "telemetry",
-            "chaos",
-            "vfs",
-            "guest",
-            "gpu",
-            "db",
-            "scheduler",
-            "packer",
-            "sim",
-            "resources",
-        }
-    ),
-    "pipeline": frozenset(
-        {
-            "common",
-            "telemetry",
-            "chaos",
-            "vfs",
-            "guest",
-            "gpu",
-            "db",
-            "scheduler",
-            "packer",
-            "sim",
-            "resources",
-            "art",
-        }
-    ),
+    "art": _BELOW_ART,
+    "pipeline": _BELOW_ART | {"art"},
     "analysis": frozenset({"common", "telemetry", "db", "art"}),
-    "cli": _EVERYTHING,
+    "cli": _BELOW_ART | {"art", "pipeline", "analysis"},
     "__main__": frozenset({"cli"}),
 }
 
-
-def _assert_dag() -> None:
-    """The encoded layering must itself be acyclic (sanity check run at
-    import time; a cycle here is a programming error in this table)."""
-    state: Dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(pkg: str, trail: List[str]) -> None:
-        mark = state.get(pkg)
-        if mark == 1:
-            return
-        if mark == 0:
-            raise ValueError(
-                "ALLOWED_DEPENDENCIES cycle: " + " -> ".join(trail + [pkg])
-            )
-        state[pkg] = 0
-        for dep in sorted(ALLOWED_DEPENDENCIES.get(pkg, frozenset())):
-            visit(dep, trail + [pkg])
-        state[pkg] = 1
-
-    for pkg in sorted(ALLOWED_DEPENDENCIES):
-        visit(pkg, [])
+#: Who may call *into* the package from outside it: directories, under
+#: the repository root, whose files are callers for the reachability
+#: pass and the surface census.  ``tests/`` is deliberately absent.
+ROOT_DIRECTORIES = ("examples", "benchmarks")
 
 
-_assert_dag()
-
-
-def _edge_package(edge: ImportEdge) -> Optional[str]:
-    return top_package(edge.target)
+# The encoded layering must itself be acyclic: a cycle is a programming
+# error in the table above, raised (``graphlib.CycleError``) at import.
+graphlib.TopologicalSorter(ALLOWED_DEPENDENCIES).prepare()
 
 
 def _upward_findings(project: Project) -> List[Finding]:
@@ -158,7 +104,7 @@ def _upward_findings(project: Project) -> List[Finding]:
                 continue
             if (edge.lineno, edge.target) in reported:
                 continue  # one finding per import statement + target
-            target_pkg = _edge_package(edge)
+            target_pkg = top_package(edge.target)
             if target_pkg is None or target_pkg == source_pkg:
                 continue
             if target_pkg not in ALLOWED_DEPENDENCIES:
@@ -168,20 +114,15 @@ def _upward_findings(project: Project) -> List[Finding]:
             reported.add((edge.lineno, edge.target))
             permitted = ", ".join(sorted(allowed)) or "(nothing)"
             findings.append(
-                Finding(
-                    file=module.path,
-                    line=edge.lineno,
-                    col=0,
-                    rule_id=RULE_ID,
-                    severity=SEVERITY,
-                    message=(
-                        f"layering violation: {module.name} (layer "
-                        f"'{source_pkg}') imports {edge.target} (layer "
-                        f"'{target_pkg}'); '{source_pkg}' may only "
-                        f"depend on: {permitted} — see the layer DAG "
-                        "in docs/architecture.md"
-                    ),
-                    snippet=module.line_text(edge.lineno).strip(),
+                module.finding(
+                    edge,
+                    RULE_ID,
+                    SEVERITY,
+                    f"layering violation: {module.name} (layer "
+                    f"'{source_pkg}') imports {edge.target} (layer "
+                    f"'{target_pkg}'); '{source_pkg}' may only "
+                    f"depend on: {permitted} — see the layer DAG "
+                    "in docs/architecture.md",
                 )
             )
     return findings
@@ -217,21 +158,15 @@ def _cycle_findings(project: Project) -> List[Finding]:
             if mark == 1:
                 start = stack.index(edge.target)
                 cycle = stack[start:] + [edge.target]
-                module = project.modules[name]
                 findings.append(
-                    Finding(
-                        file=module.path,
-                        line=edge.lineno,
-                        col=0,
-                        rule_id=RULE_ID,
-                        severity=SEVERITY,
-                        message=(
-                            "import cycle: "
-                            + " -> ".join(cycle)
-                            + "; break the cycle (move the shared "
-                            "piece down a layer or defer the import)"
-                        ),
-                        snippet=module.line_text(edge.lineno).strip(),
+                    project.modules[name].finding(
+                        edge,
+                        RULE_ID,
+                        SEVERITY,
+                        "import cycle: "
+                        + " -> ".join(cycle)
+                        + "; break the cycle (move the shared "
+                        "piece down a layer or defer the import)",
                     )
                 )
                 continue

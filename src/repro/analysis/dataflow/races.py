@@ -38,14 +38,13 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.engine import Finding
+from repro.analysis.engine import Finding, self_attr
 from repro.analysis.dataflow.callgraph import (
     CONSTRUCTION_METHODS,
     CallGraph,
     ClassInfo,
     FunctionInfo,
 )
-from repro.analysis.dataflow.graph import Project
 from repro.analysis.rules_concurrency import _is_lockish_name
 
 RULE_ID = "RACE-INCONSISTENT"
@@ -131,13 +130,7 @@ class _MethodScanner(ast.NodeVisitor):
                 # ``with self._mu.something():`` — treat the attribute
                 # as the lock when it is one.
                 expr = expr.value
-        if not (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        ):
-            return None
-        attr = expr.attr
+        attr = self_attr(expr)
         if attr in self.cls.lock_attrs or _is_lockish_name(attr):
             return attr
         return None
@@ -159,56 +152,38 @@ class _MethodScanner(ast.NodeVisitor):
 
     # ------------------------------------------------------------ accesses
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
+    def _note(self, node: ast.AST, is_write: bool) -> None:
+        """Record a touch of ``self.<attr>`` — unless the node is
+        something else, a lock itself, or internally synchronized."""
+        attr = self_attr(node)
         if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr not in self.cls.lock_attrs
-            and not _is_lockish_name(node.attr)
-            and not self._thread_safe(node.attr)
-        ):
-            self.accesses.append(
-                Access(
-                    attr=node.attr,
-                    method=self.fn.qualname,
-                    node=node,
-                    is_write=isinstance(
-                        node.ctx, (ast.Store, ast.Del)
-                    ),
-                    held=frozenset(self._held),
-                )
+            attr is None
+            or attr in self.cls.lock_attrs
+            or _is_lockish_name(attr)
+            or self.cls.attr_types.get(attr, "").startswith(
+                THREADSAFE_TYPE_PREFIXES
             )
-        self.generic_visit(node)
+        ):
+            return
+        self.accesses.append(
+            Access(
+                attr=attr,
+                method=self.fn.qualname,
+                node=node,
+                is_write=is_write,
+                held=frozenset(self._held),
+            )
+        )
 
-    def _thread_safe(self, attr: str) -> bool:
-        attr_type = self.cls.attr_types.get(attr, "")
-        return attr_type.startswith(THREADSAFE_TYPE_PREFIXES)
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._note(node, isinstance(node.ctx, (ast.Store, ast.Del)))
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         # Mutating method on a self attribute counts as a write to it.
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in MUTATOR_METHODS
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id == "self"
-        ):
-            receiver = func.value
-            if (
-                receiver.attr not in self.cls.lock_attrs
-                and not _is_lockish_name(receiver.attr)
-                and not self._thread_safe(receiver.attr)
-            ):
-                self.accesses.append(
-                    Access(
-                        attr=receiver.attr,
-                        method=self.fn.qualname,
-                        node=receiver,
-                        is_write=True,
-                        held=frozenset(self._held),
-                    )
-                )
+        if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
+            self._note(func.value, True)
         target, _external = self.graph.resolve_call(self.fn, node)
         if (
             target is not None
@@ -227,26 +202,8 @@ class _MethodScanner(ast.NodeVisitor):
     # Subscript stores (``self._inflight[k] = v``) arrive as Attribute
     # loads on the value side; upgrade them to writes.
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)) and (
-            isinstance(node.value, ast.Attribute)
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "self"
-        ):
-            receiver = node.value
-            if (
-                receiver.attr not in self.cls.lock_attrs
-                and not _is_lockish_name(receiver.attr)
-                and not self._thread_safe(receiver.attr)
-            ):
-                self.accesses.append(
-                    Access(
-                        attr=receiver.attr,
-                        method=self.fn.qualname,
-                        node=receiver,
-                        is_write=True,
-                        held=frozenset(self._held),
-                    )
-                )
+        if isinstance(node.ctx, (ast.Store, ast.Del)):
+            self._note(node.value, True)
         self.generic_visit(node)
 
 
@@ -433,28 +390,22 @@ def _judge_attr(
         if access.method in reported_methods:
             continue
         reported_methods.add(access.method)
-        lineno = getattr(access.node, "lineno", cls.node.lineno)
         kind = "written" if access.is_write else "read"
         findings.append(
-            Finding(
-                file=cls.module.path,
-                line=lineno,
-                col=getattr(access.node, "col_offset", 0),
-                rule_id=RULE_ID,
-                severity=SEVERITY,
-                message=(
-                    f"attribute self.{attr} of {cls.node.name} is "
-                    f"{context} but {kind} here without it "
-                    f"(method {access.method.rsplit('.', 1)[-1]}); "
-                    "inconsistent lockset = data race"
-                ),
-                snippet=cls.module.line_text(lineno).strip(),
+            cls.module.finding(
+                access.node,
+                RULE_ID,
+                SEVERITY,
+                f"attribute self.{attr} of {cls.node.name} is "
+                f"{context} but {kind} here without it "
+                f"(method {access.method.rsplit('.', 1)[-1]}); "
+                "inconsistent lockset = data race",
             )
         )
     return findings
 
 
-def find_races(project: Project, graph: CallGraph) -> List[Finding]:
+def find_races(graph: CallGraph) -> List[Finding]:
     """Run the lockset analysis over every lock-owning project class."""
     findings: List[Finding] = []
     for qualname in sorted(graph.classes):

@@ -36,10 +36,14 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.engine import Finding
+from repro.analysis.engine import Finding, self_attr
 from repro.analysis.dataflow.callgraph import CallGraph, FunctionInfo
-from repro.analysis.dataflow.graph import Project
-from repro.analysis.rules_determinism import SANCTIONED_MODULES
+from repro.analysis.rules_determinism import (
+    GLOBAL_RANDOM_CALLS,
+    SANCTIONED_MODULES,
+    UUID_CALLS,
+    WALL_CLOCK_CALLS,
+)
 
 RULE_ID = "DET-FLOW"
 SEVERITY = "error"
@@ -47,31 +51,15 @@ SEVERITY = "error"
 #: Maximum call hops a source→sink path may take and still be reported.
 MAX_HOPS = 3
 
-#: Nondeterministic value mints (resolved dotted call names).
-SOURCE_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "datetime.now",
-        "datetime.utcnow",
-        "uuid.uuid1",
-        "uuid.uuid4",
+#: Nondeterministic value mints (resolved dotted call names): what the
+#: single-file determinism rules forbid inside the zones, plus the
+#: OS entropy reads.
+SOURCE_CALLS = (
+    WALL_CLOCK_CALLS
+    | UUID_CALLS
+    | GLOBAL_RANDOM_CALLS
+    | {
         "os.urandom",
-        "random.random",
-        "random.randint",
-        "random.randrange",
-        "random.uniform",
-        "random.choice",
-        "random.choices",
-        "random.sample",
-        "random.shuffle",
-        "random.gauss",
-        "random.getrandbits",
-        "random.randbytes",
         "secrets.token_hex",
         "secrets.token_bytes",
         "secrets.token_urlsafe",
@@ -96,6 +84,29 @@ SINK_PREFIXES: Tuple[Tuple[str, str], ...] = (
 #: receiver's tail name marks it as the write-ahead log.
 WAL_RECEIVER_NAMES = frozenset({"wal", "_wal"})
 
+#: Expression node -> the fields whose taints its value unions; any
+#: other expression (a constant, a lambda) is clean.
+_UNION_FIELDS = {
+    ast.BinOp: ("left", "right"),
+    ast.UnaryOp: ("operand",),
+    ast.BoolOp: ("values",),
+    ast.IfExp: ("test", "body", "orelse"),
+    ast.JoinedStr: ("values",),
+    ast.FormattedValue: ("value",),
+    ast.List: ("elts",),
+    ast.Tuple: ("elts",),
+    ast.Set: ("elts",),
+    ast.Dict: ("keys", "values"),
+    ast.Subscript: ("value",),
+    ast.Starred: ("value",),
+    ast.Await: ("value",),
+    ast.ListComp: ("generators", "elt"),
+    ast.SetComp: ("generators", "elt"),
+    ast.GeneratorExp: ("generators", "elt"),
+    ast.DictComp: ("generators", "key", "value"),
+    ast.comprehension: ("iter",),
+}
+
 #: Sources of taint for a value (dotted source-call names); empty set
 #: means clean.
 Taint = FrozenSet[str]
@@ -119,15 +130,6 @@ def _sink_label(qualname: Optional[str]) -> Optional[str]:
         if qualname == prefix or qualname.startswith(prefix + "."):
             return label
     return None
-
-
-def _is_sanctioned(module_name: str) -> bool:
-    for sanctioned in SANCTIONED_MODULES:
-        if module_name == sanctioned or module_name.startswith(
-            sanctioned + "."
-        ):
-            return True
-    return False
 
 
 class _FunctionTaint:
@@ -234,8 +236,7 @@ class _FunctionTaint:
             if (
                 real
                 and not self.param_mode
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
+                and self_attr(target)
                 and self.fn.cls_name is not None
             ):
                 attrs = self.analysis.attr_taint.setdefault(
@@ -257,50 +258,11 @@ class _FunctionTaint:
         if isinstance(node, ast.Name):
             return self.names.get(node.id, CLEAN)
         if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and self.fn.cls_name is not None
-            ):
+            if self_attr(node) and self.fn.cls_name is not None:
                 attrs = self.analysis.attr_taint.get(
                     f"{self.fn.module.name}.{self.fn.cls_name}", {}
                 )
                 return attrs.get(node.attr, CLEAN)
-            return self._eval(node.value)
-        if isinstance(node, ast.BinOp):
-            return self._eval(node.left) | self._eval(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self._eval(node.operand)
-        if isinstance(node, ast.BoolOp):
-            taint = CLEAN
-            for value in node.values:
-                taint = taint | self._eval(value)
-            return taint
-        if isinstance(node, ast.IfExp):
-            self._eval(node.test)
-            return self._eval(node.body) | self._eval(node.orelse)
-        if isinstance(node, ast.JoinedStr):
-            taint = CLEAN
-            for value in node.values:
-                taint = taint | self._eval(value)
-            return taint
-        if isinstance(node, ast.FormattedValue):
-            return self._eval(node.value)
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            taint = CLEAN
-            for element in node.elts:
-                taint = taint | self._eval(element)
-            return taint
-        if isinstance(node, ast.Dict):
-            taint = CLEAN
-            for key in node.keys:
-                taint = taint | self._eval(key)
-            for value in node.values:
-                taint = taint | self._eval(value)
-            return taint
-        if isinstance(node, ast.Subscript):
-            return self._eval(node.value)
-        if isinstance(node, ast.Starred):
             return self._eval(node.value)
         if isinstance(node, ast.Compare):
             # Comparisons collapse to booleans; treat as clean (a
@@ -309,23 +271,18 @@ class _FunctionTaint:
             for comparator in node.comparators:
                 self._eval(comparator)
             return CLEAN
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            taint = CLEAN
-            for generator in node.generators:
-                taint = taint | self._eval(generator.iter)
-            return taint | self._eval(node.elt)
-        if isinstance(node, ast.DictComp):
-            taint = CLEAN
-            for generator in node.generators:
-                taint = taint | self._eval(generator.iter)
-            return taint | self._eval(node.key) | self._eval(node.value)
-        if isinstance(node, ast.Await):
-            return self._eval(node.value)
         if isinstance(node, ast.NamedExpr):
             taint = self._eval(node.value)
             self._assign(node.target, taint)
             return taint
-        return CLEAN
+        taint = CLEAN
+        for field in _UNION_FIELDS.get(type(node), ()):
+            children = getattr(node, field)
+            if not isinstance(children, list):
+                children = [children]
+            for child in children:
+                taint = taint | self._eval(child)
+        return taint
 
     def _eval_call(self, node: ast.Call) -> Taint:
         arg_taint = CLEAN
@@ -340,7 +297,7 @@ class _FunctionTaint:
         # Source?
         if (
             external in SOURCE_CALLS
-            and not _is_sanctioned(self.fn.module.name)
+            and not self.fn.module.in_module(*SANCTIONED_MODULES)
         ):
             return arg_taint | frozenset({external})
         # Sink?
@@ -413,7 +370,6 @@ class _FunctionTaint:
                 self.summary.param_sink = (label, hops)
         if not real or self.param_mode:
             return
-        lineno = getattr(node, "lineno", 1)
         sources = ", ".join(sorted(real))
         path = (
             f" via {via.name}() ({hops} call hop"
@@ -422,19 +378,14 @@ class _FunctionTaint:
             else ""
         )
         self.findings.append(
-            Finding(
-                file=self.fn.module.path,
-                line=lineno,
-                col=getattr(node, "col_offset", 0),
-                rule_id=RULE_ID,
-                severity=SEVERITY,
-                message=(
-                    f"nondeterministic value from {sources} flows into "
-                    f"{label}{path}; route through the "
-                    "timeutil/rng/ids choke points or drop it from the "
-                    "identity payload"
-                ),
-                snippet=self.fn.module.line_text(lineno).strip(),
+            self.fn.module.finding(
+                node,
+                RULE_ID,
+                SEVERITY,
+                f"nondeterministic value from {sources} flows into "
+                f"{label}{path}; route through the "
+                "timeutil/rng/ids choke points or drop it from the "
+                "identity payload",
             )
         )
 
@@ -442,8 +393,7 @@ class _FunctionTaint:
 class TaintAnalysis:
     """Whole-program driver: summaries to fixpoint, then findings."""
 
-    def __init__(self, project: Project, graph: CallGraph):
-        self.project = project
+    def __init__(self, graph: CallGraph):
         self.graph = graph
         self.summaries: Dict[str, Summary] = {}
         #: class qualname -> {attr -> sources} (flow-insensitive).
@@ -453,7 +403,7 @@ class TaintAnalysis:
         functions = [
             fn
             for fn in self.graph.iter_functions()
-            if not _is_sanctioned(fn.module.name)
+            if not fn.module.in_module(*SANCTIONED_MODULES)
         ]
         # Summary fixpoint: MAX_HOPS rounds bound path length.
         for _ in range(MAX_HOPS):
@@ -491,8 +441,6 @@ class TaintAnalysis:
         return findings
 
 
-def find_taint_flows(
-    project: Project, graph: CallGraph
-) -> List[Finding]:
+def find_taint_flows(graph: CallGraph) -> List[Finding]:
     """Run the determinism taint pass; sorted ``DET-FLOW`` findings."""
-    return TaintAnalysis(project, graph).run()
+    return TaintAnalysis(graph).run()

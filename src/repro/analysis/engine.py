@@ -6,23 +6,25 @@ if *no* code path smuggles in wall-clock time, process-unique ids, or
 unseeded randomness — and the resilience layer's fifteen-odd lock sites
 only stay deadlock-free if their discipline is checked, not remembered.
 
-Design (one pass, many rules):
+Design (one parse, one pass, many rules):
 
-- :class:`Analyzer` walks files, parses each into an AST, and performs a
-  *single* recursive traversal per file, dispatching every node to the
-  rules that registered interest in its type (``Rule.interests``).  Rules
-  therefore pay only for the nodes they asked for.
-- Rules receive a :class:`FileContext` carrying the source lines, the
-  logical module path (``repro.sim.engine``), an import-alias map so
-  ``from time import time as _t; _t()`` still resolves to ``time.time``,
-  and the ancestor stack (for "am I under a ``with`` holding a lock?"
-  questions).
+- :class:`FileContext` is the one parsed-file record: built once per
+  file by :meth:`repro.analysis.dataflow.graph.Project.load`, it carries
+  the source lines, the logical module name (``repro.sim.engine``), an
+  import-alias map so ``from time import time as _t; _t()`` still
+  resolves to ``time.time``, the ``# repro: noqa`` pragmas, and — for
+  the whole-program passes — the resolved import edges and module-level
+  symbols.
+- :func:`run_rules` performs a *single* recursive traversal of one file,
+  dispatching every node to the rules that registered interest in its
+  type (``Rule.interests``) and maintaining the ancestor stack (for "am
+  I under a ``with`` holding a lock?" questions).
 - Findings are plain :class:`Finding` records with a content-based
-  fingerprint (module + rule + stripped source line), so baselines
-  survive unrelated line-number churn.
+  fingerprint (module + rule + stripped source line) that SARIF
+  consumers use to track a finding across line-number churn.
 - ``# repro: noqa`` / ``# repro: noqa[RULE-ID,...]`` on the offending
-  line suppresses findings, with the pragma use itself auditable by
-  grep.
+  line is the only way to accept a finding, auditable by grep;
+  :func:`repro.analysis.lint_paths` applies it to every rule alike.
 """
 
 from __future__ import annotations
@@ -31,11 +33,33 @@ import ast
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+)
 
 #: Finding severities, most severe first (sort order relies on this).
 SEVERITIES = ("error", "warning", "info")
+
+#: threading factories whose results are lock-like.
+LOCK_FACTORIES = frozenset(
+    {
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "threading.Semaphore",
+        "threading.BoundedSemaphore",
+    }
+)
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9\-, ]+)\])?", re.IGNORECASE
@@ -56,8 +80,9 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Content-based identity used by the baseline: stable across
-        line-number churn, invalidated when the offending line changes."""
+        """Content-based identity (SARIF partial fingerprint): stable
+        across line-number churn, invalidated when the offending line
+        changes."""
         digest = hashlib.sha256()
         for part in (self.file, self.rule_id, self.snippet.strip()):
             digest.update(part.encode("utf-8"))
@@ -81,26 +106,38 @@ class Finding:
 
 
 class FileContext:
-    """Everything a rule may ask about the file under analysis."""
+    """One parsed source file: everything a rule or a whole-program pass
+    may ask about it."""
 
     def __init__(self, path: str, source: str, tree: ast.Module):
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.module = logical_module(path)
+        #: logical dotted module name (``repro.sim.engine``).
+        self.name = logical_module(path)
         #: Ancestor stack of the node currently being dispatched
         #: (outermost first, excluding the node itself).
         self.ancestors: List[ast.AST] = []
+        #: local name -> fully qualified dotted name (import aliases).
         self.imports = _collect_imports(tree)
         self._noqa = _collect_noqa(self.lines)
+        #: resolved import edges, filled by ``Project.load``.
+        self.import_edges: List[Any] = []
+        #: module-level function and class names.
+        self.symbols = {
+            node.name
+            for node in tree.body
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+        }
 
     # ----------------------------------------------------------- helpers
 
     def in_module(self, *prefixes: str) -> bool:
         """True when the file's logical module matches any dotted prefix."""
         for prefix in prefixes:
-            if self.module == prefix or self.module.startswith(prefix + "."):
+            if self.name == prefix or self.name.startswith(prefix + "."):
                 return True
         return False
 
@@ -109,20 +146,59 @@ class FileContext:
             return self.lines[lineno - 1]
         return ""
 
+    def finding(
+        self, where: Any, rule_id: str, severity: str, message: str
+    ) -> Finding:
+        """A finding at ``where`` — an AST node, or anything else with a
+        ``lineno`` — carrying that line as its snippet."""
+        lineno = getattr(where, "lineno", 1)
+        return Finding(
+            file=self.path,
+            line=lineno,
+            col=getattr(where, "col_offset", 0),
+            rule_id=rule_id,
+            severity=severity,
+            message=message,
+            snippet=self.line_text(lineno).strip(),
+        )
+
     def qualified_name(self, node: ast.AST) -> Optional[str]:
         """Resolve a Name/Attribute chain to a dotted name, following the
-        file's import aliases (``from time import time`` => ``time.time``).
-        """
+        file's import aliases (``from time import time`` => ``time.time``)
+        and qualifying the file's own module-level symbols."""
         parts: List[str] = []
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        root = node.id
-        resolved = self.imports.get(root, root)
-        parts.append(resolved)
+        root = self.imports.get(node.id)
+        if root is None:
+            root = node.id
+            if root in self.symbols:
+                root = f"{self.name}.{root}"
+        parts.append(root)
         return ".".join(reversed(parts))
+
+    @cached_property
+    def lock_attrs(self) -> Dict[str, Set[str]]:
+        """Class name -> the ``self.X`` attributes its methods assign a
+        threading lock factory to (so ``self._idle =
+        threading.Condition()`` makes ``_idle`` a lock of its class)."""
+        found: Dict[str, Set[str]] = {}
+        for cls in ast.walk(self.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            attrs = found.setdefault(cls.name, set())
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and self.qualified_name(node.value.func)
+                    in LOCK_FACTORIES
+                ):
+                    attrs.update(filter(None, map(self_attr, node.targets)))
+        return found
 
     def enclosing_function(self) -> Optional[ast.AST]:
         for node in reversed(self.ancestors):
@@ -146,24 +222,16 @@ class FileContext:
 class Rule:
     """Base class for all rules.
 
-    Subclasses set ``rule_id``, ``severity``, ``description``, declare the
-    node types they want in ``interests``, and implement :meth:`visit`.
-    ``file_begin`` lets a rule precompute per-file state (e.g. which
-    ``self.X`` attributes are locks).
+    Subclasses set ``rule_id`` and ``severity``, say what they catch in
+    their docstring, declare the node types they want in ``interests``,
+    and implement :meth:`visit`.
     """
 
     rule_id: str = "RULE"
     severity: str = "warning"
-    description: str = ""
     interests: Tuple[Type[ast.AST], ...] = ()
 
-    def file_begin(self, ctx: FileContext) -> None:
-        pass
-
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def file_end(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
 
     # ----------------------------------------------------------- helpers
@@ -171,90 +239,42 @@ class Rule:
     def finding(
         self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        return Finding(
-            file=ctx.path,
-            line=lineno,
-            col=getattr(node, "col_offset", 0),
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=message,
-            snippet=ctx.line_text(lineno).strip(),
-        )
+        return ctx.finding(node, self.rule_id, self.severity, message)
 
 
-class Analyzer:
-    """File walker + per-rule visitor dispatch."""
+def run_rules(ctx: FileContext, rules: Iterable[Rule]) -> List[Finding]:
+    """One traversal of ``ctx.tree``, every node dispatched to the rules
+    interested in its type; pragmas are applied by the caller."""
+    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
+    for rule in rules:
+        for node_type in rule.interests:
+            dispatch.setdefault(node_type, []).append(rule)
+    findings: List[Finding] = []
 
-    def __init__(self, rules: Iterable[Rule]):
-        self.rules = list(rules)
-        by_id = {}
-        for rule in self.rules:
-            if rule.rule_id in by_id:
-                raise ValueError(f"duplicate rule id {rule.rule_id!r}")
-            if rule.severity not in SEVERITIES:
-                raise ValueError(
-                    f"rule {rule.rule_id}: bad severity {rule.severity!r}"
-                )
-            by_id[rule.rule_id] = rule
+    def visit(node: ast.AST) -> None:
+        for rule in dispatch.get(type(node), ()):
+            findings.extend(rule.visit(node, ctx))
+        ctx.ancestors.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        ctx.ancestors.pop()
 
-    # ------------------------------------------------------------ walking
-
-    def analyze_paths(self, paths: Iterable[str]) -> List[Finding]:
-        findings: List[Finding] = []
-        for path in iter_python_files(paths):
-            findings.extend(self.analyze_file(path))
-        findings.sort(key=Finding.sort_key)
-        return findings
-
-    def analyze_file(self, path: str) -> List[Finding]:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.analyze_source(source, path)
-
-    def analyze_source(self, source: str, path: str) -> List[Finding]:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            return [
-                Finding(
-                    file=path,
-                    line=error.lineno or 1,
-                    col=error.offset or 0,
-                    rule_id="PARSE",
-                    severity="error",
-                    message=f"syntax error: {error.msg}",
-                )
-            ]
-        ctx = FileContext(path, source, tree)
-        dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-        for rule in self.rules:
-            rule.file_begin(ctx)
-            for node_type in rule.interests:
-                dispatch.setdefault(node_type, []).append(rule)
-        findings: List[Finding] = []
-
-        def visit(node: ast.AST) -> None:
-            for rule in dispatch.get(type(node), ()):
-                findings.extend(rule.visit(node, ctx))
-            ctx.ancestors.append(node)
-            for child in ast.iter_child_nodes(node):
-                visit(child)
-            ctx.ancestors.pop()
-
-        visit(tree)
-        for rule in self.rules:
-            findings.extend(rule.file_end(ctx))
-        findings = [
-            f
-            for f in findings
-            if not ctx.suppressed(f.line, f.rule_id)
-        ]
-        findings.sort(key=Finding.sort_key)
-        return findings
+    visit(ctx.tree)
+    return findings
 
 
 # ------------------------------------------------------------------ walking
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` when the node is ``self.X``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:

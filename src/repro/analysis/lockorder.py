@@ -84,9 +84,6 @@ class LockOrderMonitor:
                 break
         self._held.stack = held
 
-    def held_by_current_thread(self) -> Tuple[str, ...]:
-        return tuple(getattr(self._held, "stack", None) or ())
-
     # ------------------------------------------------------------- graphs
 
     def edges(self) -> List[Tuple[str, str]]:
@@ -193,10 +190,6 @@ class OrderedLock:
         self._inner.release()
         self.monitor.note_release(self.name)
 
-    def locked(self) -> bool:
-        locked = getattr(self._inner, "locked", None)
-        return locked() if locked is not None else False
-
     def __enter__(self) -> "OrderedLock":
         self.acquire()
         return self
@@ -269,28 +262,30 @@ class OrderedCondition:
 
 # ------------------------------------------------------------ monkeypatch
 
+#: Path substring marking the code whose locks get wrapped: the package.
+SCOPE_MARKER = "/repro/"
 
-def _creation_site(depth: int = 2) -> str:
+
+def _creation_site(depth: int) -> str:
     """``package-relative-file:lineno`` of the caller creating a lock."""
     frame = sys._getframe(depth)
     filename = frame.f_code.co_filename.replace("\\", "/")
-    marker = "/repro/"
-    index = filename.rfind(marker)
+    index = filename.rfind(SCOPE_MARKER)
     if index >= 0:
-        filename = filename[index + len(marker):]
+        filename = filename[index + len(SCOPE_MARKER):]
     else:
         filename = filename.rsplit("/", 1)[-1]
     return f"{filename}:{frame.f_lineno}"
 
 
-def _in_scope(depth: int, scope_marker: str) -> bool:
+def _in_scope(depth: int) -> bool:
     frame = sys._getframe(depth)
     filename = frame.f_code.co_filename.replace("\\", "/")
     if filename.endswith("analysis/lockorder.py"):
         # The wrappers' own fallback locks must stay native, or every
         # OrderedLock would recursively wrap another OrderedLock.
         return False
-    return scope_marker in filename
+    return SCOPE_MARKER in filename
 
 
 class _Installer:
@@ -298,9 +293,8 @@ class _Installer:
 
     FACTORIES = ("Lock", "RLock", "Condition", "Semaphore")
 
-    def __init__(self, monitor: LockOrderMonitor, scope_marker: str):
+    def __init__(self, monitor: LockOrderMonitor):
         self.monitor = monitor
-        self.scope_marker = scope_marker
         self._originals: Dict[str, Any] = {}
         self._counts: Dict[str, int] = {}
         self._counts_lock = threading.Lock()
@@ -317,28 +311,18 @@ class _Installer:
             self._originals[factory] = getattr(threading, factory)
         monitor = self.monitor
         originals = self._originals
-        scope = self.scope_marker
 
-        def make_lock(*args: Any, **kwargs: Any):
-            if not _in_scope(2, scope):
-                return originals["Lock"](*args, **kwargs)
-            return OrderedLock(
-                self._name_for_site(),
-                monitor,
-                originals["Lock"](*args, **kwargs),
-            )
+        def wrapping(factory: str):
+            def make(*args: Any, **kwargs: Any):
+                inner = originals[factory](*args, **kwargs)
+                if not _in_scope(2):
+                    return inner
+                return OrderedLock(self._name_for_site(), monitor, inner)
 
-        def make_rlock(*args: Any, **kwargs: Any):
-            if not _in_scope(2, scope):
-                return originals["RLock"](*args, **kwargs)
-            return OrderedLock(
-                self._name_for_site(),
-                monitor,
-                originals["RLock"](*args, **kwargs),
-            )
+            return make
 
         def make_condition(lock: Any = None):
-            if not _in_scope(2, scope):
+            if not _in_scope(2):
                 return originals["Condition"](lock)
             if isinstance(lock, OrderedLock):
                 # The lock is already monitored; the real Condition binds
@@ -347,19 +331,10 @@ class _Installer:
             inner = originals["Condition"](lock)
             return OrderedCondition(self._name_for_site(), monitor, inner)
 
-        def make_semaphore(*args: Any, **kwargs: Any):
-            if not _in_scope(2, scope):
-                return originals["Semaphore"](*args, **kwargs)
-            return OrderedLock(
-                self._name_for_site(),
-                monitor,
-                originals["Semaphore"](*args, **kwargs),
-            )
-
-        threading.Lock = make_lock
-        threading.RLock = make_rlock
+        threading.Lock = wrapping("Lock")
+        threading.RLock = wrapping("RLock")
         threading.Condition = make_condition
-        threading.Semaphore = make_semaphore
+        threading.Semaphore = wrapping("Semaphore")
 
     def uninstall(self) -> None:
         for factory, original in self._originals.items():
@@ -368,19 +343,18 @@ class _Installer:
 
 
 @contextmanager
-def monitored(
-    scope_marker: str = "/repro/",
-) -> Iterator[LockOrderMonitor]:
+# dev-tool entry: tests/analysis/test_lockorder.py, run by CI's `lint` job
+def monitored() -> Iterator[LockOrderMonitor]:  # repro: noqa[DEAD-REACH]
     """Instrument every lock created by in-scope code inside the block.
 
-    ``scope_marker`` is a path substring: only locks created from files
-    whose path contains it are wrapped (default: the ``repro`` package),
-    so stdlib internals keep their native locks.  Objects built inside
-    the block keep their instrumented locks after it exits — call
+    Only locks created from files whose path contains
+    :data:`SCOPE_MARKER` (the ``repro`` package) are wrapped, so stdlib
+    internals keep their native locks.  Objects built inside the block
+    keep their instrumented locks after it exits — call
     ``monitor.report()`` once the workload is done.
     """
     monitor = LockOrderMonitor()
-    installer = _Installer(monitor, scope_marker)
+    installer = _Installer(monitor)
     installer.install()
     try:
         yield monitor

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.art.db import ArtifactDB
 
 
-def run_records(
-    db: ArtifactDB, query: Optional[Dict[str, Any]] = None
-) -> List[Dict[str, Any]]:
+def run_records(db: ArtifactDB) -> List[Dict[str, Any]]:
     """Return one flat dict per run: parameters and result summary merged.
 
     Parameter keys come through as-is; result keys as-is; colliding names
     get a ``result_`` prefix.  Only runs that have results are returned.
     """
     records = []
-    for doc in db.query_runs(query):
+    for doc in db.runs.find():
         results = doc.get("results")
         if results is None:
             continue
@@ -46,12 +44,10 @@ def pivot(
     row_key: str,
     column_key: str,
     value_key: str,
-    aggregate: Callable[[List[float]], float] = None,
 ) -> Dict[Any, Dict[Any, float]]:
     """Build a {row: {column: value}} table from records.
 
-    Multiple records landing in one cell are reduced with ``aggregate``
-    (default: mean).
+    Multiple records landing in one cell are reduced to their mean.
     """
     cells: Dict[Any, Dict[Any, List[float]]] = {}
     for record in records:
@@ -61,8 +57,10 @@ def pivot(
         if value is None:
             continue
         cells.setdefault(row, {}).setdefault(column, []).append(value)
-    reduce = aggregate or (lambda values: sum(values) / len(values))
     return {
-        row: {column: reduce(values) for column, values in columns.items()}
+        row: {
+            column: sum(values) / len(values)
+            for column, values in columns.items()
+        }
         for row, columns in cells.items()
     }

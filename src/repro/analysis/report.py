@@ -10,32 +10,22 @@ checking into a paper's artifact appendix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import NotFoundError
 from repro.art.db import ArtifactDB
 
 
-def experiment_report(
-    db: ArtifactDB, experiment_name: Optional[str] = None
-) -> str:
-    """Render a reproducibility report for one experiment (or, when
-    ``experiment_name`` is None, for the database's only experiment)."""
-    experiments = db.database.collection("experiments")
-    if experiment_name is None:
-        docs = experiments.find()
-        if len(docs) != 1:
-            raise NotFoundError(
-                f"database holds {len(docs)} experiments; name one of "
-                f"{sorted(d['name'] for d in docs)}"
-            )
-        experiment = docs[0]
-    else:
-        experiment = experiments.find_one({"name": experiment_name})
-        if experiment is None:
-            raise NotFoundError(
-                f"no experiment named {experiment_name!r}"
-            )
+def experiment_report(db: ArtifactDB) -> str:
+    """Render a reproducibility report for the database's only
+    experiment (what an exported archive holds)."""
+    docs = db.database.collection("experiments").find()
+    if len(docs) != 1:
+        raise NotFoundError(
+            f"a report needs a database holding exactly one experiment; "
+            f"this one holds {sorted(d['name'] for d in docs)}"
+        )
+    experiment = docs[0]
     lines: List[str] = [f"# Reproducibility report: {experiment['name']}",
                         ""]
     lines += _artifact_section(db, experiment)

@@ -21,9 +21,7 @@ def severity_counts(findings: Iterable[Finding]) -> Dict[str, int]:
     return counts
 
 
-def render_text(
-    findings: List[Finding], baselined: int = 0
-) -> str:
+def render_text(findings: List[Finding]) -> str:
     """One line per finding plus a summary tail."""
     lines = []
     for finding in findings:
@@ -43,18 +41,13 @@ def render_text(
         lines.append("clean: no findings")
     else:
         lines.append(f"found {summary}")
-    if baselined:
-        lines.append(f"({baselined} baselined finding(s) suppressed)")
     return "\n".join(lines)
 
 
-def render_json(
-    findings: List[Finding], baselined: int = 0
-) -> str:
+def render_json(findings: List[Finding]) -> str:
     payload = {
         "version": 1,
         "counts": severity_counts(findings),
-        "baselined": baselined,
         "findings": [finding.to_dict() for finding in findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -64,15 +57,12 @@ def render_json(
 _SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
 
 
-def render_sarif(
-    findings: List[Finding], baselined: int = 0
-) -> str:
+def render_sarif(findings: List[Finding]) -> str:
     """SARIF 2.1.0, one run — the format code-scanning UIs ingest.
 
     Rules are deduplicated into the driver's rule table; each result
     carries the finding fingerprint as a partial fingerprint so SARIF
-    consumers track findings across commits the same way the baseline
-    ratchet does.
+    consumers track a finding across commits and line-number churn.
     """
     rule_ids = sorted({finding.rule_id for finding in findings})
     rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
@@ -121,7 +111,6 @@ def render_sarif(
                         ],
                     }
                 },
-                "properties": {"baselined": baselined},
                 "results": results,
             }
         ],

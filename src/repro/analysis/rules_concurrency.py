@@ -7,8 +7,10 @@ per-instance and acquired with ``with``; nothing blocks while holding
 one; long lease-holding loops heartbeat.  These rules write it down.
 
 Lock attributes are inferred per class: any ``self.X = threading.Lock()
-/ RLock() / Condition() / Semaphore()`` in ``__init__`` marks ``X`` as a
-lock for that class, in addition to the name heuristic (``*lock*``,
+/ RLock() / Condition() / Semaphore()`` in one of its methods marks ``X``
+as a lock for that class
+(:attr:`~repro.analysis.engine.FileContext.lock_attrs`, the same facts
+the race pass uses), in addition to the name heuristic (``*lock*``,
 ``*mutex*``, ``*cond*``, ``*sem*``).  The companion *dynamic* checker —
 cross-lock acquisition-order cycles, which no single-file static rule
 can see — lives in :mod:`repro.analysis.lockorder`.
@@ -17,19 +19,14 @@ can see — lives in :mod:`repro.analysis.lockorder`.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional
 
-from repro.analysis.engine import FileContext, Finding, Rule
-
-#: threading factories whose results are lock-like.
-LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-    }
+from repro.analysis.engine import (
+    LOCK_FACTORIES,
+    FileContext,
+    Finding,
+    Rule,
+    self_attr,
 )
 
 #: Substrings that mark a name as lock-like even without inference.
@@ -62,66 +59,18 @@ def _expr_token(node: ast.AST) -> str:
     return ast.dump(node)
 
 
-class _LockAttrInference:
-    """Per-file map of class name → attributes assigned a lock factory
-    in ``__init__`` (so ``self._idle = threading.Condition()`` makes
-    ``_idle`` a lock attribute of its class)."""
-
-    def __init__(self, ctx: FileContext):
-        self.by_class: Dict[str, Set[str]] = {}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            attrs: Set[str] = set()
-            for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == "__init__"
-                ):
-                    for sub in ast.walk(item):
-                        if not isinstance(sub, ast.Assign):
-                            continue
-                        if not isinstance(sub.value, ast.Call):
-                            continue
-                        name = ctx.qualified_name(sub.value.func)
-                        if name not in LOCK_FACTORIES:
-                            continue
-                        for target in sub.targets:
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"
-                            ):
-                                attrs.add(target.attr)
-            self.by_class[node.name] = attrs
-
-    def is_lock_attr(
-        self, ctx: FileContext, receiver: ast.AST
-    ) -> bool:
-        """Is ``receiver`` (e.g. ``self._idle``) a known lock attribute
-        of the enclosing class?"""
-        if not (
-            isinstance(receiver, ast.Attribute)
-            and isinstance(receiver.value, ast.Name)
-            and receiver.value.id == "self"
-        ):
-            return False
-        enclosing = ctx.enclosing_class()
-        if enclosing is None:
-            return False
-        return receiver.attr in self.by_class.get(enclosing.name, set())
-
-
 class _ConcurrencyRule(Rule):
-    """Shared lock-attribute inference for the concurrency pack."""
-
-    def file_begin(self, ctx: FileContext) -> None:
-        self._inference = _LockAttrInference(ctx)
+    """Shared lock recognition for the concurrency pack."""
 
     def _is_lock_expr(self, ctx: FileContext, node: ast.AST) -> bool:
+        """Lock-like by name, or a ``self.X`` the enclosing class
+        assigns a lock factory to (``ctx.lock_attrs``)."""
         if _is_lockish_name(_attr_tail(node)):
             return True
-        return self._inference.is_lock_attr(ctx, node)
+        enclosing = ctx.enclosing_class()
+        return enclosing is not None and self_attr(node) in (
+            ctx.lock_attrs.get(enclosing.name, ())
+        )
 
     def _held_locks(self, ctx: FileContext) -> Dict[str, ast.AST]:
         """Receiver-token → expr for every lock held by enclosing
@@ -158,7 +107,6 @@ class BareAcquireRule(_ConcurrencyRule):
 
     rule_id = "CON-BARE-ACQUIRE"
     severity = "warning"
-    description = "lock acquired without `with`"
     interests = (ast.Expr,)
 
     def visit(self, node: ast.Expr, ctx: FileContext) -> Iterator[Finding]:
@@ -186,7 +134,6 @@ class BlockingUnderLockRule(_ConcurrencyRule):
 
     rule_id = "CON-HOLD-BLOCKING"
     severity = "warning"
-    description = "blocking call or callback invocation while holding a lock"
     interests = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
@@ -261,7 +208,6 @@ class LockPerCallRule(_ConcurrencyRule):
 
     rule_id = "CON-LOCK-PER-CALL"
     severity = "error"
-    description = "threading.Lock() created per-call instead of per-instance"
     interests = (ast.With, ast.FunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
@@ -331,7 +277,6 @@ class LoopHeartbeatRule(_ConcurrencyRule):
 
     rule_id = "CON-LOOP-NO-HEARTBEAT"
     severity = "warning"
-    description = "blocking loop in lease-holding code without heartbeat"
     interests = (ast.While,)
 
     def visit(self, node: ast.While, ctx: FileContext) -> Iterator[Finding]:

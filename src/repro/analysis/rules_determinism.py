@@ -28,7 +28,6 @@ DETERMINISTIC_ZONES = (
     # The art hash paths: run/artifact identity must be a pure function
     # of content, never of the clock or the process.
     "repro.art.artifact",
-    "repro.art.provenance",
     "repro.common.hashing",
 )
 
@@ -69,6 +68,8 @@ GLOBAL_RANDOM_CALLS = frozenset(
         "random.sample",
         "random.shuffle",
         "random.gauss",
+        "random.getrandbits",
+        "random.randbytes",
         "random.seed",
     }
 )
@@ -84,12 +85,11 @@ class _ZoneRule(Rule):
 
 
 class WallClockRule(_ZoneRule):
+    """Wall-clock reads in deterministic code; route through
+    ``repro.common.timeutil``."""
+
     rule_id = "DET-WALLCLOCK"
     severity = "error"
-    description = (
-        "wall-clock reads in deterministic code; route through "
-        "repro.common.timeutil"
-    )
     interests = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
@@ -101,18 +101,16 @@ class WallClockRule(_ZoneRule):
                 ctx,
                 node,
                 f"wall-clock read {name}() in deterministic module "
-                f"{ctx.module}; use repro.common.timeutil "
+                f"{ctx.name}; use repro.common.timeutil "
                 "(iso_now/wall_now) so replays stay seed-identical",
             )
 
 
 class UuidRule(_ZoneRule):
+    """Random UUIDs in deterministic code; derive ids from content."""
+
     rule_id = "DET-UUID"
     severity = "error"
-    description = (
-        "random UUIDs in deterministic code; use "
-        "repro.common.ids.deterministic_uuid"
-    )
     interests = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
@@ -124,18 +122,17 @@ class UuidRule(_ZoneRule):
                 ctx,
                 node,
                 f"{name}() mints a process-unique id in deterministic "
-                f"module {ctx.module}; use "
-                "repro.common.ids.deterministic_uuid",
+                f"module {ctx.name}; derive the id from content "
+                "(repro.common.hashing) instead",
             )
 
 
 class GlobalRandomRule(_ZoneRule):
+    """Unseeded randomness in deterministic code; use
+    ``repro.common.rng.RngStream``."""
+
     rule_id = "DET-RANDOM"
     severity = "error"
-    description = (
-        "unseeded randomness in deterministic code; use "
-        "repro.common.rng.RngStream"
-    )
     interests = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
@@ -147,7 +144,7 @@ class GlobalRandomRule(_ZoneRule):
                 ctx,
                 node,
                 f"{name}() draws from the shared unseeded generator in "
-                f"deterministic module {ctx.module}; derive a named "
+                f"deterministic module {ctx.name}; derive a named "
                 "repro.common.rng.RngStream instead",
             )
             return
@@ -168,9 +165,6 @@ class IterationOrderRule(_ZoneRule):
 
     rule_id = "DET-ORDER"
     severity = "warning"
-    description = (
-        "iteration order depends on hashing or the OS; sort first"
-    )
     interests = (ast.For, ast.comprehension, ast.Call)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:

@@ -31,7 +31,6 @@ class SwallowedExceptionRule(Rule):
 
     rule_id = "HYG-SWALLOW"
     severity = "error"
-    description = "broad except swallows the exception silently"
     interests = (ast.ExceptHandler,)
 
     def visit(
@@ -81,7 +80,6 @@ class MutableDefaultRule(Rule):
 
     rule_id = "HYG-MUTABLE-DEFAULT"
     severity = "error"
-    description = "mutable default argument"
     interests = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
@@ -121,7 +119,6 @@ class MetricNameRule(Rule):
 
     rule_id = "HYG-METRIC-NAME"
     severity = "warning"
-    description = "telemetry metric name violates conventions"
     interests = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:

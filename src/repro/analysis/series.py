@@ -23,20 +23,6 @@ class Series:
             raise ValidationError(f"series {self.name!r} is empty")
         return sum(self.values.values()) / len(self.values)
 
-    def geomean(self) -> float:
-        """Geometric mean — the right average for speedup ratios."""
-        if not self.values:
-            raise ValidationError(f"series {self.name!r} is empty")
-        product = 1.0
-        for value in self.values.values():
-            if value <= 0:
-                raise ValidationError(
-                    f"geomean undefined: {self.name!r} has a "
-                    "non-positive value"
-                )
-            product *= value
-        return product ** (1.0 / len(self.values))
-
     def __getitem__(self, label: str) -> float:
         return self.values[label]
 

@@ -41,12 +41,6 @@ from repro.art.tasks import (
 from repro.art.workflow import workflow_graph
 from repro.art.launch import Experiment
 from repro.art.share import export_archive, import_archive, verify_archive
-from repro.art.provenance import (
-    runs_using_artifact,
-    artifact_consumers,
-    provenance_chain,
-    impact_of,
-)
 
 __all__ = [
     "ArtifactDB",
@@ -71,8 +65,4 @@ __all__ = [
     "export_archive",
     "import_archive",
     "verify_archive",
-    "runs_using_artifact",
-    "artifact_consumers",
-    "provenance_chain",
-    "impact_of",
 ]

@@ -206,24 +206,19 @@ def register_gem5_binary(
     )
 
 
-def register_kernel_binary(
-    db: ArtifactDB,
-    kernel: LinuxKernel,
-    config: str = "default",
-    inputs: Sequence[Artifact] = (),
-) -> Artifact:
-    """Register a compiled ``vmlinux`` for a kernel model."""
+def register_kernel_binary(db: ArtifactDB, kernel: LinuxKernel) -> Artifact:
+    """Register a compiled ``vmlinux`` (default config) for a kernel
+    model."""
     return Artifact.register_artifact(
         db,
         name=f"vmlinux-{kernel.version}",
         typ="kernel",
         path=f"linux-stable/vmlinux-{kernel.version}",
-        command=f"make -j8 vmlinux KCONFIG={config}",
+        command="make -j8 vmlinux KCONFIG=default",
         cwd="linux-stable/",
-        documentation=f"Linux {kernel.version} ({config} config)",
-        inputs=inputs,
-        content=build_kernel_binary(kernel, config),
-        metadata={"kernel_version": kernel.version, "config": config},
+        documentation=f"Linux {kernel.version} (default config)",
+        content=build_kernel_binary(kernel),
+        metadata={"kernel_version": kernel.version, "config": "default"},
     )
 
 
@@ -265,7 +260,6 @@ def register_repo(
     name: str,
     url: str = GEM5_REPO_URL,
     version: str = "HEAD",
-    path: str = None,
 ) -> Artifact:
     """Register a source repository artifact by URL + version.
 
@@ -283,7 +277,7 @@ def register_repo(
         "_id": new_uuid(),
         "name": name,
         "type": "git repo",
-        "path": path or f"{name}/",
+        "path": f"{name}/",
         "command": f"git clone {url}",
         "cwd": ".",
         "documentation": f"{name} repository at {version}",

@@ -235,12 +235,11 @@ class RunCache(MemoStore):
         """A finished run's outcome as a cache entry (DONE runs only)."""
         if run_doc.get("status") not in CACHEABLE_STATUSES:
             return None
-        spec_doc = run_doc.get("spec") or {}
         return {
             "_id": f"cache-{fingerprint}",
             "fingerprint": fingerprint,
             "kind": run_doc.get("kind"),
-            "artifact_hashes": dict(spec_doc.get("artifacts") or {}),
+            "artifact_hashes": dict(run_doc["spec"]["artifacts"]),
             "run_id": run_doc.get("_id"),
             "status": run_doc.get("status"),
             "results": dict(run_doc.get("results") or {}),

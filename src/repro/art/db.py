@@ -8,7 +8,7 @@ collection for run documents, and blob storage for artifact payloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.common.errors import NotFoundError
 from repro.db import Database, connect
@@ -50,12 +50,6 @@ class ArtifactDB:
     def find_by_hash(self, content_hash: str) -> Optional[Dict[str, Any]]:
         return self.artifacts.find_one({"hash": content_hash})
 
-    def search_by_name(self, name: str) -> List[Dict[str, Any]]:
-        return self.artifacts.find({"name": name})
-
-    def search_by_type(self, typ: str) -> List[Dict[str, Any]]:
-        return self.artifacts.find({"type": typ})
-
     def __contains__(self, content_hash: str) -> bool:
         return self.find_by_hash(content_hash) is not None
 
@@ -87,9 +81,6 @@ class ArtifactDB:
         if doc is None:
             raise NotFoundError(f"no run with id {run_id}")
         return doc
-
-    def query_runs(self, query=None, **kwargs) -> List[Dict[str, Any]]:
-        return self.runs.find(query, **kwargs)
 
     # --------------------------------------------------------------- misc
 

@@ -20,11 +20,6 @@ Division of labor:
   path calls, and return ``{"summary", "stats_txt",
   "stats_fingerprint"}`` — the parent uploads the stats blob and updates
   the run document.
-
-Payloads carry an optional ``repeats`` count that re-runs the
-(deterministic) simulation and asserts bit-identical statistics each
-time — work amplification for benchmarking that doubles as a
-determinism check.
 """
 
 from __future__ import annotations
@@ -76,26 +71,20 @@ def payload_for_run(
     run,
     inputs: Dict[str, Any],
     restore: Optional[Checkpoint] = None,
-    repeats: int = 1,
 ) -> Dict[str, Any]:
     """Build the self-contained, picklable payload for one run.
 
     ``inputs`` (:meth:`~repro.art.run.InputResolver.wire`) were
-    resolved in the parent — the worker never sees the database.  ``repeats`` re-runs the
-    simulation that many times in the worker, asserting identical
-    stats each time.  ``restore`` makes the worker restore a boot
-    checkpoint instead of booting (the planner's variant-stage
-    fan-out).
+    resolved in the parent — the worker never sees the database.
+    ``restore`` makes the worker restore a boot checkpoint instead of
+    booting (the planner's variant-stage fan-out).
     """
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
     payload: Dict[str, Any] = {
         "version": PAYLOAD_VERSION,
         "kind": run.kind,
         "run_id": run.run_id,
         "fingerprint": run.fingerprint,
         "params": dict(run.params),
-        "repeats": repeats,
         **inputs,
     }
     if restore is not None:
@@ -107,8 +96,6 @@ def envelope_for_run(
     run,
     inputs: Dict[str, Any],
     restore: Optional[Checkpoint] = None,
-    repeats: int = 1,
-    intern: bool = True,
 ) -> JobEnvelope:
     """Wrap a run's payload in a process-pool envelope.
 
@@ -116,21 +103,21 @@ def envelope_for_run(
     ``fingerprint`` the run's content identity, so pool telemetry and
     lease events correlate with run documents without a join table.
     The worker records telemetry exactly when the parent currently
-    does.  ``intern`` (default on) ships the bulk payload values — the
-    disk image tree, which dominates an fs payload's pickled size and
-    is identical across a sweep, and the checkpoint document, which
-    repeats across every variant of a prefix — through the pool's
-    content-hash intern cache, so each worker receives them at most
-    once across the whole sweep.  Both are content-hashed already,
-    which is what makes the intern key free.
+    does.  The bulk payload values — the disk image tree, which
+    dominates an fs payload's pickled size and is identical across a
+    sweep, and the checkpoint document, which repeats across every
+    variant of a prefix — ship through the pool's content-hash intern
+    cache, so each worker receives them at most once across the whole
+    sweep.  Both are content-hashed already, which is what makes the
+    intern key free.
     """
-    payload = payload_for_run(run, inputs, restore, repeats)
+    payload = payload_for_run(run, inputs, restore)
     shared: Dict[str, Any] = {}
-    if intern and "disk_image" in payload:
+    if "disk_image" in payload:
         _intern(
             payload, "disk_image", run.spec.artifacts["disk_image"], shared
         )
-    if intern and restore is not None:
+    if restore is not None:
         _intern(payload, "restore_from", restore.checkpoint_id, shared)
     return JobEnvelope(
         target=RUN_TARGET,
@@ -142,15 +129,11 @@ def envelope_for_run(
     )
 
 
-def envelope_for_boot(
-    run, inputs: Dict[str, Any], boot_cpu: str = "kvm"
-) -> JobEnvelope:
+def envelope_for_boot(run, inputs: Dict[str, Any]) -> JobEnvelope:
     """Wrap a prefix cohort's boot job in a process-pool envelope.
 
     ``run`` is any representative of the prefix cohort and ``inputs``
-    its :meth:`~repro.art.run.InputResolver.wire` form; ``boot_cpu`` is
-    the cheap CPU model the boot executes under (kvm by default, which
-    the fault model supports on every platform shape).
+    its :meth:`~repro.art.run.InputResolver.wire` form.
     """
     if run.kind != "fs":
         raise ValidationError("only fs runs have a boot stage")
@@ -158,7 +141,6 @@ def envelope_for_boot(
         "version": PAYLOAD_VERSION,
         "run_id": run.run_id,
         "params": dict(run.params),
-        "boot_cpu": boot_cpu,
         **inputs,
     }
     shared: Dict[str, Any] = {}
@@ -178,29 +160,19 @@ def envelope_for_boot(
 def execute_run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side entry point: simulate a payload, return plain data.
 
-    Imported by dotted path inside a spawned worker process.  Runs the
-    simulation ``payload["repeats"]`` times and fails loudly if any
-    repeat produces different statistics — a deterministic simulator is
-    part of the reproducibility contract and process isolation is the
-    best place to catch violations.
+    Imported by dotted path inside a spawned worker process.
     """
     restore = None
     if payload.get("restore_from") is not None:
         restore = Checkpoint.from_dict(payload["restore_from"])
-    repeats = int(payload.get("repeats", 1))
     summary, result = simulate(
-        payload["kind"],
-        payload["params"],
-        _live_inputs(payload),
-        restore,
-        repeats=repeats,
+        payload["kind"], payload["params"], _live_inputs(payload), restore
     )
     stats_txt = result.stats_txt()
     return {
         "summary": summary,
         "stats_txt": stats_txt,
         "stats_fingerprint": sha256_text(stats_txt),
-        "repeats": repeats,
     }
 
 
@@ -213,7 +185,7 @@ def execute_boot_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     degradation, never escalation.
     """
     checkpoint, _ = boot_checkpoint(
-        payload["params"], _live_inputs(payload), payload["boot_cpu"]
+        payload["params"], _live_inputs(payload)
     )
     return {
         "checkpoint": None if checkpoint is None else checkpoint.to_dict()

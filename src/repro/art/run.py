@@ -27,10 +27,9 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Hashable, Optional
 
-from repro.common.errors import NotFoundError, StateError, ValidationError
+from repro.common.errors import ValidationError
 from repro.common.ids import new_uuid
 from repro.common.timeutil import iso_now
 from repro import chaos, telemetry
@@ -46,6 +45,10 @@ from repro.sim.checkpoint import Checkpoint
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Gem5Simulator, SimulationStatus
 from repro.vfs.image import DiskImage
+
+#: The CPU model the boot stage executes under: the cheap one, which the
+#: fault model supports on every platform shape.
+BOOT_CPU = "kvm"
 
 
 class RunStatus(str, enum.Enum):
@@ -68,10 +71,10 @@ class Gem5Run:
     params: Dict[str, object]
     timeout: float
     db: ArtifactDB = field(repr=False)
+    spec: RunSpec = field(repr=False)
+    fingerprint: str
     status: RunStatus = RunStatus.CREATED
     results: Optional[Dict[str, object]] = None
-    spec: Optional[RunSpec] = field(default=None, repr=False)
-    fingerprint: str = ""
 
     # -------------------------------------------------------- constructors
 
@@ -131,9 +134,9 @@ class Gem5Run:
         workload: str,
         register_allocator: str = "simple",
         gpu_config: Optional[GPUConfig] = None,
-        timeout: float = 60 * 15,
     ) -> "Gem5Run":
-        """Create a GPU (GCN3_X86) run for use-case 3."""
+        """Create a GPU (GCN3_X86) run for use-case 3 (same 15-minute
+        timeout as :meth:`create_fs_run`'s default)."""
         build_meta = gem5_artifact.metadata
         if build_meta.get("isa") != "GCN3_X86":
             raise ValidationError(
@@ -160,7 +163,7 @@ class Gem5Run:
             },
         }
         spec = RunSpec.from_artifacts("gpu", artifact_objects, params)
-        return cls._create(db, artifact_objects, params, timeout, spec)
+        return cls._create(db, artifact_objects, params, 60 * 15, spec)
 
     createGPURun = create_gpu_run
 
@@ -204,7 +207,12 @@ class Gem5Run:
     @classmethod
     def load(cls, db: ArtifactDB, run_id: str) -> "Gem5Run":
         doc = db.get_run(run_id)
-        spec = cls._spec_for_doc(db, doc)
+        if not doc.get("spec") or not doc.get("fingerprint"):
+            raise ValidationError(
+                f"run document {run_id} carries no spec/fingerprint: every "
+                "run written since the RunSpec IR does, so this one was "
+                "hand-edited or comes from another tool"
+            )
         return cls(
             run_id=doc["_id"],
             kind=doc["kind"],
@@ -214,49 +222,20 @@ class Gem5Run:
             db=db,
             status=RunStatus(doc["status"]),
             results=doc.get("results"),
-            spec=spec,
-            fingerprint=(
-                doc.get("fingerprint")
-                or (spec.fingerprint() if spec is not None else "")
-            ),
-        )
-
-    @staticmethod
-    def _spec_for_doc(
-        db: ArtifactDB, doc: Dict[str, object]
-    ) -> Optional[RunSpec]:
-        """Rehydrate (or, for pre-spec documents, rebuild) the run's spec.
-
-        Older run documents carry only artifact UUIDs; the spec is
-        reconstructed from the referenced artifacts' content hashes.  A
-        document whose artifacts are gone (a partial archive import)
-        yields None — the run still loads, it just cannot be memoized.
-        """
-        spec_doc = doc.get("spec")
-        if spec_doc:
-            return RunSpec.from_document(spec_doc)
-        try:
-            artifact_objects = {
-                role: Artifact.load(db, artifact_id)
-                for role, artifact_id in doc["artifacts"].items()
-            }
-        except NotFoundError:
-            return None
-        return RunSpec.from_artifacts(
-            doc["kind"], artifact_objects, doc["params"]
+            spec=RunSpec.from_document(doc["spec"]),
+            fingerprint=doc["fingerprint"],
         )
 
     # ------------------------------------------------------------ identity
 
     @property
     def prefix(self) -> Optional[str]:
-        """The boot-prefix fingerprint of this run's spec, or None.
+        """The boot-prefix fingerprint of this run's spec (None for a
+        run kind without a boot stage).
 
         All runs sharing a prefix may legally restore one boot
         checkpoint (see :meth:`repro.art.spec.RunSpec.prefix_fingerprint`).
         """
-        if self.spec is None:
-            return None
         return self.spec.prefix_fingerprint()
 
     # ----------------------------------------------------------- execution
@@ -312,7 +291,6 @@ class Gem5Run:
         self,
         pool,
         use_cache: bool = True,
-        repeats: int = 1,
         checkpoint_store=None,
         resolver: Optional["InputResolver"] = None,
     ) -> Dict[str, object]:
@@ -329,9 +307,7 @@ class Gem5Run:
 
         def in_worker(resolver: "InputResolver", restore):
             handle = pool.submit(
-                envelope_for_run(
-                    self, resolver.wire(self), restore, repeats=repeats
-                )
+                envelope_for_run(self, resolver.wire(self), restore)
             )
             outcome = handle.result()
             return (
@@ -406,9 +382,7 @@ class Gem5Run:
         resolver: "InputResolver",
         span,
     ) -> Dict[str, object]:
-        cache = (
-            RunCache(self.db) if use_cache and self.fingerprint else None
-        )
+        cache = RunCache(self.db) if use_cache else None
         if cache is not None:
             entry = cache.consult(self.fingerprint)
             if entry is not None:
@@ -532,21 +506,19 @@ class Gem5Run:
         return checkpoint
 
     def take_boot_checkpoint(
-        self,
-        boot_cpu: str = "kvm",
-        resolver: Optional["InputResolver"] = None,
+        self, resolver: Optional["InputResolver"] = None
     ) -> Optional[Checkpoint]:
         """Boot this run's prefix once and capture a checkpoint.
 
-        The boot stage of the staged planner: executed under a cheap CPU
-        model (kvm by default — supported on every platform shape) on
-        this run's platform shape and boot type.  Returns None when the
-        boot itself fails; the cohort then degrades to full boots.
+        The boot stage of the staged planner: executed under
+        :data:`BOOT_CPU` on this run's platform shape and boot type.
+        Returns None when the boot itself fails; the cohort then
+        degrades to full boots.
         """
         if self.kind != "fs":
             return None
         checkpoint, _ = boot_checkpoint(
-            self.params, (resolver or InputResolver()).live(self), boot_cpu
+            self.params, (resolver or InputResolver()).live(self)
         )
         return checkpoint
 
@@ -619,7 +591,7 @@ class InputResolver:
         inputs = self.live(run)
         if inputs:
             inputs["disk_image"] = self._once(
-                ("disk_image.wire", _content_key(run, "disk_image")),
+                ("disk_image.wire", run.spec.artifacts["disk_image"]),
                 inputs["disk_image"].to_dict,
             )
         return inputs
@@ -628,7 +600,7 @@ class InputResolver:
         self, run: Gem5Run, role: str, decode: Callable[[Artifact], Any]
     ) -> Any:
         return self._once(
-            (role, _content_key(run, role)),
+            (role, run.spec.artifacts[role]),
             lambda: decode(Artifact.load(run.db, run.artifacts[role])),
         )
 
@@ -640,13 +612,6 @@ class InputResolver:
             if key not in self._resolved:
                 self._resolved[key] = load()
             return self._resolved[key]
-
-
-def _content_key(run: Gem5Run, role: str) -> str:
-    """The content hash of a run's input artifact; its instance id for
-    a document so old it carries no spec."""
-    identities = run.artifacts if run.spec is None else run.spec.artifacts
-    return identities[role]
 
 
 def _build_of(gem5_artifact: Artifact) -> Dict[str, object]:
@@ -679,40 +644,25 @@ def _published_disk_image(disk_artifact: Artifact) -> DiskImage:
 # produce the same summary by construction.
 
 
-def simulate(kind: str, params, inputs, restore=None, repeats: int = 1):
+def simulate(kind: str, params, inputs, restore=None):
     """Simulate one run: ``(summary, result)``.
 
     ``inputs`` is :meth:`InputResolver.live` (or a worker's rebuild of
     it); the summary has every result field that does not need the
-    database.  ``repeats`` re-runs the (deterministic) simulation on
-    the same simulator and raises if any repeat produces different
-    statistics.
+    database.
     """
     if kind == "fs":
-        # Built once, outside the repeat loop.
         simulator = _fs_simulator(params, inputs, params["cpu_type"])
-        once = partial(_simulate_fs, simulator, params, inputs, restore)
-    elif kind == "gpu":
-        once = partial(_simulate_gpu, params)
-    else:
-        raise ValidationError(f"unknown run kind {kind!r}")
-    summary, result = once()
-    # Repeats compare raw stats dicts — equivalent to comparing the
-    # rendered text (stats_txt derives from stats deterministically)
-    # without paying serialization+hash per repeat.
-    for _ in range(repeats - 1):
-        if once()[1].stats != result.stats:
-            raise StateError(
-                "non-deterministic simulation: a repeat produced "
-                "different stats"
-            )
-    return summary, result
+        return _simulate_fs(simulator, params, inputs, restore)
+    if kind == "gpu":
+        return _simulate_gpu(params)
+    raise ValidationError(f"unknown run kind {kind!r}")
 
 
-def boot_checkpoint(params, inputs, boot_cpu: str = "kvm"):
-    """Boot an fs run's platform shape under ``boot_cpu``:
+def boot_checkpoint(params, inputs):
+    """Boot an fs run's platform shape under :data:`BOOT_CPU`:
     ``(checkpoint-or-None, result)``."""
-    return _fs_simulator(params, inputs, boot_cpu).take_boot_checkpoint(
+    return _fs_simulator(params, inputs, BOOT_CPU).take_boot_checkpoint(
         kernel=inputs["kernel_version"],
         disk_image=inputs["disk_image"],
         boot_type=params.get("boot_type", "systemd"),

@@ -31,7 +31,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
-from repro.common.jsonutil import canonical_dumps, loads
+from repro.common.jsonutil import canonical_dumps
 
 #: Bumped whenever the canonical serialization changes shape, so old
 #: fingerprints can never silently alias new ones.
@@ -92,25 +92,23 @@ class RunSpec:
         kind: str,
         artifacts: Mapping[str, "object"],
         params: Mapping[str, object],
-        build: Optional[Mapping[str, str]] = None,
     ) -> "RunSpec":
         """Build a spec from role → :class:`~repro.art.artifact.Artifact`.
 
-        When ``build`` is omitted and a ``gem5`` artifact is present, the
-        simulator build info is lifted from that artifact's metadata — the
-        same metadata the run layer uses to reconstruct the binary.
+        When a ``gem5`` artifact is present, the simulator build info is
+        lifted from that artifact's metadata — the same metadata the run
+        layer uses to reconstruct the binary.
         """
         hashes = {role: art.hash for role, art in artifacts.items()}
-        if build is None:
-            build = {}
-            gem5 = artifacts.get("gem5")
-            if gem5 is not None:
-                meta = getattr(gem5, "metadata", {}) or {}
-                build = {
-                    key: str(meta[key])
-                    for key in ("version", "isa", "variant")
-                    if key in meta
-                }
+        build = {}
+        gem5 = artifacts.get("gem5")
+        if gem5 is not None:
+            meta = getattr(gem5, "metadata", {}) or {}
+            build = {
+                key: str(meta[key])
+                for key in ("version", "isa", "variant")
+                if key in meta
+            }
         return cls(kind=kind, artifacts=hashes, params=params, build=build)
 
     # ------------------------------------------------------------ identity
@@ -185,10 +183,6 @@ class RunSpec:
             return None
         return sha256_text(canonical_dumps(document))
 
-    def uses_artifact_hash(self, content_hash: str) -> bool:
-        """Does any input artifact of this spec have ``content_hash``?"""
-        return content_hash in self.artifacts.values()
-
     # ------------------------------------------------------------- storage
 
     def to_document(self) -> Dict[str, object]:
@@ -202,7 +196,3 @@ class RunSpec:
             params=dict(document.get("params") or {}),
             build=dict(document.get("build") or {}),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        return cls.from_document(loads(text))

@@ -29,15 +29,13 @@ from repro.telemetry import get_metrics, get_tracer
 SUBSTRATES = ("inline", "threads", "processes")
 
 
-def run_job(run: Gem5Run, use_cache: bool = True) -> Dict[str, object]:
+def run_job(run: Gem5Run) -> Dict[str, object]:
     """Execute one run synchronously (the no-scheduler option)."""
-    return run.run(use_cache=use_cache)
+    return run.run()
 
 
 def run_jobs_pool(
-    runs: Sequence[Gem5Run],
-    processes: int = 4,
-    use_cache: bool = True,
+    runs: Sequence[Gem5Run], processes: int = 4
 ) -> List[Dict[str, object]]:
     """Execute runs through the multiprocessing-style pool, preserving
     input order in the returned summaries.
@@ -52,7 +50,7 @@ def run_jobs_pool(
 
     def execute(run: Gem5Run) -> Dict[str, object]:
         with tracer.activate(parent):
-            return run_job(run, use_cache=use_cache)
+            return run_job(run)
 
     with SimplePool(processes=processes) as pool:
         handles = [pool.apply_async(execute, (run,)) for run in runs]
@@ -66,8 +64,7 @@ def group_runs_by_prefix(
 
     The planner's first step: every key is one boot to pay for, every
     value the variant cohort that shares it.  Runs without a prefix
-    (GPU runs, spec-less documents) are omitted — they have no boot
-    stage.
+    (GPU runs) are omitted — they have no boot stage.
     """
     plan: Dict[str, List[int]] = {}
     for index, run in enumerate(runs):
@@ -83,7 +80,6 @@ def run_boot_stage(
     store: CheckpointStore,
     worker_count: int = 4,
     pool: Optional[ProcessPool] = None,
-    boot_cpu: str = "kvm",
     resolver: Optional[InputResolver] = None,
 ) -> Dict[str, object]:
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
@@ -108,16 +104,12 @@ def run_boot_stage(
 
         def boot():
             if pool is None:
-                return representative.take_boot_checkpoint(
-                    boot_cpu=boot_cpu, resolver=resolver
-                )
+                return representative.take_boot_checkpoint(resolver)
             from repro.art.procjobs import envelope_for_boot
 
             outcome = pool.submit(
                 envelope_for_boot(
-                    representative,
-                    resolver.wire(representative),
-                    boot_cpu=boot_cpu,
+                    representative, resolver.wire(representative)
                 )
             ).result()
             if outcome["checkpoint"] is None:
@@ -157,8 +149,6 @@ def run_jobs_scheduler(
     use_cache: bool = True,
     substrate: str = "threads",
     use_checkpoints: bool = False,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    repeats: int = 1,
 ) -> List[Dict[str, object]]:
     """Plan and execute a sweep: boot stage, then one job per run.
 
@@ -193,15 +183,12 @@ def run_jobs_scheduler(
 
     With ``use_checkpoints`` the sweep runs as a **staged pipeline**:
     the runs are grouped by boot-prefix fingerprint, a boot stage takes
-    one checkpoint per unique prefix (single-flighted through
-    ``checkpoint_store``, created on demand from the first run's
-    database when not supplied), and only then does the variant stage
+    one checkpoint per unique prefix (single-flighted through the
+    :class:`CheckpointStore` of the first run's database), and only
+    then does the variant stage
     fan out — each variant job carrying ``restore_from`` so it skips
     the boot its cohort already paid for.  A prefix whose boot fails
     degrades that cohort back to full boots; nothing is lost but time.
-
-    ``repeats`` amplifies each process-substrate job (one envelope, N
-    simulations).
     """
     if substrate not in SUBSTRATES:
         raise ValidationError(
@@ -215,7 +202,7 @@ def run_jobs_scheduler(
     )
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
-        store = checkpoint_store or CheckpointStore(runs[0].db)
+        store = CheckpointStore(runs[0].db)
     # Dies with this call: a later sweep on the same connection re-reads
     # (and re-verifies) its artifacts.
     resolver = InputResolver()
@@ -225,7 +212,6 @@ def run_jobs_scheduler(
             return runs[index].run_in_pool(
                 pool,
                 use_cache=use_cache,
-                repeats=repeats,
                 checkpoint_store=store,
                 resolver=resolver,
             )
@@ -265,8 +251,9 @@ def run_jobs_scheduler(
         leaders: Dict[str, int] = {}
         handles = {}
         for index, run in enumerate(runs):
-            fingerprint = run.fingerprint if use_cache else None
-            if fingerprint and leaders.setdefault(fingerprint, index) != index:
+            if use_cache and (
+                leaders.setdefault(run.fingerprint, index) != index
+            ):
                 continue
             handles[index] = submit(index)
         summaries: List[Dict[str, object]] = []

@@ -94,34 +94,6 @@ def topological_order(
     return order
 
 
-def dot_escape(text: str) -> str:
-    """Escape a string for use inside a double-quoted DOT id or label.
-
-    Graphviz quoted strings treat ``\\`` and ``"`` specially; an
-    artifact named ``benchmark "v2"`` must not produce unparseable DOT.
-    """
-    return str(text).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def workflow_to_dot(db: ArtifactDB, name: str = "gem5art") -> str:
-    """Render the artifact graph in Graphviz DOT syntax, one node per
-    artifact (labelled name + type) and one edge per input dependency —
-    the Fig 1 diagram, generated from a real experiment."""
-    graph = workflow_graph(db)
-    lines = [f'digraph "{dot_escape(name)}" {{', "  rankdir=LR;"]
-    for node in graph["nodes"]:
-        label = (
-            f"{dot_escape(node['name'])}\\n({dot_escape(node['type'])})"
-        )
-        lines.append(f'  "{dot_escape(node["id"])}" [label="{label}"];')
-    for source, target in graph["edges"]:
-        lines.append(
-            f'  "{dot_escape(source)}" -> "{dot_escape(target)}";'
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def render_workflow(db: ArtifactDB) -> str:
     """Human-readable rendering of the workflow graph in build order."""
     graph = workflow_graph(db)

@@ -212,7 +212,8 @@ def fire(point: str, **context: Any) -> None:
 
 
 @contextmanager
-def injected(
+# dev-tool entry: every suite CI's `chaos` job runs installs through it
+def injected(  # repro: noqa[DEAD-REACH]
     seed: int, rules: Sequence[FaultRule]
 ) -> Iterator[ChaosInjector]:
     """Install a fresh injector for the duration of a ``with`` block."""

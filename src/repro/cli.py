@@ -177,8 +177,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     lint = commands.add_parser(
         "lint",
-        help="run the determinism/concurrency/hygiene analyzer "
-        "(exit 1 on unbaselined errors)",
+        help="run every static-analysis rule and whole-program pass "
+        "(exit 1 on any finding without a `# repro: noqa[RULE]` pragma)",
     )
     lint.add_argument(
         "paths", nargs="*", default=None,
@@ -187,25 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint.add_argument(
         "--format", default="text", choices=("text", "json", "sarif"),
         help="report format (json or sarif for CI consumption)",
-    )
-    lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program passes (lockset races, "
-        "determinism taint, import layering)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of accepted findings; only new findings "
-        "are reported and only new errors fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings: rewrite --baseline from "
-        "them and exit 0",
-    )
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="fail (exit 1) on warnings too, not just errors",
     )
 
     reproduce = commands.add_parser(
@@ -742,10 +723,7 @@ def _cmd_ckpt(args) -> int:
     # hashes to its prefix.
     live = set()
     for doc in db.runs.find({}):
-        spec_doc = doc.get("spec")
-        if not spec_doc:
-            continue
-        prefix = RunSpec.from_document(spec_doc).prefix_fingerprint()
+        prefix = RunSpec.from_document(doc["spec"]).prefix_fingerprint()
         if prefix:
             live.add(prefix)
     evicted = store.gc(live)
@@ -852,66 +830,31 @@ def _cmd_db(args) -> int:
 def _cmd_lint(args) -> int:
     """Run the analyzer; the exit code is the CI contract.
 
-    0 — clean (or every finding is baselined / only warnings without
-    ``--strict``); 1 — new findings at failing severity; 2 — usage
-    error (bad paths, malformed baseline).
+    0 — clean; 1 — findings (any rule, any severity: the pragma is the
+    only way to accept one); 2 — usage error (bad paths).
     """
     import os
 
     from repro.analysis import lint_paths
-    from repro.analysis.baseline import (
-        load_baseline,
-        split_baselined,
-        write_baseline,
-    )
     from repro.analysis.reporters import (
         render_json,
         render_sarif,
         render_text,
     )
-    from repro.common.errors import ReproError
 
     paths = args.paths or ["src/repro"]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}")
         return 2
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline PATH")
-        return 2
     findings = lint_paths(paths)
-    if getattr(args, "deep", False):
-        from repro.analysis import deep_lint_paths
-
-        findings = sorted(
-            findings + deep_lint_paths(paths),
-            key=lambda finding: finding.sort_key(),
-        )
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"baseline {args.baseline} written: "
-            f"{len(findings)} finding(s) accepted"
-        )
-        return 0
-    baselined = 0
-    if args.baseline:
-        try:
-            accepted = load_baseline(args.baseline)
-        except ReproError as error:
-            print(f"error: {error}")
-            return 2
-        findings, known = split_baselined(findings, accepted)
-        baselined = len(known)
     render = {
         "json": render_json,
         "sarif": render_sarif,
     }.get(args.format, render_text)
-    output = render(findings, baselined=baselined)
+    output = render(findings)
     print(output, end="" if output.endswith("\n") else "\n")
-    failing = ("error", "warning") if args.strict else ("error",)
-    failed = any(f.severity in failing for f in findings)
-    return 1 if failed else 0
+    return 1 if findings else 0
 
 
 def _cmd_trace(args) -> int:

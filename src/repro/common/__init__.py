@@ -18,19 +18,14 @@ from repro.common.hashing import (
     md5_file,
     md5_tree,
     sha256_bytes,
-    short_hash,
 )
-from repro.common.hostinfo import effective_cores
-from repro.common.ids import new_uuid, deterministic_uuid
+from repro.common.ids import new_uuid
 from repro.common.jsonutil import canonical_dumps, dumps, loads, stable_dumps
 from repro.common.rng import RngStream, derive_seed
 from repro.common.tables import TextTable
 from repro.common.timeutil import iso_from_timestamp, iso_now
 from repro.common.units import (
     GHz,
-    MHz,
-    ns_to_ticks,
-    ticks_to_seconds,
     TICKS_PER_SECOND,
 )
 
@@ -45,10 +40,7 @@ __all__ = [
     "md5_file",
     "md5_tree",
     "sha256_bytes",
-    "short_hash",
-    "effective_cores",
     "new_uuid",
-    "deterministic_uuid",
     "canonical_dumps",
     "stable_dumps",
     "dumps",
@@ -59,8 +51,5 @@ __all__ = [
     "iso_from_timestamp",
     "iso_now",
     "GHz",
-    "MHz",
-    "ns_to_ticks",
-    "ticks_to_seconds",
     "TICKS_PER_SECOND",
 ]

@@ -2,10 +2,9 @@
 
 gem5art stores, for every artifact that is a git repository, the repository
 URL and the revision hash so third parties can recover the exact source even
-without database access.  Real checkouts are read from ``.git``; since most
-resources in this reproduction are *simulated* repositories, we also support
-a lightweight on-disk marker file (``.repro-git``) that declares the same
-metadata deterministically.
+without database access.  Real checkouts are read from ``.git``; most
+resources in this reproduction are *simulated* repositories, whose revision
+is derived deterministically from (URL, version).
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import os
 from dataclasses import dataclass
 
 from repro.common.hashing import md5_text
-
-#: Marker file used by simulated repositories.
-SIMULATED_MARKER = ".repro-git"
 
 
 @dataclass(frozen=True)
@@ -40,35 +36,12 @@ def simulated_revision(url: str, version: str) -> str:
     return (seed + seed)[:40]
 
 
-def write_simulated_repo(path: str, url: str, version: str) -> GitInfo:
-    """Mark a directory as a simulated git repository.
-
-    Creates the directory if needed and drops a marker file recording the
-    URL and derived revision.
-    """
-    os.makedirs(path, exist_ok=True)
-    info = GitInfo(url=url, revision=simulated_revision(url, version))
-    marker = os.path.join(path, SIMULATED_MARKER)
-    with open(marker, "w", encoding="utf-8") as handle:
-        handle.write(f"{info.url}\n{info.revision}\n")
-    return info
-
-
 def read_git_info(path: str) -> GitInfo:
-    """Read provenance for a checkout, real or simulated.
-
-    Order of preference: the simulated marker file, then a real ``.git``
-    directory (HEAD is resolved one level of indirection deep).  Returns
-    ``None`` when the path is not a repository of either kind, mirroring
-    gem5art's behaviour of leaving the git dictionary blank.
+    """Read provenance for a checkout from its ``.git`` directory (HEAD
+    is resolved one level of indirection deep).  Returns ``None`` when
+    the path is not a repository, mirroring gem5art's behaviour of
+    leaving the git dictionary blank.
     """
-    marker = os.path.join(path, SIMULATED_MARKER)
-    if os.path.isfile(marker):
-        with open(marker, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if len(lines) >= 2:
-            return GitInfo(url=lines[0], revision=lines[1])
-        return None
     git_dir = os.path.join(path, ".git")
     if os.path.isdir(git_dir):
         return _read_real_git(path, git_dir)

@@ -83,10 +83,3 @@ def sha256_text(text: str) -> str:
     serialization goes in, a stable content address comes out.
     """
     return sha256_bytes(text.encode("utf-8"))
-
-
-def short_hash(value: str, length: int = 8) -> str:
-    """Return a short, human-friendly prefix of a hex digest."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    return value[:length]

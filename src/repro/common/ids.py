@@ -1,30 +1,16 @@
 """UUID helpers.
 
-gem5art assigns every artifact a UUID.  Besides random UUIDs we also provide
-*deterministic* UUIDs (UUIDv5 over a namespace) so that simulated resources —
-whose "content" is a recipe rather than real bytes — get stable identities
-across processes and test runs.
+gem5art assigns every artifact and run a UUID.  This module is the one
+place they are minted (the determinism lint's sanctioned choke point):
+identity that must be stable across processes is a content hash
+(:mod:`repro.common.hashing`), never an id from here.
 """
 
 from __future__ import annotations
 
 import uuid
 
-#: Namespace under which all deterministic repro UUIDs are minted.
-REPRO_NAMESPACE = uuid.uuid5(uuid.NAMESPACE_URL, "https://repro.local/gem5art")
-
 
 def new_uuid() -> str:
     """Return a fresh random UUID4 string."""
     return str(uuid.uuid4())
-
-
-def deterministic_uuid(*parts: str) -> str:
-    """Return a UUID5 string derived from the given name parts.
-
-    The same parts always produce the same UUID, which is what lets two
-    independent registrations of an identical artifact collapse into one
-    database entry.
-    """
-    name = "\x00".join(parts)
-    return str(uuid.uuid5(REPRO_NAMESPACE, name))

@@ -38,9 +38,6 @@ class StatsDB:
             return default
         raise ValidationError(f"unknown statistic {name!r}")
 
-    def has(self, name: str) -> bool:
-        return name in self._scalars or name in self._vectors
-
     # ------------------------------------------------------------- vectors
 
     def vec_inc(self, name: str, key: str, amount: float = 1.0) -> None:
@@ -89,12 +86,3 @@ class StatsDB:
     def _check_name(name: str) -> None:
         if not name or name != name.strip():
             raise ValidationError(f"bad statistic name {name!r}")
-
-    def merge_prefixed(self, prefix: str, other: "StatsDB") -> None:
-        """Fold another StatsDB in under a dotted prefix."""
-        for name, value in other._scalars.items():
-            self._scalars[f"{prefix}.{name}"] = value
-        for name, vector in other._vectors.items():
-            merged = self._vectors.setdefault(f"{prefix}.{name}", {})
-            for key, value in vector.items():
-                merged[key] = merged.get(key, 0.0) + value

@@ -59,13 +59,5 @@ class TextTable:
             )
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        """Render the table as simple CSV (no quoting of commas needed for
-        our numeric/identifier cell values)."""
-        lines = [",".join(self.headers)]
-        for row in self.rows:
-            lines.append(",".join(row))
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self.rows)

@@ -15,18 +15,3 @@ def GHz(value: float) -> int:
     if value <= 0:
         raise ValueError("frequency must be positive")
     return int(TICKS_PER_SECOND / (value * 1e9))
-
-
-def MHz(value: float) -> int:
-    """Return the clock period in ticks for a frequency in MHz."""
-    return GHz(value / 1000.0)
-
-
-def ns_to_ticks(nanoseconds: float) -> int:
-    """Convert a latency in nanoseconds to ticks."""
-    return int(nanoseconds * TICKS_PER_SECOND / 1e9)
-
-
-def ticks_to_seconds(ticks: int) -> float:
-    """Convert ticks to simulated seconds."""
-    return ticks / TICKS_PER_SECOND

@@ -25,7 +25,7 @@ from repro.db.database import Database
 from repro.db.engine import DURABILITY_MODES
 
 
-def connect(uri: str = "memory://", name: str = "artifact_database") -> Database:
+def connect(uri: str = "memory://") -> Database:
     """Open a database identified by URI.
 
     >>> db = connect("memory://")
@@ -34,7 +34,7 @@ def connect(uri: str = "memory://", name: str = "artifact_database") -> Database
     """
     parsed = urlparse(uri)
     if parsed.scheme == "memory":
-        return Database(name=name, root=None)
+        return Database(name="artifact_database", root=None)
     if parsed.scheme == "file":
         path = parsed.path
         if not path:
@@ -51,7 +51,9 @@ def connect(uri: str = "memory://", name: str = "artifact_database") -> Database
                     f"unknown durability {durability!r}; "
                     f"one of {DURABILITY_MODES}"
                 )
-        return Database(name=name, root=path, durability=durability)
+        return Database(
+            name="artifact_database", root=path, durability=durability
+        )
     raise ValidationError(
         f"unsupported database URI scheme {parsed.scheme!r}; "
         "use memory:// or file:///path"

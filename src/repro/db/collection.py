@@ -265,9 +265,6 @@ class Collection:
             self._index_add(doc)
             return doc_id
 
-    def insert_many(self, documents: Sequence[Dict[str, Any]]) -> List[str]:
-        return [self.insert_one(doc) for doc in documents]
-
     # --------------------------------------------------------------- query
 
     def find(
@@ -306,20 +303,6 @@ class Collection:
                 1 for doc in self._candidates(query) if matches(doc, query)
             )
 
-    def distinct(
-        self, field: str, query: Optional[Dict[str, Any]] = None
-    ) -> List[Any]:
-        """Return the sorted distinct values of ``field`` over matches."""
-        values = []
-        for doc in self.find(query):
-            value = get_path(doc, field)
-            if value is not _MISSING and value not in values:
-                values.append(value)
-        try:
-            return sorted(values)
-        except TypeError:
-            return values
-
     # -------------------------------------------------------------- update
 
     def update_one(
@@ -343,25 +326,6 @@ class Collection:
                     self._index_add(doc)
                     return True
             return False
-
-    def update_many(
-        self, query: Dict[str, Any], update: Dict[str, Any]
-    ) -> int:
-        with self._lock:
-            count = 0
-            for doc in self._documents.values():
-                if matches(doc, query):
-                    candidate = copy.deepcopy(doc)
-                    _apply_update(candidate, update)
-                    self._check_unique(candidate, ignore_id=doc["_id"])
-                    if self._store is not None:
-                        self._store.log_replace(candidate)
-                    self._index_remove(doc)
-                    doc.clear()
-                    doc.update(candidate)
-                    self._index_add(doc)
-                    count += 1
-            return count
 
     def replace_one(
         self, query: Dict[str, Any], document: Dict[str, Any]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.common.errors import ValidationError
 from repro.db.collection import Collection
@@ -38,7 +38,6 @@ class Database:
         name: str = "repro",
         root: Optional[str] = None,
         durability: str = "batch",
-        engine_options: Optional[Dict[str, Any]] = None,
     ):
         if not name:
             raise ValidationError("database name must be non-empty")
@@ -59,9 +58,7 @@ class Database:
             os.makedirs(root, exist_ok=True)
             self._files = FileStore(os.path.join(root, "files"))
             self._engine = StorageEngine(
-                os.path.join(root, _ENGINE_DIR),
-                durability=durability,
-                **(engine_options or {}),
+                os.path.join(root, _ENGINE_DIR), durability
             )
             self._recover()
 
@@ -81,16 +78,6 @@ class Database:
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
-
-    def collection_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> None:
-        with self._lock:
-            self._collections.pop(name, None)
-            if self._engine is not None:
-                self._engine.drop(name)
 
     # ---------------------------------------------------------------- files
 

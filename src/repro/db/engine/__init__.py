@@ -22,20 +22,11 @@ acknowledged mutation through it *before* applying it in memory.
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 from typing import Any, Dict, List
 
-from repro.db.engine.compaction import (
-    DEFAULT_INTERVAL,
-    DEFAULT_MIN_SEGMENTS,
-    Compactor,
-)
-from repro.db.engine.segments import (
-    DEFAULT_SEAL_BYTES,
-    MANIFEST_NAME,
-    CollectionStore,
-)
+from repro.db.engine.compaction import Compactor
+from repro.db.engine.segments import MANIFEST_NAME, CollectionStore
 from repro.db.engine.wal import DURABILITY_MODES, WalWriter, read_log
 
 __all__ = [
@@ -47,34 +38,23 @@ __all__ = [
     "read_log",
 ]
 
+#: Whether opening an engine starts its background compactor (the crash
+#: suites patch this off to keep segment files where they put them).
+AUTO_COMPACT = True
+
 
 class StorageEngine:
     """A directory of collection stores plus their compaction thread."""
 
-    def __init__(
-        self,
-        root: str,
-        durability: str = "batch",
-        seal_bytes: int = DEFAULT_SEAL_BYTES,
-        batch_size: int = 64,
-        auto_compact: bool = True,
-        compact_interval: float = DEFAULT_INTERVAL,
-        compact_min_segments: int = DEFAULT_MIN_SEGMENTS,
-    ):
+    def __init__(self, root: str, durability: str):
         self.root = root
         self.durability = durability
-        self.seal_bytes = seal_bytes
-        self.batch_size = batch_size
         self._lock = threading.RLock()
         self._stores: Dict[str, CollectionStore] = {}
         self._closed = False
         os.makedirs(root, exist_ok=True)
-        self.compactor = Compactor(
-            self,
-            interval=compact_interval,
-            min_segments=compact_min_segments,
-        )
-        if auto_compact:
+        self.compactor = Compactor(self)
+        if AUTO_COMPACT:
             self.compactor.start()
 
     # ------------------------------------------------------------- stores
@@ -84,11 +64,7 @@ class StorageEngine:
         with self._lock:
             if name not in self._stores:
                 self._stores[name] = CollectionStore(
-                    self.root,
-                    name,
-                    durability=self.durability,
-                    seal_bytes=self.seal_bytes,
-                    batch_size=self.batch_size,
+                    self.root, name, self.durability
                 )
             return self._stores[name]
 
@@ -104,15 +80,6 @@ class StorageEngine:
             if os.path.isfile(manifest):
                 names.append(entry)
         return names
-
-    def drop(self, name: str) -> None:
-        with self._lock:
-            store = self._stores.pop(name, None)
-            if store is not None:
-                store.close()
-            path = os.path.join(self.root, name)
-            if os.path.isdir(path):
-                shutil.rmtree(path)
 
     # ------------------------------------------------------- maintenance
 

@@ -26,24 +26,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.db.engine import StorageEngine
 
 #: Compact a collection once it has accumulated this many sealed segments.
-DEFAULT_MIN_SEGMENTS = 4
+MIN_SEGMENTS = 4
 
 #: Seconds between housekeeping passes.
-DEFAULT_INTERVAL = 2.0
+INTERVAL = 2.0
 
 
 class Compactor:
     """Periodic segment-merge thread over a :class:`StorageEngine`."""
 
-    def __init__(
-        self,
-        engine: "StorageEngine",
-        interval: float = DEFAULT_INTERVAL,
-        min_segments: int = DEFAULT_MIN_SEGMENTS,
-    ):
+    def __init__(self, engine: "StorageEngine"):
         self.engine = engine
-        self.interval = interval
-        self.min_segments = min_segments
+        self.interval = INTERVAL
+        self.min_segments = MIN_SEGMENTS
         self.heartbeats = 0
         self._stop = threading.Event()
         self._thread: threading.Thread = threading.Thread(
@@ -53,10 +48,10 @@ class Compactor:
     def start(self) -> None:
         self._thread.start()
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         self._stop.set()
         if self._thread.is_alive():
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=5.0)
 
     @property
     def running(self) -> bool:

@@ -60,8 +60,8 @@ WAL_NAME = "wal.log"
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.seg$")
 _COMPACT_RE = re.compile(r"^compact-(\d{8})\.seg$")
 
-#: Default auto-seal threshold for the active WAL.
-DEFAULT_SEAL_BYTES = 1 << 20
+#: Auto-seal threshold for the active WAL, in bytes.
+SEAL_BYTES = 1 << 20
 
 
 def _segment_name(seq: int) -> str:
@@ -110,20 +110,13 @@ def _truncated_counter():
 class CollectionStore:
     """Durable op log for one collection: WAL + segments + manifest."""
 
-    def __init__(
-        self,
-        root: str,
-        name: str,
-        durability: str = "batch",
-        seal_bytes: int = DEFAULT_SEAL_BYTES,
-        batch_size: int = 64,
-    ):
+    def __init__(self, root: str, name: str, durability: str):
         if os.sep in name or name.startswith("."):
             raise ValidationError(f"invalid collection name: {name!r}")
         self.name = name
         self.dir = os.path.join(root, name)
         self.durability = durability
-        self.seal_bytes = seal_bytes
+        self.seal_bytes = SEAL_BYTES
         self._lock = threading.RLock()
         #: Serializes whole compactions (CLI + background thread) so two
         #: merges never race over the same tmp file or input segments.
@@ -134,12 +127,7 @@ class CollectionStore:
         self._adopt_orphan_segment()
         self._sweep_unreferenced_segments()
         self.recovery: Dict[str, Any] = self._heal_wal_tail()
-        self._writer = WalWriter(
-            self._wal_path(),
-            durability=durability,
-            batch_size=batch_size,
-            collection=name,
-        )
+        self._writer = WalWriter(self._wal_path(), durability, name)
 
     # ------------------------------------------------------------- paths
 
@@ -280,10 +268,7 @@ class CollectionStore:
             self._manifest["next_seq"] += 1
             self._write_manifest(self._manifest)
             self._writer = WalWriter(
-                self._wal_path(),
-                durability=self.durability,
-                batch_size=self._writer.batch_size,
-                collection=self.name,
+                self._wal_path(), self.durability, self.name
             )
         _sealed_counter().inc(collection=self.name)
         return segment

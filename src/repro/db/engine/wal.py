@@ -44,6 +44,9 @@ from repro.common.jsonutil import loads, stable_dumps
 #: Recognised durability modes, weakest to strongest.
 DURABILITY_MODES = ("none", "batch", "strict")
 
+#: Appends between fsyncs under ``durability="batch"``.
+BATCH_SIZE = 64
+
 #: Frame header: payload length + CRC32, both unsigned big-endian.
 _HEADER = struct.Struct(">II")
 
@@ -129,23 +132,15 @@ def read_log(
 class WalWriter:
     """Append-only writer for one collection's active WAL file."""
 
-    def __init__(
-        self,
-        path: str,
-        durability: str = "batch",
-        batch_size: int = 64,
-        collection: str = "",
-    ):
+    def __init__(self, path: str, durability: str, collection: str):
         if durability not in DURABILITY_MODES:
             raise ValidationError(
                 f"unknown durability {durability!r}; "
                 f"one of {DURABILITY_MODES}"
             )
-        if batch_size < 1:
-            raise ValidationError("batch_size must be positive")
         self.path = path
         self.durability = durability
-        self.batch_size = batch_size
+        self.batch_size = BATCH_SIZE
         self.collection = collection
         self._lock = threading.Lock()
         self._handle = open(path, "ab")

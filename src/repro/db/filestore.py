@@ -2,8 +2,8 @@
 
 gem5art uploads every artifact file (disk images, kernels, binaries) into
 GridFS keyed by its hash so identical files are stored once.  This store
-provides the same contract: ``put`` bytes or a host file and receive a
-content id (SHA-256); ``get`` the bytes back; idempotent re-puts.
+provides the same contract: ``put`` bytes and receive a content id
+(SHA-256); ``get`` the bytes back; idempotent re-puts.
 
 Blobs live either in memory (``root=None``) or on disk **sharded by hash
 prefix**: blob ``ab12…`` lives at ``<root>/ab/ab12…``.  Content
@@ -19,7 +19,6 @@ pristine content can repopulate the address), and reports through the
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import threading
@@ -32,9 +31,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.hashing import sha256_bytes
-from repro.common.ids import new_uuid
 
-_CHUNK_SIZE = 1 << 20
 _QUARANTINE_DIR = "quarantine"
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -84,21 +81,16 @@ class FileStore:
     def _sweep_stale_tmp(self) -> int:
         """Reclaim tmp files stranded by a crash mid-put.
 
-        ``put_file`` streams into ``ingest-<uuid>.tmp`` in the store
-        root and ``put_bytes`` stages ``<digest>.tmp`` inside the
-        shard; a process killed before the atomic rename leaks them —
-        for an aborted multi-GB ingest, indefinitely.  Any ``*.tmp``
-        found at open (or during scrub) belongs to a dead writer and
-        is removed.  Returns the number of files swept.
+        ``put_bytes`` stages ``<digest>.tmp`` inside the shard; a
+        process killed before the atomic rename leaks it.  Any
+        ``*.tmp`` found in a shard at open (or during scrub) belongs to
+        a dead writer and is removed.  Returns the number of files
+        swept.
         """
         swept = 0
         for entry in os.listdir(self.root):
             path = os.path.join(self.root, entry)
-            if os.path.isfile(path):
-                if entry.endswith(".tmp"):
-                    os.remove(path)
-                    swept += 1
-            elif entry != _QUARANTINE_DIR:
+            if os.path.isdir(path) and entry != _QUARANTINE_DIR:
                 for blob in os.listdir(path):
                     if blob.endswith(".tmp"):
                         os.remove(os.path.join(path, blob))
@@ -123,60 +115,6 @@ class FileStore:
                         handle.write(data)
                     os.replace(tmp, path)
             self._note_metadata(digest, len(data), filename)
-        return digest
-
-    def put_file(self, path: str) -> str:
-        """Store a host file's content; returns its content id.
-
-        Streams in chunks through an incremental SHA-256 — a multi-GB
-        disk image never lands in memory.  On disk stores the bytes go
-        straight into a temp file that is atomically renamed (or
-        discarded, when the content already exists) once the digest is
-        known.
-        """
-        filename = os.path.basename(path)
-        if self.root is None:
-            hasher = hashlib.sha256()
-            buffer = bytearray()
-            with open(path, "rb") as source:
-                while True:
-                    chunk = source.read(_CHUNK_SIZE)
-                    if not chunk:
-                        break
-                    hasher.update(chunk)
-                    buffer.extend(chunk)
-            digest = hasher.hexdigest()
-            chaos.fire("filestore.put", digest=digest, filename=filename)
-            with self._lock:
-                if digest not in self._memory:
-                    self._memory[digest] = bytes(buffer)
-                self._note_metadata(digest, len(buffer), filename)
-            return digest
-        hasher = hashlib.sha256()
-        length = 0
-        tmp = os.path.join(self.root, f"ingest-{new_uuid()}.tmp")
-        try:
-            with open(path, "rb") as source, open(tmp, "wb") as sink:
-                while True:
-                    chunk = source.read(_CHUNK_SIZE)
-                    if not chunk:
-                        break
-                    hasher.update(chunk)
-                    sink.write(chunk)
-                    length += len(chunk)
-            digest = hasher.hexdigest()
-            chaos.fire("filestore.put", digest=digest, filename=filename)
-            with self._lock:
-                if self.exists(digest):
-                    os.remove(tmp)
-                else:
-                    blob = self._blob_path(digest)
-                    os.makedirs(os.path.dirname(blob), exist_ok=True)
-                    os.replace(tmp, blob)
-                self._note_metadata(digest, length, filename)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
         return digest
 
     def _note_metadata(
@@ -218,13 +156,6 @@ class FileStore:
                 f"({len(data)} bytes on disk)"
             )
         return data
-
-    def download_to(self, digest: str, destination: str) -> None:
-        """Copy a blob out to a host path (gem5art's downloadFile)."""
-        data = self.get_bytes(digest)
-        os.makedirs(os.path.dirname(destination) or ".", exist_ok=True)
-        with open(destination, "wb") as handle:
-            handle.write(data)
 
     # -------------------------------------------------------------- delete
 

@@ -23,7 +23,6 @@ abundant parallel work improve.
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import GPUKernel
 from repro.gpu.regalloc import (
-    RegisterFile,
     SimpleRegisterAllocator,
     DynamicRegisterAllocator,
     build_register_allocator,
@@ -39,7 +38,6 @@ from repro.gpu.workloads import (
 __all__ = [
     "GPUConfig",
     "GPUKernel",
-    "RegisterFile",
     "SimpleRegisterAllocator",
     "DynamicRegisterAllocator",
     "build_register_allocator",

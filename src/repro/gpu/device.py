@@ -131,48 +131,6 @@ class GPUDevice:
             stats=stats,
         )
 
-    def execute_sequence(
-        self, kernels, allocator: str = "simple"
-    ) -> "GPURunResult":
-        """Run dependent kernels back to back (a real GPU application is
-        a launch sequence, not one grid).  Returns an aggregate result
-        whose per-kernel breakdown lives in ``stats['kernel_ticks']``."""
-        kernels = list(kernels)
-        if not kernels:
-            raise ValidationError("execute_sequence needs >= 1 kernel")
-        total = compute = sync = dispatch = 0.0
-        per_kernel = {}
-        max_occupancy = 0
-        for kernel in kernels:
-            result = self.execute(kernel, allocator)
-            total += result.shader_ticks
-            compute += result.compute_ticks
-            sync += result.sync_ticks
-            dispatch += result.dispatch_ticks
-            per_kernel[kernel.name] = result.shader_ticks
-            max_occupancy = max(
-                max_occupancy, result.occupancy_per_simd
-            )
-        name = "+".join(kernel.name for kernel in kernels)
-        stats = {
-            "shader_ticks": total,
-            "compute_ticks": compute,
-            "sync_ticks": sync,
-            "dispatch_ticks": dispatch,
-            "kernel_ticks": per_kernel,
-            "kernels": float(len(kernels)),
-        }
-        return GPURunResult(
-            kernel_name=name,
-            allocator=allocator,
-            shader_ticks=total,
-            compute_ticks=compute,
-            sync_ticks=sync,
-            dispatch_ticks=dispatch,
-            occupancy_per_simd=max_occupancy,
-            stats=stats,
-        )
-
     # ------------------------------------------------------------- pieces
 
     def _wavefronts_per_cu(self, kernel: GPUKernel) -> Dict[str, float]:

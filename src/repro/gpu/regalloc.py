@@ -6,60 +6,15 @@ stalls, and a dynamic allocation scheme that always allows up to the max
 wavefronts per CU at a time by monitoring per-wavefront register
 requirements compared to the number of available registers per CU."
 
-:class:`RegisterFile` does the bookkeeping (with invariants suited to
-property testing); the allocator classes answer the scheduling question the
-compute unit asks: *how many wavefronts may be resident per SIMD for this
-kernel?*
+The allocator classes answer the scheduling question the compute unit
+asks: *how many wavefronts may be resident per SIMD for this kernel?*
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.common.errors import StateError, ValidationError
+from repro.common.errors import ValidationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import GPUKernel
-
-
-class RegisterFile:
-    """A bank of registers with allocate/free accounting."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValidationError("register file capacity must be positive")
-        self.capacity = capacity
-        self._allocations: Dict[str, int] = {}
-
-    @property
-    def used(self) -> int:
-        return sum(self._allocations.values())
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.used
-
-    def can_allocate(self, count: int) -> bool:
-        return 0 < count <= self.available
-
-    def allocate(self, owner: str, count: int) -> None:
-        if count <= 0:
-            raise ValidationError("allocation must be positive")
-        if owner in self._allocations:
-            raise StateError(f"{owner!r} already holds registers")
-        if count > self.available:
-            raise StateError(
-                f"cannot allocate {count} registers; only "
-                f"{self.available} free"
-            )
-        self._allocations[owner] = count
-
-    def free(self, owner: str) -> int:
-        if owner not in self._allocations:
-            raise StateError(f"{owner!r} holds no registers")
-        return self._allocations.pop(owner)
-
-    def owners(self):
-        return sorted(self._allocations)
 
 
 class RegisterAllocatorBase:

@@ -43,9 +43,6 @@ class LinuxKernel:
     def key(self) -> str:
         return f"linux-{self.version}"
 
-    def total_boot_instructions(self) -> int:
-        return sum(count for _, count in self.boot_phases)
-
 
 def _phases(scale: float) -> Tuple[Tuple[str, int], ...]:
     """Standard boot phase breakdown, scaled per kernel generation.

@@ -24,8 +24,7 @@ class BuildResult:
 
 def build(template: Template) -> BuildResult:
     """Run a template: build the base image, apply each provisioner in
-    order (with ``{{var}}`` substitution), and stamp the template hash
-    into the image for provenance."""
+    order, and stamp the template hash into the image for provenance."""
     template.validate()
     log: List[str] = []
     image = build_base_image(template.builder)
@@ -34,29 +33,10 @@ def build(template: Template) -> BuildResult:
         f"{template.builder['distro']}"
     )
     for provisioner in template.provisioners:
-        apply_provisioner(
-            image, _substitute(template, provisioner), log
-        )
+        apply_provisioner(image, provisioner, log)
     image.metadata["packer_template_hash"] = _template_hash(template)
     log.append(f"done: image hash {image.content_hash()}")
     return BuildResult(image=image, log=log)
-
-
-def _substitute(template: Template, provisioner: dict) -> dict:
-    """Expand template variables in every string field of a provisioner
-    (including each inline shell command)."""
-    expanded = {}
-    for key, value in provisioner.items():
-        if isinstance(value, str):
-            expanded[key] = template.substitute(value)
-        elif isinstance(value, list):
-            expanded[key] = [
-                template.substitute(item) if isinstance(item, str) else item
-                for item in value
-            ]
-        else:
-            expanded[key] = value
-    return expanded
 
 
 def _template_hash(template: Template) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import canonical_dumps, loads
+from repro.common.jsonutil import canonical_dumps
 
 #: Builder types understood by the build pipeline.
 BUILDER_TYPES = ("ubuntu", "ubuntu-iso")
@@ -34,11 +34,9 @@ class Template:
         self,
         builder: Dict[str, Any],
         provisioners: Optional[List[Dict[str, Any]]] = None,
-        variables: Optional[Dict[str, str]] = None,
     ):
         self.builder = dict(builder)
         self.provisioners = [dict(p) for p in (provisioners or [])]
-        self.variables = dict(variables or {})
         self.validate()
 
     def validate(self) -> None:
@@ -78,31 +76,16 @@ class Template:
                     f"provisioner #{index}: shell needs 'inline' commands"
                 )
 
-    def substitute(self, text: str) -> str:
-        """Expand ``{{var}}`` references from the template variables."""
-        for key, value in self.variables.items():
-            text = text.replace("{{" + key + "}}", value)
-        return text
-
     # ------------------------------------------------------ serialization
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "builder": self.builder,
             "provisioners": self.provisioners,
-            "variables": self.variables,
+            # No template sets any, but the key is part of the template
+            # hash stamped into every image built so far.
+            "variables": {},
         }
 
     def canonical_json(self) -> str:
         return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Template":
-        data = loads(text)
-        if not isinstance(data, dict) or "builder" not in data:
-            raise ValidationError("template JSON must contain 'builder'")
-        return cls(
-            builder=data["builder"],
-            provisioners=data.get("provisioners", []),
-            variables=data.get("variables", {}),
-        )

@@ -20,7 +20,6 @@ from repro.pipeline.manifest import (
     OnFail,
     StageSpec,
     load_manifest,
-    parse_manifest_text,
 )
 from repro.pipeline.gates import (
     GATE_KINDS,
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_gate",
     "evaluate_gates",
     "load_manifest",
-    "parse_manifest_text",
     "run_pipeline",
     "stage_fingerprint",
     "validate_gate_spec",

@@ -206,13 +206,6 @@ class PipelineJournal:
             sort=[("seq", 1)],
         )
 
-    def stage_history(self, stage_name: str) -> List[Dict[str, Any]]:
-        """Every recorded attempt of a named stage, across runs."""
-        return self.collection.find(
-            {"doc_type": "stage", "stage": stage_name},
-            sort=[("recorded_at_wall", 1), ("seq", 1)],
-        )
-
     # ------------------------------------------------------------- cache
 
     def evict_stage_records(self, stage_names: List[str]) -> int:

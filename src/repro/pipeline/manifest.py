@@ -384,15 +384,6 @@ def parse_document_text(text: str) -> Any:
     return document
 
 
-def parse_manifest_text(
-    text: str, source_path: Optional[str] = None
-) -> Manifest:
-    """Parse and validate manifest text."""
-    return Manifest.from_document(
-        parse_document_text(text), source_path=source_path
-    )
-
-
 def apply_set_overrides(
     document: Any, assignments: Sequence[str]
 ) -> Any:

@@ -67,13 +67,23 @@ class StageContext:
     def params(self) -> Mapping[str, Any]:
         return self.stage.params
 
-    def sole_input_with(self, key: str) -> Dict[str, Any]:
-        """The outputs of the one upstream stage that produced ``key``.
+    def source(self, param: str, key: str) -> Dict[str, Any]:
+        """The upstream outputs a stage consumes: those of the input
+        its ``param`` names, else of the one input providing ``key``.
 
         Stages with one obvious upstream don't need explicit source
-        params; ambiguity (zero or several candidates) is a manifest
-        wiring error, reported as such.
+        params; a param naming a stage that is not an input, or
+        ambiguity (zero or several candidates), is a manifest wiring
+        error, reported as such.
         """
+        named = self.params.get(param)
+        if named is not None:
+            if named not in self.inputs:
+                raise ValidationError(
+                    f"stage {self.stage.name!r}: {param}={named!r} is "
+                    f"not among its inputs {sorted(self.inputs)}"
+                )
+            return self.inputs[named]
         candidates = [
             name
             for name, outputs in self.inputs.items()
@@ -144,17 +154,7 @@ def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
 def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     """Launch the cross-product experiment over the registered stacks."""
     params = ctx.params
-    source_name = params.get("artifacts_from")
-    source = (
-        ctx.inputs[source_name]
-        if source_name is not None
-        else ctx.sole_input_with("artifact_ids")
-    )
-    if source_name is not None and source_name not in ctx.inputs:
-        raise ValidationError(
-            f"stage {ctx.stage.name!r}: artifacts_from="
-            f"{source_name!r} is not among its inputs"
-        )
+    source = ctx.source("artifacts_from", "artifact_ids")
     ids = source["artifact_ids"]
     name = f"{ctx.pipeline_name}/{ctx.stage.name}"
     if ctx.attempt > 1:
@@ -215,12 +215,7 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
 def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
     """Group the sweep's run statuses by parameter axes."""
     params = ctx.params
-    source_name = params.get("source")
-    source = (
-        ctx.inputs[source_name]
-        if source_name is not None
-        else ctx.sole_input_with("run_ids")
-    )
+    source = ctx.source("source", "run_ids")
     keys = [str(key) for key in params.get("group_by", ["cpu_type"])]
     groups: Dict[str, Dict[str, int]] = {}
     status_totals: Dict[str, int] = {}
@@ -247,12 +242,7 @@ def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
 def stage_render(ctx: StageContext) -> Dict[str, Any]:
     """Render the analysis as a text report in the FileStore."""
     params = ctx.params
-    source_name = params.get("source")
-    source = (
-        ctx.inputs[source_name]
-        if source_name is not None
-        else ctx.sole_input_with("groups")
-    )
+    source = ctx.source("source", "groups")
     title = str(params.get("title", ctx.pipeline_name))
     keys = source.get("group_by", [])
     groups = source.get("groups", {})

@@ -18,7 +18,6 @@ from repro.resources.catalog import (
     status_matrix,
 )
 from repro.resources.environment import GCNDockerEnvironment
-from repro.resources.downloads import ResourceRepository
 from repro.resources import templates
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "build_resource",
     "status_matrix",
     "GCNDockerEnvironment",
-    "ResourceRepository",
     "templates",
 ]

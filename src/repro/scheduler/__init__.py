@@ -19,7 +19,7 @@ evaluations, and threads share the in-process database):
 
 from repro.scheduler.states import TaskState
 from repro.scheduler.result import AsyncResult, ResultBackend
-from repro.scheduler.lease import DEFAULT_LEASE_TTL, Lease, LeaseManager
+from repro.scheduler.lease import Lease, LeaseManager
 from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.app import SchedulerApp
 from repro.scheduler.procpool import (
@@ -33,7 +33,6 @@ __all__ = [
     "TaskState",
     "AsyncResult",
     "ResultBackend",
-    "DEFAULT_LEASE_TTL",
     "Lease",
     "LeaseManager",
     "Broker",

@@ -16,10 +16,10 @@ Resilience model (see ``docs/robustness.md``):
 - A worker thread that dies mid-task (a chaos-injected crash, a fault in
   the result backend) always runs its own handler, so it hands the
   message back itself, immediately: re-published for the next delivery,
-  or dead-lettered past ``DEFAULT_MAX_REDELIVERIES`` — ``drain()`` cannot
-  hang on it.  Leases are for holders that can die *silently*; those
-  are worker processes, and :class:`~repro.scheduler.ProcessPool` owns
-  them.
+  or dead-lettered past ``DEFAULT_MAX_REDELIVERIES`` — a waiter on its
+  result cannot hang on it.  Leases are for holders that can die
+  *silently*; those are worker processes, and
+  :class:`~repro.scheduler.ProcessPool` owns them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import chaos
-from repro.common.errors import NotFoundError, StateError, ValidationError
+from repro.common.errors import NotFoundError, ValidationError
 from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.result import AsyncResult, ResultBackend
 from repro.scheduler.states import TaskState
@@ -98,18 +98,16 @@ class SchedulerApp:
         self._lock = threading.Lock()
         self._leak_lock = threading.Lock()
         self._leaked: list = []
-        # Submitted-but-not-finished count; drain() sleeps on the
-        # condition instead of polling the queue length.
-        self._inflight = 0
-        self._idle = threading.Condition()
 
     # ------------------------------------------------------------ registry
 
     def task(
         self,
         name: Optional[str] = None,
-        max_retries: int = 0,
-        timeout: Optional[float] = None,
+        # paper surface: Celery's @app.task(max_retries=...)
+        max_retries: int = 0,  # repro: noqa[DEAD-PARAM]
+        # paper surface: Celery's task time limit, @app.task(timeout=...)
+        timeout: Optional[float] = None,  # repro: noqa[DEAD-PARAM]
     ) -> Callable:
         """Decorator registering a function as a named task."""
 
@@ -126,9 +124,6 @@ class SchedulerApp:
             return registered
 
         return decorator
-
-    def task_names(self):
-        return sorted(self._tasks)
 
     # ---------------------------------------------------------- submission
 
@@ -152,8 +147,6 @@ class SchedulerApp:
             trace_context=get_tracer().current_context_dict(),
         )
         self.backend.create(message.task_id)
-        with self._idle:
-            self._inflight += 1
         self.broker.publish(message)
         get_metrics().counter(
             "scheduler_tasks_submitted_total",
@@ -192,14 +185,11 @@ class SchedulerApp:
                 # is still here to say so: settle the message now and
                 # keep serving.
                 self._hand_back(message, error)
-            else:
-                self._task_done()
 
     def _hand_back(self, message: TaskMessage, error: BaseException) -> None:
         """Settle a message whose delivery crashed: re-publish it for
         another delivery, or dead-letter it once the redelivery budget
-        is spent.  Whatever happens here, a message that is not back in
-        the queue no longer counts as in flight."""
+        is spent."""
         worker = threading.current_thread().name
         get_metrics().counter(
             "scheduler_worker_crashes_total",
@@ -211,41 +201,29 @@ class SchedulerApp:
             task_id=message.task_id,
             error=type(error).__name__,
         )
-        requeued = False
-        try:
-            state = self.backend.state(message.task_id)
-            if state.is_terminal:
-                # The outcome landed before the delivery died; there is
-                # nothing to recover.
-                return
-            if message.deliveries > DEFAULT_MAX_REDELIVERIES:
-                self.backend.dead_letter(
-                    message,
-                    error=(
-                        f"crashed on each of {message.deliveries} "
-                        f"deliveries (last worker {worker} presumed dead)"
-                    ),
-                )
-                return
-            if state is TaskState.STARTED:
-                self.backend.transition(message.task_id, TaskState.RETRY)
-            get_event_log().emit(
-                "task.redelivered",
-                task_id=message.task_id,
-                worker=worker,
-                deliveries=message.deliveries,
+        state = self.backend.state(message.task_id)
+        if state.is_terminal:
+            # The outcome landed before the delivery died; there is
+            # nothing to recover.
+            return
+        if message.deliveries > DEFAULT_MAX_REDELIVERIES:
+            self.backend.dead_letter(
+                message,
+                error=(
+                    f"crashed on each of {message.deliveries} "
+                    f"deliveries (last worker {worker} presumed dead)"
+                ),
             )
-            self.broker.publish(message)
-            requeued = True
-        finally:
-            if not requeued:
-                self._task_done()
-
-    def _task_done(self) -> None:
-        with self._idle:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._idle.notify_all()
+            return
+        if state is TaskState.STARTED:
+            self.backend.transition(message.task_id, TaskState.RETRY)
+        get_event_log().emit(
+            "task.redelivered",
+            task_id=message.task_id,
+            worker=worker,
+            deliveries=message.deliveries,
+        )
+        self.broker.publish(message)
 
     # ------------------------------------------------------------ execution
 
@@ -380,29 +358,7 @@ class SchedulerApp:
         self._prune_leaked()
         get_event_log().emit("task.thread_leaked", thread=thread.name)
 
-    def leaked_threads(self) -> int:
-        """Live helper threads abandoned by timed-out tasks (pruned)."""
-        return self._prune_leaked()
-
     # ------------------------------------------------------------ shutdown
-
-    def drain(self, timeout: float = 60.0) -> None:
-        """Block until every submitted task has finished executing.
-
-        Waits on the in-flight condition rather than sleep-polling the
-        queue length, so it returns the moment the last worker finishes
-        (and, unlike a queue-length poll, also covers tasks a worker has
-        already dequeued but not completed).  A delivery that crashes
-        hands its message back before the worker moves on — redelivered
-        or dead-lettered — so a dead worker cannot wedge the drain.
-        """
-        with self._idle:
-            if not self._idle.wait_for(
-                lambda: self._inflight <= 0, timeout=timeout
-            ):
-                raise StateError(
-                    "drain timed out with tasks still in flight"
-                )
 
     def shutdown(self) -> None:
         """Stop the worker threads (queued tasks are abandoned)."""

@@ -25,9 +25,6 @@ from repro.common.errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.broker import TaskMessage
 
-#: Default time a worker may go silent before its task is reclaimed.
-DEFAULT_LEASE_TTL = 5.0
-
 
 @dataclass
 class Lease:
@@ -46,25 +43,20 @@ class Lease:
 class LeaseManager:
     """Thread-safe registry of in-flight task leases."""
 
-    def __init__(self, ttl: float = DEFAULT_LEASE_TTL):
+    def __init__(self, ttl: float):
         if ttl <= 0:
             raise ValidationError("lease ttl must be positive")
         self.ttl = ttl
         self._lock = threading.Lock()
         self._leases: Dict[str, Lease] = {}
 
-    def acquire(
-        self,
-        message: "TaskMessage",
-        worker: str,
-        ttl: Optional[float] = None,
-    ) -> Lease:
+    def acquire(self, message: "TaskMessage", worker: str) -> Lease:
         """Claim a message for ``worker``; counts one delivery."""
         now = time.monotonic()
         lease = Lease(
             message=message,
             worker=worker,
-            deadline=now + (self.ttl if ttl is None else ttl),
+            deadline=now + self.ttl,
             acquired_at=now,
         )
         with self._lock:
@@ -72,16 +64,14 @@ class LeaseManager:
             self._leases[message.task_id] = lease
         return lease
 
-    def heartbeat(self, task_id: str, ttl: Optional[float] = None) -> bool:
+    def heartbeat(self, task_id: str) -> bool:
         """Renew a lease; returns False when it no longer exists (the
         reaper already reclaimed it, or the task finished)."""
         with self._lock:
             lease = self._leases.get(task_id)
             if lease is None:
                 return False
-            lease.deadline = time.monotonic() + (
-                self.ttl if ttl is None else ttl
-            )
+            lease.deadline = time.monotonic() + self.ttl
             return True
 
     def release(self, task_id: str) -> Optional[Lease]:
@@ -89,9 +79,9 @@ class LeaseManager:
         with self._lock:
             return self._leases.pop(task_id, None)
 
-    def expired(self, now: Optional[float] = None) -> List[Lease]:
+    def expired(self) -> List[Lease]:
         """Pop and return every lease past its deadline."""
-        now = time.monotonic() if now is None else now
+        now = time.monotonic()
         with self._lock:
             dead = [
                 lease

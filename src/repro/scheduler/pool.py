@@ -12,7 +12,8 @@ class PoolResult:
     def __init__(self, future: Future):
         self._future, self.ready = future, future.done
 
-    def successful(self) -> bool:
+    # paper surface: multiprocessing.pool.AsyncResult.successful()
+    def successful(self) -> bool:  # repro: noqa[DEAD-REACH]
         if not self.ready():
             raise ValueError("result is not ready")
         return self._future.exception() is None
@@ -30,9 +31,9 @@ class SimplePool(ThreadPoolExecutor):
             raise StateError("pool needs at least one worker")
         super().__init__(processes, "simplepool-worker")
 
-    def apply_async(self, func: Callable, args=(), kwds=None) -> PoolResult:
+    def apply_async(self, func: Callable, args=()) -> PoolResult:
         try:
-            return PoolResult(self.submit(func, *args, **(kwds or {})))
+            return PoolResult(self.submit(func, *args))
         except RuntimeError as error:  # submit() after close()
             raise StateError("pool is closed") from error
 

@@ -173,19 +173,12 @@ class ProcJobHandle:
     def ready(self) -> bool:
         return self._event.is_set()
 
-    def successful(self) -> bool:
-        if not self.ready():
-            raise ValueError("job result is not ready")
-        return self._error is None
-
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._event.wait(timeout=timeout)
 
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout=timeout):
-            raise multiprocessing.TimeoutError(
-                f"job {self.task_id} did not finish in time"
-            )
+    def result(self) -> Any:
+        """Block until the job ends (bound the wait with :meth:`wait`)."""
+        self._event.wait()
         if self._error is not None:
             raise WorkerJobError(self._error)
         return self._value
@@ -321,21 +314,13 @@ class ProcessPool:
     guarantees the pool never depends on forked parent state.
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        lease_ttl: float = DEFAULT_PROC_LEASE_TTL,
-        max_redeliveries: int = DEFAULT_MAX_REDELIVERIES,
-        start_method: str = "spawn",
-    ):
+    def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValidationError("process pool needs at least one worker")
-        if max_redeliveries < 0:
-            raise ValidationError("max_redeliveries must be >= 0")
         self.worker_count = workers
-        self.max_redeliveries = max_redeliveries
-        self._context = multiprocessing.get_context(start_method)
-        self._leases = LeaseManager(ttl=lease_ttl)
+        self.max_redeliveries = DEFAULT_MAX_REDELIVERIES
+        self._context = multiprocessing.get_context("spawn")
+        self._leases = LeaseManager(ttl=DEFAULT_PROC_LEASE_TTL)
         # One condition guards pending/inflight/slot/wake state; pipe
         # transfers to and from workers always happen outside it.
         self._state = threading.Condition()
@@ -373,25 +358,7 @@ class ProcessPool:
         ).inc()
         return handle
 
-    def map_envelopes(
-        self,
-        envelopes: List[JobEnvelope],
-        timeout: Optional[float] = None,
-    ) -> List[Any]:
-        """Submit every envelope and return results in input order."""
-        handles = [self.submit(envelope) for envelope in envelopes]
-        return [handle.result(timeout=timeout) for handle in handles]
-
     # ------------------------------------------------------------ workers
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live worker processes (for chaos tests)."""
-        with self._state:
-            return [
-                slot.process.pid
-                for slot in self._slots
-                if slot.alive() and slot.process.pid is not None
-            ]
 
     def _ensure_started(self) -> None:
         """Spawn the workers and the reactor on first use (``_state``

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro import chaos
 from repro.common.errors import NotFoundError, StateError
@@ -24,7 +24,6 @@ class ResultBackend:
 
     def __init__(self):
         self._records: Dict[str, Dict[str, Any]] = {}
-        self._dead_letters: List[Dict[str, Any]] = []
         self._lock = threading.Condition()
 
     def create(self, task_id: str) -> None:
@@ -91,25 +90,15 @@ class ResultBackend:
     def dead_letter(self, message, error: Optional[str] = None) -> None:
         """Park a task whose retry/redelivery budget is exhausted.
 
-        Besides the terminal ``DEAD_LETTER`` transition, a standalone
-        record is appended so operators can triage what was lost without
-        trawling every task record; ``message`` is a
+        Besides the terminal ``DEAD_LETTER`` transition (the task record
+        keeps the error), a ``task.dead_letter`` event and the
+        ``scheduler_dead_letters_total`` counter say what was lost
+        without trawling every task record; ``message`` is a
         :class:`~repro.scheduler.broker.TaskMessage`.
         """
         self.transition(
             message.task_id, TaskState.DEAD_LETTER, error=error
         )
-        with self._lock:
-            self._dead_letters.append(
-                {
-                    "task_id": message.task_id,
-                    "task_name": message.task_name,
-                    "retries": message.retries,
-                    "deliveries": message.deliveries,
-                    "error": error,
-                    "at_wall": iso_now(),
-                }
-            )
         get_metrics().counter(
             "scheduler_dead_letters_total",
             "Tasks parked after exhausting retries/redeliveries",
@@ -121,11 +110,6 @@ class ResultBackend:
             retries=message.retries,
             deliveries=message.deliveries,
         )
-
-    def dead_letters(self) -> List[Dict[str, Any]]:
-        """Snapshot of every dead-letter record, in park order."""
-        with self._lock:
-            return [dict(record) for record in self._dead_letters]
 
     def state(self, task_id: str) -> TaskState:
         with self._lock:
@@ -172,7 +156,8 @@ class AsyncResult:
     def ready(self) -> bool:
         return self.state.is_terminal
 
-    def successful(self) -> bool:
+    # paper surface: Celery's AsyncResult.successful()
+    def successful(self) -> bool:  # repro: noqa[DEAD-REACH]
         return self.state is TaskState.SUCCESS
 
     def get(self, timeout: Optional[float] = None) -> Any:
@@ -195,10 +180,3 @@ class AsyncResult:
             f"task {self.task_id} ended in state {state.value}: "
             f"{record['error']}"
         )
-
-    def runtime(self) -> Optional[float]:
-        """Wall-clock execution time in seconds, when finished."""
-        record = self._backend.record(self.task_id)
-        if record["started_at"] is None or record["finished_at"] is None:
-            return None
-        return record["finished_at"] - record["started_at"]

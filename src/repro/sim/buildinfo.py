@@ -73,15 +73,11 @@ class Gem5Build:
         """The source revision this build pins (simulated, stable)."""
         return simulated_revision(GEM5_REPO_URL, f"v{self.version}")
 
-    @property
-    def supports_gpu(self) -> bool:
-        return self.isa == "GCN3_X86"
-
-    def scons_command(self, jobs: int = 8) -> str:
+    def scons_command(self) -> str:
         """The build command an artifact registration would document."""
         return (
             f"cd gem5; git checkout {self.revision[:20]}; "
-            f"scons {self.binary_name} -j{jobs}"
+            f"scons {self.binary_name} -j8"
         )
 
     def build_binary(self) -> bytes:

@@ -82,12 +82,11 @@ class ExecutionEngine:
         config: SystemConfig,
         modifiers: ExecutionModifiers = None,
         queue: EventQueue = None,
-        stats: StatsDB = None,
     ):
         self.config = config
         self.modifiers = modifiers or ExecutionModifiers()
         self.queue = queue or EventQueue()
-        self.stats = stats or StatsDB()
+        self.stats = StatsDB()
         self.cpu = build_cpu_model(config.cpu_type)
         self.memory = build_memory_system(config)
 

@@ -1,9 +1,9 @@
 """The discrete-event core.
 
-A classic calendar queue: events are (tick, priority, sequence, callback)
-tuples executed in deterministic order.  Ties break on priority, then on
-insertion order, so simulations replay identically — the property every
-other determinism guarantee in this library stands on.
+A classic calendar queue: events are (tick, sequence, callback) tuples
+executed in deterministic order.  Ties break on insertion order, so
+simulations replay identically — the property every other determinism
+guarantee in this library stands on.
 """
 
 from __future__ import annotations
@@ -13,15 +13,12 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import StateError, ValidationError
 
-#: Default event priority; lower runs first at the same tick.
-DEFAULT_PRIORITY = 0
-
 
 class EventQueue:
     """A deterministic discrete-event queue measured in ticks."""
 
     def __init__(self):
-        self._heap: List[Tuple[int, int, int, Callable]] = []
+        self._heap: List[Tuple[int, int, Callable]] = []
         self._sequence = 0
         self._now = 0
         self._running = False
@@ -32,34 +29,12 @@ class EventQueue:
         """Current simulated tick."""
         return self._now
 
-    def schedule(
-        self,
-        delay: int,
-        callback: Callable[[], None],
-        priority: int = DEFAULT_PRIORITY,
-    ) -> None:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValidationError("cannot schedule into the past")
         heapq.heappush(
-            self._heap,
-            (self._now + delay, priority, self._sequence, callback),
-        )
-        self._sequence += 1
-
-    def schedule_at(
-        self,
-        tick: int,
-        callback: Callable[[], None],
-        priority: int = DEFAULT_PRIORITY,
-    ) -> None:
-        """Schedule ``callback`` at an absolute tick (>= now)."""
-        if tick < self._now:
-            raise ValidationError(
-                f"cannot schedule at tick {tick} before now ({self._now})"
-            )
-        heapq.heappush(
-            self._heap, (tick, priority, self._sequence, callback)
+            self._heap, (self._now + delay, self._sequence, callback)
         )
         self._sequence += 1
 
@@ -74,7 +49,7 @@ class EventQueue:
         self._running = True
         try:
             while self._heap:
-                tick, _priority, _seq, callback = self._heap[0]
+                tick, _seq, callback = self._heap[0]
                 if max_tick is not None and tick > max_tick:
                     self._now = max_tick
                     break
@@ -85,9 +60,6 @@ class EventQueue:
             return self._now
         finally:
             self._running = False
-
-    def empty(self) -> bool:
-        return not self._heap
 
     def __len__(self) -> int:
         return len(self._heap)

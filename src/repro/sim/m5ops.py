@@ -62,10 +62,6 @@ class M5OpLog:
             return None
         return ticks / TICKS_PER_SECOND
 
-    def exited_cleanly(self) -> bool:
-        """Whether the run ended with an ``m5 exit`` op."""
-        return bool(self.events) and self.events[-1][1] == M5_EXIT
-
     def to_list(self) -> List[dict]:
         return [
             {"tick": tick, "op": op} for tick, op in self.events

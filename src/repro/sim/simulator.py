@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.common.hashing import sha256_text
-from repro.common.jsonutil import canonical_dumps
 from repro.common.statsdb import StatsDB
 from repro.guest.compilers import get_compiler
 from repro.guest.kernels import LinuxKernel, get_kernel
@@ -100,28 +98,6 @@ class SimulationResult:
         for name, value in self.stats.items():
             db.set(name, value)
         return db.dump()
-
-    def measured_region_fingerprint(self) -> str:
-        """Content hash of the measured-region statistics.
-
-        Covers exactly the statistics attributable to the workload —
-        the workload-name-prefixed entries plus the workload/ROI
-        timings.  Boot-attributed statistics are excluded on purpose:
-        a full-boot run accumulates them and a checkpoint-restored run
-        does not, while the *measured region* must be bit-identical
-        between the two (the determinism contract checkpoint restore
-        rides on).
-        """
-        prefix = f"{self.workload_name}."
-        region = {
-            name: value
-            for name, value in self.stats.items()
-            if name.startswith(prefix)
-        }
-        region["workload_seconds"] = self.workload_seconds
-        if "roi_seconds" in self.stats:
-            region["roi_seconds"] = self.stats["roi_seconds"]
-        return sha256_text(canonical_dumps(region))
 
 
 class Gem5Simulator:

@@ -149,11 +149,14 @@ def run_test_suite(build: Gem5Build) -> List[TestOutcome]:
 #
 # The process substrate (repro.scheduler.procpool) imports job targets by
 # dotted path inside freshly spawned workers, so they must be module-level
-# functions taking plain-data payloads.  These two are the reference
-# workloads used by the procpool benchmark and chaos tests.
+# functions taking plain-data payloads.  These are the reference
+# workloads of the procpool and chaos-kill suites, which is why they
+# live in the package and not in ``tests/``: a spawned worker can import
+# ``repro`` but not the test tree.
 
 
-def boot_shard_job(payload: dict) -> dict:
+# worker target: tests/scheduler/test_procpool.py, tests/chaos/test_procpool_kill.py
+def boot_shard_job(payload: dict) -> dict:  # repro: noqa[DEAD-REACH]
     """One shard unit: a deterministic timing-CPU FS boot, repeated.
 
     ``payload`` keys: ``kernel`` (default "5.4.49"), ``cpu_type``
@@ -192,7 +195,8 @@ def boot_shard_job(payload: dict) -> dict:
     }
 
 
-def telemetry_probe_job(payload: dict) -> dict:
+# worker target: test_procpool.py::test_worker_telemetry_merges_into_parent_session
+def telemetry_probe_job(payload: dict) -> dict:  # repro: noqa[DEAD-REACH]
     """A trivial job that records one of each telemetry signal.
 
     Used to test that a worker process's private telemetry session is
@@ -212,7 +216,8 @@ def telemetry_probe_job(payload: dict) -> dict:
     return {"ok": True, "amount": amount}
 
 
-def kill_once_job(payload: dict) -> dict:
+# worker target: tests/chaos/test_procpool_kill.py (SIGKILL -> redelivery)
+def kill_once_job(payload: dict) -> dict:  # repro: noqa[DEAD-REACH]
     """A boot-shard job whose *first* delivery SIGKILLs its own worker.
 
     ``payload["sentinel"]`` names a filesystem path shared with the

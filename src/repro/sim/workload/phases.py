@@ -77,6 +77,3 @@ class Workload:
 
     def total_instructions(self) -> int:
         return sum(phase.instructions for phase in self.phases)
-
-    def max_parallelism(self) -> int:
-        return max(phase.parallelism for phase in self.phases)

@@ -37,7 +37,6 @@ from repro.telemetry.export import (
     chrome_trace_json,
     metrics_to_prometheus,
     spans_to_chrome_trace,
-    to_jsonl,
 )
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -54,7 +53,6 @@ from repro.telemetry.recorder import (
     merge_worker_telemetry,
     rehydrate_telemetry,
     snapshot,
-    telemetry_owners,
 )
 from repro.telemetry.tracing import (
     NULL_SPAN,
@@ -175,7 +173,6 @@ __all__ = [
     "NullEventLog",
     "NULL_EVENT_LOG",
     # export
-    "to_jsonl",
     "metrics_to_prometheus",
     "spans_to_chrome_trace",
     "chrome_trace_json",
@@ -184,6 +181,5 @@ __all__ = [
     "archive_telemetry",
     "merge_worker_telemetry",
     "rehydrate_telemetry",
-    "telemetry_owners",
     "TELEMETRY",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.common.timeutil import iso_from_timestamp, wall_now
 
@@ -65,15 +65,10 @@ class EventLog:
                 absorbed.append(dict(event))
         return absorbed
 
-    def records(
-        self, kind: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Snapshot of events (optionally filtered by kind), in order."""
+    def records(self) -> List[Dict[str, Any]]:
+        """Snapshot of every event, in order."""
         with self._lock:
-            events = list(self._events)
-        if kind is not None:
-            events = [e for e in events if e["kind"] == kind]
-        return [dict(e) for e in events]
+            return [dict(e) for e in self._events]
 
     def __len__(self) -> int:
         with self._lock:
@@ -91,9 +86,7 @@ class NullEventLog:
     ) -> List[Dict[str, Any]]:
         return []
 
-    def records(
-        self, kind: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
+    def records(self) -> List[Dict[str, Any]]:
         return []
 
     def __len__(self) -> int:

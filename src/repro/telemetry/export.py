@@ -9,17 +9,12 @@ render both a live session and a snapshot rehydrated from the database.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from repro.common.jsonutil import dumps
 
 
 # ------------------------------------------------------------------- JSONL
-
-
-def to_jsonl(records: Iterable[Dict[str, Any]]) -> str:
-    """One canonical-JSON document per line."""
-    return "\n".join(dumps(record) for record in records)
 
 
 # -------------------------------------------------------------- Prometheus

@@ -90,9 +90,6 @@ class Gauge:
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: Any) -> float:
         with self._lock:
             return self._series.get(_label_key(labels), 0.0)
@@ -300,9 +297,6 @@ class _NullInstrument:
     kind = "null"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
         pass
 
     def set(self, value: float, **labels: Any) -> None:

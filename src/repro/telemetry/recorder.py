@@ -109,10 +109,3 @@ def merge_worker_telemetry(
     telemetry.get_metrics().merge(buffer.get("metrics") or [])
     extra = {} if worker is None else {"worker": worker}
     telemetry.get_event_log().absorb(buffer.get("events") or [], **extra)
-
-
-def telemetry_owners(db, kind: Optional[str] = None) -> List[str]:
-    """Owner ids with archived telemetry (optionally by kind)."""
-    query = {} if kind is None else {"kind": kind}
-    docs = db.database.collection(TELEMETRY).find(query)
-    return sorted({doc["owner"] for doc in docs})

@@ -74,10 +74,6 @@ class DiskImage:
         except NotFoundError:
             return False
 
-    def is_executable(self, path: str) -> bool:
-        node = self._resolve(path)
-        return isinstance(node, VirtualFile) and node.executable
-
     def mkdir(self, path: str) -> None:
         self._ensure_directory(path)
         self._tree_json = None

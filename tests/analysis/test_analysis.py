@@ -60,11 +60,6 @@ def test_run_records_flatten_and_skip_unfinished():
     }
 
 
-def test_run_records_query():
-    records = run_records(seeded_db(), {"params.num_cpus": 8})
-    assert len(records) == 2
-
-
 def test_group_by():
     records = run_records(seeded_db())
     groups = group_by(records, ["benchmark"])
@@ -81,15 +76,6 @@ def test_pivot_mean():
     )
     assert table["ferret"][1] == 4.0
     assert table["vips"][8] == 0.9
-
-
-def test_pivot_aggregate_override():
-    records = [
-        {"r": "a", "c": 1, "v": 1.0},
-        {"r": "a", "c": 1, "v": 5.0},
-    ]
-    table = pivot(records, "r", "c", "v", aggregate=max)
-    assert table["a"][1] == 5.0
 
 
 # ------------------------------------------------------------------ series

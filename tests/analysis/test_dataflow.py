@@ -3,22 +3,14 @@ clean twins must not.
 
 Each test writes a small fixture tree containing a ``repro`` directory
 (so :func:`repro.analysis.engine.logical_module` assigns real dotted
-names) and runs :func:`repro.analysis.deep_lint_paths` over it.
+names) and runs :func:`repro.analysis.lint_paths` over it.
 """
 
 import json
-import textwrap
 
-from repro.analysis import deep_lint_paths
+from repro.analysis import lint_paths
 from repro.analysis.reporters import render_sarif
-
-
-def _write_tree(root, files):
-    for relpath, source in files.items():
-        path = root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    return [str(root)]
+from tests.analysis.helpers import write_tree as _write_tree
 
 
 def _rules(findings):
@@ -64,7 +56,7 @@ CLEAN_CLASS = """
 
 def test_inconsistent_lockset_is_flagged(tmp_path):
     paths = _write_tree(tmp_path, {"repro/expt/racy.py": RACY_CLASS})
-    findings = deep_lint_paths(paths)
+    findings = lint_paths(paths)
     assert _rules(findings) == ["RACE-INCONSISTENT"]
     (finding,) = findings
     assert "self._count" in finding.message
@@ -73,7 +65,7 @@ def test_inconsistent_lockset_is_flagged(tmp_path):
 
 def test_consistent_lockset_is_clean(tmp_path):
     paths = _write_tree(tmp_path, {"repro/expt/ok.py": CLEAN_CLASS})
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 def test_locked_helper_called_under_lock_is_clean(tmp_path):
@@ -103,7 +95,7 @@ def test_locked_helper_called_under_lock_is_clean(tmp_path):
             """
         },
     )
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 def test_construction_only_helper_is_clean(tmp_path):
@@ -134,7 +126,7 @@ def test_construction_only_helper_is_clean(tmp_path):
             """
         },
     )
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 def test_race_noqa_suppresses(tmp_path):
@@ -143,7 +135,7 @@ def test_race_noqa_suppresses(tmp_path):
         "return self._count  # repro: noqa[RACE-INCONSISTENT]",
     )
     paths = _write_tree(tmp_path, {"repro/expt/racy.py": source})
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 # ------------------------------------------------------------------ taint
@@ -164,7 +156,7 @@ def test_wallclock_into_fingerprint_is_flagged(tmp_path):
             """
         },
     )
-    findings = deep_lint_paths(paths)
+    findings = lint_paths(paths)
     assert _rules(findings) == ["DET-FLOW"]
     (finding,) = findings
     assert "time.time" in finding.message
@@ -195,7 +187,7 @@ def test_taint_through_call_hops_is_flagged(tmp_path):
             """
         },
     )
-    findings = deep_lint_paths(paths)
+    findings = lint_paths(paths)
     assert _rules(findings) == ["DET-FLOW"]
     (finding,) = findings
     assert "via serialize()" in finding.message
@@ -233,7 +225,7 @@ def test_memo_store_key_sink_is_inherited(tmp_path):
             """,
         },
     )
-    (finding,) = deep_lint_paths(paths)
+    (finding,) = lint_paths(paths)
     assert finding.rule_id == "DET-FLOW"
     assert "memo-store key via get()" in finding.message
 
@@ -253,7 +245,7 @@ def test_sanctioned_chokepoint_is_clean(tmp_path):
             """
         },
     )
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 # --------------------------------------------------------------- layering
@@ -268,7 +260,7 @@ def test_upward_import_is_flagged(tmp_path):
             "repro/sim/thing.py": "import repro.gpu.unit\n",
         },
     )
-    findings = deep_lint_paths(paths)
+    findings = lint_paths(paths)
     assert _rules(findings) == ["ARCH-LAYER"]
     (finding,) = findings
     assert "repro.gpu.bad" in finding.message
@@ -288,7 +280,7 @@ def test_type_checking_import_is_exempt(tmp_path):
             """,
         },
     )
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 def test_module_cycle_is_flagged(tmp_path):
@@ -299,7 +291,7 @@ def test_module_cycle_is_flagged(tmp_path):
             "repro/db/beta.py": "import repro.db.alpha\n",
         },
     )
-    findings = deep_lint_paths(paths)
+    findings = lint_paths(paths)
     assert _rules(findings) == ["ARCH-LAYER"]
     assert any("import cycle" in f.message for f in findings)
 
@@ -318,7 +310,7 @@ def test_deferred_import_does_not_cycle(tmp_path):
             """,
         },
     )
-    assert deep_lint_paths(paths) == []
+    assert lint_paths(paths) == []
 
 
 # ------------------------------------------------------------------ sarif
@@ -326,12 +318,11 @@ def test_deferred_import_does_not_cycle(tmp_path):
 
 def test_sarif_reporter_shape(tmp_path):
     paths = _write_tree(tmp_path, {"repro/expt/racy.py": RACY_CLASS})
-    findings = deep_lint_paths(paths)
-    document = json.loads(render_sarif(findings, baselined=2))
+    findings = lint_paths(paths)
+    document = json.loads(render_sarif(findings))
     assert document["version"] == "2.1.0"
     (run,) = document["runs"]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert run["properties"]["baselined"] == 2
     (result,) = run["results"]
     assert result["ruleId"] == "RACE-INCONSISTENT"
     assert result["level"] == "warning"
@@ -341,6 +332,6 @@ def test_sarif_reporter_shape(tmp_path):
         "reproFindingFingerprint/v1"
     ] == findings[0].fingerprint
     # Deterministic: same findings, byte-identical report.
-    assert render_sarif(findings, baselined=2) == json.dumps(
+    assert render_sarif(findings) == json.dumps(
         document, indent=2, sort_keys=True
     ) + "\n"

@@ -1,28 +1,22 @@
 """Tests for the static-analysis engine: walker, dispatch, pragmas,
-fingerprints, baselines, reporters, and the ``repro lint`` CLI."""
+fingerprints, reporters, and the ``repro lint`` CLI."""
 
 import json
 
-import pytest
-
-from repro.analysis import Analyzer, default_rules, lint_paths
-from repro.analysis.baseline import (
-    load_baseline,
-    split_baselined,
-    write_baseline,
+from repro.analysis import lint_paths
+from repro.analysis.dataflow import (
+    CONCURRENCY_RULES,
+    DETERMINISM_RULES,
+    HYGIENE_RULES,
 )
 from repro.analysis.engine import (
-    Finding,
+    SEVERITIES,
     iter_python_files,
     logical_module,
 )
 from repro.analysis.reporters import render_json, render_text
 from repro.cli import main
-from repro.common.errors import ValidationError
-
-
-def analyze(source, path="src/repro/sim/fixture.py"):
-    return Analyzer(default_rules()).analyze_source(source, path)
+from tests.analysis.helpers import lint_source as analyze
 
 
 # ------------------------------------------------------------------ engine
@@ -83,44 +77,22 @@ def test_bare_noqa_suppresses_all_rules_on_line():
     assert analyze(source) == []
 
 
-def test_findings_sorted_and_fingerprint_stable_across_line_shift():
+def test_findings_sorted_and_fingerprint_stable_across_line_shift(tmp_path):
     source = "import time\ndef f():\n    return time.time()\n"
     shifted = "import time\n\n\ndef f():\n    return time.time()\n"
-    first = analyze(source)
-    second = analyze(shifted)
+    first = analyze(source, root=tmp_path)
+    second = analyze(shifted, root=tmp_path)
     assert first[0].line != second[0].line
     assert first[0].fingerprint == second[0].fingerprint
 
 
-def test_duplicate_rule_ids_rejected():
-    rules = default_rules()
-    with pytest.raises(ValueError):
-        Analyzer(rules + [type(rules[0])()])
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_roundtrip_filters_known_findings(tmp_path):
-    findings = analyze("import time\ndef f():\n    return time.time()\n")
-    assert findings
-    path = tmp_path / "baseline.json"
-    write_baseline(str(path), findings)
-    accepted = load_baseline(str(path))
-    fresh, known = split_baselined(findings, accepted)
-    assert fresh == []
-    assert len(known) == len(findings)
-
-
-def test_missing_baseline_is_empty_and_bad_baseline_raises(tmp_path):
-    assert load_baseline(str(tmp_path / "absent.json")) == set()
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    with pytest.raises(ValidationError):
-        load_baseline(str(bad))
-    bad.write_text('{"findings": [{"rule": "X"}]}')
-    with pytest.raises(ValidationError):
-        load_baseline(str(bad))
+def test_rule_ids_are_unique_and_severities_valid():
+    """One finding per violation: the driver instantiates every rule of
+    the three packs, so an id may appear in only one of them."""
+    rules = DETERMINISM_RULES + CONCURRENCY_RULES + HYGIENE_RULES
+    ids = [rule.rule_id for rule in rules]
+    assert len(ids) == len(set(ids)) == 11
+    assert all(rule.severity in SEVERITIES for rule in rules)
 
 
 # --------------------------------------------------------------- reporters
@@ -137,11 +109,10 @@ def test_text_reporter_mentions_location_and_counts():
 
 def test_json_reporter_is_valid_and_deterministic():
     findings = analyze("import time\ndef f():\n    return time.time()\n")
-    payload = json.loads(render_json(findings, baselined=2))
+    payload = json.loads(render_json(findings))
     assert payload["counts"]["error"] >= 1
-    assert payload["baselined"] == 2
     assert payload["findings"][0]["rule"] == "DET-WALLCLOCK"
-    assert render_json(findings, 2) == render_json(findings, 2)
+    assert render_json(findings) == render_json(findings)
 
 
 # --------------------------------------------------------------------- cli
@@ -181,35 +152,9 @@ def test_cli_lint_json_format(tmp_path, capsys):
     assert payload["counts"]["error"] == 1
 
 
-def test_cli_lint_baseline_workflow(tmp_path, capsys):
-    bad = _write_bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "lint", str(bad),
-                "--baseline", str(baseline),
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    # Baselined findings no longer fail the run ...
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # ... but a *new* error does.
-    bad.write_text(
-        "import time\n"
-        "def f():\n"
-        "    return time.time()\n"
-        "def g():\n"
-        "    return time.time_ns()\n"
-    )
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 1
-
-
-def test_cli_lint_strict_fails_on_warnings(tmp_path, capsys):
+def test_cli_lint_fails_on_warnings_too(tmp_path, capsys):
+    """One mode: a warning-severity finding fails the run with no flag
+    (tests/test_cli.py pins that the old mode flags no longer parse)."""
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     warn = pkg / "warn.py"
@@ -218,15 +163,12 @@ def test_cli_lint_strict_fails_on_warnings(tmp_path, capsys):
         "    for x in {1, 2, 3}:\n"
         "        pass\n"
     )
-    assert main(["lint", str(warn)]) == 0
-    assert main(["lint", str(warn), "--strict"]) == 1
+    assert main(["lint", str(warn)]) == 1
+    assert "DET-ORDER" in capsys.readouterr().out
 
 
 def test_cli_lint_usage_errors(tmp_path, capsys):
     assert main(["lint", str(tmp_path / "nope")]) == 2
-    good = tmp_path / "good.py"
-    good.write_text("x = 1\n")
-    assert main(["lint", str(good), "--write-baseline"]) == 2
 
 
 def test_lint_paths_walks_directories(tmp_path):

@@ -1,15 +1,11 @@
 """Per-rule tests: every rule in the pack has a positive case (the bug
 is caught) and a negative case (the sanctioned pattern is not)."""
 
-from repro.analysis import Analyzer, default_rules
-
-
-def findings_for(source, path="src/repro/sim/fixture.py"):
-    return Analyzer(default_rules()).analyze_source(source, path)
+from tests.analysis.helpers import lint_source
 
 
 def rule_ids(source, path="src/repro/sim/fixture.py"):
-    return [f.rule_id for f in findings_for(source, path)]
+    return [f.rule_id for f in lint_source(source, path)]
 
 
 # ------------------------------------------------------------- determinism
@@ -39,7 +35,7 @@ def test_determinism_rules_only_apply_in_zones():
         source, "src/repro/chaos/fixture.py"
     )
     assert "DET-WALLCLOCK" in rule_ids(
-        source, "src/repro/art/provenance.py"
+        source, "src/repro/art/artifact.py"
     )
     # The scheduler measures real time legitimately (leases, timeouts).
     assert rule_ids(source, "src/repro/scheduler/fixture.py") == []

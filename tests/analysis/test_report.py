@@ -69,15 +69,12 @@ def test_report_parameters_and_outcomes():
     assert "| ok | 2 |" in report
 
 
-def test_report_by_name_and_missing():
-    db = ArtifactDB()
-    launched_experiment(db, name="alpha")
-    assert "alpha" in experiment_report(db, "alpha")
-    with pytest.raises(NotFoundError):
-        experiment_report(db, "beta")
-
-
 def test_report_requires_unambiguous_experiment():
     db = ArtifactDB()
     with pytest.raises(NotFoundError):
         experiment_report(db)  # zero experiments
+    launched_experiment(db, name="alpha")
+    assert "alpha" in experiment_report(db)
+    launched_experiment(db, name="beta")
+    with pytest.raises(NotFoundError, match="alpha.*beta"):
+        experiment_report(db)  # two: an archive holds exactly one

@@ -17,7 +17,6 @@ from repro.common.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.common.gitinfo import write_simulated_repo
 from repro.guest import get_kernel
 from repro.sim import Gem5Build
 from repro.vfs import DiskImage
@@ -84,17 +83,22 @@ def test_register_host_directory(db, tmp_path):
     assert artifact.file_id is None  # trees are hashed, not uploaded
 
 
-def test_register_simulated_git_repo(db, tmp_path):
-    info = write_simulated_repo(
-        str(tmp_path / "gem5"), "https://gem5.googlesource.com", "v20.1"
+def test_register_git_checkout(db, tmp_path):
+    """A directory with a ``.git`` is identified by its HEAD revision,
+    not by hashing the tree."""
+    git_dir = tmp_path / "gem5" / ".git"
+    git_dir.mkdir(parents=True)
+    (git_dir / "HEAD").write_text("a" * 40 + "\n")
+    (git_dir / "config").write_text(
+        '[remote "origin"]\n\turl = https://gem5.googlesource.com\n'
     )
     artifact = Artifact.register_artifact(
         db, name="gem5-src", typ="git repo", path=str(tmp_path / "gem5")
     )
-    assert artifact.hash == info.revision
+    assert artifact.hash == "a" * 40
     assert artifact.git == {
         "git_url": "https://gem5.googlesource.com",
-        "hash": info.revision,
+        "hash": "a" * 40,
     }
 
 
@@ -153,7 +157,7 @@ def test_disk_image_roundtrip(db):
     artifact = register_disk_image(db, image)
     restored = load_disk_image(artifact)
     assert restored == image
-    assert restored.is_executable("/home/gem5/app")
+    assert dict(restored.walk())["/home/gem5/app"].executable
 
 
 def test_load_disk_image_type_check(db):
@@ -174,8 +178,7 @@ def test_db_contains_and_search(db):
     artifact = register_repo(db, "gem5")
     assert artifact.hash in db
     assert "0" * 32 not in db
-    assert db.search_by_name("gem5")[0]["_id"] == artifact.id
-    assert db.search_by_type("git repo")[0]["_id"] == artifact.id
+    assert db.artifacts.find({"name": "gem5"})[0]["_id"] == artifact.id
 
 
 def test_camelcase_alias(db):

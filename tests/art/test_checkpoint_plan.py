@@ -116,9 +116,9 @@ def test_inline_boots_on_the_calling_thread_in_plan_order(
     booted = []
     take_boot_checkpoint = Gem5Run.take_boot_checkpoint
 
-    def recording(run, **kwargs):
+    def recording(run, *args):
         booted.append((threading.get_ident(), run.prefix))
-        return take_boot_checkpoint(run, **kwargs)
+        return take_boot_checkpoint(run, *args)
 
     monkeypatch.setattr(Gem5Run, "take_boot_checkpoint", recording)
     summaries = run_jobs_scheduler(
@@ -159,7 +159,9 @@ def test_concurrent_same_prefix_submissions_boot_once(db, fs_artifacts):
     assert all(s["restored_boot"] for s in summaries)
 
 
-def test_boot_stage_failure_degrades_to_full_boots(db, fs_artifacts):
+def test_boot_stage_failure_degrades_to_full_boots(
+    db, fs_artifacts, monkeypatch
+):
     """A prefix whose boot fails the fault model stores nothing; its
     variants fall back to booting in full — degradation, never
     escalation."""
@@ -173,7 +175,8 @@ def test_boot_stage_failure_degrades_to_full_boots(db, fs_artifacts):
     )
     store = CheckpointStore(db)
     # timing + classic + 2 CPUs is unsupported, so the boot job fails.
-    checkpoints = run_boot_stage([run], store, boot_cpu="timing")
+    monkeypatch.setattr("repro.art.run.BOOT_CPU", "timing")
+    checkpoints = run_boot_stage([run], store)
     assert checkpoints == {run.prefix: None}
     assert store.lookup(run.prefix) is None
     with telemetry.session() as session:

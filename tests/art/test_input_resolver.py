@@ -49,7 +49,7 @@ def reads(monkeypatch):
     calls = {"find": [], "get_bytes": []}
     find, get_bytes = Collection.find, FileStore.get_bytes
 
-    def counting_find(self, query=None, **kwargs):
+    def find_and_count(self, query=None, **kwargs):
         calls["find"].append((self.name, query))
         return find(self, query, **kwargs)
 
@@ -57,7 +57,7 @@ def reads(monkeypatch):
         calls["get_bytes"].append(digest)
         return get_bytes(self, digest)
 
-    monkeypatch.setattr(Collection, "find", counting_find)
+    monkeypatch.setattr(Collection, "find", find_and_count)
     monkeypatch.setattr(FileStore, "get_bytes", counting_get_bytes)
     return calls
 

@@ -17,12 +17,13 @@ from repro import chaos, telemetry
 from repro.art import ArtifactDB, CheckpointStore, Gem5Run, RunCache, RunStatus
 from repro.chaos import FaultRule
 from repro.db import connect
-from repro.pipeline import parse_manifest_text, run_pipeline
+from repro.pipeline import run_pipeline
 
 from tests.art.test_checkpoints import make_checkpoint
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
 from tests.pipeline import targets
 from tests.pipeline.test_executor import CHAIN
+from tests.helpers import events_of, parse_manifest_text
 
 
 @pytest.fixture
@@ -129,13 +130,13 @@ def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
             second = user.use()
         counter = session.metrics.counter
         assert counter(f"{user.noun}_misses_total").value(reason=reason) == 1
-        [miss] = session.events.records(kind=f"{user.noun}.miss")
+        [miss] = events_of(session.events, f"{user.noun}.miss")
         assert miss["attributes"] == {
             user.key_field: user.key, "reason": reason,
         }
-        errors = session.events.records(kind=f"{user.noun}.error")
+        errors = events_of(session.events, f"{user.noun}.error")
         assert len(errors) == int(reason in ("read-fault", "blob-missing"))
-        corrupt = session.events.records(kind=f"{user.noun}.corrupt")
+        corrupt = events_of(session.events, f"{user.noun}.corrupt")
         assert len(corrupt) == int(reason == "corrupt")
         assert counter(f"{user.noun}_corrupt_total").value() == len(corrupt)
         for event in errors + corrupt:
@@ -156,15 +157,17 @@ def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
     assert entry[user.store.origin_field] == (first if kept_first else second)
     with telemetry.session() as session:
         user.use()
-        assert len(session.events.records(kind=f"{user.noun}.hit")) == 1
+        assert len(events_of(session.events, f"{user.noun}.hit")) == 1
     assert len(user.recomputes) == 1
 
 
 @pytest.mark.parametrize(
     "store_class, first_value, value, field, kept",
     [
-        (RunCache, {"_id": "run-1", "status": "done", "kind": "fs"},
-         {"_id": "run-2", "status": "done", "kind": "fs"}, "run_id", "run-1"),
+        (RunCache,
+         {"_id": "run-1", "status": "done", "spec": {"artifacts": {}}},
+         {"_id": "run-2", "status": "done", "spec": {"artifacts": {}}},
+         "run_id", "run-1"),
         (CheckpointStore, make_checkpoint(boot_seconds=10.0),
          make_checkpoint(boot_seconds=99.0), "boot_seconds", 10.0),
     ],

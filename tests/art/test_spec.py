@@ -93,13 +93,6 @@ def test_canonical_document_carries_schema_version():
     assert make_spec().canonical_document()["schema"] == SPEC_SCHEMA_VERSION
 
 
-def test_uses_artifact_hash():
-    spec = make_spec()
-    assert spec.uses_artifact_hash(HASH_A)
-    assert spec.uses_artifact_hash(HASH_B)
-    assert not spec.uses_artifact_hash("c" * 64)
-
-
 # ----------------------------------------------------------------- storage
 
 
@@ -108,8 +101,6 @@ def test_document_round_trip_preserves_fingerprint():
     reread = RunSpec.from_document(spec.to_document())
     assert reread == spec
     assert reread.fingerprint() == spec.fingerprint()
-    rejson = RunSpec.from_json(spec.canonical_json())
-    assert rejson.fingerprint() == spec.fingerprint()
 
 
 # ------------------------------------------------------- run integration
@@ -149,16 +140,15 @@ def test_load_rehydrates_spec_and_fingerprint(db, fs_artifacts):
     assert loaded.spec == run.spec
 
 
-def test_load_survives_pre_spec_documents(db, fs_artifacts):
-    """Documents written before the IR existed load (and can still
-    recompute identity from their artifacts)."""
+def test_load_rejects_a_document_without_spec(db, fs_artifacts):
+    """Every run document has carried ``spec`` since the IR exists;
+    one without it is rejected by id, not silently rebuilt."""
     run = make_run(db, fs_artifacts)
     doc = db.get_run(run.run_id)
     doc.pop("spec")
-    doc.pop("fingerprint")
     db.runs.replace_one({"_id": run.run_id}, doc)
-    loaded = Gem5Run.load(db, run.run_id)
-    assert loaded.fingerprint == run.fingerprint
+    with pytest.raises(ValidationError, match=run.run_id):
+        Gem5Run.load(db, run.run_id)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
+from tests.helpers import events_of
 
 
 @pytest.fixture
@@ -186,10 +187,9 @@ def test_incompatible_checkpoint_degrades_to_full_boot(
             worker_count=1,
             substrate=substrate,
             use_cache=False,
-            use_checkpoints=True,
-            checkpoint_store=store,
+            use_checkpoints=True,  # on the run's db: finds the entry
         )
-        events = session.events.records(kind="checkpoint.incompatible")
+        events = events_of(session.events, "checkpoint.incompatible")
     assert [e["attributes"]["run_id"] for e in events] == [run.run_id]
     assert summary["restored_boot"] is False
     assert summary["simulation_status"] == expected["simulation_status"]

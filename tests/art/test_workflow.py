@@ -7,7 +7,6 @@ from repro.art.artifact import Artifact
 from repro.art.workflow import (
     render_workflow,
     workflow_graph,
-    workflow_to_dot,
 )
 from repro.common.errors import ValidationError
 from repro.sim import Gem5Build
@@ -113,29 +112,6 @@ def test_duplicate_inputs_deduplicated_with_warning(db):
         {"artifact": "dup", "duplicate_inputs": [base.id]}
     ]
     assert graph["order"].index(base.id) < graph["order"].index("dup")
-
-
-def test_dot_escapes_hostile_names(db):
-    hostile = 'disk "v2\\final"'
-    db.put_artifact(
-        {
-            "_id": 'id-"quoted"',
-            "name": hostile,
-            "type": 'ty"pe',
-            "hash": "hh",
-            "inputs": [],
-        }
-    )
-    dot = workflow_to_dot(db, name='graph "g"')
-    # Every quote inside an id/label must be escaped: unescaped would
-    # appear as `"..." "..."` and break Graphviz parsing.
-    assert '"graph \\"g\\""' in dot
-    assert '"id-\\"quoted\\""' in dot
-    assert 'disk \\"v2\\\\final\\"' in dot
-    # No line may contain a bare interior quote sequence like `""` that
-    # did not come from an escape.
-    for line in dot.splitlines():
-        assert '""' not in line.replace('\\"', "")
 
 
 def test_topological_order_matches_sorted_reference(db):

@@ -19,17 +19,18 @@ from repro import chaos
 from repro.chaos import FaultRule, WorkerCrashed
 from repro.common.errors import FaultInjectedError
 from repro.db import Database
+from tests.helpers import set_engine_knobs
 
-NO_COMPACT = {"auto_compact": False}
+
+@pytest.fixture(autouse=True)
+def small_segments_no_background_compactor(monkeypatch):
+    """Every crash window here is the test's own: nothing compacts
+    behind its back, and 128-byte segments make seals frequent."""
+    set_engine_knobs(monkeypatch, auto_compact=False, seal_bytes=128)
 
 
-def open_db(root, **engine_options):
-    options = dict(NO_COMPACT)
-    options.update(engine_options)
-    return Database(
-        "test", root=str(root), durability="strict",
-        engine_options=options,
-    )
+def open_db(root):
+    return Database("test", root=str(root), durability="strict")
 
 
 # ----------------------------------------------------- crash mid-write
@@ -86,7 +87,7 @@ def test_injected_fault_keeps_memory_and_disk_agreed(tmp_path):
 
 def test_crash_mid_seal_recovers_every_write(tmp_path):
     root = tmp_path / "db"
-    db = open_db(root, seal_bytes=128)
+    db = open_db(root)
     rules = [chaos.FaultRule("segment.seal", action="crash", times=1)]
     acked = []
     with chaos.injected(seed=7, rules=rules):
@@ -111,7 +112,7 @@ def test_crash_mid_seal_recovers_every_write(tmp_path):
 
 def test_crash_mid_compaction_keeps_old_manifest(tmp_path):
     root = tmp_path / "db"
-    db = open_db(root, seal_bytes=128)
+    db = open_db(root)
     for i in range(40):
         db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
     for i in range(0, 40, 2):
@@ -151,7 +152,7 @@ def test_crash_after_rename_before_manifest_not_adopted(tmp_path):
     must be swept on reopen — never adopted behind newer operations —
     so deletes stay deleted and a retry still converges."""
     root = tmp_path / "db"
-    db = open_db(root, seal_bytes=128)
+    db = open_db(root)
     for i in range(40):
         db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
     rules = [
@@ -165,7 +166,7 @@ def test_crash_after_rename_before_manifest_not_adopted(tmp_path):
         db["runs"].delete_one({"_id": f"r{i}"})
     db["runs"].update_one({"_id": "r1"}, {"$set": {"pad": "updated"}})
     db.close()
-    recovered = open_db(root, seal_bytes=128)
+    recovered = open_db(root)
     assert recovered["runs"].count() == 20
     assert recovered["runs"].find_one({"_id": "r2"}) is None
     assert recovered["runs"].find_one({"_id": "r1"})["pad"] == "updated"
@@ -185,7 +186,7 @@ def test_crash_after_rename_before_manifest_not_adopted(tmp_path):
 
 def test_background_compactor_survives_injected_faults(tmp_path):
     root = tmp_path / "db"
-    db = open_db(root, seal_bytes=128)
+    db = open_db(root)
     for i in range(40):
         db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
     compactor = db._engine.compactor  # built but not started here
@@ -203,12 +204,13 @@ def test_background_compactor_survives_injected_faults(tmp_path):
 KILL_SCRIPT = textwrap.dedent(
     """
     import sys
+    import repro.db.engine
+    import repro.db.engine.segments
     from repro.db import Database
 
-    db = Database(
-        "test", root=sys.argv[1], durability="strict",
-        engine_options={"auto_compact": False, "seal_bytes": 512},
-    )
+    repro.db.engine.AUTO_COMPACT = False
+    repro.db.engine.segments.SEAL_BYTES = 512
+    db = Database("test", root=sys.argv[1], durability="strict")
     runs = db["runs"]
     i = 0
     while True:
@@ -245,9 +247,7 @@ def test_sigkill_mid_write_loses_no_acknowledged_write(tmp_path):
         proc.wait(timeout=30)
     assert proc.returncode == -signal.SIGKILL
     assert len(acked) >= 40
-    recovered = Database(
-        "test", root=root, engine_options={"auto_compact": False}
-    )
+    recovered = Database("test", root=root)
     present = {d["_id"] for d in recovered["runs"].find()}
     missing = [run_id for run_id in acked if run_id not in present]
     assert not missing, f"acknowledged writes lost: {missing}"

@@ -10,6 +10,7 @@ and assert the shard completes with results identical to an
 uninterrupted run.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -19,6 +20,19 @@ import pytest
 from repro import telemetry
 from repro.scheduler.procpool import JobEnvelope, ProcessPool
 from repro.sim.testing import boot_shard_job
+from tests.helpers import events_of, map_envelopes, result_of
+
+
+@pytest.fixture(autouse=True)
+def short_leases(monkeypatch):
+    """A killed worker's lease expires in half a second, not two."""
+    monkeypatch.setattr(
+        "repro.scheduler.procpool.DEFAULT_PROC_LEASE_TTL", 0.5
+    )
+
+
+def _worker_pids():
+    return [child.pid for child in multiprocessing.active_children()]
 
 
 def _shard(count, repeats=1, telemetry_on=False):
@@ -48,8 +62,8 @@ def test_sigkilled_worker_shard_completes_with_identical_stats(tmp_path):
     ] + _shard(8)[1:]
 
     with telemetry.session() as active:
-        with ProcessPool(workers=2, lease_ttl=0.5) as pool:
-            results = pool.map_envelopes(shard, timeout=120)
+        with ProcessPool(workers=2) as pool:
+            results = map_envelopes(pool, shard, timeout=120)
 
         assert os.path.exists(sentinel)  # the kill really happened
         assert len(results) == 8
@@ -59,8 +73,8 @@ def test_sigkilled_worker_shard_completes_with_identical_stats(tmp_path):
         assert fingerprints == {baseline["stats_fingerprint"]}
 
         # The crash left its evidence trail in the parent's telemetry.
-        assert active.events.records(kind="procpool.worker_lost")
-        redelivered = active.events.records(kind="procpool.redelivered")
+        assert events_of(active.events, "procpool.worker_lost")
+        redelivered = events_of(active.events, "procpool.redelivered")
         assert len(redelivered) >= 1
         assert (
             active.metrics.counter("procpool_workers_lost_total").value()
@@ -73,7 +87,7 @@ def test_sigkilled_worker_shard_completes_with_identical_stats(tmp_path):
         # The redelivered job was delivered at least twice.
         deliveries = [
             e["attributes"]["delivery"]
-            for e in active.events.records(kind="procpool.dispatch")
+            for e in events_of(active.events, "procpool.dispatch")
         ]
         assert max(deliveries) >= 2
 
@@ -82,17 +96,17 @@ def test_parent_side_sigkill_mid_flight_shard_completes():
     """Killing a live worker PID from the parent — the untimed, racy
     variant of the crash — still drains the shard correctly."""
     shard = _shard(6, repeats=50)
-    with ProcessPool(workers=2, lease_ttl=0.5) as pool:
+    with ProcessPool(workers=2) as pool:
         handles = [pool.submit(envelope) for envelope in shard]
         # Give workers a moment to pick up jobs, then kill one mid-run.
         deadline = time.monotonic() + 10
-        pids = pool.worker_pids()
+        pids = _worker_pids()
         while not pids and time.monotonic() < deadline:
             time.sleep(0.02)
-            pids = pool.worker_pids()
+            pids = _worker_pids()
         assert pids, "no live workers to kill"
         os.kill(pids[0], signal.SIGKILL)
-        results = [handle.result(timeout=120) for handle in handles]
+        results = [result_of(handle, 120) for handle in handles]
     assert [r["index"] for r in results] == list(range(6))
     assert all(r["ok"] for r in results)
     assert len({r["stats_fingerprint"] for r in results}) == 1

@@ -24,6 +24,7 @@ from tests.art.test_run_tasks import (  # noqa: F401
     fs_artifacts,
     make_run,
 )
+from tests.helpers import events_of
 
 
 @pytest.fixture(autouse=True)
@@ -47,8 +48,8 @@ def test_worker_killed_mid_task_completes_on_another_worker():
             with chaos.injected(seed=11, rules=rules) as injector:
                 result = survivor.apply_async(args=(21,))
                 assert result.get(timeout=10) == 42
-            crashes = session.events.records(kind="worker.crashed")
-            handed_back = session.events.records(kind="task.redelivered")
+            crashes = events_of(session.events, "worker.crashed")
+            handed_back = events_of(session.events, "task.redelivered")
         assert result.state is TaskState.SUCCESS
         (crash_stats,) = injector.report().values()
         assert crash_stats["fired"] == 1  # the crash really happened
@@ -62,7 +63,8 @@ def test_worker_killed_mid_task_completes_on_another_worker():
 
 def test_repeated_crashes_dead_letter_and_drain_does_not_hang():
     """A task that kills every worker it touches must exhaust its
-    redelivery budget and park — with drain() returning, not wedging."""
+    redelivery budget and park — with its waiter returning, not
+    wedging."""
     app = SchedulerApp(name="chaos-dl", worker_count=1)
     try:
         @app.task(name="cursed")
@@ -75,14 +77,19 @@ def test_repeated_crashes_dead_letter_and_drain_does_not_hang():
                 match={"task_name": "cursed"},
             )
         ]
-        with chaos.injected(seed=13, rules=rules):
-            result = cursed.apply_async()
-            app.drain(timeout=15.0)
+        with telemetry.session() as session:
+            with chaos.injected(seed=13, rules=rules):
+                result = cursed.apply_async()
+                app.backend.wait(result.task_id, timeout=15.0)
+            (parked,) = events_of(session.events, "task.dead_letter")
         assert result.state is TaskState.DEAD_LETTER
-        (record,) = app.backend.dead_letters()
-        assert record["task_id"] == result.task_id
+        assert parked["attributes"]["task_id"] == result.task_id
         # The first delivery plus every redelivery the budget allows.
-        assert record["deliveries"] == DEFAULT_MAX_REDELIVERIES + 1
+        assert (
+            parked["attributes"]["deliveries"]
+            == DEFAULT_MAX_REDELIVERIES + 1
+        )
+        record = app.backend.record(result.task_id)
         assert "presumed dead" in record["error"]
         with pytest.raises(StateError, match="DEAD_LETTER"):
             result.get(timeout=1)

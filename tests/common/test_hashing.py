@@ -2,7 +2,6 @@
 
 import os
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.hashing import (
@@ -11,7 +10,6 @@ from repro.common.hashing import (
     md5_text,
     md5_tree,
     sha256_bytes,
-    short_hash,
 )
 
 
@@ -65,16 +63,6 @@ def test_sha256_bytes_known_value():
     assert sha256_bytes(b"") == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
-
-
-def test_short_hash():
-    assert short_hash("abcdef0123456789") == "abcdef01"
-    assert short_hash("abcdef0123456789", 4) == "abcd"
-
-
-def test_short_hash_rejects_nonpositive_length():
-    with pytest.raises(ValueError):
-        short_hash("abc", 0)
 
 
 @given(st.binary())

@@ -6,7 +6,6 @@ from repro.common.gitinfo import (
     GitInfo,
     read_git_info,
     simulated_revision,
-    write_simulated_repo,
 )
 from repro.common.tables import TextTable
 
@@ -33,26 +32,11 @@ def test_table_rejects_ragged_rows():
         table.add_row([1])
 
 
-def test_table_csv():
-    table = TextTable(["a", "b"])
-    table.add_row([1, 2.5])
-    assert table.to_csv() == "a,b\n1,2.5"
-
-
 def test_table_len():
     table = TextTable(["a"])
     assert len(table) == 0
     table.add_row([1])
     assert len(table) == 1
-
-
-def test_simulated_repo_roundtrip(tmp_path):
-    info = write_simulated_repo(
-        str(tmp_path / "gem5"), "https://gem5.googlesource.com", "v20.1.0.4"
-    )
-    read = read_git_info(str(tmp_path / "gem5"))
-    assert read == info
-    assert len(info.revision) == 40
 
 
 def test_simulated_revision_stable():

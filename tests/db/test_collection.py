@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import DuplicateError, ValidationError
 from repro.db.collection import Collection
+from tests.helpers import insert_many
 
 
 @pytest.fixture
@@ -33,9 +34,8 @@ def test_insert_rejects_non_dict(coll):
         coll.insert_one(["not", "a", "doc"])
 
 
-def test_insert_many_and_len(coll):
-    ids = coll.insert_many([{"n": i} for i in range(5)])
-    assert len(ids) == 5
+def test_len_counts_documents(coll):
+    insert_many(coll, [{"n": i} for i in range(5)])
     assert len(coll) == 5
 
 
@@ -54,7 +54,7 @@ def test_inserted_document_is_copied(coll):
 
 
 def test_find_with_query_sort_limit(coll):
-    coll.insert_many([{"v": i} for i in (3, 1, 2)])
+    insert_many(coll, [{"v": i} for i in (3, 1, 2)])
     docs = coll.find({"v": {"$gte": 2}}, sort=[("v", -1)], limit=1)
     assert [d["v"] for d in docs] == [3]
 
@@ -64,10 +64,9 @@ def test_find_with_projection(coll):
     assert coll.find({}, fields=["a"]) == [{"_id": "x", "a": 1}]
 
 
-def test_count_and_distinct(coll):
-    coll.insert_many([{"t": "a"}, {"t": "b"}, {"t": "a"}])
+def test_count(coll):
+    insert_many(coll, [{"t": "a"}, {"t": "b"}, {"t": "a"}])
     assert coll.count({"t": "a"}) == 2
-    assert coll.distinct("t") == ["a", "b"]
 
 
 def test_unique_index_blocks_duplicates(coll):
@@ -85,7 +84,7 @@ def test_unique_index_sparse(coll):
 
 
 def test_unique_index_on_existing_violation(coll):
-    coll.insert_many([{"h": 1}, {"h": 1}])
+    insert_many(coll, [{"h": 1}, {"h": 1}])
     with pytest.raises(DuplicateError):
         coll.create_unique_index("h")
 
@@ -134,12 +133,6 @@ def test_update_nonexistent_returns_false(coll):
     assert not coll.update_one({"_id": "nope"}, {"$set": {"a": 1}})
 
 
-def test_update_many(coll):
-    coll.insert_many([{"t": "a"}, {"t": "a"}, {"t": "b"}])
-    assert coll.update_many({"t": "a"}, {"$set": {"seen": True}}) == 2
-    assert coll.count({"seen": True}) == 2
-
-
 def test_update_cannot_violate_unique_index(coll):
     coll.create_unique_index("h")
     coll.insert_one({"_id": "one", "h": 1})
@@ -156,7 +149,7 @@ def test_replace_one(coll):
 
 
 def test_delete_one_and_many(coll):
-    coll.insert_many([{"t": "a"}, {"t": "a"}, {"t": "b"}])
+    insert_many(coll, [{"t": "a"}, {"t": "a"}, {"t": "b"}])
     assert coll.delete_one({"t": "a"})
     assert coll.count() == 2
     assert coll.delete_many({"t": "a"}) == 1

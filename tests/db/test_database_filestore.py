@@ -12,13 +12,14 @@ from repro.common.errors import (
 from repro.db import connect
 from repro.db.database import Database
 from repro.db.filestore import FileStore
+from tests.helpers import insert_many
 
 
 def test_memory_database_basic():
     db = Database("test")
     db["runs"].insert_one({"name": "run1"})
     assert db["runs"].count() == 1
-    assert db.collection_names() == ["runs"]
+    assert db.describe() == {"runs": 1}
 
 
 def test_database_requires_name():
@@ -46,19 +47,9 @@ def test_save_memory_database_is_noop():
     Database("test").save()
 
 
-def test_drop_collection(tmp_path):
-    db = Database("test", root=str(tmp_path))
-    db["c"].insert_one({"x": 1})
-    db.save()
-    db.drop_collection("c")
-    assert "c" not in db.collection_names()
-    reloaded = Database("test", root=str(tmp_path))
-    assert reloaded["c"].count() == 0
-
-
 def test_describe():
     db = Database("test")
-    db["a"].insert_many([{}, {}])
+    insert_many(db["a"], [{}, {}])
     db["b"].insert_one({})
     assert db.describe() == {"a": 2, "b": 1}
 
@@ -107,21 +98,9 @@ def test_filestore_idempotent_put():
     assert len(store) == 1
 
 
-def test_filestore_put_file_and_download(tmp_path):
+def test_filestore_metadata_tracks_filenames():
     store = FileStore(None)
-    source = tmp_path / "kernel.bin"
-    source.write_bytes(b"\x7fELF kernel")
-    digest = store.put_file(str(source))
-    out = tmp_path / "sub" / "kernel.out"
-    store.download_to(digest, str(out))
-    assert out.read_bytes() == b"\x7fELF kernel"
-
-
-def test_filestore_metadata_tracks_filenames(tmp_path):
-    store = FileStore(None)
-    source = tmp_path / "vmlinux"
-    source.write_bytes(b"k")
-    digest = store.put_file(str(source))
+    digest = store.put_bytes(b"k", filename="vmlinux")
     meta = store.metadata(digest)
     assert meta["length"] == 1
     assert meta["filenames"] == ["vmlinux"]
@@ -144,8 +123,6 @@ def test_filestore_detects_on_disk_corruption(tmp_path):
     blob_path.write_bytes(b"pristine disk imagX")
     with pytest.raises(CorruptBlobError, match=digest[:16]):
         store.get_bytes(digest)
-    with pytest.raises(CorruptBlobError):
-        store.download_to(digest, str(tmp_path / "out.bin"))
     # Healthy blobs in the same store still read fine.
     other = store.put_bytes(b"healthy")
     assert store.get_bytes(other) == b"healthy"

@@ -10,12 +10,16 @@ from repro.db import Database, connect
 from repro.db.engine import StorageEngine
 from repro.db.engine.segments import CollectionStore
 from repro.db.engine.wal import encode_record
+from tests.helpers import insert_many, set_engine_knobs
 
-NO_COMPACT = {"auto_compact": False}
+
+@pytest.fixture(autouse=True)
+def no_background_compactor(monkeypatch):
+    """Segment files stay where a test put them unless it asks."""
+    set_engine_knobs(monkeypatch, auto_compact=False)
 
 
 def open_db(tmp_path, **kwargs):
-    kwargs.setdefault("engine_options", NO_COMPACT)
     return Database("test", root=str(tmp_path / "db"), **kwargs)
 
 
@@ -33,7 +37,8 @@ def test_writes_survive_without_save(tmp_path):
 
 def test_updates_and_deletes_replay(tmp_path):
     db = open_db(tmp_path, durability="strict")
-    db["runs"].insert_many(
+    insert_many(
+        db["runs"],
         [{"_id": "a", "n": 1}, {"_id": "b", "n": 2}, {"_id": "c", "n": 3}]
     )
     db["runs"].update_one({"_id": "a"}, {"$set": {"n": 10}})
@@ -67,11 +72,9 @@ def test_indexes_restored_on_reopen(tmp_path):
 # ----------------------------------------------------------------- seal
 
 
-def test_wal_seals_into_segments(tmp_path):
-    db = open_db(
-        tmp_path,
-        engine_options={"auto_compact": False, "seal_bytes": 256},
-    )
+def test_wal_seals_into_segments(tmp_path, monkeypatch):
+    set_engine_knobs(monkeypatch, seal_bytes=256)
+    db = open_db(tmp_path)
     for i in range(50):
         db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
     stats = db.storage_stats()["collections"]["runs"]
@@ -91,11 +94,9 @@ def test_seal_is_noop_on_empty_wal(tmp_path):
 # -------------------------------------------------------------- compact
 
 
-def test_compaction_merges_and_drops_tombstones(tmp_path):
-    db = open_db(
-        tmp_path,
-        engine_options={"auto_compact": False, "seal_bytes": 256},
-    )
+def test_compaction_merges_and_drops_tombstones(tmp_path, monkeypatch):
+    set_engine_knobs(monkeypatch, seal_bytes=256)
+    db = open_db(tmp_path)
     for i in range(40):
         db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
     for i in range(0, 40, 2):
@@ -115,11 +116,9 @@ def test_compaction_merges_and_drops_tombstones(tmp_path):
     again.close()
 
 
-def test_compaction_preserves_index_definitions(tmp_path):
-    db = open_db(
-        tmp_path,
-        engine_options={"auto_compact": False, "seal_bytes": 128},
-    )
+def test_compaction_preserves_index_definitions(tmp_path, monkeypatch):
+    set_engine_knobs(monkeypatch, seal_bytes=128)
+    db = open_db(tmp_path)
     db["arts"].create_index("kind")
     for i in range(30):
         db["arts"].insert_one({"_id": f"a{i}", "kind": f"k{i % 3}"})
@@ -130,16 +129,15 @@ def test_compaction_preserves_index_definitions(tmp_path):
     again.close()
 
 
-def test_background_compactor_merges(tmp_path):
-    db = Database(
-        "test",
-        root=str(tmp_path / "db"),
-        engine_options={
-            "seal_bytes": 128,
-            "compact_interval": 0.05,
-            "compact_min_segments": 2,
-        },
+def test_background_compactor_merges(tmp_path, monkeypatch):
+    set_engine_knobs(
+        monkeypatch,
+        auto_compact=True,
+        seal_bytes=128,
+        compact_interval=0.05,
+        compact_min_segments=2,
     )
+    db = open_db(tmp_path)
     for i in range(60):
         db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
     deadline = time.time() + 10
@@ -170,7 +168,7 @@ def test_recovery_report_shape(tmp_path):
 
 def test_torn_wal_tail_is_truncated_on_open(tmp_path):
     db = open_db(tmp_path, durability="strict")
-    db["runs"].insert_many([{"_id": "a"}, {"_id": "b"}])
+    insert_many(db["runs"], [{"_id": "a"}, {"_id": "b"}])
     db.close()
     wal = tmp_path / "db" / "engine" / "runs" / "wal.log"
     with open(wal, "ab") as handle:
@@ -277,24 +275,12 @@ def test_stale_unreferenced_segments_are_swept(tmp_path):
 
 
 def test_collection_name_validation(tmp_path):
-    engine = StorageEngine(str(tmp_path), auto_compact=False)
+    engine = StorageEngine(str(tmp_path), "batch")
     with pytest.raises(ValidationError):
         engine.store("../escape")
     with pytest.raises(ValidationError):
         engine.store(".hidden")
     engine.close()
-
-
-def test_drop_collection_removes_engine_state(tmp_path):
-    db = open_db(tmp_path)
-    db["c"].insert_one({"_id": "x"})
-    assert os.path.isdir(tmp_path / "db" / "engine" / "c")
-    db.drop_collection("c")
-    assert not os.path.exists(tmp_path / "db" / "engine" / "c")
-    db.close()
-    again = open_db(tmp_path)
-    assert again["c"].count() == 0
-    again.close()
 
 
 def test_connect_durability_uri(tmp_path):
@@ -308,8 +294,6 @@ def test_connect_durability_uri(tmp_path):
 
 
 def test_database_context_manager(tmp_path):
-    with Database(
-        "test", root=str(tmp_path / "db"), engine_options=NO_COMPACT
-    ) as db:
+    with open_db(tmp_path) as db:
         db["c"].insert_one({"_id": "x"})
     assert not db._engine.compactor.running

@@ -6,7 +6,6 @@ import pytest
 
 from repro import telemetry
 from repro.common.errors import ValidationError
-from repro.common.hashing import sha256_bytes
 from repro.db.filestore import FileStore
 
 
@@ -29,50 +28,6 @@ def test_stats_report_shard_fanout(tmp_path):
     assert stats["bytes"] == 10 * len(digests)
     assert 1 <= stats["shards"] <= len(digests)
     assert stats["quarantined"] == 0
-
-
-# --------------------------------------------------------------- streaming
-
-
-def test_put_file_streams_and_matches_put_bytes(tmp_path):
-    # Larger than one chunk so the incremental hash sees 2+ updates.
-    data = os.urandom(64) * ((1 << 20) // 32)
-    source = tmp_path / "disk-image.img"
-    source.write_bytes(data)
-    store = FileStore(str(tmp_path / "blobs"))
-    digest = store.put_file(str(source))
-    assert digest == sha256_bytes(data)
-    assert store.get_bytes(digest) == data
-    assert store.metadata(digest)["length"] == len(data)
-    # No ingest temp files left behind.
-    assert not [
-        name
-        for name in os.listdir(tmp_path / "blobs")
-        if name.endswith(".tmp")
-    ]
-
-
-def test_put_file_idempotent_reput_discards_temp(tmp_path):
-    source = tmp_path / "artifact.bin"
-    source.write_bytes(b"same content twice")
-    store = FileStore(str(tmp_path / "blobs"))
-    first = store.put_file(str(source))
-    second = store.put_file(str(source))
-    assert first == second
-    assert len(store) == 1
-    assert not [
-        name
-        for name in os.listdir(tmp_path / "blobs")
-        if name.endswith(".tmp")
-    ]
-
-
-def test_memory_put_file_streams(tmp_path):
-    source = tmp_path / "artifact.bin"
-    source.write_bytes(b"in-memory streaming")
-    store = FileStore(None)
-    digest = store.put_file(str(source))
-    assert store.get_bytes(digest) == b"in-memory streaming"
 
 
 # ------------------------------------------------------------- validation
@@ -108,10 +63,8 @@ def test_stale_tmp_files_swept_on_open(tmp_path):
     store = FileStore(str(tmp_path))
     digest = store.put_bytes(b"keep me")
     # What a process killed mid-put leaves behind.
-    (tmp_path / "ingest-dead00.tmp").write_bytes(b"half a disk image")
     (tmp_path / digest[:2] / "deadbeef.tmp").write_bytes(b"partial")
     reopened = FileStore(str(tmp_path))
-    assert not (tmp_path / "ingest-dead00.tmp").exists()
     assert not (tmp_path / digest[:2] / "deadbeef.tmp").exists()
     assert reopened.get_bytes(digest) == b"keep me"
 
@@ -119,10 +72,11 @@ def test_stale_tmp_files_swept_on_open(tmp_path):
 def test_scrub_sweeps_stale_tmp(tmp_path):
     store = FileStore(str(tmp_path))
     good = store.put_bytes(b"healthy")
-    (tmp_path / "ingest-dead00.tmp").write_bytes(b"junk")
+    stale = tmp_path / good[:2] / "deadbeef.tmp"
+    stale.write_bytes(b"junk")
     report = store.scrub()
     assert report["tmp_swept"] == 1
-    assert not (tmp_path / "ingest-dead00.tmp").exists()
+    assert not stale.exists()
     assert store.get_bytes(good) == b"healthy"
 
 

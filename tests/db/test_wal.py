@@ -115,13 +115,13 @@ def test_implausible_length_is_a_tear(tmp_path):
 
 def test_durability_knob_validated(tmp_path):
     with pytest.raises(ValidationError):
-        WalWriter(str(tmp_path / "w.log"), durability="paranoid")
+        WalWriter(str(tmp_path / "w.log"), "paranoid", "t")
     assert DURABILITY_MODES == ("none", "batch", "strict")
 
 
 def test_batch_mode_fsyncs_on_flush(tmp_path):
     path = str(tmp_path / "wal.log")
-    writer = WalWriter(path, durability="batch", batch_size=1000)
+    writer = WalWriter(path, durability="batch", collection="t")
     writer.append({"op": "insert", "doc": {"_id": "a"}})
     writer.flush()
     records, _, tear = read_log(path, tolerate_torn_tail=True)
@@ -130,7 +130,7 @@ def test_batch_mode_fsyncs_on_flush(tmp_path):
 
 
 def test_size_tracks_appends(tmp_path):
-    writer = WalWriter(str(tmp_path / "wal.log"), durability="none")
+    writer = WalWriter(str(tmp_path / "wal.log"), "none", "t")
     assert writer.size() == 0
     writer.append({"op": "insert", "doc": {"_id": "a"}})
     assert writer.size() > 0

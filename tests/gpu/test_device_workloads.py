@@ -216,28 +216,3 @@ def test_fig9_improved_group(ratios):
 def test_fig9_all_heterosync_suffer(ratios):
     for name in WORKLOADS_BY_SUITE["HeteroSync"]:
         assert ratios[name] > 1.03, name
-
-
-def test_execute_sequence_aggregates(device):
-    from repro.gpu import GPUKernel
-
-    kernels = [
-        GPUKernel(name="fwd", num_workgroups=64),
-        GPUKernel(name="bwd", num_workgroups=128),
-    ]
-    sequence = device.execute_sequence(kernels, "dynamic")
-    individual = sum(
-        device.execute(k, "dynamic").shader_ticks for k in kernels
-    )
-    assert sequence.shader_ticks == pytest.approx(individual)
-    assert sequence.kernel_name == "fwd+bwd"
-    assert set(sequence.stats["kernel_ticks"]) == {"fwd", "bwd"}
-    assert sequence.stats["kernels"] == 2.0
-    assert "kernel_ticks::fwd" in sequence.stats_txt()
-
-
-def test_execute_sequence_requires_kernels(device):
-    from repro.common.errors import ValidationError
-
-    with pytest.raises(ValidationError):
-        device.execute_sequence([], "simple")

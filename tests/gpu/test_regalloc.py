@@ -3,12 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.errors import StateError, ValidationError
+from repro.common.errors import ValidationError
 from repro.gpu import (
     DynamicRegisterAllocator,
     GPUConfig,
     GPUKernel,
-    RegisterFile,
     SimpleRegisterAllocator,
     build_register_allocator,
 )
@@ -18,48 +17,6 @@ def kernel(**overrides):
     params = dict(name="k", num_workgroups=64, vregs_per_wavefront=64)
     params.update(overrides)
     return GPUKernel(**params)
-
-
-def test_register_file_accounting():
-    bank = RegisterFile(256)
-    bank.allocate("wf0", 100)
-    bank.allocate("wf1", 100)
-    assert bank.used == 200
-    assert bank.available == 56
-    assert not bank.can_allocate(57)
-    assert bank.can_allocate(56)
-    assert bank.free("wf0") == 100
-    assert bank.available == 156
-
-
-def test_register_file_errors():
-    bank = RegisterFile(64)
-    with pytest.raises(ValidationError):
-        RegisterFile(0)
-    with pytest.raises(ValidationError):
-        bank.allocate("wf", 0)
-    bank.allocate("wf", 64)
-    with pytest.raises(StateError):
-        bank.allocate("wf", 1)  # double allocation
-    with pytest.raises(StateError):
-        bank.allocate("other", 1)  # exhausted
-    with pytest.raises(StateError):
-        bank.free("never-held")
-
-
-@given(
-    st.lists(
-        st.integers(min_value=1, max_value=64), min_size=1, max_size=20
-    )
-)
-def test_property_register_file_never_oversubscribes(requests):
-    bank = RegisterFile(256)
-    granted = 0
-    for index, request in enumerate(requests):
-        if bank.can_allocate(request):
-            bank.allocate(f"wf{index}", request)
-            granted += request
-        assert bank.used == granted <= 256
 
 
 def test_simple_always_one_slot():

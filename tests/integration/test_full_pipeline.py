@@ -93,7 +93,7 @@ def test_persistent_database_roundtrip(tmp_path):
         stats = reopened.download_file(record["stats_file_id"])
         assert b"sim_seconds" in stats
     # The disk image payload can be reconstructed byte-for-byte.
-    disk_doc = reopened.search_by_type("disk image")[0]
+    disk_doc = reopened.artifacts.find({"type": "disk image"})[0]
     assert reopened.has_file(disk_doc["file_id"])
 
 

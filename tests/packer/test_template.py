@@ -52,30 +52,6 @@ def test_provisioner_validation():
         Template(builder=make_builder(), provisioners=[{"type": "shell"}])
 
 
-def test_variable_substitution():
-    template = Template(
-        builder=make_builder(), variables={"user": "gem5"}
-    )
-    assert template.substitute("/home/{{user}}/run") == "/home/gem5/run"
-
-
-def test_json_roundtrip():
-    template = Template(
-        builder=make_builder(),
-        provisioners=[
-            {"type": "file", "destination": "/x", "content": "y"}
-        ],
-        variables={"a": "b"},
-    )
-    clone = Template.from_json(template.canonical_json())
-    assert clone.to_dict() == template.to_dict()
-
-
-def test_from_json_requires_builder():
-    with pytest.raises(ValidationError):
-        Template.from_json('{"provisioners": []}')
-
-
 def test_canonical_json_stable():
     one = Template(builder=make_builder()).canonical_json()
     two = Template(builder=make_builder()).canonical_json()

@@ -176,3 +176,47 @@ def test_pipeline_status_empty_db(tmp_path, capsys):
     uri = f"file://{tmp_path / 'empty-db'}"
     assert main(["pipeline", "status", "--db", uri]) == 1
     assert "no pipeline runs" in capsys.readouterr().out
+
+
+def test_rotted_stage_outputs_blob_costs_one_reexecution_then_heals(
+    tmp_path, capsys
+):
+    """The README's manifest, four times on one ``file://`` database:
+    cold; warm (>= 90% hits); with the ``render`` stage's outputs blob
+    rotted on disk — exit 0, exactly that stage re-executed; healed
+    (>= 90% again; a rotted blob used to cost a stage per run forever).
+    CI's ``pipeline`` job ran this as an inline script that called a
+    deleted ``FileStore`` method — red for three PRs, unseen."""
+    import os
+
+    from repro.art import ArtifactDB
+    from repro.db import connect
+    from repro.pipeline import PipelineJournal
+
+    manifest = os.path.join(
+        os.path.dirname(__file__), "..", "..", "examples", "paper.yaml"
+    )
+    root = tmp_path / "paper-db"
+    reproduce = ["reproduce", manifest, "--db", f"file://{root}"]
+    assert main(reproduce) == 0
+    assert main(reproduce + ["--expect-cache-hits", "90"]) == 0
+
+    db = ArtifactDB(connect(f"file://{root}"))
+    journal = PipelineJournal(db)
+    (blob,) = {
+        doc["outputs_blob"]
+        for doc in journal.stages_of(journal.latest_pipeline()["_id"])
+        if doc["stage"] == "render"
+    }
+    db.database.close()
+    path = root / "files" / blob[:2] / blob
+    head = path.read_bytes()[:2]
+    with open(path, "r+b") as handle:
+        handle.write(bytes(byte ^ 0xFF for byte in head))
+
+    capsys.readouterr()
+    assert main(reproduce) == 0
+    out = capsys.readouterr().out
+    assert out.count("[ executed]") == 1 and "[ executed] render" in out
+    assert out.count("[cache_hit]") == 3
+    assert main(reproduce + ["--expect-cache-hits", "90"]) == 0

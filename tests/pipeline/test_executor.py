@@ -6,11 +6,8 @@ import pytest
 from repro import chaos, telemetry
 from repro.art import ArtifactDB
 from repro.chaos import FaultRule
-from repro.pipeline import (
-    PipelineJournal,
-    parse_manifest_text,
-    run_pipeline,
-)
+from repro.pipeline import PipelineJournal, run_pipeline
+from tests.helpers import parse_manifest_text
 from tests.pipeline import targets
 
 CHAIN = """
@@ -340,3 +337,36 @@ def test_pipeline_counters_and_spans(db):
     assert {s["attributes"]["action"] for s in stage_spans} == {
         "executed", "cache_hit",
     }
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [("sweep", "artifacts_from"), ("analyze", "source"), ("render", "source")],
+)
+def test_miswired_source_param_is_a_validation_error(db, kind, param):
+    """A source param naming a stage that is not among the stage's
+    inputs is a manifest wiring error, reported as such — it used to
+    surface as ``KeyError: 'nope'``."""
+    manifest = parse_manifest_text(
+        f"""
+pipeline: miswired
+stages:
+  - name: up
+    kind: python
+    params: {{target: "tests.pipeline.targets:emit", value: 1}}
+  - name: wired
+    kind: {kind}
+    inputs: [up]
+    params: {{{param}: nope}}
+"""
+    )
+    result = run_pipeline(db, manifest)
+    assert result["status"] == "failed"
+    (error,) = [
+        doc["error"]
+        for doc in PipelineJournal(db).stages_of(result["pipeline_id"])
+        if doc["action"] == "error"
+    ]
+    assert error.startswith("ValidationError")
+    for needle in ("'wired'", f"{param}='nope'", "['up']"):
+        assert needle in error, error

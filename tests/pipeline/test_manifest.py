@@ -3,13 +3,9 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.pipeline import (
-    EXECUTION_DEFAULTS,
-    Manifest,
-    load_manifest,
-    parse_manifest_text,
-)
+from repro.pipeline import EXECUTION_DEFAULTS, Manifest, load_manifest
 from repro.pipeline.manifest import apply_set_overrides, parse_document_text
+from tests.helpers import parse_manifest_text
 
 MINIMAL = """
 pipeline: demo

@@ -6,7 +6,8 @@ import pytest
 from repro import chaos
 from repro.art import ArtifactDB
 from repro.chaos import FaultRule
-from repro.pipeline import parse_manifest_text, run_pipeline
+from repro.pipeline import run_pipeline
+from tests.helpers import parse_manifest_text
 
 MINI_SWEEP = """
 pipeline: boot-mini

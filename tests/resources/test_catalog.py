@@ -69,7 +69,7 @@ def test_build_parsec_image():
 
 def test_build_boot_exit_image():
     image = build_resource("boot-exit").image
-    assert image.is_executable("/home/gem5/exit.sh")
+    assert dict(image.walk())["/home/gem5/exit.sh"].executable
     assert b"m5 exit" in image.read_file("/home/gem5/exit.sh")
 
 

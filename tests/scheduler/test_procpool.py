@@ -21,6 +21,7 @@ from repro.scheduler.procpool import (
     ProcessPool,
     WorkerJobError,
 )
+from tests.helpers import events_of, map_envelopes, result_of
 
 
 def test_envelope_requires_dotted_path_target():
@@ -31,8 +32,6 @@ def test_envelope_requires_dotted_path_target():
 def test_pool_requires_workers():
     with pytest.raises(ValidationError):
         ProcessPool(workers=0)
-    with pytest.raises(ValidationError):
-        ProcessPool(workers=2, max_redeliveries=-1)
 
 
 def test_submit_and_result():
@@ -40,9 +39,8 @@ def test_submit_and_result():
         handle = pool.submit(
             JobEnvelope(target="math:factorial", args=(5,))
         )
-        assert handle.result(timeout=60) == 120
+        assert result_of(handle, 60) == 120
         assert handle.ready()
-        assert handle.successful()
         assert handle.worker is not None
 
 
@@ -51,7 +49,7 @@ def test_map_envelopes_preserves_order():
         JobEnvelope(target="math:factorial", args=(n,)) for n in range(6)
     ]
     with ProcessPool(workers=3) as pool:
-        assert pool.map_envelopes(envelopes, timeout=60) == [
+        assert map_envelopes(pool, envelopes, timeout=60) == [
             1, 1, 2, 6, 24, 120,
         ]
 
@@ -62,31 +60,9 @@ def test_worker_error_propagates_as_worker_job_error():
             JobEnvelope(target="operator:truediv", args=(1, 0))
         )
         with pytest.raises(WorkerJobError) as excinfo:
-            handle.result(timeout=60)
+            result_of(handle, 60)
         assert "ZeroDivisionError" in str(excinfo.value)
         assert handle.ready()
-        assert not handle.successful()
-
-
-def test_result_timeout_raises_multiprocessing_timeout():
-    with ProcessPool(workers=1) as pool:
-        handle = pool.submit(
-            JobEnvelope(target="time:sleep", args=(1.0,))
-        )
-        with pytest.raises(multiprocessing.TimeoutError):
-            handle.result(timeout=0.05)
-        assert handle.result(timeout=60) is None  # sleep returns None
-
-
-def test_successful_before_ready_raises_value_error():
-    with ProcessPool(workers=1) as pool:
-        handle = pool.submit(
-            JobEnvelope(target="time:sleep", args=(0.5,))
-        )
-        if not handle.ready():
-            with pytest.raises(ValueError):
-                handle.successful()
-        handle.result(timeout=60)
 
 
 def test_closed_pool_rejects_submission():
@@ -107,7 +83,7 @@ def test_join_requires_close():
 def test_jobs_run_in_separate_processes():
     with ProcessPool(workers=2) as pool:
         handle = pool.submit(JobEnvelope(target="os:getpid"))
-        worker_pid = handle.result(timeout=60)
+        worker_pid = result_of(handle, 60)
         assert worker_pid != os.getpid()
 
 
@@ -117,14 +93,22 @@ def test_boot_shard_job_runs_in_worker():
         args=({"index": 7, "repeats": 2},),
     )
     with ProcessPool(workers=1) as pool:
-        outcome = pool.submit(envelope).result(timeout=120)
+        outcome = result_of(pool.submit(envelope), 120)
     assert outcome["index"] == 7
     assert outcome["repeats"] == 2
     assert outcome["stats_fingerprint"]
     assert outcome["sim_seconds"] > 0
 
 
-def test_crashed_worker_job_is_redelivered():
+@pytest.fixture
+def short_leases(monkeypatch):
+    """A killed worker's lease expires in half a second, not two."""
+    monkeypatch.setattr(
+        "repro.scheduler.procpool.DEFAULT_PROC_LEASE_TTL", 0.5
+    )
+
+
+def test_crashed_worker_job_is_redelivered(short_leases):
     """SIGKILL mid-job: the lease expires, a respawned worker gets the
     job again, and the handle still resolves to a good result."""
     sentinel = os.path.join(
@@ -136,8 +120,8 @@ def test_crashed_worker_job_is_redelivered():
         args=({"index": 0, "repeats": 1, "sentinel": sentinel},),
     )
     try:
-        with ProcessPool(workers=1, lease_ttl=0.5) as pool:
-            outcome = pool.submit(envelope).result(timeout=120)
+        with ProcessPool(workers=1) as pool:
+            outcome = result_of(pool.submit(envelope), 120)
         assert outcome["ok"]
         assert os.path.exists(sentinel)  # first delivery really happened
     finally:
@@ -145,14 +129,17 @@ def test_crashed_worker_job_is_redelivered():
             os.unlink(sentinel)
 
 
-def test_redelivery_budget_dead_letters():
+def test_redelivery_budget_dead_letters(short_leases, monkeypatch):
     """A job that kills its worker on every delivery is eventually
     failed instead of respawning workers forever."""
+    monkeypatch.setattr(
+        "repro.scheduler.procpool.DEFAULT_MAX_REDELIVERIES", 1
+    )
     envelope = JobEnvelope(target="os:abort")
-    with ProcessPool(workers=1, lease_ttl=0.3, max_redeliveries=1) as pool:
+    with ProcessPool(workers=1) as pool:
         handle = pool.submit(envelope)
         with pytest.raises(WorkerJobError) as excinfo:
-            handle.result(timeout=60)
+            result_of(handle, 60)
     assert "redelivery budget" in str(excinfo.value)
 
 
@@ -167,7 +154,7 @@ def test_worker_telemetry_merges_into_parent_session():
     ]
     with telemetry.session() as active:
         with ProcessPool(workers=2) as pool:
-            results = pool.map_envelopes(envelopes, timeout=120)
+            results = map_envelopes(pool, envelopes, timeout=120)
         assert all(r["ok"] for r in results)
         counter = active.metrics.counter("probe_total")
         assert counter.value() == pytest.approx(6.0)
@@ -175,7 +162,7 @@ def test_worker_telemetry_merges_into_parent_session():
         sample = histogram.samples()[0]
         assert sample["count"] == 3
         assert sample["sum"] == pytest.approx(6.0)
-        probe_events = active.events.records(kind="probe.ran")
+        probe_events = events_of(active.events, "probe.ran")
         assert len(probe_events) == 3
         assert all(
             e["attributes"]["worker"].startswith("procpool-worker-")
@@ -183,7 +170,7 @@ def test_worker_telemetry_merges_into_parent_session():
         )
         assert {e["attributes"]["index"] for e in probe_events} == {0, 1, 2}
         # pool bookkeeping is visible too
-        dispatches = active.events.records(kind="procpool.dispatch")
+        dispatches = events_of(active.events, "procpool.dispatch")
         assert len(dispatches) >= 3
 
 
@@ -200,13 +187,13 @@ def test_sequential_round_trips_are_event_driven():
     completes its handle when it is readable, not at the next poll tick
     (a 100 ms result poll needs >= 5 s here)."""
     with ProcessPool(workers=1) as pool:
-        assert pool.submit(JobEnvelope(target="os:getpid")).result(60)
+        assert result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
         started = time.monotonic()
         for n in range(50):
             handle = pool.submit(
                 JobEnvelope(target="math:factorial", args=(n % 5,))
             )
-            handle.result(timeout=60)
+            result_of(handle, 60)
         assert time.monotonic() - started < 2.5
 
 
@@ -214,7 +201,7 @@ def test_one_service_thread_while_running_none_after_shutdown():
     before = _service_threads()
     pool = ProcessPool(workers=2)
     try:
-        assert pool.submit(JobEnvelope(target="os:getpid")).result(60)
+        assert result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
         assert len(_service_threads()) == len(before) + 1
     finally:
         pool.shutdown()
@@ -226,7 +213,7 @@ def test_shutdown_fails_outstanding_handles_promptly():
     for the worker nor leaves a waiter hanging on an abandoned handle."""
     pool = ProcessPool(workers=1)
     warm = pool.submit(JobEnvelope(target="os:getpid"))
-    assert warm.result(timeout=60)  # worker is up: the sleeper ships now
+    assert result_of(warm, 60)  # worker is up: the sleeper ships now
     handles = [pool.submit(JobEnvelope(target="time:sleep", args=(10,)))]
     handles += [
         pool.submit(JobEnvelope(target="math:factorial", args=(n,)))
@@ -238,10 +225,10 @@ def test_shutdown_fails_outstanding_handles_promptly():
     assert time.monotonic() - started < 1.0
     for handle in handles:
         with pytest.raises(WorkerJobError) as excinfo:
-            handle.result(timeout=1)
+            result_of(handle, 1)
         assert "shut down" in str(excinfo.value)
     assert pool._leases.active() == 0
-    assert warm.result(timeout=1)  # completed handles keep their value
+    assert result_of(warm, 1)  # completed handles keep their value
 
 
 def test_killed_idle_worker_is_respawned_without_a_submit():
@@ -249,15 +236,18 @@ def test_killed_idle_worker_is_respawned_without_a_submit():
     the reactor an idle worker died."""
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
-            first = pool.submit(JobEnvelope(target="os:getpid")).result(60)
+            first = result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
             os.kill(first, signal.SIGKILL)
             lost = active.metrics.counter("procpool_workers_lost_total")
             deadline = time.monotonic() + 10
             while lost.value() < 1:
                 assert time.monotonic() < deadline, "worker not respawned"
                 time.sleep(0.01)
-            assert pool.worker_pids() not in ([], [first])
-            second = pool.submit(JobEnvelope(target="os:getpid")).result(60)
+            respawned = [
+                child.pid for child in multiprocessing.active_children()
+            ]
+            assert respawned not in ([], [first])
+            second = result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
             assert second != first
             assert lost.value() == 1
 
@@ -265,7 +255,7 @@ def test_killed_idle_worker_is_respawned_without_a_submit():
 def test_roundtrip_histogram_recorded_when_telemetry_is_on():
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
-            pool.map_envelopes(
+            map_envelopes(pool, 
                 [JobEnvelope(target="os:getpid") for _ in range(3)],
                 timeout=60,
             )

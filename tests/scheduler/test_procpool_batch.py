@@ -10,6 +10,7 @@ from repro.scheduler.procpool import (
     WorkerJobError,
     intern_ref,
 )
+from tests.helpers import events_of, map_envelopes, result_of
 
 
 def test_batched_dispatch_preserves_order_and_results():
@@ -17,7 +18,7 @@ def test_batched_dispatch_preserves_order_and_results():
         JobEnvelope(target="math:factorial", args=(n,)) for n in range(8)
     ]
     with ProcessPool(workers=2) as pool:
-        assert pool.map_envelopes(envelopes, timeout=60) == [
+        assert map_envelopes(pool, envelopes, timeout=60) == [
             1, 1, 2, 6, 24, 120, 720, 5040,
         ]
 
@@ -35,8 +36,8 @@ def test_intern_ships_each_payload_once_per_worker():
     ]
     with telemetry.session() as session:
         with ProcessPool(workers=1) as pool:
-            results = pool.map_envelopes(envelopes, timeout=60)
-        messages = session.events.records(kind="procpool.dispatch")
+            results = map_envelopes(pool, envelopes, timeout=60)
+        messages = events_of(session.events, "procpool.dispatch")
     # Every job resolved the interned payload inside the worker...
     assert results == [1000] * 4
     # ...but only the first message carried it; the rest were deltas.
@@ -56,5 +57,5 @@ def test_unshipped_intern_ref_fails_loudly():
     with ProcessPool(workers=1) as pool:
         handle = pool.submit(envelope)
         with pytest.raises(WorkerJobError) as excinfo:
-            handle.result(timeout=60)
+            result_of(handle, 60)
     assert "never" in str(excinfo.value)

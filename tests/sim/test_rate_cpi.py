@@ -81,17 +81,3 @@ def test_cpi_stack_compute_vs_memory():
         mcf.stats["system.cpu.cpi_stall"]
         > 5 * ep.stats["system.cpu.cpi_stall"]
     )
-
-
-def test_workflow_dot_export():
-    from repro.art import ArtifactDB, register_gem5_binary, register_repo
-    from repro.art.workflow import workflow_to_dot
-
-    db = ArtifactDB()
-    repo = register_repo(db, "gem5")
-    binary = register_gem5_binary(db, Gem5Build(), inputs=[repo])
-    dot = workflow_to_dot(db)
-    assert dot.startswith('digraph "gem5art"')
-    assert f'"{repo.id}" -> "{binary.id}";' in dot
-    assert "gem5\\n(git repo)" in dot
-    assert dot.endswith("}")

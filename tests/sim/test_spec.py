@@ -25,7 +25,9 @@ def test_spec_runs_single_threaded():
     for suite, benchmarks in SPEC_BENCHMARKS.items():
         for name in benchmarks:
             workload = get_spec_workload(suite, name, "test")
-            assert workload.max_parallelism() == 1, (suite, name)
+            assert {p.parallelism for p in workload.phases} == {1}, (
+                suite, name,
+            )
 
 
 def test_mcf_is_the_memory_monster():

@@ -52,16 +52,6 @@ def test_stats_to_dict_flattens_vectors():
     assert stats.to_dict() == {"v::k": 2.0}
 
 
-def test_stats_merge_prefixed():
-    inner = StatsDB()
-    inner.set("x", 1)
-    inner.vec_inc("v", "a", 2)
-    outer = StatsDB()
-    outer.merge_prefixed("gpu", inner)
-    assert outer.get("gpu.x") == 1
-    assert outer.vec_get("gpu.v") == {"a": 2.0}
-
-
 def test_stats_bad_name():
     with pytest.raises(ValidationError):
         StatsDB().set(" padded ", 1)
@@ -111,12 +101,10 @@ def test_build_defaults_and_names():
     assert build.binary_name == "build/X86/gem5.opt"
     assert len(build.revision) == 40
     assert "scons build/X86/gem5.opt" in build.scons_command()
-    assert not build.supports_gpu
 
 
 def test_build_gpu_variant():
     build = Gem5Build(version="21.0", isa="GCN3_X86")
-    assert build.supports_gpu
     assert build.binary_name == "build/GCN3_X86/gem5.opt"
 
 

@@ -8,8 +8,8 @@ from repro.telemetry import (
     Tracer,
     chrome_trace_json,
     spans_to_chrome_trace,
-    to_jsonl,
 )
+from tests.helpers import events_of
 
 
 def test_event_log_sequences_and_filters():
@@ -19,7 +19,7 @@ def test_event_log_sequences_and_filters():
     log.emit("task.transition", task_id="a", dst="SUCCESS")
     records = log.records()
     assert [r["seq"] for r in records] == [1, 2, 3]
-    transitions = log.records(kind="task.transition")
+    transitions = events_of(log, "task.transition")
     assert len(transitions) == 2
     assert transitions[1]["attributes"]["dst"] == "SUCCESS"
     assert records[0]["wall_iso"].endswith("+00:00")
@@ -29,12 +29,6 @@ def test_event_log_sequences_and_filters():
 def test_null_event_log_is_inert():
     NULL_EVENT_LOG.emit("anything", a=1)
     assert NULL_EVENT_LOG.records() == []
-
-
-def test_to_jsonl_round_trips():
-    records = [{"kind": "a", "n": 1}, {"kind": "b", "n": 2}]
-    lines = to_jsonl(records).strip().splitlines()
-    assert [json.loads(line)["kind"] for line in lines] == ["a", "b"]
 
 
 def test_chrome_trace_structure():

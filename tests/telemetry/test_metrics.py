@@ -29,13 +29,12 @@ def test_counter_rejects_negative():
         registry.counter("c").inc(-1)
 
 
-def test_gauge_set_inc_dec():
+def test_gauge_set_inc():
     registry = MetricsRegistry()
     depth = registry.gauge("queue_depth")
     depth.set(5)
     depth.inc()
-    depth.dec(2)
-    assert depth.value() == 4
+    assert depth.value() == 6
 
 
 def test_histogram_buckets_cumulative():

@@ -220,6 +220,25 @@ def test_admission_flags_and_verb_are_gone(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--deep"],
+        ["--strict"],
+        ["--baseline", "accepted.json"],
+        ["--write-baseline"],
+        ["--format", "xml"],
+    ],
+)
+def test_lint_has_one_mode(flags):
+    """`repro lint [paths] [--format F]` always runs every rule and
+    pass and fails on any finding; the flags that used to choose a mode
+    (and an unknown format) are usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "src/repro"] + flags)
+    assert excinfo.value.code == 2
+
+
 def test_resume_command_unknown_experiment(tmp_path, capsys):
     uri = f"file://{tmp_path}/emptydb"
     assert main(["resume", "ghost", "--db", uri]) == 1
@@ -316,17 +335,17 @@ def test_db_stats(tmp_path, capsys):
     assert "filestore:" in out
 
 
-def test_db_compact(tmp_path, capsys):
+def test_db_compact(tmp_path, capsys, monkeypatch):
     from repro.db import Database
+    from tests.helpers import set_engine_knobs
 
     root = str(tmp_path / "store")
-    db = Database(
-        "test", root=root,
-        engine_options={"auto_compact": False, "seal_bytes": 128},
-    )
-    for i in range(40):
-        db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-    db.close()
+    with monkeypatch.context() as seeding:
+        set_engine_knobs(seeding, auto_compact=False, seal_bytes=128)
+        db = Database("test", root=root)
+        for i in range(40):
+            db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
+        db.close()
     assert main(["db", "compact", "--db", f"file://{root}"]) == 0
     out = capsys.readouterr().out
     assert "merged" in out

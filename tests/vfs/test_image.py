@@ -36,8 +36,8 @@ def test_overwrite(image):
 def test_executable_flag(image):
     image.write_file("/bin/run.sh", "#!/bin/sh", executable=True)
     image.write_file("/etc/motd", "hello")
-    assert image.is_executable("/bin/run.sh")
-    assert not image.is_executable("/etc/motd")
+    assert dict(image.walk())["/bin/run.sh"].executable
+    assert not dict(image.walk())["/etc/motd"].executable
 
 
 def test_exists_and_missing(image):
@@ -95,7 +95,7 @@ def test_serialization_roundtrip(image):
     image.mkdir("/empty")
     clone = DiskImage.from_dict(image.to_dict())
     assert clone == image
-    assert clone.is_executable("/bin/app")
+    assert dict(clone.walk())["/bin/app"].executable
     assert clone.listdir("/empty") == []
 
 

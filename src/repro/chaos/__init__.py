@@ -33,12 +33,11 @@ point                   fired
 ``wal.append``          before a WAL record is written (crash here =
                         write accepted but never logged, so never
                         acknowledged)
-``segment.seal``        before the active WAL is renamed into a segment
-``compact.publish``     before a compacted snapshot is renamed into
+``compact.publish``     before a compacted segment is renamed into
                         place (crash = only a ``*.tmp`` left behind)
-``compact.manifest``    after the compacted snapshot is renamed but
-                        before the manifest republish (crash = an
-                        unreferenced ``compact-*.seg``, swept on open)
+``compact.truncate``    after the segment is published but before the
+                        WAL it absorbed is truncated (crash = both on
+                        disk; replaying both is a fixed point)
 ======================  ====================================================
 
 Usage::

@@ -17,7 +17,7 @@ experiments without writing a launch script:
   boot-checkpoint store (``gc`` evicts checkpoints whose boot prefix no
   run spec references anymore);
 - ``db stats|compact|scrub|recover`` — storage-engine maintenance:
-  per-collection segment/WAL shape, forced segment compaction, blob
+  per-collection segment/WAL shape, forced compaction, blob
   re-verification with quarantine, and a crash-recovery report.
 
 ``boot-tests`` and ``resume`` accept ``--workers N``,
@@ -165,9 +165,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     dbcmd.add_argument(
         "action", choices=("stats", "compact", "scrub", "recover"),
-        help="stats: collection/segment/blob shape; compact: merge "
-        "sealed segments and drop tombstones; scrub: re-verify blob "
-        "hashes and quarantine rot; recover: replay the WAL and "
+        help="stats: collection/segment/blob shape; compact: fold each "
+        "WAL into its segment, dropping tombstones; scrub: re-verify "
+        "blob hashes and quarantine rot; recover: replay the logs and "
         "report what crash recovery found",
     )
     dbcmd.add_argument(
@@ -579,13 +579,38 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _cmd_resume(args) -> int:
-    from repro.art import ArtifactDB, Experiment
+def _open_db(args):
+    """The database ``--db`` names, for a verb that reads what an
+    earlier one wrote — or None once the reason has been printed: a URI
+    that does not connect, or a ``file://`` directory that is not there
+    (``connect`` would create it, and a mistyped path would answer
+    "empty" and leave a database behind)."""
+    import os
+    from urllib.parse import urlparse
+
     from repro.common.errors import ReproError
     from repro.db import connect
 
+    parsed = urlparse(args.db)
+    if parsed.scheme == "file" and not os.path.isdir(parsed.path):
+        print(f"error: no database at {parsed.path}")
+        return None
     try:
-        db = ArtifactDB(connect(args.db))
+        return connect(args.db)
+    except ReproError as error:
+        print(f"error: {error}")
+        return None
+
+
+def _cmd_resume(args) -> int:
+    from repro.art import ArtifactDB, Experiment
+    from repro.common.errors import ReproError
+
+    database = _open_db(args)
+    if database is None:
+        return 1
+    try:
+        db = ArtifactDB(database)
         experiment = Experiment.load(db, args.experiment)
     except ReproError as error:
         print(f"error: {error}")
@@ -628,22 +653,6 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _open_memo(args, store_class):
-    """``--db`` as an ArtifactDB plus one memo store (``RunCache`` or
-    ``CheckpointStore``) on it — or ``(None, None)`` once the connection
-    error has been printed."""
-    from repro.art import ArtifactDB
-    from repro.common.errors import ReproError
-    from repro.db import connect
-
-    try:
-        db = ArtifactDB(connect(args.db))
-    except ReproError as error:
-        print(f"error: {error}")
-        return None, None
-    return db, store_class(db)
-
-
 def _print_memo(store, action, widths, extra_totals, title, columns):
     """``stats`` (entries, the adoption tally and any ``(label, key,
     format)`` extras, one ``label value`` line each, then the per-label
@@ -671,12 +680,14 @@ def _print_memo(store, action, widths, extra_totals, title, columns):
 
 
 def _cmd_cache(args) -> int:
-    from repro.art import RunCache
+    from repro.art import ArtifactDB, RunCache
     from repro.common.errors import ReproError
 
-    db, cache = _open_memo(args, RunCache)
-    if db is None:
+    database = _open_db(args)
+    if database is None:
         return 1
+    db = ArtifactDB(database)
+    cache = RunCache(db)
     if args.action != "invalidate":
         return _print_memo(
             cache, args.action, (11, 9), [], "RESULT CACHE",
@@ -703,12 +714,14 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_ckpt(args) -> int:
-    from repro.art import CheckpointStore
+    from repro.art import ArtifactDB, CheckpointStore
     from repro.art.spec import RunSpec
 
-    db, store = _open_memo(args, CheckpointStore)
-    if db is None:
+    database = _open_db(args)
+    if database is None:
         return 1
+    db = ArtifactDB(database)
+    store = CheckpointStore(db)
     if args.action != "gc":
         return _print_memo(
             store, args.action, (14, 11),
@@ -736,20 +749,14 @@ def _cmd_ckpt(args) -> int:
 
 def _cmd_db(args) -> int:
     """Storage-engine maintenance: stats, compact, scrub, recover."""
-    from repro.common.errors import ReproError
-    from repro.db import connect
-
-    try:
-        db = connect(args.db)
-    except ReproError as error:
-        print(f"error: {error}")
+    db = _open_db(args)
+    if db is None:
         return 1
     try:
         if args.action == "stats":
             stats = db.storage_stats()
             table = TextTable(
-                ["Collection", "Docs", "Segments", "Seg bytes",
-                 "WAL bytes", "Indexes"],
+                ["Collection", "Docs", "Seg bytes", "WAL bytes", "Indexes"],
                 title=f"STORAGE ENGINE ({stats['durability']})",
             )
             for name, entry in sorted(stats["collections"].items()):
@@ -758,9 +765,8 @@ def _cmd_db(args) -> int:
                     [
                         name,
                         str(entry["documents"]),
-                        str(entry.get("segments", 0)),
-                        str(entry.get("segment_bytes", 0)),
-                        str(entry.get("wal_bytes", 0)),
+                        str(entry["segment_bytes"]),
+                        str(entry["wal_bytes"]),
                         indexes,
                     ]
                 )
@@ -774,21 +780,17 @@ def _cmd_db(args) -> int:
                 )
             return 0
         if args.action == "compact":
-            if db.root is None:
-                print("nothing to compact: in-memory database")
-                return 0
-            results = db.compact()
             merged = 0
-            for name, result in sorted(results.items()):
+            for name, result in sorted(db.compact().items()):
                 if result["merged"]:
                     merged += 1
                     print(
-                        f"{name}: merged {result['merged']} segments "
-                        f"into {result['segment']}, reclaimed "
+                        f"{name}: merged {result['merged']} WAL records "
+                        f"into the segment, reclaimed "
                         f"{result['reclaimed_bytes']} bytes"
                     )
             if not merged:
-                print("nothing to compact: no collection has 2+ segments")
+                print("nothing to compact: every WAL is empty")
             return 0
         if args.action == "scrub":
             report = db.files.scrub()
@@ -804,8 +806,7 @@ def _cmd_db(args) -> int:
             print("no persisted collections to recover")
             return 0
         table = TextTable(
-            ["Collection", "Records", "Segments", "WAL records",
-             "Torn bytes"],
+            ["Collection", "Records", "WAL records", "Torn bytes"],
             title="CRASH RECOVERY",
         )
         for name, entry in sorted(report.items()):
@@ -813,7 +814,6 @@ def _cmd_db(args) -> int:
                 [
                     name,
                     str(entry["records_replayed"]),
-                    str(entry["segments"]),
                     str(entry["wal_records"]),
                     str(entry["truncated_bytes"]),
                 ]
@@ -861,15 +861,17 @@ def _cmd_trace(args) -> int:
     from repro.art import ArtifactDB
     from repro.art.launch import find_experiment
     from repro.common.errors import ReproError
-    from repro.db import connect
     from repro.telemetry import (
         chrome_trace_json,
         metrics_to_prometheus,
         rehydrate_telemetry,
     )
 
+    database = _open_db(args)
+    if database is None:
+        return 1
     try:
-        db = ArtifactDB(connect(args.db))
+        db = ArtifactDB(database)
         doc = find_experiment(db, args.experiment)
         snapshot = rehydrate_telemetry(db, doc["_id"])
     except ReproError as error:
@@ -1037,18 +1039,16 @@ def _trail_line(event) -> str:
 def _cmd_pipeline(args) -> int:
     from repro.art import ArtifactDB
     from repro.common.errors import NotFoundError, ReproError
-    from repro.db import connect
     from repro.pipeline import (
         PipelineJournal,
         load_manifest,
         run_pipeline,
     )
 
-    try:
-        db = ArtifactDB(connect(args.db))
-    except ReproError as error:
-        print(f"error: {error}")
-        return 2
+    database = _open_db(args)
+    if database is None:
+        return 1
+    db = ArtifactDB(database)
     journal = PipelineJournal(db)
 
     if args.action == "status":

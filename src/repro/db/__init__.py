@@ -9,7 +9,7 @@ replacements:
   and non-unique secondary indexes,
 - :class:`Database` — a set of named collections persisted through the
   embedded storage engine (:mod:`repro.db.engine`: write-ahead log,
-  sealed segments, background compaction, crash recovery),
+  one sealed segment, compaction, crash recovery),
 - :class:`FileStore` — a content-addressed blob store (the GridFS
   stand-in) with hash-prefix sharding and scrub-and-quarantine repair,
 - :func:`connect` — URI-based entry point (``memory://`` or
@@ -18,7 +18,7 @@ replacements:
 
 from repro.db.query import matches, sort_documents, project
 from repro.db.collection import Collection
-from repro.db.engine import DURABILITY_MODES, StorageEngine
+from repro.db.engine import DURABILITY_MODES
 from repro.db.database import Database
 from repro.db.filestore import FileStore
 from repro.db.client import connect
@@ -30,7 +30,6 @@ __all__ = [
     "Collection",
     "Database",
     "DURABILITY_MODES",
-    "StorageEngine",
     "FileStore",
     "connect",
 ]

@@ -6,7 +6,7 @@ backends available offline:
 
 - ``memory://`` — an ephemeral in-memory database,
 - ``file:///some/dir`` — a database persisted through the storage engine
-  (WAL + segments) with blobs in a sharded FileStore.
+  (sealed segment + WAL) with blobs in a sharded FileStore.
 
 A ``file://`` URI accepts a ``durability`` query parameter selecting how
 eagerly acknowledged writes are fsynced::
@@ -22,7 +22,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.common.errors import ValidationError
 from repro.db.database import Database
-from repro.db.engine import DURABILITY_MODES
 
 
 def connect(uri: str = "memory://") -> Database:
@@ -46,11 +45,6 @@ def connect(uri: str = "memory://") -> Database:
                     f"unknown database URI parameter {key!r}"
                 )
             durability = values[-1]
-            if durability not in DURABILITY_MODES:
-                raise ValidationError(
-                    f"unknown durability {durability!r}; "
-                    f"one of {DURABILITY_MODES}"
-                )
         return Database(
             name="artifact_database", root=path, durability=durability
         )

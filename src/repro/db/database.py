@@ -3,16 +3,16 @@
 Mirrors the role MongoDB plays for gem5art: a durable home for artifact and
 run documents.  A database can live purely in memory (tests) or be bound to
 a directory, where each collection persists through the
-:mod:`repro.db.engine` write-ahead log + sealed segments and blobs live
+:mod:`repro.db.engine` sealed segment + write-ahead log and blobs live
 under ``files/`` via the :class:`~repro.db.filestore.FileStore`::
 
     <root>/
-        engine/<collection>/   # WAL + segments + manifest per collection
+        engine/<collection>/   # segment.seg + wal.log per collection
         files/<xx>/<digest>    # sharded content-addressed blobs
 
 Every acknowledged write is WAL-logged immediately; ``save()`` is only
-an fsync barrier and reopening a database is crash recovery: segments
-replay strictly checksummed, the WAL tail is healed, and whatever a
+an fsync barrier and reopening a database is crash recovery: the segment
+replays strictly checksummed, the WAL tail is healed, and whatever a
 ``durability=strict`` writer acknowledged is guaranteed back.
 """
 
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ValidationError
 from repro.db.collection import Collection
-from repro.db.engine import DURABILITY_MODES, StorageEngine
+from repro.db.engine import CollectionStore, check_durability
 from repro.db.filestore import FileStore
-
-_ENGINE_DIR = "engine"
 
 
 class Database:
@@ -41,26 +39,23 @@ class Database:
     ):
         if not name:
             raise ValidationError("database name must be non-empty")
-        if durability not in DURABILITY_MODES:
-            raise ValidationError(
-                f"unknown durability {durability!r}; "
-                f"one of {DURABILITY_MODES}"
-            )
         self.name = name
         self.root = root
-        self.durability = durability
+        self.durability = check_durability(durability)
         self._collections: Dict[str, Collection] = {}
+        self._stores: Dict[str, CollectionStore] = {}
         self._lock = threading.RLock()
         self._files: Optional[FileStore] = None
-        self._engine: Optional[StorageEngine] = None
         self._recovery: Dict[str, Dict[str, Any]] = {}
         if root is not None:
-            os.makedirs(root, exist_ok=True)
+            self._engine_root = os.path.join(root, "engine")
+            os.makedirs(self._engine_root, exist_ok=True)
             self._files = FileStore(os.path.join(root, "files"))
-            self._engine = StorageEngine(
-                os.path.join(root, _ENGINE_DIR), durability
-            )
-            self._recover()
+            # Reopening is crash recovery: every persisted collection
+            # (a directory under engine/) is replayed here.
+            for entry in sorted(os.listdir(self._engine_root)):
+                if os.path.isdir(os.path.join(self._engine_root, entry)):
+                    self._recovery[entry] = self._open(entry)
 
     # ---------------------------------------------------------- collections
 
@@ -68,16 +63,29 @@ class Database:
         """Return (creating on first use) the named collection."""
         with self._lock:
             if name not in self._collections:
-                store = (
-                    self._engine.store(name)
-                    if self._engine is not None
-                    else None
-                )
-                self._collections[name] = Collection(name, store=store)
+                if self.root is None:
+                    self._collections[name] = Collection(name)
+                else:
+                    self._open(name)
             return self._collections[name]
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
+
+    def _open(self, name: str) -> Dict[str, Any]:
+        """Bind ``name`` to its on-disk store, replaying what is there;
+        returns the store's recovery report."""
+        store = CollectionStore(self._engine_root, name, self.durability)
+        documents, indexes, report = store.load()
+        collection = Collection(name, store=store)
+        collection.load_replayed(documents, indexes)
+        self._stores[name] = store
+        self._collections[name] = collection
+        return report
+
+    def _each_store(self) -> List[CollectionStore]:
+        with self._lock:
+            return list(self._stores.values())
 
     # ---------------------------------------------------------------- files
 
@@ -98,24 +106,23 @@ class Database:
         barrier (useful under ``durability=none|batch``).  A no-op for
         purely in-memory databases.
         """
-        if self._engine is not None:
-            self._engine.flush()
+        for store in self._each_store():
+            store.flush()
 
     def close(self) -> None:
-        """Stop the compaction thread and close the WAL writers."""
-        if self._engine is not None:
-            self._engine.close()
+        """Flush and close the WAL writers."""
+        for store in self._each_store():
+            store.close()
 
     def compact(self) -> Dict[str, Dict[str, Any]]:
-        """Seal + merge every collection's segments right now.
+        """Fold every collection's WAL into its segment right now.
 
-        The background compactor does this on its own cadence; the
-        explicit form exists for the CLI and for shutdown hygiene.
-        Returns per-collection merge stats ({} for memory databases).
+        An append does this on its own once the WAL has outgrown
+        ``COMPACT_BYTES`` and the segment; the explicit form exists for
+        the CLI.  Returns per-collection stats ({} for memory
+        databases); unlike the inline form, a failure raises.
         """
-        if self._engine is None:
-            return {}
-        return self._engine.compact_all()
+        return {store.name: store.compact() for store in self._each_store()}
 
     def __enter__(self) -> "Database":
         return self
@@ -124,16 +131,6 @@ class Database:
         self.close()
 
     # ------------------------------------------------------------ recovery
-
-    def _recover(self) -> None:
-        """Replay every persisted collection out of the engine."""
-        for name in self._engine.existing_names():
-            store = self._engine.store(name)
-            documents, indexes, report = store.load()
-            coll = Collection(name, store=store)
-            coll.load_replayed(documents, indexes)
-            self._collections[name] = coll
-            self._recovery[name] = report
 
     def recovery_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-collection crash-recovery summary from this open:
@@ -154,21 +151,17 @@ class Database:
         """Engine + blob-store shape for ``repro db stats``."""
         with self._lock:
             collections: Dict[str, Dict[str, Any]] = {}
-            engine_stats = (
-                self._engine.stats() if self._engine is not None else {}
-            )
             for name, coll in self._collections.items():
-                entry: Dict[str, Any] = {
+                store = self._stores.get(name)
+                collections[name] = {
                     "documents": len(coll),
                     "indexes": coll.index_fields(),
+                    **(
+                        store.stats()
+                        if store is not None
+                        else {"segment_bytes": 0, "wal_bytes": 0}
+                    ),
                 }
-                entry.update(
-                    engine_stats.get(
-                        name,
-                        {"segments": 0, "segment_bytes": 0, "wal_bytes": 0},
-                    )
-                )
-                collections[name] = entry
         stats: Dict[str, Any] = {
             "durability": self.durability if self.root else "memory",
             "collections": collections,

@@ -13,7 +13,7 @@ failure modes detectable without any out-of-band state:
 - a **torn tail** — the process died mid-append, leaving a truncated
   header or payload.  Recovery keeps every record before the tear and
   truncates the file back to the last good byte;
-- **corruption** inside a sealed segment — the CRC no longer matches,
+- **corruption** inside the sealed segment — the CRC no longer matches,
   which is a hard :class:`~repro.common.errors.CorruptRecordError`
   because sealed bytes were fsynced and must never change.
 
@@ -24,8 +24,8 @@ mode      guarantee
 ========  ===========================================================
 strict    fsync before every append returns — an acknowledged write
           survives an immediate power cut
-batch     fsync every ``batch_size`` appends and on flush/seal/close
-none      OS page cache only; fsync at flush/seal/close
+batch     fsync every ``BATCH_SIZE`` appends and on flush/compaction/close
+none      OS page cache only; fsync at flush/compaction/close
 ========  ===========================================================
 """
 
@@ -35,7 +35,7 @@ import os
 import struct
 import threading
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import CorruptRecordError, ValidationError
@@ -87,8 +87,19 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def check_durability(mode: str) -> str:
+    """``mode`` if it is a durability mode, else a ValidationError."""
+    if mode not in DURABILITY_MODES:
+        raise ValidationError(
+            f"unknown durability {mode!r}; one of {DURABILITY_MODES}"
+        )
+    return mode
+
+
 def read_log(
-    path: str, tolerate_torn_tail: bool = False
+    path: str,
+    tolerate_torn_tail: bool = False,
+    apply: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Tuple[List[Dict[str, Any]], int, Optional[str]]:
     """Decode every record in a log file.
 
@@ -98,8 +109,14 @@ def read_log(
     file is corruption and raises; in an active WAL it is the expected
     signature of a crash mid-append, so with ``tolerate_torn_tail`` the
     good prefix is returned and the caller truncates the file.
+
+    With ``apply`` each record is handed over as soon as it is decoded
+    and ``records`` stays empty: a replay keeps only what is still live,
+    not every superseded version the log holds.
     """
     records: List[Dict[str, Any]] = []
+    if apply is None:
+        apply = records.append
     offset = 0
     tear: Optional[str] = None
     with open(path, "rb") as handle:
@@ -122,7 +139,7 @@ def read_log(
         if zlib.crc32(payload) != crc:
             tear = f"checksum mismatch at byte {offset}"
             break
-        records.append(loads(payload.decode("utf-8")))
+        apply(loads(payload.decode("utf-8")))
         offset = start + length
     if tear is not None and not tolerate_torn_tail:
         raise CorruptRecordError(f"{path}: {tear}")
@@ -133,13 +150,8 @@ class WalWriter:
     """Append-only writer for one collection's active WAL file."""
 
     def __init__(self, path: str, durability: str, collection: str):
-        if durability not in DURABILITY_MODES:
-            raise ValidationError(
-                f"unknown durability {durability!r}; "
-                f"one of {DURABILITY_MODES}"
-            )
         self.path = path
-        self.durability = durability
+        self.durability = check_durability(durability)
         self.batch_size = BATCH_SIZE
         self.collection = collection
         self._lock = threading.Lock()
@@ -185,6 +197,16 @@ class WalWriter:
         os.fsync(self._handle.fileno())
         self._since_fsync = 0
         _fsyncs_counter().inc(collection=self.collection)
+
+    def truncate(self) -> None:
+        """Empty the log, durably: its records live in the segment now."""
+        with self._lock:
+            self._handle.flush()
+            self._handle.truncate(0)
+            # An append-mode handle still writes at the (new) end; the
+            # seek only keeps ``tell()``, i.e. ``size()``, honest.
+            self._handle.seek(0)
+            self._fsync_locked()
 
     # ---------------------------------------------------------------- misc
 

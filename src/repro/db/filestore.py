@@ -41,7 +41,7 @@ def _check_digest(digest: str) -> str:
 
     Every id handed out by ``put_*`` is 64 lowercase hex characters;
     nothing else may ever reach ``os.path.join`` against the store root
-    (a "digest" like ``../engine/MANIFEST.json`` would otherwise escape
+    (a "digest" like ``../engine/runs/wal.log`` would otherwise escape
     it — and ``delete`` would unlink whatever it lands on).
     """
     if not isinstance(digest, str) or _DIGEST_RE.match(digest) is None:
@@ -72,7 +72,6 @@ class FileStore:
     def __init__(self, root: Optional[str]):
         self.root = root
         self._memory: Dict[str, bytes] = {}
-        self._metadata: Dict[str, Dict] = {}
         self._lock = threading.RLock()
         if root is not None:
             os.makedirs(root, exist_ok=True)
@@ -114,17 +113,7 @@ class FileStore:
                     with open(tmp, "wb") as handle:
                         handle.write(data)
                     os.replace(tmp, path)
-            self._note_metadata(digest, len(data), filename)
         return digest
-
-    def _note_metadata(
-        self, digest: str, length: int, filename: Optional[str]
-    ) -> None:
-        meta = self._metadata.setdefault(
-            digest, {"length": length, "filenames": []}
-        )
-        if filename and filename not in meta["filenames"]:
-            meta["filenames"].append(filename)
 
     # ----------------------------------------------------------------- get
 
@@ -160,7 +149,7 @@ class FileStore:
     # -------------------------------------------------------------- delete
 
     def delete(self, digest: str) -> bool:
-        """Drop a blob (and its metadata) from the store.
+        """Drop a blob from the store.
 
         Content addressing makes deletion safe for corruption recovery:
         a blob whose bytes no longer match its digest is garbage, and
@@ -169,7 +158,6 @@ class FileStore:
         """
         _check_digest(digest)
         with self._lock:
-            self._metadata.pop(digest, None)
             if self.root is None:
                 return self._memory.pop(digest, None) is not None
             path = self._blob_path(digest)
@@ -204,7 +192,6 @@ class FileStore:
                         continue
                     if sha256_bytes(data) != digest:
                         del self._memory[digest]
-                        self._metadata.pop(digest, None)
                         quarantined.append(digest)
                     continue
                 path = self._blob_path(digest)
@@ -218,7 +205,6 @@ class FileStore:
                     )
                     os.makedirs(os.path.dirname(target), exist_ok=True)
                     os.replace(path, target)
-                    self._metadata.pop(digest, None)
                     quarantined.append(digest)
         _scanned_counter().inc(scanned)
         if quarantined:
@@ -252,16 +238,6 @@ class FileStore:
                     if not blob.endswith(".tmp")
                 )
         return sorted(ids)
-
-    def metadata(self, digest: str) -> Dict:
-        if not self.exists(digest):
-            raise NotFoundError(f"no blob with id {digest}")
-        with self._lock:
-            return dict(
-                self._metadata.get(
-                    digest, {"length": None, "filenames": []}
-                )
-            )
 
     def stats(self) -> Dict[str, object]:
         """Blob population and layout shape for ``repro db stats``."""

@@ -12,7 +12,8 @@ import pytest
 
 from repro.art import Experiment, run_jobs_scheduler
 from repro.art.procjobs import envelope_for_run
-from repro.db import Database, StorageEngine, connect
+from repro.db import Database, connect
+from repro.db.engine import CollectionStore
 from repro.pipeline import EXECUTION_DEFAULTS
 from repro.scheduler import LeaseManager, ProcessPool, SchedulerApp
 from repro.scheduler.app import RegisteredTask
@@ -44,7 +45,7 @@ from repro.scheduler.app import RegisteredTask
         (envelope_for_run, ["run", "inputs", "restore"]),
         (connect, ["uri"]),
         (Database.__init__, ["self", "name", "root", "durability"]),
-        (StorageEngine.__init__, ["self", "root", "durability"]),
+        (CollectionStore.__init__, ["self", "root", "name", "durability"]),
         (LeaseManager.__init__, ["self", "ttl"]),
     ],
 )

@@ -2,9 +2,10 @@
 
 The durability contract under test: every write acknowledged under
 ``durability=strict`` is present after a crash — whether the process died
-mid-append (torn tail), mid-seal, mid-compaction, or was SIGKILLed for
-real — and recovery never resurrects an unacknowledged write or a torn
-record (WAL checksums prove it).
+mid-append, mid-compaction, or was SIGKILLed for real — and recovery
+never resurrects an unacknowledged write.  The generated form of the
+contract (every chaos point, every torn-tail class, against a model) is
+``tests/db/test_engine_model.py``; these are the named windows.
 """
 
 import os
@@ -15,18 +16,11 @@ import textwrap
 
 import pytest
 
-from repro import chaos
-from repro.chaos import FaultRule, WorkerCrashed
+from repro import chaos, telemetry
+from repro.chaos import WorkerCrashed
 from repro.common.errors import FaultInjectedError
 from repro.db import Database
-from tests.helpers import set_engine_knobs
-
-
-@pytest.fixture(autouse=True)
-def small_segments_no_background_compactor(monkeypatch):
-    """Every crash window here is the test's own: nothing compacts
-    behind its back, and 128-byte segments make seals frequent."""
-    set_engine_knobs(monkeypatch, auto_compact=False, seal_bytes=128)
+from tests.helpers import events_of, set_engine_knobs
 
 
 def open_db(root):
@@ -82,120 +76,53 @@ def test_injected_fault_keeps_memory_and_disk_agreed(tmp_path):
     recovered.close()
 
 
-# ------------------------------------------------------ crash mid-seal
+# ------------------------------------------- failure mid-housekeeping
 
 
-def test_crash_mid_seal_recovers_every_write(tmp_path):
+@pytest.mark.parametrize(
+    "rule",
+    [
+        chaos.FaultRule("compact.publish", action="raise", times=1),
+        chaos.FaultRule("compact.truncate", action="raise", times=1),
+    ],
+    ids=lambda rule: rule.point,
+)
+def test_failed_inline_compaction_never_fails_the_write(
+    tmp_path, monkeypatch, rule
+):
+    """Disk must not run ahead of memory: the append that triggers an
+    inline compaction is logged before the compaction starts, so its
+    failure is an event, not a failed write.  (When housekeeping after
+    the append could fail the call, memory dropped a document the log
+    kept, a later insert reused its unique key, and the database no
+    longer opened.)"""
+    set_engine_knobs(monkeypatch, compact_bytes=4096)
     root = tmp_path / "db"
     db = open_db(root)
-    rules = [chaos.FaultRule("segment.seal", action="crash", times=1)]
-    acked = []
-    with chaos.injected(seed=7, rules=rules):
-        for i in range(30):
-            try:
-                db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-                acked.append(f"r{i}")
-            except WorkerCrashed:
-                # The insert reached the WAL before the seal started:
-                # the write is durable even though the call crashed.
-                acked.append(f"r{i}")
-    recovered = open_db(root)
-    assert sorted(d["_id"] for d in recovered["runs"].find()) == sorted(
-        acked
-    )
-    db.close()
-    recovered.close()
-
-
-# ------------------------------------------------- crash mid-compaction
-
-
-def test_crash_mid_compaction_keeps_old_manifest(tmp_path):
-    root = tmp_path / "db"
-    db = open_db(root)
-    for i in range(40):
-        db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-    for i in range(0, 40, 2):
-        db["runs"].delete_one({"_id": f"r{i}"})
-    segments_before = db.storage_stats()["collections"]["runs"][
-        "segments"
-    ]
-    assert segments_before >= 2
-    rules = [chaos.FaultRule("compact.publish", action="crash", times=1)]
-    with chaos.injected(seed=5, rules=rules):
-        with pytest.raises(WorkerCrashed):
-            db.compact()
-    db.close()
-    # The aborted merge left the old manifest authoritative; every
-    # acknowledged write replays, the orphan tmp file is swept.
-    recovered = open_db(root)
-    assert recovered["runs"].count() == 20
-    assert recovered["runs"].find_one({"_id": "r1"}) is not None
-    assert recovered["runs"].find_one({"_id": "r2"}) is None
-    engine_dir = root / "engine" / "runs"
-    assert not any(
-        name.endswith(".tmp") for name in os.listdir(engine_dir)
-    )
-    # And a clean retry finishes the job.
-    results = recovered.compact()
-    assert results["runs"]["merged"] >= 2
-    assert (
-        recovered.storage_stats()["collections"]["runs"]["segments"] == 1
-    )
-    assert recovered["runs"].count() == 20
-    recovered.close()
-
-
-def test_crash_after_rename_before_manifest_not_adopted(tmp_path):
-    """The second compaction crash window: output already renamed into
-    place, manifest not yet republished.  The stranded compact-*.seg
-    must be swept on reopen — never adopted behind newer operations —
-    so deletes stay deleted and a retry still converges."""
-    root = tmp_path / "db"
-    db = open_db(root)
-    for i in range(40):
-        db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-    rules = [
-        chaos.FaultRule("compact.manifest", action="crash", times=1)
-    ]
-    with chaos.injected(seed=21, rules=rules):
-        with pytest.raises(WorkerCrashed):
-            db.compact()
-    # Acknowledged ops newer than the aborted merge's snapshot.
-    for i in range(0, 40, 2):
-        db["runs"].delete_one({"_id": f"r{i}"})
-    db["runs"].update_one({"_id": "r1"}, {"$set": {"pad": "updated"}})
-    db.close()
-    recovered = open_db(root)
-    assert recovered["runs"].count() == 20
-    assert recovered["runs"].find_one({"_id": "r2"}) is None
-    assert recovered["runs"].find_one({"_id": "r1"})["pad"] == "updated"
-    engine_dir = root / "engine" / "runs"
-    stranded = [
-        name
-        for name in os.listdir(engine_dir)
-        if name.startswith("compact-")
-    ]
-    assert not stranded  # swept as unreferenced, not adopted
-    # A clean retry finishes what the crash interrupted.
-    results = recovered.compact()
-    assert results["runs"]["merged"] >= 2
-    assert recovered["runs"].count() == 20
-    recovered.close()
-
-
-def test_background_compactor_survives_injected_faults(tmp_path):
-    root = tmp_path / "db"
-    db = open_db(root)
-    for i in range(40):
-        db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-    compactor = db._engine.compactor  # built but not started here
-    rules = [chaos.FaultRule("compact.publish", action="crash", times=1)]
-    with chaos.injected(seed=9, rules=rules):
-        assert compactor.run_once() == 0  # fault eaten, thread survives
-    assert compactor.run_once() == 1  # retry merges
+    db["runs"].create_unique_index("hash")
+    with telemetry.session() as session:
+        with chaos.injected(seed=13, rules=[rule]):
+            for i in range(40):
+                db["runs"].insert_one(
+                    {"_id": f"r{i}", "hash": f"h{i}", "pad": "x" * 60}
+                )
+        (failure,) = events_of(session.events, "db.compact.error")
+    assert failure["attributes"]["collection"] == "runs"
+    assert rule.point in failure["attributes"]["error"]
+    # Every insert was acknowledged and is readable ...
     assert db["runs"].count() == 40
+    # ... and a later append past the threshold retried the compaction.
+    stats = db.storage_stats()["collections"]["runs"]
+    assert stats["segment_bytes"] > 0 and stats["wal_bytes"] < 4096
+    # An explicit compaction, unlike the inline one, raises to its caller.
+    db["runs"].insert_one({"_id": "more", "hash": "more"})
+    with chaos.injected(seed=13, rules=[rule]):
+        with pytest.raises(FaultInjectedError):
+            db.compact()
+    recovered = open_db(root)  # opens: memory and disk never disagreed
+    assert recovered["runs"].count() == 41
     db.close()
+    recovered.close()
 
 
 # ----------------------------------------------------------- real kill
@@ -204,12 +131,10 @@ def test_background_compactor_survives_injected_faults(tmp_path):
 KILL_SCRIPT = textwrap.dedent(
     """
     import sys
-    import repro.db.engine
     import repro.db.engine.segments
     from repro.db import Database
 
-    repro.db.engine.AUTO_COMPACT = False
-    repro.db.engine.segments.SEAL_BYTES = 512
+    repro.db.engine.segments.COMPACT_BYTES = 512
     db = Database("test", root=sys.argv[1], durability="strict")
     runs = db["runs"]
     i = 0

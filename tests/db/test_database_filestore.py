@@ -98,20 +98,10 @@ def test_filestore_idempotent_put():
     assert len(store) == 1
 
 
-def test_filestore_metadata_tracks_filenames():
-    store = FileStore(None)
-    digest = store.put_bytes(b"k", filename="vmlinux")
-    meta = store.metadata(digest)
-    assert meta["length"] == 1
-    assert meta["filenames"] == ["vmlinux"]
-
-
 def test_filestore_missing_blob_raises():
     store = FileStore(None)
     with pytest.raises(NotFoundError):
         store.get_bytes("0" * 64)
-    with pytest.raises(NotFoundError):
-        store.metadata("0" * 64)
 
 
 def test_filestore_detects_on_disk_corruption(tmp_path):

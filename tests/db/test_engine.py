@@ -1,22 +1,17 @@
-"""Tests for the segmented storage engine: seal, recover, compact."""
+"""Tests for the storage engine: recover, compact, refuse.
+
+What can be generated is in ``test_engine_model.py``; here are the
+examples a model cannot see (files on disk, reports, messages).
+"""
 
 import os
-import time
+import threading
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.db import Database, connect
-from repro.db.engine import StorageEngine
-from repro.db.engine.segments import CollectionStore
-from repro.db.engine.wal import encode_record
-from tests.helpers import insert_many, set_engine_knobs
-
-
-@pytest.fixture(autouse=True)
-def no_background_compactor(monkeypatch):
-    """Segment files stay where a test put them unless it asks."""
-    set_engine_knobs(monkeypatch, auto_compact=False)
+from tests.helpers import insert_many
 
 
 def open_db(tmp_path, **kwargs):
@@ -69,33 +64,10 @@ def test_indexes_restored_on_reopen(tmp_path):
     again.close()
 
 
-# ----------------------------------------------------------------- seal
-
-
-def test_wal_seals_into_segments(tmp_path, monkeypatch):
-    set_engine_knobs(monkeypatch, seal_bytes=256)
-    db = open_db(tmp_path)
-    for i in range(50):
-        db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
-    stats = db.storage_stats()["collections"]["runs"]
-    assert stats["segments"] >= 2
-    db.close()
-    again = open_db(tmp_path)
-    assert again["runs"].count() == 50
-    again.close()
-
-
-def test_seal_is_noop_on_empty_wal(tmp_path):
-    store = CollectionStore(str(tmp_path), "c", durability="none")
-    assert store.seal() is None
-    store.close()
-
-
 # -------------------------------------------------------------- compact
 
 
-def test_compaction_merges_and_drops_tombstones(tmp_path, monkeypatch):
-    set_engine_knobs(monkeypatch, seal_bytes=256)
+def test_compaction_merges_and_drops_tombstones(tmp_path):
     db = open_db(tmp_path)
     for i in range(40):
         db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
@@ -103,11 +75,14 @@ def test_compaction_merges_and_drops_tombstones(tmp_path, monkeypatch):
         db["runs"].delete_one({"_id": f"r{i}"})
     before = db.storage_stats()["collections"]["runs"]
     results = db.compact()
-    assert results["runs"]["merged"] >= 2
+    assert results["runs"]["merged"] == 60
     assert results["runs"]["reclaimed_bytes"] > 0
     after = db.storage_stats()["collections"]["runs"]
-    assert after["segments"] == 1
-    assert after["segment_bytes"] < before["segment_bytes"]
+    assert after["wal_bytes"] == 0
+    assert 0 < after["segment_bytes"] < before["wal_bytes"]
+    assert sorted(os.listdir(tmp_path / "db" / "engine" / "runs")) == [
+        "segment.seg", "wal.log",
+    ]
     db.close()
     again = open_db(tmp_path)
     assert again["runs"].count() == 20
@@ -116,8 +91,7 @@ def test_compaction_merges_and_drops_tombstones(tmp_path, monkeypatch):
     again.close()
 
 
-def test_compaction_preserves_index_definitions(tmp_path, monkeypatch):
-    set_engine_knobs(monkeypatch, seal_bytes=128)
+def test_compaction_preserves_index_definitions(tmp_path):
     db = open_db(tmp_path)
     db["arts"].create_index("kind")
     for i in range(30):
@@ -127,29 +101,6 @@ def test_compaction_preserves_index_definitions(tmp_path, monkeypatch):
     again = open_db(tmp_path)
     assert again["arts"].index_fields() == {"kind": "secondary"}
     again.close()
-
-
-def test_background_compactor_merges(tmp_path, monkeypatch):
-    set_engine_knobs(
-        monkeypatch,
-        auto_compact=True,
-        seal_bytes=128,
-        compact_interval=0.05,
-        compact_min_segments=2,
-    )
-    db = open_db(tmp_path)
-    for i in range(60):
-        db["runs"].insert_one({"_id": f"r{i}", "payload": "x" * 32})
-    deadline = time.time() + 10
-    while time.time() < deadline:
-        if db.storage_stats()["collections"]["runs"]["segments"] <= 2:
-            break
-        time.sleep(0.05)
-    stats = db.storage_stats()["collections"]["runs"]
-    assert stats["segments"] <= 2
-    assert db["runs"].count() == 60
-    db.close()
-    assert not db._engine.compactor.running
 
 
 # ------------------------------------------------------------ recovery
@@ -174,8 +125,12 @@ def test_torn_wal_tail_is_truncated_on_open(tmp_path):
     with open(wal, "ab") as handle:
         handle.write(b"\xde\xad\xbe\xef half a record")
     torn_size = os.path.getsize(wal)
+    # ... and a crash mid-compaction its unpublished output.
+    debris = wal.with_name("segment.seg.tmp")
+    debris.write_bytes(b"half a compacted segment")
     again = open_db(tmp_path)
     assert again["runs"].count() == 2
+    assert not debris.exists()
     report = again.recovery_report()["runs"]
     assert report["truncated_bytes"] > 0
     assert os.path.getsize(wal) < torn_size  # tail physically removed
@@ -186,101 +141,21 @@ def test_torn_wal_tail_is_truncated_on_open(tmp_path):
     third.close()
 
 
-def test_orphan_sealed_segment_is_adopted(tmp_path):
-    """Crash between seal-rename and manifest publish loses nothing."""
-    store = CollectionStore(str(tmp_path), "c", durability="strict")
-    store.log_insert({"_id": "a"})
-    # Simulate the crash window: rename the WAL by hand, no manifest.
-    store.close()
-    os.replace(
-        os.path.join(store.dir, "wal.log"),
-        os.path.join(store.dir, "segment-00000001.seg"),
-    )
-    reopened = CollectionStore(str(tmp_path), "c", durability="strict")
-    docs, _, report = reopened.load()
-    assert "a" in docs
-    assert report["segments"] == 1
-    reopened.close()
-
-
-def test_stranded_compaction_output_is_swept_not_adopted(tmp_path):
-    """A compacted snapshot left between its rename and the manifest
-    write must never be adopted as a seal orphan: it reflects state as
-    of merge *start*, so appending it to the manifest would replay it
-    after newer sealed ops and resurrect deletes / revert updates."""
-    store = CollectionStore(str(tmp_path), "c", durability="strict")
-    for i in range(4):
-        store.log_insert({"_id": f"r{i}"})
-    store.seal()  # segment-00000001
-    store.log_insert({"_id": "r4"})
-    store.seal()  # segment-00000002
-    # Merge-start snapshot of those two segments: every doc alive.
-    snapshot = b"".join(
-        encode_record({"op": "insert", "doc": {"_id": f"r{i}"}})
-        for i in range(5)
-    )
-    # Newer acknowledged ops, sealed while the merge was running.
-    store.log_delete("r0")
-    store.log_replace({"_id": "r1", "v": 2})
-    store.seal()  # segment-00000003
-    store.close()
-    # Crash landed after compaction renamed its output into place but
-    # before the manifest republish: the file exists under next_seq,
-    # unreferenced — in the compact-* namespace, never segment-*.
-    stranded = os.path.join(store.dir, "compact-00000004.seg")
-    with open(stranded, "wb") as handle:
-        handle.write(snapshot)
-    reopened = CollectionStore(str(tmp_path), "c", durability="strict")
-    docs, _, _ = reopened.load()
-    assert "r0" not in docs  # delete not resurrected
-    assert docs["r1"] == {"_id": "r1", "v": 2}  # update not reverted
-    assert not os.path.exists(stranded)  # swept, not adopted
-    reopened.close()
-
-
-def test_compaction_output_lives_in_compact_namespace(tmp_path):
-    """Published merges are compact-*.seg; orphan adoption only ever
-    recognises segment-*, so the two can never be confused."""
-    store = CollectionStore(str(tmp_path), "c", durability="none")
-    store.log_insert({"_id": "a"})
-    store.seal()
-    store.log_insert({"_id": "b"})
-    store.seal()
-    result = store.compact()
-    assert result["segment"].startswith("compact-")
-    store.close()
-    reopened = CollectionStore(str(tmp_path), "c", durability="none")
-    docs, _, _ = reopened.load()
-    assert set(docs) == {"a", "b"}
-    reopened.close()
-
-
-def test_stale_unreferenced_segments_are_swept(tmp_path):
-    store = CollectionStore(str(tmp_path), "c", durability="none")
-    store.log_insert({"_id": "a"})
-    store.seal()
-    # Debris with a seq far below next_seq (pre-compaction leftovers).
-    debris = os.path.join(store.dir, "segment-99999999.seg")
-    with open(debris, "wb") as handle:
-        handle.write(b"old segment bytes")
-    store.close()
-    reopened = CollectionStore(str(tmp_path), "c", durability="none")
-    assert not os.path.exists(debris)
-    docs, _, _ = reopened.load()
-    assert set(docs) == {"a"}
-    reopened.close()
-
-
 # ---------------------------------------------------------------- misc
 
 
 def test_collection_name_validation(tmp_path):
-    engine = StorageEngine(str(tmp_path), "batch")
+    db = open_db(tmp_path)
     with pytest.raises(ValidationError):
-        engine.store("../escape")
+        db.collection("../escape")
     with pytest.raises(ValidationError):
-        engine.store(".hidden")
-    engine.close()
+        db.collection(".hidden")
+    db.close()
+    # Nor is a directory in the retired multi-segment layout half-read.
+    (tmp_path / "db" / "engine" / "old").mkdir()
+    (tmp_path / "db" / "engine" / "old" / "MANIFEST.json").write_text("{}")
+    with pytest.raises(ValidationError, match="old/MANIFEST.json"):
+        open_db(tmp_path)
 
 
 def test_connect_durability_uri(tmp_path):
@@ -294,6 +169,9 @@ def test_connect_durability_uri(tmp_path):
 
 
 def test_database_context_manager(tmp_path):
+    before = threading.active_count()
     with open_db(tmp_path) as db:
         db["c"].insert_one({"_id": "x"})
-    assert not db._engine.compactor.running
+        assert threading.active_count() == before  # no housekeeping thread
+    with pytest.raises(ValueError):  # closed on exit
+        db["c"].insert_one({"_id": "y"})

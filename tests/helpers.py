@@ -14,17 +14,13 @@ def parse_manifest_text(text, source_path=None):
 #: The storage engine's tuning values: module constants (no caller but
 #: a test ever set one), patched per test.
 ENGINE_KNOBS = {
-    "auto_compact": "repro.db.engine.AUTO_COMPACT",
-    "seal_bytes": "repro.db.engine.segments.SEAL_BYTES",
+    "compact_bytes": "repro.db.engine.segments.COMPACT_BYTES",
     "batch_size": "repro.db.engine.wal.BATCH_SIZE",
-    "compact_interval": "repro.db.engine.compaction.INTERVAL",
-    "compact_min_segments": "repro.db.engine.compaction.MIN_SEGMENTS",
 }
 
 
 def set_engine_knobs(monkeypatch, **knobs):
-    """Patch storage-engine constants until the test ends; they are read
-    when an engine (a ``file://`` database) is opened."""
+    """Patch storage-engine constants until the test ends."""
     for knob, value in knobs.items():
         monkeypatch.setattr(ENGINE_KNOBS[knob], value)
 

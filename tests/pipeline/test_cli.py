@@ -173,7 +173,7 @@ def test_pipeline_rerun_without_stage_is_cached(
 
 
 def test_pipeline_status_empty_db(tmp_path, capsys):
-    uri = f"file://{tmp_path / 'empty-db'}"
+    uri = f"file://{tmp_path}"  # exists, holds nothing
     assert main(["pipeline", "status", "--db", uri]) == 1
     assert "no pipeline runs" in capsys.readouterr().out
 

@@ -335,22 +335,13 @@ def test_db_stats(tmp_path, capsys):
     assert "filestore:" in out
 
 
-def test_db_compact(tmp_path, capsys, monkeypatch):
-    from repro.db import Database
-    from tests.helpers import set_engine_knobs
-
-    root = str(tmp_path / "store")
-    with monkeypatch.context() as seeding:
-        set_engine_knobs(seeding, auto_compact=False, seal_bytes=128)
-        db = Database("test", root=root)
-        for i in range(40):
-            db["runs"].insert_one({"_id": f"r{i}", "pad": "x" * 24})
-        db.close()
-    assert main(["db", "compact", "--db", f"file://{root}"]) == 0
+def test_db_compact(tmp_path, capsys):
+    uri = _seed_db(tmp_path, docs=40)
+    assert main(["db", "compact", "--db", uri]) == 0
     out = capsys.readouterr().out
-    assert "merged" in out
-    # A second pass finds a single segment per collection: nothing to do.
-    assert main(["db", "compact", "--db", f"file://{root}"]) == 0
+    assert "runs: merged 40 WAL records" in out
+    # A second pass finds every WAL empty: nothing to do.
+    assert main(["db", "compact", "--db", uri]) == 0
     assert "nothing to compact" in capsys.readouterr().out
 
 
@@ -390,8 +381,25 @@ def test_db_recover(tmp_path, capsys):
 
 
 def test_db_recover_empty(tmp_path, capsys):
-    assert main(["db", "recover", "--db", f"file://{tmp_path}/fresh"]) == 0
+    assert main(["db", "recover", "--db", f"file://{tmp_path}"]) == 0
     assert "no persisted collections" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["resume", "boot-tests"], ["cache", "stats"], ["ckpt", "stats"],
+        ["db", "stats"], ["trace", "boot-tests"], ["pipeline", "status"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_read_side_verbs_do_not_create_a_database(tmp_path, capsys, verb):
+    """A mistyped ``--db`` path is an error, not an empty answer and a
+    new directory; the writing verbs still create what is missing."""
+    typo = tmp_path / "typo"
+    assert main(verb + ["--db", f"file://{typo}"]) == 1
+    assert capsys.readouterr().out == f"error: no database at {typo}\n"
+    assert not typo.exists()
 
 
 def test_db_bad_uri(capsys):

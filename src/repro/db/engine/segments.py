@@ -113,17 +113,7 @@ class CollectionStore:
         order.
         """
         with self._lock:
-            state, indexes, report, good_offset = self._replay(
-                tolerate_torn_tail=True
-            )
-            if report["tear"] is not None:
-                torn = os.path.getsize(self._wal_path) - good_offset
-                with open(self._wal_path, "r+b") as handle:
-                    handle.truncate(good_offset)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                _truncated_counter().inc(torn, collection=self.name)
-                report["truncated_bytes"] = torn
+            state, indexes, report = self._replay(heal=True)
             if os.path.isfile(self._segment_path):
                 self._segment_bytes = os.path.getsize(self._segment_path)
             self._writer = WalWriter(
@@ -131,12 +121,13 @@ class CollectionStore:
             )
         return state, list(indexes.items()), report
 
-    def _replay(self, tolerate_torn_tail: bool) -> Tuple[
-        Dict[str, Dict[str, Any]], Dict[str, bool], Dict[str, Any], int
+    def _replay(self, heal: bool) -> Tuple[
+        Dict[str, Dict[str, Any]], Dict[str, bool], Dict[str, Any]
     ]:
-        """One streaming pass over the segment (strictly checksummed:
-        damage raises), then the WAL: ``(documents, indexes, report,
-        the WAL's intact length)``."""
+        """One streaming pass over the segment, then the WAL:
+        ``(documents, indexes, report)``.  Damage in the segment
+        raises; a torn WAL tail is truncated with ``heal`` and raises
+        without."""
         state: Dict[str, Dict[str, Any]] = {}
         indexes: Dict[str, bool] = {}
         replayed = 0
@@ -163,18 +154,23 @@ class CollectionStore:
         if os.path.isfile(self._segment_path):
             read_log(self._segment_path, apply=apply)
         sealed = replayed
-        good_offset, tear = 0, None
+        torn, tear = 0, None
         if os.path.isfile(self._wal_path):
-            _, good_offset, tear = read_log(
-                self._wal_path, tolerate_torn_tail, apply
-            )
+            _, good_offset, tear = read_log(self._wal_path, heal, apply)
+            if tear is not None:
+                torn = os.path.getsize(self._wal_path) - good_offset
+                with open(self._wal_path, "r+b") as handle:
+                    handle.truncate(good_offset)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                _truncated_counter().inc(torn, collection=self.name)
         report = {
             "records_replayed": replayed,
             "wal_records": replayed - sealed,
-            "truncated_bytes": 0,
+            "truncated_bytes": torn,
             "tear": tear,
         }
-        return state, indexes, report, good_offset
+        return state, indexes, report
 
     # ------------------------------------------------------------ logging
 
@@ -227,9 +223,7 @@ class CollectionStore:
             if wal_bytes == 0:
                 return {"merged": 0, "reclaimed_bytes": 0}
             before = self._segment_bytes + wal_bytes
-            state, indexes, report, _ = self._replay(
-                tolerate_torn_tail=False
-            )
+            state, indexes, report = self._replay(heal=False)
             tmp = self._segment_path + ".tmp"
             with open(tmp, "wb") as handle:
                 for field, unique in indexes.items():

@@ -200,12 +200,6 @@ class FileContext:
                     attrs.update(filter(None, map(self_attr, node.targets)))
         return found
 
-    def enclosing_function(self) -> Optional[ast.AST]:
-        for node in reversed(self.ancestors):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return node
-        return None
-
     def enclosing_class(self) -> Optional[ast.ClassDef]:
         for node in reversed(self.ancestors):
             if isinstance(node, ast.ClassDef):

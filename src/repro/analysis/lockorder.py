@@ -2,7 +2,7 @@
 
 Static rules can police single-file lock discipline, but an
 acquisition-order inversion lives *between* files: one thread takes the
-lease lock then the backend's, another takes them the other way round,
+broker's lock then the backend's, another takes them the other way round,
 and the deadlock only fires under exactly the wrong interleaving.  The
 classic detector (Linux lockdep, TSan's deadlock detector) does not wait
 for the interleaving: it records the *acquisition graph* — an edge
@@ -17,7 +17,7 @@ Two ways in:
   ``threading.Lock`` / ``RLock`` / ``Condition`` / ``Semaphore`` so that
   locks created *inside* the block by ``repro`` code are instrumented
   transparently — build a ``SchedulerApp`` inside it and every lock in
-  the broker, lease manager, result backend and app is monitored with a
+  the broker, result backend and app is monitored with a
   creation-site name like ``scheduler/app.py:120``.  Code outside the
   ``repro`` tree (e.g. ``queue.Queue`` internals) keeps real locks.
 

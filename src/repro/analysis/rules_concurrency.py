@@ -1,10 +1,10 @@
 """Concurrency rules: lock discipline for the scheduler substrate.
 
 The scheduler's lock sites are spread over the broker, the result
-backend, the lease manager and the process pool's reactor.  The discipline
-that keeps them deadlock-free is simple but unwritten: locks are
-per-instance and acquired with ``with``; nothing blocks while holding
-one; long lease-holding loops heartbeat.  These rules write it down.
+backend and the process pool's reactor.  The discipline that keeps them
+deadlock-free is simple but unwritten: locks are per-instance and
+acquired with ``with``; nothing blocks while holding one.  These rules
+write it down.
 
 Lock attributes are inferred per class: any ``self.X = threading.Lock()
 / RLock() / Condition() / Semaphore()`` in one of its methods marks ``X``
@@ -271,57 +271,8 @@ class LockPerCallRule(_ConcurrencyRule):
                     local_locks.pop(expr.id)
 
 
-class LoopHeartbeatRule(_ConcurrencyRule):
-    """A scheduler loop that blocks while a task lease is in play must
-    heartbeat, or the reaper will reclaim the task out from under it."""
-
-    rule_id = "CON-LOOP-NO-HEARTBEAT"
-    severity = "warning"
-    interests = (ast.While,)
-
-    def visit(self, node: ast.While, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_module("repro.scheduler"):
-            return
-        function = ctx.enclosing_function()
-        if function is None:
-            return
-        # Only functions that touch leases are on the hook.
-        if not self._mentions_lease(function):
-            return
-        blocking = None
-        has_heartbeat = False
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "heartbeat":
-                has_heartbeat = True
-            elif func.attr in ("join", "sleep", "wait"):
-                blocking = sub
-        if blocking is not None and not has_heartbeat:
-            yield self.finding(
-                ctx,
-                blocking,
-                "loop blocks in lease-holding code without renewing the "
-                "lease; call leases.heartbeat(task_id) each iteration or "
-                "the reaper will redeliver the task",
-            )
-
-    @staticmethod
-    def _mentions_lease(function: ast.AST) -> bool:
-        for sub in ast.walk(function):
-            if isinstance(sub, ast.Attribute) and "lease" in sub.attr:
-                return True
-            if isinstance(sub, ast.Name) and "lease" in sub.id:
-                return True
-        return False
-
-
 CONCURRENCY_RULES = (
     BareAcquireRule,
     BlockingUnderLockRule,
     LockPerCallRule,
-    LoopHeartbeatRule,
 )

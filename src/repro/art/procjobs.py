@@ -39,10 +39,6 @@ RUN_TARGET = "repro.art.procjobs:execute_run_payload"
 #: The dotted-path target for a boot-stage checkpoint job.
 BOOT_TARGET = "repro.art.procjobs:execute_boot_payload"
 
-#: Payload schema version (payloads cross process boundaries, not
-#: release boundaries, but a version makes mismatches loud).
-PAYLOAD_VERSION = 1
-
 
 def _live_inputs(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker side of :meth:`~repro.art.run.InputResolver.wire`."""
@@ -80,7 +76,6 @@ def payload_for_run(
     booting (the planner's variant-stage fan-out).
     """
     payload: Dict[str, Any] = {
-        "version": PAYLOAD_VERSION,
         "kind": run.kind,
         "run_id": run.run_id,
         "fingerprint": run.fingerprint,
@@ -99,9 +94,9 @@ def envelope_for_run(
 ) -> JobEnvelope:
     """Wrap a run's payload in a process-pool envelope.
 
-    The envelope's ``task_id`` is the run's instance id and its
-    ``fingerprint`` the run's content identity, so pool telemetry and
-    lease events correlate with run documents without a join table.
+    The envelope's ``task_id`` is the run's instance id, so pool
+    telemetry and redelivery events correlate with run documents
+    without a join table.
     The worker records telemetry exactly when the parent currently
     does.  The bulk payload values — the disk image tree, which
     dominates an fs payload's pickled size and is identical across a
@@ -123,7 +118,6 @@ def envelope_for_run(
         target=RUN_TARGET,
         args=(payload,),
         task_id=run.run_id,
-        fingerprint=run.fingerprint,
         telemetry=telemetry.enabled(),
         shared=shared,
     )
@@ -138,7 +132,6 @@ def envelope_for_boot(run, inputs: Dict[str, Any]) -> JobEnvelope:
     if run.kind != "fs":
         raise ValidationError("only fs runs have a boot stage")
     payload = {
-        "version": PAYLOAD_VERSION,
         "run_id": run.run_id,
         "params": dict(run.params),
         **inputs,
@@ -151,7 +144,6 @@ def envelope_for_boot(run, inputs: Dict[str, Any]) -> JobEnvelope:
         target=BOOT_TARGET,
         args=(payload,),
         task_id=f"boot-{run.prefix}",
-        fingerprint=run.prefix or "",
         telemetry=telemetry.enabled(),
         shared=shared,
     )

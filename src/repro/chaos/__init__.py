@@ -1,7 +1,7 @@
 """Seed-driven chaos engineering for the experiment stack.
 
-The resilience contract of this codebase — retries with backoff, task
-leases, crash-resumable experiments, content-verified blobs — is only
+The resilience contract of this codebase — retries, redelivery after a
+worker dies, crash-resumable experiments, content-verified blobs — is only
 credible if every recovery path is *exercised*.  This package provides the
 exerciser: a deterministic fault injector whose failure schedule is a pure
 function of a seed, so any failure a chaos test provokes can be replayed

@@ -1,7 +1,8 @@
 """JSON encoding helpers with a canonical form.
 
-The database persists documents as JSON lines, and artifact hashes must be
-stable across runs, so we need a *canonical* serialization: sorted keys, no
+The storage engine frames each logged operation's canonical JSON (a length
+and a CRC32 around it, see :mod:`repro.db.engine.wal`), and artifact hashes
+must be stable across runs, so we need a *canonical* serialization: sorted keys, no
 insignificant whitespace, and explicit handling of the handful of non-JSON
 types the library uses (datetimes, tuples, sets, bytes).
 """

@@ -115,12 +115,11 @@ class Collection:
             self._secondary_indexes[field] = index
 
     def index_fields(self) -> Dict[str, str]:
-        """{field: "unique" | "secondary"} for every index."""
+        """{field: "unique" | "secondary" | "unique+secondary"}."""
         with self._lock:
             fields = {f: "unique" for f in self._unique_indexes}
-            fields.update(
-                (f, "secondary") for f in self._secondary_indexes
-            )
+            for f in self._secondary_indexes:
+                fields[f] = "unique+secondary" if f in fields else "secondary"
             return fields
 
     @staticmethod

@@ -110,7 +110,7 @@ class CollectionStore:
         A torn WAL tail (the signature of a crash mid-append) is
         truncated back to the last intact frame and reported.
         ``indexes`` lists ``(field, unique)`` definitions in creation
-        order.
+        order; a field can carry one of each kind.
         """
         with self._lock:
             state, indexes, report = self._replay(heal=True)
@@ -119,17 +119,18 @@ class CollectionStore:
             self._writer = WalWriter(
                 self._wal_path, self.durability, self.name
             )
-        return state, list(indexes.items()), report
+        return state, list(indexes), report
 
     def _replay(self, heal: bool) -> Tuple[
-        Dict[str, Dict[str, Any]], Dict[str, bool], Dict[str, Any]
+        Dict[str, Dict[str, Any]], Dict[Tuple[str, bool], None],
+        Dict[str, Any],
     ]:
         """One streaming pass over the segment, then the WAL:
         ``(documents, indexes, report)``.  Damage in the segment
         raises; a torn WAL tail is truncated with ``heal`` and raises
         without."""
         state: Dict[str, Dict[str, Any]] = {}
-        indexes: Dict[str, bool] = {}
+        indexes: Dict[Tuple[str, bool], None] = {}  # an ordered set
         replayed = 0
 
         def apply(record: Dict[str, Any]) -> None:
@@ -147,7 +148,7 @@ class CollectionStore:
             elif op == "delete":
                 state.pop(record["id"], None)
             elif op == "index":
-                indexes[record["field"]] = bool(record["unique"])
+                indexes[record["field"], bool(record["unique"])] = None
             else:
                 raise ValidationError(f"unknown WAL op: {op!r}")
 
@@ -226,7 +227,7 @@ class CollectionStore:
             state, indexes, report = self._replay(heal=False)
             tmp = self._segment_path + ".tmp"
             with open(tmp, "wb") as handle:
-                for field, unique in indexes.items():
+                for field, unique in indexes:
                     handle.write(
                         encode_record(
                             {"op": "index", "field": field, "unique": unique}

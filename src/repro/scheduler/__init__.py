@@ -13,13 +13,13 @@ evaluations, and threads share the in-process database):
   who want no scheduler at all (the paper's third option).
 - :class:`ProcessPool` — the *real* multiprocessing substrate: spawn-safe
   worker processes fed pickle-safe :class:`JobEnvelope` s, with
-  lease-backed crash redelivery and telemetry merge-on-drain.  Selected
-  behind the scheduler with ``substrate="processes"``.
+  redelivery of the job a dead worker held and telemetry
+  merge-on-drain.  Selected behind the scheduler with
+  ``substrate="processes"``.
 """
 
 from repro.scheduler.states import TaskState
 from repro.scheduler.result import AsyncResult, ResultBackend
-from repro.scheduler.lease import Lease, LeaseManager
 from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.app import SchedulerApp
 from repro.scheduler.procpool import (
@@ -33,8 +33,6 @@ __all__ = [
     "TaskState",
     "AsyncResult",
     "ResultBackend",
-    "Lease",
-    "LeaseManager",
     "Broker",
     "TaskMessage",
     "SchedulerApp",

@@ -17,9 +17,9 @@ Resilience model (see ``docs/robustness.md``):
   the result backend) always runs its own handler, so it hands the
   message back itself, immediately: re-published for the next delivery,
   or dead-lettered past ``DEFAULT_MAX_REDELIVERIES`` — a waiter on its
-  result cannot hang on it.  Leases are for holders that can die
-  *silently*; those are worker processes, and
-  :class:`~repro.scheduler.ProcessPool` owns them.
+  result cannot hang on it.  (A worker *process* runs no handler when
+  it is killed; :class:`~repro.scheduler.ProcessPool` hears of that
+  from the process sentinel.)
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.result import AsyncResult, ResultBackend
 from repro.scheduler.states import TaskState
 from repro.telemetry import get_event_log, get_metrics, get_tracer
-
-_POLL_INTERVAL = 0.05
 
 #: Extra deliveries a message may receive after worker crashes before it
 #: is dead-lettered (the first delivery is not a *re*-delivery).
@@ -173,7 +171,7 @@ class SchedulerApp:
     def _worker_loop(self) -> None:
         stop = self._stop  # shutdown() swaps in a fresh event afterwards
         while not stop.is_set():
-            message = self.broker.consume(timeout=_POLL_INTERVAL)
+            message = self.broker.consume(stop)
             if message is None:
                 continue
             message.deliveries += 1
@@ -363,7 +361,7 @@ class SchedulerApp:
     def shutdown(self) -> None:
         """Stop the worker threads (queued tasks are abandoned)."""
         self._stop.set()
-        self.broker.wake()  # idle workers re-check _stop now, not next poll
+        self.broker.wake()  # idle workers see _stop now
         with self._lock:
             workers, self._workers = self._workers, []
         for worker in workers:

@@ -49,32 +49,24 @@ class Broker:
     def __init__(self):
         self._queue: Deque[TaskMessage] = deque()
         self._ready = threading.Condition()
-        self._wakes = 0
 
     def publish(self, message: TaskMessage) -> None:
         with self._ready:
             self._queue.append(message)
             self._ready.notify()
 
-    def consume(
-        self, timeout: Optional[float] = None
-    ) -> Optional[TaskMessage]:
-        """Pop the oldest message; None when the queue is empty
-        (``timeout=None``), stays empty for ``timeout`` seconds, or
-        :meth:`wake` is called meanwhile."""
+    def consume(self, stop: threading.Event) -> Optional[TaskMessage]:
+        """Pop the oldest message, blocking while the queue is empty and
+        ``stop`` is unset; None when it is empty and ``stop`` is set."""
         with self._ready:
-            if not self._queue and timeout:
-                wakes = self._wakes
-                self._ready.wait_for(
-                    lambda: self._queue or self._wakes != wakes,
-                    timeout=timeout,
-                )
+            self._ready.wait_for(lambda: self._queue or stop.is_set())
             return self._queue.popleft() if self._queue else None
 
     def wake(self) -> None:
-        """End every blocked ``consume`` early (shutdown's doorbell)."""
+        """Have every blocked ``consume`` look at its ``stop`` again
+        (set it first: the check and the wait share this lock, so a
+        consumer cannot miss it)."""
         with self._ready:
-            self._wakes += 1
             self._ready.notify_all()
 
     def __len__(self) -> int:

@@ -16,11 +16,12 @@ processes instead:
   thread blocks on every result pipe, every worker's process sentinel
   and a wake pipe, so a result completes its handle the moment it is
   readable and a dead worker is replaced the moment it dies;
-- worker *crash* detection is the package's one lease stack
-  (:mod:`repro.scheduler.lease`): the parent heartbeats leases only for
-  workers it can still see alive, so a SIGKILLed worker's lease expires
-  and the job is **redelivered** to a respawned worker — bounded by a
-  redelivery budget, then dead-lettered;
+- a worker's death is an event the reactor already waits on: the
+  sentinel fires, whatever the dead worker flushed is salvaged (a
+  finished result wins), the seat is respawned and the job it still
+  held is **redelivered** at the front of the queue — bounded by a
+  redelivery budget, then dead-lettered.  A worker that is alive but
+  wedged is the task timeout's business, not the pool's;
 - per-process telemetry buffers (metrics + events recorded inside the
   worker) are merged into the parent's session when results drain.
 
@@ -46,18 +47,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import chaos
 from repro.common.errors import StateError, ValidationError
 from repro.common.ids import new_uuid
-from repro.scheduler.lease import LeaseManager
 from repro.telemetry import (
     get_event_log,
     get_metrics,
     merge_worker_telemetry,
 )
-
-#: Default time a worker process may go silent before its job is
-#: reclaimed.  Processes heartbeat via the parent's reactor (it renews
-#: leases for workers it can observe alive, at least every quarter
-#: TTL), so the TTL only has to cover scheduling noise.
-DEFAULT_PROC_LEASE_TTL = 2.0
 
 #: Extra deliveries a job may receive after worker crashes before it is
 #: failed outright (the first delivery is not a *re*-delivery).
@@ -114,9 +108,6 @@ class JobEnvelope:
     the artifact payloads the simulation needs (see
     :mod:`repro.art.procjobs`).
 
-    ``fingerprint`` is carried for observability only: dedup decisions
-    happen in the parent broker before an envelope is ever built.
-
     ``shared`` maps content hash → payload for every
     :func:`intern_ref` placeholder in ``args``/``kwargs``.  The pool
     ships each hash to each worker process at most once (the worker
@@ -128,7 +119,6 @@ class JobEnvelope:
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
     task_id: str = field(default_factory=new_uuid)
-    fingerprint: str = ""
     telemetry: bool = False
     shared: Dict[str, Any] = field(default_factory=dict)
 
@@ -185,8 +175,7 @@ class ProcJobHandle:
 
 
 class _JobRecord:
-    """Mutable parent-side state for one envelope (duck-types the
-    ``task_id``/``deliveries`` surface :class:`LeaseManager` expects)."""
+    """Mutable parent-side state for one envelope."""
 
     def __init__(self, envelope: JobEnvelope, handle: ProcJobHandle):
         self.envelope = envelope
@@ -262,7 +251,14 @@ def _worker_main(worker: str, inbox, outbox) -> None:
                 }
                 _telemetry.disable()
         result["host_seconds"] = time.monotonic() - started
-        outbox.send(result)
+        try:
+            wire = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            # The return value is not plain data.  That is the job's
+            # failure, not the worker's: say so instead of dying here.
+            result.update(ok=False, value=None, error=traceback.format_exc())
+            wire = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        outbox.send_bytes(wire)
 
 
 class _WorkerSlot:
@@ -274,9 +270,10 @@ class _WorkerSlot:
 
     The outbox is private for a reason: the worker is its only writer,
     so a SIGKILL that lands mid-write can only tear the dying worker's
-    own stream — the reader sees EOF after the torn message, results
-    that never made it out are recovered by lease expiry, and no other
-    worker shares a lock or a byte stream with the corpse.
+    own stream — the reader sees EOF after the torn message, the job
+    whose result never made it out is still this seat's ``current`` and
+    is redelivered, and no other worker shares a lock or a byte stream
+    with the corpse.
 
     ``interned`` mirrors the worker's payload intern cache: content
     hashes already shipped down this seat's pipe.  A respawned worker
@@ -299,7 +296,7 @@ class _WorkerSlot:
         try:
             self.inbox.send_bytes(wire)
         except OSError:
-            pass  # died under the write: its sentinel and leases tell
+            pass  # died under the write: its sentinel tells
 
     def close(self) -> None:
         self.inbox.close()
@@ -307,7 +304,8 @@ class _WorkerSlot:
 
 
 class ProcessPool:
-    """A spawn-safe multiprocessing executor with lease-backed recovery.
+    """A spawn-safe multiprocessing executor that redelivers the job a
+    dead worker held.
 
     The API is deliberately envelope-shaped rather than function-shaped:
     callers describe work as data (:class:`JobEnvelope`), which is what
@@ -320,14 +318,11 @@ class ProcessPool:
         self.worker_count = workers
         self.max_redeliveries = DEFAULT_MAX_REDELIVERIES
         self._context = multiprocessing.get_context("spawn")
-        self._leases = LeaseManager(ttl=DEFAULT_PROC_LEASE_TTL)
-        # One condition guards pending/inflight/slot/wake state; pipe
-        # transfers to and from workers always happen outside it.
-        self._state = threading.Condition()
+        # One lock guards pending/slot/wake state; pipe transfers to and
+        # from workers always happen outside it.
+        self._state = threading.Lock()
         self._pending: "deque[_JobRecord]" = deque()
-        self._inflight: Dict[str, _JobRecord] = {}
         self._slots: List[_WorkerSlot] = []
-        self._closed = False
         self._stop = threading.Event()
         self._reactor: Optional[threading.Thread] = None
         # The reactor's doorbell: at most one byte is ever in the pipe
@@ -347,8 +342,8 @@ class ProcessPool:
         handle = ProcJobHandle(envelope)
         record = _JobRecord(envelope, handle)
         with self._state:
-            if self._closed:
-                raise StateError("process pool is closed")
+            if self._stop.is_set():
+                raise StateError("process pool is shut down")
             self._pending.append(record)
             self._ensure_started()
             self._wake()
@@ -404,16 +399,12 @@ class ProcessPool:
     # ------------------------------------------------------------ reactor
 
     def _reactor_loop(self, doorbell) -> None:
-        """Recover, heartbeat, redeliver, dispatch, then block — one loop.
+        """Recover, dispatch, then block — one loop.
 
         The only place the pool waits: on every worker's result pipe and
-        process sentinel plus the doorbell, for no longer than the next
-        heartbeat or lease expiry is due (forever when nothing is
-        leased).  Heartbeats are issued *on behalf of* workers the
-        parent can see alive; a killed worker stops earning them, its
-        lease expires, and the expiry path redelivers or dead-letters
-        the job.  Renewal runs before expiry so a stalled parent never
-        reclaims a job from a healthy worker.
+        process sentinel plus the doorbell, with no timeout — a result,
+        a death and a submission are each an event, and nothing else
+        changes what the loop would do.
         """
         # Imported here so only a pool that starts pays for the module
         # (sockets, selectors, tempfile): every CLI verb imports this one.
@@ -421,20 +412,13 @@ class ProcessPool:
 
         while not self._stop.is_set():
             self._recover_lost_workers()
-            for task_id in self._observed_live_jobs():
-                self._leases.heartbeat(task_id)
-            self._reap_expired()
             self._assign_pending()
             with self._state:
                 slots = list(self._slots)
-            expiry = self._leases.next_deadline()
             ready = wait(
                 [doorbell]
                 + [slot.outbox for slot in slots]
-                + [slot.process.sentinel for slot in slots],
-                timeout=None
-                if expiry is None
-                else min(expiry - time.monotonic(), self._leases.ttl / 4),
+                + [slot.process.sentinel for slot in slots]
             )
             if doorbell in ready:
                 with self._state:
@@ -442,7 +426,7 @@ class ProcessPool:
                     self._woken = False
             for slot in slots:
                 if slot.outbox in ready:
-                    self._drain_outbox(slot.outbox)
+                    self._drain_outbox(slot)
         doorbell.close()
 
     def _assign_pending(self) -> None:
@@ -464,10 +448,9 @@ class ProcessPool:
                     continue
                 record = self._pending.popleft()
                 slot.current = record
-                self._inflight[record.task_id] = record
                 assignments.append((slot, record))
         for slot, record in assignments:
-            self._leases.acquire(record, slot.name)
+            record.deliveries += 1
             record.handle.worker = slot.name
             envelope = record.envelope
             shared: Dict[str, Any] = {}
@@ -502,20 +485,10 @@ class ProcessPool:
             )
             slot.send(wire)
 
-    def _observed_live_jobs(self) -> List[str]:
-        """Task ids whose assigned worker the parent can still see."""
-        with self._state:
-            return [
-                slot.current.task_id
-                for slot in self._slots
-                if slot.current is not None and slot.alive()
-            ]
-
     def _recover_lost_workers(self) -> None:
-        """Respawn dead workers (the sentinel woke the reactor); their
-        in-flight jobs stay leased and are reclaimed by lease expiry,
-        not by this path — one recovery mechanism, not two racing
-        ones."""
+        """The one recovery path: for every worker whose sentinel fired,
+        salvage what it flushed, respawn the seat, and redeliver (or,
+        past the budget, fail) the job it still held."""
         with self._state:
             lost = [
                 (index, slot)
@@ -523,13 +496,15 @@ class ProcessPool:
                 if not slot.alive()
             ]
         for index, slot in lost:
-            # Salvage results the worker flushed before dying — a job
-            # that completed must win over its own redelivery.
-            self._drain_outbox(slot.outbox)
+            # A result the worker flushed before dying completes its
+            # handle and vacates the seat: a finished job is not
+            # redelivered.
+            self._drain_outbox(slot)
             slot.close()
             replacement = self._spawn_slot(index)
             with self._state:
                 self._slots[index] = replacement
+                record, slot.current = slot.current, None
             get_metrics().counter(
                 "procpool_workers_lost_total",
                 "Worker processes that died and were respawned",
@@ -538,89 +513,73 @@ class ProcessPool:
                 "procpool.worker_lost",
                 worker=slot.name,
                 pid=slot.process.pid,
-                task_id=(
-                    slot.current.task_id
-                    if slot.current is not None
-                    else None
-                ),
+                task_id=None if record is None else record.task_id,
             )
+            if record is not None:
+                self._redeliver(record, slot.name)
 
-    def _reap_expired(self) -> None:
-        """Redeliver (or fail) jobs whose lease expired with the worker."""
-        for lease in self._leases.expired():
-            record = lease.message
-            with self._state:
-                self._inflight.pop(record.task_id, None)
-                self._vacate(record.task_id)
-            if record.handle.ready():
-                continue  # raced with a late result
-            if record.deliveries > self.max_redeliveries:
-                error = (
-                    f"job {record.task_id} lost with worker "
-                    f"{lease.worker} after {record.deliveries} "
-                    "deliveries (redelivery budget exhausted)"
-                )
-                get_event_log().emit(
-                    "procpool.dead_letter",
-                    task_id=record.task_id,
-                    deliveries=record.deliveries,
-                )
-                get_metrics().counter(
-                    "procpool_jobs_total", "Jobs by terminal outcome"
-                ).inc(outcome="lost")
-                record.handle._complete(error=error, worker=lease.worker)
-                with self._state:
-                    self._state.notify_all()
-                continue
-            get_metrics().counter(
-                "procpool_redeliveries_total",
-                "Jobs redelivered after a worker crash",
-            ).inc()
+    def _redeliver(self, record: _JobRecord, worker: str) -> None:
+        """Requeue a job lost with ``worker`` at the front, or fail it
+        once its redelivery budget is spent."""
+        if record.deliveries > self.max_redeliveries:
             get_event_log().emit(
-                "procpool.redelivered",
+                "procpool.dead_letter",
                 task_id=record.task_id,
-                worker=lease.worker,
-                delivery=record.deliveries,
+                deliveries=record.deliveries,
             )
-            with self._state:
-                self._pending.appendleft(record)
-                self._state.notify_all()
-
-    def _vacate(self, task_id: str) -> None:
-        """Free the seat holding ``task_id`` (``_state`` held)."""
-        for slot in self._slots:
-            if slot.current is not None and slot.current.task_id == task_id:
-                slot.current = None
+            get_metrics().counter(
+                "procpool_jobs_total", "Jobs by terminal outcome"
+            ).inc(outcome="lost")
+            record.handle._complete(
+                error=(
+                    f"job {record.task_id} lost with worker {worker} "
+                    f"after {record.deliveries} deliveries "
+                    "(redelivery budget exhausted)"
+                ),
+                worker=worker,
+            )
+            return
+        get_metrics().counter(
+            "procpool_redeliveries_total",
+            "Jobs redelivered after a worker crash",
+        ).inc()
+        get_event_log().emit(
+            "procpool.redelivered",
+            task_id=record.task_id,
+            worker=worker,
+            delivery=record.deliveries,
+        )
+        with self._state:
+            self._pending.appendleft(record)
 
     # ------------------------------------------------------------ results
 
-    def _drain_outbox(self, outbox) -> None:
+    def _drain_outbox(self, slot: _WorkerSlot) -> None:
         """Absorb every result currently readable from one worker's
         outbox.  A worker killed mid-write leaves a truncated message in
         its (private) pipe; that read fails, the pipe is closed with
-        the slot, and lease expiry redelivers the jobs whose results
-        never made it out."""
-        while outbox.poll():
+        the slot, and the job whose result never made it out is
+        redelivered with the seat."""
+        while slot.outbox.poll():
             try:
-                result = outbox.recv()
+                result = pickle.loads(slot.outbox.recv_bytes())
             except EOFError:
                 break  # clean end of a dead worker's stream
             except Exception as error:
-                # Torn write from a killed worker; the jobs behind it
-                # are recovered by lease expiry, not this read.
+                # Torn write from a killed worker.
                 get_event_log().emit(
                     "procpool.torn_result", error=repr(error)
                 )
                 break
-            self._absorb_result(result)
+            self._absorb_result(slot, result)
 
-    def _absorb_result(self, result: Dict[str, Any]) -> None:
+    def _absorb_result(
+        self, slot: _WorkerSlot, result: Dict[str, Any]
+    ) -> None:
+        """A result can only be for the one job its seat holds."""
         task_id = result["task_id"]
-        self._leases.release(task_id)
         with self._state:
-            record = self._inflight.pop(task_id, None)
-            self._vacate(task_id)
-            self._state.notify_all()
+            record, slot.current = slot.current, None
         buffer = result.get("telemetry")
         if buffer:
             merge_worker_telemetry(buffer, worker=result["worker"])
@@ -634,8 +593,6 @@ class ProcessPool:
             worker=result["worker"],
             ok=result["ok"],
         )
-        if record is None:
-            return  # job already reaped (late result after redelivery)
         get_metrics().histogram(
             "procpool_roundtrip_seconds",
             "Parent-side time from submit() to the handle completing",
@@ -649,33 +606,12 @@ class ProcessPool:
 
     # ----------------------------------------------------------- shutdown
 
-    def close(self) -> None:
-        """Stop accepting new envelopes; queued work still runs."""
-        with self._state:
-            self._closed = True
-
-    def join(self, timeout: float = 60.0) -> None:
-        """Block until every submitted envelope has a terminal outcome."""
-        with self._state:
-            if not self._closed:
-                raise StateError("join() requires close() first")
-            if not self._state.wait_for(
-                lambda: not self._pending and not self._inflight,
-                timeout=timeout,
-            ):
-                raise StateError(
-                    "process pool did not drain in time: "
-                    f"{len(self._pending)} pending, "
-                    f"{len(self._inflight)} in flight"
-                )
-
     def shutdown(self) -> None:
         """Stop the reactor, fail every job still outstanding with a
         :class:`WorkerJobError` (no waiter may hang on an abandoned
         pool), terminate the workers and close every pipe."""
         self._stop.set()
         with self._state:
-            self._closed = True
             self._wake()
             reactor, self._reactor = self._reactor, None
         if reactor is not None:
@@ -683,12 +619,11 @@ class ProcessPool:
         with self._state:
             slots, self._slots = self._slots, []
             doorbell, self._doorbell = self._doorbell, None
-            orphans = [*self._pending, *self._inflight.values()]
+            orphans = [*self._pending] + [
+                slot.current for slot in slots if slot.current is not None
+            ]
             self._pending.clear()
-            self._inflight.clear()
-            self._state.notify_all()
         for record in orphans:
-            self._leases.release(record.task_id)
             record.handle._complete(error="process pool shut down")
         for slot in slots:
             if slot.current is not None:
@@ -708,9 +643,4 @@ class ProcessPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            if exc_info[0] is None:
-                self.close()
-                self.join()
-        finally:
-            self.shutdown()
+        self.shutdown()

@@ -1,9 +1,8 @@
 """Result backend and the AsyncResult handle callers poll.
 
 The backend records per-task state transitions (enforcing the state machine
-from :mod:`repro.scheduler.states`), the return value or error text, and
-timing — the "summary of useful information (like run status and execution
-time)" that gem5art stores in the database.
+from :mod:`repro.scheduler.states`) and the return value or error text;
+run status and execution time live in the run document, in the database.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import Any, Dict, Optional
 
 from repro import chaos
 from repro.common.errors import NotFoundError, StateError
-from repro.common.timeutil import iso_now
 from repro.scheduler.states import TaskState, can_transition
 from repro.telemetry import get_event_log, get_metrics
 
@@ -28,19 +26,10 @@ class ResultBackend:
 
     def create(self, task_id: str) -> None:
         with self._lock:
-            # Monotonic timestamps measure durations within this process;
-            # the *_wall ISO-8601 fields are what survives archiving —
-            # monotonic values are meaningless across processes/sessions.
             self._records[task_id] = {
                 "state": TaskState.PENDING,
                 "result": None,
                 "error": None,
-                "submitted_at": time.monotonic(),
-                "submitted_at_wall": iso_now(),
-                "started_at": None,
-                "started_at_wall": None,
-                "finished_at": None,
-                "finished_at_wall": None,
                 "retries": 0,
             }
 
@@ -61,9 +50,6 @@ class ResultBackend:
                     f"for task {task_id}"
                 )
             record["state"] = state
-            if state is TaskState.STARTED:
-                record["started_at"] = time.monotonic()
-                record["started_at_wall"] = iso_now()
             if state is TaskState.RETRY:
                 record["retries"] += 1
                 get_metrics().counter(
@@ -71,8 +57,6 @@ class ResultBackend:
                     "Task executions that ended in a retry",
                 ).inc()
             if state.is_terminal:
-                record["finished_at"] = time.monotonic()
-                record["finished_at_wall"] = iso_now()
                 record["result"] = result
                 record["error"] = error
                 get_metrics().counter(

@@ -224,7 +224,7 @@ def kill_once_job(payload: dict) -> dict:  # repro: noqa[DEAD-REACH]
     parent: the first attempt creates it and then kills the worker
     process dead (no cleanup, no exception — exactly what a segfaulting
     gem5 looks like to the scheduler).  The redelivered attempt sees the
-    sentinel and completes normally, so a lease/reaper chaos test gets a
+    sentinel and completes normally, so a crash-recovery chaos test gets a
     deterministic one-crash-then-success script with no racy
     parent-side kill timing.
     """

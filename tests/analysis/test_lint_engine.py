@@ -91,7 +91,7 @@ def test_rule_ids_are_unique_and_severities_valid():
     the three packs, so an id may appear in only one of them."""
     rules = DETERMINISM_RULES + CONCURRENCY_RULES + HYGIENE_RULES
     ids = [rule.rule_id for rule in rules]
-    assert len(ids) == len(set(ids)) == 11
+    assert len(ids) == len(set(ids)) == 10
     assert all(rule.severity in SEVERITIES for rule in rules)
 
 

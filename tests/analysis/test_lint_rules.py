@@ -37,7 +37,7 @@ def test_determinism_rules_only_apply_in_zones():
     assert "DET-WALLCLOCK" in rule_ids(
         source, "src/repro/art/artifact.py"
     )
-    # The scheduler measures real time legitimately (leases, timeouts).
+    # The scheduler measures real time legitimately (timeouts, round trips).
     assert rule_ids(source, "src/repro/scheduler/fixture.py") == []
 
 
@@ -197,29 +197,6 @@ def test_lock_per_call_direct_and_local():
         "        self._lock = threading.Lock()\n"
     )
     assert rule_ids(in_init, SCHED) == []
-
-
-def test_lease_loop_without_heartbeat_flagged_with_not():
-    bad = (
-        "class W:\n"
-        "    def run(self, leases, helper):\n"
-        "        while True:\n"
-        "            helper.join(timeout=0.1)\n"
-        "            if leases.active() == 0:\n"
-        "                break\n"
-    )
-    assert "CON-LOOP-NO-HEARTBEAT" in rule_ids(bad, SCHED)
-    good = (
-        "class W:\n"
-        "    def run(self, leases, helper, task_id):\n"
-        "        while True:\n"
-        "            helper.join(timeout=0.1)\n"
-        "            leases.heartbeat(task_id)\n"
-        "            break\n"
-    )
-    assert rule_ids(good, SCHED) == []
-    # Outside the scheduler the rule does not apply.
-    assert rule_ids(bad, "src/repro/gpu/fixture.py") == []
 
 
 # ----------------------------------------------------------------- hygiene

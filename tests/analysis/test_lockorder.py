@@ -168,18 +168,18 @@ def test_report_emits_telemetry_on_cycles():
 
 def test_monitored_instruments_repro_locks_only(tmp_path):
     with monitored() as monitor:
-        from repro.scheduler.lease import LeaseManager
+        from repro.scheduler.result import ResultBackend
 
-        manager = LeaseManager(ttl=5.0)
-        assert isinstance(manager._lock, OrderedLock)
-        assert manager._lock.name.startswith("scheduler/lease.py")
+        backend = ResultBackend()
+        assert isinstance(backend._lock, OrderedCondition)
+        assert backend._lock.name.startswith("scheduler/result.py")
         # Out-of-scope (stdlib) lock creation stays native.
         import queue
 
         native = queue.Queue()
         assert not isinstance(native.mutex, OrderedLock)
     # After the block, factories are restored.
-    assert threading.Lock is not type(manager._lock)
+    assert threading.Condition is not type(backend._lock)
     plain = threading.Lock()
     assert not isinstance(plain, OrderedLock)
 
@@ -218,12 +218,11 @@ def test_injected_abba_in_scheduler_style_locks_is_flagged():
     """Same instrumentation path as the scheduler, with a deliberate
     ordering bug layered on top: the checker must flag it."""
     with monitored() as monitor:
-        from repro.scheduler.lease import LeaseManager
+        from repro.scheduler.result import ResultBackend
 
-        manager = LeaseManager(ttl=5.0)
         extra = OrderedLock("extra", monitor)
-        inner = manager._lock
-        assert isinstance(inner, OrderedLock)
+        inner = ResultBackend()._lock
+        assert isinstance(inner, OrderedCondition)
 
         def good():
             with inner:

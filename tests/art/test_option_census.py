@@ -15,7 +15,7 @@ from repro.art.procjobs import envelope_for_run
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
 from repro.pipeline import EXECUTION_DEFAULTS
-from repro.scheduler import LeaseManager, ProcessPool, SchedulerApp
+from repro.scheduler import JobEnvelope, ProcessPool, SchedulerApp
 from repro.scheduler.app import RegisteredTask
 
 
@@ -46,7 +46,11 @@ from repro.scheduler.app import RegisteredTask
         (connect, ["uri"]),
         (Database.__init__, ["self", "name", "root", "durability"]),
         (CollectionStore.__init__, ["self", "root", "name", "durability"]),
-        (LeaseManager.__init__, ["self", "ttl"]),
+        (
+            JobEnvelope.__init__,
+            ["self", "target", "args", "kwargs", "task_id", "telemetry",
+             "shared"],
+        ),
     ],
 )
 def test_run_path_options(function, options):

@@ -1,9 +1,8 @@
 """Chaos suite for the process substrate: workers die, shards finish.
 
-The process pool's crash story is the lease/reaper contract from the
-thread scheduler, re-applied across a real process boundary: a SIGKILLed
-worker stops earning heartbeats, its lease expires, and the job is
-redelivered to a respawned worker.  These tests kill workers two ways —
+A SIGKILLed worker runs no handler, but its death is an event the
+pool's reactor waits on: the seat is respawned and the job it held is
+redelivered (docs/scaling.md).  These tests kill workers two ways —
 deterministically from inside the job (:func:`repro.sim.testing.
 kill_once_job`, the no-race script) and from the parent mid-flight —
 and assert the shard completes with results identical to an
@@ -15,24 +14,27 @@ import os
 import signal
 import time
 
-import pytest
-
-from repro import telemetry
-from repro.scheduler.procpool import JobEnvelope, ProcessPool
+from repro import chaos, telemetry
+from repro.chaos import FaultRule
+from repro.common.errors import FaultInjectedError
+from repro.scheduler.procpool import (
+    DEFAULT_MAX_REDELIVERIES,
+    JobEnvelope,
+    ProcessPool,
+)
 from repro.sim.testing import boot_shard_job
 from tests.helpers import events_of, map_envelopes, result_of
 
 
-@pytest.fixture(autouse=True)
-def short_leases(monkeypatch):
-    """A killed worker's lease expires in half a second, not two."""
-    monkeypatch.setattr(
-        "repro.scheduler.procpool.DEFAULT_PROC_LEASE_TTL", 0.5
-    )
-
-
-def _worker_pids():
-    return [child.pid for child in multiprocessing.active_children()]
+def _kill_a_worker():
+    """SIGKILL one live worker from the parent, mid-flight."""
+    deadline = time.monotonic() + 10
+    pids = []
+    while not pids:
+        assert time.monotonic() < deadline, "no live workers to kill"
+        time.sleep(0.02)
+        pids = [child.pid for child in multiprocessing.active_children()]
+    os.kill(pids[0], signal.SIGKILL)
 
 
 def _shard(count, repeats=1, telemetry_on=False):
@@ -98,15 +100,35 @@ def test_parent_side_sigkill_mid_flight_shard_completes():
     shard = _shard(6, repeats=50)
     with ProcessPool(workers=2) as pool:
         handles = [pool.submit(envelope) for envelope in shard]
-        # Give workers a moment to pick up jobs, then kill one mid-run.
-        deadline = time.monotonic() + 10
-        pids = _worker_pids()
-        while not pids and time.monotonic() < deadline:
-            time.sleep(0.02)
-            pids = _worker_pids()
-        assert pids, "no live workers to kill"
-        os.kill(pids[0], signal.SIGKILL)
+        _kill_a_worker()
         results = [result_of(handle, 120) for handle in handles]
     assert [r["index"] for r in results] == list(range(6))
     assert all(r["ok"] for r in results)
     assert len({r["stats_fingerprint"] for r in results}) == 1
+
+
+def test_kill_and_refused_submit_end_every_handle_within_budget():
+    """``procpool.submit`` raising once *and* a parent-side SIGKILL in
+    the same shard: the refused envelope left nothing behind in the
+    pool, and every handle that exists ends in a result — never a hang
+    — inside the redelivery budget."""
+    rules = [FaultRule("procpool.submit", after=2, times=1)]
+    handles, refused = [], []
+    with telemetry.session() as active, chaos.injected(seed=5, rules=rules):
+        with ProcessPool(workers=2) as pool:
+            for envelope in _shard(6, repeats=50):
+                try:
+                    handles.append(pool.submit(envelope))
+                except FaultInjectedError:
+                    refused.append(envelope.task_id)
+            _kill_a_worker()
+            results = [result_of(handle, 120) for handle in handles]
+        deliveries = {}
+        for event in events_of(active.events, "procpool.dispatch"):
+            task_id = event["attributes"]["task_id"]
+            deliveries[task_id] = event["attributes"]["delivery"]
+    assert len(refused) == 1
+    assert [r["index"] for r in results] == [0, 1, 3, 4, 5]
+    assert all(r["ok"] for r in results)
+    assert set(deliveries) == {handle.task_id for handle in handles}
+    assert max(deliveries.values()) <= DEFAULT_MAX_REDELIVERIES + 1

@@ -67,7 +67,7 @@ operations = st.one_of(
     ])),
     st.tuples(st.just("delete_one"), by_id),
     st.tuples(st.just("delete_many"), tags.map(lambda tag: {"t": tag})),
-    st.tuples(st.just("create_index"), st.sampled_from(["t", "n"])),
+    st.tuples(st.just("create_index"), st.sampled_from(["t", "n", "k"])),
     st.sampled_from([("create_unique_index", "k"), ("compact",), ("reopen",)]),
 )
 #: A fixed walk on which every fault fires at its first chance — run
@@ -82,6 +82,7 @@ WALK = [
     ("insert_one", {"_id": "a"}),
     ("insert_one", {"_id": "b"}),
     ("create_unique_index", "k"),
+    ("create_index", "k"),  # both kinds on one field: neither is lost
     ("update_one", {"_id": "a"}, {"$set": {"k": 1}}),
     ("compact",),
     ("insert_one", {"_id": "c", "k": 1, "t": "x", "pad": "x" * 40}),
@@ -111,7 +112,7 @@ def budget():
 def predict(docs, indexes, op):
     """The model: ``(docs, indexes)`` after ``op`` on plain dicts, or
     ``DuplicateError`` where the engine must refuse."""
-    docs, indexes = copy.deepcopy(docs), dict(indexes)
+    docs, indexes = copy.deepcopy(docs), set(indexes)
     verb, *args = op
     written = None
     if verb == "insert_one":
@@ -137,22 +138,26 @@ def predict(docs, indexes, op):
     elif verb == "delete_many":
         docs = {i: d for i, d in docs.items() if d.get("t") != args[0]["t"]}
     elif verb == "create_index":
-        indexes.setdefault(args[0], "secondary")
+        indexes.add((args[0], "secondary"))
     elif verb == "create_unique_index":
-        indexes["k"] = "unique"
+        indexes.add(("k", "unique"))
     if written is not None:
         docs[written["_id"]] = written
     held = [doc["k"] for doc in docs.values() if doc.get("k") is not None]
-    if indexes.get("k") == "unique" and len(held) != len(set(held)):
+    if ("k", "unique") in indexes and len(held) != len(set(held)):
         raise DuplicateError("k")
     return docs, indexes
 
 
 def state(db):
     """What a reader sees: the documents, in ``find()`` order, by id —
-    and the indexes."""
+    and the indexes, as ``(field, kind)`` pairs."""
     coll = db["c"]
-    return {doc["_id"]: doc for doc in coll.find()}, coll.index_fields()
+    return {doc["_id"]: doc for doc in coll.find()}, {
+        (field, kind)
+        for field, kinds in coll.index_fields().items()
+        for kind in kinds.split("+")
+    }
 
 
 def assert_same(seen, expected):
@@ -194,7 +199,7 @@ def test_engine_matches_model(ops, fault, seed):
                 Database("model", root=root, durability="strict")
             )
 
-        db, model, interrupted = reopen(), ({}, {}), None
+        db, model, interrupted = reopen(), ({}, set()), None
         state(db)  # the collection exists from the start
         with chaos.injected(seed=0, rules=rules) as injector:
             for op in ops:

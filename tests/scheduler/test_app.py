@@ -166,8 +166,7 @@ def test_unknown_task_id_in_backend(app):
 
 
 def test_shutdown_of_idle_app_does_not_wait_out_the_poll():
-    """shutdown() wakes workers blocked in consume() instead of waiting
-    for their poll to time out (which cost a fixed ~50 ms per sweep)."""
+    """shutdown() wakes workers blocked in consume(); nothing polls."""
     elapsed = []
     for _ in range(5):
         application = SchedulerApp(worker_count=4)

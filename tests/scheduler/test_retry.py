@@ -1,19 +1,13 @@
-"""Unit tests for the retry state machine, task leases (the process
-pool's), and helper-thread leak tracking."""
+"""Unit tests for the retry state machine and helper-thread leak
+tracking."""
 
 import time
 
 import pytest
 
 from repro import telemetry
-from repro.common.errors import StateError, ValidationError
-from repro.scheduler import (
-    LeaseManager,
-    ResultBackend,
-    SchedulerApp,
-    TaskState,
-)
-from repro.scheduler.broker import TaskMessage
+from repro.common.errors import StateError
+from repro.scheduler import ResultBackend, SchedulerApp, TaskState
 
 
 # ------------------------------------------------------- state machine
@@ -41,60 +35,6 @@ def test_pending_task_can_be_dead_lettered_directly():
     backend.create("t2")
     backend.transition("t2", TaskState.DEAD_LETTER)
     assert backend.state("t2") is TaskState.DEAD_LETTER
-
-
-# ------------------------------------------------------------ LeaseManager
-
-
-def _message(name="job"):
-    return TaskMessage(task_name=name, args=(), kwargs={})
-
-
-def test_lease_ttl_must_be_positive():
-    with pytest.raises(ValidationError):
-        LeaseManager(ttl=0)
-
-
-def test_acquire_counts_deliveries_and_tracks_holder():
-    leases = LeaseManager(ttl=5.0)
-    message = _message()
-    assert message.deliveries == 0
-    leases.acquire(message, "worker-0")
-    assert message.deliveries == 1
-    assert leases.holder(message.task_id) == "worker-0"
-    assert leases.active() == 1
-    leases.release(message.task_id)
-    assert leases.holder(message.task_id) is None
-    assert leases.release(message.task_id) is None  # idempotent
-
-
-def test_heartbeat_extends_the_deadline():
-    leases = LeaseManager(ttl=0.1)
-    message = _message()
-    lease = leases.acquire(message, "w")
-    old_deadline = lease.deadline
-    time.sleep(0.02)
-    assert leases.heartbeat(message.task_id)
-    assert lease.deadline > old_deadline
-    assert not leases.heartbeat("no-such-task")
-
-
-def test_expired_pops_only_overdue_leases_in_acquisition_order():
-    leases = LeaseManager(ttl=0.05)
-    first, second, fresh = _message("a"), _message("b"), _message("c")
-    leases.acquire(first, "w0")
-    time.sleep(0.005)
-    leases.acquire(second, "w1")
-    time.sleep(0.06)  # both are overdue by now
-    leases.acquire(fresh, "w2")
-    reclaimed = leases.expired()
-    assert [lease.task_id for lease in reclaimed] == [
-        first.task_id,
-        second.task_id,
-    ]
-    # Popped means popped: a second sweep finds nothing new.
-    assert leases.expired() == []
-    assert leases.active() == 1  # the fresh lease survives
 
 
 # ---------------------------------------------------------- leak tracking

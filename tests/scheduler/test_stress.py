@@ -61,7 +61,6 @@ def test_scheduler_stress_state_machine():
             assert handle.get() == index * 2
             expected_retries = 1 if index % 3 == 1 else 0
             assert record["retries"] == expected_retries
-        assert record["submitted_at_wall"] <= record["finished_at_wall"]
 
     # No illegal transition was ever observed, per task, in event order.
     assert transitions, "event log captured no transitions"

@@ -16,9 +16,9 @@ question: does a nondeterministic **value** — wherever it was minted —
 - **Sinks** — the :class:`~repro.art.spec.RunSpec` constructor and
   ``from_artifacts`` (anything in a spec lands in the fingerprint),
   ``canonical_dumps`` and the ``sha256_*`` content hashes, WAL
-  ``append``, and the memo-store key surface shared by the run cache
-  and the checkpoint store (``MemoStore.lookup`` / ``consult`` /
-  ``store``, ``RunCache.invalidate``).
+  ``append``, and the memo-store key surface shared by the run cache,
+  the checkpoint store and the stage cache (``MemoStore.lookup`` /
+  ``consult`` / ``store`` / ``evict`` / ``invalidate``).
 - **Propagation** — through assignments, arithmetic/f-strings/
   containers, ``self.X`` attributes (flow-insensitive per class), and
   across calls via per-function summaries (tainted returns, tainted
@@ -76,7 +76,8 @@ SINK_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.art.cache.MemoStore.lookup", "memo-store key"),
     ("repro.art.cache.MemoStore.consult", "memo-store key"),
     ("repro.art.cache.MemoStore.store", "memo-store entry"),
-    ("repro.art.cache.RunCache.invalidate", "run-cache key"),
+    ("repro.art.cache.MemoStore.evict", "memo-store key"),
+    ("repro.art.cache.MemoStore.invalidate", "memo-store key"),
     ("repro.db.engine.wal.WalWriter.append", "WAL append"),
 )
 

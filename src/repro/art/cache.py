@@ -9,8 +9,12 @@ it maps a :class:`~repro.art.spec.RunSpec` fingerprint to the archived
 outcome of the run that first executed it (results summary, stats blob
 id, final status) and lets later runs *adopt* that result instead of
 simulating.  :class:`~repro.art.checkpoints.CheckpointStore` is the
-second user; the pipeline's stage cache reads its outputs blobs through
-the same :func:`read_verified`.
+second user and the pipeline's
+:class:`~repro.pipeline.journal.StageCache` the third.
+
+A consult is a *read*: a hit writes nothing.  How often an entry was
+served is what its adopters' own documents say (a run's ``cached_from``),
+counted by :meth:`MemoStore.tallies` when someone asks.
 
 Integrity is free because a blob id **is** the SHA-256 of its bytes: a
 consult re-downloads the blob and the store itself raises
@@ -25,15 +29,17 @@ Only runs that reached ``DONE`` are cached.  A simulation-level failure
 host-level failure (``FAILED`` / ``TIMED_OUT``) is retryable
 infrastructure noise and is never served from cache.
 
-Invalidation cascades through content: ``invalidate(token)`` accepts a
-fingerprint *or* an artifact content hash, and an artifact hash evicts
-every cached run that consumed that artifact — rebuilding one disk image
-re-runs exactly its dependent points and nothing else.
+Invalidation cascades through content: ``invalidate(token)`` accepts an
+entry's key *or* another name the store says it answers to — for the run
+cache an artifact content hash, which evicts every cached run that
+consumed that artifact: rebuilding one disk image re-runs exactly its
+dependent points and nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import collections
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import (
@@ -44,7 +50,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.timeutil import iso_now
-from repro.art.db import RUN_CACHE, ArtifactDB
+from repro.art.db import ArtifactDB
 
 #: Run statuses whose results are memoizable (terminal *and* meaningful:
 #: the simulation ran to its recorded outcome on a healthy host).
@@ -59,62 +65,43 @@ _COUNTER_HELP = {
 }
 
 
-def evict_blob(db: ArtifactDB, file_id: str) -> None:
-    """Empty a content address so a recompute can re-populate it:
-    ``put_bytes()`` is dedup-by-digest, so while rotten bytes sit at an
-    address re-archiving the pristine content is skipped."""
-    db.delete_file(file_id)
-
-
-def read_verified(
-    db: ArtifactDB, file_id: str
-) -> Tuple[Optional[bytes], str, str]:
-    """Read a blob the file store vouches for, or say why not.
-
-    Returns ``(payload, "", "")``, or ``(None, reason, detail)`` with
-    reason ``"blob-missing"`` or ``"corrupt"`` — the bytes no longer
-    match their digest and have been evicted, so that the reader's
-    fallback recompute heals the address.
-    """
-    try:
-        # get_bytes() hashes what it reads and raises CorruptBlobError
-        # itself on mismatch.
-        return db.download_file(file_id), "", ""
-    except CorruptBlobError as error:
-        evict_blob(db, file_id)
-        return None, "corrupt", str(error)
-    except (NotFoundError, FaultInjectedError) as error:
-        return None, "blob-missing", str(error)
-
-
 class MemoStore:
     """Key → (entry document, verified blob) over an :class:`ArtifactDB`.
 
     A subclass names its collection, the unique key field, and the
     ``noun`` that spells its chaos point (``<noun>.get``), events
-    (``<noun>.hit|miss|store|corrupt|error``) and counters
+    (``<noun>.hit|miss|store|corrupt|error|invalidate``) and counters
     (``<noun>_hits|misses|corrupt_total``); which entry fields carry the
-    producer's id, the adoption tally (and what :meth:`stats` calls it)
-    and the hit counter's label; and how a value becomes an entry
-    (:meth:`encode`), where an entry's blob is (:meth:`blob_id`) and
-    what a hit hands back (:meth:`decode`).
+    producer's id and the hit counter's label; how ``repro cache ls``
+    lists it; and how a value becomes an entry (:meth:`encode`), where
+    an entry's blob is (:meth:`blob_id`), what a hit hands back
+    (:meth:`decode`) and who adopted it (:meth:`tallies`).
     """
 
     noun: str
     collection_name: str
     key_field: str
     origin_field: str
-    tally_field: str
-    tally_stat: str
     label_field: str
+    #: ``(title, columns)`` of ``repro cache ls``; a column is ``(header,
+    #: entry field, max width)`` and ``"tally"`` is the derived field.
+    listing: Tuple[str, Tuple[Tuple[str, str, Optional[int]], ...]]
 
     def __init__(self, db: ArtifactDB):
         self.db = db
         self.collection = db.database.collection(self.collection_name)
+        # One entry per key, the memo layer's no-duplicates rule: declared
+        # here, so a collection comes into being with its first user.
+        if self.key_field not in self.collection.index_fields():
+            self.collection.create_unique_index(self.key_field)
 
     def decode(self, entry: Entry, payload: Optional[bytes]) -> Any:
         """What a hit hands back: the entry, unless the payload is it."""
         return entry
+
+    def tokens(self, entry: Entry) -> Iterable[str]:
+        """What :meth:`invalidate` accepts for an entry besides its key."""
+        return ()
 
     # -------------------------------------------------------------- lookup
 
@@ -126,19 +113,29 @@ class MemoStore:
         """Every entry, in insertion order."""
         return self.collection.find()
 
-    def stats(self) -> Entry:
-        """Summary counts (``repro cache|ckpt stats``): entries, their
-        summed adoption tally, and entries per label."""
-        entries = self.entries()
-        by_label: Dict[str, int] = {}
-        for entry in entries:
-            label = entry.get(self.label_field) or "unknown"
-            by_label[label] = by_label.get(label, 0) + 1
-        tally = sum(int(entry.get(self.tally_field) or 0) for entry in entries)
+    def _adopted(self, docs: Iterable[Entry], field: str) -> Dict[str, int]:
+        """Key → how many adopters' ``docs`` name the entry's producer
+        in ``field``: a tally nobody stores, because every adopter
+        already recorded where its result came from."""
+        served = collections.Counter(doc.get(field) for doc in docs)
+        return {
+            entry[self.key_field]: served[entry.get(self.origin_field)]
+            for entry in self.entries()
+        }
+
+    def stats(self, tally: str = "adoptions") -> Entry:
+        """Summary counts (``repro cache stats``): entries, how often
+        they were served (see :meth:`tallies`), and entries per label."""
+        entries, tallies = self.entries(), self.tallies()
+        by_label = collections.Counter(
+            entry.get(self.label_field) or "unknown" for entry in entries
+        )
         return {
             "entries": len(entries),
-            self.tally_stat: tally,
-            f"by_{self.label_field}": by_label,
+            tally: sum(
+                tallies.get(entry[self.key_field], 0) for entry in entries
+            ),
+            f"by_{self.label_field}": dict(by_label),
         }
 
     def consult(self, key: str) -> Any:
@@ -149,6 +146,7 @@ class MemoStore:
         degrade, never escalate: a missing blob or an injected read fault
         counts as a miss, a corrupt blob evicts the entry and counts as a
         miss — the computation always remains available as the slow path.
+        A consult never writes, except for that eviction.
         """
         try:
             chaos.fire(f"{self.noun}.get", **{self.key_field: key})
@@ -159,22 +157,25 @@ class MemoStore:
             return self._miss(key, "absent")
         payload, blob_id = None, self.blob_id(entry)
         if blob_id is not None:
-            payload, reason, detail = read_verified(self.db, blob_id)
-            if reason == "corrupt":
+            try:
+                # get_bytes() hashes what it reads and raises
+                # CorruptBlobError itself on mismatch.
+                payload = self.db.download_file(blob_id)
+            except CorruptBlobError as error:
                 self._count("corrupt")
-                self._emit("corrupt", **self._names(entry), error=detail)
-                # read_verified() already emptied the blob's address.
+                self._emit("corrupt", **self._names(entry), error=str(error))
+                # Empty the address too, so the recompute can re-populate
+                # it: put_bytes() is dedup-by-digest, and while rotten
+                # bytes sit there re-archiving the content is skipped.
+                self.db.delete_file(blob_id)
                 self.collection.delete_one({self.key_field: key})
-                return self._miss(key, reason)
-            if payload is None:
-                return self._miss(key, reason, detail)
+                return self._miss(key, "corrupt")
+            except (NotFoundError, FaultInjectedError) as error:
+                return self._miss(key, "blob-missing", str(error))
         value = self.decode(entry, payload)
         self._count(
             "hits",
             **{self.label_field: entry.get(self.label_field, "unknown")},
-        )
-        self.collection.update_one(
-            {self.key_field: key}, {"$inc": {self.tally_field: 1}}
         )
         self._emit("hit", **self._names(entry))
         return value
@@ -194,7 +195,9 @@ class MemoStore:
             f"{self.noun}_{what}_total", _COUNTER_HELP[what]
         ).inc(**labels)
 
-    def _miss(self, key: str, reason: str, error: str = None) -> None:
+    def _miss(
+        self, key: str, reason: str, error: Optional[str] = None
+    ) -> None:
         if error is not None:
             self._emit("error", **{self.key_field: key}, error=error)
         self._count("misses", reason=reason)
@@ -208,28 +211,85 @@ class MemoStore:
         Idempotent and first-writer-wins: the unique index decides, so a
         writer that loses a race (another experiment or store instance
         sharing the database) loses quietly — later identical work adopts
-        the winner's entry rather than overwrite it.
+        the winner's entry rather than overwrite it.  An injected write
+        fault loses the same way, reported as ``<noun>.error``: the
+        value's owner has it; only the next caller's shortcut is missing.
         """
-        entry = self.encode(key, value)
-        if entry is None:
-            return False
         try:
+            entry = self.encode(key, value)
+            if entry is None:
+                return False
             self.collection.insert_one(entry)
         except DuplicateError:
             return False
+        except FaultInjectedError as error:
+            self._emit("error", **{self.key_field: key}, error=str(error))
+            return False
         self._emit("store", **self._names(entry))
         return True
+
+    # --------------------------------------------------------- invalidation
+
+    def evict(self, token: str) -> int:
+        """Evict by key or by another of an entry's :meth:`tokens`.
+
+        A key evicts exactly its entry; any other token evicts every
+        entry that answers to it (the run cache's artifact-hash cascade,
+        the stage cache's stage name).  Only index entries go — the blobs
+        belong to the documents that archived them; returns how many.
+        """
+        entry = self.lookup(token)
+        doomed = [entry] if entry is not None else [
+            candidate
+            for candidate in self.entries()
+            if token in self.tokens(candidate)
+        ]
+        for entry in doomed:
+            self.collection.delete_one({self.key_field: entry[self.key_field]})
+            self._emit("invalidate", **self._names(entry), token=token)
+        return len(doomed)
+
+    def invalidate(self, token: str) -> int:
+        """:meth:`evict`, as typed by an operator: a token that matches
+        nothing exactly is retried as a git-style prefix (``cache ls``
+        shows abbreviated keys) — only then, so a full token is never
+        shadowed by a longer one it prefixes — and an ambiguous prefix
+        raises :class:`~repro.common.errors.ValidationError` rather than
+        guess."""
+        names = {
+            name
+            for entry in self.entries()
+            for name in (entry[self.key_field], *self.tokens(entry))
+        }
+        if token not in names:
+            matches = {
+                name for name in names if token and name.startswith(token)
+            }
+            if len(matches) > 1:
+                raise ValidationError(
+                    f"ambiguous prefix {token!r} matches "
+                    f"{len(matches)} cache tokens; use more characters"
+                )
+            if not matches:
+                return 0
+            (token,) = matches
+        return self.evict(token)
 
 
 class RunCache(MemoStore):
     """Fingerprint → archived-result index over an :class:`ArtifactDB`."""
 
     noun = "runcache"
-    collection_name = RUN_CACHE
+    collection_name = "run_cache"
     key_field = "fingerprint"
     origin_field = "run_id"
-    tally_field, tally_stat = "hits", "adoptions"
     label_field = "kind"
+    listing = (
+        "RESULT CACHE",
+        (("Fingerprint", "fingerprint", 12), ("Kind", "kind", None),
+         ("Run", "run_id", 8), ("Hits", "tally", None),
+         ("Stored", "stored_at_wall", 19)),
+    )
 
     def encode(self, fingerprint: str, run_doc: Entry) -> Optional[Entry]:
         """A finished run's outcome as a cache entry (DONE runs only)."""
@@ -243,65 +303,20 @@ class RunCache(MemoStore):
             "run_id": run_doc.get("_id"),
             "status": run_doc.get("status"),
             "results": dict(run_doc.get("results") or {}),
-            "hits": 0,
             "stored_at_wall": iso_now(),
         }
 
     def blob_id(self, entry: Entry) -> Optional[str]:
         return (entry.get("results") or {}).get("stats_file_id")
 
-    # --------------------------------------------------------- invalidation
+    def tokens(self, entry: Entry) -> Iterable[str]:
+        """The content hashes of the artifacts the cached run consumed:
+        invalidating one evicts every dependent entry."""
+        return (entry.get("artifact_hashes") or {}).values()
 
-    def invalidate(self, token: str) -> int:
-        """Evict by fingerprint or by artifact content hash (cascading).
-
-        A fingerprint evicts exactly its entry.  An artifact hash evicts
-        every cached run whose spec consumed that artifact — the
-        dependency cascade that makes "I rebuilt the disk image" re-run
-        only the image's dependents.  A token that matches nothing
-        exactly is retried as a git-style prefix (``cache ls`` shows
-        abbreviated fingerprints); an ambiguous prefix raises
-        :class:`~repro.common.errors.ValidationError` rather than guess.
-        Only index entries go: the stats blobs still belong to the run
-        documents that archived them.  Returns the number of entries
-        evicted.
-        """
-        entry = self.lookup(token)
-        if entry is not None:
-            doomed, how = [entry], {"by": "fingerprint"}
-        else:
-            doomed = [
-                candidate
-                for candidate in self.entries()
-                if token in (candidate.get("artifact_hashes") or {}).values()
-            ]
-            how = {"by": "artifact", "artifact_hash": token}
-        for entry in doomed:
-            self.collection.delete_one({"fingerprint": entry["fingerprint"]})
-            self._emit("invalidate", fingerprint=entry["fingerprint"], **how)
-        if doomed:
-            return len(doomed)
-        full = self._expand_prefix(token)
-        return self.invalidate(full) if full is not None else 0
-
-    def _expand_prefix(self, prefix: str) -> Optional[str]:
-        """Resolve an abbreviated fingerprint / artifact hash, or None.
-
-        Only consulted after exact matching fails, so a full token can
-        never be shadowed by a longer one it happens to prefix.
-        """
-        if not prefix:
-            return None
-        matches = set()
-        for entry in self.entries():
-            if entry["fingerprint"].startswith(prefix):
-                matches.add(entry["fingerprint"])
-            for value in (entry.get("artifact_hashes") or {}).values():
-                if isinstance(value, str) and value.startswith(prefix):
-                    matches.add(value)
-        if len(matches) > 1:
-            raise ValidationError(
-                f"ambiguous prefix {prefix!r} matches "
-                f"{len(matches)} cache tokens; use more characters"
-            )
-        return matches.pop() if matches else None
+    def tallies(self) -> Dict[str, int]:
+        """Fingerprint → runs that adopted the entry (their documents
+        say ``cached_from`` its run)."""
+        return self._adopted(
+            self.db.runs.find({"cache_hit": True}), "cached_from"
+        )

@@ -19,14 +19,16 @@ wait on the leader's completion event and adopt the stored checkpoint.
 
 from __future__ import annotations
 
+import collections
 import threading
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import telemetry
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
-from repro.art.cache import Entry, MemoStore, evict_blob
-from repro.art.db import CHECKPOINTS, ArtifactDB
+from repro.art.cache import Entry, MemoStore
+from repro.art.db import ArtifactDB
+from repro.art.spec import RunSpec
 from repro.sim.checkpoint import Checkpoint
 
 
@@ -40,11 +42,16 @@ class CheckpointStore(MemoStore):
     """
 
     noun = "checkpoint"
-    collection_name = CHECKPOINTS
+    collection_name = "checkpoints"
     key_field = "prefix"
     origin_field = "checkpoint_id"
-    tally_field = tally_stat = "restores"
     label_field = "boot_type"
+    listing = (
+        "CHECKPOINT STORE",
+        (("Prefix", "prefix", 12), ("Kernel", "kernel_version", None),
+         ("Boot", "boot_type", None), ("CPUs", "num_cpus", None),
+         ("Restores", "tally", None), ("Stored", "stored_at_wall", 19)),
+    )
 
     def __init__(self, db: ArtifactDB):
         super().__init__(db)
@@ -70,7 +77,6 @@ class CheckpointStore(MemoStore):
             "num_cpus": checkpoint.num_cpus,
             "memory_system": checkpoint.memory_system,
             "boot_seconds": checkpoint.boot_seconds,
-            "restores": 0,
             "stored_at_wall": iso_now(),
         }
 
@@ -129,13 +135,23 @@ class CheckpointStore(MemoStore):
 
     # ------------------------------------------------------------- hygiene
 
+    def run_prefixes(self, query: Entry) -> List[str]:
+        """The prefix fingerprint of every matching run document that
+        has one (an fs run whose boot a checkpoint can stand in for)."""
+        prefixes = (
+            RunSpec.from_document(doc["spec"]).prefix_fingerprint()
+            for doc in self.db.runs.find(query)
+        )
+        return [prefix for prefix in prefixes if prefix]
+
     def gc(self, live_prefixes: Iterable[str]) -> int:
         """Evict checkpoints whose prefix no longer has live run specs.
 
         ``live_prefixes`` is the set of prefix fingerprints still
-        reachable from run documents; everything else is an orphaned
-        boot (rebuilt disk image, retired kernel) and is dropped,
-        blob included.  Returns the number of entries evicted.
+        reachable from run documents (``run_prefixes({})``); everything
+        else is an orphaned boot (rebuilt disk image, retired kernel)
+        and is dropped, blob included.  Returns the number of entries
+        evicted.
         """
         live = set(live_prefixes)
         evicted = 0
@@ -143,17 +159,27 @@ class CheckpointStore(MemoStore):
             if entry["prefix"] in live:
                 continue
             self.collection.delete_one({"prefix": entry["prefix"]})
-            evict_blob(self.db, entry["file_id"])
+            self.db.delete_file(entry["file_id"])
             self._emit("gc", **self._names(entry))
             evicted += 1
         return evicted
 
     # --------------------------------------------------------------- query
 
+    def tallies(self) -> Dict[str, int]:
+        """Prefix → runs that restored its checkpoint instead of booting
+        (their documents say ``results.restored_boot``; one that adopted
+        such a result from the run cache restored nothing)."""
+        return collections.Counter(
+            self.run_prefixes(
+                {"results.restored_boot": True, "cache_hit": {"$ne": True}}
+            )
+        )
+
     def stats(self) -> Entry:
-        """Summary counts for ``repro ckpt stats``."""
-        stats = super().stats()
-        stats["boot_seconds_archived"] = sum(
-            float(entry.get("boot_seconds") or 0.0) for entry in self.entries()
+        """Summary counts for ``repro cache --kind ckpt stats``."""
+        stats = super().stats("restores")
+        stats["boot_seconds"] = sum(
+            (entry.get("boot_seconds") or 0.0 for entry in self.entries()), 0.0
         )
         return stats

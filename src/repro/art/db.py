@@ -15,8 +15,6 @@ from repro.db import Database, connect
 
 ARTIFACTS = "artifacts"
 RUNS = "runs"
-RUN_CACHE = "run_cache"
-CHECKPOINTS = "checkpoints"
 
 
 class ArtifactDB:
@@ -26,15 +24,7 @@ class ArtifactDB:
         self.database = database or connect("memory://")
         self.artifacts = self.database.collection(ARTIFACTS)
         self.runs = self.database.collection(RUNS)
-        run_cache = self.database.collection(RUN_CACHE)
-        checkpoints = self.database.collection(CHECKPOINTS)
         self.artifacts.create_unique_index("hash")
-        # One archived result per fingerprint: the memoization layer's
-        # equivalent of the artifact collection's no-duplicates rule.
-        run_cache.create_unique_index("fingerprint")
-        # One boot checkpoint per prefix fingerprint: N variants sharing
-        # a boot prefix must converge on one snapshot.
-        checkpoints.create_unique_index("prefix")
 
     # ---------------------------------------------------------- artifacts
 

@@ -27,6 +27,8 @@ point                   fired
                         fault is a miss: the run simulates)
 ``checkpoint.get``      before a checkpoint-store consult reads its entry
                         (a fault is a miss: the run boots in full)
+``stagecache.get``      before a stage-cache consult reads its entry (a
+                        fault is a miss: the stage executes)
 ``pipeline.stage``      before a pipeline stage's body executes
 ``pipeline.gate``       before a pipeline gate is evaluated (a fault is a
                         failed verdict)

@@ -10,12 +10,12 @@ experiments without writing a launch script:
 - ``gpu``                       — regenerate Fig 9;
 - ``resume <experiment> --db``  — finish an interrupted experiment (skips
   runs the database already marks done);
-- ``cache stats|ls|invalidate`` — inspect or evict the fingerprint result
-  cache (``invalidate`` accepts a run fingerprint or an artifact content
-  hash; an artifact hash cascades to every dependent cached run);
-- ``ckpt stats|ls|gc``          — inspect or garbage-collect the
-  boot-checkpoint store (``gc`` evicts checkpoints whose boot prefix no
-  run spec references anymore);
+- ``cache [--kind run|ckpt|stage] stats|ls|invalidate|gc`` — inspect or
+  evict a memo store (the fingerprint result cache by default, the
+  boot-checkpoint store, the pipeline's stage cache): ``invalidate``
+  takes a key or, cascading, an artifact content hash (``run``) or a
+  stage name (``stage``); ``gc`` evicts checkpoints whose boot prefix no
+  run spec references anymore; hit tallies are counted, not stored;
 - ``db stats|compact|scrub|recover`` — storage-engine maintenance:
   per-collection segment/WAL shape, forced compaction, blob
   re-verification with quarantine, and a crash-recovery report.
@@ -125,38 +125,27 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = commands.add_parser(
         "cache",
-        help="inspect or evict the fingerprint result cache",
+        help="inspect or evict the result cache or another memo store",
     )
     cache.add_argument(
-        "action", choices=("stats", "ls", "invalidate"),
+        "--kind", default="run", choices=("run", "ckpt", "stage"),
+        help="which store (default: run, the result cache)",
+    )
+    cache.add_argument(
+        "action", choices=("stats", "ls", "invalidate", "gc"),
         help="stats: summary counts; ls: one line per entry; "
-        "invalidate: evict by fingerprint or artifact content hash",
+        "invalidate: evict by key, artifact content hash (run) or "
+        "stage name (stage); gc (ckpt): evict checkpoints whose boot "
+        "prefix no run spec references anymore",
     )
     cache.add_argument(
         "token", nargs="?", default=None,
-        help="fingerprint or artifact content hash (invalidate only); "
-        "an artifact hash evicts every dependent cached run",
+        help="invalidate only: a key (or unambiguous prefix of one), or "
+        "a token that evicts every entry answering to it",
     )
     cache.add_argument(
         "--db", required=True, metavar="URI",
-        help="database URI holding the cache "
-        "(file:///dir for anything persistent)",
-    )
-
-    ckpt = commands.add_parser(
-        "ckpt",
-        help="inspect or garbage-collect the boot-checkpoint store",
-    )
-    ckpt.add_argument(
-        "action", choices=("stats", "ls", "gc"),
-        help="stats: summary counts; ls: one line per checkpoint; "
-        "gc: evict checkpoints whose boot prefix no run spec "
-        "references anymore",
-    )
-    ckpt.add_argument(
-        "--db", required=True, metavar="URI",
-        help="database URI holding the checkpoint store "
-        "(file:///dir for anything persistent)",
+        help="database URI holding the store",
     )
 
     dbcmd = commands.add_parser(
@@ -245,7 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     pipeline.add_argument(
         "--stage", default=None, metavar="NAME",
-        help="rerun only: evict this stage's journaled results first, "
+        help="rerun only: evict this stage's cached results first, "
         "forcing it and its dependents to re-execute",
     )
 
@@ -283,7 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "lint": _cmd_lint,
         "cache": _cmd_cache,
-        "ckpt": _cmd_ckpt,
         "db": _cmd_db,
         "reproduce": _cmd_reproduce,
         "pipeline": _cmd_pipeline,
@@ -653,53 +641,65 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _print_memo(store, action, widths, extra_totals, title, columns):
-    """``stats`` (entries, the adoption tally and any ``(label, key,
-    format)`` extras, one ``label value`` line each, then the per-label
-    breakdown; ``widths`` pads the two kinds of label) or ``ls`` (one
-    row per entry; a column is ``(header, entry field, max width)``) of
-    a memo store."""
-    if action == "stats":
-        stats = store.stats()
-        tally = store.tally_stat
-        for label, key, spec in [
-            ("entries", "entries", ""), (tally, tally, ""), *extra_totals
-        ]:
-            print(f"{label:<{widths[0]}}{stats[key]:{spec}}")
-        by_label = stats[f"by_{store.label_field}"]
-        for name, count in sorted(by_label.items()):
-            print(f"  {name:<{widths[1]}}{count}")
-        return 0
-    table = TextTable([header for header, _, _ in columns], title=title)
-    for entry in store.entries():
-        table.add_row(
-            [str(entry.get(field, "?"))[:limit] for _, field, limit in columns]
-        )
-    print(table.render())
-    return 0
-
-
 def _cmd_cache(args) -> int:
-    from repro.art import ArtifactDB, RunCache
+    """One verb over the three memo stores; what differs between them
+    (columns, tokens, where the tallies come from) is on the classes."""
+    from repro.art import ArtifactDB, CheckpointStore, RunCache
     from repro.common.errors import ReproError
 
     database = _open_db(args)
     if database is None:
         return 1
     db = ArtifactDB(database)
-    cache = RunCache(db)
-    if args.action != "invalidate":
-        return _print_memo(
-            cache, args.action, (11, 9), [], "RESULT CACHE",
-            [("Fingerprint", "fingerprint", 12), ("Kind", "kind", None),
-             ("Run", "run_id", 8), ("Hits", "hits", None),
-             ("Stored", "stored_at_wall", 19)],
-        )
+    if args.kind == "stage":
+        from repro.pipeline import StageCache as store_class
+    else:
+        store_class = {"run": RunCache, "ckpt": CheckpointStore}[args.kind]
+    store = store_class(db)
+    if args.action == "stats":
+        # One ``label value`` line per count, then the breakdown.
+        stats = store.stats()
+        counts = {
+            key.replace("_", " "): value
+            for key, value in stats.items()
+            if not isinstance(value, dict)
+        }
+        for name, count in sorted(stats[f"by_{store.label_field}"].items()):
+            counts[f"  {name}"] = count
+        width = max(map(len, counts)) + 2
+        for label, value in counts.items():
+            spec = ".1f" if isinstance(value, float) else ""
+            print(f"{label:<{width}}{value:{spec}}")
+        return 0
+    if args.action == "ls":
+        title, columns = store.listing
+        tallies = store.tallies()
+        table = TextTable([header for header, _, _ in columns], title=title)
+        for entry in store.entries():
+            entry["tally"] = tallies.get(entry[store.key_field], 0)
+            table.add_row(
+                [str(entry.get(field, "?"))[:limit]
+                 for _, field, limit in columns]
+            )
+        print(table.render())
+        return 0
+    if args.action == "gc":
+        if args.kind != "ckpt":
+            print("error: gc needs --kind ckpt: nothing else has orphans")
+            return 2
+        # Live: some run document's spec still hashes to the prefix.
+        live = set(store.run_prefixes({}))
+        evicted = store.gc(live)
+        db.save()
+        noun = "checkpoint" if evicted == 1 else "checkpoints"
+        print(f"evicted {evicted} orphaned {noun} "
+              f"({len(live)} live boot prefixes)")
+        return 0
     if not args.token:
         print("error: invalidate needs a fingerprint or artifact hash")
         return 2
     try:
-        evicted = cache.invalidate(args.token)
+        evicted = store.invalidate(args.token)
     except ReproError as error:
         print(f"error: {error}")
         return 2
@@ -710,40 +710,6 @@ def _cmd_cache(args) -> int:
     noun = "entry" if evicted == 1 else "entries"
     print(f"evicted {evicted} cache {noun}; "
           "dependent runs will re-execute on next launch")
-    return 0
-
-
-def _cmd_ckpt(args) -> int:
-    from repro.art import ArtifactDB, CheckpointStore
-    from repro.art.spec import RunSpec
-
-    database = _open_db(args)
-    if database is None:
-        return 1
-    db = ArtifactDB(database)
-    store = CheckpointStore(db)
-    if args.action != "gc":
-        return _print_memo(
-            store, args.action, (14, 11),
-            [("boot seconds", "boot_seconds_archived", ".1f")],
-            "CHECKPOINT STORE",
-            [("Prefix", "prefix", 12), ("Kernel", "kernel_version", None),
-             ("Boot", "boot_type", None), ("CPUs", "num_cpus", None),
-             ("Restores", "restores", None),
-             ("Stored", "stored_at_wall", 19)],
-        )
-    # gc: a checkpoint is live while some run document's spec still
-    # hashes to its prefix.
-    live = set()
-    for doc in db.runs.find({}):
-        prefix = RunSpec.from_document(doc["spec"]).prefix_fingerprint()
-        if prefix:
-            live.add(prefix)
-    evicted = store.gc(live)
-    db.save()
-    noun = "checkpoint" if evicted == 1 else "checkpoints"
-    print(f"evicted {evicted} orphaned {noun} "
-          f"({len(live)} live boot prefixes)")
     return 0
 
 
@@ -1041,6 +1007,7 @@ def _cmd_pipeline(args) -> int:
     from repro.common.errors import NotFoundError, ReproError
     from repro.pipeline import (
         PipelineJournal,
+        StageCache,
         load_manifest,
         run_pipeline,
     )
@@ -1142,9 +1109,10 @@ def _cmd_pipeline(args) -> int:
         except ReproError as error:
             print(f"error: {error}")
             return 2
-        evicted = journal.evict_stage_records(targets)
+        cache = StageCache(db)
+        evicted = sum(cache.evict(name) for name in targets)
         print(
-            f"evicted {evicted} journaled results for "
+            f"evicted {evicted} cached results for "
             f"{', '.join(targets)}; they will re-execute"
         )
     result = run_pipeline(db, manifest, journal=journal)

@@ -357,20 +357,6 @@ class Collection:
                     return True
             return False
 
-    def delete_many(self, query: Dict[str, Any]) -> int:
-        with self._lock:
-            doomed = [
-                doc
-                for doc in self._documents.values()
-                if matches(doc, query)
-            ]
-            for doc in doomed:
-                if self._store is not None:
-                    self._store.log_delete(doc["_id"])
-                self._index_remove(doc)
-                del self._documents[doc["_id"]]
-            return len(doomed)
-
     # ----------------------------------------------------------- recovery
 
     def load_replayed(

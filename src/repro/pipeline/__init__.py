@@ -30,6 +30,7 @@ from repro.pipeline.gates import (
 from repro.pipeline.journal import (
     PIPELINE_RUNS,
     PipelineJournal,
+    StageCache,
     stage_fingerprint,
 )
 from repro.pipeline.stages import STAGE_KINDS, StageContext
@@ -45,6 +46,7 @@ __all__ = [
     "PIPELINE_RUNS",
     "PipelineJournal",
     "STAGE_KINDS",
+    "StageCache",
     "StageContext",
     "StageSpec",
     "evaluate_gate",

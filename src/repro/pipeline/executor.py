@@ -5,12 +5,13 @@ for each stage:
 
 1. computes the stage **fingerprint** (declaration + upstream outputs
    digests + attempt — see :func:`repro.pipeline.journal.stage_fingerprint`);
-2. consults the journal for a gate-passing record with that fingerprint
-   and, on a hit, adopts the recorded outputs (verifying the
-   content-addressed blob) instead of re-executing;
+2. consults the :class:`~repro.pipeline.journal.StageCache` for that
+   fingerprint and, on a hit, adopts the recorded outputs (verifying
+   the content-addressed blob) instead of re-executing;
 3. otherwise executes the stage implementation and content-addresses
    its outputs into the FileStore;
-4. evaluates the stage's validation gates;
+4. evaluates the stage's validation gates (an executed attempt that
+   passes becomes the fingerprint's cache entry);
 5. on a gate failure with an ``on_fail`` policy, **backtracks**: the
    attempt number of both the backtrack target and the failing stage is
    bumped (new fingerprints — the retry can never alias the failed
@@ -22,9 +23,10 @@ for each stage:
 
 Every decision lands in the journal's ordered trail, every stage attempt
 becomes a stage document, and telemetry gets ``pipeline``/
-``pipeline.stage`` spans plus the four pipeline counters.  The
-``pipeline.stage`` chaos point fires before each execution so fault
-drills can kill a stage mid-pipeline and assert the journaled outcome.
+``pipeline.stage`` spans plus three pipeline counters (hits are the
+stage cache's ``stagecache_hits_total``).  The ``pipeline.stage`` chaos
+point fires before each execution so fault drills can kill a stage
+mid-pipeline and assert the journaled outcome.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ from repro import chaos, telemetry
 from repro.common.errors import FaultInjectedError, PipelineError
 from repro.art.db import ArtifactDB
 from repro.pipeline.gates import evaluate_gates
-from repro.pipeline.journal import PipelineJournal, stage_fingerprint
+from repro.pipeline.journal import (
+    PipelineJournal,
+    StageCache,
+    stage_fingerprint,
+)
 from repro.pipeline.manifest import Manifest
 from repro.pipeline.stages import STAGE_KINDS, StageContext
 
@@ -58,6 +64,7 @@ def run_pipeline(
     CLI's ``--no-stage-cache``).
     """
     journal = journal or PipelineJournal(db)
+    stage_cache = StageCache(db)
     execution = dict(manifest.execution)
     if use_cache is not None:
         execution["use_cache"] = use_cache
@@ -65,9 +72,6 @@ def run_pipeline(
     metrics = telemetry.get_metrics()
     runs_total = metrics.counter(
         "pipeline_stage_runs_total", "pipeline stages executed"
-    )
-    hits_total = metrics.counter(
-        "pipeline_stage_cache_hits_total", "pipeline stage cache hits"
     )
     gate_failures_total = metrics.counter(
         "pipeline_stage_gate_failures_total", "pipeline gate failures"
@@ -122,20 +126,17 @@ def run_pipeline(
                 action = "executed"
                 cache_source = None
                 cached = (
-                    journal.find_cached(fingerprint)
+                    stage_cache.consult(fingerprint)
                     if cache_enabled
                     else None
                 )
                 if cached is not None:
                     action = "cache_hit"
-                    cache_source = cached["_id"]
+                    cache_source = cached["origin"]
                     outputs = cached["outputs"]
                     blob_id = cached["outputs_blob"]
-                    verdicts = cached.get("verdicts", [])
+                    verdicts = cached["verdicts"]
                     counts["cache_hits"] += 1
-                    hits_total.inc(
-                        pipeline=manifest.name, stage=name
-                    )
                 else:
                     try:
                         chaos.fire(
@@ -182,7 +183,7 @@ def run_pipeline(
                     )
                 gates_ok = all(v["ok"] for v in verdicts)
                 seq = _next_seq(counts)
-                journal.record_stage(
+                journaled = journal.record_stage(
                     pipeline_id,
                     manifest.name,
                     stage,
@@ -196,6 +197,8 @@ def run_pipeline(
                     gates_ok=gates_ok,
                     cache_source=cache_source,
                 )
+                if cached is None:
+                    stage_cache.store(fingerprint, journaled)
                 journal.append_trail(
                     pipeline_id,
                     {

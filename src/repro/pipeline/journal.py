@@ -13,24 +13,25 @@ Every pipeline run writes two kinds of documents into the
   queries) and content-addressed into the FileStore (the blob id *is*
   the SHA-256 of the canonical outputs JSON).
 
-The stage documents double as the cross-run cache: a later pipeline run
-that computes the same stage fingerprint adopts the recorded outputs
-instead of re-executing, after reading the outputs blob back through the
-memo protocol's :func:`~repro.art.cache.read_verified` — a missing blob
-degrades to re-execution, a corrupt one is evicted first so that the
-re-execution heals its content address.
+The journal is append-only history.  The cross-run cache sits beside
+it: :class:`StageCache`, the memo protocol's third client, indexes each
+gate-passing executed attempt by its stage fingerprint, and a later
+pipeline run that computes the same fingerprint adopts the recorded
+outputs instead of re-executing (how a lookup degrades is the protocol's,
+:meth:`~repro.art.cache.MemoStore.consult`).  Evicting a cached result
+deletes a cache entry, never provenance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import sha256_text
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
-from repro.art.cache import read_verified
+from repro.art.cache import Entry, MemoStore
 from repro.art.db import ArtifactDB
 from repro.pipeline.manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -74,7 +75,6 @@ class PipelineJournal:
         self.db = db
         self.collection = db.database.collection(PIPELINE_RUNS)
         self.collection.create_index("doc_type")
-        self.collection.create_index("fingerprint")
         self.collection.create_index("pipeline_id")
 
     # ------------------------------------------------------ pipeline docs
@@ -173,31 +173,29 @@ class PipelineJournal:
         gates_ok: bool,
         cache_source: Optional[str] = None,
         error: Optional[str] = None,
-    ) -> str:
-        """Journal one stage attempt; returns the stage document id."""
-        doc_id = new_uuid()
-        self.collection.insert_one(
-            {
-                "_id": doc_id,
-                "doc_type": "stage",
-                "pipeline_id": pipeline_id,
-                "pipeline": pipeline_name,
-                "stage": stage.name,
-                "kind": stage.kind,
-                "seq": seq,
-                "fingerprint": fingerprint,
-                "attempt": attempt,
-                "action": action,
-                "outputs": outputs,
-                "outputs_blob": outputs_blob,
-                "verdicts": verdicts,
-                "gates_ok": gates_ok,
-                "cache_source": cache_source,
-                "error": error,
-                "recorded_at_wall": iso_now(),
-            }
-        )
-        return doc_id
+    ) -> Dict[str, Any]:
+        """Journal one stage attempt; returns the stage document."""
+        document = {
+            "_id": new_uuid(),
+            "doc_type": "stage",
+            "pipeline_id": pipeline_id,
+            "pipeline": pipeline_name,
+            "stage": stage.name,
+            "kind": stage.kind,
+            "seq": seq,
+            "fingerprint": fingerprint,
+            "attempt": attempt,
+            "action": action,
+            "outputs": outputs,
+            "outputs_blob": outputs_blob,
+            "verdicts": verdicts,
+            "gates_ok": gates_ok,
+            "cache_source": cache_source,
+            "error": error,
+            "recorded_at_wall": iso_now(),
+        }
+        self.collection.insert_one(document)
+        return document
 
     def stages_of(self, pipeline_id: str) -> List[Dict[str, Any]]:
         """Stage documents of one pipeline run, in decision order."""
@@ -206,48 +204,57 @@ class PipelineJournal:
             sort=[("seq", 1)],
         )
 
-    # ------------------------------------------------------------- cache
 
-    def evict_stage_records(self, stage_names: List[str]) -> int:
-        """Drop every journaled attempt of the named stages.
+class StageCache(MemoStore):
+    """Stage fingerprint → the outputs of the attempt that passed its
+    gates, over the documents :meth:`PipelineJournal.record_stage`
+    writes."""
 
-        ``repro pipeline rerun --stage X`` uses this to force X and its
-        dependents to re-execute even when their fingerprints (hence
-        cached outputs) are unchanged — the operator override for "I do
-        not trust that result".  Returns the number of records dropped.
-        """
-        evicted = 0
-        for name in stage_names:
-            evicted += self.collection.delete_many(
-                {"doc_type": "stage", "stage": name}
-            )
-        return evicted
+    noun = "stagecache"
+    collection_name = "stage_cache"
+    key_field = "fingerprint"
+    origin_field = "origin"
+    label_field = "kind"
+    listing = (
+        "STAGE CACHE",
+        (("Fingerprint", "fingerprint", 12), ("Stage", "stage", None),
+         ("Kind", "kind", None), ("Journaled", "origin", 8),
+         ("Hits", "tally", None), ("Stored", "stored_at_wall", 19)),
+    )
 
-    def find_cached(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """A reusable stage record for this fingerprint, or None.
+    def encode(self, fingerprint: str, stage_doc: Entry) -> Optional[Entry]:
+        """A journaled attempt as a cache entry (gate-passing ones only:
+        a failed attempt is never a cache hit)."""
+        if not stage_doc["gates_ok"]:
+            return None
+        return {
+            "_id": f"stage-{fingerprint}",
+            "fingerprint": fingerprint,
+            "stage": stage_doc["stage"],
+            "kind": stage_doc["kind"],
+            "verdicts": stage_doc["verdicts"],
+            "outputs_blob": stage_doc["outputs_blob"],
+            "origin": stage_doc["_id"],
+            "stored_at_wall": iso_now(),
+        }
 
-        Only gate-passing, successfully executed (or previously adopted)
-        records qualify — a failed attempt is never a cache hit.  The
-        outputs blob is re-downloaded so the FileStore's content check
-        vouches for it; a corrupt (now evicted) or missing blob
-        disqualifies the record (re-execute) instead of propagating
-        garbage downstream.
-        """
-        candidates = self.collection.find(
-            {
-                "doc_type": "stage",
-                "fingerprint": fingerprint,
-                "gates_ok": True,
-            },
-            sort=[("recorded_at_wall", 1), ("seq", 1)],
+    def blob_id(self, entry: Entry) -> str:
+        return entry["outputs_blob"]
+
+    def decode(self, entry: Entry, payload: bytes) -> Entry:
+        return dict(entry, outputs=loads(payload.decode("utf-8")))
+
+    def tokens(self, entry: Entry) -> Iterable[str]:
+        """Its stage's name: invalidating a stage evicts its every
+        cached attempt."""
+        return [entry["stage"]]
+
+    def tallies(self) -> Dict[str, int]:
+        """Fingerprint → journaled attempts that adopted the entry
+        (their documents say ``cache_source`` its origin)."""
+        return self._adopted(
+            self.db.database.collection(PIPELINE_RUNS).find(
+                {"doc_type": "stage", "action": "cache_hit"}
+            ),
+            "cache_source",
         )
-        for doc in reversed(candidates):
-            blob_id = doc.get("outputs_blob")
-            if not blob_id:
-                continue
-            payload, _, _ = read_verified(self.db, blob_id)
-            if payload is None:
-                continue
-            doc["outputs"] = loads(payload.decode("utf-8"))
-            return doc
-        return None

@@ -88,8 +88,10 @@ def test_scheduler_boots_once_per_prefix_threads(db, fs_artifacts):
         hits = session.metrics.counter("checkpoint_hits_total")
         assert sum(s["value"] for s in hits.samples()) == len(runs)
     assert all(s["success"] for s in summaries)
-    # Every variant rode its cohort's checkpoint instead of booting.
+    # Every variant rode its cohort's checkpoint instead of booting,
+    # and the store's tally is read off the documents that say so.
     assert all(s["restored_boot"] for s in summaries)
+    assert CheckpointStore(db).stats()["restores"] == len(runs)
 
 
 def test_scheduler_boots_once_per_prefix_processes(db, fs_artifacts):

@@ -7,10 +7,13 @@ a reviewed diff of this file, not drift.
 """
 
 import inspect
+import re
 
 import pytest
 
+from repro import cli
 from repro.art import Experiment, run_jobs_scheduler
+from repro.art.cache import MemoStore
 from repro.art.procjobs import envelope_for_run
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
@@ -55,6 +58,23 @@ from repro.scheduler.app import RegisteredTask
 )
 def test_run_path_options(function, options):
     assert list(inspect.signature(function).parameters) == options
+
+
+def test_memo_store_surface_and_verb_count():
+    """What a memo store spells: the five names the protocol reads and
+    how ``repro cache ls`` lists it (hit tallies are derived, so nothing
+    declares them); and the CLI's verbs, one for all three stores."""
+    surface = [
+        "noun", "collection_name", "key_field", "origin_field",
+        "label_field", "listing",
+    ]
+    assert list(MemoStore.__annotations__) == surface
+    for store in MemoStore.__subclasses__():
+        for name, value in vars(store).items():
+            assert name in surface or name[0] == "_" or callable(value), name
+        assert set(surface) <= set(vars(store)), store
+    handlers = re.findall(r'"[\w-]+": _cmd_\w+,', inspect.getsource(cli.main))
+    assert len(handlers) == 14
 
 
 def test_manifest_execution_settings_are_launch_keywords():

@@ -20,6 +20,7 @@ from repro import chaos
 from repro.art import ArtifactDB
 from repro.art.cache import MemoStore
 from repro.chaos import FaultRule
+from repro.pipeline import StageCache  # noqa: F401  (the third subclass)
 
 from tests.art.test_launch_share import make_experiment
 
@@ -64,13 +65,13 @@ def point_arguments(root: pathlib.Path, callee: str):
 
 
 def test_declared_points_are_exactly_the_fired_points():
-    assert MEMO_NOUNS == ["checkpoint", "runcache"]
+    assert MEMO_NOUNS == ["checkpoint", "runcache", "stagecache"]
     fired = set()
     for where, names in point_arguments(SRC, "chaos.fire"):
         assert names, f"{where}: chaos.fire() point is not a literal"
         fired |= names
     assert fired == declared_points()
-    assert len(fired) == 14
+    assert len(fired) == 15
 
 
 def test_every_declared_point_is_injected_by_some_test():

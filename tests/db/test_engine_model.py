@@ -66,7 +66,6 @@ operations = st.one_of(
         {"$unset": {"k": ""}}, {"$unset": {"t": ""}},
     ])),
     st.tuples(st.just("delete_one"), by_id),
-    st.tuples(st.just("delete_many"), tags.map(lambda tag: {"t": tag})),
     st.tuples(st.just("create_index"), st.sampled_from(["t", "n", "k"])),
     st.sampled_from([("create_unique_index", "k"), ("compact",), ("reopen",)]),
 )
@@ -135,8 +134,6 @@ def predict(docs, indexes, op):
             written.pop(field, None)
     elif verb == "delete_one":
         docs.pop(args[0]["_id"], None)
-    elif verb == "delete_many":
-        docs = {i: d for i, d in docs.items() if d.get("t") != args[0]["t"]}
     elif verb == "create_index":
         indexes.add((args[0], "secondary"))
     elif verb == "create_unique_index":

@@ -11,23 +11,21 @@ one boot.
 
 Storage, verification and degradation are the memo protocol of
 :class:`~repro.art.cache.MemoStore` (chaos point ``checkpoint.get``;
-every miss falls back to a full boot).  What the store adds is
-single-flight **boot leadership**: of N concurrent ``get_or_boot``
-calls for one prefix, exactly one becomes the leader and boots; the rest
-wait on the leader's completion event and adopt the stored checkpoint.
+every miss falls back to a full boot).  Who boots is not the store's
+business: the planner (:func:`repro.art.tasks.run_boot_stage`) consults,
+boots and stores once per unique prefix of its sweep, on its own thread,
+and two sweeps racing on one database at worst both boot — the unique
+index keeps the first checkpoint stored.
 """
 
 from __future__ import annotations
 
 import collections
-import threading
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro import telemetry
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
 from repro.art.cache import Entry, MemoStore
-from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
 from repro.sim.checkpoint import Checkpoint
 
@@ -52,12 +50,6 @@ class CheckpointStore(MemoStore):
          ("Boot", "boot_type", None), ("CPUs", "num_cpus", None),
          ("Restores", "tally", None), ("Stored", "stored_at_wall", 19)),
     )
-
-    def __init__(self, db: ArtifactDB):
-        super().__init__(db)
-        self._lock = threading.Lock()
-        #: prefix → completion event of the boot in flight for it.
-        self._booting: Dict[str, threading.Event] = {}
 
     def encode(self, prefix: str, checkpoint: Checkpoint) -> Entry:
         """Archive the payload blob and describe it as a store entry (a
@@ -89,49 +81,6 @@ class CheckpointStore(MemoStore):
     def get(self, prefix: Optional[str]) -> Optional[Checkpoint]:
         """Fetch and *verify* a checkpoint; None means boot in full."""
         return None if prefix is None else self.consult(prefix)
-
-    # ----------------------------------------------------- boot leadership
-
-    def get_or_boot(
-        self,
-        prefix: str,
-        boot: Callable[[], Optional[Checkpoint]],
-    ) -> Optional[Checkpoint]:
-        """Adopt the prefix's checkpoint, booting (once) if absent.
-
-        Of N concurrent callers for one prefix, whoever registers the
-        completion event leads: it consults the store and runs ``boot``
-        on a miss; the others wait for the leader and adopt what it
-        stored.  Leadership is decided *before* the first consult, so no
-        caller can miss, be overtaken by a complete boot, and boot again.
-        ``boot`` returning None (an unbootable platform) is a valid
-        outcome: everyone degrades to their own full run, but the boot
-        was still attempted exactly once for the cohort.
-        """
-        with self._lock:
-            done = self._booting.get(prefix)
-            leading = done is None
-            if leading:
-                done = self._booting[prefix] = threading.Event()
-        if not leading:
-            done.wait()
-            return self.get(prefix)
-        try:
-            checkpoint = self.get(prefix)
-            if checkpoint is None:
-                telemetry.get_metrics().counter(
-                    "checkpoint_boots_total",
-                    "Full boots executed to populate the checkpoint store",
-                ).inc()
-                self._emit("boot", prefix=prefix)
-                checkpoint = boot()
-                if checkpoint is not None:
-                    self.store(prefix, checkpoint)
-            return checkpoint
-        finally:
-            with self._lock:
-                del self._booting[prefix]
-            done.set()
 
     # ------------------------------------------------------------- hygiene
 

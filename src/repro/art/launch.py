@@ -220,32 +220,23 @@ class Experiment:
         (:meth:`resume` is the idempotent re-launch that skips runs the
         database already marks done).
 
-        ``use_cache`` (default) consults the fingerprint result cache
-        before each simulation and coalesces runs with equal
-        fingerprints; ``use_cache=False`` (the CLI's ``--no-cache``) forces every
-        point to simulate.
-
-        ``substrate`` picks where simulations execute (the CLI's
-        ``--substrate``): ``"threads"`` on the scheduler's worker
-        threads, ``"processes"`` sharded across OS worker processes for
-        real CPU parallelism, ``"inline"`` on the calling thread with
-        no job manager at all (a raising run propagates).
-
-        ``use_checkpoints`` turns the launch into a staged pipeline:
-        the runs are grouped by boot-prefix fingerprint, one
-        boot checkpoint is taken per unique prefix (single-flighted),
-        and each point then restores from its cohort's checkpoint
-        instead of re-booting (the CLI's ``--checkpoints``).
+        The keywords are :func:`~repro.art.tasks.run_jobs_scheduler`'s
+        (and the CLI's ``--workers``, ``--[no-]cache``, ``--substrate``,
+        ``--[no-]checkpoints``): ``use_cache`` adopts archived results
+        and coalesces equal fingerprints, ``substrate`` picks where the
+        simulations execute (``"inline"``, ``"threads"``,
+        ``"processes"``), ``use_checkpoints`` boots once per unique
+        boot prefix and restores everywhere else.
         """
         if self._runs is None:
             self.create_runs()
         return self._execute_pending(
             self._runs,
             workers,
-            phase="launch",
-            use_cache=use_cache,
-            substrate=substrate,
-            use_checkpoints=use_checkpoints,
+            "launch",
+            use_cache,
+            substrate,
+            use_checkpoints,
         )
 
     def resume(
@@ -273,10 +264,10 @@ class Experiment:
         return self._execute_pending(
             self._pending(retry_failures),
             workers,
-            phase="resume",
-            use_cache=use_cache,
-            substrate=substrate,
-            use_checkpoints=use_checkpoints,
+            "resume",
+            use_cache,
+            substrate,
+            use_checkpoints,
         )
 
     def pending_runs(self, retry_failures: bool = False) -> List[str]:
@@ -309,9 +300,9 @@ class Experiment:
         pending: List[Gem5Run],
         workers: int,
         phase: str,
-        use_cache: bool = True,
-        substrate: str = "threads",
-        use_checkpoints: bool = False,
+        use_cache: bool,
+        substrate: str,
+        use_checkpoints: bool,
     ) -> List[Dict[str, Any]]:
         span = telemetry.get_tracer().span(
             "experiment",

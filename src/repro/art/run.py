@@ -6,10 +6,11 @@ one simulation (a single data point): references to the input artifacts
 the parameters handed to the run script, and — once executed — a pointer
 to the results plus a summary (status, execution time).
 
-This reproduction's run objects are *executable*: ``run()`` reconstructs
-the simulator and guest objects from the referenced artifacts' payloads and
-metadata, drives :class:`repro.sim.Gem5Simulator` (or the GPU device), and
-archives everything in the database.
+This reproduction's run objects are *executable*, in three steps:
+*begin* (cache consult, ``RUNNING``, inputs), *simulate* — a pure
+function over :class:`repro.sim.Gem5Simulator` or the GPU device, the
+only step that may leave the thread that owns the database — and
+*finish* (archive everything).  ``run()`` is the three in a row.
 
 Run identity is two-layered.  The UUID (``run_id``) is the *instance* id:
 it names one attempt, one document, one row in an experiment.  The
@@ -247,100 +248,75 @@ class Gem5Run:
         resolver: Optional["InputResolver"] = None,
     ) -> Dict[str, object]:
         """Execute the simulation — or adopt its memoized result — and
-        archive the outcome.
+        archive the outcome: :meth:`begin`, :func:`simulate_run` and
+        :meth:`finish`, all on the calling thread.  Returns the results
+        summary also stored in the database.
 
-        Returns the results summary also stored in the database.  The
-        gem5art timeout is enforced on host wall-clock time.
+        With ``use_cache`` (the default) a verified hit in the result
+        cache is adopted and **no simulation happens**; a miss executes
+        and, if it reaches ``DONE``, is stored for every future
+        identical run.  ``use_cache=False`` forces a fresh execution and
+        leaves the cache untouched.  With ``checkpoint_store`` (a
+        :class:`~repro.art.checkpoints.CheckpointStore`) an fs run
+        restores its prefix's archived boot instead of re-simulating
+        it; a missing, corrupt or incompatible checkpoint degrades to a
+        full boot.  ``resolver`` is the planner's memo of this sweep's
+        input artifacts; a bare ``run()`` resolves through its own.
 
-        With ``use_cache`` (the default) the run first consults the
-        result cache by spec fingerprint: on a verified hit the archived
-        results are adopted and **no simulation happens**; on a miss the
-        run executes and, if it reaches ``DONE``, its outcome is stored
-        for every future identical run.  ``use_cache=False`` forces a
-        fresh execution and leaves the cache untouched.
-
-        With ``checkpoint_store`` (a
-        :class:`~repro.art.checkpoints.CheckpointStore`), an fs run
-        consults the store by its prefix fingerprint and restores the
-        archived boot instead of re-simulating it; a missing, corrupt
-        or incompatible checkpoint degrades to a full boot.
-
-        ``resolver`` (an :class:`InputResolver`) is the planner's memo
-        of this sweep's input artifacts; a bare ``run()`` resolves
-        through one of its own.
-
-        With telemetry enabled, the run is wrapped in a ``run`` span
-        (parenting the simulator's phase spans) and its span subtree is
-        archived in the database next to the stats blob, so the timeline
-        can be rehydrated from the database alone.
+        With telemetry enabled, the ``run`` span parents the simulator's
+        phase spans and its subtree is archived next to the stats blob:
+        the timeline can be rehydrated from the database alone.
         """
+        resolver = resolver or InputResolver()
+        attempt = self.begin(use_cache, checkpoint_store, resolver)
+        if attempt is None:
+            return self.results
+        try:
+            inputs = resolver.live(self)
+            with telemetry.get_tracer().activate(attempt.span):
+                outcome = simulate_run(
+                    self.kind, self.params, inputs, attempt.restore
+                )
+        except Exception as error:
+            self.fail(attempt, str(error))
+            raise
+        return self.finish(attempt, outcome)
 
-        def in_process(resolver: "InputResolver", restore):
-            started = time.monotonic()
-            summary, result = simulate(
-                self.kind, self.params, resolver.live(self), restore
-            )
-            stats_txt = result.stats_txt()
-            return summary, stats_txt, time.monotonic() - started, {}
-
-        return self._execute(
-            in_process, use_cache, checkpoint_store, resolver
-        )
-
-    def run_in_pool(
-        self,
-        pool,
-        use_cache: bool = True,
-        checkpoint_store=None,
-        resolver: Optional["InputResolver"] = None,
-    ) -> Dict[str, object]:
-        """Execute this run on a process-pool substrate.
-
-        Everything but the simulation itself — cache consult, checkpoint
-        consult, status transitions, stats-blob upload, cache store —
-        is :meth:`run`'s, in the parent; the worker process only
-        simulates (see :mod:`repro.art.procjobs`).  A worker failure
-        marks the run FAILED and re-raises, and the gem5art timeout is
-        enforced on the worker's host wall-clock seconds.
-        """
+    def run_in_pool(self, pool) -> Dict[str, object]:
+        """:meth:`run` with the middle step shipped to a process pool
+        (:mod:`repro.art.procjobs`): :meth:`begin` and :meth:`finish`
+        stay on the calling thread, and a worker failure marks the run
+        FAILED and re-raises."""
         from repro.art.procjobs import envelope_for_run
 
-        def in_worker(resolver: "InputResolver", restore):
-            handle = pool.submit(
-                envelope_for_run(self, resolver.wire(self), restore)
-            )
-            outcome = handle.result()
-            return (
-                outcome["summary"],
-                outcome["stats_txt"],
-                handle.host_seconds,
-                {
-                    "stats_fingerprint": outcome["stats_fingerprint"],
-                    "worker": handle.worker,
-                },
-            )
+        resolver = InputResolver()
+        attempt = self.begin(True, None, resolver, substrate="processes")
+        if attempt is None:
+            return self.results
+        try:
+            outcome = pool.submit(
+                envelope_for_run(self, resolver.wire(self), attempt.restore)
+            ).result()
+        except Exception as error:
+            self.fail(attempt, str(error))
+            raise
+        return self.finish(attempt, outcome)
 
-        return self._execute(
-            in_worker,
-            use_cache,
-            checkpoint_store,
-            resolver,
-            substrate="processes",
-        )
+    # ---- the skeleton: three steps, the outer two always on the thread
+    # ---- that owns the database (the caller's, or the planner's)
 
-    def _execute(
+    def begin(
         self,
-        simulate_on,
         use_cache: bool,
         checkpoint_store,
-        resolver: Optional["InputResolver"],
+        resolver: "InputResolver",
         **attributes,
-    ) -> Dict[str, object]:
-        """The one run skeleton.  ``simulate_on(resolver, restore)`` is
-        the only substrate-specific step: it takes from the resolver the
-        form of the inputs its substrate consumes and turns them into
-        ``(summary, stats_txt, host_seconds, extra_summary_fields)`` on
-        this thread or in a worker process."""
+    ) -> Optional["Attempt"]:
+        """Step 1: consult the run cache and adopt on a hit (``None``:
+        ``results`` holds the summary, nothing is left to do); else
+        write ``RUNNING``, consult the checkpoint store and resolve the
+        inputs, and hand back the open :class:`Attempt`.  A failure
+        past the ``RUNNING`` write is recorded before it is raised."""
         span = telemetry.get_tracer().span(
             "run",
             attributes={
@@ -350,93 +326,110 @@ class Gem5Run:
                 **attributes,
             },
         )
+        entry, running = None, False
         try:
-            with span:
-                summary = self._adopt_or_simulate(
-                    simulate_on,
-                    use_cache,
-                    checkpoint_store,
-                    resolver or InputResolver(),
-                    span,
-                )
-                span.set_attribute("status", self.status.value)
-                span.set_attribute(
-                    "workload", summary.get("workload", "")
-                )
-                span.set_attribute(
-                    "host_seconds", summary.get("host_seconds", 0.0)
-                )
-        finally:
-            span.set_attribute("status", self.status.value)
-            telemetry.get_metrics().counter(
-                "runs_total", "gem5art runs by final status"
-            ).inc(outcome=self.status.value)
-            self._archive_telemetry(span)
-        return summary
-
-    def _adopt_or_simulate(
-        self,
-        simulate_on,
-        use_cache: bool,
-        checkpoint_store,
-        resolver: "InputResolver",
-        span,
-    ) -> Dict[str, object]:
-        cache = RunCache(self.db) if use_cache else None
-        if cache is not None:
-            entry = cache.consult(self.fingerprint)
+            if use_cache:
+                entry = RunCache(self.db).consult(self.fingerprint)
+                span.set_attribute("cache", "hit" if entry else "miss")
             if entry is not None:
-                span.set_attribute("cache", "hit")
-                return self.adopt_cached(entry)
-            span.set_attribute("cache", "miss")
-        self._set_status(
-            RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
-        )
-        try:
-            restore = self._consult_checkpoint(checkpoint_store, resolver)
-            if restore is not None:
-                span.set_attribute("boot", "restored")
-            summary, stats_txt, host_seconds, extras = simulate_on(
-                resolver, restore
+                self.adopt_cached(entry)
+                return None
+            self._set_status(
+                RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
             )
+            running = True
+        finally:
+            if not running:
+                self._close(span)
+        attempt = Attempt(span, use_cache)
+        try:
+            attempt.restore = self._consult_checkpoint(
+                checkpoint_store, resolver
+            )
+            resolver.live(self)
+        except Exception as error:
+            self.fail(attempt, str(error))
+            raise
+        if attempt.restore is not None:
+            span.set_attribute("boot", "restored")
+        return attempt
+
+    def finish(self, attempt: "Attempt", outcome) -> Dict[str, object]:
+        """Step 3, given the ``outcome`` :func:`simulate_run` made here
+        or in a worker: upload the stats, write ``DONE`` (``TIMED_OUT``
+        past the gem5art timeout) and store the cache entry."""
+        summary, stats_txt, host_seconds, extras = outcome
+        try:
+            stats_file_id = self.db.upload_file(
+                stats_txt.encode("utf-8"),
+                filename=f"stats-{self.run_id}.txt",
+            )
+        except Exception as error:
+            self.fail(attempt, str(error))
+            raise
+        try:
             summary = dict(
                 summary,
-                stats_file_id=self.db.upload_file(
-                    stats_txt.encode("utf-8"),
-                    filename=f"stats-{self.run_id}.txt",
-                ),
+                stats_file_id=stats_file_id,
                 **extras,
                 host_seconds=host_seconds,
             )
-        except Exception as error:
+            timed_out = host_seconds > self.timeout
+            if timed_out:
+                summary["timed_out"] = True
             self._set_status(
-                RunStatus.FAILED,
-                {"error": str(error)},
+                RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
+                summary,
                 extra={"finished_at_wall": iso_now()},
             )
-            raise
-        timed_out = host_seconds > self.timeout
-        if timed_out:
-            summary["timed_out"] = True
-        self._set_status(
-            RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
-            summary,
-            extra={"finished_at_wall": iso_now()},
-        )
-        if cache is not None and not timed_out:
-            # The fields of this run's document a cache entry is made
-            # of, as just written — not read back.
-            cache.store(
-                self.fingerprint,
-                {
-                    "_id": self.run_id,
-                    "kind": self.kind,
-                    "status": self.status.value,
-                    "spec": self.spec.to_document(),
-                    "results": summary,
-                },
-            )
+            if attempt.use_cache and not timed_out:
+                # The fields of this run's document a cache entry is
+                # made of, as just written — not read back.
+                RunCache(self.db).store(
+                    self.fingerprint,
+                    {
+                        "_id": self.run_id,
+                        "kind": self.kind,
+                        "status": self.status.value,
+                        "spec": self.spec.to_document(),
+                        "results": summary,
+                    },
+                )
+        finally:
+            self._close(attempt.span)
         return summary
+
+    def fail(
+        self, attempt: "Attempt", error: str, timed_out: bool = False
+    ) -> None:
+        """Step 3 for a simulation that raised, was lost with its
+        worker, or (``timed_out``) was stopped at its deadline: the
+        error is the run's recorded result."""
+        try:
+            self._set_status(
+                RunStatus.TIMED_OUT if timed_out else RunStatus.FAILED,
+                {"error": error, **({"timed_out": True} if timed_out else {})},
+                extra={"finished_at_wall": iso_now()},
+            )
+        finally:
+            self._close(attempt.span)
+
+    def _close(self, span) -> None:
+        """End the detached ``run`` span with what the run came to and
+        store its subtree as a blob next to the stats."""
+        results = self.results or {}
+        span.set_attribute("status", self.status.value)
+        span.set_attribute("workload", results.get("workload", ""))
+        span.set_attribute("host_seconds", results.get("host_seconds", 0.0))
+        span.end()
+        telemetry.get_metrics().counter(
+            "runs_total", "gem5art runs by final status"
+        ).inc(outcome=self.status.value)
+        spans = telemetry.get_tracer().subtree(span.span_id)
+        if spans:
+            telemetry.archive_telemetry(
+                self.db, self.run_id, telemetry.snapshot(spans=spans)
+            )
 
     def adopt_cached(self, entry: Dict[str, object]) -> Dict[str, object]:
         """Take over an archived result: the run finishes without a
@@ -454,31 +447,14 @@ class Gem5Run:
         )
         return results
 
-    def _archive_telemetry(self, span) -> None:
-        """Store this run's span subtree as a blob next to its stats."""
-        if not telemetry.enabled() or not span.span_id:
-            return
-        spans = telemetry.get_tracer().subtree(span.span_id)
-        if not spans:
-            return
-        telemetry.archive_telemetry(
-            self.db,
-            self.run_id,
-            telemetry.snapshot(spans=spans),
-            kind="run",
-        )
-
     def _consult_checkpoint(
         self, store, resolver: "InputResolver"
     ) -> Optional[Checkpoint]:
-        """Fetch this run's boot checkpoint, degrading on any doubt.
-
-        The store's ``get`` already degrades on missing/corrupt entries;
-        this layer additionally re-verifies restore compatibility and
-        treats a mismatch as a miss (full boot) rather than a failure —
-        a stale or hand-edited store must never wedge a sweep.  It runs
-        before dispatch, so every substrate degrades the same way.
-        """
+        """Fetch this run's boot checkpoint, degrading on any doubt:
+        the store's ``get`` degrades on missing/corrupt entries, and a
+        restore-compatibility mismatch is a miss (full boot) too — a
+        stale or hand-edited store must never wedge a sweep.  It runs
+        in :meth:`begin`, so every substrate degrades the same way."""
         if store is None or self.kind != "fs":
             return None
         prefix = self.prefix
@@ -508,19 +484,14 @@ class Gem5Run:
     def take_boot_checkpoint(
         self, resolver: Optional["InputResolver"] = None
     ) -> Optional[Checkpoint]:
-        """Boot this run's prefix once and capture a checkpoint.
-
-        The boot stage of the staged planner: executed under
-        :data:`BOOT_CPU` on this run's platform shape and boot type.
-        Returns None when the boot itself fails; the cohort then
-        degrades to full boots.
-        """
+        """Boot this run's prefix under :data:`BOOT_CPU` and capture a
+        checkpoint (the planner's boot stage).  None when the boot
+        itself fails; the cohort then degrades to full boots."""
         if self.kind != "fs":
             return None
-        checkpoint, _ = boot_checkpoint(
+        return boot_checkpoint(
             self.params, (resolver or InputResolver()).live(self)
         )
-        return checkpoint
 
     # ------------------------------------------------------------ storage
 
@@ -546,6 +517,17 @@ class Gem5Run:
         )
 
 
+@dataclass
+class Attempt:
+    """What :meth:`Gem5Run.begin` leaves open for the other two steps:
+    the detached ``run`` span (``finish``/``fail`` end it), whether a
+    ``DONE`` result is cached, and the boot checkpoint to restore."""
+
+    span: Any
+    use_cache: bool
+    restore: Optional[Checkpoint] = None
+
+
 # ----------------------------------------------------------------- inputs
 
 
@@ -556,10 +538,9 @@ class InputResolver:
     from one is a pure function of the hash its spec already carries.
     A resolver lives for one planner call (or one bare ``run()``),
     loads each distinct ``(role, content hash)`` at most once however
-    many runs and worker threads ask — the blob's SHA-256 is verified
-    on that one read — and hands every asker the same object.  A load
-    that raises is not remembered: each dependent run fails with (and
-    archives) its own error.
+    many runs (or threads) ask — the blob's SHA-256 is verified on
+    that one read — and hands every asker the same object.  A load that
+    raises is not remembered: each dependent run fails with its own.
     """
 
     def __init__(self):
@@ -567,7 +548,7 @@ class InputResolver:
         self._resolved: Dict[Hashable, Any] = {}
 
     def live(self, run: Gem5Run) -> Dict[str, object]:
-        """What :func:`simulate` consumes.
+        """What :func:`simulate_run` consumes.
 
         For an fs run: the simulator ``build`` (a plain dict), the
         ``kernel_version`` and the live ``disk_image`` — shared, so
@@ -638,35 +619,41 @@ def _published_disk_image(disk_artifact: Artifact) -> DiskImage:
 
 # ------------------------------------------------------------- simulation
 #
-# The only code that drives the simulator for a run.  ``Gem5Run.run``
-# calls it with live inputs; a process-pool worker calls it after
-# deserializing its payload (:mod:`repro.art.procjobs`).  Both therefore
-# produce the same summary by construction.
+# The only code that drives the simulator for a run, and the only part
+# of a run that may leave the thread that owns the database: pure
+# functions of their arguments.  ``Gem5Run.run`` and a scheduler task
+# call them with live inputs; a process-pool worker calls them after
+# deserializing its payload (:mod:`repro.art.procjobs`).  All three
+# therefore produce the same summary by construction.
 
 
-def simulate(kind: str, params, inputs, restore=None):
-    """Simulate one run: ``(summary, result)``.
+def simulate_run(kind: str, params, inputs, restore=None):
+    """The middle step of a run: ``(summary, stats_txt, host_seconds,
+    extra summary fields)``, what :meth:`Gem5Run.finish` takes.
 
     ``inputs`` is :meth:`InputResolver.live` (or a worker's rebuild of
     it); the summary has every result field that does not need the
     database.
     """
+    started = time.monotonic()
     if kind == "fs":
         simulator = _fs_simulator(params, inputs, params["cpu_type"])
-        return _simulate_fs(simulator, params, inputs, restore)
-    if kind == "gpu":
-        return _simulate_gpu(params)
-    raise ValidationError(f"unknown run kind {kind!r}")
+        summary, result = _simulate_fs(simulator, params, inputs, restore)
+    elif kind == "gpu":
+        summary, result = _simulate_gpu(params)
+    else:
+        raise ValidationError(f"unknown run kind {kind!r}")
+    return summary, result.stats_txt(), time.monotonic() - started, {}
 
 
-def boot_checkpoint(params, inputs):
-    """Boot an fs run's platform shape under :data:`BOOT_CPU`:
-    ``(checkpoint-or-None, result)``."""
+def boot_checkpoint(params, inputs) -> Optional[Checkpoint]:
+    """Boot an fs run's platform shape under :data:`BOOT_CPU`; None
+    when the boot itself fails."""
     return _fs_simulator(params, inputs, BOOT_CPU).take_boot_checkpoint(
         kernel=inputs["kernel_version"],
         disk_image=inputs["disk_image"],
         boot_type=params.get("boot_type", "systemd"),
-    )
+    )[0]
 
 
 def _fs_simulator(params, inputs, cpu_type: str) -> Gem5Simulator:

@@ -2,28 +2,38 @@
 
 Run objects are plain callables that any task manager can launch.
 :func:`run_jobs_scheduler` is the one planner every sweep goes through
-(``Experiment.launch``, the CLI, the pipeline runner): it stages the
-boot phase, then executes one ``job(index)`` closure per run on the
-chosen *substrate* — the calling thread, the Celery-like
-:class:`~repro.scheduler.SchedulerApp`'s worker threads, or a
-:class:`~repro.scheduler.ProcessPool` behind it.  :func:`run_job` and
-:func:`run_jobs_pool` are the paper's literal launch-script tail
-(``multiprocessing``'s ``apply_async`` over ``run.run``) and serve as
-the reference the planner is tested against.
+(``Experiment.launch``, the CLI, the pipeline runner).  It owns the
+database: every run's :meth:`~repro.art.run.Gem5Run.begin` and
+:meth:`~repro.art.run.Gem5Run.finish` — cache and checkpoint consults,
+status writes, blob uploads, cache stores — happen on the thread that
+called it, and **only simulations leave that thread**, as pure functions
+of their arguments: to a task of the Celery-like
+:class:`~repro.scheduler.SchedulerApp` (``threads``), to a
+:class:`~repro.scheduler.ProcessPool` worker process (``processes``) or
+nowhere (``inline``).  :func:`run_job` and :func:`run_jobs_pool` are the
+paper's literal launch-script tail (``multiprocessing``'s ``apply_async``
+over ``run.run``), the reference the planner is tested against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import ExitStack
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.art.cache import RunCache
 from repro.art.checkpoints import CheckpointStore
-from repro.art.run import Gem5Run, InputResolver
+from repro.art.procjobs import envelope_for_boot, envelope_for_run
+from repro.art.run import (
+    Attempt,
+    Gem5Run,
+    InputResolver,
+    RunStatus,
+    boot_checkpoint,
+    simulate_run,
+)
 from repro.common.errors import ValidationError
-from repro.sim.checkpoint import Checkpoint
-from repro.scheduler import ProcessPool, SchedulerApp, TaskState
-from repro.telemetry import get_metrics, get_tracer
+from repro.scheduler import ProcessPool, SchedulerApp
+from repro.telemetry import get_event_log, get_metrics, get_tracer
 
 #: Where a sweep's simulations execute.
 SUBSTRATES = ("inline", "threads", "processes")
@@ -75,72 +85,206 @@ def group_runs_by_prefix(
     return plan
 
 
+class _Threads:
+    """``threads``: the two pure functions as tasks of a private
+    :class:`SchedulerApp`, whose helper thread is the deadline: a thread
+    can only be abandoned, and then holds live inputs, no database."""
+
+    substrate = "threads"
+
+    def __init__(self, worker_count: int):
+        self.worker_count = worker_count
+        app = SchedulerApp(name="gem5art", worker_count=worker_count)
+        self._simulate = app.task(name="gem5art.simulate")(simulate_run)
+        self._boot = app.task(name="gem5art.boot")(boot_checkpoint)
+        self.wait_any, self.shutdown = app.backend.wait_any, app.shutdown
+
+    def simulate(self, run: Gem5Run, resolver: InputResolver, restore):
+        return self._simulate.apply_async(
+            args=(run.kind, run.params, resolver.live(run), restore),
+            timeout=run.timeout,
+        ).task_id
+
+    def boot(self, run: Gem5Run, resolver: InputResolver):
+        return self._boot.apply_async(
+            args=(run.params, resolver.live(run))
+        ).task_id
+
+
+class _Processes:
+    """``processes``: envelopes straight to a :class:`ProcessPool` —
+    nothing of the parent stands between this thread and the pipe
+    write, and the pool's reactor is the deadline."""
+
+    substrate = "processes"
+
+    def __init__(self, worker_count: int):
+        self.worker_count = worker_count
+        self.pool = pool = ProcessPool(workers=worker_count)
+        self.wait_any, self.shutdown = pool.wait_any, pool.shutdown
+
+    def simulate(self, run: Gem5Run, resolver: InputResolver, restore):
+        return self.pool.submit(
+            envelope_for_run(run, resolver.wire(run), restore)
+        )
+
+    def boot(self, run: Gem5Run, resolver: InputResolver):
+        return self.pool.submit(envelope_for_boot(run, resolver.wire(run)))
+
+
+def _drive(executor, ready: Deque, start, land) -> None:
+    """The one completion-order loop, over a bounded window.
+
+    ``start(item)`` begins an item on this thread and returns the key
+    the executor gave its simulation (None: it settled without one);
+    ``land(item, value, error, timed_out)`` finishes it on this thread
+    once the executor has it completed; either may put more work at the
+    front of ``ready``.  At most ``2 × worker_count`` simulations are
+    out: no worker waits for this thread, no sweep piles up payloads.
+    """
+    in_flight: Dict[object, object] = {}
+    while ready or in_flight:
+        while ready and len(in_flight) < 2 * executor.worker_count:
+            item = ready.popleft()
+            key = start(item)
+            if key is not None:
+                in_flight[key] = item
+        if in_flight:
+            key, value, error, timed_out = executor.wait_any(in_flight)
+            land(in_flight.pop(key), value, error, timed_out)
+
+
 def run_boot_stage(
     runs: Sequence[Gem5Run],
     store: CheckpointStore,
-    worker_count: int = 4,
-    pool: Optional[ProcessPool] = None,
     resolver: Optional[InputResolver] = None,
+    executor=None,
 ) -> Dict[str, object]:
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
 
-    Groups the sweep by prefix fingerprint and drives one
-    ``take_boot_checkpoint`` job per group — in this process, or as a
-    boot envelope on the process pool.  Distinct prefixes boot
-    concurrently on up to ``worker_count`` threads; with one worker (the
-    inline substrate) or one prefix they boot on the calling thread, in
-    plan order.  Boot leadership is single-flighted through the
-    store, so racing stages (or racing experiments sharing one store)
-    still produce exactly one boot per prefix.  Returns
-    ``{prefix: checkpoint-or-None}``; a None cohort degrades to full
-    boots downstream.  ``resolver`` is the planner's memo of the sweep's
-    input artifacts (the stage's own when called alone).
+    For each prefix group this thread consults the store and, on a
+    miss, has the group's first run booted — here, in plan order,
+    without an ``executor`` (the inline substrate), else through
+    :func:`_drive` — and stores what came back.  The plan's keys are
+    unique, so nothing can race a boot.  Returns ``{prefix:
+    checkpoint-or-None}``; a None cohort (an unbootable platform, a
+    boot job that failed) degrades to full boots downstream.
     """
     plan = group_runs_by_prefix(runs)
     resolver = resolver or InputResolver()
-
-    def boot_one(prefix: str) -> object:
-        representative = runs[plan[prefix][0]]
-
-        def boot():
-            if pool is None:
-                return representative.take_boot_checkpoint(resolver)
-            from repro.art.procjobs import envelope_for_boot
-
-            outcome = pool.submit(
-                envelope_for_boot(
-                    representative, resolver.wire(representative)
-                )
-            ).result()
-            if outcome["checkpoint"] is None:
-                return None
-            return Checkpoint.from_dict(outcome["checkpoint"])
-
-        return store.get_or_boot(prefix, boot)
-
     checkpoints: Dict[str, object] = {}
+
+    def start(prefix: str):
+        checkpoints[prefix] = store.get(prefix)
+        if checkpoints[prefix] is not None:
+            return None
+        get_metrics().counter(
+            "checkpoint_boots_total",
+            "Full boots executed to populate the checkpoint store",
+        ).inc()
+        get_event_log().emit("checkpoint.boot", prefix=prefix)
+        representative = runs[plan[prefix][0]]
+        if executor is not None:
+            return executor.boot(representative, resolver)
+        return land(prefix, representative.take_boot_checkpoint(resolver))
+
+    def land(prefix: str, checkpoint, error=None, timed_out=False):
+        if error is not None:
+            get_event_log().emit(
+                "checkpoint.boot_failed", prefix=prefix, error=error
+            )
+        elif checkpoint is not None:
+            checkpoints[prefix] = checkpoint
+            store.store(prefix, checkpoint)
+
     with get_tracer().span(
         "stage.boot",
         attributes={"prefixes": len(plan), "runs": len(runs)},
     ):
-        boot_threads = min(worker_count, len(plan))
-        if boot_threads <= 1:
+        if executor is None:
             for prefix in plan:
-                checkpoints[prefix] = boot_one(prefix)
+                start(prefix)
         else:
-            # Boots for distinct prefixes are independent; drive them
-            # concurrently (on the process substrate each thread only
-            # blocks on a pool handle, so worker processes fill up).
-            from repro.scheduler import SimplePool  # deferred, as above
-
-            with SimplePool(processes=boot_threads) as boot_pool:
-                handles = {
-                    prefix: boot_pool.apply_async(boot_one, (prefix,))
-                    for prefix in plan
-                }
-                for prefix, handle in handles.items():
-                    checkpoints[prefix] = handle.get()
+            _drive(executor, deque(plan), start, land)
     return checkpoints
+
+
+def _run_variants(
+    runs: Sequence[Gem5Run],
+    executor,
+    use_cache: bool,
+    store: Optional[CheckpointStore],
+    resolver: InputResolver,
+) -> List[Dict[str, object]]:
+    """Stage 2: one simulation per run through :func:`_drive`."""
+    summaries: List[Dict[str, object]] = [{} for _ in runs]
+    attempts: Dict[int, Attempt] = {}
+    # Coalescing is decided here, from the run list, before anything is
+    # submitted: the first index carrying a fingerprint leads; later
+    # ones form a chain behind it, each link released when the one
+    # before it has settled.
+    leaders: Dict[str, int] = {}
+    followers: Dict[int, List[int]] = {}
+    ready: Deque[int] = deque()
+    for index, run in enumerate(runs):
+        leader = leaders.setdefault(run.fingerprint, index)
+        if leader == index or not use_cache:
+            ready.append(index)
+        else:
+            followers.setdefault(leader, []).append(index)
+
+    def settle(index: int, error: Optional[str] = None) -> None:
+        run = runs[index]
+        summaries[index] = run.results if error is None else {
+            "success": False,
+            "timed_out": run.status is RunStatus.TIMED_OUT,
+            "error": error,
+            "run_id": run.run_id,
+        }
+        chain = followers.pop(index, None)
+        if chain:
+            # The next link adopts what this one cached or — when it
+            # left nothing (failed, timed out) — runs like any other
+            # point and ends on its own record.
+            followers[chain[0]] = chain[1:]
+            ready.appendleft(chain[0])
+
+    def start(index: int):
+        run, attempt = runs[index], None
+        try:
+            attempt = run.begin(
+                use_cache, store, resolver, substrate=executor.substrate
+            )
+            if attempt is not None:
+                with get_tracer().activate(attempt.span):
+                    key = executor.simulate(run, resolver, attempt.restore)
+                attempts[index] = attempt
+                return key
+        except Exception as error:
+            if attempt is not None:
+                run.fail(attempt, str(error))
+            return settle(index, str(error))
+        if use_cache and leaders[run.fingerprint] != index:
+            get_metrics().counter(
+                "runcache_coalesced_total",
+                "Duplicate runs that adopted their leader's result "
+                "instead of being enqueued",
+            ).inc()
+        return settle(index)
+
+    def land(index: int, outcome, error, timed_out) -> None:
+        run, attempt = runs[index], attempts.pop(index)
+        try:
+            if error is None:
+                run.finish(attempt, outcome)
+            else:
+                run.fail(attempt, error, timed_out)
+        except Exception as failure:
+            error = str(failure)
+        settle(index, error)
+
+    _drive(executor, ready, start, land)
+    return summaries
 
 
 def run_jobs_scheduler(
@@ -150,148 +294,71 @@ def run_jobs_scheduler(
     substrate: str = "threads",
     use_checkpoints: bool = False,
 ) -> List[Dict[str, object]]:
-    """Plan and execute a sweep: boot stage, then one job per run.
+    """Plan and execute a sweep: boot stage, then one simulation per run.
 
-    ``substrate`` picks where the jobs execute:
+    ``substrate`` picks where the simulations execute:
 
     - ``"inline"`` runs them on the calling thread, in order, with no
       job manager at all; a raising run propagates;
-    - ``"threads"`` submits them to the Celery-like scheduler app and
-      runs them on its worker threads (GIL-bound but zero-overhead);
-    - ``"processes"`` does the same, and each job ships its
-      simulation to a :class:`~repro.scheduler.ProcessPool` worker
-      process for real CPU parallelism.
+    - ``"threads"`` hands them to the Celery-like scheduler app's
+      worker threads (one interpreter: concurrency, not parallelism);
+    - ``"processes"`` ships them to :class:`~repro.scheduler.ProcessPool`
+      worker processes for real CPU parallelism.
 
-    Coalescing, caching and every database write stay in the parent on
-    every substrate — only simulations cross the process boundary.
-
-    On the scheduled substrates each job's gem5art timeout
-    (``run.timeout``) is enforced by the scheduler; jobs that exceed it
-    are reported with a ``timed_out`` summary rather than raising, since
-    a timeout is a recorded outcome for the database.  Jobs are
-    fail-fast: the first failure is the recorded one.
+    Coalescing, caching and every database write stay on the calling
+    thread on every substrate — only simulations leave it — and runs
+    are finished in the order their simulations complete.  On the
+    scheduled substrates ``run.timeout`` travels with the simulation
+    and is enforced where it executes (the app abandons the helper
+    thread, the pool kills the worker process); this thread records
+    ``timed_out`` in the run document and reports a ``timed_out``
+    summary rather than raising.
 
     With ``use_cache`` (the default), runs carrying equal spec
-    fingerprints are **coalesced**, and which ones is a property of the
-    run list, not of timing: the first run with a fingerprint is its
-    leader and executes; every later one is a follower, is never
-    enqueued, and adopts the leader's cached result into its own run
-    document when the collect loop reaches it.  A follower whose leader
-    left no cache entry (it failed or timed out) is submitted like any
-    other run and ends on its own record.  ``use_cache=False`` disables
-    both the cache consult and the coalescing — every run simulates.
+    fingerprints are **coalesced** by the run list, not by timing: the
+    first is the leader and executes; later ones are never enqueued and
+    adopt its cached result once it has finished — or, when it left no
+    cache entry (it failed or timed out), run like any other point and
+    end on their own record.  ``use_cache=False`` disables the cache
+    consult and the coalescing: every run simulates.
 
-    With ``use_checkpoints`` the sweep runs as a **staged pipeline**:
-    the runs are grouped by boot-prefix fingerprint, a boot stage takes
-    one checkpoint per unique prefix (single-flighted through the
-    :class:`CheckpointStore` of the first run's database), and only
-    then does the variant stage
-    fan out — each variant job carrying ``restore_from`` so it skips
-    the boot its cohort already paid for.  A prefix whose boot fails
-    degrades that cohort back to full boots; nothing is lost but time.
+    With ``use_checkpoints`` a boot stage first takes one checkpoint per
+    unique boot-prefix fingerprint into the :class:`CheckpointStore` of
+    the first run's database, and each variant then restores the boot
+    its cohort already paid for; a prefix whose boot fails degrades
+    that cohort back to full boots.  See ``docs/scaling.md``.
     """
     if substrate not in SUBSTRATES:
         raise ValidationError(
             f"unknown substrate {substrate!r} (expected one of "
             f"{SUBSTRATES})"
         )
-    pool = (
-        ProcessPool(workers=worker_count)
-        if substrate == "processes"
-        else None
-    )
+    executor = None
+    if substrate != "inline":
+        executor = (_Threads if substrate == "threads" else _Processes)(
+            worker_count
+        )
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
         store = CheckpointStore(runs[0].db)
     # Dies with this call: a later sweep on the same connection re-reads
     # (and re-verifies) its artifacts.
     resolver = InputResolver()
-
-    def job(index: int) -> Dict[str, object]:
-        if pool is not None:
-            return runs[index].run_in_pool(
-                pool,
-                use_cache=use_cache,
-                checkpoint_store=store,
-                resolver=resolver,
-            )
-        return runs[index].run(
-            use_cache=use_cache, checkpoint_store=store, resolver=resolver
-        )
-
-    stages = ExitStack()
-    app: Optional[SchedulerApp] = None
-    try:
+    with ExitStack() as stages:
+        if executor is not None:
+            stages.callback(executor.shutdown)
         if store is not None:
-            run_boot_stage(
-                runs,
-                store,
-                worker_count=1 if substrate == "inline" else worker_count,
-                pool=pool,
-                resolver=resolver,
-            )
+            run_boot_stage(runs, store, resolver, executor)
             stages.enter_context(
                 get_tracer().span(
                     "stage.variants", attributes={"runs": len(runs)}
                 )
             )
-        if substrate == "inline":
-            return [job(index) for index in range(len(runs))]
-        app = SchedulerApp(name="gem5art", worker_count=worker_count)
-        run_gem5_job = app.task(name="gem5art.run_gem5_job")(job)
-
-        def submit(index: int):
-            return run_gem5_job.apply_async(
-                args=(index,), timeout=runs[index].timeout
+        if executor is not None:
+            return _run_variants(runs, executor, use_cache, store, resolver)
+        return [
+            run.run(
+                use_cache=use_cache, checkpoint_store=store, resolver=resolver
             )
-
-        # Coalescing is decided here, from the run list, before anything
-        # is submitted: the first index carrying a fingerprint leads,
-        # later ones follow and are not enqueued.
-        leaders: Dict[str, int] = {}
-        handles = {}
-        for index, run in enumerate(runs):
-            if use_cache and (
-                leaders.setdefault(run.fingerprint, index) != index
-            ):
-                continue
-            handles[index] = submit(index)
-        summaries: List[Dict[str, object]] = []
-        for index, run in enumerate(runs):
-            if index not in handles:
-                # A follower: its leader sits earlier in the list, so it
-                # has been collected.  Adopt what it cached so the
-                # database records this point too — or, when it left
-                # nothing (failed, timed out), run like any other point.
-                adopted = RunCache(run.db).consult(run.fingerprint)
-                if adopted is not None:
-                    get_metrics().counter(
-                        "runcache_coalesced_total",
-                        "Duplicate runs that adopted their leader's "
-                        "result instead of being enqueued",
-                    ).inc()
-                    summaries.append(run.adopt_cached(adopted))
-                    continue
-                handles[index] = submit(index)
-            task_id = handles[index].task_id
-            state = app.backend.wait(task_id)
-            record = app.backend.record(task_id)
-            if state is TaskState.SUCCESS:
-                summaries.append(record["result"])
-            else:
-                summaries.append(
-                    {
-                        "success": False,
-                        "timed_out": state is TaskState.TIMEOUT,
-                        "scheduler_state": state.value,
-                        "error": record["error"],
-                        "run_id": run.run_id,
-                    }
-                )
-        return summaries
-    finally:
-        stages.close()
-        if app is not None:
-            app.shutdown()
-        if pool is not None:
-            pool.shutdown()
+            for run in runs
+        ]

@@ -29,11 +29,11 @@ backtracking machinery is exercisable under fault injection.
 
 from __future__ import annotations
 
-import importlib
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import chaos
 from repro.common.errors import FaultInjectedError, ValidationError
+from repro.common.targets import resolve_target
 
 #: Gate kinds and the parameter keys each requires beyond ``kind``.
 GATE_KINDS: Dict[str, Tuple[str, ...]] = {
@@ -219,8 +219,7 @@ def _evaluate_all_terminal(outputs):
 
 def _evaluate_callable(gate, outputs):
     target = str(gate["target"])
-    module_name, _, attr = target.partition(":")
-    predicate = getattr(importlib.import_module(module_name), attr)
+    predicate = resolve_target(target)
     result = predicate(outputs)
     if isinstance(result, Mapping):
         return (

@@ -23,11 +23,11 @@ Kinds:
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
+from repro.common.targets import resolve_target
 from repro.art.artifact import (
     Artifact,
     register_disk_image,
@@ -197,12 +197,12 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     # The manifest's validated ``execution`` settings are exactly
     # ``launch``'s keywords.
     experiment.launch(**ctx.execution)
+    # ``run.status`` is what the planner wrote: no read-back.
     counts: Dict[str, int] = {}
     run_ids = []
     for run in runs:
         run_ids.append(run.run_id)
-        status = ctx.db.get_run(run.run_id)["status"]
-        counts[status] = counts.get(status, 0) + 1
+        counts[run.status.value] = counts.get(run.status.value, 0) + 1
     return {
         "experiment_id": experiment.experiment_id,
         "experiment_name": name,
@@ -279,15 +279,7 @@ def stage_python(ctx: StageContext) -> Dict[str, Any]:
     """Call ``params.target`` (``package.module:function``) with the
     context — the escape hatch for custom reproductions and tests."""
     target = str(ctx.params.get("target", ""))
-    if ":" not in target:
-        raise ValidationError(
-            f"stage {ctx.stage.name!r}: python stages need "
-            "params.target = 'package.module:function'"
-        )
-    module_name, _, attr = target.partition(":")
-    function: Callable[[StageContext], Any] = getattr(
-        importlib.import_module(module_name), attr
-    )
+    function: Callable[[StageContext], Any] = resolve_target(target)
     outputs = function(ctx)
     if not isinstance(outputs, Mapping):
         raise ValidationError(

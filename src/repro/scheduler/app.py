@@ -226,6 +226,13 @@ class SchedulerApp:
     # ------------------------------------------------------------ execution
 
     def _execute(self, message: TaskMessage) -> None:
+        """Run a message to a terminal state through one retry loop —
+        iterative, so an arbitrarily large retry budget cannot blow the
+        stack, and the single place outcome handling happens (success /
+        timeout / retry / failure / dead-letter) — then publish it:
+        after the ``task`` span has ended, so whoever waits on the
+        outcome finds the task's whole span subtree finished."""
+        task = self._tasks[message.task_name]
         with get_tracer().span(
             "task",
             parent=message.trace_context,
@@ -234,51 +241,36 @@ class SchedulerApp:
                 "task_id": message.task_id,
             },
         ) as span:
-            self._execute_message(message)
-            span.set_attribute(
-                "state", self.backend.state(message.task_id).value
+            chaos.fire(
+                "task.execute",
+                task_id=message.task_id,
+                task_name=message.task_name,
+                worker=threading.current_thread().name,
+                delivery=message.deliveries,
             )
-
-    def _execute_message(self, message: TaskMessage) -> None:
-        """Run a message to a terminal state through one retry loop.
-
-        Retries are iterative, not recursive, so an arbitrarily large
-        retry budget cannot blow the stack; the loop is also the single
-        place outcome handling happens (success / timeout / retry /
-        failure / dead-letter).
-        """
-        chaos.fire(
-            "task.execute",
-            task_id=message.task_id,
-            task_name=message.task_name,
-            worker=threading.current_thread().name,
-            delivery=message.deliveries,
-        )
-        task = self._tasks[message.task_name]
-        while True:
-            self.backend.transition(message.task_id, TaskState.STARTED)
-            state, outcome = self._run_attempt(task, message)
-            if state is TaskState.SUCCESS:
-                self.backend.transition(
-                    message.task_id, TaskState.SUCCESS, result=outcome
+            while True:
+                self.backend.transition(message.task_id, TaskState.STARTED)
+                state, outcome = self._run_attempt(task, message)
+                if state is not TaskState.FAILURE or not message.max_retries:
+                    break
+                if message.retries >= message.max_retries:
+                    state = TaskState.DEAD_LETTER
+                    break
+                self.backend.transition(message.task_id, TaskState.RETRY)
+                message.retries += 1
+                get_event_log().emit(
+                    "task.retry",
+                    task_id=message.task_id,
+                    task_name=message.task_name,
+                    attempt=message.retries,
                 )
-                return
-            if state is TaskState.FAILURE:
-                if message.retries < message.max_retries:
-                    self.backend.transition(message.task_id, TaskState.RETRY)
-                    message.retries += 1
-                    get_event_log().emit(
-                        "task.retry",
-                        task_id=message.task_id,
-                        task_name=message.task_name,
-                        attempt=message.retries,
-                    )
-                    continue
-                if message.max_retries > 0:
-                    self.backend.dead_letter(message, error=outcome)
-                    return
+            span.set_attribute("state", state.value)
+        if state is TaskState.DEAD_LETTER:
+            self.backend.dead_letter(message, error=outcome)
+        elif state is TaskState.SUCCESS:
+            self.backend.transition(message.task_id, state, result=outcome)
+        else:
             self.backend.transition(message.task_id, state, error=outcome)
-            return
 
     def _run_attempt(
         self, task: RegisteredTask, message: TaskMessage

@@ -25,7 +25,7 @@ class TaskMessage:
     ``trace_context`` carries the submitting span's context (trace id +
     span id, dict form) across the broker: worker threads cannot see the
     submitter's thread-local span stack, so the handle must travel in the
-    message for telemetry to stitch experiment → task → run spans.
+    message for telemetry to stitch experiment → run → task spans.
 
     ``retries`` counts failed attempts consumed from the retry budget;
     ``deliveries`` counts how many times a worker has picked the message

@@ -2,15 +2,12 @@
 
 The paper offers the Python multiprocessing library as the lighter-weight
 alternative to Celery for driving gem5art's 480-run boot-test cross
-product.  A thread pool cannot deliver that promise for a GIL-bound
-pure-Python simulator: every "parallel" run serializes on the interpreter
-lock.  :class:`ProcessPool` shards a sweep's jobs across real OS
-processes instead:
+product.  Threads cannot deliver that for a GIL-bound pure-Python
+simulator; :class:`ProcessPool` shards jobs across real OS processes:
 
 - jobs travel as **pickle-safe** :class:`JobEnvelope` s — a dotted-path
-  target (importable under the ``spawn`` start method) plus plain-data
-  arguments, typically built from a content-addressed
-  :class:`~repro.art.spec.RunSpec` document;
+  target (importable under the ``spawn`` start method) plus picklable
+  arguments;
 - each worker process executes one envelope at a time and ships the
   outcome back over its own result pipe; one parent-side **reactor**
   thread blocks on every result pipe, every worker's process sentinel
@@ -20,20 +17,23 @@ processes instead:
   sentinel fires, whatever the dead worker flushed is salvaged (a
   finished result wins), the seat is respawned and the job it still
   held is **redelivered** at the front of the queue — bounded by a
-  redelivery budget, then dead-lettered.  A worker that is alive but
-  wedged is the task timeout's business, not the pool's;
+  redelivery budget, then dead-lettered;
+- a job's deadline (:attr:`JobEnvelope.timeout`) is enforced where the
+  job can be stopped: the reactor's wait wakes at the nearest one,
+  fails the handle as timed out, vacates the seat and kills the
+  process — a wedged worker is a dead worker, back through the same
+  recovery path with nothing to redeliver;
 - per-process telemetry buffers (metrics + events recorded inside the
   worker) are merged into the parent's session when results drain.
 
-The pool deliberately stays below the planner: coalescing of duplicate
-runs and the result cache keep living in the parent
-(:mod:`repro.art.tasks` / :mod:`repro.art.cache`); only leader
-executions ship to workers.
+The pool stays below the planner (:mod:`repro.art.tasks`): coalescing,
+the result cache and the database live in the parent; only simulations
+ship to workers.
 """
 
 from __future__ import annotations
 
-import importlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -42,11 +42,12 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import chaos
 from repro.common.errors import StateError, ValidationError
 from repro.common.ids import new_uuid
+from repro.common.targets import resolve_target
 from repro.telemetry import (
     get_event_log,
     get_metrics,
@@ -103,16 +104,14 @@ class JobEnvelope:
     *inside* the worker process — the function object itself never
     crosses the process boundary, which is what makes the envelope safe
     under the ``spawn`` start method (no inherited state, no closures).
-    ``args``/``kwargs`` must be plain picklable data; for gem5art runs
-    they carry the run's :class:`~repro.art.spec.RunSpec` document plus
-    the artifact payloads the simulation needs (see
-    :mod:`repro.art.procjobs`).
-
-    ``shared`` maps content hash → payload for every
-    :func:`intern_ref` placeholder in ``args``/``kwargs``.  The pool
-    ships each hash to each worker process at most once (the worker
-    interns it), so an envelope whose payloads a worker has already
-    seen travels as a near-empty delta.
+    ``args``/``kwargs`` must be picklable data (for gem5art runs, see
+    :mod:`repro.art.procjobs`).  ``shared`` maps content hash → payload
+    for every :func:`intern_ref` placeholder in them: the pool ships
+    each hash to each worker process at most once, so an envelope whose
+    payloads a worker has already seen travels as a near-empty delta.
+    ``timeout`` is the job's deadline in seconds from its dispatch to a
+    worker (None: none); past it the pool fails the handle as timed out
+    and kills the worker.
     """
 
     target: str
@@ -121,6 +120,7 @@ class JobEnvelope:
     task_id: str = field(default_factory=new_uuid)
     telemetry: bool = False
     shared: Dict[str, Any] = field(default_factory=dict)
+    timeout: Optional[float] = None
 
     def __post_init__(self):
         if ":" not in self.target:
@@ -131,15 +131,24 @@ class JobEnvelope:
 
 
 class ProcJobHandle:
-    """Parent-side handle for one submitted envelope."""
+    """Parent-side handle for one submitted envelope; ``completed`` is
+    its pool's condition, notified whenever one of the pool's handles
+    ends."""
 
-    def __init__(self, envelope: JobEnvelope):
+    def __init__(self, envelope: JobEnvelope, completed: threading.Condition):
         self.envelope = envelope
-        self._event = threading.Event()
+        self._completed = completed
+        self._done = False
         self._value: Any = None
         self._error: Optional[str] = None
-        self.host_seconds: float = 0.0
+        self.timed_out = False
         self.worker: Optional[str] = None
+        # The pool's own notes: deliveries so far, when it was
+        # submitted, and the ``time.monotonic()`` past which the seat
+        # holding it is killed.
+        self._deliveries = 0
+        self._submitted = time.monotonic()
+        self._deadline = math.inf
 
     @property
     def task_id(self) -> str:
@@ -149,52 +158,32 @@ class ProcJobHandle:
         self,
         value: Any = None,
         error: Optional[str] = None,
-        host_seconds: float = 0.0,
+        timed_out: bool = False,
         worker: Optional[str] = None,
     ) -> None:
-        if self._event.is_set():
-            return  # late result for an already-failed/abandoned job
-        self._value = value
-        self._error = error
-        self.host_seconds = host_seconds
-        self.worker = worker
-        self._event.set()
+        with self._completed:
+            if self._done:
+                return  # late result for an already-failed/abandoned job
+            self._value = value
+            self._error = error
+            self.timed_out = timed_out
+            self.worker = worker
+            self._done = True
+            self._completed.notify_all()
 
     def ready(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout=timeout)
+        with self._completed:
+            return self._completed.wait_for(self.ready, timeout)
 
     def result(self) -> Any:
         """Block until the job ends (bound the wait with :meth:`wait`)."""
-        self._event.wait()
+        self.wait()
         if self._error is not None:
             raise WorkerJobError(self._error)
         return self._value
-
-
-class _JobRecord:
-    """Mutable parent-side state for one envelope."""
-
-    def __init__(self, envelope: JobEnvelope, handle: ProcJobHandle):
-        self.envelope = envelope
-        self.handle = handle
-        self.deliveries = 0
-        self.submitted = time.monotonic()
-
-    @property
-    def task_id(self) -> str:
-        return self.envelope.task_id
-
-
-def _resolve_target(spec: str) -> Callable:
-    """Import ``"package.module:qualname"`` inside the worker."""
-    module_name, _, qualname = spec.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
 
 
 def _worker_main(worker: str, inbox, outbox) -> None:
@@ -224,7 +213,6 @@ def _worker_main(worker: str, inbox, outbox) -> None:
         message = pickle.loads(wire)
         interned.update(message["shared"])
         job = message["job"]
-        started = time.monotonic()
         result: Dict[str, Any] = {
             "task_id": job["task_id"],
             "worker": worker,
@@ -236,7 +224,7 @@ def _worker_main(worker: str, inbox, outbox) -> None:
         }
         session = _telemetry.enable() if job["telemetry"] else None
         try:
-            target = _resolve_target(job["target"])
+            target = resolve_target(job["target"])
             args = _resolve_interned(job["args"], interned)
             kwargs = _resolve_interned(job["kwargs"], interned)
             result["value"] = target(*args, **kwargs)
@@ -250,7 +238,6 @@ def _worker_main(worker: str, inbox, outbox) -> None:
                     "events": session.events.records(),
                 }
                 _telemetry.disable()
-        result["host_seconds"] = time.monotonic() - started
         try:
             wire = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -264,8 +251,8 @@ def _worker_main(worker: str, inbox, outbox) -> None:
 class _WorkerSlot:
     """One worker seat: the live process, the parent's ends of its
     private inbox/outbox pipes, and the job currently assigned to it
-    (at most one at a time, which is what keeps crash attribution exact
-    — ``current`` died with this worker — and means the worker is
+    (at most one at a time, which keeps attribution exact — ``current``
+    died, or is killed, with this worker — and means the worker is
     blocked reading whenever the parent writes).
 
     The outbox is private for a reason: the worker is its only writer,
@@ -286,7 +273,7 @@ class _WorkerSlot:
         self.process = process
         self.inbox = inbox
         self.outbox = outbox
-        self.current: Optional[_JobRecord] = None
+        self.current: Optional[ProcJobHandle] = None
         self.interned: set = set()
 
     def alive(self) -> bool:
@@ -321,9 +308,10 @@ class ProcessPool:
         # One lock guards pending/slot/wake state; pipe transfers to and
         # from workers always happen outside it.
         self._state = threading.Lock()
-        self._pending: "deque[_JobRecord]" = deque()
+        self._pending: "deque[ProcJobHandle]" = deque()
         self._slots: List[_WorkerSlot] = []
         self._stop = threading.Event()
+        self._completed = threading.Condition()
         self._reactor: Optional[threading.Thread] = None
         # The reactor's doorbell: at most one byte is ever in the pipe
         # (``_woken``), so ringing it under the lock cannot block.
@@ -339,12 +327,11 @@ class ProcessPool:
             task_id=envelope.task_id,
             target=envelope.target,
         )
-        handle = ProcJobHandle(envelope)
-        record = _JobRecord(envelope, handle)
+        handle = ProcJobHandle(envelope, self._completed)
         with self._state:
             if self._stop.is_set():
                 raise StateError("process pool is shut down")
-            self._pending.append(record)
+            self._pending.append(handle)
             self._ensure_started()
             self._wake()
         get_metrics().counter(
@@ -352,6 +339,18 @@ class ProcessPool:
             "Envelopes handed to the process pool",
         ).inc()
         return handle
+
+    def wait_any(
+        self, handles: Iterable[ProcJobHandle]
+    ) -> Tuple[ProcJobHandle, Any, Optional[str], bool]:
+        """Block until one of ``handles`` has ended: ``(handle, value,
+        error, timed_out)`` — the next completed of a caller that
+        finishes jobs in completion order."""
+        with self._completed:
+            handle = self._completed.wait_for(
+                lambda: next(filter(ProcJobHandle.ready, handles), None)
+            )
+        return handle, handle._value, handle._error, handle.timed_out
 
     # ------------------------------------------------------------ workers
 
@@ -402,8 +401,9 @@ class ProcessPool:
         """Recover, dispatch, then block — one loop.
 
         The only place the pool waits: on every worker's result pipe and
-        process sentinel plus the doorbell, with no timeout — a result,
-        a death and a submission are each an event, and nothing else
+        process sentinel plus the doorbell — a result, a death and a
+        submission are each an event — until the nearest deadline of a
+        seated job (no timeout when no seat has one): nothing else
         changes what the loop would do.
         """
         # Imported here so only a pool that starts pays for the module
@@ -415,10 +415,17 @@ class ProcessPool:
             self._assign_pending()
             with self._state:
                 slots = list(self._slots)
+                nearest = min(
+                    (s.current._deadline for s in slots if s.current),
+                    default=math.inf,
+                )
             ready = wait(
                 [doorbell]
                 + [slot.outbox for slot in slots]
-                + [slot.process.sentinel for slot in slots]
+                + [slot.process.sentinel for slot in slots],
+                None
+                if nearest == math.inf
+                else max(0.0, nearest - time.monotonic()),
             )
             if doorbell in ready:
                 with self._state:
@@ -427,32 +434,33 @@ class ProcessPool:
             for slot in slots:
                 if slot.outbox in ready:
                     self._drain_outbox(slot)
+            self._stop_overdue(slots)
         doorbell.close()
 
     def _assign_pending(self) -> None:
         """Hand queued jobs to idle live workers, one job per worker.
 
         Each job travels as one parent-pickled wire message.  One, not a
-        batch: the sweep planner never has more jobs pending than there
-        are workers, so a batch could only hand two workers' jobs to
-        one.  Shared payloads are delta-encoded against the slot's
-        intern mirror: a content hash this worker has already received
-        ships as a reference, not a payload.
+        batch: a seat holds one job, which is what lets a death or a
+        deadline name the job it takes with it.  Shared payloads are
+        delta-encoded against the slot's intern mirror: a content hash
+        this worker has already received ships as a reference, not a
+        payload.
         """
-        assignments: List[Tuple[_WorkerSlot, _JobRecord]] = []
+        assignments: List[Tuple[_WorkerSlot, ProcJobHandle]] = []
         with self._state:
             for slot in self._slots:
                 if not self._pending:
                     break
                 if slot.current is not None or not slot.alive():
                     continue
-                record = self._pending.popleft()
-                slot.current = record
-                assignments.append((slot, record))
-        for slot, record in assignments:
-            record.deliveries += 1
-            record.handle.worker = slot.name
-            envelope = record.envelope
+                handle = self._pending.popleft()
+                slot.current = handle
+                assignments.append((slot, handle))
+        for slot, handle in assignments:
+            handle._deliveries += 1
+            handle.worker = slot.name
+            envelope = handle.envelope
             shared: Dict[str, Any] = {}
             for content_hash, payload in envelope.shared.items():
                 if content_hash not in slot.interned:
@@ -477,13 +485,37 @@ class ProcessPool:
             ).inc(len(wire))
             get_event_log().emit(
                 "procpool.dispatch",
-                task_id=record.task_id,
+                task_id=handle.task_id,
                 worker=slot.name,
-                delivery=record.deliveries,
+                delivery=handle._deliveries,
                 wire_bytes=len(wire),
                 interned=len(shared),
             )
             slot.send(wire)
+            if envelope.timeout is not None:
+                handle._deadline = time.monotonic() + envelope.timeout
+
+    def _stop_overdue(self, slots: List[_WorkerSlot]) -> None:
+        """Fail the job of every seat past its deadline as timed out,
+        vacate the seat and kill the process; its sentinel then takes
+        it through :meth:`_recover_lost_workers`, holding nothing."""
+        now = time.monotonic()
+        for slot in slots:
+            with self._state:
+                handle = slot.current
+                if handle is None or handle._deadline > now:
+                    continue
+                slot.current = None
+            get_metrics().counter(
+                "procpool_jobs_total", "Jobs by terminal outcome"
+            ).inc(outcome="timeout")
+            handle._complete(
+                error=f"timed out after {handle.envelope.timeout}s",
+                timed_out=True,
+                worker=slot.name,
+            )
+            slot.process.kill()
+            slot.process.join()
 
     def _recover_lost_workers(self) -> None:
         """The one recovery path: for every worker whose sentinel fired,
@@ -504,7 +536,7 @@ class ProcessPool:
             replacement = self._spawn_slot(index)
             with self._state:
                 self._slots[index] = replacement
-                record, slot.current = slot.current, None
+                handle, slot.current = slot.current, None
             get_metrics().counter(
                 "procpool_workers_lost_total",
                 "Worker processes that died and were respawned",
@@ -513,27 +545,27 @@ class ProcessPool:
                 "procpool.worker_lost",
                 worker=slot.name,
                 pid=slot.process.pid,
-                task_id=None if record is None else record.task_id,
+                task_id=None if handle is None else handle.task_id,
             )
-            if record is not None:
-                self._redeliver(record, slot.name)
+            if handle is not None:
+                self._redeliver(handle, slot.name)
 
-    def _redeliver(self, record: _JobRecord, worker: str) -> None:
+    def _redeliver(self, handle: ProcJobHandle, worker: str) -> None:
         """Requeue a job lost with ``worker`` at the front, or fail it
         once its redelivery budget is spent."""
-        if record.deliveries > self.max_redeliveries:
+        if handle._deliveries > self.max_redeliveries:
             get_event_log().emit(
                 "procpool.dead_letter",
-                task_id=record.task_id,
-                deliveries=record.deliveries,
+                task_id=handle.task_id,
+                deliveries=handle._deliveries,
             )
             get_metrics().counter(
                 "procpool_jobs_total", "Jobs by terminal outcome"
             ).inc(outcome="lost")
-            record.handle._complete(
+            handle._complete(
                 error=(
-                    f"job {record.task_id} lost with worker {worker} "
-                    f"after {record.deliveries} deliveries "
+                    f"job {handle.task_id} lost with worker {worker} "
+                    f"after {handle._deliveries} deliveries "
                     "(redelivery budget exhausted)"
                 ),
                 worker=worker,
@@ -545,12 +577,12 @@ class ProcessPool:
         ).inc()
         get_event_log().emit(
             "procpool.redelivered",
-            task_id=record.task_id,
+            task_id=handle.task_id,
             worker=worker,
-            delivery=record.deliveries,
+            delivery=handle._deliveries,
         )
         with self._state:
-            self._pending.appendleft(record)
+            self._pending.appendleft(handle)
 
     # ------------------------------------------------------------ results
 
@@ -579,7 +611,7 @@ class ProcessPool:
         """A result can only be for the one job its seat holds."""
         task_id = result["task_id"]
         with self._state:
-            record, slot.current = slot.current, None
+            handle, slot.current = slot.current, None
         buffer = result.get("telemetry")
         if buffer:
             merge_worker_telemetry(buffer, worker=result["worker"])
@@ -596,11 +628,10 @@ class ProcessPool:
         get_metrics().histogram(
             "procpool_roundtrip_seconds",
             "Parent-side time from submit() to the handle completing",
-        ).observe(time.monotonic() - record.submitted)
-        record.handle._complete(
+        ).observe(time.monotonic() - handle._submitted)
+        handle._complete(
             value=result["value"],
             error=result["error"],
-            host_seconds=result.get("host_seconds", 0.0),
             worker=result["worker"],
         )
 
@@ -623,8 +654,8 @@ class ProcessPool:
                 slot.current for slot in slots if slot.current is not None
             ]
             self._pending.clear()
-        for record in orphans:
-            record.handle._complete(error="process pool shut down")
+        for handle in orphans:
+            handle._complete(error="process pool shut down")
         for slot in slots:
             if slot.current is not None:
                 slot.process.kill()  # mid-job: it would not read a stop

@@ -8,8 +8,7 @@ run status and execution time live in the run document, in the database.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro import chaos
 from repro.common.errors import NotFoundError, StateError
@@ -107,18 +106,28 @@ class ResultBackend:
         self, task_id: str, timeout: Optional[float] = None
     ) -> TaskState:
         """Block until the task reaches a terminal state (or timeout)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while True:
-                state = self._get(task_id)["state"]
-                if state.is_terminal:
-                    return state
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return state
-                self._lock.wait(timeout=remaining)
+            self._lock.wait_for(lambda: self._terminal(task_id), timeout)
+            return self._get(task_id)["state"]
+
+    def wait_any(
+        self, task_ids: Iterable[str]
+    ) -> Tuple[str, Any, Optional[str], bool]:
+        """Block until one of ``task_ids`` is terminal: ``(task_id,
+        result, error, timed_out)`` — the next completed of a caller
+        that finishes tasks in completion order.  The result is handed
+        over, not kept: a sweep's are whole stats files."""
+        with self._lock:
+            task_id = self._lock.wait_for(
+                lambda: next(filter(self._terminal, task_ids), None)
+            )
+            record = self._get(task_id)
+            result, record["result"] = record["result"], None
+            timed_out = record["state"] is TaskState.TIMEOUT
+            return task_id, result, record["error"], timed_out
+
+    def _terminal(self, task_id: str) -> bool:
+        return self._get(task_id)["state"].is_terminal
 
     def _get(self, task_id: str) -> Dict[str, Any]:
         if task_id not in self._records:

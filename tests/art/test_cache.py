@@ -1,8 +1,6 @@
 """Tests for the fingerprint result cache: memoized relaunches,
 planned coalescing of duplicate runs, and invalidation cascades."""
 
-import threading
-
 import pytest
 
 from repro import telemetry
@@ -17,6 +15,7 @@ from repro.art.run import RunStatus
 
 from tests.art.test_launch_share import make_experiment, stack_artifacts
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
+from tests.helpers import WEDGED_CPUS, wedge_simulations
 
 
 @pytest.fixture
@@ -216,38 +215,23 @@ def test_followers_of_a_failed_leader_end_on_their_own_records(
     assert not any(s["success"] for s in summaries)
 
 
-class _HungRun:
-    """Stand-in run that outlives its job timeout; all share one
-    fingerprint."""
-
-    fingerprint = "hung-fingerprint"
-    timeout = 0.05
-
-    def __init__(self, db, release):
-        self.db = db
-        self.release = release
-        self.run_id = f"hung-{id(self)}"
-        self.executed = False
-
-    def run(self, *args, **kwargs):
-        self.executed = True
-        self.release.wait(10)
-        return {"success": True}
-
-    run_in_pool = run
-
-
 @pytest.mark.parametrize("substrate", ("threads", "processes"))
-def test_followers_of_a_timed_out_leader_run_themselves(db, substrate):
-    release = threading.Event()
-    runs = [_HungRun(db, release) for _ in range(3)]
-    try:
-        summaries = run_jobs_scheduler(
-            runs, worker_count=1, substrate=substrate
-        )
-    finally:
-        release.set()
-    assert [run.executed for run in runs] == [True] * 3
+def test_followers_of_a_timed_out_leader_run_themselves(
+    db, fs_artifacts, monkeypatch, substrate
+):
+    wedge_simulations(monkeypatch, seconds=0.5)
+    runs = [
+        make_run(db, fs_artifacts, num_cpus=WEDGED_CPUS, timeout=0.2)
+        for _ in range(3)
+    ]
+    assert len({run.fingerprint for run in runs}) == 1
+    summaries = run_jobs_scheduler(
+        runs, worker_count=1, substrate=substrate
+    )
+    docs = [db.get_run(run.run_id) for run in runs]
+    assert [doc["status"] for doc in docs] == ["timed_out"] * 3
+    assert all("started_at_wall" in doc for doc in docs)  # each one ran
+    assert not any(doc.get("cache_hit") for doc in docs)
     assert [s["run_id"] for s in summaries] == [run.run_id for run in runs]
     assert all(s["timed_out"] for s in summaries)
 

@@ -161,6 +161,20 @@ def test_concurrent_same_prefix_submissions_boot_once(db, fs_artifacts):
     assert all(s["restored_boot"] for s in summaries)
 
 
+def test_boot_stage_skips_a_stored_prefix(db, fs_artifacts, monkeypatch):
+    """A prefix the store already holds is adopted, not booted again."""
+    run = make_run(db, fs_artifacts)
+    store = CheckpointStore(db)
+    (checkpoint,) = run_boot_stage([run], store).values()
+    assert checkpoint is not None
+
+    def boot(*args):
+        raise AssertionError("a stored prefix must not boot again")
+
+    monkeypatch.setattr(Gem5Run, "take_boot_checkpoint", boot)
+    assert run_boot_stage([run], store) == {run.prefix: checkpoint}
+
+
 def test_boot_stage_failure_degrades_to_full_boots(
     db, fs_artifacts, monkeypatch
 ):
@@ -178,8 +192,12 @@ def test_boot_stage_failure_degrades_to_full_boots(
     store = CheckpointStore(db)
     # timing + classic + 2 CPUs is unsupported, so the boot job fails.
     monkeypatch.setattr("repro.art.run.BOOT_CPU", "timing")
-    checkpoints = run_boot_stage([run], store)
-    assert checkpoints == {run.prefix: None}
+    with telemetry.session() as session:
+        # Nothing is stored, so a later stage attempts the boot again.
+        for _ in range(2):
+            assert run_boot_stage([run], store) == {run.prefix: None}
+        boots = session.metrics.counter("checkpoint_boots_total")
+        assert boots.value() == 2
     assert store.lookup(run.prefix) is None
     with telemetry.session() as session:
         summary = run.run(checkpoint_store=store)

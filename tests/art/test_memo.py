@@ -3,7 +3,7 @@
 Rows are the ways a consult can fail — the chaos point faults, the entry
 is absent, the blob is gone, the blob has rotted, the entry's own write
 faulted — and columns are the users of the protocol: the run cache
-(driven through ``Gem5Run.run``), the checkpoint store (``get_or_boot``)
+(driven through ``Gem5Run.run``), the checkpoint store (``run_boot_stage``)
 and the pipeline's stage cache (``run_pipeline``).  Every cell must
 degrade to exactly one recompute, report itself, and leave a store the
 *next* caller hits without writing to it.
@@ -14,7 +14,14 @@ import os
 import pytest
 
 from repro import chaos, telemetry
-from repro.art import ArtifactDB, CheckpointStore, Gem5Run, RunCache, RunStatus
+from repro.art import (
+    ArtifactDB,
+    CheckpointStore,
+    Gem5Run,
+    RunCache,
+    RunStatus,
+    run_boot_stage,
+)
 from repro.chaos import FaultRule
 from repro.db import connect
 from repro.pipeline import PipelineJournal, StageCache, run_pipeline
@@ -76,20 +83,28 @@ class RunCacheUser(User):
 
 
 class CheckpointUser(User):
-    """One boot prefix; a recompute is a boot."""
+    """One run's boot prefix through the planner's boot stage; a
+    recompute is a boot."""
 
-    noun, key_field, key = "checkpoint", "prefix", "prefix-a"
+    noun, key_field = "checkpoint", "prefix"
 
     def __init__(self, db, request):
         super().__init__(db, CheckpointStore(db))
+        self.run = make_run(db, request.getfixturevalue("fs_artifacts"))
+        self.key = self.run.prefix
+        user, original = self, Gem5Run.take_boot_checkpoint
+
+        def recording(run, *args):
+            user.recomputes.append(user.state())
+            return original(run, *args)
+
+        request.getfixturevalue("monkeypatch").setattr(
+            Gem5Run, "take_boot_checkpoint", recording
+        )
 
     def use(self):
-        def boot():
-            self.recomputes.append(self.state())
-            return make_checkpoint()
-
-        assert self.store.get_or_boot(self.key, boot) == make_checkpoint()
-        return make_checkpoint().checkpoint_id
+        (checkpoint,) = run_boot_stage([self.run], self.store).values()
+        return checkpoint.checkpoint_id
 
 
 class StageCacheUser(User):

@@ -52,7 +52,7 @@ from repro.scheduler.app import RegisteredTask
         (
             JobEnvelope.__init__,
             ["self", "target", "args", "kwargs", "task_id", "telemetry",
-             "shared"],
+             "shared", "timeout"],
         ),
     ],
 )

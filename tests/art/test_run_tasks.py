@@ -1,9 +1,14 @@
 """Tests for run objects and task execution (Figs 4 and 5)."""
 
+import os
+import time
+
 import pytest
 
+from repro import chaos, telemetry
 from repro.art import (
     ArtifactDB,
+    Experiment,
     Gem5Run,
     RunStatus,
     register_disk_image,
@@ -19,6 +24,8 @@ from repro.guest import get_kernel
 from repro.packer import build
 from repro.resources.templates import parsec_template
 from repro.sim import Gem5Build
+
+from tests.helpers import WEDGED_CPUS, record_writes, wedge_simulations
 
 
 @pytest.fixture
@@ -163,26 +170,69 @@ def test_run_jobs_scheduler(db, fs_artifacts):
     assert all(s["success"] for s in summaries)
 
 
-class _SlowRun:
-    """Stand-in run whose execution reliably outlives the job timeout."""
-
-    run_id = "slow-run"
-    timeout = 0.05
-    fingerprint = ""
-
-    def run(self, **kwargs):
-        import time
-
-        time.sleep(2.0)
-        return {"success": True}
+@pytest.fixture
+def writes():
+    log = record_writes()
+    yield log
+    chaos.uninstall()
 
 
-def test_run_jobs_scheduler_timeout_is_an_outcome():
-    summaries = run_jobs_scheduler([_SlowRun()], worker_count=1)
-    assert len(summaries) == 1
-    assert not summaries[0]["success"]
-    assert summaries[0]["timed_out"]
-    assert summaries[0]["run_id"] == "slow-run"
+def _launch_with_a_wedged_run(db, a, monkeypatch, writes, substrate):
+    """A two-point sweep through ``Experiment.launch`` whose first
+    simulation outlives its 0.3 s timeout: what the planner has
+    recorded at the moment it returns, and that nothing is written
+    afterwards.  Returns the telemetry session's events."""
+    wedge_simulations(monkeypatch, seconds=1.0)
+    experiment = Experiment(db, "deadline")
+    experiment.add_stack(
+        "ubuntu-18.04",
+        gem5=a["gem5"],
+        gem5_git=a["gem5_git"],
+        run_script_git=a["script_git"],
+        linux_binary=a["kernel"],
+        disk_image=a["disk"],
+    )
+    experiment.fix(cpu_type="timing", benchmark="ferret")
+    experiment.sweep(num_cpus=[WEDGED_CPUS, 1])
+    wedged, healthy = experiment.create_runs()
+    assert wedged.params["num_cpus"] == WEDGED_CPUS
+    wedged.timeout = 0.3
+    with telemetry.session() as session:
+        summaries = experiment.launch(workers=1, substrate=substrate)
+        written = len(writes.firings)
+        events = session.events.records()
+    doc = db.get_run(wedged.run_id)
+    assert doc["status"] == "timed_out"
+    assert wedged.status is RunStatus.TIMED_OUT
+    assert wedged.results == doc["results"] == summaries[0]
+    assert summaries[0]["timed_out"] and "timed out" in summaries[0]["error"]
+    # The same sweep goes on: the next run finds a worker.
+    assert summaries[1]["success"]
+    assert db.get_run(healthy.run_id)["status"] == "done"
+    time.sleep(1.5)  # an abandoned helper thread has ended by now
+    assert len(writes.firings) == written
+    return events
+
+
+def test_run_jobs_scheduler_timeout_is_an_outcome(
+    db, fs_artifacts, monkeypatch, writes
+):
+    _launch_with_a_wedged_run(db, fs_artifacts, monkeypatch, writes, "threads")
+
+
+def test_run_jobs_scheduler_timeout_kills_the_wedged_worker(
+    db, fs_artifacts, monkeypatch, writes
+):
+    events = _launch_with_a_wedged_run(
+        db, fs_artifacts, monkeypatch, writes, "processes"
+    )
+    # A wedged process is a dead process: its pid is gone, and its seat
+    # came back through the one recovery path with nothing to redeliver.
+    (lost,) = [e for e in events if e["kind"] == "procpool.worker_lost"]
+    assert lost["attributes"]["task_id"] is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(lost["attributes"]["pid"], 0)
+    assert not [e for e in events if e["kind"] == "procpool.redelivered"]
 
 
 def test_camelcase_aliases(db, fs_artifacts):
@@ -234,6 +284,23 @@ def test_scheduler_processes_substrate_executes_runs(db, fs_artifacts):
         from repro.common.hashing import sha256_bytes
 
         assert sha256_bytes(blob) == summary["stats_fingerprint"]
+
+
+def test_run_in_pool_is_run_with_the_simulation_shipped(db, fs_artifacts):
+    """The two synchronous compositions of begin / simulate / finish
+    leave the same document; an identical run then adopts it."""
+    from repro.scheduler import ProcessPool
+
+    local = make_run(db, fs_artifacts, num_cpus=1)
+    shipped = make_run(db, fs_artifacts, num_cpus=2)
+    local.run()
+    with ProcessPool(workers=1) as pool:
+        summary = shipped.run_in_pool(pool)
+        again = make_run(db, fs_artifacts, num_cpus=2).run_in_pool(pool)
+    assert shipped.status is RunStatus.DONE
+    assert summary["worker"] == "procpool-worker-0"
+    assert summary == db.get_run(shipped.run_id)["results"] == again
+    assert set(summary) - set(local.results) == {"stats_fingerprint", "worker"}
 
 
 def test_scheduler_processes_substrate_coalesces_identical_runs(

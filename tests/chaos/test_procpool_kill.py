@@ -2,7 +2,9 @@
 
 A SIGKILLed worker runs no handler, but its death is an event the
 pool's reactor waits on: the seat is respawned and the job it held is
-redelivered (docs/scaling.md).  These tests kill workers two ways —
+redelivered (docs/scaling.md); a worker that outlives its job's
+deadline is killed by the pool itself and nothing is redelivered.
+These tests kill workers two ways —
 deterministically from inside the job (:func:`repro.sim.testing.
 kill_once_job`, the no-race script) and from the parent mid-flight —
 and assert the shard completes with results identical to an
@@ -14,6 +16,8 @@ import os
 import signal
 import time
 
+import pytest
+
 from repro import chaos, telemetry
 from repro.chaos import FaultRule
 from repro.common.errors import FaultInjectedError
@@ -21,6 +25,7 @@ from repro.scheduler.procpool import (
     DEFAULT_MAX_REDELIVERIES,
     JobEnvelope,
     ProcessPool,
+    WorkerJobError,
 )
 from repro.sim.testing import boot_shard_job
 from tests.helpers import events_of, map_envelopes, result_of
@@ -132,3 +137,45 @@ def test_kill_and_refused_submit_end_every_handle_within_budget():
     assert all(r["ok"] for r in results)
     assert set(deliveries) == {handle.task_id for handle in handles}
     assert max(deliveries.values()) <= DEFAULT_MAX_REDELIVERIES + 1
+
+
+def test_wedged_worker_is_killed_at_its_deadline_not_redelivered():
+    """The deadline twin of the SIGKILL case: a job that outlives
+    ``JobEnvelope.timeout`` fails as timed out at its deadline (no timer
+    but the reactor's wait), its worker is killed and the seat comes
+    back through the same recovery path — with nothing to redeliver,
+    because a job that wedged one worker would wedge the next."""
+    with telemetry.session() as active:
+        with ProcessPool(workers=1) as pool:
+            wedged_pid = result_of(
+                pool.submit(JobEnvelope(target="os:getpid")), 60
+            )
+            started = time.monotonic()
+            handle = pool.submit(
+                JobEnvelope(target="time:sleep", args=(30,), timeout=0.3)
+            )
+            assert pool.wait_any([handle])[0] is handle
+            assert 0.3 <= time.monotonic() - started < 1.0
+            assert handle.timed_out
+            with pytest.raises(WorkerJobError, match="timed out after 0.3s"):
+                handle.result()
+            # The seat is back: the next job finds a new, live worker.
+            next_pid = result_of(
+                pool.submit(JobEnvelope(target="os:getpid")), 60
+            )
+        assert next_pid != wedged_pid
+        with pytest.raises(ProcessLookupError):
+            os.kill(wedged_pid, 0)
+        (lost,) = events_of(active.events, "procpool.worker_lost")
+        assert lost["attributes"] == {
+            "worker": "procpool-worker-0", "pid": wedged_pid, "task_id": None,
+        }
+        assert events_of(active.events, "procpool.redelivered") == []
+        deliveries = [
+            e["attributes"]["delivery"]
+            for e in events_of(active.events, "procpool.dispatch")
+            if e["attributes"]["task_id"] == handle.task_id
+        ]
+        assert deliveries == [1]
+        jobs = active.metrics.counter("procpool_jobs_total")
+        assert jobs.value(outcome="timeout") == 1

@@ -46,3 +46,73 @@ def insert_many(collection, documents):
 def events_of(log, kind):
     """The ``kind`` events of an event log, in emission order."""
     return [event for event in log.records() if event["kind"] == kind]
+
+
+#: The chaos points at which a sweep writes to its database.
+WRITE_POINTS = ("run.status", "wal.append", "filestore.put")
+
+
+def record_writes():
+    """Install (and return) a chaos injector that injects nothing and
+    logs ``(point, thread name, names of the threads alive)`` for every
+    firing of a :data:`WRITE_POINTS` point — who writes, when, and in
+    what company.  The caller's fixture uninstalls it."""
+    import threading
+
+    from repro import chaos
+
+    class WriteLog(chaos.ChaosInjector):
+        def __init__(self):
+            super().__init__(seed=0)
+            self.firings = []
+
+        def fire(self, point, **context):
+            if point in WRITE_POINTS:
+                self.firings.append(
+                    (
+                        point,
+                        threading.current_thread().name,
+                        {thread.name for thread in threading.enumerate()},
+                    )
+                )
+
+    return chaos.install(WriteLog())
+
+
+#: Runs with this many cores never finish under :func:`wedge_simulations`.
+WEDGED_CPUS = 8
+
+
+def wedged_run_payload(payload):
+    """Worker-side run target whose :data:`WEDGED_CPUS`-core simulation
+    wedges its worker (imported by dotted path in the worker process)."""
+    import time
+
+    from repro.art.procjobs import execute_run_payload
+
+    if payload["params"].get("num_cpus") == WEDGED_CPUS:
+        time.sleep(60)
+    return execute_run_payload(payload)
+
+
+def wedge_simulations(monkeypatch, seconds):
+    """Make every :data:`WEDGED_CPUS`-core simulation outlive its
+    deadline wherever it executes: in this process it starts ``seconds``
+    late (a thread cannot be killed, so it must end by itself), in a
+    pool worker it sleeps for a minute (a process can)."""
+    import time
+
+    from repro.art import procjobs, tasks
+
+    simulate_run = tasks.simulate_run
+
+    def late(kind, params, *args):
+        if params.get("num_cpus") == WEDGED_CPUS:
+            time.sleep(seconds)
+        return simulate_run(kind, params, *args)
+
+    # The planner registers this name as its ``threads`` task.
+    monkeypatch.setattr(tasks, "simulate_run", late)
+    monkeypatch.setattr(
+        procjobs, "RUN_TARGET", "tests.helpers:wedged_run_payload"
+    )

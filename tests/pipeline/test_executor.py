@@ -354,3 +354,47 @@ stages:
     assert error.startswith("ValidationError")
     for needle in ("'wired'", f"{param}='nope'", "['up']"):
         assert needle in error, error
+
+
+def test_sweep_stage_counts_statuses_without_reading_runs_back(
+    db, monkeypatch
+):
+    """``run_status_counts`` comes from ``run.status``, which the
+    planner's thread sets as it writes each document: the ``runs``
+    collection is written by a sweep stage, never searched by it."""
+    from repro.db.collection import Collection
+
+    finds, find = [], Collection.find
+
+    def counting(self, query=None, **kwargs):
+        finds.append(self.name)
+        return find(self, query, **kwargs)
+
+    monkeypatch.setattr(Collection, "find", counting)
+    result = run_pipeline(
+        db,
+        parse_manifest_text(
+            """
+pipeline: counted
+execution: {workers: 2, substrate: threads}
+stages:
+  - name: artifacts
+    kind: artifacts
+    params: {kernels: ["4.19.83"]}
+  - name: sweep
+    kind: sweep
+    inputs: [artifacts]
+    params:
+      cpu_types: [kvm, atomic]
+      memory_systems: [classic]
+      num_cpus: [1, 2]
+      boot_types: [init]
+    gates:
+      - {kind: all_terminal}
+      - {kind: equals, path: run_status_counts.done, value: 4}
+"""
+        ),
+    )
+    assert result["status"] == "succeeded"
+    assert finds.count("run_cache") == 4  # the planner's: one per run
+    assert finds.count("runs") == 0

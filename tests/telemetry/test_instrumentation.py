@@ -188,17 +188,21 @@ def test_experiment_trace_rehydrates_from_database_alone(tmp_path):
     assert len(roots) == 1
     runs = [s for s in snap["spans"] if s["name"] == "run"]
     assert len(runs) == 2
-    # Nesting experiment -> (task ->) run -> phase, via parent links.
+    # Nesting experiment -> run -> task -> phase, via parent links: the
+    # planner opens the run span, the simulation's task nests under it.
+    def chain(span):
+        names = []
+        while span["parent_id"]:
+            span = spans[span["parent_id"]]
+            names.append(span["name"])
+        return names
+
     for run_span in runs:
-        parent = run_span["parent_id"]
-        while parent and spans[parent]["name"] != "experiment":
-            parent = spans[parent]["parent_id"]
-        assert parent == roots[0]["span_id"]
+        assert chain(run_span) == ["experiment"]
     phases = [s for s in snap["spans"] if s["name"].startswith("phase.")]
     assert phases
-    assert {p["parent_id"] for p in phases} <= {
-        r["span_id"] for r in runs
-    }
+    for phase in phases:
+        assert chain(phase) == ["task", "run", "experiment"]
     # And the snapshot renders as valid Chrome-trace JSON.
     trace = json.loads(chrome_trace_json(snap["spans"]))
     assert {

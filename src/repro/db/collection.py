@@ -3,8 +3,12 @@
 Supports the operations the artifact layer relies on: insert with duplicate
 protection via unique indexes, querying with the operator language from
 :mod:`repro.db.query`, field updates, and deletion.  Documents are plain
-dicts; a copy is stored and copies are returned so callers can never mutate
-the database behind its back.
+dicts; ``insert_one``/``replace_one`` store a deep copy and ``find``
+returns deep copies, so callers can never mutate the database behind its
+back — and, nothing else mutating a stored document either,
+``update_one`` may build the next version by *path copy*: new dicts along
+the paths it touches, the values it is given copied, every other subtree
+shared with the version it replaces.
 
 Two kinds of indexes serve ``find()`` without scanning:
 
@@ -46,7 +50,9 @@ from repro.db.query import (
     get_path,
     matches,
     project,
+    set_path,
     sort_documents,
+    unset_path,
 )
 
 
@@ -309,20 +315,25 @@ class Collection:
     ) -> bool:
         """Apply ``$set``/``$inc``/``$push``/``$unset`` to the first match.
 
-        Returns True when a document was updated.
+        Returns True when a document was updated.  The next version is
+        built beside the stored one (:func:`_updated`), checked, logged
+        as its effect — what each touched path holds now, not the
+        operators — and only then swapped in: an update refused at any
+        of those steps leaves the stored document as it was.
         """
         with self._lock:
             for doc in self._candidates(query):
                 if matches(doc, query):
-                    candidate = copy.deepcopy(doc)
-                    _apply_update(candidate, update)
-                    self._check_unique(candidate, ignore_id=doc["_id"])
+                    doc_id = doc["_id"]
+                    candidate, touched = _updated(doc, update)
+                    self._check_unique(candidate, ignore_id=doc_id)
                     if self._store is not None:
-                        self._store.log_replace(candidate)
+                        self._store.log_update(
+                            doc_id, *_effect(candidate, touched)
+                        )
                     self._index_remove(doc)
-                    doc.clear()
-                    doc.update(candidate)
-                    self._index_add(doc)
+                    self._documents[doc_id] = candidate
+                    self._index_add(candidate)
                     return True
             return False
 
@@ -402,57 +413,73 @@ class Collection:
         return list(iter(self))
 
 
-def _apply_update(document: Dict[str, Any], update: Dict[str, Any]) -> None:
+def _updated(
+    document: Dict[str, Any], update: Dict[str, Any]
+) -> Tuple[Dict[str, Any], List[str]]:
+    """``document`` after ``update`` and the paths that were assigned.
+
+    The new version is a path copy (:func:`~repro.db.query.set_path`):
+    ``document`` and every dict in it are left exactly as they are, so
+    raising half-way — a later operator that does not apply, the
+    caller's unique check — abandons the update whole.
+    """
     if not update or not all(key.startswith("$") for key in update):
         raise ValidationError(
             "updates must use operators such as $set / $inc / $push"
         )
+    candidate = dict(document)
+    touched: List[str] = []
     for op, changes in update.items():
-        if op == "$set":
-            for path, value in changes.items():
-                _set_path(document, path, copy.deepcopy(value))
-        elif op == "$inc":
-            for path, amount in changes.items():
-                current = get_path(document, path)
-                base = 0 if current is _MISSING else current
-                _set_path(document, path, base + amount)
-        elif op == "$push":
-            for path, value in changes.items():
-                current = get_path(document, path)
-                if current is _MISSING:
-                    current = []
-                if not isinstance(current, list):
-                    raise ValidationError(f"$push target {path!r} not a list")
-                current = list(current)
-                current.append(copy.deepcopy(value))
-                _set_path(document, path, current)
-        elif op == "$unset":
-            for path in changes:
-                _unset_path(document, path)
-        else:
+        if op not in ("$set", "$inc", "$push", "$unset"):
             raise ValidationError(f"unknown update operator: {op}")
+        for path in changes:
+            if path.split(".", 1)[0] == "_id":
+                # The id is the document's key in the collection and in
+                # the log; a version filed under one id that says it is
+                # another comes back from a replay as two documents.
+                raise ValidationError(f"{op} cannot change {path!r}")
+            if op == "$unset":
+                unset_path(candidate, path)
+                touched.append(path)
+                continue
+            if op == "$set":
+                value = copy.deepcopy(changes[path])
+            else:
+                current = get_path(candidate, path)
+                if op == "$inc":
+                    base = 0 if current is _MISSING else current
+                    value = base + changes[path]
+                elif current is _MISSING:
+                    value = [copy.deepcopy(changes[path])]
+                elif isinstance(current, list):
+                    value = [*current, copy.deepcopy(changes[path])]
+                else:
+                    raise ValidationError(f"$push target {path!r} not a list")
+            touched.append(set_path(candidate, path, value))
+    return candidate, touched
 
 
-def _set_path(document: Dict[str, Any], path: str, value: Any) -> None:
-    parts = path.split(".")
-    target = document
-    for part in parts[:-1]:
-        nxt = target.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            target[part] = nxt
-        target = nxt
-    target[parts[-1]] = value
+def _effect(
+    candidate: Dict[str, Any], touched: List[str]
+) -> Tuple[Dict[str, Any], List[str]]:
+    """An update as absolute facts: ``({path: value}, [path gone])``.
 
-
-def _unset_path(document: Dict[str, Any], path: str) -> None:
-    parts = path.split(".")
-    target = document
-    for part in parts[:-1]:
-        target = target.get(part)
-        if not isinstance(target, dict):
-            return
-    target.pop(parts[-1], None)
+    Read off the finished ``candidate``, so ``$inc``/``$push`` and paths
+    assigned twice give their results; a path below another touched one
+    is covered by it, which leaves paths that cannot overlap and so
+    apply in any order.
+    """
+    assigned: Dict[str, Any] = {}
+    gone: Set[str] = set()
+    for path in touched:
+        if any(path.startswith(other + ".") for other in touched):
+            continue
+        value = get_path(candidate, path)
+        if value is _MISSING:
+            gone.add(path)
+        else:
+            assigned[path] = value
+    return assigned, sorted(gone)
 
 
 def _unset(value: Any) -> bool:

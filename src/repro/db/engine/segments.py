@@ -14,11 +14,21 @@ truncate the WAL.
 
 **Replay is idempotent**, and that is the whole crash-safety argument.
 Every record is absolute — ``insert``/``replace`` carry the whole
-document, ``delete`` an id, ``index`` a definition — so the state after
-a log depends only on the last record per id, and replaying a WAL over
-a segment that already holds its effects changes nothing (an ``insert``
-re-takes its place at the end, so even document order is a fixed
-point).  A crash during compaction therefore leaves one of:
+document, ``delete`` an id, ``index`` a definition, and ``update`` the
+*effect* of an update: the value each path it touched holds afterwards
+(``set``) or that the path is gone (``unset``), never the operators, so
+an ``$inc`` is logged as its sum and a ``$push`` as the list it made.
+At any one path a record therefore either fixes what is there, whatever
+was there before, or leaves it alone — and which of the two does not
+depend on the state it is applied to (``set_path`` makes every step
+above its path a dict, so even a path through a scalar lands the same
+way).  The state after a log is then, path by path, what the last
+record to fix that path says, and replaying a WAL over a segment that
+already holds its effects changes nothing (an ``insert`` re-takes its
+place at the end, so even document order is a fixed point; an
+``update`` that finds its document already deleted by the same log is
+waiting for that ``delete``, see :meth:`CollectionStore._replay`).  A
+crash during compaction therefore leaves one of:
 
 - a ``segment.seg.tmp`` beside the old segment and the full WAL — the
   tmp file is swept on open;
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import ValidationError
@@ -43,6 +53,7 @@ from repro.db.engine.wal import (
     fsync_dir,
     read_log,
 )
+from repro.db.query import set_path, unset_path
 
 SEGMENT_NAME = "segment.seg"
 WAL_NAME = "wal.log"
@@ -128,9 +139,18 @@ class CollectionStore:
         """One streaming pass over the segment, then the WAL:
         ``(documents, indexes, report)``.  Damage in the segment
         raises; a torn WAL tail is truncated with ``heal`` and raises
-        without."""
+        without.
+
+        An ``update`` is only ever logged for a live document, so one
+        whose id is not live is damage and raises — unless the same log
+        goes on to ``delete`` that id: a WAL replayed over the segment
+        it was folded into (published, not yet truncated) meets the
+        updates of a document it later deleted with the document
+        already gone.
+        """
         state: Dict[str, Dict[str, Any]] = {}
         indexes: Dict[Tuple[str, bool], None] = {}  # an ordered set
+        orphans: Set[str] = set()  # updated while not live
         replayed = 0
 
         def apply(record: Dict[str, Any]) -> None:
@@ -145,8 +165,18 @@ class CollectionStore:
                 state[doc["_id"]] = doc
             elif op == "replace":
                 state[record["doc"]["_id"]] = record["doc"]
+            elif op == "update":
+                doc = state.get(record["id"])
+                if doc is None:
+                    orphans.add(record["id"])
+                    return
+                for path, value in record["set"].items():
+                    set_path(doc, path, value)
+                for path in record["unset"]:
+                    unset_path(doc, path)
             elif op == "delete":
                 state.pop(record["id"], None)
+                orphans.discard(record["id"])
             elif op == "index":
                 indexes[record["field"], bool(record["unique"])] = None
             else:
@@ -165,6 +195,11 @@ class CollectionStore:
                     handle.flush()
                     os.fsync(handle.fileno())
                 _truncated_counter().inc(torn, collection=self.name)
+        if orphans:
+            raise ValidationError(
+                f"{self.dir}: update of {sorted(orphans)}, "
+                "which the log neither holds nor goes on to delete"
+            )
         report = {
             "records_replayed": replayed,
             "wal_records": replayed - sealed,
@@ -180,6 +215,16 @@ class CollectionStore:
 
     def log_replace(self, doc: Dict[str, Any]) -> None:
         self._append({"op": "replace", "doc": doc})
+
+    def log_update(
+        self, doc_id: str, assigned: Dict[str, Any], gone: List[str]
+    ) -> None:
+        """The effect of an update: ``assigned`` maps each path to the
+        value it holds afterwards, ``gone`` lists the paths removed; no
+        path of either lies below another."""
+        self._append(
+            {"op": "update", "id": doc_id, "set": assigned, "unset": gone}
+        )
 
     def log_delete(self, doc_id: str) -> None:
         self._append({"op": "delete", "id": doc_id})

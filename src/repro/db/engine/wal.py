@@ -6,9 +6,12 @@ cache of it.  A record on disk is::
 
     [4-byte big-endian payload length][4-byte big-endian CRC32][payload]
 
-where the payload is the canonical JSON of one operation document
-(``insert``/``replace``/``delete``/``index``).  The framing makes two
-failure modes detectable without any out-of-band state:
+where the payload is the canonical JSON of one operation document, of
+five kinds: ``insert`` and ``replace`` carry a whole document, ``update``
+what an update left at the paths it touched (``set``: path → value,
+``unset``: paths now gone), ``delete`` an id, ``index`` a definition.
+The framing makes two failure modes detectable without any out-of-band
+state:
 
 - a **torn tail** — the process died mid-append, leaving a truncated
   header or payload.  Recovery keeps every record before the tear and

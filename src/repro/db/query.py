@@ -30,6 +30,52 @@ def get_path(document: Dict[str, Any], path: str) -> Any:
     return value
 
 
+def set_path(document: Dict[str, Any], path: str, value: Any) -> str:
+    """Assign ``value`` at a dotted path, by path copy.
+
+    Every dict on the way down is replaced by a shallow copy of itself
+    and a step that holds no dict (missing, or a scalar or list) by a
+    fresh one, so the assignment mutates only ``document`` itself and
+    dicts made here — whatever else still refers to the old subtrees
+    keeps seeing them unchanged.  Whatever ``document`` held before,
+    ``path`` holds ``value`` afterwards and every step above it a dict.
+
+    Returns the path that was assigned: ``path``, or the shortest
+    prefix of it that held no dict — below which nothing of the old
+    value is left.
+    """
+    parts = path.split(".")
+    assigned = None
+    target = document
+    for depth, part in enumerate(parts[:-1], 1):
+        below = target.get(part)
+        if isinstance(below, dict):
+            below = dict(below)
+        else:
+            below = {}
+            if assigned is None:
+                assigned = ".".join(parts[:depth])
+        target[part] = below
+        target = below
+    target[parts[-1]] = value
+    return path if assigned is None else assigned
+
+
+def unset_path(document: Dict[str, Any], path: str) -> None:
+    """Remove what a dotted path holds, by path copy (see
+    :func:`set_path`); a path through a step that holds no dict is
+    already absent."""
+    parts = path.split(".")
+    target = document
+    for part in parts[:-1]:
+        below = target.get(part)
+        if not isinstance(below, dict):
+            return
+        below = target[part] = dict(below)
+        target = below
+    target.pop(parts[-1], None)
+
+
 def _compare(op: str, actual: Any, expected: Any) -> bool:
     if actual is _MISSING:
         return False
@@ -183,13 +229,5 @@ def project(
         value = get_path(document, field)
         if value is _MISSING:
             continue
-        _set_path(output, field, value)
+        set_path(output, field, value)
     return output
-
-
-def _set_path(document: Dict[str, Any], path: str, value: Any) -> None:
-    parts = path.split(".")
-    target = document
-    for part in parts[:-1]:
-        target = target.setdefault(part, {})
-    target[parts[-1]] = value

@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.db import Database, connect
+from repro.db.engine.wal import encode_record, read_log
 from tests.helpers import insert_many
 
 
@@ -44,6 +45,60 @@ def test_updates_and_deletes_replay(tmp_path):
     assert again["runs"].find_one({"_id": "b"}) is None
     assert again["runs"].count() == 2
     again.close()
+
+
+def test_update_is_logged_as_its_effect(tmp_path):
+    """What each touched path holds afterwards — never the operators,
+    never the document — and a sealed segment holds no ``update``."""
+    db = open_db(tmp_path, durability="strict")
+    runs = db["runs"]
+    runs.insert_one({"_id": "a", "n": 1, "log": ["x"], "big": "x" * 4096})
+    runs.update_one(
+        {"_id": "a"},
+        {
+            "$inc": {"n": 2},
+            "$push": {"log": "y"},
+            "$set": {"r.s": 1, "q": {"a": 1}},
+            "$unset": {"q.a": "", "big": ""},
+        },
+    )
+    runs.replace_one({"_id": "a"}, {"n": 3, "log": ["x", "y"]})
+    directory = tmp_path / "db" / "engine" / "runs"
+    records, _, _ = read_log(str(directory / "wal.log"))
+    assert records[1:] == [
+        {
+            "op": "update",
+            "id": "a",
+            "set": {"n": 3, "log": ["x", "y"], "r": {"s": 1}, "q": {}},
+            "unset": ["big"],
+        },
+        {"op": "replace", "doc": {"_id": "a", "n": 3, "log": ["x", "y"]}},
+    ]
+    runs.update_one({"_id": "a"}, {"$inc": {"n": 1}})
+    db.compact()
+    sealed, _, _ = read_log(str(directory / "segment.seg"))
+    assert sealed == [
+        {"op": "insert", "doc": {"_id": "a", "n": 4, "log": ["x", "y"]}}
+    ]
+    db.close()
+
+
+def test_update_of_a_document_the_log_does_not_hold_is_damage(tmp_path):
+    db = open_db(tmp_path, durability="strict")
+    db["runs"].insert_one({"_id": "a"})
+    db.close()
+    wal = tmp_path / "db" / "engine" / "runs" / "wal.log"
+    stray = {"op": "update", "id": "ghost", "set": {"n": 1}, "unset": []}
+    with open(wal, "ab") as handle:
+        handle.write(encode_record(stray))
+    with pytest.raises(ValidationError, match="ghost"):
+        open_db(tmp_path)
+    # ... unless the log goes on to delete it: a WAL replayed over the
+    # segment it was folded into finds such a document already gone.
+    with open(wal, "ab") as handle:
+        handle.write(encode_record({"op": "delete", "id": "ghost"}))
+    with open_db(tmp_path) as again:
+        assert again["runs"].find() == [{"_id": "a"}]
 
 
 def test_indexes_restored_on_reopen(tmp_path):

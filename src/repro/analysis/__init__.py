@@ -7,14 +7,14 @@ Two halves share this package:
   flat records, :mod:`series` reshapes them (group-by, speedups,
   normalization), and :mod:`charts` renders ASCII bar charts and the
   Fig 8 status grid.  This half is what the package exports.
-- **Static + dynamic analysis of the codebase itself** — the
+- **Static analysis of the codebase itself** — the
   determinism/concurrency/hygiene rule packs (:mod:`rules_determinism`,
-  :mod:`rules_concurrency`, :mod:`rules_hygiene`) on the :mod:`engine`,
-  the whole-program passes in :mod:`dataflow`, and the dynamic
-  lock-order checker (:mod:`lockorder`).  This half is a *dev-tool
-  layer*: no runtime subsystem (scheduler, sim, art, db) imports it, and
-  it is imported only when :func:`lint_paths` runs — ``repro lint`` and
-  CI are its consumers.
+  :mod:`rules_concurrency`, :mod:`rules_hygiene`) on the :mod:`engine`
+  and the four whole-program passes in :mod:`dataflow`.  This half is a
+  *dev-tool layer*: it reads source text and imports nothing of the
+  package it checks, no runtime subsystem (scheduler, sim, art, db)
+  imports it, and it is imported only when :func:`lint_paths` runs —
+  ``repro lint`` and CI are its consumers.
 """
 
 from repro.analysis.queries import run_records, group_by, pivot

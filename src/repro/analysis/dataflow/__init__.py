@@ -2,13 +2,11 @@
 
 :func:`lint_paths` is the one way in: it parses every file once into a
 :class:`~repro.analysis.dataflow.graph.Project`, runs the three
-single-file rule packs over each parsed file, and then the five
+single-file rule packs over each parsed file, and then the four
 whole-program passes over the project and its call graph:
 
 - :mod:`~repro.analysis.dataflow.races` — RacerD-style lockset race
   detection (``RACE-INCONSISTENT``);
-- :mod:`~repro.analysis.dataflow.taint` — determinism taint from
-  wall-clock/uuid/random sources into identity sinks (``DET-FLOW``);
 - :mod:`~repro.analysis.dataflow.layering` — the architecture layer DAG,
   machine-enforced (``ARCH-LAYER``);
 - :mod:`~repro.analysis.dataflow.reach` — definitions no root reaches
@@ -35,7 +33,6 @@ from repro.analysis.dataflow.reach import (
     Liveness,
     find_unreachable,
 )
-from repro.analysis.dataflow.taint import find_taint_flows
 from repro.analysis.engine import Finding, run_rules
 from repro.analysis.rules_concurrency import CONCURRENCY_RULES
 from repro.analysis.rules_determinism import DETERMINISM_RULES
@@ -55,7 +52,6 @@ def lint_paths(paths: Iterable[str]) -> List[Finding]:
     for name in sorted(project.modules):
         findings.extend(run_rules(project.modules[name], rules))
     findings.extend(find_races(graph))
-    findings.extend(find_taint_flows(graph))
     findings.extend(find_layering_violations(project))
     if ENTRY_MODULE in project.modules:
         liveness = Liveness(project, graph)

@@ -14,20 +14,20 @@ actually uses (and the imprecision is documented in
   through the file's import-alias map and the module symbol tables;
   constructing a project class resolves to its ``__init__``.
 
-Everything unresolvable stays an *external dotted name* (``time.time``,
-``queue.Queue``) so the taint pass can match sources and sinks on it.
+Everything else (``time.time``, a local variable, a lambda) is outside
+the project and resolves to nothing.
 
-Beyond call edges the graph carries the per-class facts the race and
-taint passes share: which ``self.X`` attributes are locks (the same
-factory + name inference the single-file concurrency rules use) and the
-inferred type of every ``self.X`` attribute.
+Beyond call edges the graph carries the per-class facts the race pass
+needs: which ``self.X`` attributes are locks (the same factory + name
+inference the single-file concurrency rules use) and the inferred type
+of every ``self.X`` attribute.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.dataflow.graph import Project
 from repro.analysis.engine import FileContext, self_attr
@@ -167,23 +167,20 @@ class CallGraph:
         self,
         fn: FunctionInfo,
         call: ast.Call,
-    ) -> Tuple[Optional[FunctionInfo], Optional[str]]:
-        """Resolve a call site to ``(project_function, external_name)``.
-
-        Exactly one of the pair is non-None for resolvable calls; both
-        are None when the callee is something opaque (a local variable,
-        a lambda, a subscript).
-        """
+    ) -> Optional[FunctionInfo]:
+        """The project function a call site invokes, or None when the
+        callee is external or opaque (a local variable, a lambda, a
+        subscript)."""
         func = call.func
         # self.method(...) / self.attr.method(...)
         if fn.cls_name and isinstance(func, ast.Attribute):
             target = self._resolve_self_call(fn, func)
             if target is not None:
-                return target, None
+                return target
         dotted = fn.module.qualified_name(func)
-        if dotted is None:
-            return None, None
-        return self._resolve_dotted_callee(dotted)
+        if dotted in self.classes:
+            return self.classes[dotted].lookup_method(self, "__init__")
+        return self.functions.get(dotted)
 
     def _resolve_self_call(
         self, fn: FunctionInfo, func: ast.Attribute
@@ -204,25 +201,9 @@ class CallGraph:
                 )
         return None
 
-    def _resolve_dotted_callee(
-        self, dotted: str
-    ) -> Tuple[Optional[FunctionInfo], Optional[str]]:
-        if dotted in self.functions:
-            return self.functions[dotted], None
-        if dotted in self.classes:
-            init = self.classes[dotted].lookup_method(self, "__init__")
-            # A constructor with no project __init__ is still a project
-            # call target for taint purposes; surface the class itself.
-            return init, dotted if init is None else None
-        return None, dotted
-
     # ------------------------------------------------------------- queries
 
     def class_of(self, fn: FunctionInfo) -> Optional[ClassInfo]:
         if fn.cls_name is None:
             return None
         return self.classes.get(f"{fn.module.name}.{fn.cls_name}")
-
-    def iter_functions(self) -> Iterator[FunctionInfo]:
-        for qualname in sorted(self.functions):
-            yield self.functions[qualname]

@@ -22,8 +22,8 @@ read and parsed exactly once, into the
 Resolution is *textual*, not executable: ``from repro.scheduler import
 broker`` becomes an edge to ``repro.scheduler.broker`` when that module
 is in the project, else to ``repro.scheduler``; external imports
-(``threading``) are kept as opaque dotted names so the taint pass can
-still match sources like ``time.time``.  Nothing is ever imported.
+(``threading``) are kept as opaque dotted names.  Nothing is ever
+imported.
 """
 
 from __future__ import annotations

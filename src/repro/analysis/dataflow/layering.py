@@ -66,7 +66,7 @@ ALLOWED_DEPENDENCIES: Dict[str, FrozenSet[str]] = {
     ),
     "art": _BELOW_ART,
     "pipeline": _BELOW_ART | {"art"},
-    "analysis": frozenset({"common", "telemetry", "db", "art"}),
+    "analysis": frozenset({"common", "art"}),
     "cli": _BELOW_ART | {"art", "pipeline", "analysis"},
     "__main__": frozenset({"cli"}),
 }

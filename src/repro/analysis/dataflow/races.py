@@ -184,7 +184,7 @@ class _MethodScanner(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
             self._note(func.value, True)
-        target, _external = self.graph.resolve_call(self.fn, node)
+        target = self.graph.resolve_call(self.fn, node)
         if (
             target is not None
             and target.cls_name is not None

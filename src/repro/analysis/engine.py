@@ -89,18 +89,6 @@ class Finding:
             digest.update(b"\x00")
         return digest.hexdigest()[:16]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "severity": self.severity,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
-
     def sort_key(self) -> Tuple:
         return (self.file, self.line, self.col, self.rule_id)
 

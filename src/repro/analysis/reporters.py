@@ -1,6 +1,7 @@
-"""Finding reporters: text for humans, JSON and SARIF for CI.
+"""Finding reporters: text for humans and CI logs, SARIF for
+code-scanning UIs.
 
-All formats are deterministic (findings arrive pre-sorted from the
+Both formats are deterministic (findings arrive pre-sorted from the
 engine; counters are emitted in sorted order) so two runs over the same
 tree produce byte-identical reports — the analyzer holds itself to the
 contract it enforces.
@@ -9,16 +10,10 @@ contract it enforces.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List
+from collections import Counter
+from typing import List
 
 from repro.analysis.engine import SEVERITIES, Finding
-
-
-def severity_counts(findings: Iterable[Finding]) -> Dict[str, int]:
-    counts = {severity: 0 for severity in SEVERITIES}
-    for finding in findings:
-        counts[finding.severity] = counts.get(finding.severity, 0) + 1
-    return counts
 
 
 def render_text(findings: List[Finding]) -> str:
@@ -31,26 +26,17 @@ def render_text(findings: List[Finding]) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    counts = severity_counts(findings)
-    summary = ", ".join(
-        f"{counts[severity]} {severity}(s)"
-        for severity in SEVERITIES
-        if counts.get(severity)
-    )
     if not findings:
         lines.append("clean: no findings")
     else:
+        counts = Counter(finding.severity for finding in findings)
+        summary = ", ".join(
+            f"{counts[severity]} {severity}(s)"
+            for severity in SEVERITIES
+            if counts[severity]
+        )
         lines.append(f"found {summary}")
     return "\n".join(lines)
-
-
-def render_json(findings: List[Finding]) -> str:
-    payload = {
-        "version": 1,
-        "counts": severity_counts(findings),
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 #: Finding severity -> SARIF result level.

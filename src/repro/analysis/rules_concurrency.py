@@ -11,9 +11,8 @@ Lock attributes are inferred per class: any ``self.X = threading.Lock()
 as a lock for that class
 (:attr:`~repro.analysis.engine.FileContext.lock_attrs`, the same facts
 the race pass uses), in addition to the name heuristic (``*lock*``,
-``*mutex*``, ``*cond*``, ``*sem*``).  The companion *dynamic* checker —
-cross-lock acquisition-order cycles, which no single-file static rule
-can see — lives in :mod:`repro.analysis.lockorder`.
+``*mutex*``, ``*cond*``, ``*sem*``).  Cross-lock acquisition *order* is
+not checked: no single-file static rule can see it.
 """
 
 from __future__ import annotations

@@ -1,27 +1,31 @@
-"""Determinism rules: the seed-identical-replay contract, enforced.
+"""Determinism rules: the choke-point contract, enforced.
 
-``repro.sim`` and ``repro.chaos`` promise that two runs with the same
-seeds produce bit-identical results, and the artifact/provenance hash
-paths promise that identical inputs hash identically across machines and
-years.  A single ``time.time()`` or unseeded ``random.random()`` in those
-trees breaks the promise silently — the tests still pass, the replays
-just stop being replays.  These rules make the promise a build failure
-instead.
+A run is determined by the hashes of its inputs, and ``repro.sim`` /
+``repro.chaos`` promise that two runs with the same seeds produce
+bit-identical results.  A single ``time.time()``, ``uuid4()`` or
+unseeded ``random.random()`` breaks either promise silently — the run
+still passes, it just stops being a replay.
 
-The *sanctioned escape hatches* are ``repro.common.timeutil`` (the one
-place wall-clock access is allowed to live) and ``repro.common.rng`` /
-``repro.common.ids`` (seeded streams and deterministic UUIDs); code in
-the deterministic zones must route through them.
+The contract that prevents it is structural: every raw read of the
+clock, of a process-unique id or of OS entropy lives in one of three
+*choke-point modules* — ``repro.common.timeutil``, ``repro.common.rng``,
+``repro.common.ids`` — and everything else routes through them.  The
+three source rules (``DET-WALLCLOCK``, ``DET-UUID``, ``DET-RANDOM``)
+check it at the source, package-wide: a raw call anywhere but those
+modules is a finding, so no nondeterministic value exists to flow
+anywhere.  ``DET-ORDER`` alone is zoned: set and directory order only
+matter where results are computed.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import FrozenSet, Iterator, Optional
 
 from repro.analysis.engine import FileContext, Finding, Rule
 
-#: Module prefixes where nondeterminism is a contract violation.
+#: Module prefixes where iteration order is a contract violation
+#: (``DET-ORDER`` only; the source rules apply everywhere).
 DETERMINISTIC_ZONES = (
     "repro.sim",
     "repro.chaos",
@@ -31,135 +35,111 @@ DETERMINISTIC_ZONES = (
     "repro.common.hashing",
 )
 
-#: The sanctioned escape hatches themselves (they implement the choke
-#: points, so they are allowed to touch the raw primitives).
+#: The choke points themselves: the only modules allowed to touch the
+#: raw primitives.
 SANCTIONED_MODULES = (
     "repro.common.timeutil",
     "repro.common.rng",
     "repro.common.ids",
 )
 
-#: Wall-clock reads that must go through repro.common.timeutil.
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "datetime.now",
-        "datetime.utcnow",
-    }
-)
 
-#: Process-unique id mints that must go through repro.common.ids.
-UUID_CALLS = frozenset({"uuid.uuid4", "uuid.uuid1", "uuid4", "uuid1"})
+class SourceRule(Rule):
+    """A raw nondeterminism source called outside the choke points; the
+    subclasses are rows of a table (id, calls, what to use instead)."""
 
-#: Module-level (shared, unseeded) random draws.
-GLOBAL_RANDOM_CALLS = frozenset(
-    {
-        "random.random",
-        "random.randint",
-        "random.randrange",
-        "random.uniform",
-        "random.choice",
-        "random.choices",
-        "random.sample",
-        "random.shuffle",
-        "random.gauss",
-        "random.getrandbits",
-        "random.randbytes",
-        "random.seed",
-    }
-)
+    severity = "error"
+    interests = (ast.Call,)
+    calls: FrozenSet[str] = frozenset()
+    advice = ""
 
-
-class _ZoneRule(Rule):
-    """Shared zone gating for the determinism pack."""
-
-    def applies(self, ctx: FileContext) -> bool:
+    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*SANCTIONED_MODULES):
-            return False
-        return ctx.in_module(*DETERMINISTIC_ZONES)
+            return
+        name = ctx.qualified_name(node.func)
+        if self.matches(name, node):
+            yield self.finding(
+                ctx, node, f"{name}() outside the choke points; {self.advice}"
+            )
+
+    def matches(self, name: Optional[str], node: ast.Call) -> bool:
+        return name in self.calls
 
 
-class WallClockRule(_ZoneRule):
-    """Wall-clock reads in deterministic code; route through
-    ``repro.common.timeutil``."""
+class WallClockRule(SourceRule):
+    """Wall-clock reads; route through ``repro.common.timeutil``."""
 
     rule_id = "DET-WALLCLOCK"
-    severity = "error"
-    interests = (ast.Call,)
+    calls = frozenset(
+        {
+            "time.time",
+            "time.time_ns",
+            "datetime.datetime.now",
+            "datetime.datetime.utcnow",
+            "datetime.datetime.today",
+            "datetime.date.today",
+            "datetime.now",
+            "datetime.utcnow",
+        }
+    )
+    advice = (
+        "read the clock through repro.common.timeutil (wall_now/iso_now) "
+        "so it never reaches a run's identity unseen"
+    )
 
-    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
-        if not self.applies(ctx):
-            return
-        name = ctx.qualified_name(node.func)
-        if name in WALL_CLOCK_CALLS:
-            yield self.finding(
-                ctx,
-                node,
-                f"wall-clock read {name}() in deterministic module "
-                f"{ctx.name}; use repro.common.timeutil "
-                "(iso_now/wall_now) so replays stay seed-identical",
-            )
 
-
-class UuidRule(_ZoneRule):
-    """Random UUIDs in deterministic code; derive ids from content."""
+class UuidRule(SourceRule):
+    """Process-unique id mints; route through ``repro.common.ids``."""
 
     rule_id = "DET-UUID"
-    severity = "error"
-    interests = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
-        if not self.applies(ctx):
-            return
-        name = ctx.qualified_name(node.func)
-        if name in UUID_CALLS:
-            yield self.finding(
-                ctx,
-                node,
-                f"{name}() mints a process-unique id in deterministic "
-                f"module {ctx.name}; derive the id from content "
-                "(repro.common.hashing) instead",
-            )
+    calls = frozenset({"uuid.uuid4", "uuid.uuid1", "uuid4", "uuid1"})
+    advice = (
+        "mint ids through repro.common.ids, or derive them from content "
+        "(repro.common.hashing)"
+    )
 
 
-class GlobalRandomRule(_ZoneRule):
-    """Unseeded randomness in deterministic code; use
+class GlobalRandomRule(SourceRule):
+    """Unseeded randomness and OS entropy; use
     ``repro.common.rng.RngStream``."""
 
     rule_id = "DET-RANDOM"
-    severity = "error"
-    interests = (ast.Call,)
+    calls = frozenset(
+        {
+            "random.random",
+            "random.randint",
+            "random.randrange",
+            "random.uniform",
+            "random.choice",
+            "random.choices",
+            "random.sample",
+            "random.shuffle",
+            "random.gauss",
+            "random.getrandbits",
+            "random.randbytes",
+            "random.seed",
+            "os.urandom",
+            "secrets.token_hex",
+            "secrets.token_bytes",
+            "secrets.token_urlsafe",
+            "secrets.randbelow",
+            "secrets.randbits",
+            "secrets.choice",
+        }
+    )
+    advice = (
+        "derive a named repro.common.rng.RngStream (or seed random.Random "
+        "from repro.common.rng.derive_seed) instead"
+    )
 
-    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
-        if not self.applies(ctx):
-            return
-        name = ctx.qualified_name(node.func)
-        if name in GLOBAL_RANDOM_CALLS:
-            yield self.finding(
-                ctx,
-                node,
-                f"{name}() draws from the shared unseeded generator in "
-                f"deterministic module {ctx.name}; derive a named "
-                "repro.common.rng.RngStream instead",
-            )
-            return
+    def matches(self, name: Optional[str], node: ast.Call) -> bool:
         # random.Random() with no arguments seeds from the OS.
-        if name == "random.Random" and not node.args and not node.keywords:
-            yield self.finding(
-                ctx,
-                node,
-                "random.Random() without a seed is OS-seeded; pass a "
-                "derived seed (repro.common.rng.derive_seed) or use "
-                "RngStream",
-            )
+        return super().matches(name, node) or (
+            name == "random.Random" and not (node.args or node.keywords)
+        )
 
 
-class IterationOrderRule(_ZoneRule):
+class IterationOrderRule(Rule):
     """Set iteration and unsorted directory listings are the two ways
     Python sneaks hash/OS ordering into 'deterministic' loops."""
 
@@ -168,7 +148,7 @@ class IterationOrderRule(_ZoneRule):
     interests = (ast.For, ast.comprehension, ast.Call)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if not self.applies(ctx):
+        if not ctx.in_module(*DETERMINISTIC_ZONES):
             return
         if isinstance(node, (ast.For, ast.comprehension)):
             yield from self._check_iterable(node.iter, ctx)

@@ -174,8 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to analyze (default: src/repro)",
     )
     lint.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
-        help="report format (json or sarif for CI consumption)",
+        "--format", default="text", choices=("text", "sarif"),
+        help="report format (sarif for code-scanning UIs)",
     )
 
     reproduce = commands.add_parser(
@@ -802,11 +802,7 @@ def _cmd_lint(args) -> int:
     import os
 
     from repro.analysis import lint_paths
-    from repro.analysis.reporters import (
-        render_json,
-        render_sarif,
-        render_text,
-    )
+    from repro.analysis.reporters import render_sarif, render_text
 
     paths = args.paths or ["src/repro"]
     missing = [path for path in paths if not os.path.exists(path)]
@@ -814,10 +810,7 @@ def _cmd_lint(args) -> int:
         print(f"error: no such path(s): {', '.join(missing)}")
         return 2
     findings = lint_paths(paths)
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
+    render = render_sarif if args.format == "sarif" else render_text
     output = render(findings)
     print(output, end="" if output.endswith("\n") else "\n")
     return 1 if findings else 0

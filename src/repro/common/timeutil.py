@@ -7,9 +7,8 @@ chronological order, which is what the query layer relies on.
 
 This module is the *sanctioned choke point* for wall-clock access: the
 determinism rules (``repro.analysis.rules_determinism``) forbid raw
-``time.time()`` / ``datetime.now()`` in the deterministic zones, and the
-rest of the tree routes through these helpers so there is exactly one
-place to audit — or to fake in a test.
+``time.time()`` / ``datetime.now()`` everywhere else in the package, so
+there is exactly one place to audit — or to fake in a test.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.analysis.engine import (
     iter_python_files,
     logical_module,
 )
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis.reporters import render_text
 from repro.cli import main
 from tests.analysis.helpers import lint_source as analyze
 
@@ -107,14 +107,6 @@ def test_text_reporter_mentions_location_and_counts():
     assert render_text([]) == "clean: no findings"
 
 
-def test_json_reporter_is_valid_and_deterministic():
-    findings = analyze("import time\ndef f():\n    return time.time()\n")
-    payload = json.loads(render_json(findings))
-    assert payload["counts"]["error"] >= 1
-    assert payload["findings"][0]["rule"] == "DET-WALLCLOCK"
-    assert render_json(findings) == render_json(findings)
-
-
 # --------------------------------------------------------------------- cli
 
 
@@ -145,11 +137,12 @@ def test_cli_lint_error_exits_one_with_text_report(tmp_path, capsys):
     assert "time.time" in out
 
 
-def test_cli_lint_json_format(tmp_path, capsys):
+def test_cli_lint_sarif_format(tmp_path, capsys):
+    """What CI uploads: the same finding, as one SARIF result."""
     bad = _write_bad_module(tmp_path)
-    assert main(["lint", str(bad), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["error"] == 1
+    assert main(["lint", str(bad), "--format", "sarif"]) == 1
+    (run,) = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["ruleId"] for r in run["results"]] == ["DET-WALLCLOCK"]
 
 
 def test_cli_lint_fails_on_warnings_too(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Self-hosting gate: the analyzer must pass on our own tree.
 
 One engine, one mode: every rule pack and every whole-program pass —
-the determinism zones, lock discipline, races, taint, layering, and the
-two size passes (``DEAD-REACH``, ``DEAD-PARAM``) — at zero unsuppressed
-findings of any severity.  A future PR that sneaks a ``time.time()``
-into the simulator, or leaves behind a function only its test calls,
-fails here without failing a single behavioural test.
+the choke-point contract, lock discipline, races, layering, and the two
+size passes (``DEAD-REACH``, ``DEAD-PARAM``) — at zero unsuppressed
+findings of any severity.  A future PR that sneaks a raw ``time.time()``
+into any module but the ``timeutil`` choke point, or leaves behind a
+function only its test calls, fails here without failing a single
+behavioural test.  The catalog in ``docs/analysis.md`` is held to the
+same standard: it lists exactly the rule ids the code can emit.
 """
 
 import os
@@ -19,11 +21,20 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 SRC = os.path.join(REPO_ROOT, "src", "repro")
+CATALOG = os.path.join(REPO_ROOT, "docs", "analysis.md")
 
 #: The only ways to keep what the size passes would delete, each a
 #: comment on the line above the pragma (``docs/analysis.md``).
 REASONS = ("# paper surface:", "# worker target:", "# dev-tool entry:")
-MAX_DEAD_PRAGMAS = 20
+MAX_DEAD_PRAGMAS = 10
+
+#: A rule id where a rule class or a pass declares it, and where the
+#: catalog gives it an entry (a ``- **ID**`` bullet or a ``### `ID```
+#: heading).  ``PARSE`` — a file that does not parse — is not a rule.
+ASSIGNED_ID = re.compile(
+    r'^\s*(?:rule_id|RULE_ID) = "([A-Z]+(?:-[A-Z]+)+)"$', re.M
+)
+CATALOGUED_ID = re.compile(r"^(?:- \*\*|### `)([A-Z]+(?:-[A-Z]+)+)\b", re.M)
 
 
 def test_whole_tree_has_zero_findings():
@@ -56,3 +67,19 @@ def test_dead_code_pragmas_are_few_and_each_gives_its_reason():
             f"{path}:{lineno}: the line above a DEAD-* pragma must give "
             f"its reason, one of {REASONS}"
         )
+
+
+def test_rule_catalog_matches_the_code():
+    """Set equality, like the chaos-point registry: every rule id a rule
+    class (``rule_id = "..."``) or a pass (``RULE_ID = "..."``) can emit
+    has a ``**ID**`` / ``### `ID` `` entry in ``docs/analysis.md``, and
+    every id catalogued there still exists in the code."""
+    in_code = set()
+    for path in iter_python_files([os.path.join(SRC, "analysis")]):
+        with open(path, encoding="utf-8") as handle:
+            in_code.update(ASSIGNED_ID.findall(handle.read()))
+    with open(CATALOG, encoding="utf-8") as handle:
+        catalog = handle.read()
+    documented = set(CATALOGUED_ID.findall(catalog))
+    assert len(in_code) == 14
+    assert documented == in_code

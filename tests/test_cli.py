@@ -228,12 +228,13 @@ def test_admission_flags_and_verb_are_gone(argv):
         ["--baseline", "accepted.json"],
         ["--write-baseline"],
         ["--format", "xml"],
+        ["--format", "json"],
     ],
 )
 def test_lint_has_one_mode(flags):
     """`repro lint [paths] [--format F]` always runs every rule and
     pass and fails on any finding; the flags that used to choose a mode
-    (and an unknown format) are usage errors."""
+    (and any format but text and sarif) are usage errors."""
     with pytest.raises(SystemExit) as excinfo:
         main(["lint", "src/repro"] + flags)
     assert excinfo.value.code == 2

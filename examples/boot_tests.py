@@ -3,9 +3,15 @@
 
 Sweeps 480 configurations — 2 boot types x 5 LTS kernels x 4 CPU models x
 3 memory systems x 4 core counts — through gem5art with the Celery-style
-scheduler, then renders the pass/fail grids and the failure taxonomy the
-paper reports (kvm all-pass; Atomic unsupported on Ruby; Timing/O3 limited
-to one core on classic; O3 panics/segfaults/deadlocks/timeouts).
+scheduler, the way the paper's launch script ends: one task wrapping
+``run_job`` (each worker thread runs ``run.run()`` whole, database
+writes included), ``apply_async`` per run, then ``get`` each, which
+re-raises a run that raised, as Celery's does, once ``run()`` has
+recorded it ``failed``.  ``repro boot-tests`` sweeps the same grid
+through the planner (``run_jobs_scheduler``) instead.  Then renders
+the pass/fail grids and the failure taxonomy the paper reports (kvm
+all-pass; Atomic unsupported on Ruby; Timing/O3 limited to one core on
+classic; O3 panics/segfaults/deadlocks/timeouts).
 
 Run with:  python examples/boot_tests.py
 """
@@ -21,10 +27,11 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_scheduler,
+    run_job,
 )
 from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
 from repro.resources import build_resource
+from repro.scheduler import SchedulerApp
 from repro.sim import Gem5Build
 
 CPU_TYPES = ("kvm", "atomic", "timing", "o3")
@@ -72,7 +79,14 @@ def main() -> None:
             )
         )
     print(f"launching {len(runs)} boot tests ...")
-    run_jobs_scheduler(runs, worker_count=8)
+    app = SchedulerApp(name="gem5art", worker_count=8)
+    run_task = app.task(name="gem5art.run_job")(run_job)
+    try:
+        handles = [run_task.apply_async((run,)) for run in runs]
+        for handle in handles:
+            handle.get()
+    finally:
+        app.shutdown()
 
     records = run_records(db)
     # One grid per (boot type, cpu model): rows = kernels, columns =

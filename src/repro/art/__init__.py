@@ -11,7 +11,7 @@ reproducible by construction:
   the input artifacts plus the parameters of one simulation (the paper's
   Fig 4 ``createFSRun``), execute it, and archive the results;
 - :mod:`repro.art.tasks` — hand run objects to a job scheduler and collect
-  states (Fig 5's ``apply_async`` loop): one planner, three substrates;
+  states (Fig 5's ``apply_async`` loop): one planner, two substrates;
 - :mod:`repro.art.workflow` — the Fig 1 component graph, derived from
   artifact input edges.
 

@@ -6,7 +6,7 @@ asynchronously.  :class:`Experiment` captures that pattern declaratively:
 
 - one or more *stacks* (named artifact sets — e.g. one per Ubuntu release),
 - parameter *axes* to sweep,
-- a substrate to execute on (inline / threads / processes),
+- a substrate to execute on (inline / processes),
 
 and it records the experiment itself as a document so the database tells
 the whole story: which artifacts, which cross product, which outcomes.
@@ -213,7 +213,7 @@ class Experiment:
         self,
         workers: int = 4,
         use_cache: bool = True,
-        substrate: str = "threads",
+        substrate: str = "inline",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
         """Execute every run and return summaries, in creation order
@@ -224,9 +224,9 @@ class Experiment:
         (and the CLI's ``--workers``, ``--[no-]cache``, ``--substrate``,
         ``--[no-]checkpoints``): ``use_cache`` adopts archived results
         and coalesces equal fingerprints, ``substrate`` picks where the
-        simulations execute (``"inline"``, ``"threads"``,
-        ``"processes"``), ``use_checkpoints`` boots once per unique
-        boot prefix and restores everywhere else.
+        simulations execute (``"inline"`` or ``"processes"``),
+        ``use_checkpoints`` boots once per unique boot prefix and
+        restores everywhere else.
         """
         if self._runs is None:
             self.create_runs()
@@ -244,7 +244,7 @@ class Experiment:
         workers: int = 4,
         retry_failures: bool = False,
         use_cache: bool = True,
-        substrate: str = "threads",
+        substrate: str = "inline",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
         """Re-launch only the runs an interrupted campaign still owes.

@@ -245,7 +245,6 @@ class Gem5Run:
         self,
         use_cache: bool = True,
         checkpoint_store=None,
-        resolver: Optional["InputResolver"] = None,
     ) -> Dict[str, object]:
         """Execute the simulation — or adopt its memoized result — and
         archive the outcome: :meth:`begin`, :func:`simulate_run` and
@@ -260,14 +259,13 @@ class Gem5Run:
         :class:`~repro.art.checkpoints.CheckpointStore`) an fs run
         restores its prefix's archived boot instead of re-simulating
         it; a missing, corrupt or incompatible checkpoint degrades to a
-        full boot.  ``resolver`` is the planner's memo of this sweep's
-        input artifacts; a bare ``run()`` resolves through its own.
+        full boot.
 
         With telemetry enabled, the ``run`` span parents the simulator's
         phase spans and its subtree is archived next to the stats blob:
         the timeline can be rehydrated from the database alone.
         """
-        resolver = resolver or InputResolver()
+        resolver = InputResolver()
         attempt = self.begin(use_cache, checkpoint_store, resolver)
         if attempt is None:
             return self.results
@@ -481,18 +479,6 @@ class Gem5Run:
             return None
         return checkpoint
 
-    def take_boot_checkpoint(
-        self, resolver: Optional["InputResolver"] = None
-    ) -> Optional[Checkpoint]:
-        """Boot this run's prefix under :data:`BOOT_CPU` and capture a
-        checkpoint (the planner's boot stage).  None when the boot
-        itself fails; the cohort then degrades to full boots."""
-        if self.kind != "fs":
-            return None
-        return boot_checkpoint(
-            self.params, (resolver or InputResolver()).live(self)
-        )
-
     # ------------------------------------------------------------ storage
 
     def _set_status(
@@ -621,10 +607,10 @@ def _published_disk_image(disk_artifact: Artifact) -> DiskImage:
 #
 # The only code that drives the simulator for a run, and the only part
 # of a run that may leave the thread that owns the database: pure
-# functions of their arguments.  ``Gem5Run.run`` and a scheduler task
-# call them with live inputs; a process-pool worker calls them after
-# deserializing its payload (:mod:`repro.art.procjobs`).  All three
-# therefore produce the same summary by construction.
+# functions of their arguments.  ``Gem5Run.run`` and the planner's
+# inline executor call them with live inputs; a process-pool worker
+# calls them after deserializing its payload (:mod:`repro.art.procjobs`).
+# All three therefore produce the same summary by construction.
 
 
 def simulate_run(kind: str, params, inputs, restore=None):

@@ -7,16 +7,17 @@ database: every run's :meth:`~repro.art.run.Gem5Run.begin` and
 :meth:`~repro.art.run.Gem5Run.finish` — cache and checkpoint consults,
 status writes, blob uploads, cache stores — happen on the thread that
 called it, and **only simulations leave that thread**, as pure functions
-of their arguments: to a task of the Celery-like
-:class:`~repro.scheduler.SchedulerApp` (``threads``), to a
-:class:`~repro.scheduler.ProcessPool` worker process (``processes``) or
-nowhere (``inline``).  :func:`run_job` and :func:`run_jobs_pool` are the
-paper's literal launch-script tail (``multiprocessing``'s ``apply_async``
-over ``run.run``), the reference the planner is tested against.
+of their arguments: to a :class:`~repro.scheduler.ProcessPool` worker
+process (``processes``) or nowhere (``inline``).  Both substrates are
+executors with the same four verbs, driven by one loop.  :func:`run_job`
+and :func:`run_jobs_pool` are the paper's literal launch-script tail
+(``multiprocessing``'s ``apply_async`` over ``run.run``), the reference
+the planner is tested against.
 """
 
 from __future__ import annotations
 
+import traceback
 from collections import deque
 from contextlib import ExitStack
 from typing import Deque, Dict, List, Optional, Sequence
@@ -32,11 +33,11 @@ from repro.art.run import (
     simulate_run,
 )
 from repro.common.errors import ValidationError
-from repro.scheduler import ProcessPool, SchedulerApp
+from repro.scheduler import ProcessPool
 from repro.telemetry import get_event_log, get_metrics, get_tracer
 
 #: Where a sweep's simulations execute.
-SUBSTRATES = ("inline", "threads", "processes")
+SUBSTRATES = ("inline", "processes")
 
 
 def run_job(run: Gem5Run) -> Dict[str, object]:
@@ -85,41 +86,56 @@ def group_runs_by_prefix(
     return plan
 
 
-class _Threads:
-    """``threads``: the two pure functions as tasks of a private
-    :class:`SchedulerApp`, whose helper thread is the deadline: a thread
-    can only be abandoned, and then holds live inputs, no database."""
+class _Inline:
+    """``inline``: each simulation runs right here, on the planner's
+    thread, the moment it is begun, and its outcome waits for
+    :meth:`wait_any`.  One is in flight at a time, so each run is
+    finished before the next begins.  Nothing can stop a simulation
+    here, so one that outlived ``run.timeout`` is timed out once it
+    returns: its outcome is dropped, as the pool drops a killed
+    worker's, and the run reads the same on either substrate."""
 
-    substrate = "threads"
-
-    def __init__(self, worker_count: int):
-        self.worker_count = worker_count
-        app = SchedulerApp(name="gem5art", worker_count=worker_count)
-        self._simulate = app.task(name="gem5art.simulate")(simulate_run)
-        self._boot = app.task(name="gem5art.boot")(boot_checkpoint)
-        self.wait_any, self.shutdown = app.backend.wait_any, app.shutdown
+    substrate, in_flight = "inline", 1
 
     def simulate(self, run: Gem5Run, resolver: InputResolver, restore):
-        return self._simulate.apply_async(
-            args=(run.kind, run.params, resolver.live(run), restore),
-            timeout=run.timeout,
-        ).task_id
+        key = self._call(
+            run, simulate_run, run.kind, run.params, resolver.live(run),
+            restore,
+        )
+        outcome = self._outcome[0]  # (summary, stats, host_seconds, extras)
+        if outcome is not None and outcome[2] > run.timeout:
+            self._outcome = None, f"timed out after {run.timeout}s", True
+        return key
 
     def boot(self, run: Gem5Run, resolver: InputResolver):
-        return self._boot.apply_async(
-            args=(run.params, resolver.live(run))
-        ).task_id
+        return self._call(run, boot_checkpoint, run.params, resolver.live(run))
+
+    def _call(self, run: Gem5Run, function, *args):
+        try:
+            self._outcome = function(*args), None, False
+        except Exception:
+            self._outcome = None, traceback.format_exc(), False
+        return run.run_id
+
+    def wait_any(self, keys):
+        (key,) = keys
+        return (key, *self._outcome)
+
+    def shutdown(self) -> None:
+        pass
 
 
 class _Processes:
     """``processes``: envelopes straight to a :class:`ProcessPool` —
     nothing of the parent stands between this thread and the pipe
-    write, and the pool's reactor is the deadline."""
+    write, and the pool's reactor is the deadline.  Two simulations
+    per worker are out: no worker waits for this thread, no sweep
+    piles up payloads."""
 
     substrate = "processes"
 
     def __init__(self, worker_count: int):
-        self.worker_count = worker_count
+        self.in_flight = 2 * worker_count
         self.pool = pool = ProcessPool(workers=worker_count)
         self.wait_any, self.shutdown = pool.wait_any, pool.shutdown
 
@@ -133,18 +149,18 @@ class _Processes:
 
 
 def _drive(executor, ready: Deque, start, land) -> None:
-    """The one completion-order loop, over a bounded window.
+    """The one completion-order loop, over the executor's window.
 
     ``start(item)`` begins an item on this thread and returns the key
     the executor gave its simulation (None: it settled without one);
     ``land(item, value, error, timed_out)`` finishes it on this thread
     once the executor has it completed; either may put more work at the
-    front of ``ready``.  At most ``2 × worker_count`` simulations are
-    out: no worker waits for this thread, no sweep piles up payloads.
+    front of ``ready``.  At most ``executor.in_flight`` simulations are
+    out at once.
     """
     in_flight: Dict[object, object] = {}
     while ready or in_flight:
-        while ready and len(in_flight) < 2 * executor.worker_count:
+        while ready and len(in_flight) < executor.in_flight:
             item = ready.popleft()
             key = start(item)
             if key is not None:
@@ -157,21 +173,19 @@ def _drive(executor, ready: Deque, start, land) -> None:
 def run_boot_stage(
     runs: Sequence[Gem5Run],
     store: CheckpointStore,
-    resolver: Optional[InputResolver] = None,
-    executor=None,
+    resolver: InputResolver,
+    executor,
 ) -> Dict[str, object]:
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
 
     For each prefix group this thread consults the store and, on a
-    miss, has the group's first run booted — here, in plan order,
-    without an ``executor`` (the inline substrate), else through
-    :func:`_drive` — and stores what came back.  The plan's keys are
+    miss, has the group's first run booted through :func:`_drive` on
+    ``executor`` and stores what came back.  The plan's keys are
     unique, so nothing can race a boot.  Returns ``{prefix:
     checkpoint-or-None}``; a None cohort (an unbootable platform, a
     boot job that failed) degrades to full boots downstream.
     """
     plan = group_runs_by_prefix(runs)
-    resolver = resolver or InputResolver()
     checkpoints: Dict[str, object] = {}
 
     def start(prefix: str):
@@ -183,12 +197,9 @@ def run_boot_stage(
             "Full boots executed to populate the checkpoint store",
         ).inc()
         get_event_log().emit("checkpoint.boot", prefix=prefix)
-        representative = runs[plan[prefix][0]]
-        if executor is not None:
-            return executor.boot(representative, resolver)
-        return land(prefix, representative.take_boot_checkpoint(resolver))
+        return executor.boot(runs[plan[prefix][0]], resolver)
 
-    def land(prefix: str, checkpoint, error=None, timed_out=False):
+    def land(prefix: str, checkpoint, error, timed_out):
         if error is not None:
             get_event_log().emit(
                 "checkpoint.boot_failed", prefix=prefix, error=error
@@ -201,11 +212,7 @@ def run_boot_stage(
         "stage.boot",
         attributes={"prefixes": len(plan), "runs": len(runs)},
     ):
-        if executor is None:
-            for prefix in plan:
-                start(prefix)
-        else:
-            _drive(executor, deque(plan), start, land)
+        _drive(executor, deque(plan), start, land)
     return checkpoints
 
 
@@ -291,28 +298,29 @@ def run_jobs_scheduler(
     runs: Sequence[Gem5Run],
     worker_count: int = 4,
     use_cache: bool = True,
-    substrate: str = "threads",
+    substrate: str = "inline",
     use_checkpoints: bool = False,
 ) -> List[Dict[str, object]]:
     """Plan and execute a sweep: boot stage, then one simulation per run.
 
     ``substrate`` picks where the simulations execute:
 
-    - ``"inline"`` runs them on the calling thread, in order, with no
-      job manager at all; a raising run propagates;
-    - ``"threads"`` hands them to the Celery-like scheduler app's
-      worker threads (one interpreter: concurrency, not parallelism);
+    - ``"inline"`` (the default) runs each on the calling thread, one
+      at a time, with no job manager at all;
     - ``"processes"`` ships them to :class:`~repro.scheduler.ProcessPool`
       worker processes for real CPU parallelism.
 
-    Coalescing, caching and every database write stay on the calling
-    thread on every substrate — only simulations leave it — and runs
-    are finished in the order their simulations complete.  On the
-    scheduled substrates ``run.timeout`` travels with the simulation
-    and is enforced where it executes (the app abandons the helper
-    thread, the pool kills the worker process); this thread records
-    ``timed_out`` in the run document and reports a ``timed_out``
-    summary rather than raising.
+    Both go through one loop: coalescing, caching and every database
+    write stay on the calling thread — only simulations leave it, and
+    only on ``processes`` — and runs are finished in the order their
+    simulations complete.  A simulation that raises is the run's
+    recorded result (a ``failed`` document and a ``success: False``
+    summary), never an abort of the sweep.  On ``processes``
+    ``run.timeout`` travels with the simulation and the pool kills a
+    worker that outlives it; ``inline`` cannot stop one, so it drops
+    the outcome of one that returns past it.  Either way this thread
+    records the same ``timed_out`` document and reports the same
+    ``success: False`` summary rather than raising.
 
     With ``use_cache`` (the default), runs carrying equal spec
     fingerprints are **coalesced** by the run list, not by timing: the
@@ -333,11 +341,9 @@ def run_jobs_scheduler(
             f"unknown substrate {substrate!r} (expected one of "
             f"{SUBSTRATES})"
         )
-    executor = None
-    if substrate != "inline":
-        executor = (_Threads if substrate == "threads" else _Processes)(
-            worker_count
-        )
+    executor = (
+        _Processes(worker_count) if substrate == "processes" else _Inline()
+    )
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
         store = CheckpointStore(runs[0].db)
@@ -345,8 +351,7 @@ def run_jobs_scheduler(
     # (and re-verifies) its artifacts.
     resolver = InputResolver()
     with ExitStack() as stages:
-        if executor is not None:
-            stages.callback(executor.shutdown)
+        stages.callback(executor.shutdown)
         if store is not None:
             run_boot_stage(runs, store, resolver, executor)
             stages.enter_context(
@@ -354,11 +359,4 @@ def run_jobs_scheduler(
                     "stage.variants", attributes={"runs": len(runs)}
                 )
             )
-        if executor is not None:
-            return _run_variants(runs, executor, use_cache, store, resolver)
-        return [
-            run.run(
-                use_cache=use_cache, checkpoint_store=store, resolver=resolver
-            )
-            for run in runs
-        ]
+        return _run_variants(runs, executor, use_cache, store, resolver)

@@ -21,11 +21,11 @@ experiments without writing a launch script:
   re-verification with quarantine, and a crash-recovery report.
 
 ``boot-tests`` and ``resume`` accept ``--workers N``,
-``--substrate inline|threads|processes`` to choose where simulations
-execute, ``--cache``/``--no-cache`` to control whether runs may adopt
-memoized results instead of simulating, and
-``--checkpoints``/``--no-checkpoints`` to stage the sweep as one boot per
-unique boot prefix plus restored variants.
+``--substrate inline|processes`` to choose where simulations execute (on
+the calling thread, or in worker processes), ``--cache``/``--no-cache``
+to control whether runs may adopt memoized results instead of
+simulating, and ``--checkpoints``/``--no-checkpoints`` to stage the sweep
+as one boot per unique boot prefix plus restored variants.
 """
 
 from __future__ import annotations
@@ -285,16 +285,15 @@ def _add_sweep_flags(subparser) -> None:
     ``--checkpoints``/``--no-checkpoints`` (default: off)."""
     subparser.add_argument(
         "--workers", type=int, default=None,
-        help="scheduler workers, threads or processes (default: "
+        help="worker processes on --substrate processes (default: "
         "Experiment's)",
     )
     subparser.add_argument(
-        "--substrate", default="threads",
-        choices=("inline", "threads", "processes"),
-        help="where simulations execute: the scheduler's in-process "
-        "worker threads (default), OS worker processes for real CPU "
-        "parallelism, or inline on the calling thread with no "
-        "scheduler at all",
+        "--substrate", default="inline",
+        choices=("inline", "processes"),
+        help="where simulations execute: inline on the calling thread, "
+        "one at a time (default), or OS worker processes for real CPU "
+        "parallelism and a deadline that can stop a run",
     )
     subparser.add_argument(
         "--cache", dest="use_cache", action="store_true", default=True,

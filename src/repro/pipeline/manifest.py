@@ -45,7 +45,7 @@ KNOWN_STAGE_KINDS = ("artifacts", "sweep", "analyze", "render", "python")
 #: defaults of ``Experiment.launch``).
 EXECUTION_DEFAULTS: Dict[str, object] = {
     "workers": 4,
-    "substrate": "threads",
+    "substrate": "inline",
     "use_cache": True,
     "use_checkpoints": False,
 }

@@ -2,13 +2,15 @@
 
 gem5art hands run objects to an external task manager: Celery when runs
 span machines, or the Python multiprocessing library for a single host.
-This package provides those API shapes; what a sweep hands them is only
-ever a simulation (:mod:`repro.art.tasks`):
+This package provides those API shapes:
 
 - :class:`SchedulerApp` — a Celery-like application over worker
   threads: ``@app.task`` functions, ``apply_async``, task states,
-  retries, timeouts, a result backend (``substrate="threads"``);
-- :class:`ProcessPool` — the *real* multiprocessing substrate:
+  retries, timeouts, a result backend — the launch-script tail of
+  ``examples/boot_tests.py`` (the sweep planner does not use it: on one
+  interpreter a worker thread adds no parallelism);
+- :class:`ProcessPool` — the *real* multiprocessing substrate, the only
+  place a sweep's simulations leave the planner (:mod:`repro.art.tasks`):
   spawn-safe worker processes fed pickle-safe :class:`JobEnvelope` s,
   with redelivery of the job a dead worker held, a deadline per job
   and telemetry merge-on-drain (``substrate="processes"``);

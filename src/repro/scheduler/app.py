@@ -65,17 +65,14 @@ class RegisteredTask:
         return self.func(*args, **kwargs)
 
     def apply_async(
-        self,
-        args: Tuple = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        timeout: Optional[float] = None,
+        self, args: Tuple = (), kwargs: Optional[Dict[str, Any]] = None
     ) -> AsyncResult:
         """Enqueue an invocation; returns the result handle immediately."""
         return self.app.send_task(
             self.name,
             args=args,
             kwargs=kwargs,
-            timeout=self.timeout if timeout is None else timeout,
+            timeout=self.timeout,
             max_retries=self.max_retries,
         )
 

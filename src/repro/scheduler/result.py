@@ -8,7 +8,7 @@ run status and execution time live in the run document, in the database.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import chaos
 from repro.common.errors import NotFoundError, StateError
@@ -109,22 +109,6 @@ class ResultBackend:
         with self._lock:
             self._lock.wait_for(lambda: self._terminal(task_id), timeout)
             return self._get(task_id)["state"]
-
-    def wait_any(
-        self, task_ids: Iterable[str]
-    ) -> Tuple[str, Any, Optional[str], bool]:
-        """Block until one of ``task_ids`` is terminal: ``(task_id,
-        result, error, timed_out)`` — the next completed of a caller
-        that finishes tasks in completion order.  The result is handed
-        over, not kept: a sweep's are whole stats files."""
-        with self._lock:
-            task_id = self._lock.wait_for(
-                lambda: next(filter(self._terminal, task_ids), None)
-            )
-            record = self._get(task_id)
-            result, record["result"] = record["result"], None
-            timed_out = record["state"] is TaskState.TIMEOUT
-            return task_id, result, record["error"], timed_out
 
     def _terminal(self, task_id: str) -> bool:
         return self._get(task_id)["state"].is_terminal

@@ -12,6 +12,7 @@ from repro.art import (
     run_jobs_scheduler,
 )
 from repro.art.run import RunStatus
+from repro.art.tasks import SUBSTRATES
 
 from tests.art.test_launch_share import make_experiment, stack_artifacts
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
@@ -190,7 +191,7 @@ def test_coalescing_is_decided_from_the_run_list(db, fs_artifacts, workers):
     ]
 
 
-@pytest.mark.parametrize("substrate", ("threads", "processes"))
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_followers_of_a_failed_leader_end_on_their_own_records(
     db, fs_artifacts, substrate
 ):
@@ -215,11 +216,11 @@ def test_followers_of_a_failed_leader_end_on_their_own_records(
     assert not any(s["success"] for s in summaries)
 
 
-@pytest.mark.parametrize("substrate", ("threads", "processes"))
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_followers_of_a_timed_out_leader_run_themselves(
     db, fs_artifacts, monkeypatch, substrate
 ):
-    wedge_simulations(monkeypatch, seconds=0.5)
+    wedge_simulations(monkeypatch, seconds=0.3)
     runs = [
         make_run(db, fs_artifacts, num_cpus=WEDGED_CPUS, timeout=0.2)
         for _ in range(3)
@@ -234,6 +235,10 @@ def test_followers_of_a_timed_out_leader_run_themselves(
     assert not any(doc.get("cache_hit") for doc in docs)
     assert [s["run_id"] for s in summaries] == [run.run_id for run in runs]
     assert all(s["timed_out"] for s in summaries)
+    assert not any(s["success"] for s in summaries)
+    assert {doc["results"]["error"] for doc in docs} == {
+        "timed out after 0.2s"
+    }
 
 
 # ---------------------------------------------------------- invalidation

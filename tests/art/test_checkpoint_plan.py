@@ -10,12 +10,14 @@ from repro.art import (
     ArtifactDB,
     CheckpointStore,
     Gem5Run,
+    InputResolver,
     group_runs_by_prefix,
     register_gem5_binary,
     register_repo,
     run_boot_stage,
     run_jobs_scheduler,
 )
+from repro.art import tasks
 from repro.sim import Gem5Build
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
@@ -77,7 +79,7 @@ def test_group_runs_skips_runs_without_prefix(db):
     assert group_runs_by_prefix([gpu]) == {}
 
 
-def test_scheduler_boots_once_per_prefix_threads(db, fs_artifacts):
+def test_scheduler_boots_once_per_prefix_inline(db, fs_artifacts):
     runs = sweep(db, fs_artifacts)
     with telemetry.session() as session:
         summaries = run_jobs_scheduler(
@@ -116,19 +118,19 @@ def test_inline_boots_on_the_calling_thread_in_plan_order(
     stage included, however many prefixes the sweep has."""
     runs = sweep(db, fs_artifacts)
     booted = []
-    take_boot_checkpoint = Gem5Run.take_boot_checkpoint
+    boot_checkpoint = tasks.boot_checkpoint
 
-    def recording(run, *args):
-        booted.append((threading.get_ident(), run.prefix))
-        return take_boot_checkpoint(run, *args)
+    def recording(params, inputs):
+        booted.append((threading.get_ident(), params))
+        return boot_checkpoint(params, inputs)
 
-    monkeypatch.setattr(Gem5Run, "take_boot_checkpoint", recording)
+    monkeypatch.setattr(tasks, "boot_checkpoint", recording)
     summaries = run_jobs_scheduler(
         runs, worker_count=4, substrate="inline", use_checkpoints=True
     )
     assert booted == [
-        (threading.get_ident(), prefix)
-        for prefix in group_runs_by_prefix(runs)
+        (threading.get_ident(), runs[cohort[0]].params)
+        for cohort in group_runs_by_prefix(runs).values()
     ]
     assert all(s["restored_boot"] for s in summaries)
 
@@ -161,18 +163,21 @@ def test_concurrent_same_prefix_submissions_boot_once(db, fs_artifacts):
     assert all(s["restored_boot"] for s in summaries)
 
 
-def test_boot_stage_skips_a_stored_prefix(db, fs_artifacts, monkeypatch):
+def boot_stage(run, store):
+    """The planner's boot stage for one run, on the inline executor."""
+    return run_boot_stage([run], store, InputResolver(), tasks._Inline())
+
+
+def test_boot_stage_skips_a_stored_prefix(db, fs_artifacts):
     """A prefix the store already holds is adopted, not booted again."""
     run = make_run(db, fs_artifacts)
     store = CheckpointStore(db)
-    (checkpoint,) = run_boot_stage([run], store).values()
+    (checkpoint,) = boot_stage(run, store).values()
     assert checkpoint is not None
-
-    def boot(*args):
-        raise AssertionError("a stored prefix must not boot again")
-
-    monkeypatch.setattr(Gem5Run, "take_boot_checkpoint", boot)
-    assert run_boot_stage([run], store) == {run.prefix: checkpoint}
+    with telemetry.session() as session:
+        assert boot_stage(run, store) == {run.prefix: checkpoint}
+        boots = session.metrics.counter("checkpoint_boots_total")
+        assert boots.value() == 0
 
 
 def test_boot_stage_failure_degrades_to_full_boots(
@@ -195,7 +200,7 @@ def test_boot_stage_failure_degrades_to_full_boots(
     with telemetry.session() as session:
         # Nothing is stored, so a later stage attempts the boot again.
         for _ in range(2):
-            assert run_boot_stage([run], store) == {run.prefix: None}
+            assert boot_stage(run, store) == {run.prefix: None}
         boots = session.metrics.counter("checkpoint_boots_total")
         assert boots.value() == 2
     assert store.lookup(run.prefix) is None

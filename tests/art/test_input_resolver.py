@@ -263,7 +263,7 @@ def test_stacks_in_one_sweep_get_their_own_inputs(db):
     assert len({blob for _, _, blob in together.values()}) == 8
 
 
-@pytest.mark.parametrize("substrate", ("threads", "processes"))
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_missing_artifact_fails_each_dependent_run_and_is_not_memoized(
     db, reads, substrate
 ):

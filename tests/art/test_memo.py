@@ -18,10 +18,12 @@ from repro.art import (
     ArtifactDB,
     CheckpointStore,
     Gem5Run,
+    InputResolver,
     RunCache,
     RunStatus,
     run_boot_stage,
 )
+from repro.art import tasks
 from repro.chaos import FaultRule
 from repro.db import connect
 from repro.pipeline import PipelineJournal, StageCache, run_pipeline
@@ -92,18 +94,20 @@ class CheckpointUser(User):
         super().__init__(db, CheckpointStore(db))
         self.run = make_run(db, request.getfixturevalue("fs_artifacts"))
         self.key = self.run.prefix
-        user, original = self, Gem5Run.take_boot_checkpoint
+        user, original = self, tasks.boot_checkpoint
 
-        def recording(run, *args):
+        def recording(*args):
             user.recomputes.append(user.state())
-            return original(run, *args)
+            return original(*args)
 
         request.getfixturevalue("monkeypatch").setattr(
-            Gem5Run, "take_boot_checkpoint", recording
+            tasks, "boot_checkpoint", recording
         )
 
     def use(self):
-        (checkpoint,) = run_boot_stage([self.run], self.store).values()
+        (checkpoint,) = run_boot_stage(
+            [self.run], self.store, InputResolver(), tasks._Inline()
+        ).values()
         return checkpoint.checkpoint_id
 
 

@@ -15,6 +15,7 @@ from repro import cli
 from repro.art import Experiment, run_jobs_scheduler
 from repro.art.cache import MemoStore
 from repro.art.procjobs import envelope_for_run
+from repro.art.tasks import SUBSTRATES
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
 from repro.pipeline import EXECUTION_DEFAULTS
@@ -42,7 +43,7 @@ from repro.scheduler.app import RegisteredTask
         (ProcessPool.__init__, ["self", "workers"]),
         (SchedulerApp.__init__, ["self", "name", "worker_count"]),
         (SchedulerApp.task, ["self", "name", "max_retries", "timeout"]),
-        (RegisteredTask.apply_async, ["self", "args", "kwargs", "timeout"]),
+        (RegisteredTask.apply_async, ["self", "args", "kwargs"]),
         # What the surface census (`repro lint`, DEAD-PARAM) shrank: a
         # tuning value no non-test caller set is a module constant now.
         (envelope_for_run, ["run", "inputs", "restore"]),
@@ -58,6 +59,12 @@ from repro.scheduler.app import RegisteredTask
 )
 def test_run_path_options(function, options):
     assert list(inspect.signature(function).parameters) == options
+
+
+def test_two_substrates():
+    """Where a sweep's simulations execute: on the planner's thread, or
+    in worker processes — one loop drives both."""
+    assert SUBSTRATES == ("inline", "processes")
 
 
 def test_memo_store_surface_and_verb_count():

@@ -16,15 +16,15 @@ def db():
 
 
 def record_executions(monkeypatch):
-    """Patch Gem5Run.run to log which run ids actually execute."""
+    """Patch Gem5Run.begin to log which run ids actually execute."""
     executed = []
-    original_run = Gem5Run.run
+    original_begin = Gem5Run.begin
 
-    def recording_run(self, *args, **kwargs):
+    def recording_begin(self, *args, **kwargs):
         executed.append(self.run_id)
-        return original_run(self, *args, **kwargs)
+        return original_begin(self, *args, **kwargs)
 
-    monkeypatch.setattr(Gem5Run, "run", recording_run)
+    monkeypatch.setattr(Gem5Run, "begin", recording_begin)
     return executed
 
 

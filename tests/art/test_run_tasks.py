@@ -177,11 +177,14 @@ def writes():
     chaos.uninstall()
 
 
-def _launch_with_a_wedged_run(db, a, monkeypatch, writes, substrate):
+def test_run_jobs_scheduler_timeout_kills_the_wedged_worker(
+    db, fs_artifacts, monkeypatch, writes
+):
     """A two-point sweep through ``Experiment.launch`` whose first
     simulation outlives its 0.3 s timeout: what the planner has
     recorded at the moment it returns, and that nothing is written
-    afterwards.  Returns the telemetry session's events."""
+    afterwards."""
+    a = fs_artifacts
     wedge_simulations(monkeypatch, seconds=1.0)
     experiment = Experiment(db, "deadline")
     experiment.add_stack(
@@ -198,7 +201,7 @@ def _launch_with_a_wedged_run(db, a, monkeypatch, writes, substrate):
     assert wedged.params["num_cpus"] == WEDGED_CPUS
     wedged.timeout = 0.3
     with telemetry.session() as session:
-        summaries = experiment.launch(workers=1, substrate=substrate)
+        summaries = experiment.launch(workers=1, substrate="processes")
         written = len(writes.firings)
         events = session.events.records()
     doc = db.get_run(wedged.run_id)
@@ -209,23 +212,8 @@ def _launch_with_a_wedged_run(db, a, monkeypatch, writes, substrate):
     # The same sweep goes on: the next run finds a worker.
     assert summaries[1]["success"]
     assert db.get_run(healthy.run_id)["status"] == "done"
-    time.sleep(1.5)  # an abandoned helper thread has ended by now
+    time.sleep(1.5)  # nothing arrives late from the killed worker
     assert len(writes.firings) == written
-    return events
-
-
-def test_run_jobs_scheduler_timeout_is_an_outcome(
-    db, fs_artifacts, monkeypatch, writes
-):
-    _launch_with_a_wedged_run(db, fs_artifacts, monkeypatch, writes, "threads")
-
-
-def test_run_jobs_scheduler_timeout_kills_the_wedged_worker(
-    db, fs_artifacts, monkeypatch, writes
-):
-    events = _launch_with_a_wedged_run(
-        db, fs_artifacts, monkeypatch, writes, "processes"
-    )
     # A wedged process is a dead process: its pid is gone, and its seat
     # came back through the one recovery path with nothing to redeliver.
     (lost,) = [e for e in events if e["kind"] == "procpool.worker_lost"]
@@ -321,7 +309,7 @@ def test_scheduler_processes_substrate_coalesces_identical_runs(
 
 
 def test_unknown_substrate_rejected(db, fs_artifacts):
-    with pytest.raises(ValidationError, match="inline.*threads.*processes"):
+    with pytest.raises(ValidationError, match="inline.*processes"):
         run_jobs_scheduler(
             [make_run(db, fs_artifacts)], substrate="fibers"
         )

@@ -24,6 +24,7 @@ from repro.art import (
     register_repo,
     run_jobs_scheduler,
 )
+from repro.art.run import InputResolver, boot_checkpoint
 from repro.art.tasks import SUBSTRATES
 from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
 from repro.resources import build_resource
@@ -116,7 +117,7 @@ def test_duplicated_grid_coalesces_the_same_way_on_every_substrate():
     not depend on how many workers raced."""
     outcomes, adopted, coalesced = {}, {}, {}
     for substrate, workers in (
-        ("inline", 1), ("threads", 1), ("threads", 3), ("processes", 2),
+        ("inline", 1), ("processes", 1), ("processes", 3),
     ):
         db = ArtifactDB()
         with telemetry.session() as session:
@@ -137,34 +138,28 @@ def test_duplicated_grid_coalesces_the_same_way_on_every_substrate():
     for key in outcomes:
         assert outcomes[key] == reference, key
         assert adopted[key] == 48, key
-    # Inline has no planner-level coalescing (the second of a pair hits
-    # the cache by itself); scheduled substrates never enqueue it.
-    assert coalesced == {
-        ("inline", 1): 0,
-        ("threads", 1): 48,
-        ("threads", 3): 48,
-        ("processes", 2): 48,
-    }
+    # On every substrate the second of each pair is never enqueued: it
+    # adopts the first's result once that has settled.
+    assert coalesced == dict.fromkeys(coalesced, 48)
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_raising_run_propagates_inline_and_is_recorded_elsewhere(
+def test_raising_run_is_recorded_and_the_sweep_goes_on(
     db, fs_artifacts, substrate
 ):
-    run = make_run(db, fs_artifacts, benchmark="not-installed")
-    if substrate == "inline":
-        with pytest.raises(Exception, match="not-installed"):
-            run_jobs_scheduler([run], substrate=substrate)
-    else:
-        (summary,) = run_jobs_scheduler(
-            [run], worker_count=1, substrate=substrate
-        )
-        assert summary["success"] is False
-        assert "not-installed" in summary["error"]
-    assert db.get_run(run.run_id)["status"] == "failed"
+    raising = make_run(db, fs_artifacts, benchmark="not-installed")
+    healthy = make_run(db, fs_artifacts)
+    failed, done = run_jobs_scheduler(
+        [raising, healthy], worker_count=1, substrate=substrate
+    )
+    assert failed["success"] is False
+    assert "not-installed" in failed["error"]
+    assert db.get_run(raising.run_id)["status"] == "failed"
+    assert done["success"]
+    assert db.get_run(healthy.run_id)["status"] == "done"
 
 
-@pytest.mark.parametrize("substrate", ("threads", "processes"))
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_incompatible_checkpoint_degrades_to_full_boot(
     db, fs_artifacts, substrate
 ):
@@ -179,7 +174,10 @@ def test_incompatible_checkpoint_degrades_to_full_boot(
     store = CheckpointStore(db)
     donor = make_run(db, fs_artifacts, num_cpus=2)
     run = make_run(db, fs_artifacts, num_cpus=1)
-    store.store(run.prefix, donor.take_boot_checkpoint())
+    store.store(
+        run.prefix,
+        boot_checkpoint(donor.params, InputResolver().live(donor)),
+    )
 
     with telemetry.session() as session:
         (summary,) = run_jobs_scheduler(
@@ -197,7 +195,7 @@ def test_incompatible_checkpoint_degrades_to_full_boot(
     assert db.get_run(run.run_id)["status"] == "done"
 
 
-@pytest.mark.parametrize("substrate", ("threads", "processes"))
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_run_span_carries_host_seconds(db, fs_artifacts, substrate):
     run = make_run(db, fs_artifacts)
     with telemetry.session() as session:

@@ -3,8 +3,8 @@
 The quick Fig 8 grid on every substrate, with and without the staged
 checkpoint pipeline, into a ``file://`` database: every database write
 of the sweep — each ``run.status``, ``wal.append`` and ``filestore.put``
-firing — happens on the thread that called ``Experiment.launch``, and on
-the process substrate that thread has exactly one companion, the pool's
+firing — happens on the thread that called ``Experiment.launch``; inline that thread has no
+companion, and on the process substrate exactly one, the pool's
 reactor.
 """
 
@@ -40,8 +40,7 @@ def test_every_write_of_a_sweep_is_on_the_calling_thread(
     statuses = [p for p, _, _ in writes.firings if p == "run.status"]
     assert len(statuses) == 2 * 48  # running, done — nothing else
     companions = set().union(*(alive for _, _, alive in writes.firings))
-    if substrate == "processes":
-        # No app, no worker thread, no helper in front of the pipe write.
-        assert companions - before == {"procpool-reactor"}
-    elif substrate == "inline":
-        assert companions - before == set()
+    # No app, no worker thread, no helper in front of the pipe write.
+    assert companions - before == {
+        "inline": set(), "processes": {"procpool-reactor"}
+    }[substrate]

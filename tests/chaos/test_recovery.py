@@ -8,7 +8,6 @@ in telemetry.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -19,11 +18,6 @@ from repro.db.filestore import FileStore
 from repro.scheduler import SchedulerApp, TaskState
 from repro.scheduler.app import DEFAULT_MAX_REDELIVERIES
 
-from tests.art.test_run_tasks import (  # noqa: F401
-    db,
-    fs_artifacts,
-    make_run,
-)
 from tests.helpers import events_of
 
 
@@ -195,22 +189,3 @@ def test_retries_replay_identically_from_the_seed():
     )
     assert first != replay(chaos_seed=100)
 
-
-def test_crashed_sweep_worker_does_not_stall_the_sweep(db, fs_artifacts):
-    """A worker-thread crash under a one-run sweep is recovered by the
-    hand-back at once — nothing waits out a lease TTL."""
-    from repro.art import run_jobs_scheduler
-
-    run = make_run(db, fs_artifacts)
-    rules = [FaultRule("task.execute", action="crash", times=1)]
-    started = time.monotonic()
-    with chaos.injected(seed=29, rules=rules) as injector:
-        (summary,) = run_jobs_scheduler(
-            [run], worker_count=1, substrate="threads"
-        )
-    elapsed = time.monotonic() - started
-    (crash_stats,) = injector.report().values()
-    assert crash_stats["fired"] == 1
-    assert summary["success"]
-    assert db.get_run(run.run_id)["status"] == "done"
-    assert elapsed < 1.0, elapsed

@@ -6,8 +6,7 @@ import pytest
 from repro import chaos
 from repro.art import ArtifactDB, Experiment
 from repro.art.run import Gem5Run
-from repro.chaos import FaultRule
-from repro.common.errors import FaultInjectedError
+from repro.chaos import FaultRule, WorkerCrashed
 
 from tests.art.test_launch_share import make_experiment
 
@@ -28,14 +27,19 @@ def test_interrupted_experiment_resumes_remaining_runs(monkeypatch):
     run_ids = [run.run_id for run in runs]
 
     # The 4th attempt to mark a run "running" dies — simulating the
-    # launch process being killed after 3 of 6 runs completed.
+    # launch process being killed after 3 of 6 runs completed.  A crash,
+    # not a raise: a raising run is recorded and the sweep goes on.
     rules = [
         FaultRule(
-            "run.status", match={"status": "running"}, after=3, times=1
+            "run.status",
+            action="crash",
+            match={"status": "running"},
+            after=3,
+            times=1,
         )
     ]
     with chaos.injected(seed=31, rules=rules):
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(WorkerCrashed):
             experiment.launch(substrate="inline")
 
     doc = db.database.collection("experiments").find_one(
@@ -50,13 +54,13 @@ def test_interrupted_experiment_resumes_remaining_runs(monkeypatch):
     assert loaded.pending_runs() == run_ids[3:]
 
     executed = []
-    original_run = Gem5Run.run
+    original_begin = Gem5Run.begin
 
-    def recording_run(self, *args, **kwargs):
+    def recording_begin(self, *args, **kwargs):
         executed.append(self.run_id)
-        return original_run(self, *args, **kwargs)
+        return original_begin(self, *args, **kwargs)
 
-    monkeypatch.setattr(Gem5Run, "run", recording_run)
+    monkeypatch.setattr(Gem5Run, "begin", recording_begin)
     summaries = loaded.resume(substrate="inline")
 
     assert executed == run_ids[3:]  # exactly M - N runs, by id
@@ -80,13 +84,14 @@ def test_interrupt_replays_identically_from_the_chaos_seed():
         rules = [
             FaultRule(
                 "run.status",
+                action="crash",
                 match={"status": "running"},
                 after=3,
                 times=1,
             )
         ]
         with chaos.injected(seed, rules):
-            with pytest.raises(FaultInjectedError):
+            with pytest.raises(WorkerCrashed):
                 experiment.launch(substrate="inline")
         statuses = [
             db.get_run(run.run_id)["status"] for run in runs
@@ -109,9 +114,9 @@ def test_resume_by_name_finishes_the_latest_same_named_sweep():
     runs = second.create_runs()
     # The second sweep adopts cached results; its second status write
     # dies, leaving one run done and one never started.
-    rules = [FaultRule("run.status", after=1, times=1)]
+    rules = [FaultRule("run.status", action="crash", after=1, times=1)]
     with chaos.injected(seed=5, rules=rules):
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(WorkerCrashed):
             second.launch(substrate="inline")
 
     loaded = Experiment.load(db, "parsec-mini")

@@ -97,22 +97,23 @@ def wedged_run_payload(payload):
 
 def wedge_simulations(monkeypatch, seconds):
     """Make every :data:`WEDGED_CPUS`-core simulation outlive its
-    deadline wherever it executes: in this process it starts ``seconds``
-    late (a thread cannot be killed, so it must end by itself), in a
-    pool worker it sleeps for a minute (a process can)."""
+    deadline wherever it executes: in this process it takes ``seconds``
+    longer (nothing can stop it, so it ends by itself and is recorded
+    as past its timeout), in a pool worker it sleeps for a minute (the
+    pool kills it at its deadline)."""
     import time
 
-    from repro.art import procjobs, tasks
+    from repro.art import procjobs, run
 
-    simulate_run = tasks.simulate_run
+    simulate_fs = run._simulate_fs
 
-    def late(kind, params, *args):
+    def slow(simulator, params, *args):
         if params.get("num_cpus") == WEDGED_CPUS:
             time.sleep(seconds)
-        return simulate_run(kind, params, *args)
+        return simulate_fs(simulator, params, *args)
 
-    # The planner registers this name as its ``threads`` task.
-    monkeypatch.setattr(tasks, "simulate_run", late)
+    # Inside ``simulate_run``'s clock, so the delay counts as host time.
+    monkeypatch.setattr(run, "_simulate_fs", slow)
     monkeypatch.setattr(
         procjobs, "RUN_TARGET", "tests.helpers:wedged_run_payload"
     )

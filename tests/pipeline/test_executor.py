@@ -376,7 +376,7 @@ def test_sweep_stage_counts_statuses_without_reading_runs_back(
         parse_manifest_text(
             """
 pipeline: counted
-execution: {workers: 2, substrate: threads}
+execution: {workers: 2, substrate: inline}
 stages:
   - name: artifacts
     kind: artifacts

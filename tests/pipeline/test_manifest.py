@@ -168,8 +168,8 @@ def test_execution_validation():
             "pipeline: demo\nexecution: {backend: scheduler}\n"
             "stages: [{name: a, kind: python}]"
         )
-    # Nor are admission coordinates (a sweep's scheduler app is
-    # private): the error names the four settings there are.
+    # Nor are admission coordinates (a sweep has no job queue to
+    # admit to): the error names the four settings there are.
     with pytest.raises(
         ValidationError,
         match=r"priority.*known: \['substrate', 'use_cache', "
@@ -179,9 +179,14 @@ def test_execution_validation():
             "pipeline: demo\nexecution: {priority: bulk}\n"
             "stages: [{name: a, kind: python}]"
         )
-    with pytest.raises(ValidationError, match="execution.substrate"):
+    # Not a substrate: the error names the two there are.
+    with pytest.raises(
+        ValidationError,
+        match=r"execution.substrate must be one of "
+        r"\('inline', 'processes'\) \(got 'threads'\)",
+    ):
         parse_manifest_text(
-            "pipeline: demo\nexecution: {substrate: fibers}\n"
+            "pipeline: demo\nexecution: {substrate: threads}\n"
             "stages: [{name: a, kind: python}]"
         )
     assert parse_manifest_text(

@@ -13,7 +13,7 @@ MINI_SWEEP = """
 pipeline: boot-mini
 execution:
   workers: 2
-  substrate: threads
+  substrate: inline
   use_checkpoints: true
 stages:
   - name: artifacts

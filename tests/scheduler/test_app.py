@@ -75,11 +75,11 @@ def test_failure_captures_traceback(app):
 
 
 def test_timeout(app):
-    @app.task(name="slow")
+    @app.task(name="slow", timeout=0.1)
     def slow():
         time.sleep(5)
 
-    result = slow.apply_async(timeout=0.1)
+    result = slow.apply_async()
     with pytest.raises(StateError):
         result.get(timeout=5)
     assert result.state is TaskState.TIMEOUT

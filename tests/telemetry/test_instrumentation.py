@@ -188,8 +188,8 @@ def test_experiment_trace_rehydrates_from_database_alone(tmp_path):
     assert len(roots) == 1
     runs = [s for s in snap["spans"] if s["name"] == "run"]
     assert len(runs) == 2
-    # Nesting experiment -> run -> task -> phase, via parent links: the
-    # planner opens the run span, the simulation's task nests under it.
+    # Nesting experiment -> run -> phase, via parent links: the planner
+    # opens the run span and simulates inline under it.
     def chain(span):
         names = []
         while span["parent_id"]:
@@ -202,7 +202,7 @@ def test_experiment_trace_rehydrates_from_database_alone(tmp_path):
     phases = [s for s in snap["spans"] if s["name"].startswith("phase.")]
     assert phases
     for phase in phases:
-        assert chain(phase) == ["task", "run", "experiment"]
+        assert chain(phase) == ["run", "experiment"]
     # And the snapshot renders as valid Chrome-trace JSON.
     trace = json.loads(chrome_trace_json(snap["spans"]))
     assert {

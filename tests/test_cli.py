@@ -213,10 +213,18 @@ def test_resume_command_backend_and_workers_flags(tmp_path, capsys):
     ],
 )
 def test_admission_flags_and_verb_are_gone(argv):
-    """A sweep runs on a private scheduler app — one submitter, one
-    lane — so the CLI offers no admission coordinates to set."""
+    """A sweep has no job queue — one submitter, one lane — so the CLI
+    offers no admission coordinates to set."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
+    assert excinfo.value.code == 2
+
+
+def test_threads_substrate_is_gone():
+    """Simulations execute inline or in worker processes; a worker
+    thread would add no parallelism, so no flag value asks for one."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["boot-tests", "--quick", "--substrate", "threads"])
     assert excinfo.value.code == 2
 
 

@@ -4,10 +4,11 @@
 Sweeps 480 configurations — 2 boot types x 5 LTS kernels x 4 CPU models x
 3 memory systems x 4 core counts — through gem5art with the Celery-style
 scheduler, the way the paper's launch script ends: one task wrapping
-``run_job`` (each worker thread runs ``run.run()`` whole, database
-writes included), ``apply_async`` per run, then ``get`` each, which
-re-raises a run that raised, as Celery's does, once ``run()`` has
-recorded it ``failed``.  ``repro boot-tests`` sweeps the same grid
+``run_job`` on a ``SchedulerApp`` whose workers are a ``SimplePool``'s
+threads (each runs ``run.run()`` whole, database writes included),
+``apply_async`` per run, then ``get`` each, which re-raises (as a
+``StateError``) a run that raised, as Celery's does, once ``run()``
+has recorded it ``failed``.  ``repro boot-tests`` sweeps the same grid
 through the planner (``run_jobs_scheduler``) instead.  Then renders
 the pass/fail grids and the failure taxonomy the paper reports (kvm
 all-pass; Atomic unsupported on Ruby; Timing/O3 limited to one core on

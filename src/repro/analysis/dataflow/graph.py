@@ -20,7 +20,7 @@ read and parsed exactly once, into the
   layering dependencies and are excluded from the gate).
 
 Resolution is *textual*, not executable: ``from repro.scheduler import
-broker`` becomes an edge to ``repro.scheduler.broker`` when that module
+pool`` becomes an edge to ``repro.scheduler.pool`` when that module
 is in the project, else to ``repro.scheduler``; external imports
 (``threading``) are kept as opaque dotted names.  Nothing is ever
 imported.

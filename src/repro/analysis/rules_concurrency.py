@@ -1,7 +1,7 @@
 """Concurrency rules: lock discipline for the scheduler substrate.
 
-The scheduler's lock sites are spread over the broker, the result
-backend and the process pool's reactor.  The discipline that keeps them
+The scheduler's lock sites are spread over the result backend and the
+process pool's reactor.  The discipline that keeps them
 deadlock-free is simple but unwritten: locks are per-instance and
 acquired with ``with``; nothing blocks while holding one.  These rules
 write it down.

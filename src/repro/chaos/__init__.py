@@ -18,9 +18,8 @@ point                   fired
 ======================  ====================================================
 ``filestore.put``       before a blob write (:meth:`FileStore.put_bytes`)
 ``filestore.get``       before a blob read (:meth:`FileStore.get_bytes`)
-``backend.transition``  before a task state transition is applied
-``task.execute``        on the worker thread, before a task attempt
-``task.run``            on the task helper thread, inside the task body
+``task.run``            on the app's pool thread, before each attempt of
+                        a task body (a crash ends the task ``FAILURE``)
 ``procpool.submit``     before an envelope is queued on the process pool
 ``run.status``          before a run document status update
 ``runcache.get``        before a run-cache consult reads its entry (a
@@ -46,9 +45,9 @@ Usage::
 
     from repro import chaos
 
-    rules = [chaos.FaultRule("task.execute", action="crash", times=1)]
+    rules = [chaos.FaultRule("filestore.put", probability=0.1)]
     with chaos.injected(seed=7, rules=rules) as injector:
-        ...  # first task attempt kills its worker; recovery must kick in
+        ...  # one blob write in ten fails; retries must absorb it
     assert injector.report()  # what fired, deterministically
 """
 

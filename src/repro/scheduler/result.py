@@ -10,7 +10,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-from repro import chaos
 from repro.common.errors import NotFoundError, StateError
 from repro.scheduler.states import TaskState, can_transition
 from repro.telemetry import get_event_log, get_metrics
@@ -23,9 +22,10 @@ class ResultBackend:
         self._records: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.Condition()
 
-    def create(self, task_id: str) -> None:
+    def create(self, task_id: str, task_name: str) -> None:
         with self._lock:
             self._records[task_id] = {
+                "task_name": task_name,
                 "state": TaskState.PENDING,
                 "result": None,
                 "error": None,
@@ -39,7 +39,6 @@ class ResultBackend:
         result: Any = None,
         error: Optional[str] = None,
     ) -> None:
-        chaos.fire("backend.transition", task_id=task_id, dst=state.value)
         with self._lock:
             record = self._get(task_id)
             current = record["state"]
@@ -68,31 +67,19 @@ class ResultBackend:
                 src=current.value,
                 dst=state.value,
             )
+            if state is TaskState.DEAD_LETTER:
+                # Says what was lost without trawling every task record.
+                get_metrics().counter(
+                    "scheduler_dead_letters_total",
+                    "Tasks parked after exhausting their retries",
+                ).inc(task_name=record["task_name"])
+                get_event_log().emit(
+                    "task.dead_letter",
+                    task_id=task_id,
+                    task_name=record["task_name"],
+                    retries=record["retries"],
+                )
             self._lock.notify_all()
-
-    def dead_letter(self, message, error: Optional[str] = None) -> None:
-        """Park a task whose retry/redelivery budget is exhausted.
-
-        Besides the terminal ``DEAD_LETTER`` transition (the task record
-        keeps the error), a ``task.dead_letter`` event and the
-        ``scheduler_dead_letters_total`` counter say what was lost
-        without trawling every task record; ``message`` is a
-        :class:`~repro.scheduler.broker.TaskMessage`.
-        """
-        self.transition(
-            message.task_id, TaskState.DEAD_LETTER, error=error
-        )
-        get_metrics().counter(
-            "scheduler_dead_letters_total",
-            "Tasks parked after exhausting retries/redeliveries",
-        ).inc(task_name=message.task_name)
-        get_event_log().emit(
-            "task.dead_letter",
-            task_id=message.task_id,
-            task_name=message.task_name,
-            retries=message.retries,
-            deliveries=message.deliveries,
-        )
 
     def state(self, task_id: str) -> TaskState:
         with self._lock:

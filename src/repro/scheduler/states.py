@@ -14,8 +14,8 @@ class TaskState(str, enum.Enum):
     SUCCESS = "SUCCESS"
     FAILURE = "FAILURE"
     TIMEOUT = "TIMEOUT"
-    #: Retry/redelivery budget exhausted; the task is parked with a
-    #: dead-letter record in the result backend for post-mortem triage.
+    #: Retry budget exhausted; the task is parked with a dead-letter
+    #: record in the result backend for post-mortem triage.
     DEAD_LETTER = "DEAD_LETTER"
 
     @property
@@ -31,10 +31,7 @@ class TaskState(str, enum.Enum):
 
 #: Transitions the result backend will accept; anything else is a bug.
 ALLOWED_TRANSITIONS = {
-    # PENDING -> DEAD_LETTER: a message can exhaust its redelivery budget
-    # without ever starting when every worker that picks it up crashes
-    # before the STARTED transition.
-    TaskState.PENDING: {TaskState.STARTED, TaskState.DEAD_LETTER},
+    TaskState.PENDING: {TaskState.STARTED},
     TaskState.STARTED: {
         TaskState.SUCCESS,
         TaskState.FAILURE,
@@ -42,9 +39,7 @@ ALLOWED_TRANSITIONS = {
         TaskState.RETRY,
         TaskState.DEAD_LETTER,
     },
-    # RETRY -> DEAD_LETTER covers a handed-back task whose redelivery
-    # budget ran out on a later delivery that crashed before STARTED.
-    TaskState.RETRY: {TaskState.STARTED, TaskState.DEAD_LETTER},
+    TaskState.RETRY: {TaskState.STARTED},
     TaskState.SUCCESS: set(),
     TaskState.FAILURE: set(),
     TaskState.TIMEOUT: set(),

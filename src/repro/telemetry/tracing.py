@@ -4,8 +4,8 @@ A :class:`Span` is one timed operation (an experiment, a run, a boot
 phase).  Spans nest: within a thread the tracer keeps a thread-local stack
 so ``tracer.span(...)`` blocks pick up their parent implicitly; *across*
 threads a :class:`SpanContext` (trace id + span id, nothing else) is passed
-explicitly — it travels inside the scheduler's ``TaskMessage``, because
-thread-locals do not cross the broker.
+explicitly — it travels with each task the scheduler hands to a pool
+thread, because thread-locals do not cross threads.
 
 Spans record both wall-clock (``timeutil.wall_now``, portable, archived)
 and monotonic (``time.perf_counter``, duration-accurate) timestamps.  The
@@ -149,8 +149,8 @@ class Tracer:
     ) -> Span:
         """Start a span; use as ``with tracer.span("boot") as s:``.
 
-        ``parent`` may be a :class:`Span`, a :class:`SpanContext`, or the
-        dict form carried in a :class:`TaskMessage`; when omitted, the
+        ``parent`` may be a :class:`Span`, a :class:`SpanContext`, or its
+        dict form (:meth:`current_context_dict`); when omitted, the
         innermost open span on *this* thread is the parent.
         """
         parent_ctx = self._resolve_parent(parent)

@@ -71,7 +71,7 @@ def test_declared_points_are_exactly_the_fired_points():
         assert names, f"{where}: chaos.fire() point is not a literal"
         fired |= names
     assert fired == declared_points()
-    assert len(fired) == 15
+    assert len(fired) == 13
 
 
 def test_every_declared_point_is_injected_by_some_test():

@@ -1,11 +1,15 @@
 """Tests for the Celery-like SchedulerApp."""
 
+import os
 import statistics
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.common.errors import (
     NotFoundError,
@@ -77,12 +81,71 @@ def test_failure_captures_traceback(app):
 def test_timeout(app):
     @app.task(name="slow", timeout=0.1)
     def slow():
-        time.sleep(5)
+        time.sleep(0.15)
 
     result = slow.apply_async()
     with pytest.raises(StateError):
         result.get(timeout=5)
     assert result.state is TaskState.TIMEOUT
+
+
+def test_body_returning_past_its_timeout_is_dropped_not_retried(app):
+    calls = []
+
+    @app.task(name="late", timeout=0.05, max_retries=2)
+    def late():
+        calls.append(1)
+        time.sleep(0.1)
+        return "too late"
+
+    result = late.apply_async()
+    with pytest.raises(StateError, match="TIMEOUT"):
+        result.get(timeout=5)
+    record = app.backend.record(result.task_id)
+    assert record["state"] is TaskState.TIMEOUT
+    assert record["result"] is None
+    assert record["retries"] == 0
+    assert len(calls) == 1
+
+
+def test_get_deadline_is_the_callers_and_the_task_runs_on(app):
+    """``get(timeout)`` bounds the wait, not the task."""
+    entered, release = threading.Event(), threading.Event()
+
+    @app.task(name="held")
+    def held():
+        entered.set()
+        release.wait(5)
+        return "landed"
+
+    result = held.apply_async()
+    assert entered.wait(5)
+    with pytest.raises(StateError, match="not finished"):
+        result.get(timeout=0.05)
+    assert result.state is TaskState.STARTED
+    release.set()
+    assert result.get(timeout=5) == "landed"
+    assert result.state is TaskState.SUCCESS
+
+
+def test_tasks_run_on_the_pool_threads_alone():
+    """50 tasks on three workers add three threads, not one per attempt."""
+    baseline = threading.active_count()
+    ran_on, added = set(), []
+    application = SchedulerApp(worker_count=3)
+    try:
+        @application.task(name="where")
+        def where(x):
+            ran_on.add(threading.current_thread())
+            added.append(threading.active_count() - baseline)
+            return x
+
+        results = [where.apply_async(args=(i,)) for i in range(50)]
+        assert [r.get(timeout=10) for r in results] == list(range(50))
+    finally:
+        application.shutdown()
+    assert len(ran_on) <= 3
+    assert max(added) <= 3
 
 
 def test_retry_until_success(app):
@@ -181,3 +244,28 @@ def test_shutdown_of_idle_app_does_not_wait_out_the_poll():
         application.shutdown()
         elapsed.append(time.monotonic() - started)
     assert statistics.median(elapsed) < 0.025, elapsed
+
+
+def test_a_sweep_import_leaves_the_thread_pool_half_unloaded():
+    """Only ``procpool`` loads with the package; the thread-pool half and
+    ``concurrent.futures`` wait for first use."""
+    lazy = [
+        "concurrent.futures",
+        "repro.scheduler.app",
+        "repro.scheduler.pool",
+        "repro.scheduler.result",
+        "repro.scheduler.states",
+    ]
+    probe = (
+        "import sys, repro.art.tasks, repro.scheduler; "
+        f"print([name for name in {lazy!r} if name in sys.modules]); "
+        "repro.scheduler.SchedulerApp; "
+        f"print([name for name in {lazy!r} if name in sys.modules])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert out == ["[]", repr(lazy)]

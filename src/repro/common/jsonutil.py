@@ -5,15 +5,22 @@ and a CRC32 around it, see :mod:`repro.db.engine.wal`), and artifact hashes
 must be stable across runs, so we need a *canonical* serialization: sorted keys, no
 insignificant whitespace, and explicit handling of the handful of non-JSON
 types the library uses (datetimes, tuples, sets, bytes).
+
+Every document the database writes, reads or hands out is walked once
+here, so the walks dispatch on ``type(value)``: plain dicts and lists are
+rebuilt, plain scalars pass through without a call, and only what is
+left (datetimes, bytes, sets, tuples, subclasses) meets an ``isinstance``
+chain.
 """
 
 from __future__ import annotations
 
 import base64
+import copy
 import datetime
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 _BYTES_TAG = "$bytes"
 _DATETIME_TAG = "$datetime"
@@ -22,6 +29,38 @@ _SET_TAG = "$set"
 #: so that ``loads(dumps(v)) == v`` holds for every JSON value.
 _LITERAL_TAG = "$literal"
 _TAGS = frozenset({_BYTES_TAG, _DATETIME_TAG, _SET_TAG, _LITERAL_TAG})
+#: Exact types a walk hands back as they are (subclasses take the
+#: ``isinstance`` fallback).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _walker(
+    scalars: frozenset, other: Callable[[Any], Any], literal_tags: bool
+) -> Callable[[Any], Any]:
+    """One type-dispatched walk: dicts (keys made ``str``) and lists are
+    rebuilt, a child whose exact type is in ``scalars`` is kept without
+    a call, anything else goes to ``other``; ``literal_tags`` wraps a
+    rebuilt dict that looks like a type tag."""
+
+    def walk(value: Any) -> Any:
+        kind = type(value)
+        if kind is dict:
+            out = {
+                (k if type(k) is str else str(k)): (
+                    v if type(v) in scalars else walk(v)
+                )
+                for k, v in value.items()
+            }
+            if literal_tags and len(out) == 1 and next(iter(out)) in _TAGS:
+                return {_LITERAL_TAG: out}
+            return out
+        if kind is list:
+            return [v if type(v) in scalars else walk(v) for v in value]
+        if kind in scalars:
+            return value
+        return other(value)
+
+    return walk
 
 
 def _normalize_numbers(value: Any) -> Any:
@@ -49,23 +88,50 @@ def _normalize_numbers(value: Any) -> Any:
     return value
 
 
-def _encode_special(value: Any) -> Any:
+def _encode_other(value: Any) -> Any:
     if isinstance(value, datetime.datetime):
         return {_DATETIME_TAG: value.isoformat()}
     if isinstance(value, bytes):
         return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
     if isinstance(value, (set, frozenset)):
         return {_SET_TAG: sorted(_encode_special(v) for v in value)}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_encode_special(v) for v in value]
     if isinstance(value, dict):
-        encoded = {str(k): _encode_special(v) for k, v in value.items()}
-        if len(encoded) == 1 and next(iter(encoded)) in _TAGS:
-            return {_LITERAL_TAG: encoded}
-        return encoded
-    if isinstance(value, list):
-        return [_encode_special(v) for v in value]
+        return _encode_special(dict(value))
     return value
+
+
+#: The JSON form of a value: tags for datetimes, bytes and sets.
+_encode_special = _walker(_SCALARS, _encode_other, literal_tags=True)
+#: ``_normalize_numbers(_encode_special(value))`` in one walk: a float
+#: child is not kept as it is, it is normalized.
+_encode_canonical = _walker(
+    _SCALARS - {float},
+    lambda value: _normalize_numbers(_encode_special(value)),
+    literal_tags=True,
+)
+
+
+def _copy_other(value: Any) -> Any:
+    if isinstance(value, (datetime.datetime, bytes)):
+        return value
+    if isinstance(value, (set, frozenset)):
+        return set(value)
+    if isinstance(value, (tuple, list)):
+        return [json_copy(v) for v in value]
+    if isinstance(value, dict):
+        return json_copy(dict(value))
+    if isinstance(value, (str, int, float)):
+        return json.loads(json.dumps(value))  # a subclass replays as its base
+    return copy.deepcopy(value)  # no JSON form: a durable store refuses it
+
+
+#: A copy of a value sharing no dict, list or set with it, in the form
+#: :func:`loads` of :func:`stable_dumps` gives back: a tuple becomes a
+#: list, a ``frozenset`` a set, a non-``str`` key ``str(key)``; datetimes
+#: and bytes are immutable and kept.
+json_copy = _walker(_SCALARS, _copy_other, literal_tags=False)
 
 
 def _decode_special(value: Any) -> Any:
@@ -114,7 +180,7 @@ def canonical_dumps(value: Any) -> str:
     always serialize to equal strings.
     """
     return json.dumps(
-        _normalize_numbers(_encode_special(value)),
+        _encode_canonical(value),
         sort_keys=True,
         separators=(",", ":"),
         allow_nan=False,
@@ -123,4 +189,7 @@ def canonical_dumps(value: Any) -> str:
 
 def loads(text: str) -> Any:
     """Deserialize JSON produced by :func:`dumps` / :func:`canonical_dumps`."""
-    return _decode_special(json.loads(text))
+    value = json.loads(text)
+    if '"$' in text or "\\u0024" in text:  # else no key can be a tag
+        return _decode_special(value)
+    return value

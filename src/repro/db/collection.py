@@ -3,11 +3,14 @@
 Supports the operations the artifact layer relies on: insert with duplicate
 protection via unique indexes, querying with the operator language from
 :mod:`repro.db.query`, field updates, and deletion.  Documents are plain
-dicts; ``insert_one``/``replace_one`` store a deep copy and ``find``
-returns deep copies, so callers can never mutate the database behind its
-back — and, nothing else mutating a stored document either,
-``update_one`` may build the next version by *path copy*: new dicts along
-the paths it touches, the values it is given copied, every other subtree
+dicts; what ``insert_one``/``replace_one`` store, what ``find`` and
+iteration hand out and every ``$set``/``$push`` value is a
+:func:`~repro.common.jsonutil.json_copy`, so callers can never mutate
+the database behind its back.  That copy is the form the log replays (a
+tuple becomes a list, a non-``str`` key ``str(key)``): a query matches
+the same documents before and after a reopen.  Nothing else mutating a
+stored document either, ``update_one`` may build the next version by
+*path copy*: new dicts along the paths it touches, every other subtree
 shared with the version it replaces.
 
 Two kinds of indexes serve ``find()`` without scanning:
@@ -26,7 +29,6 @@ the collection is unchanged, so memory never runs ahead of disk.
 
 from __future__ import annotations
 
-import copy
 import threading
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +47,7 @@ if TYPE_CHECKING:
 
 from repro.common.errors import DuplicateError, ValidationError
 from repro.common.ids import new_uuid
+from repro.common.jsonutil import json_copy
 from repro.db.query import (
     MISSING as _MISSING,
     get_path,
@@ -259,7 +262,7 @@ class Collection:
         if not isinstance(document, dict):
             raise ValidationError("documents must be dicts")
         with self._lock:
-            doc = copy.deepcopy(document)
+            doc = json_copy(document)
             doc_id = doc.setdefault("_id", new_uuid())
             if doc_id in self._documents:
                 raise DuplicateError(f"duplicate _id: {doc_id}")
@@ -283,7 +286,7 @@ class Collection:
         query = query or {}
         with self._lock:
             found = [
-                copy.deepcopy(doc)
+                json_copy(doc)
                 for doc in self._candidates(query)
                 if matches(doc, query)
             ]
@@ -344,7 +347,7 @@ class Collection:
             for doc in self._candidates(query):
                 if matches(doc, query):
                     doc_id = doc["_id"]
-                    replacement = copy.deepcopy(document)
+                    replacement = json_copy(document)
                     replacement["_id"] = doc_id
                     self._check_unique(replacement, ignore_id=doc_id)
                     if self._store is not None:
@@ -405,7 +408,7 @@ class Collection:
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         with self._lock:
-            snapshot = [copy.deepcopy(d) for d in self._documents.values()]
+            snapshot = [json_copy(d) for d in self._documents.values()]
         return iter(snapshot)
 
     def all_documents(self) -> List[Dict[str, Any]]:
@@ -443,16 +446,16 @@ def _updated(
                 touched.append(path)
                 continue
             if op == "$set":
-                value = copy.deepcopy(changes[path])
+                value = json_copy(changes[path])
             else:
                 current = get_path(candidate, path)
                 if op == "$inc":
                     base = 0 if current is _MISSING else current
                     value = base + changes[path]
                 elif current is _MISSING:
-                    value = [copy.deepcopy(changes[path])]
+                    value = [json_copy(changes[path])]
                 elif isinstance(current, list):
-                    value = [*current, copy.deepcopy(changes[path])]
+                    value = [*current, json_copy(changes[path])]
                 else:
                     raise ValidationError(f"$push target {path!r} not a list")
             touched.append(set_path(candidate, path, value))

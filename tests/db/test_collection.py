@@ -298,6 +298,93 @@ def test_update_copies_the_paths_it_touches_and_nothing_else(nested):
     assert before == snapshot  # the replaced version was not written to
 
 
+def containers(tree):
+    """The ids of every dict and list in ``tree`` (tuples are walked)."""
+    ids, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            ids.add(id(node))
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+    return ids
+
+
+def assert_nothing_shared(*trees):
+    # The trees are held alive by the caller, so no id is reused.
+    for index, tree in enumerate(trees):
+        for other in trees[index + 1 :]:
+            assert not containers(tree) & containers(other)
+
+
+def test_no_dict_or_list_crosses_the_api_boundary(uri):
+    """White box.  What the caller passed, what is stored and what is
+    handed out share no container, so nobody writes into anybody else's
+    document."""
+    given = {"_id": "x", "a": {"b": [1, {"c": 2}]}, "t": ([3], {"d": 4})}
+    with connect(uri) as database:
+        docs = database["docs"]
+        docs.insert_one(given)
+        handed = [
+            docs.find_one({"_id": "x"}),
+            docs.find({"a.b": 1})[0],
+            docs.all_documents()[0],
+            next(iter(docs)),
+        ]
+        assert_nothing_shared(given, docs._documents["x"], *handed)
+
+        replacement = {"r": [{"s": []}], "u": {"v": [4]}}
+        docs.replace_one({"_id": "x"}, replacement)
+        handed = docs.find_one({"_id": "x"})
+        assert_nothing_shared(replacement, docs._documents["x"], handed)
+
+        placed, pushed = {"e": [5, {"f": 6}]}, [{"g": [7]}]
+        docs.update_one(
+            {"_id": "x"}, {"$set": {"u.v": placed}, "$push": {"r": pushed}}
+        )
+        handed = docs.find_one({"_id": "x"})
+        assert handed["u"]["v"] == placed and handed["r"][-1] == pushed
+        assert_nothing_shared(placed, pushed, docs._documents["x"], handed)
+
+
+def test_a_reopen_changes_no_query_answer(tmp_path):
+    """What a query matches and what it hands back are the same before
+    and after a reopen: a tuple is stored as the list the log replays,
+    an int key as the ``str`` one."""
+    uri = f"file://{tmp_path / 'db'}?durability=strict"
+    queries = [
+        {"shape": [1, 2]},
+        {"shape": 1},
+        {"k.1": "x"},
+        {"log": [[3, 4]]},
+        {"k.2": [5]},
+    ]
+
+    def answers(docs):
+        return (
+            [docs.find_one({"_id": doc_id}) for doc_id in "abc"],
+            [docs.count(query) for query in queries],
+        )
+
+    with connect(uri) as database:
+        docs = database["docs"]
+        docs.insert_one({"_id": "a", "shape": (1, 2), "k": {1: "x"}})
+        docs.insert_one({"_id": "b"})
+        docs.replace_one({"_id": "b"}, {"shape": (1, 2), "k": {2: (5,)}})
+        docs.insert_one({"_id": "c", "log": []})
+        docs.update_one(
+            {"_id": "c"},
+            {"$set": {"shape": (1, 2), "k": {1: "x"}}, "$push": {"log": (3, 4)}},
+        )
+        before = answers(docs)
+    with connect(uri) as reopened:
+        assert answers(reopened["docs"]) == before
+    assert before[0][0] == {"_id": "a", "shape": [1, 2], "k": {"1": "x"}}
+    assert before[1] == [3, 3, 2, 1, 1]
+
+
 def test_replace_one(coll):
     coll.insert_one({"_id": "x", "old": True})
     assert coll.replace_one({"_id": "x"}, {"new": True})

@@ -1,7 +1,8 @@
 """Concurrency rules: lock discipline for the scheduler substrate.
 
-The scheduler's lock sites are spread over the result backend and the
-process pool's reactor.  The discipline that keeps them
+The scheduler's one lock site is the result backend's condition; the
+process pool takes none, because one thread drives it.  The
+discipline that keeps locks
 deadlock-free is simple but unwritten: locks are per-instance and
 acquired with ``with``; nothing blocks while holding one.  These rules
 write it down.

@@ -128,9 +128,10 @@ class _Inline:
 class _Processes:
     """``processes``: envelopes straight to a :class:`ProcessPool` —
     nothing of the parent stands between this thread and the pipe
-    write, and the pool's reactor is the deadline.  Two simulations
-    per worker are out: no worker waits for this thread, no sweep
-    piles up payloads."""
+    write, and this thread drives the pool: its :meth:`wait_any` reads
+    results, replaces dead workers and kills a worker at its deadline.
+    Two simulations per worker are out: no worker waits for this
+    thread, no sweep piles up payloads."""
 
     substrate = "processes"
 

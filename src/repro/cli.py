@@ -161,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     dbcmd.add_argument(
         "--db", required=True, metavar="URI",
-        help="database URI (file:///dir[?durability=none|batch|strict])",
+        help="database URI (file:///dir[?durability=batch|strict])",
     )
 
     lint = commands.add_parser(
@@ -346,7 +346,7 @@ def _cmd_resources(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from repro.sim import Gem5Build
-    from repro.sim.testing import run_test_suite
+    from repro.resources.selftest import run_test_suite
 
     build = Gem5Build(version=args.version, isa=args.isa)
     outcomes = run_test_suite(build)

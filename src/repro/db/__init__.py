@@ -13,7 +13,7 @@ replacements:
 - :class:`FileStore` — a content-addressed blob store (the GridFS
   stand-in) with hash-prefix sharding and scrub-and-quarantine repair,
 - :func:`connect` — URI-based entry point (``memory://`` or
-  ``file:///path?durability=none|batch|strict``).
+  ``file:///path?durability=batch|strict``).
 """
 
 from repro.db.query import matches, sort_documents, project

@@ -13,7 +13,7 @@ eagerly acknowledged writes are fsynced::
 
     connect("file:///var/lib/repro?durability=strict")
 
-with ``none``, ``batch`` (default) or ``strict`` as values.
+with ``batch`` (default) or ``strict`` as values.
 """
 
 from __future__ import annotations

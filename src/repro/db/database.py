@@ -103,7 +103,7 @@ class Database:
         """Force every buffered WAL byte to stable storage.
 
         Writes are already logged as they happen; this is an fsync
-        barrier (useful under ``durability=none|batch``).  A no-op for
+        barrier (useful under ``durability=batch``).  A no-op for
         purely in-memory databases.
         """
         for store in self._each_store():

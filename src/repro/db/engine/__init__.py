@@ -5,7 +5,7 @@ The layer underneath the :class:`~repro.db.database.Database` /
 write survive a crash:
 
 - :mod:`~repro.db.engine.wal` — checksummed, length-prefixed write-ahead
-  log with a ``none|batch|strict`` durability knob and torn-tail repair;
+  log with a ``batch|strict`` durability knob and torn-tail repair;
 - :mod:`~repro.db.engine.segments` — per collection, one sealed segment
   plus the active WAL; compaction folds the second into the first, and
   replay idempotence makes every crash in between harmless.

@@ -28,7 +28,6 @@ mode      guarantee
 strict    fsync before every append returns — an acknowledged write
           survives an immediate power cut
 batch     fsync every ``BATCH_SIZE`` appends and on flush/compaction/close
-none      OS page cache only; fsync at flush/compaction/close
 ========  ===========================================================
 """
 
@@ -45,7 +44,7 @@ from repro.common.errors import CorruptRecordError, ValidationError
 from repro.common.jsonutil import loads, stable_dumps
 
 #: Recognised durability modes, weakest to strongest.
-DURABILITY_MODES = ("none", "batch", "strict")
+DURABILITY_MODES = ("batch", "strict")
 
 #: Appends between fsyncs under ``durability="batch"``.
 BATCH_SIZE = 64
@@ -180,9 +179,9 @@ class WalWriter:
         with self._lock:
             self._handle.write(frame)
             self._since_fsync += 1
-            if self.durability == "strict" or (
-                self.durability == "batch"
-                and self._since_fsync >= self.batch_size
+            if (
+                self.durability == "strict"
+                or self._since_fsync >= self.batch_size
             ):
                 self._fsync_locked()
         _records_counter().inc(

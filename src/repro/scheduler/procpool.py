@@ -9,17 +9,19 @@ simulator; :class:`ProcessPool` shards jobs across real OS processes:
   target (importable under the ``spawn`` start method) plus picklable
   arguments;
 - each worker process executes one envelope at a time and ships the
-  outcome back over its own result pipe; one parent-side **reactor**
-  thread blocks on every result pipe, every worker's process sentinel
-  and a wake pipe, so a result completes its handle the moment it is
-  readable and a dead worker is replaced the moment it dies;
-- a worker's death is an event the reactor already waits on: the
+  outcome back over its own result pipe; the pool has **no thread** of
+  its own: ``submit`` hands a job straight to an idle worker, and every
+  wait runs one loop on the caller's thread that blocks on every result
+  pipe and every worker's process sentinel, so a result completes its
+  handle the moment it is readable;
+- a worker's death is an event that loop already waits on: the
   sentinel fires, whatever the dead worker flushed is salvaged (a
   finished result wins), the seat is respawned and the job it still
   held is **redelivered** at the front of the queue — bounded by a
-  redelivery budget, then dead-lettered;
+  redelivery budget, then dead-lettered; a worker that dies idle is
+  replaced at the next submit or wait;
 - a job's deadline (:attr:`JobEnvelope.timeout`) is enforced where the
-  job can be stopped: the reactor's wait wakes at the nearest one,
+  job can be stopped: the loop's wait wakes at the nearest one,
   fails the handle as timed out, vacates the seat and kills the
   process — a wedged worker is a dead worker, back through the same
   recovery path with nothing to redeliver;
@@ -28,7 +30,8 @@ simulator; :class:`ProcessPool` shards jobs across real OS processes:
 
 The pool stays below the planner (:mod:`repro.art.tasks`): coalescing,
 the result cache and the database live in the parent; only simulations
-ship to workers.
+ship to workers.  One thread drives a pool at a time — the planner,
+which is always waiting while work is out.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ import math
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import chaos
 from repro.common.errors import StateError, ValidationError
@@ -131,13 +133,12 @@ class JobEnvelope:
 
 
 class ProcJobHandle:
-    """Parent-side handle for one submitted envelope; ``completed`` is
-    its pool's condition, notified whenever one of the pool's handles
-    ends."""
+    """Parent-side handle for one submitted envelope; waiting on it
+    drives its pool on the calling thread."""
 
-    def __init__(self, envelope: JobEnvelope, completed: threading.Condition):
+    def __init__(self, envelope: JobEnvelope, pool: "ProcessPool"):
         self.envelope = envelope
-        self._completed = completed
+        self._pool = pool
         self._done = False
         self._value: Any = None
         self._error: Optional[str] = None
@@ -161,22 +162,19 @@ class ProcJobHandle:
         timed_out: bool = False,
         worker: Optional[str] = None,
     ) -> None:
-        with self._completed:
-            if self._done:
-                return  # late result for an already-failed/abandoned job
-            self._value = value
-            self._error = error
-            self.timed_out = timed_out
-            self.worker = worker
-            self._done = True
-            self._completed.notify_all()
+        if self._done:
+            return  # late result for an already-failed/abandoned job
+        self._value = value
+        self._error = error
+        self.timed_out = timed_out
+        self.worker = worker
+        self._done = True
 
     def ready(self) -> bool:
         return self._done
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        with self._completed:
-            return self._completed.wait_for(self.ready, timeout)
+        return self._pool._pump(self.ready, timeout)
 
     def result(self) -> Any:
         """Block until the job ends (bound the wait with :meth:`wait`)."""
@@ -296,44 +294,39 @@ class ProcessPool:
 
     The API is deliberately envelope-shaped rather than function-shaped:
     callers describe work as data (:class:`JobEnvelope`), which is what
-    guarantees the pool never depends on forked parent state.
+    guarantees the pool never depends on forked parent state.  It moves
+    only inside :meth:`submit` and the waits, on the caller's thread.
     """
 
     def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValidationError("process pool needs at least one worker")
         self.worker_count = workers
-        self.max_redeliveries = DEFAULT_MAX_REDELIVERIES
         self._context = multiprocessing.get_context("spawn")
-        # One lock guards pending/slot/wake state; pipe transfers to and
-        # from workers always happen outside it.
-        self._state = threading.Lock()
         self._pending: "deque[ProcJobHandle]" = deque()
         self._slots: List[_WorkerSlot] = []
-        self._stop = threading.Event()
-        self._completed = threading.Condition()
-        self._reactor: Optional[threading.Thread] = None
-        # The reactor's doorbell: at most one byte is ever in the pipe
-        # (``_woken``), so ringing it under the lock cannot block.
-        self._doorbell: Any = None
-        self._woken = False
+        self._closed = False
 
     # ------------------------------------------------------------- submit
 
     def submit(self, envelope: JobEnvelope) -> ProcJobHandle:
-        """Queue an envelope; returns its handle immediately."""
+        """Queue an envelope and hand it to an idle worker, if one is
+        free; returns its handle immediately."""
         chaos.fire(
             "procpool.submit",
             task_id=envelope.task_id,
             target=envelope.target,
         )
-        handle = ProcJobHandle(envelope, self._completed)
-        with self._state:
-            if self._stop.is_set():
-                raise StateError("process pool is shut down")
-            self._pending.append(handle)
-            self._ensure_started()
-            self._wake()
+        if self._closed:
+            raise StateError("process pool is shut down")
+        if not self._slots:
+            self._slots = [
+                self._spawn_slot(index) for index in range(self.worker_count)
+            ]
+        handle = ProcJobHandle(envelope, self)
+        self._pending.append(handle)
+        self._recover_lost_workers()
+        self._assign_pending()
         get_metrics().counter(
             "procpool_jobs_submitted_total",
             "Envelopes handed to the process pool",
@@ -346,35 +339,12 @@ class ProcessPool:
         """Block until one of ``handles`` has ended: ``(handle, value,
         error, timed_out)`` — the next completed of a caller that
         finishes jobs in completion order."""
-        with self._completed:
-            handle = self._completed.wait_for(
-                lambda: next(filter(ProcJobHandle.ready, handles), None)
-            )
+        handle = self._pump(
+            lambda: next(filter(ProcJobHandle.ready, handles), None), None
+        )
         return handle, handle._value, handle._error, handle.timed_out
 
     # ------------------------------------------------------------ workers
-
-    def _ensure_started(self) -> None:
-        """Spawn the workers and the reactor on first use (``_state``
-        held)."""
-        if self._reactor is not None:
-            return
-        doorbell, self._doorbell = self._context.Pipe(duplex=False)
-        for index in range(self.worker_count):
-            self._slots.append(self._spawn_slot(index))
-        self._reactor = threading.Thread(
-            target=self._reactor_loop,
-            args=(doorbell,),
-            name="procpool-reactor",
-            daemon=True,
-        )
-        self._reactor.start()
-
-    def _wake(self) -> None:
-        """Ring the reactor's doorbell (``_state`` held)."""
-        if self._doorbell is not None and not self._woken:
-            self._woken = True
-            self._doorbell.send_bytes(b"!")
 
     def _spawn_slot(self, index: int) -> _WorkerSlot:
         name = f"procpool-worker-{index}"
@@ -395,69 +365,63 @@ class ProcessPool:
             results.close()
         return _WorkerSlot(name, process, inbox, outbox)
 
-    # ------------------------------------------------------------ reactor
+    # --------------------------------------------------------------- pump
 
-    def _reactor_loop(self, doorbell) -> None:
-        """Recover, dispatch, then block — one loop.
+    def _pump(self, done: Callable[[], Any], timeout: Optional[float]) -> Any:
+        """Recover, dispatch, then block — one loop, on the caller's
+        thread, until ``done()`` is truthy or ``timeout`` seconds have
+        passed; returns what ``done()`` last said.
 
         The only place the pool waits: on every worker's result pipe and
-        process sentinel plus the doorbell — a result, a death and a
-        submission are each an event — until the nearest deadline of a
-        seated job (no timeout when no seat has one): nothing else
-        changes what the loop would do.
+        process sentinel — a result and a death are each an event —
+        until the nearer of the caller's timeout and the nearest
+        deadline of a seated job: nothing else changes what the loop
+        would do.
         """
-        # Imported here so only a pool that starts pays for the module
+        # Imported here so only a pool in use pays for the module
         # (sockets, selectors, tempfile): every CLI verb imports this one.
         from multiprocessing.connection import wait
 
-        while not self._stop.is_set():
+        until = math.inf if timeout is None else time.monotonic() + timeout
+        while True:
             self._recover_lost_workers()
             self._assign_pending()
-            with self._state:
-                slots = list(self._slots)
-                nearest = min(
-                    (s.current._deadline for s in slots if s.current),
-                    default=math.inf,
-                )
+            found = done()
+            if found or time.monotonic() >= until:
+                return found
+            nearest = min(
+                [until]
+                + [s.current._deadline for s in self._slots if s.current]
+            )
             ready = wait(
-                [doorbell]
-                + [slot.outbox for slot in slots]
-                + [slot.process.sentinel for slot in slots],
+                [slot.outbox for slot in self._slots]
+                + [slot.process.sentinel for slot in self._slots],
                 None
                 if nearest == math.inf
                 else max(0.0, nearest - time.monotonic()),
             )
-            if doorbell in ready:
-                with self._state:
-                    doorbell.recv_bytes()
-                    self._woken = False
-            for slot in slots:
+            for slot in self._slots:
                 if slot.outbox in ready:
                     self._drain_outbox(slot)
-            self._stop_overdue(slots)
-        doorbell.close()
+            self._stop_overdue()
 
     def _assign_pending(self) -> None:
-        """Hand queued jobs to idle live workers, one job per worker.
+        """Hand queued jobs to idle workers, one job per worker.
 
         Each job travels as one parent-pickled wire message.  One, not a
         batch: a seat holds one job, which is what lets a death or a
         deadline name the job it takes with it.  Shared payloads are
         delta-encoded against the slot's intern mirror: a content hash
         this worker has already received ships as a reference, not a
-        payload.
+        payload.  Dead workers were replaced just before; one that dies
+        under the write keeps its job for its sentinel to redeliver.
         """
-        assignments: List[Tuple[_WorkerSlot, ProcJobHandle]] = []
-        with self._state:
-            for slot in self._slots:
-                if not self._pending:
-                    break
-                if slot.current is not None or not slot.alive():
-                    continue
-                handle = self._pending.popleft()
-                slot.current = handle
-                assignments.append((slot, handle))
-        for slot, handle in assignments:
+        for slot in self._slots:
+            if not self._pending:
+                break
+            if slot.current is not None:
+                continue
+            handle = slot.current = self._pending.popleft()
             handle._deliveries += 1
             handle.worker = slot.name
             envelope = handle.envelope
@@ -495,17 +459,16 @@ class ProcessPool:
             if envelope.timeout is not None:
                 handle._deadline = time.monotonic() + envelope.timeout
 
-    def _stop_overdue(self, slots: List[_WorkerSlot]) -> None:
+    def _stop_overdue(self) -> None:
         """Fail the job of every seat past its deadline as timed out,
         vacate the seat and kill the process; its sentinel then takes
         it through :meth:`_recover_lost_workers`, holding nothing."""
         now = time.monotonic()
-        for slot in slots:
-            with self._state:
-                handle = slot.current
-                if handle is None or handle._deadline > now:
-                    continue
-                slot.current = None
+        for slot in self._slots:
+            handle = slot.current
+            if handle is None or handle._deadline > now:
+                continue
+            slot.current = None
             get_metrics().counter(
                 "procpool_jobs_total", "Jobs by terminal outcome"
             ).inc(outcome="timeout")
@@ -518,25 +481,21 @@ class ProcessPool:
             slot.process.join()
 
     def _recover_lost_workers(self) -> None:
-        """The one recovery path: for every worker whose sentinel fired,
-        salvage what it flushed, respawn the seat, and redeliver (or,
-        past the budget, fail) the job it still held."""
-        with self._state:
-            lost = [
-                (index, slot)
-                for index, slot in enumerate(self._slots)
-                if not slot.alive()
-            ]
-        for index, slot in lost:
+        """The one recovery path: for every worker whose process has
+        ended, salvage what it flushed, respawn the seat, and redeliver
+        (or, past the budget, fail) the job it still held."""
+        for index, slot in enumerate(self._slots):
+            if slot.alive():
+                continue
             # A result the worker flushed before dying completes its
             # handle and vacates the seat: a finished job is not
-            # redelivered.
-            self._drain_outbox(slot)
+            # redelivered.  A seat its deadline vacated has nothing to
+            # salvage: a result that lost that race is dropped.
+            if slot.current is not None:
+                self._drain_outbox(slot)
             slot.close()
-            replacement = self._spawn_slot(index)
-            with self._state:
-                self._slots[index] = replacement
-                handle, slot.current = slot.current, None
+            self._slots[index] = self._spawn_slot(index)
+            handle, slot.current = slot.current, None
             get_metrics().counter(
                 "procpool_workers_lost_total",
                 "Worker processes that died and were respawned",
@@ -553,7 +512,7 @@ class ProcessPool:
     def _redeliver(self, handle: ProcJobHandle, worker: str) -> None:
         """Requeue a job lost with ``worker`` at the front, or fail it
         once its redelivery budget is spent."""
-        if handle._deliveries > self.max_redeliveries:
+        if handle._deliveries > DEFAULT_MAX_REDELIVERIES:
             get_event_log().emit(
                 "procpool.dead_letter",
                 task_id=handle.task_id,
@@ -581,8 +540,7 @@ class ProcessPool:
             worker=worker,
             delivery=handle._deliveries,
         )
-        with self._state:
-            self._pending.appendleft(handle)
+        self._pending.appendleft(handle)
 
     # ------------------------------------------------------------ results
 
@@ -610,8 +568,7 @@ class ProcessPool:
     ) -> None:
         """A result can only be for the one job its seat holds."""
         task_id = result["task_id"]
-        with self._state:
-            handle, slot.current = slot.current, None
+        handle, slot.current = slot.current, None
         buffer = result.get("telemetry")
         if buffer:
             merge_worker_telemetry(buffer, worker=result["worker"])
@@ -638,22 +595,15 @@ class ProcessPool:
     # ----------------------------------------------------------- shutdown
 
     def shutdown(self) -> None:
-        """Stop the reactor, fail every job still outstanding with a
+        """Fail every job still outstanding with a
         :class:`WorkerJobError` (no waiter may hang on an abandoned
         pool), terminate the workers and close every pipe."""
-        self._stop.set()
-        with self._state:
-            self._wake()
-            reactor, self._reactor = self._reactor, None
-        if reactor is not None:
-            reactor.join(timeout=2.0)
-        with self._state:
-            slots, self._slots = self._slots, []
-            doorbell, self._doorbell = self._doorbell, None
-            orphans = [*self._pending] + [
-                slot.current for slot in slots if slot.current is not None
-            ]
-            self._pending.clear()
+        self._closed = True
+        slots, self._slots = self._slots, []
+        orphans = [*self._pending] + [
+            slot.current for slot in slots if slot.current is not None
+        ]
+        self._pending.clear()
         for handle in orphans:
             handle._complete(error="process pool shut down")
         for slot in slots:
@@ -667,8 +617,6 @@ class ProcessPool:
                 slot.process.kill()
                 slot.process.join(timeout=2.0)
             slot.close()
-        if doorbell is not None:
-            doorbell.close()
 
     def __enter__(self) -> "ProcessPool":
         return self

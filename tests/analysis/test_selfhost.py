@@ -25,8 +25,8 @@ CATALOG = os.path.join(REPO_ROOT, "docs", "analysis.md")
 
 #: The only ways to keep what the size passes would delete, each a
 #: comment on the line above the pragma (``docs/analysis.md``).
-REASONS = ("# paper surface:", "# worker target:", "# dev-tool entry:")
-MAX_DEAD_PRAGMAS = 10
+REASONS = ("# paper surface:", "# dev-tool entry:")
+MAX_DEAD_PRAGMAS = 5
 
 #: A rule id where a rule class or a pass declares it, and where the
 #: catalog gives it an entry (a ``- **ID**`` bullet or a ``### `ID```
@@ -51,7 +51,7 @@ def test_lint_cli_exit_code():
 
 def test_dead_code_pragmas_are_few_and_each_gives_its_reason():
     """`# repro: noqa[DEAD-*]` is the only escape hatch of the size
-    passes; it is rationed, and every use says which of the three
+    passes; it is rationed, and every use says which of the two
     allowed reasons applies."""
     pragma = re.compile(r"#\s*repro:\s*noqa\[DEAD-(REACH|PARAM)\]")
     uses = []

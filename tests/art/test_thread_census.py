@@ -3,9 +3,9 @@
 The quick Fig 8 grid on every substrate, with and without the staged
 checkpoint pipeline, into a ``file://`` database: every database write
 of the sweep — each ``run.status``, ``wal.append`` and ``filestore.put``
-firing — happens on the thread that called ``Experiment.launch``; inline that thread has no
-companion, and on the process substrate exactly one, the pool's
-reactor.
+firing — happens on the thread that called ``Experiment.launch``, and
+that thread has no companion on either substrate: the process pool is
+driven from it too.
 """
 
 import threading
@@ -41,6 +41,4 @@ def test_every_write_of_a_sweep_is_on_the_calling_thread(
     assert len(statuses) == 2 * 48  # running, done — nothing else
     companions = set().union(*(alive for _, _, alive in writes.firings))
     # No app, no worker thread, no helper in front of the pipe write.
-    assert companions - before == {
-        "inline": set(), "processes": {"procpool-reactor"}
-    }[substrate]
+    assert companions - before == set()

@@ -1,11 +1,11 @@
 """Chaos suite for the process substrate: workers die, shards finish.
 
 A SIGKILLed worker runs no handler, but its death is an event the
-pool's reactor waits on: the seat is respawned and the job it held is
-redelivered (docs/scaling.md); a worker that outlives its job's
+pool's wait loop blocks on: the seat is respawned and the job it held
+is redelivered (docs/scaling.md); a worker that outlives its job's
 deadline is killed by the pool itself and nothing is redelivered.
 These tests kill workers two ways —
-deterministically from inside the job (:func:`repro.sim.testing.
+deterministically from inside the job (:func:`tests.helpers.
 kill_once_job`, the no-race script) and from the parent mid-flight —
 and assert the shard completes with results identical to an
 uninterrupted run.
@@ -27,8 +27,7 @@ from repro.scheduler.procpool import (
     ProcessPool,
     WorkerJobError,
 )
-from repro.sim.testing import boot_shard_job
-from tests.helpers import events_of, map_envelopes, result_of
+from tests.helpers import boot_shard_job, events_of, map_envelopes, result_of
 
 
 def _kill_a_worker():
@@ -45,7 +44,7 @@ def _kill_a_worker():
 def _shard(count, repeats=1, telemetry_on=False):
     return [
         JobEnvelope(
-            target="repro.sim.testing:boot_shard_job",
+            target="tests.helpers:boot_shard_job",
             args=({"index": i, "repeats": repeats},),
             telemetry=telemetry_on,
         )
@@ -63,7 +62,7 @@ def test_sigkilled_worker_shard_completes_with_identical_stats(tmp_path):
     sentinel = str(tmp_path / "killed-once")
     shard = [
         JobEnvelope(
-            target="repro.sim.testing:kill_once_job",
+            target="tests.helpers:kill_once_job",
             args=({"index": 0, "repeats": 1, "sentinel": sentinel},),
         )
     ] + _shard(8)[1:]
@@ -142,7 +141,7 @@ def test_kill_and_refused_submit_end_every_handle_within_budget():
 def test_wedged_worker_is_killed_at_its_deadline_not_redelivered():
     """The deadline twin of the SIGKILL case: a job that outlives
     ``JobEnvelope.timeout`` fails as timed out at its deadline (no timer
-    but the reactor's wait), its worker is killed and the seat comes
+    but the pool's own wait), its worker is killed and the seat comes
     back through the same recovery path — with nothing to redeliver,
     because a job that wedged one worker would wedge the next."""
     with telemetry.session() as active:

@@ -116,7 +116,9 @@ def test_implausible_length_is_a_tear(tmp_path):
 def test_durability_knob_validated(tmp_path):
     with pytest.raises(ValidationError):
         WalWriter(str(tmp_path / "w.log"), "paranoid", "t")
-    assert DURABILITY_MODES == ("none", "batch", "strict")
+    with pytest.raises(ValidationError):
+        WalWriter(str(tmp_path / "w.log"), "none", "t")
+    assert DURABILITY_MODES == ("batch", "strict")
 
 
 def test_batch_mode_fsyncs_on_flush(tmp_path):
@@ -130,7 +132,7 @@ def test_batch_mode_fsyncs_on_flush(tmp_path):
 
 
 def test_size_tracks_appends(tmp_path):
-    writer = WalWriter(str(tmp_path / "wal.log"), "none", "t")
+    writer = WalWriter(str(tmp_path / "wal.log"), "batch", "t")
     assert writer.size() == 0
     writer.append({"op": "insert", "doc": {"_id": "a"}})
     assert writer.size() > 0

@@ -117,3 +117,84 @@ def wedge_simulations(monkeypatch, seconds):
     monkeypatch.setattr(
         procjobs, "RUN_TARGET", "tests.helpers:wedged_run_payload"
     )
+
+
+# Process-pool job targets: a spawned worker imports them by dotted path
+# ("tests.helpers:boot_shard_job"), so they are module-level functions
+# of plain-data payloads.
+
+
+def boot_shard_job(payload):
+    """One shard unit: a deterministic timing-CPU FS boot, repeated.
+
+    ``payload`` keys: ``kernel`` (default "5.4.49"), ``cpu_type``
+    (default "timing"), ``repeats`` (work amplification — the boot is
+    re-simulated that many times and must produce bit-identical stats,
+    so the amplification doubles as a determinism check), ``index``
+    (echoed back for shard bookkeeping).
+    """
+    from repro.common.hashing import sha256_text
+    from repro.resources.catalog import build_resource
+    from repro.sim import Gem5Build, Gem5Simulator, SystemConfig
+
+    repeats = int(payload.get("repeats", 1))
+    simulator = Gem5Simulator(
+        Gem5Build(), SystemConfig(cpu_type=payload.get("cpu_type", "timing"))
+    )
+    image = build_resource("boot-exit").image
+    kernel = payload.get("kernel", "5.4.49")
+    result = simulator.run_fs(kernel, image, boot_type="init")
+    fingerprint = sha256_text(result.stats_txt())
+    for _ in range(repeats - 1):
+        again = simulator.run_fs(kernel, image, boot_type="init")
+        if sha256_text(again.stats_txt()) != fingerprint:
+            raise AssertionError(
+                "non-deterministic boot: stats changed on repeat"
+            )
+    return {
+        "index": payload.get("index"),
+        "sim_seconds": result.sim_seconds,
+        "instructions": result.instructions,
+        "stats_fingerprint": fingerprint,
+        "repeats": repeats,
+        "ok": result.ok,
+    }
+
+
+def telemetry_probe_job(payload):
+    """A trivial job that records one of each telemetry signal, to show
+    a worker's private session merged into the parent's (counter adds,
+    histogram absorbs, event re-sequenced with a ``worker`` attribute).
+    """
+    from repro.telemetry import get_event_log, get_metrics
+
+    amount = float(payload.get("amount", 1))
+    get_metrics().counter(
+        "probe_total", "Telemetry-merge probe counter"
+    ).inc(amount)
+    get_metrics().histogram(
+        "probe_seconds", "Telemetry-merge probe histogram"
+    ).observe(amount)
+    get_event_log().emit("probe.ran", index=payload.get("index"))
+    return {"ok": True, "amount": amount}
+
+
+def kill_once_job(payload):
+    """A boot-shard job whose *first* delivery SIGKILLs its own worker.
+
+    ``payload["sentinel"]`` names a filesystem path shared with the
+    parent: the first attempt creates it and then kills the worker
+    process dead (no cleanup, no exception — exactly what a segfaulting
+    gem5 looks like to the scheduler).  The redelivered attempt sees the
+    sentinel and completes normally: a one-crash-then-success script
+    with no racy parent-side kill timing.
+    """
+    import os
+    import signal
+
+    sentinel = payload["sentinel"]
+    if not os.path.exists(sentinel):
+        with open(sentinel, "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return boot_shard_job(payload)

@@ -2,7 +2,7 @@
 
 Job targets are referenced by dotted path and resolved inside freshly
 spawned workers, so every target used here is a real module-level
-function (stdlib ones where possible, :mod:`repro.sim.testing` hooks for
+function (stdlib ones where possible, :mod:`tests.helpers` targets for
 simulation-shaped work).
 """
 
@@ -95,7 +95,7 @@ def test_jobs_run_in_separate_processes():
 
 def test_boot_shard_job_runs_in_worker():
     envelope = JobEnvelope(
-        target="repro.sim.testing:boot_shard_job",
+        target="tests.helpers:boot_shard_job",
         args=({"index": 7, "repeats": 2},),
     )
     with ProcessPool(workers=1) as pool:
@@ -115,7 +115,7 @@ def test_crashed_worker_job_is_redelivered():
         f"procpool-redeliver-{os.getpid()}-{time.monotonic_ns()}",
     )
     envelope = JobEnvelope(
-        target="repro.sim.testing:kill_once_job",
+        target="tests.helpers:kill_once_job",
         args=({"index": 0, "repeats": 1, "sentinel": sentinel},),
     )
     try:
@@ -147,7 +147,7 @@ def test_redelivery_budget_dead_letters(monkeypatch):
 def test_worker_telemetry_merges_into_parent_session():
     envelopes = [
         JobEnvelope(
-            target="repro.sim.testing:telemetry_probe_job",
+            target="tests.helpers:telemetry_probe_job",
             args=({"index": i, "amount": 2},),
             telemetry=True,
         )
@@ -175,14 +175,6 @@ def test_worker_telemetry_merges_into_parent_session():
         assert len(dispatches) >= 3
 
 
-def _service_threads():
-    return [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith("procpool-") and t.is_alive()
-    ]
-
-
 def test_sequential_round_trips_are_event_driven():
     """50 submit→result round trips of a trivial envelope: a result
     completes its handle when it is readable, not at the next poll tick
@@ -198,15 +190,17 @@ def test_sequential_round_trips_are_event_driven():
         assert time.monotonic() - started < 2.5
 
 
-def test_one_service_thread_while_running_none_after_shutdown():
-    before = _service_threads()
+def test_a_pool_starts_no_thread():
+    """The caller drives the pool: the process's threads are the same
+    before it starts, while it runs and after it shuts down."""
+    before = set(threading.enumerate())
     pool = ProcessPool(workers=2)
     try:
         assert result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
-        assert len(_service_threads()) == len(before) + 1
+        assert set(threading.enumerate()) == before
     finally:
         pool.shutdown()
-    assert _service_threads() == before
+    assert set(threading.enumerate()) == before
 
 
 def test_shutdown_fails_outstanding_handles_promptly():
@@ -232,25 +226,23 @@ def test_shutdown_fails_outstanding_handles_promptly():
     assert result_of(warm, 1)  # completed handles keep their value
 
 
-def test_killed_idle_worker_is_respawned_without_a_submit():
-    """The process sentinel, not the next submission or a timer, tells
-    the reactor an idle worker died."""
+def test_killed_idle_worker_is_replaced_before_the_next_job():
+    """A worker that dies idle is replaced at the next submit or wait:
+    the next job runs in a new process, one worker is counted lost, and
+    nothing is redelivered — the seat held no job."""
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
             first = result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
             os.kill(first, signal.SIGKILL)
-            lost = active.metrics.counter("procpool_workers_lost_total")
             deadline = time.monotonic() + 10
-            while lost.value() < 1:
-                assert time.monotonic() < deadline, "worker not respawned"
+            while first in [c.pid for c in multiprocessing.active_children()]:
+                assert time.monotonic() < deadline, "worker not dead"
                 time.sleep(0.01)
-            respawned = [
-                child.pid for child in multiprocessing.active_children()
-            ]
-            assert respawned not in ([], [first])
             second = result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
-            assert second != first
-            assert lost.value() == 1
+        assert second != first
+        lost = active.metrics.counter("procpool_workers_lost_total")
+        assert lost.value() == 1
+        assert events_of(active.events, "procpool.redelivered") == []
 
 
 def test_roundtrip_histogram_recorded_when_telemetry_is_on():

@@ -2,7 +2,7 @@
 
 from repro.resources.catalog import GEM5_TESTS
 from repro.sim import Gem5Build
-from repro.sim.testing import TestOutcome, run_gem5_test, run_test_suite
+from repro.resources.selftest import TestOutcome, run_gem5_test, run_test_suite
 
 
 def by_name(outcomes):

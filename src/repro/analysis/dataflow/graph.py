@@ -17,7 +17,9 @@ read and parsed exactly once, into the
   the dotted module it depends on, with the source line (findings point
   at it) and whether the import is gated behind
   ``typing.TYPE_CHECKING`` (annotation-only edges do not create runtime
-  layering dependencies and are excluded from the gate).
+  layering dependencies and are excluded from the gate).  A package's
+  ``_LAZY`` table is an import edge too: one deferred edge to each
+  submodule it names, the import its ``__getattr__`` makes on first use.
 
 Resolution is *textual*, not executable: ``from repro.scheduler import
 pool`` becomes an edge to ``repro.scheduler.pool`` when that module
@@ -119,6 +121,8 @@ class Project:
                         type_checking=node.lineno in type_checking_spans,
                         toplevel=node.col_offset == 0,
                     )
+        if module.path.endswith(os.sep + "__init__.py"):
+            yield from _lazy_edges(module)
 
     def _import_from_base(
         self, module: FileContext, node: ast.ImportFrom
@@ -138,6 +142,26 @@ class Project:
         if node.module:
             parts = parts + node.module.split(".")
         return ".".join(parts) if parts else None
+
+
+def _lazy_edges(package: FileContext) -> Iterable[ImportEdge]:
+    """A package's module-level ``_LAZY`` table (exported name ->
+    submodule, resolved by its PEP 562 ``__getattr__``): one deferred
+    edge per submodule, since first use of the name imports it."""
+    for stmt in package.tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and [getattr(t, "id", None) for t in stmt.targets] == ["_LAZY"]
+            and isinstance(stmt.value, ast.Dict)
+        ):
+            for value in stmt.value.values:
+                if isinstance(value, ast.Constant):
+                    yield ImportEdge(
+                        source=package.name,
+                        target=f"{package.name}.{value.value}",
+                        lineno=value.lineno,
+                        toplevel=False,
+                    )
 
 
 def _type_checking_lines(tree: ast.Module) -> Set[int]:

@@ -17,52 +17,47 @@ reproducible by construction:
 
 Method aliases match the paper's camelCase spelling (``registerArtifact``,
 ``createFSRun``) so launch scripts read like the figures.
+
+Importing the package (or :mod:`~repro.art.db`, :mod:`~repro.art.cache`)
+loads no simulator: every name below resolves on first use from the
+submodule ``_LAZY`` names, so a command that only reads the database —
+a ``repro reproduce`` whose stages are all cached — never imports
+``repro.sim``, ``repro.gpu`` or the process pool.
 """
 
-from repro.art.db import ArtifactDB
-from repro.art.artifact import (
-    Artifact,
-    register_gem5_binary,
-    register_kernel_binary,
-    register_disk_image,
-    register_repo,
-)
-from repro.art.run import Gem5Run, InputResolver, RunStatus
-from repro.art.spec import RunSpec
-from repro.art.cache import RunCache
-from repro.art.checkpoints import CheckpointStore
-from repro.art.tasks import (
-    group_runs_by_prefix,
-    run_boot_stage,
-    run_job,
-    run_jobs_pool,
-    run_jobs_scheduler,
-)
-from repro.art.workflow import workflow_graph
-from repro.art.launch import Experiment
-from repro.art.share import export_archive, import_archive, verify_archive
+import importlib
 
-__all__ = [
-    "ArtifactDB",
-    "Artifact",
-    "register_gem5_binary",
-    "register_kernel_binary",
-    "register_disk_image",
-    "register_repo",
-    "Gem5Run",
-    "InputResolver",
-    "RunStatus",
-    "RunSpec",
-    "RunCache",
-    "CheckpointStore",
-    "group_runs_by_prefix",
-    "run_boot_stage",
-    "run_job",
-    "run_jobs_pool",
-    "run_jobs_scheduler",
-    "workflow_graph",
-    "Experiment",
-    "export_archive",
-    "import_archive",
-    "verify_archive",
-]
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {
+    "ArtifactDB": "db",
+    "Artifact": "artifact",
+    "register_gem5_binary": "artifact",
+    "register_kernel_binary": "artifact",
+    "register_disk_image": "artifact",
+    "register_repo": "artifact",
+    "Gem5Run": "run",
+    "InputResolver": "run",
+    "RunStatus": "run",
+    "RunSpec": "spec",
+    "RunCache": "cache",
+    "CheckpointStore": "checkpoints",
+    "group_runs_by_prefix": "tasks",
+    "run_boot_stage": "tasks",
+    "run_job": "tasks",
+    "run_jobs_pool": "tasks",
+    "run_jobs_scheduler": "tasks",
+    "workflow_graph": "workflow",
+    "Experiment": "launch",
+    "export_archive": "share",
+    "import_archive": "share",
+    "verify_archive": "share",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

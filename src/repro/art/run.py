@@ -28,7 +28,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.ids import new_uuid
@@ -38,14 +38,14 @@ from repro.art.artifact import Artifact, load_disk_image
 from repro.art.cache import RunCache
 from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
-from repro.gpu.config import GPUConfig
-from repro.gpu.device import GPUDevice
-from repro.gpu.workloads import get_gpu_workload
 from repro.sim.buildinfo import Gem5Build
 from repro.sim.checkpoint import Checkpoint
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import Gem5Simulator, SimulationStatus
 from repro.vfs.image import DiskImage
+
+if TYPE_CHECKING:
+    from repro.gpu.config import GPUConfig
 
 #: The CPU model the boot stage executes under: the cheap one, which the
 #: fault model supports on every platform shape.
@@ -138,6 +138,8 @@ class Gem5Run:
     ) -> "Gem5Run":
         """Create a GPU (GCN3_X86) run for use-case 3 (same 15-minute
         timeout as :meth:`create_fs_run`'s default)."""
+        from repro.gpu.config import GPUConfig
+
         build_meta = gem5_artifact.metadata
         if build_meta.get("isa") != "GCN3_X86":
             raise ValidationError(
@@ -678,6 +680,8 @@ def _simulate_fs(simulator, params, inputs, restore):
 
 
 def _simulate_gpu(params):
+    from repro.gpu import GPUConfig, GPUDevice, get_gpu_workload
+
     workload = get_gpu_workload(params["workload"])
     device = GPUDevice(GPUConfig(**dict(params["gpu_config"])))
     result = device.execute(workload.kernel, params["register_allocator"])

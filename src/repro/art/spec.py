@@ -45,6 +45,11 @@ PREFIX_SCHEMA_VERSION = 1
 #: Run kinds a spec may describe.
 KNOWN_KINDS = ("fs", "gpu")
 
+#: Where a sweep's simulations execute (:mod:`repro.art.tasks`).  Not
+#: part of any spec: a substrate changes how fast a run ends, never what
+#: it produces.
+SUBSTRATES = ("inline", "processes")
+
 #: Artifact roles that determine the booted guest state.  The gem5
 #: binary/repo and run script are excluded: they shape the *measured*
 #: region, not the kernel+disk state a checkpoint snapshots.

@@ -23,7 +23,6 @@ from contextlib import ExitStack
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.art.checkpoints import CheckpointStore
-from repro.art.procjobs import envelope_for_boot, envelope_for_run
 from repro.art.run import (
     Attempt,
     Gem5Run,
@@ -32,12 +31,9 @@ from repro.art.run import (
     boot_checkpoint,
     simulate_run,
 )
+from repro.art.spec import SUBSTRATES
 from repro.common.errors import ValidationError
-from repro.scheduler import ProcessPool
 from repro.telemetry import get_event_log, get_metrics, get_tracer
-
-#: Where a sweep's simulations execute.
-SUBSTRATES = ("inline", "processes")
 
 
 def run_job(run: Gem5Run) -> Dict[str, object]:
@@ -136,16 +132,22 @@ class _Processes:
     substrate = "processes"
 
     def __init__(self, worker_count: int):
+        from repro.scheduler import ProcessPool
+
         self.in_flight = 2 * worker_count
         self.pool = pool = ProcessPool(workers=worker_count)
         self.wait_any, self.shutdown = pool.wait_any, pool.shutdown
 
     def simulate(self, run: Gem5Run, resolver: InputResolver, restore):
+        from repro.art.procjobs import envelope_for_run
+
         return self.pool.submit(
             envelope_for_run(run, resolver.wire(run), restore)
         )
 
     def boot(self, run: Gem5Run, resolver: InputResolver):
+        from repro.art.procjobs import envelope_for_boot
+
         return self.pool.submit(envelope_for_boot(run, resolver.wire(run)))
 
 

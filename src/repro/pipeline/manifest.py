@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
 from repro.common.jsonutil import canonical_dumps, loads
-from repro.art.tasks import SUBSTRATES
+from repro.art.spec import SUBSTRATES
 from repro.art.workflow import topological_order
 from repro.pipeline.gates import validate_gate_spec
 

@@ -19,6 +19,10 @@ Kinds:
   into the FileStore.
 - ``python`` — call a dotted-path function with the context (the escape
   hatch custom reproductions and the test-suite use).
+
+``artifacts`` and ``sweep`` import the artifact layer, guest builds and
+the simulator in their bodies: those run only on a stage-cache miss, so
+a reproduction whose stages are all cached loads none of them.
 """
 
 from __future__ import annotations
@@ -28,18 +32,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.targets import resolve_target
-from repro.art.artifact import (
-    Artifact,
-    register_disk_image,
-    register_gem5_binary,
-    register_kernel_binary,
-    register_repo,
-)
 from repro.art.db import ArtifactDB
-from repro.art.launch import Experiment
-from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
-from repro.resources import build_resource
-from repro.sim import Gem5Build
 from repro.pipeline.manifest import StageSpec
 
 #: Sweep axis parameter → run parameter it sweeps.
@@ -99,6 +92,16 @@ class StageContext:
 
 def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
     """Register the reproduction's artifact stack (the paper's Fig 1)."""
+    from repro.art.artifact import (
+        register_disk_image,
+        register_gem5_binary,
+        register_kernel_binary,
+        register_repo,
+    )
+    from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
+    from repro.resources import build_resource
+    from repro.sim import Gem5Build
+
     params = ctx.params
     db = ctx.db
     gem5_version = str(params.get("gem5_version", "v20.1.0.4"))
@@ -153,6 +156,9 @@ def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
 
 def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     """Launch the cross-product experiment over the registered stacks."""
+    from repro.art.artifact import Artifact
+    from repro.art.launch import Experiment
+
     params = ctx.params
     source = ctx.source("artifacts_from", "artifact_ids")
     ids = source["artifact_ids"]

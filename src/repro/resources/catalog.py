@@ -21,7 +21,6 @@ from repro.guest.kernels import (
 from repro.packer import build as packer_build
 from repro.resources import templates
 from repro.resources.environment import GCNDockerEnvironment
-from repro.gpu.workloads import WORKLOADS_BY_SUITE, get_gpu_workload
 
 #: gem5 releases the catalog tracks compatibility for
 #: (http://resources.gem5.org in the paper).
@@ -43,6 +42,8 @@ class Resource:
 
 def _gpu_suite_builder(suite: str) -> Callable:
     def build(**_kwargs) -> List[object]:
+        from repro.gpu.workloads import WORKLOADS_BY_SUITE, get_gpu_workload
+
         return [
             get_gpu_workload(name)
             for name in WORKLOADS_BY_SUITE[suite]

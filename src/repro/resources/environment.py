@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import md5_text
-from repro.gpu.workloads import WORKLOADS_BY_SUITE
 
 #: The stack the GCN3 model requires (the paper's stated versions).
 REQUIRED_STACK = {
@@ -67,6 +66,8 @@ class GCNDockerEnvironment:
 
     def buildable_workloads(self) -> List[str]:
         """Names of every GPU workload this environment can compile."""
+        from repro.gpu.workloads import WORKLOADS_BY_SUITE
+
         self.validate_stack()
         names: List[str] = []
         for suite in GPU_SUITES:

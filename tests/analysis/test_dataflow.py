@@ -8,6 +8,8 @@ names) and runs :func:`repro.analysis.lint_paths` over it.
 
 import json
 
+import pytest
+
 from repro.analysis import lint_paths
 from repro.analysis.reporters import render_sarif
 from tests.analysis.helpers import write_tree as _write_tree
@@ -224,6 +226,51 @@ def test_deferred_import_does_not_cycle(tmp_path):
         },
     )
     assert lint_paths(paths) == []
+
+
+LAZY_PACKAGE = """
+    import importlib
+
+    _LAZY = {"f": "mod"}
+
+    def __getattr__(name):
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+"""
+
+
+@pytest.mark.parametrize(
+    "table, dead",
+    [("_LAZY", []), ("_TABLE", [("DEAD-REACH", "repro.pkg.mod.f")])],
+)
+def test_lazy_table_is_an_import_edge(tmp_path, table, dead):
+    """``from repro.pkg import f`` runs ``repro.pkg.mod`` only through
+    the package's ``_LAZY`` table: the table keeps ``mod.f`` alive, and
+    under any other name nothing imports ``mod``."""
+    _write_tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/__main__.py": "from repro.cli import main\nmain()\n",
+            "src/repro/cli.py": """
+                from repro.pkg import f
+
+                def main():
+                    return f()
+            """,
+            "src/repro/pkg/__init__.py": LAZY_PACKAGE.replace(
+                "_LAZY", table
+            ),
+            "src/repro/pkg/mod.py": """
+                def f():
+                    return 1
+            """,
+        },
+    )
+    findings = lint_paths([str(tmp_path / "src" / "repro")])
+    assert [
+        (finding.rule_id, finding.message.split()[1]) for finding in findings
+    ] == dead
 
 
 # ------------------------------------------------------------------ sarif

@@ -119,7 +119,7 @@ def _live_inputs(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def execute_run_payload(payload: Dict[str, Any]):
-    """Worker-side entry point (imported by dotted path inside a spawned
+    """Worker-side entry point (resolved by dotted path inside a forked
     worker process): :func:`~repro.art.run.simulate_run`'s outcome with
     the summary fields only a worker can add."""
     summary, stats_txt, host_seconds, _ = simulate_run(

@@ -6,7 +6,7 @@ This package provides those API shapes:
 
 - :class:`ProcessPool` — the *real* multiprocessing substrate, the only
   place a sweep's simulations leave the planner (:mod:`repro.art.tasks`):
-  spawn-safe worker processes fed pickle-safe :class:`JobEnvelope` s,
+  forked worker processes fed pickle-safe :class:`JobEnvelope` s,
   with redelivery of the job a dead worker held, a deadline per job
   and telemetry merge-on-drain (``substrate="processes"``);
 - :class:`SimplePool` — a ``multiprocessing.Pool``-like pool of threads

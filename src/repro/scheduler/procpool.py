@@ -5,9 +5,14 @@ alternative to Celery for driving gem5art's 480-run boot-test cross
 product.  Threads cannot deliver that for a GIL-bound pure-Python
 simulator; :class:`ProcessPool` shards jobs across real OS processes:
 
+- each worker seat is a ``fork`` of the planner, made at the first
+  submit and at every respawn, so it starts with every module already
+  loaded; it resets the process-wide state it inherited (chaos
+  injector, telemetry session) before its first job;
 - jobs travel as **pickle-safe** :class:`JobEnvelope` s — a dotted-path
-  target (importable under the ``spawn`` start method) plus picklable
-  arguments;
+  target plus picklable arguments — so a job computes nothing from
+  what its worker inherited, and a respawned seat (forked from a later
+  parent) reruns a redelivered job exactly;
 - each worker process executes one envelope at a time and ships the
   outcome back over its own result pipe; the pool has **no thread** of
   its own: ``submit`` hands a job straight to an idle worker, and every
@@ -104,8 +109,8 @@ class JobEnvelope:
 
     ``target`` is a ``"package.module:function"`` dotted path resolved
     *inside* the worker process — the function object itself never
-    crosses the process boundary, which is what makes the envelope safe
-    under the ``spawn`` start method (no inherited state, no closures).
+    crosses the process boundary, and a job uses nothing its forked
+    worker inherited but importable code (no closures, no parent state).
     ``args``/``kwargs`` must be picklable data (for gem5art runs, see
     :mod:`repro.art.procjobs`).  ``shared`` maps content hash → payload
     for every :func:`intern_ref` placeholder in them: the pool ships
@@ -184,11 +189,14 @@ class ProcJobHandle:
         return self._value
 
 
-def _worker_main(worker: str, inbox, outbox) -> None:
+def _worker_main(worker: str, inbox, outbox, parent_ends) -> None:
     """Worker-process loop: execute wire messages until the empty stop
     message (or EOF — the parent is gone).
 
-    Runs in a freshly spawned interpreter; everything it needs arrives
+    Runs in a fork of the planner.  It first drops what a new
+    interpreter would not have — the parent's chaos injector and
+    telemetry session, and the parent's ends of this seat's pipes (held,
+    the inbox would never read EOF) — so everything a job uses arrives
     through the wire.  Each inbox message is one parent-pickled job
     (``{"job": {...}, "shared": {hash: payload}}``).  ``shared``
     payloads are interned in a per-process cache keyed by content hash;
@@ -200,6 +208,10 @@ def _worker_main(worker: str, inbox, outbox) -> None:
     """
     from repro import telemetry as _telemetry
 
+    chaos.uninstall()
+    _telemetry.disable()
+    for end in parent_ends:
+        end.close()
     interned: Dict[str, Any] = {}
     while True:
         try:
@@ -289,20 +301,22 @@ class _WorkerSlot:
 
 
 class ProcessPool:
-    """A spawn-safe multiprocessing executor that redelivers the job a
-    dead worker held.
+    """A multiprocessing executor of forked worker seats that redelivers
+    the job a dead worker held.
 
     The API is deliberately envelope-shaped rather than function-shaped:
     callers describe work as data (:class:`JobEnvelope`), which is what
-    guarantees the pool never depends on forked parent state.  It moves
-    only inside :meth:`submit` and the waits, on the caller's thread.
+    guarantees a job never depends on forked parent state.  It moves
+    only inside :meth:`submit` and the waits, on the caller's thread; on
+    a sweep that is the process's only thread, so a fork copies no lock
+    another thread holds (``tests/art/test_thread_census.py``).
     """
 
     def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValidationError("process pool needs at least one worker")
         self.worker_count = workers
-        self._context = multiprocessing.get_context("spawn")
+        self._context = multiprocessing.get_context("fork")
         self._pending: "deque[ProcJobHandle]" = deque()
         self._slots: List[_WorkerSlot] = []
         self._closed = False
@@ -321,7 +335,7 @@ class ProcessPool:
             raise StateError("process pool is shut down")
         if not self._slots:
             self._slots = [
-                self._spawn_slot(index) for index in range(self.worker_count)
+                self._fork_slot(index) for index in range(self.worker_count)
             ]
         handle = ProcJobHandle(envelope, self)
         self._pending.append(handle)
@@ -346,13 +360,13 @@ class ProcessPool:
 
     # ------------------------------------------------------------ workers
 
-    def _spawn_slot(self, index: int) -> _WorkerSlot:
+    def _fork_slot(self, index: int) -> _WorkerSlot:
         name = f"procpool-worker-{index}"
         jobs, inbox = self._context.Pipe(duplex=False)
         outbox, results = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(name, jobs, results),
+            args=(name, jobs, results, (inbox, outbox)),
             name=name,
             daemon=True,
         )
@@ -494,7 +508,7 @@ class ProcessPool:
             if slot.current is not None:
                 self._drain_outbox(slot)
             slot.close()
-            self._slots[index] = self._spawn_slot(index)
+            self._slots[index] = self._fork_slot(index)
             handle, slot.current = slot.current, None
             get_metrics().counter(
                 "procpool_workers_lost_total",

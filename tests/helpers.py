@@ -52,10 +52,10 @@ def events_of(log, kind):
 WRITE_POINTS = ("run.status", "wal.append", "filestore.put")
 
 
-def record_writes():
+def record_writes(points=WRITE_POINTS):
     """Install (and return) a chaos injector that injects nothing and
     logs ``(point, thread name, names of the threads alive)`` for every
-    firing of a :data:`WRITE_POINTS` point — who writes, when, and in
+    firing of one of ``points`` — who writes (or forks), when, and in
     what company.  The caller's fixture uninstalls it."""
     import threading
 
@@ -67,7 +67,7 @@ def record_writes():
             self.firings = []
 
         def fire(self, point, **context):
-            if point in WRITE_POINTS:
+            if point in points:
                 self.firings.append(
                     (
                         point,
@@ -83,27 +83,15 @@ def record_writes():
 WEDGED_CPUS = 8
 
 
-def wedged_run_payload(payload):
-    """Worker-side run target whose :data:`WEDGED_CPUS`-core simulation
-    wedges its worker (imported by dotted path in the worker process)."""
-    import time
-
-    from repro.art.procjobs import execute_run_payload
-
-    if payload["params"].get("num_cpus") == WEDGED_CPUS:
-        time.sleep(60)
-    return execute_run_payload(payload)
-
-
 def wedge_simulations(monkeypatch, seconds):
-    """Make every :data:`WEDGED_CPUS`-core simulation outlive its
-    deadline wherever it executes: in this process it takes ``seconds``
-    longer (nothing can stop it, so it ends by itself and is recorded
-    as past its timeout), in a pool worker it sleeps for a minute (the
-    pool kills it at its deadline)."""
+    """Make every :data:`WEDGED_CPUS`-core simulation take ``seconds``
+    longer, wherever it executes: in this process nothing can stop it,
+    so it ends by itself and is recorded as past its timeout; a pool
+    worker is a fork of this process, patch included, and the pool
+    kills it at its deadline."""
     import time
 
-    from repro.art import procjobs, run
+    from repro.art import run
 
     simulate_fs = run._simulate_fs
 
@@ -114,14 +102,27 @@ def wedge_simulations(monkeypatch, seconds):
 
     # Inside ``simulate_run``'s clock, so the delay counts as host time.
     monkeypatch.setattr(run, "_simulate_fs", slow)
-    monkeypatch.setattr(
-        procjobs, "RUN_TARGET", "tests.helpers:wedged_run_payload"
-    )
 
 
-# Process-pool job targets: a spawned worker imports them by dotted path
-# ("tests.helpers:boot_shard_job"), so they are module-level functions
-# of plain-data payloads.
+# Process-pool job targets: an envelope names them by dotted path
+# ("tests.helpers:boot_shard_job") and the worker resolves it, so they
+# are module-level functions of plain-data payloads.
+
+
+def is_loaded(module):
+    """Whether ``module`` is in the worker's ``sys.modules`` — a forked
+    seat has every module its parent had loaded."""
+    import sys
+
+    return module in sys.modules
+
+
+def inherited_switches():
+    """What a job sees of the process-wide switches its worker's parent
+    had set: ``(chaos injector installed, telemetry enabled)``."""
+    from repro import chaos, telemetry
+
+    return chaos.active() is not None, telemetry.enabled()
 
 
 def boot_shard_job(payload):

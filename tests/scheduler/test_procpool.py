@@ -1,20 +1,24 @@
 """Tests for the multiprocessing-backed ProcessPool substrate.
 
-Job targets are referenced by dotted path and resolved inside freshly
-spawned workers, so every target used here is a real module-level
-function (stdlib ones where possible, :mod:`tests.helpers` targets for
-simulation-shaped work).
+Job targets are referenced by dotted path and resolved inside the
+worker, a fork of the test process, so every target used here is a
+real module-level function (stdlib ones where possible,
+:mod:`tests.helpers` targets for simulation-shaped work).
 """
 
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro import telemetry
+from repro import chaos, telemetry
 from repro.common.errors import StateError, ValidationError
 from repro.scheduler.procpool import (
     JobEnvelope,
@@ -22,6 +26,31 @@ from repro.scheduler.procpool import (
     WorkerJobError,
 )
 from tests.helpers import events_of, map_envelopes, result_of
+
+#: The repository root: a subprocess test runs its script from there.
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def run_script(script, tmp_path):
+    """Run ``script`` as ``python -`` (its source on stdin) with this
+    tree importable; its stripped stdout.  The output goes through a
+    file, not a pipe: a worker the script leaves behind holds no pipe
+    this test would wait on."""
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT}")
+    out = tmp_path / "stdout.txt"
+    with open(out, "w", encoding="utf-8") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-"],
+            input=textwrap.dedent(script),
+            stdout=stdout,
+            stderr=subprocess.STDOUT,
+            text=True,
+            cwd=ROOT,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 0, out.read_text()
+    return out.read_text().strip()
 
 
 def test_envelope_requires_dotted_path_target():
@@ -109,7 +138,7 @@ def test_boot_shard_job_runs_in_worker():
 def test_crashed_worker_job_is_redelivered():
     """SIGKILL mid-job: the sentinel fires, a respawned worker gets the
     job again, and the handle resolves to a good result within one
-    worker spawn of the kill — no timer stands between them."""
+    worker fork of the kill — no timer stands between them."""
     sentinel = os.path.join(
         os.environ.get("PYTEST_TMPDIR", "/tmp"),
         f"procpool-redeliver-{os.getpid()}-{time.monotonic_ns()}",
@@ -136,7 +165,9 @@ def test_redelivery_budget_dead_letters(monkeypatch):
     monkeypatch.setattr(
         "repro.scheduler.procpool.DEFAULT_MAX_REDELIVERIES", 1
     )
-    envelope = JobEnvelope(target="os:abort")
+    # Not os.abort: the fork inherits pytest's faulthandler, which would
+    # print a fatal-error dump per delivery.
+    envelope = JobEnvelope(target="os:_exit", args=(134,))
     with ProcessPool(workers=1) as pool:
         handle = pool.submit(envelope)
         with pytest.raises(WorkerJobError) as excinfo:
@@ -257,3 +288,86 @@ def test_roundtrip_histogram_recorded_when_telemetry_is_on():
         ).samples()[0]
     assert sample["count"] == 3
     assert sample["sum"] > 0
+
+
+def test_a_pool_driven_from_stdin_runs_its_jobs(tmp_path):
+    """A script with no file (``python - <<EOF``) drives a pool: the
+    seat is a fork, so nothing re-runs the script's ``__main__``."""
+    out = run_script(
+        """
+        import os
+        from repro.scheduler.procpool import JobEnvelope, ProcessPool
+        with ProcessPool(workers=1) as pool:
+            worker = pool.submit(JobEnvelope("os:getpid")).result()
+        print(worker, os.getpid())
+        """,
+        tmp_path,
+    )
+    worker, me = out.split()
+    assert worker != me
+
+
+def test_a_seat_is_a_fork_of_its_pool():
+    """A module only this test has imported is loaded in the worker."""
+    import xml.dom.minidom  # noqa: F401
+
+    with ProcessPool(workers=1) as pool:
+        handle = pool.submit(
+            JobEnvelope("tests.helpers:is_loaded", args=("xml.dom.minidom",))
+        )
+        assert result_of(handle, 60) is True
+
+
+@pytest.fixture
+def quiet_injector():
+    yield chaos.install(chaos.ChaosInjector(seed=0))
+    chaos.uninstall()
+
+
+def test_a_worker_drops_the_parents_chaos_and_telemetry(quiet_injector):
+    """A forked worker starts as a new interpreter would: no chaos
+    injector and, for a ``telemetry=False`` job, no session — whatever
+    its parent had installed when it forked."""
+    with telemetry.session():
+        with ProcessPool(workers=1) as pool:
+            handle = pool.submit(
+                JobEnvelope("tests.helpers:inherited_switches")
+            )
+            assert result_of(handle, 60) == (False, False)
+
+
+def _gone(pid):
+    """Whether process ``pid`` has exited (a zombie no one reaps counts)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+def test_workers_exit_when_their_parent_dies_without_shutdown(tmp_path):
+    """A worker reads EOF once its parent is gone — it holds no copy
+    of the parent's end of its own inbox — and exits, instead of
+    waiting forever for a job."""
+    out = run_script(
+        """
+        import os
+        from repro.scheduler.procpool import JobEnvelope, ProcessPool
+        pool = ProcessPool(workers=2)
+        pool.submit(JobEnvelope("os:getpid")).result()
+        print(*[slot.process.pid for slot in pool._slots], flush=True)
+        os._exit(0)  # no atexit: nothing terminates the daemon workers
+        """,
+        tmp_path,
+    )
+    pids = [int(pid) for pid in out.split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10
+        while not all(_gone(pid) for pid in pids):
+            assert time.monotonic() < deadline, "orphaned workers alive"
+            time.sleep(0.02)
+    finally:
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -13,47 +13,39 @@ Two halves share this package:
   and the four whole-program passes in :mod:`dataflow`.  This half is a
   *dev-tool layer*: it reads source text and imports nothing of the
   package it checks, no runtime subsystem (scheduler, sim, art, db)
-  imports it, and it is imported only when :func:`lint_paths` runs —
-  ``repro lint`` and CI are its consumers.
+  imports it, and it is imported only when ``lint_paths`` is first
+  used — ``repro lint`` and CI are its consumers.
+
+Every export is lazy (the submodule ``_LAZY`` names): ``from
+repro.analysis import status_grid`` loads :mod:`charts` and
+:mod:`series` and nothing that reads the database.
 """
 
-from repro.analysis.queries import run_records, group_by, pivot
-from repro.analysis.series import (
-    Series,
-    speedup_series,
-    difference_series,
-    normalize_to,
-)
-from repro.analysis.charts import bar_chart, status_grid
-from repro.analysis.report import experiment_report
-from repro.analysis.validation import (
-    compare_stats,
-    diagnose_configs,
-    within_tolerance,
-)
+import importlib
+
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {
+    "lint_paths": "dataflow",
+    "experiment_report": "report",
+    "compare_stats": "validation",
+    "diagnose_configs": "validation",
+    "within_tolerance": "validation",
+    "run_records": "queries",
+    "group_by": "queries",
+    "pivot": "queries",
+    "Series": "series",
+    "speedup_series": "series",
+    "difference_series": "series",
+    "normalize_to": "series",
+    "bar_chart": "charts",
+    "status_grid": "charts",
+}
+
+__all__ = list(_LAZY)
 
 
-def lint_paths(paths):
-    """Run every lint rule and whole-program pass over files/directories;
-    sorted findings (see :func:`repro.analysis.dataflow.lint_paths`)."""
-    from repro.analysis.dataflow import lint_paths as lint
-
-    return lint(paths)
-
-
-__all__ = [
-    "lint_paths",
-    "experiment_report",
-    "compare_stats",
-    "diagnose_configs",
-    "within_tolerance",
-    "run_records",
-    "group_by",
-    "pivot",
-    "Series",
-    "speedup_series",
-    "difference_series",
-    "normalize_to",
-    "bar_chart",
-    "status_grid",
-]
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,6 +28,9 @@ from repro.common.hashing import sha256_text
 from repro.art.run import boot_checkpoint, simulate_run
 from repro.scheduler.procpool import JobEnvelope, intern_ref
 from repro.sim.checkpoint import Checkpoint
+# Loaded before the pool forks, so no seat imports them at its first job.
+import repro.sim.simulator
+import repro.sim.workload.registry
 
 #: The dotted-path target every run envelope resolves to in the worker.
 RUN_TARGET = "repro.art.procjobs:execute_run_payload"

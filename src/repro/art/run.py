@@ -40,8 +40,6 @@ from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
 from repro.sim.buildinfo import Gem5Build
 from repro.sim.checkpoint import Checkpoint
-from repro.sim.config import SystemConfig
-from repro.sim.simulator import Gem5Simulator, SimulationStatus
 from repro.vfs.image import DiskImage
 
 if TYPE_CHECKING:
@@ -644,7 +642,9 @@ def boot_checkpoint(params, inputs) -> Optional[Checkpoint]:
     )[0]
 
 
-def _fs_simulator(params, inputs, cpu_type: str) -> Gem5Simulator:
+def _fs_simulator(params, inputs, cpu_type: str):
+    from repro.sim import Gem5Simulator, SystemConfig
+
     config = SystemConfig(
         cpu_type=cpu_type,
         num_cpus=params["num_cpus"],
@@ -656,6 +656,8 @@ def _fs_simulator(params, inputs, cpu_type: str) -> Gem5Simulator:
 
 
 def _simulate_fs(simulator, params, inputs, restore):
+    from repro.sim import SimulationStatus
+
     result = simulator.run_fs(
         kernel=inputs["kernel_version"],
         disk_image=inputs["disk_image"],

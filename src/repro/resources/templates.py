@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.packer.template import Template
-from repro.sim.workload.parsec import PARSEC_APPS
-from repro.sim.workload.spec import SPEC_BENCHMARKS
 
 #: Benchmark suite contents used to generate install scripts.
 NPB_APPS = ("bt", "cg", "ep", "ft", "is", "lu", "mg", "sp")
@@ -56,6 +54,8 @@ def _suite_template(
 def parsec_template(distro: str = "ubuntu-18.04") -> Template:
     """The PARSEC disk image used by use-case 1 (all 13 apps installed;
     the broken three fail at run time like the real suite)."""
+    from repro.sim.workload.parsec import PARSEC_APPS
+
     return _suite_template(
         "parsec",
         sorted(PARSEC_APPS),
@@ -135,6 +135,8 @@ def spec_template(
     licensing rule the paper describes (scripts are distributed, media and
     pre-built images are not).
     """
+    from repro.sim.workload.spec import SPEC_BENCHMARKS
+
     builder = {
         "type": "ubuntu-iso",
         "distro": distro,

@@ -16,38 +16,36 @@ paper:
 - gem5-v20.1-accurate *support limits and failure modes* via an explicit
   fault model (see :mod:`repro.sim.faults`),
 - gem5-style statistics output.
+
+Every name below is lazy: it resolves on first use from the submodule
+``_LAZY`` names, so importing :mod:`repro.sim.buildinfo` (all an
+artifact needs) or a ``Gem5Build`` loads no simulator, workload family,
+fault model or CPU/memory model.
 """
 
-from repro.common.statsdb import StatsDB
-from repro.sim.events import EventQueue
-from repro.sim.config import (
-    SystemConfig,
-    CacheConfig,
-    MemoryTech,
-    MEMORY_TECHS,
-    CPU_TYPES,
-    MEMORY_SYSTEMS,
-)
-from repro.sim.buildinfo import Gem5Build
-from repro.sim.checkpoint import Checkpoint
-from repro.sim.simulator import (
-    Gem5Simulator,
-    SimulationResult,
-    SimulationStatus,
-)
+import importlib
 
-__all__ = [
-    "EventQueue",
-    "StatsDB",
-    "SystemConfig",
-    "CacheConfig",
-    "MemoryTech",
-    "MEMORY_TECHS",
-    "CPU_TYPES",
-    "MEMORY_SYSTEMS",
-    "Gem5Build",
-    "Checkpoint",
-    "Gem5Simulator",
-    "SimulationResult",
-    "SimulationStatus",
-]
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {
+    "EventQueue": "events",
+    "SystemConfig": "config",
+    "CacheConfig": "config",
+    "MemoryTech": "config",
+    "MEMORY_TECHS": "config",
+    "CPU_TYPES": "config",
+    "MEMORY_SYSTEMS": "config",
+    "Gem5Build": "buildinfo",
+    "Checkpoint": "checkpoint",
+    "Gem5Simulator": "simulator",
+    "SimulationResult": "simulator",
+    "SimulationStatus": "simulator",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

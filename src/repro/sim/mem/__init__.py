@@ -1,16 +1,2 @@
-"""Memory-system timing models: caches, DRAM, classic and Ruby systems."""
-
-from repro.sim.mem.cache import capacity_miss_ratio, CacheModel
-from repro.sim.mem.hierarchy import (
-    MemorySystemModel,
-    build_memory_system,
-    MemoryTimings,
-)
-
-__all__ = [
-    "capacity_miss_ratio",
-    "CacheModel",
-    "MemorySystemModel",
-    "build_memory_system",
-    "MemoryTimings",
-]
+"""Memory-system timing models: caches, DRAM, classic and Ruby systems
+(:mod:`~repro.sim.mem.cache`, :mod:`~repro.sim.mem.hierarchy`)."""

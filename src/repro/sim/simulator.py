@@ -31,12 +31,6 @@ from repro.sim.m5ops import (
     M5OpLog,
 )
 from repro.sim.workload.boot import boot_workload
-from repro.sim.workload.registry import (
-    DEFAULT_INPUTS,
-    broken_reason,
-    get_workload,
-    installed_benchmarks,
-)
 from repro.sim.workload.phases import Workload
 from repro.telemetry import get_metrics, get_tracer
 from repro.vfs.image import DiskImage
@@ -326,6 +320,13 @@ class Gem5Simulator:
     def _benchmark_workload(
         self, disk_image: DiskImage, benchmark: str, input_size: str
     ):
+        from repro.sim.workload.registry import (
+            DEFAULT_INPUTS,
+            broken_reason,
+            get_workload,
+            installed_benchmarks,
+        )
+
         built = installed_benchmarks(disk_image.metadata)
         if benchmark not in built:
             raise NotFoundError(

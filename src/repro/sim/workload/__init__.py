@@ -1,49 +1,42 @@
 """Workload behaviour models: phase descriptors, the PARSEC suite, and the
-full-system boot workload."""
+full-system boot workload.
 
-from repro.sim.workload.phases import Phase, Workload
-from repro.sim.workload.parsec import (
-    PARSEC_APPS,
-    PARSEC_WORKING_APPS,
-    PARSEC_BROKEN_APPS,
-    ParsecApp,
-    get_parsec_workload,
-    INPUT_SIZES,
-)
-from repro.sim.workload.boot import boot_workload, BOOT_TYPES
-from repro.sim.workload.npb import NPB_APPS, NPB_CLASSES, get_npb_workload
-from repro.sim.workload.gapbs import GAPBS_KERNELS, get_gapbs_workload
-from repro.sim.workload.spec import (
-    SPEC_BENCHMARKS,
-    SPEC_INPUTS,
-    get_spec_workload,
-)
-from repro.sim.workload.registry import (
-    DEFAULT_INPUTS,
-    get_workload,
-    suite_apps,
-)
+Every name below is lazy (the submodule ``_LAZY`` names), so a boot
+loads :mod:`~repro.sim.workload.phases` and
+:mod:`~repro.sim.workload.boot` and none of the benchmark families."""
 
-__all__ = [
-    "NPB_APPS",
-    "NPB_CLASSES",
-    "get_npb_workload",
-    "GAPBS_KERNELS",
-    "get_gapbs_workload",
-    "SPEC_BENCHMARKS",
-    "SPEC_INPUTS",
-    "get_spec_workload",
-    "DEFAULT_INPUTS",
-    "get_workload",
-    "suite_apps",
-    "Phase",
-    "Workload",
-    "PARSEC_APPS",
-    "PARSEC_WORKING_APPS",
-    "PARSEC_BROKEN_APPS",
-    "ParsecApp",
-    "get_parsec_workload",
-    "INPUT_SIZES",
-    "boot_workload",
-    "BOOT_TYPES",
-]
+import importlib
+
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {
+    "NPB_APPS": "npb",
+    "NPB_CLASSES": "npb",
+    "get_npb_workload": "npb",
+    "GAPBS_KERNELS": "gapbs",
+    "get_gapbs_workload": "gapbs",
+    "SPEC_BENCHMARKS": "spec",
+    "SPEC_INPUTS": "spec",
+    "get_spec_workload": "spec",
+    "DEFAULT_INPUTS": "registry",
+    "get_workload": "registry",
+    "suite_apps": "registry",
+    "Phase": "phases",
+    "Workload": "phases",
+    "PARSEC_APPS": "parsec",
+    "PARSEC_WORKING_APPS": "parsec",
+    "PARSEC_BROKEN_APPS": "parsec",
+    "ParsecApp": "parsec",
+    "get_parsec_workload": "parsec",
+    "INPUT_SIZES": "parsec",
+    "boot_workload": "boot",
+    "BOOT_TYPES": "boot",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

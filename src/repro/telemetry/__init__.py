@@ -24,20 +24,21 @@ or scoped::
 
 Telemetry never feeds back into the simulation: simulated time and
 statistics are bit-identical with it on or off (asserted by the tests).
+
+Only :mod:`tracing`, :mod:`metrics` and :mod:`events` are imported with
+the package.  The :mod:`export` and :mod:`recorder` names resolve on
+first use (the ``_LAZY`` table): a sweep with telemetry off renders and
+archives nothing.
 """
 
 from __future__ import annotations
 
+import importlib
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
 from repro.telemetry.events import NULL_EVENT_LOG, EventLog, NullEventLog
-from repro.telemetry.export import (
-    chrome_trace_json,
-    metrics_to_prometheus,
-    spans_to_chrome_trace,
-)
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -46,13 +47,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-)
-from repro.telemetry.recorder import (
-    TELEMETRY,
-    archive_telemetry,
-    merge_worker_telemetry,
-    rehydrate_telemetry,
-    snapshot,
 )
 from repro.telemetry.tracing import (
     NULL_SPAN,
@@ -63,6 +57,25 @@ from repro.telemetry.tracing import (
     SpanContext,
     Tracer,
 )
+
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {
+    "metrics_to_prometheus": "export",
+    "spans_to_chrome_trace": "export",
+    "chrome_trace_json": "export",
+    "snapshot": "recorder",
+    "archive_telemetry": "recorder",
+    "merge_worker_telemetry": "recorder",
+    "rehydrate_telemetry": "recorder",
+    "TELEMETRY": "recorder",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TelemetrySession:
@@ -76,6 +89,8 @@ class TelemetrySession:
     def snapshot(self, spans=None) -> dict:
         """Archival form of everything recorded so far (optionally with a
         restricted span set, e.g. one run's subtree)."""
+        from repro.telemetry.recorder import snapshot
+
         return snapshot(
             spans=self.tracer.finished_spans() if spans is None else spans,
             metrics=self.metrics.collect(),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro import telemetry
 from repro.common.errors import NotFoundError
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import dumps, loads
@@ -103,9 +104,6 @@ def merge_worker_telemetry(
     """
     if not buffer:
         return
-    # Imported lazily: the package __init__ imports this module.
-    from repro import telemetry
-
     telemetry.get_metrics().merge(buffer.get("metrics") or [])
     extra = {} if worker is None else {"worker": worker}
     telemetry.get_event_log().absorb(buffer.get("events") or [], **extra)

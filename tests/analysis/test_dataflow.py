@@ -6,10 +6,13 @@ Each test writes a small fixture tree containing a ``repro`` directory
 names) and runs :func:`repro.analysis.lint_paths` over it.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import lint_paths
 from repro.analysis.reporters import render_sarif
 from tests.analysis.helpers import write_tree as _write_tree
@@ -271,6 +274,26 @@ def test_lazy_table_is_an_import_edge(tmp_path, table, dead):
     assert [
         (finding.rule_id, finding.message.split()[1]) for finding in findings
     ] == dead
+
+
+def test_every_lazy_table_names_submodules_of_its_package():
+    """The lint turns a ``_LAZY`` value into an edge to
+    ``{package}.{value}`` whether or not that module exists, so a value
+    naming anything else (another package's module, a dotted path, a
+    typo) must fail here instead."""
+    tables = 0
+    for init in sorted(Path(repro.__file__).parent.rglob("__init__.py")):
+        tree = ast.parse(init.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and [
+                getattr(target, "id", None) for target in stmt.targets
+            ] == ["_LAZY"]:
+                tables += 1
+                for value in ast.literal_eval(stmt.value).values():
+                    assert (init.parent / f"{value}.py").is_file() or (
+                        init.parent / value / "__init__.py"
+                    ).is_file(), (str(init), value)
+    assert tables >= 6
 
 
 # ------------------------------------------------------------------ sarif

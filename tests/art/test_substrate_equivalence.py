@@ -6,9 +6,12 @@ assert per feature: the ``--quick`` Fig 8 grid (48 runs) through
 checkpoint pipeline, must leave the same sorted ``(fingerprint,
 simulation_status, stats_file_id)`` triples in the database — the triple
 ``benchmarks/perf/inspect_sample.py::runs_digest`` hashes — on every
-substrate, and the same outcomes with and without checkpoints.
+substrate, and the same outcomes with and without checkpoints.  On the
+cache axis, a warm pass over the cold pass's database adopts every run
+and leaves the same digest, with telemetry off and on.
 """
 
+import contextlib
 import itertools
 
 import pytest
@@ -31,6 +34,7 @@ from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
+from tests.art.test_write_budget import runs_digest  # noqa: F401
 from tests.helpers import events_of
 
 
@@ -108,6 +112,36 @@ def test_fig8_quick_grid_is_identical_on_every_substrate():
     assert [triple[:2] for triple in outcomes[("inline", True)]] == [
         triple[:2] for triple in outcomes[("inline", False)]
     ]
+
+
+def test_a_warm_grid_adopts_every_run_on_every_substrate(runs_digest):
+    """The cache axis, with telemetry off and on: the grid cold, then
+    again on the same database.  The warm pass simulates nothing — every
+    run document it writes is a cache hit — and its documents hash to
+    the cold pass's digest, in every cell."""
+    digests = {}
+    for substrate, traced in itertools.product(SUBSTRATES, (False, True)):
+        db = ArtifactDB()
+        with telemetry.session() if traced else contextlib.nullcontext():
+            quick_fig8(db).launch(workers=2, substrate=substrate)
+            cold_ids = [
+                doc["_id"] for doc in db.database.collection("runs").find()
+            ]
+            cold = runs_digest(db.database)
+            summaries = quick_fig8(db).launch(
+                workers=2, substrate=substrate
+            )
+        assert len(summaries) == 48
+        for run_id in cold_ids:
+            db.database.collection("runs").delete_one({"_id": run_id})
+        documents = db.database.collection("runs").find()
+        assert len(documents) == 48
+        assert all(doc.get("cache_hit") for doc in documents), (
+            substrate, traced,
+        )
+        assert runs_digest(db.database) == cold, (substrate, traced)
+        digests[(substrate, traced)] = cold
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_duplicated_grid_coalesces_the_same_way_on_every_substrate():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.sim import CacheConfig, StatsDB, SystemConfig
+from repro.common.statsdb import StatsDB
+from repro.sim import CacheConfig, SystemConfig
 from repro.sim.buildinfo import Gem5Build
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.art import ArtifactDB, Artifact
 from repro.db import Collection
 from repro.resources import build_resource
-from repro.scheduler import SimplePool
+from repro.scheduler import JobEnvelope, ProcessPool
 from repro.sim.events import EventQueue
 
 
@@ -69,8 +69,15 @@ def test_bench_disk_image_hash(benchmark):
 
 
 def test_bench_pool_dispatch_overhead(benchmark):
+    """A process pool's round trip with nothing in it: 100 envelopes of
+    a stdlib function, forks of the seats included."""
+
     def dispatch_100():
-        with SimplePool(processes=8) as pool:
-            return sum(pool.map(lambda x: x, range(100)))
+        with ProcessPool(workers=2) as pool:
+            handles = [
+                pool.submit(JobEnvelope("operator:neg", args=(-x,)))
+                for x in range(100)
+            ]
+            return sum(handle.result() for handle in handles)
 
     assert benchmark(dispatch_100) == sum(range(100))

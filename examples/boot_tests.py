@@ -4,9 +4,9 @@
 Sweeps 480 configurations — 2 boot types x 5 LTS kernels x 4 CPU models x
 3 memory systems x 4 core counts — through gem5art with the Celery-style
 scheduler, the way the paper's launch script ends: one task wrapping
-``run_job`` on a ``SchedulerApp`` whose workers are a ``SimplePool``'s
-threads (each runs ``run.run()`` whole, database writes included),
-``apply_async`` per run, then ``get`` each, which re-raises (as a
+``run_job`` on a ``SchedulerApp``, ``apply_async`` per run (the app runs
+each task eagerly, ``run.run()`` whole on this thread, as Celery does
+under ``task_always_eager``), then ``get`` each, which re-raises (as a
 ``StateError``) a run that raised, as Celery's does, once ``run()``
 has recorded it ``failed``.  ``repro boot-tests`` sweeps the same grid
 through the planner (``run_jobs_scheduler``) instead.  Then renders
@@ -80,14 +80,13 @@ def main() -> None:
             )
         )
     print(f"launching {len(runs)} boot tests ...")
-    app = SchedulerApp(name="gem5art", worker_count=8)
+    app = SchedulerApp(name="gem5art")
     run_task = app.task(name="gem5art.run_job")(run_job)
-    try:
-        handles = [run_task.apply_async((run,)) for run in runs]
-        for handle in handles:
-            handle.get()
-    finally:
-        app.shutdown()
+    handles = [
+        run_task.apply_async(args=(run,), kwargs={}) for run in runs
+    ]
+    for handle in handles:
+        handle.get()
 
     records = run_records(db)
     # One grid per (boot type, cpu model): rows = kernels, columns =

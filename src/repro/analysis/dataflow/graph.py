@@ -22,8 +22,8 @@ read and parsed exactly once, into the
   submodule it names, the import its ``__getattr__`` makes on first use.
 
 Resolution is *textual*, not executable: ``from repro.scheduler import
-pool`` becomes an edge to ``repro.scheduler.pool`` when that module
-is in the project, else to ``repro.scheduler``; external imports
+procpool`` becomes an edge to ``repro.scheduler.procpool`` when that
+module is in the project, else to ``repro.scheduler``; external imports
 (``threading``) are kept as opaque dotted names.  Nothing is ever
 imported.
 """

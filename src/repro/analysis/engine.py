@@ -3,8 +3,7 @@
 The analyzer is the enforcement arm of the reproducibility contract: the
 paper's claim that a run is explainable from the database alone only holds
 if *no* code path smuggles in wall-clock time, process-unique ids, or
-unseeded randomness — and the resilience layer's fifteen-odd lock sites
-only stay deadlock-free if their discipline is checked, not remembered.
+unseeded randomness.
 
 Design (one parse, one pass, many rules):
 
@@ -18,7 +17,7 @@ Design (one parse, one pass, many rules):
 - :func:`run_rules` performs a *single* recursive traversal of one file,
   dispatching every node to the rules that registered interest in its
   type (``Rule.interests``) and maintaining the ancestor stack (for "am
-  I under a ``with`` holding a lock?" questions).
+  I inside a sorted(...) call?" questions).
 - Findings are plain :class:`Finding` records with a content-based
   fingerprint (module + rule + stripped source line) that SARIF
   consumers use to track a finding across line-number churn.
@@ -34,7 +33,6 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -42,24 +40,12 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     Type,
 )
 
 #: Finding severities, most severe first (sort order relies on this).
 SEVERITIES = ("error", "warning", "info")
-
-#: threading factories whose results are lock-like.
-LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-    }
-)
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9\-, ]+)\])?", re.IGNORECASE
@@ -168,32 +154,6 @@ class FileContext:
         parts.append(root)
         return ".".join(reversed(parts))
 
-    @cached_property
-    def lock_attrs(self) -> Dict[str, Set[str]]:
-        """Class name -> the ``self.X`` attributes its methods assign a
-        threading lock factory to (so ``self._idle =
-        threading.Condition()`` makes ``_idle`` a lock of its class)."""
-        found: Dict[str, Set[str]] = {}
-        for cls in ast.walk(self.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            attrs = found.setdefault(cls.name, set())
-            for node in ast.walk(cls):
-                if (
-                    isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and self.qualified_name(node.value.func)
-                    in LOCK_FACTORIES
-                ):
-                    attrs.update(filter(None, map(self_attr, node.targets)))
-        return found
-
-    def enclosing_class(self) -> Optional[ast.ClassDef]:
-        for node in reversed(self.ancestors):
-            if isinstance(node, ast.ClassDef):
-                return node
-        return None
-
     def suppressed(self, lineno: int, rule_id: str) -> bool:
         rules = self._noqa.get(lineno)
         if rules is None:
@@ -246,17 +206,6 @@ def run_rules(ctx: FileContext, rules: Iterable[Rule]) -> List[Finding]:
 
 
 # ------------------------------------------------------------------ walking
-
-
-def self_attr(node: ast.AST) -> Optional[str]:
-    """``X`` when the node is ``self.X``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:

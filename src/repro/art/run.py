@@ -25,7 +25,6 @@ the archived, hash-verified result at near-zero cost.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
@@ -40,7 +39,6 @@ from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
 from repro.sim.buildinfo import Gem5Build
 from repro.sim.checkpoint import Checkpoint
-from repro.vfs.image import DiskImage
 
 if TYPE_CHECKING:
     from repro.gpu.config import GPUConfig
@@ -524,13 +522,12 @@ class InputResolver:
     from one is a pure function of the hash its spec already carries.
     A resolver lives for one planner call (or one bare ``run()``),
     loads each distinct ``(role, content hash)`` at most once however
-    many runs (or threads) ask — the blob's SHA-256 is verified on
-    that one read — and hands every asker the same object.  A load that
+    many runs ask — the blob's SHA-256 is verified on that one read —
+    and hands every asker the same object.  A load that
     raises is not remembered: each dependent run fails with its own.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._resolved: Dict[Hashable, Any] = {}
 
     def live(self, run: Gem5Run) -> Dict[str, object]:
@@ -547,9 +544,7 @@ class InputResolver:
             "kernel_version": self._artifact(
                 run, "linux_binary", _kernel_version_of
             ),
-            "disk_image": self._artifact(
-                run, "disk_image", _published_disk_image
-            ),
+            "disk_image": self._artifact(run, "disk_image", load_disk_image),
         }
 
     def wire(self, run: Gem5Run) -> Dict[str, Any]:
@@ -572,13 +567,9 @@ class InputResolver:
         )
 
     def _once(self, key: Hashable, load: Callable[[], Any]) -> Any:
-        # Single-flight: the lock is held across the load, so racing
-        # threads wait for the first one's result instead of repeating
-        # its database reads.
-        with self._lock:
-            if key not in self._resolved:
-                self._resolved[key] = load()
-            return self._resolved[key]
+        if key not in self._resolved:
+            self._resolved[key] = load()
+        return self._resolved[key]
 
 
 def _build_of(gem5_artifact: Artifact) -> Dict[str, object]:
@@ -592,15 +583,6 @@ def _build_of(gem5_artifact: Artifact) -> Dict[str, object]:
 
 def _kernel_version_of(kernel_artifact: Artifact) -> str:
     return kernel_artifact.metadata["kernel_version"]
-
-
-def _published_disk_image(disk_artifact: Artifact) -> DiskImage:
-    image = load_disk_image(disk_artifact)
-    # content_hash() fills the image's memo fields lazily and without a
-    # lock; filling them here, before any other thread can see the
-    # image, leaves the shared object read-only.
-    image.content_hash()
-    return image
 
 
 # ------------------------------------------------------------- simulation

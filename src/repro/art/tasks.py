@@ -2,17 +2,18 @@
 
 Run objects are plain callables that any task manager can launch.
 :func:`run_jobs_scheduler` is the one planner every sweep goes through
-(``Experiment.launch``, the CLI, the pipeline runner).  It owns the
-database: every run's :meth:`~repro.art.run.Gem5Run.begin` and
+(``Experiment.launch``, the CLI, the pipeline runner and
+:func:`run_jobs_pool`).  It owns the database: every run's
+:meth:`~repro.art.run.Gem5Run.begin` and
 :meth:`~repro.art.run.Gem5Run.finish` — cache and checkpoint consults,
 status writes, blob uploads, cache stores — happen on the thread that
 called it, and **only simulations leave that thread**, as pure functions
 of their arguments: to a :class:`~repro.scheduler.ProcessPool` worker
 process (``processes``) or nowhere (``inline``).  Both substrates are
 executors with the same four verbs, driven by one loop.  :func:`run_job`
-and :func:`run_jobs_pool` are the paper's literal launch-script tail
-(``multiprocessing``'s ``apply_async`` over ``run.run``), the reference
-the planner is tested against.
+(``run.run()`` whole, on the caller's thread) is the paper's
+no-scheduler launch-script tail, the reference the planner is tested
+against.
 """
 
 from __future__ import annotations
@@ -44,24 +45,14 @@ def run_job(run: Gem5Run) -> Dict[str, object]:
 def run_jobs_pool(
     runs: Sequence[Gem5Run], processes: int = 4
 ) -> List[Dict[str, object]]:
-    """Execute runs through the multiprocessing-style pool, preserving
-    input order in the returned summaries.
-
-    The submitting thread's span context is captured here and re-parented
-    on each pool thread (pool threads cannot see the submitter's
-    thread-local span stack)."""
-    from repro.scheduler import SimplePool  # deferred: see its __getattr__
-
-    tracer = get_tracer()
-    parent = tracer.current_context_dict()
-
-    def execute(run: Gem5Run) -> Dict[str, object]:
-        with tracer.activate(parent):
-            return run_job(run)
-
-    with SimplePool(processes=processes) as pool:
-        handles = [pool.apply_async(execute, (run,)) for run in runs]
-        return [handle.get() for handle in handles]
+    """Execute runs on a pool of ``processes`` worker processes — the
+    paper's ``multiprocessing`` option — returning their summaries in
+    input order.  It is the planner on the ``processes`` substrate, so
+    a simulation that raises is a ``failed`` run and a ``success:
+    False`` summary, and duplicate fingerprints coalesce."""
+    return run_jobs_scheduler(
+        runs, worker_count=processes, substrate="processes"
+    )
 
 
 def group_runs_by_prefix(
@@ -343,6 +334,10 @@ def run_jobs_scheduler(
         raise ValidationError(
             f"unknown substrate {substrate!r} (expected one of "
             f"{SUBSTRATES})"
+        )
+    if worker_count < 1:
+        raise ValidationError(
+            f"worker_count must be >= 1 (got {worker_count})"
         )
     executor = (
         _Processes(worker_count) if substrate == "processes" else _Inline()

@@ -18,8 +18,8 @@ point                   fired
 ======================  ====================================================
 ``filestore.put``       before a blob write (:meth:`FileStore.put_bytes`)
 ``filestore.get``       before a blob read (:meth:`FileStore.get_bytes`)
-``task.run``            on the app's pool thread, before each attempt of
-                        a task body (a crash ends the task ``FAILURE``)
+``task.run``            inside ``apply_async``, before each attempt of a
+                        task body (a crash ends the task ``FAILURE``)
 ``procpool.submit``     before an envelope is queued on the process pool
 ``run.status``          before a run document status update
 ``runcache.get``        before a run-cache consult reads its entry (a

@@ -18,7 +18,6 @@ replay a failure schedule bit-for-bit from nothing but a seed.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,7 +101,6 @@ class ChaosInjector:
 
     def __init__(self, seed: int, rules: Sequence[FaultRule] = ()):
         self.seed = seed
-        self._lock = threading.Lock()
         self._states: List[_RuleState] = [
             _RuleState(
                 rule=rule,
@@ -122,37 +120,36 @@ class ChaosInjector:
         """
         pending: Optional[Tuple[FaultRule, Dict[str, Any]]] = None
         sleep_for = 0.0
-        with self._lock:
-            for state in self._states:
-                rule = state.rule
-                if not rule.matches(point, context):
+        for state in self._states:
+            rule = state.rule
+            if not rule.matches(point, context):
+                continue
+            state.seen += 1
+            if state.seen <= rule.after:
+                continue
+            if rule.times is not None and state.fired >= rule.times:
+                continue
+            if rule.probability < 1.0:
+                # Draw even when the outcome is predetermined by the
+                # counters above?  No — draws happen only for calls
+                # that reached the probability gate, so the stream
+                # position is a pure function of the eligible-call
+                # sequence and replays stay aligned.
+                if state.stream.random() > rule.probability:
                     continue
-                state.seen += 1
-                if state.seen <= rule.after:
-                    continue
-                if rule.times is not None and state.fired >= rule.times:
-                    continue
-                if rule.probability < 1.0:
-                    # Draw even when the outcome is predetermined by the
-                    # counters above?  No — draws happen only for calls
-                    # that reached the probability gate, so the stream
-                    # position is a pure function of the eligible-call
-                    # sequence and replays stay aligned.
-                    if state.stream.random() > rule.probability:
-                        continue
-                state.fired += 1
-                entry = {
-                    "point": point,
-                    "action": rule.action,
-                    "rule": rule.point,
-                    "context": {k: str(v) for k, v in context.items()},
-                }
-                self._log.append(entry)
-                if rule.action == "delay":
-                    sleep_for += rule.delay
-                    continue
-                pending = (rule, entry)
-                break
+            state.fired += 1
+            entry = {
+                "point": point,
+                "action": rule.action,
+                "rule": rule.point,
+                "context": {k: str(v) for k, v in context.items()},
+            }
+            self._log.append(entry)
+            if rule.action == "delay":
+                sleep_for += rule.delay
+                continue
+            pending = (rule, entry)
+            break
         if sleep_for > 0:
             time.sleep(sleep_for)
         if pending is not None:
@@ -165,39 +162,34 @@ class ChaosInjector:
 
     def log(self) -> List[Dict[str, Any]]:
         """Every fault fired so far, in firing order."""
-        with self._lock:
-            return [dict(entry) for entry in self._log]
+        return [dict(entry) for entry in self._log]
 
     def report(self) -> Dict[str, Dict[str, int]]:
         """Deterministic summary: per rule, calls seen and faults fired."""
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for index, state in enumerate(self._states):
-                key = f"{index}:{state.rule.point}:{state.rule.action}"
-                out[key] = {"seen": state.seen, "fired": state.fired}
-            return out
+        out: Dict[str, Dict[str, int]] = {}
+        for index, state in enumerate(self._states):
+            key = f"{index}:{state.rule.point}:{state.rule.action}"
+            out[key] = {"seen": state.seen, "fired": state.fired}
+        return out
 
 
 # ------------------------------------------------------ global installation
 
-_install_lock = threading.Lock()
 _injector: Optional[ChaosInjector] = None
 
 
 def install(injector: ChaosInjector) -> ChaosInjector:
     """Make ``injector`` the process-wide injector (one at a time)."""
     global _injector
-    with _install_lock:
-        if _injector is not None:
-            raise ValidationError("a chaos injector is already installed")
-        _injector = injector
+    if _injector is not None:
+        raise ValidationError("a chaos injector is already installed")
+    _injector = injector
     return injector
 
 
 def uninstall() -> None:
     global _injector
-    with _install_lock:
-        _injector = None
+    _injector = None
 
 
 def active() -> Optional[ChaosInjector]:

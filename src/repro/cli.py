@@ -279,12 +279,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     return handler(args)
 
 
+def _positive_int(text: str) -> int:
+    """``--workers``' type: below 1 is a usage error (exit 2), as
+    ``execution.workers`` is in a manifest."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
 def _add_sweep_flags(subparser) -> None:
     """The flags ``boot-tests`` and ``resume`` share: ``--workers``,
     ``--substrate``, ``--cache``/``--no-cache`` (default: on) and
     ``--checkpoints``/``--no-checkpoints`` (default: off)."""
     subparser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker processes on --substrate processes (default: "
         "Experiment's)",
     )

@@ -29,7 +29,6 @@ the collection is unchanged, so memory never runs ahead of disk.
 
 from __future__ import annotations
 
-import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -76,7 +75,6 @@ class Collection:
         self._secondary_indexes: Dict[str, Dict[Any, Set[str]]] = {}
         #: Durable op log (a CollectionStore) or None for memory-only.
         self._store = store
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------- indexes
 
@@ -86,23 +84,22 @@ class Collection:
         Documents missing the field are exempt (sparse-index semantics),
         which is what lets non-repository artifacts omit git info.
         """
-        with self._lock:
-            known = field in self._unique_indexes
-            seen: Dict[Any, str] = {}
-            for doc_id, doc in self._documents.items():
-                value = get_path(doc, field)
-                if value is _MISSING or _unset(value):
-                    continue
-                key = _index_key(value)
-                if key in seen:
-                    raise DuplicateError(
-                        f"existing documents violate unique index on "
-                        f"{field!r}"
-                    )
-                seen[key] = doc_id
-            if self._store is not None and not known:
-                self._store.log_index(field, unique=True)
-            self._unique_indexes[field] = seen
+        known = field in self._unique_indexes
+        seen: Dict[Any, str] = {}
+        for doc_id, doc in self._documents.items():
+            value = get_path(doc, field)
+            if value is _MISSING or _unset(value):
+                continue
+            key = _index_key(value)
+            if key in seen:
+                raise DuplicateError(
+                    f"existing documents violate unique index on "
+                    f"{field!r}"
+                )
+            seen[key] = doc_id
+        if self._store is not None and not known:
+            self._store.log_index(field, unique=True)
+        self._unique_indexes[field] = seen
 
     def create_index(self, field: str) -> None:
         """Build a non-unique secondary index over ``field``.
@@ -112,24 +109,22 @@ class Collection:
         each element is indexed, so equality-with-element matches keep
         working through the fast path.  Idempotent.
         """
-        with self._lock:
-            if field in self._secondary_indexes:
-                return
-            index: Dict[Any, Set[str]] = {}
-            for doc_id, doc in self._documents.items():
-                for key in self._entry_keys(doc, field):
-                    index.setdefault(key, set()).add(doc_id)
-            if self._store is not None:
-                self._store.log_index(field, unique=False)
-            self._secondary_indexes[field] = index
+        if field in self._secondary_indexes:
+            return
+        index: Dict[Any, Set[str]] = {}
+        for doc_id, doc in self._documents.items():
+            for key in self._entry_keys(doc, field):
+                index.setdefault(key, set()).add(doc_id)
+        if self._store is not None:
+            self._store.log_index(field, unique=False)
+        self._secondary_indexes[field] = index
 
     def index_fields(self) -> Dict[str, str]:
         """{field: "unique" | "secondary" | "unique+secondary"}."""
-        with self._lock:
-            fields = {f: "unique" for f in self._unique_indexes}
-            for f in self._secondary_indexes:
-                fields[f] = "unique+secondary" if f in fields else "secondary"
-            return fields
+        fields = {f: "unique" for f in self._unique_indexes}
+        for f in self._secondary_indexes:
+            fields[f] = "unique+secondary" if f in fields else "secondary"
+        return fields
 
     @staticmethod
     def _entry_keys(doc: Dict[str, Any], field: str) -> List[Any]:
@@ -261,17 +256,16 @@ class Collection:
         """
         if not isinstance(document, dict):
             raise ValidationError("documents must be dicts")
-        with self._lock:
-            doc = json_copy(document)
-            doc_id = doc.setdefault("_id", new_uuid())
-            if doc_id in self._documents:
-                raise DuplicateError(f"duplicate _id: {doc_id}")
-            self._check_unique(doc)
-            if self._store is not None:
-                self._store.log_insert(doc)
-            self._documents[doc_id] = doc
-            self._index_add(doc)
-            return doc_id
+        doc = json_copy(document)
+        doc_id = doc.setdefault("_id", new_uuid())
+        if doc_id in self._documents:
+            raise DuplicateError(f"duplicate _id: {doc_id}")
+        self._check_unique(doc)
+        if self._store is not None:
+            self._store.log_insert(doc)
+        self._documents[doc_id] = doc
+        self._index_add(doc)
+        return doc_id
 
     # --------------------------------------------------------------- query
 
@@ -284,12 +278,11 @@ class Collection:
     ) -> List[Dict[str, Any]]:
         """Return copies of all matching documents."""
         query = query or {}
-        with self._lock:
-            found = [
-                json_copy(doc)
-                for doc in self._candidates(query)
-                if matches(doc, query)
-            ]
+        found = [
+            json_copy(doc)
+            for doc in self._candidates(query)
+            if matches(doc, query)
+        ]
         if sort:
             found = sort_documents(found, sort)
         if limit is not None:
@@ -306,10 +299,9 @@ class Collection:
 
     def count(self, query: Optional[Dict[str, Any]] = None) -> int:
         query = query or {}
-        with self._lock:
-            return sum(
-                1 for doc in self._candidates(query) if matches(doc, query)
-            )
+        return sum(
+            1 for doc in self._candidates(query) if matches(doc, query)
+        )
 
     # -------------------------------------------------------------- update
 
@@ -324,52 +316,49 @@ class Collection:
         operators — and only then swapped in: an update refused at any
         of those steps leaves the stored document as it was.
         """
-        with self._lock:
-            for doc in self._candidates(query):
-                if matches(doc, query):
-                    doc_id = doc["_id"]
-                    candidate, touched = _updated(doc, update)
-                    self._check_unique(candidate, ignore_id=doc_id)
-                    if self._store is not None:
-                        self._store.log_update(
-                            doc_id, *_effect(candidate, touched)
-                        )
-                    self._index_remove(doc)
-                    self._documents[doc_id] = candidate
-                    self._index_add(candidate)
-                    return True
-            return False
+        for doc in self._candidates(query):
+            if matches(doc, query):
+                doc_id = doc["_id"]
+                candidate, touched = _updated(doc, update)
+                self._check_unique(candidate, ignore_id=doc_id)
+                if self._store is not None:
+                    self._store.log_update(
+                        doc_id, *_effect(candidate, touched)
+                    )
+                self._index_remove(doc)
+                self._documents[doc_id] = candidate
+                self._index_add(candidate)
+                return True
+        return False
 
     def replace_one(
         self, query: Dict[str, Any], document: Dict[str, Any]
     ) -> bool:
-        with self._lock:
-            for doc in self._candidates(query):
-                if matches(doc, query):
-                    doc_id = doc["_id"]
-                    replacement = json_copy(document)
-                    replacement["_id"] = doc_id
-                    self._check_unique(replacement, ignore_id=doc_id)
-                    if self._store is not None:
-                        self._store.log_replace(replacement)
-                    self._index_remove(doc)
-                    self._documents[doc_id] = replacement
-                    self._index_add(replacement)
-                    return True
-            return False
+        for doc in self._candidates(query):
+            if matches(doc, query):
+                doc_id = doc["_id"]
+                replacement = json_copy(document)
+                replacement["_id"] = doc_id
+                self._check_unique(replacement, ignore_id=doc_id)
+                if self._store is not None:
+                    self._store.log_replace(replacement)
+                self._index_remove(doc)
+                self._documents[doc_id] = replacement
+                self._index_add(replacement)
+                return True
+        return False
 
     # -------------------------------------------------------------- delete
 
     def delete_one(self, query: Dict[str, Any]) -> bool:
-        with self._lock:
-            for doc in self._candidates(query):
-                if matches(doc, query):
-                    if self._store is not None:
-                        self._store.log_delete(doc["_id"])
-                    self._index_remove(doc)
-                    del self._documents[doc["_id"]]
-                    return True
-            return False
+        for doc in self._candidates(query):
+            if matches(doc, query):
+                if self._store is not None:
+                    self._store.log_delete(doc["_id"])
+                self._index_remove(doc)
+                del self._documents[doc["_id"]]
+                return True
+        return False
 
     # ----------------------------------------------------------- recovery
 
@@ -385,30 +374,27 @@ class Collection:
         them back through the logging insert path would double-write
         every record on every open.
         """
-        with self._lock:
-            store = self._store
-            self._store = None  # suppress logging while rebuilding
-            try:
-                self._documents = {
-                    doc_id: doc for doc_id, doc in documents.items()
-                }
-                for field, unique in indexes:
-                    if unique:
-                        self.create_unique_index(field)
-                    else:
-                        self.create_index(field)
-            finally:
-                self._store = store
+        store = self._store
+        self._store = None  # suppress logging while rebuilding
+        try:
+            self._documents = {
+                doc_id: doc for doc_id, doc in documents.items()
+            }
+            for field, unique in indexes:
+                if unique:
+                    self.create_unique_index(field)
+                else:
+                    self.create_index(field)
+        finally:
+            self._store = store
 
     # ---------------------------------------------------------------- misc
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._documents)
+        return len(self._documents)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
-        with self._lock:
-            snapshot = [json_copy(d) for d in self._documents.values()]
+        snapshot = [json_copy(d) for d in self._documents.values()]
         return iter(snapshot)
 
     def all_documents(self) -> List[Dict[str, Any]]:

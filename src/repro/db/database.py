@@ -19,7 +19,6 @@ replays strictly checksummed, the WAL tail is healed, and whatever a
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ValidationError
@@ -44,7 +43,6 @@ class Database:
         self.durability = check_durability(durability)
         self._collections: Dict[str, Collection] = {}
         self._stores: Dict[str, CollectionStore] = {}
-        self._lock = threading.RLock()
         self._files: Optional[FileStore] = None
         self._recovery: Dict[str, Dict[str, Any]] = {}
         if root is not None:
@@ -61,13 +59,12 @@ class Database:
 
     def collection(self, name: str) -> Collection:
         """Return (creating on first use) the named collection."""
-        with self._lock:
-            if name not in self._collections:
-                if self.root is None:
-                    self._collections[name] = Collection(name)
-                else:
-                    self._open(name)
-            return self._collections[name]
+        if name not in self._collections:
+            if self.root is None:
+                self._collections[name] = Collection(name)
+            else:
+                self._open(name)
+        return self._collections[name]
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
@@ -84,8 +81,7 @@ class Database:
         return report
 
     def _each_store(self) -> List[CollectionStore]:
-        with self._lock:
-            return list(self._stores.values())
+        return list(self._stores.values())
 
     # ---------------------------------------------------------------- files
 
@@ -135,33 +131,30 @@ class Database:
     def recovery_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-collection crash-recovery summary from this open:
         records replayed, WAL records, torn bytes truncated."""
-        with self._lock:
-            return {k: dict(v) for k, v in self._recovery.items()}
+        return {k: dict(v) for k, v in self._recovery.items()}
 
     # ---------------------------------------------------------------- stats
 
     def describe(self) -> Dict[str, int]:
         """Return a {collection: document count} summary."""
-        with self._lock:
-            return {
-                name: len(coll) for name, coll in self._collections.items()
-            }
+        return {
+            name: len(coll) for name, coll in self._collections.items()
+        }
 
     def storage_stats(self) -> Dict[str, Any]:
         """Engine + blob-store shape for ``repro db stats``."""
-        with self._lock:
-            collections: Dict[str, Dict[str, Any]] = {}
-            for name, coll in self._collections.items():
-                store = self._stores.get(name)
-                collections[name] = {
-                    "documents": len(coll),
-                    "indexes": coll.index_fields(),
-                    **(
-                        store.stats()
-                        if store is not None
-                        else {"segment_bytes": 0, "wal_bytes": 0}
-                    ),
-                }
+        collections: Dict[str, Dict[str, Any]] = {}
+        for name, coll in self._collections.items():
+            store = self._stores.get(name)
+            collections[name] = {
+                "documents": len(coll),
+                "indexes": coll.index_fields(),
+                **(
+                    store.stats()
+                    if store is not None
+                    else {"segment_bytes": 0, "wal_bytes": 0}
+                ),
+            }
         stats: Dict[str, Any] = {
             "durability": self.durability if self.root else "memory",
             "collections": collections,

@@ -42,7 +42,6 @@ No sequence numbers, no manifest, nothing to adopt.
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import chaos, telemetry
@@ -96,7 +95,6 @@ class CollectionStore:
         self._segment_path = os.path.join(self.dir, SEGMENT_NAME)
         self._wal_path = os.path.join(self.dir, WAL_NAME)
         self._segment_bytes = 0
-        self._lock = threading.RLock()
         os.makedirs(self.dir, exist_ok=True)
         old_layout = os.path.join(self.dir, "MANIFEST.json")
         if os.path.exists(old_layout):
@@ -123,13 +121,10 @@ class CollectionStore:
         ``indexes`` lists ``(field, unique)`` definitions in creation
         order; a field can carry one of each kind.
         """
-        with self._lock:
-            state, indexes, report = self._replay(heal=True)
-            if os.path.isfile(self._segment_path):
-                self._segment_bytes = os.path.getsize(self._segment_path)
-            self._writer = WalWriter(
-                self._wal_path, self.durability, self.name
-            )
+        state, indexes, report = self._replay(heal=True)
+        if os.path.isfile(self._segment_path):
+            self._segment_bytes = os.path.getsize(self._segment_path)
+        self._writer = WalWriter(self._wal_path, self.durability, self.name)
         return state, list(indexes), report
 
     def _replay(self, heal: bool) -> Tuple[
@@ -233,62 +228,58 @@ class CollectionStore:
         self._append({"op": "index", "field": field, "unique": unique})
 
     def _append(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            self._writer.append(record)
-            # The record is logged: from here on the write is
-            # acknowledged whatever the housekeeping below does.
-            size = self._writer.size()
-            if size < COMPACT_BYTES or size < self._segment_bytes:
-                return
-            try:
-                self.compact()
-            except Exception as error:
-                telemetry.get_event_log().emit(
-                    "db.compact.error",
-                    collection=self.name,
-                    error=str(error),
-                )
+        self._writer.append(record)
+        # The record is logged: from here on the write is
+        # acknowledged whatever the housekeeping below does.
+        size = self._writer.size()
+        if size < COMPACT_BYTES or size < self._segment_bytes:
+            return
+        try:
+            self.compact()
+        except Exception as error:
+            telemetry.get_event_log().emit(
+                "db.compact.error",
+                collection=self.name,
+                error=str(error),
+            )
 
     def flush(self) -> None:
-        with self._lock:
-            self._writer.flush()
+        self._writer.flush()
 
     # ---------------------------------------------------------- compact
 
     def compact(self) -> Dict[str, Any]:
         """Fold the WAL into the segment, dropping dead records.
 
-        Under the store lock, so no append interleaves.  The segment is
-        durable under its final name *before* the WAL is truncated; a
-        crash in between leaves both, and replaying both is a fixed
-        point (see the module docstring).
+        The segment is durable under its final name *before* the WAL is
+        truncated; a crash in between leaves both, and replaying both is
+        a fixed point (see the module docstring).
         """
-        with self._lock:
-            self._writer.flush()
-            wal_bytes = self._writer.size()
-            if wal_bytes == 0:
-                return {"merged": 0, "reclaimed_bytes": 0}
-            before = self._segment_bytes + wal_bytes
-            state, indexes, report = self._replay(heal=False)
-            tmp = self._segment_path + ".tmp"
-            with open(tmp, "wb") as handle:
-                for field, unique in indexes:
-                    handle.write(
-                        encode_record(
-                            {"op": "index", "field": field, "unique": unique}
-                        )
+        self._writer.flush()
+        wal_bytes = self._writer.size()
+        if wal_bytes == 0:
+            return {"merged": 0, "reclaimed_bytes": 0}
+        before = self._segment_bytes + wal_bytes
+        state, indexes, report = self._replay(heal=False)
+        tmp = self._segment_path + ".tmp"
+        with open(tmp, "wb") as handle:
+            for field, unique in indexes:
+                handle.write(
+                    encode_record(
+                        {"op": "index", "field": field, "unique": unique}
                     )
-                for doc in state.values():
-                    handle.write(encode_record({"op": "insert", "doc": doc}))
-                handle.flush()
-                os.fsync(handle.fileno())
-            chaos.fire("compact.publish", collection=self.name)
-            os.replace(tmp, self._segment_path)
-            fsync_dir(self.dir)
-            self._segment_bytes = os.path.getsize(self._segment_path)
-            reclaimed = max(0, before - self._segment_bytes)
-            chaos.fire("compact.truncate", collection=self.name)
-            self._writer.truncate()
+                )
+            for doc in state.values():
+                handle.write(encode_record({"op": "insert", "doc": doc}))
+            handle.flush()
+            os.fsync(handle.fileno())
+        chaos.fire("compact.publish", collection=self.name)
+        os.replace(tmp, self._segment_path)
+        fsync_dir(self.dir)
+        self._segment_bytes = os.path.getsize(self._segment_path)
+        reclaimed = max(0, before - self._segment_bytes)
+        chaos.fire("compact.truncate", collection=self.name)
+        self._writer.truncate()
         _compactions_counter().inc(collection=self.name)
         _reclaimed_counter().inc(reclaimed, collection=self.name)
         return {
@@ -299,13 +290,11 @@ class CollectionStore:
     # ------------------------------------------------------------- stats
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "segment_bytes": self._segment_bytes,
-                "wal_bytes": self._writer.size(),
-            }
+        return {
+            "segment_bytes": self._segment_bytes,
+            "wal_bytes": self._writer.size(),
+        }
 
     def close(self) -> None:
-        with self._lock:
-            self._writer.flush()
-            self._writer.close()
+        self._writer.flush()
+        self._writer.close()

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -156,7 +155,6 @@ class WalWriter:
         self.durability = check_durability(durability)
         self.batch_size = BATCH_SIZE
         self.collection = collection
-        self._lock = threading.Lock()
         self._handle = open(path, "ab")
         self._since_fsync = 0
 
@@ -176,25 +174,23 @@ class WalWriter:
             op=record.get("op", "?"),
         )
         frame = encode_record(record)
-        with self._lock:
-            self._handle.write(frame)
-            self._since_fsync += 1
-            if (
-                self.durability == "strict"
-                or self._since_fsync >= self.batch_size
-            ):
-                self._fsync_locked()
+        self._handle.write(frame)
+        self._since_fsync += 1
+        if (
+            self.durability == "strict"
+            or self._since_fsync >= self.batch_size
+        ):
+            self._fsync()
         _records_counter().inc(
             collection=self.collection, op=record.get("op", "?")
         )
 
     def flush(self) -> None:
         """Force every buffered byte to stable storage (any mode)."""
-        with self._lock:
-            if not self._handle.closed:
-                self._fsync_locked()
+        if not self._handle.closed:
+            self._fsync()
 
-    def _fsync_locked(self) -> None:
+    def _fsync(self) -> None:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._since_fsync = 0
@@ -202,25 +198,22 @@ class WalWriter:
 
     def truncate(self) -> None:
         """Empty the log, durably: its records live in the segment now."""
-        with self._lock:
-            self._handle.flush()
-            self._handle.truncate(0)
-            # An append-mode handle still writes at the (new) end; the
-            # seek only keeps ``tell()``, i.e. ``size()``, honest.
-            self._handle.seek(0)
-            self._fsync_locked()
+        self._handle.flush()
+        self._handle.truncate(0)
+        # An append-mode handle still writes at the (new) end; the
+        # seek only keeps ``tell()``, i.e. ``size()``, honest.
+        self._handle.seek(0)
+        self._fsync()
 
     # ---------------------------------------------------------------- misc
 
     def size(self) -> int:
         """Bytes written so far (buffered included)."""
-        with self._lock:
-            if self._handle.closed:
-                return 0
-            return self._handle.tell()
+        if self._handle.closed:
+            return 0
+        return self._handle.tell()
 
     def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
+        if not self._handle.closed:
+            self._handle.flush()
+            self._handle.close()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 from typing import Dict, List, Optional
 
 from repro import chaos, telemetry
@@ -72,7 +71,6 @@ class FileStore:
     def __init__(self, root: Optional[str]):
         self.root = root
         self._memory: Dict[str, bytes] = {}
-        self._lock = threading.RLock()
         if root is not None:
             os.makedirs(root, exist_ok=True)
             self._sweep_stale_tmp()
@@ -102,17 +100,16 @@ class FileStore:
         """Store a byte string; returns its content id.  Idempotent."""
         digest = sha256_bytes(data)
         chaos.fire("filestore.put", digest=digest, filename=filename)
-        with self._lock:
-            if not self.exists(digest):
-                if self.root is None:
-                    self._memory[digest] = data
-                else:
-                    path = self._blob_path(digest)
-                    os.makedirs(os.path.dirname(path), exist_ok=True)
-                    tmp = path + ".tmp"
-                    with open(tmp, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, path)
+        if not self.exists(digest):
+            if self.root is None:
+                self._memory[digest] = data
+            else:
+                path = self._blob_path(digest)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                tmp = path + ".tmp"
+                with open(tmp, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, path)
         return digest
 
     # ----------------------------------------------------------------- get
@@ -127,17 +124,16 @@ class FileStore:
         """
         _check_digest(digest)
         chaos.fire("filestore.get", digest=digest)
-        with self._lock:
-            if self.root is None:
-                if digest not in self._memory:
-                    raise NotFoundError(f"no blob with id {digest}")
-                data = self._memory[digest]
-            else:
-                path = self._blob_path(digest)
-                if not os.path.isfile(path):
-                    raise NotFoundError(f"no blob with id {digest}")
-                with open(path, "rb") as handle:
-                    data = handle.read()
+        if self.root is None:
+            if digest not in self._memory:
+                raise NotFoundError(f"no blob with id {digest}")
+            data = self._memory[digest]
+        else:
+            path = self._blob_path(digest)
+            if not os.path.isfile(path):
+                raise NotFoundError(f"no blob with id {digest}")
+            with open(path, "rb") as handle:
+                data = handle.read()
         actual = sha256_bytes(data)
         if actual != digest:
             raise CorruptBlobError(
@@ -157,14 +153,13 @@ class FileStore:
         re-populate the same address.  Returns True when a blob existed.
         """
         _check_digest(digest)
-        with self._lock:
-            if self.root is None:
-                return self._memory.pop(digest, None) is not None
-            path = self._blob_path(digest)
-            if not os.path.isfile(path):
-                return False
-            os.remove(path)
-            return True
+        if self.root is None:
+            return self._memory.pop(digest, None) is not None
+        path = self._blob_path(digest)
+        if not os.path.isfile(path):
+            return False
+        os.remove(path)
+        return True
 
     # --------------------------------------------------------------- scrub
 
@@ -181,31 +176,29 @@ class FileStore:
         quarantined: List[str] = []
         tmp_swept = 0
         if self.root is not None:
-            with self._lock:
-                tmp_swept = self._sweep_stale_tmp()
+            tmp_swept = self._sweep_stale_tmp()
         for digest in self.list_ids():
             scanned += 1
-            with self._lock:
-                if self.root is None:
-                    data = self._memory.get(digest)
-                    if data is None:
-                        continue
-                    if sha256_bytes(data) != digest:
-                        del self._memory[digest]
-                        quarantined.append(digest)
+            if self.root is None:
+                data = self._memory.get(digest)
+                if data is None:
                     continue
-                path = self._blob_path(digest)
-                if not os.path.isfile(path):
-                    continue
-                with open(path, "rb") as handle:
-                    data = handle.read()
                 if sha256_bytes(data) != digest:
-                    target = os.path.join(
-                        self.root, _QUARANTINE_DIR, digest
-                    )
-                    os.makedirs(os.path.dirname(target), exist_ok=True)
-                    os.replace(path, target)
+                    del self._memory[digest]
                     quarantined.append(digest)
+                continue
+            path = self._blob_path(digest)
+            if not os.path.isfile(path):
+                continue
+            with open(path, "rb") as handle:
+                data = handle.read()
+            if sha256_bytes(data) != digest:
+                target = os.path.join(
+                    self.root, _QUARANTINE_DIR, digest
+                )
+                os.makedirs(os.path.dirname(target), exist_ok=True)
+                os.replace(path, target)
+                quarantined.append(digest)
         _scanned_counter().inc(scanned)
         if quarantined:
             _quarantined_counter().inc(len(quarantined))
@@ -220,14 +213,12 @@ class FileStore:
     def exists(self, digest: str) -> bool:
         _check_digest(digest)
         if self.root is None:
-            with self._lock:
-                return digest in self._memory
+            return digest in self._memory
         return os.path.isfile(self._blob_path(digest))
 
     def list_ids(self) -> List[str]:
         if self.root is None:
-            with self._lock:
-                return sorted(self._memory)
+            return sorted(self._memory)
         ids = set()
         for entry in os.listdir(self.root):
             path = os.path.join(self.root, entry)
@@ -244,10 +235,9 @@ class FileStore:
         ids = self.list_ids()
         stats: Dict[str, object] = {"blobs": len(ids), "bytes": 0, "shards": 0}
         if self.root is None:
-            with self._lock:
-                stats["bytes"] = sum(
-                    len(d) for d in self._memory.values()
-                )
+            stats["bytes"] = sum(
+                len(d) for d in self._memory.values()
+            )
             return stats
         total = 0
         for digest in ids:

@@ -1,10 +1,13 @@
 """The Celery-like application object.
 
-A :class:`SchedulerApp` owns the result backend, a registry of task
-functions, and a :class:`~repro.scheduler.pool.SimplePool` of worker
-threads whose queue is the broker.  Task functions are registered with
-the ``@app.task(...)`` decorator and submitted with ``apply_async``,
-matching how gem5art launch scripts fan out gem5 jobs.
+A :class:`SchedulerApp` owns the result backend and a registry of task
+functions.  Task functions are registered with the ``@app.task(...)``
+decorator and submitted with ``apply_async``, matching how gem5art
+launch scripts fan out gem5 jobs.  A task runs on the caller's thread
+inside ``apply_async``, as Celery runs one under ``task_always_eager``:
+the package starts no thread, and a sweep that wants parallel
+simulations uses the planner's process pool
+(:func:`repro.art.tasks.run_jobs_scheduler`).
 
 Resilience model (see ``docs/robustness.md``):
 
@@ -13,10 +16,9 @@ Resilience model (see ``docs/robustness.md``):
   result backend's **dead-letter** record.
 - A task's ``timeout`` is judged when its body returns, as the inline
   substrate judges ``run.timeout``: a body that returns past it ends
-  ``TIMEOUT`` with its value dropped.  No thread is abandoned to
-  enforce it; a caller's own deadline is ``AsyncResult.get(timeout)``.
+  ``TIMEOUT`` with its value dropped.
 - A delivery that dies (a chaos ``crash``) ends its task ``FAILURE``
-  with the traceback, and the pool thread serves the next task.
+  with the traceback, and the next submission runs as usual.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import chaos
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import new_uuid
-from repro.scheduler.pool import SimplePool
 from repro.scheduler.result import AsyncResult, ResultBackend
 from repro.scheduler.states import TaskState
 from repro.telemetry import get_event_log, get_metrics, get_tracer
@@ -58,7 +59,7 @@ class RegisteredTask:
     def apply_async(
         self, args: Tuple = (), kwargs: Optional[Dict[str, Any]] = None
     ) -> AsyncResult:
-        """Enqueue an invocation; returns the result handle immediately."""
+        """Run an invocation; returns its (terminal) result handle."""
         return self.app.send_task(self.name, args=args, kwargs=kwargs)
 
 
@@ -78,15 +79,12 @@ def _attempt(task: RegisteredTask, task_id: str, args: Tuple, kwargs: Dict):
 
 
 class SchedulerApp:
-    """Task registry + result backend + a pool of worker threads."""
+    """Task registry + result backend; tasks run eagerly."""
 
-    def __init__(self, name: str = "repro", worker_count: int = 2):
-        if worker_count < 1:
-            raise ValidationError("worker_count must be >= 1")
+    def __init__(self, name: str = "repro"):
         self.name = name
         self.backend = ResultBackend()
         self._tasks: Dict[str, RegisteredTask] = {}
-        self._pool = SimplePool(processes=worker_count)
 
     # ------------------------------------------------------------ registry
 
@@ -122,28 +120,19 @@ class SchedulerApp:
         args: Tuple = (),
         kwargs: Optional[Dict[str, Any]] = None,
     ) -> AsyncResult:
-        """Enqueue one invocation of the task registered as ``name``.
-
-        The submitting span's context travels with the invocation: a
-        pool thread cannot see this thread's span stack."""
+        """Run one invocation of the task registered as ``name`` to a
+        terminal state, on this thread, and return its handle."""
         if name not in self._tasks:
             raise NotFoundError(f"no task registered as {name!r}")
         task_id = new_uuid()
         self.backend.create(task_id, name)
-        self._pool.apply_async(
-            self._execute,
-            (
-                self._tasks[name],
-                task_id,
-                tuple(args),
-                dict(kwargs or {}),
-                get_tracer().current_context_dict(),
-            ),
-        )
         get_metrics().counter(
             "scheduler_tasks_submitted_total",
             "Tasks accepted by the scheduler app",
         ).inc(app=self.name)
+        self._execute(
+            self._tasks[name], task_id, tuple(args), dict(kwargs or {})
+        )
         return AsyncResult(task_id, self.backend)
 
     # ------------------------------------------------------------ execution
@@ -154,17 +143,15 @@ class SchedulerApp:
         task_id: str,
         args: Tuple,
         kwargs: Dict[str, Any],
-        trace_parent: Optional[Dict[str, str]],
     ) -> None:
         """Run one task to a terminal state through one retry loop —
         iterative, so an arbitrarily large retry budget cannot blow the
         stack, and the single place outcome handling happens (success /
-        timeout / retry / failure / dead-letter) — then publish it:
-        after the ``task`` span has ended, so whoever waits on the
-        outcome finds the task's whole span subtree finished."""
+        timeout / retry / failure / dead-letter) — then publish it,
+        after the ``task`` span (a child of the caller's open span) has
+        ended."""
         with get_tracer().span(
             "task",
-            parent=trace_parent,
             attributes={"task_name": task.name, "task_id": task_id},
         ) as span:
             try:
@@ -195,6 +182,5 @@ class SchedulerApp:
     # ------------------------------------------------------------ shutdown
 
     def shutdown(self) -> None:
-        """Stop the worker threads: a running task finishes, queued ones
-        are abandoned (they stay ``PENDING``)."""
-        self._pool.shutdown(cancel_futures=True)
+        """Nothing to stop: tasks run on the caller's thread, so the app
+        owns no worker."""

@@ -307,9 +307,10 @@ class ProcessPool:
     The API is deliberately envelope-shaped rather than function-shaped:
     callers describe work as data (:class:`JobEnvelope`), which is what
     guarantees a job never depends on forked parent state.  It moves
-    only inside :meth:`submit` and the waits, on the caller's thread; on
-    a sweep that is the process's only thread, so a fork copies no lock
-    another thread holds (``tests/art/test_thread_census.py``).
+    only inside :meth:`submit` and the waits, on the caller's thread —
+    the process's only thread, since the package starts none — so a
+    fork copies no lock another thread holds
+    (``tests/art/test_thread_census.py``).
     """
 
     def __init__(self, workers: int = 4):

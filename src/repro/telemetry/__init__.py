@@ -34,7 +34,6 @@ archives nothing.
 from __future__ import annotations
 
 import importlib
-import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
@@ -54,7 +53,6 @@ from repro.telemetry.tracing import (
     NullSpan,
     NullTracer,
     Span,
-    SpanContext,
     Tracer,
 )
 
@@ -98,7 +96,6 @@ class TelemetrySession:
         )
 
 
-_lock = threading.Lock()
 _session: Optional[TelemetrySession] = None
 
 
@@ -107,16 +104,14 @@ def enable(
 ) -> TelemetrySession:
     """Install (or replace) the process-wide telemetry session."""
     global _session
-    with _lock:
-        _session = session or TelemetrySession()
-        return _session
+    _session = session or TelemetrySession()
+    return _session
 
 
 def disable() -> None:
     """Drop the session; accessors return the no-op twins again."""
     global _session
-    with _lock:
-        _session = None
+    _session = None
 
 
 def enabled() -> bool:
@@ -137,8 +132,7 @@ def session(
     try:
         yield active
     finally:
-        with _lock:
-            globals()["_session"] = previous
+        globals()["_session"] = previous
 
 
 def get_tracer() -> Union[Tracer, NullTracer]:
@@ -170,7 +164,6 @@ __all__ = [
     # tracing
     "Tracer",
     "Span",
-    "SpanContext",
     "NullTracer",
     "NullSpan",
     "NULL_TRACER",

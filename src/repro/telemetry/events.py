@@ -17,28 +17,26 @@ from repro.common.timeutil import iso_from_timestamp, wall_now
 
 
 class EventLog:
-    """Thread-safe append-only log of structured events."""
+    """Append-only log of structured events."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._events: List[Dict[str, Any]] = []
         self._sequence = 0
 
     def emit(self, kind: str, **attributes: Any) -> Dict[str, Any]:
         """Append one event and return its record."""
         wall = wall_now()
-        with self._lock:
-            self._sequence += 1
-            event = {
-                "seq": self._sequence,
-                "kind": kind,
-                "wall": wall,
-                "wall_iso": iso_from_timestamp(wall),
-                "mono": time.perf_counter(),
-                "thread": threading.current_thread().name,
-                "attributes": dict(attributes),
-            }
-            self._events.append(event)
+        self._sequence += 1
+        event = {
+            "seq": self._sequence,
+            "kind": kind,
+            "wall": wall,
+            "wall_iso": iso_from_timestamp(wall),
+            "mono": time.perf_counter(),
+            "thread": threading.current_thread().name,
+            "attributes": dict(attributes),
+        }
+        self._events.append(event)
         return event
 
     def absorb(
@@ -53,26 +51,23 @@ class EventLog:
         onto every absorbed event for attribution.
         """
         absorbed = []
-        with self._lock:
-            for record in records:
-                self._sequence += 1
-                event = dict(record)
-                event["seq"] = self._sequence
-                attributes = dict(record.get("attributes", {}))
-                attributes.update(extra)
-                event["attributes"] = attributes
-                self._events.append(event)
-                absorbed.append(dict(event))
+        for record in records:
+            self._sequence += 1
+            event = dict(record)
+            event["seq"] = self._sequence
+            attributes = dict(record.get("attributes", {}))
+            attributes.update(extra)
+            event["attributes"] = attributes
+            self._events.append(event)
+            absorbed.append(dict(event))
         return absorbed
 
     def records(self) -> List[Dict[str, Any]]:
         """Snapshot of every event, in order."""
-        with self._lock:
-            return [dict(e) for e in self._events]
+        return [dict(e) for e in self._events]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
 
 class NullEventLog:

@@ -1,4 +1,4 @@
-"""Thread-safe metrics: counters, gauges and histograms with labels.
+"""Metrics: counters, gauges and histograms with labels.
 
 The model follows Prometheus: an instrument is identified by name and kind,
 and carries one *series* per distinct label set (``runs_total{outcome=
@@ -13,7 +13,6 @@ disabled the whole chain is a handful of attribute lookups.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ValidationError
@@ -45,29 +44,25 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
-        self._lock = lock
         self._series: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValidationError("counters can only increase")
         key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels), 0.0)
 
     def samples(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._series.items())
-            ]
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in sorted(self._series.items())
+        ]
 
 
 class Gauge:
@@ -75,31 +70,26 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
-        self._lock = lock
         self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._series[_label_key(labels)] = float(value)
+        self._series[_label_key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels), 0.0)
 
     def samples(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._series.items())
-            ]
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in sorted(self._series.items())
+        ]
 
 
 class Histogram:
@@ -111,7 +101,6 @@ class Histogram:
         self,
         name: str,
         help: str,
-        lock: threading.Lock,
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
     ):
         if not buckets or list(buckets) != sorted(buckets):
@@ -121,49 +110,46 @@ class Histogram:
         self.name = name
         self.help = help
         self.buckets = tuple(float(b) for b in buckets)
-        self._lock = lock
         # per label set: (bucket counts incl. +Inf, sum, count)
         self._series: Dict[LabelKey, Dict[str, Any]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
         key = _label_key(labels)
-        with self._lock:
-            series = self._series.setdefault(
-                key,
-                {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                },
-            )
-            index = len(self.buckets)  # +Inf slot
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
-            series["counts"][index] += 1
-            series["sum"] += float(value)
-            series["count"] += 1
+        series = self._series.setdefault(
+            key,
+            {
+                "counts": [0] * (len(self.buckets) + 1),
+                "sum": 0.0,
+                "count": 0,
+            },
+        )
+        index = len(self.buckets)  # +Inf slot
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                index = i
+                break
+        series["counts"][index] += 1
+        series["sum"] += float(value)
+        series["count"] += 1
 
     def samples(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            out = []
-            for key, series in sorted(self._series.items()):
-                cumulative = {}
-                running = 0
-                for bound, count in zip(self.buckets, series["counts"]):
-                    running += count
-                    cumulative[repr(bound)] = running
-                cumulative["+Inf"] = series["count"]
-                out.append(
-                    {
-                        "labels": dict(key),
-                        "buckets": cumulative,
-                        "sum": series["sum"],
-                        "count": series["count"],
-                    }
-                )
-            return out
+        out = []
+        for key, series in sorted(self._series.items()):
+            cumulative = {}
+            running = 0
+            for bound, count in zip(self.buckets, series["counts"]):
+                running += count
+                cumulative[repr(bound)] = running
+            cumulative["+Inf"] = series["count"]
+            out.append(
+                {
+                    "labels": dict(key),
+                    "buckets": cumulative,
+                    "sum": series["sum"],
+                    "count": series["count"],
+                }
+            )
+        return out
 
     def absorb_sample(self, sample: Dict[str, Any]) -> None:
         """Fold one exported sample (cumulative buckets) into this
@@ -182,19 +168,18 @@ class Histogram:
             previous = cumulative
         raw.append(sample["count"] - previous)
         key = _label_key(sample["labels"])
-        with self._lock:
-            series = self._series.setdefault(
-                key,
-                {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                },
-            )
-            for index, count in enumerate(raw):
-                series["counts"][index] += count
-            series["sum"] += float(sample["sum"])
-            series["count"] += int(sample["count"])
+        series = self._series.setdefault(
+            key,
+            {
+                "counts": [0] * (len(self.buckets) + 1),
+                "sum": 0.0,
+                "count": 0,
+            },
+        )
+        for index, count in enumerate(raw):
+            series["counts"][index] += count
+        series["sum"] += float(sample["sum"])
+        series["count"] += int(sample["count"])
 
 
 class MetricsRegistry:
@@ -203,23 +188,21 @@ class MetricsRegistry:
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         if not name or name != name.strip():
             raise ValidationError(f"bad metric name {name!r}")
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = cls(name, help, threading.Lock(), **kwargs)
-                self._instruments[name] = instrument
-            elif not isinstance(instrument, cls):
-                raise ValidationError(
-                    f"metric {name!r} already registered as "
-                    f"{instrument.kind}, not {cls.kind}"
-                )
-            return instrument
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = cls(name, help, **kwargs)
+            self._instruments[name] = instrument
+        elif not isinstance(instrument, cls):
+            raise ValidationError(
+                f"metric {name!r} already registered as "
+                f"{instrument.kind}, not {cls.kind}"
+            )
+        return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -239,8 +222,6 @@ class MetricsRegistry:
 
     def collect(self) -> List[Dict[str, Any]]:
         """Deterministic snapshot of every instrument's series."""
-        with self._lock:
-            instruments = sorted(self._instruments.items())
         return [
             {
                 "name": name,
@@ -248,7 +229,7 @@ class MetricsRegistry:
                 "help": instrument.help,
                 "samples": instrument.samples(),
             }
-            for name, instrument in instruments
+            for name, instrument in sorted(self._instruments.items())
         ]
 
     def merge(self, collected: List[Dict[str, Any]]) -> None:

@@ -1,11 +1,11 @@
 """Spans and the tracer: where wall-clock time goes, as a tree.
 
 A :class:`Span` is one timed operation (an experiment, a run, a boot
-phase).  Spans nest: within a thread the tracer keeps a thread-local stack
-so ``tracer.span(...)`` blocks pick up their parent implicitly; *across*
-threads a :class:`SpanContext` (trace id + span id, nothing else) is passed
-explicitly — it travels with each task the scheduler hands to a pool
-thread, because thread-locals do not cross threads.
+phase).  Spans nest: the tracer keeps one stack of open spans, so
+``tracer.span(...)`` blocks pick up their parent implicitly.  The
+package starts no thread, so one stack is the whole nesting story; a
+span's ``thread`` field (part of the archived format) names the thread
+that opened it.
 
 Spans record both wall-clock (``timeutil.wall_now``, portable, archived)
 and monotonic (``time.perf_counter``, duration-accurate) timestamps.  The
@@ -21,34 +21,10 @@ import collections
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.ids import new_uuid
 from repro.common.timeutil import iso_from_timestamp, wall_now
-
-
-class SpanContext:
-    """The minimal, serializable handle linking a child to its parent."""
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: str, span_id: str):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def to_dict(self) -> Dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_dict(
-        cls, data: Optional[Dict[str, str]]
-    ) -> Optional["SpanContext"]:
-        if not data:
-            return None
-        return cls(data["trace_id"], data["span_id"])
-
-
-ParentLike = Union["Span", SpanContext, Dict[str, str], None]
 
 
 class Span:
@@ -75,10 +51,6 @@ class Span:
         self.end_mono: Optional[float] = None
 
     # ------------------------------------------------------------- content
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
 
     @property
     def ended(self) -> bool:
@@ -132,94 +104,57 @@ class Span:
 
 
 class Tracer:
-    """Creates spans, tracks per-thread nesting, collects finished spans."""
+    """Creates spans, tracks their nesting, collects finished spans."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._finished: List[Span] = []
-        self._local = threading.local()
+        self._stack: List[Span] = []
 
     # ------------------------------------------------------------ creation
 
     def span(
-        self,
-        name: str,
-        parent: ParentLike = None,
-        attributes: Optional[Dict[str, Any]] = None,
+        self, name: str, attributes: Optional[Dict[str, Any]] = None
     ) -> Span:
-        """Start a span; use as ``with tracer.span("boot") as s:``.
-
-        ``parent`` may be a :class:`Span`, a :class:`SpanContext`, or its
-        dict form (:meth:`current_context_dict`); when omitted, the
-        innermost open span on *this* thread is the parent.
-        """
-        parent_ctx = self._resolve_parent(parent)
-        if parent_ctx is None:
+        """Start a span; use as ``with tracer.span("boot") as s:``.  The
+        innermost open span is its parent."""
+        parent = self.current_span()
+        if parent is None:
             trace_id, parent_id = new_uuid(), None
         else:
-            trace_id, parent_id = parent_ctx.trace_id, parent_ctx.span_id
+            trace_id, parent_id = parent.trace_id, parent.span_id
         return Span(self, name, trace_id, parent_id, attributes)
 
-    def _resolve_parent(self, parent: ParentLike) -> Optional[SpanContext]:
-        if parent is None:
-            current = self.current_span()
-            return current.context if current is not None else None
-        if isinstance(parent, Span):
-            return parent.context
-        if isinstance(parent, SpanContext):
-            return parent
-        return SpanContext.from_dict(parent)
-
     def current_span(self) -> Optional[Span]:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
-    def current_context_dict(self) -> Optional[Dict[str, str]]:
-        """The active span's context in wire (dict) form, or None."""
-        current = self.current_span()
-        return current.context.to_dict() if current is not None else None
+        return self._stack[-1] if self._stack else None
 
     @contextmanager
-    def activate(self, parent: ParentLike) -> Iterator[None]:
-        """Make ``parent`` the implicit parent on *this* thread.
-
-        Used by executors whose worker threads receive a span context
-        from another thread (e.g. ``run_jobs_pool``): inside the block,
-        new spans nest under the remote parent without an extra
-        intermediate span."""
-        ctx = self._resolve_parent(parent)
-        if ctx is None:
-            yield
-            return
-        remote = _RemoteSpan(ctx)
-        self._push(remote)
+    def activate(self, span: Span) -> Iterator[None]:
+        """Make ``span`` the implicit parent inside the block without
+        ending it on exit: a run's ``run`` span stays open from
+        ``Gem5Run.begin`` to ``finish``, and its simulation's phase
+        spans nest under it."""
+        self._push(span)
         try:
             yield
         finally:
-            self._pop(remote)
+            self._pop(span)
 
     # ----------------------------------------------------------- internals
 
     def _push(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack and stack[-1] is span:
-            stack.pop()
+        if self._stack and self._stack[-1] is span:
+            self._stack.pop()
 
     def _finish(self, span: Span) -> None:
-        with self._lock:
-            self._finished.append(span)
+        self._finished.append(span)
 
     # -------------------------------------------------------------- export
 
     def finished_spans(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [span.to_dict() for span in self._finished]
+        return [span.to_dict() for span in self._finished]
 
     def subtree(self, root_span_id: str) -> List[Dict[str, Any]]:
         """The finished span rooted at ``root_span_id`` plus every finished
@@ -246,20 +181,6 @@ class Tracer:
         return out
 
 
-class _RemoteSpan:
-    """Stack placeholder for a parent that lives on another thread; only
-    its context matters."""
-
-    __slots__ = ("_context",)
-
-    def __init__(self, context: SpanContext):
-        self._context = context
-
-    @property
-    def context(self) -> SpanContext:
-        return self._context
-
-
 class NullSpan:
     """Shared no-op span; every operation returns immediately."""
 
@@ -270,10 +191,6 @@ class NullSpan:
     attributes: Dict[str, Any] = {}
     ended = True
     duration = None
-
-    @property
-    def context(self) -> None:
-        return None
 
     def set_attribute(self, key: str, value: Any) -> "NullSpan":
         return self
@@ -298,21 +215,15 @@ class NullTracer:
     """Tracer twin returned by ``get_tracer()`` when telemetry is off."""
 
     def span(
-        self,
-        name: str,
-        parent: ParentLike = None,
-        attributes: Optional[Dict[str, Any]] = None,
+        self, name: str, attributes: Optional[Dict[str, Any]] = None
     ) -> NullSpan:
         return NULL_SPAN
 
     def current_span(self) -> None:
         return None
 
-    def current_context_dict(self) -> None:
-        return None
-
     @contextmanager
-    def activate(self, parent: ParentLike) -> "Iterator[None]":
+    def activate(self, span: Any) -> Iterator[None]:
         yield
 
     def finished_spans(self) -> List[Dict[str, Any]]:

@@ -4,11 +4,7 @@ fingerprints, reporters, and the ``repro lint`` CLI."""
 import json
 
 from repro.analysis import lint_paths
-from repro.analysis.dataflow import (
-    CONCURRENCY_RULES,
-    DETERMINISM_RULES,
-    HYGIENE_RULES,
-)
+from repro.analysis.dataflow import DETERMINISM_RULES, HYGIENE_RULES
 from repro.analysis.engine import (
     SEVERITIES,
     iter_python_files,
@@ -88,10 +84,10 @@ def test_findings_sorted_and_fingerprint_stable_across_line_shift(tmp_path):
 
 def test_rule_ids_are_unique_and_severities_valid():
     """One finding per violation: the driver instantiates every rule of
-    the three packs, so an id may appear in only one of them."""
-    rules = DETERMINISM_RULES + CONCURRENCY_RULES + HYGIENE_RULES
+    the two packs, so an id may appear in only one of them."""
+    rules = DETERMINISM_RULES + HYGIENE_RULES
     ids = [rule.rule_id for rule in rules]
-    assert len(ids) == len(set(ids)) == 10
+    assert len(ids) == len(set(ids)) == 7
     assert all(rule.severity in SEVERITIES for rule in rules)
 
 

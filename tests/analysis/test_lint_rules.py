@@ -261,125 +261,6 @@ def test_listdir_flagged_unless_sorted():
     )
 
 
-# ------------------------------------------------------------- concurrency
-
-SCHED = "src/repro/scheduler/fixture.py"
-
-
-def test_bare_acquire_flagged_with_statement_not():
-    source = (
-        "import threading\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def bad(self):\n"
-        "        self._lock.acquire()\n"
-        "    def good(self):\n"
-        "        with self._lock:\n"
-        "            pass\n"
-    )
-    ids = rule_ids(source, SCHED)
-    assert ids.count("CON-BARE-ACQUIRE") == 1
-
-
-def test_sleep_under_lock_flagged():
-    source = (
-        "import threading\n"
-        "import time\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def bad(self):\n"
-        "        with self._lock:\n"
-        "            time.sleep(1)\n"
-    )
-    assert "CON-HOLD-BLOCKING" in rule_ids(source, SCHED)
-
-
-def test_condition_wait_on_held_lock_is_exempt():
-    source = (
-        "import threading\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._idle = threading.Condition()\n"
-        "    def drain(self):\n"
-        "        with self._idle:\n"
-        "            self._idle.wait_for(lambda: True, timeout=1)\n"
-    )
-    assert rule_ids(source, SCHED) == []
-
-
-def test_join_under_inferred_lock_attribute_flagged():
-    """Lock attributes are inferred from __init__ even when the name
-    has no 'lock' in it."""
-    source = (
-        "import threading\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._idle = threading.Condition()\n"
-        "    def bad(self, worker):\n"
-        "        with self._idle:\n"
-        "            worker.join()\n"
-    )
-    assert "CON-HOLD-BLOCKING" in rule_ids(source, SCHED)
-
-
-def test_nested_def_under_with_is_not_held(tmp_path):
-    """Code inside a nested def does not run while the outer with is
-    held; it must not be flagged."""
-    source = (
-        "import threading\n"
-        "import time\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def spawn(self):\n"
-        "        with self._lock:\n"
-        "            def runner():\n"
-        "                time.sleep(1)\n"
-        "            return runner\n"
-    )
-    assert rule_ids(source, SCHED) == []
-
-
-def test_callback_under_lock_flagged():
-    source = (
-        "import threading\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def bad(self, job):\n"
-        "        with self._lock:\n"
-        "            job.run_callback()\n"
-    )
-    assert "CON-HOLD-BLOCKING" in rule_ids(source, SCHED)
-
-
-def test_lock_per_call_direct_and_local():
-    direct = (
-        "import threading\n"
-        "def f():\n"
-        "    with threading.Lock():\n"
-        "        pass\n"
-    )
-    assert "CON-LOCK-PER-CALL" in rule_ids(direct, SCHED)
-    local = (
-        "import threading\n"
-        "def f():\n"
-        "    guard = threading.Lock()\n"
-        "    with guard:\n"
-        "        pass\n"
-    )
-    assert "CON-LOCK-PER-CALL" in rule_ids(local, SCHED)
-    in_init = (
-        "import threading\n"
-        "class A:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-    )
-    assert rule_ids(in_init, SCHED) == []
-
-
 # ----------------------------------------------------------------- hygiene
 
 

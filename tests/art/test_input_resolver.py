@@ -8,9 +8,6 @@ counts of ``Collection.find`` and ``FileStore.get_bytes`` over the quick
 Fig 8 grid; the second half is what sharing must not change.
 """
 
-import sys
-import threading
-
 import pytest
 
 from repro.art import (
@@ -177,49 +174,6 @@ def test_each_sweep_re_reads_and_re_verifies_its_artifacts(db, reads):
         ]
         run_jobs_scheduler(runs, substrate="inline", use_cache=False)
     assert reads["get_bytes"] == [stack["disk_image"].file_id] * 2
-
-
-def test_racing_threads_load_one_artifact_once(db, reads):
-    """Single-flight: more threads than cores, a short switch interval,
-    and still one find per artifact and one blob read."""
-    run = two_stack_experiment(db, stacks=("old",)).create_runs()[0]
-    resolver = InputResolver()
-    for counted in reads.values():
-        del counted[:]
-    threads_count = 16
-    barrier = threading.Barrier(threads_count)
-    images, errors = [], []
-
-    def resolve():
-        try:
-            barrier.wait(timeout=10)
-            inputs = resolver.wire(run)
-            images.append(resolver.live(run)["disk_image"])
-            assert inputs["disk_image"] == images[-1].to_dict()
-        except Exception as error:  # surfaced by the assert below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=resolve) for _ in range(threads_count)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(images) == threads_count
-    assert all(image is images[0] for image in images)
-    assert len(reads["find"]) == 3
-    assert len(reads["get_bytes"]) == 1
-
-
-# ----------------------------------------------------- resolver semantics
 
 
 def test_stacks_in_one_sweep_get_their_own_inputs(db):

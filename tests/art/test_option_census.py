@@ -41,7 +41,7 @@ from repro.scheduler.app import RegisteredTask
              "use_checkpoints"],
         ),
         (ProcessPool.__init__, ["self", "workers"]),
-        (SchedulerApp.__init__, ["self", "name", "worker_count"]),
+        (SchedulerApp.__init__, ["self", "name"]),
         (SchedulerApp.task, ["self", "name", "max_retries", "timeout"]),
         (RegisteredTask.apply_async, ["self", "args", "kwargs"]),
         # What the surface census (`repro lint`, DEAD-PARAM) shrank: a

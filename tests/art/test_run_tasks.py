@@ -248,6 +248,36 @@ def test_run_exception_marked_failed(db, fs_artifacts):
     assert run.status is RunStatus.FAILED
 
 
+def test_run_jobs_pool_records_a_raising_simulation(db, fs_artifacts):
+    """``run_jobs_pool`` is the planner on worker processes: a
+    simulation that raises is the run's recorded result — a ``failed``
+    document and a ``success: False`` summary carrying the error — not
+    an exception out of the call, and the sweep goes on."""
+    broken = make_run(db, fs_artifacts, benchmark="not-installed")
+    healthy = make_run(db, fs_artifacts)
+    summaries = run_jobs_pool([broken, healthy], processes=2)
+    assert summaries[0]["success"] is False
+    assert "not-installed" in summaries[0]["error"]
+    doc = db.get_run(broken.run_id)
+    assert doc["status"] == "failed"
+    assert doc["results"]["error"] == summaries[0]["error"]
+    assert broken.status is RunStatus.FAILED
+    assert summaries[1]["success"]
+
+
+@pytest.mark.parametrize("substrate", ("inline", "processes"))
+def test_worker_count_below_one_rejected(db, fs_artifacts, substrate):
+    """The one check every entry shares — ``launch``, ``resume``,
+    ``run_jobs_pool`` and a manifest's ``execution.workers`` — before
+    any run is touched."""
+    run = make_run(db, fs_artifacts)
+    with pytest.raises(ValidationError, match="worker_count"):
+        run_jobs_scheduler([run], worker_count=0, substrate=substrate)
+    with pytest.raises(ValidationError, match="worker_count"):
+        run_jobs_pool([run], processes=-1)
+    assert db.get_run(run.run_id)["status"] == "created"
+
+
 def test_run_unknown_kind_rejected(db, fs_artifacts):
     run = make_run(db, fs_artifacts, benchmark=None)
     run.kind = "quantum"

@@ -23,45 +23,41 @@ def clean_injector():
 
 def test_a_crash_on_the_only_worker_leaves_a_live_worker():
     """A crashed delivery ends its task FAILURE, naming the crash, and
-    is not retried; the app's only worker then serves the next task."""
-    app = SchedulerApp(name="respawn", worker_count=1)
-    try:
-        @app.task(name="victim", max_retries=2)
-        def victim():
-            return "ok"
+    is not retried; the app then runs the next task as usual."""
+    app = SchedulerApp(name="respawn")
 
-        rules = [FaultRule("task.run", action="crash", times=1)]
-        with chaos.injected(seed=17, rules=rules) as injector:
-            first = victim.apply_async()
-            with pytest.raises(StateError, match="WorkerCrashed"):
-                first.get(timeout=10)
-            assert victim.apply_async().get(timeout=10) == "ok"
-        (crash_stats,) = injector.report().values()
-        assert crash_stats["fired"] == 1
-        record = app.backend.record(first.task_id)
-        assert record["state"] is TaskState.FAILURE
-        assert record["retries"] == 0
-    finally:
-        app.shutdown()
+    @app.task(name="victim", max_retries=2)
+    def victim():
+        return "ok"
+
+    rules = [FaultRule("task.run", action="crash", times=1)]
+    with chaos.injected(seed=17, rules=rules) as injector:
+        first = victim.apply_async()
+        with pytest.raises(StateError, match="WorkerCrashed"):
+            first.get()
+        assert victim.apply_async().get() == "ok"
+    (crash_stats,) = injector.report().values()
+    assert crash_stats["fired"] == 1
+    record = app.backend.record(first.task_id)
+    assert record["state"] is TaskState.FAILURE
+    assert record["retries"] == 0
 
 
 def test_injected_filestore_fault_recovered_by_task_retry():
     """Infrastructure faults surface as ordinary retryable task errors."""
     store = FileStore(root=None)
-    app = SchedulerApp(name="chaos-fs", worker_count=1)
-    try:
-        @app.task(name="uploader", max_retries=2)
-        def uploader(payload: bytes):
-            return store.put_bytes(payload)
+    app = SchedulerApp(name="chaos-fs")
 
-        rules = [FaultRule("filestore.put", times=1)]
-        with chaos.injected(seed=19, rules=rules):
-            result = uploader.apply_async(args=(b"blob",))
-            digest = result.get(timeout=10)
-        assert store.get_bytes(digest) == b"blob"
-        assert app.backend.record(result.task_id)["retries"] == 1
-    finally:
-        app.shutdown()
+    @app.task(name="uploader", max_retries=2)
+    def uploader(payload: bytes):
+        return store.put_bytes(payload)
+
+    rules = [FaultRule("filestore.put", times=1)]
+    with chaos.injected(seed=19, rules=rules):
+        result = uploader.apply_async(args=(b"blob",))
+        digest = result.get()
+    assert store.get_bytes(digest) == b"blob"
+    assert app.backend.record(result.task_id)["retries"] == 1
 
 
 def test_retries_replay_identically_from_the_seed():
@@ -70,25 +66,23 @@ def test_retries_replay_identically_from_the_seed():
     handling."""
 
     def replay(chaos_seed: int):
-        app = SchedulerApp(name=f"replay-{chaos_seed}", worker_count=1)
+        app = SchedulerApp(name=f"replay-{chaos_seed}")
         observed = []
-        try:
-            tasks = []
-            for index in range(8):
-                @app.task(name=f"work-{index}", max_retries=3)
-                def work(value=index):
-                    return value
-                tasks.append(work)
-            rules = [FaultRule("task.run", probability=0.6)]
-            with chaos.injected(chaos_seed, rules):
-                for index, task in enumerate(tasks):
-                    handle = task.apply_async()
-                    state = app.backend.wait(handle.task_id, timeout=10)
-                    record = app.backend.record(handle.task_id)
-                    observed.append((index, state.value, record["retries"]))
-            return observed
-        finally:
-            app.shutdown()
+        tasks = []
+        for index in range(8):
+            @app.task(name=f"work-{index}", max_retries=3)
+            def work(value=index):
+                return value
+            tasks.append(work)
+        rules = [FaultRule("task.run", probability=0.6)]
+        with chaos.injected(chaos_seed, rules):
+            for index, task in enumerate(tasks):
+                handle = task.apply_async()
+                record = app.backend.record(handle.task_id)
+                observed.append(
+                    (index, record["state"].value, record["retries"])
+                )
+        return observed
 
     first = replay(chaos_seed=99)
     assert first == replay(chaos_seed=99)

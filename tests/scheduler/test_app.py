@@ -1,7 +1,6 @@
 """Tests for the Celery-like SchedulerApp."""
 
 import os
-import statistics
 import subprocess
 import sys
 import threading
@@ -11,19 +10,13 @@ import pytest
 
 import repro
 from repro import telemetry
-from repro.common.errors import (
-    NotFoundError,
-    StateError,
-    ValidationError,
-)
+from repro.common.errors import NotFoundError, StateError, ValidationError
 from repro.scheduler import SchedulerApp, TaskState
 
 
 @pytest.fixture
 def app():
-    application = SchedulerApp(worker_count=3)
-    yield application
-    application.shutdown()
+    return SchedulerApp()
 
 
 def test_task_registration_and_direct_call(app):
@@ -108,56 +101,34 @@ def test_body_returning_past_its_timeout_is_dropped_not_retried(app):
     assert len(calls) == 1
 
 
-def test_get_deadline_is_the_callers_and_the_task_runs_on(app):
-    """``get(timeout)`` bounds the wait, not the task."""
-    entered, release = threading.Event(), threading.Event()
+def test_tasks_run_on_the_callers_thread_and_add_none(app):
+    """Eager, as Celery under ``task_always_eager``: each task has run
+    to a terminal state, on the submitting thread, before
+    ``apply_async`` returns, and no thread is started for it."""
+    before = threading.enumerate()
+    ran_on = set()
 
-    @app.task(name="held")
-    def held():
-        entered.set()
-        release.wait(5)
-        return "landed"
+    @app.task(name="where")
+    def where(x):
+        ran_on.add(threading.current_thread())
+        assert threading.enumerate() == before
+        return x
 
-    result = held.apply_async()
-    assert entered.wait(5)
-    with pytest.raises(StateError, match="not finished"):
-        result.get(timeout=0.05)
-    assert result.state is TaskState.STARTED
-    release.set()
-    assert result.get(timeout=5) == "landed"
-    assert result.state is TaskState.SUCCESS
-
-
-def test_tasks_run_on_the_pool_threads_alone():
-    """50 tasks on three workers add three threads, not one per attempt."""
-    baseline = threading.active_count()
-    ran_on, added = set(), []
-    application = SchedulerApp(worker_count=3)
-    try:
-        @application.task(name="where")
-        def where(x):
-            ran_on.add(threading.current_thread())
-            added.append(threading.active_count() - baseline)
-            return x
-
-        results = [where.apply_async(args=(i,)) for i in range(50)]
-        assert [r.get(timeout=10) for r in results] == list(range(50))
-    finally:
-        application.shutdown()
-    assert len(ran_on) <= 3
-    assert max(added) <= 3
+    results = [where.apply_async(args=(i,)) for i in range(50)]
+    assert all(result.ready() for result in results)
+    assert [r.get() for r in results] == list(range(50))
+    assert ran_on == {threading.current_thread()}
+    assert threading.enumerate() == before
 
 
 def test_retry_until_success(app):
     attempts = {"n": 0}
-    lock = threading.Lock()
 
     @app.task(name="flaky", max_retries=3)
     def flaky():
-        with lock:
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise RuntimeError("transient")
+        attempts["n"] += 1
+        if attempts["n"] < 3:
+            raise RuntimeError("transient")
         return "finally"
 
     result = flaky.apply_async()
@@ -210,11 +181,6 @@ def test_send_task_unknown_name(app):
         app.send_task("missing")
 
 
-def test_worker_count_validated():
-    with pytest.raises(ValidationError):
-        SchedulerApp(worker_count=0)
-
-
 def test_get_without_timeout_blocks_until_done(app):
     @app.task(name="quick")
     def quick():
@@ -228,31 +194,12 @@ def test_unknown_task_id_in_backend(app):
         app.backend.state("no-such-id")
 
 
-def test_shutdown_of_idle_app_does_not_wait_out_the_poll():
-    """shutdown() wakes workers blocked in consume(); nothing polls."""
-    elapsed = []
-    for _ in range(5):
-        application = SchedulerApp(worker_count=4)
-
-        @application.task(name="noop")
-        def noop():
-            return None
-
-        assert noop.apply_async().get(timeout=5) is None
-        time.sleep(0.01)  # let every worker block in consume() again
-        started = time.monotonic()
-        application.shutdown()
-        elapsed.append(time.monotonic() - started)
-    assert statistics.median(elapsed) < 0.025, elapsed
-
-
-def test_a_sweep_import_leaves_the_thread_pool_half_unloaded():
-    """Only ``procpool`` loads with the package; the thread-pool half and
-    ``concurrent.futures`` wait for first use."""
+def test_a_sweep_import_leaves_the_app_half_unloaded():
+    """Only ``procpool`` loads with the package; the ``SchedulerApp``
+    half waits for first use, and ``concurrent.futures`` is never
+    imported."""
     lazy = [
-        "concurrent.futures",
         "repro.scheduler.app",
-        "repro.scheduler.pool",
         "repro.scheduler.result",
         "repro.scheduler.states",
     ]
@@ -260,7 +207,8 @@ def test_a_sweep_import_leaves_the_thread_pool_half_unloaded():
         "import sys, repro.art.tasks, repro.scheduler; "
         f"print([name for name in {lazy!r} if name in sys.modules]); "
         "repro.scheduler.SchedulerApp; "
-        f"print([name for name in {lazy!r} if name in sys.modules])"
+        f"print([name for name in {lazy!r} if name in sys.modules]); "
+        "print('concurrent.futures' in sys.modules)"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
@@ -268,4 +216,4 @@ def test_a_sweep_import_leaves_the_thread_pool_half_unloaded():
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     ).stdout.splitlines()
-    assert out == ["[]", repr(lazy)]
+    assert out == ["[]", repr(lazy), "False"]

@@ -1,14 +1,12 @@
-"""Concurrency stress: many tasks, many workers, a clean state machine.
+"""Stress: many tasks, a clean state machine.
 
-Submits a large batch across a wide worker pool with a mix of clean
-successes, tasks that fail until their retry budget rescues them, and
-tasks that exhaust retries.  The telemetry event log captures every state
+Submits a large batch with a mix of clean successes, tasks that fail
+until their retry budget rescues them, and tasks that exhaust retries.  The telemetry event log captures every state
 transition as it happens, so legality is asserted over the *observed*
 sequence, not just the final records.
 """
 
 import collections
-import threading
 
 from repro import telemetry
 from repro.scheduler import SchedulerApp, TaskState
@@ -16,20 +14,17 @@ from repro.scheduler.states import can_transition
 from tests.helpers import events_of
 
 TASKS = 240
-WORKERS = 8
 RETRY_BUDGET = 2
 
 
 def test_scheduler_stress_state_machine():
-    app = SchedulerApp(name="stress", worker_count=WORKERS)
+    app = SchedulerApp(name="stress")
     attempts = collections.defaultdict(int)
-    attempts_lock = threading.Lock()
 
     @app.task(name="stress.work", max_retries=RETRY_BUDGET)
     def work(index: int):
-        with attempts_lock:
-            attempts[index] += 1
-            attempt = attempts[index]
+        attempts[index] += 1
+        attempt = attempts[index]
         if index % 3 == 1 and attempt <= 1:
             raise RuntimeError(f"flaky #{index} attempt {attempt}")
         if index % 3 == 2 and attempt <= RETRY_BUDGET + 1:
@@ -40,13 +35,10 @@ def test_scheduler_stress_state_machine():
         handles = [
             work.apply_async(args=(index,)) for index in range(TASKS)
         ]
-        for handle in handles:
-            app.backend.wait(handle.task_id, timeout=120.0)
         transitions = events_of(session.events, "task.transition")
         retries_counted = session.metrics.counter(
             "scheduler_task_retries_total"
         ).value()
-    app.shutdown()
 
     # Every task reached a terminal state, and the right one.
     for index, handle in enumerate(handles):

@@ -1,7 +1,5 @@
 """Metrics: instruments, labels, determinism, the null twins."""
 
-import threading
-
 import pytest
 
 from repro.common.errors import ValidationError
@@ -74,22 +72,6 @@ def test_collect_is_deterministically_ordered():
     assert [family["name"] for family in collected] == ["alpha", "zebra"]
     labels = [s["labels"] for s in collected[1]["samples"]]
     assert labels == [{"kind": "a"}, {"kind": "b"}]
-
-
-def test_thread_safety_under_contention():
-    registry = MetricsRegistry()
-    counter = registry.counter("hits")
-
-    def hammer():
-        for _ in range(1000):
-            counter.inc()
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert counter.value() == 8000
 
 
 def test_prometheus_text_format():

@@ -1,14 +1,7 @@
-"""Tracing: nesting, cross-thread propagation, sessions, the null twins."""
-
-import threading
+"""Tracing: nesting, activation, sessions, the null twins."""
 
 from repro import telemetry
-from repro.telemetry import (
-    NULL_SPAN,
-    NULL_TRACER,
-    SpanContext,
-    Tracer,
-)
+from repro.telemetry import NULL_SPAN, NULL_TRACER, Tracer
 
 
 def test_spans_nest_implicitly_within_a_thread():
@@ -32,44 +25,26 @@ def test_span_records_both_clocks_and_duration():
     assert span.ended
 
 
-def test_explicit_parent_crosses_threads_via_dict():
-    tracer = Tracer()
-    carried = {}
-
-    with tracer.span("submitter") as parent:
-        wire = tracer.current_context_dict()
-
-    def worker():
-        with tracer.span("remote", parent=wire) as span:
-            carried["parent_id"] = span.parent_id
-            carried["trace_id"] = span.trace_id
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join()
-    assert carried["parent_id"] == parent.span_id
-    assert carried["trace_id"] == parent.trace_id
-
-
 def test_activate_reparents_without_extra_span():
+    """``activate`` makes an open span the implicit parent without
+    entering or ending it: how ``Gem5Run.begin``'s ``run`` span parents
+    the simulation's phase spans until ``finish`` ends it."""
     tracer = Tracer()
-    with tracer.span("root") as root:
-        wire = tracer.current_context_dict()
-    result = {}
-
-    def worker():
-        with tracer.activate(wire):
-            with tracer.span("child") as child:
-                result["parent_id"] = child.parent_id
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join()
-    assert result["parent_id"] == root.span_id
+    run = tracer.span("run")
+    with tracer.span("unrelated"):
+        with tracer.activate(run):
+            with tracer.span("phase") as phase:
+                assert phase.parent_id == run.span_id
+            assert not run.ended
+        with tracer.span("after") as after:
+            assert after.parent_id != run.span_id
+    run.end()
     # No span named for the activation itself.
     assert {s["name"] for s in tracer.finished_spans()} == {
-        "root",
-        "child",
+        "phase",
+        "after",
+        "unrelated",
+        "run",
     }
 
 
@@ -98,21 +73,14 @@ def test_exception_marks_span_and_still_finishes():
     assert record["duration"] is not None
 
 
-def test_span_context_round_trips():
-    ctx = SpanContext("t", "s")
-    assert SpanContext.from_dict(ctx.to_dict()).span_id == "s"
-    assert SpanContext.from_dict(None) is None
-
-
 def test_null_tracer_is_inert():
     with NULL_TRACER.span("x", attributes={"a": 1}) as span:
         assert span is NULL_SPAN
         span.set_attribute("k", "v")
-    with NULL_TRACER.activate({"trace_id": "t", "span_id": "s"}):
-        pass
+    with NULL_TRACER.activate(span):
+        assert NULL_TRACER.current_span() is None
     assert NULL_TRACER.finished_spans() == []
     assert NULL_TRACER.subtree("anything") == []
-    assert NULL_TRACER.current_context_dict() is None
 
 
 def test_global_session_enable_disable():

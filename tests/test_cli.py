@@ -228,6 +228,20 @@ def test_threads_substrate_is_gone():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+@pytest.mark.parametrize(
+    "verb", [["boot-tests", "--quick"], ["resume", "x", "--db", "memory://"]]
+)
+def test_workers_below_one_is_a_usage_error(verb, workers, capsys):
+    """``--workers`` is checked where it is parsed, as
+    ``execution.workers`` is in a manifest: no substrate sees 0."""
+    for substrate in ("inline", "processes"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(verb + ["--workers", workers, "--substrate", substrate])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

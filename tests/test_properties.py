@@ -2,16 +2,13 @@
 
 These verify the *invariants* the reproduction's conclusions rest on:
 timing monotonicities in the engine and GPU model, determinism of builds
-and simulations, consistency of the fault model, and thread-safety of the
-database and scheduler under load.
+and simulations, consistency of the fault model, and the scheduler's
+state machine under load.
 """
-
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db import Collection
 from repro.gpu import GPUConfig, GPUDevice, GPUKernel
 from repro.packer import Template, build
 from repro.scheduler import SchedulerApp
@@ -227,54 +224,25 @@ def test_property_packer_builds_deterministic(apps):
     assert make() == make()
 
 
-# ------------------------------------------------------------ concurrency
-
-
-def test_collection_concurrent_inserts():
-    collection = Collection("stress")
-    errors = []
-
-    def insert_many(worker):
-        try:
-            for index in range(100):
-                collection.insert_one(
-                    {"worker": worker, "index": index}
-                )
-        except Exception as error:  # pragma: no cover
-            errors.append(error)
-
-    threads = [
-        threading.Thread(target=insert_many, args=(w,)) for w in range(8)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert len(collection) == 800
-    for worker in range(8):
-        assert collection.count({"worker": worker}) == 100
+# -------------------------------------------------------------- scheduler
 
 
 def test_scheduler_stress_mixed_outcomes():
-    app = SchedulerApp(worker_count=8)
-    try:
-        @app.task(name="maybe")
-        def maybe(n):
-            if n % 5 == 0:
-                raise RuntimeError(f"planned failure {n}")
-            return n
+    app = SchedulerApp()
 
-        handles = [maybe.apply_async(args=(n,)) for n in range(100)]
-        succeeded = failed = 0
-        for n, handle in enumerate(handles):
-            state = app.backend.wait(handle.task_id, timeout=30)
-            if state.value == "SUCCESS":
-                assert handle.get() == n
-                succeeded += 1
-            else:
-                failed += 1
-        assert succeeded == 80
-        assert failed == 20
-    finally:
-        app.shutdown()
+    @app.task(name="maybe")
+    def maybe(n):
+        if n % 5 == 0:
+            raise RuntimeError(f"planned failure {n}")
+        return n
+
+    handles = [maybe.apply_async(args=(n,)) for n in range(100)]
+    succeeded = failed = 0
+    for n, handle in enumerate(handles):
+        if handle.state.value == "SUCCESS":
+            assert handle.get() == n
+            succeeded += 1
+        else:
+            failed += 1
+    assert succeeded == 80
+    assert failed == 20

@@ -69,7 +69,8 @@ def _outcome_section(db: ArtifactDB, experiment: Dict) -> List[str]:
     sim_seconds = 0.0
     finished = 0
     for run_id in experiment.get("run_ids", []):
-        doc = db.get_run(run_id)
+        # A run without an outcome has no document yet: it is created.
+        doc = db.find_run(run_id) or {"status": "created"}
         results = doc.get("results") or {}
         status = results.get("simulation_status", doc["status"])
         counts[status] = counts.get(status, 0) + 1

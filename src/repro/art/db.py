@@ -66,8 +66,13 @@ class ArtifactDB:
     def update_run(self, run_id: str, update: Dict[str, Any]) -> bool:
         return self.runs.update_one({"_id": run_id}, update)
 
+    def find_run(self, run_id: str) -> Optional[Dict[str, Any]]:
+        """The run's document; None for a run without an outcome, which
+        has none yet."""
+        return self.runs.find_one({"_id": run_id})
+
     def get_run(self, run_id: str) -> Dict[str, Any]:
-        doc = self.runs.find_one({"_id": run_id})
+        doc = self.find_run(run_id)
         if doc is None:
             raise NotFoundError(f"no run with id {run_id}")
         return doc

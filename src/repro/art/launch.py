@@ -10,6 +10,12 @@ asynchronously.  :class:`Experiment` captures that pattern declaratively:
 
 and it records the experiment itself as a document so the database tells
 the whole story: which artifacts, which cross product, which outcomes.
+
+The experiment document is the durable list of its points: a run gets a
+document of its own only with its outcome, so a run id the experiment
+names but the ``runs`` collection does not hold is a point still owed
+(``created``), and :meth:`Experiment.load` rebuilds it from the stacks,
+axes and fixed parameters recorded here.
 """
 
 from __future__ import annotations
@@ -40,14 +46,6 @@ FS_STACK_ROLES = (
 )
 
 EXPERIMENTS = "experiments"
-
-#: Run statuses a resume re-queues by default: never-started runs and
-#: runs interrupted mid-flight (status still "running" with no live
-#: process behind it).
-RESUMABLE_STATUSES = (RunStatus.CREATED.value, RunStatus.RUNNING.value)
-
-#: Additionally re-queued when ``retry_failures=True``.
-FAILED_STATUSES = (RunStatus.FAILED.value, RunStatus.TIMED_OUT.value)
 
 
 def find_experiment(db: ArtifactDB, name_or_id: str) -> Dict[str, Any]:
@@ -150,28 +148,39 @@ class Experiment:
             raise StateError("add at least one stack before create_runs")
         if self._runs is not None:
             raise StateError("runs were already created")
-        axis_names = list(self._axes)
         runs: List[Gem5Run] = []
-        for stack_name, artifacts in self._stacks.items():
+        for stack_name, params in self._points():
+            run = self._point_run(self._stacks[stack_name], params)
+            runs.append(run)
+            self._stack_of_run[run.run_id] = stack_name
+        self._runs = runs
+        self._record()
+        return runs
+
+    def _points(self):
+        """``(stack name, params)`` of every cross-product point, in
+        run order."""
+        axis_names = list(self._axes)
+        for stack_name in self._stacks:
             for combo in itertools.product(
                 *(self._axes[name] for name in axis_names)
             ):
                 params = dict(self._fixed)
-                params.update(dict(zip(axis_names, combo)))
-                run = Gem5Run.create_fs_run(
-                    self.db,
-                    gem5_artifact=artifacts["gem5"],
-                    gem5_git_artifact=artifacts["gem5_git"],
-                    run_script_git_artifact=artifacts["run_script_git"],
-                    linux_binary_artifact=artifacts["linux_binary"],
-                    disk_image_artifact=artifacts["disk_image"],
-                    **params,
-                )
-                runs.append(run)
-                self._stack_of_run[run.run_id] = stack_name
-        self._runs = runs
-        self._record()
-        return runs
+                params.update(zip(axis_names, combo))
+                yield stack_name, params
+
+    def _point_run(
+        self, artifacts: Dict[str, Artifact], params: Dict[str, Any]
+    ) -> Gem5Run:
+        return Gem5Run.create_fs_run(
+            self.db,
+            gem5_artifact=artifacts["gem5"],
+            gem5_git_artifact=artifacts["gem5_git"],
+            run_script_git_artifact=artifacts["run_script_git"],
+            linux_binary_artifact=artifacts["linux_binary"],
+            disk_image_artifact=artifacts["disk_image"],
+            **params,
+        )
 
     def _record(self) -> None:
         self.db.database.collection(EXPERIMENTS).insert_one(
@@ -186,6 +195,9 @@ class Experiment:
                     for name, artifacts in self._stacks.items()
                 },
                 "axes": self._axes,
+                # Replay sorts a document's keys; the cross product's
+                # order (and so which point each run id is) is this.
+                "axis_order": list(self._axes),
                 "fixed": self._fixed,
                 "run_ids": [run.run_id for run in self._runs],
                 "stack_of_run": dict(self._stack_of_run),
@@ -218,7 +230,9 @@ class Experiment:
     ) -> List[Dict[str, Any]]:
         """Execute every run and return summaries, in creation order
         (:meth:`resume` is the idempotent re-launch that skips runs the
-        database already marks done).
+        database already marks done).  Each run's document is written
+        with its outcome; the experiment document, written first, names
+        every run.
 
         The keywords are :func:`~repro.art.tasks.run_jobs_scheduler`'s
         (and the CLI's ``--workers``, ``--[no-]cache``, ``--substrate``,
@@ -250,11 +264,12 @@ class Experiment:
         """Re-launch only the runs an interrupted campaign still owes.
 
         Idempotent by run_id: runs already ``done`` in the database are
-        skipped; ``created`` runs (never started) and ``running`` runs
-        (interrupted mid-flight — their process is gone) are re-queued;
+        skipped; ``created`` runs — points with no document, never
+        started or interrupted mid-flight — are re-queued;
         ``failed``/``timed_out`` runs are re-queued only with
-        ``retry_failures=True``.  Resuming a finished experiment executes
-        nothing and just returns the summaries.
+        ``retry_failures=True`` (their documents are updated in place).
+        Resuming a finished experiment executes nothing and just returns
+        the summaries.
         """
         if self._runs is None:
             raise StateError(
@@ -278,21 +293,23 @@ class Experiment:
         return [run.run_id for run in self._pending(retry_failures)]
 
     def _pending(self, retry_failures: bool) -> List[Gem5Run]:
-        """The runs behind :meth:`pending_runs`.  A run the database
-        says is settled takes its status and results from there — it
-        may have finished through another object or process — so what a
-        sweep returns never needs a second read."""
-        resumable = set(RESUMABLE_STATUSES)
+        """The runs behind :meth:`pending_runs`.  A run with a document
+        takes its status and results from there — it may have settled
+        through another object or process — so what a sweep returns
+        needs no second read, and a retried failure is updated in place.
+        A run id with no document is a point without an outcome
+        (``created``): never started, or its process died mid-flight."""
+        resumable = {RunStatus.CREATED}
         if retry_failures:
-            resumable.update(FAILED_STATUSES)
+            resumable.update((RunStatus.FAILED, RunStatus.TIMED_OUT))
         pending = []
         for run in self._runs:
-            doc = self.db.get_run(run.run_id)
-            if doc["status"] in resumable:
-                pending.append(run)
-            else:
+            doc = self.db.find_run(run.run_id)
+            if doc is not None:
                 run.status = RunStatus(doc["status"])
                 run.results = doc.get("results")
+            if run.status in resumable:
+                pending.append(run)
         return pending
 
     def _execute_pending(
@@ -363,23 +380,47 @@ class Experiment:
 
         Accepts the experiment's name or id (see
         :func:`find_experiment`).  The result is frozen — stacks and
-        runs already exist — but fully resumable and reportable.
+        runs already exist — but fully resumable and reportable.  A run
+        with a document is loaded from it; a point without one is
+        rebuilt from the experiment document — the same run id, the same
+        inputs, so the same fingerprint.
         """
         doc = find_experiment(db, name_or_id)
         experiment = cls(db, doc["name"], metadata=doc.get("metadata"))
         experiment.experiment_id = doc["_id"]
         experiment._loaded = True
         experiment._axes = {
-            key: list(values) for key, values in doc["axes"].items()
+            key: list(doc["axes"][key]) for key in doc["axis_order"]
         }
         experiment._fixed = dict(doc["fixed"])
+        experiment._stack_of_run = dict(doc["stack_of_run"])
+        # Stacks in run order, as they were declared.
         experiment._stacks = {
-            name: dict(roles) for name, roles in doc["stacks"].items()
+            name: dict(doc["stacks"][name])
+            for name in dict.fromkeys(
+                experiment._stack_of_run[run_id]
+                for run_id in doc["run_ids"]
+            )
         }
-        experiment._runs = [
-            Gem5Run.load(db, run_id) for run_id in doc["run_ids"]
-        ]
-        experiment._stack_of_run = dict(doc.get("stack_of_run") or {})
+        inputs: Dict[str, Dict[str, Artifact]] = {}
+        experiment._runs = []
+        for run_id, (stack_name, params) in zip(
+            doc["run_ids"], experiment._points()
+        ):
+            run_doc = db.find_run(run_id)
+            if run_doc is not None:
+                run = Gem5Run.from_document(db, run_doc)
+            else:
+                if stack_name not in inputs:
+                    inputs[stack_name] = {
+                        role: Artifact.load(db, artifact_id)
+                        for role, artifact_id in experiment._stacks[
+                            stack_name
+                        ].items()
+                    }
+                run = experiment._point_run(inputs[stack_name], params)
+                run.run_id = run_id
+            experiment._runs.append(run)
         return experiment
 
     def _archive_telemetry(self, span) -> None:
@@ -415,7 +456,9 @@ class Experiment:
             name: {} for name in self._stacks
         }
         for run in self._runs:
-            doc = self.db.get_run(run.run_id)
+            doc = self.db.find_run(run.run_id) or {
+                "status": RunStatus.CREATED.value
+            }
             results = doc.get("results") or {}
             status = results.get("simulation_status", doc["status"])
             stack = self._stack_of_run[run.run_id]

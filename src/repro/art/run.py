@@ -7,10 +7,15 @@ the parameters handed to the run script, and — once executed — a pointer
 to the results plus a summary (status, execution time).
 
 This reproduction's run objects are *executable*, in three steps:
-*begin* (cache consult, ``RUNNING``, inputs), *simulate* — a pure
+*begin* (cache consult, checkpoint, inputs), *simulate* — a pure
 function over :class:`repro.sim.Gem5Simulator` or the GPU device, the
 only step that may leave the thread that owns the database — and
 *finish* (archive everything).  ``run()`` is the three in a row.
+
+A run's document is written once, by the step that gives it an outcome
+(``finish``, ``fail`` or a cache adoption): one ``insert`` holding its
+inputs, fingerprint, status and results.  A run without an outcome has
+no document; the experiment that lists it is its durable record.
 
 Run identity is two-layered.  The UUID (``run_id``) is the *instance* id:
 it names one attempt, one document, one row in an experiment.  The
@@ -49,10 +54,11 @@ BOOT_CPU = "kvm"
 
 
 class RunStatus(str, enum.Enum):
-    """Lifecycle of a run document in the database."""
+    """What a run came to.  ``CREATED`` is the status of a run without
+    an outcome: it lives in memory only (a run id with no document
+    reads as ``created``); the others are written with the outcome."""
 
     CREATED = "created"
-    RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
     TIMED_OUT = "timed_out"
@@ -171,45 +177,29 @@ class Gem5Run:
         cls, db, artifact_objects, params, timeout, spec: RunSpec
     ) -> "Gem5Run":
         """Materialize a run *from its spec* plus the artifact instances
-        that realize it; the fingerprint is persisted in the document so
-        loads and cache consultations never re-derive it."""
-        artifacts = {
-            role: artifact.id
-            for role, artifact in artifact_objects.items()
-        }
-        fingerprint = spec.fingerprint()
-        run = cls(
+        that realize it.  Nothing is written: the document, fingerprint
+        included, is inserted with the run's outcome."""
+        return cls(
             run_id=new_uuid(),
             kind=spec.kind,
-            artifacts=artifacts,
+            artifacts={
+                role: artifact.id
+                for role, artifact in artifact_objects.items()
+            },
             params=params,
             timeout=timeout,
             db=db,
             spec=spec,
-            fingerprint=fingerprint,
+            fingerprint=spec.fingerprint(),
         )
-        db.put_run(
-            {
-                "_id": run.run_id,
-                "kind": spec.kind,
-                "artifacts": artifacts,
-                "params": params,
-                "timeout": timeout,
-                "status": RunStatus.CREATED.value,
-                "results": None,
-                "fingerprint": fingerprint,
-                "spec": spec.to_document(),
-            }
-        )
-        return run
 
     @classmethod
-    def load(cls, db: ArtifactDB, run_id: str) -> "Gem5Run":
-        doc = db.get_run(run_id)
+    def from_document(cls, db: ArtifactDB, doc: Dict) -> "Gem5Run":
+        """The run a stored document describes (it has an outcome)."""
         if not doc.get("spec") or not doc.get("fingerprint"):
             raise ValidationError(
-                f"run document {run_id} carries no spec/fingerprint: every "
-                "run written since the RunSpec IR does, so this one was "
+                f"run document {doc['_id']} carries no spec/fingerprint: "
+                "every run written since the RunSpec IR does, so this one was "
                 "hand-edited or comes from another tool"
             )
         return cls(
@@ -310,9 +300,10 @@ class Gem5Run:
     ) -> Optional["Attempt"]:
         """Step 1: consult the run cache and adopt on a hit (``None``:
         ``results`` holds the summary, nothing is left to do); else
-        write ``RUNNING``, consult the checkpoint store and resolve the
-        inputs, and hand back the open :class:`Attempt`.  A failure
-        past the ``RUNNING`` write is recorded before it is raised."""
+        consult the checkpoint store and resolve the inputs, and hand
+        back the open :class:`Attempt`.  A miss writes nothing; a
+        failure past the cache consult is recorded before it is
+        raised."""
         span = telemetry.get_tracer().span(
             "run",
             attributes={
@@ -322,22 +313,18 @@ class Gem5Run:
                 **attributes,
             },
         )
-        entry, running = None, False
+        attempt = None
         try:
             if use_cache:
                 entry = RunCache(self.db).consult(self.fingerprint)
                 span.set_attribute("cache", "hit" if entry else "miss")
-            if entry is not None:
-                self.adopt_cached(entry)
-                return None
-            self._set_status(
-                RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
-            )
-            running = True
+                if entry is not None:
+                    self.adopt_cached(entry)
+                    return None
+            attempt = Attempt(span, use_cache, iso_now())
         finally:
-            if not running:
+            if attempt is None:
                 self._close(span)
-        attempt = Attempt(span, use_cache)
         try:
             attempt.restore = self._consult_checkpoint(
                 checkpoint_store, resolver
@@ -376,7 +363,8 @@ class Gem5Run:
             self._set_status(
                 RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
                 summary,
-                extra={"finished_at_wall": iso_now()},
+                started_at_wall=attempt.started_at_wall,
+                finished_at_wall=iso_now(),
             )
             if attempt.use_cache and not timed_out:
                 # The fields of this run's document a cache entry is
@@ -405,7 +393,8 @@ class Gem5Run:
             self._set_status(
                 RunStatus.TIMED_OUT if timed_out else RunStatus.FAILED,
                 {"error": error, **({"timed_out": True} if timed_out else {})},
-                extra={"finished_at_wall": iso_now()},
+                started_at_wall=attempt.started_at_wall,
+                finished_at_wall=iso_now(),
             )
         finally:
             self._close(attempt.span)
@@ -435,11 +424,9 @@ class Gem5Run:
         self._set_status(
             RunStatus(entry["status"]),
             results,
-            extra={
-                "cache_hit": True,
-                "cached_from": entry.get("run_id"),
-                "finished_at_wall": iso_now(),
-            },
+            cache_hit=True,
+            cached_from=entry.get("run_id"),
+            finished_at_wall=iso_now(),
         )
         return results
 
@@ -479,23 +466,33 @@ class Gem5Run:
 
     # ------------------------------------------------------------ storage
 
-    def _set_status(
-        self, status: RunStatus, results=None, extra=None
-    ) -> None:
+    def _set_status(self, status: RunStatus, results, **extra) -> None:
+        """Write the run's outcome.  A run has a document exactly when
+        it has an outcome: a ``CREATED`` run's is inserted whole, and one
+        that already has an outcome — a failure being retried — has its
+        outcome fields updated in place."""
         chaos.fire(
             "run.status", run_id=self.run_id, status=status.value
         )
-        self.status = status
-        update = {"$set": {"status": status.value}}
-        if results is not None:
-            update["$set"]["results"] = results
-        if extra:
-            update["$set"].update(extra)
-        self.db.update_run(self.run_id, update)
-        if results is not None:
-            # Only what the database acknowledged: ``results`` is what
-            # a sweep returns in place of reading the document back.
-            self.results = results
+        outcome = {"status": status.value, "results": results, **extra}
+        if self.status is RunStatus.CREATED:
+            self.db.put_run(
+                {
+                    "_id": self.run_id,
+                    "kind": self.kind,
+                    "artifacts": self.artifacts,
+                    "params": self.params,
+                    "timeout": self.timeout,
+                    "fingerprint": self.fingerprint,
+                    "spec": self.spec.to_document(),
+                    **outcome,
+                }
+            )
+        else:
+            self.db.update_run(self.run_id, {"$set": outcome})
+        # Only what the database acknowledged: ``results`` is what a
+        # sweep returns in place of reading the document back.
+        self.status, self.results = status, results
         telemetry.get_event_log().emit(
             "run.status", run_id=self.run_id, status=status.value
         )
@@ -505,10 +502,12 @@ class Gem5Run:
 class Attempt:
     """What :meth:`Gem5Run.begin` leaves open for the other two steps:
     the detached ``run`` span (``finish``/``fail`` end it), whether a
-    ``DONE`` result is cached, and the boot checkpoint to restore."""
+    ``DONE`` result is cached, when the attempt began (written with its
+    outcome) and the boot checkpoint to restore."""
 
     span: Any
     use_cache: bool
+    started_at_wall: str
     restore: Optional[Checkpoint] = None
 
 

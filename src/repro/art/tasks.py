@@ -6,7 +6,7 @@ Run objects are plain callables that any task manager can launch.
 :func:`run_jobs_pool`).  It owns the database: every run's
 :meth:`~repro.art.run.Gem5Run.begin` and
 :meth:`~repro.art.run.Gem5Run.finish` — cache and checkpoint consults,
-status writes, blob uploads, cache stores — happen on the thread that
+outcome writes, blob uploads, cache stores — happen on the thread that
 called it, and **only simulations leave that thread**, as pure functions
 of their arguments: to a :class:`~repro.scheduler.ProcessPool` worker
 process (``processes``) or nowhere (``inline``).  Both substrates are

@@ -21,7 +21,7 @@ point                   fired
 ``task.run``            inside ``apply_async``, before each attempt of a
                         task body (a crash ends the task ``FAILURE``)
 ``procpool.submit``     before an envelope is queued on the process pool
-``run.status``          before a run document status update
+``run.status``          before a run's outcome is written (its document)
 ``runcache.get``        before a run-cache consult reads its entry (a
                         fault is a miss: the run simulates)
 ``checkpoint.get``      before a checkpoint-store consult reads its entry

@@ -71,8 +71,7 @@ class StatsDB:
     def dump(self) -> str:
         """Render in the two-column gem5 ``stats.txt`` format."""
         lines = ["---------- Begin Simulation Statistics ----------"]
-        for name in sorted(self.to_dict()):
-            value = self.to_dict()[name]
+        for name, value in sorted(self.to_dict().items()):
             rendered = (
                 f"{value:.6f}".rstrip("0").rstrip(".")
                 if isinstance(value, float)

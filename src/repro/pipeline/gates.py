@@ -46,7 +46,7 @@ GATE_KINDS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Run statuses that mean "still owed" for ``all_terminal``.
-_NON_TERMINAL_STATUSES = ("created", "running")
+_NON_TERMINAL_STATUSES = ("created",)
 
 
 def validate_gate_spec(gate: Mapping[str, Any], stage: str) -> None:

@@ -227,7 +227,8 @@ def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
     status_totals: Dict[str, int] = {}
     run_ids = list(source["run_ids"])
     for run_id in run_ids:
-        doc = ctx.db.get_run(run_id)
+        # A run without an outcome has no document yet: it is created.
+        doc = ctx.db.find_run(run_id) or {"status": "created"}
         run_params = doc.get("params", {})
         group = "|".join(str(run_params.get(key)) for key in keys)
         status = doc["status"]

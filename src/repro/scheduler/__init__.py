@@ -54,5 +54,7 @@ __all__ = [
 def __getattr__(name: str):
     if name in _LAZY:
         module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-        return getattr(module, name)
+        # Cached: the next lookup is a plain module attribute.
+        value = globals()[name] = getattr(module, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 
-def launched_experiment(db, name="mini"):
+def declared_experiment(db, name="mini"):
     gem5_repo = register_repo(db, "gem5")
     resources_repo = register_repo(db, "gem5-resources", version="r1")
     experiment = Experiment(db, name)
@@ -35,6 +35,11 @@ def launched_experiment(db, name="mini"):
     )
     experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
     experiment.sweep(benchmark=["ferret"], num_cpus=[1, 8])
+    return experiment
+
+
+def launched_experiment(db, name="mini"):
+    experiment = declared_experiment(db, name)
     experiment.launch(substrate="inline")
     return experiment
 
@@ -78,3 +83,14 @@ def test_report_requires_unambiguous_experiment():
     launched_experiment(db, name="beta")
     with pytest.raises(NotFoundError, match="alpha.*beta"):
         experiment_report(db)  # two: an archive holds exactly one
+
+
+def test_report_counts_a_point_without_an_outcome_as_created():
+    """An interrupted sweep: a run with no outcome has no document."""
+    db = ArtifactDB()
+    runs = declared_experiment(db).create_runs()
+    runs[0].run()
+    report = experiment_report(db)
+    assert "| ok | 1 |" in report
+    assert "| created | 1 |" in report
+    assert "Finished runs: 1;" in report

@@ -25,16 +25,18 @@ def db():
 
 
 def count_simulations(monkeypatch):
-    """Patch the execution slow path; cache hits must never reach it."""
+    """Patch the execution slow path — a ``begin`` that opens an
+    attempt; cache hits must never reach it."""
     executed = []
-    original = Gem5Run._set_status
+    original = Gem5Run.begin
 
-    def recording(self, status, *args, **kwargs):
-        if status is RunStatus.RUNNING:
+    def recording(self, *args, **kwargs):
+        attempt = original(self, *args, **kwargs)
+        if attempt is not None:
             executed.append(self.run_id)
-        return original(self, status, *args, **kwargs)
+        return attempt
 
-    monkeypatch.setattr(Gem5Run, "_set_status", recording)
+    monkeypatch.setattr(Gem5Run, "begin", recording)
     return executed
 
 

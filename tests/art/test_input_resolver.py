@@ -307,8 +307,9 @@ def test_resume_returns_the_stored_results_of_settled_runs_too(db):
     runs = experiment.create_runs()
     for run in runs[:3]:
         run.run()
-    # Finished behind this experiment's back, through another object.
-    Gem5Run.load(db, runs[3].run_id).run()
+    # Finished behind this experiment's back, through another object:
+    # the point as a loaded experiment rebuilds it (it has no document).
+    Experiment.load(db, "two-stacks")._runs[3].run()
     assert experiment.resume(workers=2) == stored_results(db, experiment)
     loaded = Experiment.load(db, "two-stacks")
     summaries = loaded.resume(workers=2)

@@ -20,7 +20,6 @@ from repro.art import (
     Gem5Run,
     InputResolver,
     RunCache,
-    RunStatus,
     run_boot_stage,
 )
 from repro.art import tasks
@@ -71,15 +70,16 @@ class RunCacheUser(User):
         super().__init__(db, RunCache(db))
         self.artifacts = request.getfixturevalue("fs_artifacts")
         self.key = make_run(db, self.artifacts).fingerprint
-        user, original = self, Gem5Run._set_status
+        user, original = self, Gem5Run.begin
 
-        def recording(run, status, *args, **kwargs):
-            if status is RunStatus.RUNNING:
+        def recording(run, *args, **kwargs):
+            attempt = original(run, *args, **kwargs)
+            if attempt is not None:
                 user.recomputes.append(user.state())
-            return original(run, status, *args, **kwargs)
+            return attempt
 
         request.getfixturevalue("monkeypatch").setattr(
-            Gem5Run, "_set_status", recording
+            Gem5Run, "begin", recording
         )
 
     def use(self):

@@ -6,7 +6,9 @@ import pytest
 from repro.art import ArtifactDB, Experiment
 from repro.art.run import Gem5Run
 from repro.common.errors import NotFoundError, StateError
+from repro.db import connect
 
+from tests.art.test_input_resolver import two_stack_experiment
 from tests.art.test_launch_share import make_experiment
 
 
@@ -93,6 +95,10 @@ def test_retry_failures_requeues_failed_and_timed_out_runs(db, monkeypatch):
     loaded.resume(substrate="inline", retry_failures=True)
     assert executed == [runs[1].run_id, runs[2].run_id]
     assert loaded.pending_runs(retry_failures=True) == []
+    # A retried run's document is updated in place, not inserted again.
+    for run in runs[1:3]:
+        assert db.runs.count({"_id": run.run_id}) == 1
+        assert db.get_run(run.run_id)["status"] == "done"
 
 
 def test_launch_resume_flag_skips_done_runs(db, monkeypatch):
@@ -138,3 +144,36 @@ def test_launch_journals_lifecycle_status(db):
     assert doc["status"] == "finished"
     assert doc["status_at_wall"]
     assert doc["substrate"] == "inline"
+
+
+def test_load_rebuilds_the_points_without_a_document(tmp_path):
+    """Points with no outcome have no document; a reopened database
+    rebuilds them from the experiment document — same run id, same
+    parameters, same fingerprint — even with stacks and axes declared
+    out of the order replay sorts a document's keys into."""
+    uri = f"file://{tmp_path / 'db'}"
+    with connect(uri) as database:
+        experiment = two_stack_experiment(
+            ArtifactDB(database), stacks=("old", "new")
+        )
+        experiment.sweep(num_cpus=[2, 1], boot_type=["systemd", "init"])
+        runs = experiment.create_runs()
+        runs[5].run()
+        expected = [
+            (run.run_id, run.fingerprint, run.params, run.kind)
+            for run in runs
+        ]
+        stacks = [experiment.stack_of(run.run_id) for run in runs]
+    assert [key for key in experiment._axes] != sorted(experiment._axes)
+    with connect(uri) as database:
+        loaded = Experiment.load(ArtifactDB(database), "two-stacks")
+        assert [
+            (run.run_id, run.fingerprint, run.params, run.kind)
+            for run in loaded._runs
+        ] == expected
+        assert [loaded.stack_of(run.run_id) for run in loaded._runs] == (
+            stacks
+        )
+        owed = [run.run_id for run in runs if run is not runs[5]]
+        assert loaded.pending_runs() == owed
+        assert loaded._runs[5].results == runs[5].results

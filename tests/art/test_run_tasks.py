@@ -70,9 +70,14 @@ def make_run(db, a, **params):
 
 
 def test_create_fs_run_documents(db, fs_artifacts):
+    """Creating a run writes nothing; its outcome is written as one
+    document that also carries what it was created from."""
     run = make_run(db, fs_artifacts)
+    assert run.status is RunStatus.CREATED
+    assert db.find_run(run.run_id) is None
+    run.run()
     doc = db.get_run(run.run_id)
-    assert doc["status"] == "created"
+    assert doc["status"] == "done"
     assert doc["kind"] == "fs"
     assert doc["artifacts"]["gem5"] == fs_artifacts["gem5"].id
     assert doc["params"]["benchmark"] == "ferret"
@@ -111,7 +116,7 @@ def test_run_records_simulation_failures_as_outcomes(db, fs_artifacts):
 def test_run_load_roundtrip(db, fs_artifacts):
     run = make_run(db, fs_artifacts)
     run.run()
-    loaded = Gem5Run.load(db, run.run_id)
+    loaded = Gem5Run.from_document(db, db.get_run(run.run_id))
     assert loaded.status is RunStatus.DONE
     assert loaded.params["benchmark"] == "ferret"
     assert loaded.results["success"]
@@ -275,7 +280,7 @@ def test_worker_count_below_one_rejected(db, fs_artifacts, substrate):
         run_jobs_scheduler([run], worker_count=0, substrate=substrate)
     with pytest.raises(ValidationError, match="worker_count"):
         run_jobs_pool([run], processes=-1)
-    assert db.get_run(run.run_id)["status"] == "created"
+    assert db.find_run(run.run_id) is None
 
 
 def test_run_unknown_kind_rejected(db, fs_artifacts):

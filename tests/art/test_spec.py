@@ -108,6 +108,7 @@ def test_document_round_trip_preserves_fingerprint():
 
 def test_create_fs_run_persists_spec_and_fingerprint(db, fs_artifacts):
     run = make_run(db, fs_artifacts)
+    run.run()
     assert run.spec is not None
     assert run.fingerprint == run.spec.fingerprint()
     doc = db.get_run(run.run_id)
@@ -135,7 +136,8 @@ def test_param_permutation_collides_via_runs(db, fs_artifacts):
 
 def test_load_rehydrates_spec_and_fingerprint(db, fs_artifacts):
     run = make_run(db, fs_artifacts)
-    loaded = Gem5Run.load(db, run.run_id)
+    run.run()
+    loaded = Gem5Run.from_document(db, db.get_run(run.run_id))
     assert loaded.fingerprint == run.fingerprint
     assert loaded.spec == run.spec
 
@@ -144,11 +146,12 @@ def test_load_rejects_a_document_without_spec(db, fs_artifacts):
     """Every run document has carried ``spec`` since the IR exists;
     one without it is rejected by id, not silently rebuilt."""
     run = make_run(db, fs_artifacts)
+    run.run()
     doc = db.get_run(run.run_id)
     doc.pop("spec")
     db.runs.replace_one({"_id": run.run_id}, doc)
     with pytest.raises(ValidationError, match=run.run_id):
-        Gem5Run.load(db, run.run_id)
+        Gem5Run.from_document(db, db.get_run(run.run_id))
 
 
 @pytest.fixture

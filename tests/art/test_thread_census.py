@@ -150,7 +150,7 @@ def test_every_write_of_a_sweep_is_on_the_calling_thread(
     assert {thread for _, thread, _ in writes} == {me}
     assert {point for point, _, _ in writes} == set(WRITE_POINTS)
     statuses = [p for p, _, _ in writes if p == "run.status"]
-    assert len(statuses) == 2 * 48  # running, done — nothing else
+    assert len(statuses) == 48  # the outcome — nothing else
     companions = set().union(*(alive for _, _, alive in writes))
     # No app, no worker thread, no helper in front of the pipe write.
     assert companions - before == set()

@@ -329,14 +329,15 @@ def test_strict_sweep_syncs_each_stats_blob_before_its_done_record(
     real_append = WalWriter.append
 
     def append(writer, record):
+        # A run's document is inserted once, with its outcome.
         if (
             writer.collection == "runs"
-            and record["op"] == "update"
-            and record["set"].get("status") == "done"
+            and record["op"] == "insert"
+            and record["doc"]["status"] == "done"
         ):
             order.append(
                 (max(syncs, default=0),
-                 record["set"]["results"].get("stats_file_id"))
+                 record["doc"]["results"].get("stats_file_id"))
             )
         return real_append(writer, record)
 

@@ -67,7 +67,7 @@ def test_all_terminal():
     )["ok"]
     pending = verdict_of(
         {"kind": "all_terminal"},
-        {"run_status_counts": {"done": 3, "running": 2}},
+        {"run_status_counts": {"done": 3, "created": 2}},
     )
     assert not pending["ok"]
     assert "pending" in pending["detail"]

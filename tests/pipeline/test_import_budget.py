@@ -141,3 +141,16 @@ def test_every_lazy_export_is_its_submodules_object():
             assert getattr(package, name) is getattr(module, name), (
                 package.__name__, name,
             )
+
+
+def test_a_lazy_export_is_cached_by_its_first_use():
+    """The first lookup stores the value in the package, so every later
+    ``from package import name`` is a plain attribute read, not another
+    trip through ``importlib``."""
+    packages = list(_lazy_packages())
+    assert len(packages) >= 6
+    for package in packages:
+        for name in package._LAZY:
+            vars(package).pop(name, None)  # as before its first use
+            value = getattr(package, name)
+            assert vars(package)[name] is value, (package.__name__, name)

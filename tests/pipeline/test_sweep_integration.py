@@ -7,6 +7,9 @@ from repro import chaos
 from repro.art import ArtifactDB
 from repro.chaos import FaultRule
 from repro.pipeline import run_pipeline
+from repro.pipeline.manifest import StageSpec
+from repro.pipeline.stages import StageContext, stage_analyze
+from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
 from tests.helpers import parse_manifest_text
 
 MINI_SWEEP = """
@@ -85,3 +88,27 @@ def test_sweep_degrades_under_checkpoint_chaos(db):
         event for event in result["trail"] if event["event"] == "stage"
     ]
     assert all(event["gates_ok"] for event in gate_records)
+
+
+def test_analyze_reads_a_run_without_an_outcome_as_created(
+    db, fs_artifacts
+):
+    """A run id with no document is a point still owed, not an error."""
+    finished = make_run(db, fs_artifacts)
+    finished.run()
+    owed = make_run(db, fs_artifacts, num_cpus=2)
+    ctx = StageContext(
+        db=db,
+        pipeline_id="p",
+        pipeline_name="p",
+        stage=StageSpec(
+            name="analyze", kind="analyze", inputs=("sweep",),
+            params={"group_by": ["num_cpus"]},
+        ),
+        attempt=1,
+        inputs={"sweep": {"run_ids": [finished.run_id, owed.run_id]}},
+    )
+    analysis = stage_analyze(ctx)
+    assert analysis["status_totals"] == {"done": 1, "created": 1}
+    assert analysis["groups"]["1"] == {"done": 1}
+    assert analysis["success_rate"] == 0.5

@@ -47,6 +47,46 @@ def test_stats_dump_format():
     assert "12345" in text
 
 
+def test_stats_dump_bytes_are_pinned(monkeypatch):
+    """The stats blob's bytes — its id is in every run's results, so in
+    the benchmark's digest — from one flattening of the namespace."""
+    stats = StatsDB()
+    stats.inc("system.cpu0.committedInsts", 1234567)
+    stats.inc("system.cpu0.committedInsts", 1)
+    stats.set("sim_seconds", 0.0512)
+    stats.set("host_seconds", 2.5)
+    stats.set("system.cpu0.ipc", 1.0 / 3.0)
+    stats.set("tiny", 1e-7)
+    stats.vec_inc("system.mem_ctrls.reads", "bank0", 3)
+    stats.vec_inc("system.mem_ctrls.reads", "bank1", 0.125)
+    stats.vec_inc("system.cpu0.op_class", "IntAlu")
+    stats.set("system.cpu0", 7)
+    flattened = []
+    to_dict = StatsDB.to_dict
+
+    def counting(self):
+        flattened.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(StatsDB, "to_dict", counting)
+    assert stats.dump() == "\n".join(
+        [
+            "---------- Begin Simulation Statistics ----------",
+            "host_seconds" + " " * 49 + "2.5",
+            "sim_seconds" + " " * 50 + "0.0512",
+            "system.cpu0" + " " * 50 + "7",
+            "system.cpu0.committedInsts" + " " * 35 + "1234568",
+            "system.cpu0.ipc" + " " * 46 + "0.333333",
+            "system.cpu0.op_class::IntAlu" + " " * 33 + "1",
+            "system.mem_ctrls.reads::bank0" + " " * 32 + "3",
+            "system.mem_ctrls.reads::bank1" + " " * 32 + "0.125",
+            "tiny" + " " * 57 + "0",
+            "---------- End Simulation Statistics   ----------",
+        ]
+    )
+    assert len(flattened) == 1
+
+
 def test_stats_to_dict_flattens_vectors():
     stats = StatsDB()
     stats.vec_inc("v", "k", 2)

@@ -15,8 +15,8 @@ The package tree mirrors the paper's architecture:
   :mod:`repro.packer`, :mod:`repro.guest` — the MongoDB, Celery, disk
   image, Packer, and guest-software substrates;
 - :mod:`repro.pipeline` — one-click reproduction DAGs: declarative
-  manifests, content-addressed stage outputs, validation gates, and
-  bounded backtracking behind ``repro reproduce``;
+  manifests, content-addressed stage outputs, validation gates, and one
+  journaled stage document per decision behind ``repro reproduce``;
 - :mod:`repro.analysis` — query/series/chart helpers for regenerating the
   paper's tables and figures.
 

@@ -30,7 +30,7 @@ point                   fired
                         fault is a miss: the stage executes)
 ``pipeline.stage``      before a pipeline stage's body executes
 ``pipeline.gate``       before a pipeline gate is evaluated (a fault is a
-                        failed verdict)
+                        failed verdict: the pipeline ends ``failed``)
 ``wal.append``          before a WAL record is written (crash here =
                         write accepted but never logged, so never
                         acknowledged)

@@ -181,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     reproduce = commands.add_parser(
         "reproduce",
         help="run a reproduction manifest end to end: content-addressed "
-        "stages, validation gates, bounded backtracking",
+        "stages, validation gates, one journaled decision per stage",
     )
     reproduce.add_argument(
         "manifest", help="path to a pipeline manifest (YAML or JSON)"
@@ -200,7 +200,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     reproduce.add_argument(
         "--no-stage-cache", dest="stage_cache", action="store_false",
         default=True,
-        help="ignore journaled stage results; every stage executes",
+        help="ignore journaled stage results; every stage executes "
+        "(the sweep's run cache still applies)",
     )
     reproduce.add_argument(
         "--expect-cache-hits", type=float, default=None, metavar="PCT",
@@ -218,8 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     pipeline.add_argument(
         "action", choices=("status", "explain", "rerun"),
-        help="status: one line per pipeline run; explain: replay one "
-        "run's decision trail with per-stage provenance; rerun: "
+        help="status: one line per pipeline run; explain: print one "
+        "run's stage documents with their gate verdicts; rerun: "
         "re-execute the latest run's manifest (cache hits where "
         "nothing changed)",
     )
@@ -953,8 +954,8 @@ def _cmd_reproduce(args) -> int:
     )
     db.save()
     if not args.quiet:
-        for event in result["trail"]:
-            print(f"  {_trail_line(event)}")
+        for stage in result["stages"].values():
+            _print_stage(stage)
     counts = result["counts"]
     decisions = counts["executed"] + counts["cache_hits"]
     hit_pct = 100.0 * counts["cache_hits"] / decisions if decisions else 0.0
@@ -962,8 +963,7 @@ def _cmd_reproduce(args) -> int:
         f"pipeline {result['pipeline_id'][:8]} {result['status']}: "
         f"{counts['executed']} executed, "
         f"{counts['cache_hits']} cache hits ({hit_pct:.0f}%), "
-        f"{counts['gate_failures']} gate failures, "
-        f"{counts['backtracks']} backtracks"
+        f"{counts['gate_failures']} gate failures"
     )
     if result["status"] != "succeeded":
         print(f"error: {result['error']}")
@@ -980,31 +980,21 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _trail_line(event) -> str:
-    kind = event.get("event")
-    if kind == "stage":
-        return (
-            f"[{event['action']:>9}] {event['stage']} "
-            f"(kind={event['kind']} attempt={event['attempt']} "
-            f"gates={'ok' if event['gates_ok'] else 'FAILED'} "
-            f"fp={event['fingerprint'][:12]})"
-        )
-    if kind == "backtrack":
-        return (
-            f"[backtrack] {event['from_stage']} -> {event['to_stage']} "
-            f"({event['backtracks_used']}/{event['max_backtracks']}: "
-            f"{'; '.join(event['failed_gates'])})"
-        )
-    if kind == "gate_failed_final":
-        return (
-            f"[gate-fail] {event['stage']} out of backtracks: "
-            f"{'; '.join(event['failed_gates'])}"
-        )
-    if kind == "stage_error":
-        return f"[    error] {event['stage']}: {event['error']}"
-    if kind == "finished":
-        return f"[ finished] {event['status']}"
-    return str({k: v for k, v in event.items() if k != "at_wall"})
+def _print_stage(stage) -> None:
+    """One journaled stage document: its decision, then its gate
+    verdicts and error."""
+    print(
+        f"  [{stage['action']:>9}] {stage['stage']} "
+        f"(kind={stage['kind']} "
+        f"gates={'ok' if stage['gates_ok'] else 'FAILED'} "
+        f"fp={stage['fingerprint'][:12]} "
+        f"outputs={str(stage['outputs_blob'])[:12]})"
+    )
+    for verdict in stage["verdicts"]:
+        mark = "pass" if verdict["ok"] else "FAIL"
+        print(f"    gate {mark}: {verdict['detail']}")
+    if stage["error"]:
+        print(f"    error: {stage['error']}")
 
 
 def _cmd_pipeline(args) -> int:
@@ -1036,7 +1026,7 @@ def _cmd_pipeline(args) -> int:
             return 1
         table = TextTable(
             ["Run", "Pipeline", "Status", "Exec", "Hits", "Gates!",
-             "Back", "Started"],
+             "Started"],
             title="PIPELINE RUNS",
         )
         for doc in docs:
@@ -1049,7 +1039,6 @@ def _cmd_pipeline(args) -> int:
                     str(counts.get("executed", 0)),
                     str(counts.get("cache_hits", 0)),
                     str(counts.get("gate_failures", 0)),
-                    str(counts.get("backtracks", 0)),
                     str(doc.get("started_at_wall", "?"))[:19],
                 ]
             )
@@ -1077,22 +1066,8 @@ def _cmd_pipeline(args) -> int:
             f"({doc.get('manifest_path') or 'inline'})"
         )
         print(f"  stage order: {' -> '.join(doc['stage_order'])}")
-        print("  decision trail:")
-        for event in doc.get("trail", []):
-            print(f"    {_trail_line(event)}")
-        print("  stage provenance:")
         for stage in journal.stages_of(doc["_id"]):
-            verdicts = stage.get("verdicts") or []
-            print(
-                f"    {stage['stage']} attempt {stage['attempt']} "
-                f"[{stage['action']}] fp={stage['fingerprint'][:12]} "
-                f"outputs={str(stage.get('outputs_blob'))[:12]}"
-            )
-            for verdict in verdicts:
-                mark = "pass" if verdict["ok"] else "FAIL"
-                print(f"      gate {mark}: {verdict.get('detail')}")
-            if stage.get("error"):
-                print(f"      error: {stage['error']}")
+            _print_stage(stage)
         return 0
 
     # rerun
@@ -1122,8 +1097,8 @@ def _cmd_pipeline(args) -> int:
         )
     result = run_pipeline(db, manifest, journal=journal)
     db.save()
-    for event in result["trail"]:
-        print(f"  {_trail_line(event)}")
+    for stage in result["stages"].values():
+        _print_stage(stage)
     print(
         f"pipeline {result['pipeline_id'][:8]} {result['status']}: "
         f"{result['counts']}"

@@ -39,12 +39,6 @@ class CorruptRecordError(ReproError):
     means fsynced bytes changed underneath the engine and is fatal."""
 
 
-class PipelineError(ReproError):
-    """A reproduction pipeline could not complete: a stage crashed, a
-    validation gate failed with no backtrack budget left, or a manifest
-    referenced something the database does not hold."""
-
-
 class FaultInjectedError(ReproError):
     """An error deliberately raised by :mod:`repro.chaos` at an injection
     point.  Recovery code must treat it exactly like the organic failure it

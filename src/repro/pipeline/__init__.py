@@ -2,14 +2,14 @@
 
 The pipeline layer turns a paper reproduction into a declarative DAG:
 a YAML/JSON **manifest** names the stages (register artifacts → boot
-sweep → analyze → render), the **executor** walks them in deterministic
-topological order, every stage's outputs are **content-addressed** into
-the FileStore, and the **journal** records a decision trail — executed,
-cache hit, gate failed, backtracked — that ``repro pipeline explain``
-replays.  A changed upstream artifact invalidates exactly its
-dependents (the fingerprint chain), an unchanged stage is a cache hit,
-and a failed **validation gate** can backtrack to a named earlier stage
-with bumped attempt provenance, bounded by ``max_backtracks``.
+sweep → analyze → render), the **executor** walks them once in
+deterministic topological order, every stage's outputs are
+**content-addressed** into the FileStore, and the **journal** records
+one stage document per stage — executed, cache hit or error, with its
+gate verdicts — that ``repro pipeline explain`` prints.  A changed
+upstream artifact invalidates exactly its dependents (the fingerprint
+chain), an unchanged stage is a cache hit, and a failed **validation
+gate** ends the pipeline ``failed``.
 """
 
 from repro.pipeline.manifest import (
@@ -17,7 +17,6 @@ from repro.pipeline.manifest import (
     KNOWN_STAGE_KINDS,
     MANIFEST_SCHEMA_VERSION,
     Manifest,
-    OnFail,
     StageSpec,
     load_manifest,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "KNOWN_STAGE_KINDS",
     "MANIFEST_SCHEMA_VERSION",
     "Manifest",
-    "OnFail",
     "PIPELINE_RUNS",
     "PipelineJournal",
     "STAGE_KINDS",

@@ -5,8 +5,8 @@ ROADMAP): after a stage executes (or adopts cached outputs), every gate
 it declares is evaluated against the outputs document, and each
 evaluation produces a structured **verdict** — gate kind, observed vs
 expected values, pass/fail, and a human-readable detail line.  Verdicts
-are journaled with the stage attempt, so ``repro pipeline explain`` can
-replay every decision the pipeline made.
+are journaled with the stage, so ``repro pipeline explain`` can print
+every decision the pipeline made.
 
 Gate kinds:
 
@@ -23,8 +23,8 @@ Gate kinds:
 ``groups.kvm|classic.ok``); missing paths fail the gate rather than
 raising, because "the stage did not even produce that output" is itself
 a verdict.  The ``pipeline.gate`` chaos point can inject evaluation
-faults; an injected fault is a *failed verdict* (never a crash), so the
-backtracking machinery is exercisable under fault injection.
+faults; an injected fault is a *failed verdict* (never a crash), so a
+fault drill ends the pipeline ``failed`` with the reason journaled.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def evaluate_gate(
     gate: Mapping[str, Any],
     outputs: Mapping[str, Any],
     stage: str,
-    attempt: int,
 ) -> Dict[str, Any]:
     """Evaluate one gate; always returns a verdict, never raises.
 
@@ -119,7 +118,6 @@ def evaluate_gate(
     verdict: Dict[str, Any] = {
         "gate": dict(gate),
         "stage": stage,
-        "attempt": attempt,
         "ok": False,
         "observed": None,
     }
@@ -143,13 +141,9 @@ def evaluate_gates(
     gates,
     outputs: Mapping[str, Any],
     stage: str,
-    attempt: int,
 ) -> List[Dict[str, Any]]:
     """Evaluate every gate of a stage, in declaration order."""
-    return [
-        evaluate_gate(gate, outputs, stage=stage, attempt=attempt)
-        for gate in gates
-    ]
+    return [evaluate_gate(gate, outputs, stage=stage) for gate in gates]
 
 
 def _evaluate(kind, gate, outputs):

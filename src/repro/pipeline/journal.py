@@ -1,21 +1,22 @@
 """The pipeline journal — provenance for every stage decision.
 
 Every pipeline run writes two kinds of documents into the
-``pipeline_runs`` collection:
+``pipeline_runs`` collection, each once:
 
 - one **pipeline** document per ``repro reproduce`` invocation: manifest
-  fingerprint, status, and an ordered *decision trail* (stage executed /
-  cache hit / gate failed / backtracked / finished) — the record
-  ``repro pipeline explain`` replays;
-- one **stage** document per stage attempt: the stage fingerprint, the
-  attempt number, what happened (``executed`` / ``cache_hit`` /
-  ``error``), gate verdicts, and the stage outputs — both inline (for
-  queries) and content-addressed into the FileStore (the blob id *is*
-  the SHA-256 of the canonical outputs JSON).
+  fingerprint and stage order, inserted ``running`` (so a crashed run
+  stays visible) and updated once with its status and counts;
+- one **stage** document per stage, in execution order (``seq``): the
+  stage fingerprint, what happened (``executed`` / ``cache_hit`` /
+  ``error``), gate verdicts, and the stage outputs by their
+  content-addressed ``outputs_blob`` (the blob id *is* the SHA-256 of
+  the canonical outputs JSON).
 
-The journal is append-only history.  The cross-run cache sits beside
-it: :class:`StageCache`, the memo protocol's third client, indexes each
-gate-passing executed attempt by its stage fingerprint, and a later
+The stage documents sorted by ``seq`` are the decision record ``repro
+pipeline explain`` prints.  The journal is append-only history.  The
+cross-run cache sits beside it: :class:`StageCache`, the memo
+protocol's third client, indexes each gate-passing execution by its
+stage fingerprint, and a later
 pipeline run that computes the same fingerprint adopts the recorded
 outputs instead of re-executing (how a lookup degrades is the protocol's,
 :meth:`~repro.art.cache.MemoStore.consult`).  Evicting a cached result
@@ -43,18 +44,14 @@ PIPELINE_RUNS = "pipeline_runs"
 
 
 def stage_fingerprint(
-    stage: StageSpec,
-    input_digests: Dict[str, str],
-    attempt: int,
+    stage: StageSpec, input_digests: Dict[str, str]
 ) -> str:
-    """Content address of one stage attempt.
+    """Content address of one stage's work.
 
-    Covers the stage's own declaration (kind, params, gates, wiring),
-    the outputs digest of every upstream stage, and the attempt number.
-    A changed upstream artifact therefore changes exactly its
-    dependents' fingerprints — the invalidation cascade falls out of the
-    hash chain — and a backtrack (bumped attempt) can never alias the
-    attempt it is retrying.
+    Covers the stage's own declaration (kind, params, gates, wiring)
+    and the outputs digest of every upstream stage.  A changed upstream
+    artifact therefore changes exactly its dependents' fingerprints —
+    the invalidation cascade falls out of the hash chain.
     """
     return sha256_text(
         canonical_dumps(
@@ -62,7 +59,6 @@ def stage_fingerprint(
                 "schema": MANIFEST_SCHEMA_VERSION,
                 "stage": stage.canonical_document(),
                 "inputs": dict(input_digests),
-                "attempt": attempt,
             }
         )
     )
@@ -90,21 +86,12 @@ class PipelineJournal:
                 "manifest_path": manifest.source_path,
                 "stage_order": manifest.execution_order(),
                 "status": "running",
-                "trail": [],
                 "counts": {},
                 "started_at_wall": iso_now(),
                 "finished_at_wall": None,
             }
         )
         return pipeline_id
-
-    def append_trail(self, pipeline_id: str, event: Dict[str, Any]) -> None:
-        """Append one decision to the pipeline's ordered trail."""
-        entry = dict(event)
-        entry["at_wall"] = iso_now()
-        self.collection.update_one(
-            {"_id": pipeline_id}, {"$push": {"trail": entry}}
-        )
 
     def finish_pipeline(
         self,
@@ -164,17 +151,15 @@ class PipelineJournal:
         pipeline_name: str,
         stage: StageSpec,
         fingerprint: str,
-        attempt: int,
         seq: int,
         action: str,
-        outputs: Optional[Dict[str, Any]],
         outputs_blob: Optional[str],
         verdicts: List[Dict[str, Any]],
         gates_ok: bool,
-        cache_source: Optional[str] = None,
-        error: Optional[str] = None,
+        cache_source: Optional[str],
+        error: Optional[str],
     ) -> Dict[str, Any]:
-        """Journal one stage attempt; returns the stage document."""
+        """Journal one stage; returns the stage document."""
         document = {
             "_id": new_uuid(),
             "doc_type": "stage",
@@ -184,9 +169,7 @@ class PipelineJournal:
             "kind": stage.kind,
             "seq": seq,
             "fingerprint": fingerprint,
-            "attempt": attempt,
             "action": action,
-            "outputs": outputs,
             "outputs_blob": outputs_blob,
             "verdicts": verdicts,
             "gates_ok": gates_ok,
@@ -198,7 +181,7 @@ class PipelineJournal:
         return document
 
     def stages_of(self, pipeline_id: str) -> List[Dict[str, Any]]:
-        """Stage documents of one pipeline run, in decision order."""
+        """Stage documents of one pipeline run, in execution order."""
         return self.collection.find(
             {"doc_type": "stage", "pipeline_id": pipeline_id},
             sort=[("seq", 1)],
@@ -206,7 +189,7 @@ class PipelineJournal:
 
 
 class StageCache(MemoStore):
-    """Stage fingerprint → the outputs of the attempt that passed its
+    """Stage fingerprint → the outputs of the execution that passed its
     gates, over the documents :meth:`PipelineJournal.record_stage`
     writes."""
 
@@ -223,8 +206,8 @@ class StageCache(MemoStore):
     )
 
     def encode(self, fingerprint: str, stage_doc: Entry) -> Optional[Entry]:
-        """A journaled attempt as a cache entry (gate-passing ones only:
-        a failed attempt is never a cache hit)."""
+        """A journaled stage as a cache entry (gate-passing ones only:
+        a failed stage is never a cache hit)."""
         if not stage_doc["gates_ok"]:
             return None
         return {
@@ -246,11 +229,11 @@ class StageCache(MemoStore):
 
     def tokens(self, entry: Entry) -> Iterable[str]:
         """Its stage's name: invalidating a stage evicts its every
-        cached attempt."""
+        cached fingerprint."""
         return [entry["stage"]]
 
     def tallies(self) -> Dict[str, int]:
-        """Fingerprint → journaled attempts that adopted the entry
+        """Fingerprint → journaled stages that adopted the entry
         (their documents say ``cache_source`` its origin)."""
         return self._adopted(
             self.db.database.collection(PIPELINE_RUNS).find(

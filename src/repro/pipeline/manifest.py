@@ -12,9 +12,9 @@ Design rules:
   the resulting graph must be a DAG (checked here with the same
   deterministic topological sort the artifact workflow uses).
 - **Validation is front-loaded.**  Unknown stage kinds, unknown gate
-  kinds, dangling inputs, duplicate names, and backtrack targets that
-  are not ancestors are all manifest errors — the pipeline refuses to
-  start, rather than failing three stages in.
+  kinds, unknown keys, dangling inputs and duplicate names are all
+  manifest errors — the pipeline refuses to start, rather than failing
+  three stages in.
 - **YAML is optional.**  PyYAML is used when importable; a JSON manifest
   (``.json``) always works, so the pipeline layer has zero hard
   third-party dependencies.
@@ -52,20 +52,6 @@ EXECUTION_DEFAULTS: Dict[str, object] = {
 
 
 @dataclass(frozen=True)
-class OnFail:
-    """What a stage does when one of its gates fails."""
-
-    backtrack: str
-    max_backtracks: int = 1
-
-    def to_document(self) -> Dict[str, object]:
-        return {
-            "backtrack": self.backtrack,
-            "max_backtracks": self.max_backtracks,
-        }
-
-
-@dataclass(frozen=True)
 class StageSpec:
     """One validated stage of a manifest."""
 
@@ -74,21 +60,17 @@ class StageSpec:
     inputs: Tuple[str, ...] = ()
     params: Mapping[str, Any] = field(default_factory=dict)
     gates: Tuple[Mapping[str, Any], ...] = ()
-    on_fail: Optional[OnFail] = None
 
     def canonical_document(self) -> Dict[str, object]:
         """The dict that feeds the stage fingerprint: everything that,
         if edited, must invalidate the stage's cached outputs."""
-        doc: Dict[str, object] = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "inputs": sorted(self.inputs),
             "params": dict(self.params),
             "gates": [dict(gate) for gate in self.gates],
         }
-        if self.on_fail is not None:
-            doc["on_fail"] = self.on_fail.to_document()
-        return doc
 
 
 @dataclass(frozen=True)
@@ -138,18 +120,6 @@ class Manifest:
                 downstream.add(candidate)
                 out.append(candidate)
         return out
-
-    def ancestors_of(self, name: str) -> List[str]:
-        """Every stage upstream of ``name`` (transitively)."""
-        upstream = set()
-        frontier = list(self.stage(name).inputs)
-        while frontier:
-            current = frontier.pop()
-            if current in upstream:
-                continue
-            upstream.add(current)
-            frontier.extend(self.stage(current).inputs)
-        return [s for s in self.execution_order() if s in upstream]
 
     # ---------------------------------------------------------- identity
 
@@ -244,9 +214,7 @@ def _validate_stage(raw: Mapping[str, Any], index: int) -> StageSpec:
             f"stage {name!r} has unknown kind {kind!r}; "
             f"one of {KNOWN_STAGE_KINDS}"
         )
-    unknown = set(raw) - {
-        "name", "kind", "inputs", "params", "gates", "on_fail",
-    }
+    unknown = set(raw) - {"name", "kind", "inputs", "params", "gates"}
     if unknown:
         raise ValidationError(
             f"stage {name!r} has unknown keys: {sorted(unknown)}"
@@ -270,39 +238,12 @@ def _validate_stage(raw: Mapping[str, Any], index: int) -> StageSpec:
         raise ValidationError(f"stage {name!r}: 'gates' must be a list")
     for gate in gates:
         validate_gate_spec(gate, stage=name)
-    on_fail = None
-    raw_on_fail = raw.get("on_fail")
-    if raw_on_fail is not None:
-        if (
-            not isinstance(raw_on_fail, Mapping)
-            or not isinstance(raw_on_fail.get("backtrack"), str)
-        ):
-            raise ValidationError(
-                f"stage {name!r}: 'on_fail' needs a "
-                "'backtrack: <stage name>' entry"
-            )
-        unknown = set(raw_on_fail) - {"backtrack", "max_backtracks"}
-        if unknown:
-            raise ValidationError(
-                f"stage {name!r}: unknown on_fail keys: {sorted(unknown)}"
-            )
-        max_backtracks = raw_on_fail.get("max_backtracks", 1)
-        if not isinstance(max_backtracks, int) or max_backtracks < 0:
-            raise ValidationError(
-                f"stage {name!r}: max_backtracks must be a "
-                f"non-negative int (got {max_backtracks!r})"
-            )
-        on_fail = OnFail(
-            backtrack=raw_on_fail["backtrack"],
-            max_backtracks=max_backtracks,
-        )
     return StageSpec(
         name=name,
         kind=kind,
         inputs=tuple(inputs),
         params=dict(params),
         gates=tuple(dict(gate) for gate in gates),
-        on_fail=on_fail,
     )
 
 
@@ -330,26 +271,6 @@ def _validate_graph(manifest: Manifest) -> None:
                 )
     # A cycle raises ValidationError inside topological_order.
     manifest.execution_order()
-    for stage in manifest.stages:
-        if stage.on_fail is None:
-            continue
-        target = stage.on_fail.backtrack
-        if target not in known:
-            raise ValidationError(
-                f"stage {stage.name!r} backtracks to undeclared "
-                f"stage {target!r}"
-            )
-        if target != stage.name and target not in manifest.ancestors_of(
-            stage.name
-        ):
-            raise ValidationError(
-                f"stage {stage.name!r} can only backtrack to itself or "
-                f"an ancestor; {target!r} is neither"
-            )
-        if stage.gates == ():
-            raise ValidationError(
-                f"stage {stage.name!r} declares on_fail but no gates"
-            )
 
 
 # ------------------------------------------------------------------ load

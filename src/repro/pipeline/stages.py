@@ -52,7 +52,6 @@ class StageContext:
     pipeline_id: str
     pipeline_name: str
     stage: StageSpec
-    attempt: int
     inputs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     execution: Dict[str, Any] = field(default_factory=dict)
 
@@ -163,8 +162,6 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     source = ctx.source("artifacts_from", "artifact_ids")
     ids = source["artifact_ids"]
     name = f"{ctx.pipeline_name}/{ctx.stage.name}"
-    if ctx.attempt > 1:
-        name = f"{name}#attempt{ctx.attempt}"
     experiment = Experiment(
         ctx.db,
         name,
@@ -172,7 +169,6 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
             "pipeline_id": ctx.pipeline_id,
             "pipeline": ctx.pipeline_name,
             "stage": ctx.stage.name,
-            "attempt": ctx.attempt,
         },
     )
     roles = {

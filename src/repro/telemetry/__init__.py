@@ -4,8 +4,8 @@ The paper's contract is that the database alone must explain an experiment
 after the fact.  Results (stats blobs) cover *what* came out; this package
 covers *how it happened*: where wall-clock time went (:mod:`tracing`),
 what was counted (:mod:`metrics`), which state transitions occurred
-(:mod:`events`), rendered by :mod:`export` (JSONL, Prometheus text,
-Chrome trace) and archived next to the stats by :mod:`recorder`.
+(:mod:`events`), rendered by :mod:`export` (Prometheus text, Chrome
+trace) and archived next to the stats by :mod:`recorder`.
 
 Telemetry is **off by default and zero-cost when off**: the module-level
 accessors return shared no-op twins, so instrumented code in the

@@ -1,4 +1,4 @@
-"""Exporters: JSONL, Prometheus text format, Chrome trace JSON.
+"""Exporters: Prometheus text format, Chrome trace JSON.
 
 Each exporter consumes the *plain-dict* snapshot forms produced by
 :meth:`MetricsRegistry.collect`, :meth:`Tracer.finished_spans` and
@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import json
 from typing import Any, Dict, List
-
-from repro.common.jsonutil import dumps
-
-
-# ------------------------------------------------------------------- JSONL
 
 
 # -------------------------------------------------------------- Prometheus

@@ -6,6 +6,7 @@ chaos suites have to cover, so the lists are pinned here: a new knob is
 a reviewed diff of this file, not drift.
 """
 
+import dataclasses
 import inspect
 import re
 
@@ -18,7 +19,12 @@ from repro.art.procjobs import envelope_for_run
 from repro.art.tasks import SUBSTRATES
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
-from repro.pipeline import EXECUTION_DEFAULTS
+from repro.pipeline import (
+    EXECUTION_DEFAULTS,
+    StageContext,
+    StageSpec,
+    run_pipeline,
+)
 from repro.scheduler import JobEnvelope, ProcessPool, SchedulerApp
 from repro.scheduler.app import RegisteredTask
 
@@ -55,10 +61,24 @@ from repro.scheduler.app import RegisteredTask
             ["self", "target", "args", "kwargs", "task_id", "telemetry",
              "shared", "timeout"],
         ),
+        # A pipeline walks its stages once: no retry policy, no attempt.
+        (run_pipeline, ["db", "manifest", "journal", "use_cache"]),
     ],
 )
 def test_run_path_options(function, options):
     assert list(inspect.signature(function).parameters) == options
+
+
+def test_pipeline_stage_fields():
+    """What a manifest stage declares and what its implementation sees:
+    neither names an attempt or a backtrack policy."""
+    assert [f.name for f in dataclasses.fields(StageSpec)] == [
+        "name", "kind", "inputs", "params", "gates",
+    ]
+    assert [f.name for f in dataclasses.fields(StageContext)] == [
+        "db", "pipeline_id", "pipeline_name", "stage", "inputs",
+        "execution",
+    ]
 
 
 def test_two_substrates():

@@ -46,7 +46,7 @@ def through_a_python_stage(target):
 
 def through_a_callable_gate(target):
     verdict = evaluate_gate(
-        {"kind": "callable", "target": target}, {}, stage="s", attempt=1
+        {"kind": "callable", "target": target}, {}, stage="s"
     )
     assert not verdict["ok"]
     return verdict["detail"]

@@ -1,8 +1,8 @@
 """Python-stage targets the pipeline tests reference by dotted path.
 
 The executor imports these via ``params.target = 'tests.pipeline.targets:
-<name>'`` — the escape hatch that lets tests drive the cache/gate/
-backtrack machinery without touching the simulator.
+<name>'`` — the escape hatch that lets tests drive the cache and gate
+machinery without touching the simulator.
 
 ``CALLS`` records every invocation so tests can assert *which* stages
 actually executed (vs cache hits); reset it per test via the fixture in
@@ -11,8 +11,8 @@ actually executed (vs cache hits); reset it per test via the fixture in
 
 from typing import Any, Dict, List
 
-#: (stage_name, attempt) per actual execution, in order.
-CALLS: List[tuple] = []
+#: The stage name of every actual execution, in order.
+CALLS: List[str] = []
 
 
 def reset() -> None:
@@ -21,21 +21,14 @@ def reset() -> None:
 
 def emit(ctx) -> Dict[str, Any]:
     """Emit a configured value; records the call."""
-    CALLS.append((ctx.stage.name, ctx.attempt))
+    CALLS.append(ctx.stage.name)
     return {"value": ctx.params.get("value", 0)}
-
-
-def emit_attempt(ctx) -> Dict[str, Any]:
-    """Emit the attempt number itself — deterministic flakiness: a
-    gate like ``value >= 2`` fails at attempt 1 and passes at 2."""
-    CALLS.append((ctx.stage.name, ctx.attempt))
-    return {"value": ctx.attempt}
 
 
 def add_inputs(ctx) -> Dict[str, Any]:
     """Sum every upstream ``value`` plus an optional ``salt`` param;
     records the call."""
-    CALLS.append((ctx.stage.name, ctx.attempt))
+    CALLS.append(ctx.stage.name)
     total = sum(
         outputs.get("value", 0) for outputs in ctx.inputs.values()
     ) + ctx.params.get("salt", 0)
@@ -44,7 +37,7 @@ def add_inputs(ctx) -> Dict[str, Any]:
 
 def explode(ctx) -> Dict[str, Any]:
     """Always crashes — exercises the stage-error journaling path."""
-    CALLS.append((ctx.stage.name, ctx.attempt))
+    CALLS.append(ctx.stage.name)
     raise RuntimeError("boom")
 
 

@@ -84,7 +84,7 @@ def test_reproduce_no_stage_cache(manifest_path, db_uri, capsys):
         == 0
     )
     assert "cache_hit" not in capsys.readouterr().out
-    assert [call[0] for call in targets.CALLS] == ["make", "sum"]
+    assert targets.CALLS == ["make", "sum"]
 
 
 def test_reproduce_set_override_reexecutes_dependents(
@@ -104,7 +104,7 @@ def test_reproduce_set_override_reexecutes_dependents(
     )
     out = capsys.readouterr().out
     assert "executed" in out
-    assert [call[0] for call in targets.CALLS] == ["make", "sum"]
+    assert targets.CALLS == ["make", "sum"]
 
 
 def test_reproduce_failing_gate_exits_nonzero(tmp_path, db_uri, capsys):
@@ -158,7 +158,7 @@ def test_pipeline_rerun_stage_evicts_dependents(
     out = capsys.readouterr().out
     assert "evicted 2 cached results for make, sum" in out
     # Evicting make also evicts its dependent sum: both re-execute.
-    assert [call[0] for call in targets.CALLS] == ["make", "sum"]
+    assert targets.CALLS == ["make", "sum"]
     # Two cache entries went; the journal keeps both runs, 2 + 4 documents.
     assert main(["db", "stats", "--db", db_uri]) == 0
     assert "pipeline_runs | 6 " in capsys.readouterr().out
@@ -183,7 +183,7 @@ def test_cache_verb_on_the_stage_cache(manifest_path, db_uri, capsys):
     assert main(stage + ["invalidate", "make"]) == 0
     targets.reset()
     assert main(["reproduce", manifest_path, "--db", db_uri]) == 0
-    assert [call[0] for call in targets.CALLS] == ["make"]
+    assert targets.CALLS == ["make"]
 
 
 def test_pipeline_rerun_without_stage_is_cached(

@@ -1,4 +1,4 @@
-"""Executor behavior: cache hits, invalidation cascade, backtracking,
+"""Executor behavior: cache hits, invalidation cascade, gate failures,
 failure journaling — the reproduce tentpole's decision machinery."""
 
 import pytest
@@ -52,7 +52,7 @@ def test_cold_run_executes_everything(db):
     assert actions_of(result) == {
         "a": "executed", "b": "executed", "c": "executed",
     }
-    assert [call[0] for call in targets.CALLS] == ["a", "b", "c"]
+    assert targets.CALLS == ["a", "b", "c"]
 
 
 def test_second_run_is_all_cache_hits(db):
@@ -66,8 +66,7 @@ def test_second_run_is_all_cache_hits(db):
     }
     assert targets.CALLS == []
     assert result["counts"] == {
-        "executed": 0, "cache_hits": 3,
-        "gate_failures": 0, "backtracks": 0,
+        "executed": 0, "cache_hits": 3, "gate_failures": 0,
     }
 
 
@@ -89,7 +88,7 @@ def test_changed_param_reexecutes_exactly_the_dependents(db):
     assert actions_of(result) == {
         "a": "cache_hit", "b": "executed", "c": "executed",
     }
-    assert [call[0] for call in targets.CALLS] == ["b", "c"]
+    assert targets.CALLS == ["b", "c"]
     # The acceptance criterion asserts this via the stage journal:
     journal = PipelineJournal(db)
     journaled = {
@@ -119,92 +118,7 @@ def test_early_cutoff_when_outputs_are_unchanged(db):
     assert actions_of(result) == {
         "a": "cache_hit", "b": "executed", "c": "cache_hit",
     }
-    assert [call[0] for call in targets.CALLS] == ["b"]
-
-
-def test_backtrack_once_then_succeed_with_trail(db):
-    manifest = parse_manifest_text(
-        """
-pipeline: flaky
-stages:
-  - name: make
-    kind: python
-    params: {target: "tests.pipeline.targets:emit_attempt"}
-    gates:
-      - {kind: at_least, path: value, value: 2}
-    on_fail: {backtrack: make, max_backtracks: 3}
-"""
-    )
-    result = run_pipeline(db, manifest)
-    assert result["status"] == "succeeded"
-    assert result["counts"]["backtracks"] == 1
-    assert result["counts"]["gate_failures"] == 1
-    # emit_attempt ran at attempt 1 (gate fails: value=1) and attempt 2.
-    assert targets.CALLS == [("make", 1), ("make", 2)]
-    events = [event["event"] for event in result["trail"]]
-    assert events == ["stage", "backtrack", "stage", "finished"]
-    backtrack = result["trail"][1]
-    assert backtrack["from_stage"] == "make"
-    assert backtrack["to_stage"] == "make"
-    assert backtrack["target_attempt"] == 2
-    assert backtrack["failed_gates"] == ["value=1 >= 2: FAIL"]
-    # The decision trail is journaled, not just returned.
-    journal = PipelineJournal(db)
-    doc = journal.get_pipeline(result["pipeline_id"])
-    assert [e["event"] for e in doc["trail"]] == events + []
-
-
-def test_backtrack_to_ancestor_bumps_both_attempts(db):
-    manifest = parse_manifest_text(
-        """
-pipeline: upstream-retry
-stages:
-  - name: a
-    kind: python
-    params: {target: "tests.pipeline.targets:emit_attempt"}
-  - name: b
-    kind: python
-    inputs: [a]
-    params: {target: "tests.pipeline.targets:add_inputs"}
-    gates:
-      - {kind: at_least, path: value, value: 2}
-    on_fail: {backtrack: a, max_backtracks: 2}
-"""
-    )
-    result = run_pipeline(db, manifest)
-    assert result["status"] == "succeeded"
-    # a ran at attempt 1 (value=1, b's gate fails), then attempt 2
-    # (value=2, passes); b re-ran at its own bumped attempt.
-    assert targets.CALLS == [
-        ("a", 1), ("b", 1), ("a", 2), ("b", 2),
-    ]
-    assert result["stages"]["a"]["attempt"] == 2
-    assert result["stages"]["b"]["attempt"] == 2
-
-
-def test_max_backtracks_exhaustion_fails_the_pipeline(db):
-    manifest = parse_manifest_text(
-        """
-pipeline: hopeless
-stages:
-  - name: make
-    kind: python
-    params: {target: "tests.pipeline.targets:emit", value: 0}
-    gates:
-      - {kind: at_least, path: value, value: 99}
-    on_fail: {backtrack: make, max_backtracks: 2}
-"""
-    )
-    result = run_pipeline(db, manifest)
-    assert result["status"] == "failed"
-    assert "failed its gates" in result["error"]
-    assert result["counts"]["backtracks"] == 2
-    assert result["counts"]["gate_failures"] == 3
-    events = [event["event"] for event in result["trail"]]
-    assert events == [
-        "stage", "backtrack", "stage", "backtrack", "stage",
-        "gate_failed_final", "finished",
-    ]
+    assert targets.CALLS == ["b"]
 
 
 def test_gate_failure_without_on_fail_fails_immediately(db):
@@ -221,7 +135,14 @@ stages:
     )
     result = run_pipeline(db, manifest)
     assert result["status"] == "failed"
-    assert result["counts"]["backtracks"] == 0
+    assert "failed its gates: value=1 == 2: FAIL" in result["error"]
+    assert result["counts"] == {
+        "executed": 1, "cache_hits": 0, "gate_failures": 1,
+    }
+    (doc,) = PipelineJournal(db).stages_of(result["pipeline_id"])
+    assert (doc["action"], doc["gates_ok"], doc["error"]) == (
+        "executed", False, None,
+    )
 
 
 def test_failed_attempt_is_never_a_cache_hit(db):
@@ -241,7 +162,7 @@ stages:
     second = run_pipeline(db, manifest)
     assert second["status"] == "failed"
     # The gate-failed record must not be adopted: the stage re-executes.
-    assert targets.CALLS == [("make", 1)]
+    assert targets.CALLS == ["make"]
     assert second["stages"]["make"]["action"] == "executed"
 
 
@@ -262,6 +183,9 @@ stages:
     result = run_pipeline(db, manifest)
     assert result["status"] == "failed"
     assert "boom" in result["error"]
+    assert [
+        (name, doc["action"]) for name, doc in result["stages"].items()
+    ] == [("ok", "executed"), ("boom", "error")]
     journal = PipelineJournal(db)
     records = journal.stages_of(result["pipeline_id"])
     assert [(doc["stage"], doc["action"]) for doc in records] == [
@@ -288,7 +212,7 @@ def test_chaos_stage_fault_is_a_journaled_error(db):
     second = run_pipeline(db, manifest)
     assert second["status"] == "succeeded"
     assert second["stages"]["a"]["action"] == "cache_hit"
-    assert [call[0] for call in targets.CALLS] == ["b", "c"]
+    assert targets.CALLS == ["b", "c"]
 
 
 def test_use_cache_false_forces_execution(db):

@@ -9,7 +9,7 @@ from repro.pipeline import evaluate_gate, evaluate_gates, validate_gate_spec
 
 
 def verdict_of(gate, outputs):
-    return evaluate_gate(gate, outputs, stage="s", attempt=1)
+    return evaluate_gate(gate, outputs, stage="s")
 
 
 def test_equals_pass_and_fail():
@@ -113,10 +113,9 @@ def test_evaluate_gates_preserves_order():
         ],
         {"n": 1},
         stage="s",
-        attempt=2,
     )
     assert [v["ok"] for v in verdicts] == [True, False]
-    assert all(v["attempt"] == 2 for v in verdicts)
+    assert all(v["stage"] == "s" for v in verdicts)
 
 
 @pytest.mark.parametrize(

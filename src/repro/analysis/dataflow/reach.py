@@ -152,7 +152,12 @@ class Liveness:
                     definition.node.lineno, RULE_ID
                 ):
                     imported.add(definition.module.name)
-        for tree in _root_trees(os.path.dirname(entry.path)):
+        # The package directory: the entry is ``repro/cli.py`` or the
+        # ``repro/cli/`` package's ``__init__.py``.
+        package_dir = os.path.dirname(entry.path)
+        if os.path.basename(entry.path) == "__init__.py":
+            package_dir = os.path.dirname(package_dir)
+        for tree in _root_trees(package_dir):
             nodes = list(ast.walk(tree))
             self._scan(nodes, imports=True)
             imported.update(_imports(nodes))

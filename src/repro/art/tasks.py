@@ -18,12 +18,10 @@ against.
 
 from __future__ import annotations
 
-import traceback
 from collections import deque
 from contextlib import ExitStack
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
-from repro.art.checkpoints import CheckpointStore
 from repro.art.run import (
     Attempt,
     Gem5Run,
@@ -35,6 +33,9 @@ from repro.art.run import (
 from repro.art.spec import SUBSTRATES
 from repro.common.errors import ValidationError
 from repro.telemetry import get_event_log, get_metrics, get_tracer
+
+if TYPE_CHECKING:
+    from repro.art.checkpoints import CheckpointStore
 
 
 def run_job(run: Gem5Run) -> Dict[str, object]:
@@ -101,6 +102,8 @@ class _Inline:
         try:
             self._outcome = function(*args), None, False
         except Exception:
+            import traceback
+
             self._outcome = None, traceback.format_exc(), False
         return run.run_id
 
@@ -344,6 +347,8 @@ def run_jobs_scheduler(
     )
     store: Optional[CheckpointStore] = None
     if use_checkpoints and runs:
+        from repro.art.checkpoints import CheckpointStore
+
         store = CheckpointStore(runs[0].db)
     # Dies with this call: a later sweep on the same connection re-reads
     # (and re-verifies) its artifacts.

@@ -49,19 +49,74 @@ Usage::
     with chaos.injected(seed=7, rules=rules) as injector:
         ...  # one blob write in ten fails; retries must absorb it
     assert injector.report()  # what fired, deterministically
+
+Only the hook lives here: with no injector installed, :func:`fire` reads
+one global and returns.  The rule engine (:mod:`repro.chaos.injector`)
+loads on first use of one of its names (the ``_LAZY`` table), so a
+sweep without chaos never imports it.
 """
 
-from repro.chaos.injector import (
-    ACTIONS,
-    ChaosInjector,
-    FaultRule,
-    WorkerCrashed,
-    active,
-    fire,
-    injected,
-    install,
-    uninstall,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any, Optional
+
+from repro.common.errors import ValidationError
+
+if TYPE_CHECKING:
+    from repro.chaos.injector import ChaosInjector
+
+#: Lazily imported name -> the submodule defining it.  Nothing but a
+#: chaos test builds an injector, so a sweep never loads the rule
+#: engine: the hook below is all production code calls.
+_LAZY = {
+    "ACTIONS": "injector",
+    "ChaosInjector": "injector",
+    "FaultRule": "injector",
+    "WorkerCrashed": "injector",
+    "injected": "injector",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        # Cached: the next lookup is a plain module attribute.
+        value = globals()[name] = getattr(module, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ------------------------------------------------------ global installation
+
+_injector: Optional[ChaosInjector] = None
+
+
+def install(injector: ChaosInjector) -> ChaosInjector:
+    """Make ``injector`` the process-wide injector (one at a time)."""
+    global _injector
+    if _injector is not None:
+        raise ValidationError("a chaos injector is already installed")
+    _injector = injector
+    return injector
+
+
+def uninstall() -> None:
+    global _injector
+    _injector = None
+
+
+def active() -> Optional[ChaosInjector]:
+    return _injector
+
+
+def fire(point: str, **context: Any) -> None:
+    """Failure-point hook for production code; no-op unless installed
+    (one global read)."""
+    injector = _injector
+    if injector is not None:
+        injector.fire(point, **context)
+
 
 __all__ = [
     "ACTIONS",

@@ -1,13 +1,15 @@
 """Deterministic, seed-driven fault injection.
 
-Production code declares *failure points* by calling :func:`fire` at the
-places where real infrastructure fails — filestore writes, database state
-transitions, task execution, worker loops.  With no injector installed the
-call is two attribute lookups; with one installed, the injector consults
-its rules and either does nothing, sleeps (``delay``), raises a
-:class:`~repro.common.errors.FaultInjectedError` (``raise``), or raises
-:class:`WorkerCrashed` (``crash`` — simulating the death of the executing
-thread/process).
+Production code declares *failure points* by calling
+:func:`repro.chaos.fire` at the places where real infrastructure fails —
+filestore writes, database state transitions, task execution, worker
+loops.  With no injector installed the hook reads one global and
+returns, and this module is never imported: :mod:`repro.chaos` resolves
+the names below on first use.  With one installed (:func:`injected`),
+the injector consults its rules and either does nothing, sleeps
+(``delay``), raises a :class:`~repro.common.errors.FaultInjectedError`
+(``raise``), or raises :class:`WorkerCrashed` (``crash`` — simulating
+the death of the executing thread/process).
 
 Determinism is the whole point: every probabilistic decision draws from a
 per-rule :class:`~repro.common.rng.RngStream` derived from the injector
@@ -23,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import chaos
 from repro.common.errors import FaultInjectedError, ValidationError
 from repro.common.rng import RngStream
 
@@ -173,44 +176,14 @@ class ChaosInjector:
         return out
 
 
-# ------------------------------------------------------ global installation
-
-_injector: Optional[ChaosInjector] = None
-
-
-def install(injector: ChaosInjector) -> ChaosInjector:
-    """Make ``injector`` the process-wide injector (one at a time)."""
-    global _injector
-    if _injector is not None:
-        raise ValidationError("a chaos injector is already installed")
-    _injector = injector
-    return injector
-
-
-def uninstall() -> None:
-    global _injector
-    _injector = None
-
-
-def active() -> Optional[ChaosInjector]:
-    return _injector
-
-
-def fire(point: str, **context: Any) -> None:
-    """Failure-point hook for production code; no-op unless installed."""
-    injector = _injector
-    if injector is not None:
-        injector.fire(point, **context)
-
-
 @contextmanager
 # dev-tool entry: every suite CI's `chaos` job runs installs through it
 def injected(  # repro: noqa[DEAD-REACH]
     seed: int, rules: Sequence[FaultRule]
 ) -> Iterator[ChaosInjector]:
     """Install a fresh injector for the duration of a ``with`` block."""
-    injector = install(ChaosInjector(seed, rules))
+    injector = chaos.install(ChaosInjector(seed, rules))
     try:
         yield injector
     finally:
-        uninstall()
+        chaos.uninstall()

@@ -278,7 +278,10 @@ def _validate_graph(manifest: Manifest) -> None:
 
 def parse_document_text(text: str) -> Any:
     """Parse manifest text to a raw document — YAML when available,
-    JSON always (so the pipeline layer has no hard third-party deps)."""
+    JSON always (so the pipeline layer has no hard third-party deps).
+    PyYAML's libyaml-backed loader does the parsing when PyYAML was
+    built with it; it builds the same document as the pure-Python one
+    in a tenth of the time."""
     document = None
     yaml_error = None
     try:
@@ -287,7 +290,9 @@ def parse_document_text(text: str) -> Any:
         yaml = None
     if yaml is not None:
         try:
-            document = yaml.safe_load(text)
+            document = yaml.load(
+                text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            )
         except yaml.YAMLError as error:
             yaml_error = error
     if document is None and yaml_error is None:

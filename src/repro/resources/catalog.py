@@ -20,7 +20,6 @@ from repro.guest.kernels import (
 )
 from repro.packer import build as packer_build
 from repro.resources import templates
-from repro.resources.environment import GCNDockerEnvironment
 
 #: gem5 releases the catalog tracks compatibility for
 #: (http://resources.gem5.org in the paper).
@@ -98,6 +97,8 @@ def _riscv_fs_builder(**_kwargs):
 
 
 def _gcn_docker_builder(**_kwargs):
+    from repro.resources.environment import GCNDockerEnvironment
+
     return GCNDockerEnvironment()
 
 

@@ -25,39 +25,44 @@ or scoped::
 Telemetry never feeds back into the simulation: simulated time and
 statistics are bit-identical with it on or off (asserted by the tests).
 
-Only :mod:`tracing`, :mod:`metrics` and :mod:`events` are imported with
-the package.  The :mod:`export` and :mod:`recorder` names resolve on
-first use (the ``_LAZY`` table): a sweep with telemetry off renders and
-archives nothing.
+The no-op twins live here; nothing else is imported with the package.
+:mod:`tracing`, :mod:`metrics` and :mod:`events` load when a session is
+built (:func:`enable`, or a real class's name used), and :mod:`export`
+and :mod:`recorder` on first use of theirs (the ``_LAZY`` table): a
+sweep with telemetry off records, renders and archives nothing, and
+compiles none of the code that would.
 """
 
 from __future__ import annotations
 
 import importlib
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.telemetry.events import NULL_EVENT_LOG, EventLog, NullEventLog
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-)
-from repro.telemetry.tracing import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullSpan,
-    NullTracer,
-    Span,
-    Tracer,
-)
+if TYPE_CHECKING:
+    from repro.telemetry.events import EventLog
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.tracing import Tracer
 
 #: Lazily imported name -> the submodule defining it.
 _LAZY = {
+    "Tracer": "tracing",
+    "Span": "tracing",
+    "MetricsRegistry": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "DEFAULT_BUCKETS": "metrics",
+    "EventLog": "events",
     "metrics_to_prometheus": "export",
     "spans_to_chrome_trace": "export",
     "chrome_trace_json": "export",
@@ -78,10 +83,144 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# ---------------------------------------------------------- no-op twins
+
+
+class NullSpan:
+    """Shared no-op span; every operation returns immediately."""
+
+    name = ""
+    trace_id = ""
+    span_id = ""
+    parent_id = None
+    attributes: Dict[str, Any] = {}
+    ended = True
+    duration = None
+
+    def set_attribute(self, key: str, value: Any) -> "NullSpan":
+        return self
+
+    def end(self) -> None:
+        pass
+
+    def __enter__(self) -> "NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {}
+
+
+NULL_SPAN = NullSpan()
+
+
+class NullTracer:
+    """Tracer twin returned by ``get_tracer()`` when telemetry is off."""
+
+    def span(
+        self, name: str, attributes: Optional[Dict[str, Any]] = None
+    ) -> NullSpan:
+        return NULL_SPAN
+
+    def current_span(self) -> None:
+        return None
+
+    @contextmanager
+    def activate(self, span: Any) -> Iterator[None]:
+        yield
+
+    def finished_spans(self) -> List[Dict[str, Any]]:
+        return []
+
+    def subtree(self, root_span_id: str) -> List[Dict[str, Any]]:
+        return []
+
+
+NULL_TRACER = NullTracer()
+
+
+class _NullInstrument:
+    """Absorbs every instrument method; the disabled-telemetry fast path."""
+
+    kind = "null"
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        pass
+
+    def set(self, value: float, **labels: Any) -> None:
+        pass
+
+    def observe(self, value: float, **labels: Any) -> None:
+        pass
+
+    def value(self, **labels: Any) -> float:
+        return 0.0
+
+    def samples(self) -> List[Dict[str, Any]]:
+        return []
+
+
+NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullMetrics:
+    """Registry twin returned by ``get_metrics()`` when disabled."""
+
+    def counter(self, name: str, help: str = "") -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def gauge(self, name: str, help: str = "") -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def histogram(
+        self,
+        name: str,
+        help: str = "",
+        buckets: Optional[Tuple[float, ...]] = None,
+    ) -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def collect(self) -> List[Dict[str, Any]]:
+        return []
+
+    def merge(self, collected: List[Dict[str, Any]]) -> None:
+        pass
+
+
+NULL_METRICS = NullMetrics()
+
+
+class NullEventLog:
+    """Event log twin used while telemetry is disabled."""
+
+    def emit(self, kind: str, **attributes: Any) -> None:
+        return None
+
+    def absorb(
+        self, records: List[Dict[str, Any]], **extra: Any
+    ) -> List[Dict[str, Any]]:
+        return []
+
+    def records(self) -> List[Dict[str, Any]]:
+        return []
+
+    def __len__(self) -> int:
+        return 0
+
+
+NULL_EVENT_LOG = NullEventLog()
+
+
 class TelemetrySession:
     """One enabled recording: a tracer + metrics registry + event log."""
 
     def __init__(self):
+        from repro.telemetry.events import EventLog
+        from repro.telemetry.metrics import MetricsRegistry
+        from repro.telemetry.tracing import Tracer
+
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.events = EventLog()

@@ -68,24 +68,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class NullEventLog:
-    """Event log twin used while telemetry is disabled."""
-
-    def emit(self, kind: str, **attributes: Any) -> None:
-        return None
-
-    def absorb(
-        self, records: List[Dict[str, Any]], **extra: Any
-    ) -> List[Dict[str, Any]]:
-        return []
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_EVENT_LOG = NullEventLog()

@@ -6,14 +6,16 @@ and carries one *series* per distinct label set (``runs_total{outcome=
 experiments produce byte-identical exports — determinism is part of the
 reproducibility contract.
 
-Every instrument has a no-op twin so instrumented code can call
-``get_metrics().counter(...).inc()`` unconditionally; when telemetry is
-disabled the whole chain is a handful of attribute lookups.
+Every instrument has a no-op twin (``NullMetrics`` and its shared
+instrument, in :mod:`repro.telemetry` itself) so instrumented code can
+call ``get_metrics().counter(...).inc()`` unconditionally; when
+telemetry is disabled the whole chain is a handful of attribute lookups
+and this module is never imported.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ValidationError
 
@@ -270,54 +272,3 @@ class MetricsRegistry:
                     f"cannot merge metric {name!r} of unknown "
                     f"kind {kind!r}"
                 )
-
-
-class _NullInstrument:
-    """Absorbs every instrument method; the disabled-telemetry fast path."""
-
-    kind = "null"
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def set(self, value: float, **labels: Any) -> None:
-        pass
-
-    def observe(self, value: float, **labels: Any) -> None:
-        pass
-
-    def value(self, **labels: Any) -> float:
-        return 0.0
-
-    def samples(self) -> List[Dict[str, Any]]:
-        return []
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """Registry twin returned by ``get_metrics()`` when disabled."""
-
-    def counter(self, name: str, help: str = "") -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "") -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-    ) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def collect(self) -> List[Dict[str, Any]]:
-        return []
-
-    def merge(self, collected: List[Dict[str, Any]]) -> None:
-        pass
-
-
-NULL_METRICS = NullMetrics()

@@ -179,58 +179,3 @@ class Tracer:
                 child["span_id"] for child in children.get(span_id, [])
             )
         return out
-
-
-class NullSpan:
-    """Shared no-op span; every operation returns immediately."""
-
-    name = ""
-    trace_id = ""
-    span_id = ""
-    parent_id = None
-    attributes: Dict[str, Any] = {}
-    ended = True
-    duration = None
-
-    def set_attribute(self, key: str, value: Any) -> "NullSpan":
-        return self
-
-    def end(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullTracer:
-    """Tracer twin returned by ``get_tracer()`` when telemetry is off."""
-
-    def span(
-        self, name: str, attributes: Optional[Dict[str, Any]] = None
-    ) -> NullSpan:
-        return NULL_SPAN
-
-    def current_span(self) -> None:
-        return None
-
-    @contextmanager
-    def activate(self, span: Any) -> Iterator[None]:
-        yield
-
-    def finished_spans(self) -> List[Dict[str, Any]]:
-        return []
-
-    def subtree(self, root_span_id: str) -> List[Dict[str, Any]]:
-        return []
-
-
-NULL_TRACER = NullTracer()

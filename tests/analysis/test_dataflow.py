@@ -172,7 +172,7 @@ def test_every_lazy_table_names_submodules_of_its_package():
                     assert (init.parent / f"{value}.py").is_file() or (
                         init.parent / value / "__init__.py"
                     ).is_file(), (str(init), value)
-    assert tables >= 6
+    assert tables >= 8
 
 
 # ------------------------------------------------------------------ sarif

@@ -154,6 +154,51 @@ def test_examples_and_benchmarks_are_roots_tests_are_not(tmp_path):
     assert findings == [("DEAD-REACH", "repro.api.for_tests_only")]
 
 
+def test_a_cli_package_reaches_its_verbs_and_finds_the_roots(tmp_path):
+    """``repro.cli`` as a package: a family module imported inside a
+    function is reached, and the root directories are still found from
+    ``cli/__init__.py``."""
+    findings = lint(
+        tmp_path,
+        {
+            "src/repro/cli/__init__.py": """
+                def _family():
+                    from repro.cli.family import VERBS
+
+                    return VERBS
+
+                def main():
+                    return _family()["verb"]()
+            """,
+            "src/repro/cli/family.py": """
+                def _cmd_verb():
+                    return 0
+
+                def _cmd_gone():
+                    return 1
+
+                VERBS = {"verb": _cmd_verb}
+            """,
+            "src/repro/api.py": """
+                def for_examples():
+                    return 1
+
+                def for_tests_only():
+                    return 2
+            """,
+            "examples/study.py": """
+                from repro.api import for_examples
+
+                print(for_examples())
+            """,
+        },
+    )
+    assert findings == [
+        ("DEAD-REACH", "repro.api.for_tests_only"),
+        ("DEAD-REACH", "repro.cli.family._cmd_gone"),
+    ]
+
+
 def test_module_nothing_imports_is_dead_whatever_it_names(tmp_path):
     """Module-level statements are roots only where they ever run."""
     findings = lint(

@@ -160,6 +160,16 @@ def test_cli_lint_usage_errors(tmp_path, capsys):
     assert main(["lint", str(tmp_path / "nope")]) == 2
 
 
+def test_cli_lint_usage_error_leaves_stdout_to_the_report(tmp_path, capsys):
+    """``repro lint /missing --format sarif > out.sarif``: the error goes
+    to stderr, so the redirected report is not polluted by it."""
+    missing = tmp_path / "nope"
+    assert main(["lint", str(missing), "--format", "sarif"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no such path(s): {missing}\n"
+
+
 def test_lint_paths_walks_directories(tmp_path):
     _write_bad_module(tmp_path)
     findings = lint_paths([str(tmp_path)])

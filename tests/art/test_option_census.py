@@ -8,7 +8,6 @@ a reviewed diff of this file, not drift.
 
 import dataclasses
 import inspect
-import re
 
 import pytest
 
@@ -100,8 +99,14 @@ def test_memo_store_surface_and_verb_count():
         for name, value in vars(store).items():
             assert name in surface or name[0] == "_" or callable(value), name
         assert set(surface) <= set(vars(store)), store
-    handlers = re.findall(r'"[\w-]+": _cmd_\w+,', inspect.getsource(cli.main))
-    assert len(handlers) == 14
+    assert len(cli.VERBS) == 14
+    assert len({name for name, _, _ in cli.VERBS}) == 14
+    # Each family module defines exactly the verbs the table routes to it.
+    routed = {}
+    for name, _, family in cli.VERBS:
+        routed.setdefault(family, set()).add(name)
+    for family, names in routed.items():
+        assert set(family()) == names, family
 
 
 def test_manifest_execution_settings_are_launch_keywords():

@@ -18,6 +18,19 @@ def no_leftover_injector():
 # ----------------------------------------------------------------- rules
 
 
+def test_the_package_hook_fires_an_injector_installed_by_injected():
+    """``injected`` (resolved lazily from ``repro.chaos``) installs the
+    rule engine behind the one hook production code calls."""
+    chaos.fire("hook.point")  # nothing installed: a no-op
+    with chaos.injected(seed=3, rules=[FaultRule("hook.point")]) as inj:
+        assert chaos.active() is inj
+        with pytest.raises(FaultInjectedError):
+            chaos.fire("hook.point")
+    assert chaos.active() is None
+    assert inj.log()[0]["point"] == "hook.point"
+    chaos.fire("hook.point")
+
+
 def test_rule_validation():
     with pytest.raises(ValidationError):
         FaultRule("x", action="explode")

@@ -1,5 +1,7 @@
 """Tests for id generation, RNG streams and unit conversion."""
 
+import uuid
+
 import pytest
 
 from repro.common.ids import new_uuid
@@ -9,6 +11,18 @@ from repro.common.units import GHz
 
 def test_new_uuid_unique():
     assert new_uuid() != new_uuid()
+
+
+def test_new_uuid_is_the_string_form_of_a_version_4_uuid():
+    """Minted without ``uuid``, an id still reads as ``str(uuid4())``
+    does: 36 lowercase characters, version 4, the RFC 4122 variant."""
+    ids = [new_uuid() for _ in range(10_000)]
+    assert len(set(ids)) == len(ids)
+    for text in ids:
+        parsed = uuid.UUID(text)
+        assert str(parsed) == text and len(text) == 36
+        assert parsed.version == 4
+        assert parsed.variant == uuid.RFC_4122
 
 
 def test_derive_seed_depends_on_names():

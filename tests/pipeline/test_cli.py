@@ -70,7 +70,14 @@ def test_reproduce_expect_cache_hits_fails_cold(manifest_path, db_uri, capsys):
         )
         == 1
     )
-    assert "cache hit" in capsys.readouterr().out
+    # The summary is output; the failed expectation is an error, on
+    # stderr, so it does not survive `2>/dev/null` into a captured log.
+    captured = capsys.readouterr()
+    assert "cache hit" in captured.out
+    assert "expected" not in captured.out
+    assert captured.err == (
+        "error: expected >= 90% stage cache hits, observed 0%\n"
+    )
 
 
 def test_reproduce_no_stage_cache(manifest_path, db_uri, capsys):
@@ -117,7 +124,7 @@ def test_reproduce_failing_gate_exits_nonzero(tmp_path, db_uri, capsys):
 
 def test_reproduce_bad_manifest_exits_2(db_uri, capsys):
     assert main(["reproduce", "/nonexistent.yaml", "--db", db_uri]) == 2
-    assert "cannot read" in capsys.readouterr().out
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_pipeline_status_and_explain(manifest_path, db_uri, capsys):
@@ -143,7 +150,7 @@ def test_pipeline_explain_unknown_target(db_uri, manifest_path, capsys):
     main(["reproduce", manifest_path, "--db", db_uri])
     capsys.readouterr()
     assert main(["pipeline", "explain", "ghost", "--db", db_uri]) == 1
-    assert "ghost" in capsys.readouterr().out
+    assert "ghost" in capsys.readouterr().err
 
 
 def test_pipeline_rerun_stage_evicts_dependents(

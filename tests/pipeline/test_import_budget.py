@@ -1,14 +1,22 @@
 """A command imports only the code it runs.
 
-``repro.art``, ``repro.sim``, ``repro.sim.workload``, ``repro.analysis``
-and ``repro.telemetry`` resolve their exports on first use (a ``_LAZY``
-table), the ``artifacts`` and ``sweep`` stages import the simulator in
-their bodies, and the GPU model and the process pool load only where a
-GPU run or the ``processes`` substrate needs them.  So a ``repro
-reproduce`` whose stages are all cached loads no simulator, an inline
-boot sweep loads neither the GPU model nor the scheduler, and a boot
-sweep whose runs all adopt from the run cache loads no simulator
-either.  Each probe runs the CLI in a fresh interpreter and reads its
+``repro.art``, ``repro.sim``, ``repro.sim.workload``, ``repro.analysis``,
+``repro.chaos``, ``repro.resources`` and ``repro.telemetry`` resolve
+(some of) their exports on first use (a ``_LAZY`` table), the
+``artifacts`` and ``sweep`` stages import the simulator in their bodies,
+and the GPU model and the process pool load only where a GPU run or the
+``processes`` substrate needs them.  So a ``repro reproduce`` whose
+stages are all cached loads no simulator, an inline boot sweep loads
+neither the GPU model nor the scheduler, and a boot sweep whose runs all
+adopt from the run cache loads no simulator either.
+
+The same probes hold each command to a source budget: the lines of
+every ``repro`` module it loaded, which is what an interpreter that
+writes no bytecode compiles on every start.  ``repro.cli`` imports only
+the family module of the verb it runs; ids are minted without
+:mod:`uuid`; the chaos rule engine, the real telemetry classes, the
+checkpoint store and the GPU build environment load only when a command
+uses them.  Each probe runs the CLI in a fresh interpreter and reads its
 ``sys.modules`` afterwards.
 """
 
@@ -19,20 +27,43 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 MANIFEST = os.path.join(REPO_ROOT, "examples", "paper.yaml")
 
-#: Runs the CLI on argv, then prints the ``repro`` modules it loaded.
+#: Prints what the process loaded: every module name, and the source
+#: lines of the ``repro`` modules among them.
+REPORT = (
+    "lines = sum(\n"
+    "    open(module.__file__, encoding='utf-8').read().count('\\n')\n"
+    "    for name, module in list(sys.modules.items())\n"
+    "    if name.split('.')[0] == 'repro'\n"
+    "    and getattr(module, '__file__', None)\n"
+    ")\n"
+    "print(json.dumps({'modules': sorted(sys.modules), 'lines': lines}))\n"
+)
+
+#: Runs the CLI on argv, then reports what it loaded.
 PROBE = (
     "import json, sys\n"
     "from repro.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(name for name in sys.modules"
-    " if name.split('.')[0] == 'repro')))\n"
-    "sys.exit(code)\n"
+    + REPORT
+    + "sys.exit(code)\n"
+)
+
+#: Loaded by no command that does not use them: ids are not minted
+#: through ``uuid``, no chaos rule is installed, telemetry is off.
+NEVER_LOADED = (
+    "uuid",
+    "repro.chaos.injector",
+    "repro.telemetry.metrics",
+    "repro.telemetry.tracing",
+    "repro.telemetry.events",
 )
 
 #: Nothing a fully cached reproduction runs lives in these.
@@ -70,7 +101,8 @@ SIMULATOR_MODULES = {
 SIMULATOR_PACKAGES = ("repro.sim.workload", "repro.sim.cpu", "repro.sim.mem")
 
 
-def _loaded_after(cwd, *argv, probe=PROBE):
+def _probe(cwd, *argv, probe=PROBE):
+    """``(modules loaded, repro source lines loaded)`` after ``argv``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     out = subprocess.run(
@@ -78,31 +110,56 @@ def _loaded_after(cwd, *argv, probe=PROBE):
         cwd=str(cwd), capture_output=True, text=True, env=env,
         check=True, timeout=120,
     ).stdout.splitlines()
-    return set(json.loads(out[-1]))
+    report = json.loads(out[-1])
+    return set(report["modules"]), report["lines"]
 
 
-def test_a_fully_cached_reproduce_loads_no_simulator(tmp_path):
+def _loaded_after(cwd, *argv, probe=PROBE):
+    return _probe(cwd, *argv, probe=probe)[0]
+
+
+@pytest.fixture(scope="module")
+def reproduce_probes(tmp_path_factory):
+    """A cold, then a fully cached ``reproduce`` of the paper manifest
+    on one database."""
+    tmp_path = tmp_path_factory.mktemp("reproduce")
+    argv = ("reproduce", MANIFEST, "--db", f"file://{tmp_path / 'db'}",
+            "--quiet")
+    cold = _probe(tmp_path, *argv)
+    warm = _probe(tmp_path, *argv, "--expect-cache-hits", "100")
+    return cold, warm
+
+
+@pytest.fixture(scope="module")
+def cold_sweep(tmp_path_factory):
+    return _probe(tmp_path_factory.mktemp("cold"), "boot-tests", "--quick")
+
+
+@pytest.fixture(scope="module")
+def warm_sweep(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("warm")
     db = f"file://{tmp_path / 'db'}"
-    argv = ("reproduce", MANIFEST, "--db", db, "--quiet")
-    assert {"repro.sim", "repro.art.launch"} <= _loaded_after(tmp_path, *argv)
-    warm = _loaded_after(tmp_path, *argv, "--expect-cache-hits", "100")
+    assert main(["boot-tests", "--quick", "--db", db]) == 0
+    return _probe(tmp_path, "boot-tests", "--quick", "--db", db)
+
+
+def test_a_fully_cached_reproduce_loads_no_simulator(reproduce_probes):
+    (cold, _), (warm, _) = reproduce_probes
+    assert {"repro.sim", "repro.art.launch"} <= cold
     assert sorted(warm & set(SIMULATION_MODULES)) == []
 
 
 def test_an_inline_sweep_loads_neither_the_gpu_model_nor_the_scheduler(
-    tmp_path,
+    cold_sweep,
 ):
-    loaded = _loaded_after(tmp_path, "boot-tests", "--quick")
+    loaded, _ = cold_sweep
     assert "repro.sim.simulator" in loaded
     assert sorted(loaded & {"repro.gpu", "repro.scheduler"}) == []
     assert sorted(loaded & WORKLOAD_FAMILIES) == []
 
 
-def test_a_warm_boot_sweep_loads_no_simulator(tmp_path, capsys):
-    db = f"file://{tmp_path / 'db'}"
-    assert main(["boot-tests", "--quick", "--db", db]) == 0
-    capsys.readouterr()
-    loaded = _loaded_after(tmp_path, "boot-tests", "--quick", "--db", db)
+def test_a_warm_boot_sweep_loads_no_simulator(warm_sweep):
+    loaded, _ = warm_sweep
     assert "repro.analysis.charts" in loaded
     assert sorted(
         name for name in loaded
@@ -110,14 +167,37 @@ def test_a_warm_boot_sweep_loads_no_simulator(tmp_path, capsys):
     ) == []
 
 
+def test_a_fully_cached_reproduce_compiles_at_most_5700_lines(
+    reproduce_probes,
+):
+    """6 939 lines when the CLI was one module and every command built
+    the chaos injector and the telemetry classes."""
+    _, (loaded, lines) = reproduce_probes
+    assert lines <= 5700
+    assert sorted(loaded & set(NEVER_LOADED)) == []
+
+
+def test_a_cold_sweep_compiles_at_most_10200_lines(cold_sweep):
+    """11 658 before the same cuts; a sweep without ``--checkpoints``
+    builds no checkpoint store and a boot builds no GPU environment."""
+    loaded, lines = cold_sweep
+    assert lines <= 10200
+    assert sorted(
+        loaded & {*NEVER_LOADED, "repro.art.checkpoints",
+                  "repro.resources.environment"}
+    ) == []
+
+
+def test_a_warm_sweep_compiles_fewer_lines_than_9715(warm_sweep):
+    loaded, lines = warm_sweep
+    assert lines < 9715
+    assert sorted(loaded & set(NEVER_LOADED)) == []
+
+
 def test_the_process_jobs_module_preloads_what_a_seat_runs(tmp_path):
     """``procjobs`` is imported before the pool's first fork, so every
     seat inherits the simulator instead of importing it itself."""
-    probe = (
-        "import json, sys\n"
-        "import repro.art.procjobs\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+    probe = "import json, sys\nimport repro.art.procjobs\n" + REPORT
     loaded = _loaded_after(tmp_path, probe=probe)
     assert {"repro.sim.simulator", "repro.sim.workload.registry"} <= loaded
 
@@ -132,7 +212,7 @@ def _lazy_packages():
 
 def test_every_lazy_export_is_its_submodules_object():
     packages = list(_lazy_packages())
-    assert len(packages) >= 6
+    assert len(packages) >= 8
     for package in packages:
         for name, submodule in package._LAZY.items():
             module = importlib.import_module(
@@ -148,7 +228,7 @@ def test_a_lazy_export_is_cached_by_its_first_use():
     ``from package import name`` is a plain attribute read, not another
     trip through ``importlib``."""
     packages = list(_lazy_packages())
-    assert len(packages) >= 6
+    assert len(packages) >= 8
     for package in packages:
         for name in package._LAZY:
             vars(package).pop(name, None)  # as before its first use

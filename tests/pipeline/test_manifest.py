@@ -1,5 +1,8 @@
 """Manifest parsing and validation: errors are front-loaded."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -198,3 +201,38 @@ def test_set_overrides_reject_bad_shapes():
 def test_load_manifest_missing_file():
     with pytest.raises(ValidationError, match="cannot read"):
         load_manifest("/nonexistent/manifest.yaml")
+
+
+def _manifest_texts():
+    """``examples/paper.yaml`` and every manifest spelled in a test of
+    this directory."""
+    here = Path(__file__).parent
+    yield (here.parent.parent / "examples" / "paper.yaml").read_text()
+    for path in sorted(here.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "stages:" in node.value
+            ):
+                yield node.value
+
+
+def _parsed(text):
+    try:
+        return parse_document_text(text)
+    except ValidationError as error:
+        return type(error)
+
+
+def test_libyaml_builds_the_documents_the_pure_python_loader_does(
+    monkeypatch,
+):
+    yaml = pytest.importorskip("yaml")
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    texts = list(_manifest_texts())
+    assert len(texts) >= 10
+    with_libyaml = [_parsed(text) for text in texts]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [_parsed(text) for text in texts] == with_libyaml

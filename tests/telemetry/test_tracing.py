@@ -1,7 +1,15 @@
 """Tracing: nesting, activation, sessions, the null twins."""
 
 from repro import telemetry
-from repro.telemetry import NULL_SPAN, NULL_TRACER, Tracer
+from repro.telemetry import (
+    NULL_EVENT_LOG,
+    NULL_METRICS,
+    NULL_SPAN,
+    NULL_TRACER,
+    EventLog,
+    MetricsRegistry,
+    Tracer,
+)
 
 
 def test_spans_nest_implicitly_within_a_thread():
@@ -95,6 +103,24 @@ def test_global_session_enable_disable():
     finally:
         telemetry.disable()
     assert telemetry.get_tracer() is NULL_TRACER
+
+
+def test_enable_builds_the_real_classes_and_disable_restores_the_twins():
+    """The real classes load with the first session; the null twins,
+    which live in the package itself, come back on ``disable``."""
+    session = telemetry.enable()
+    try:
+        assert type(telemetry.get_tracer()) is Tracer
+        assert type(telemetry.get_metrics()) is MetricsRegistry
+        assert type(telemetry.get_event_log()) is EventLog
+        assert Tracer.__module__ == "repro.telemetry.tracing"
+        assert session.tracer is telemetry.get_tracer()
+    finally:
+        telemetry.disable()
+    assert telemetry.get_tracer() is NULL_TRACER
+    assert telemetry.get_metrics() is NULL_METRICS
+    assert telemetry.get_event_log() is NULL_EVENT_LOG
+    assert type(NULL_TRACER).__module__ == "repro.telemetry"
 
 
 def test_session_context_manager_restores_previous_state():

@@ -148,7 +148,7 @@ def test_report_command(tmp_path, capsys):
 
 def test_report_command_bad_archive(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 def _interrupted_experiment(uri):
@@ -267,7 +267,7 @@ def test_lint_has_one_mode(flags):
 def test_resume_command_unknown_experiment(tmp_path, capsys):
     uri = f"file://{tmp_path}/emptydb"
     assert main(["resume", "ghost", "--db", uri]) == 1
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 def test_boot_tests_telemetry_then_trace(tmp_path, capsys):
@@ -333,7 +333,7 @@ def test_trace_opens_the_newest_same_named_experiment(tmp_path, capsys):
 def test_trace_unknown_experiment(tmp_path, capsys):
     uri = f"file://{tmp_path}/emptydb"
     assert main(["trace", "nothing-here", "--db", uri]) == 1
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- db verbs
@@ -423,13 +423,13 @@ def test_read_side_verbs_do_not_create_a_database(tmp_path, capsys, verb):
     new directory; the writing verbs still create what is missing."""
     typo = tmp_path / "typo"
     assert main(verb + ["--db", f"file://{typo}"]) == 1
-    assert capsys.readouterr().out == f"error: no database at {typo}\n"
+    assert capsys.readouterr().err == f"error: no database at {typo}\n"
     assert not typo.exists()
 
 
 def test_db_bad_uri(capsys):
     assert main(["db", "stats", "--db", "bogus://nope"]) == 1
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------- cache verb, run and ckpt
@@ -512,14 +512,14 @@ def test_cache_verb(tmp_path, capsys):
         "bb33bb33bb33 | gpu  | 00000002 | 2    | 2021-03-03T10:00:00\n"
     )
     assert main(["cache", "invalidate", "--db", uri]) == 2
-    assert capsys.readouterr().out == (
+    assert capsys.readouterr().err == (
         "error: invalidate needs a fingerprint or artifact hash\n"
     )
     assert main(["cache", "invalidate", "nomatch", "--db", uri]) == 1
     assert capsys.readouterr().out == "no cache entries match 'nomatch'\n"
     # "aa" abbreviates two fingerprints: refuse to guess.
     assert main(["cache", "invalidate", "aa", "--db", uri]) == 2
-    assert capsys.readouterr().out.startswith("error: ambiguous prefix 'aa'")
+    assert capsys.readouterr().err.startswith("error: ambiguous prefix 'aa'")
     assert main(["cache", "invalidate", "bb33", "--db", uri]) == 0
     assert capsys.readouterr().out == (
         "evicted 1 cache entry; "
@@ -534,7 +534,7 @@ def test_cache_verb(tmp_path, capsys):
     assert main(["cache", "stats", "--db", uri]) == 0
     assert capsys.readouterr().out == "entries    0\nadoptions  0\n"
     assert main(["cache", "stats", "--db", "nosuch://x"]) == 1
-    assert capsys.readouterr().out.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ckpt_verb(tmp_path, capsys):
@@ -564,7 +564,7 @@ def test_ckpt_verb(tmp_path, capsys):
         "2021-03-02T11:00:00\n"
     )
     assert main(["cache", "gc", "--db", uri]) == 2
-    assert capsys.readouterr().out.startswith("error: gc needs --kind ckpt")
+    assert capsys.readouterr().err.startswith("error: gc needs --kind ckpt")
     # No run document references either boot prefix: both are orphans,
     # and their payload blobs go with them.
     assert main(ckpt + ["gc"]) == 0

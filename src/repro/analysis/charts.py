@@ -7,10 +7,12 @@ over configuration cross products).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.analysis.series import Series
 from repro.common.errors import ValidationError
+
+if TYPE_CHECKING:
+    from repro.analysis.series import Series
 
 #: Columns the longest bar of a chart spans.
 BAR_WIDTH = 40

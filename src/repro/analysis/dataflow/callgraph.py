@@ -10,37 +10,45 @@ site; the imprecision that buys is documented in ``docs/analysis.md``.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.analysis.dataflow.graph import Project
 from repro.analysis.engine import FileContext
+from repro.common.records import Record
 
 
-@dataclass
-class FunctionInfo:
+class FunctionInfo(Record):
     """One function or method definition."""
 
-    qualname: str  #: ``repro.mod.Class.method`` / ``repro.mod.func``
-    module: FileContext
-    node: ast.AST  #: FunctionDef | AsyncFunctionDef
-    cls_name: Optional[str] = None  #: enclosing class, when a method
+    _fields = ("qualname", "module", "node", "cls_name")
+
+    def __init__(
+        self,
+        qualname: str,  # ``repro.mod.Class.method`` / ``repro.mod.func``
+        module: FileContext,
+        node: ast.AST,  # FunctionDef | AsyncFunctionDef
+        cls_name: Optional[str] = None,  # enclosing class, when a method
+    ):
+        vars(self).update(
+            qualname=qualname, module=module, node=node, cls_name=cls_name,
+        )
 
     @property
     def name(self) -> str:
         return self.node.name
 
 
-@dataclass
-class ClassInfo:
+class ClassInfo(Record):
     """One class definition, its methods and its project bases."""
 
-    qualname: str  #: ``repro.mod.Class``
-    module: FileContext
-    node: ast.ClassDef
-    methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: resolved project base-class qualnames, in declaration order.
-    bases: List[str] = field(default_factory=list)
+    _fields = ("qualname", "module", "node", "methods", "bases")
+
+    def __init__(self, qualname: str, module: FileContext, node: ast.ClassDef):
+        """``qualname`` is ``repro.mod.Class``; ``bases`` are resolved
+        project base-class qualnames, in declaration order."""
+        vars(self).update(
+            qualname=qualname, module=module, node=node, methods={}, bases=[],
+        )
 
     def lookup_method(
         self, graph: "CallGraph", name: str

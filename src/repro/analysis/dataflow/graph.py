@@ -32,21 +32,29 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.analysis.engine import FileContext, Finding, iter_python_files
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class ImportEdge:
+class ImportEdge(Frozen):
     """One import dependency of a module."""
 
-    source: str  #: importing module's dotted name
-    target: str  #: imported dotted name (module-resolved when possible)
-    lineno: int
-    type_checking: bool = False  #: inside ``if TYPE_CHECKING:`` only
-    toplevel: bool = True  #: module scope (False: deferred, in a def)
+    _fields = ("source", "target", "lineno", "type_checking", "toplevel")
+
+    def __init__(
+        self,
+        source: str,  # importing module's dotted name
+        target: str,  # imported dotted name (module-resolved if possible)
+        lineno: int,
+        type_checking: bool = False,  # inside ``if TYPE_CHECKING:`` only
+        toplevel: bool = True,  # module scope (False: deferred, in a def)
+    ):
+        vars(self).update(
+            source=source, target=target, lineno=lineno,
+            type_checking=type_checking, toplevel=toplevel,
+        )
 
 
 class Project:

@@ -32,7 +32,6 @@ import ast
 import hashlib
 import os
 import re
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -44,6 +43,8 @@ from typing import (
     Type,
 )
 
+from repro.common.records import Frozen
+
 #: Finding severities, most severe first (sort order relies on this).
 SEVERITIES = ("error", "warning", "info")
 
@@ -52,17 +53,21 @@ _NOQA_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Frozen):
     """One rule violation at one source location."""
 
-    file: str
-    line: int
-    col: int
-    rule_id: str
-    severity: str
-    message: str
-    snippet: str = ""
+    _fields = (
+        "file", "line", "col", "rule_id", "severity", "message", "snippet",
+    )
+
+    def __init__(
+        self, file: str, line: int, col: int, rule_id: str, severity: str,
+        message: str, snippet: str = "",
+    ):
+        vars(self).update(
+            file=file, line=line, col=col, rule_id=rule_id, severity=severity,
+            message=message, snippet=snippet,
+        )
 
     @property
     def fingerprint(self) -> str:

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.common.errors import ValidationError
+from repro.common.records import Record
 
 
-@dataclass
-class Series:
+class Series(Record):
     """A named, ordered label → value mapping."""
 
-    name: str
-    values: Dict[str, float] = field(default_factory=dict)
+    _fields = ("name", "values")
+
+    def __init__(self, name: str, values: Optional[Dict[str, float]] = None):
+        vars(self).update(name=name, values={} if values is None else values)
 
     def labels(self) -> List[str]:
         return list(self.values)

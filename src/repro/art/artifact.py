@@ -21,7 +21,6 @@ Payload sources, in order of precedence:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DuplicateError, ValidationError
@@ -29,29 +28,32 @@ from repro.common.gitinfo import read_git_info
 from repro.common.hashing import md5_bytes, md5_file, md5_tree
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import dumps
+from repro.common.records import Record
 from repro.art.db import ArtifactDB
 from repro.guest.kernels import LinuxKernel, build_kernel_binary
 from repro.sim.buildinfo import GEM5_REPO_URL, Gem5Build
 from repro.vfs.image import DiskImage
 
 
-@dataclass
-class Artifact:
+class Artifact(Record):
     """One registered artifact (a document plus convenience accessors)."""
 
-    name: str
-    typ: str
-    path: str
-    hash: str
-    id: str
-    command: str = ""
-    cwd: str = "."
-    documentation: str = ""
-    inputs: List[str] = field(default_factory=list)
-    git: Dict[str, str] = field(default_factory=dict)
-    file_id: Optional[str] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
-    _db: Optional[ArtifactDB] = None
+    _fields = (
+        "name", "typ", "path", "hash", "id", "command", "cwd",
+        "documentation", "inputs", "git", "file_id", "metadata", "_db",
+    )
+
+    def __init__(
+        self, name: str, typ: str, path: str, hash: str, id: str, command: str,
+        cwd: str, documentation: str, inputs: List[str], git: Dict[str, str],
+        file_id: Optional[str], metadata: Dict[str, object],
+        _db: Optional[ArtifactDB],
+    ):
+        vars(self).update(
+            name=name, typ=typ, path=path, hash=hash, id=id, command=command,
+            cwd=cwd, documentation=documentation, inputs=inputs, git=git,
+            file_id=file_id, metadata=metadata, _db=_db,
+        )
 
     # ------------------------------------------------------- registration
 

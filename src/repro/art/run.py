@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.ids import new_uuid
+from repro.common.records import Record
 from repro.common.timeutil import iso_now
 from repro import chaos, telemetry
 from repro.art.artifact import Artifact, load_disk_image
@@ -43,10 +43,10 @@ from repro.art.cache import RunCache
 from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
 from repro.sim.buildinfo import Gem5Build
-from repro.sim.checkpoint import Checkpoint
 
 if TYPE_CHECKING:
     from repro.gpu.config import GPUConfig
+    from repro.sim.checkpoint import Checkpoint
 
 #: The CPU model the boot stage executes under: the cheap one, which the
 #: fault model supports on every platform shape.
@@ -64,20 +64,27 @@ class RunStatus(str, enum.Enum):
     TIMED_OUT = "timed_out"
 
 
-@dataclass
-class Gem5Run:
+class Gem5Run(Record):
     """One experiment data point, executable and archivable."""
 
-    run_id: str
-    kind: str  # "fs" or "gpu"
-    artifacts: Dict[str, str]
-    params: Dict[str, object]
-    timeout: float
-    db: ArtifactDB = field(repr=False)
-    spec: RunSpec = field(repr=False)
-    fingerprint: str
-    status: RunStatus = RunStatus.CREATED
-    results: Optional[Dict[str, object]] = None
+    _fields = (
+        "run_id", "kind", "artifacts", "params", "timeout", "db", "spec",
+        "fingerprint", "status", "results",
+    )
+    _unshown = ("db", "spec")
+
+    def __init__(
+        self, run_id: str, kind: str,  # kind: "fs" or "gpu"
+        artifacts: Dict[str, str], params: Dict[str, object], timeout: float,
+        db: ArtifactDB, spec: RunSpec, fingerprint: str,
+        status: RunStatus = RunStatus.CREATED,
+        results: Optional[Dict[str, object]] = None,
+    ):
+        vars(self).update(
+            run_id=run_id, kind=kind, artifacts=artifacts, params=params,
+            timeout=timeout, db=db, spec=spec, fingerprint=fingerprint,
+            status=status, results=results,
+        )
 
     # -------------------------------------------------------- constructors
 
@@ -498,17 +505,19 @@ class Gem5Run:
         )
 
 
-@dataclass
-class Attempt:
+class Attempt(Record):
     """What :meth:`Gem5Run.begin` leaves open for the other two steps:
     the detached ``run`` span (``finish``/``fail`` end it), whether a
     ``DONE`` result is cached, when the attempt began (written with its
-    outcome) and the boot checkpoint to restore."""
+    outcome) and the boot checkpoint to restore (``begin`` sets it)."""
 
-    span: Any
-    use_cache: bool
-    started_at_wall: str
-    restore: Optional[Checkpoint] = None
+    _fields = ("span", "use_cache", "started_at_wall", "restore")
+
+    def __init__(self, span: Any, use_cache: bool, started_at_wall: str):
+        vars(self).update(
+            span=span, use_cache=use_cache, started_at_wall=started_at_wall,
+            restore=None,
+        )
 
 
 # ----------------------------------------------------------------- inputs

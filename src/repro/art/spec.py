@@ -26,12 +26,12 @@ key on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
 from repro.common.jsonutil import canonical_dumps
+from repro.common.records import Frozen
 
 #: Bumped whenever the canonical serialization changes shape, so old
 #: fingerprints can never silently alias new ones.
@@ -63,31 +63,32 @@ PREFIX_ARTIFACT_ROLES = ("linux_binary", "disk_image")
 PREFIX_PARAM_KEYS = ("num_cpus", "memory_system", "boot_type")
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Frozen):
     """A frozen, order-independent description of one run."""
 
-    kind: str
-    artifacts: Mapping[str, str] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
-    build: Mapping[str, str] = field(default_factory=dict)
+    _fields = ("kind", "artifacts", "params", "build")
 
-    def __post_init__(self):
-        if self.kind not in KNOWN_KINDS:
+    def __init__(
+        self, kind: str, artifacts: Optional[Mapping[str, str]] = None,
+        params: Optional[Mapping[str, object]] = None,
+        build: Optional[Mapping[str, str]] = None,
+    ):
+        if kind not in KNOWN_KINDS:
             raise ValidationError(
-                f"unknown run kind {self.kind!r}; one of {KNOWN_KINDS}"
+                f"unknown run kind {kind!r}; one of {KNOWN_KINDS}"
             )
-        if not self.artifacts:
+        if not artifacts:
             raise ValidationError("a run spec needs at least one artifact")
-        for role, content_hash in self.artifacts.items():
+        for role, content_hash in artifacts.items():
             if not role or not content_hash:
                 raise ValidationError(
                     f"artifact role {role!r} has an empty content hash"
                 )
-        # Freeze the mappings so a spec can never drift after hashing.
-        object.__setattr__(self, "artifacts", dict(self.artifacts))
-        object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "build", dict(self.build))
+        # Copy the mappings so a spec can never drift after hashing.
+        vars(self).update(
+            kind=kind, artifacts=dict(artifacts), params=dict(params or {}),
+            build=dict(build or {}),
+        )
 
     # ------------------------------------------------------- construction
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import chaos
 from repro.common.errors import FaultInjectedError, ValidationError
+from repro.common.records import Frozen, Record
 from repro.common.rng import RngStream
 
 #: Actions a rule may take when it fires.
@@ -44,8 +44,7 @@ class WorkerCrashed(BaseException):
     """
 
 
-@dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Frozen):
     """One injection rule: where, what, and how often.
 
     ``point`` matches a failure-point name exactly, or by prefix when it
@@ -56,26 +55,30 @@ class FaultRule:
     gates each eligible call through the rule's seeded stream.
     """
 
-    point: str
-    action: str = "raise"
-    probability: float = 1.0
-    times: Optional[int] = None
-    after: int = 0
-    delay: float = 0.0
-    error: str = "injected fault"
-    match: Optional[Dict[str, Any]] = None
+    _fields = (
+        "point", "action", "probability", "times", "after", "delay", "error",
+        "match",
+    )
 
-    def __post_init__(self):
-        if self.action not in ACTIONS:
+    def __init__(
+        self, point: str, action: str = "raise", probability: float = 1.0,
+        times: Optional[int] = None, after: int = 0, delay: float = 0.0,
+        error: str = "injected fault", match: Optional[Dict[str, Any]] = None,
+    ):
+        if action not in ACTIONS:
             raise ValidationError(
-                f"unknown chaos action {self.action!r}; one of {ACTIONS}"
+                f"unknown chaos action {action!r}; one of {ACTIONS}"
             )
-        if not 0.0 <= self.probability <= 1.0:
+        if not 0.0 <= probability <= 1.0:
             raise ValidationError("probability must be within [0, 1]")
-        if self.after < 0 or (self.times is not None and self.times < 0):
+        if after < 0 or (times is not None and times < 0):
             raise ValidationError("after/times must be non-negative")
-        if self.delay < 0:
+        if delay < 0:
             raise ValidationError("delay must be non-negative")
+        vars(self).update(
+            point=point, action=action, probability=probability, times=times,
+            after=after, delay=delay, error=error, match=match,
+        )
 
     def matches(self, point: str, context: Dict[str, Any]) -> bool:
         if self.point.endswith("*"):
@@ -89,14 +92,16 @@ class FaultRule:
         return True
 
 
-@dataclass
-class _RuleState:
+class _RuleState(Record):
     """Mutable per-rule bookkeeping (the rule itself stays frozen)."""
 
-    rule: FaultRule
-    stream: RngStream
-    seen: int = 0
-    fired: int = 0
+    _fields = ("rule", "stream", "seen", "fired")
+
+    def __init__(
+        self, rule: FaultRule, stream: RngStream, seen: int = 0,
+        fired: int = 0,
+    ):
+        vars(self).update(rule=rule, stream=stream, seen=seen, fired=fired)
 
 
 class ChaosInjector:

@@ -10,17 +10,18 @@ is derived deterministically from (URL, version).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from repro.common.hashing import md5_text
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class GitInfo:
+class GitInfo(Frozen):
     """URL + revision pair identifying a repository state."""
 
-    url: str
-    revision: str
+    _fields = ("url", "revision")
+
+    def __init__(self, url: str, revision: str):
+        vars(self).update(url=url, revision=revision)
 
     def to_dict(self) -> dict:
         return {"git_url": self.url, "hash": self.revision}

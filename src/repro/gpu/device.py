@@ -27,10 +27,10 @@ These are exactly the paper's stated mechanisms for the Fig 9 surprise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.common.errors import ValidationError
+from repro.common.records import Record
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import GPUKernel
 from repro.gpu.regalloc import build_register_allocator
@@ -45,18 +45,25 @@ _MEMORY_HIDING_CAP = 1
 _DISPATCH_CYCLES = 64.0
 
 
-@dataclass
-class GPURunResult:
+class GPURunResult(Record):
     """Outcome of one kernel execution."""
 
-    kernel_name: str
-    allocator: str
-    shader_ticks: float
-    compute_ticks: float
-    sync_ticks: float
-    dispatch_ticks: float
-    occupancy_per_simd: int
-    stats: Dict[str, float] = field(default_factory=dict)
+    _fields = (
+        "kernel_name", "allocator", "shader_ticks", "compute_ticks",
+        "sync_ticks", "dispatch_ticks", "occupancy_per_simd", "stats",
+    )
+
+    def __init__(
+        self, kernel_name: str, allocator: str, shader_ticks: float,
+        compute_ticks: float, sync_ticks: float, dispatch_ticks: float,
+        occupancy_per_simd: int, stats: Dict[str, float],
+    ):
+        vars(self).update(
+            kernel_name=kernel_name, allocator=allocator,
+            shader_ticks=shader_ticks, compute_ticks=compute_ticks,
+            sync_ticks=sync_ticks, dispatch_ticks=dispatch_ticks,
+            occupancy_per_simd=occupancy_per_simd, stats=stats,
+        )
 
     @property
     def sim_seconds(self) -> float:

@@ -9,61 +9,70 @@ model consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class GPUKernel:
-    """One kernel launch's static profile."""
+class GPUKernel(Frozen):
+    """One kernel launch's static profile.
 
-    name: str
-    #: Workgroups in the launched grid.
-    num_workgroups: int
-    #: Wavefronts per workgroup (each wavefront has up to 64 threads).
-    wavefronts_per_workgroup: int = 1
-    #: Vector registers demanded by each wavefront.
-    vregs_per_wavefront: int = 64
+    Wavefronts have up to 64 threads.  ``memory_intensity``: the share of
+    instructions that access memory; ``dependency_density``: of memory
+    operations whose consumer follows closely enough to expose the
+    latency (the per-wavefront stall probability).  Each wavefront
+    enters ``sync_ops_per_wavefront`` mutex-style critical sections and
+    pays ``contention_coefficient`` more per additional contender
+    (spin-with-backoff and sleep mutexes are cheaper than raw
+    fetch-and-add spinning); ``per_cu_sync`` is the "Uniq" HeteroSync
+    style, one lock per CU instead of one global lock.
+    """
+
     #: Scalar registers demanded by each wavefront.
-    sregs_per_wavefront: int = 16
-    #: LDS bytes demanded by each workgroup.
-    lds_bytes_per_workgroup: int = 0
-    #: Dynamic vector instructions per wavefront.
-    instructions_per_wavefront: int = 2000
-    #: Fraction of instructions that access memory.
-    memory_intensity: float = 0.15
-    #: Fraction of memory operations whose consumer follows closely enough
-    #: to expose the memory latency (per-wavefront stall probability).
-    dependency_density: float = 0.5
-    #: Critical-section entries per wavefront (mutex-style sync).
-    sync_ops_per_wavefront: float = 0.0
-    #: Cycles spent inside one critical section.
-    critical_section_cycles: float = 200.0
-    #: Extra retry cost per additional contending wavefront (0..1+);
-    #: spin-with-backoff and sleep mutexes have lower coefficients than
-    #: raw fetch-and-add spinning.
-    contention_coefficient: float = 0.5
-    #: "Uniq" HeteroSync style: one lock per CU instead of one global
-    #: lock, so contention splits across CUs.
-    per_cu_sync: bool = False
+    sregs_per_wavefront = 16
 
-    def __post_init__(self):
-        if not self.name:
+    _fields = (
+        "name", "num_workgroups", "wavefronts_per_workgroup",
+        "vregs_per_wavefront", "lds_bytes_per_workgroup",
+        "instructions_per_wavefront", "memory_intensity",
+        "dependency_density", "sync_ops_per_wavefront",
+        "critical_section_cycles", "contention_coefficient", "per_cu_sync",
+    )
+
+    def __init__(
+        self, name: str, num_workgroups: int,
+        wavefronts_per_workgroup: int = 1, vregs_per_wavefront: int = 64,
+        lds_bytes_per_workgroup: int = 0,
+        instructions_per_wavefront: int = 2000,
+        memory_intensity: float = 0.15, dependency_density: float = 0.5,
+        sync_ops_per_wavefront: float = 0.0,
+        critical_section_cycles: float = 200.0,
+        contention_coefficient: float = 0.5, per_cu_sync: bool = False,
+    ):
+        vars(self).update(
+            name=name, num_workgroups=num_workgroups,
+            wavefronts_per_workgroup=wavefronts_per_workgroup,
+            vregs_per_wavefront=vregs_per_wavefront,
+            lds_bytes_per_workgroup=lds_bytes_per_workgroup,
+            instructions_per_wavefront=instructions_per_wavefront,
+            memory_intensity=memory_intensity,
+            dependency_density=dependency_density,
+            sync_ops_per_wavefront=sync_ops_per_wavefront,
+            critical_section_cycles=critical_section_cycles,
+            contention_coefficient=contention_coefficient,
+            per_cu_sync=per_cu_sync,
+        )
+        if not name:
             raise ValidationError("kernel needs a name")
-        for name in (
-            "num_workgroups",
-            "wavefronts_per_workgroup",
-            "vregs_per_wavefront",
-            "sregs_per_wavefront",
-            "instructions_per_wavefront",
+        for field in (
+            "num_workgroups", "wavefronts_per_workgroup",
+            "vregs_per_wavefront", "instructions_per_wavefront",
         ):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        for name in ("memory_intensity", "dependency_density"):
-            value = getattr(self, name)
+            if getattr(self, field) <= 0:
+                raise ValidationError(f"{field} must be positive")
+        for field in ("memory_intensity", "dependency_density"):
+            value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be within [0, 1]")
+                raise ValidationError(f"{field} must be within [0, 1]")
         if self.sync_ops_per_wavefront < 0:
             raise ValidationError("sync_ops_per_wavefront must be >= 0")
         if self.lds_bytes_per_workgroup < 0:

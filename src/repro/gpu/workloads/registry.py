@@ -13,26 +13,30 @@ Fig 9's per-category outcomes; EXPERIMENTS.md documents the calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.errors import NotFoundError
+from repro.common.records import Frozen
 from repro.gpu.kernels import GPUKernel
 
 _KiB = 1024
 
 
-@dataclass(frozen=True)
-class GPUWorkload:
+class GPUWorkload(Frozen):
     """One Table IV row: suite, citation-style input, kernel profile."""
 
-    name: str
-    suite: str
-    input_size: str
-    kernel: GPUKernel
-    #: Paper's qualitative expectation for the dynamic allocator
-    #: ("better", "worse", "neutral") — used by tests and the bench.
-    expected_dynamic: str
+    _fields = ("name", "suite", "input_size", "kernel", "expected_dynamic")
+
+    def __init__(
+        self, name: str, suite: str, input_size: str, kernel: GPUKernel,
+        # The paper's expectation for the dynamic allocator ("better",
+        # "worse", "neutral"), used by tests and the bench.
+        expected_dynamic: str,
+    ):
+        vars(self).update(
+            name=name, suite=suite, input_size=input_size, kernel=kernel,
+            expected_dynamic=expected_dynamic,
+        )
 
 
 def _hip(name, input_size, kernel, expected):

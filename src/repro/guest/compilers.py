@@ -15,21 +15,24 @@ A :class:`Compiler` therefore carries two codegen coefficients:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import NotFoundError
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class Compiler:
+class Compiler(Frozen):
     """An immutable description of a guest toolchain."""
 
-    name: str
-    version: str
-    #: Dynamic-instruction multiplier vs the GCC 7.4 reference build.
-    instruction_scale: float
-    #: Multiplier on memory-stall cycles per instruction (locality).
-    memory_cpi_scale: float
+    _fields = ("name", "version", "instruction_scale", "memory_cpi_scale")
+
+    def __init__(
+        self, name: str, version: str,
+        instruction_scale: float,  # dynamic instructions vs GCC 7.4's build
+        memory_cpi_scale: float,  # memory-stall cycles/instruction (locality)
+    ):
+        vars(self).update(
+            name=name, version=version, instruction_scale=instruction_scale,
+            memory_cpi_scale=memory_cpi_scale,
+        )
 
     @property
     def key(self) -> str:

@@ -8,29 +8,36 @@ compares the two most recent LTS releases, 18.04 and 20.04.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.common.errors import NotFoundError
+from repro.common.records import Frozen
 from repro.guest.compilers import Compiler, get_compiler
 from repro.guest.kernels import LinuxKernel, get_kernel
 
 
-@dataclass(frozen=True)
-class UbuntuRelease:
+class UbuntuRelease(Frozen):
     """An immutable description of one Ubuntu LTS userland."""
 
-    name: str
-    version: str
-    codename: str
-    released: str  # YYYY-MM
-    kernel_version: str
-    compiler_key: str
-    #: Instructions retired by userspace init to reach runlevel 5
-    #: (systemd grew between releases).
-    init_instructions: int
-    #: Base packages recorded in built disk images, for provenance.
-    base_packages: Tuple[str, ...]
+    _fields = (
+        "name", "version", "codename", "released", "kernel_version",
+        "compiler_key", "init_instructions", "base_packages",
+    )
+
+    def __init__(
+        self, name: str, version: str, codename: str,
+        released: str,  # YYYY-MM
+        kernel_version: str, compiler_key: str,
+        # Instructions userspace init retires to reach runlevel 5 (systemd
+        # grew between releases).
+        init_instructions: int,
+        base_packages: Tuple[str, ...],  # recorded in built disk images
+    ):
+        vars(self).update(
+            name=name, version=version, codename=codename, released=released,
+            kernel_version=kernel_version, compiler_key=compiler_key,
+            init_instructions=init_instructions, base_packages=base_packages,
+        )
 
     @property
     def key(self) -> str:

@@ -17,27 +17,36 @@ two distro kernels used by the PARSEC study (Fig 6/7) are registered here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import md5_text
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class LinuxKernel:
+class LinuxKernel(Frozen):
     """An immutable description of one Linux kernel version."""
 
-    version: str
-    #: Major.minor series, e.g. "4.19".
-    series: str
-    lts: bool
-    #: (phase name, instructions retired on the boot CPU) in boot order.
-    boot_phases: Tuple[Tuple[str, int], ...]
-    #: Fraction of ideal multi-core scaling the scheduler achieves (0..1).
-    scheduler_efficiency: float
-    #: Relative syscall/IO path cost (1.0 == the 4.15 baseline).
-    syscall_cost_scale: float = 1.0
+    _fields = (
+        "version", "series", "lts", "boot_phases", "scheduler_efficiency",
+        "syscall_cost_scale",
+    )
+
+    def __init__(
+        self,
+        version: str,
+        series: str,  # major.minor, e.g. "4.19"
+        lts: bool,
+        # (phase name, instructions retired on the boot CPU) in boot order
+        boot_phases: Tuple[Tuple[str, int], ...],
+        scheduler_efficiency: float,  # of ideal multi-core scaling, 0..1
+        syscall_cost_scale: float = 1.0,  # syscall/IO path, 1.0 is 4.15's
+    ):
+        vars(self).update(
+            version=version, series=series, lts=lts, boot_phases=boot_phases,
+            scheduler_efficiency=scheduler_efficiency,
+            syscall_cost_scale=syscall_cost_scale,
+        )
 
     @property
     def key(self) -> str:

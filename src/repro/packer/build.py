@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
+from repro.common.records import Record
 from repro.packer.builders import build_base_image
 from repro.packer.provisioners import apply_provisioner
 from repro.packer.template import Template
 
 
-@dataclass
-class BuildResult:
+class BuildResult(Record):
     """Output of one packer build."""
 
-    image: "DiskImage"
-    log: List[str] = field(default_factory=list)
+    _fields = ("image", "log")
+
+    def __init__(self, image: "DiskImage", log: List[str]):
+        vars(self).update(image=image, log=log)
 
     @property
     def image_hash(self) -> str:

@@ -9,7 +9,8 @@ one stage document per stage — executed, cache hit or error, with its
 gate verdicts — that ``repro pipeline explain`` prints.  A changed
 upstream artifact invalidates exactly its dependents (the fingerprint
 chain), an unchanged stage is a cache hit, and a failed **validation
-gate** ends the pipeline ``failed``.
+gate** ends the pipeline ``failed``.  The stage implementations
+(:mod:`repro.pipeline.stages`) load only when a stage executes.
 """
 
 from repro.pipeline.manifest import (
@@ -32,7 +33,6 @@ from repro.pipeline.journal import (
     StageCache,
     stage_fingerprint,
 )
-from repro.pipeline.stages import STAGE_KINDS, StageContext
 from repro.pipeline.executor import run_pipeline
 
 __all__ = [
@@ -43,9 +43,7 @@ __all__ = [
     "Manifest",
     "PIPELINE_RUNS",
     "PipelineJournal",
-    "STAGE_KINDS",
     "StageCache",
-    "StageContext",
     "StageSpec",
     "evaluate_gate",
     "evaluate_gates",

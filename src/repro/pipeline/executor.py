@@ -36,7 +36,6 @@ from repro.pipeline.journal import (
     stage_fingerprint,
 )
 from repro.pipeline.manifest import Manifest
-from repro.pipeline.stages import STAGE_KINDS, StageContext
 
 
 def run_pipeline(
@@ -110,6 +109,9 @@ def run_pipeline(
                     verdicts = cached["verdicts"]
                     counts["cache_hits"] += 1
                 else:
+                    # Only an executing stage needs the stage bodies.
+                    from repro.pipeline.stages import STAGE_KINDS, StageContext
+
                     try:
                         chaos.fire(
                             "pipeline.stage",

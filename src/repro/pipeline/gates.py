@@ -71,9 +71,15 @@ def validate_gate_spec(gate: Mapping[str, Any], stage: str) -> None:
             f"stage {stage!r}: gate {kind!r} has unknown keys: "
             f"{sorted(unknown)}"
         )
+    value = gate.get("value")
+    if kind in ("at_least", "at_most", "within") and not _is_number(value):
+        raise ValidationError(
+            f"stage {stage!r}: gate {kind!r} value must be a number "
+            f"(got {value!r})"
+        )
     if kind == "within":
         tolerance = gate["tolerance"]
-        if not isinstance(tolerance, (int, float)) or tolerance < 0:
+        if not _is_number(tolerance) or tolerance < 0:
             raise ValidationError(
                 f"stage {stage!r}: gate tolerance must be a "
                 f"non-negative number (got {tolerance!r})"
@@ -180,8 +186,13 @@ def _evaluate(kind, gate, outputs):
     )
 
 
+def _is_number(value) -> bool:
+    """An int or a float; YAML's ``true``/``false`` are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numeric(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(
             f"gate needs a numeric value (got {value!r})"
         )

@@ -23,12 +23,12 @@ Design rules:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
 from repro.common.jsonutil import canonical_dumps, loads
+from repro.common.records import Frozen
 from repro.art.spec import SUBSTRATES
 from repro.art.workflow import topological_order
 from repro.pipeline.gates import validate_gate_spec
@@ -51,15 +51,20 @@ EXECUTION_DEFAULTS: Dict[str, object] = {
 }
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Frozen):
     """One validated stage of a manifest."""
 
-    name: str
-    kind: str
-    inputs: Tuple[str, ...] = ()
-    params: Mapping[str, Any] = field(default_factory=dict)
-    gates: Tuple[Mapping[str, Any], ...] = ()
+    _fields = ("name", "kind", "inputs", "params", "gates")
+
+    def __init__(
+        self, name: str, kind: str, inputs: Tuple[str, ...] = (),
+        params: Optional[Mapping[str, Any]] = None,
+        gates: Tuple[Mapping[str, Any], ...] = (),
+    ):
+        vars(self).update(
+            name=name, kind=kind, inputs=inputs,
+            params={} if params is None else params, gates=gates,
+        )
 
     def canonical_document(self) -> Dict[str, object]:
         """The dict that feeds the stage fingerprint: everything that,
@@ -73,15 +78,19 @@ class StageSpec:
         }
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(Frozen):
     """A validated reproduction manifest."""
 
-    name: str
-    description: str
-    execution: Mapping[str, Any]
-    stages: Tuple[StageSpec, ...]
-    source_path: Optional[str] = None
+    _fields = ("name", "description", "execution", "stages", "source_path")
+
+    def __init__(
+        self, name: str, description: str, execution: Mapping[str, Any],
+        stages: Tuple[StageSpec, ...], source_path: Optional[str] = None,
+    ):
+        vars(self).update(
+            name=name, description=description, execution=execution,
+            stages=stages, source_path=source_path,
+        )
 
     # ------------------------------------------------------------ access
 
@@ -192,7 +201,8 @@ def _validate_execution(raw: Mapping[str, Any]) -> Dict[str, Any]:
             f"(got {settings['substrate']!r})"
         )
     workers = settings["workers"]
-    if not isinstance(workers, int) or workers < 1:
+    # ``type``, not ``isinstance``: YAML's ``true`` is no worker count.
+    if type(workers) is not int or workers < 1:
         raise ValidationError(
             f"execution.workers must be a positive int (got {workers!r})"
         )

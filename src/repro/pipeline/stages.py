@@ -27,10 +27,10 @@ a reproduction whose stages are all cached loads none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
+from repro.common.records import Record
 from repro.common.targets import resolve_target
 from repro.art.db import ArtifactDB
 from repro.pipeline.manifest import StageSpec
@@ -44,16 +44,23 @@ SWEEP_AXES = {
 }
 
 
-@dataclass
-class StageContext:
+class StageContext(Record):
     """Everything a stage implementation may see."""
 
-    db: ArtifactDB
-    pipeline_id: str
-    pipeline_name: str
-    stage: StageSpec
-    inputs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    execution: Dict[str, Any] = field(default_factory=dict)
+    _fields = (
+        "db", "pipeline_id", "pipeline_name", "stage", "inputs", "execution",
+    )
+
+    def __init__(
+        self, db: ArtifactDB, pipeline_id: str, pipeline_name: str,
+        stage: StageSpec, inputs: Optional[Dict[str, Dict[str, Any]]] = None,
+        execution: Optional[Dict[str, Any]] = None,
+    ):
+        vars(self).update(
+            db=db, pipeline_id=pipeline_id, pipeline_name=pipeline_name,
+            stage=stage, inputs={} if inputs is None else inputs,
+            execution={} if execution is None else execution,
+        )
 
     @property
     def params(self) -> Mapping[str, Any]:

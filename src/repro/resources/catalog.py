@@ -9,10 +9,10 @@ benchmark suites from the workload registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Frozen
 from repro.guest.kernels import (
     BOOT_TEST_KERNEL_VERSIONS,
     build_kernel_binary,
@@ -26,17 +26,24 @@ from repro.resources import templates
 TRACKED_GEM5_VERSIONS = ("20.1.0.4", "21.0")
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(Frozen):
     """One Table I row."""
 
-    name: str
-    rtype: str  # "Benchmark", "Test", "Kernel", "Application", ...
-    description: str
-    #: Whether pre-built binaries/images may be distributed (SPEC may not).
-    redistributable: bool = True
-    #: Which gem5 builds the resource targets (None == any).
-    requires_isa: Optional[str] = None
+    _fields = (
+        "name", "rtype", "description", "redistributable", "requires_isa",
+    )
+
+    def __init__(
+        self, name: str,
+        rtype: str,  # "Benchmark", "Test", "Kernel", "Application", ...
+        description: str,
+        redistributable: bool = True,  # may built images ship? (SPEC: no)
+        requires_isa: Optional[str] = None,  # the gem5 build it targets
+    ):
+        vars(self).update(
+            name=name, rtype=rtype, description=description,
+            redistributable=redistributable, requires_isa=requires_isa,
+        )
 
 
 def _gpu_suite_builder(suite: str) -> Callable:
@@ -102,13 +109,17 @@ def _gcn_docker_builder(**_kwargs):
     return GCNDockerEnvironment()
 
 
-@dataclass(frozen=True)
-class Gem5Test:
+class Gem5Test(Frozen):
     """One entry of the 'gem5 tests' resource."""
 
-    name: str
-    description: str
-    requires_isa: Optional[str] = None
+    _fields = ("name", "description", "requires_isa")
+
+    def __init__(
+        self, name: str, description: str, requires_isa: Optional[str] = None,
+    ):
+        vars(self).update(
+            name=name, description=description, requires_isa=requires_isa,
+        )
 
 
 GEM5_TESTS = (

@@ -12,11 +12,11 @@ it can build — which is how the GPU use case discovers its applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import md5_text
+from repro.common.records import Record
 
 #: The stack the GCN3 model requires (the paper's stated versions).
 REQUIRED_STACK = {
@@ -38,14 +38,16 @@ GPU_SUITES = (
 )
 
 
-@dataclass
-class GCNDockerEnvironment:
-    """The gcn-gpu docker image as an object."""
+class GCNDockerEnvironment(Record):
+    """The gcn-gpu docker image as an object: its software ``stack``
+    starts as :data:`REQUIRED_STACK`."""
 
-    name: str = "gcn-gpu"
-    stack: Dict[str, str] = field(
-        default_factory=lambda: dict(REQUIRED_STACK)
-    )
+    name = "gcn-gpu"
+
+    _fields = ("stack",)
+
+    def __init__(self):
+        self.stack: Dict[str, str] = dict(REQUIRED_STACK)
 
     def validate_stack(self) -> None:
         """Fail loudly when any component is missing or mispinned —

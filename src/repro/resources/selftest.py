@@ -13,9 +13,9 @@ loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from repro.common.records import Frozen
 from repro.gpu.config import GPUConfig
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import GPUKernel
@@ -26,16 +26,17 @@ from repro.sim.simulator import Gem5Simulator
 from repro.sim.workload.phases import Phase, Workload
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(Frozen):
     """Result of one gem5 self-test run."""
 
     #: Tell pytest this is a result record, not a test class to collect.
     __test__ = False
 
-    test_name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+    _fields = ("test_name", "status", "detail")
+
+    def __init__(self, test_name: str, status: str, detail: str = ""):
+        """``status`` is ``"pass"``, ``"fail"`` or ``"skip"``."""
+        vars(self).update(test_name=test_name, status=status, detail=detail)
 
     @property
     def passed(self) -> bool:

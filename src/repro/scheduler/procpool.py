@@ -48,12 +48,12 @@ import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import chaos
 from repro.common.errors import StateError, ValidationError
 from repro.common.ids import new_uuid
+from repro.common.records import Frozen
 from repro.common.targets import resolve_target
 from repro.telemetry import (
     get_event_log,
@@ -103,15 +103,14 @@ class WorkerJobError(StateError):
     """A job failed in (or was lost with) its worker process."""
 
 
-@dataclass(frozen=True)
-class JobEnvelope:
+class JobEnvelope(Frozen):
     """A pickle-safe description of one unit of work.
 
     ``target`` is a ``"package.module:function"`` dotted path resolved
     *inside* the worker process — the function object itself never
     crosses the process boundary, and a job uses nothing its forked
     worker inherited but importable code (no closures, no parent state).
-    ``args``/``kwargs`` must be picklable data (for gem5art runs, see
+    ``args`` must be picklable data (for gem5art runs, see
     :mod:`repro.art.procjobs`).  ``shared`` maps content hash → payload
     for every :func:`intern_ref` placeholder in them: the pool ships
     each hash to each worker process at most once, so an envelope whose
@@ -121,20 +120,25 @@ class JobEnvelope:
     and kills the worker.
     """
 
-    target: str
-    args: Tuple[Any, ...] = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    task_id: str = field(default_factory=new_uuid)
-    telemetry: bool = False
-    shared: Dict[str, Any] = field(default_factory=dict)
-    timeout: Optional[float] = None
+    _fields = ("target", "args", "task_id", "telemetry", "shared", "timeout")
 
-    def __post_init__(self):
-        if ":" not in self.target:
+    def __init__(
+        self, target: str, args: Tuple[Any, ...] = (),
+        task_id: Optional[str] = None, telemetry: bool = False,
+        shared: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ):
+        if ":" not in target:
             raise ValidationError(
-                f"envelope target {self.target!r} must be a "
+                f"envelope target {target!r} must be a "
                 "'package.module:function' dotted path"
             )
+        vars(self).update(
+            target=target, args=args,
+            task_id=new_uuid() if task_id is None else task_id,
+            telemetry=telemetry, shared={} if shared is None else shared,
+            timeout=timeout,
+        )
 
 
 class ProcJobHandle:
@@ -236,8 +240,7 @@ def _worker_main(worker: str, inbox, outbox, parent_ends) -> None:
         try:
             target = resolve_target(job["target"])
             args = _resolve_interned(job["args"], interned)
-            kwargs = _resolve_interned(job["kwargs"], interned)
-            result["value"] = target(*args, **kwargs)
+            result["value"] = target(*args)
             result["ok"] = True
         except Exception:
             result["error"] = traceback.format_exc()
@@ -450,7 +453,6 @@ class ProcessPool:
                     "job": {
                         "target": envelope.target,
                         "args": envelope.args,
-                        "kwargs": envelope.kwargs,
                         "task_id": envelope.task_id,
                         "telemetry": envelope.telemetry,
                     },

@@ -9,11 +9,11 @@ artifact layer to hash, matching Fig 3's registration example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.gitinfo import simulated_revision
 from repro.common.hashing import md5_text
+from repro.common.records import Frozen
 
 #: ISAs the builds in the paper target.
 ISAS = ("X86", "ARM", "RISCV", "GCN3_X86")
@@ -45,23 +45,24 @@ def timing_profile(version: str) -> dict:
     return dict(VERSION_TIMING.get(version, {"memory_stall_scale": 1.0}))
 
 
-@dataclass(frozen=True)
-class Gem5Build:
+class Gem5Build(Frozen):
     """A (version, ISA, variant) static configuration of the simulator."""
 
-    version: str = "20.1.0.4"
-    isa: str = "X86"
-    variant: str = "opt"
+    _fields = ("version", "isa", "variant")
 
-    def __post_init__(self):
-        if self.isa not in ISAS:
-            raise ValidationError(f"unknown ISA {self.isa!r}; one of {ISAS}")
-        if self.variant not in VARIANTS:
+    def __init__(
+        self, version: str = "20.1.0.4", isa: str = "X86",
+        variant: str = "opt",
+    ):
+        if isa not in ISAS:
+            raise ValidationError(f"unknown ISA {isa!r}; one of {ISAS}")
+        if variant not in VARIANTS:
             raise ValidationError(
-                f"unknown variant {self.variant!r}; one of {VARIANTS}"
+                f"unknown variant {variant!r}; one of {VARIANTS}"
             )
-        if not self.version:
+        if not version:
             raise ValidationError("version must be non-empty")
+        vars(self).update(version=version, isa=isa, variant=variant)
 
     @property
     def binary_name(self) -> str:

@@ -19,24 +19,32 @@ kvm/atomic boot to a timing/O3 measurement CPU is the whole point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import sha256_text
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Frozen):
     """A completed-boot snapshot with its compatibility identity."""
 
-    kernel_version: str
-    boot_type: str
-    disk_image_hash: str
-    num_cpus: int
-    memory_system: str
-    boot_seconds: float
-    boot_instructions: int
+    _fields = (
+        "kernel_version", "boot_type", "disk_image_hash", "num_cpus",
+        "memory_system", "boot_seconds", "boot_instructions",
+    )
+
+    def __init__(
+        self, kernel_version: str, boot_type: str, disk_image_hash: str,
+        num_cpus: int, memory_system: str, boot_seconds: float,
+        boot_instructions: int,
+    ):
+        vars(self).update(
+            kernel_version=kernel_version, boot_type=boot_type,
+            disk_image_hash=disk_image_hash, num_cpus=num_cpus,
+            memory_system=memory_system, boot_seconds=boot_seconds,
+            boot_instructions=boot_instructions,
+        )
 
     @cached_property
     def checkpoint_id(self) -> str:
@@ -89,25 +97,9 @@ class Checkpoint:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "checkpoint_id": self.checkpoint_id,
-            "kernel_version": self.kernel_version,
-            "boot_type": self.boot_type,
-            "disk_image_hash": self.disk_image_hash,
-            "num_cpus": self.num_cpus,
-            "memory_system": self.memory_system,
-            "boot_seconds": self.boot_seconds,
-            "boot_instructions": self.boot_instructions,
-        }
+        fields = dict(zip(self._fields, self._values()))
+        return {"checkpoint_id": self.checkpoint_id, **fields}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Checkpoint":
-        return cls(
-            kernel_version=data["kernel_version"],
-            boot_type=data["boot_type"],
-            disk_image_hash=data["disk_image_hash"],
-            num_cpus=data["num_cpus"],
-            memory_system=data["memory_system"],
-            boot_seconds=data["boot_seconds"],
-            boot_instructions=data["boot_instructions"],
-        )
+        return cls(**{name: data[name] for name in cls._fields})

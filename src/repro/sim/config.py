@@ -8,10 +8,10 @@ Fig 8 sweep are expressed as instances of this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen
 from repro.common.units import GHz
 
 #: CPU models, in the paper's vocabulary.
@@ -22,13 +22,18 @@ CPU_TYPES = ("kvm", "atomic", "timing", "o3")
 MEMORY_SYSTEMS = ("classic", "MI_example", "MESI_Two_Level")
 
 
-@dataclass(frozen=True)
-class MemoryTech:
+class MemoryTech(Frozen):
     """A DRAM technology point."""
 
-    name: str
-    access_latency_ns: float
-    bandwidth_gbps: float
+    _fields = ("name", "access_latency_ns", "bandwidth_gbps")
+
+    def __init__(
+        self, name: str, access_latency_ns: float, bandwidth_gbps: float
+    ):
+        vars(self).update(
+            name=name, access_latency_ns=access_latency_ns,
+            bandwidth_gbps=bandwidth_gbps,
+        )
 
 
 #: The technologies gem5 ships; the paper uses DDR3_1600_8x8 throughout.
@@ -39,69 +44,64 @@ MEMORY_TECHS = {
 }
 
 
-@dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(Frozen):
     """One cache level's geometry and timing."""
 
-    size_bytes: int
-    assoc: int
-    latency_cycles: int
+    _fields = ("size_bytes", "assoc", "latency_cycles")
 
-    def __post_init__(self):
-        if self.size_bytes <= 0 or self.assoc <= 0:
+    def __init__(self, size_bytes: int, assoc: int, latency_cycles: int):
+        if size_bytes <= 0 or assoc <= 0:
             raise ValidationError("cache size/assoc must be positive")
+        vars(self).update(
+            size_bytes=size_bytes, assoc=assoc, latency_cycles=latency_cycles,
+        )
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """A complete simulated-machine description."""
+class SystemConfig(Frozen):
+    """A complete simulated-machine description.
 
-    cpu_type: str = "timing"
-    num_cpus: int = 1
-    cpu_clock_ghz: float = 3.0
-    memory_system: str = "classic"
-    memory_tech: str = "DDR3_1600_8x8"
-    memory_channels: int = 1
-    l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig(32 * 1024, 8, 2)
-    )
-    l1d: CacheConfig = field(
-        default_factory=lambda: CacheConfig(32 * 1024, 8, 2)
-    )
-    l2: CacheConfig = field(
-        default_factory=lambda: CacheConfig(1024 * 1024, 16, 12)
-    )
-    #: Enable the stride prefetcher model (off by default, matching the
-    #: baseline systems of the paper's experiments).
-    prefetcher: bool = False
+    ``prefetcher`` enables the stride prefetcher model (off, as in the
+    paper's baselines).  The clock, caches and prefetcher strength are
+    the same on every system the paper simulates: class constants.
+    """
+
+    cpu_clock_ghz = 3.0
+    l1d = CacheConfig(32 * 1024, 8, 2)
+    l2 = CacheConfig(1024 * 1024, 16, 12)
     #: Fraction of a perfectly-regular stream's DRAM stall the
     #: prefetcher hides when enabled.
-    prefetcher_effectiveness: float = 0.7
+    prefetcher_effectiveness = 0.7
 
-    def __post_init__(self):
-        if self.cpu_type not in CPU_TYPES:
+    _fields = (
+        "cpu_type", "num_cpus", "memory_system", "memory_tech",
+        "memory_channels", "prefetcher",
+    )
+
+    def __init__(
+        self, cpu_type: str = "timing", num_cpus: int = 1,
+        memory_system: str = "classic", memory_tech: str = "DDR3_1600_8x8",
+        memory_channels: int = 1, prefetcher: bool = False,
+    ):
+        if cpu_type not in CPU_TYPES:
             raise ValidationError(
-                f"unknown cpu type {self.cpu_type!r}; one of {CPU_TYPES}"
+                f"unknown cpu type {cpu_type!r}; one of {CPU_TYPES}"
             )
-        if self.memory_system not in MEMORY_SYSTEMS:
+        if memory_system not in MEMORY_SYSTEMS:
             raise ValidationError(
-                f"unknown memory system {self.memory_system!r}; "
+                f"unknown memory system {memory_system!r}; "
                 f"one of {MEMORY_SYSTEMS}"
             )
-        if self.memory_tech not in MEMORY_TECHS:
-            raise ValidationError(
-                f"unknown memory tech {self.memory_tech!r}"
-            )
-        if self.num_cpus < 1:
+        if memory_tech not in MEMORY_TECHS:
+            raise ValidationError(f"unknown memory tech {memory_tech!r}")
+        if num_cpus < 1:
             raise ValidationError("num_cpus must be >= 1")
-        if self.memory_channels < 1:
+        if memory_channels < 1:
             raise ValidationError("memory_channels must be >= 1")
-        if self.cpu_clock_ghz <= 0:
-            raise ValidationError("cpu clock must be positive")
-        if not 0.0 <= self.prefetcher_effectiveness <= 1.0:
-            raise ValidationError(
-                "prefetcher_effectiveness must be within [0, 1]"
-            )
+        vars(self).update(
+            cpu_type=cpu_type, num_cpus=num_cpus, memory_system=memory_system,
+            memory_tech=memory_tech, memory_channels=memory_channels,
+            prefetcher=prefetcher,
+        )
 
     @property
     def clock_period_ticks(self) -> int:

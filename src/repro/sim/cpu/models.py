@@ -18,9 +18,8 @@ clock to get ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen
 from repro.sim.mem.hierarchy import MemoryTimings
 
 #: Assumed host execution rate for the KVM CPU (instructions/second).
@@ -29,8 +28,7 @@ from repro.sim.mem.hierarchy import MemoryTimings
 KVM_HOST_RATE = 8.0e9
 
 
-@dataclass(frozen=True)
-class CpuModel:
+class CpuModel(Frozen):
     """A CPU timing model as (base CPI, memory exposure) coefficients.
 
     ``memory_exposure`` is the fraction of AMAT that actually stalls the
@@ -38,11 +36,16 @@ class CpuModel:
     that overlaps misses, 0 for models that do not time memory at all.
     """
 
-    name: str
-    base_cpi: float
-    memory_exposure: float
-    #: Whether microarchitectural stats are meaningful for this model.
-    models_timing: bool = True
+    _fields = ("name", "base_cpi", "memory_exposure", "models_timing")
+
+    def __init__(
+        self, name: str, base_cpi: float, memory_exposure: float,
+        models_timing: bool = True,  # are its microarchitectural stats real?
+    ):
+        vars(self).update(
+            name=name, base_cpi=base_cpi, memory_exposure=memory_exposure,
+            models_timing=models_timing,
+        )
 
     def cycles_per_instruction(
         self,

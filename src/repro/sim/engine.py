@@ -10,9 +10,8 @@ every causal chain behind Figs 6–8 is actually computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen, Record
 from repro.common.statsdb import StatsDB
 from repro.common.units import TICKS_PER_SECOND
 from repro.sim.config import SystemConfig
@@ -30,8 +29,7 @@ _SYNC_CONTENTION = 0.5
 _LINE_BYTES = 64
 
 
-@dataclass(frozen=True)
-class ExecutionModifiers:
+class ExecutionModifiers(Frozen):
     """Cross-stack knobs that scale the timing model.
 
     These carry the guest-stack properties into the engine: the compiler
@@ -39,28 +37,42 @@ class ExecutionModifiers:
     the kernel managing the run (thread placement quality, syscall cost).
     """
 
-    instruction_scale: float = 1.0
-    memory_stall_scale: float = 1.0
-    scheduler_efficiency: float = 0.90
-    syscall_cost_scale: float = 1.0
+    _fields = (
+        "instruction_scale", "memory_stall_scale", "scheduler_efficiency",
+        "syscall_cost_scale",
+    )
 
-    def __post_init__(self):
-        if self.instruction_scale <= 0 or self.memory_stall_scale <= 0:
+    def __init__(
+        self, instruction_scale: float = 1.0, memory_stall_scale: float = 1.0,
+        scheduler_efficiency: float = 0.90, syscall_cost_scale: float = 1.0,
+    ):
+        if instruction_scale <= 0 or memory_stall_scale <= 0:
             raise ValidationError("scales must be positive")
-        if not 0.0 < self.scheduler_efficiency <= 1.0:
+        if not 0.0 < scheduler_efficiency <= 1.0:
             raise ValidationError(
                 "scheduler_efficiency must be in (0, 1]"
             )
+        vars(self).update(
+            instruction_scale=instruction_scale,
+            memory_stall_scale=memory_stall_scale,
+            scheduler_efficiency=scheduler_efficiency,
+            syscall_cost_scale=syscall_cost_scale,
+        )
 
 
-@dataclass
-class ExecutionOutcome:
+class ExecutionOutcome(Record):
     """Aggregate result of executing one workload."""
 
-    ticks: int
-    instructions: int
-    busy_cycles: float
-    total_cycles: float
+    _fields = ("ticks", "instructions", "busy_cycles", "total_cycles")
+
+    def __init__(
+        self, ticks: int, instructions: int, busy_cycles: float,
+        total_cycles: float,
+    ):
+        vars(self).update(
+            ticks=ticks, instructions=instructions, busy_cycles=busy_cycles,
+            total_cycles=total_cycles,
+        )
 
     @property
     def sim_seconds(self) -> float:

@@ -27,9 +27,9 @@ they are replaced by an explicit, deterministic model with two layers:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.records import Frozen
 from repro.sim.config import SystemConfig
 
 
@@ -44,12 +44,13 @@ class FaultClass(enum.Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class FaultVerdict:
+class FaultVerdict(Frozen):
     """Fault-model output: class + human-readable reason."""
 
-    fault: FaultClass
-    reason: str = ""
+    _fields = ("fault", "reason")
+
+    def __init__(self, fault: FaultClass, reason: str = ""):
+        vars(self).update(fault=fault, reason=reason)
 
     @property
     def ok(self) -> bool:

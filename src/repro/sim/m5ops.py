@@ -13,10 +13,10 @@ timestamps, and computes ROI timing from reset/dump pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.records import Record
 from repro.common.units import TICKS_PER_SECOND
 
 #: Op names, matching the m5 utility's subcommands.
@@ -27,11 +27,13 @@ M5_DUMPSTATS = "dumpstats"
 KNOWN_OPS = (M5_EXIT, M5_CHECKPOINT, M5_RESETSTATS, M5_DUMPSTATS)
 
 
-@dataclass
-class M5OpLog:
+class M5OpLog(Record):
     """Ordered record of (tick, op) events from one simulation."""
 
-    events: List[Tuple[int, str]] = field(default_factory=list)
+    _fields = ("events",)
+
+    def __init__(self):
+        self.events: List[Tuple[int, str]] = []
 
     def fire(self, tick: int, op: str) -> None:
         if op not in KNOWN_OPS:

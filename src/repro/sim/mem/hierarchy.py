@@ -19,26 +19,32 @@ figure plus a coherence penalty:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen
 from repro.sim.config import SystemConfig
 from repro.sim.mem.cache import CacheModel
 
 
-@dataclass(frozen=True)
-class MemoryTimings:
-    """Per-access outputs of the memory model for one phase."""
+class MemoryTimings(Frozen):
+    """Per-access outputs of the memory model for one phase: average
+    cycles per (L1-reaching) access including miss handling, the share
+    of accesses that reach DRAM (for bandwidth accounting), the L1 miss
+    ratio, and the DRAM-latency part of ``amat_cycles`` — the part that
+    inflates under bandwidth contention (queueing)."""
 
-    #: Average cycles per (L1-reaching) access, including miss handling.
-    amat_cycles: float
-    #: Fraction of accesses that reach DRAM (for bandwidth accounting).
-    dram_access_ratio: float
-    #: L1 miss ratio (reported in stats).
-    l1_miss_ratio: float
-    #: The DRAM-latency component of ``amat_cycles`` — the part that
-    #: inflates under bandwidth contention (queueing).
-    dram_stall_cycles: float = 0.0
+    _fields = (
+        "amat_cycles", "dram_access_ratio", "l1_miss_ratio",
+        "dram_stall_cycles",
+    )
+
+    def __init__(
+        self, amat_cycles: float, dram_access_ratio: float,
+        l1_miss_ratio: float, dram_stall_cycles: float = 0.0,
+    ):
+        vars(self).update(
+            amat_cycles=amat_cycles, dram_access_ratio=dram_access_ratio,
+            l1_miss_ratio=l1_miss_ratio, dram_stall_cycles=dram_stall_cycles,
+        )
 
 
 class MemorySystemModel:

@@ -10,15 +10,14 @@ model, the boot sequencer and the workload engine, and returns a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Record
 from repro.common.statsdb import StatsDB
 from repro.guest.compilers import get_compiler
 from repro.guest.kernels import LinuxKernel, get_kernel
 from repro.sim.buildinfo import Gem5Build
-from repro.sim.checkpoint import Checkpoint
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ExecutionEngine, ExecutionModifiers
 from repro.sim.events import EventQueue
@@ -34,6 +33,9 @@ from repro.sim.workload.boot import boot_workload
 from repro.sim.workload.phases import Workload
 from repro.telemetry import get_metrics, get_tracer
 from repro.vfs.image import DiskImage
+
+if TYPE_CHECKING:
+    from repro.sim.checkpoint import Checkpoint
 
 
 class SimulationStatus(enum.Enum):
@@ -67,20 +69,29 @@ _FAILURE_PROGRESS = {
 }
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(Record):
     """Everything one gem5 invocation produces."""
 
-    status: SimulationStatus
-    reason: str = ""
-    stats: Dict[str, float] = field(default_factory=dict)
-    sim_seconds: float = 0.0
-    boot_seconds: float = 0.0
-    workload_seconds: float = 0.0
-    instructions: int = 0
-    config_summary: str = ""
-    workload_name: str = ""
-    m5ops: list = field(default_factory=list)
+    _fields = (
+        "status", "reason", "stats", "sim_seconds", "boot_seconds",
+        "workload_seconds", "instructions", "config_summary",
+        "workload_name", "m5ops",
+    )
+
+    def __init__(
+        self, status: SimulationStatus, reason: str = "",
+        stats: Optional[Dict[str, float]] = None, sim_seconds: float = 0.0,
+        boot_seconds: float = 0.0, workload_seconds: float = 0.0,
+        instructions: int = 0, config_summary: str = "",
+        workload_name: str = "", m5ops: Optional[list] = None,
+    ):
+        vars(self).update(
+            status=status, reason=reason, stats={} if stats is None else stats,
+            sim_seconds=sim_seconds, boot_seconds=boot_seconds,
+            workload_seconds=workload_seconds, instructions=instructions,
+            config_summary=config_summary, workload_name=workload_name,
+            m5ops=[] if m5ops is None else m5ops,
+        )
 
     @property
     def ok(self) -> bool:
@@ -214,6 +225,8 @@ class Gem5Simulator:
         of this configuration would.  The usual pattern boots under a
         cheap CPU (kvm/atomic) and restores under a detailed one.
         """
+        from repro.sim.checkpoint import Checkpoint
+
         kernel = self._resolve_kernel(kernel)
         result = self.run_fs(kernel, disk_image, boot_type=boot_type)
         if not result.ok:
@@ -267,13 +280,10 @@ class Gem5Simulator:
                 f"{copies} copies need {copies} cores; system has "
                 f"{self.config.num_cpus}"
             )
-        from dataclasses import replace
-
         rate_workload = Workload(
             name=f"{workload.name}.rate{copies}",
             phases=tuple(
-                replace(
-                    phase,
+                phase.replace(
                     instructions=phase.instructions * copies,
                     parallelism=copies,
                     # Copies are independent processes: no sharing.
@@ -454,10 +464,6 @@ class _RestoredBoot:
 
 
 def _scale_phase(phase, fraction: float):
-    from dataclasses import replace
-
     if not 0.0 < fraction <= 1.0:
         raise ValidationError("fraction must be in (0, 1]")
-    return replace(
-        phase, instructions=int(phase.instructions * fraction)
-    )
+    return phase.replace(instructions=int(phase.instructions * fraction))

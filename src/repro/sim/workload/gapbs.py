@@ -10,10 +10,10 @@ iterations; tc is compute-heavier per edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Frozen
 from repro.sim.workload.phases import Phase, Workload
 
 #: Bytes per edge in CSR form (two 4-byte endpoints + payload/overheads).
@@ -26,17 +26,24 @@ MIN_SCALE, MAX_SCALE = 10, 26
 DEFAULT_SCALE = 16
 
 
-@dataclass(frozen=True)
-class GapbsKernel:
+class GapbsKernel(Frozen):
     """One GAPBS kernel's per-edge cost profile."""
 
-    name: str
-    description: str
-    #: Dynamic instructions per edge traversed (across all iterations).
-    instructions_per_edge: float
-    locality: float
-    write_fraction: float
-    sync_per_kinst: float
+    _fields = (
+        "name", "description", "instructions_per_edge", "locality",
+        "write_fraction", "sync_per_kinst",
+    )
+
+    def __init__(
+        self, name: str, description: str,
+        instructions_per_edge: float,  # per edge traversed, all iterations
+        locality: float, write_fraction: float, sync_per_kinst: float,
+    ):
+        vars(self).update(
+            name=name, description=description,
+            instructions_per_edge=instructions_per_edge, locality=locality,
+            write_fraction=write_fraction, sync_per_kinst=sync_per_kinst,
+        )
 
 
 GAPBS_KERNELS: Dict[str, GapbsKernel] = {

@@ -13,10 +13,10 @@ roughly 4x in work per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Frozen
 from repro.sim.workload.phases import Phase, Workload
 
 #: Work multipliers per NPB class, relative to class A.
@@ -32,20 +32,29 @@ _MiB = 1024 * 1024
 _MAX_PARALLELISM = 128
 
 
-@dataclass(frozen=True)
-class NpbApp:
+class NpbApp(Frozen):
     """One NPB benchmark's class-A reference profile."""
 
-    name: str
-    description: str
-    instructions: int
-    parallel_fraction: float
-    working_set_bytes: int
-    mem_accesses_per_kinst: float
-    locality: float
-    shared_fraction: float
-    write_fraction: float
-    sync_per_kinst: float
+    _fields = (
+        "name", "description", "instructions", "parallel_fraction",
+        "working_set_bytes", "mem_accesses_per_kinst", "locality",
+        "shared_fraction", "write_fraction", "sync_per_kinst",
+    )
+
+    def __init__(
+        self, name: str, description: str, instructions: int,
+        parallel_fraction: float, working_set_bytes: int,
+        mem_accesses_per_kinst: float, locality: float, shared_fraction: float,
+        write_fraction: float, sync_per_kinst: float,
+    ):
+        vars(self).update(
+            name=name, description=description, instructions=instructions,
+            parallel_fraction=parallel_fraction,
+            working_set_bytes=working_set_bytes,
+            mem_accesses_per_kinst=mem_accesses_per_kinst, locality=locality,
+            shared_fraction=shared_fraction, write_fraction=write_fraction,
+            sync_per_kinst=sync_per_kinst,
+        )
 
 
 NPB_APPS: Dict[str, NpbApp] = {

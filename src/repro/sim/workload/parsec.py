@@ -17,10 +17,10 @@ the paper's observation that they benefit most from the newer kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Frozen
 from repro.sim.workload.phases import Phase, Workload
 
 #: Instruction-count and working-set multipliers per PARSEC input size.
@@ -36,33 +36,41 @@ _MiB = 1024 * 1024
 _MAX_PARALLELISM = 128
 
 
-@dataclass(frozen=True)
-class ParsecApp:
+class ParsecApp(Frozen):
     """One PARSEC application's static profile (simmedium reference)."""
 
-    name: str
-    domain: str
-    instructions: int
-    parallel_fraction: float
-    working_set_bytes: int
-    mem_accesses_per_kinst: float
-    locality: float
-    shared_fraction: float
-    write_fraction: float
-    sync_per_kinst: float
-    imbalance_sensitivity: float
-    #: Stride predictability of the access stream (prefetcher model).
-    access_regularity: float = 0.5
-    broken: bool = False
-    broken_reason: str = ""
+    _fields = (
+        "name", "domain", "instructions", "parallel_fraction",
+        "working_set_bytes", "mem_accesses_per_kinst", "locality",
+        "shared_fraction", "write_fraction", "sync_per_kinst",
+        "imbalance_sensitivity", "access_regularity", "broken",
+        "broken_reason",
+    )
 
-
-def _app(**kwargs) -> ParsecApp:
-    return ParsecApp(**kwargs)
+    def __init__(
+        self, name: str, domain: str, instructions: int,
+        parallel_fraction: float, working_set_bytes: int,
+        mem_accesses_per_kinst: float, locality: float, shared_fraction: float,
+        write_fraction: float, sync_per_kinst: float,
+        imbalance_sensitivity: float,
+        access_regularity: float = 0.5,  # stride predictability (prefetcher)
+        broken: bool = False, broken_reason: str = "",
+    ):
+        vars(self).update(
+            name=name, domain=domain, instructions=instructions,
+            parallel_fraction=parallel_fraction,
+            working_set_bytes=working_set_bytes,
+            mem_accesses_per_kinst=mem_accesses_per_kinst, locality=locality,
+            shared_fraction=shared_fraction, write_fraction=write_fraction,
+            sync_per_kinst=sync_per_kinst,
+            imbalance_sensitivity=imbalance_sensitivity,
+            access_regularity=access_regularity, broken=broken,
+            broken_reason=broken_reason,
+        )
 
 
 _APP_LIST: List[ParsecApp] = [
-    _app(
+    ParsecApp(
         name="blackscholes",
         access_regularity=0.7,
         domain="financial analysis (option pricing)",
@@ -76,7 +84,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.05,
         imbalance_sensitivity=0.40,
     ),
-    _app(
+    ParsecApp(
         name="bodytrack",
         access_regularity=0.5,
         domain="computer vision (body tracking)",
@@ -90,7 +98,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.40,
         imbalance_sensitivity=0.20,
     ),
-    _app(
+    ParsecApp(
         name="canneal",
         access_regularity=0.05,
         domain="engineering (routing cost minimization)",
@@ -109,7 +117,7 @@ _APP_LIST: List[ParsecApp] = [
             "inputs; fault is in the benchmark, not the simulator"
         ),
     ),
-    _app(
+    ParsecApp(
         name="dedup",
         access_regularity=0.4,
         domain="enterprise storage (deduplication)",
@@ -123,7 +131,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.50,
         imbalance_sensitivity=0.22,
     ),
-    _app(
+    ParsecApp(
         name="facesim",
         access_regularity=0.6,
         domain="animation (face simulation)",
@@ -142,7 +150,7 @@ _APP_LIST: List[ParsecApp] = [
             "(benchmark bug)"
         ),
     ),
-    _app(
+    ParsecApp(
         name="ferret",
         access_regularity=0.4,
         domain="similarity search (content-based)",
@@ -156,7 +164,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.60,
         imbalance_sensitivity=0.38,
     ),
-    _app(
+    ParsecApp(
         name="fluidanimate",
         access_regularity=0.5,
         domain="animation (fluid dynamics)",
@@ -170,7 +178,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.90,
         imbalance_sensitivity=0.20,
     ),
-    _app(
+    ParsecApp(
         name="freqmine",
         access_regularity=0.35,
         domain="data mining (frequent itemsets)",
@@ -184,7 +192,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.20,
         imbalance_sensitivity=0.18,
     ),
-    _app(
+    ParsecApp(
         name="raytrace",
         access_regularity=0.45,
         domain="rendering (real-time raytracing)",
@@ -198,7 +206,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.30,
         imbalance_sensitivity=0.20,
     ),
-    _app(
+    ParsecApp(
         name="streamcluster",
         access_regularity=0.8,
         domain="data mining (online clustering)",
@@ -212,7 +220,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=1.20,
         imbalance_sensitivity=0.22,
     ),
-    _app(
+    ParsecApp(
         name="swaptions",
         access_regularity=0.6,
         domain="financial analysis (swaption pricing)",
@@ -226,7 +234,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.10,
         imbalance_sensitivity=0.15,
     ),
-    _app(
+    ParsecApp(
         name="vips",
         access_regularity=0.7,
         domain="media processing (image transformation)",
@@ -240,7 +248,7 @@ _APP_LIST: List[ParsecApp] = [
         sync_per_kinst=0.40,
         imbalance_sensitivity=0.20,
     ),
-    _app(
+    ParsecApp(
         name="x264",
         access_regularity=0.6,
         domain="media processing (H.264 encoding)",

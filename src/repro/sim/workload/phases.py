@@ -9,71 +9,76 @@ memory behaviour and synchronization density — not its arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.records import Frozen
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Frozen):
     """One homogeneous region of a workload."""
 
-    name: str
-    #: Dynamic instructions in the reference (GCC 7.4) build.
-    instructions: int
-    #: Maximum threads that can make progress concurrently (1 == serial).
-    parallelism: int = 1
-    #: Memory accesses per 1000 instructions.
-    mem_accesses_per_kinst: float = 300.0
-    #: Bytes touched with uniform reuse during the phase.
-    working_set_bytes: int = 4 * 1024 * 1024
-    #: Fraction of accesses absorbed by near-register reuse (L1 hits).
-    locality: float = 0.92
-    #: Fraction of the working set shared between threads.
-    shared_fraction: float = 0.05
-    #: Fraction of accesses that are writes.
-    write_fraction: float = 0.30
-    #: Synchronization events (locks/barriers) per 1000 instructions.
-    sync_per_kinst: float = 0.0
-    #: Sensitivity of this phase to OS scheduler placement quality (0..1):
-    #: how much load imbalance the scheduler can add or remove.
-    imbalance_sensitivity: float = 0.15
-    #: How regular (stride-predictable) the access stream is (0..1):
-    #: 1.0 is pure streaming, 0.0 is pointer chasing.  Consumed by the
-    #: optional prefetcher model.
-    access_regularity: float = 0.5
+    _fields = (
+        "name", "instructions", "parallelism", "mem_accesses_per_kinst",
+        "working_set_bytes", "locality", "shared_fraction",
+        "write_fraction", "sync_per_kinst", "imbalance_sensitivity",
+        "access_regularity",
+    )
 
-    def __post_init__(self):
-        if self.instructions < 0:
+    def __init__(
+        self,
+        name: str,
+        instructions: int,  # dynamic, in the reference (GCC 7.4) build
+        parallelism: int = 1,  # threads that can run at once (1: serial)
+        mem_accesses_per_kinst: float = 300.0,  # per 1000 instructions
+        working_set_bytes: int = 4 * 1024 * 1024,  # touched, uniform reuse
+        locality: float = 0.92,  # share of accesses that hit L1 (reuse)
+        shared_fraction: float = 0.05,  # of the working set, by threads
+        write_fraction: float = 0.30,  # share of accesses that are writes
+        sync_per_kinst: float = 0.0,  # locks/barriers per 1000 instructions
+        # 0..1: how much load imbalance OS thread placement adds or removes
+        imbalance_sensitivity: float = 0.15,
+        # 0..1, how stride-predictable the access stream is (the optional
+        # prefetcher model): 1.0 is pure streaming, 0.0 pointer chasing
+        access_regularity: float = 0.5,
+    ):
+        if instructions < 0:
             raise ValidationError("instructions must be >= 0")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
         for bounded, value in (
-            ("locality", self.locality),
-            ("shared_fraction", self.shared_fraction),
-            ("write_fraction", self.write_fraction),
-            ("imbalance_sensitivity", self.imbalance_sensitivity),
-            ("access_regularity", self.access_regularity),
+            ("locality", locality),
+            ("shared_fraction", shared_fraction),
+            ("write_fraction", write_fraction),
+            ("imbalance_sensitivity", imbalance_sensitivity),
+            ("access_regularity", access_regularity),
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{bounded} must be within [0, 1]")
-        if self.mem_accesses_per_kinst < 0 or self.sync_per_kinst < 0:
+        if mem_accesses_per_kinst < 0 or sync_per_kinst < 0:
             raise ValidationError("per-kinst rates must be >= 0")
+        vars(self).update(
+            name=name, instructions=instructions, parallelism=parallelism,
+            mem_accesses_per_kinst=mem_accesses_per_kinst,
+            working_set_bytes=working_set_bytes, locality=locality,
+            shared_fraction=shared_fraction, write_fraction=write_fraction,
+            sync_per_kinst=sync_per_kinst,
+            imbalance_sensitivity=imbalance_sensitivity,
+            access_regularity=access_regularity,
+        )
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(Frozen):
     """An ordered tuple of phases with a name for stats/provenance."""
 
-    name: str
-    phases: Tuple[Phase, ...] = field(default_factory=tuple)
+    _fields = ("name", "phases")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, phases: Tuple[Phase, ...] = ()):
+        if not name:
             raise ValidationError("workload needs a name")
-        if not self.phases:
+        if not phases:
             raise ValidationError("workload needs at least one phase")
+        vars(self).update(name=name, phases=phases)
 
     def total_instructions(self) -> int:
         return sum(phase.instructions for phase in self.phases)

@@ -15,10 +15,10 @@ SPEC way: ``test`` ≪ ``train`` ≪ ``ref``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.records import Frozen
 from repro.sim.workload.phases import Phase, Workload
 
 #: Instruction multipliers per SPEC input set (relative to ref).
@@ -27,20 +27,28 @@ SPEC_INPUTS = {"test": 0.02, "train": 0.15, "ref": 1.0}
 _MiB = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class SpecBenchmark:
+class SpecBenchmark(Frozen):
     """One SPEC benchmark's ref-input profile."""
 
-    name: str
-    suite: str  # "spec-2006" | "spec-2017"
-    domain: str
-    instructions: int
-    working_set_bytes: int
-    mem_accesses_per_kinst: float
-    locality: float
-    write_fraction: float
-    #: Stride predictability of the access stream (prefetcher model).
-    access_regularity: float = 0.5
+    _fields = (
+        "name", "suite", "domain", "instructions", "working_set_bytes",
+        "mem_accesses_per_kinst", "locality", "write_fraction",
+        "access_regularity",
+    )
+
+    def __init__(
+        self, name: str,
+        suite: str,  # "spec-2006" | "spec-2017"
+        domain: str, instructions: int, working_set_bytes: int,
+        mem_accesses_per_kinst: float, locality: float, write_fraction: float,
+        access_regularity: float = 0.5,  # stride predictability (prefetcher)
+    ):
+        vars(self).update(
+            name=name, suite=suite, domain=domain, instructions=instructions,
+            working_set_bytes=working_set_bytes,
+            mem_accesses_per_kinst=mem_accesses_per_kinst, locality=locality,
+            write_fraction=write_fraction, access_regularity=access_regularity,
+        )
 
 
 def _spec06(name, domain, instructions, ws, apki, locality, write,

@@ -6,7 +6,6 @@ chaos suites have to cover, so the lists are pinned here: a new knob is
 a reviewed diff of this file, not drift.
 """
 
-import dataclasses
 import inspect
 
 import pytest
@@ -18,12 +17,8 @@ from repro.art.procjobs import envelope_for_run
 from repro.art.tasks import SUBSTRATES
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
-from repro.pipeline import (
-    EXECUTION_DEFAULTS,
-    StageContext,
-    StageSpec,
-    run_pipeline,
-)
+from repro.pipeline import EXECUTION_DEFAULTS, StageSpec, run_pipeline
+from repro.pipeline.stages import StageContext
 from repro.scheduler import JobEnvelope, ProcessPool, SchedulerApp
 from repro.scheduler.app import RegisteredTask
 
@@ -57,8 +52,8 @@ from repro.scheduler.app import RegisteredTask
         (CollectionStore.__init__, ["self", "root", "name", "durability"]),
         (
             JobEnvelope.__init__,
-            ["self", "target", "args", "kwargs", "task_id", "telemetry",
-             "shared", "timeout"],
+            ["self", "target", "args", "task_id", "telemetry", "shared",
+             "timeout"],
         ),
         # A pipeline walks its stages once: no retry policy, no attempt.
         (run_pipeline, ["db", "manifest", "journal", "use_cache"]),
@@ -71,13 +66,13 @@ def test_run_path_options(function, options):
 def test_pipeline_stage_fields():
     """What a manifest stage declares and what its implementation sees:
     neither names an attempt or a backtrack policy."""
-    assert [f.name for f in dataclasses.fields(StageSpec)] == [
+    assert StageSpec._fields == (
         "name", "kind", "inputs", "params", "gates",
-    ]
-    assert [f.name for f in dataclasses.fields(StageContext)] == [
+    )
+    assert StageContext._fields == (
         "db", "pipeline_id", "pipeline_name", "stage", "inputs",
         "execution",
-    ]
+    )
 
 
 def test_two_substrates():

@@ -129,6 +129,16 @@ def test_evaluate_gates_preserves_order():
         ),
         ({"kind": "callable", "target": "no_colon"}, "module:function"),
         ("not-a-mapping", "mapping"),
+        (
+            {"kind": "within", "path": "n", "value": 1, "tolerance": True},
+            "non-negative number",
+        ),
+        ({"kind": "at_least", "path": "n", "value": "5"}, "must be a number"),
+        ({"kind": "at_most", "path": "n", "value": True}, "must be a number"),
+        (
+            {"kind": "within", "path": "n", "value": None, "tolerance": 1},
+            "must be a number",
+        ),
     ],
 )
 def test_validate_gate_spec_rejections(gate, message):

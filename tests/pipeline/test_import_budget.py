@@ -16,10 +16,14 @@ writes no bytecode compiles on every start.  ``repro.cli`` imports only
 the family module of the verb it runs; ids are minted without
 :mod:`uuid`; the chaos rule engine, the real telemetry classes, the
 checkpoint store and the GPU build environment load only when a command
-uses them.  Each probe runs the CLI in a fresh interpreter and reads its
-``sys.modules`` afterwards.
+uses them; no record class is a ``@dataclass`` (:mod:`dataclasses` is
+the only importer of :mod:`inspect`, :mod:`ast` and :mod:`dis` on these
+paths, and compiles methods for every class it decorates).  Each probe
+runs the CLI in a fresh interpreter and reads its ``sys.modules``
+afterwards.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -57,9 +61,12 @@ PROBE = (
 )
 
 #: Loaded by no command that does not use them: ids are not minted
-#: through ``uuid``, no chaos rule is installed, telemetry is off.
+#: through ``uuid``, no chaos rule is installed, telemetry is off, and
+#: records are plain classes (:mod:`repro.common.records`).
 NEVER_LOADED = (
     "uuid",
+    "dataclasses",
+    "inspect",
     "repro.chaos.injector",
     "repro.telemetry.metrics",
     "repro.telemetry.tracing",
@@ -78,6 +85,7 @@ SIMULATION_MODULES = (
     "repro.art.run",
     "repro.art.tasks",
     "repro.art.launch",
+    "repro.pipeline.stages",
 )
 
 #: The benchmark families: a boot runs none of them.
@@ -200,6 +208,30 @@ def test_the_process_jobs_module_preloads_what_a_seat_runs(tmp_path):
     probe = "import json, sys\nimport repro.art.procjobs\n" + REPORT
     loaded = _loaded_after(tmp_path, probe=probe)
     assert {"repro.sim.simulator", "repro.sim.workload.registry"} <= loaded
+
+
+def test_no_module_imports_dataclasses():
+    """A record declares its fields and writes its ``__init__``; the
+    bases in :mod:`repro.common.records` compare, hash and print it."""
+    root = os.path.dirname(repro.__file__)
+    offenders = []
+    for directory, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "dataclasses" for n in names):
+                    offenders.append(os.path.relpath(path, root))
+    assert offenders == []
 
 
 def _lazy_packages():

@@ -107,6 +107,27 @@ stages:
             "  - {name: a, kind: python, on_fail: {backtrack: a}}\n",
             "unknown keys",
         ),
+        # YAML booleans are not numbers: ``true`` is not one worker, nor
+        # a tolerance of 1; a bound that is no number fails at parse
+        # time, not after its stage has run.
+        (
+            "pipeline: demo\nexecution: {workers: true}\n"
+            "stages: [{name: a, kind: python}]\n",
+            "positive int",
+        ),
+        (
+            "pipeline: demo\nstages:\n"
+            "  - name: a\n    kind: python\n"
+            "    gates:\n"
+            "      [{kind: within, path: n, value: 1, tolerance: true}]\n",
+            "non-negative number",
+        ),
+        (
+            "pipeline: demo\nstages:\n"
+            "  - name: a\n    kind: python\n"
+            "    gates: [{kind: at_least, path: n, value: many}]\n",
+            "value must be a number",
+        ),
     ],
 )
 def test_rejected_manifests(mutation, message):

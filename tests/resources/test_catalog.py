@@ -158,12 +158,13 @@ def test_gcn_docker_environment():
 
 
 def test_gcn_docker_detects_broken_stack():
-    env = GCNDockerEnvironment(stack={"rocm": "3.0", "gcc": "5.4"})
+    env = GCNDockerEnvironment()
+    env.stack = {"rocm": "3.0", "gcc": "5.4"}
     with pytest.raises(ValidationError):
         env.validate_stack()
-    missing = GCNDockerEnvironment(stack={})
+    env.stack = {}
     with pytest.raises(ValidationError):
-        missing.validate_stack()
+        env.validate_stack()
 
 
 def test_image_builds_are_deterministic():

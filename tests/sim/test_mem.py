@@ -181,8 +181,9 @@ def test_phase_timings_validation():
         )
 
 
-def test_dram_latency_in_cycles():
-    config = SystemConfig(cpu_clock_ghz=2.0)
+def test_dram_latency_in_cycles(monkeypatch):
+    monkeypatch.setattr(SystemConfig, "cpu_clock_ghz", 2.0)
+    config = SystemConfig()
     system = build_memory_system(config)
     assert system.dram_latency_cycles() == pytest.approx(
         config.dram.access_latency_ns * 2.0

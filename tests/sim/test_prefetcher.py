@@ -48,11 +48,6 @@ def test_prefetcher_gain_scales_with_regularity():
     assert gain_regular > gain_irregular >= 0
 
 
-def test_prefetcher_effectiveness_validated():
-    with pytest.raises(ValidationError):
-        SystemConfig(prefetcher_effectiveness=1.5)
-
-
 def test_phase_regularity_validated():
     with pytest.raises(ValidationError):
         Phase(name="bad", instructions=1, access_regularity=2.0)

@@ -16,10 +16,10 @@ import pytest
 from repro.analysis import Series, bar_chart, difference_series
 from repro.art import ArtifactDB, Gem5Run, register_disk_image, \
     register_gem5_binary, register_kernel_binary, register_repo, run_job
+from repro.art.studies import PARSEC_CPU_COUNTS
 from repro.guest import get_distro
 from repro.resources import build_resource
 from repro.sim import Gem5Build
-from benchmarks.conftest import PARSEC_CPU_COUNTS
 
 
 def diff_series(parsec_sweep, cpus):

@@ -25,15 +25,10 @@ from repro.art import (
     register_repo,
     run_job,
 )
+from repro.art.studies import BOOT_AXES
 from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
 from repro.resources import build_resource
 from repro.sim import Gem5Build
-from benchmarks.conftest import (
-    BOOT_CORE_COUNTS,
-    BOOT_CPU_TYPES,
-    BOOT_MEMORY_SYSTEMS,
-    BOOT_TYPES,
-)
 
 
 def by_cpu(boot_sweep, cpu_type):
@@ -132,14 +127,14 @@ def test_fig8_systemd_boot_slower_than_init(boot_sweep):
 def test_fig8_render(boot_sweep, capsys, benchmark):
     columns = [
         f"{mem[:2]}{cores}"
-        for mem in BOOT_MEMORY_SYSTEMS
-        for cores in BOOT_CORE_COUNTS
+        for mem in BOOT_AXES["memory_system"]
+        for cores in BOOT_AXES["num_cpus"]
     ]
 
     def render():
         blocks = []
-        for boot in BOOT_TYPES:
-            for cpu in BOOT_CPU_TYPES:
+        for boot in BOOT_AXES["boot_type"]:
+            for cpu in BOOT_AXES["cpu_type"]:
                 cells = {}
                 for record in boot_sweep:
                     if (

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Use-case 3: GPU register-allocator study (regenerating Fig 9).
 
-Builds the GCN-docker environment from gem5-resources, registers a
-GCN3_X86 gem5 build, runs every Table IV workload under both register
-allocators through gem5art, and renders the normalized speedup chart.
+:func:`repro.art.studies.gpu_regalloc_study` builds the GCN-docker
+environment from gem5-resources, registers a GCN3_X86 gem5 build and
+sweeps every workload it can build under both register allocators; this
+script runs them through gem5art and renders the normalized speedup
+chart.
 
 Run with:  python examples/gpu_regalloc_study.py
 """
@@ -11,62 +13,24 @@ Run with:  python examples/gpu_regalloc_study.py
 import collections
 
 from repro.analysis import Series, bar_chart, normalize_to
-from repro.art import (
-    ArtifactDB,
-    Gem5Run,
-    register_gem5_binary,
-    register_repo,
-    run_jobs_pool,
-)
+from repro.art import ArtifactDB, gpu_regalloc_study
 from repro.gpu import GPU_WORKLOADS, GPUConfig
-from repro.resources import build_resource
-from repro.sim import Gem5Build
 
 
 def main() -> None:
-    # The environment resource pins the ROCm 1.6 stack the GCN3 model
-    # needs and tells us which workloads it can build.
-    environment = build_resource("GCN-docker")
-    environment.validate_stack()
-    workloads = environment.buildable_workloads()
-    print(f"GCN docker environment ok; {len(workloads)} workloads "
-          "buildable")
-
-    db = ArtifactDB()
-    gem5_repo = register_repo(db, "gem5", version="v21.0")
-    gem5_binary = register_gem5_binary(
-        db,
-        Gem5Build(version="21.0", isa="GCN3_X86"),
-        name="gem5-gcn3",
-        inputs=[gem5_repo],
-        documentation="gem5 21.0 with the GCN3_X86 static configuration",
-    )
-
-    config = GPUConfig()  # the paper's Table III
-    print(f"GPU config: {config.describe()}\n")
-
-    runs = []
-    for name in workloads:
-        for allocator in ("simple", "dynamic"):
-            runs.append(
-                Gem5Run.create_gpu_run(
-                    db,
-                    gem5_binary,
-                    gem5_repo,
-                    workload=name,
-                    register_allocator=allocator,
-                    gpu_config=config,
-                )
-            )
+    experiment = gpu_regalloc_study(ArtifactDB())
+    # The paper's Table III, which every run's ``gpu_config`` records.
+    print(f"GPU config: {GPUConfig().describe()}\n")
+    runs = experiment.create_runs()
     print(f"launching {len(runs)} GPU runs ...")
-    summaries = run_jobs_pool(runs, processes=8)
+    summaries = experiment.launch(substrate="processes", workers=8)
 
     ticks = collections.defaultdict(dict)
     for summary in summaries:
         ticks[summary["register_allocator"]][summary["workload"]] = (
             summary["shader_ticks"]
         )
-    order = sorted(workloads, key=lambda n: GPU_WORKLOADS[n].suite)
+    order = sorted(ticks["simple"], key=lambda n: GPU_WORKLOADS[n].suite)
     simple = Series("simple", {n: ticks["simple"][n] for n in order})
     dynamic = Series("dynamic", {n: ticks["dynamic"][n] for n in order})
 

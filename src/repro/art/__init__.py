@@ -13,7 +13,8 @@ reproducible by construction:
 - :mod:`repro.art.tasks` — hand run objects to a job scheduler and collect
   states (Fig 5's ``apply_async`` loop): one planner, two substrates;
 - :mod:`repro.art.workflow` — the Fig 1 component graph, derived from
-  artifact input edges.
+  artifact input edges;
+- :mod:`repro.art.studies` — the paper's three studies, one builder each.
 
 Method aliases match the paper's camelCase spelling (``registerArtifact``,
 ``createFSRun``) so launch scripts read like the figures.
@@ -44,10 +45,12 @@ _LAZY = {
     "group_runs_by_prefix": "tasks",
     "run_boot_stage": "tasks",
     "run_job": "tasks",
-    "run_jobs_pool": "tasks",
     "run_jobs_scheduler": "tasks",
     "workflow_graph": "workflow",
     "Experiment": "launch",
+    "boot_tests": "studies",
+    "parsec_study": "studies",
+    "gpu_regalloc_study": "studies",
     "export_archive": "share",
     "import_archive": "share",
     "verify_archive": "share",

@@ -44,6 +44,8 @@ FS_STACK_ROLES = (
     "linux_binary",
     "disk_image",
 )
+#: ... and a GPU stack (a GCN3_X86 build and its repository).
+GPU_STACK_ROLES = ("gem5", "gem5_git")
 
 EXPERIMENTS = "experiments"
 
@@ -90,23 +92,18 @@ class Experiment:
     # -------------------------------------------------------------- stacks
 
     def add_stack(self, name: str, **artifacts: Artifact) -> None:
-        """Register a named artifact set (e.g. one per OS release)."""
+        """Register a named artifact set (e.g. one per OS release): the
+        roles of a full-system stack, or of a GPU one."""
         if self._loaded:
             raise StateError(
                 "experiments loaded from the database are frozen; "
                 "declare stacks on a fresh Experiment"
             )
-        missing = [
-            role for role in FS_STACK_ROLES if role not in artifacts
-        ]
-        if missing:
+        if set(artifacts) not in (set(FS_STACK_ROLES), set(GPU_STACK_ROLES)):
             raise ValidationError(
-                f"stack {name!r} is missing artifact roles: {missing}"
-            )
-        unknown = set(artifacts) - set(FS_STACK_ROLES)
-        if unknown:
-            raise ValidationError(
-                f"stack {name!r} has unknown roles: {sorted(unknown)}"
+                f"stack {name!r} has roles {sorted(artifacts)}; a stack "
+                f"provides {list(FS_STACK_ROLES)} (full system) or "
+                f"{list(GPU_STACK_ROLES)} (GPU)"
             )
         if name in self._stacks:
             raise ValidationError(f"stack {name!r} already added")
@@ -172,6 +169,10 @@ class Experiment:
     def _point_run(
         self, artifacts: Dict[str, Artifact], params: Dict[str, Any]
     ) -> Gem5Run:
+        if "disk_image" not in artifacts:
+            return Gem5Run.create_gpu_run(
+                self.db, artifacts["gem5"], artifacts["gem5_git"], **params
+            )
         return Gem5Run.create_fs_run(
             self.db,
             gem5_artifact=artifacts["gem5"],

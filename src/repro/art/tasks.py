@@ -2,8 +2,9 @@
 
 Run objects are plain callables that any task manager can launch.
 :func:`run_jobs_scheduler` is the one planner every sweep goes through
-(``Experiment.launch``, the CLI, the pipeline runner and
-:func:`run_jobs_pool`).  It owns the database: every run's
+(``Experiment.launch``, the CLI and the pipeline runner; on
+``substrate="processes"`` it is the paper's multiprocessing option).
+It owns the database: every run's
 :meth:`~repro.art.run.Gem5Run.begin` and
 :meth:`~repro.art.run.Gem5Run.finish` — cache and checkpoint consults,
 outcome writes, blob uploads, cache stores — happen on the thread that
@@ -41,19 +42,6 @@ if TYPE_CHECKING:
 def run_job(run: Gem5Run) -> Dict[str, object]:
     """Execute one run synchronously (the no-scheduler option)."""
     return run.run()
-
-
-def run_jobs_pool(
-    runs: Sequence[Gem5Run], processes: int = 4
-) -> List[Dict[str, object]]:
-    """Execute runs on a pool of ``processes`` worker processes — the
-    paper's ``multiprocessing`` option — returning their summaries in
-    input order.  It is the planner on the ``processes`` substrate, so
-    a simulation that raises is a ``failed`` run and a ``success:
-    False`` summary, and duplicate fingerprints coalesce."""
-    return run_jobs_scheduler(
-        runs, worker_count=processes, substrate="processes"
-    )
 
 
 def group_runs_by_prefix(

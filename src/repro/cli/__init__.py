@@ -7,7 +7,8 @@ experiments without writing a launch script:
 - ``selftest [--isa ISA]``      — run the gem5-tests resource;
 - ``boot-tests [--quick]``      — regenerate the Fig 8 grid;
 - ``parsec [--apps ...]``       — regenerate Figs 6/7 (optionally reduced);
-- ``gpu``                       — regenerate Fig 9;
+- ``gpu``                       — regenerate Fig 9 (all three take
+  ``--db URI`` to archive their runs);
 - ``resume <experiment> --db``  — finish an interrupted experiment (skips
   runs the database already marks done);
 - ``cache [--kind run|ckpt|stage] stats|ls|invalidate|gc`` — inspect or
@@ -29,8 +30,8 @@ as one boot per unique boot prefix plus restored variants.
 
 A command compiles only the family module that owns its verb:
 :mod:`~repro.cli.studies` (the paper's studies), :mod:`~repro.cli.catalog`
-(Table I and the test suite), :mod:`~repro.cli.store` (what a database
-holds), :mod:`~repro.cli.pipeline` (``reproduce`` and its journal) and
+(Table I, the test suite and ``rate``), :mod:`~repro.cli.store` (what a
+database holds), :mod:`~repro.cli.pipeline` (``reproduce`` and its journal) and
 :mod:`~repro.cli.lint`.  :func:`main` lists every verb with its help and
 builds the arguments of the one named first on the command line.  Every
 ``error: …`` line goes to stderr (:func:`error`).
@@ -82,7 +83,7 @@ VERBS = (
     ("boot-tests", "run the Fig 8 boot-test cross product", _studies),
     ("parsec", "run the Fig 6/7 PARSEC OS study", _studies),
     ("gpu", "run the Fig 9 register-allocator study", _studies),
-    ("rate", "SPECrate-style throughput scaling study", _studies),
+    ("rate", "SPECrate-style throughput scaling study", _catalog),
     ("report", "render the reproducibility report of an archive", _store),
     (
         "resume",

@@ -1,13 +1,23 @@
 """The paper's studies as verbs: ``repro boot-tests`` (Fig 8),
-``repro parsec`` (Figs 6/7), ``repro gpu`` (Fig 9) and ``repro rate``
-(SPECrate scaling), plus the sweep flags ``boot-tests`` shares with
-``repro resume``."""
+``repro parsec`` (Figs 6/7) and ``repro gpu`` (Fig 9), each launching
+its :mod:`repro.art.studies` builder, plus the sweep flags
+``boot-tests`` shares with ``repro resume``."""
 
 from __future__ import annotations
 
 import argparse
 
-from repro.common import TextTable
+
+def _db_argument(parser) -> None:
+    """``--db``, which every study verb takes."""
+    parser.add_argument(
+        "--db",
+        default=None,
+        metavar="URI",
+        help="database URI (memory:// or file:///dir) the run objects "
+        "are archived in, so the grid can be resumed or traced later "
+        "(default: memory://)",
+    )
 
 
 def _boot_tests_arguments(parser) -> None:
@@ -22,14 +32,7 @@ def _boot_tests_arguments(parser) -> None:
         help="record spans/metrics/events and archive them in the "
         "database",
     )
-    parser.add_argument(
-        "--db",
-        default=None,
-        metavar="URI",
-        help="database URI (memory:// or file:///dir) the run objects "
-        "are archived in, so the grid can be resumed or traced later "
-        "(default: memory://)",
-    )
+    _db_argument(parser)
     add_sweep_flags(parser)
 
 
@@ -38,16 +41,7 @@ def _parsec_arguments(parser) -> None:
         "--apps", nargs="+", default=None,
         help="subset of PARSEC applications (default: all 10 working)",
     )
-
-
-def _gpu_arguments(parser) -> None:
-    """``repro gpu`` takes no arguments."""
-
-
-def _rate_arguments(parser) -> None:
-    parser.add_argument("--suite", default="spec-2017",
-                        choices=("spec-2006", "spec-2017"))
-    parser.add_argument("--benchmarks", nargs="+", default=None)
+    _db_argument(parser)
 
 
 def _positive_int(text: str) -> int:
@@ -113,6 +107,14 @@ def sweep_options(args) -> dict:
     return options
 
 
+def _archived(args, experiment) -> None:
+    """Save the database; with ``--db``, say what it holds."""
+    experiment.db.save()
+    if args.db:
+        print(f"\nexperiment {experiment.experiment_id} archived "
+              f"as {experiment.name!r}")
+
+
 def _cmd_boot_tests(args) -> int:
     """The Fig 8 boot grid: artifacts + run objects + an archived,
     traceable timeline — what the paper means by a run the database
@@ -121,61 +123,14 @@ def _cmd_boot_tests(args) -> int:
 
     from repro import telemetry
     from repro.analysis import status_grid
-    from repro.art import (
-        ArtifactDB,
-        Experiment,
-        register_disk_image,
-        register_gem5_binary,
-        register_kernel_binary,
-        register_repo,
-    )
+    from repro.art import ArtifactDB, boot_tests
     from repro.db import connect
-    from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
-    from repro.resources import build_resource
-    from repro.sim import Gem5Build
 
-    kernels = (
-        BOOT_TEST_KERNEL_VERSIONS[:1]
-        if args.quick
-        else BOOT_TEST_KERNEL_VERSIONS
-    )
-    boot_types = ["init"] if args.quick else ["init", "systemd"]
     db = ArtifactDB(connect(args.db or "memory://"))
     if args.telemetry:
         telemetry.enable()
     try:
-        gem5_repo = register_repo(db, "gem5", version="v20.1.0.4")
-        resources_repo = register_repo(
-            db,
-            "gem5-resources",
-            url="https://gem5.googlesource.com/public/gem5-resources",
-            version="c5f5c70",
-        )
-        gem5_binary = register_gem5_binary(
-            db, Gem5Build(version="20.1.0.4"), inputs=[gem5_repo]
-        )
-        disk = register_disk_image(
-            db, build_resource("boot-exit").image,
-            inputs=[resources_repo],
-        )
-        experiment = Experiment(db, "boot-tests")
-        for version in kernels:
-            experiment.add_stack(
-                f"linux-{version}",
-                gem5=gem5_binary,
-                gem5_git=gem5_repo,
-                run_script_git=resources_repo,
-                linux_binary=register_kernel_binary(
-                    db, get_kernel(version)
-                ),
-                disk_image=disk,
-            )
-        experiment.sweep(
-            boot_type=boot_types,
-            cpu_type=["kvm", "atomic", "timing", "o3"],
-            memory_system=["classic", "MI_example", "MESI_Two_Level"],
-            num_cpus=[1, 2, 4, 8],
-        )
+        experiment = boot_tests(db, quick=args.quick)
         print(f"launching {experiment.size()} boot tests ...")
         runs = experiment.create_runs()
         summaries = experiment.launch(**sweep_options(args))
@@ -199,10 +154,7 @@ def _cmd_boot_tests(args) -> int:
         print()
         for status, count in sorted(counts.items()):
             print(f"{status:<14} {count}")
-        db.save()
-        if args.db:
-            print(f"\nexperiment {experiment.experiment_id} archived "
-                  f"as 'boot-tests'")
+        _archived(args, experiment)
         if args.telemetry:
             print("telemetry recorded; inspect with:\n"
                   f"  repro trace boot-tests --db {args.db or 'memory://'}"
@@ -215,9 +167,8 @@ def _cmd_boot_tests(args) -> int:
 
 def _cmd_parsec(args) -> int:
     from repro.analysis import Series, bar_chart, difference_series
-    from repro.guest import get_distro
-    from repro.resources import build_resource
-    from repro.sim import Gem5Build, Gem5Simulator, SystemConfig
+    from repro.art import ArtifactDB, parsec_study
+    from repro.db import connect
     from repro.sim.workload import PARSEC_WORKING_APPS
 
     apps = tuple(args.apps) if args.apps else PARSEC_WORKING_APPS
@@ -225,21 +176,15 @@ def _cmd_parsec(args) -> int:
     if unknown:
         print(f"unknown/broken PARSEC apps: {sorted(unknown)}")
         return 2
+    experiment = parsec_study(
+        ArtifactDB(connect(args.db or "memory://")), apps
+    )
+    runs = experiment.create_runs()
     times = {}
-    for os_key in ("ubuntu-18.04", "ubuntu-20.04"):
-        image = build_resource("parsec", distro=os_key).image
-        kernel = get_distro(os_key).kernel_version
-        for app in apps:
-            for cpus in (1, 8):
-                config = SystemConfig(
-                    cpu_type="timing",
-                    num_cpus=cpus,
-                    memory_system="MESI_Two_Level",
-                )
-                result = Gem5Simulator(Gem5Build(), config).run_fs(
-                    kernel, image, benchmark=app
-                )
-                times[(os_key, app, cpus)] = result.workload_seconds
+    for run, summary in zip(runs, experiment.launch()):
+        params = run.params
+        times[(experiment.stack_of(run.run_id), params["benchmark"],
+               params["num_cpus"])] = summary["workload_seconds"]
     bionic = Series(
         "18.04", {a: times[("ubuntu-18.04", a, 1)] for a in apps}
     )
@@ -261,64 +206,37 @@ def _cmd_parsec(args) -> int:
             },
         )
         print(f"Fig 7 mean speedup {os_key}: {speedups.mean():.2f}x")
+    _archived(args, experiment)
     return 0
 
 
 def _cmd_gpu(args) -> int:
     from repro.analysis import Series, bar_chart
-    from repro.gpu import GPU_WORKLOADS, GPUDevice
+    from repro.art import ArtifactDB, gpu_regalloc_study
+    from repro.db import connect
 
-    device = GPUDevice()
-    speedups = {}
-    for name, workload in GPU_WORKLOADS.items():
-        simple = device.execute(workload.kernel, "simple").shader_ticks
-        dynamic = device.execute(workload.kernel, "dynamic").shader_ticks
-        speedups[name] = simple / dynamic
+    experiment = gpu_regalloc_study(
+        ArtifactDB(connect(args.db or "memory://"))
+    )
+    ticks = {
+        (summary["workload"], summary["register_allocator"]):
+        summary["shader_ticks"]
+        for summary in experiment.launch()
+    }
+    speedups = {
+        name: ticks[(name, "simple")] / ticks[(name, "dynamic")]
+        for name, _ in ticks
+    }
     series = Series("dynamic-vs-simple", dict(sorted(speedups.items())))
     print(bar_chart([series], title="Fig 9", unit="x"))
     mean_rel = sum(1.0 / v for v in speedups.values()) / len(speedups)
     print(f"\nmean relative time (dynamic/simple): {mean_rel:.3f}")
-    return 0
-
-
-def _cmd_rate(args) -> int:
-    from repro.sim import Gem5Build, Gem5Simulator, SystemConfig
-    from repro.sim.workload import get_workload, suite_apps
-
-    benchmarks = args.benchmarks or list(suite_apps(args.suite))[:6]
-    unknown = set(benchmarks) - set(suite_apps(args.suite))
-    if unknown:
-        print(f"unknown {args.suite} benchmarks: {sorted(unknown)}")
-        return 2
-    table = TextTable(
-        ["Benchmark", "rate@1", "rate@8", "Scaling"],
-        title=f"SPECrate scaling ({args.suite}, O3, DDR3 x1)",
-    )
-    for name in benchmarks:
-        workload = get_workload(args.suite, name, "test")
-        rates = {}
-        for copies in (1, 8):
-            simulator = Gem5Simulator(
-                Gem5Build(),
-                SystemConfig(
-                    cpu_type="o3",
-                    num_cpus=8,
-                    memory_system="MESI_Two_Level",
-                ),
-            )
-            result = simulator.run_se_rate(workload, copies=copies)
-            rates[copies] = result.stats["rate"]
-        table.add_row(
-            [name, f"{rates[1]:.1f}", f"{rates[8]:.1f}",
-             f"{rates[8] / rates[1]:.2f}x"]
-        )
-    print(table.render())
+    _archived(args, experiment)
     return 0
 
 
 VERBS = {
     "boot-tests": (_boot_tests_arguments, _cmd_boot_tests),
     "parsec": (_parsec_arguments, _cmd_parsec),
-    "gpu": (_gpu_arguments, _cmd_gpu),
-    "rate": (_rate_arguments, _cmd_rate),
+    "gpu": (_db_argument, _cmd_gpu),
 }

@@ -2,8 +2,11 @@
 
 This package deliberately has no dependencies on the rest of :mod:`repro` so
 that any subsystem (database, scheduler, simulator, ...) can import it without
-creating cycles.
+creating cycles.  :class:`TextTable` resolves on first use: a boot
+sweep prints no table.
 """
+
+import importlib
 
 from repro.common.errors import (
     ReproError,
@@ -22,7 +25,6 @@ from repro.common.hashing import (
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import canonical_dumps, dumps, loads, stable_dumps
 from repro.common.rng import RngStream, derive_seed
-from repro.common.tables import TextTable
 from repro.common.timeutil import iso_from_timestamp, iso_now
 from repro.common.units import (
     GHz,
@@ -53,3 +55,14 @@ __all__ = [
     "GHz",
     "TICKS_PER_SECOND",
 ]
+
+#: Lazily imported name -> the submodule defining it.
+_LAZY = {"TextTable": "tables"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        value = globals()[name] = getattr(module, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

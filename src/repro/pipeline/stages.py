@@ -97,53 +97,23 @@ class StageContext(Record):
 
 
 def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
-    """Register the reproduction's artifact stack (the paper's Fig 1)."""
-    from repro.art.artifact import (
-        register_disk_image,
-        register_gem5_binary,
-        register_kernel_binary,
-        register_repo,
-    )
-    from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
-    from repro.resources import build_resource
-    from repro.sim import Gem5Build
+    """Register the reproduction's artifact stack (the paper's Fig 1)
+    through the Fig 8 builder's registration half; a parameter the
+    manifest leaves out takes the builder's default."""
+    from repro.art.studies import register_boot_artifacts
 
     params = ctx.params
-    db = ctx.db
-    gem5_version = str(params.get("gem5_version", "v20.1.0.4"))
-    gem5_repo = register_repo(db, "gem5", version=gem5_version)
-    resources_repo = register_repo(
-        db,
-        "gem5-resources",
-        url="https://gem5.googlesource.com/public/gem5-resources",
-        version=str(params.get("resources_version", "HEAD")),
-    )
-    # The binary build tracks the checked-out repo version unless the
-    # manifest pins it separately; deriving it keeps a --set override
-    # of gem5_version consistent (same-hash/different-attribute
-    # registrations are refused by the artifact layer).
-    gem5_build = str(
-        params.get("gem5_build", gem5_version.lstrip("v"))
-    )
-    gem5_binary = register_gem5_binary(
-        db, Gem5Build(version=gem5_build), inputs=[gem5_repo]
-    )
-    image = build_resource(str(params.get("resource", "boot-exit"))).image
-    disk = register_disk_image(db, image, inputs=[resources_repo])
-    kernel_versions = [
-        str(version)
-        for version in params.get("kernels", BOOT_TEST_KERNEL_VERSIONS)
-    ]
-    kernels = {
-        version: register_kernel_binary(db, get_kernel(version))
-        for version in kernel_versions
+    options: Dict[str, Any] = {
+        key: str(params[key])
+        for key in (
+            "gem5_version", "gem5_build", "resources_version", "resource",
+        )
+        if key in params
     }
-    artifacts = {
-        "gem5": gem5_binary,
-        "gem5_git": gem5_repo,
-        "run_script_git": resources_repo,
-        "disk_image": disk,
-    }
+    if "kernels" in params:
+        options["kernels"] = [str(version) for version in params["kernels"]]
+    artifacts = register_boot_artifacts(ctx.db, **options)
+    kernels = artifacts.pop("kernels")
     return {
         "artifact_ids": {
             **{role: artifact.id for role, artifact in artifacts.items()},
@@ -156,7 +126,7 @@ def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
             },
             "kernels": {v: a.hash for v, a in kernels.items()},
         },
-        "kernel_versions": kernel_versions,
+        "kernel_versions": list(kernels),
     }
 
 
@@ -164,6 +134,7 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
     """Launch the cross-product experiment over the registered stacks."""
     from repro.art.artifact import Artifact
     from repro.art.launch import Experiment
+    from repro.art.studies import add_boot_stacks
 
     params = ctx.params
     source = ctx.source("artifacts_from", "artifact_ids")
@@ -178,16 +149,16 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
             "stage": ctx.stage.name,
         },
     )
-    roles = {
-        role: Artifact.load(ctx.db, ids[role])
-        for role in ("gem5", "gem5_git", "run_script_git", "disk_image")
+    artifacts = {
+        role: Artifact.load(ctx.db, artifact_id)
+        for role, artifact_id in ids.items()
+        if role != "kernels"
     }
-    for version, kernel_id in ids["kernels"].items():
-        experiment.add_stack(
-            version,
-            linux_binary=Artifact.load(ctx.db, kernel_id),
-            **roles,
-        )
+    artifacts["kernels"] = {
+        version: Artifact.load(ctx.db, artifact_id)
+        for version, artifact_id in ids["kernels"].items()
+    }
+    add_boot_stacks(experiment, artifacts)
     axes = {
         run_param: list(params[axis_param])
         for axis_param, run_param in SWEEP_AXES.items()

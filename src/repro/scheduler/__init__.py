@@ -6,7 +6,7 @@ This package provides those API shapes:
 
 - :class:`ProcessPool` — the multiprocessing substrate, the only place
   a sweep's simulations leave the planner (:mod:`repro.art.tasks`,
-  ``substrate="processes"``, and ``run_jobs_pool`` on top of it):
+  ``substrate="processes"``):
   forked worker processes fed pickle-safe :class:`JobEnvelope` s, with
   redelivery of the job a dead worker held, a deadline per job and
   telemetry merge-on-drain;

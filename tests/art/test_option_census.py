@@ -14,6 +14,13 @@ from repro import cli
 from repro.art import Experiment, run_jobs_scheduler
 from repro.art.cache import MemoStore
 from repro.art.procjobs import envelope_for_run
+from repro.art.studies import (
+    add_boot_stacks,
+    boot_tests,
+    gpu_regalloc_study,
+    parsec_study,
+    register_boot_artifacts,
+)
 from repro.art.tasks import SUBSTRATES
 from repro.db import Database, connect
 from repro.db.engine import CollectionStore
@@ -57,6 +64,17 @@ from repro.scheduler.app import RegisteredTask
         ),
         # A pipeline walks its stages once: no retry policy, no attempt.
         (run_pipeline, ["db", "manifest", "journal", "use_cache"]),
+        # Each paper study is one builder; what varies a study is its
+        # size (``quick``, ``apps``) or, through a manifest, its stack.
+        (boot_tests, ["db", "quick"]),
+        (parsec_study, ["db", "apps"]),
+        (gpu_regalloc_study, ["db"]),
+        (
+            register_boot_artifacts,
+            ["db", "kernels", "gem5_version", "gem5_build",
+             "resources_version", "resource"],
+        ),
+        (add_boot_stacks, ["experiment", "artifacts"]),
     ],
 )
 def test_run_path_options(function, options):

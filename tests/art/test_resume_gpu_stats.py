@@ -75,6 +75,55 @@ def test_full_launch_returns_stored_results():
         assert summary == db.get_run(run_id)["results"]
 
 
+def make_gpu_experiment(db):
+    repo = register_repo(db, "gem5", version="v21.0")
+    experiment = Experiment(db, "gpu-resumable")
+    experiment.add_stack(
+        "gcn3",
+        gem5=register_gem5_binary(
+            db,
+            Gem5Build(version="21.0", isa="GCN3_X86"),
+            name="gem5-gcn3",
+            inputs=[repo],
+        ),
+        gem5_git=repo,
+    )
+    experiment.sweep(
+        workload=["FAMutex", "MatrixTranspose"],
+        register_allocator=["simple", "dynamic"],
+    )
+    return experiment
+
+
+def test_gpu_experiment_reloads_and_resumes_its_missing_point():
+    """A GPU stack's points are GPU runs; ``Experiment.load`` rebuilds
+    one that has no document — same id, same fingerprint — and
+    ``resume`` executes exactly that one."""
+    db = ArtifactDB()
+    runs = make_gpu_experiment(db).create_runs()
+    assert {run.kind for run in runs} == {"gpu"}
+    owed = runs[2]
+    done = {}
+    for run in runs:
+        if run is not owed:
+            run.run()
+            done[run.run_id] = db.get_run(run.run_id)
+
+    loaded = Experiment.load(db, "gpu-resumable")
+    rebuilt = loaded._runs[2]
+    assert (rebuilt.run_id, rebuilt.kind, rebuilt.fingerprint) == (
+        owed.run_id, "gpu", owed.fingerprint,
+    )
+    assert loaded.pending_runs() == [owed.run_id]
+
+    summaries = loaded.resume(substrate="inline")
+    assert all(summary["success"] for summary in summaries)
+    assert db.get_run(owed.run_id)["fingerprint"] == owed.fingerprint
+    for run_id, doc in done.items():
+        assert db.get_run(run_id) == doc
+    assert loaded.pending_runs() == []
+
+
 # ------------------------------------------------------------- GPU stats
 
 

@@ -16,7 +16,6 @@ from repro.art import (
     register_kernel_binary,
     register_repo,
     run_job,
-    run_jobs_pool,
     run_jobs_scheduler,
 )
 from repro.common.errors import ValidationError
@@ -158,7 +157,7 @@ def test_run_jobs_pool(db, fs_artifacts):
         make_run(db, fs_artifacts, num_cpus=n, benchmark=None)
         for n in (1, 1, 1)
     ]
-    summaries = run_jobs_pool(runs, processes=2)
+    summaries = run_jobs_scheduler(runs, worker_count=2, substrate="processes")
     assert len(summaries) == 3
     assert all(s["success"] for s in summaries)
     assert all(
@@ -254,13 +253,15 @@ def test_run_exception_marked_failed(db, fs_artifacts):
 
 
 def test_run_jobs_pool_records_a_raising_simulation(db, fs_artifacts):
-    """``run_jobs_pool`` is the planner on worker processes: a
+    """The planner on worker processes: a
     simulation that raises is the run's recorded result — a ``failed``
     document and a ``success: False`` summary carrying the error — not
     an exception out of the call, and the sweep goes on."""
     broken = make_run(db, fs_artifacts, benchmark="not-installed")
     healthy = make_run(db, fs_artifacts)
-    summaries = run_jobs_pool([broken, healthy], processes=2)
+    summaries = run_jobs_scheduler(
+        [broken, healthy], worker_count=2, substrate="processes"
+    )
     assert summaries[0]["success"] is False
     assert "not-installed" in summaries[0]["error"]
     doc = db.get_run(broken.run_id)
@@ -273,13 +274,13 @@ def test_run_jobs_pool_records_a_raising_simulation(db, fs_artifacts):
 @pytest.mark.parametrize("substrate", ("inline", "processes"))
 def test_worker_count_below_one_rejected(db, fs_artifacts, substrate):
     """The one check every entry shares — ``launch``, ``resume``,
-    ``run_jobs_pool`` and a manifest's ``execution.workers`` — before
+    a ``processes`` sweep and a manifest's ``execution.workers`` — before
     any run is touched."""
     run = make_run(db, fs_artifacts)
     with pytest.raises(ValidationError, match="worker_count"):
         run_jobs_scheduler([run], worker_count=0, substrate=substrate)
     with pytest.raises(ValidationError, match="worker_count"):
-        run_jobs_pool([run], processes=-1)
+        run_jobs_scheduler([run], worker_count=-1, substrate="processes")
     assert db.find_run(run.run_id) is None
 
 

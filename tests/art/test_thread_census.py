@@ -14,7 +14,7 @@ Two guards keep it so.  A static one: no module of ``src/repro``
 names a ``threading`` primitive, ``_thread`` or ``concurrent.futures``
 (``threading.current_thread`` stays, for the archived ``thread`` field
 of spans and events).  A runtime one: every entry point — a sweep,
-``run_jobs_pool``, a ``SchedulerApp`` task, a bare ``Gem5Run.run()``
+the planner on ``processes``, a ``SchedulerApp`` task, a bare ``Gem5Run.run()``
 and ``repro reproduce`` — leaves ``threading.enumerate()`` as it found
 it.
 """
@@ -28,7 +28,7 @@ import pytest
 import repro
 from repro import chaos
 from repro.analysis.engine import iter_python_files
-from repro.art import ArtifactDB, run_job, run_jobs_pool
+from repro.art import ArtifactDB, run_job, run_jobs_scheduler
 from repro.art.tasks import SUBSTRATES
 from repro.cli import main
 from repro.db import connect
@@ -172,7 +172,7 @@ def test_run_jobs_pool_starts_no_thread(firings, threads_unchanged):
     """The planner on ``processes``: alone at every fork."""
     runs = quick_fig8(ArtifactDB()).create_runs()[:6]
     del firings.firings[:]
-    summaries = run_jobs_pool(runs, processes=2)
+    summaries = run_jobs_scheduler(runs, worker_count=2, substrate="processes")
     assert [summary["success"] for summary in summaries] == [
         run.results["success"] for run in runs
     ]

@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from repro import telemetry
-from repro.art import ArtifactDB, run_jobs_pool
+from repro.art import ArtifactDB, run_jobs_scheduler
 from repro.cli import main
 from repro.common.errors import (
     CorruptBlobError,
@@ -388,7 +388,7 @@ def test_pool_sweep_leaves_one_record_per_blob(db, fs_artifacts, tmp_path):
         make_run(db, fs_artifacts, cpu_type="kvm", num_cpus=n)
         for n in (1, 1, 2, 2, 4)
     ]
-    summaries = run_jobs_pool(runs, processes=2)
+    summaries = run_jobs_scheduler(runs, worker_count=2, substrate="processes")
     assert all(summary["success"] for summary in summaries)
     stats = {db.get_run(r.run_id)["results"]["stats_file_id"] for r in runs}
     assert len(stats) == 3

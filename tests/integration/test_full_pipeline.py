@@ -16,7 +16,7 @@ from repro.art import (
     register_kernel_binary,
     register_repo,
     run_job,
-    run_jobs_pool,
+    run_jobs_scheduler,
 )
 from repro.art.workflow import workflow_graph
 from repro.db import connect
@@ -56,7 +56,7 @@ def build_experiment(db, distro="ubuntu-18.04", apps=("ferret",)):
 def test_resources_to_analysis_roundtrip():
     db = ArtifactDB()
     runs = build_experiment(db, apps=("ferret", "vips"))
-    run_jobs_pool(runs, processes=4)
+    run_jobs_scheduler(runs, worker_count=4, substrate="processes")
 
     records = run_records(db)
     assert len(records) == 4
@@ -80,7 +80,7 @@ def test_persistent_database_roundtrip(tmp_path):
     uri = f"file://{tmp_path}/experiment-db"
     db = ArtifactDB(connect(uri))
     runs = build_experiment(db)
-    run_jobs_pool(runs, processes=2)
+    run_jobs_scheduler(runs, worker_count=2, substrate="processes")
     db.save()
 
     # A different researcher opens the same database.
@@ -105,7 +105,9 @@ def test_experiment_is_bit_reproducible():
     def execute():
         db = ArtifactDB()
         runs = build_experiment(db)
-        summaries = run_jobs_pool(runs, processes=2)
+        summaries = run_jobs_scheduler(
+            runs, worker_count=2, substrate="processes"
+        )
         hashes = sorted(
             doc["hash"] for doc in db.artifacts.all_documents()
         )
@@ -167,8 +169,9 @@ def _outcomes(db, runs):
 def test_scheduler_and_pool_agree():
     """The paper's promise: the task backend is interchangeable.  The
     serial no-scheduler tail (``run_job`` per run) is the reference; the
-    ``multiprocessing`` option (``run_jobs_pool``) and a Celery-style
-    ``@app.task`` wrapping ``run_job`` must leave the same documents."""
+    ``multiprocessing`` option (the planner on ``processes``) and a
+    Celery-style ``@app.task`` wrapping ``run_job`` must leave the same
+    documents."""
     apps = ("ferret", "x264")
     serial_db, pool_db, app_db = ArtifactDB(), ArtifactDB(), ArtifactDB()
 
@@ -176,7 +179,9 @@ def test_scheduler_and_pool_agree():
     serial = [run_job(run) for run in serial_runs]
 
     pool_runs = build_experiment(pool_db, apps=apps)
-    pooled = run_jobs_pool(pool_runs, processes=2)
+    pooled = run_jobs_scheduler(
+        pool_runs, worker_count=2, substrate="processes"
+    )
 
     app = SchedulerApp(name="gem5art")
     run_task = app.task(name="gem5art.run_job")(run_job)

@@ -85,6 +85,7 @@ SIMULATION_MODULES = (
     "repro.art.run",
     "repro.art.tasks",
     "repro.art.launch",
+    "repro.art.studies",
     "repro.pipeline.stages",
 )
 
@@ -153,7 +154,7 @@ def warm_sweep(tmp_path_factory):
 
 def test_a_fully_cached_reproduce_loads_no_simulator(reproduce_probes):
     (cold, _), (warm, _) = reproduce_probes
-    assert {"repro.sim", "repro.art.launch"} <= cold
+    assert {"repro.sim", "repro.art.launch", "repro.art.studies"} <= cold
     assert sorted(warm & set(SIMULATION_MODULES)) == []
 
 

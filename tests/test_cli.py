@@ -71,12 +71,76 @@ def test_boot_tests_quick(tmp_path, capsys):
         assert ("archived as 'boot-tests'" in out) == bool(extra)
 
 
+#: What ``repro parsec`` and ``repro gpu`` printed when they drove
+#: ``Gem5Simulator`` and ``GPUDevice`` directly, before their studies
+#: went through gem5art.
+_PARSEC_OUT = (
+    "Fig 6 (1 core)\n"
+    "blackscholes  | 18.04-20.04 (1 core) | # 0.0197s\n"
+    "bodytrack     | 18.04-20.04 (1 core) | ############### 0.2307s\n"
+    "dedup         | 18.04-20.04 (1 core) | ######################################## 0.6022s\n"
+    "ferret        | 18.04-20.04 (1 core) | #################################### 0.5487s\n"
+    "fluidanimate  | 18.04-20.04 (1 core) | ###################### 0.3297s\n"
+    "freqmine      | 18.04-20.04 (1 core) | ####################################### 0.5909s\n"
+    "raytrace      | 18.04-20.04 (1 core) | ############ 0.1823s\n"
+    "streamcluster | 18.04-20.04 (1 core) | ################################### 0.5339s\n"
+    "swaptions     | 18.04-20.04 (1 core) | - -0.006599s\n"
+    "vips          | 18.04-20.04 (1 core) | ###################### 0.3318s\n"
+    "\n"
+    "Fig 7 mean speedup 18.04: 3.99x\n"
+    "Fig 7 mean speedup 20.04: 4.28x\n"
+)
+_PARSEC_SWAPTIONS_OUT = (
+    "Fig 6 (1 core)\n"
+    "swaptions | 18.04-20.04 (1 core) | -======================================== -0.006599s\n"
+    "\n"
+    "Fig 7 mean speedup 18.04: 5.88x\n"
+    "Fig 7 mean speedup 20.04: 6.17x\n"
+)
+_GPU_OUT = (
+    "Fig 9\n"
+    "2dshfl                  | dynamic-vs-simple | ############################# 1x\n"
+    "FAMutex                 | dynamic-vs-simple | ################## 0.6197x\n"
+    "FAMutexUniq             | dynamic-vs-simple | ##################### 0.7221x\n"
+    "HACC                    | dynamic-vs-simple | ############################# 1x\n"
+    "LFTreeBarrUniq          | dynamic-vs-simple | ########################## 0.8868x\n"
+    "LFTreeBarrUniqLocalExch | dynamic-vs-simple | ########################### 0.9211x\n"
+    "LULESH                  | dynamic-vs-simple | ############################# 1x\n"
+    "MatrixTranspose         | dynamic-vs-simple | ######################################## 1.381x\n"
+    "PENNANT                 | dynamic-vs-simple | ################################### 1.209x\n"
+    "SleepMutex              | dynamic-vs-simple | ##################### 0.7389x\n"
+    "SleepMutexUniq          | dynamic-vs-simple | ######################### 0.8507x\n"
+    "SpinMutexEBO            | dynamic-vs-simple | ################### 0.6611x\n"
+    "SpinMutexEBOUniq        | dynamic-vs-simple | ###################### 0.7749x\n"
+    "bwd_bn                  | dynamic-vs-simple | ################################## 1.159x\n"
+    "bwd_bypass              | dynamic-vs-simple | ############################# 1x\n"
+    "bwd_composed_model      | dynamic-vs-simple | ############################# 1x\n"
+    "bwd_pool                | dynamic-vs-simple | ######################### 0.8511x\n"
+    "bwd_softmax             | dynamic-vs-simple | ################################ 1.115x\n"
+    "dynamic_shared          | dynamic-vs-simple | ############################# 1x\n"
+    "fwd_bn                  | dynamic-vs-simple | ################################## 1.159x\n"
+    "fwd_bypass              | dynamic-vs-simple | ############################# 1x\n"
+    "fwd_composed_model      | dynamic-vs-simple | ############################# 1x\n"
+    "fwd_pool                | dynamic-vs-simple | ######################## 0.8219x\n"
+    "fwd_softmax             | dynamic-vs-simple | ################################ 1.115x\n"
+    "inline_asm              | dynamic-vs-simple | ##################################### 1.29x\n"
+    "sharedMemory            | dynamic-vs-simple | ############################ 0.9837x\n"
+    "shfl                    | dynamic-vs-simple | ############################# 1x\n"
+    "stream                  | dynamic-vs-simple | ################################ 1.116x\n"
+    "unroll                  | dynamic-vs-simple | ############################# 1x\n"
+    "\n"
+    "mean relative time (dynamic/simple): 1.058\n"
+)
+
+
+def test_parsec_command(capsys):
+    assert main(["parsec"]) == 0
+    assert capsys.readouterr().out == _PARSEC_OUT
+
+
 def test_parsec_subset(capsys):
     assert main(["parsec", "--apps", "swaptions"]) == 0
-    out = capsys.readouterr().out
-    assert "Fig 6" in out
-    assert "swaptions" in out
-    assert "Fig 7 mean speedup" in out
+    assert capsys.readouterr().out == _PARSEC_SWAPTIONS_OUT
 
 
 def test_parsec_rejects_unknown_app(capsys):
@@ -86,10 +150,29 @@ def test_parsec_rejects_unknown_app(capsys):
 
 def test_gpu_command(capsys):
     assert main(["gpu"]) == 0
-    out = capsys.readouterr().out
-    assert "Fig 9" in out
-    assert "FAMutex" in out
-    assert "mean relative time" in out
+    assert capsys.readouterr().out == _GPU_OUT
+
+
+@pytest.mark.parametrize(
+    "argv, name, runs",
+    [
+        (["parsec", "--apps", "swaptions"], "parsec", 6),
+        (["gpu"], "gpu", 58),
+    ],
+)
+def test_study_archives_resumable_runs(tmp_path, capsys, argv, name, runs):
+    """With ``--db`` a study leaves one run document per point and an
+    experiment ``repro resume`` finds finished."""
+    from repro.db import connect
+
+    uri = f"file://{tmp_path}/studydb"
+    assert main([*argv, "--db", uri]) == 0
+    assert f"archived as {name!r}" in capsys.readouterr().out
+    assert len(connect(uri).collection("runs").find()) == runs
+    assert main(["resume", name, "--db", uri]) == 0
+    assert capsys.readouterr().out == (
+        f"nothing to resume: all {runs} runs of {name!r} are finished\n"
+    )
 
 
 def test_unknown_command_exits():

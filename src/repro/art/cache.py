@@ -5,12 +5,12 @@ database never needs to execute again: identical input hashes imply an
 identical result.  :class:`MemoStore` is that claim as a protocol — a
 key names an *entry* in a unique-indexed collection plus a *blob* in the
 content-addressed file store — and :class:`RunCache` is its first user:
-it maps a :class:`~repro.art.spec.RunSpec` fingerprint to the archived
-outcome of the run that first executed it (results summary, stats blob
-id, final status) and lets later runs *adopt* that result instead of
-simulating.  :class:`~repro.art.checkpoints.CheckpointStore` is the
-second user and the pipeline's
-:class:`~repro.pipeline.journal.StageCache` the third.
+it maps a :class:`~repro.art.spec.RunSpec` fingerprint to the run that
+first executed it and lets later runs *adopt* that run's result instead
+of simulating.  An entry only points (``run_id``): a lookup joins in
+the producer's ``status`` and ``results``, stored once, in its document.
+:class:`~repro.art.checkpoints.CheckpointStore` is the second user and
+the pipeline's :class:`~repro.pipeline.journal.StageCache` the third.
 
 A consult is a *read*: a hit writes nothing.  How often an entry was
 served is what its adopters' own documents say (a run's ``cached_from``),
@@ -24,7 +24,9 @@ re-populate the content address), a ``<noun>.corrupt`` event is emitted,
 and the caller falls back to recomputing — a memo store serves
 stale-free results or nothing, never silently wrong bytes.
 
-Only runs that reached ``DONE`` are cached.  A simulation-level failure
+Only runs that reached ``DONE`` are cached; an entry whose producer's
+document is gone or not ``done`` any more is *stale*, evicted by the
+consult that finds it.  A simulation-level failure
 (a kernel panic in a boot test) is a valid, memoizable outcome; a
 host-level failure (``FAILED`` / ``TIMED_OUT``) is retryable
 infrastructure noise and is never served from cache.
@@ -103,6 +105,10 @@ class MemoStore:
         """What :meth:`invalidate` accepts for an entry besides its key."""
         return ()
 
+    def stale(self, entry: Entry) -> bool:
+        """Whether an entry's producer no longer vouches for it."""
+        return False
+
     # -------------------------------------------------------------- lookup
 
     def lookup(self, key: str) -> Optional[Entry]:
@@ -145,8 +151,9 @@ class MemoStore:
         content-addressed store checks against its digest.  Failure modes
         degrade, never escalate: a missing blob or an injected read fault
         counts as a miss, a corrupt blob evicts the entry and counts as a
-        miss — the computation always remains available as the slow path.
-        A consult never writes, except for that eviction.
+        miss, and so does a :meth:`stale` entry, which is evicted too — the
+        computation always remains available as the slow path.  A consult
+        never writes, except for those evictions.
         """
         try:
             chaos.fire(f"{self.noun}.get", **{self.key_field: key})
@@ -155,6 +162,9 @@ class MemoStore:
             return self._miss(key, "read-fault", str(error))
         if entry is None:
             return self._miss(key, "absent")
+        if self.stale(entry):
+            self.collection.delete_one({self.key_field: key})
+            return self._miss(key, "stale")
         payload, blob_id = None, self.blob_id(entry)
         if blob_id is not None:
             try:
@@ -291,28 +301,44 @@ class RunCache(MemoStore):
          ("Stored", "stored_at_wall", 19)),
     )
 
+    def lookup(self, key: str) -> Optional[Entry]:
+        """The entry, its producer's ``status`` and ``results`` joined."""
+        entry = super().lookup(key)
+        if entry is not None:
+            producer = self.db.runs.find_one(
+                {"_id": entry["run_id"]}, fields=["status", "results"]
+            ) or {}
+            entry.update(
+                status=producer.get("status"), results=producer.get("results")
+            )
+        return entry
+
     def encode(self, fingerprint: str, run_doc: Entry) -> Optional[Entry]:
-        """A finished run's outcome as a cache entry (DONE runs only)."""
+        """A pointer to a finished run's document (DONE runs only)."""
         if run_doc.get("status") not in CACHEABLE_STATUSES:
             return None
         return {
             "_id": f"cache-{fingerprint}",
             "fingerprint": fingerprint,
             "kind": run_doc.get("kind"),
-            "artifact_hashes": dict(run_doc["spec"]["artifacts"]),
             "run_id": run_doc.get("_id"),
-            "status": run_doc.get("status"),
-            "results": dict(run_doc.get("results") or {}),
             "stored_at_wall": iso_now(),
         }
+
+    def stale(self, entry: Entry) -> bool:
+        """The producer's document is gone or no longer ``done``."""
+        return entry["status"] not in CACHEABLE_STATUSES
 
     def blob_id(self, entry: Entry) -> Optional[str]:
         return (entry.get("results") or {}).get("stats_file_id")
 
     def tokens(self, entry: Entry) -> Iterable[str]:
-        """The content hashes of the artifacts the cached run consumed:
+        """The content hashes of the artifacts the producer consumed:
         invalidating one evicts every dependent entry."""
-        return (entry.get("artifact_hashes") or {}).values()
+        producer = self.db.runs.find_one(
+            {"_id": entry["run_id"]}, fields=["spec.artifacts"]
+        ) or {}
+        return producer.get("spec", {}).get("artifacts", {}).values()
 
     def tallies(self) -> Dict[str, int]:
         """Fingerprint → runs that adopted the entry (their documents

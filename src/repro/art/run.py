@@ -374,16 +374,14 @@ class Gem5Run(Record):
                 finished_at_wall=iso_now(),
             )
             if attempt.use_cache and not timed_out:
-                # The fields of this run's document a cache entry is
-                # made of, as just written — not read back.
+                # The fields of this run's document a cache entry
+                # points with, as just written — not read back.
                 RunCache(self.db).store(
                     self.fingerprint,
                     {
                         "_id": self.run_id,
                         "kind": self.kind,
                         "status": self.status.value,
-                        "spec": self.spec.to_document(),
-                        "results": summary,
                     },
                 )
         finally:

@@ -29,6 +29,7 @@ the collection is unchanged, so memory never runs ahead of disk.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -257,7 +258,9 @@ class Collection:
         if not isinstance(document, dict):
             raise ValidationError("documents must be dicts")
         doc = json_copy(document)
-        doc_id = doc.setdefault("_id", new_uuid())
+        if "_id" not in doc:
+            doc["_id"] = new_uuid()
+        doc_id = doc["_id"]
         if doc_id in self._documents:
             raise DuplicateError(f"duplicate _id: {doc_id}")
         self._check_unique(doc)
@@ -276,20 +279,19 @@ class Collection:
         limit: Optional[int] = None,
         fields: Optional[Sequence[str]] = None,
     ) -> List[Dict[str, Any]]:
-        """Return copies of all matching documents."""
+        """Return copies of the matching documents, and copy nothing
+        else: sort, limit and projection read the stored ones."""
         query = query or {}
-        found = [
-            json_copy(doc)
-            for doc in self._candidates(query)
-            if matches(doc, query)
-        ]
+        found = (
+            doc for doc in self._candidates(query) if matches(doc, query)
+        )
         if sort:
             found = sort_documents(found, sort)
         if limit is not None:
-            found = found[:limit]
+            found = itertools.islice(found, limit)
         if fields is not None:
-            found = [project(doc, fields) for doc in found]
-        return found
+            found = (project(doc, fields) for doc in found)
+        return [json_copy(doc) for doc in found]
 
     def find_one(
         self, query: Optional[Dict[str, Any]] = None, **kwargs

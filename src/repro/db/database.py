@@ -21,12 +21,15 @@ whatever a ``durability=strict`` writer acknowledged — a blob included
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.common.errors import ValidationError
 from repro.db.collection import Collection
-from repro.db.engine import CollectionStore, check_durability
+from repro.db.engine.wal import check_durability
 from repro.db.filestore import FileStore
+
+if TYPE_CHECKING:
+    from repro.db.engine.segments import CollectionStore
 
 
 class Database:
@@ -76,6 +79,8 @@ class Database:
     def _open(self, name: str) -> Dict[str, Any]:
         """Bind ``name`` to its on-disk store, replaying what is there;
         returns the store's recovery report."""
+        from repro.db.engine.segments import CollectionStore
+
         store = CollectionStore(self._engine_root, name, self.durability)
         documents, indexes, report = store.load()
         collection = Collection(name, store=store)

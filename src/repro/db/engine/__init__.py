@@ -15,7 +15,16 @@ The Database maps each collection onto a
 acknowledged mutation through it *before* applying it in memory.
 """
 
-from repro.db.engine.segments import CollectionStore
 from repro.db.engine.wal import DURABILITY_MODES, check_durability
 
 __all__ = ["DURABILITY_MODES", "CollectionStore", "check_durability"]
+
+
+def __getattr__(name: str):
+    """``CollectionStore`` loads with the first file-backed collection:
+    a ``memory://`` database never builds one."""
+    if name == "CollectionStore":
+        from repro.db.engine.segments import CollectionStore
+
+        return CollectionStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import CorruptRecordError, ValidationError
-from repro.common.jsonutil import loads, stable_dumps
+from repro.common.jsonutil import loads, record_dumps
 
 #: Recognised durability modes, weakest to strongest.
 DURABILITY_MODES = ("batch", "strict")
@@ -71,8 +71,9 @@ def _fsyncs_counter():
 
 
 def encode_record(record: Dict[str, Any]) -> bytes:
-    """Frame one operation document as length + CRC32 + canonical JSON."""
-    payload = stable_dumps(record).encode("utf-8")
+    """Frame one operation document (stored, so ``json_copy``'d) as
+    length + CRC32 + :func:`~repro.common.jsonutil.record_dumps`."""
+    payload = record_dumps(record).encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 

@@ -6,7 +6,9 @@ faulted — and columns are the users of the protocol: the run cache
 (driven through ``Gem5Run.run``), the checkpoint store (``run_boot_stage``)
 and the pipeline's stage cache (``run_pipeline``).  Every cell must
 degrade to exactly one recompute, report itself, and leave a store the
-*next* caller hits without writing to it.
+*next* caller hits without writing to it.  The run cache has one more
+row of its own: its entry points at a producer run document that is
+gone or no longer ``done`` (``stale``).
 """
 
 import os
@@ -251,6 +253,52 @@ def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
     assert log_bytes(db, collection) == before
 
 
+def forge_failed(db, run_id):
+    """The producer's document now says its run failed."""
+    assert db.runs.update_one({"_id": run_id}, {"$set": {"status": "failed"}})
+
+
+def remove(db, run_id):
+    """The producer's document is gone, its cache entry left behind."""
+    assert db.runs.delete_one({"_id": run_id})
+
+
+@pytest.mark.parametrize("forge", [forge_failed, remove], ids=["failed", "gone"])
+def test_a_stale_run_cache_entry_is_evicted_then_heals(db, request, forge):
+    """A run-cache entry is a pointer: when the run it names no longer
+    holds a ``done`` result, the consult evicts the entry and misses as
+    ``stale``, the recompute stores a fresh pointer, and the next caller
+    hits it without writing."""
+    user = RunCacheUser(db, request)
+    first = user.use()
+    forge(db, first)
+    del user.recomputes[:]
+    with telemetry.session() as session:
+        second = user.use()
+        counter = session.metrics.counter
+        assert counter("runcache_misses_total").value(reason="stale") == 1
+        [miss] = events_of(session.events, "runcache.miss")
+        assert miss["attributes"] == {
+            "fingerprint": user.key, "reason": "stale"
+        }
+    # One recompute, and it started with the entry evicted.
+    [(entry, _)] = user.recomputes
+    assert entry is None
+    entry, blob_present = user.state()
+    assert blob_present
+    assert (entry["run_id"], entry["status"]) == (second, "done")
+    collection = user.store.collection_name
+    writes_fault = FaultRule("wal.append", match={"collection": collection})
+    before = log_bytes(db, collection)
+    with telemetry.session() as session:
+        with chaos.injected(seed=37, rules=[writes_fault]) as injector:
+            user.use()
+        assert [stats["seen"] for stats in injector.report().values()] == [0]
+        assert len(about_key(session, user, "hit")) == 1
+    assert len(user.recomputes) == 1
+    assert log_bytes(db, collection) == before
+
+
 def test_a_warm_sweep_appends_nothing_to_the_run_cache(db):
     """The quick Fig 8 grid twice on one ``file://`` database: the second
     launch adopts all 48 results and the ``run_cache`` log does not grow."""
@@ -268,12 +316,17 @@ STAGE_DOC = {
 }
 
 
+#: A finished run's document, as a run-cache entry's producer.
+RUN_DOC = {
+    "kind": "fs", "status": "done", "spec": {"kind": "fs", "artifacts": {}},
+    "results": {"success": True},
+}
+
+
 @pytest.mark.parametrize(
     "store_class, first_value, value, field, kept",
     [
-        (RunCache,
-         {"_id": "run-1", "status": "done", "spec": {"artifacts": {}}},
-         {"_id": "run-2", "status": "done", "spec": {"artifacts": {}}},
+        (RunCache, dict(RUN_DOC, _id="run-1"), dict(RUN_DOC, _id="run-2"),
          "run_id", "run-1"),
         (CheckpointStore, make_checkpoint(boot_seconds=10.0),
          make_checkpoint(boot_seconds=99.0), "boot_seconds", 10.0),
@@ -289,6 +342,11 @@ def test_racing_store_loses_quietly(
     broker; two store instances) can both find a key absent.  The unique
     index picks the winner; the loser returns False — it must not raise
     out of a run that has already finished."""
+    if store_class is RunCache:
+        # Both racers finished their runs: each entry would point at a
+        # real document.
+        db.put_run(first_value)
+        db.put_run(value)
     store, rival = store_class(db), store_class(db)
     assert rival.store("k" * 64, first_value) is True
     # The loser's view is the race window's: anything it reads before

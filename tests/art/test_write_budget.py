@@ -3,7 +3,8 @@
 A run's document is written once, by the step that gives it an
 outcome: one ``insert`` holding its inputs, fingerprint, status and
 results, and nothing before it.  A cold run adds one ``run_cache``
-insert; a warm run (an adoption) adds nothing else.  Counted on the
+insert, a pointer to that document that copies none of it; a warm run
+(an adoption) adds nothing else.  Counted on the
 logs ``repro boot-tests --db file://…`` leaves (the ``fig8-cold`` /
 ``fig8-warm`` commands of ``benchmarks/perf``); the read side of the
 same budget is ``test_input_resolver.py``.
@@ -38,6 +39,12 @@ EXECUTED_KEYS = CREATED_WITH | {"started_at_wall", "finished_at_wall"}
 ADOPTED_KEYS = CREATED_WITH | {
     "cache_hit", "cached_from", "finished_at_wall",
 }
+#: A run-cache entry names the run that holds its result.
+ENTRY_KEYS = {"_id", "fingerprint", "kind", "run_id", "stored_at_wall"}
+#: Its framed ``insert`` record in ``run_cache/wal.log``: the ids, the
+#: fingerprint twice and a microsecond timestamp (which ``isoformat``
+#: shortens, one time in a million, when the microseconds are 0).
+ENTRY_BYTES = 303
 
 
 @pytest.fixture
@@ -85,6 +92,17 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         op for records in cache.values() for op in ops(records)
     )
     assert cache_ops == {"insert": 48, "index": 1}
+    inserts = [
+        record
+        for records in cache.values()
+        for record in records
+        if record["op"] == "insert"
+    ]
+    for record in inserts:
+        assert set(record["doc"]) == ENTRY_KEYS
+        assert record["doc"]["run_id"] in cold
+    sizes = [len(encode_record(record)) for record in inserts]
+    assert max(sizes) == ENTRY_BYTES
 
     # A warm sweep files 48 new run documents, each adopting a result,
     # and writes nothing to the cache.

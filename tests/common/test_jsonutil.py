@@ -5,7 +5,11 @@ import datetime
 import enum
 import json
 import math
+import struct
+import zlib
 from typing import Any
+
+import pytest
 
 from hypothesis import example, given, strategies as st
 
@@ -16,6 +20,7 @@ from repro.common.jsonutil import (
     loads,
     stable_dumps,
 )
+from repro.db.engine.wal import encode_record
 
 
 def test_roundtrip_basic_types():
@@ -285,3 +290,41 @@ def test_loads_decodes_an_escaped_tag():
     text = '{"\\u0024set":[2,1],"k":{"\\u0024bytes":"YWJj"}}'
     assert loads(text) == _decode_special(json.loads(text))
     assert loads(text) == {"$set": [2, 1], "k": b"abc"}
+
+
+def framed(record):
+    """A WAL frame as ``encode_record`` wrote it through ``stable_dumps``
+    (the tag walk, then ``json.dumps``): length, CRC32, payload."""
+    payload = json.dumps(
+        _encode_special(record), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+
+
+@given(json_values | st.floats())
+@example({"$set": [1]})
+@example({"doc": {"$bytes": "YWJj"}, "at": datetime.datetime(2021, 3, 14)})
+@example({"s": {3, 1}, "t": {"$datetime": "x"}})
+@example({"s": {(1, datetime.datetime(2021, 3, 14))}})
+@example({"$literal": {"$set": [1]}, "b": b"\xff"})
+@example({"n": [2.0, -0.0, 1e300, math.inf, math.nan], Colour.RED: 1})
+def test_the_wal_encoder_writes_the_tag_walks_bytes(value):
+    """One pass of the C encoder, tags from ``default``, the walk only
+    for a ``{"$`` it did not emit: the same frame, byte for byte, for
+    every record a collection logs (what it holds is ``json_copy``'d)."""
+    for record in (
+        {"op": "insert", "doc": json_copy(value)},
+        {"op": "update", "id": "x", "set": {"a.b": json_copy(value)}},
+    ):
+        assert encode_record(record) == framed(record)
+
+
+def test_the_wal_encoder_refuses_what_stable_dumps_refused():
+    class Shade(enum.Enum):
+        DARK = 1
+
+    record = {"op": "insert", "doc": json_copy({"shade": Shade.DARK})}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        stable_dumps(record)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        encode_record(record)

@@ -70,6 +70,19 @@ def test_insert_preserves_given_id(coll):
     assert coll.find_one({"_id": "fixed"}) is not None
 
 
+def test_an_insert_that_names_its_id_mints_none(coll, monkeypatch):
+    minted = []
+
+    def new_uuid():
+        minted.append(None)
+        return f"minted-{len(minted)}"
+
+    monkeypatch.setattr("repro.db.collection.new_uuid", new_uuid)
+    coll.insert_one({"_id": "fixed", "name": "gem5"})
+    assert minted == []
+    assert coll.insert_one({"name": "linux"}) == "minted-1"
+
+
 def test_insert_duplicate_id_raises(coll):
     coll.insert_one({"_id": "x"})
     with pytest.raises(DuplicateError):
@@ -347,6 +360,50 @@ def test_no_dict_or_list_crosses_the_api_boundary(uri):
         handed = docs.find_one({"_id": "x"})
         assert handed["u"]["v"] == placed and handed["r"][-1] == pushed
         assert_nothing_shared(placed, pushed, docs._documents["x"], handed)
+
+
+def test_find_copies_only_what_it_returns(coll, monkeypatch):
+    """Filter, sort, limit and projection read the stored documents: a
+    ``find_one`` over many matches copies one, a projection copies only
+    its fields."""
+    from repro.db import collection
+
+    insert_many(
+        coll, [{"t": "a", "n": n, "big": {"xs": [n] * 8}} for n in range(20)]
+    )
+    copied = []
+
+    def json_copy(value):
+        copied.append(value)
+        return real_copy(value)
+
+    real_copy = collection.json_copy
+    monkeypatch.setattr(collection, "json_copy", json_copy)
+    assert coll.find_one({"t": "a"})["t"] == "a"
+    assert len(copied) == 1
+    del copied[:]
+    found = coll.find({"t": "a"}, sort=[("n", -1)], limit=2, fields=["n"])
+    assert [doc["n"] for doc in found] == [19, 18]
+    assert [set(value) for value in copied] == [{"_id", "n"}] * 2
+
+
+def test_what_find_returns_shares_nothing_with_the_store(uri):
+    """Sorted, limited and projected answers are copies too."""
+    with connect(uri) as database:
+        docs = database["docs"]
+        for name in ("x", "y"):
+            docs.insert_one({"_id": name, "a": {"b": [1, {"c": 2}]}})
+        handed = [
+            docs.find({}, sort=[("_id", -1)]),
+            docs.find({"a.b": 1}, limit=1),
+            docs.find({}, fields=["a.b"]),
+            docs.find_one({"_id": "y"}, fields=["a"]),
+        ]
+        assert handed[0][0]["_id"] == "y"
+        assert handed[2][0] == {"_id": "x", "a": {"b": [1, {"c": 2}]}}
+        assert_nothing_shared(
+            docs._documents["x"], docs._documents["y"], *handed
+        )
 
 
 def test_a_reopen_changes_no_query_answer(tmp_path):

@@ -521,6 +521,8 @@ def test_db_bad_uri(capsys):
 # entries are spelled out field by field; the expected text is what the
 # commit before the shared memo protocol printed (as two verbs; a hit
 # tally is counted from the run documents that say whom they adopted).
+# A run-cache entry points at its producer's run document, which holds
+# the result and the artifact hashes ``invalidate`` cascades through.
 
 
 def _primed_memo_db(tmp_path):
@@ -530,19 +532,25 @@ def _primed_memo_db(tmp_path):
     uri = f"file://{tmp_path}/memodb"
     db = ArtifactDB(connect(uri))
     run_cache = db.database.collection("run_cache")
-    for index, (fingerprint, kind, image) in enumerate(
+    for index, (fingerprint, kind, binary) in enumerate(
         [("aa11" * 16, "fs", "d1" * 16), ("aa22" * 16, "fs", "d1" * 16),
          ("bb33" * 16, "gpu", "d2" * 16)]
     ):
+        db.put_run(
+            {
+                "_id": f"0000000{index}-run",
+                "kind": kind,
+                "spec": {"kind": kind, "artifacts": {"gem5": binary}},
+                "status": "done",
+                "results": {"success": True},
+            }
+        )
         run_cache.insert_one(
             {
                 "_id": f"cache-{fingerprint}",
                 "fingerprint": fingerprint,
                 "kind": kind,
-                "artifact_hashes": {"disk_image": image},
                 "run_id": f"0000000{index}-run",
-                "status": "done",
-                "results": {"success": True},
                 "stored_at_wall": f"2021-03-0{index + 1}T10:00:00.123456",
             }
         )
@@ -608,7 +616,7 @@ def test_cache_verb(tmp_path, capsys):
         "evicted 1 cache entry; "
         "dependent runs will re-execute on next launch\n"
     )
-    # An artifact hash cascades to every run that consumed the image.
+    # An artifact hash cascades to every run that consumed the binary.
     assert main(["cache", "invalidate", "d1" * 16, "--db", uri]) == 0
     assert capsys.readouterr().out == (
         "evicted 2 cache entries; "

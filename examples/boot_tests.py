@@ -8,8 +8,8 @@ Celery-style scheduler the way the paper's launch script ends: one task
 wrapping ``run_job`` on a ``SchedulerApp``, ``apply_async`` per run (the
 app runs each task eagerly, ``run.run()`` whole on this thread, as
 Celery does under ``task_always_eager``), then ``get`` each, which
-re-raises (as a ``StateError``) a run that raised, as Celery's does,
-once ``run()`` has recorded it ``failed``.  ``repro boot-tests`` builds
+re-raises a run's own exception, as Celery's does, once ``run()`` has
+recorded it ``failed``.  ``repro boot-tests`` builds
 the same experiment and launches it with ``Experiment.launch`` (the
 planner) instead.  Then renders the pass/fail grids and the failure
 taxonomy the paper reports (kvm all-pass; Atomic unsupported on Ruby;

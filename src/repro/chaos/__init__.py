@@ -18,8 +18,6 @@ point                   fired
 ======================  ====================================================
 ``filestore.put``       before a blob write (:meth:`FileStore.put_bytes`)
 ``filestore.get``       before a blob read (:meth:`FileStore.get_bytes`)
-``task.run``            inside ``apply_async``, before each attempt of a
-                        task body (a crash ends the task ``FAILURE``)
 ``procpool.submit``     before an envelope is queued on the process pool
 ``run.status``          before a run's outcome is written (its document)
 ``runcache.get``        before a run-cache consult reads its entry (a

@@ -26,7 +26,7 @@ CATALOG = os.path.join(REPO_ROOT, "docs", "analysis.md")
 #: The only ways to keep what the size passes would delete, each a
 #: comment on the line above the pragma (``docs/analysis.md``).
 REASONS = ("# paper surface:", "# dev-tool entry:")
-MAX_DEAD_PRAGMAS = 4
+MAX_DEAD_PRAGMAS = 1
 
 #: A rule id where a rule class or a pass declares it, and where the
 #: catalog gives it an entry (a ``- **ID**`` bullet or a ``### `ID```

@@ -26,7 +26,12 @@ from repro.db import Database, connect
 from repro.db.engine import CollectionStore
 from repro.pipeline import EXECUTION_DEFAULTS, StageSpec, run_pipeline
 from repro.pipeline.stages import StageContext
-from repro.scheduler import JobEnvelope, ProcessPool, SchedulerApp
+from repro.scheduler import (
+    AsyncResult,
+    JobEnvelope,
+    ProcessPool,
+    SchedulerApp,
+)
 from repro.scheduler.app import RegisteredTask
 
 
@@ -49,7 +54,9 @@ from repro.scheduler.app import RegisteredTask
         ),
         (ProcessPool.__init__, ["self", "workers"]),
         (SchedulerApp.__init__, ["self", "name"]),
-        (SchedulerApp.task, ["self", "name", "max_retries", "timeout"]),
+        # The Celery surface the paper's launch script calls, no more:
+        # no retry budget, no task time limit (``get`` below).
+        (SchedulerApp.task, ["self", "name"]),
         (RegisteredTask.apply_async, ["self", "args", "kwargs"]),
         # What the surface census (`repro lint`, DEAD-PARAM) shrank: a
         # tuning value no non-test caller set is a module constant now.
@@ -75,6 +82,8 @@ from repro.scheduler.app import RegisteredTask
              "resources_version", "resource"],
         ),
         (add_boot_stacks, ["experiment", "artifacts"]),
+        # A task is settled inside ``apply_async``: no ``get(timeout=)``.
+        (AsyncResult.get, ["self"]),
     ],
 )
 def test_run_path_options(function, options):

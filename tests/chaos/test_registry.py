@@ -19,6 +19,7 @@ import repro
 from repro import chaos
 from repro.art import ArtifactDB
 from repro.art.cache import MemoStore
+from repro.art.checkpoints import CheckpointStore  # noqa: F401  (a subclass)
 from repro.chaos import FaultRule
 from repro.pipeline import StageCache  # noqa: F401  (the third subclass)
 
@@ -71,7 +72,7 @@ def test_declared_points_are_exactly_the_fired_points():
         assert names, f"{where}: chaos.fire() point is not a literal"
         fired |= names
     assert fired == declared_points()
-    assert len(fired) == 13
+    assert len(fired) == 12
 
 
 def test_every_declared_point_is_injected_by_some_test():
@@ -82,17 +83,25 @@ def test_every_declared_point_is_injected_by_some_test():
     assert declared_points() - injected == set()
 
 
-def test_submit_fault_fails_one_run_and_resume_finishes_it():
-    """``procpool.submit``: the fault surfaces in the submitting job,
-    which ends FAILED with the injected error; its neighbours are
-    untouched, nothing hangs, and a retrying resume completes it."""
+@pytest.mark.parametrize(
+    "rule",
+    [
+        FaultRule("procpool.submit", times=1, error="pipe refused"),
+        FaultRule("filestore.put", times=1, error="disk full"),
+    ],
+    ids=lambda rule: rule.point,
+)
+def test_submit_fault_fails_one_run_and_resume_finishes_it(rule):
+    """``procpool.submit`` (queueing a run's envelope) or
+    ``filestore.put`` (uploading its stats blob): the fault surfaces in
+    one run, which ends FAILED with the injected error; its neighbours
+    are untouched, nothing hangs, and a retrying resume completes it."""
     db = ArtifactDB()
     experiment = make_experiment(
         db, apps=("ferret", "vips", "dedup"), cpus=(1,)
     )
     runs = experiment.create_runs()
-    rules = [FaultRule("procpool.submit", times=1, error="pipe refused")]
-    with chaos.injected(seed=37, rules=rules) as injector:
+    with chaos.injected(seed=37, rules=[rule]) as injector:
         experiment.launch(workers=2, substrate="processes")
     ((_, stats),) = injector.report().items()
     assert stats == {"seen": 3, "fired": 1}
@@ -101,7 +110,7 @@ def test_submit_fault_fails_one_run_and_resume_finishes_it():
         "done", "done", "failed",
     ]
     (failed,) = [doc for doc in docs if doc["status"] == "failed"]
-    assert "pipe refused" in failed["results"]["error"]
+    assert rule.error in failed["results"]["error"]
 
     summaries = experiment.resume(
         workers=2, substrate="processes", retry_failures=True

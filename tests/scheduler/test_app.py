@@ -4,14 +4,13 @@ import os
 import subprocess
 import sys
 import threading
-import time
+import traceback
 
 import pytest
 
 import repro
-from repro import telemetry
-from repro.common.errors import NotFoundError, StateError, ValidationError
-from repro.scheduler import SchedulerApp, TaskState
+from repro.common.errors import NotFoundError, ValidationError
+from repro.scheduler import SchedulerApp
 
 
 @pytest.fixture
@@ -25,7 +24,7 @@ def test_task_registration_and_direct_call(app):
         return a + b
 
     assert add(2, 3) == 5
-    assert app.send_task("add", args=(1, 1)).get(timeout=5) == 2
+    assert app.send_task("add", args=(1, 1)).get() == 2
 
 
 def test_duplicate_registration_rejected(app):
@@ -46,9 +45,8 @@ def test_apply_async_success(app):
         return a * b
 
     result = mul.apply_async(args=(6, 7))
-    assert result.get(timeout=5) == 42
-    assert result.state is TaskState.SUCCESS
-    assert result.successful()
+    assert result.get() == 42
+    assert result.state == "SUCCESS"
 
 
 def test_apply_async_kwargs(app):
@@ -56,49 +54,25 @@ def test_apply_async_kwargs(app):
     def kw(a, b=0):
         return a - b
 
-    assert kw.apply_async(args=(10,), kwargs={"b": 4}).get(timeout=5) == 6
+    assert kw.apply_async(args=(10,), kwargs={"b": 4}).get() == 6
 
 
 def test_failure_captures_traceback(app):
+    """``get`` re-raises the body's own exception, as Celery's eager
+    ``get()`` does, with the body's frame still on its traceback."""
+    error = RuntimeError("kaboom")
+
     @app.task(name="boom")
     def boom():
-        raise RuntimeError("kaboom")
+        raise error
 
     result = boom.apply_async()
-    with pytest.raises(StateError) as excinfo:
-        result.get(timeout=5)
-    assert "kaboom" in str(excinfo.value)
-    assert result.state is TaskState.FAILURE
-
-
-def test_timeout(app):
-    @app.task(name="slow", timeout=0.1)
-    def slow():
-        time.sleep(0.15)
-
-    result = slow.apply_async()
-    with pytest.raises(StateError):
-        result.get(timeout=5)
-    assert result.state is TaskState.TIMEOUT
-
-
-def test_body_returning_past_its_timeout_is_dropped_not_retried(app):
-    calls = []
-
-    @app.task(name="late", timeout=0.05, max_retries=2)
-    def late():
-        calls.append(1)
-        time.sleep(0.1)
-        return "too late"
-
-    result = late.apply_async()
-    with pytest.raises(StateError, match="TIMEOUT"):
-        result.get(timeout=5)
-    record = app.backend.record(result.task_id)
-    assert record["state"] is TaskState.TIMEOUT
-    assert record["result"] is None
-    assert record["retries"] == 0
-    assert len(calls) == 1
+    assert result.state == "FAILURE"
+    with pytest.raises(RuntimeError, match="kaboom") as excinfo:
+        result.get()
+    assert excinfo.value is error
+    frames = traceback.extract_tb(excinfo.value.__traceback__)
+    assert "boom" in [frame.name for frame in frames]
 
 
 def test_tasks_run_on_the_callers_thread_and_add_none(app):
@@ -115,54 +89,27 @@ def test_tasks_run_on_the_callers_thread_and_add_none(app):
         return x
 
     results = [where.apply_async(args=(i,)) for i in range(50)]
-    assert all(result.ready() for result in results)
+    assert all(result.state == "SUCCESS" for result in results)
     assert [r.get() for r in results] == list(range(50))
     assert ran_on == {threading.current_thread()}
     assert threading.enumerate() == before
 
 
-def test_retry_until_success(app):
-    attempts = {"n": 0}
-
-    @app.task(name="flaky", max_retries=3)
-    def flaky():
-        attempts["n"] += 1
-        if attempts["n"] < 3:
-            raise RuntimeError("transient")
-        return "finally"
-
-    result = flaky.apply_async()
-    assert result.get(timeout=5) == "finally"
-    assert attempts["n"] == 3
-    assert app.backend.record(result.task_id)["retries"] == 2
-
-
-def test_retries_exhausted_dead_letters(app):
-    @app.task(name="always-bad", max_retries=2)
-    def always_bad():
-        raise RuntimeError("permanent")
-
-    with telemetry.session() as session:
-        result = always_bad.apply_async()
-        with pytest.raises(StateError):
-            result.get(timeout=5)
-        parked = session.metrics.counter("scheduler_dead_letters_total")
-        assert parked.value(task_name="always-bad") == 1
-    assert result.state is TaskState.DEAD_LETTER
-    record = app.backend.record(result.task_id)
-    assert record["retries"] == 2
-    assert "permanent" in record["error"]
-
-
 def test_failure_without_retry_budget_is_not_dead_lettered(app):
+    """A task is never retried: a body that raises runs once and ends
+    ``FAILURE``, whatever it raised."""
+    calls = []
+
     @app.task(name="bad-no-retries")
     def bad():
-        raise RuntimeError("permanent")
+        calls.append(1)
+        raise KeyError("permanent")
 
     result = bad.apply_async()
-    with pytest.raises(StateError):
-        result.get(timeout=5)
-    assert result.state is TaskState.FAILURE
+    with pytest.raises(KeyError):
+        result.get()
+    assert result.state == "FAILURE"
+    assert calls == [1]
 
 
 def test_many_parallel_tasks(app):
@@ -171,7 +118,7 @@ def test_many_parallel_tasks(app):
         return x * x
 
     results = [square.apply_async(args=(i,)) for i in range(50)]
-    assert [r.get(timeout=10) for r in results] == [
+    assert [r.get() for r in results] == [
         i * i for i in range(50)
     ]
 
@@ -190,8 +137,8 @@ def test_get_without_timeout_blocks_until_done(app):
 
 
 def test_unknown_task_id_in_backend(app):
-    with pytest.raises(NotFoundError):
-        app.backend.state("no-such-id")
+    with pytest.raises(KeyError):
+        app.backend.wait("no-such-id")
 
 
 def test_a_sweep_import_leaves_the_app_half_unloaded():
@@ -201,7 +148,6 @@ def test_a_sweep_import_leaves_the_app_half_unloaded():
     lazy = [
         "repro.scheduler.app",
         "repro.scheduler.result",
-        "repro.scheduler.states",
     ]
     probe = (
         "import sys, repro.art.tasks, repro.scheduler; "

@@ -238,8 +238,8 @@ def test_every_scheduler_metric_and_event_is_documented():
                 and isinstance(node.args[0], ast.Constant)
             ):
                 emitted.add(node.args[0].value)
-    assert "scheduler_tasks_submitted_total" in emitted
-    assert "task.retry" in emitted
+    assert "procpool_jobs_submitted_total" in emitted
+    assert "procpool.redelivered" in emitted
     missing = {
         name for name in emitted
         if f"`{name}`" not in documented and f"`{name}{{" not in documented
@@ -258,5 +258,5 @@ def test_every_scheduler_metric_and_event_is_documented():
             listed |= {
                 name.split("{")[0] for name in re.findall(r"`([^`]+)`", cell)
             }
-    assert "task.dead_letter" in listed
+    assert "procpool.dead_letter" in listed
     assert listed - emitted == set()

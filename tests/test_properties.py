@@ -239,10 +239,13 @@ def test_scheduler_stress_mixed_outcomes():
     handles = [maybe.apply_async(args=(n,)) for n in range(100)]
     succeeded = failed = 0
     for n, handle in enumerate(handles):
-        if handle.state.value == "SUCCESS":
+        if handle.state == "SUCCESS":
             assert handle.get() == n
             succeeded += 1
         else:
+            assert handle.state == "FAILURE"
+            with pytest.raises(RuntimeError, match=f"planned failure {n}$"):
+                handle.get()
             failed += 1
     assert succeeded == 80
     assert failed == 20

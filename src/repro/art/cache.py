@@ -3,14 +3,15 @@
 gem5art's agility claim (§III-B) is that a run already present in the
 database never needs to execute again: identical input hashes imply an
 identical result.  :class:`MemoStore` is that claim as a protocol — a
-key names an *entry* in a unique-indexed collection plus a *blob* in the
-content-addressed file store — and :class:`RunCache` is its first user:
-it maps a :class:`~repro.art.spec.RunSpec` fingerprint to the run that
-first executed it and lets later runs *adopt* that run's result instead
-of simulating.  An entry only points (``run_id``): a lookup joins in
-the producer's ``status`` and ``results``, stored once, in its document.
-:class:`~repro.art.checkpoints.CheckpointStore` is the second user and
-the pipeline's :class:`~repro.pipeline.journal.StageCache` the third.
+key names an *entry*, verified against a *blob* in the content-addressed
+file store — and :class:`RunCache` is its first user: it maps a
+:class:`~repro.art.spec.RunSpec` fingerprint to the run that first
+executed it and lets later runs *adopt* that run's result instead of
+simulating.  A run's document already holds its fingerprint, status and
+results, so the run cache is an index on ``runs`` and the producer's
+document is the entry.  :class:`~repro.art.checkpoints.CheckpointStore`
+and the pipeline's :class:`~repro.pipeline.journal.StageCache` keep
+their entries in collections of their own.
 
 A consult is a *read*: a hit writes nothing.  How often an entry was
 served is what its adopters' own documents say (a run's ``cached_from``),
@@ -19,21 +20,19 @@ counted by :meth:`MemoStore.tallies` when someone asks.
 Integrity is free because a blob id **is** the SHA-256 of its bytes: a
 consult re-downloads the blob and the store itself raises
 :class:`~repro.common.errors.CorruptBlobError` on any mismatch.  A
-corrupt entry is evicted (rotten blob included, so the recompute can
+corrupt entry is dropped (rotten blob included, so the recompute can
 re-populate the content address), a ``<noun>.corrupt`` event is emitted,
 and the caller falls back to recomputing — a memo store serves
 stale-free results or nothing, never silently wrong bytes.
 
-Only runs that reached ``DONE`` are cached; an entry whose producer's
-document is gone or not ``done`` any more is *stale*, evicted by the
-consult that finds it.  A simulation-level failure
+Only runs that reached ``DONE`` are entries.  A simulation-level failure
 (a kernel panic in a boot test) is a valid, memoizable outcome; a
 host-level failure (``FAILED`` / ``TIMED_OUT``) is retryable
 infrastructure noise and is never served from cache.
 
 Invalidation cascades through content: ``invalidate(token)`` accepts an
 entry's key *or* another name the store says it answers to — for the run
-cache an artifact content hash, which evicts every cached run that
+cache an artifact content hash, which revokes every cached run that
 consumed that artifact: rebuilding one disk image re-runs exactly its
 dependent points and nothing else.
 """
@@ -51,19 +50,14 @@ from repro.common.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.common.timeutil import iso_now
 from repro.art.db import ArtifactDB
-
-#: Run statuses whose results are memoizable (terminal *and* meaningful:
-#: the simulation ran to its recorded outcome on a healthy host).
-CACHEABLE_STATUSES = ("done",)
 
 Entry = Dict[str, Any]
 
 _COUNTER_HELP = {
     "hits": "Consultations served from the store instead of recomputing",
     "misses": "Consultations that found nothing adoptable and recomputed",
-    "corrupt": "Entries evicted because their blob failed hash verification",
+    "corrupt": "Entries dropped because their blob failed hash verification",
 }
 
 
@@ -104,10 +98,6 @@ class MemoStore:
     def tokens(self, entry: Entry) -> Iterable[str]:
         """What :meth:`invalidate` accepts for an entry besides its key."""
         return ()
-
-    def stale(self, entry: Entry) -> bool:
-        """Whether an entry's producer no longer vouches for it."""
-        return False
 
     # -------------------------------------------------------------- lookup
 
@@ -150,10 +140,8 @@ class MemoStore:
         The verification downloads the entry's blob, which the
         content-addressed store checks against its digest.  Failure modes
         degrade, never escalate: a missing blob or an injected read fault
-        counts as a miss, a corrupt blob evicts the entry and counts as a
-        miss, and so does a :meth:`stale` entry, which is evicted too — the
-        computation always remains available as the slow path.  A consult
-        never writes, except for those evictions.
+        is a miss, and a corrupt blob drops the entry and is a miss — the
+        slow path always remains.  A consult writes nothing but that drop.
         """
         try:
             chaos.fire(f"{self.noun}.get", **{self.key_field: key})
@@ -162,9 +150,6 @@ class MemoStore:
             return self._miss(key, "read-fault", str(error))
         if entry is None:
             return self._miss(key, "absent")
-        if self.stale(entry):
-            self.collection.delete_one({self.key_field: key})
-            return self._miss(key, "stale")
         payload, blob_id = None, self.blob_id(entry)
         if blob_id is not None:
             try:
@@ -178,7 +163,7 @@ class MemoStore:
                 # it: put_bytes() is dedup-by-digest, and while rotten
                 # bytes sit there re-archiving the content is skipped.
                 self.db.delete_file(blob_id)
-                self.collection.delete_one({self.key_field: key})
+                self._drop(entry, "corrupt")
                 return self._miss(key, "corrupt")
             except (NotFoundError, FaultInjectedError) as error:
                 return self._miss(key, "blob-missing", str(error))
@@ -240,12 +225,17 @@ class MemoStore:
 
     # --------------------------------------------------------- invalidation
 
+    def _drop(self, entry: Entry, reason: str) -> None:
+        """Take an entry out of service (``reason``: ``corrupt`` or
+        ``invalidated``): delete its document."""
+        self.collection.delete_one({self.key_field: entry[self.key_field]})
+
     def evict(self, token: str) -> int:
         """Evict by key or by another of an entry's :meth:`tokens`.
 
         A key evicts exactly its entry; any other token evicts every
         entry that answers to it (the run cache's artifact-hash cascade,
-        the stage cache's stage name).  Only index entries go — the blobs
+        the stage cache's stage name).  Only entries go — the blobs
         belong to the documents that archived them; returns how many.
         """
         entry = self.lookup(token)
@@ -255,7 +245,7 @@ class MemoStore:
             if token in self.tokens(candidate)
         ]
         for entry in doomed:
-            self.collection.delete_one({self.key_field: entry[self.key_field]})
+            self._drop(entry, "invalidated")
             self._emit("invalidate", **self._names(entry), token=token)
         return len(doomed)
 
@@ -287,62 +277,78 @@ class MemoStore:
 
 
 class RunCache(MemoStore):
-    """Fingerprint → archived-result index over an :class:`ArtifactDB`."""
+    """Fingerprint → its *producer*: the ``done`` run with it that neither
+    adopted (``cache_hit``) nor was revoked (``cache_revoked``), first to
+    finish (then lowest ``_id``): no later run, forced or not, displaces it."""
 
     noun = "runcache"
-    collection_name = "run_cache"
+    collection_name = "runs"
     key_field = "fingerprint"
-    origin_field = "run_id"
+    origin_field = "_id"
     label_field = "kind"
     listing = (
         "RESULT CACHE",
         (("Fingerprint", "fingerprint", 12), ("Kind", "kind", None),
-         ("Run", "run_id", 8), ("Hits", "tally", None),
-         ("Stored", "stored_at_wall", 19)),
+         ("Run", "_id", 8), ("Hits", "tally", None),
+         ("Stored", "finished_at_wall", 19)),
     )
+    _PRODUCER = {"status": "done", "cache_hit": {"$exists": False},
+                 "cache_revoked": {"$exists": False}}
+    _FIELDS = ("fingerprint", "kind", "results", "finished_at_wall",
+               "spec.artifacts")
+
+    def __init__(self, db: ArtifactDB):
+        # ArtifactDB declares the (non-unique) index on the fingerprint.
+        self.db, self.collection = db, db.runs
+
+    def _candidates(self, fingerprint: Any, fields: Iterable[str]):
+        """The runs that can produce ``fingerprint`` (a value or a
+        condition), earliest first."""
+        return sorted(
+            self.collection.find(
+                dict(self._PRODUCER, fingerprint=fingerprint), fields=fields
+            ),
+            key=lambda doc: (doc.get("finished_at_wall", ""), doc["_id"]),
+        )
 
     def lookup(self, key: str) -> Optional[Entry]:
-        """The entry, its producer's ``status`` and ``results`` joined."""
-        entry = super().lookup(key)
-        if entry is not None:
-            producer = self.db.runs.find_one(
-                {"_id": entry["run_id"]}, fields=["status", "results"]
-            ) or {}
-            entry.update(
-                status=producer.get("status"), results=producer.get("results")
+        """The producer of fingerprint ``key``: one indexed find."""
+        return next(iter(self._candidates(key, self._FIELDS)), None)
+
+    def entries(self) -> List[Entry]:
+        """Every fingerprint's producer, earliest first."""
+        first: Dict[str, Entry] = {}
+        for doc in self._candidates({"$exists": True}, self._FIELDS):
+            first.setdefault(doc["fingerprint"], doc)
+        return list(first.values())
+
+    def store(self, fingerprint: str, run_doc: Entry) -> bool:
+        """Nothing to write: a ``DONE`` run's own document is its entry.
+        Kept for the row ``benchmarks/perf/traced_child.py`` traces."""
+        return False
+
+    def _drop(self, entry: Entry, reason: str) -> None:
+        """Revoke every candidate producer: the next DONE run takes over."""
+        for doc in self._candidates(entry["fingerprint"], ()):
+            self.collection.update_one(
+                {"_id": doc["_id"]}, {"$set": {"cache_revoked": reason}}
             )
-        return entry
 
-    def encode(self, fingerprint: str, run_doc: Entry) -> Optional[Entry]:
-        """A pointer to a finished run's document (DONE runs only)."""
-        if run_doc.get("status") not in CACHEABLE_STATUSES:
-            return None
-        return {
-            "_id": f"cache-{fingerprint}",
-            "fingerprint": fingerprint,
-            "kind": run_doc.get("kind"),
-            "run_id": run_doc.get("_id"),
-            "stored_at_wall": iso_now(),
-        }
-
-    def stale(self, entry: Entry) -> bool:
-        """The producer's document is gone or no longer ``done``."""
-        return entry["status"] not in CACHEABLE_STATUSES
+    def _names(self, entry: Entry) -> Entry:
+        return {"fingerprint": entry["fingerprint"], "run_id": entry["_id"]}
 
     def blob_id(self, entry: Entry) -> Optional[str]:
         return (entry.get("results") or {}).get("stats_file_id")
 
     def tokens(self, entry: Entry) -> Iterable[str]:
         """The content hashes of the artifacts the producer consumed:
-        invalidating one evicts every dependent entry."""
-        producer = self.db.runs.find_one(
-            {"_id": entry["run_id"]}, fields=["spec.artifacts"]
-        ) or {}
-        return producer.get("spec", {}).get("artifacts", {}).values()
+        invalidating one revokes every dependent entry."""
+        return entry.get("spec", {}).get("artifacts", {}).values()
 
     def tallies(self) -> Dict[str, int]:
         """Fingerprint → runs that adopted the entry (their documents
         say ``cached_from`` its run)."""
         return self._adopted(
-            self.db.runs.find({"cache_hit": True}), "cached_from"
+            self.collection.find({"cache_hit": True}, fields=["cached_from"]),
+            "cached_from",
         )

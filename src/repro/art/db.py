@@ -25,6 +25,8 @@ class ArtifactDB:
         self.artifacts = self.database.collection(ARTIFACTS)
         self.runs = self.database.collection(RUNS)
         self.artifacts.create_unique_index("hash")
+        # The run cache's: non-unique, adopters share their fingerprint.
+        self.runs.create_index("fingerprint")
 
     # ---------------------------------------------------------- artifacts
 

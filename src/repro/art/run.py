@@ -248,9 +248,10 @@ class Gem5Run(Record):
 
         With ``use_cache`` (the default) a verified hit in the result
         cache is adopted and **no simulation happens**; a miss executes
-        and, if it reaches ``DONE``, is stored for every future
-        identical run.  ``use_cache=False`` forces a fresh execution and
-        leaves the cache untouched.  With ``checkpoint_store`` (a
+        and, if it reaches ``DONE``, its document serves every future
+        identical run.  ``use_cache=False`` neither consults nor
+        coalesces; its ``DONE`` document serves later runs too, but
+        never displaces an earlier one.  With ``checkpoint_store`` (a
         :class:`~repro.art.checkpoints.CheckpointStore`) an fs run
         restores its prefix's archived boot instead of re-simulating
         it; a missing, corrupt or incompatible checkpoint degrades to a
@@ -346,8 +347,8 @@ class Gem5Run(Record):
 
     def finish(self, attempt: "Attempt", outcome) -> Dict[str, object]:
         """Step 3, given the ``outcome`` :func:`simulate_run` made here
-        or in a worker: upload the stats, write ``DONE`` (``TIMED_OUT``
-        past the gem5art timeout) and store the cache entry."""
+        or in a worker: upload the stats and write ``DONE`` (``TIMED_OUT``
+        past the gem5art timeout), which is the run cache's entry too."""
         summary, stats_txt, host_seconds, extras = outcome
         try:
             stats_file_id = self.db.upload_file(
@@ -373,17 +374,6 @@ class Gem5Run(Record):
                 started_at_wall=attempt.started_at_wall,
                 finished_at_wall=iso_now(),
             )
-            if attempt.use_cache and not timed_out:
-                # The fields of this run's document a cache entry
-                # points with, as just written — not read back.
-                RunCache(self.db).store(
-                    self.fingerprint,
-                    {
-                        "_id": self.run_id,
-                        "kind": self.kind,
-                        "status": self.status.value,
-                    },
-                )
         finally:
             self._close(attempt.span)
         return summary
@@ -422,15 +412,15 @@ class Gem5Run(Record):
             )
 
     def adopt_cached(self, entry: Dict[str, object]) -> Dict[str, object]:
-        """Take over an archived result: the run finishes without a
-        single simulated tick, its document pointing at the same
-        (hash-verified) stats blob the original execution produced."""
+        """Take over the result of ``entry``, its producer's document:
+        the run finishes without a single simulated tick, pointing at
+        the same (hash-verified) stats blob the producer archived."""
         results = dict(entry["results"])
         self._set_status(
-            RunStatus(entry["status"]),
+            RunStatus.DONE,
             results,
             cache_hit=True,
-            cached_from=entry.get("run_id"),
+            cached_from=entry["_id"],
             finished_at_wall=iso_now(),
         )
         return results
@@ -505,8 +495,8 @@ class Gem5Run(Record):
 
 class Attempt(Record):
     """What :meth:`Gem5Run.begin` leaves open for the other two steps:
-    the detached ``run`` span (``finish``/``fail`` end it), whether a
-    ``DONE`` result is cached, when the attempt began (written with its
+    the detached ``run`` span (``finish``/``fail`` end it), whether the
+    run cache was consulted, when the attempt began (written with its
     outcome) and the boot checkpoint to restore (``begin`` sets it)."""
 
     _fields = ("span", "use_cache", "started_at_wall", "restore")

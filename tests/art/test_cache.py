@@ -66,11 +66,17 @@ def test_identical_run_adopts_cached_result(db, fs_artifacts, monkeypatch):
 
 
 def test_no_cache_forces_re_execution(db, fs_artifacts, monkeypatch):
-    make_run(db, fs_artifacts).run()
+    """A forced run neither consults nor coalesces; its ``DONE`` document
+    is a producer like any other's, but never displaces an earlier one."""
+    first = make_run(db, fs_artifacts)
+    first.run(use_cache=False)  # on an empty cache: the producer
     executed = count_simulations(monkeypatch)
     second = make_run(db, fs_artifacts)
     second.run(use_cache=False)
+    third = make_run(db, fs_artifacts)
+    third.run()
     assert executed == [second.run_id]
+    assert db.get_run(third.run_id)["cached_from"] == first.run_id
 
 
 def test_different_params_miss_the_cache(db, fs_artifacts, monkeypatch):
@@ -85,14 +91,22 @@ def test_different_params_miss_the_cache(db, fs_artifacts, monkeypatch):
 
 
 def test_only_done_runs_are_cached(db, fs_artifacts):
+    """A producer is a ``done`` run that executed: a failed, timed-out,
+    adopting or revoked document never serves, earlier though it is.
+    The earliest finish wins, ties by ``_id``; invalidating revokes all."""
     run = make_run(db, fs_artifacts)
     run.run()
-    cache = RunCache(db)
     doc = db.get_run(run.run_id)
-    assert not cache.store(run.fingerprint, dict(doc, status="failed"))
-    assert not cache.store(run.fingerprint, dict(doc, status="timed_out"))
-    # First writer wins; an existing entry is never overwritten.
-    assert not cache.store(run.fingerprint, doc)
+    for extra in ({"status": "failed"}, {"status": "timed_out"},
+                  {"cache_hit": True}, {"cache_revoked": "invalidated"}):
+        db.put_run(dict(doc, _id=str(extra), finished_at_wall="", **extra))
+    db.put_run(dict(doc, _id="!", finished_at_wall="~"))  # finished last
+    db.put_run(dict(doc, _id="0"))  # finished with ``run``, a lower id
+    cache = RunCache(db)
+    assert cache.lookup(run.fingerprint)["_id"] == "0"
+    assert [entry["_id"] for entry in cache.entries()] == ["0"]
+    assert cache.invalidate(run.fingerprint) == 1
+    assert cache.lookup(run.fingerprint) is None
 
 
 def test_simulation_level_failures_are_memoizable(db, fs_artifacts,
@@ -280,8 +294,8 @@ def test_invalidate_ambiguous_prefix_refuses_to_guess(db, fs_artifacts):
     doc = db.get_run(run.run_id)
     cache = RunCache(db)
     # Two fingerprints sharing a prefix by construction.
-    assert cache.store("abcd" + "0" * 60, doc)
-    assert cache.store("abcd" + "1" * 60, doc)
+    for digit in "01":
+        db.put_run(dict(doc, _id=digit, fingerprint="abcd" + digit * 60))
     with pytest.raises(ValidationError):
         cache.invalidate("abcd")
     assert cache.lookup("abcd" + "0" * 60) is not None

@@ -6,9 +6,9 @@ faulted — and columns are the users of the protocol: the run cache
 (driven through ``Gem5Run.run``), the checkpoint store (``run_boot_stage``)
 and the pipeline's stage cache (``run_pipeline``).  Every cell must
 degrade to exactly one recompute, report itself, and leave a store the
-*next* caller hits without writing to it.  The run cache has one more
-row of its own: its entry points at a producer run document that is
-gone or no longer ``done`` (``stale``).
+*next* caller hits without writing to it.  The run cache's entry is its
+producer's own run document, so it has no write of its own to fault,
+and one more row: that document is gone or no longer ``done``.
 """
 
 import os
@@ -50,7 +50,10 @@ def db(tmp_path):
 
 class User:
     """One caller of a memo store: ``use()`` consults and recomputes on a
-    miss; ``recomputes`` holds the ``state()`` each recompute started in."""
+    miss; ``recomputes`` holds the ``state()`` each recompute started in.
+    A hit appends ``own_writes`` records to the store's collection."""
+
+    own_writes = 0
 
     def __init__(self, db, store):
         self.db, self.store, self.recomputes = db, store, []
@@ -66,7 +69,7 @@ class User:
 class RunCacheUser(User):
     """Identical runs; a recompute is a simulation."""
 
-    noun, key_field = "runcache", "fingerprint"
+    noun, key_field, own_writes = "runcache", "fingerprint", 1
 
     def __init__(self, db, request):
         super().__init__(db, RunCache(db))
@@ -149,10 +152,7 @@ class StageCacheUser(User):
         return journal[1]["_id"]  # a, b, c
 
 
-@pytest.fixture(
-    params=[RunCacheUser, CheckpointUser, StageCacheUser],
-    ids=lambda c: c.noun,
-)
+@pytest.fixture
 def user(request, db):
     return request.param(db, request)
 
@@ -189,8 +189,13 @@ def lose(db, blob_id):
 
 
 @pytest.mark.parametrize(
-    "reason",
-    ["read-fault", "absent", "blob-missing", "corrupt", "store-fault"],
+    "user, reason",
+    [(cls, reason) for cls in (RunCacheUser, CheckpointUser, StageCacheUser)
+     for reason in ("read-fault", "absent", "blob-missing", "corrupt",
+                    "store-fault")
+     if not (cls.own_writes and reason == "store-fault")],
+    ids=lambda value: getattr(value, "noun", value),
+    indirect=["user"],
 )
 def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
     collection, mine = user.store.collection_name, {user.key_field: user.key}
@@ -238,19 +243,30 @@ def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
         del user.recomputes[1:]
     # The recompute re-archived: a healthy entry, first writer kept
     # unless it was evicted, and the next caller adopts — by reading:
-    # no write is attempted and the collection's log does not grow.
+    # no write of the store's own is attempted.
     entry, blob_present = user.state()
     assert blob_present
     kept_first = reason in ("read-fault", "blob-missing")
     assert entry[user.store.origin_field] == (first if kept_first else second)
+    adopts_by_reading(db, user)
+
+
+def adopts_by_reading(db, user):
+    """The next caller hits, and its only writes to the store's
+    collection are its ``own_writes``: with none, the log does not grow."""
+    collection = user.store.collection_name
+    writes_fault = FaultRule(
+        "wal.append", match={"collection": collection}, after=user.own_writes
+    )
     before = log_bytes(db, collection)
     with telemetry.session() as session:
         with chaos.injected(seed=37, rules=[writes_fault]) as injector:
             user.use()
-        assert [stats["seen"] for stats in injector.report().values()] == [0]
+        [stats] = injector.report().values()
+        assert stats["seen"] == user.own_writes
         assert len(about_key(session, user, "hit")) == 1
     assert len(user.recomputes) == 1
-    assert log_bytes(db, collection) == before
+    assert (log_bytes(db, collection) == before) is (user.own_writes == 0)
 
 
 def forge_failed(db, run_id):
@@ -264,11 +280,11 @@ def remove(db, run_id):
 
 
 @pytest.mark.parametrize("forge", [forge_failed, remove], ids=["failed", "gone"])
-def test_a_stale_run_cache_entry_is_evicted_then_heals(db, request, forge):
-    """A run-cache entry is a pointer: when the run it names no longer
-    holds a ``done`` result, the consult evicts the entry and misses as
-    ``stale``, the recompute stores a fresh pointer, and the next caller
-    hits it without writing."""
+def test_a_lost_producer_misses_then_heals(db, request, forge):
+    """The run cache's own row: when the producer's document is gone or
+    no longer says ``done``, nothing answers the fingerprint — the
+    consult misses as ``absent``, the recompute is the new producer, and
+    the next caller adopts it."""
     user = RunCacheUser(db, request)
     first = user.use()
     forge(db, first)
@@ -276,37 +292,29 @@ def test_a_stale_run_cache_entry_is_evicted_then_heals(db, request, forge):
     with telemetry.session() as session:
         second = user.use()
         counter = session.metrics.counter
-        assert counter("runcache_misses_total").value(reason="stale") == 1
+        assert counter("runcache_misses_total").value(reason="absent") == 1
         [miss] = events_of(session.events, "runcache.miss")
         assert miss["attributes"] == {
-            "fingerprint": user.key, "reason": "stale"
+            "fingerprint": user.key, "reason": "absent"
         }
-    # One recompute, and it started with the entry evicted.
     [(entry, _)] = user.recomputes
     assert entry is None
     entry, blob_present = user.state()
     assert blob_present
-    assert (entry["run_id"], entry["status"]) == (second, "done")
-    collection = user.store.collection_name
-    writes_fault = FaultRule("wal.append", match={"collection": collection})
-    before = log_bytes(db, collection)
-    with telemetry.session() as session:
-        with chaos.injected(seed=37, rules=[writes_fault]) as injector:
-            user.use()
-        assert [stats["seen"] for stats in injector.report().values()] == [0]
-        assert len(about_key(session, user, "hit")) == 1
-    assert len(user.recomputes) == 1
-    assert log_bytes(db, collection) == before
+    assert entry["_id"] == second
+    adopts_by_reading(db, user)
 
 
 def test_a_warm_sweep_appends_nothing_to_the_run_cache(db):
     """The quick Fig 8 grid twice on one ``file://`` database: the second
-    launch adopts all 48 results and the ``run_cache`` log does not grow."""
+    launch adopts all 48 results, leaves every producer's document as it
+    was, and there is no cache collection to grow."""
     quick_fig8(db).launch(substrate="inline")
-    before = log_bytes(db, "run_cache")
+    producers = db.runs.find()
     quick_fig8(db).launch(substrate="inline")
+    assert db.runs.find({"cache_hit": {"$exists": False}}) == producers
     assert db.runs.count({"cache_hit": True}) == 48
-    assert log_bytes(db, "run_cache") == before
+    assert "run_cache" not in db.database.storage_stats()["collections"]
 
 
 #: What ``StageCache.encode`` reads of a journaled attempt.
@@ -316,24 +324,15 @@ STAGE_DOC = {
 }
 
 
-#: A finished run's document, as a run-cache entry's producer.
-RUN_DOC = {
-    "kind": "fs", "status": "done", "spec": {"kind": "fs", "artifacts": {}},
-    "results": {"success": True},
-}
-
-
 @pytest.mark.parametrize(
     "store_class, first_value, value, field, kept",
     [
-        (RunCache, dict(RUN_DOC, _id="run-1"), dict(RUN_DOC, _id="run-2"),
-         "run_id", "run-1"),
         (CheckpointStore, make_checkpoint(boot_seconds=10.0),
          make_checkpoint(boot_seconds=99.0), "boot_seconds", 10.0),
         (StageCache, dict(STAGE_DOC, _id="doc-1"),
          dict(STAGE_DOC, _id="doc-2"), "origin", "doc-1"),
     ],
-    ids=["runcache", "checkpoint", "stagecache"],
+    ids=["checkpoint", "stagecache"],
 )
 def test_racing_store_loses_quietly(
     db, monkeypatch, store_class, first_value, value, field, kept
@@ -341,12 +340,7 @@ def test_racing_store_loses_quietly(
     """Two writers sharing a database (two experiments, each with its own
     broker; two store instances) can both find a key absent.  The unique
     index picks the winner; the loser returns False — it must not raise
-    out of a run that has already finished."""
-    if store_class is RunCache:
-        # Both racers finished their runs: each entry would point at a
-        # real document.
-        db.put_run(first_value)
-        db.put_run(value)
+    out of work that has already finished."""
     store, rival = store_class(db), store_class(db)
     assert rival.store("k" * 64, first_value) is True
     # The loser's view is the race window's: anything it reads before

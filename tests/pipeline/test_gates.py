@@ -42,6 +42,11 @@ def test_numeric_comparisons():
         {"kind": "within", "path": "n", "value": 10, "tolerance": 0.5},
         {"n": 11},
     )["ok"]
+    # The boundary passes, and tolerance 0 is a valid exact match.
+    for tolerance, n, ok in ((0.5, 10.5, True), (0, 10, True), (0, 9, False)):
+        gate = dict(kind="within", path="n", value=10, tolerance=tolerance)
+        validate_gate_spec(gate, stage="s")
+        assert verdict_of(gate, {"n": n})["ok"] is ok
 
 
 def test_dotted_path_and_missing_path():
@@ -72,6 +77,9 @@ def test_all_terminal():
     assert not pending["ok"]
     assert "pending" in pending["detail"]
     assert not verdict_of({"kind": "all_terminal"}, {})["ok"]
+    # Found, but not a mapping: the same verdict as absent, not a crash.
+    listed = verdict_of({"kind": "all_terminal"}, {"run_status_counts": [1]})
+    assert listed["detail"].startswith("outputs have no 'run_status_counts'")
 
 
 def test_callable_gate():

@@ -521,8 +521,9 @@ def test_db_bad_uri(capsys):
 # entries are spelled out field by field; the expected text is what the
 # commit before the shared memo protocol printed (as two verbs; a hit
 # tally is counted from the run documents that say whom they adopted).
-# A run-cache entry points at its producer's run document, which holds
-# the result and the artifact hashes ``invalidate`` cascades through.
+# A run-cache entry is its producer's run document, which holds the
+# fingerprint, the result and the artifact hashes ``invalidate``
+# cascades through (``Stored`` is when it finished).
 
 
 def _primed_memo_db(tmp_path):
@@ -531,7 +532,6 @@ def _primed_memo_db(tmp_path):
 
     uri = f"file://{tmp_path}/memodb"
     db = ArtifactDB(connect(uri))
-    run_cache = db.database.collection("run_cache")
     for index, (fingerprint, kind, binary) in enumerate(
         [("aa11" * 16, "fs", "d1" * 16), ("aa22" * 16, "fs", "d1" * 16),
          ("bb33" * 16, "gpu", "d2" * 16)]
@@ -540,18 +540,11 @@ def _primed_memo_db(tmp_path):
             {
                 "_id": f"0000000{index}-run",
                 "kind": kind,
+                "fingerprint": fingerprint,
                 "spec": {"kind": kind, "artifacts": {"gem5": binary}},
                 "status": "done",
                 "results": {"success": True},
-            }
-        )
-        run_cache.insert_one(
-            {
-                "_id": f"cache-{fingerprint}",
-                "fingerprint": fingerprint,
-                "kind": kind,
-                "run_id": f"0000000{index}-run",
-                "stored_at_wall": f"2021-03-0{index + 1}T10:00:00.123456",
+                "finished_at_wall": f"2021-03-0{index + 1}T10:00:00.123456",
             }
         )
         adopter = {

@@ -1,11 +1,12 @@
 """Seed-driven chaos engineering for the experiment stack.
 
-The resilience contract of this codebase — retries, redelivery after a
-worker dies, crash-resumable experiments, content-verified blobs — is only
-credible if every recovery path is *exercised*.  This package provides the
-exerciser: a deterministic fault injector whose failure schedule is a pure
-function of a seed, so any failure a chaos test provokes can be replayed
-exactly from ``(seed, rules)`` alone.  Reproducibility includes
+The resilience contract of this codebase — a dead worker fails only the
+run it held, crash-resumable experiments whose resume is the one retry,
+content-verified blobs — is only credible if every recovery path is
+*exercised*.  This package provides the exerciser: a deterministic fault
+injector whose failure schedule is a pure function of a seed, so any
+failure a chaos test provokes can be replayed exactly from ``(seed,
+rules)`` alone.  Reproducibility includes
 reproducing what happens when infrastructure fails.
 
 Failure points wired into production code — the registry: a tier-1 test

@@ -5,8 +5,9 @@ Python multiprocessing library on one host.  Here:
 
 - :class:`ProcessPool` — the multiprocessing substrate, where a sweep's
   simulations leave the planner (``substrate="processes"``): forked
-  workers fed pickle-safe :class:`JobEnvelope` s, with redelivery, a
-  deadline per job and telemetry merge-on-drain;
+  workers fed pickle-safe :class:`JobEnvelope` s; a job lost with its
+  worker fails (retrying is the caller's), a deadline per job and
+  telemetry merge-on-drain;
 - :class:`SchedulerApp` — the Celery surface the paper's launch script
   calls (``@app.task``, ``apply_async``, ``AsyncResult.get``), run
   eagerly on the caller's thread as under ``task_always_eager``.

@@ -11,8 +11,7 @@ simulator; :class:`ProcessPool` shards jobs across real OS processes:
   injector, telemetry session) before its first job;
 - jobs travel as **pickle-safe** :class:`JobEnvelope` s — a dotted-path
   target plus picklable arguments — so a job computes nothing from
-  what its worker inherited, and a respawned seat (forked from a later
-  parent) reruns a redelivered job exactly;
+  what its worker inherited, and a resubmitted envelope reruns exactly;
 - each worker process executes one envelope at a time and ships the
   outcome back over its own result pipe; the pool has **no thread** of
   its own: ``submit`` hands a job straight to an idle worker, and every
@@ -22,14 +21,15 @@ simulator; :class:`ProcessPool` shards jobs across real OS processes:
 - a worker's death is an event that loop already waits on: the
   sentinel fires, whatever the dead worker flushed is salvaged (a
   finished result wins), the seat is respawned and the job it still
-  held is **redelivered** at the front of the queue — bounded by a
-  redelivery budget, then dead-lettered; a worker that dies idle is
+  held **fails** with a :class:`WorkerJobError` naming the worker and
+  its exit code — retrying is the caller's (for a sweep,
+  ``resume(retry_failures=True)``); a worker that dies idle is
   replaced at the next submit or wait;
 - a job's deadline (:attr:`JobEnvelope.timeout`) is enforced where the
   job can be stopped: the loop's wait wakes at the nearest one,
   fails the handle as timed out, vacates the seat and kills the
   process — a wedged worker is a dead worker, back through the same
-  recovery path with nothing to redeliver;
+  recovery path holding nothing;
 - per-process telemetry buffers (metrics + events recorded inside the
   worker) are merged into the parent's session when results drain.
 
@@ -60,10 +60,6 @@ from repro.telemetry import (
     get_metrics,
     merge_worker_telemetry,
 )
-
-#: Extra deliveries a job may receive after worker crashes before it is
-#: failed outright (the first delivery is not a *re*-delivery).
-DEFAULT_MAX_REDELIVERIES = 3
 
 #: Marker key for an interned-payload reference inside envelope args.
 #: ``{"__intern__": <content hash>}`` is replaced, inside the worker,
@@ -153,10 +149,8 @@ class ProcJobHandle:
         self._error: Optional[str] = None
         self.timed_out = False
         self.worker: Optional[str] = None
-        # The pool's own notes: deliveries so far, when it was
-        # submitted, and the ``time.monotonic()`` past which the seat
-        # holding it is killed.
-        self._deliveries = 0
+        # The pool's own notes: when it was submitted, and the
+        # ``time.monotonic()`` past which the seat holding it is killed.
         self._submitted = time.monotonic()
         self._deadline = math.inf
 
@@ -272,7 +266,7 @@ class _WorkerSlot:
     so a SIGKILL that lands mid-write can only tear the dying worker's
     own stream — the reader sees EOF after the torn message, the job
     whose result never made it out is still this seat's ``current`` and
-    is redelivered, and no other worker shares a lock or a byte stream
+    fails as lost, and no other worker shares a lock or a byte stream
     with the corpse.
 
     ``interned`` mirrors the worker's payload intern cache: content
@@ -292,6 +286,16 @@ class _WorkerSlot:
     def alive(self) -> bool:
         return self.process.is_alive()
 
+    def vacate(self, outcome: str, **ending) -> ProcJobHandle:
+        """The one way a seated job ends: vacate the seat, count the
+        job's terminal ``outcome`` and complete its handle."""
+        handle, self.current = self.current, None
+        get_metrics().counter(
+            "procpool_jobs_total", "Jobs by terminal outcome"
+        ).inc(outcome=outcome)
+        handle._complete(worker=self.name, **ending)
+        return handle
+
     def send(self, wire: bytes) -> None:
         try:
             self.inbox.send_bytes(wire)
@@ -304,8 +308,8 @@ class _WorkerSlot:
 
 
 class ProcessPool:
-    """A multiprocessing executor of forked worker seats that redelivers
-    the job a dead worker held.
+    """A multiprocessing executor of forked worker seats; the job a
+    dead worker held fails, and the seat is respawned.
 
     The API is deliberately envelope-shaped rather than function-shaped:
     callers describe work as data (:class:`JobEnvelope`), which is what
@@ -432,7 +436,7 @@ class ProcessPool:
         delta-encoded against the slot's intern mirror: a content hash
         this worker has already received ships as a reference, not a
         payload.  Dead workers were replaced just before; one that dies
-        under the write keeps its job for its sentinel to redeliver.
+        under the write keeps its job for its sentinel to fail.
         """
         for slot in self._slots:
             if not self._pending:
@@ -440,7 +444,6 @@ class ProcessPool:
             if slot.current is not None:
                 continue
             handle = slot.current = self._pending.popleft()
-            handle._deliveries += 1
             handle.worker = slot.name
             envelope = handle.envelope
             shared: Dict[str, Any] = {}
@@ -468,7 +471,6 @@ class ProcessPool:
                 "procpool.dispatch",
                 task_id=handle.task_id,
                 worker=slot.name,
-                delivery=handle._deliveries,
                 wire_bytes=len(wire),
                 interned=len(shared),
             )
@@ -485,34 +487,27 @@ class ProcessPool:
             handle = slot.current
             if handle is None or handle._deadline > now:
                 continue
-            slot.current = None
-            get_metrics().counter(
-                "procpool_jobs_total", "Jobs by terminal outcome"
-            ).inc(outcome="timeout")
-            handle._complete(
-                error=f"timed out after {handle.envelope.timeout}s",
-                timed_out=True,
-                worker=slot.name,
-            )
+            slot.vacate("timeout", timed_out=True,
+                        error=f"timed out after {handle.envelope.timeout}s")
             slot.process.kill()
             slot.process.join()
 
     def _recover_lost_workers(self) -> None:
         """The one recovery path: for every worker whose process has
-        ended, salvage what it flushed, respawn the seat, and redeliver
-        (or, past the budget, fail) the job it still held."""
+        ended, salvage what it flushed, respawn the seat, and fail the
+        job it still held."""
         for index, slot in enumerate(self._slots):
             if slot.alive():
                 continue
             # A result the worker flushed before dying completes its
-            # handle and vacates the seat: a finished job is not
-            # redelivered.  A seat its deadline vacated has nothing to
-            # salvage: a result that lost that race is dropped.
+            # handle and vacates the seat: a finished job is not lost.
+            # A seat its deadline vacated has nothing to salvage: a
+            # result that lost that race is dropped.
             if slot.current is not None:
                 self._drain_outbox(slot)
             slot.close()
             self._slots[index] = self._fork_slot(index)
-            handle, slot.current = slot.current, None
+            handle = slot.current
             get_metrics().counter(
                 "procpool_workers_lost_total",
                 "Worker processes that died and were respawned",
@@ -524,40 +519,9 @@ class ProcessPool:
                 task_id=None if handle is None else handle.task_id,
             )
             if handle is not None:
-                self._redeliver(handle, slot.name)
-
-    def _redeliver(self, handle: ProcJobHandle, worker: str) -> None:
-        """Requeue a job lost with ``worker`` at the front, or fail it
-        once its redelivery budget is spent."""
-        if handle._deliveries > DEFAULT_MAX_REDELIVERIES:
-            get_event_log().emit(
-                "procpool.dead_letter",
-                task_id=handle.task_id,
-                deliveries=handle._deliveries,
-            )
-            get_metrics().counter(
-                "procpool_jobs_total", "Jobs by terminal outcome"
-            ).inc(outcome="lost")
-            handle._complete(
-                error=(
-                    f"job {handle.task_id} lost with worker {worker} "
-                    f"after {handle._deliveries} deliveries "
-                    "(redelivery budget exhausted)"
-                ),
-                worker=worker,
-            )
-            return
-        get_metrics().counter(
-            "procpool_redeliveries_total",
-            "Jobs redelivered after a worker crash",
-        ).inc()
-        get_event_log().emit(
-            "procpool.redelivered",
-            task_id=handle.task_id,
-            worker=worker,
-            delivery=handle._deliveries,
-        )
-        self._pending.appendleft(handle)
+                code = slot.process.exitcode
+                slot.vacate("lost", error=f"job {handle.task_id} lost with "
+                            f"worker {slot.name} (exit code {code})")
 
     # ------------------------------------------------------------ results
 
@@ -565,8 +529,8 @@ class ProcessPool:
         """Absorb every result currently readable from one worker's
         outbox.  A worker killed mid-write leaves a truncated message in
         its (private) pipe; that read fails, the pipe is closed with
-        the slot, and the job whose result never made it out is
-        redelivered with the seat."""
+        the slot, and the job whose result never made it out fails as
+        lost with the seat."""
         while slot.outbox.poll():
             try:
                 result = pickle.loads(slot.outbox.recv_bytes())
@@ -584,30 +548,23 @@ class ProcessPool:
         self, slot: _WorkerSlot, result: Dict[str, Any]
     ) -> None:
         """A result can only be for the one job its seat holds."""
-        task_id = result["task_id"]
-        handle, slot.current = slot.current, None
         buffer = result.get("telemetry")
         if buffer:
-            merge_worker_telemetry(buffer, worker=result["worker"])
-        outcome = "ok" if result["ok"] else "error"
-        get_metrics().counter(
-            "procpool_jobs_total", "Jobs by terminal outcome"
-        ).inc(outcome=outcome)
+            merge_worker_telemetry(buffer, worker=slot.name)
+        handle = slot.vacate(
+            "ok" if result["ok"] else "error",
+            value=result["value"], error=result["error"],
+        )
         get_event_log().emit(
             "procpool.result",
-            task_id=task_id,
-            worker=result["worker"],
+            task_id=handle.task_id,
+            worker=slot.name,
             ok=result["ok"],
         )
         get_metrics().histogram(
             "procpool_roundtrip_seconds",
             "Parent-side time from submit() to the handle completing",
         ).observe(time.monotonic() - handle._submitted)
-        handle._complete(
-            value=result["value"],
-            error=result["error"],
-            worker=result["worker"],
-        )
 
     # ----------------------------------------------------------- shutdown
 

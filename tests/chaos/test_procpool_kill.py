@@ -1,33 +1,30 @@
-"""Chaos suite for the process substrate: workers die, shards finish.
+"""Chaos suite for the process substrate: workers die, every job ends.
 
 A SIGKILLed worker runs no handler, but its death is an event the
 pool's wait loop blocks on: the seat is respawned and the job it held
-is redelivered (docs/scaling.md); a worker that outlives its job's
-deadline is killed by the pool itself and nothing is redelivered.
-These tests kill workers two ways —
-deterministically from inside the job (:func:`tests.helpers.
-kill_once_job`, the no-race script) and from the parent mid-flight —
-and assert the shard completes with results identical to an
-uninterrupted run.
+fails, naming the worker and its exit code (docs/scaling.md); a worker
+that outlives its job's deadline is killed by the pool itself.  A
+sweep's one retry is ``resume(retry_failures=True)``.  Here workers
+die inside a simulation (:func:`tests.helpers.kill_simulations_once`,
+no race) and at the parent's hand, mid-flight.
 """
 
 import multiprocessing
 import os
+import re
 import signal
 import time
 
 import pytest
 
 from repro import chaos, telemetry
+from repro.art import ArtifactDB
 from repro.chaos import FaultRule
 from repro.common.errors import FaultInjectedError
-from repro.scheduler.procpool import (
-    DEFAULT_MAX_REDELIVERIES,
-    JobEnvelope,
-    ProcessPool,
-    WorkerJobError,
-)
-from tests.helpers import boot_shard_job, events_of, map_envelopes, result_of
+from repro.scheduler.procpool import JobEnvelope, ProcessPool, WorkerJobError
+from tests.art.test_launch_share import make_experiment
+from tests.art.test_write_budget import runs_digest  # noqa: F401
+from tests.helpers import events_of, kill_simulations_once, result_of
 
 
 def _kill_a_worker():
@@ -41,109 +38,101 @@ def _kill_a_worker():
     os.kill(pids[0], signal.SIGKILL)
 
 
-def _shard(count, repeats=1, telemetry_on=False):
+def _shard(count):
+    target = "tests.helpers:boot_shard_job"
     return [
-        JobEnvelope(
-            target="tests.helpers:boot_shard_job",
-            args=({"index": i, "repeats": repeats},),
-            telemetry=telemetry_on,
-        )
+        JobEnvelope(target, ({"index": i, "repeats": 50},))
         for i in range(count)
     ]
 
 
-def test_sigkilled_worker_shard_completes_with_identical_stats(tmp_path):
-    """One job SIGKILLs its worker on first delivery; the whole shard
-    must still complete, and the killed job's stats fingerprint must be
-    bit-identical to an uninterrupted execution of the same work."""
-    baseline = boot_shard_job({"index": 0, "repeats": 1})
-    assert baseline["ok"]
+def _ended(handles):
+    """Wait out every handle: at most one lost with the killed worker,
+    and each result its own job's, with one stats fingerprint."""
+    results = []
+    for handle in handles:
+        try:
+            result = result_of(handle, 120)
+        except WorkerJobError as error:
+            assert "lost with worker" in str(error)
+            continue
+        assert result["ok"]
+        assert result["index"] == handle.envelope.args[0]["index"]
+        results.append(result)
+    assert len(results) >= len(handles) - 1
+    assert len({result["stats_fingerprint"] for result in results}) == 1
 
-    sentinel = str(tmp_path / "killed-once")
-    shard = [
-        JobEnvelope(
-            target="tests.helpers:kill_once_job",
-            args=({"index": 0, "repeats": 1, "sentinel": sentinel},),
-        )
-    ] + _shard(8)[1:]
 
-    with telemetry.session() as active:
-        with ProcessPool(workers=2) as pool:
-            results = map_envelopes(pool, shard, timeout=120)
+def test_a_sigkilled_simulation_fails_its_run_and_resume_retries_it(
+    tmp_path, monkeypatch, runs_digest
+):
+    """One simulation SIGKILLs its worker: that run alone ends ``failed``,
+    saying which worker died and how, and a retrying resume leaves the
+    documents an uninterrupted sweep writes."""
+    kill_simulations_once(monkeypatch, str(tmp_path / "killed-once"))
+    apps = ("ferret", "vips", "dedup")
+    db = ArtifactDB()
+    experiment = make_experiment(db, apps=apps, cpus=(1,))
+    runs = experiment.create_runs()
+    experiment.launch(workers=2, substrate="processes")
+    docs = [db.get_run(run.run_id) for run in runs]
+    assert sorted(doc["status"] for doc in docs) == ["done", "done", "failed"]
+    (failed,) = [doc for doc in docs if doc["status"] == "failed"]
+    assert re.fullmatch(
+        r"job \S+ lost with worker procpool-worker-\d \(exit code -9\)",
+        failed["results"]["error"],
+    )
 
-        assert os.path.exists(sentinel)  # the kill really happened
-        assert len(results) == 8
-        assert all(r["ok"] for r in results)
-        # Identical inputs -> identical stats, crash or no crash.
-        fingerprints = {r["stats_fingerprint"] for r in results}
-        assert fingerprints == {baseline["stats_fingerprint"]}
-
-        # The crash left its evidence trail in the parent's telemetry.
-        assert events_of(active.events, "procpool.worker_lost")
-        redelivered = events_of(active.events, "procpool.redelivered")
-        assert len(redelivered) >= 1
-        assert (
-            active.metrics.counter("procpool_workers_lost_total").value()
-            >= 1
-        )
-        assert (
-            active.metrics.counter("procpool_redeliveries_total").value()
-            >= 1
-        )
-        # The redelivered job was delivered at least twice.
-        deliveries = [
-            e["attributes"]["delivery"]
-            for e in events_of(active.events, "procpool.dispatch")
-        ]
-        assert max(deliveries) >= 2
+    experiment.resume(workers=2, substrate="processes", retry_failures=True)
+    assert [db.get_run(run.run_id)["status"] for run in runs] == ["done"] * 3
+    digest = runs_digest(db.database)
+    # A second resume finds nothing owed and changes nothing.
+    assert experiment.pending_runs(retry_failures=True) == []
+    experiment.resume(workers=2, substrate="processes", retry_failures=True)
+    assert runs_digest(db.database) == digest
+    clean = ArtifactDB()
+    make_experiment(clean, apps=apps, cpus=(1,)).launch(substrate="inline")
+    assert digest == runs_digest(clean.database)
 
 
 def test_parent_side_sigkill_mid_flight_shard_completes():
     """Killing a live worker PID from the parent — the untimed, racy
-    variant of the crash — still drains the shard correctly."""
-    shard = _shard(6, repeats=50)
+    variant of the crash — still ends every handle of the shard."""
     with ProcessPool(workers=2) as pool:
-        handles = [pool.submit(envelope) for envelope in shard]
+        handles = [pool.submit(envelope) for envelope in _shard(6)]
         _kill_a_worker()
-        results = [result_of(handle, 120) for handle in handles]
-    assert [r["index"] for r in results] == list(range(6))
-    assert all(r["ok"] for r in results)
-    assert len({r["stats_fingerprint"] for r in results}) == 1
+        _ended(handles)
 
 
 def test_kill_and_refused_submit_end_every_handle_within_budget():
     """``procpool.submit`` raising once *and* a parent-side SIGKILL in
     the same shard: the refused envelope left nothing behind in the
-    pool, and every handle that exists ends in a result — never a hang
-    — inside the redelivery budget."""
+    pool, and every handle that exists ends within budget, never hangs."""
     rules = [FaultRule("procpool.submit", after=2, times=1)]
     handles, refused = [], []
     with telemetry.session() as active, chaos.injected(seed=5, rules=rules):
         with ProcessPool(workers=2) as pool:
-            for envelope in _shard(6, repeats=50):
+            for envelope in _shard(6):
                 try:
                     handles.append(pool.submit(envelope))
                 except FaultInjectedError:
                     refused.append(envelope.task_id)
             _kill_a_worker()
-            results = [result_of(handle, 120) for handle in handles]
-        deliveries = {}
-        for event in events_of(active.events, "procpool.dispatch"):
-            task_id = event["attributes"]["task_id"]
-            deliveries[task_id] = event["attributes"]["delivery"]
+            _ended(handles)
+        dispatched = {
+            event["attributes"]["task_id"]
+            for event in events_of(active.events, "procpool.dispatch")
+        }
     assert len(refused) == 1
-    assert [r["index"] for r in results] == [0, 1, 3, 4, 5]
-    assert all(r["ok"] for r in results)
-    assert set(deliveries) == {handle.task_id for handle in handles}
-    assert max(deliveries.values()) <= DEFAULT_MAX_REDELIVERIES + 1
+    assert [h.envelope.args[0]["index"] for h in handles] == [0, 1, 3, 4, 5]
+    assert dispatched == {handle.task_id for handle in handles}
 
 
-def test_wedged_worker_is_killed_at_its_deadline_not_redelivered():
+def test_wedged_worker_is_killed_at_its_deadline():
     """The deadline twin of the SIGKILL case: a job that outlives
     ``JobEnvelope.timeout`` fails as timed out at its deadline (no timer
     but the pool's own wait), its worker is killed and the seat comes
-    back through the same recovery path — with nothing to redeliver,
-    because a job that wedged one worker would wedge the next."""
+    back through the same recovery path, holding nothing."""
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
             wedged_pid = result_of(
@@ -169,12 +158,5 @@ def test_wedged_worker_is_killed_at_its_deadline_not_redelivered():
         assert lost["attributes"] == {
             "worker": "procpool-worker-0", "pid": wedged_pid, "task_id": None,
         }
-        assert events_of(active.events, "procpool.redelivered") == []
-        deliveries = [
-            e["attributes"]["delivery"]
-            for e in events_of(active.events, "procpool.dispatch")
-            if e["attributes"]["task_id"] == handle.task_id
-        ]
-        assert deliveries == [1]
         jobs = active.metrics.counter("procpool_jobs_total")
         assert jobs.value(outcome="timeout") == 1

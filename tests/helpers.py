@@ -137,6 +137,27 @@ def wedge_simulations(monkeypatch, seconds):
     monkeypatch.setattr(run, "_simulate_fs", slow)
 
 
+def kill_simulations_once(monkeypatch, sentinel):
+    """The first simulation to create ``sentinel`` SIGKILLs its own
+    process, as a segfaulting gem5 would.  Process substrate only: a
+    pool worker is a fork of this process, patch included."""
+    import os
+    import signal
+
+    from repro.art import run
+
+    simulate_fs = run._simulate_fs
+
+    def killed_once(*args):
+        try:
+            os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return simulate_fs(*args)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(run, "_simulate_fs", killed_once)
+
+
 # Process-pool job targets: an envelope names them by dotted path
 # ("tests.helpers:boot_shard_job") and the worker resolves it, so they
 # are module-level functions of plain-data payloads.
@@ -214,12 +235,12 @@ def telemetry_probe_job(payload):
 
 
 def kill_once_job(payload):
-    """A boot-shard job whose *first* delivery SIGKILLs its own worker.
+    """A boot-shard job whose *first* attempt SIGKILLs its own worker.
 
     ``payload["sentinel"]`` names a filesystem path shared with the
     parent: the first attempt creates it and then kills the worker
     process dead (no cleanup, no exception — exactly what a segfaulting
-    gem5 looks like to the scheduler).  The redelivered attempt sees the
+    gem5 looks like to the scheduler).  A resubmitted attempt sees the
     sentinel and completes normally: a one-crash-then-success script
     with no racy parent-side kill timing.
     """

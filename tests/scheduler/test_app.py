@@ -95,7 +95,7 @@ def test_tasks_run_on_the_callers_thread_and_add_none(app):
     assert threading.enumerate() == before
 
 
-def test_failure_without_retry_budget_is_not_dead_lettered(app):
+def test_a_failing_task_runs_once(app):
     """A task is never retried: a body that raises runs once and ends
     ``FAILURE``, whatever it raised."""
     calls = []

@@ -102,15 +102,14 @@ def test_closed_pool_rejects_submission():
 
 
 def test_unpicklable_return_value_fails_the_job_not_the_worker():
-    """The worker survives a result it cannot ship: one delivery, and
-    the error names the pickling failure instead of a "lost" job."""
+    """The worker survives a result it cannot ship: the error names the
+    pickling failure instead of a "lost" job."""
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
             handle = pool.submit(JobEnvelope(target="threading:Lock"))
             with pytest.raises(WorkerJobError, match="pickle"):
                 result_of(handle, 60)
-        dispatches = events_of(active.events, "procpool.dispatch")
-        assert [e["attributes"]["delivery"] for e in dispatches] == [1]
+        assert len(events_of(active.events, "procpool.dispatch")) == 1
         lost = active.metrics.counter("procpool_workers_lost_total")
         assert lost.value() == 0
 
@@ -135,44 +134,46 @@ def test_boot_shard_job_runs_in_worker():
     assert outcome["sim_seconds"] > 0
 
 
-def test_crashed_worker_job_is_redelivered():
-    """SIGKILL mid-job: the sentinel fires, a respawned worker gets the
-    job again, and the handle resolves to a good result within one
-    worker fork of the kill — no timer stands between them."""
-    sentinel = os.path.join(
-        os.environ.get("PYTEST_TMPDIR", "/tmp"),
-        f"procpool-redeliver-{os.getpid()}-{time.monotonic_ns()}",
-    )
+def test_a_lost_worker_fails_the_job_it_held(tmp_path):
+    """SIGKILL mid-job: the job the seat held fails, naming the worker
+    and its exit code, within a second of the kill (no timer).  The pool
+    never reruns a job: resubmitting is the caller's retry."""
+    sentinel = tmp_path / "killed-once"
     envelope = JobEnvelope(
         target="tests.helpers:kill_once_job",
-        args=({"index": 0, "repeats": 1, "sentinel": sentinel},),
+        args=({"index": 0, "repeats": 1, "sentinel": str(sentinel)},),
     )
-    try:
+    cause = r"lost with worker procpool-worker-0 \(exit code -9\)"
+    with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
-            outcome = result_of(pool.submit(envelope), 120)
-            recovered = time.time()
-        assert outcome["ok"]
-        # The first delivery stamps the file and then kills its worker.
-        assert recovered - os.path.getmtime(sentinel) < 1.0
-    finally:
-        if os.path.exists(sentinel):
-            os.unlink(sentinel)
+            handle = pool.submit(envelope)
+            with pytest.raises(WorkerJobError, match=cause):
+                result_of(handle, 120)
+            assert time.time() - sentinel.stat().st_mtime < 1.0
+            assert result_of(pool.submit(envelope), 120)["ok"]
+            assert pool._slots[0].process.pid != int(sentinel.read_text())
+        jobs = active.metrics.counter("procpool_jobs_total")
+        assert jobs.value(outcome="lost") == 1
+        (lost,) = events_of(active.events, "procpool.worker_lost")
+        assert lost["attributes"]["task_id"] == handle.task_id
 
 
-def test_redelivery_budget_dead_letters(monkeypatch):
-    """A job that kills its worker on every delivery is eventually
-    failed instead of respawning workers forever."""
-    monkeypatch.setattr(
-        "repro.scheduler.procpool.DEFAULT_MAX_REDELIVERIES", 1
-    )
-    # Not os.abort: the fork inherits pytest's faulthandler, which would
-    # print a fatal-error dump per delivery.
-    envelope = JobEnvelope(target="os:_exit", args=(134,))
-    with ProcessPool(workers=1) as pool:
-        handle = pool.submit(envelope)
-        with pytest.raises(WorkerJobError) as excinfo:
-            result_of(handle, 60)
-    assert "redelivery budget" in str(excinfo.value)
+def test_a_result_flushed_before_death_still_wins():
+    """Salvage: a worker killed after flushing its result, before the
+    pool read it, still completes its job with that result."""
+    with telemetry.session() as active:
+        with ProcessPool(workers=1) as pool:
+            handle = pool.submit(JobEnvelope(target="os:getpid"))
+            (slot,) = pool._slots
+            pid = slot.process.pid
+            assert slot.outbox.poll(10)  # flushed, not yet read
+            os.kill(pid, signal.SIGKILL)
+            slot.process.join()
+            assert pool.wait_any([handle]) == (handle, pid, None, False)
+        lost = active.metrics.counter("procpool_workers_lost_total")
+        assert lost.value() == 1
+        (event,) = events_of(active.events, "procpool.worker_lost")
+        assert event["attributes"]["task_id"] is None
 
 
 def test_worker_telemetry_merges_into_parent_session():
@@ -259,8 +260,7 @@ def test_shutdown_fails_outstanding_handles_promptly():
 
 def test_killed_idle_worker_is_replaced_before_the_next_job():
     """A worker that dies idle is replaced at the next submit or wait:
-    the next job runs in a new process, one worker is counted lost, and
-    nothing is redelivered — the seat held no job."""
+    the next job runs in a new process and one worker is counted lost."""
     with telemetry.session() as active:
         with ProcessPool(workers=1) as pool:
             first = result_of(pool.submit(JobEnvelope(target="os:getpid")), 60)
@@ -273,7 +273,6 @@ def test_killed_idle_worker_is_replaced_before_the_next_job():
         assert second != first
         lost = active.metrics.counter("procpool_workers_lost_total")
         assert lost.value() == 1
-        assert events_of(active.events, "procpool.redelivered") == []
 
 
 def test_roundtrip_histogram_recorded_when_telemetry_is_on():

@@ -239,7 +239,7 @@ def test_every_scheduler_metric_and_event_is_documented():
             ):
                 emitted.add(node.args[0].value)
     assert "procpool_jobs_submitted_total" in emitted
-    assert "procpool.redelivered" in emitted
+    assert "procpool.worker_lost" in emitted
     missing = {
         name for name in emitted
         if f"`{name}`" not in documented and f"`{name}{{" not in documented
@@ -258,5 +258,5 @@ def test_every_scheduler_metric_and_event_is_documented():
             listed |= {
                 name.split("{")[0] for name in re.findall(r"`([^`]+)`", cell)
             }
-    assert "procpool.dead_letter" in listed
+    assert "procpool.worker_lost" in listed
     assert listed - emitted == set()

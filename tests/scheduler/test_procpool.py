@@ -134,10 +134,11 @@ def test_boot_shard_job_runs_in_worker():
     assert outcome["sim_seconds"] > 0
 
 
-def test_a_lost_worker_fails_the_job_it_held(tmp_path):
+def test_crashed_worker_job_is_redelivered(tmp_path):
     """SIGKILL mid-job: the job the seat held fails, naming the worker
     and its exit code, within a second of the kill (no timer).  The pool
-    never reruns a job: resubmitting is the caller's retry."""
+    never reruns a job: redelivery is the caller's resubmit, which a
+    respawned worker runs to a good result."""
     sentinel = tmp_path / "killed-once"
     envelope = JobEnvelope(
         target="tests.helpers:kill_once_job",
@@ -156,6 +157,22 @@ def test_a_lost_worker_fails_the_job_it_held(tmp_path):
         assert jobs.value(outcome="lost") == 1
         (lost,) = events_of(active.events, "procpool.worker_lost")
         assert lost["attributes"]["task_id"] == handle.task_id
+
+
+def test_redelivery_budget_dead_letters():
+    """A job that kills its worker is failed on its first loss instead
+    of respawning workers forever: the budget is zero redeliveries."""
+    # Not os.abort: the fork inherits pytest's faulthandler, which would
+    # print a fatal-error dump.
+    envelope = JobEnvelope(target="os:_exit", args=(134,))
+    with telemetry.session() as active:
+        with ProcessPool(workers=1) as pool:
+            handle = pool.submit(envelope)
+            with pytest.raises(WorkerJobError, match=r"\(exit code 134\)"):
+                result_of(handle, 60)
+        assert len(events_of(active.events, "procpool.dispatch")) == 1
+        lost = active.metrics.counter("procpool_workers_lost_total")
+        assert lost.value() == 1
 
 
 def test_a_result_flushed_before_death_still_wins():

@@ -16,7 +16,6 @@ from repro.resources.catalog import (
     Resource,
     Gem5Test,
     GEM5_TESTS,
-    TRACKED_GEM5_VERSIONS,
     list_resources,
     get_resource,
     build_resource,
@@ -41,7 +40,6 @@ __all__ = [
     "Resource",
     "Gem5Test",
     "GEM5_TESTS",
-    "TRACKED_GEM5_VERSIONS",
     "list_resources",
     "get_resource",
     "build_resource",

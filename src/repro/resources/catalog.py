@@ -21,10 +21,6 @@ from repro.guest.kernels import (
 from repro.packer import build as packer_build
 from repro.resources import templates
 
-#: gem5 releases the catalog tracks compatibility for
-#: (http://resources.gem5.org in the paper).
-TRACKED_GEM5_VERSIONS = ("20.1.0.4", "21.0")
-
 
 class Resource(Frozen):
     """One Table I row."""
@@ -340,13 +336,19 @@ def build_resource(name: str, **kwargs):
 
 def status_matrix(gem5_version: str = "20.1.0.4") -> Dict[str, str]:
     """Per-resource working status against a gem5 release — the
-    http://resources.gem5.org page as a function."""
-    if gem5_version not in TRACKED_GEM5_VERSIONS:
+    http://resources.gem5.org page as a function.  A resource works on a
+    release that builds its ISA; on an untracked release it is untested."""
+    from repro.sim.buildinfo import RELEASES, release_of
+
+    isas = release_of(gem5_version).isas
+    if not isas:
         return {resource.name: "untested" for resource in list_resources()}
     status = {}
     for resource in list_resources():
-        if resource.requires_isa == "GCN3_X86" and gem5_version < "21.0":
-            status[resource.name] = "requires gem5 21.0 (GCN3_X86)"
-        else:
+        isa = resource.requires_isa
+        if isa is None or isa in isas:
             status[resource.name] = "supported"
+        else:
+            first = next(r for r in RELEASES.values() if isa in r.isas)
+            status[resource.name] = f"requires gem5 {first.version} ({isa})"
     return status

@@ -38,7 +38,7 @@ _LAZY = {
     "Checkpoint": "checkpoint",
     "Gem5Simulator": "simulator",
     "SimulationResult": "simulator",
-    "SimulationStatus": "simulator",
+    "SimulationStatus": "faults",
 }
 
 __all__ = list(_LAZY)

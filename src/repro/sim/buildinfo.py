@@ -9,7 +9,6 @@ artifact layer to hash, matching Fig 3's registration example.
 
 from __future__ import annotations
 
-
 from repro.common.errors import ValidationError
 from repro.common.gitinfo import simulated_revision
 from repro.common.hashing import md5_text
@@ -21,28 +20,61 @@ ISAS = ("X86", "ARM", "RISCV", "GCN3_X86")
 #: Build variants gem5 supports (opt is used throughout the paper).
 VARIANTS = ("opt", "fast", "debug")
 
-#: The gem5 releases exercised by the paper's use cases.
-KNOWN_VERSIONS = ("20.1.0.4", "21.0")
-
 #: Upstream repository URL, recorded in artifact provenance.
 GEM5_REPO_URL = "https://gem5.googlesource.com/public/gem5"
 
-#: Timing-fidelity differences between simulator releases, as a
-#: release-notes model: v21.0 corrected an undersized DRAM access cost in
-#: v20.1's memory controller, so identical systems report slightly more
-#: memory stall time on the newer release.  This is what lets users run
-#: the cross-version comparison studies the paper's introduction calls
-#: for ("preferably, compare how new versions of these components impact
-#: performance").
-VERSION_TIMING = {
-    "20.1.0.4": {"memory_stall_scale": 1.00},
-    "21.0": {"memory_stall_scale": 1.05},
+
+class Release(Frozen):
+    """What the model knows about one gem5 release.
+
+    ``isas`` are the ISAs the release builds, ``memory_stall_scale`` its
+    timing notes (v21.0 corrected an undersized DRAM access cost in
+    v20.1's memory controller, so identical systems report slightly more
+    memory stall time on the newer release: the cross-version comparison
+    the paper's introduction calls for), and ``fixes`` the bug ids of
+    the fault model (:mod:`repro.sim.faults`) it resolved.  A release
+    the model does not track is ``Release(version)``: no ISA known, so
+    every resource is untested, identity timing, no fixes.
+    """
+
+    _fields = ("version", "isas", "memory_stall_scale", "fixes")
+
+    def __init__(
+        self, version: str, isas: tuple = (),
+        memory_stall_scale: float = 1.0, fixes: tuple = (),
+    ):
+        vars(self).update(
+            version=version, isas=isas,
+            memory_stall_scale=memory_stall_scale, fixes=fixes,
+        )
+
+
+def _release_key(version: str) -> str:
+    while version.endswith(".0"):
+        version = version[:-2]
+    return version
+
+
+#: The releases the paper's use cases exercise, by :func:`release_of` key.
+RELEASES = {
+    _release_key(release.version): release
+    for release in (
+        Release("20.1.0.4", ("X86", "ARM", "RISCV")),
+        Release("21.0", ISAS, 1.05, ("GEM5-782",)),
+    )
 }
 
 
+def release_of(version: str) -> Release:
+    """The release a version string names.  Two strings name the same
+    release when they agree once trailing ``.0`` components are dropped
+    (``21.0.0.0`` is ``21.0``); any other string is untracked."""
+    return RELEASES.get(_release_key(version)) or Release(version)
+
+
 def timing_profile(version: str) -> dict:
-    """Per-release timing adjustments (identity for unknown versions)."""
-    return dict(VERSION_TIMING.get(version, {"memory_stall_scale": 1.0}))
+    """Per-release timing adjustments (identity for untracked releases)."""
+    return {"memory_stall_scale": release_of(version).memory_stall_scale}
 
 
 class Gem5Build(Frozen):

@@ -108,10 +108,6 @@ class SystemConfig(Frozen):
         return GHz(self.cpu_clock_ghz)
 
     @property
-    def uses_ruby(self) -> bool:
-        return self.memory_system != "classic"
-
-    @property
     def dram(self) -> MemoryTech:
         return MEMORY_TECHS[self.memory_tech]
 

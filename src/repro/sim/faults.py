@@ -1,210 +1,140 @@
-"""The gem5-v20.1 support-and-fault model.
+"""The gem5-v20.1 support-and-fault model, as one first-match rule table.
 
-The third input to a full-system run — after the configuration and the
-workload — is the simulator's own limitations.  The bugs and gaps of gem5
-v20.1.0.4 are an *artifact we cannot download*; per the reproduction rules
-they are replaced by an explicit, deterministic model with two layers:
+The bugs and gaps of gem5 v20.1.0.4 are an *artifact we cannot download*;
+per the reproduction rules they are replaced by :data:`RULES`.  A row is
+(cpus, memory systems, cores, kernel series, boot types) → (status, bug
+id, reason): ``None`` matches anything, any other field is a collection
+the run's value must be in.  The first matching row decides; a run no
+row matches boots.
 
-1. **Structural support rules**, straight from the paper's Fig 8 text:
+1. **Structural rows** come first, from the paper's Fig 8 text: classic
+   memory cannot serve more than one timing-mode requestor (Timing and
+   O3 fail on classic with > 1 core); Ruby does not support atomic
+   accesses; kvm matches no row (it bypasses the memory timing model).
+2. **Calibrated O3 rows.**  The paper reports 27 kernel panics and 31
+   other failures (11 gem5 segfaults, 4 'possible deadlock detected' on
+   MI_example, timeouts), ≈40% success.  Semantically motivated rows
+   (old kernels panic, MI_example deadlocks at 8 cores, high core counts
+   time out) give exactly those counts; EXPERIMENTS.md records them.
 
-   - the classic memory system cannot serve more than one timing-mode
-     requestor, so TimingSimpleCPU and O3CPU fail on classic with > 1 core;
-   - AtomicSimpleCPU's atomic accesses are unsupported by Ruby;
-   - kvmCPU works everywhere (it bypasses the memory timing model).
-
-2. **A calibrated O3 fault table.**  The paper reports that O3 boot runs
-   show "mixed results": 27 kernel panics, 31 other failures (11 gem5
-   segfaults, 4 'possible deadlock detected' errors — all on MI_example —
-   and the rest exceeding the 24-hour timeout), with roughly 40% of runs
-   succeeding.  The table below deterministically assigns each attempted
-   (kernel, memory system, cores, boot type) cell a class so the
-   regenerated Fig 8 grid reports exactly those counts, using
-   semantically-motivated rules (older kernels panic, MI_example deadlocks
-   at high core counts, high core counts time out).  EXPERIMENTS.md records
-   this calibration.
+A later release is an overlay: :func:`repro.sim.buildinfo.release_of`
+lists the bug ids it fixed (v21.0: ``GEM5-782``).  When the first
+matching row names one of them the run boots; it never falls through to
+a later row.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+import sys
 
 from repro.common.records import Frozen
+from repro.sim.buildinfo import release_of
 from repro.sim.config import SystemConfig
 
 
-class FaultClass(enum.Enum):
-    """What becomes of a run once the fault model has spoken."""
+class SimulationStatus(enum.Enum):
+    """Terminal status of one simulation, in Fig 8's vocabulary."""
 
     OK = "ok"
     UNSUPPORTED = "unsupported"
     KERNEL_PANIC = "kernel_panic"
-    SEGFAULT = "gem5_segfault"
+    GEM5_SEGFAULT = "gem5_segfault"
     DEADLOCK = "deadlock"
     TIMEOUT = "timeout"
+    WORKLOAD_ABORT = "workload_abort"
 
 
 class FaultVerdict(Frozen):
-    """Fault-model output: class + human-readable reason."""
+    """Fault-model output: status + human-readable reason."""
 
     _fields = ("fault", "reason")
 
-    def __init__(self, fault: FaultClass, reason: str = ""):
+    def __init__(self, fault: SimulationStatus, reason: str = ""):
         vars(self).update(fault=fault, reason=reason)
 
     @property
     def ok(self) -> bool:
-        return self.fault is FaultClass.OK
+        return self.fault is SimulationStatus.OK
 
 
-#: Kernel series considered "old" by the O3 table (panic-prone with O3's
-#: aggressive speculation on gem5 v20.1).
+#: Kernel series panic-prone with O3's aggressive speculation on v20.1.
 _OLD_SERIES = ("4.4", "4.9")
+
+#: First match wins.  ``{kernel}`` and ``{mem}`` in a reason are the
+#: run's kernel version and memory system.
+RULES = (
+    (("timing", "o3"), ("classic",), range(2, sys.maxsize), None, None,
+     SimulationStatus.UNSUPPORTED, None, "classic memory system cannot "
+     "serve multiple timing-mode requestors (gem5 v20.1 port limitation)"),
+    (("atomic",), ("MI_example", "MESI_Two_Level"), None, None, None,
+     SimulationStatus.UNSUPPORTED, None,
+     "Ruby does not support atomic memory accesses ({mem})"),
+    (("o3",), ("classic",), None, _OLD_SERIES, None,
+     SimulationStatus.KERNEL_PANIC, None, "kernel {kernel} panics under "
+     "O3 speculation (missing spin-loop workaround in old kernels)"),
+    (("o3",), ("MI_example",), (8,), _OLD_SERIES, None,
+     SimulationStatus.DEADLOCK, None, "possible deadlock detected: "
+     "MI_example protocol at 8 cores with an old SMP kernel"),
+    (("o3",), ("MI_example",), None, _OLD_SERIES, None,
+     SimulationStatus.KERNEL_PANIC, None,
+     "kernel {kernel} panics under O3 on Ruby"),
+    (("o3",), ("MI_example",), (4,), ("4.14",), None,
+     SimulationStatus.KERNEL_PANIC, None,
+     "kernel 4.14 panic: O3/MI_example race at 4 cores"),
+    (("o3",), ("MI_example",), (8,), ("4.14",), ("systemd",),
+     SimulationStatus.KERNEL_PANIC, None,
+     "kernel 4.14 panic reaching runlevel 5 at 8 cores"),
+    (("o3",), ("MI_example",), (8,), ("4.14",), None,
+     SimulationStatus.TIMEOUT, None,
+     "run exceeded the 24-hour wall-clock budget"),
+    (("o3",), ("MI_example",), None, ("4.14",), None,
+     SimulationStatus.OK, None, ""),
+    (("o3",), ("MI_example",), range(4, sys.maxsize), ("4.19",), None,
+     SimulationStatus.TIMEOUT, None,
+     "run exceeded the 24-hour wall-clock budget"),
+    (("o3",), ("MI_example",), None, ("4.19",), None,
+     SimulationStatus.OK, None, ""),
+    # Every other series on MI_example fails as 5.4 does.
+    (("o3",), ("MI_example",), (2,), None, None,
+     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     "gem5 segmentation fault (tracked as GEM5-782)"),
+    (("o3",), ("MI_example",), (4,), None, ("init",),
+     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     "gem5 segmentation fault (tracked as GEM5-782)"),
+    (("o3",), ("MI_example",), range(4, sys.maxsize), None, None,
+     SimulationStatus.TIMEOUT, None,
+     "run exceeded the 24-hour wall-clock budget"),
+    (("o3",), ("MESI_Two_Level",), None, ("4.4",), None,
+     SimulationStatus.KERNEL_PANIC, None,
+     "kernel 4.4 panics under O3/MESI_Two_Level"),
+    (("o3",), ("MESI_Two_Level",), (4,), None, None,
+     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     "gem5 segmentation fault (tracked as GEM5-782)"),
+    (("o3",), ("MESI_Two_Level",), range(3, sys.maxsize), None, None,
+     SimulationStatus.TIMEOUT, None,
+     "run exceeded the 24-hour wall-clock budget"),
+)
 
 
 def check_run(
-    version: str,
-    config: SystemConfig,
-    kernel_version: str,
+    version: str, config: SystemConfig, kernel_version: str,
     boot_type: str = "systemd",
 ) -> FaultVerdict:
-    """Classify a full-system run before it executes.
-
-    ``version`` is the simulator release.  The paper's grid is for
-    v20.1.0.4; the v21.0 model reflects that release's fixes: the
-    GEM5-782 segmentation fault (the 11 segfault cells) was resolved, so
-    those configurations boot successfully, while the structural port
-    limits and the remaining O3 failure cells persist.
-    """
-    structural = _structural_rules(config)
-    if structural is not None:
-        return structural
-    if config.cpu_type == "o3":
-        verdict = _o3_table(config, kernel_version, boot_type)
+    """Classify a full-system run before it executes, on the simulator
+    release ``version`` names (see the module docstring)."""
+    cpu, mem, cores = config.cpu_type, config.memory_system, config.num_cpus
+    series = ".".join(kernel_version.split(".")[:2])
+    for cpus, mems, core_counts, kernels, boots, status, bug, reason in RULES:
         if (
-            verdict.fault is FaultClass.SEGFAULT
-            and _release_at_least_21(version)
+            cpu in cpus and mem in mems
+            and (core_counts is None or cores in core_counts)
+            and (kernels is None or series in kernels)
+            and (boots is None or boot_type in boots)
         ):
-            return FaultVerdict(FaultClass.OK)
-        return verdict
-    return FaultVerdict(FaultClass.OK)
-
-
-def _release_at_least_21(version: str) -> bool:
-    try:
-        major = int(version.split(".")[0])
-    except ValueError:
-        return False
-    return major >= 21
-
-
-def _structural_rules(config: SystemConfig) -> Optional[FaultVerdict]:
-    if config.cpu_type == "kvm":
-        return FaultVerdict(FaultClass.OK)
-    if (
-        config.cpu_type in ("timing", "o3")
-        and config.memory_system == "classic"
-        and config.num_cpus > 1
-    ):
-        return FaultVerdict(
-            FaultClass.UNSUPPORTED,
-            "classic memory system cannot serve multiple timing-mode "
-            "requestors (gem5 v20.1 port limitation)",
-        )
-    if config.cpu_type == "atomic" and config.uses_ruby:
-        return FaultVerdict(
-            FaultClass.UNSUPPORTED,
-            "Ruby does not support atomic memory accesses "
-            f"({config.memory_system})",
-        )
-    return None
-
-
-def _series(kernel_version: str) -> str:
-    parts = kernel_version.split(".")
-    return ".".join(parts[:2])
-
-
-def _o3_table(
-    config: SystemConfig, kernel_version: str, boot_type: str
-) -> FaultVerdict:
-    series = _series(kernel_version)
-    cores = config.num_cpus
-    mem = config.memory_system
-
-    if mem == "classic":
-        # Only single-core classic reaches here (structural rule above).
-        if series in _OLD_SERIES:
-            return FaultVerdict(
-                FaultClass.KERNEL_PANIC,
-                f"kernel {kernel_version} panics under O3 speculation "
-                "(missing spin-loop workaround in old kernels)",
-            )
-        return FaultVerdict(FaultClass.OK)
-
-    if mem == "MI_example":
-        if cores == 8 and series in _OLD_SERIES:
-            return FaultVerdict(
-                FaultClass.DEADLOCK,
-                "possible deadlock detected: MI_example protocol at 8 "
-                "cores with an old SMP kernel",
-            )
-        if series in _OLD_SERIES:
-            return FaultVerdict(
-                FaultClass.KERNEL_PANIC,
-                f"kernel {kernel_version} panics under O3 on Ruby",
-            )
-        if series == "4.14":
-            if cores == 4:
-                return FaultVerdict(
-                    FaultClass.KERNEL_PANIC,
-                    "kernel 4.14 panic: O3/MI_example race at 4 cores",
-                )
-            if cores == 8:
-                if boot_type == "systemd":
-                    return FaultVerdict(
-                        FaultClass.KERNEL_PANIC,
-                        "kernel 4.14 panic reaching runlevel 5 at 8 cores",
-                    )
-                return FaultVerdict(
-                    FaultClass.TIMEOUT,
-                    "run exceeded the 24-hour wall-clock budget",
-                )
-            return FaultVerdict(FaultClass.OK)
-        if series == "4.19":
-            if cores >= 4:
-                return FaultVerdict(
-                    FaultClass.TIMEOUT,
-                    "run exceeded the 24-hour wall-clock budget",
-                )
-            return FaultVerdict(FaultClass.OK)
-        # 5.4 series
-        if cores == 2 or (cores == 4 and boot_type == "init"):
-            return FaultVerdict(
-                FaultClass.SEGFAULT,
-                "gem5 segmentation fault (tracked as GEM5-782)",
-            )
-        if cores >= 4:
-            return FaultVerdict(
-                FaultClass.TIMEOUT,
-                "run exceeded the 24-hour wall-clock budget",
-            )
-        return FaultVerdict(FaultClass.OK)
-
-    # MESI_Two_Level
-    if series == "4.4":
-        return FaultVerdict(
-            FaultClass.KERNEL_PANIC,
-            "kernel 4.4 panics under O3/MESI_Two_Level",
-        )
-    if cores <= 2:
-        return FaultVerdict(FaultClass.OK)
-    if cores == 4:
-        return FaultVerdict(
-            FaultClass.SEGFAULT,
-            "gem5 segmentation fault (tracked as GEM5-782)",
-        )
-    return FaultVerdict(
-        FaultClass.TIMEOUT,
-        "run exceeded the 24-hour wall-clock budget",
-    )
+            if bug is not None and bug in release_of(version).fixes:
+                return FaultVerdict(SimulationStatus.OK)
+            if "{" in reason:
+                reason = reason.format(kernel=kernel_version, mem=mem)
+            return FaultVerdict(status, reason)
+    return FaultVerdict(SimulationStatus.OK)

@@ -9,7 +9,6 @@ model, the boot sequencer and the workload engine, and returns a
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
@@ -21,7 +20,7 @@ from repro.sim.buildinfo import Gem5Build
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ExecutionEngine, ExecutionModifiers
 from repro.sim.events import EventQueue
-from repro.sim.faults import FaultClass, check_run
+from repro.sim.faults import SimulationStatus, check_run
 from repro.sim.m5ops import (
     M5_CHECKPOINT,
     M5_DUMPSTATS,
@@ -37,27 +36,6 @@ from repro.vfs.image import DiskImage
 if TYPE_CHECKING:
     from repro.sim.checkpoint import Checkpoint
 
-
-class SimulationStatus(enum.Enum):
-    """Terminal status of one simulation, in Fig 8's vocabulary."""
-
-    OK = "ok"
-    UNSUPPORTED = "unsupported"
-    KERNEL_PANIC = "kernel_panic"
-    GEM5_SEGFAULT = "gem5_segfault"
-    DEADLOCK = "deadlock"
-    TIMEOUT = "timeout"
-    WORKLOAD_ABORT = "workload_abort"
-
-
-_FAULT_TO_STATUS = {
-    FaultClass.OK: SimulationStatus.OK,
-    FaultClass.UNSUPPORTED: SimulationStatus.UNSUPPORTED,
-    FaultClass.KERNEL_PANIC: SimulationStatus.KERNEL_PANIC,
-    FaultClass.SEGFAULT: SimulationStatus.GEM5_SEGFAULT,
-    FaultClass.DEADLOCK: SimulationStatus.DEADLOCK,
-    FaultClass.TIMEOUT: SimulationStatus.TIMEOUT,
-}
 
 #: Fraction of the boot completed before each failure class manifests
 #: (used to report partial statistics the way a real crashed run would).
@@ -356,7 +334,7 @@ class Gem5Simulator:
         return get_workload(suite, benchmark, size)
 
     def _failed_result(self, kernel, boot_type, verdict) -> SimulationResult:
-        status = _FAULT_TO_STATUS[verdict.fault]
+        status = verdict.fault
         result = SimulationResult(
             status=status,
             reason=verdict.reason,

@@ -413,7 +413,7 @@ class ExecutionOutcome:
 # repro.sim.faults
 @dataclass(frozen=True)
 class FaultVerdict:
-    fault: FaultClass
+    fault: SimulationStatus
     reason: str = ""
 
 

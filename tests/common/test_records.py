@@ -25,8 +25,7 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.common.records import Frozen, Record
 from repro.gpu.kernels import GPUKernel
-from repro.sim.faults import FaultClass
-from repro.sim.simulator import SimulationStatus
+from repro.sim.faults import SimulationStatus
 from tests.common import reference_records as reference
 
 #: Classes whose fields changed with the conversion.
@@ -233,8 +232,8 @@ CASES = [
         dict(ticks=10, instructions=5, busy_cycles=4.0, total_cycles=9.0),
     ]),
     ("repro.sim.faults", "FaultVerdict", [
-        dict(fault=FaultClass.OK),
-        dict(fault=FaultClass.KERNEL_PANIC, reason="old kernel"),
+        dict(fault=SimulationStatus.OK),
+        dict(fault=SimulationStatus.KERNEL_PANIC, reason="old kernel"),
     ]),
     ("repro.sim.m5ops", "M5OpLog", [dict()]),
     ("repro.sim.mem.hierarchy", "MemoryTimings", [

@@ -5,25 +5,28 @@ import itertools
 import pytest
 
 from repro.guest import BOOT_TEST_KERNEL_VERSIONS
+from repro.resources import status_matrix
+from repro.sim import faults
+from repro.sim.buildinfo import timing_profile
 from repro.sim.config import SystemConfig
-from repro.sim.faults import FaultClass, check_run
+from repro.sim.faults import SimulationStatus, check_run
+from tests.sim import reference_faults
+
+
+def cells():
+    """The full 480-run boot-test cross product."""
+    for boot, kernel, cpu, mem, cores in itertools.product(
+        ("init", "systemd"), BOOT_TEST_KERNEL_VERSIONS,
+        ("kvm", "atomic", "timing", "o3"),
+        ("classic", "MI_example", "MESI_Two_Level"), (1, 2, 4, 8),
+    ):
+        yield boot, kernel, SystemConfig(cpu, cores, mem)
 
 
 def sweep():
-    """The full 480-run boot-test cross product."""
-    for boot, kernel, cpu, mem, cores in itertools.product(
-        ("init", "systemd"),
-        BOOT_TEST_KERNEL_VERSIONS,
-        ("kvm", "atomic", "timing", "o3"),
-        ("classic", "MI_example", "MESI_Two_Level"),
-        (1, 2, 4, 8),
-    ):
-        config = SystemConfig(
-            cpu_type=cpu, num_cpus=cores, memory_system=mem
-        )
-        yield boot, kernel, cpu, mem, cores, check_run(
-            "20.1.0.4", config, kernel, boot
-        )
+    for boot, kernel, c in cells():
+        verdict = check_run("20.1.0.4", c, kernel, boot)
+        yield boot, kernel, c.cpu_type, c.memory_system, c.num_cpus, verdict
 
 
 def test_sweep_is_480_runs():
@@ -43,7 +46,7 @@ def test_atomic_works_on_classic_fails_on_ruby():
         if mem == "classic":
             assert verdict.ok
         else:
-            assert verdict.fault is FaultClass.UNSUPPORTED
+            assert verdict.fault is SimulationStatus.UNSUPPORTED
             assert "atomic" in verdict.reason.lower()
 
 
@@ -52,7 +55,7 @@ def test_timing_multicore_classic_unsupported():
         if cpu != "timing":
             continue
         if mem == "classic" and cores > 1:
-            assert verdict.fault is FaultClass.UNSUPPORTED
+            assert verdict.fault is SimulationStatus.UNSUPPORTED
         else:
             assert verdict.ok
 
@@ -60,7 +63,7 @@ def test_timing_multicore_classic_unsupported():
 def test_o3_multicore_classic_unsupported():
     for boot, kernel, cpu, mem, cores, verdict in sweep():
         if cpu == "o3" and mem == "classic" and cores > 1:
-            assert verdict.fault is FaultClass.UNSUPPORTED
+            assert verdict.fault is SimulationStatus.UNSUPPORTED
 
 
 def o3_counts():
@@ -75,35 +78,35 @@ def test_o3_paper_counts_exact():
     """Paper: 27 kernel panics, 11 segfaults, 4 deadlocks, remainder of
     the 31 'other' failures are timeouts (16)."""
     counts = o3_counts()
-    assert counts[FaultClass.KERNEL_PANIC] == 27
-    assert counts[FaultClass.SEGFAULT] == 11
-    assert counts[FaultClass.DEADLOCK] == 4
-    assert counts[FaultClass.TIMEOUT] == 16
-    assert counts[FaultClass.OK] == 32
-    assert counts[FaultClass.UNSUPPORTED] == 30
+    assert counts[SimulationStatus.KERNEL_PANIC] == 27
+    assert counts[SimulationStatus.GEM5_SEGFAULT] == 11
+    assert counts[SimulationStatus.DEADLOCK] == 4
+    assert counts[SimulationStatus.TIMEOUT] == 16
+    assert counts[SimulationStatus.OK] == 32
+    assert counts[SimulationStatus.UNSUPPORTED] == 30
     assert sum(counts.values()) == 120
 
 
 def test_o3_other_failures_total_31():
     counts = o3_counts()
     other = (
-        counts[FaultClass.SEGFAULT]
-        + counts[FaultClass.DEADLOCK]
-        + counts[FaultClass.TIMEOUT]
+        counts[SimulationStatus.GEM5_SEGFAULT]
+        + counts[SimulationStatus.DEADLOCK]
+        + counts[SimulationStatus.TIMEOUT]
     )
     assert other == 31
 
 
 def test_deadlocks_only_on_mi_example():
     for boot, kernel, cpu, mem, cores, verdict in sweep():
-        if verdict.fault is FaultClass.DEADLOCK:
+        if verdict.fault is SimulationStatus.DEADLOCK:
             assert mem == "MI_example"
 
 
 def test_o3_success_rate_near_40_percent():
     counts = o3_counts()
-    attempted = 120 - counts[FaultClass.UNSUPPORTED]
-    rate = counts[FaultClass.OK] / attempted
+    attempted = 120 - counts[SimulationStatus.UNSUPPORTED]
+    rate = counts[SimulationStatus.OK] / attempted
     assert 0.30 <= rate <= 0.45
 
 
@@ -126,23 +129,55 @@ def test_v21_fixes_the_segfault_cells():
     boot successfully on the newer release; everything else matches
     v20.1.0.4."""
     fixed = 0
-    for boot, kernel, cpu, mem, cores, verdict in sweep():
-        config = SystemConfig(
-            cpu_type=cpu, num_cpus=cores, memory_system=mem
-        )
+    for boot, kernel, config in cells():
+        verdict = check_run("20.1.0.4", config, kernel, boot)
         v21 = check_run("21.0", config, kernel, boot)
-        if verdict.fault is FaultClass.SEGFAULT:
-            assert v21.ok, (kernel, mem, cores, boot)
+        if verdict.fault is SimulationStatus.GEM5_SEGFAULT:
+            assert v21.ok, (kernel, config, boot)
             fixed += 1
         else:
             assert v21 == verdict
     assert fixed == 11
 
 
-def test_unparseable_version_treated_as_old():
-    config = SystemConfig(
-        cpu_type="o3", num_cpus=2, memory_system="MI_example"
-    )
-    old = check_run("20.1.0.4", config, "5.4.49", "init")
-    weird = check_run("develop", config, "5.4.49", "init")
-    assert weird == old
+@pytest.mark.parametrize(
+    "version", ["20.1.0.4", "21.0", "21.0.0.0", "develop", "19.0"]
+)
+def test_rule_table_matches_the_old_decision_tree(version):
+    """Status and reason equal the replaced tree's on every cell, twice
+    over (an unparseable release like ``develop`` is v20.1's model)."""
+    for boot, kernel, config in cells():
+        new = check_run(version, config, kernel, boot)
+        old = reference_faults.check_run(version, config, kernel, boot)
+        assert new.fault is SimulationStatus(old.fault.value)
+        assert new.reason == old.reason
+        assert check_run(version, config, kernel, boot) == new
+
+
+def test_every_row_is_the_first_match_for_some_cell(monkeypatch):
+    """No row is dead or shadowed: tagged with its index, every row
+    decides at least one Fig 8 cell."""
+    tagged = tuple(row[:5] + (SimulationStatus.OK, None, str(index))
+                   for index, row in enumerate(faults.RULES))
+    monkeypatch.setattr(faults, "RULES", tagged)
+    decided = {
+        check_run("20.1.0.4", config, kernel, boot).reason
+        for boot, kernel, config in cells()
+    }
+    assert decided >= {str(index) for index in range(len(tagged))}
+
+
+@pytest.mark.parametrize("version, release", [
+    ("21.0.0.0", True), ("21.0", True), ("21", True),
+    ("develop", False), ("19.0", False), ("22.0", False),
+])
+def test_one_release_record_per_spelling(version, release):
+    """Spellings equal once trailing ``.0`` parts drop name one release;
+    an untracked one (``22.0`` too) is the base model: v20.1's faults,
+    identity timing, every resource untested."""
+    config = SystemConfig("o3", 4, "MESI_Two_Level")
+    assert check_run(version, config, "5.4.49", "init").ok is bool(release)
+    scale = 1.05 if release else 1.0
+    assert timing_profile(version) == {"memory_stall_scale": scale}
+    matrix = status_matrix(version)
+    assert set(matrix.values()) == {"supported" if release else "untested"}

@@ -103,7 +103,7 @@ def test_stats_bad_name():
 def test_config_defaults_valid():
     config = SystemConfig()
     assert config.cpu_type == "timing"
-    assert not config.uses_ruby
+    assert config.memory_system == "classic"
     assert config.dram.name == "DDR3_1600_8x8"
     assert config.clock_period_ticks == 333  # 3 GHz
 
@@ -123,7 +123,6 @@ def test_config_validation():
 
 def test_config_ruby_flag_and_key():
     ruby = SystemConfig(memory_system="MI_example")
-    assert ruby.uses_ruby
     assert ruby.key()[2] == "MI_example"
     assert "MI_example" in ruby.describe()
 

@@ -14,7 +14,7 @@ from repro.packer import Template, build
 from repro.scheduler import SchedulerApp
 from repro.sim import SystemConfig
 from repro.sim.engine import ExecutionEngine, ExecutionModifiers
-from repro.sim.faults import FaultClass, check_run
+from repro.sim.faults import SimulationStatus, check_run
 from repro.sim.workload import Phase, Workload
 
 
@@ -185,7 +185,7 @@ def test_fault_model_is_total_and_single_valued():
         first = check_run("20.1.0.4", config, kernel, boot)
         second = check_run("20.1.0.4", config, kernel, boot)
         assert first == second
-        assert isinstance(first.fault, FaultClass)
+        assert isinstance(first.fault, SimulationStatus)
 
 
 # ------------------------------------------------------ build determinism

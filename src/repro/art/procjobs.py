@@ -20,11 +20,9 @@ input artifacts and the canonicalized parameters.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any, Dict, Optional
 
 from repro import telemetry
-from repro.common.hashing import sha256_text
 from repro.art.run import boot_checkpoint, simulate_run
 from repro.scheduler.procpool import JobEnvelope, intern_ref
 from repro.sim.checkpoint import Checkpoint
@@ -123,18 +121,17 @@ def _live_inputs(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def execute_run_payload(payload: Dict[str, Any]):
     """Worker-side entry point (resolved by dotted path inside a forked
-    worker process): :func:`~repro.art.run.simulate_run`'s outcome with
-    the summary fields only a worker can add."""
-    summary, stats_txt, host_seconds, _ = simulate_run(
+    worker process): :func:`~repro.art.run.simulate_run`'s outcome,
+    unchanged, so a run's document does not depend on where it ran.
+    Which worker ran it is the pool's to say: its ``procpool.dispatch``
+    and ``procpool.result`` events name the worker by ``task_id``, the
+    run id."""
+    return simulate_run(
         payload["kind"],
         payload["params"],
         _live_inputs(payload),
         payload["restore"],
     )
-    return summary, stats_txt, host_seconds, {
-        "stats_fingerprint": sha256_text(stats_txt),
-        "worker": multiprocessing.current_process().name,
-    }
 
 
 def execute_boot_payload(payload: Dict[str, Any]) -> Optional[Checkpoint]:

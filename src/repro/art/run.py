@@ -329,7 +329,7 @@ class Gem5Run(Record):
                 if entry is not None:
                     self.adopt_cached(entry)
                     return None
-            attempt = Attempt(span, use_cache, iso_now())
+            attempt = Attempt(span, iso_now())
         finally:
             if attempt is None:
                 self._close(span)
@@ -347,9 +347,17 @@ class Gem5Run(Record):
 
     def finish(self, attempt: "Attempt", outcome) -> Dict[str, object]:
         """Step 3, given the ``outcome`` :func:`simulate_run` made here
-        or in a worker: upload the stats and write ``DONE`` (``TIMED_OUT``
-        past the gem5art timeout), which is the run cache's entry too."""
-        summary, stats_txt, host_seconds, extras = outcome
+        or in a worker: upload the stats and write ``DONE``, which is
+        the run cache's entry too.  The one timeout rule: past
+        ``timeout``, nothing is uploaded and the run is recorded through
+        :meth:`fail` as ``TIMED_OUT`` — what a deadline kill leaves —
+        and those recorded results are returned."""
+        summary, stats_txt, host_seconds = outcome
+        if host_seconds > self.timeout:
+            self.fail(
+                attempt, f"timed out after {self.timeout}s", timed_out=True
+            )
+            return self.results
         try:
             stats_file_id = self.db.upload_file(
                 stats_txt.encode("utf-8"),
@@ -360,16 +368,10 @@ class Gem5Run(Record):
             raise
         try:
             summary = dict(
-                summary,
-                stats_file_id=stats_file_id,
-                **extras,
-                host_seconds=host_seconds,
+                summary, stats_file_id=stats_file_id, host_seconds=host_seconds
             )
-            timed_out = host_seconds > self.timeout
-            if timed_out:
-                summary["timed_out"] = True
             self._set_status(
-                RunStatus.TIMED_OUT if timed_out else RunStatus.DONE,
+                RunStatus.DONE,
                 summary,
                 started_at_wall=attempt.started_at_wall,
                 finished_at_wall=iso_now(),
@@ -382,8 +384,9 @@ class Gem5Run(Record):
         self, attempt: "Attempt", error: str, timed_out: bool = False
     ) -> None:
         """Step 3 for a simulation that raised, was lost with its
-        worker, or (``timed_out``) was stopped at its deadline: the
-        error is the run's recorded result."""
+        worker, or (``timed_out``) outlived ``timeout`` — stopped at its
+        deadline by the pool, or returned past it to :meth:`finish`:
+        the error is the run's recorded result."""
         try:
             self._set_status(
                 RunStatus.TIMED_OUT if timed_out else RunStatus.FAILED,
@@ -495,16 +498,15 @@ class Gem5Run(Record):
 
 class Attempt(Record):
     """What :meth:`Gem5Run.begin` leaves open for the other two steps:
-    the detached ``run`` span (``finish``/``fail`` end it), whether the
-    run cache was consulted, when the attempt began (written with its
-    outcome) and the boot checkpoint to restore (``begin`` sets it)."""
+    the detached ``run`` span (``finish``/``fail`` end it), when the
+    attempt began (written with its outcome) and the boot checkpoint to
+    restore (``begin`` sets it)."""
 
-    _fields = ("span", "use_cache", "started_at_wall", "restore")
+    _fields = ("span", "started_at_wall", "restore")
 
-    def __init__(self, span: Any, use_cache: bool, started_at_wall: str):
+    def __init__(self, span: Any, started_at_wall: str):
         vars(self).update(
-            span=span, use_cache=use_cache, started_at_wall=started_at_wall,
-            restore=None,
+            span=span, started_at_wall=started_at_wall, restore=None
         )
 
 
@@ -592,12 +594,12 @@ def _kernel_version_of(kernel_artifact: Artifact) -> str:
 
 
 def simulate_run(kind: str, params, inputs, restore=None):
-    """The middle step of a run: ``(summary, stats_txt, host_seconds,
-    extra summary fields)``, what :meth:`Gem5Run.finish` takes.
+    """The middle step of a run: ``(summary, stats_txt, host_seconds)``,
+    what :meth:`Gem5Run.finish` takes, the same on every substrate.
 
     ``inputs`` is :meth:`InputResolver.live` (or a worker's rebuild of
     it); the summary has every result field that does not need the
-    database.
+    database.  It never judges the timeout: ``finish`` does.
     """
     started = time.monotonic()
     if kind == "fs":
@@ -607,7 +609,7 @@ def simulate_run(kind: str, params, inputs, restore=None):
         summary, result = _simulate_gpu(params)
     else:
         raise ValidationError(f"unknown run kind {kind!r}")
-    return summary, result.stats_txt(), time.monotonic() - started, {}
+    return summary, result.stats_txt(), time.monotonic() - started
 
 
 def boot_checkpoint(params, inputs) -> Optional[Checkpoint]:

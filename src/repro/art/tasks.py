@@ -67,21 +67,16 @@ class _Inline:
     thread, the moment it is begun, and its outcome waits for
     :meth:`wait_any`.  One is in flight at a time, so each run is
     finished before the next begins.  Nothing can stop a simulation
-    here, so one that outlived ``run.timeout`` is timed out once it
-    returns: its outcome is dropped, as the pool drops a killed
-    worker's, and the run reads the same on either substrate."""
+    here: one that returns late is judged by
+    :meth:`~repro.art.run.Gem5Run.finish`, as on every path."""
 
     substrate, in_flight = "inline", 1
 
     def simulate(self, run: Gem5Run, resolver: InputResolver, restore):
-        key = self._call(
+        return self._call(
             run, simulate_run, run.kind, run.params, resolver.live(run),
             restore,
         )
-        outcome = self._outcome[0]  # (summary, stats, host_seconds, extras)
-        if outcome is not None and outcome[2] > run.timeout:
-            self._outcome = None, f"timed out after {run.timeout}s", True
-        return key
 
     def boot(self, run: Gem5Run, resolver: InputResolver):
         return self._call(run, boot_checkpoint, run.params, resolver.live(run))
@@ -227,10 +222,11 @@ def _run_variants(
 
     def settle(index: int, error: Optional[str] = None) -> None:
         run = runs[index]
-        summaries[index] = run.results if error is None else {
+        ok = error is None and run.status is RunStatus.DONE
+        summaries[index] = run.results if ok else {
             "success": False,
             "timed_out": run.status is RunStatus.TIMED_OUT,
-            "error": error,
+            "error": error or run.results["error"],
             "run_id": run.run_id,
         }
         chain = followers.pop(index, None)
@@ -302,8 +298,9 @@ def run_jobs_scheduler(
     recorded result (a ``failed`` document and a ``success: False``
     summary), never an abort of the sweep.  On ``processes``
     ``run.timeout`` travels with the simulation and the pool kills a
-    worker that outlives it; ``inline`` cannot stop one, so it drops
-    the outcome of one that returns past it.  Either way this thread
+    worker that outlives it; a simulation that returns past it, on
+    either substrate, is timed out by
+    :meth:`~repro.art.run.Gem5Run.finish`.  Either way this thread
     records the same ``timed_out`` document and reports the same
     ``success: False`` summary rather than raising.
 

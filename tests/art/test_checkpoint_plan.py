@@ -210,23 +210,3 @@ def test_boot_stage_failure_degrades_to_full_boots(
         assert misses.value(reason="absent") == 1
     assert summary["success"]
     assert not summary["restored_boot"]
-
-
-def test_restored_outcomes_match_full_boots(db, fs_artifacts):
-    """The staged pipeline must be a pure optimization: statuses and
-    workload timings identical to the unstaged sweep."""
-
-    def outcomes(use_checkpoints):
-        runs = sweep(db, fs_artifacts)
-        summaries = run_jobs_scheduler(
-            runs,
-            worker_count=2,
-            use_cache=False,
-            use_checkpoints=use_checkpoints,
-        )
-        return [
-            (s["simulation_status"], s["workload_seconds"])
-            for s in summaries
-        ]
-
-    assert outcomes(False) == outcomes(True)

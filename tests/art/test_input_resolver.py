@@ -21,6 +21,7 @@ from repro.art import (
     register_repo,
     run_jobs_scheduler,
 )
+from repro.art.studies import boot_tests
 from repro.art.tasks import SUBSTRATES
 from repro.common.errors import CorruptBlobError, NotFoundError
 from repro.db.collection import Collection
@@ -29,10 +30,8 @@ from repro.guest import get_kernel
 from repro.resources import build_resource
 from repro.sim import Gem5Build
 
-from tests.art.test_substrate_equivalence import quick_fig8
-
 #: Result fields that differ between two executions of one spec.
-VOLATILE = ("host_seconds", "worker")
+VOLATILE = ("host_seconds",)
 
 
 @pytest.fixture
@@ -130,7 +129,7 @@ def test_launch_reads_once_per_run_and_once_per_artifact(reads, substrate):
     distinct disk image."""
 
     def launch_reads(**axes):
-        experiment = quick_fig8(ArtifactDB())
+        experiment = boot_tests(ArtifactDB(), quick=True)
         if axes:
             experiment.sweep(**axes)
         runs = experiment.create_runs()

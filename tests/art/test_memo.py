@@ -25,6 +25,7 @@ from repro.art import (
     run_boot_stage,
 )
 from repro.art import tasks
+from repro.art.studies import boot_tests
 from repro.chaos import FaultRule
 from repro.db import connect
 from repro.db.filestore import HEADER, PACK_NAME, FileStore
@@ -32,7 +33,6 @@ from repro.pipeline import PipelineJournal, StageCache, run_pipeline
 
 from tests.art.test_checkpoints import make_checkpoint
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
-from tests.art.test_substrate_equivalence import quick_fig8
 from tests.pipeline import targets
 from tests.pipeline.test_executor import CHAIN
 from tests.helpers import (
@@ -309,9 +309,9 @@ def test_a_warm_sweep_appends_nothing_to_the_run_cache(db):
     """The quick Fig 8 grid twice on one ``file://`` database: the second
     launch adopts all 48 results, leaves every producer's document as it
     was, and there is no cache collection to grow."""
-    quick_fig8(db).launch(substrate="inline")
+    boot_tests(db, quick=True).launch(substrate="inline")
     producers = db.runs.find()
-    quick_fig8(db).launch(substrate="inline")
+    boot_tests(db, quick=True).launch(substrate="inline")
     assert db.runs.find({"cache_hit": {"$exists": False}}) == producers
     assert db.runs.count({"cache_hit": True}) == 48
     assert "run_cache" not in db.database.storage_stats()["collections"]

@@ -1,180 +1,295 @@
-"""Substrates can make a sweep faster or slower, never different.
+"""Substrates, caches, checkpoints and telemetry can make a sweep faster
+or slower, never different.
 
 One invariant over the configuration matrix instead of one identity
-assert per feature: the ``--quick`` Fig 8 grid (48 runs) through
-``Experiment.launch`` on every substrate, with and without the staged
-checkpoint pipeline, must leave the same sorted ``(fingerprint,
-simulation_status, stats_file_id)`` triples in the database — the triple
-``benchmarks/perf/inspect_sample.py::runs_digest`` hashes — on every
-substrate, and the same outcomes with and without checkpoints.  On the
-cache axis, a warm pass over the cold pass's database adopts every run
-and leaves the same digest, with telemetry off and on.
+assert per feature, judged by the benchmark's own oracle
+(``benchmarks/perf/inspect_sample.py::runs_digest``).  Two grids from
+:mod:`repro.art.studies`: the ``--quick`` Fig 8 grid (48 runs, no
+measured region) and a PARSEC slice (12 runs with measured regions, one
+app aborting in the simulator).  The axes:
+
+- the execution path: ``run_job`` per run, an ``@app.task`` +
+  ``apply_async`` per run, ``launch`` on ``inline`` and on
+  ``processes`` with two workers;
+- telemetry off and on;
+- checkpoints off and on (the two ``launch`` paths);
+- the cache: every cell runs cold, then warm on the same database.
+
+Within one checkpoint setting every cell leaves the reference cell's
+run documents, point by point; across it, every point keeps its status
+and measured time; and every warm pass adopts every run at the cold
+digest.  Hash seeds and chaos with recovery are cells of their own.
 """
 
 import contextlib
-import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro import telemetry
+from repro import chaos, telemetry
 from repro.art import (
     ArtifactDB,
     CheckpointStore,
-    Experiment,
-    register_disk_image,
-    register_gem5_binary,
-    register_kernel_binary,
-    register_repo,
+    run_job,
     run_jobs_scheduler,
 )
 from repro.art.run import InputResolver, boot_checkpoint
+from repro.art.studies import boot_tests, parsec_study
 from repro.art.tasks import SUBSTRATES
-from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
-from repro.resources import build_resource
-from repro.sim import Gem5Build
+from repro.chaos import FaultRule
+from repro.db import connect
+from repro.scheduler import SchedulerApp
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
-from tests.art.test_write_budget import runs_digest  # noqa: F401
 from tests.helpers import events_of
+
+ROOT = Path(__file__).resolve().parents[2]
+PERF = ROOT / "benchmarks" / "perf"
+
+GRIDS = {
+    "boot-tests": lambda db: boot_tests(db, quick=True),
+    "parsec": lambda db: parsec_study(db, apps=("ferret", "x264")),
+}
+
+
+def _apply_async(experiment, use_checkpoints):
+    run_task = SchedulerApp(name="gem5art").task(name="gem5art.run_job")(
+        run_job
+    )
+    handles = [
+        run_task.apply_async(args=(run,)) for run in experiment.create_runs()
+    ]
+    return [handle.get() for handle in handles]
+
+
+def _launch(substrate):
+    def path(experiment, use_checkpoints):
+        return experiment.launch(
+            workers=2, substrate=substrate, use_checkpoints=use_checkpoints
+        )
+
+    return path
+
+
+PATHS = {
+    "run_job": lambda experiment, _: [
+        run_job(run) for run in experiment.create_runs()
+    ],
+    "app.task": _apply_async,
+    **{substrate: _launch(substrate) for substrate in SUBSTRATES},
+}
+
+#: ``(path, telemetry, checkpoints)``; the bare paths have no planner,
+#: so no boot stage.
+CELLS = [
+    (path, traced, use_checkpoints)
+    for path in PATHS
+    for traced in (False, True)
+    for use_checkpoints in (False, True)
+    if path in SUBSTRATES or not use_checkpoints
+]
+
+#: Per database by construction: instance ids and wall-clock stamps.
+PER_DATABASE = ("_id", "artifacts", "started_at_wall", "finished_at_wall",
+                "cached_from")
+
+
+def points(documents):
+    """``{fingerprint: document}`` without what differs per database
+    and without the results' ``host_seconds``, the one field a run's
+    execution may change."""
+    by_fingerprint = {}
+    for doc in documents:
+        point = {k: v for k, v in doc.items() if k not in PER_DATABASE}
+        point["results"] = dict(doc["results"])
+        point["results"].pop("host_seconds")
+        by_fingerprint[doc["fingerprint"]] = point
+    assert len(by_fingerprint) == len(documents)
+    return by_fingerprint
+
+
+def run_cell(grid, path, traced, use_checkpoints, runs_digest):
+    """One cell, cold then warm on the same database: ``(cold points,
+    cold digest, warm points, warm digest)``."""
+    db = ArtifactDB()
+    runs = db.database.collection("runs")
+    with telemetry.session() if traced else contextlib.nullcontext():
+        PATHS[path](GRIDS[grid](db), use_checkpoints)
+        cold, cold_digest = runs.find(), runs_digest(db.database)
+        PATHS[path](GRIDS[grid](db), use_checkpoints)
+    for doc in cold:
+        runs.delete_one({"_id": doc["_id"]})
+    warm = runs.find()
+    return points(cold), cold_digest, points(warm), runs_digest(db.database)
+
+
+@pytest.fixture(scope="module", params=GRIDS)
+def matrix(request, runs_digest):
+    return {
+        cell: run_cell(request.param, *cell, runs_digest) for cell in CELLS
+    }
+
+
+def test_every_path_leaves_the_same_documents(matrix):
+    """Path × telemetry, within each checkpoint setting: every cell's
+    documents equal the reference cell's, point by point."""
+    for use_checkpoints, reference in (
+        (False, ("run_job", False, False)),
+        (True, ("inline", False, True)),
+    ):
+        expected, digest = matrix[reference][:2]
+        for cell, (cold, cold_digest, _, _) in matrix.items():
+            if cell[2] == use_checkpoints:
+                assert cold_digest == digest, cell
+                assert cold == expected, cell
+
+
+def test_checkpoints_change_no_outcome(matrix):
+    """Restoring a boot leaves out the boot-attributed statistics by
+    design, so the stats blobs differ; no status and no measured time
+    may."""
+
+    def outcomes(cell):
+        return {
+            fingerprint: (
+                point["status"],
+                point["results"]["simulation_status"],
+                point["results"]["workload_seconds"],
+            )
+            for fingerprint, point in matrix[cell][0].items()
+        }
+
+    for path in SUBSTRATES:
+        restored = matrix[(path, False, True)][0].values()
+        assert any(point["results"]["restored_boot"] for point in restored)
+        assert outcomes((path, False, True)) == outcomes(
+            ("run_job", False, False)
+        ), path
+
+
+def test_a_warm_pass_adopts_every_run(matrix):
+    """The warm pass simulates nothing: each document it writes is a
+    cache hit on the cold pass's, and they hash to the cold digest."""
+    for cell, (cold, cold_digest, warm, warm_digest) in matrix.items():
+        assert warm == {
+            fingerprint: dict(point, cache_hit=True)
+            for fingerprint, point in cold.items()
+        }, cell
+        assert warm_digest == cold_digest, cell
+
+
+def test_duplicated_grid_coalesces_the_same_way_on_every_substrate(
+    runs_digest,
+):
+    """The duplicate-fingerprint column: every point of the grid twice.
+    Coalescing can make a sweep faster, never different — same digest,
+    same number of adopted documents, and a coalesced count that does
+    not depend on how many workers raced."""
+    digests, adopted, coalesced = {}, {}, {}
+    for substrate, workers in (
+        ("inline", 1), ("processes", 1), ("processes", 3),
+    ):
+        db = ArtifactDB()
+        experiment = boot_tests(db, quick=True)
+        experiment.sweep(boot_type=["init", "init"])
+        with telemetry.session() as session:
+            summaries = experiment.launch(workers=workers, substrate=substrate)
+            coalesced[(substrate, workers)] = session.metrics.counter(
+                "runcache_coalesced_total"
+            ).value()
+        assert len(summaries) == 96
+        documents = db.database.collection("runs").find()
+        assert len({doc["fingerprint"] for doc in documents}) == 48
+        digests[(substrate, workers)] = runs_digest(db.database)
+        adopted[(substrate, workers)] = sum(
+            bool(doc.get("cache_hit")) for doc in documents
+        )
+    assert len(set(digests.values())) == 1, digests
+    assert adopted == dict.fromkeys(adopted, 48)
+    # On every substrate the second of each pair is never enqueued: it
+    # adopts the first's result once that has settled.
+    assert coalesced == dict.fromkeys(coalesced, 48)
+
+
+def test_the_full_fig8_grid_on_processes_is_the_benchmark_digest(
+    runs_digest,
+):
+    db = ArtifactDB()
+    boot_tests(db).launch(workers=2, substrate="processes")
+    expected = json.loads((PERF / "expected.json").read_text())
+    assert runs_digest(db.database) == expected["fig8-cold"]["digest"]
+
+
+def test_hash_seeds_leave_the_same_digest(tmp_path, runs_digest):
+    """``repro boot-tests --quick`` in two interpreters whose ``str``
+    hashes differ: nothing in a run document may follow set or dict
+    iteration order of hashed keys."""
+    path = os.pathsep.join((str(ROOT / "src"), os.getenv("PYTHONPATH", "")))
+    uris = {seed: f"file://{tmp_path / seed}" for seed in ("0", "1")}
+    sweeps = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro", "boot-tests", "--quick",
+             "--db", uri],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for seed, uri in uris.items()
+    ]
+    for sweep in sweeps:
+        _, stderr = sweep.communicate(timeout=120)
+        assert sweep.returncode == 0, stderr
+    digests = set()
+    for uri in uris.values():
+        with connect(uri) as database:
+            assert database.collection("runs").count() == 48
+            digests.add(runs_digest(database))
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_chaos_then_resume_leaves_the_cold_digest(substrate, runs_digest):
+    """One outcome write in ten raises; a chaos-free retrying resume
+    then leaves the documents a clean sweep writes, and a second resume
+    has nothing left to run."""
+    clean = ArtifactDB()
+    boot_tests(clean, quick=True).launch(workers=2, substrate=substrate)
+    cold = runs_digest(clean.database)
+    for seed in (1, 2, 3):
+        db = ArtifactDB()
+        experiment = boot_tests(db, quick=True)
+        with chaos.injected(seed, [FaultRule("run.status", probability=0.1)]):
+            experiment.launch(workers=2, substrate=substrate)
+        assert experiment.pending_runs(retry_failures=True), seed
+        experiment.resume(workers=2, retry_failures=True, substrate=substrate)
+        assert runs_digest(db.database) == cold, seed
+        settled = db.database.collection("runs").find()
+        experiment.resume(workers=2, retry_failures=True, substrate=substrate)
+        assert db.database.collection("runs").find() == settled, seed
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_a_timed_out_run_reads_as_on_a_bare_run(db, fs_artifacts, substrate):
+    """Killed at its deadline or returned past it, a run's record is
+    its error, with no stats blob — what a bare ``run()`` leaves
+    (``test_run_tasks.py::test_run_timeout_recorded``)."""
+    run = make_run(db, fs_artifacts, timeout=0.0)
+    blobs = len(db.database.files)
+    run_jobs_scheduler([run], worker_count=1, substrate=substrate)
+    doc = db.get_run(run.run_id)
+    assert doc["status"] == "timed_out"
+    assert doc["results"] == {
+        "error": "timed out after 0.0s", "timed_out": True,
+    }
+    assert len(db.database.files) == blobs
 
 
 @pytest.fixture
 def db():
     return ArtifactDB()
-
-
-def quick_fig8(db, boot_type=("init",)):
-    """The experiment ``repro boot-tests --quick`` declares."""
-    gem5_repo = register_repo(db, "gem5", version="v20.1.0.4")
-    resources_repo = register_repo(
-        db,
-        "gem5-resources",
-        url="https://gem5.googlesource.com/public/gem5-resources",
-        version="c5f5c70",
-    )
-    version = BOOT_TEST_KERNEL_VERSIONS[0]
-    experiment = Experiment(db, "boot-tests")
-    experiment.add_stack(
-        f"linux-{version}",
-        gem5=register_gem5_binary(
-            db, Gem5Build(version="20.1.0.4"), inputs=[gem5_repo]
-        ),
-        gem5_git=gem5_repo,
-        run_script_git=resources_repo,
-        linux_binary=register_kernel_binary(db, get_kernel(version)),
-        disk_image=register_disk_image(
-            db, build_resource("boot-exit").image, inputs=[resources_repo]
-        ),
-    )
-    experiment.sweep(
-        boot_type=list(boot_type),
-        cpu_type=["kvm", "atomic", "timing", "o3"],
-        memory_system=["classic", "MI_example", "MESI_Two_Level"],
-        num_cpus=[1, 2, 4, 8],
-    )
-    return experiment
-
-
-def run_triples(db):
-    return sorted(
-        (
-            doc["fingerprint"],
-            doc["results"]["simulation_status"],
-            doc["results"]["stats_file_id"],
-        )
-        for doc in db.database.collection("runs").find()
-    )
-
-
-def test_fig8_quick_grid_is_identical_on_every_substrate():
-    outcomes = {}
-    for substrate, use_checkpoints in itertools.product(
-        SUBSTRATES, (False, True)
-    ):
-        db = ArtifactDB()
-        summaries = quick_fig8(db).launch(
-            workers=2,
-            substrate=substrate,
-            use_checkpoints=use_checkpoints,
-        )
-        assert len(summaries) == 48
-        outcomes[(substrate, use_checkpoints)] = run_triples(db)
-    for use_checkpoints in (False, True):
-        reference = outcomes[("inline", use_checkpoints)]
-        assert len({fingerprint for fingerprint, _, _ in reference}) == 48
-        for substrate in SUBSTRATES:
-            assert outcomes[(substrate, use_checkpoints)] == reference, (
-                substrate, use_checkpoints,
-            )
-    # A restored run's stats blob leaves out the boot-attributed
-    # statistics by design, so across the checkpoint axis the blob ids
-    # differ and the outcomes must not.
-    assert [triple[:2] for triple in outcomes[("inline", True)]] == [
-        triple[:2] for triple in outcomes[("inline", False)]
-    ]
-
-
-def test_a_warm_grid_adopts_every_run_on_every_substrate(runs_digest):
-    """The cache axis, with telemetry off and on: the grid cold, then
-    again on the same database.  The warm pass simulates nothing — every
-    run document it writes is a cache hit — and its documents hash to
-    the cold pass's digest, in every cell."""
-    digests = {}
-    for substrate, traced in itertools.product(SUBSTRATES, (False, True)):
-        db = ArtifactDB()
-        with telemetry.session() if traced else contextlib.nullcontext():
-            quick_fig8(db).launch(workers=2, substrate=substrate)
-            cold_ids = [
-                doc["_id"] for doc in db.database.collection("runs").find()
-            ]
-            cold = runs_digest(db.database)
-            summaries = quick_fig8(db).launch(
-                workers=2, substrate=substrate
-            )
-        assert len(summaries) == 48
-        for run_id in cold_ids:
-            db.database.collection("runs").delete_one({"_id": run_id})
-        documents = db.database.collection("runs").find()
-        assert len(documents) == 48
-        assert all(doc.get("cache_hit") for doc in documents), (
-            substrate, traced,
-        )
-        assert runs_digest(db.database) == cold, (substrate, traced)
-        digests[(substrate, traced)] = cold
-    assert len(set(digests.values())) == 1, digests
-
-
-def test_duplicated_grid_coalesces_the_same_way_on_every_substrate():
-    """The duplicate-fingerprint column: every point of the grid twice.
-    Coalescing can make a sweep faster, never different — same triples,
-    same number of adopted documents, and a coalesced count that does
-    not depend on how many workers raced."""
-    outcomes, adopted, coalesced = {}, {}, {}
-    for substrate, workers in (
-        ("inline", 1), ("processes", 1), ("processes", 3),
-    ):
-        db = ArtifactDB()
-        with telemetry.session() as session:
-            summaries = quick_fig8(db, boot_type=("init", "init")).launch(
-                workers=workers, substrate=substrate
-            )
-            coalesced[(substrate, workers)] = session.metrics.counter(
-                "runcache_coalesced_total"
-            ).value()
-        assert len(summaries) == 96
-        outcomes[(substrate, workers)] = run_triples(db)
-        adopted[(substrate, workers)] = sum(
-            bool(doc.get("cache_hit"))
-            for doc in db.database.collection("runs").find()
-        )
-    reference = outcomes[("inline", 1)]
-    assert len({fingerprint for fingerprint, _, _ in reference}) == 48
-    for key in outcomes:
-        assert outcomes[key] == reference, key
-        assert adopted[key] == 48, key
-    # On every substrate the second of each pair is never enqueued: it
-    # adopts the first's result once that has settled.
-    assert coalesced == dict.fromkeys(coalesced, 48)
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)

@@ -29,12 +29,12 @@ import repro
 from repro import chaos
 from repro.analysis.engine import iter_python_files
 from repro.art import ArtifactDB, run_job, run_jobs_scheduler
+from repro.art.studies import boot_tests
 from repro.art.tasks import SUBSTRATES
 from repro.cli import main
 from repro.db import connect
 from repro.scheduler import SchedulerApp
 
-from tests.art.test_substrate_equivalence import quick_fig8
 from tests.helpers import WRITE_POINTS, record_writes
 
 #: Where the pool forks its seats.
@@ -137,7 +137,9 @@ def firings():
 def test_every_write_of_a_sweep_is_on_the_calling_thread(
     tmp_path, firings, substrate, use_checkpoints
 ):
-    experiment = quick_fig8(ArtifactDB(connect(f"file://{tmp_path}/db")))
+    experiment = boot_tests(
+        ArtifactDB(connect(f"file://{tmp_path}/db")), quick=True
+    )
     experiment.create_runs()
     del firings.firings[:]
     before = {thread.name for thread in threading.enumerate()}
@@ -170,7 +172,7 @@ def threads_unchanged():
 
 def test_run_jobs_pool_starts_no_thread(firings, threads_unchanged):
     """The planner on ``processes``: alone at every fork."""
-    runs = quick_fig8(ArtifactDB()).create_runs()[:6]
+    runs = boot_tests(ArtifactDB(), quick=True).create_runs()[:6]
     del firings.firings[:]
     summaries = run_jobs_scheduler(runs, worker_count=2, substrate="processes")
     assert [summary["success"] for summary in summaries] == [
@@ -185,12 +187,12 @@ def test_run_jobs_pool_starts_no_thread(firings, threads_unchanged):
 def test_a_scheduler_app_task_starts_no_thread(threads_unchanged):
     app = SchedulerApp(name="census")
     run_task = app.task(name="census.run_job")(run_job)
-    (run,) = quick_fig8(ArtifactDB()).create_runs()[:1]
+    (run,) = boot_tests(ArtifactDB(), quick=True).create_runs()[:1]
     assert run_task.apply_async(args=(run,)).get() == run.results
 
 
 def test_a_bare_run_starts_no_thread(threads_unchanged):
-    (run,) = quick_fig8(ArtifactDB()).create_runs()[:1]
+    (run,) = boot_tests(ArtifactDB(), quick=True).create_runs()[:1]
     assert run.run()["success"] is True
 
 

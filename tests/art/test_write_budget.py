@@ -12,7 +12,6 @@ same budget is ``test_input_resolver.py``.
 """
 
 import collections
-import importlib
 import json
 from pathlib import Path
 
@@ -40,13 +39,6 @@ EXECUTED_KEYS = CREATED_WITH | {"started_at_wall", "finished_at_wall"}
 ADOPTED_KEYS = CREATED_WITH | {
     "cache_hit", "cached_from", "finished_at_wall",
 }
-
-
-@pytest.fixture
-def runs_digest(monkeypatch):
-    """The benchmark oracle's own hash over the run documents."""
-    monkeypatch.syspath_prepend(str(PERF))
-    return importlib.import_module("inspect_sample").runs_digest
 
 
 def logged(root, collection):

@@ -23,7 +23,6 @@ from repro.chaos import FaultRule
 from repro.common.errors import FaultInjectedError
 from repro.scheduler.procpool import JobEnvelope, ProcessPool, WorkerJobError
 from tests.art.test_launch_share import make_experiment
-from tests.art.test_write_budget import runs_digest  # noqa: F401
 from tests.helpers import events_of, kill_simulations_once, result_of
 
 

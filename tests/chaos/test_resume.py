@@ -23,7 +23,7 @@ from repro.cli import main
 from repro.db import connect
 
 from tests.art.test_launch_share import make_experiment
-from tests.art.test_write_budget import logged, runs_digest  # noqa: F401
+from tests.art.test_write_budget import logged
 
 ROOT = Path(__file__).resolve().parents[2]
 

@@ -103,7 +103,6 @@ class Gem5Run:
 @dataclass
 class Attempt:
     span: Any
-    use_cache: bool
     started_at_wall: str
     restore: Optional[Checkpoint] = None
 

@@ -78,8 +78,8 @@ CASES = [
              fingerprint="fp", results={"ok": True}),
     ]),
     ("repro.art.run", "Attempt", [
-        dict(span="span", use_cache=True, started_at_wall="t0"),
-        dict(span="span", use_cache=False, started_at_wall="t0"),
+        dict(span="span", started_at_wall="t0"),
+        dict(span="span", started_at_wall="t1"),
     ]),
     ("repro.art.spec", "RunSpec", [
         dict(kind="fs", artifacts={"gem5": "h1"}),

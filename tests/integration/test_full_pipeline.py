@@ -5,8 +5,6 @@ artifacts → db → run objects → scheduler → simulator → analysis, plus 
 persistence and reproducibility properties the framework exists for.
 """
 
-import pytest
-
 from repro.analysis import pivot, run_records
 from repro.art import (
     ArtifactDB,
@@ -15,14 +13,12 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_job,
     run_jobs_scheduler,
 )
 from repro.art.workflow import workflow_graph
 from repro.db import connect
 from repro.guest import get_distro, get_kernel
 from repro.resources import build_resource
-from repro.scheduler import SchedulerApp
 from repro.sim import Gem5Build
 
 
@@ -98,28 +94,6 @@ def test_persistent_database_roundtrip(tmp_path):
     assert reopened.has_file(disk_doc["file_id"])
 
 
-def test_experiment_is_bit_reproducible():
-    """Two independent executions of the same launch script produce
-    identical artifact hashes and identical simulated results."""
-
-    def execute():
-        db = ArtifactDB()
-        runs = build_experiment(db)
-        summaries = run_jobs_scheduler(
-            runs, worker_count=2, substrate="processes"
-        )
-        hashes = sorted(
-            doc["hash"] for doc in db.artifacts.all_documents()
-        )
-        times = sorted(s["sim_seconds"] for s in summaries)
-        return hashes, times
-
-    first_hashes, first_times = execute()
-    second_hashes, second_times = execute()
-    assert first_hashes == second_hashes
-    assert first_times == second_times
-
-
 def test_changing_one_input_changes_exactly_that_artifact():
     """Rebuilding the disk image on a different distro changes the disk
     artifact hash (and the results), but no other artifact."""
@@ -140,60 +114,6 @@ def test_changing_one_input_changes_exactly_that_artifact():
     assert h18["gem5 binary"] == h20["gem5 binary"]
     assert h18["disk image"] != h20["disk image"]
     assert h18["kernel"] != h20["kernel"]  # distros pin different kernels
-
-
-#: Result fields that say how a run executed, not what it produced: the
-#: blob id, host time, and what only a pool worker adds (its name and a
-#: hash of the stats blob, which is compared whole here).
-EXECUTION_FIELDS = (
-    "stats_file_id", "host_seconds", "worker", "stats_fingerprint"
-)
-
-
-def _outcomes(db, runs):
-    """Each run as the database holds it, free of ids and timing:
-    ``(status, results, stats blob bytes)``."""
-    outcomes = []
-    for run in runs:
-        doc = db.get_run(run.run_id)
-        results = {
-            key: value
-            for key, value in doc["results"].items()
-            if key not in EXECUTION_FIELDS
-        }
-        stats = db.download_file(doc["results"]["stats_file_id"])
-        outcomes.append((doc["status"], results, stats))
-    return outcomes
-
-
-def test_scheduler_and_pool_agree():
-    """The paper's promise: the task backend is interchangeable.  The
-    serial no-scheduler tail (``run_job`` per run) is the reference; the
-    ``multiprocessing`` option (the planner on ``processes``) and a
-    Celery-style ``@app.task`` wrapping ``run_job`` must leave the same
-    documents."""
-    apps = ("ferret", "x264")
-    serial_db, pool_db, app_db = ArtifactDB(), ArtifactDB(), ArtifactDB()
-
-    serial_runs = build_experiment(serial_db, apps=apps)
-    serial = [run_job(run) for run in serial_runs]
-
-    pool_runs = build_experiment(pool_db, apps=apps)
-    pooled = run_jobs_scheduler(
-        pool_runs, worker_count=2, substrate="processes"
-    )
-
-    app = SchedulerApp(name="gem5art")
-    run_task = app.task(name="gem5art.run_job")(run_job)
-    app_runs = build_experiment(app_db, apps=apps)
-    handles = [run_task.apply_async(args=(run,)) for run in app_runs]
-    eager = [handle.get() for handle in handles]
-
-    assert len(serial) == len(pooled) == len(eager) == 4
-    assert [s["success"] for s in serial] == [True, True, False, False]
-    reference = _outcomes(serial_db, serial_runs)
-    assert _outcomes(pool_db, pool_runs) == reference
-    assert _outcomes(app_db, app_runs) == reference
 
 
 def test_broken_benchmark_flows_through_pipeline():

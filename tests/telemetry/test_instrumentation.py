@@ -70,40 +70,6 @@ def make_run(db, a, **params):
     )
 
 
-def execute_once(enable_telemetry):
-    """One identical run in a fresh in-memory DB; returns (summary,
-    stats bytes)."""
-    db = make_db()
-    run = make_run(db, make_artifacts(db))
-    if enable_telemetry:
-        with telemetry.session():
-            summary = run_job(run)
-    else:
-        summary = run_job(run)
-    stats = db.download_file(summary["stats_file_id"])
-    return summary, stats
-
-
-#: Summary keys that depend only on the simulated machine, never the host.
-_DETERMINISTIC_KEYS = (
-    "simulation_status",
-    "sim_seconds",
-    "boot_seconds",
-    "workload_seconds",
-    "instructions",
-    "workload",
-    "success",
-)
-
-
-def test_stats_bit_identical_with_telemetry_on_and_off():
-    summary_off, stats_off = execute_once(enable_telemetry=False)
-    summary_on, stats_on = execute_once(enable_telemetry=True)
-    assert stats_on == stats_off  # the whole blob, byte for byte
-    for key in _DETERMINISTIC_KEYS:
-        assert summary_on[key] == summary_off[key], key
-
-
 def _telemetry_owners(db):
     docs = db.database.collection("telemetry").find()
     return sorted({doc["owner"] for doc in docs})

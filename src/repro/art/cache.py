@@ -7,11 +7,12 @@ key names an *entry*, verified against a *blob* in the content-addressed
 file store — and :class:`RunCache` is its first user: it maps a
 :class:`~repro.art.spec.RunSpec` fingerprint to the run that first
 executed it and lets later runs *adopt* that run's result instead of
-simulating.  A run's document already holds its fingerprint, status and
-results, so the run cache is an index on ``runs`` and the producer's
-document is the entry.  :class:`~repro.art.checkpoints.CheckpointStore`
-and the pipeline's :class:`~repro.pipeline.journal.StageCache` keep
-their entries in collections of their own.
+simulating.  An entry is its producer's own record, found through an
+index on the key: a run's document (over ``runs``) or a journaled
+stage's (the pipeline's :class:`~repro.pipeline.journal.StageCache`,
+over ``pipeline_runs``), so neither cache writes anything.  A boot has
+no other record: :class:`~repro.art.checkpoints.CheckpointStore` writes
+its own documents.
 
 A consult is a *read*: a hit writes nothing.  How often an entry was
 served is what its adopters' own documents say (a run's ``cached_from``),
@@ -45,7 +46,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro import chaos, telemetry
 from repro.common.errors import (
     CorruptBlobError,
-    DuplicateError,
     FaultInjectedError,
     NotFoundError,
     ValidationError,
@@ -62,16 +62,18 @@ _COUNTER_HELP = {
 
 
 class MemoStore:
-    """Key → (entry document, verified blob) over an :class:`ArtifactDB`.
+    """Key → (producer document, verified blob) over an :class:`ArtifactDB`.
 
-    A subclass names its collection, the unique key field, and the
+    An entry is the earliest (by ``_STAMP``, then ``_id``) *producer*: a
+    document of the store's collection that holds the key, matches
+    ``_PRODUCER`` and is not ``cache_revoked``, read with the ``_FIELDS``
+    projection.  A subclass names its collection, the key field, the
     ``noun`` that spells its chaos point (``<noun>.get``), events
-    (``<noun>.hit|miss|store|corrupt|error|invalidate``) and counters
+    (``<noun>.hit|miss|corrupt|error|invalidate``) and counters
     (``<noun>_hits|misses|corrupt_total``); which entry fields carry the
     producer's id and the hit counter's label; how ``repro cache ls``
-    lists it; and how a value becomes an entry (:meth:`encode`), where
-    an entry's blob is (:meth:`blob_id`), what a hit hands back
-    (:meth:`decode`) and who adopted it (:meth:`tallies`).
+    lists it; where an entry's blob is (:meth:`blob_id`), what a hit
+    hands back (:meth:`decode`) and who adopted it (:meth:`tallies`).
     """
 
     noun: str
@@ -83,13 +85,12 @@ class MemoStore:
     #: entry field, max width)`` and ``"tally"`` is the derived field.
     listing: Tuple[str, Tuple[Tuple[str, str, Optional[int]], ...]]
 
+    _PRODUCER = {}
+    _FIELDS = None
+
     def __init__(self, db: ArtifactDB):
         self.db = db
         self.collection = db.database.collection(self.collection_name)
-        # One entry per key, the memo layer's no-duplicates rule: declared
-        # here, so a collection comes into being with its first user.
-        if self.key_field not in self.collection.index_fields():
-            self.collection.create_unique_index(self.key_field)
 
     def decode(self, entry: Entry, payload: Optional[bytes]) -> Any:
         """What a hit hands back: the entry, unless the payload is it."""
@@ -101,13 +102,28 @@ class MemoStore:
 
     # -------------------------------------------------------------- lookup
 
+    def _candidates(
+        self, key: Any, fields: Optional[Iterable[str]]
+    ) -> List[Entry]:
+        """The documents that can produce ``key`` (a value or a
+        condition), earliest first."""
+        query = dict(self._PRODUCER, cache_revoked={"$exists": False})
+        query[self.key_field] = key
+        return sorted(
+            self.collection.find(query, fields=fields),
+            key=lambda doc: (doc.get(self._STAMP, ""), doc["_id"]),
+        )
+
     def lookup(self, key: str) -> Optional[Entry]:
-        """The raw entry for a key, or None."""
-        return self.collection.find_one({self.key_field: key})
+        """The producer of ``key``, or None: one (indexed) find."""
+        return next(iter(self._candidates(key, self._FIELDS)), None)
 
     def entries(self) -> List[Entry]:
-        """Every entry, in insertion order."""
-        return self.collection.find()
+        """Every key's producer, earliest first."""
+        first: Dict[str, Entry] = {}
+        for doc in self._candidates({"$exists": True}, self._FIELDS):
+            first.setdefault(doc[self.key_field], doc)
+        return list(first.values())
 
     def _adopted(self, docs: Iterable[Entry], field: str) -> Dict[str, int]:
         """Key → how many adopters' ``docs`` name the entry's producer
@@ -198,37 +214,16 @@ class MemoStore:
         self._count("misses", reason=reason)
         self._emit("miss", **{self.key_field: key}, reason=reason)
 
-    # --------------------------------------------------------------- store
-
-    def store(self, key: str, value: Any) -> bool:
-        """Archive ``value`` under ``key``; True when an entry was written.
-
-        Idempotent and first-writer-wins: the unique index decides, so a
-        writer that loses a race (another experiment or store instance
-        sharing the database) loses quietly — later identical work adopts
-        the winner's entry rather than overwrite it.  An injected write
-        fault loses the same way, reported as ``<noun>.error``: the
-        value's owner has it; only the next caller's shortcut is missing.
-        """
-        try:
-            entry = self.encode(key, value)
-            if entry is None:
-                return False
-            self.collection.insert_one(entry)
-        except DuplicateError:
-            return False
-        except FaultInjectedError as error:
-            self._emit("error", **{self.key_field: key}, error=str(error))
-            return False
-        self._emit("store", **self._names(entry))
-        return True
-
     # --------------------------------------------------------- invalidation
 
     def _drop(self, entry: Entry, reason: str) -> None:
         """Take an entry out of service (``reason``: ``corrupt`` or
-        ``invalidated``): delete its document."""
-        self.collection.delete_one({self.key_field: entry[self.key_field]})
+        ``invalidated``): revoke, never delete, every producer of its
+        key; the next document to qualify takes over."""
+        for doc in self._candidates(entry[self.key_field], ()):
+            self.collection.update_one(
+                {"_id": doc["_id"]}, {"$set": {"cache_revoked": reason}}
+            )
 
     def evict(self, token: str) -> int:
         """Evict by key or by another of an entry's :meth:`tokens`.
@@ -277,9 +272,10 @@ class MemoStore:
 
 
 class RunCache(MemoStore):
-    """Fingerprint → its *producer*: the ``done`` run with it that neither
-    adopted (``cache_hit``) nor was revoked (``cache_revoked``), first to
-    finish (then lowest ``_id``): no later run, forced or not, displaces it."""
+    """Fingerprint → its *producer*: the ``done`` run with it that did
+    not adopt (``cache_hit``), first to finish: no later run, forced or
+    not, displaces it.  ``ArtifactDB`` declares the (non-unique) index on
+    the fingerprint."""
 
     noun = "runcache"
     collection_name = "runs"
@@ -292,47 +288,15 @@ class RunCache(MemoStore):
          ("Run", "_id", 8), ("Hits", "tally", None),
          ("Stored", "finished_at_wall", 19)),
     )
-    _PRODUCER = {"status": "done", "cache_hit": {"$exists": False},
-                 "cache_revoked": {"$exists": False}}
+    _PRODUCER = {"status": "done", "cache_hit": {"$exists": False}}
+    _STAMP = "finished_at_wall"
     _FIELDS = ("fingerprint", "kind", "results", "finished_at_wall",
                "spec.artifacts")
-
-    def __init__(self, db: ArtifactDB):
-        # ArtifactDB declares the (non-unique) index on the fingerprint.
-        self.db, self.collection = db, db.runs
-
-    def _candidates(self, fingerprint: Any, fields: Iterable[str]):
-        """The runs that can produce ``fingerprint`` (a value or a
-        condition), earliest first."""
-        return sorted(
-            self.collection.find(
-                dict(self._PRODUCER, fingerprint=fingerprint), fields=fields
-            ),
-            key=lambda doc: (doc.get("finished_at_wall", ""), doc["_id"]),
-        )
-
-    def lookup(self, key: str) -> Optional[Entry]:
-        """The producer of fingerprint ``key``: one indexed find."""
-        return next(iter(self._candidates(key, self._FIELDS)), None)
-
-    def entries(self) -> List[Entry]:
-        """Every fingerprint's producer, earliest first."""
-        first: Dict[str, Entry] = {}
-        for doc in self._candidates({"$exists": True}, self._FIELDS):
-            first.setdefault(doc["fingerprint"], doc)
-        return list(first.values())
 
     def store(self, fingerprint: str, run_doc: Entry) -> bool:
         """Nothing to write: a ``DONE`` run's own document is its entry.
         Kept for the row ``benchmarks/perf/traced_child.py`` traces."""
         return False
-
-    def _drop(self, entry: Entry, reason: str) -> None:
-        """Revoke every candidate producer: the next DONE run takes over."""
-        for doc in self._candidates(entry["fingerprint"], ()):
-            self.collection.update_one(
-                {"_id": doc["_id"]}, {"$set": {"cache_revoked": reason}}
-            )
 
     def _names(self, entry: Entry) -> Entry:
         return {"fingerprint": entry["fingerprint"], "run_id": entry["_id"]}

@@ -23,9 +23,11 @@ from __future__ import annotations
 import collections
 from typing import Dict, Iterable, List, Optional
 
+from repro.common.errors import DuplicateError, FaultInjectedError
 from repro.common.jsonutil import canonical_dumps, loads
 from repro.common.timeutil import iso_now
 from repro.art.cache import Entry, MemoStore
+from repro.art.db import ArtifactDB
 from repro.art.spec import RunSpec
 from repro.sim.checkpoint import Checkpoint
 
@@ -50,6 +52,13 @@ class CheckpointStore(MemoStore):
          ("Boot", "boot_type", None), ("CPUs", "num_cpus", None),
          ("Restores", "tally", None), ("Stored", "stored_at_wall", 19)),
     )
+    _STAMP = "stored_at_wall"
+
+    def __init__(self, db: ArtifactDB):
+        super().__init__(db)
+        # One document per prefix: the collection's first user declares it.
+        if self.key_field not in self.collection.index_fields():
+            self.collection.create_unique_index(self.key_field)
 
     def encode(self, prefix: str, checkpoint: Checkpoint) -> Entry:
         """Archive the payload blob and describe it as a store entry (a
@@ -71,6 +80,30 @@ class CheckpointStore(MemoStore):
             "boot_seconds": checkpoint.boot_seconds,
             "stored_at_wall": iso_now(),
         }
+
+    def store(self, prefix: str, checkpoint: Checkpoint) -> bool:
+        """Archive ``checkpoint`` under ``prefix``; True when written.
+
+        First writer wins: the unique index decides, so one that loses a
+        race (another sweep sharing the database) returns False and
+        never overwrites.  An injected write fault loses the same way,
+        reported as ``checkpoint.error``: only the next sweep's shortcut
+        is missing."""
+        try:
+            entry = self.encode(prefix, checkpoint)
+            self.collection.insert_one(entry)
+        except DuplicateError:
+            return False
+        except FaultInjectedError as error:
+            self._emit("error", prefix=prefix, error=str(error))
+            return False
+        self._emit("store", **self._names(entry))
+        return True
+
+    def _drop(self, entry: Entry, reason: str) -> None:
+        """Delete the document, so a recompute can store under its
+        prefix again."""
+        self.collection.delete_one({"prefix": entry["prefix"]})
 
     def blob_id(self, entry: Entry) -> str:
         return entry["file_id"]
@@ -107,7 +140,7 @@ class CheckpointStore(MemoStore):
         for entry in self.entries():
             if entry["prefix"] in live:
                 continue
-            self.collection.delete_one({"prefix": entry["prefix"]})
+            self._drop(entry, "gc")
             self.db.delete_file(entry["file_id"])
             self._emit("gc", **self._names(entry))
             evicted += 1

@@ -10,10 +10,10 @@ order, and for each stage:
    the content-addressed blob) instead of re-executing;
 3. otherwise executes the stage implementation, content-addresses its
    outputs into the FileStore and evaluates the stage's validation
-   gates (an execution that passes becomes the fingerprint's cache
-   entry);
+   gates (outputs that cannot be archived are the stage's error);
 4. journals one stage document.  A stage that raises or fails a gate
-   ends the pipeline ``failed``.
+   ends the pipeline ``failed``; one that executed and passed its gates
+   is, by that document, its fingerprint's cache entry.
 
 The stage documents, sorted by ``seq``, are the pipeline's decision
 record.  Telemetry gets ``pipeline``/``pipeline.stage`` spans plus two
@@ -131,6 +131,7 @@ def run_pipeline(
                                 execution=dict(manifest.execution),
                             )
                         )
+                        blob_id = journal.store_outputs(outputs)
                     except Exception as exc:
                         action, blob_id, verdicts = "error", None, []
                         error = f"{type(exc).__name__}: {exc}"
@@ -139,7 +140,6 @@ def run_pipeline(
                         action = "executed"
                         counts["executed"] += 1
                         runs_total.inc(pipeline=manifest.name, stage=name)
-                        blob_id = journal.store_outputs(outputs)
                         verdicts = evaluate_gates(
                             stage.gates, outputs, stage=name
                         )
@@ -156,11 +156,9 @@ def run_pipeline(
                     outputs_blob=blob_id,
                     verdicts=verdicts,
                     gates_ok=gates_ok,
-                    cache_source=cached["origin"] if cached else None,
+                    cache_source=cached["_id"] if cached else None,
                     error=error,
                 )
-                if action == "executed":
-                    stage_cache.store(fingerprint, stages[name])
                 span.set_attribute("action", action)
                 span.set_attribute("gates_ok", gates_ok)
                 if gates_ok:

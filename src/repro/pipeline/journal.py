@@ -13,14 +13,16 @@ Every pipeline run writes two kinds of documents into the
   the canonical outputs JSON).
 
 The stage documents sorted by ``seq`` are the decision record ``repro
-pipeline explain`` prints.  The journal is append-only history.  The
-cross-run cache sits beside it: :class:`StageCache`, the memo
-protocol's third client, indexes each gate-passing execution by its
-stage fingerprint, and a later
-pipeline run that computes the same fingerprint adopts the recorded
-outputs instead of re-executing (how a lookup degrades is the protocol's,
-:meth:`~repro.art.cache.MemoStore.consult`).  Evicting a cached result
-deletes a cache entry, never provenance.
+pipeline explain`` prints.  The journal is append-only history plus one
+mark: a stage document taken out of cache service gets a
+``cache_revoked`` field, and nothing is ever deleted.
+
+The cross-run cache is an index on the same documents:
+:class:`StageCache`, the memo protocol's third client, answers a stage
+fingerprint with the earliest gate-passing execution of it that is not
+revoked, so a later pipeline run that computes the same fingerprint
+adopts the recorded outputs instead of re-executing (how a lookup
+degrades is the protocol's, :meth:`~repro.art.cache.MemoStore.consult`).
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class PipelineJournal:
         self.collection = db.database.collection(PIPELINE_RUNS)
         self.collection.create_index("doc_type")
         self.collection.create_index("pipeline_id")
+        # The stage cache's lookups (non-unique: every execution of a
+        # fingerprint is journaled).
+        self.collection.create_index("fingerprint")
 
     # ------------------------------------------------------ pipeline docs
 
@@ -189,37 +194,29 @@ class PipelineJournal:
 
 
 class StageCache(MemoStore):
-    """Stage fingerprint → the outputs of the execution that passed its
-    gates, over the documents :meth:`PipelineJournal.record_stage`
-    writes."""
+    """Stage fingerprint → its *producer*: the journaled stage document
+    (:meth:`PipelineJournal.record_stage`) that executed it and passed
+    its gates, first recorded; a hit hands back its outputs.  A failed
+    stage is never a cache hit."""
 
     noun = "stagecache"
-    collection_name = "stage_cache"
+    collection_name = PIPELINE_RUNS
     key_field = "fingerprint"
-    origin_field = "origin"
+    origin_field = "_id"
     label_field = "kind"
     listing = (
         "STAGE CACHE",
         (("Fingerprint", "fingerprint", 12), ("Stage", "stage", None),
-         ("Kind", "kind", None), ("Journaled", "origin", 8),
-         ("Hits", "tally", None), ("Stored", "stored_at_wall", 19)),
+         ("Kind", "kind", None), ("Journaled", "_id", 8),
+         ("Hits", "tally", None), ("Stored", "recorded_at_wall", 19)),
     )
+    _PRODUCER = {"action": "executed", "gates_ok": True}
+    _STAMP = "recorded_at_wall"
+    _FIELDS = ("fingerprint", "stage", "kind", "verdicts", "outputs_blob",
+               "recorded_at_wall")
 
-    def encode(self, fingerprint: str, stage_doc: Entry) -> Optional[Entry]:
-        """A journaled stage as a cache entry (gate-passing ones only:
-        a failed stage is never a cache hit)."""
-        if not stage_doc["gates_ok"]:
-            return None
-        return {
-            "_id": f"stage-{fingerprint}",
-            "fingerprint": fingerprint,
-            "stage": stage_doc["stage"],
-            "kind": stage_doc["kind"],
-            "verdicts": stage_doc["verdicts"],
-            "outputs_blob": stage_doc["outputs_blob"],
-            "origin": stage_doc["_id"],
-            "stored_at_wall": iso_now(),
-        }
+    def _names(self, entry: Entry) -> Entry:
+        return {"fingerprint": entry["fingerprint"], "origin": entry["_id"]}
 
     def blob_id(self, entry: Entry) -> str:
         return entry["outputs_blob"]
@@ -234,10 +231,11 @@ class StageCache(MemoStore):
 
     def tallies(self) -> Dict[str, int]:
         """Fingerprint → journaled stages that adopted the entry
-        (their documents say ``cache_source`` its origin)."""
+        (their documents say ``cache_source`` its producer)."""
         return self._adopted(
-            self.db.database.collection(PIPELINE_RUNS).find(
-                {"doc_type": "stage", "action": "cache_hit"}
+            self.collection.find(
+                {"doc_type": "stage", "action": "cache_hit"},
+                fields=["cache_source"],
             ),
             "cache_source",
         )

@@ -6,9 +6,10 @@ faulted — and columns are the users of the protocol: the run cache
 (driven through ``Gem5Run.run``), the checkpoint store (``run_boot_stage``)
 and the pipeline's stage cache (``run_pipeline``).  Every cell must
 degrade to exactly one recompute, report itself, and leave a store the
-*next* caller hits without writing to it.  The run cache's entry is its
-producer's own run document, so it has no write of its own to fault,
-and one more row: that document is gone or no longer ``done``.
+*next* caller hits without writing to it.  The run cache's and the
+stage cache's entries are their producers' own documents (a run's, a
+journaled stage's), so they have no write of their own to fault, and
+one more row: that document is gone or no longer qualifies.
 """
 
 import os
@@ -124,9 +125,10 @@ class CheckpointUser(User):
 
 class StageCacheUser(User):
     """Stage ``b`` of ``CHAIN``, its neighbours cached; a recompute is
-    one execution of it and of nothing else."""
+    one execution of it and of nothing else.  A hit journals the
+    pipeline document, its three stage documents and its finish."""
 
-    noun, key_field = "stagecache", "fingerprint"
+    noun, key_field, own_writes = "stagecache", "fingerprint", 5
 
     def __init__(self, db, request):
         super().__init__(db, StageCache(db))
@@ -269,33 +271,38 @@ def adopts_by_reading(db, user):
     assert (log_bytes(db, collection) == before) is (user.own_writes == 0)
 
 
-def forge_failed(db, run_id):
-    """The producer's document now says its run failed."""
-    assert db.runs.update_one({"_id": run_id}, {"$set": {"status": "failed"}})
-
-
-def remove(db, run_id):
-    """The producer's document is gone, its cache entry left behind."""
-    assert db.runs.delete_one({"_id": run_id})
-
-
-@pytest.mark.parametrize("forge", [forge_failed, remove], ids=["failed", "gone"])
-def test_a_lost_producer_misses_then_heals(db, request, forge):
-    """The run cache's own row: when the producer's document is gone or
-    no longer says ``done``, nothing answers the fingerprint — the
+@pytest.mark.parametrize(
+    "user, forged",
+    [
+        pytest.param(RunCacheUser, {"status": "failed"}, id="failed"),
+        pytest.param(RunCacheUser, None, id="gone"),
+        pytest.param(
+            StageCacheUser, {"gates_ok": False},
+            id="stagecache-failed-gates",
+        ),
+        pytest.param(StageCacheUser, None, id="stagecache-gone"),
+    ],
+    indirect=["user"],
+)
+def test_a_lost_producer_misses_then_heals(db, user, forged):
+    """The rows of the stores whose entry is a producer's document: when
+    it is gone (``forged`` None) or forged not to qualify (a run not
+    ``done``, a stage whose gates failed), nothing answers the key — the
     consult misses as ``absent``, the recompute is the new producer, and
     the next caller adopts it."""
-    user = RunCacheUser(db, request)
-    first = user.use()
-    forge(db, first)
+    first, producers = user.use(), user.store.collection
+    if forged is None:
+        assert producers.delete_one({"_id": first})
+    else:
+        assert producers.update_one({"_id": first}, {"$set": forged})
     del user.recomputes[:]
     with telemetry.session() as session:
         second = user.use()
         counter = session.metrics.counter
-        assert counter("runcache_misses_total").value(reason="absent") == 1
-        [miss] = events_of(session.events, "runcache.miss")
+        assert counter(f"{user.noun}_misses_total").value(reason="absent") == 1
+        [miss] = events_of(session.events, f"{user.noun}.miss")
         assert miss["attributes"] == {
-            "fingerprint": user.key, "reason": "absent"
+            user.key_field: user.key, "reason": "absent"
         }
     [(entry, _)] = user.recomputes
     assert entry is None
@@ -317,22 +324,13 @@ def test_a_warm_sweep_appends_nothing_to_the_run_cache(db):
     assert "run_cache" not in db.database.storage_stats()["collections"]
 
 
-#: What ``StageCache.encode`` reads of a journaled attempt.
-STAGE_DOC = {
-    "stage": "b", "kind": "python", "verdicts": [], "gates_ok": True,
-    "outputs_blob": "0" * 64,
-}
-
-
 @pytest.mark.parametrize(
     "store_class, first_value, value, field, kept",
     [
         (CheckpointStore, make_checkpoint(boot_seconds=10.0),
          make_checkpoint(boot_seconds=99.0), "boot_seconds", 10.0),
-        (StageCache, dict(STAGE_DOC, _id="doc-1"),
-         dict(STAGE_DOC, _id="doc-2"), "origin", "doc-1"),
     ],
-    ids=["checkpoint", "stagecache"],
+    ids=["checkpoint"],
 )
 def test_racing_store_loses_quietly(
     db, monkeypatch, store_class, first_value, value, field, kept
@@ -351,3 +349,23 @@ def test_racing_store_loses_quietly(
     assert store.store("k" * 64, value) is False
     monkeypatch.undo()
     assert store.lookup("k" * 64)[field] == kept
+
+
+def test_the_earliest_stage_producer_answers_until_revoked(db):
+    """Two gate-passing executions of one stage fingerprint (the second
+    forced by ``use_cache=False``) are two producers in the journal: the
+    first answers, and once it is revoked, the second does."""
+    manifest = parse_manifest_text(CHAIN)
+    first = run_pipeline(db, manifest)["stages"]["b"]
+    second = run_pipeline(db, manifest, use_cache=False)["stages"]["b"]
+    assert first["fingerprint"] == second["fingerprint"]
+    store = StageCache(db)
+    assert store.lookup(first["fingerprint"])["_id"] == first["_id"]
+    result = run_pipeline(db, manifest)
+    assert result["stages"]["b"]["cache_source"] == first["_id"]
+    assert store.collection.update_one(
+        {"_id": first["_id"]}, {"$set": {"cache_revoked": "invalidated"}}
+    )
+    assert store.lookup(first["fingerprint"])["_id"] == second["_id"]
+    result = run_pipeline(db, manifest)
+    assert result["stages"]["b"]["cache_source"] == second["_id"]

@@ -3,10 +3,12 @@ or slower, never different.
 
 One invariant over the configuration matrix instead of one identity
 assert per feature, judged by the benchmark's own oracle
-(``benchmarks/perf/inspect_sample.py::runs_digest``).  Two grids from
+(``benchmarks/perf/inspect_sample.py::runs_digest``).  Three grids from
 :mod:`repro.art.studies`: the ``--quick`` Fig 8 grid (48 runs, no
-measured region) and a PARSEC slice (12 runs with measured regions, one
-app aborting in the simulator).  The axes:
+measured region), a PARSEC slice (12 runs with measured regions, one
+app aborting in the simulator) and the whole Fig 9 GPU study (58 runs,
+none with a boot prefix, so checkpoints change nothing there).  The
+axes:
 
 - the execution path: ``run_job`` per run, an ``@app.task`` +
   ``apply_async`` per run, ``launch`` on ``inline`` and on
@@ -38,7 +40,7 @@ from repro.art import (
     run_jobs_scheduler,
 )
 from repro.art.run import InputResolver, boot_checkpoint
-from repro.art.studies import boot_tests, parsec_study
+from repro.art.studies import boot_tests, gpu_regalloc_study, parsec_study
 from repro.art.tasks import SUBSTRATES
 from repro.chaos import FaultRule
 from repro.db import connect
@@ -53,6 +55,7 @@ PERF = ROOT / "benchmarks" / "perf"
 GRIDS = {
     "boot-tests": lambda db: boot_tests(db, quick=True),
     "parsec": lambda db: parsec_study(db, apps=("ferret", "x264")),
+    "gpu": gpu_regalloc_study,
 }
 
 
@@ -148,10 +151,12 @@ def test_every_path_leaves_the_same_documents(matrix):
                 assert cold == expected, cell
 
 
-def test_checkpoints_change_no_outcome(matrix):
+def test_checkpoints_change_no_outcome(matrix, request):
     """Restoring a boot leaves out the boot-attributed statistics by
     design, so the stats blobs differ; no status and no measured time
     may."""
+    if request.node.callspec.params["matrix"] == "gpu":
+        pytest.skip("GPU runs have no boot prefix to restore")
 
     def outcomes(cell):
         return {

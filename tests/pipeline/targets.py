@@ -41,6 +41,12 @@ def explode(ctx) -> Dict[str, Any]:
     raise RuntimeError("boom")
 
 
+def unserializable(ctx) -> Dict[str, Any]:
+    """Returns outputs canonical JSON cannot encode; records the call."""
+    CALLS.append(ctx.stage.name)
+    return {"value": object()}
+
+
 def check_even(outputs) -> Dict[str, Any]:
     """Callable-gate predicate: passes when ``value`` is even."""
     value = outputs.get("value")

@@ -195,6 +195,38 @@ stages:
     assert journal.get_pipeline(result["pipeline_id"])["status"] == "failed"
 
 
+def test_unarchivable_outputs_are_a_journaled_error(db):
+    """Outputs that cannot be content-addressed fail their stage like a
+    raise does: the run returns, and the journal says why."""
+    manifest = parse_manifest_text(
+        """
+pipeline: opaque
+stages:
+  - name: ok
+    kind: python
+    params: {target: "tests.pipeline.targets:emit", value: 1}
+  - name: opaque
+    kind: python
+    inputs: [ok]
+    params: {target: "tests.pipeline.targets:unserializable"}
+"""
+    )
+    result = run_pipeline(db, manifest)
+    assert result["status"] == "failed"
+    assert result["error"].startswith("TypeError")
+    assert result["counts"] == {
+        "executed": 1, "cache_hits": 0, "gate_failures": 0,
+    }
+    journal = PipelineJournal(db)
+    records = journal.stages_of(result["pipeline_id"])
+    assert [
+        (doc["stage"], doc["action"], doc["outputs_blob"] is None)
+        for doc in records
+    ] == [("ok", "executed", False), ("opaque", "error", True)]
+    assert records[-1]["error"] == result["error"]
+    assert journal.get_pipeline(result["pipeline_id"])["status"] == "failed"
+
+
 def test_chaos_stage_fault_is_a_journaled_error(db):
     manifest = parse_manifest_text(CHAIN)
     rules = [

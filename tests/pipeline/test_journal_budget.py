@@ -5,7 +5,9 @@ stage, written in execution order, and nothing else: an ``insert`` of
 the pipeline document (``running``), one ``insert`` per stage, and one
 ``update`` when it finishes.  Counted on the ``pipeline_runs`` log a
 cold and a warm ``repro reproduce examples/paper.yaml`` leave (the
-``reproduce-warm`` command of ``benchmarks/perf``).
+``reproduce-warm`` command of ``benchmarks/perf``).  The stage cache is
+an index on those stage documents, so there is no cache collection to
+log.
 """
 
 import shutil
@@ -36,24 +38,33 @@ def journal_records(root):
     return [record for record in records if record["op"] != "index"]
 
 
+def collection_names(root):
+    with connect(f"file://{root}") as database:
+        return set(database.storage_stats()["collections"])
+
+
 @pytest.fixture(scope="module")
 def primed(tmp_path_factory):
-    """A database after a cold and a warm reproduce: its root and the
-    journal records each of the two appended."""
+    """A database after a cold and a warm reproduce: its root, the
+    journal records each of the two appended, and the collections
+    after each."""
     root = tmp_path_factory.mktemp("paper") / "db"
     uri = f"file://{root}"
     assert main(["reproduce", PAPER, "--db", uri, "--quiet"]) == 0
-    cold = journal_records(root)
+    cold, after_cold = journal_records(root), collection_names(root)
     assert main(
         ["reproduce", PAPER, "--db", uri, "--quiet",
          "--expect-cache-hits", "100"]
     ) == 0
-    return root, cold, journal_records(root)[len(cold):]
+    warm = journal_records(root)[len(cold):]
+    after_warm = collection_names(root)
+    return root, cold, warm, {"cold": after_cold, "warm": after_warm}
 
 
 @pytest.mark.parametrize("which", ["cold", "warm"])
 def test_a_reproduce_journals_one_record_per_decision(primed, which):
-    _, cold, warm = primed
+    _, cold, warm, after = primed
+    assert "stage_cache" not in after[which]
     records = {"cold": cold, "warm": warm}[which]
     assert [record["op"] for record in records] == (
         ["insert"] * (1 + len(ORDER)) + ["update"]
@@ -73,7 +84,7 @@ def test_a_reproduce_journals_one_record_per_decision(primed, which):
 
 
 def test_explain_prints_each_stage_once_in_order(primed, capsys):
-    root, _, _ = primed
+    root = primed[0]
     capsys.readouterr()
     assert main(["pipeline", "explain", "--db", f"file://{root}"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -56,9 +56,8 @@ class CheckpointStore(MemoStore):
 
     def __init__(self, db: ArtifactDB):
         super().__init__(db)
-        # One document per prefix: the collection's first user declares it.
-        if self.key_field not in self.collection.index_fields():
-            self.collection.create_unique_index(self.key_field)
+        # One document per prefix, declared on every open.
+        self.collection.create_unique_index(self.key_field)
 
     def encode(self, prefix: str, checkpoint: Checkpoint) -> Entry:
         """Archive the payload blob and describe it as a store entry (a

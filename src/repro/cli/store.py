@@ -218,18 +218,16 @@ def _cmd_db(args) -> int:
         if args.action == "stats":
             stats = db.storage_stats()
             table = TextTable(
-                ["Collection", "Docs", "Seg bytes", "WAL bytes", "Indexes"],
+                ["Collection", "Docs", "Seg bytes", "WAL bytes"],
                 title=f"STORAGE ENGINE ({stats['durability']})",
             )
             for name, entry in sorted(stats["collections"].items()):
-                indexes = ",".join(sorted(entry["indexes"])) or "-"
                 table.add_row(
                     [
                         name,
                         str(entry["documents"]),
                         str(entry["segment_bytes"]),
                         str(entry["wal_bytes"]),
-                        indexes,
                     ]
                 )
             print(table.render())

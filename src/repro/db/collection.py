@@ -21,6 +21,9 @@ Two kinds of indexes serve ``find()`` without scanning:
   set of doc ids, multikey over list values (each element is indexed, as
   in Mongo), serving equality and scalar ``$in`` fast paths.
 
+An index is schema, not data: it is never logged, and the code that
+owns a collection declares it every time it opens the collection.
+
 When the collection is bound to a durable store (a file-backed database),
 every acknowledged mutation is appended to the write-ahead log *before*
 it is applied in memory — if logging fails, the caller sees the error and
@@ -63,10 +66,15 @@ class Collection:
     """An ordered set of documents with unique-index enforcement."""
 
     def __init__(
-        self, name: str, store: Optional["CollectionStore"] = None
+        self,
+        name: str,
+        store: Optional["CollectionStore"] = None,
+        documents: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         self.name = name
-        self._documents: Dict[str, Dict[str, Any]] = {}
+        #: What the store's replay recovered, adopted as it is: it came
+        #: *from* the log, so it is not logged again.
+        self._documents: Dict[str, Dict[str, Any]] = documents or {}
         #: field → {index key → doc id}.  The map *is* the index: it
         #: enforces uniqueness at O(1) per write and serves equality
         #: lookups on the field without scanning the collection.
@@ -84,8 +92,10 @@ class Collection:
 
         Documents missing the field are exempt (sparse-index semantics),
         which is what lets non-repository artifacts omit git info.
+        Idempotent.
         """
-        known = field in self._unique_indexes
+        if field in self._unique_indexes:
+            return
         seen: Dict[Any, str] = {}
         for doc_id, doc in self._documents.items():
             value = get_path(doc, field)
@@ -98,8 +108,6 @@ class Collection:
                     f"{field!r}"
                 )
             seen[key] = doc_id
-        if self._store is not None and not known:
-            self._store.log_index(field, unique=True)
         self._unique_indexes[field] = seen
 
     def create_index(self, field: str) -> None:
@@ -116,16 +124,7 @@ class Collection:
         for doc_id, doc in self._documents.items():
             for key in self._entry_keys(doc, field):
                 index.setdefault(key, set()).add(doc_id)
-        if self._store is not None:
-            self._store.log_index(field, unique=False)
         self._secondary_indexes[field] = index
-
-    def index_fields(self) -> Dict[str, str]:
-        """{field: "unique" | "secondary" | "unique+secondary"}."""
-        fields = {f: "unique" for f in self._unique_indexes}
-        for f in self._secondary_indexes:
-            fields[f] = "unique+secondary" if f in fields else "secondary"
-        return fields
 
     @staticmethod
     def _entry_keys(doc: Dict[str, Any], field: str) -> List[Any]:
@@ -361,34 +360,6 @@ class Collection:
                 del self._documents[doc["_id"]]
                 return True
         return False
-
-    # ----------------------------------------------------------- recovery
-
-    def load_replayed(
-        self,
-        documents: Dict[str, Dict[str, Any]],
-        indexes: Sequence[Tuple[str, bool]] = (),
-    ) -> None:
-        """Adopt recovered state wholesale, without re-logging it.
-
-        Used by the database right after engine replay: the documents
-        and index definitions came *from* the WAL/segments, so pushing
-        them back through the logging insert path would double-write
-        every record on every open.
-        """
-        store = self._store
-        self._store = None  # suppress logging while rebuilding
-        try:
-            self._documents = {
-                doc_id: doc for doc_id, doc in documents.items()
-            }
-            for field, unique in indexes:
-                if unique:
-                    self.create_unique_index(field)
-                else:
-                    self.create_index(field)
-        finally:
-            self._store = store
 
     # ---------------------------------------------------------------- misc
 

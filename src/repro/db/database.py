@@ -65,7 +65,14 @@ class Database:
     # ---------------------------------------------------------- collections
 
     def collection(self, name: str) -> Collection:
-        """Return (creating on first use) the named collection."""
+        """Return the named collection, replaying what is on disk.
+
+        A collection the database does not hold comes back empty and
+        stays in memory until its first write: asking for it creates
+        nothing on disk.  It comes back without indexes: the code that
+        owns a collection declares them each time it opens it (they
+        are never logged).
+        """
         if name not in self._collections:
             if self.root is None:
                 self._collections[name] = Collection(name)
@@ -82,11 +89,9 @@ class Database:
         from repro.db.engine.segments import CollectionStore
 
         store = CollectionStore(self._engine_root, name, self.durability)
-        documents, indexes, report = store.load()
-        collection = Collection(name, store=store)
-        collection.load_replayed(documents, indexes)
+        documents, report = store.load()
         self._stores[name] = store
-        self._collections[name] = collection
+        self._collections[name] = Collection(name, store, documents)
         return report
 
     def _each_store(self) -> List[CollectionStore]:
@@ -161,7 +166,6 @@ class Database:
             store = self._stores.get(name)
             collections[name] = {
                 "documents": len(coll),
-                "indexes": coll.index_fields(),
                 **(
                     store.stats()
                     if store is not None

@@ -3,9 +3,16 @@
 Each collection owns a directory::
 
     <engine root>/<collection>/
-        segment.seg   # index definitions + one insert per document
-                      # live at the last compaction; strictly checksummed
+        segment.seg   # one insert per document live at the last
+                      # compaction; strictly checksummed
         wal.log       # every operation since; a torn tail is tolerated
+
+Both appear at the collection's first append: opening a collection
+that has none reads nothing and creates nothing.  The logs hold
+documents only; an index is schema, declared by the code that owns the
+collection every time it opens it (an ``index`` record a database
+written before that rule still holds replays as nothing, and the next
+compaction drops it).
 
 Recovery replays the segment, then the WAL.  Compaction *folds the WAL
 into the segment*: replay both, write ``segment.seg.tmp``, fsync,
@@ -14,10 +21,10 @@ truncate the WAL.
 
 **Replay is idempotent**, and that is the whole crash-safety argument.
 Every record is absolute — ``insert``/``replace`` carry the whole
-document, ``delete`` an id, ``index`` a definition, and ``update`` the
-*effect* of an update: the value each path it touched holds afterwards
-(``set``) or that the path is gone (``unset``), never the operators, so
-an ``$inc`` is logged as its sum and a ``$push`` as the list it made.
+document, ``delete`` an id, and ``update`` the *effect* of an update:
+the value each path it touched holds afterwards (``set``) or that the
+path is gone (``unset``), never the operators, so an ``$inc`` is logged
+as its sum and a ``$push`` as the list it made.
 At any one path a record therefore either fixes what is there, whatever
 was there before, or leaves it alone — and which of the two does not
 depend on the state it is applied to (``set_path`` makes every step
@@ -95,46 +102,40 @@ class CollectionStore:
         self._segment_path = os.path.join(self.dir, SEGMENT_NAME)
         self._wal_path = os.path.join(self.dir, WAL_NAME)
         self._segment_bytes = 0
-        os.makedirs(self.dir, exist_ok=True)
         old_layout = os.path.join(self.dir, "MANIFEST.json")
         if os.path.exists(old_layout):
             raise ValidationError(
                 f"{old_layout}: written by the multi-segment engine, "
                 "whose layout this version does not read"
             )
-        for entry in os.listdir(self.dir):
-            if entry.endswith(".tmp"):  # an aborted compaction's output
-                os.remove(os.path.join(self.dir, entry))
-        #: Opened by :meth:`load`, once the tail it appends to is healed.
+        if os.path.isdir(self.dir):
+            for entry in os.listdir(self.dir):
+                if entry.endswith(".tmp"):  # an aborted compaction
+                    os.remove(os.path.join(self.dir, entry))
+        #: Opened by :meth:`_log` at the first append, once :meth:`load`
+        #: has healed the tail it appends to.
         self._writer: Optional[WalWriter] = None
 
     # ------------------------------------------------------------ replay
 
-    def load(self) -> Tuple[
-        Dict[str, Dict[str, Any]], List[Tuple[str, bool]], Dict[str, Any]
-    ]:
-        """Recover ``(documents, indexes, report)`` and open the WAL for
-        appends — the one read of this collection's files per open.
+    def load(self) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
+        """Recover ``(documents, report)`` — the one read of this
+        collection's files per open.
 
         A torn WAL tail (the signature of a crash mid-append) is
         truncated back to the last intact frame and reported.
-        ``indexes`` lists ``(field, unique)`` definitions in creation
-        order; a field can carry one of each kind.
         """
-        state, indexes, report = self._replay(heal=True)
+        state, report = self._replay(heal=True)
         if os.path.isfile(self._segment_path):
             self._segment_bytes = os.path.getsize(self._segment_path)
-        self._writer = WalWriter(self._wal_path, self.durability, self.name)
-        return state, list(indexes), report
+        return state, report
 
-    def _replay(self, heal: bool) -> Tuple[
-        Dict[str, Dict[str, Any]], Dict[Tuple[str, bool], None],
-        Dict[str, Any],
-    ]:
+    def _replay(
+        self, heal: bool
+    ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
         """One streaming pass over the segment, then the WAL:
-        ``(documents, indexes, report)``.  Damage in the segment
-        raises; a torn WAL tail is truncated with ``heal`` and raises
-        without.
+        ``(documents, report)``.  Damage in the segment raises; a torn
+        WAL tail is truncated with ``heal`` and raises without.
 
         An ``update`` is only ever logged for a live document, so one
         whose id is not live is damage and raises — unless the same log
@@ -144,7 +145,6 @@ class CollectionStore:
         already gone.
         """
         state: Dict[str, Dict[str, Any]] = {}
-        indexes: Dict[Tuple[str, bool], None] = {}  # an ordered set
         orphans: Set[str] = set()  # updated while not live
         replayed = 0
 
@@ -172,9 +172,7 @@ class CollectionStore:
             elif op == "delete":
                 state.pop(record["id"], None)
                 orphans.discard(record["id"])
-            elif op == "index":
-                indexes[record["field"], bool(record["unique"])] = None
-            else:
+            elif op != "index":  # older logs' definitions: nothing
                 raise ValidationError(f"unknown WAL op: {op!r}")
 
         if os.path.isfile(self._segment_path):
@@ -201,7 +199,7 @@ class CollectionStore:
             "truncated_bytes": torn,
             "tear": tear,
         }
-        return state, indexes, report
+        return state, report
 
     # ------------------------------------------------------------ logging
 
@@ -224,11 +222,25 @@ class CollectionStore:
     def log_delete(self, doc_id: str) -> None:
         self._append({"op": "delete", "id": doc_id})
 
-    def log_index(self, field: str, unique: bool) -> None:
-        self._append({"op": "index", "field": field, "unique": unique})
+    def _log(self) -> WalWriter:
+        """The WAL writer, opened — the directory and ``wal.log``
+        created — when the collection first has something to log."""
+        if self._writer is None:
+            os.makedirs(self.dir, exist_ok=True)
+            self._writer = WalWriter(
+                self._wal_path, self.durability, self.name
+            )
+        return self._writer
+
+    def _wal_bytes(self) -> int:
+        if self._writer is not None:
+            return self._writer.size()
+        if os.path.isfile(self._wal_path):
+            return os.path.getsize(self._wal_path)
+        return 0
 
     def _append(self, record: Dict[str, Any]) -> None:
-        self._writer.append(record)
+        self._log().append(record)
         # The record is logged: from here on the write is
         # acknowledged whatever the housekeeping below does.
         size = self._writer.size()
@@ -244,7 +256,8 @@ class CollectionStore:
             )
 
     def flush(self) -> None:
-        self._writer.flush()
+        if self._writer is not None:
+            self._writer.flush()
 
     # ---------------------------------------------------------- compact
 
@@ -255,20 +268,14 @@ class CollectionStore:
         truncated; a crash in between leaves both, and replaying both is
         a fixed point (see the module docstring).
         """
-        self._writer.flush()
-        wal_bytes = self._writer.size()
+        wal_bytes = self._wal_bytes()
         if wal_bytes == 0:
             return {"merged": 0, "reclaimed_bytes": 0}
+        self._log().flush()
         before = self._segment_bytes + wal_bytes
-        state, indexes, report = self._replay(heal=False)
+        state, report = self._replay(heal=False)
         tmp = self._segment_path + ".tmp"
         with open(tmp, "wb") as handle:
-            for field, unique in indexes:
-                handle.write(
-                    encode_record(
-                        {"op": "index", "field": field, "unique": unique}
-                    )
-                )
             for doc in state.values():
                 handle.write(encode_record({"op": "insert", "doc": doc}))
             handle.flush()
@@ -292,9 +299,10 @@ class CollectionStore:
     def stats(self) -> Dict[str, Any]:
         return {
             "segment_bytes": self._segment_bytes,
-            "wal_bytes": self._writer.size(),
+            "wal_bytes": self._wal_bytes(),
         }
 
     def close(self) -> None:
-        self._writer.flush()
-        self._writer.close()
+        if self._writer is not None:
+            self._writer.flush()
+            self._writer.close()

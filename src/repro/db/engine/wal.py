@@ -7,9 +7,10 @@ cache of it.  A record on disk is::
     [4-byte big-endian payload length][4-byte big-endian CRC32][payload]
 
 where the payload is the canonical JSON of one operation document, of
-five kinds: ``insert`` and ``replace`` carry a whole document, ``update``
+four kinds: ``insert`` and ``replace`` carry a whole document, ``update``
 what an update left at the paths it touched (``set``: path → value,
-``unset``: paths now gone), ``delete`` an id, ``index`` a definition.
+``unset``: paths now gone), ``delete`` an id.  Indexes are not logged:
+the code that owns a collection declares them each time it opens it.
 The framing makes two failure modes detectable without any out-of-band
 state:
 

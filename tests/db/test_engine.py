@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.art import ArtifactDB
+from repro.common.errors import DuplicateError, ValidationError
 from repro.db import Database, connect
 from repro.db.engine.wal import encode_record, read_log
 from tests.helpers import insert_many
@@ -102,21 +103,30 @@ def test_update_of_a_document_the_log_does_not_hold_is_damage(tmp_path):
 
 
 def test_indexes_restored_on_reopen(tmp_path):
-    db = open_db(tmp_path)
-    db["arts"].create_unique_index("hash")
-    db["arts"].create_index("kind")
-    db["arts"].insert_one({"_id": "a", "hash": "h1", "kind": "disk"})
-    db.close()
-    again = open_db(tmp_path)
-    assert again["arts"].index_fields() == {
-        "hash": "unique",
-        "kind": "secondary",
-    }
-    from repro.common.errors import DuplicateError
+    """"Duplicate artifacts are not permitted in the database", after a
+    reopen too: ``ArtifactDB`` declares the index, the log has none."""
+    with open_db(tmp_path) as db:
+        ArtifactDB(db).put_artifact({"_id": "a", "hash": "h1"})
+    with open_db(tmp_path) as again:
+        with pytest.raises(DuplicateError):
+            ArtifactDB(again).put_artifact({"_id": "b", "hash": "h1"})
+    wal = tmp_path / "db" / "engine" / "artifacts" / "wal.log"
+    assert [record["op"] for record in read_log(str(wal))[0]] == ["insert"]
 
-    with pytest.raises(DuplicateError):
-        again["arts"].insert_one({"_id": "b", "hash": "h1"})
-    again.close()
+
+def test_a_log_that_holds_index_records_still_opens(tmp_path):
+    """A database written while indexes were logged: its ``index``
+    records replay as nothing, and compaction drops them."""
+    index = encode_record({"op": "index", "field": "h", "unique": True})
+    insert = {"op": "insert", "doc": {"_id": "a", "h": 1}}
+    base = tmp_path / "db" / "engine" / "arts"
+    base.mkdir(parents=True)
+    (base / "segment.seg").write_bytes(index + encode_record(insert))
+    (base / "wal.log").write_bytes(index)
+    with open_db(tmp_path) as db:
+        assert db["arts"].find() == [insert["doc"]]
+        db.compact()
+    assert read_log(str(base / "segment.seg"))[0] == [insert]
 
 
 # -------------------------------------------------------------- compact
@@ -143,18 +153,6 @@ def test_compaction_merges_and_drops_tombstones(tmp_path):
     assert again["runs"].count() == 20
     assert again["runs"].find_one({"_id": "r1"}) is not None
     assert again["runs"].find_one({"_id": "r2"}) is None
-    again.close()
-
-
-def test_compaction_preserves_index_definitions(tmp_path):
-    db = open_db(tmp_path)
-    db["arts"].create_index("kind")
-    for i in range(30):
-        db["arts"].insert_one({"_id": f"a{i}", "kind": f"k{i % 3}"})
-    db.compact()
-    db.close()
-    again = open_db(tmp_path)
-    assert again["arts"].index_fields() == {"kind": "secondary"}
     again.close()
 
 

@@ -70,9 +70,10 @@ def test_every_job_installs_what_its_test_files_import():
             continue
         installed = " ".join(re.findall(r"pip install (.+)", text)).split()
         # A pytest step that names no path runs pyproject's testpaths.
-        targets = re.findall(r"(?<![\w/.])(tests/[\w/.-]*\w)", text) or [
-            "tests"
-        ]
+        targets = re.findall(
+            r"(?<![\w/.])(tests/[\w/.-]*\w|benchmarks(?:/[\w/.-]*\w)?)",
+            text,
+        ) or ["tests"]
         files = set()
         for path in (root / target for target in targets):
             files |= set(path.rglob("*.py")) if path.is_dir() else {path}
@@ -89,5 +90,7 @@ def test_every_job_installs_what_its_test_files_import():
             for module in re.findall(
                 r"^(?:from|import) (\w+)", path.read_text(), flags=re.M
             )
+            # A script beside it (benchmarks/perf/run.py's traced_child).
+            if not (path.parent / f"{module}.py").is_file()
         }
         assert imported - ours <= set(installed), f"job {name!r}"

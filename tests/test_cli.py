@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import hashlib
+import itertools
+import shutil
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import VERBS, main
 
 from tests.helpers import flip_blob_bytes
 
@@ -508,6 +514,59 @@ def test_read_side_verbs_do_not_create_a_database(tmp_path, capsys, verb):
     assert main(verb + ["--db", f"file://{typo}"]) == 1
     assert capsys.readouterr().err == f"error: no database at {typo}\n"
     assert not typo.exists()
+
+
+#: What writes by design: a verb, or a verb and its positional choice.
+WRITERS = ("boot-tests", "parsec", "gpu", "resume", "reproduce",
+           "cache invalidate", "cache gc", "db compact", "db scrub",
+           "pipeline rerun")
+
+
+def inspections():
+    """Every verb that takes ``--db``, once per combination of its
+    choices, but the writers; a required positional names an experiment."""
+    for verb, _, family in VERBS:
+        parser = argparse.ArgumentParser()
+        family()[verb][0](parser)
+        if "--db" not in parser._option_string_actions:
+            continue
+        words = [[[verb]]]
+        for action in parser._actions:
+            flag = action.option_strings[:1]
+            if action.choices:
+                words.append([flag + [choice] for choice in action.choices])
+            elif not flag and action.nargs is None:
+                words.append([["boot-tests"]])
+        for parts in itertools.product(*words):
+            named = " ".join(part[0] for part in parts if len(part) == 1)
+            if not any(f"{named} ".startswith(f"{w} ") for w in WRITERS):
+                yield sum(parts, [])
+
+
+@pytest.fixture(scope="module", params=["boot-tests", "reproduced"])
+def inspected(request, tmp_path_factory):
+    root = tmp_path_factory.mktemp("inspected") / "db"
+    assert main(["boot-tests", "--quick", "--db", f"file://{root}"]) == 0
+    if request.param == "reproduced":
+        paper = Path(__file__).parents[1] / "examples" / "paper.yaml"
+        assert main(["reproduce", str(paper), "--db", f"file://{root}"]) == 0
+    return root
+
+
+def tree(root):
+    """Each path under ``root`` and its sha256 (False: a directory)."""
+    return {
+        path: path.is_file() and hashlib.sha256(path.read_bytes()).digest()
+        for path in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("argv", list(inspections()), ids=" ".join)
+def test_inspection_is_a_pure_read(inspected, argv, tmp_path, capsys):
+    root = shutil.copytree(inspected, tmp_path / "db")
+    before = tree(root)
+    main(argv + ["--db", f"file://{root}"])
+    assert tree(root) == before
 
 
 def test_db_bad_uri(capsys):

@@ -20,11 +20,11 @@ from repro.art import (
 )
 
 
-def _launch(experiment):
-    """``(run, summary)`` of every point of a study, on worker
-    processes."""
-    runs = experiment.create_runs()
-    return zip(runs, experiment.launch(substrate="processes", workers=8))
+def _records(experiment):
+    """:meth:`~repro.art.Experiment.records` of a study, launched on
+    worker processes."""
+    experiment.launch(substrate="processes", workers=8)
+    return experiment.records()
 
 
 @pytest.fixture(scope="session")
@@ -33,12 +33,11 @@ def parsec_sweep():
 
     Returns ``{os_key: {app: {cpus: workload_seconds}}}``.
     """
-    experiment = parsec_study(ArtifactDB())
     table = {}
-    for run, summary in _launch(experiment):
-        table.setdefault(experiment.stack_of(run.run_id), {}).setdefault(
-            run.params["benchmark"], {}
-        )[run.params["num_cpus"]] = summary["workload_seconds"]
+    for record in _records(parsec_study(ArtifactDB())):
+        table.setdefault(record["stack"], {}).setdefault(
+            record["benchmark"], {}
+        )[record["num_cpus"]] = record["workload_seconds"]
     return table
 
 
@@ -48,21 +47,19 @@ def boot_sweep():
 
     Returns a list of flat records (one per run).
     """
-    experiment = boot_tests(ArtifactDB())
-    records = []
-    for run, summary in _launch(experiment):
-        record = {
-            key: run.params[key]
-            for key in ("boot_type", "cpu_type", "memory_system", "num_cpus")
+    return [
+        {
+            "boot_type": record["boot_type"],
+            "cpu_type": record["cpu_type"],
+            "memory_system": record["memory_system"],
+            "num_cpus": record["num_cpus"],
+            "kernel": record["stack"].removeprefix("linux-"),
+            "status": record["outcome"],
+            "reason": record["reason"],
+            "sim_seconds": record["sim_seconds"],
         }
-        record["kernel"] = experiment.stack_of(run.run_id).removeprefix(
-            "linux-"
-        )
-        record["status"] = summary["simulation_status"]
-        record["reason"] = summary["reason"]
-        record["sim_seconds"] = summary["sim_seconds"]
-        records.append(record)
-    return records
+        for record in _records(boot_tests(ArtifactDB()))
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -72,8 +69,8 @@ def gpu_sweep():
     Returns ``{workload: {allocator: shader_ticks}}``.
     """
     results = {}
-    for _, summary in _launch(gpu_regalloc_study(ArtifactDB())):
-        results.setdefault(summary["workload"], {})[
-            summary["register_allocator"]
-        ] = summary["shader_ticks"]
+    for record in _records(gpu_regalloc_study(ArtifactDB())):
+        results.setdefault(record["workload"], {})[
+            record["register_allocator"]
+        ] = record["shader_ticks"]
     return results

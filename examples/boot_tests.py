@@ -37,7 +37,8 @@ def main() -> None:
     handles = [
         run_task.apply_async(args=(run,), kwargs={}) for run in runs
     ]
-    summaries = [handle.get() for handle in handles]
+    for handle in handles:
+        handle.get()
 
     # One grid per (boot type, cpu model): rows = kernels, columns =
     # (memory system, cores) -- the layout of the paper's Fig 8 panels.
@@ -46,14 +47,14 @@ def main() -> None:
         for mem in BOOT_AXES["memory_system"]
         for cores in BOOT_AXES["num_cpus"]
     ]
+    records = experiment.records()
     grids = collections.defaultdict(dict)
-    for run, summary in zip(runs, summaries):
-        params = run.params
-        kernel = experiment.stack_of(run.run_id).removeprefix("linux-")
-        column = f"{params['memory_system'][:2]}{params['num_cpus']}"
-        grids[(params["boot_type"], params["cpu_type"])][
+    for record in records:
+        kernel = record["stack"].removeprefix("linux-")
+        column = f"{record['memory_system'][:2]}{record['num_cpus']}"
+        grids[(record["boot_type"], record["cpu_type"])][
             (kernel, column)
-        ] = summary["simulation_status"]
+        ] = record["outcome"]
     for boot in BOOT_AXES["boot_type"]:
         for cpu in BOOT_AXES["cpu_type"]:
             print(
@@ -69,9 +70,7 @@ def main() -> None:
 
     # The paper's O3 failure taxonomy.
     counts = collections.Counter(
-        summary["simulation_status"]
-        for run, summary in zip(runs, summaries)
-        if run.params["cpu_type"] == "o3"
+        record["outcome"] for record in records if record["cpu_type"] == "o3"
     )
     print("\nO3 outcome counts (paper: 27 panics, 11 segfaults, "
           "4 deadlocks, rest timeouts; ~40% success):")

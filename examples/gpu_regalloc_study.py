@@ -21,14 +21,13 @@ def main() -> None:
     experiment = gpu_regalloc_study(ArtifactDB())
     # The paper's Table III, which every run's ``gpu_config`` records.
     print(f"GPU config: {GPUConfig().describe()}\n")
-    runs = experiment.create_runs()
-    print(f"launching {len(runs)} GPU runs ...")
-    summaries = experiment.launch(substrate="processes", workers=8)
+    print(f"launching {experiment.size()} GPU runs ...")
+    experiment.launch(substrate="processes", workers=8)
 
     ticks = collections.defaultdict(dict)
-    for summary in summaries:
-        ticks[summary["register_allocator"]][summary["workload"]] = (
-            summary["shader_ticks"]
+    for record in experiment.records():
+        ticks[record["register_allocator"]][record["workload"]] = (
+            record["shader_ticks"]
         )
     order = sorted(ticks["simple"], key=lambda n: GPU_WORKLOADS[n].suite)
     simple = Series("simple", {n: ticks["simple"][n] for n in order})

@@ -23,16 +23,15 @@ from repro.art.studies import PARSEC_CPU_COUNTS, PARSEC_OSES
 
 def main() -> None:
     experiment = parsec_study(ArtifactDB())
-    runs = experiment.create_runs()
-    print(f"launching {len(runs)} gem5 runs ...")
-    summaries = experiment.launch(substrate="processes", workers=8)
+    print(f"launching {experiment.size()} gem5 runs ...")
+    experiment.launch(substrate="processes", workers=8)
 
     # {os: {app: {cpus: workload seconds}}}
     tables = {os_key: {} for os_key in PARSEC_OSES}
-    for run, summary in zip(runs, summaries):
-        tables[experiment.stack_of(run.run_id)].setdefault(
-            run.params["benchmark"], {}
-        )[run.params["num_cpus"]] = summary["workload_seconds"]
+    for record in experiment.records():
+        tables[record["stack"]].setdefault(record["benchmark"], {})[
+            record["num_cpus"]
+        ] = record["workload_seconds"]
 
     def series(name, os_key, cpus):
         table = tables[os_key]

@@ -3,9 +3,10 @@
 Two halves share this package:
 
 - **Result analysis** — the Jupyter/Matplotlib stage of the paper's
-  workflow: :mod:`queries` pulls run summaries out of the database into
-  flat records, :mod:`series` reshapes them (group-by, speedups,
-  normalization), and :mod:`charts` renders ASCII bar charts and the
+  workflow: :mod:`queries` groups and pivots a sweep's flat records
+  (:meth:`repro.art.Experiment.records` reads them; nothing here reads
+  the database), :mod:`series` turns them into speedups and
+  normalizations, and :mod:`charts` renders ASCII bar charts and the
   Fig 8 status grid.  This half is what the package exports.
 - **Static analysis of the codebase itself** — the determinism and
   hygiene rule packs (:mod:`rules_determinism`, :mod:`rules_hygiene`)
@@ -30,7 +31,6 @@ _LAZY = {
     "compare_stats": "validation",
     "diagnose_configs": "validation",
     "within_tolerance": "validation",
-    "run_records": "queries",
     "group_by": "queries",
     "pivot": "queries",
     "Series": "series",

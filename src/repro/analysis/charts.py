@@ -26,6 +26,7 @@ STATUS_GLYPHS = {
     "deadlock": "D",
     "timeout": "T",
     "failed": "F",  # the run itself failed: no simulation outcome
+    "timed_out": "H",  # the run outlived its host deadline: none either
 }
 
 

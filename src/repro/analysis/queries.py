@@ -1,30 +1,9 @@
-"""Flattening run documents into analyzable records."""
+"""Reshaping a sweep's records (:meth:`repro.art.Experiment.records`):
+grouping and pivoting; nothing here reads the database."""
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
-
-from repro.art.db import ArtifactDB
-
-
-def run_records(db: ArtifactDB) -> List[Dict[str, Any]]:
-    """Return one flat dict per run: parameters and result summary merged.
-
-    Parameter keys come through as-is; result keys as-is; colliding names
-    get a ``result_`` prefix.  Only runs that have results are returned.
-    """
-    records = []
-    for doc in db.runs.find():
-        results = doc.get("results")
-        if results is None:
-            continue
-        record: Dict[str, Any] = {"run_id": doc["_id"], "kind": doc["kind"]}
-        for key, value in doc.get("params", {}).items():
-            record[key] = value
-        for key, value in results.items():
-            record[f"result_{key}" if key in record else key] = value
-        records.append(record)
-    return records
 
 
 def group_by(

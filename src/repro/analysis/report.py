@@ -14,6 +14,8 @@ from typing import Dict, List
 
 from repro.common.errors import NotFoundError
 from repro.art.db import ArtifactDB
+from repro.art.launch import Experiment
+from repro.analysis.queries import group_by
 
 
 def experiment_report(db: ArtifactDB) -> str:
@@ -65,25 +67,17 @@ def _parameter_section(experiment: Dict) -> List[str]:
 
 def _outcome_section(db: ArtifactDB, experiment: Dict) -> List[str]:
     lines = ["## Outcomes", ""]
-    counts: Dict[str, int] = {}
-    sim_seconds = 0.0
-    finished = 0
-    for run_id in experiment.get("run_ids", []):
-        # A run without an outcome has no document yet: it is created.
-        doc = db.find_run(run_id) or {"status": "created"}
-        results = doc.get("results") or {}
-        status = results.get("simulation_status", doc["status"])
-        counts[status] = counts.get(status, 0) + 1
-        if results:
-            sim_seconds += results.get("sim_seconds", 0.0)
-            finished += 1
+    records = Experiment.load(db, experiment["_id"]).records()
+    counts = group_by(records, ["outcome"])
+    finished = [r for r in records if r["status"] != "created"]
+    sim_seconds = sum(r.get("sim_seconds", 0.0) for r in finished)
     lines.append("| outcome | runs |")
     lines.append("|---|---|")
-    for status, count in sorted(counts.items()):
-        lines.append(f"| {status} | {count} |")
+    for (outcome,), group in sorted(counts.items()):
+        lines.append(f"| {outcome} | {len(group)} |")
     lines += [
         "",
-        f"Finished runs: {finished}; total simulated time: "
+        f"Finished runs: {len(finished)}; total simulated time: "
         f"{sim_seconds:.4f} s.",
         "",
     ]

@@ -440,32 +440,44 @@ class Experiment:
             kind="experiment",
         )
 
-    # -------------------------------------------------------------- report
+    # -------------------------------------------------------------- read
 
-    def stack_of(self, run_id: str) -> str:
-        if run_id not in self._stack_of_run:
-            raise ValidationError(
-                f"run {run_id} does not belong to this experiment"
-            )
-        return self._stack_of_run[run_id]
+    def records(self) -> List[Dict[str, Any]]:
+        """One flat dict per point, in run order: ``run_id``, ``stack``,
+        ``status``, ``outcome`` (the simulation status, else ``status``),
+        the params, then the results (``result_``-prefixed on a clash).
+        The run objects hold what the database acknowledged (or
+        :meth:`load` read), so this issues no query."""
+        if self._runs is None:
+            raise StateError("launch the experiment before reading it")
+        records = []
+        for run in self._runs:
+            results = run.results or {}
+            record: Dict[str, Any] = {
+                "run_id": run.run_id,
+                "stack": self._stack_of_run[run.run_id],
+                "status": run.status.value,
+                "outcome": results.get(
+                    "simulation_status", run.status.value
+                ),
+            }
+            record.update(run.params)
+            for key, value in results.items():
+                record[f"result_{key}" if key in record else key] = value
+            records.append(record)
+        return records
 
     def report(self) -> Dict[str, Any]:
-        """Outcome summary: totals and per-status counts per stack."""
-        if self._runs is None:
-            raise StateError("launch the experiment before reporting")
+        """Outcome summary: totals and per-outcome counts per stack."""
+        records = self.records()
         by_stack: Dict[str, Dict[str, int]] = {
             name: {} for name in self._stacks
         }
-        for run in self._runs:
-            doc = self.db.find_run(run.run_id) or {
-                "status": RunStatus.CREATED.value
-            }
-            results = doc.get("results") or {}
-            status = results.get("simulation_status", doc["status"])
-            stack = self._stack_of_run[run.run_id]
-            by_stack[stack][status] = by_stack[stack].get(status, 0) + 1
+        for record in records:
+            counts = by_stack[record["stack"]]
+            counts[record["outcome"]] = counts.get(record["outcome"], 0) + 1
         return {
             "experiment": self.name,
-            "runs": len(self._runs),
+            "runs": len(records),
             "by_stack": by_stack,
         }

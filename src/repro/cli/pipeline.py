@@ -178,7 +178,6 @@ def _cmd_pipeline(args) -> int:
         return 0
 
     # explain / rerun address one pipeline run.
-    doc = None
     if args.target:
         try:
             doc = journal.get_pipeline(args.target)
@@ -186,6 +185,9 @@ def _cmd_pipeline(args) -> int:
             doc = journal.latest_pipeline(name=args.target)
     else:
         doc = journal.latest_pipeline()
+    if doc is None and not args.target:
+        print("no pipeline runs journaled")
+        return 1
     if doc is None:
         error(f"no pipeline run matches {args.target!r}")
         return 1

@@ -132,26 +132,25 @@ def _cmd_boot_tests(args) -> int:
     try:
         experiment = boot_tests(db, quick=args.quick)
         print(f"launching {experiment.size()} boot tests ...")
-        runs = experiment.create_runs()
-        summaries = experiment.launch(**sweep_options(args))
-        counts = collections.Counter()
+        experiment.launch(**sweep_options(args))
+        records = experiment.records()
         cells = {}
         columns = []
-        for run, summary in zip(runs, summaries):
-            status = (summary or {}).get("simulation_status", "failed")
-            counts[status] += 1
-            params = run.params
-            kernel = experiment.stack_of(run.run_id).removeprefix("linux-")
+        for record in records:
+            kernel = record["stack"].removeprefix("linux-")
             column = (
-                f"{params['cpu_type'][:2]}."
-                f"{params['memory_system'][:2]}{params['num_cpus']}"
+                f"{record['cpu_type'][:2]}."
+                f"{record['memory_system'][:2]}{record['num_cpus']}"
             )
             if column not in columns:
                 columns.append(column)
-            cells[(f"{kernel}/{params['boot_type']}", column)] = status
+            cells[(f"{kernel}/{record['boot_type']}", column)] = (
+                record["outcome"]
+            )
         rows = sorted({row for row, _ in cells})
         print(status_grid(cells, rows, columns, title="Fig 8 boot tests"))
         print()
+        counts = collections.Counter(record["outcome"] for record in records)
         for status, count in sorted(counts.items()):
             print(f"{status:<14} {count}")
         _archived(args, experiment)
@@ -179,12 +178,12 @@ def _cmd_parsec(args) -> int:
     experiment = parsec_study(
         ArtifactDB(connect(args.db or "memory://")), apps
     )
-    runs = experiment.create_runs()
-    times = {}
-    for run, summary in zip(runs, experiment.launch()):
-        params = run.params
-        times[(experiment.stack_of(run.run_id), params["benchmark"],
-               params["num_cpus"])] = summary["workload_seconds"]
+    experiment.launch()
+    times = {
+        (record["stack"], record["benchmark"], record["num_cpus"]):
+        record["workload_seconds"]
+        for record in experiment.records()
+    }
     bionic = Series(
         "18.04", {a: times[("ubuntu-18.04", a, 1)] for a in apps}
     )
@@ -218,10 +217,11 @@ def _cmd_gpu(args) -> int:
     experiment = gpu_regalloc_study(
         ArtifactDB(connect(args.db or "memory://"))
     )
+    experiment.launch()
     ticks = {
-        (summary["workload"], summary["register_allocator"]):
-        summary["shader_ticks"]
-        for summary in experiment.launch()
+        (record["workload"], record["register_allocator"]):
+        record["shader_ticks"]
+        for record in experiment.records()
     }
     speedups = {
         name: ticks[(name, "simple")] / ticks[(name, "dynamic")]

@@ -74,9 +74,6 @@ class PipelineJournal:
         self.collection = db.database.collection(PIPELINE_RUNS)
         self.collection.create_index("doc_type")
         self.collection.create_index("pipeline_id")
-        # The stage cache's lookups (non-unique: every execution of a
-        # fingerprint is journaled).
-        self.collection.create_index("fingerprint")
 
     # ------------------------------------------------------ pipeline docs
 
@@ -214,6 +211,12 @@ class StageCache(MemoStore):
     _STAMP = "recorded_at_wall"
     _FIELDS = ("fingerprint", "stage", "kind", "verdicts", "outputs_blob",
                "recorded_at_wall")
+
+    def __init__(self, db: ArtifactDB):
+        super().__init__(db)
+        # Its lookups, and only its (non-unique: every execution of a
+        # fingerprint is journaled).
+        self.collection.create_index("fingerprint")
 
     def _names(self, entry: Entry) -> Entry:
         return {"fingerprint": entry["fingerprint"], "origin": entry["_id"]}

@@ -27,7 +27,7 @@ a reproduction whose stages are all cached loads none of them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.records import Record
@@ -173,50 +173,49 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
         )
     if fixed:
         experiment.fix(**fixed)
-    runs = experiment.create_runs()
     # The manifest's validated ``execution`` settings are exactly
     # ``launch``'s keywords.
     experiment.launch(**ctx.execution)
-    # ``run.status`` is what the planner wrote: no read-back.
-    counts: Dict[str, int] = {}
-    run_ids = []
-    for run in runs:
-        run_ids.append(run.run_id)
-        counts[run.status.value] = counts.get(run.status.value, 0) + 1
+    records = experiment.records()
     return {
         "experiment_id": experiment.experiment_id,
         "experiment_name": name,
-        "run_ids": run_ids,
-        "run_count": len(run_ids),
-        "run_status_counts": counts,
+        "run_ids": [record["run_id"] for record in records],
+        "run_count": len(records),
+        "run_status_counts": _status_counts(records),
     }
+
+
+def _status_counts(records) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for record in records:
+        counts[record["status"]] = counts.get(record["status"], 0) + 1
+    return counts
 
 
 def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
     """Group the sweep's run statuses by parameter axes."""
-    params = ctx.params
-    source = ctx.source("source", "run_ids")
-    keys = [str(key) for key in params.get("group_by", ["cpu_type"])]
-    groups: Dict[str, Dict[str, int]] = {}
-    status_totals: Dict[str, int] = {}
-    run_ids = list(source["run_ids"])
-    for run_id in run_ids:
-        # A run without an outcome has no document yet: it is created.
-        doc = ctx.db.find_run(run_id) or {"status": "created"}
-        run_params = doc.get("params", {})
-        group = "|".join(str(run_params.get(key)) for key in keys)
-        status = doc["status"]
-        bucket = groups.setdefault(group, {})
-        bucket[status] = bucket.get(status, 0) + 1
-        status_totals[status] = status_totals.get(status, 0) + 1
+    from repro.art.launch import Experiment
+
+    source = ctx.source("source", "experiment_id")
+    keys = [str(key) for key in ctx.params.get("group_by", ["cpu_type"])]
+    records = Experiment.load(ctx.db, source["experiment_id"]).records()
+    groups: Dict[str, List[Dict[str, Any]]] = {}
+    for record in records:
+        group = "|".join(str(record.get(key)) for key in keys)
+        groups.setdefault(group, []).append(record)
+    status_totals = _status_counts(records)
     done = status_totals.get("done", 0)
     return {
         "group_by": keys,
-        "groups": groups,
+        "groups": {
+            group: _status_counts(members)
+            for group, members in groups.items()
+        },
         "status_totals": status_totals,
-        "total_runs": len(run_ids),
+        "total_runs": len(records),
         "done_runs": done,
-        "success_rate": (done / len(run_ids)) if run_ids else 0,
+        "success_rate": (done / len(records)) if records else 0,
     }
 
 

@@ -10,66 +10,33 @@ from repro.analysis import (
     group_by,
     normalize_to,
     pivot,
-    run_records,
     speedup_series,
     status_grid,
 )
-from repro.art import ArtifactDB
 from repro.common.errors import ValidationError
 
 
-def seeded_db():
-    db = ArtifactDB()
-    for index, (app, cpus, seconds) in enumerate(
-        [
-            ("ferret", 1, 4.0),
-            ("ferret", 8, 1.0),
-            ("vips", 1, 3.0),
-            ("vips", 8, 0.9),
-        ]
-    ):
-        db.put_run(
-            {
-                "_id": f"run{index}",
-                "kind": "fs",
-                "params": {"benchmark": app, "num_cpus": cpus},
-                "results": {"workload_seconds": seconds, "success": True},
-                "status": "done",
-                "timeout": 900,
-            }
-        )
-    db.put_run(
-        {
-            "_id": "pending",
-            "kind": "fs",
-            "params": {"benchmark": "dedup", "num_cpus": 1},
-            "results": None,
-            "status": "created",
-            "timeout": 900,
-        }
-    )
-    return db
-
-
-def test_run_records_flatten_and_skip_unfinished():
-    records = run_records(seeded_db())
-    assert len(records) == 4
-    assert all("workload_seconds" in record for record in records)
-    assert {record["benchmark"] for record in records} == {
-        "ferret", "vips",
-    }
+#: A sweep's records, as :meth:`repro.art.Experiment.records` flattens them.
+RECORDS = [
+    {"benchmark": app, "num_cpus": cpus, "workload_seconds": seconds}
+    for app, cpus, seconds in [
+        ("ferret", 1, 4.0),
+        ("ferret", 8, 1.0),
+        ("vips", 1, 3.0),
+        ("vips", 8, 0.9),
+    ]
+]
 
 
 def test_group_by():
-    records = run_records(seeded_db())
-    groups = group_by(records, ["benchmark"])
+    groups = group_by(RECORDS, ["benchmark"])
     assert set(groups) == {("ferret",), ("vips",)}
     assert len(groups[("ferret",)]) == 2
 
 
 def test_pivot_mean():
     table = pivot(
-        run_records(seeded_db()),
+        RECORDS,
         row_key="benchmark",
         column_key="num_cpus",
         value_key="workload_seconds",

@@ -1,9 +1,9 @@
-"""Tests for Experiment.report() and Experiment.stack_of()."""
+"""Tests for Experiment.records() and Experiment.report()."""
 
 import pytest
 
 from repro.art import ArtifactDB, Experiment
-from repro.common.errors import StateError, ValidationError
+from repro.common.errors import StateError
 
 from tests.art.test_launch_share import make_experiment, stack_artifacts
 
@@ -18,19 +18,31 @@ def test_report_requires_runs(db):
         make_experiment(db).report()
 
 
-def test_stack_of_maps_every_run(db):
+def test_records_map_every_point_to_its_stack(db):
     experiment = make_experiment(db, apps=("ferret", "vips"))
     runs = experiment.create_runs()
-    assert len(runs) == 4
-    for run in runs:
-        assert experiment.stack_of(run.run_id) == "ubuntu-18.04"
+    records = experiment.records()
+    assert [record["run_id"] for record in records] == [
+        run.run_id for run in runs
+    ]
+    assert {record["stack"] for record in records} == {"ubuntu-18.04"}
 
 
-def test_stack_of_rejects_foreign_run_ids(db):
+def test_records_flatten_params_and_results(db):
+    """A point without an outcome reads ``created``; a result key that
+    collides with a param gets a ``result_`` prefix; ``outcome`` is the
+    simulation status."""
     experiment = make_experiment(db)
-    experiment.create_runs()
-    with pytest.raises(ValidationError):
-        experiment.stack_of("not-a-run-of-this-experiment")
+    runs = experiment.create_runs()
+    runs[0].run()
+    runs[0].results = dict(runs[0].results, num_cpus="from results")
+    done, owed = experiment.records()
+    assert done["status"] == "done" and done["outcome"] == "ok"
+    assert done["benchmark"] == "ferret" and done["num_cpus"] == 1
+    assert done["workload_seconds"] > 0
+    assert done["result_num_cpus"] == "from results"
+    assert owed["status"] == owed["outcome"] == "created"
+    assert "workload_seconds" not in owed
 
 
 def test_report_counts_outcomes_per_stack(db):
@@ -57,12 +69,12 @@ def test_report_before_launch_counts_created(db):
     assert report["by_stack"]["ubuntu-18.04"] == {"created": 2}
 
 
-def test_report_and_stack_of_survive_reload(db):
+def test_report_and_records_survive_reload(db):
     experiment = make_experiment(db, apps=("ferret",))
     runs = experiment.create_runs()
     runs[0].run()
     loaded = Experiment.load(db, "parsec-mini")
-    assert loaded.stack_of(runs[0].run_id) == "ubuntu-18.04"
+    assert loaded.records() == experiment.records()
     report = loaded.report()
     assert report["runs"] == 2
     statuses = report["by_stack"]["ubuntu-18.04"]

@@ -183,10 +183,8 @@ def test_stacks_in_one_sweep_get_their_own_inputs(db):
     runs = experiment.create_runs()
     resolver = InputResolver()
     by_stack = {}
-    for run in runs:
-        by_stack.setdefault(experiment.stack_of(run.run_id), []).append(
-            resolver.live(run)
-        )
+    for run, record in zip(runs, experiment.records()):
+        by_stack.setdefault(record["stack"], []).append(resolver.live(run))
     for name, version, image in (
         ("old", "4.4.186", build_resource("boot-exit").image),
         ("new", "5.4.49", slow_init_image()),
@@ -222,7 +220,7 @@ def test_missing_artifact_fails_each_dependent_run_and_is_not_memoized(
 ):
     experiment = two_stack_experiment(db)
     runs = experiment.create_runs()
-    stack_of = {run.run_id: experiment.stack_of(run.run_id) for run in runs}
+    stack_of = {r["run_id"]: r["stack"] for r in experiment.records()}
     kernel_id = next(
         run.artifacts["linux_binary"]
         for run in runs

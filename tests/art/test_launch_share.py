@@ -98,9 +98,8 @@ def test_experiment_multi_stack(db):
         benchmark="ferret",
     )
     experiment.sweep(num_cpus=[1])
-    runs = experiment.create_runs()
-    assert len(runs) == 2
-    stacks = {experiment.stack_of(run.run_id) for run in runs}
+    assert len(experiment.create_runs()) == 2
+    stacks = {record["stack"] for record in experiment.records()}
     assert stacks == {"ubuntu-18.04", "ubuntu-20.04"}
 
 

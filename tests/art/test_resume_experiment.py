@@ -163,7 +163,7 @@ def test_load_rebuilds_the_points_without_a_document(tmp_path):
             (run.run_id, run.fingerprint, run.params, run.kind)
             for run in runs
         ]
-        stacks = [experiment.stack_of(run.run_id) for run in runs]
+        records = experiment.records()
     assert [key for key in experiment._axes] != sorted(experiment._axes)
     with connect(uri) as database:
         loaded = Experiment.load(ArtifactDB(database), "two-stacks")
@@ -171,9 +171,7 @@ def test_load_rebuilds_the_points_without_a_document(tmp_path):
             (run.run_id, run.fingerprint, run.params, run.kind)
             for run in loaded._runs
         ] == expected
-        assert [loaded.stack_of(run.run_id) for run in loaded._runs] == (
-            stacks
-        )
+        assert loaded.records() == records
         owed = [run.run_id for run in runs if run is not runs[5]]
         assert loaded.pending_runs() == owed
         assert loaded._runs[5].results == runs[5].results

@@ -1,8 +1,11 @@
-"""The paper's studies are defined once, in :mod:`repro.art.studies`.
+"""The paper's studies are defined once, in :mod:`repro.art.studies`,
+and read one way, through :meth:`repro.art.Experiment.records`.
 
 The CLI verbs, the examples, the benchmark fixtures and the pipeline
 stages start from its builders; the census below fails when one of them
-registers a repository or a binary, or creates a run, itself.
+registers a repository or a binary, or creates a run, itself, or when
+one of them (or the reproducibility report) reads a run's document or
+stack by hand.
 """
 
 import ast
@@ -40,17 +43,31 @@ BUILDER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("path", STUDY_CALLERS)
-def test_no_study_is_spelled_outside_the_builders(path):
+#: What only :meth:`~repro.art.Experiment.records` may do for a reader.
+READER_CALLS = {"stack_of", "find_run"}
+
+
+def called_names(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
-    called = {
+    return {
         node.func.id if isinstance(node.func, ast.Name) else node.func.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, (ast.Name, ast.Attribute))
     }
-    assert sorted(called & BUILDER_CALLS) == []
+
+
+@pytest.mark.parametrize("path", STUDY_CALLERS)
+def test_no_study_is_spelled_outside_the_builders(path):
+    assert sorted(called_names(path) & BUILDER_CALLS) == []
+
+
+@pytest.mark.parametrize(
+    "path", STUDY_CALLERS + ("src/repro/analysis/report.py",)
+)
+def test_every_study_is_read_through_records(path):
+    assert sorted(called_names(path) & READER_CALLS) == []
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,15 @@ artifacts → db → run objects → scheduler → simulator → analysis, plus 
 persistence and reproducibility properties the framework exists for.
 """
 
-from repro.analysis import pivot, run_records
+from repro.analysis import pivot
 from repro.art import (
     ArtifactDB,
+    Experiment,
     Gem5Run,
     register_disk_image,
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_scheduler,
 )
 from repro.art.workflow import workflow_graph
 from repro.db import connect
@@ -23,7 +23,8 @@ from repro.sim import Gem5Build
 
 
 def build_experiment(db, distro="ubuntu-18.04", apps=("ferret",)):
-    """Register the full artifact set for a PARSEC experiment."""
+    """Register the full artifact set for a PARSEC experiment and
+    declare its sweep: each app on 1 and 8 cores."""
     gem5_repo = register_repo(db, "gem5", version="v20.1.0.4")
     resources_repo = register_repo(db, "gem5-resources", version="31924b6")
     gem5 = register_gem5_binary(
@@ -35,26 +36,22 @@ def build_experiment(db, distro="ubuntu-18.04", apps=("ferret",)):
         build_resource("parsec", distro=distro).image,
         inputs=[resources_repo],
     )
-    runs = [
-        Gem5Run.create_fs_run(
-            db, gem5, gem5_repo, resources_repo, kernel, disk,
-            cpu_type="timing",
-            num_cpus=cpus,
-            memory_system="MESI_Two_Level",
-            benchmark=app,
-        )
-        for app in apps
-        for cpus in (1, 8)
-    ]
-    return runs
+    experiment = Experiment(db, "parsec")
+    experiment.add_stack(
+        distro, gem5=gem5, gem5_git=gem5_repo, run_script_git=resources_repo,
+        linux_binary=kernel, disk_image=disk,
+    )
+    experiment.fix(cpu_type="timing", memory_system="MESI_Two_Level")
+    experiment.sweep(benchmark=list(apps), num_cpus=[1, 8])
+    return experiment
 
 
 def test_resources_to_analysis_roundtrip():
     db = ArtifactDB()
-    runs = build_experiment(db, apps=("ferret", "vips"))
-    run_jobs_scheduler(runs, worker_count=4, substrate="processes")
+    experiment = build_experiment(db, apps=("ferret", "vips"))
+    experiment.launch(workers=4, substrate="processes")
 
-    records = run_records(db)
+    records = experiment.records()
     assert len(records) == 4
     table = pivot(records, "benchmark", "num_cpus", "workload_seconds")
     assert table["ferret"][1] > table["ferret"][8] > 0
@@ -75,14 +72,13 @@ def test_persistent_database_roundtrip(tmp_path):
     reproducibility property the paper's database provides."""
     uri = f"file://{tmp_path}/experiment-db"
     db = ArtifactDB(connect(uri))
-    runs = build_experiment(db)
-    run_jobs_scheduler(runs, worker_count=2, substrate="processes")
+    build_experiment(db).launch(workers=2, substrate="processes")
     db.save()
 
     # A different researcher opens the same database.
     reopened = ArtifactDB(connect(uri))
     assert reopened.artifacts.count() == db.artifacts.count()
-    records = run_records(reopened)
+    records = Experiment.load(reopened, "parsec").records()
     assert len(records) == 2
     for record in records:
         assert record["success"]

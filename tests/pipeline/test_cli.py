@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.art import ArtifactDB
 from repro.cli import main
+from repro.db import connect
+from repro.pipeline import StageCache
 from tests.pipeline import targets
 
 MANIFEST = """
@@ -193,6 +196,18 @@ def test_cache_verb_on_the_stage_cache(manifest_path, db_uri, capsys):
     assert targets.CALLS == ["make"]
 
 
+def test_the_stage_cache_alone_is_indexed(manifest_path, db_uri):
+    """Without a journal opened beside it, a fingerprint lookup reads
+    its index bucket, not the whole ``pipeline_runs`` collection."""
+    main(["reproduce", manifest_path, "--db", db_uri])
+    with connect(db_uri) as database:
+        cache = StageCache(ArtifactDB(database))
+        entry = cache.entries()[0]
+        query = {"fingerprint": entry["fingerprint"]}
+        assert len(cache.collection._candidates(query)) == 1
+        assert cache.lookup(entry["fingerprint"])["_id"] == entry["_id"]
+
+
 def test_pipeline_rerun_without_stage_is_cached(
     manifest_path, db_uri, capsys
 ):
@@ -206,5 +221,6 @@ def test_pipeline_rerun_without_stage_is_cached(
 
 def test_pipeline_status_empty_db(tmp_path, capsys):
     uri = f"file://{tmp_path}"  # exists, holds nothing
-    assert main(["pipeline", "status", "--db", uri]) == 1
-    assert "no pipeline runs" in capsys.readouterr().out
+    for action in ("status", "explain", "rerun"):
+        assert main(["pipeline", action, "--db", uri]) == 1
+        assert capsys.readouterr().out == "no pipeline runs journaled\n"

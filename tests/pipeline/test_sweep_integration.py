@@ -9,7 +9,7 @@ from repro.chaos import FaultRule
 from repro.pipeline import run_pipeline
 from repro.pipeline.manifest import StageSpec
 from repro.pipeline.stages import StageContext, stage_analyze
-from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
+from tests.art.test_launch_share import make_experiment
 from tests.helpers import parse_manifest_text
 
 MINI_SWEEP = """
@@ -87,13 +87,10 @@ def test_sweep_degrades_under_checkpoint_chaos(db):
     assert all(doc["gates_ok"] for doc in result["stages"].values())
 
 
-def test_analyze_reads_a_run_without_an_outcome_as_created(
-    db, fs_artifacts
-):
+def test_analyze_reads_a_run_without_an_outcome_as_created(db):
     """A run id with no document is a point still owed, not an error."""
-    finished = make_run(db, fs_artifacts)
-    finished.run()
-    owed = make_run(db, fs_artifacts, num_cpus=2)
+    experiment = make_experiment(db)  # ferret on 1 and 8 cores
+    experiment.create_runs()[0].run()
     ctx = StageContext(
         db=db,
         pipeline_id="p",
@@ -102,7 +99,7 @@ def test_analyze_reads_a_run_without_an_outcome_as_created(
             name="analyze", kind="analyze", inputs=("sweep",),
             params={"group_by": ["num_cpus"]},
         ),
-        inputs={"sweep": {"run_ids": [finished.run_id, owed.run_id]}},
+        inputs={"sweep": {"experiment_id": experiment.experiment_id}},
     )
     analysis = stage_analyze(ctx)
     assert analysis["status_totals"] == {"done": 1, "created": 1}

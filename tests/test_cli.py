@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.art import ArtifactDB, Experiment
 from repro.cli import VERBS, main
+from repro.db import connect
 
 from tests.helpers import flip_blob_bytes
 
@@ -75,6 +77,29 @@ def test_boot_tests_quick(tmp_path, capsys):
         out = capsys.readouterr().out
         assert golden in out, extra
         assert ("archived as 'boot-tests'" in out) == bool(extra)
+
+
+def test_a_host_timeout_reads_timed_out_everywhere(
+    tmp_path, capsys, monkeypatch
+):
+    """One outcome rule: ``boot-tests``' status lines and
+    ``Experiment.report()`` (what ``resume`` prints) agree."""
+    create_runs = Experiment.create_runs
+
+    def three_without_time(experiment):
+        runs = create_runs(experiment)
+        for run in runs[:3]:
+            run.timeout = 0
+        return runs
+
+    monkeypatch.setattr(Experiment, "create_runs", three_without_time)
+    uri = f"file://{tmp_path}/db"
+    assert main(["boot-tests", "--quick", "--db", uri]) == 0
+    assert "\ntimed_out      3\n" in capsys.readouterr().out
+    with connect(uri) as database:
+        loaded = Experiment.load(ArtifactDB(database), "boot-tests")
+        counts = loaded.report()["by_stack"]["linux-4.4.186"]
+    assert counts["timed_out"] == 3
 
 
 #: What ``repro parsec`` and ``repro gpu`` printed when they drove

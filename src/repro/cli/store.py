@@ -234,7 +234,8 @@ def _cmd_db(args) -> int:
             files = stats.get("filestore")
             if files is not None:
                 print(
-                    f"filestore: {files['blobs']} blobs, "
+                    f"filestore: {files['blobs']} blobs "
+                    f"({files['deflated']} deflated), "
                     f"{files['bytes']} bytes in a "
                     f"{files['pack_bytes']}-byte pack "
                     f"({files['dead_bytes']} dead), "

@@ -3,7 +3,7 @@
 gem5art uploads every artifact file (disk images, kernels, binaries) into
 GridFS keyed by its hash so identical files are stored once.  This store
 provides the same contract: ``put`` bytes and receive a content id
-(SHA-256); ``get`` the bytes back; idempotent re-puts.
+(SHA-256 of the bytes); ``get`` the bytes back; idempotent re-puts.
 
 Blobs live either in memory (``root=None``) or on disk in **one
 append-only pack file**, ``<root>/pack``, as GridFS keeps blobs inside
@@ -11,12 +11,21 @@ the database rather than as one OS file each.  A record is::
 
     [32-byte raw SHA-256][8-byte big-endian length][payload]
 
-and a delete appends a *tombstone*: the digest with length
-``_TOMBSTONE`` and no payload.  Opening the store walks the record
-headers — never the payloads — into a ``digest → (offset, length)``
-index; a torn tail (a process killed mid-append) is truncated back to
-the last whole record, as the WAL's is.  An append is one unbuffered
-``os.writev`` call, so a forked process inherits no pending bytes.
+A new blob is deflated (``zlib`` level 1) and kept that way when that
+is shorter; bit 63 of the length (``_DEFLATED``) then says so, and the
+rest of it is the stored payload's length.  A record without the flag
+is raw — every record of a pack written before blobs were deflated
+reads as it is.  A delete appends a *tombstone*: the digest with length
+``_TOMBSTONE`` (all 64 bits set) and no payload.  Opening the store
+walks the record headers — never the payloads — into a
+``digest → (offset, stored length, deflated)`` index; a torn tail (a
+process killed mid-append) is truncated back to the last whole record,
+as the WAL's is.  An append is one unbuffered ``os.writev`` call, so a
+forked process inherits no pending bytes.
+
+A read inflates a deflated payload and re-hashes the result; a payload
+that does not inflate is handed back as stored, so its hash fails and
+rot is reported the same way whether the record is raw or deflated.
 
 Under ``durability="strict"`` a put fsyncs the pack before it returns,
 so a ``done`` run document never names a blob that is not on disk;
@@ -34,6 +43,7 @@ from __future__ import annotations
 import os
 import re
 import struct
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro import chaos, telemetry
@@ -51,11 +61,19 @@ _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 #: A directory of the retired one-file-per-blob layout (``<root>/ab/``).
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 
-#: Record header: raw SHA-256 + payload length, big-endian.
+#: Record header: raw SHA-256 + stored payload length, big-endian.
 HEADER = struct.Struct(">32sQ")
 
 #: The length a tombstone carries: no payload can be this long.
 _TOMBSTONE = (1 << 64) - 1
+
+#: The length bit that marks a deflated payload; a tombstone has it set
+#: too, so test for ``_TOMBSTONE`` first.
+_DEFLATED = 1 << 63
+
+#: ``(digest, payload offset, stored length, deflated)`` of one record;
+#: the length is None for a tombstone.
+Record = Tuple[str, int, Optional[int], bool]
 
 
 def _check_digest(digest: str) -> str:
@@ -75,27 +93,30 @@ def _check_digest(digest: str) -> str:
     return digest
 
 
-def read_pack(fd: int) -> Tuple[List[Tuple[str, int, Optional[int]]], int]:
+def read_pack(fd: int) -> Tuple[List[Record], int]:
     """Walk a pack's record headers.
 
-    Returns ``(records, end)``: one ``(digest, payload offset, length)``
-    per record in file order, ``length`` None for a tombstone, and the
-    byte just past the last whole record — short of the file's size
-    when its tail is torn.  Payloads are skipped, not read.
+    Returns ``(records, end)``: one ``(digest, payload offset, stored
+    length, deflated)`` per record in file order, the length None for a
+    tombstone, and the byte just past the last whole record — short of
+    the file's size when its tail is torn.  Payloads are skipped, not
+    read.
     """
     size = os.fstat(fd).st_size
-    records: List[Tuple[str, int, Optional[int]]] = []
+    records: List[Record] = []
     offset = 0
     while offset + HEADER.size <= size:
         raw, length = HEADER.unpack(os.pread(fd, HEADER.size, offset))
         start = offset + HEADER.size
         if length == _TOMBSTONE:
-            records.append((raw.hex(), start, None))
+            records.append((raw.hex(), start, None, False))
             offset = start
             continue
+        deflated = bool(length & _DEFLATED)
+        length &= ~_DEFLATED
         if start + length > size:
             break
-        records.append((raw.hex(), start, length))
+        records.append((raw.hex(), start, length, deflated))
         offset = start + length
     return records, offset
 
@@ -128,8 +149,9 @@ class FileStore:
         self.root = root
         self.durability = check_durability(durability)
         self._memory: Dict[str, bytes] = {}
-        #: digest → (payload offset, length) of its live pack record.
-        self._index: Dict[str, Tuple[int, int]] = {}
+        #: digest → (payload offset, stored length, deflated) of its
+        #: live pack record.
+        self._index: Dict[str, Tuple[int, int, bool]] = {}
         self._end = 0  # the pack's size: where the next record goes
         self._unsynced = False
         if root is not None:
@@ -151,11 +173,11 @@ class FileStore:
         record (the signature of a crash mid-append)."""
         fd = self._pack.fileno()
         records, end = read_pack(fd)
-        for digest, start, length in records:
+        for digest, start, length, deflated in records:
             if length is None:
                 self._index.pop(digest, None)
             else:
-                self._index[digest] = (start, length)
+                self._index[digest] = (start, length, deflated)
         torn = os.fstat(fd).st_size - end
         if torn:
             os.ftruncate(fd, end)
@@ -164,7 +186,8 @@ class FileStore:
         self._end = end
 
     def _append(self, digest: str, length: int, payload: bytes = b"") -> int:
-        """Append one record; returns its payload's offset.
+        """Append one record whose header carries ``length`` (flag bits
+        included); returns its payload's offset.
 
         A failed or short write is cut off again, so the next append
         does not land behind half a record.
@@ -188,14 +211,19 @@ class FileStore:
     # ----------------------------------------------------------------- put
 
     def put_bytes(self, data: bytes, filename: Optional[str] = None) -> str:
-        """Store a byte string; returns its content id.  Idempotent."""
+        """Store a byte string; returns its content id.  Idempotent: a
+        digest already stored is neither deflated nor written again."""
         digest = sha256_bytes(data)
         chaos.fire("filestore.put", digest=digest, filename=filename)
         if self.root is None:
             self._memory.setdefault(digest, data)
         elif digest not in self._index:
-            start = self._append(digest, len(data), data)
-            self._index[digest] = (start, len(data))
+            packed = zlib.compress(data, 1)
+            deflated = len(packed) < len(data)
+            payload = packed if deflated else data
+            flag = _DEFLATED if deflated else 0
+            start = self._append(digest, len(payload) | flag, payload)
+            self._index[digest] = (start, len(payload), deflated)
         return digest
 
     # ----------------------------------------------------------------- get
@@ -222,14 +250,24 @@ class FileStore:
         return data
 
     def _read(self, digest: str) -> Optional[bytes]:
-        """A live blob's bytes as stored, unverified; None if absent."""
+        """A live blob's bytes, inflated but unverified; None if absent.
+
+        A deflated payload that no longer inflates comes back as stored,
+        for the caller's hash check to reject.
+        """
         if self.root is None:
             return self._memory.get(digest)
         where = self._index.get(digest)
         if where is None:
             return None
-        start, length = where
-        return os.pread(self._pack.fileno(), length, start)
+        start, length, deflated = where
+        payload = os.pread(self._pack.fileno(), length, start)
+        if deflated:
+            try:
+                return zlib.decompress(payload)
+            except zlib.error:
+                pass
+        return payload
 
     # -------------------------------------------------------------- delete
 
@@ -308,19 +346,22 @@ class FileStore:
 
     def stats(self) -> Dict[str, object]:
         """Blob population for ``repro db stats``: ``bytes`` counts live
-        payloads; on disk ``pack_bytes`` is the pack's size and
-        ``dead_bytes`` the part of it deleted blobs and their
-        tombstones hold."""
+        payloads as stored; on disk ``deflated`` is how many of them are
+        deflated, ``pack_bytes`` the pack's size and ``dead_bytes`` the
+        part of it deleted blobs and their tombstones hold."""
         if self.root is None:
             return {
                 "blobs": len(self._memory),
                 "bytes": sum(len(d) for d in self._memory.values()),
             }
-        live = sum(length for _, length in self._index.values())
+        live = sum(length for _, length, _ in self._index.values())
         quarantine = os.path.join(self.root, _QUARANTINE_DIR)
         return {
             "blobs": len(self._index),
             "bytes": live,
+            "deflated": sum(
+                deflated for _, _, deflated in self._index.values()
+            ),
             "pack_bytes": self._end,
             "dead_bytes": self._end - live - HEADER.size * len(self._index),
             "quarantined": (

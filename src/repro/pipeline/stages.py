@@ -194,7 +194,12 @@ def _status_counts(records) -> Dict[str, int]:
 
 
 def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
-    """Group the sweep's run statuses by parameter axes."""
+    """Group the sweep's run statuses by parameter axes.
+
+    ``success_rate`` is the share of runs whose simulation ended ``ok``:
+    a run that is ``done`` but whose kernel segfaulted or timed out is a
+    recorded result, not a success.
+    """
     from repro.art.launch import Experiment
 
     source = ctx.source("source", "experiment_id")
@@ -206,6 +211,7 @@ def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
         groups.setdefault(group, []).append(record)
     status_totals = _status_counts(records)
     done = status_totals.get("done", 0)
+    ok = sum(record["outcome"] == "ok" for record in records)
     return {
         "group_by": keys,
         "groups": {
@@ -215,7 +221,7 @@ def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
         "status_totals": status_totals,
         "total_runs": len(records),
         "done_runs": done,
-        "success_rate": (done / len(records)) if records else 0,
+        "success_rate": (ok / len(records)) if records else 0,
     }
 
 

@@ -21,6 +21,7 @@ from repro.art import ArtifactDB, run_jobs_scheduler
 from repro.cli import main
 from repro.db import connect
 from repro.db.engine.wal import WalWriter, encode_record, read_log
+from repro.db.filestore import PACK_NAME, read_pack
 
 from tests.art.test_launch_share import make_experiment
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
@@ -130,6 +131,37 @@ def test_fig8_digest_survives_reopen_and_compaction(
     with connect(uri) as compacted:
         assert compacted["runs"].find() == documents
         assert runs_digest(compacted) == expected["digest"]
+
+
+def test_quick_fig8_stores_its_stats_blobs_deflated(tmp_path, capsys):
+    """Every stats blob a sweep stores is deflated in the pack, and the
+    pack's live payloads take at most 0.35× the blobs' own bytes."""
+    uri = f"file://{tmp_path / 'db'}"
+    assert main(["boot-tests", "--quick", "--db", uri]) == 0
+    capsys.readouterr()
+    with connect(uri) as database:
+        files = database.files
+        stats_ids = {
+            document["results"]["stats_file_id"]
+            for document in database["runs"].find()
+            if document["results"].get("stats_file_id")
+        }
+        content = {
+            digest: len(files.get_bytes(digest))
+            for digest in files.list_ids()
+        }
+        stored = files.stats()["bytes"]
+    with open(tmp_path / "db" / "files" / PACK_NAME, "rb") as handle:
+        records, _ = read_pack(handle.fileno())
+    # No blob was deleted: one record each, all live.
+    extents = {digest: rest for digest, _, *rest in records}
+    assert len(records) == len(extents) == len(content)
+    assert len(stats_ids) > 20 and stats_ids <= set(extents)
+    for digest in stats_ids:
+        length, deflated = extents[digest]
+        assert deflated and length < content[digest], digest
+    assert stored == sum(length for length, _ in extents.values())
+    assert stored <= 0.35 * sum(content.values())
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
-"""Tests for the FileStore pack: framing, torn tails, tombstones, scrub,
-durability and fork hygiene."""
+"""Tests for the FileStore pack: framing, deflated records, torn tails,
+tombstones, scrub, durability and fork hygiene."""
 
 import collections
 import gc
+import hashlib
 import os
 import shutil
 
@@ -25,6 +26,13 @@ from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
 from tests.helpers import blob_extent, flip_blob_bytes
 
 
+#: A payload that deflates to well under half its length.
+SQUASHABLE = b"system.cpu.numCycles    1234567    # cycles\n" * 12
+
+#: A payload that does not deflate: 256 bytes of raw SHA-256 digests.
+NOISE = b"".join(hashlib.sha256(bytes([i])).digest() for i in range(8))
+
+
 def records_of(root):
     """``(records, end, size)`` of the pack under ``root``."""
     with open(os.path.join(root, PACK_NAME), "rb") as handle:
@@ -42,7 +50,7 @@ def test_blobs_append_to_one_pack(tmp_path):
     assert os.listdir(tmp_path) == [PACK_NAME]
     records, end, size = records_of(tmp_path)
     assert end == size == sum(HEADER.size + len(p) for p in payloads)
-    assert [(d, n) for d, _, n in records] == [
+    assert [(d, n) for d, _, n, _ in records] == [
         (digest, len(payload)) for digest, payload in zip(digests, payloads)
     ]
     for digest, payload in zip(digests, payloads):
@@ -54,13 +62,14 @@ def test_stats_report_live_and_dead_bytes(tmp_path):
     digests = sorted({store.put_bytes(bytes([i]) * 10) for i in range(20)})
     record = HEADER.size + 10
     assert store.stats() == {
-        "blobs": 20, "bytes": 200, "pack_bytes": 20 * record,
-        "dead_bytes": 0, "quarantined": 0,
+        "blobs": 20, "bytes": 200, "deflated": 0,
+        "pack_bytes": 20 * record, "dead_bytes": 0, "quarantined": 0,
     }
     assert store.delete(digests[0])
     # The deleted record and its tombstone are dead; bytes is live only.
     assert store.stats() == {
-        "blobs": 19, "bytes": 190, "pack_bytes": 20 * record + HEADER.size,
+        "blobs": 19, "bytes": 190, "deflated": 0,
+        "pack_bytes": 20 * record + HEADER.size,
         "dead_bytes": record + HEADER.size, "quarantined": 0,
     }
     assert FileStore(str(tmp_path)).stats() == store.stats()
@@ -91,6 +100,107 @@ def test_old_shard_layout_is_refused(tmp_path):
     assert not (shard.parent / PACK_NAME).exists()
 
 
+# ------------------------------------------------------ deflated records
+
+
+def test_a_squashable_blob_is_stored_deflated_under_its_raw_digest(tmp_path):
+    store = FileStore(str(tmp_path))
+    digest = store.put_bytes(SQUASHABLE)
+    assert digest == sha256_bytes(SQUASHABLE)
+    [(_, _, length, deflated)] = records_of(tmp_path)[0]
+    assert deflated and length < len(SQUASHABLE) // 2
+    header = (tmp_path / PACK_NAME).read_bytes()[: HEADER.size]
+    assert HEADER.unpack(header) == (bytes.fromhex(digest), length | 1 << 63)
+    assert store.stats()["bytes"] == length
+    assert store.stats()["deflated"] == 1
+    assert store.get_bytes(digest) == SQUASHABLE
+    store.close()
+    assert FileStore(str(tmp_path)).get_bytes(digest) == SQUASHABLE
+
+
+@pytest.mark.parametrize(
+    "payload", [b"", b"x", b"tiny", NOISE],
+    ids=["empty", "one-byte", "tiny", "noise"],
+)
+def test_a_tiny_or_incompressible_blob_is_stored_raw(tmp_path, payload):
+    store = FileStore(str(tmp_path))
+    digest = store.put_bytes(payload)
+    [(_, _, length, deflated)] = records_of(tmp_path)[0]
+    assert (length, deflated) == (len(payload), False)
+    assert store.stats()["deflated"] == 0
+    assert store.get_bytes(digest) == payload
+
+
+def test_a_duplicate_put_deflates_nothing(tmp_path, monkeypatch):
+    store = FileStore(str(tmp_path))
+    digest = store.put_bytes(SQUASHABLE)
+    size = os.path.getsize(tmp_path / PACK_NAME)
+    monkeypatch.setattr(
+        "repro.db.filestore.zlib.compress",
+        lambda *args: pytest.fail("a duplicate put compressed its bytes"),
+    )
+    assert store.put_bytes(SQUASHABLE) == digest
+    assert os.path.getsize(tmp_path / PACK_NAME) == size
+
+
+def test_rot_inside_a_deflated_payload_is_caught_and_quarantined(tmp_path):
+    store = FileStore(str(tmp_path))
+    good = store.put_bytes(SQUASHABLE)
+    bad = store.put_bytes(SQUASHABLE + b"rots\n")
+    start, length = blob_extent(tmp_path, bad)
+    with open(tmp_path / PACK_NAME, "r+b") as handle:
+        handle.seek(start + length // 2)
+        byte = handle.read(1)
+        handle.seek(start + length // 2)
+        handle.write(bytes([byte[0] ^ 0x01]))
+        handle.seek(start)
+        rotten = handle.read(length)
+    with pytest.raises(CorruptBlobError, match=bad[:16]):
+        store.get_bytes(bad)
+    report = store.scrub()
+    assert report == {"scanned": 2, "quarantined": [bad]}
+    # The payload does not inflate, so quarantine keeps it as stored.
+    assert (tmp_path / "quarantine" / bad).read_bytes() == rotten
+    assert store.get_bytes(good) == SQUASHABLE
+    assert store.put_bytes(SQUASHABLE + b"rots\n") == bad
+    assert store.get_bytes(bad) == SQUASHABLE + b"rots\n"
+    assert FileStore(str(tmp_path)).scrub()["quarantined"] == []
+
+
+def test_a_pack_of_raw_records_reads_unchanged(tmp_path):
+    """A pack framed as before blobs were deflated — every length
+    without the flag — opens, reads and scrubs clean, and a re-put of
+    its content appends nothing."""
+    old = {sha256_bytes(p): p for p in (SQUASHABLE, NOISE, b"")}
+    gone = sha256_bytes(b"deleted")
+    framed = b"".join(
+        HEADER.pack(bytes.fromhex(digest), len(payload)) + payload
+        for digest, payload in old.items()
+    ) + HEADER.pack(bytes.fromhex(gone), 7) + b"deleted"
+    framed += HEADER.pack(bytes.fromhex(gone), (1 << 64) - 1)
+    (tmp_path / PACK_NAME).write_bytes(framed)
+    store = FileStore(str(tmp_path))
+    assert store.list_ids() == sorted(old)
+    assert store.stats() == {
+        "blobs": 3, "bytes": sum(map(len, old.values())), "deflated": 0,
+        "pack_bytes": len(framed),
+        "dead_bytes": 2 * HEADER.size + 7, "quarantined": 0,
+    }
+    for digest, payload in old.items():
+        assert store.get_bytes(digest) == payload
+        assert store.put_bytes(payload) == digest
+    assert (tmp_path / PACK_NAME).read_bytes() == framed
+    assert store.scrub() == {"scanned": 3, "quarantined": []}
+    # New content beside the old records is deflated; both read back.
+    new = store.put_bytes(SQUASHABLE * 2)
+    store.close()
+    reopened = FileStore(str(tmp_path))
+    assert reopened.stats()["deflated"] == 1
+    assert reopened.get_bytes(new) == SQUASHABLE * 2
+    for digest, payload in old.items():
+        assert reopened.get_bytes(digest) == payload
+
+
 # ------------------------------------------------------------- validation
 
 
@@ -115,7 +225,7 @@ def test_digest_validation_requires_sha256_hex(tmp_path):
 # ------------------------------------------------------------- torn tail
 
 
-@pytest.mark.parametrize("last", ["blob", "tombstone"])
+@pytest.mark.parametrize("last", ["blob", "deflated", "tombstone"])
 def test_torn_tail_at_every_byte_reopens_to_earlier_blobs(tmp_path, last):
     """A crash mid-append leaves any prefix of the last record: a reopen
     keeps every record before it, cuts the pack back to them and takes
@@ -123,14 +233,16 @@ def test_torn_tail_at_every_byte_reopens_to_earlier_blobs(tmp_path, last):
     pristine = tmp_path / "pristine"
     store = FileStore(str(pristine))
     earlier = {store.put_bytes(p): p for p in (b"kept 1", b"kept 2")}
+    final = SQUASHABLE if last == "deflated" else b"the last record"
     if last == "tombstone":
-        victim = store.put_bytes(b"the last record")
-        earlier[victim] = b"the last record"
+        victim = store.put_bytes(final)
+        earlier[victim] = final
     before = store.stats()["pack_bytes"]  # where the last record starts
-    if last == "blob":
-        victim = store.put_bytes(b"the last record")
-    else:
+    if last == "tombstone":
         store.delete(victim)
+    else:
+        victim = store.put_bytes(final)
+        assert store.stats()["deflated"] == (last == "deflated")
     store.close()
     whole = (pristine / PACK_NAME).read_bytes()
     assert len(whole) > before
@@ -149,10 +261,10 @@ def test_torn_tail_at_every_byte_reopens_to_earlier_blobs(tmp_path, last):
         for digest, payload in earlier.items():
             assert reopened.get_bytes(digest) == payload
         # The interrupted write is accepted again, and lands whole.
-        if last == "blob":
-            assert reopened.put_bytes(b"the last record") == victim
-        else:
+        if last == "tombstone":
             assert reopened.delete(victim)
+        else:
+            assert reopened.put_bytes(final) == victim
         reopened.close()
         assert (root / PACK_NAME).read_bytes() == whole
         shutil.rmtree(root)
@@ -195,7 +307,7 @@ def test_tombstone_hides_blob_across_reopen_and_reput_restores(tmp_path):
     with pytest.raises(NotFoundError):
         store.get_bytes(gone)
     assert records_of(tmp_path)[0][-1] == (
-        gone, 2 * HEADER.size + 9 + 13 + HEADER.size, None
+        gone, 2 * HEADER.size + 9 + 13 + HEADER.size, None, False
     )
     store.close()
 
@@ -235,7 +347,7 @@ def test_flipped_byte_raises_and_scrub_quarantines_it(tmp_path):
     assert not store.exists(bad)
     rotten = bytes([ord("w") ^ 0xFF]) + b"ill rot"
     assert (tmp_path / "quarantine" / bad).read_bytes() == rotten
-    assert records_of(tmp_path)[0][-1][::2] == (bad, None)  # a tombstone
+    assert records_of(tmp_path)[0][-1][:3:2] == (bad, None)  # a tombstone
     assert store.get_bytes(good) == b"stays pristine"
     # The address is free again: a pristine re-put repopulates it.
     assert store.put_bytes(b"will rot") == bad
@@ -395,7 +507,7 @@ def test_pool_sweep_leaves_one_record_per_blob(db, fs_artifacts, tmp_path):
     db.database.close()
     records, end, size = records_of(tmp_path / "pooldb" / "files")
     assert end == size
-    counts = collections.Counter(digest for digest, _, _ in records)
-    assert all(length is not None for _, _, length in records)
+    counts = collections.Counter(digest for digest, _, _, _ in records)
+    assert all(length is not None for _, _, length, _ in records)
     assert max(counts.values()) == 1
     assert stats <= set(counts)

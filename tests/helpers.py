@@ -26,8 +26,9 @@ def set_engine_knobs(monkeypatch, **knobs):
 
 
 def blob_extent(root, digest):
-    """``(payload offset, length)`` of a blob's live record in the pack
-    a ``FileStore`` keeps under ``root``."""
+    """``(payload offset, stored length)`` of a blob's live record in
+    the pack a ``FileStore`` keeps under ``root`` — the bytes on disk,
+    deflated or raw."""
     import os
 
     from repro.db.filestore import PACK_NAME, read_pack
@@ -35,7 +36,7 @@ def blob_extent(root, digest):
     with open(os.path.join(root, PACK_NAME), "rb") as handle:
         records, _ = read_pack(handle.fileno())
     live = {}
-    for record, start, length in records:
+    for record, start, length, _ in records:
         if length is None:
             live.pop(record, None)
         else:

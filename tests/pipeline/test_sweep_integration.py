@@ -1,6 +1,8 @@
 """End-to-end pipeline over the real stage kinds (artifacts → sweep →
 analyze → render), including degradation under checkpoint-store chaos."""
 
+import json
+
 import pytest
 
 from repro import chaos
@@ -105,3 +107,49 @@ def test_analyze_reads_a_run_without_an_outcome_as_created(db):
     assert analysis["status_totals"] == {"done": 1, "created": 1}
     assert analysis["groups"]["1"] == {"done": 1}
     assert analysis["success_rate"] == 0.5
+
+
+FAULTY_SWEEP = """
+pipeline: boot-faulty
+execution:
+  workers: 2
+  substrate: inline
+stages:
+  - name: artifacts
+    kind: artifacts
+    params:
+      kernels: ["5.4.49"]
+  - name: sweep
+    kind: sweep
+    inputs: [artifacts]
+    params:
+      cpu_types: [o3]
+      memory_systems: [MI_example]
+      num_cpus: [2, 4, 8]
+      boot_types: [init]
+    gates:
+      - {kind: all_terminal}
+  - name: analyze
+    kind: analyze
+    inputs: [sweep]
+    params:
+      group_by: [num_cpus]
+    gates:
+      - {kind: at_least, path: success_rate, value: 1.0}
+"""
+
+
+def test_success_rate_counts_simulation_outcomes_not_statuses(db):
+    """o3 on MI_example does not boot: every run is ``done`` with a
+    faulty outcome, so the analysis reads a success rate of 0 and its
+    gate fails."""
+    result = run_pipeline(db, parse_manifest_text(FAULTY_SWEEP))
+    assert result["status"] == "failed"
+    analyze = result["stages"]["analyze"]
+    assert not analyze["gates_ok"]
+    assert [verdict["detail"] for verdict in analyze["verdicts"]] == [
+        "success_rate=0.0 >= 1.0: FAIL"
+    ]
+    analysis = json.loads(db.download_file(analyze["outputs_blob"]))
+    assert analysis["status_totals"] == {"done": 3}
+    assert analysis["done_runs"] == 3

@@ -467,11 +467,17 @@ def _seed_db(tmp_path, docs=5):
 
 def test_db_stats(tmp_path, capsys):
     uri = _seed_db(tmp_path)
+    from repro.db import connect
+
+    db = connect(uri)
+    db.files.put_bytes(b"a stats line that repeats\n" * 40)
+    db.files.put_bytes(b"tiny")
+    db.close()
     assert main(["db", "stats", "--db", uri]) == 0
     out = capsys.readouterr().out
     assert "STORAGE ENGINE" in out
     assert "runs" in out
-    assert "filestore:" in out
+    assert "filestore: 2 blobs (1 deflated), " in out
 
 
 def test_db_compact(tmp_path, capsys):

@@ -57,6 +57,7 @@ from repro.db.engine.wal import (
     WalWriter,
     encode_record,
     fsync_dir,
+    new_deflater,
     read_log,
 )
 from repro.db.query import set_path, unset_path
@@ -275,9 +276,12 @@ class CollectionStore:
         before = self._segment_bytes + wal_bytes
         state, report = self._replay(heal=False)
         tmp = self._segment_path + ".tmp"
+        deflater = new_deflater()  # the segment is one stream too
         with open(tmp, "wb") as handle:
             for doc in state.values():
-                handle.write(encode_record({"op": "insert", "doc": doc}))
+                handle.write(
+                    encode_record({"op": "insert", "doc": doc}, deflater)
+                )
             handle.flush()
             os.fsync(handle.fileno())
         chaos.fire("compact.publish", collection=self.name)

@@ -6,13 +6,24 @@ cache of it.  A record on disk is::
 
     [4-byte big-endian payload length][4-byte big-endian CRC32][payload]
 
-where the payload is the canonical JSON of one operation document, of
-four kinds: ``insert`` and ``replace`` carry a whole document, ``update``
-what an update left at the paths it touched (``set``: path → value,
-``unset``: paths now gone), ``delete`` an id.  Indexes are not logged:
-the code that owns a collection declares them each time it opens it.
-The framing makes two failure modes detectable without any out-of-band
-state:
+where the payload is ``0xFF`` and then the record's deflated bytes.  A
+record is the canonical JSON of one operation document, of four kinds:
+``insert`` and ``replace`` carry a whole document, ``update`` what an
+update left at the paths it touched (``set``: path → value, ``unset``:
+paths now gone), ``delete`` an id.  Indexes are not logged: the code
+that owns a collection declares them each time it opens it.
+
+Each log file is **one raw-deflate stream**: a writer session compresses
+every record against the ones it wrote before, and closes each with a
+``Z_SYNC_FLUSH``, so each frame holds all of its record: it inflates
+behind the frames before it, needing no byte after it.  A session (an open, a ``truncate``, an
+append that raised) starts a fresh deflater: a new stream inflates
+correctly behind the old one, so nothing carries over a reopen.  A
+payload that starts with ``{`` is a raw record, as logs written before
+records were deflated hold them, and reads as it is; ``0xFF`` never
+starts UTF-8, so a tree from before deflated records raises on one
+instead of truncating the log.  The framing makes two failure modes
+detectable without any out-of-band state:
 
 - a **torn tail** — the process died mid-append, leaving a truncated
   header or payload.  Recovery keeps every record before the tear and
@@ -56,6 +67,18 @@ _HEADER = struct.Struct(">II")
 #: not a document (documents are artifact/run metadata, not blobs).
 _MAX_RECORD = 64 * 1024 * 1024
 
+#: First byte of a deflated payload.
+DEFLATED = b"\xff"
+
+#: The log stream's deflater: zlib level 1; raw deflate with a 32 KiB
+#: window (no header, no trailer: a record ends at a sync flush, not at
+#: a check); memory level 6, whose hash table and buffer are a quarter
+#: of the default 8's: a cold Fig 8 sweep keeps three logs open and
+#: peaks ≈ 0.15 MiB lower, for 0.25 % more stored bytes.
+_LEVEL = 1
+_WBITS = -15
+_MEM_LEVEL = 6
+
 
 def _records_counter():
     return telemetry.get_metrics().counter(
@@ -71,10 +94,22 @@ def _fsyncs_counter():
     )
 
 
-def encode_record(record: Dict[str, Any]) -> bytes:
+def new_deflater():
+    """The compressor of one writer session's stream."""
+    return zlib.compressobj(_LEVEL, zlib.DEFLATED, _WBITS, _MEM_LEVEL)
+
+
+def encode_record(record: Dict[str, Any], deflater) -> bytes:
     """Frame one operation document (stored, so ``json_copy``'d) as
-    length + CRC32 + :func:`~repro.common.jsonutil.record_dumps`."""
-    payload = record_dumps(record).encode("utf-8")
+    length + CRC32 + ``0xFF`` + its
+    :func:`~repro.common.jsonutil.record_dumps`, deflated by the
+    session's ``deflater`` and sync-flushed."""
+    text = record_dumps(record).encode("utf-8")
+    payload = (
+        DEFLATED
+        + deflater.compress(text)
+        + deflater.flush(zlib.Z_SYNC_FLUSH)
+    )
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -120,6 +155,7 @@ def read_log(
     records: List[Dict[str, Any]] = []
     if apply is None:
         apply = records.append
+    inflater = zlib.decompressobj(_WBITS)
     offset = 0
     tear: Optional[str] = None
     with open(path, "rb") as handle:
@@ -142,6 +178,8 @@ def read_log(
         if zlib.crc32(payload) != crc:
             tear = f"checksum mismatch at byte {offset}"
             break
+        if payload[:1] == DEFLATED:  # else a raw record, as written
+            payload = inflater.decompress(payload[1:])
         apply(loads(payload.decode("utf-8")))
         offset = start + length
     if tear is not None and not tolerate_torn_tail:
@@ -158,6 +196,7 @@ class WalWriter:
         self.batch_size = BATCH_SIZE
         self.collection = collection
         self._handle = open(path, "ab")
+        self._deflater = new_deflater()
         self._since_fsync = 0
 
     # -------------------------------------------------------------- append
@@ -175,8 +214,13 @@ class WalWriter:
             collection=self.collection,
             op=record.get("op", "?"),
         )
-        frame = encode_record(record)
-        self._handle.write(frame)
+        try:
+            self._handle.write(encode_record(record, self._deflater))
+        except BaseException:
+            # The deflater holds a record the file may not: the next
+            # append must not refer back to it.
+            self._deflater = new_deflater()
+            raise
         self._since_fsync += 1
         if (
             self.durability == "strict"
@@ -205,6 +249,7 @@ class WalWriter:
         # An append-mode handle still writes at the (new) end; the
         # seek only keeps ``tell()``, i.e. ``size()``, honest.
         self._handle.seek(0)
+        self._deflater = new_deflater()
         self._fsync()
 
     # ---------------------------------------------------------------- misc

@@ -20,7 +20,8 @@ import pytest
 from repro.art import ArtifactDB, run_jobs_scheduler
 from repro.cli import main
 from repro.db import connect
-from repro.db.engine.wal import WalWriter, encode_record, read_log
+from repro.common.jsonutil import record_dumps
+from repro.db.engine.wal import WalWriter, read_log
 from repro.db.filestore import PACK_NAME, read_pack
 
 from tests.art.test_launch_share import make_experiment
@@ -69,8 +70,12 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
     cold = logged(root, "runs")
     assert len(cold) == 48
     # Every record is a run's: the run cache's index is not logged.
-    runs_log = read_log(str(root / "engine" / "runs" / "wal.log"))[0]
+    runs_wal = root / "engine" / "runs" / "wal.log"
+    runs_log = read_log(str(runs_wal))[0]
     assert "index" not in ops(runs_log)
+    # One deflate stream: at most 0.25x the JSON of what it replays.
+    text = sum(len(record_dumps(record).encode()) for record in runs_log)
+    assert runs_wal.stat().st_size <= 0.25 * text
     # Every blob the sweep stored is a record in one pack file.
     assert [
         path.name for path in (root / "files").rglob("*")
@@ -103,7 +108,7 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         assert ops(records)[0] == "insert"
         assert set(ops(records)[1:]) == {"update"}
         assert all(
-            len(encode_record(record)) < 1024 for record in records[1:]
+            len(record_dumps(record)) < 1024 for record in records[1:]
         )
     capsys.readouterr()
 

@@ -12,8 +12,8 @@ import pytest
 from repro.art import ArtifactDB
 from repro.common.errors import DuplicateError, ValidationError
 from repro.db import Database, connect
-from repro.db.engine.wal import encode_record, read_log
-from tests.helpers import insert_many
+from repro.db.engine.wal import DEFLATED, encode_record, new_deflater, read_log
+from tests.helpers import insert_many, raw_frame
 
 
 def open_db(tmp_path, **kwargs):
@@ -91,13 +91,14 @@ def test_update_of_a_document_the_log_does_not_hold_is_damage(tmp_path):
     wal = tmp_path / "db" / "engine" / "runs" / "wal.log"
     stray = {"op": "update", "id": "ghost", "set": {"n": 1}, "unset": []}
     with open(wal, "ab") as handle:
-        handle.write(encode_record(stray))
+        handle.write(encode_record(stray, new_deflater()))
     with pytest.raises(ValidationError, match="ghost"):
         open_db(tmp_path)
     # ... unless the log goes on to delete it: a WAL replayed over the
     # segment it was folded into finds such a document already gone.
     with open(wal, "ab") as handle:
-        handle.write(encode_record({"op": "delete", "id": "ghost"}))
+        delete = {"op": "delete", "id": "ghost"}
+        handle.write(encode_record(delete, new_deflater()))
     with open_db(tmp_path) as again:
         assert again["runs"].find() == [{"_id": "a"}]
 
@@ -115,18 +116,24 @@ def test_indexes_restored_on_reopen(tmp_path):
 
 
 def test_a_log_that_holds_index_records_still_opens(tmp_path):
-    """A database written while indexes were logged: its ``index``
-    records replay as nothing, and compaction drops them."""
-    index = encode_record({"op": "index", "field": "h", "unique": True})
+    """A database written while indexes were logged and records stored
+    raw: its ``index`` records replay as nothing, deflated records go on
+    behind the raw ones, and compaction drops the index records."""
+    index = raw_frame({"op": "index", "field": "h", "unique": True})
     insert = {"op": "insert", "doc": {"_id": "a", "h": 1}}
+    later = {"op": "insert", "doc": {"_id": "b"}}
     base = tmp_path / "db" / "engine" / "arts"
     base.mkdir(parents=True)
-    (base / "segment.seg").write_bytes(index + encode_record(insert))
+    (base / "segment.seg").write_bytes(index + raw_frame(insert))
     (base / "wal.log").write_bytes(index)
     with open_db(tmp_path) as db:
         assert db["arts"].find() == [insert["doc"]]
+        db["arts"].insert_one(later["doc"])
+    assert (base / "wal.log").read_bytes()[len(index) + 8 :][:1] == DEFLATED
+    with open_db(tmp_path) as db:  # a raw and a deflated record
+        assert db["arts"].find() == [insert["doc"], later["doc"]]
         db.compact()
-    assert read_log(str(base / "segment.seg"))[0] == [insert]
+    assert read_log(str(base / "segment.seg"))[0] == [insert, later]
 
 
 # -------------------------------------------------------------- compact

@@ -41,7 +41,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.db import Database
-from repro.db.engine.wal import encode_record
+from repro.db.engine.wal import encode_record, new_deflater
 from tests.helpers import set_engine_knobs
 
 #: Every chaos point the collection store fires.
@@ -359,7 +359,7 @@ def test_engine_matches_model(ops, fault, seed):
                 target = sorted(model[0])[seed % len(model[0])]
                 record = {**IN_FLIGHT_EFFECT, "id": target}
                 landed = ("update_one", {"_id": target}, IN_FLIGHT_UPDATE)
-            frame = encode_record(record)
+            frame = encode_record(record, new_deflater())
             piece = {
                 "header": frame[: 1 + seed % 7],
                 "payload": frame[: 8 + seed % (len(frame) - 8)],

@@ -1,16 +1,21 @@
-"""Tests for the write-ahead log: framing, checksums, torn tails."""
+"""Tests for the write-ahead log: framing, checksums, torn tails, and
+the deflate stream each log file is."""
 
 import os
 import struct
+import types
 import zlib
 
 import pytest
 
 from repro.common.errors import CorruptRecordError, ValidationError
+from repro.db import Database
 from repro.db.engine.wal import (
+    DEFLATED,
     DURABILITY_MODES,
     WalWriter,
     encode_record,
+    new_deflater,
     read_log,
 )
 
@@ -34,6 +39,11 @@ def test_roundtrip(tmp_path):
     assert decoded == records
     assert offset == os.path.getsize(path)
     assert tear is None
+    # Deflated: ``0xFF`` first, so a tree from before refuses the record.
+    payload = open(path, "rb").read()[8:]
+    assert payload[:1] == DEFLATED
+    with pytest.raises(UnicodeDecodeError):
+        payload.decode("utf-8")
 
 
 def test_roundtrip_preserves_special_types(tmp_path):
@@ -67,7 +77,8 @@ def test_torn_payload_is_tolerated(tmp_path):
     path = str(tmp_path / "wal.log")
     write_records(path, [{"op": "insert", "doc": {"_id": "a"}}])
     good_size = os.path.getsize(path)
-    frame = encode_record({"op": "insert", "doc": {"_id": "b"}})
+    record = {"op": "insert", "doc": {"_id": "b"}}
+    frame = encode_record(record, new_deflater())
     with open(path, "ab") as handle:
         handle.write(frame[:-3])  # crash mid-payload
     records, offset, tear = read_log(path, tolerate_torn_tail=True)
@@ -86,7 +97,7 @@ def test_bitflip_fails_checksum(tmp_path):
         ],
     )
     data = bytearray(open(path, "rb").read())
-    data[data.index(b"AAAA")] ^= 0x01  # flip a bit inside record 1
+    data[8 + 2] ^= 0x01  # flip a bit inside record 1's deflated bytes
     with open(path, "wb") as handle:
         handle.write(data)
     records, offset, tear = read_log(path, tolerate_torn_tail=True)
@@ -137,3 +148,51 @@ def test_size_tracks_appends(tmp_path):
     writer.append({"op": "insert", "doc": {"_id": "a"}})
     assert writer.size() > 0
     writer.close()
+
+
+def docs(*ids):
+    return [{"_id": name, "v": "x" * 40} for name in ids]
+
+
+def test_a_tear_anywhere_in_the_last_deflated_frame_heals(tmp_path):
+    """One session's stream, its last frame cut at every byte: the open
+    heals the log, and a new session's appends read back behind every
+    record acknowledged before the tear."""
+    wal = tmp_path / "db" / "engine" / "c" / "wal.log"
+    wal.parent.mkdir(parents=True)
+    writer = WalWriter(str(wal), "strict", "c")
+    for doc in docs("d0", "d1", "d2", "d3"):
+        last = writer.size()
+        writer.append({"op": "insert", "doc": doc})
+    writer.close()
+    whole, healed = wal.read_bytes(), docs("d0", "d1", "d2")
+    for cut in range(last, len(whole)):
+        wal.write_bytes(whole[:cut])
+        with Database("t", root=str(tmp_path / "db")) as db:
+            assert db.recovery_report()["c"]["truncated_bytes"] == cut - last
+            db["c"].insert_one({"_id": "probe"})
+        with Database("t", root=str(tmp_path / "db")) as db:
+            assert db["c"].find() == healed + [{"_id": "probe"}]
+
+
+def test_an_append_whose_write_raised_leaves_the_stream_decodable(
+    tmp_path,
+):
+    """The deflater took in a record the file never got: the next
+    append must not refer back to it."""
+
+    def full(data):
+        raise OSError("no space left on device")
+
+    path = str(tmp_path / "wal.log")
+    records = [{"op": "insert", "doc": doc} for doc in docs("a", "b", "c")]
+    writer = WalWriter(path, "strict", "t")
+    writer.append(records[0])
+    handle, writer._handle = writer._handle, types.SimpleNamespace(write=full)
+    with pytest.raises(OSError):
+        writer.append(records[1])
+    writer._handle = handle
+    for record in records[1:]:
+        writer.append(record)
+    writer.close()
+    assert read_log(path)[0] == records

@@ -26,7 +26,7 @@ from repro.db.filestore import PACK_NAME, read_pack
 
 from tests.art.test_launch_share import make_experiment
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
-from tests.helpers import WEDGED_CPUS, wedge_simulations
+from tests.helpers import WEDGED_CPUS, raw_frame, wedge_simulations
 
 PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
@@ -108,7 +108,7 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         assert ops(records)[0] == "insert"
         assert set(ops(records)[1:]) == {"update"}
         assert all(
-            len(record_dumps(record)) < 1024 for record in records[1:]
+            len(raw_frame(record)) < 1024 for record in records[1:]
         )
     capsys.readouterr()
 

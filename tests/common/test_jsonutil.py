@@ -300,10 +300,9 @@ def test_loads_decodes_an_escaped_tag():
 @example({"n": [2.0, -0.0, 1e300, math.inf, math.nan], Colour.RED: 1})
 def test_the_wal_encoder_writes_the_tag_walks_bytes(value):
     """One pass of the C encoder, tags from ``default``, the walk only
-    for a ``{"$`` it did not emit: a frame that inflates to
-    ``stable_dumps``' bytes (the tag walk, then ``json.dumps``), byte
-    for byte, for every record a collection logs (what it holds is
-    ``json_copy``'d)."""
+    for a ``{"$`` it did not emit: a frame that inflates to exactly
+    ``stable_dumps``' bytes (the tag walk, then ``json.dumps``), for
+    every record a collection logs (what it holds is ``json_copy``'d)."""
     for record in (
         {"op": "insert", "doc": json_copy(value)},
         {"op": "update", "id": "x", "set": {"a.b": json_copy(value)}},

@@ -1,5 +1,4 @@
-"""Tests for the write-ahead log: framing, checksums, torn tails, and
-the deflate stream each log file is."""
+"""Tests for the write-ahead log: framing, checksums, torn tails, deflate."""
 
 import os
 import struct
@@ -39,8 +38,7 @@ def test_roundtrip(tmp_path):
     assert decoded == records
     assert offset == os.path.getsize(path)
     assert tear is None
-    # Deflated: ``0xFF`` first, so a tree from before refuses the record.
-    payload = open(path, "rb").read()[8:]
+    payload = open(path, "rb").read()[8:]  # 0xFF: older trees refuse it
     assert payload[:1] == DEFLATED
     with pytest.raises(UnicodeDecodeError):
         payload.decode("utf-8")
@@ -150,22 +148,20 @@ def test_size_tracks_appends(tmp_path):
     writer.close()
 
 
-def docs(*ids):
-    return [{"_id": name, "v": "x" * 40} for name in ids]
+DOCS = [{"_id": f"d{n}", "v": "x" * 40} for n in range(4)]
 
 
 def test_a_tear_anywhere_in_the_last_deflated_frame_heals(tmp_path):
-    """One session's stream, its last frame cut at every byte: the open
-    heals the log, and a new session's appends read back behind every
-    record acknowledged before the tear."""
+    """A cut at any byte of one session's last frame heals on open, and a
+    new session's appends read back behind every record before it."""
     wal = tmp_path / "db" / "engine" / "c" / "wal.log"
     wal.parent.mkdir(parents=True)
     writer = WalWriter(str(wal), "strict", "c")
-    for doc in docs("d0", "d1", "d2", "d3"):
+    for doc in DOCS:
         last = writer.size()
         writer.append({"op": "insert", "doc": doc})
     writer.close()
-    whole, healed = wal.read_bytes(), docs("d0", "d1", "d2")
+    whole, healed = wal.read_bytes(), DOCS[:3]
     for cut in range(last, len(whole)):
         wal.write_bytes(whole[:cut])
         with Database("t", root=str(tmp_path / "db")) as db:
@@ -175,23 +171,27 @@ def test_a_tear_anywhere_in_the_last_deflated_frame_heals(tmp_path):
             assert db["c"].find() == healed + [{"_id": "probe"}]
 
 
-def test_an_append_whose_write_raised_leaves_the_stream_decodable(
-    tmp_path,
-):
-    """The deflater took in a record the file never got: the next
-    append must not refer back to it."""
-
-    def full(data):
-        raise OSError("no space left on device")
-
+@pytest.mark.parametrize("share", [0, 0.5])
+def test_an_append_that_raised_is_cut_off(tmp_path, share):
+    """A write that put down ``share`` of its frame and raised is cut off:
+    the next append lands behind the last whole frame, in a new stream."""
     path = str(tmp_path / "wal.log")
-    records = [{"op": "insert", "doc": doc} for doc in docs("a", "b", "c")]
+    records = [{"op": "insert", "doc": doc} for doc in DOCS[:3]]
     writer = WalWriter(path, "strict", "t")
     writer.append(records[0])
-    handle, writer._handle = writer._handle, types.SimpleNamespace(write=full)
+    handle, good = writer._handle, os.path.getsize(path)
+
+    def full(data):
+        handle.write(data[: int(len(data) * share)])
+        raise OSError("no space left on device")
+
+    writer._handle = types.SimpleNamespace(write=full, closed=False, **{
+        n: getattr(handle, n) for n in "flush truncate seek tell".split()
+    })
     with pytest.raises(OSError):
         writer.append(records[1])
     writer._handle = handle
+    assert os.path.getsize(path) == writer.size() == good
     for record in records[1:]:
         writer.append(record)
     writer.close()

@@ -235,7 +235,8 @@ def _cmd_db(args) -> int:
             if files is not None:
                 print(
                     f"filestore: {files['blobs']} blobs "
-                    f"({files['deflated']} deflated), "
+                    f"({files['deflated']} deflated, "
+                    f"{files['deltas']} deltas), "
                     f"{files['bytes']} bytes in a "
                     f"{files['pack_bytes']}-byte pack "
                     f"({files['dead_bytes']} dead), "

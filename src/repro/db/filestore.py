@@ -15,7 +15,9 @@ A new blob is deflated (``zlib`` level 1) and kept that way when that
 is shorter; bit 63 of the length (``_DEFLATED``) then says so, and the
 rest of it is the stored payload's length.  A record without the flag
 is raw — every record of a pack written before blobs were deflated
-reads as it is.  A delete appends a *tombstone*: the digest with length
+reads as it is.  Most new blobs are *deltas* (``_packer``): ``_DELTA``,
+a base blob's offset and a zlib stream with the base as its preset
+dictionary.  A delete appends a *tombstone*: the digest with length
 ``_TOMBSTONE`` (all 64 bits set) and no payload.  Opening the store
 walks the record headers — never the payloads — into a
 ``digest → (offset, stored length, deflated)`` index; a torn tail (a
@@ -23,9 +25,9 @@ process killed mid-append) is truncated back to the last whole record,
 as the WAL's is.  An append is one unbuffered ``os.writev`` call, so a
 forked process inherits no pending bytes.
 
-A read inflates a deflated payload and re-hashes the result; a payload
-that does not inflate is handed back as stored, so its hash fails and
-rot is reported the same way whether the record is raw or deflated.
+A read inflates a deflated payload (a delta's base first) and re-hashes
+the result; a payload that does not inflate is handed back as stored, so
+its hash fails and rot is reported the same way for every record.
 
 Under ``durability="strict"`` a put fsyncs the pack before it returns,
 so a ``done`` run document never names a blob that is not on disk;
@@ -70,6 +72,12 @@ _TOMBSTONE = (1 << 64) - 1
 #: The length bit that marks a deflated payload; a tombstone has it set
 #: too, so test for ``_TOMBSTONE`` first.
 _DEFLATED = 1 << 63
+
+#: First byte of a delta's payload; a zlib stream never starts with it.
+_DELTA = b"\xff"
+#: Blobs per base, itself included, and a base's most bytes (the window).
+BASE_EVERY = 8
+BASE_CAP = 32 * 1024
 
 #: ``(digest, payload offset, stored length, deflated)`` of one record;
 #: the length is None for a tombstone.
@@ -154,6 +162,10 @@ class FileStore:
         self._index: Dict[str, Tuple[int, int, bool]] = {}
         self._end = 0  # the pack's size: where the next record goes
         self._unsynced = False
+        self._tail: List[Record] = []
+        self._base: Optional[Tuple[int, bytes]] = None
+        self._deltas = 0
+        self._cached: Tuple[Optional[int], bytes] = (None, b"")  # last base
         if root is not None:
             os.makedirs(root, exist_ok=True)
             for entry in os.listdir(root):
@@ -178,6 +190,7 @@ class FileStore:
                 self._index.pop(digest, None)
             else:
                 self._index[digest] = (start, length, deflated)
+        self._tail = [record for record in records if record[3]]
         torn = os.fstat(fd).st_size - end
         if torn:
             os.ftruncate(fd, end)
@@ -218,13 +231,43 @@ class FileStore:
         if self.root is None:
             self._memory.setdefault(digest, data)
         elif digest not in self._index:
-            packed = zlib.compress(data, 1)
+            head, packer = self._packer()
+            packed = head + packer.compress(data) + packer.flush()
             deflated = len(packed) < len(data)
-            payload = packed if deflated else data
-            flag = _DEFLATED if deflated else 0
+            payload, flag = (packed, _DEFLATED) if deflated else (data, 0)
             start = self._append(digest, len(payload) | flag, payload)
             self._index[digest] = (start, len(payload), deflated)
+            if deflated and head:
+                self._deltas += 1
+            elif deflated and len(data) <= BASE_CAP:
+                self._base, self._deltas = (start, data), 0
         return digest
+
+    def _packer(self):
+        """A new blob's payload head and deflater, a delta's if there is a
+        base.  The base is pack state: a session's first put walks the
+        deflated ``_tail`` back to the newest plain record of at most
+        ``BASE_CAP`` bytes (counting ``_deltas``), live and intact."""
+        fd = self._pack.fileno()
+        for digest, start, length, _ in reversed(self._tail):
+            payload = os.pread(fd, length, start)
+            if payload[:1] == _DELTA:
+                self._deltas += 1
+                continue
+            try:
+                data = zlib.decompressobj().decompress(payload, BASE_CAP + 1)
+            except zlib.error:
+                break
+            if len(data) <= BASE_CAP:
+                if (self._index.get(digest, (None,))[0] == start
+                        and sha256_bytes(data) == digest):
+                    self._base = (start, data)
+                break
+        self._tail = []
+        if self._base is None or self._deltas >= BASE_EVERY - 1:
+            return b"", zlib.compressobj(1)
+        head = _DELTA + self._base[0].to_bytes(8, "big")
+        return head, zlib.compressobj(1, zdict=self._base[1])
 
     # ----------------------------------------------------------------- get
 
@@ -243,9 +286,10 @@ class FileStore:
             raise NotFoundError(f"no blob with id {digest}")
         actual = sha256_bytes(data)
         if actual != digest:
+            stored = len(data) if self.root is None else self._index[digest][1]
             raise CorruptBlobError(
                 f"blob {digest} is corrupt: content hashes to {actual} "
-                f"({len(data)} bytes on disk)"
+                f"({len(data)} bytes read back, {stored} stored)"
             )
         return data
 
@@ -264,10 +308,28 @@ class FileStore:
         payload = os.pread(self._pack.fileno(), length, start)
         if deflated:
             try:
-                return zlib.decompress(payload)
+                return self._inflate(payload, start)
             except zlib.error:
                 pass
         return payload
+
+    def _inflate(self, payload: bytes, start: int) -> bytes:
+        """A deflated payload's bytes: a delta's base is inflated first."""
+        if payload[:1] != _DELTA:
+            return zlib.decompress(payload)
+        base = int.from_bytes(payload[1:9], "big")
+        if self._cached[0] != base:
+            if not HEADER.size <= base < start:
+                raise zlib.error(f"no base record at {base}")
+            fd = self._pack.fileno()
+            head = os.pread(fd, HEADER.size, base - HEADER.size)
+            length = min(HEADER.unpack(head)[1] & ~_DEFLATED, start - base)
+            self._cached = (base, zlib.decompress(os.pread(fd, length, base)))
+        inflater = zlib.decompressobj(zdict=self._cached[1])
+        data = inflater.decompress(payload[9:])
+        if not inflater.eof:
+            raise zlib.error("a truncated delta")
+        return data
 
     # -------------------------------------------------------------- delete
 
@@ -287,6 +349,8 @@ class FileStore:
         if digest not in self._index:
             return False
         self._append(digest, _TOMBSTONE)
+        if self._base and self._base[0] == self._index[digest][0]:
+            self._base = None  # no usable base: the next blob is one
         del self._index[digest]
         return True
 
@@ -302,6 +366,7 @@ class FileStore:
         """
         scanned = 0
         quarantined: List[str] = []
+        self._cached = (None, b"")  # a cached base would hide its rot
         for digest in self.list_ids():
             scanned += 1
             data = self._read(digest)
@@ -347,8 +412,8 @@ class FileStore:
     def stats(self) -> Dict[str, object]:
         """Blob population for ``repro db stats``: ``bytes`` counts live
         payloads as stored; on disk ``deflated`` is how many of them are
-        deflated, ``pack_bytes`` the pack's size and ``dead_bytes`` the
-        part of it deleted blobs and their tombstones hold."""
+        deflated (``deltas`` as deltas), ``pack_bytes`` the pack's size and
+        ``dead_bytes`` the part of it deleted blobs and tombstones hold."""
         if self.root is None:
             return {
                 "blobs": len(self._memory),
@@ -361,6 +426,10 @@ class FileStore:
             "bytes": live,
             "deflated": sum(
                 deflated for _, _, deflated in self._index.values()
+            ),
+            "deltas": sum(
+                os.pread(self._pack.fileno(), 1, start) == _DELTA
+                for start, _, deflated in self._index.values() if deflated
             ),
             "pack_bytes": self._end,
             "dead_bytes": self._end - live - HEADER.size * len(self._index),

@@ -140,7 +140,7 @@ def test_fig8_digest_survives_reopen_and_compaction(
 
 def test_quick_fig8_stores_its_stats_blobs_deflated(tmp_path, capsys):
     """Every stats blob a sweep stores is deflated in the pack, and the
-    pack's live payloads take at most 0.35× the blobs' own bytes."""
+    pack's live payloads take at most 0.17× the blobs' own bytes."""
     uri = f"file://{tmp_path / 'db'}"
     assert main(["boot-tests", "--quick", "--db", uri]) == 0
     capsys.readouterr()
@@ -166,7 +166,7 @@ def test_quick_fig8_stores_its_stats_blobs_deflated(tmp_path, capsys):
         length, deflated = extents[digest]
         assert deflated and length < content[digest], digest
     assert stored == sum(length for length, _ in extents.values())
-    assert stored <= 0.35 * sum(content.values())
+    assert stored <= 0.17 * sum(content.values())
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import os
 import shutil
+import zlib
 
 import pytest
 
@@ -20,7 +21,9 @@ from repro.common.errors import (
 from repro.common.hashing import sha256_bytes
 from repro.db import Database, connect
 from repro.db.engine.wal import WalWriter
-from repro.db.filestore import HEADER, PACK_NAME, FileStore, read_pack
+from repro.db.filestore import (
+    BASE_EVERY, HEADER, PACK_NAME, FileStore, read_pack,
+)
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
 from tests.helpers import blob_extent, flip_blob_bytes
@@ -62,13 +65,13 @@ def test_stats_report_live_and_dead_bytes(tmp_path):
     digests = sorted({store.put_bytes(bytes([i]) * 10) for i in range(20)})
     record = HEADER.size + 10
     assert store.stats() == {
-        "blobs": 20, "bytes": 200, "deflated": 0,
+        "blobs": 20, "bytes": 200, "deflated": 0, "deltas": 0,
         "pack_bytes": 20 * record, "dead_bytes": 0, "quarantined": 0,
     }
     assert store.delete(digests[0])
     # The deleted record and its tombstone are dead; bytes is live only.
     assert store.stats() == {
-        "blobs": 19, "bytes": 190, "deflated": 0,
+        "blobs": 19, "bytes": 190, "deflated": 0, "deltas": 0,
         "pack_bytes": 20 * record + HEADER.size,
         "dead_bytes": record + HEADER.size, "quarantined": 0,
     }
@@ -135,10 +138,11 @@ def test_a_duplicate_put_deflates_nothing(tmp_path, monkeypatch):
     store = FileStore(str(tmp_path))
     digest = store.put_bytes(SQUASHABLE)
     size = os.path.getsize(tmp_path / PACK_NAME)
-    monkeypatch.setattr(
-        "repro.db.filestore.zlib.compress",
-        lambda *args: pytest.fail("a duplicate put compressed its bytes"),
-    )
+    for name in ("compress", "compressobj"):
+        monkeypatch.setattr(
+            f"repro.db.filestore.zlib.{name}",
+            lambda *a, **k: pytest.fail("a duplicate put compressed"),
+        )
     assert store.put_bytes(SQUASHABLE) == digest
     assert os.path.getsize(tmp_path / PACK_NAME) == size
 
@@ -183,6 +187,7 @@ def test_a_pack_of_raw_records_reads_unchanged(tmp_path):
     assert store.list_ids() == sorted(old)
     assert store.stats() == {
         "blobs": 3, "bytes": sum(map(len, old.values())), "deflated": 0,
+        "deltas": 0,
         "pack_bytes": len(framed),
         "dead_bytes": 2 * HEADER.size + 7, "quarantined": 0,
     }
@@ -199,6 +204,76 @@ def test_a_pack_of_raw_records_reads_unchanged(tmp_path):
     assert reopened.get_bytes(new) == SQUASHABLE * 2
     for digest, payload in old.items():
         assert reopened.get_bytes(digest) == payload
+
+
+def delta_heads(root):
+    """The first 9 payload bytes of every record in the pack."""
+    pack = (root / PACK_NAME).read_bytes()
+    return [pack[start:start + 9] for _, start, _, _ in records_of(root)[0]]
+
+
+@pytest.mark.parametrize("base_deleted", [False, True])
+def test_deltas_name_a_base_of_at_most_32_kib(tmp_path, base_deleted):
+    """A blob over 32 KiB is deflated but never a base; the next one is,
+    the 7 after it are deltas naming its offset and the 8th is a base.
+    A delta whose base was deleted still reads (its bytes stay), but a
+    deleted base is no base: the next blob is deflated plain."""
+    store = FileStore(str(tmp_path))
+    blobs = [SQUASHABLE * 64] + [SQUASHABLE + b"%d" % i for i in range(9)]
+    digests = [store.put_bytes(blob) for blob in blobs]
+    heads, base = delta_heads(tmp_path), records_of(tmp_path)[0][1][1]
+    assert [head[:1] == b"\xff" for head in heads] == [False] * 2 + [
+        True] * (BASE_EVERY - 1) + [False]
+    assert set(heads[2:-1]) == {b"\xff" + base.to_bytes(8, "big")}
+    assert store.stats()["deltas"] == BASE_EVERY - 1
+    gone = {digests[1], digests[-1]} if base_deleted else set()
+    assert all(store.delete(digest) for digest in gone)
+    reopened = FileStore(str(tmp_path))
+    for digest, blob in zip(digests, blobs):
+        if digest not in gone:
+            assert reopened.get_bytes(digest) == blob
+    reopened.put_bytes(SQUASHABLE + b"next")
+    assert (delta_heads(tmp_path)[-1][:1] == b"\xff") != base_deleted
+
+
+@pytest.mark.parametrize("rotten", [0, 2], ids=["base", "delta"])
+def test_rot_in_a_base_loses_its_deltas_and_one_scrub_takes_them(
+    tmp_path, rotten
+):
+    """Rot in a base fails each of its deltas too; rot in a delta, that
+    blob alone.  One scrub quarantines them, and re-puts restore them."""
+    store = FileStore(str(tmp_path))
+    blobs = [SQUASHABLE + b"%d" % i for i in range(4)]
+    digests = [store.put_bytes(blob) for blob in blobs]
+    assert [store.get_bytes(digest) for digest in digests] == blobs
+    flip_blob_bytes(tmp_path, digests[rotten])
+    lost = [digests[rotten]] if rotten else digests
+    fresh = FileStore(str(tmp_path))
+    for digest in lost:
+        with pytest.raises(CorruptBlobError, match="bytes read back"):
+            fresh.get_bytes(digest)
+    # The cached base does not hide rot from scrub.
+    assert store.scrub()["quarantined"] == sorted(lost)
+    assert [store.put_bytes(blob) for blob in blobs] == digests
+    reopened = FileStore(str(tmp_path))
+    assert [reopened.get_bytes(digest) for digest in digests] == blobs
+    assert reopened.scrub()["quarantined"] == []
+
+
+def test_a_pack_of_the_previous_format_deltas_against_its_newest_base(
+    tmp_path,
+):
+    """Every deflated record of the previous format is plain: the newest
+    of at most 32 KiB is the base of the first new blob."""
+    old = [SQUASHABLE + b"%d" % i for i in range(3)] + [SQUASHABLE * 64]
+    (tmp_path / PACK_NAME).write_bytes(b"".join(
+        HEADER.pack(bytes.fromhex(sha256_bytes(blob)), len(z) | 1 << 63) + z
+        for blob in old for z in [zlib.compress(blob, 1)]
+    ))
+    new = FileStore(str(tmp_path)).put_bytes(SQUASHABLE + b"new")
+    base = records_of(tmp_path)[0][2][1]
+    assert delta_heads(tmp_path)[-1] == b"\xff" + base.to_bytes(8, "big")
+    assert FileStore(str(tmp_path)).get_bytes(new) == SQUASHABLE + b"new"
 
 
 # ------------------------------------------------------------- validation

@@ -477,7 +477,7 @@ def test_db_stats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "STORAGE ENGINE" in out
     assert "runs" in out
-    assert "filestore: 2 blobs (1 deflated), " in out
+    assert "filestore: 2 blobs (1 deflated, 0 deltas), " in out
 
 
 def test_db_compact(tmp_path, capsys):

@@ -151,12 +151,13 @@ def error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def open_db(uri: str):
-    """The database ``--db`` names, for a verb that reads what an
-    earlier one wrote — or None once the reason has been printed: a URI
-    that does not connect, or a ``file://`` directory that is not there
-    (``connect`` would create it, and a mistyped path would answer
-    "empty" and leave a database behind)."""
+def open_db(uri: str, create: bool = False):
+    """The database ``--db`` names — or None once the reason has been
+    printed: a URI that does not connect (a root of another format
+    included), or, unless ``create`` (a verb that may start a database),
+    a ``file://`` directory that is not there (``connect`` would create
+    it, and a mistyped path would answer "empty" and leave a database
+    behind)."""
     import os
     from urllib.parse import urlparse
 
@@ -164,7 +165,8 @@ def open_db(uri: str):
     from repro.db import connect
 
     parsed = urlparse(uri)
-    if parsed.scheme == "file" and not os.path.isdir(parsed.path):
+    missing = parsed.scheme == "file" and not os.path.isdir(parsed.path)
+    if missing and not create:
         error(f"no database at {parsed.path}")
         return None
     try:

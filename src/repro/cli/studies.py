@@ -107,6 +107,16 @@ def sweep_options(args) -> dict:
     return options
 
 
+def _archive(args):
+    """The ``ArtifactDB`` over ``--db`` (``memory://`` without one), or
+    None once the reason it does not open has been printed."""
+    from repro.art import ArtifactDB
+    from repro.cli import open_db
+
+    database = open_db(args.db or "memory://", create=True)
+    return None if database is None else ArtifactDB(database)
+
+
 def _archived(args, experiment) -> None:
     """Save the database; with ``--db``, say what it holds."""
     experiment.db.save()
@@ -123,10 +133,11 @@ def _cmd_boot_tests(args) -> int:
 
     from repro import telemetry
     from repro.analysis import status_grid
-    from repro.art import ArtifactDB, boot_tests
-    from repro.db import connect
+    from repro.art import boot_tests
 
-    db = ArtifactDB(connect(args.db or "memory://"))
+    db = _archive(args)
+    if db is None:
+        return 1
     if args.telemetry:
         telemetry.enable()
     try:
@@ -166,8 +177,7 @@ def _cmd_boot_tests(args) -> int:
 
 def _cmd_parsec(args) -> int:
     from repro.analysis import Series, bar_chart, difference_series
-    from repro.art import ArtifactDB, parsec_study
-    from repro.db import connect
+    from repro.art import parsec_study
     from repro.sim.workload import PARSEC_WORKING_APPS
 
     apps = tuple(args.apps) if args.apps else PARSEC_WORKING_APPS
@@ -175,9 +185,10 @@ def _cmd_parsec(args) -> int:
     if unknown:
         print(f"unknown/broken PARSEC apps: {sorted(unknown)}")
         return 2
-    experiment = parsec_study(
-        ArtifactDB(connect(args.db or "memory://")), apps
-    )
+    db = _archive(args)
+    if db is None:
+        return 1
+    experiment = parsec_study(db, apps)
     experiment.launch()
     times = {
         (record["stack"], record["benchmark"], record["num_cpus"]):
@@ -211,12 +222,12 @@ def _cmd_parsec(args) -> int:
 
 def _cmd_gpu(args) -> int:
     from repro.analysis import Series, bar_chart
-    from repro.art import ArtifactDB, gpu_regalloc_study
-    from repro.db import connect
+    from repro.art import gpu_regalloc_study
 
-    experiment = gpu_regalloc_study(
-        ArtifactDB(connect(args.db or "memory://"))
-    )
+    db = _archive(args)
+    if db is None:
+        return 1
+    experiment = gpu_regalloc_study(db)
     experiment.launch()
     ticks = {
         (record["workload"], record["register_allocator"]):

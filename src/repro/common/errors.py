@@ -39,6 +39,12 @@ class CorruptRecordError(ReproError):
     means fsynced bytes changed underneath the engine and is fatal."""
 
 
+class FormatError(ReproError):
+    """A database root is stamped with an on-disk format this version
+    does not read, or holds data without a stamp.  Raised before any of
+    its bytes is touched."""
+
+
 class FaultInjectedError(ReproError):
     """An error deliberately raised by :mod:`repro.chaos` at an injection
     point.  Recovery code must treat it exactly like the organic failure it

@@ -7,6 +7,7 @@ a directory, where each collection persists through the
 under ``files/`` via the :class:`~repro.db.filestore.FileStore`::
 
     <root>/
+        FORMAT                 # the on-disk format number, FORMAT
         engine/<collection>/   # segment.seg + wal.log per collection
         files/pack             # every content-addressed blob, appended
 
@@ -15,21 +16,44 @@ immediately; ``save()`` is only an fsync barrier (for the WALs and the
 pack alike) and reopening a database is crash recovery: the segment
 replays strictly checksummed, the WAL and pack tails are healed, and
 whatever a ``durability=strict`` writer acknowledged — a blob included
-— is guaranteed back.
+— is guaranteed back, once the root's ``FORMAT`` stamp has passed.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.common.errors import ValidationError
+from repro.common.errors import FormatError, ValidationError
 from repro.db.collection import Collection
-from repro.db.engine.wal import check_durability
+from repro.db.engine import FORMAT
+from repro.db.engine.wal import check_durability, fsync_dir
 from repro.db.filestore import FileStore
 
 if TYPE_CHECKING:
     from repro.db.engine.segments import CollectionStore
+
+
+def _check_format(root: str) -> None:
+    """Stamp a fresh root, or refuse one of another format before a byte
+    of it is touched (``docs/storage.md``, "Format")."""
+    stamp = os.path.join(root, "FORMAT")
+    if not any(os.path.exists(os.path.join(root, part))
+               for part in ("FORMAT", "engine", "files")):
+        os.makedirs(root, exist_ok=True)
+        with open(stamp + ".tmp", "w") as handle:
+            handle.write(f"{FORMAT}\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(stamp + ".tmp", stamp)
+        fsync_dir(root)
+    found = "none"
+    if os.path.exists(stamp):
+        with open(stamp, errors="replace") as handle:
+            found = handle.read().strip()
+    if found != str(FORMAT):
+        raise FormatError(f"{stamp}: database format {found}; this "
+                          f"version reads format {FORMAT} only")
 
 
 class Database:
@@ -51,11 +75,10 @@ class Database:
         self._files: Optional[FileStore] = None
         self._recovery: Dict[str, Dict[str, Any]] = {}
         if root is not None:
+            _check_format(root)
             self._engine_root = os.path.join(root, "engine")
             os.makedirs(self._engine_root, exist_ok=True)
-            self._files = FileStore(
-                os.path.join(root, "files"), self.durability
-            )
+            self._files = FileStore(os.path.join(root, "files"), durability)
             # Reopening is crash recovery: every persisted collection
             # (a directory under engine/) is replayed here.
             for entry in sorted(os.listdir(self._engine_root)):
@@ -94,9 +117,6 @@ class Database:
         self._collections[name] = Collection(name, store, documents)
         return report
 
-    def _each_store(self) -> List[CollectionStore]:
-        return list(self._stores.values())
-
     # ---------------------------------------------------------------- files
 
     @property
@@ -116,14 +136,14 @@ class Database:
         barrier (useful under ``durability=batch``).  A no-op for
         purely in-memory databases.
         """
-        for store in self._each_store():
+        for store in self._stores.values():
             store.flush()
         if self._files is not None:
             self._files.flush()
 
     def close(self) -> None:
         """Flush and close the WAL writers and the pack."""
-        for store in self._each_store():
+        for store in self._stores.values():
             store.close()
         if self._files is not None:
             self._files.close()
@@ -136,7 +156,7 @@ class Database:
         the CLI.  Returns per-collection stats ({} for memory
         databases); unlike the inline form, a failure raises.
         """
-        return {store.name: store.compact() for store in self._each_store()}
+        return {store.name: store.compact() for store in self._stores.values()}
 
     def __enter__(self) -> "Database":
         return self

@@ -17,7 +17,10 @@ acknowledged mutation through it *before* applying it in memory.
 
 from repro.db.engine.wal import DURABILITY_MODES, check_durability
 
-__all__ = ["DURABILITY_MODES", "CollectionStore", "check_durability"]
+__all__ = ["DURABILITY_MODES", "FORMAT", "CollectionStore", "check_durability"]
+
+#: The number a ``file://`` root's ``FORMAT`` file holds (docs/storage.md).
+FORMAT = 1
 
 
 def __getattr__(name: str):

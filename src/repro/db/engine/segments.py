@@ -10,9 +10,7 @@ Each collection owns a directory::
 Both appear at the collection's first append: opening a collection
 that has none reads nothing and creates nothing.  The logs hold
 documents only; an index is schema, declared by the code that owns the
-collection every time it opens it (an ``index`` record a database
-written before that rule still holds replays as nothing, and the next
-compaction drops it).
+collection every time it opens it.
 
 Recovery replays the segment, then the WAL.  Compaction *folds the WAL
 into the segment*: replay both, write ``segment.seg.tmp``, fsync,
@@ -103,16 +101,9 @@ class CollectionStore:
         self._segment_path = os.path.join(self.dir, SEGMENT_NAME)
         self._wal_path = os.path.join(self.dir, WAL_NAME)
         self._segment_bytes = 0
-        old_layout = os.path.join(self.dir, "MANIFEST.json")
-        if os.path.exists(old_layout):
-            raise ValidationError(
-                f"{old_layout}: written by the multi-segment engine, "
-                "whose layout this version does not read"
-            )
-        if os.path.isdir(self.dir):
-            for entry in os.listdir(self.dir):
-                if entry.endswith(".tmp"):  # an aborted compaction
-                    os.remove(os.path.join(self.dir, entry))
+        self._tmp_path = self._segment_path + ".tmp"
+        if os.path.exists(self._tmp_path):  # an aborted compaction
+            os.remove(self._tmp_path)
         #: Opened by :meth:`_log` at the first append, once :meth:`load`
         #: has healed the tail it appends to.
         self._writer: Optional[WalWriter] = None
@@ -173,7 +164,7 @@ class CollectionStore:
             elif op == "delete":
                 state.pop(record["id"], None)
                 orphans.discard(record["id"])
-            elif op != "index":  # older logs' definitions: nothing
+            else:
                 raise ValidationError(f"unknown WAL op: {op!r}")
 
         if os.path.isfile(self._segment_path):
@@ -275,9 +266,8 @@ class CollectionStore:
         self._log().flush()
         before = self._segment_bytes + wal_bytes
         state, report = self._replay(heal=False)
-        tmp = self._segment_path + ".tmp"
         deflater = new_deflater()  # the segment is one stream too
-        with open(tmp, "wb") as handle:
+        with open(self._tmp_path, "wb") as handle:
             for doc in state.values():
                 handle.write(
                     encode_record({"op": "insert", "doc": doc}, deflater)
@@ -285,7 +275,7 @@ class CollectionStore:
             handle.flush()
             os.fsync(handle.fileno())
         chaos.fire("compact.publish", collection=self.name)
-        os.replace(tmp, self._segment_path)
+        os.replace(self._tmp_path, self._segment_path)
         fsync_dir(self.dir)
         self._segment_bytes = os.path.getsize(self._segment_path)
         reclaimed = max(0, before - self._segment_bytes)

@@ -20,12 +20,10 @@ behind the frames before it, needing no byte after it.  A session (an
 open, a ``truncate``, an append that raised) starts a fresh deflater: a
 new stream inflates correctly behind the old one, so nothing carries
 over a reopen.  An append that raised also cuts the file back to where
-its frame began, so the next one never lands behind half a frame.  A
-payload that starts with ``{`` is a raw record, as logs written before
-records were deflated hold them, and reads as it is; ``0xFF`` never
-starts UTF-8, so a tree from before deflated records raises on one
-instead of truncating the log.  The framing makes two failure modes
-detectable without any out-of-band state:
+its frame began, so the next one never lands behind half a frame.
+``0xFF`` never starts UTF-8, so a tree from before deflated records
+raises on a frame instead of truncating the log.  The framing makes two
+failure modes detectable without any out-of-band state:
 
 - a **torn tail** — the process died mid-append, leaving a truncated
   header or payload.  Recovery keeps every record before the tear and
@@ -181,9 +179,7 @@ def read_log(
         if zlib.crc32(payload) != crc:
             tear = f"checksum mismatch at byte {offset}"
             break
-        if payload[:1] == DEFLATED:  # else a raw record, as written
-            payload = inflater.decompress(payload[1:])
-        apply(loads(payload.decode("utf-8")))
+        apply(loads(inflater.decompress(payload[1:]).decode("utf-8")))
         offset = start + length
     if tear is not None and not tolerate_torn_tail:
         raise CorruptRecordError(f"{path}: {tear}")

@@ -11,15 +11,14 @@ the database rather than as one OS file each.  A record is::
 
     [32-byte raw SHA-256][8-byte big-endian length][payload]
 
-A new blob is deflated (``zlib`` level 1) and kept that way when that
-is shorter; bit 63 of the length (``_DEFLATED``) then says so, and the
-rest of it is the stored payload's length.  A record without the flag
-is raw — every record of a pack written before blobs were deflated
-reads as it is.  Most new blobs are *deltas* (``_packer``): ``_DELTA``,
-a base blob's offset and a zlib stream with the base as its preset
-dictionary.  A delete appends a *tombstone*: the digest with length
-``_TOMBSTONE`` (all 64 bits set) and no payload.  Opening the store
-walks the record headers — never the payloads — into a
+A new blob is deflated (``zlib`` level 1) and kept that way when that is
+shorter; bit 63 of the length (``_DEFLATED``) then says so, and the rest
+of it is the stored payload's length.  A record without the flag is raw:
+a blob that does not deflate.  Most new blobs are *deltas*
+(``_packer``): ``_DELTA``, a base blob's offset and a zlib stream with
+the base as its preset dictionary.  A delete appends a *tombstone*: the
+digest with length ``_TOMBSTONE`` (all 64 bits set) and no payload.
+Opening the store walks the record headers — never the payloads — into a
 ``digest → (offset, stored length, deflated)`` index; a torn tail (a
 process killed mid-append) is truncated back to the last whole record,
 as the WAL's is.  An append is one unbuffered ``os.writev`` call, so a
@@ -60,8 +59,6 @@ from repro.db.engine.wal import check_durability
 PACK_NAME = "pack"
 _QUARANTINE_DIR = "quarantine"
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
-#: A directory of the retired one-file-per-blob layout (``<root>/ab/``).
-_SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 
 #: Record header: raw SHA-256 + stored payload length, big-endian.
 HEADER = struct.Struct(">32sQ")
@@ -168,13 +165,6 @@ class FileStore:
         self._cached: Tuple[Optional[int], bytes] = (None, b"")  # last base
         if root is not None:
             os.makedirs(root, exist_ok=True)
-            for entry in os.listdir(root):
-                path = os.path.join(root, entry)
-                if _SHARD_RE.match(entry) and os.path.isdir(path):
-                    raise ValidationError(
-                        f"{path}: a blob shard of the one-file-per-blob "
-                        "layout, which this version does not read"
-                    )
             self._pack = open(
                 os.path.join(root, PACK_NAME), "a+b", buffering=0
             )

@@ -20,13 +20,14 @@ import pytest
 from repro.art import ArtifactDB, run_jobs_scheduler
 from repro.cli import main
 from repro.db import connect
+from repro.db.engine import FORMAT
 from repro.common.jsonutil import record_dumps
 from repro.db.engine.wal import WalWriter, read_log
 from repro.db.filestore import PACK_NAME, read_pack
 
 from tests.art.test_launch_share import make_experiment
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
-from tests.helpers import WEDGED_CPUS, raw_frame, wedge_simulations
+from tests.helpers import WEDGED_CPUS, wedge_simulations
 
 PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
@@ -108,7 +109,8 @@ def test_quick_fig8_logs_one_insert_per_run(tmp_path, capsys):
         assert ops(records)[0] == "insert"
         assert set(ops(records)[1:]) == {"update"}
         assert all(
-            len(raw_frame(record)) < 1024 for record in records[1:]
+            8 + len(record_dumps(record).encode()) < 1024
+            for record in records[1:]
         )
     capsys.readouterr()
 
@@ -118,22 +120,26 @@ def test_fig8_digest_survives_reopen_and_compaction(
 ):
     """The full grid, against the oracle of ``fig8-cold``: the run
     documents a reader finds are those the parent tree wrote — live,
-    replayed from ``update`` records, and folded into a segment."""
+    replayed from ``update`` records, and folded into a segment by
+    ``repro db compact``, which like ``repro db scrub`` leaves the
+    ``FORMAT`` stamp as it was."""
     expected = json.loads((PERF / "expected.json").read_text())["fig8-cold"]
     uri = f"file://{tmp_path / 'db'}"
     assert main(["boot-tests", "--db", uri, "--workers", "2"]) == 0
-    capsys.readouterr()
     with connect(uri) as database:
         assert runs_digest(database) == expected["digest"]
         documents = database["runs"].find()
-    with connect(uri) as reopened:
-        assert reopened["runs"].find() == documents
-        assert runs_digest(reopened) == expected["digest"]
-        reopened.compact()
-        assert reopened.storage_stats()["collections"]["runs"][
+    stamp = tmp_path / "db" / "FORMAT"
+    written = (stamp.read_text(), stamp.stat().st_mtime_ns)
+    assert written[0] == f"{FORMAT}\n"
+    assert main(["db", "compact", "--db", uri]) == 0
+    assert main(["db", "scrub", "--db", uri]) == 0
+    assert (stamp.read_text(), stamp.stat().st_mtime_ns) == written
+    capsys.readouterr()
+    with connect(uri) as compacted:
+        assert compacted.storage_stats()["collections"]["runs"][
             "wal_bytes"
         ] == 0
-    with connect(uri) as compacted:
         assert compacted["runs"].find() == documents
         assert runs_digest(compacted) == expected["digest"]
 

@@ -10,10 +10,11 @@ import threading
 import pytest
 
 from repro.art import ArtifactDB
-from repro.common.errors import DuplicateError, ValidationError
+from repro.common.errors import DuplicateError, FormatError, ValidationError
 from repro.db import Database, connect
-from repro.db.engine.wal import DEFLATED, encode_record, new_deflater, read_log
-from tests.helpers import insert_many, raw_frame
+from repro.db.engine import FORMAT
+from repro.db.engine.wal import encode_record, new_deflater, read_log
+from tests.helpers import insert_many
 
 
 def open_db(tmp_path, **kwargs):
@@ -115,27 +116,6 @@ def test_indexes_restored_on_reopen(tmp_path):
     assert [record["op"] for record in read_log(str(wal))[0]] == ["insert"]
 
 
-def test_a_log_that_holds_index_records_still_opens(tmp_path):
-    """A database written while indexes were logged and records stored
-    raw: its ``index`` records replay as nothing, deflated records go on
-    behind the raw ones, and compaction drops the index records."""
-    index = raw_frame({"op": "index", "field": "h", "unique": True})
-    insert = {"op": "insert", "doc": {"_id": "a", "h": 1}}
-    later = {"op": "insert", "doc": {"_id": "b"}}
-    base = tmp_path / "db" / "engine" / "arts"
-    base.mkdir(parents=True)
-    (base / "segment.seg").write_bytes(index + raw_frame(insert))
-    (base / "wal.log").write_bytes(index)
-    with open_db(tmp_path) as db:
-        assert db["arts"].find() == [insert["doc"]]
-        db["arts"].insert_one(later["doc"])
-    assert (base / "wal.log").read_bytes()[len(index) + 8 :][:1] == DEFLATED
-    with open_db(tmp_path) as db:  # a raw and a deflated record
-        assert db["arts"].find() == [insert["doc"], later["doc"]]
-        db.compact()
-    assert read_log(str(base / "segment.seg"))[0] == [insert, later]
-
-
 # -------------------------------------------------------------- compact
 
 
@@ -211,10 +191,30 @@ def test_collection_name_validation(tmp_path):
     with pytest.raises(ValidationError):
         db.collection(".hidden")
     db.close()
-    # Nor is a directory in the retired multi-segment layout half-read.
-    (tmp_path / "db" / "engine" / "old").mkdir()
-    (tmp_path / "db" / "engine" / "old" / "MANIFEST.json").write_text("{}")
-    with pytest.raises(ValidationError, match="old/MANIFEST.json"):
+
+
+def test_a_fresh_root_is_stamped_before_anything_else(tmp_path, monkeypatch):
+    """The stamp goes down before ``engine/`` or ``files/`` exists, so a
+    crash while writing it leaves no database, and the next open starts
+    one; an ``index`` record, which no format-1 log holds, is refused."""
+    root = tmp_path / "db"
+    monkeypatch.setattr(os, "replace", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        open_db(tmp_path)
+    assert sorted(os.listdir(root)) == ["FORMAT.tmp"]
+    monkeypatch.undo()
+    with open_db(tmp_path) as db:
+        db["c"].insert_one({"_id": "a"})
+    assert (root / "FORMAT").read_text() == f"{FORMAT}\n"
+    assert sorted(os.listdir(root)) == ["FORMAT", "engine", "files"]
+    (root / "FORMAT").write_text("one")
+    with pytest.raises(FormatError, match="FORMAT: database format one"):
+        open_db(tmp_path)
+    (root / "FORMAT").write_text(f"{FORMAT}\n")
+    with open(root / "engine" / "c" / "wal.log", "ab") as handle:
+        index = {"op": "index", "field": "h", "unique": True}
+        handle.write(encode_record(index, new_deflater()))
+    with pytest.raises(ValidationError, match="unknown WAL op: 'index'"):
         open_db(tmp_path)
 
 

@@ -92,17 +92,6 @@ def test_open_reads_headers_not_payloads(tmp_path, monkeypatch):
     assert reads == [HEADER.size] * 5
 
 
-def test_old_shard_layout_is_refused(tmp_path):
-    shard = tmp_path / "db" / "files" / "ab"
-    shard.mkdir(parents=True)
-    (shard / ("ab" + "0" * 62)).write_bytes(b"a blob of the old layout")
-    with pytest.raises(ValidationError, match="one-file-per-blob"):
-        FileStore(str(shard.parent))
-    with pytest.raises(ValidationError, match="one-file-per-blob"):
-        Database("test", root=str(tmp_path / "db"))
-    assert not (shard.parent / PACK_NAME).exists()
-
-
 # ------------------------------------------------------ deflated records
 
 
@@ -136,14 +125,14 @@ def test_a_tiny_or_incompressible_blob_is_stored_raw(tmp_path, payload):
 
 def test_a_duplicate_put_deflates_nothing(tmp_path, monkeypatch):
     store = FileStore(str(tmp_path))
-    digest = store.put_bytes(SQUASHABLE)
+    digests = [store.put_bytes(blob) for blob in (SQUASHABLE, NOISE)]
     size = os.path.getsize(tmp_path / PACK_NAME)
     for name in ("compress", "compressobj"):
         monkeypatch.setattr(
             f"repro.db.filestore.zlib.{name}",
             lambda *a, **k: pytest.fail("a duplicate put compressed"),
         )
-    assert store.put_bytes(SQUASHABLE) == digest
+    assert [store.put_bytes(blob) for blob in (SQUASHABLE, NOISE)] == digests
     assert os.path.getsize(tmp_path / PACK_NAME) == size
 
 
@@ -169,41 +158,6 @@ def test_rot_inside_a_deflated_payload_is_caught_and_quarantined(tmp_path):
     assert store.put_bytes(SQUASHABLE + b"rots\n") == bad
     assert store.get_bytes(bad) == SQUASHABLE + b"rots\n"
     assert FileStore(str(tmp_path)).scrub()["quarantined"] == []
-
-
-def test_a_pack_of_raw_records_reads_unchanged(tmp_path):
-    """A pack framed as before blobs were deflated — every length
-    without the flag — opens, reads and scrubs clean, and a re-put of
-    its content appends nothing."""
-    old = {sha256_bytes(p): p for p in (SQUASHABLE, NOISE, b"")}
-    gone = sha256_bytes(b"deleted")
-    framed = b"".join(
-        HEADER.pack(bytes.fromhex(digest), len(payload)) + payload
-        for digest, payload in old.items()
-    ) + HEADER.pack(bytes.fromhex(gone), 7) + b"deleted"
-    framed += HEADER.pack(bytes.fromhex(gone), (1 << 64) - 1)
-    (tmp_path / PACK_NAME).write_bytes(framed)
-    store = FileStore(str(tmp_path))
-    assert store.list_ids() == sorted(old)
-    assert store.stats() == {
-        "blobs": 3, "bytes": sum(map(len, old.values())), "deflated": 0,
-        "deltas": 0,
-        "pack_bytes": len(framed),
-        "dead_bytes": 2 * HEADER.size + 7, "quarantined": 0,
-    }
-    for digest, payload in old.items():
-        assert store.get_bytes(digest) == payload
-        assert store.put_bytes(payload) == digest
-    assert (tmp_path / PACK_NAME).read_bytes() == framed
-    assert store.scrub() == {"scanned": 3, "quarantined": []}
-    # New content beside the old records is deflated; both read back.
-    new = store.put_bytes(SQUASHABLE * 2)
-    store.close()
-    reopened = FileStore(str(tmp_path))
-    assert reopened.stats()["deflated"] == 1
-    assert reopened.get_bytes(new) == SQUASHABLE * 2
-    for digest, payload in old.items():
-        assert reopened.get_bytes(digest) == payload
 
 
 def delta_heads(root):
@@ -260,11 +214,11 @@ def test_rot_in_a_base_loses_its_deltas_and_one_scrub_takes_them(
     assert reopened.scrub()["quarantined"] == []
 
 
-def test_a_pack_of_the_previous_format_deltas_against_its_newest_base(
+def test_a_session_s_first_put_deltas_against_the_newest_small_base(
     tmp_path,
 ):
-    """Every deflated record of the previous format is plain: the newest
-    of at most 32 KiB is the base of the first new blob."""
+    """A new session's first put derives its base from the pack: the
+    newest plain deflated record of at most 32 KiB."""
     old = [SQUASHABLE + b"%d" % i for i in range(3)] + [SQUASHABLE * 64]
     (tmp_path / PACK_NAME).write_bytes(b"".join(
         HEADER.pack(bytes.fromhex(sha256_bytes(blob)), len(z) | 1 << 63) + z

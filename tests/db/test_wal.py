@@ -31,7 +31,7 @@ def test_roundtrip(tmp_path):
     records = [
         {"op": "insert", "doc": {"_id": "a", "n": 1}},
         {"op": "delete", "id": "a"},
-        {"op": "index", "field": "n", "unique": False},
+        {"op": "update", "id": "a", "set": {"n": 2}, "unset": []},
     ]
     write_records(path, records)
     decoded, offset, tear = read_log(path)
@@ -154,8 +154,9 @@ DOCS = [{"_id": f"d{n}", "v": "x" * 40} for n in range(4)]
 def test_a_tear_anywhere_in_the_last_deflated_frame_heals(tmp_path):
     """A cut at any byte of one session's last frame heals on open, and a
     new session's appends read back behind every record before it."""
+    Database("t", root=str(tmp_path / "db")).close()  # stamped
     wal = tmp_path / "db" / "engine" / "c" / "wal.log"
-    wal.parent.mkdir(parents=True)
+    wal.parent.mkdir()
     writer = WalWriter(str(wal), "strict", "c")
     for doc in DOCS:
         last = writer.size()

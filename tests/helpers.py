@@ -25,17 +25,6 @@ def set_engine_knobs(monkeypatch, **knobs):
         monkeypatch.setattr(ENGINE_KNOBS[knob], value)
 
 
-def raw_frame(record):
-    """A WAL frame as logs from before deflated records hold it."""
-    import struct
-    import zlib
-
-    from repro.common.jsonutil import record_dumps
-
-    payload = record_dumps(record).encode("utf-8")
-    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
-
-
 def blob_extent(root, digest):
     """``(payload offset, stored length)`` of a blob's live record in
     the pack a ``FileStore`` keeps under ``root`` — the bytes on disk,

@@ -11,6 +11,7 @@ import pytest
 from repro.art import ArtifactDB, Experiment
 from repro.cli import VERBS, main
 from repro.db import connect
+from repro.db.engine import FORMAT
 
 from tests.helpers import flip_blob_bytes
 
@@ -553,9 +554,13 @@ WRITERS = ("boot-tests", "parsec", "gpu", "resume", "reproduce",
            "pipeline rerun")
 
 
-def inspections():
+PAPER = Path(__file__).parents[1] / "examples" / "paper.yaml"
+
+
+def db_verbs(writers):
     """Every verb that takes ``--db``, once per combination of its
-    choices, but the writers; a required positional names an experiment."""
+    choices, the writers only with ``writers``; a required positional
+    names an experiment, or the manifest ``reproduce`` runs."""
     for verb, _, family in VERBS:
         parser = argparse.ArgumentParser()
         family()[verb][0](parser)
@@ -567,10 +572,13 @@ def inspections():
             if action.choices:
                 words.append([flag + [choice] for choice in action.choices])
             elif not flag and action.nargs is None:
-                words.append([["boot-tests"]])
+                manifest = action.dest == "manifest"
+                words.append([[str(PAPER) if manifest else "boot-tests"]])
         for parts in itertools.product(*words):
             named = " ".join(part[0] for part in parts if len(part) == 1)
-            if not any(f"{named} ".startswith(f"{w} ") for w in WRITERS):
+            if writers or not any(
+                f"{named} ".startswith(f"{w} ") for w in WRITERS
+            ):
                 yield sum(parts, [])
 
 
@@ -579,8 +587,7 @@ def inspected(request, tmp_path_factory):
     root = tmp_path_factory.mktemp("inspected") / "db"
     assert main(["boot-tests", "--quick", "--db", f"file://{root}"]) == 0
     if request.param == "reproduced":
-        paper = Path(__file__).parents[1] / "examples" / "paper.yaml"
-        assert main(["reproduce", str(paper), "--db", f"file://{root}"]) == 0
+        assert main(["reproduce", str(PAPER), "--db", f"file://{root}"]) == 0
     return root
 
 
@@ -592,11 +599,38 @@ def tree(root):
     }
 
 
-@pytest.mark.parametrize("argv", list(inspections()), ids=" ".join)
+@pytest.mark.parametrize("argv", list(db_verbs(False)), ids=" ".join)
 def test_inspection_is_a_pure_read(inspected, argv, tmp_path, capsys):
     root = shutil.copytree(inspected, tmp_path / "db")
     before = tree(root)
     main(argv + ["--db", f"file://{root}"])
+    assert tree(root) == before
+
+
+@pytest.mark.parametrize("stamp", [f"{FORMAT + 1}\n", None],
+                         ids=["newer", "unstamped"])
+@pytest.mark.parametrize("argv", list(db_verbs(True)), ids=" ".join)
+def test_every_db_verb_refuses_a_format_it_cannot_read(
+    inspected, argv, stamp, tmp_path, capsys
+):
+    """A root of another format, or of none, is refused by every verb
+    before a byte changes: its torn WAL and pack tails are not cut, nor
+    its compaction debris swept."""
+    root = shutil.copytree(inspected, tmp_path / "db")
+    (root / "FORMAT").unlink()
+    if stamp is not None:
+        (root / "FORMAT").write_text(stamp)
+    for torn in ("engine/runs/wal.log", "files/pack"):
+        with open(root / torn, "ab") as handle:
+            handle.write(b"\x00\x00\x01 half a record")
+    (root / "engine" / "runs" / "segment.seg.tmp").write_bytes(b"debris")
+    before = tree(root)
+    assert main(argv + ["--db", f"file://{root}"]) != 0
+    found = stamp.strip() if stamp else "none"
+    assert capsys.readouterr().err.endswith(
+        f"error: {root / 'FORMAT'}: database format {found}; "
+        f"this version reads format {FORMAT} only\n"
+    )
     assert tree(root) == before
 
 

@@ -1,76 +1,51 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``test_fig*`` / ``test_table*`` module regenerates one table or
-figure from the paper.  The expensive sweeps (60 PARSEC runs, 480 boot
-tests, 58 GPU runs) are computed once per session here and shared; the
-``benchmark`` fixture then times a representative unit of each experiment
-so ``pytest benchmarks/ --benchmark-only`` doubles as a performance
-regression suite for the simulator itself.
+figure from the paper.  The three paper sweeps (480 boot tests, 60
+PARSEC runs, 58 GPU runs) are one ``repro reproduce
+examples/paper-full.yaml``, run once per session: its gates hold Fig 8's
+counts, and each figure reads its sweep's
+:meth:`~repro.art.Experiment.records`.  The ``benchmark`` fixture then
+times a representative unit of each experiment so ``pytest benchmarks/
+--benchmark-only`` doubles as a performance regression suite for the
+simulator itself.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.art import (
-    ArtifactDB,
-    boot_tests,
-    gpu_regalloc_study,
-    parsec_study,
-)
+from repro.analysis import group_by, pivot
+from repro.art import ArtifactDB, Experiment
+from repro.pipeline import load_manifest, run_pipeline
 
-
-def _records(experiment):
-    """:meth:`~repro.art.Experiment.records` of a study, launched on
-    worker processes."""
-    experiment.launch(substrate="processes", workers=8)
-    return experiment.records()
+MANIFEST = Path(__file__).parents[1] / "examples" / "paper-full.yaml"
 
 
 @pytest.fixture(scope="session")
-def parsec_sweep():
-    """The use-case 1 cross product: {18.04, 20.04} x 10 apps x {1,2,8}.
-
-    Returns ``{os_key: {app: {cpus: workload_seconds}}}``.
-    """
-    table = {}
-    for record in _records(parsec_study(ArtifactDB())):
-        table.setdefault(record["stack"], {}).setdefault(
-            record["benchmark"], {}
-        )[record["num_cpus"]] = record["workload_seconds"]
-    return table
-
-
-@pytest.fixture(scope="session")
-def boot_sweep():
-    """The use-case 2 cross product: 480 boot-test runs.
-
-    Returns a list of flat records (one per run).
-    """
-    return [
-        {
-            "boot_type": record["boot_type"],
-            "cpu_type": record["cpu_type"],
-            "memory_system": record["memory_system"],
-            "num_cpus": record["num_cpus"],
-            "kernel": record["stack"].removeprefix("linux-"),
-            "status": record["outcome"],
-            "reason": record["reason"],
-            "sim_seconds": record["sim_seconds"],
-        }
-        for record in _records(boot_tests(ArtifactDB()))
-    ]
+def paper():
+    """Sweep stage name (``boot``: Fig 8, ``parsec``: Figs 6/7, ``gpu``:
+    Fig 9) → its experiment's records, from one pipeline run whose every
+    gate passed."""
+    db = ArtifactDB()
+    result = run_pipeline(db, load_manifest(str(MANIFEST)))
+    assert result["status"] == "succeeded", result["error"]
+    sweeps = {}
+    for name, stage in result["stages"].items():
+        if stage["kind"] == "sweep":
+            outputs = json.loads(db.download_file(stage["outputs_blob"]))
+            experiment = Experiment.load(db, outputs["experiment_id"])
+            sweeps[name] = experiment.records()
+    return sweeps
 
 
 @pytest.fixture(scope="session")
-def gpu_sweep():
-    """Use-case 3: every Table IV workload under both allocators.
-
-    Returns ``{workload: {allocator: shader_ticks}}``.
-    """
-    results = {}
-    for record in _records(gpu_regalloc_study(ArtifactDB())):
-        results.setdefault(record["workload"], {})[
-            record["register_allocator"]
-        ] = record["shader_ticks"]
-    return results
+def parsec_seconds(paper):
+    """Figs 6/7: ``{os: {app: {cores: workload seconds}}}``."""
+    return {
+        os_key: pivot(records, "benchmark", "num_cpus", "workload_seconds")
+        for (os_key,), records in group_by(paper["parsec"], ["stack"]).items()
+    }

@@ -22,20 +22,20 @@ from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 
-def diff_series(parsec_sweep, cpus):
-    apps = sorted(parsec_sweep["ubuntu-18.04"])
+def diff_series(parsec_seconds, cpus):
+    apps = sorted(parsec_seconds["ubuntu-18.04"])
     bionic = Series(
-        "18.04", {a: parsec_sweep["ubuntu-18.04"][a][cpus] for a in apps}
+        "18.04", {a: parsec_seconds["ubuntu-18.04"][a][cpus] for a in apps}
     )
     focal = Series(
-        "20.04", {a: parsec_sweep["ubuntu-20.04"][a][cpus] for a in apps}
+        "20.04", {a: parsec_seconds["ubuntu-20.04"][a][cpus] for a in apps}
     )
     return difference_series(f"{cpus}c", bionic, focal)
 
 
-def test_fig6_1804_typically_slower(parsec_sweep):
+def test_fig6_1804_typically_slower(parsec_seconds):
     for cpus in PARSEC_CPU_COUNTS:
-        diff = diff_series(parsec_sweep, cpus)
+        diff = diff_series(parsec_seconds, cpus)
         positive = sum(1 for v in diff.values.values() if v > 0)
         assert positive >= 8, (
             f"at {cpus} cores only {positive}/10 apps were slower on "
@@ -43,28 +43,28 @@ def test_fig6_1804_typically_slower(parsec_sweep):
         )
 
 
-def test_fig6_difference_shrinks_with_cores(parsec_sweep):
+def test_fig6_difference_shrinks_with_cores(parsec_seconds):
     means = {
-        cpus: diff_series(parsec_sweep, cpus).mean()
+        cpus: diff_series(parsec_seconds, cpus).mean()
         for cpus in PARSEC_CPU_COUNTS
     }
     assert means[1] > means[2] > means[8] > 0
 
 
-def test_fig6_compute_bound_apps_can_invert(parsec_sweep):
+def test_fig6_compute_bound_apps_can_invert(parsec_seconds):
     """swaptions (tiny working set, compute bound) pays GCC 9.3's larger
     instruction count without the memory win — the 'typically' caveat."""
-    diff = diff_series(parsec_sweep, 1)
+    diff = diff_series(parsec_seconds, 1)
     assert diff["swaptions"] < diff["ferret"]
 
 
-def test_fig6_render(parsec_sweep, capsys, benchmark):
+def test_fig6_render(parsec_seconds, capsys, benchmark):
     def render():
         blocks = []
         for cpus in PARSEC_CPU_COUNTS:
             blocks.append(f"--- {cpus} core(s) ---")
             blocks.append(
-                bar_chart([diff_series(parsec_sweep, cpus)], unit="s")
+                bar_chart([diff_series(parsec_seconds, cpus)], unit="s")
             )
         return "\n".join(blocks)
 

@@ -9,9 +9,12 @@ x 4 core counts.  The paper's findings, asserted exactly:
 - O3CPU: ~40% success, 27 kernel panics, 31 other failures of which 11
   are gem5 segfaults and 4 are 'possible deadlock detected' errors (all
   on MI_example), the rest exceeding the 24-hour timeout.
-"""
 
-import collections
+The counts are the gates of ``examples/paper-full.yaml``'s
+``outcomes-by-cpu`` and ``outcomes-by-memory`` stages (the session
+fixture fails unless every gate passes); this file asserts what a count
+cannot: which cells they are, and how long the boots take.
+"""
 
 import pytest
 
@@ -26,59 +29,24 @@ from repro.art import (
     run_job,
 )
 from repro.art.studies import BOOT_AXES
-from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_kernel
+from repro.guest import get_kernel
 from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 
-def by_cpu(boot_sweep, cpu_type):
-    return [r for r in boot_sweep if r["cpu_type"] == cpu_type]
-
-
-def test_fig8_sweep_is_480_runs(boot_sweep):
-    assert len(boot_sweep) == 480
-
-
-def test_fig8_kvm_all_pass(boot_sweep):
-    assert all(r["status"] == "ok" for r in by_cpu(boot_sweep, "kvm"))
-
-
-def test_fig8_atomic_classic_only(boot_sweep):
-    for record in by_cpu(boot_sweep, "atomic"):
-        expected = (
-            "ok" if record["memory_system"] == "classic" else "unsupported"
-        )
-        assert record["status"] == expected, record
+@pytest.fixture(scope="module")
+def boot_sweep(paper):
+    return paper["boot"]
 
 
 def test_fig8_timing_single_core_classic_limit(boot_sweep):
-    for record in by_cpu(boot_sweep, "timing"):
+    for record in boot_sweep:
+        if record["cpu_type"] != "timing":
+            continue
         if record["memory_system"] == "classic" and record["num_cpus"] > 1:
-            assert record["status"] == "unsupported", record
+            assert record["outcome"] == "unsupported", record
         else:
-            assert record["status"] == "ok", record
-
-
-def test_fig8_o3_paper_counts(boot_sweep):
-    counts = collections.Counter(
-        r["status"] for r in by_cpu(boot_sweep, "o3")
-    )
-    assert counts["kernel_panic"] == 27
-    assert counts["gem5_segfault"] == 11
-    assert counts["deadlock"] == 4
-    assert counts["timeout"] == 16
-    # "31 cases where gem5 failed ... because of other reasons"
-    assert counts["gem5_segfault"] + counts["deadlock"] + (
-        counts["timeout"]
-    ) == 31
-    attempted = 120 - counts["unsupported"]
-    assert 0.30 <= counts["ok"] / attempted <= 0.45  # "approximately 40%"
-
-
-def test_fig8_deadlocks_all_mi_example(boot_sweep):
-    deadlocks = [r for r in boot_sweep if r["status"] == "deadlock"]
-    assert len(deadlocks) == 4
-    assert all(r["memory_system"] == "MI_example" for r in deadlocks)
+            assert record["outcome"] == "ok", record
 
 
 def test_fig8_boot_type_does_not_change_support(boot_sweep):
@@ -90,9 +58,9 @@ def test_fig8_boot_type_does_not_change_support(boot_sweep):
             record["cpu_type"],
             record["memory_system"],
             record["num_cpus"],
-            record["kernel"],
+            record["stack"],
         )
-        outcome.setdefault(key, {})[record["boot_type"]] = record["status"]
+        outcome.setdefault(key, {})[record["boot_type"]] = record["outcome"]
     for key, statuses in outcome.items():
         if key[0] != "o3":
             assert statuses["init"] == statuses["systemd"], key
@@ -100,22 +68,22 @@ def test_fig8_boot_type_does_not_change_support(boot_sweep):
 
 def test_fig8_successful_boots_have_time(boot_sweep):
     for record in boot_sweep:
-        if record["status"] == "ok" and record["cpu_type"] != "kvm":
+        if record["outcome"] == "ok" and record["cpu_type"] != "kvm":
             assert record["sim_seconds"] > 0, record
 
 
 def test_fig8_systemd_boot_slower_than_init(boot_sweep):
     init_runs = {
-        (r["kernel"], r["cpu_type"], r["memory_system"], r["num_cpus"]):
+        (r["stack"], r["cpu_type"], r["memory_system"], r["num_cpus"]):
         r["sim_seconds"]
         for r in boot_sweep
-        if r["boot_type"] == "init" and r["status"] == "ok"
+        if r["boot_type"] == "init" and r["outcome"] == "ok"
     }
     for record in boot_sweep:
-        if record["boot_type"] != "systemd" or record["status"] != "ok":
+        if record["boot_type"] != "systemd" or record["outcome"] != "ok":
             continue
         key = (
-            record["kernel"],
+            record["stack"],
             record["cpu_type"],
             record["memory_system"],
             record["num_cpus"],
@@ -146,11 +114,11 @@ def test_fig8_render(boot_sweep, capsys, benchmark):
                         f"{record['memory_system'][:2]}"
                         f"{record['num_cpus']}"
                     )
-                    cells[(record["kernel"], column)] = record["status"]
+                    cells[(record["stack"], column)] = record["outcome"]
                 blocks.append(
                     status_grid(
                         cells,
-                        BOOT_TEST_KERNEL_VERSIONS,
+                        list(dict.fromkeys(r["stack"] for r in boot_sweep)),
                         columns,
                         title=f"boot={boot} cpu={cpu}",
                     )

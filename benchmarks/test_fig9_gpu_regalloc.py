@@ -14,74 +14,82 @@ Paper's findings, asserted here:
 
 import pytest
 
-from repro.analysis import Series, bar_chart
+from repro.analysis import Series, bar_chart, pivot
 from repro.gpu import GPU_WORKLOADS, GPUConfig, GPUDevice, \
     WORKLOADS_BY_SUITE
 
 
-def relative_time(gpu_sweep, name):
+@pytest.fixture(scope="module")
+def ticks(paper):
+    """``{workload: {allocator: shader ticks}}``."""
+    return pivot(
+        paper["gpu"], "workload", "register_allocator", "shader_ticks"
+    )
+
+
+def relative_time(ticks, name):
     """T_dynamic / T_simple (1.61 == dynamic 61% worse)."""
-    return gpu_sweep[name]["dynamic"] / gpu_sweep[name]["simple"]
+    return ticks[name]["dynamic"] / ticks[name]["simple"]
 
 
-def test_fig9_covers_all_29_workloads(gpu_sweep):
-    assert len(gpu_sweep) == 29
+def test_fig9_covers_all_29_workloads(ticks):
+    assert len(ticks) == 29
 
 
-def test_fig9_simple_wins_on_average(gpu_sweep):
+def test_fig9_simple_wins_on_average(ticks):
     mean = sum(
-        relative_time(gpu_sweep, name) for name in gpu_sweep
-    ) / len(gpu_sweep)
+        relative_time(ticks, name) for name in ticks
+    ) / len(ticks)
     assert 1.03 <= mean <= 1.12, (
         f"mean dynamic/simple = {mean:.3f}; paper reports simple better "
         "by ~8% on average"
     )
 
 
-def test_fig9_famutex_61_percent_worse(gpu_sweep):
-    ratio = relative_time(gpu_sweep, "FAMutex")
+def test_fig9_famutex_61_percent_worse(ticks):
+    ratio = relative_time(ticks, "FAMutex")
     assert ratio == pytest.approx(1.61, abs=0.08)
-    assert max(gpu_sweep, key=lambda n: relative_time(gpu_sweep, n)) == (
+    assert max(ticks, key=lambda n: relative_time(ticks, n)) == (
         "FAMutex"
     )
 
 
-def test_fig9_fwd_pool_22_percent_worse(gpu_sweep):
-    assert relative_time(gpu_sweep, "fwd_pool") == pytest.approx(
+def test_fig9_fwd_pool_22_percent_worse(ticks):
+    assert relative_time(ticks, "fwd_pool") == pytest.approx(
         1.22, abs=0.05
     )
 
 
-def test_fig9_heterosync_suffers(gpu_sweep):
+def test_fig9_heterosync_suffers(ticks):
     for name in WORKLOADS_BY_SUITE["HeteroSync"]:
-        assert relative_time(gpu_sweep, name) > 1.03, name
+        assert relative_time(ticks, name) > 1.03, name
 
 
-def test_fig9_small_kernels_indifferent(gpu_sweep):
+def test_fig9_small_kernels_indifferent(ticks):
     for name in ("2dshfl", "dynamic_shared", "shfl", "unroll"):
-        assert relative_time(gpu_sweep, name) == pytest.approx(
+        assert relative_time(ticks, name) == pytest.approx(
             1.0, abs=0.01
         ), name
 
 
-def test_fig9_limited_work_apps_indifferent(gpu_sweep):
+def test_fig9_limited_work_apps_indifferent(ticks):
     for name in ("HACC", "LULESH"):
-        assert relative_time(gpu_sweep, name) == pytest.approx(
+        assert relative_time(ticks, name) == pytest.approx(
             1.0, abs=0.05
         ), name
 
 
-def test_fig9_dynamic_helps_parallel_memory_bound_apps(gpu_sweep):
+def test_fig9_dynamic_helps_parallel_memory_bound_apps(ticks):
     for name in (
         "inline_asm", "MatrixTranspose", "PENNANT", "stream",
         "fwd_softmax", "bwd_softmax",
     ):
-        assert relative_time(gpu_sweep, name) < 0.95, name
+        assert relative_time(ticks, name) < 0.95, name
 
 
-def test_fig9_expected_categories_all_match(gpu_sweep):
+def test_fig9_expected_categories_all_match(ticks):
     for name, workload in GPU_WORKLOADS.items():
-        ratio = relative_time(gpu_sweep, name)
+        ratio = relative_time(ticks, name)
         if workload.expected_dynamic == "better":
             assert ratio < 0.97, (name, ratio)
         elif workload.expected_dynamic == "worse":
@@ -90,14 +98,14 @@ def test_fig9_expected_categories_all_match(gpu_sweep):
             assert 0.95 <= ratio <= 1.05, (name, ratio)
 
 
-def test_fig9_render(gpu_sweep, capsys, benchmark):
+def test_fig9_render(ticks, capsys, benchmark):
     def render():
         order = sorted(
-            gpu_sweep, key=lambda n: GPU_WORKLOADS[n].suite
+            ticks, key=lambda n: GPU_WORKLOADS[n].suite
         )
         speedup = Series(
             "dynamic-vs-simple",
-            {name: 1.0 / relative_time(gpu_sweep, name)
+            {name: 1.0 / relative_time(ticks, name)
              for name in order},
         )
         return bar_chart([speedup], unit="x")

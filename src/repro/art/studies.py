@@ -3,7 +3,8 @@ Figs 6/7's PARSEC OS study and Fig 9's GCN3 register-allocator study.
 
 A builder registers a study's artifacts and returns an unlaunched
 :class:`~repro.art.launch.Experiment` holding its points; the CLI, the
-examples, the benchmark fixtures and the pipeline stages all start here.
+examples and the pipeline stages (which the benchmark fixtures run)
+all start here.
 Simulator, guest, GPU and resource code load in the builders' bodies.
 """
 

@@ -26,8 +26,9 @@ raises on a frame instead of truncating the log.  The framing makes two
 failure modes detectable without any out-of-band state:
 
 - a **torn tail** — the process died mid-append, leaving a truncated
-  header or payload.  Recovery keeps every record before the tear and
-  truncates the file back to the last good byte;
+  header or payload, or zeroed bytes (a frame without the ``0xFF``
+  mark, however its CRC reads).  Recovery keeps every record before
+  the tear and truncates the file back to the last good byte;
 - **corruption** inside the sealed segment — the CRC no longer matches,
   which is a hard :class:`~repro.common.errors.CorruptRecordError`
   because sealed bytes were fsynced and must never change.
@@ -178,6 +179,9 @@ def read_log(
             break
         if zlib.crc32(payload) != crc:
             tear = f"checksum mismatch at byte {offset}"
+            break
+        if payload[:1] != b"\xff":  # zeroes: CRC32(b"") == 0
+            tear = f"unmarked record at byte {offset}"
             break
         apply(loads(inflater.decompress(payload[1:]).decode("utf-8")))
         offset = start + length

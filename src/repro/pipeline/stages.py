@@ -12,9 +12,10 @@ Kinds:
   repo + binary, resources repo, disk image, kernels); outputs the
   artifact ids and content hashes.
 - ``sweep`` — build an :class:`Experiment` cross product over the
-  registered stacks and launch it through the scheduler; outputs the
+  registered stacks (or, with ``study: parsec | gpu``, that paper
+  study's builder) and launch it through the scheduler; outputs the
   experiment id, run ids, and run status counts.
-- ``analyze`` — group the sweep's run statuses by parameter axes.
+- ``analyze`` — count the sweep's run outcomes by parameter axes.
 - ``render`` — render the analysis as a text report, content-addressed
   into the FileStore.
 - ``python`` — call a dotted-path function with the context (the escape
@@ -131,48 +132,63 @@ def stage_artifacts(ctx: StageContext) -> Dict[str, Any]:
 
 
 def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
-    """Launch the cross-product experiment over the registered stacks."""
+    """Launch the cross-product experiment over the registered stacks,
+    or, with ``study``, the paper study its builder declares."""
     from repro.art.artifact import Artifact
     from repro.art.launch import Experiment
-    from repro.art.studies import add_boot_stacks
+    from repro.art.studies import (
+        add_boot_stacks,
+        gpu_regalloc_study,
+        parsec_study,
+    )
 
     params = ctx.params
-    source = ctx.source("artifacts_from", "artifact_ids")
-    ids = source["artifact_ids"]
     name = f"{ctx.pipeline_name}/{ctx.stage.name}"
-    experiment = Experiment(
-        ctx.db,
-        name,
-        metadata={
-            "pipeline_id": ctx.pipeline_id,
-            "pipeline": ctx.pipeline_name,
-            "stage": ctx.stage.name,
-        },
-    )
-    artifacts = {
-        role: Artifact.load(ctx.db, artifact_id)
-        for role, artifact_id in ids.items()
-        if role != "kernels"
-    }
-    artifacts["kernels"] = {
-        version: Artifact.load(ctx.db, artifact_id)
-        for version, artifact_id in ids["kernels"].items()
-    }
-    add_boot_stacks(experiment, artifacts)
-    axes = {
-        run_param: list(params[axis_param])
-        for axis_param, run_param in SWEEP_AXES.items()
-        if axis_param in params
-    }
-    if axes:
-        experiment.sweep(**axes)
-    fixed = params.get("fixed") or {}
-    if not isinstance(fixed, Mapping):
-        raise ValidationError(
-            f"stage {ctx.stage.name!r}: 'fixed' must be a mapping"
+    study = params.get("study")
+    if study is not None:
+        build = {"parsec": parsec_study, "gpu": gpu_regalloc_study}.get(
+            str(study)
         )
-    if fixed:
-        experiment.fix(**fixed)
+        if build is None or len(params) > 1:
+            raise ValidationError(
+                f"stage {ctx.stage.name!r}: a sweep's study is 'parsec', "
+                "'gpu' or none (a boot sweep over an artifacts stage), "
+                f"and a study sweep takes no other param (got {params})"
+            )
+        experiment = build(ctx.db)
+        experiment.name = name
+    else:
+        experiment = Experiment(ctx.db, name)
+        ids = ctx.source("artifacts_from", "artifact_ids")["artifact_ids"]
+        artifacts = {
+            role: Artifact.load(ctx.db, artifact_id)
+            for role, artifact_id in ids.items()
+            if role != "kernels"
+        }
+        artifacts["kernels"] = {
+            version: Artifact.load(ctx.db, artifact_id)
+            for version, artifact_id in ids["kernels"].items()
+        }
+        add_boot_stacks(experiment, artifacts)
+        axes = {
+            run_param: list(params[axis_param])
+            for axis_param, run_param in SWEEP_AXES.items()
+            if axis_param in params
+        }
+        if axes:
+            experiment.sweep(**axes)
+        fixed = params.get("fixed") or {}
+        if not isinstance(fixed, Mapping):
+            raise ValidationError(
+                f"stage {ctx.stage.name!r}: 'fixed' must be a mapping"
+            )
+        if fixed:
+            experiment.fix(**fixed)
+    experiment.metadata = {
+        "pipeline_id": ctx.pipeline_id,
+        "pipeline": ctx.pipeline_name,
+        "stage": ctx.stage.name,
+    }
     # The manifest's validated ``execution`` settings are exactly
     # ``launch``'s keywords.
     experiment.launch(**ctx.execution)
@@ -182,23 +198,25 @@ def stage_sweep(ctx: StageContext) -> Dict[str, Any]:
         "experiment_name": name,
         "run_ids": [record["run_id"] for record in records],
         "run_count": len(records),
-        "run_status_counts": _status_counts(records),
+        "run_status_counts": _counts(records, "status"),
     }
 
 
-def _status_counts(records) -> Dict[str, int]:
+def _counts(records, field: str) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for record in records:
-        counts[record["status"]] = counts.get(record["status"], 0) + 1
+        counts[record[field]] = counts.get(record[field], 0) + 1
     return counts
 
 
 def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
-    """Group the sweep's run statuses by parameter axes.
+    """Count the sweep's run outcomes per group of parameter axes.
 
-    ``success_rate`` is the share of runs whose simulation ended ``ok``:
-    a run that is ``done`` but whose kernel segfaulted or timed out is a
-    recorded result, not a success.
+    ``groups`` counts each run's ``outcome`` (``ok``, ``kernel_panic``,
+    ...; ``created`` for a run without one), ``status_totals`` run
+    statuses.  ``success_rate`` is the share of runs whose simulation
+    ended ``ok``: a run that is ``done`` but whose kernel segfaulted or
+    timed out is a recorded result, not a success.
     """
     from repro.art.launch import Experiment
 
@@ -209,13 +227,13 @@ def stage_analyze(ctx: StageContext) -> Dict[str, Any]:
     for record in records:
         group = "|".join(str(record.get(key)) for key in keys)
         groups.setdefault(group, []).append(record)
-    status_totals = _status_counts(records)
+    status_totals = _counts(records, "status")
     done = status_totals.get("done", 0)
     ok = sum(record["outcome"] == "ok" for record in records)
     return {
         "group_by": keys,
         "groups": {
-            group: _status_counts(members)
+            group: _counts(members, "outcome")
             for group, members in groups.items()
         },
         "status_totals": status_totals,

@@ -114,12 +114,20 @@ def test_sealed_log_damage_raises(tmp_path):
 
 
 def test_implausible_length_is_a_tear(tmp_path):
+    """So is a frame whose CRC holds over a payload without the 0xFF
+    mark: eight zero bytes are an empty payload and CRC32(b"") == 0."""
     path = str(tmp_path / "wal.log")
-    with open(path, "wb") as handle:
-        handle.write(struct.pack(">II", 1 << 30, zlib.crc32(b"")))
-    records, offset, tear = read_log(path, tolerate_torn_tail=True)
-    assert records == [] and offset == 0
-    assert "implausible" in tear
+    for frame, expected in (
+        (struct.pack(">II", 1 << 30, zlib.crc32(b"")), "implausible"),
+        (bytes(8), "unmarked record at byte 0"),
+    ):
+        with open(path, "wb") as handle:
+            handle.write(frame)
+        records, offset, tear = read_log(path, tolerate_torn_tail=True)
+        assert records == [] and offset == 0
+        assert expected in tear
+        with pytest.raises(CorruptRecordError, match=expected):
+            read_log(path)
 
 
 def test_durability_knob_validated(tmp_path):

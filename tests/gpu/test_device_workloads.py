@@ -18,17 +18,6 @@ def device():
     return GPUDevice()
 
 
-@pytest.fixture(scope="module")
-def ratios(device):
-    """T_dynamic / T_simple for every Table IV workload."""
-    out = {}
-    for name, workload in GPU_WORKLOADS.items():
-        simple = device.execute(workload.kernel, "simple").shader_ticks
-        dynamic = device.execute(workload.kernel, "dynamic").shader_ticks
-        out[name] = dynamic / simple
-    return out
-
-
 def test_execute_returns_timings(device):
     kernel = GPUKernel(name="k", num_workgroups=64)
     result = device.execute(kernel, "simple")
@@ -161,58 +150,3 @@ def test_registry_input_sizes_quoted():
 def test_registry_unknown():
     with pytest.raises(NotFoundError):
         get_gpu_workload("doom3")
-
-
-# ------------------------------------------------------- Fig 9 shape tests
-
-
-def test_fig9_every_workload_matches_expected_category(ratios):
-    for name, workload in GPU_WORKLOADS.items():
-        ratio = ratios[name]
-        if workload.expected_dynamic == "better":
-            assert ratio < 0.97, (name, ratio)
-        elif workload.expected_dynamic == "worse":
-            assert ratio > 1.03, (name, ratio)
-        else:
-            assert 0.95 <= ratio <= 1.05, (name, ratio)
-
-
-def test_fig9_simple_wins_on_average(ratios):
-    mean = sum(ratios.values()) / len(ratios)
-    assert 1.03 <= mean <= 1.12  # paper: simple better by ~8%
-
-
-def test_fig9_famutex_is_worst_at_about_61_percent(ratios):
-    assert max(ratios, key=ratios.get) == "FAMutex"
-    assert ratios["FAMutex"] == pytest.approx(1.61, abs=0.08)
-
-
-def test_fig9_fwd_pool_about_22_percent_worse(ratios):
-    assert ratios["fwd_pool"] == pytest.approx(1.22, abs=0.05)
-
-
-def test_fig9_small_kernels_neutral(ratios):
-    for name in ("2dshfl", "dynamic_shared", "shfl", "unroll"):
-        assert ratios[name] == pytest.approx(1.0, abs=0.01), name
-
-
-def test_fig9_limited_work_apps_neutral(ratios):
-    for name in ("HACC", "LULESH"):
-        assert ratios[name] == pytest.approx(1.0, abs=0.05), name
-
-
-def test_fig9_improved_group(ratios):
-    for name in (
-        "inline_asm",
-        "MatrixTranspose",
-        "PENNANT",
-        "stream",
-        "fwd_softmax",
-        "bwd_softmax",
-    ):
-        assert ratios[name] < 0.95, name
-
-
-def test_fig9_all_heterosync_suffer(ratios):
-    for name in WORKLOADS_BY_SUITE["HeteroSync"]:
-        assert ratios[name] > 1.03, name

@@ -225,10 +225,13 @@ def test_load_manifest_missing_file():
 
 
 def _manifest_texts():
-    """``examples/paper.yaml`` and every manifest spelled in a test of
-    this directory."""
+    """Every ``examples/*.yaml``, validated (a malformed stage or gate
+    fails here), and every manifest spelled in a test of this
+    directory."""
     here = Path(__file__).parent
-    yield (here.parent.parent / "examples" / "paper.yaml").read_text()
+    for path in sorted(here.parents[1].glob("examples/*.yaml")):
+        load_manifest(str(path))
+        yield path.read_text()
     for path in sorted(here.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (

@@ -6,11 +6,12 @@ import json
 import pytest
 
 from repro import chaos
-from repro.art import ArtifactDB
+from repro.art import ArtifactDB, Experiment
 from repro.chaos import FaultRule
+from repro.common.errors import ValidationError
 from repro.pipeline import run_pipeline
 from repro.pipeline.manifest import StageSpec
-from repro.pipeline.stages import StageContext, stage_analyze
+from repro.pipeline.stages import StageContext, stage_analyze, stage_sweep
 from tests.art.test_launch_share import make_experiment
 from tests.helpers import parse_manifest_text
 
@@ -105,7 +106,7 @@ def test_analyze_reads_a_run_without_an_outcome_as_created(db):
     )
     analysis = stage_analyze(ctx)
     assert analysis["status_totals"] == {"done": 1, "created": 1}
-    assert analysis["groups"]["1"] == {"done": 1}
+    assert analysis["groups"] == {"1": {"ok": 1}, "8": {"created": 1}}
     assert analysis["success_rate"] == 0.5
 
 
@@ -142,7 +143,7 @@ stages:
 def test_success_rate_counts_simulation_outcomes_not_statuses(db):
     """o3 on MI_example does not boot: every run is ``done`` with a
     faulty outcome, so the analysis reads a success rate of 0 and its
-    gate fails."""
+    gate fails, and its groups count those outcomes."""
     result = run_pipeline(db, parse_manifest_text(FAULTY_SWEEP))
     assert result["status"] == "failed"
     analyze = result["stages"]["analyze"]
@@ -153,3 +154,42 @@ def test_success_rate_counts_simulation_outcomes_not_statuses(db):
     analysis = json.loads(db.download_file(analyze["outputs_blob"]))
     assert analysis["status_totals"] == {"done": 3}
     assert analysis["done_runs"] == 3
+    assert analysis["groups"] == {
+        "2": {"gem5_segfault": 1}, "4": {"gem5_segfault": 1},
+        "8": {"timeout": 1},
+    }
+
+
+STUDY = """
+pipeline: studies
+stages:
+  - name: gpu
+    kind: sweep
+    params: {study: gpu}
+    gates:
+      - {kind: equals, path: run_count, value: 58}
+"""
+
+
+def test_a_study_sweep_launches_that_paper_study(db):
+    result = run_pipeline(db, parse_manifest_text(STUDY))
+    assert result["status"] == "succeeded"
+    experiment = Experiment.load(db, "studies/gpu")
+    assert experiment.metadata == {
+        "pipeline_id": result["pipeline_id"], "pipeline": "studies",
+        "stage": "gpu",
+    }
+
+
+@pytest.mark.parametrize(
+    "params", [{"study": "spec"}, {"study": "gpu", "fixed": {}}]
+)
+def test_a_study_sweep_is_one_of_the_paper_studies(db, params):
+    ctx = StageContext(
+        db=db, pipeline_id="p", pipeline_name="p",
+        stage=StageSpec(name="sweep", kind="sweep", params=params),
+    )
+    with pytest.raises(
+        ValidationError, match=f"'parsec', 'gpu' or none.*got {params}"
+    ):
+        stage_sweep(ctx)

@@ -19,7 +19,8 @@ served is what its adopters' own documents say (a run's ``cached_from``),
 counted by :meth:`MemoStore.tallies` when someone asks.
 
 Integrity is free because a blob id **is** the SHA-256 of its bytes: a
-consult re-downloads the blob and the store itself raises
+consult re-downloads the blob (the run cache: once per digest per
+launch) and the store itself raises
 :class:`~repro.common.errors.CorruptBlobError` on any mismatch.  A
 corrupt entry is dropped (rotten blob included, so the recompute can
 re-populate the content address), a ``<noun>.corrupt`` event is emitted,
@@ -41,7 +42,7 @@ dependent points and nothing else.
 from __future__ import annotations
 
 import collections
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import (
@@ -87,6 +88,10 @@ class MemoStore:
 
     _PRODUCER = {}
     _FIELDS = None
+    #: Digests a consult has verified and need not read again, or None:
+    #: read every time, as a store whose :meth:`decode` uses the payload
+    #: must.
+    _verified = None
 
     def __init__(self, db: ArtifactDB):
         self.db = db
@@ -154,7 +159,8 @@ class MemoStore:
         """Look up and *verify* an entry; None means recompute.
 
         The verification downloads the entry's blob, which the
-        content-addressed store checks against its digest.  Failure modes
+        content-addressed store checks against its digest, unless the
+        digest is in the store's verified set already.  Failure modes
         degrade, never escalate: a missing blob or an injected read fault
         is a miss, and a corrupt blob drops the entry and is a miss — the
         slow path always remains.  A consult writes nothing but that drop.
@@ -167,7 +173,7 @@ class MemoStore:
         if entry is None:
             return self._miss(key, "absent")
         payload, blob_id = None, self.blob_id(entry)
-        if blob_id is not None:
+        if blob_id is not None and blob_id not in (self._verified or ()):
             try:
                 # get_bytes() hashes what it reads and raises
                 # CorruptBlobError itself on mismatch.
@@ -183,6 +189,8 @@ class MemoStore:
                 return self._miss(key, "corrupt")
             except (NotFoundError, FaultInjectedError) as error:
                 return self._miss(key, "blob-missing", str(error))
+            if self._verified is not None:
+                self._verified.add(blob_id)
         value = self.decode(entry, payload)
         self._count(
             "hits",
@@ -292,6 +300,12 @@ class RunCache(MemoStore):
     _STAMP = "finished_at_wall"
     _FIELDS = ("fingerprint", "kind", "results", "finished_at_wall",
                "spec.artifacts")
+
+    def __init__(self, db: ArtifactDB, verified: Optional[Set[str]] = None):
+        """``verified``: the launch's set of digests already read and
+        hash-checked (a hit hands back the entry, never the payload)."""
+        super().__init__(db)
+        self._verified = verified
 
     def store(self, fingerprint: str, run_doc: Entry) -> bool:
         """Nothing to write: a ``DONE`` run's own document is its entry.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, Set
 
 from repro.common.errors import ValidationError
 from repro.common.ids import new_uuid
@@ -324,7 +324,9 @@ class Gem5Run(Record):
         attempt = None
         try:
             if use_cache:
-                entry = RunCache(self.db).consult(self.fingerprint)
+                entry = RunCache(self.db, resolver.verified).consult(
+                    self.fingerprint
+                )
                 span.set_attribute("cache", "hit" if entry else "miss")
                 if entry is not None:
                     self.adopt_cached(entry)
@@ -527,6 +529,9 @@ class InputResolver:
 
     def __init__(self):
         self._resolved: Dict[Hashable, Any] = {}
+        #: The stats blob digests the run cache has verified: a warm
+        #: launch reads each distinct one once.
+        self.verified: Set[str] = set()
 
     def live(self, run: Gem5Run) -> Dict[str, object]:
         """What :func:`simulate_run` consumes.

@@ -20,6 +20,7 @@ import copy
 import datetime
 import json
 import math
+from sys import intern
 from typing import Any, Callable
 
 _BYTES_TAG = "$bytes"
@@ -135,7 +136,14 @@ json_copy = _walker(_SCALARS, _copy_other, literal_tags=False)
 
 
 def _decode_special(value: Any) -> Any:
-    if isinstance(value, dict):
+    """The stored form of a JSON value: tags decoded, and every key and
+    string value passed through ``sys.intern``, so an equal string in
+    many decoded documents is one object.  Interned strings are mortal:
+    each is freed with the last value that holds it."""
+    kind = type(value)
+    if kind is str:
+        return intern(value)
+    if kind is dict:
         if len(value) == 1:
             ((tag, inner),) = value.items()
             if tag == _DATETIME_TAG:
@@ -146,8 +154,8 @@ def _decode_special(value: Any) -> Any:
                 return set(_decode_special(v) for v in inner)
             if tag == _LITERAL_TAG and isinstance(inner, dict):
                 value = inner  # its single key is data, not a tag
-        return {k: _decode_special(v) for k, v in value.items()}
-    if isinstance(value, list):
+        return {intern(k): _decode_special(v) for k, v in value.items()}
+    if kind is list:
         return [_decode_special(v) for v in value]
     return value
 
@@ -225,3 +233,10 @@ def loads(text: str) -> Any:
     if '"$' in text or "\\u0024" in text:  # else no key can be a tag
         return _decode_special(value)
     return value
+
+
+def record_loads(text: str) -> Any:
+    """:func:`loads` of a logged record, always walked: the twin of
+    :func:`record_dumps` that a replay decodes every record with, so the
+    documents it holds share their equal keys and strings."""
+    return _decode_special(json.loads(text))

@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import chaos, telemetry
 from repro.common.errors import CorruptRecordError, ValidationError
-from repro.common.jsonutil import loads, record_dumps
+from repro.common.jsonutil import record_dumps, record_loads
 
 #: Recognised durability modes, weakest to strongest.
 DURABILITY_MODES = ("batch", "strict")
@@ -183,7 +183,7 @@ def read_log(
         if payload[:1] != b"\xff":  # zeroes: CRC32(b"") == 0
             tear = f"unmarked record at byte {offset}"
             break
-        apply(loads(inflater.decompress(payload[1:]).decode("utf-8")))
+        apply(record_loads(inflater.decompress(payload[1:]).decode("utf-8")))
         offset = start + length
     if tear is not None and not tolerate_torn_tail:
         raise CorruptRecordError(f"{path}: {tear}")

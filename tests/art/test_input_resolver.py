@@ -126,10 +126,10 @@ def outcomes(db):
 def test_launch_reads_once_per_run_and_once_per_artifact(reads, substrate):
     """The quick Fig 8 grid: one find per run (the cache consult) plus
     a constant that does not grow with the grid, and one blob read per
-    distinct disk image."""
+    distinct disk image; relaunched warm, one per distinct stats blob."""
 
-    def launch_reads(**axes):
-        experiment = boot_tests(ArtifactDB(), quick=True)
+    def launch_reads(db=None, **axes):
+        experiment = boot_tests(db or ArtifactDB(), quick=True)
         if axes:
             experiment.sweep(**axes)
         runs = experiment.create_runs()
@@ -140,9 +140,13 @@ def test_launch_reads_once_per_run_and_once_per_artifact(reads, substrate):
         assert all("simulation_status" in s for s in summaries)
         return len(runs), len(reads["find"]), len(reads["get_bytes"])
 
-    runs, finds, blob_reads = launch_reads()
+    db = ArtifactDB()
+    runs, finds, blob_reads = launch_reads(db)
     assert runs == 48
     assert blob_reads == 1
+    stats = {doc["results"]["stats_file_id"] for doc in db.runs.find()}
+    assert launch_reads(db)[2] == len(stats) < runs
+    assert sorted(reads["get_bytes"]) == sorted(stats)
     small, small_finds, small_blob_reads = launch_reads(
         cpu_type=["kvm"], memory_system=["classic"]
     )

@@ -1,6 +1,7 @@
 """Tests for Collection CRUD, indexes, and update operators."""
 
 import copy
+import datetime
 
 import pytest
 from hypothesis import given, strategies as st
@@ -440,6 +441,28 @@ def test_a_reopen_changes_no_query_answer(tmp_path):
         assert answers(reopened["docs"]) == before
     assert before[0][0] == {"_id": "a", "shape": [1, 2], "k": {"1": "x"}}
     assert before[1] == [3, 3, 2, 1, 1]
+
+
+def test_a_reopen_holds_each_equal_string_once(tmp_path):
+    """A replay shares equal keys and string values across documents,
+    and gives back tagged values as they were inserted."""
+    uri = f"file://{tmp_path / 'db'}"
+    tagged = {
+        "at": datetime.datetime(2020, 1, 2, 3, 4, 5),
+        "raw": b"\x00\xff",
+        "tags": {"a", "b"},
+        "user": {"$set": "x"},
+    }
+    with connect(uri) as database:
+        for doc_id in "ab":
+            database["docs"].insert_one(dict(_id=doc_id, key="done", **tagged))
+    with connect(uri) as reopened:
+        a, b = (reopened["docs"]._documents[doc_id] for doc_id in "ab")
+        keys = [next(k for k in doc if k == "key") for doc in (a, b)]
+        assert keys[0] is keys[1] and a["key"] is b["key"]
+        assert reopened["docs"].find_one({"_id": "b"}) == dict(
+            _id="b", key="done", **tagged
+        )
 
 
 def test_replace_one(coll):

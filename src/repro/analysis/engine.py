@@ -29,7 +29,6 @@ Design (one parse, one pass, many rules):
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 from typing import (
@@ -43,6 +42,7 @@ from typing import (
     Type,
 )
 
+from repro.common.hashing import sha256
 from repro.common.records import Frozen
 
 #: Finding severities, most severe first (sort order relies on this).
@@ -74,7 +74,7 @@ class Finding(Frozen):
         """Content-based identity (SARIF partial fingerprint): stable
         across line-number churn, invalidated when the offending line
         changes."""
-        digest = hashlib.sha256()
+        digest = sha256()
         for part in (self.file, self.rule_id, self.snippet.strip()):
             digest.update(part.encode("utf-8"))
             digest.update(b"\x00")

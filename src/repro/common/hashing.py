@@ -4,20 +4,32 @@ gem5art identifies every artifact by an MD5 hash of its content (or by the git
 revision when the artifact is a repository).  These helpers centralize the
 hashing conventions so artifacts, disk images and database files all agree on
 what "same content" means.
+
+``md5`` and ``sha256`` are CPython's own C implementations, the modules
+``hashlib`` falls back to: importing ``hashlib`` maps OpenSSL's libcrypto
+(3.3 MiB resident) to hash inputs that are a few KB each.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Iterable
+
+try:
+    from _md5 import md5
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without its own digests
+    from hashlib import md5, sha256
 
 _CHUNK_SIZE = 1 << 20
 
 
 def md5_bytes(data: bytes) -> str:
     """Return the hex MD5 digest of a byte string."""
-    return hashlib.md5(data).hexdigest()
+    return md5(data).hexdigest()
 
 
 def md5_text(text: str) -> str:
@@ -31,7 +43,7 @@ def md5_file(path: str) -> str:
     Reads in chunks so arbitrarily large files can be hashed without loading
     them into memory, matching how gem5art hashes multi-GB disk images.
     """
-    digest = hashlib.md5()
+    digest = md5()
     with open(path, "rb") as handle:
         while True:
             chunk = handle.read(_CHUNK_SIZE)
@@ -48,7 +60,7 @@ def md5_tree(root: str) -> str:
     two trees with identical layout and content hash identically regardless
     of filesystem iteration order or timestamps.
     """
-    digest = hashlib.md5()
+    digest = md5()
     for relpath, content in _walk_sorted(root):
         digest.update(relpath.encode("utf-8"))
         digest.update(b"\x00")
@@ -73,7 +85,7 @@ def sha256_bytes(data: bytes) -> str:
     Used where a stronger content address is wanted (the file store keys
     blobs by SHA-256 to make accidental collisions implausible).
     """
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def sha256_text(text: str) -> str:

@@ -8,13 +8,14 @@ ones.  This is the standard trick for reproducible discrete-event simulators.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.common.hashing import sha256
 
 
 def derive_seed(root_seed: int, *names: str) -> int:
     """Derive a child seed from a root seed and a path of stream names."""
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(str(root_seed).encode("ascii"))
     for name in names:
         digest.update(b"/")
@@ -36,7 +37,7 @@ class RngStream:
     def child(self, *names: str) -> "RngStream":
         """Return a sub-stream; children are independent of the parent."""
         seed = int.from_bytes(
-            hashlib.sha256(
+            sha256(
                 ("/".join(self.names + names)).encode("utf-8")
             ).digest()[:8],
             "big",

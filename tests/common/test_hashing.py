@@ -1,6 +1,9 @@
 """Tests for repro.common.hashing."""
 
+import hashlib
 import os
+import subprocess
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -10,21 +13,37 @@ from repro.common.hashing import (
     md5_text,
     md5_tree,
     sha256_bytes,
+    sha256_text,
 )
 
+NO_OPENSSL = """
+import importlib, pkgutil, sys, repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__":  # that one runs the CLI
+        importlib.import_module(info.name)
+assert "_hashlib" not in sys.modules, "a repro module maps OpenSSL"
+own = sys.modules.pop("repro.common.hashing")
+sys.modules.update(_md5=None, _sha256=None, _sha2=None)
+fallback = importlib.import_module("repro.common.hashing")
+for new, old in ((fallback.md5, own.md5), (fallback.sha256, own.sha256)):
+    assert new is not old and new(b"gem5").digest() == old(b"gem5").digest()
+"""
 
-def test_md5_bytes_known_value():
-    assert md5_bytes(b"") == "d41d8cd98f00b204e9800998ecf8427e"
+
+@given(data=st.binary(), text=st.text())
+def test_every_digest_is_hashlibs(tmp_path_factory, data, text):
+    path = tmp_path_factory.getbasetemp() / "drawn.bin"
+    path.write_bytes(data)
+    expected = [hashlib.md5(data), hashlib.md5(data), hashlib.sha256(data),
+                hashlib.md5(text.encode()), hashlib.sha256(text.encode())]
+    assert [md5_bytes(data), md5_file(str(path)), sha256_bytes(data),
+            md5_text(text), sha256_text(text)] == [
+        digest.hexdigest() for digest in expected]
 
 
-def test_md5_text_matches_bytes():
-    assert md5_text("hello") == md5_bytes(b"hello")
-
-
-def test_md5_file(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(b"some content")
-    assert md5_file(str(path)) == md5_bytes(b"some content")
+def test_no_module_maps_openssl_and_the_fallback_agrees():
+    subprocess.run([sys.executable, "-c", NO_OPENSSL], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
 def test_md5_file_large_chunked(tmp_path):
@@ -57,17 +76,6 @@ def test_md5_tree_detects_rename(tmp_path):
     before = md5_tree(str(tmp_path))
     (tmp_path / "f").rename(tmp_path / "g")
     assert md5_tree(str(tmp_path)) != before
-
-
-def test_sha256_bytes_known_value():
-    assert sha256_bytes(b"") == (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    )
-
-
-@given(st.binary())
-def test_md5_deterministic(data):
-    assert md5_bytes(data) == md5_bytes(data)
 
 
 @given(st.binary(), st.binary())

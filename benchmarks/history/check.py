@@ -2,8 +2,9 @@
 
 Usage::
 
-    python benchmarks/history/check.py
+    python benchmarks/history/check.py [DIRECTORY]
 
+checks the ``<workload>.jsonl`` files beside it (or in DIRECTORY),
 prints each problem and exits 1 when there is one.  Each line of a file
 is one (PR, workload, metric) comparison of a change against its parent:
 
@@ -14,11 +15,16 @@ is one (PR, workload, metric) comparison of a change against its parent:
 - ``seeds`` (one per pair), ``pairs`` and ``won``: the pairs the change
   read better in, ties counting for neither;
 - ``median``, ``q1`` and ``q3`` of the paired change/parent ratios;
-- ``host_slowdown``: ``run.py``'s ``driver.host_slowdown``, the median
-  over the runs;
+- ``host_slowdown``: how many times slower than the reference host this
+  one ran.  Per run of ``run.py``, it is the CPU seconds of
+  ``benchmarks/perf/calibrate.py``, run as a child on the same CPU just
+  before and just after, averaged and divided by ``run.py``'s
+  ``REFERENCE_KERNEL_S`` (0.4 s); the line holds the median over the
+  runs of both trees;
 - ``source``: ``prose`` for numbers copied from CHANGES.md, where
   ``seeds``, ``q1``, ``q3`` and ``host_slowdown`` are ``null`` if it did
-  not record them, or ``ledger`` for numbers a pairing script recorded;
+  not record them, or ``ledger`` for numbers ``benchmarks/ledger.py``
+  recorded;
 - ``before`` and ``after``: the parent's and the change's medians,
   required for a metric that repeats exactly (unit ``B`` or ``count``),
   optional for any other;
@@ -46,6 +52,8 @@ FIELDS = {"pr": int, "workload": str, "metric": str, "parent": str,
           "host_slowdown": (float, type(None)), "source": str}
 OPTIONAL = {"before": (int, float), "after": (int, float), "ratios": list}
 SHA = re.compile(r"[0-9a-f]{40}")
+#: The units of metrics that repeat exactly: their lines store absolutes.
+EXACT_UNITS = ("B", "count")
 
 
 def line_problems(entry, workload, declared):
@@ -65,7 +73,7 @@ def line_problems(entry, workload, declared):
     metric = declared.get(entry["metric"])
     if metric is None:
         return [f"metric {entry['metric']!r} is not declared"]
-    if metric["unit"] in ("B", "count") and "before" not in entry:
+    if metric["unit"] in EXACT_UNITS and "before" not in entry:
         found.append("a metric that repeats exactly stores before and after")
     if not all(SHA.fullmatch(sha) for sha in
                (entry["parent"], entry["change"] or "0" * 40)):
@@ -141,6 +149,6 @@ def chain_problems(chain):
 
 
 if __name__ == "__main__":
-    found = problems()
+    found = problems(*sys.argv[1:2])
     print("\n".join(found) or "no problems")
     sys.exit(1 if found else 0)

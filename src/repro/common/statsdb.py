@@ -8,7 +8,7 @@ of Fig 1.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from repro.common.errors import ValidationError
 
@@ -24,11 +24,16 @@ class StatsDB:
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         """Add to a scalar statistic, creating it at zero."""
-        self._check_name(name)
-        self._scalars[name] = self._scalars.get(name, 0.0) + amount
+        scalars = self._scalars
+        if name in scalars:
+            scalars[name] += amount
+        else:
+            _check_name(name)
+            scalars[name] = 0.0 + amount  # a float, like every value
 
     def set(self, name: str, value: float) -> None:
-        self._check_name(name)
+        if name not in self._scalars:
+            _check_name(name)
         self._scalars[name] = float(value)
 
     def get(self, name: str, default: float = None) -> float:
@@ -41,8 +46,10 @@ class StatsDB:
     # ------------------------------------------------------------- vectors
 
     def vec_inc(self, name: str, key: str, amount: float = 1.0) -> None:
-        self._check_name(name)
-        vector = self._vectors.setdefault(name, {})
+        vector = self._vectors.get(name)
+        if vector is None:
+            _check_name(name)
+            vector = self._vectors[name] = {}
         vector[key] = vector.get(key, 0.0) + amount
 
     def vec_get(self, name: str) -> Dict[str, float]:
@@ -70,18 +77,30 @@ class StatsDB:
 
     def dump(self) -> str:
         """Render in the two-column gem5 ``stats.txt`` format."""
-        lines = ["---------- Begin Simulation Statistics ----------"]
-        for name, value in sorted(self.to_dict().items()):
-            rendered = (
-                f"{value:.6f}".rstrip("0").rstrip(".")
-                if isinstance(value, float)
-                else str(value)
-            )
-            lines.append(f"{name:<60} {rendered}")
-        lines.append("---------- End Simulation Statistics   ----------")
-        return "\n".join(lines)
+        return render_stats(self.to_dict())
 
-    @staticmethod
-    def _check_name(name: str) -> None:
-        if not name or name != name.strip():
-            raise ValidationError(f"bad statistic name {name!r}")
+
+def render_stats(stats: Mapping[str, Any]) -> str:
+    """Render ``name -> value`` in the two-column gem5 ``stats.txt``
+    format.  A ``dict`` value is a vector, rendered as one
+    ``name::key`` line per entry; every value is rendered as a float,
+    and a name :class:`StatsDB` would refuse raises here too."""
+    flat: Dict[str, float] = {}
+    for name, value in stats.items():
+        _check_name(name)
+        if isinstance(value, dict):
+            for key, entry in value.items():
+                flat[f"{name}::{key}"] = float(entry)
+        else:
+            flat[name] = float(value)
+    lines = ["---------- Begin Simulation Statistics ----------"]
+    for name in sorted(flat):
+        rendered = f"{flat[name]:.6f}".rstrip("0").rstrip(".")
+        lines.append(f"{name:<60} {rendered}")
+    lines.append("---------- End Simulation Statistics   ----------")
+    return "\n".join(lines)
+
+
+def _check_name(name: str) -> None:
+    if not name or name != name.strip():
+        raise ValidationError(f"bad statistic name {name!r}")

@@ -34,7 +34,7 @@ from repro.common.records import Record
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import GPUKernel
 from repro.gpu.regalloc import build_register_allocator
-from repro.common.statsdb import StatsDB
+from repro.common.statsdb import render_stats
 
 #: Cycles to issue one 64-lane wavefront instruction on a SIMD16.
 _ISSUE_CYCLES = 4.0
@@ -78,14 +78,7 @@ class GPURunResult(Record):
 
     def stats_txt(self) -> str:
         """Render the run's statistics in gem5 stats.txt form."""
-        db = StatsDB()
-        for name, value in self.stats.items():
-            if isinstance(value, dict):
-                for key, entry in value.items():
-                    db.vec_inc(name, key, entry)
-            else:
-                db.set(name, value)
-        return db.dump()
+        return render_stats(self.stats)
 
 
 class GPUDevice:
@@ -141,12 +134,16 @@ class GPUDevice:
     # ------------------------------------------------------------- pieces
 
     def _wavefronts_per_cu(self, kernel: GPUKernel) -> Dict[str, float]:
-        """Round-robin workgroup dispatch: wavefront count per CU."""
-        per_cu = {f"cu{i}": 0.0 for i in range(self.config.num_cus)}
-        for wg_index in range(kernel.num_workgroups):
-            cu = wg_index % self.config.num_cus
-            per_cu[f"cu{cu}"] += kernel.wavefronts_per_workgroup
-        return per_cu
+        """Round-robin workgroup dispatch: wavefront count per CU.  Each
+        CU takes every ``num_cus``-th workgroup, so the first ``extra``
+        CUs take one more than the rest."""
+        rounds, extra = divmod(kernel.num_workgroups, self.config.num_cus)
+        return {
+            f"cu{i}": float(
+                (rounds + (i < extra)) * kernel.wavefronts_per_workgroup
+            )
+            for i in range(self.config.num_cus)
+        }
 
     def _issue_cycles_per_instruction(self, resident: int) -> float:
         """Issue cost including the dependence-tracking inflation."""

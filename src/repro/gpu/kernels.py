@@ -67,8 +67,9 @@ class GPUKernel(Frozen):
             "num_workgroups", "wavefronts_per_workgroup",
             "vregs_per_wavefront", "instructions_per_wavefront",
         ):
-            if getattr(self, field) <= 0:
-                raise ValidationError(f"{field} must be positive")
+            value = getattr(self, field)
+            if type(value) is not int or value <= 0:
+                raise ValidationError(f"{field} must be a positive int")
         for field in ("memory_intensity", "dependency_density"):
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:

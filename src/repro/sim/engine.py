@@ -111,6 +111,8 @@ class ExecutionEngine:
         total_instructions = 0
         busy_cycles = 0.0
         total_cycles = 0.0
+        names = (f"{workload.name}.phase_ticks",
+                 f"{workload.name}.phase_insts")
         for phase in workload.phases:
             if phase.instructions == 0:
                 continue
@@ -119,7 +121,12 @@ class ExecutionEngine:
             total_instructions += stats["instructions"]
             busy_cycles += stats["busy_cycles"]
             total_cycles += stats["total_cycles"]
-            self._record_phase(workload, phase, duration_ticks, stats)
+            self._record_phase(names, phase, duration_ticks, stats)
+        if self.stats.get("system.l1d.accesses", default=0.0) > 0:
+            self.stats.set(
+                "system.l1d.miss_rate",
+                self.stats.ratio("system.l1d.misses", "system.l1d.accesses"),
+            )
         ticks = self.queue.now - start_tick
         self._record_workload(workload, ticks, total_instructions)
         self._record_cpi_stack(total_instructions, busy_cycles,
@@ -289,15 +296,12 @@ class ExecutionEngine:
 
     # --------------------------------------------------------------- stats
 
-    def _record_phase(self, workload, phase, ticks, detail) -> None:
-        self.stats.vec_inc(
-            f"{workload.name}.phase_ticks", phase.name, ticks
-        )
-        self.stats.vec_inc(
-            f"{workload.name}.phase_insts",
-            phase.name,
-            detail["instructions"],
-        )
+    def _record_phase(self, names, phase, ticks, detail) -> None:
+        """``names``: the workload's phase-ticks and phase-insts vector
+        names, formatted once per workload."""
+        ticks_name, insts_name = names
+        self.stats.vec_inc(ticks_name, phase.name, ticks)
+        self.stats.vec_inc(insts_name, phase.name, detail["instructions"])
         # Memory-hierarchy counters (gem5's cache/memctrl stats).
         self.stats.inc(
             "system.l1d.accesses", detail.get("mem_accesses", 0.0)
@@ -309,13 +313,6 @@ class ExecutionEngine:
         self.stats.inc(
             "system.mem_ctrl.bytes_read", detail.get("dram_bytes", 0.0)
         )
-        if self.stats.get("system.l1d.accesses", default=0.0) > 0:
-            self.stats.set(
-                "system.l1d.miss_rate",
-                self.stats.ratio(
-                    "system.l1d.misses", "system.l1d.accesses"
-                ),
-            )
 
     def _record_workload(self, workload, ticks, instructions) -> None:
         self.stats.inc("sim_ticks", ticks)

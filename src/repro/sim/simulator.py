@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.records import Record
-from repro.common.statsdb import StatsDB
+from repro.common.statsdb import render_stats
 from repro.guest.compilers import get_compiler
 from repro.guest.kernels import LinuxKernel, get_kernel
 from repro.sim.buildinfo import Gem5Build
@@ -76,11 +76,8 @@ class SimulationResult(Record):
         return self.status is SimulationStatus.OK
 
     def stats_txt(self) -> str:
-        """Re-render the statistics in gem5 stats.txt form."""
-        db = StatsDB()
-        for name, value in self.stats.items():
-            db.set(name, value)
-        return db.dump()
+        """Render the statistics in gem5 stats.txt form."""
+        return render_stats(self.stats)
 
 
 class Gem5Simulator:

@@ -1,6 +1,7 @@
 """Tests for resumable experiments and archived GPU statistics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.art import (
     ArtifactDB,
@@ -11,8 +12,9 @@ from repro.art import (
     register_kernel_binary,
     register_repo,
 )
+from repro.common.hashing import sha256_text
 from repro.guest import get_distro
-from repro.gpu import GPUDevice, get_gpu_workload
+from repro.gpu import GPUConfig, GPUDevice, GPUKernel, get_gpu_workload
 from repro.resources import build_resource
 from repro.sim import Gem5Build
 
@@ -128,26 +130,32 @@ def test_gpu_experiment_reloads_and_resumes_its_missing_point():
 
 
 def test_gpu_result_stats_txt():
-    device = GPUDevice()
-    result = device.execute(
-        get_gpu_workload("MatrixTranspose").kernel, "dynamic"
-    )
-    text = result.stats_txt()
-    assert "Begin Simulation Statistics" in text
-    assert "shader_ticks" in text
-    assert "cu_wavefronts::cu0" in text
+    """Every Fig 9 run's stats.txt, byte for byte: the archived blob's
+    id is in the run's results and so in the benchmark's digest."""
+    texts = [
+        GPUDevice().execute(get_gpu_workload(name).kernel, allocator)
+        .stats_txt() for name in
+        build_resource("GCN-docker").buildable_workloads()
+        for allocator in ("simple", "dynamic")
+    ]
+    assert len(texts) == 58
+    assert sha256_text("".join(texts)) == (
+        "623e51e0311fd20a9995fb41fdd6818c83811bc933d970322f07eedff9dbdd64")
 
 
-def test_gpu_wavefronts_balanced_across_cus():
-    device = GPUDevice()
-    result = device.execute(
-        get_gpu_workload("MatrixTranspose").kernel, "simple"
-    )
-    per_cu = result.stats["cu_wavefronts"]
-    assert len(per_cu) == 4
-    values = list(per_cu.values())
-    assert max(values) - min(values) <= 4  # round-robin balance
-    assert sum(values) == result.stats["total_wavefronts"]
+@given(st.integers(1, 3000), st.integers(1, 64), st.integers(1, 16))
+def test_gpu_wavefronts_balanced_across_cus(groups, cus, waves):
+    """Workgroup ``i`` goes to CU ``i % num_cus``: the closed form counts
+    exactly what walking the workgroups counts, as floats."""
+    expected = {f"cu{i}": 0.0 for i in range(cus)}
+    for index in range(groups):
+        expected[f"cu{index % cus}"] += waves
+    kernel = GPUKernel(name="k", num_workgroups=groups,
+                       wavefronts_per_workgroup=waves)
+    per_cu = GPUDevice(GPUConfig(num_cus=cus)).execute(kernel).stats[
+        "cu_wavefronts"]
+    assert per_cu == expected
+    assert {type(count) for count in per_cu.values()} == {float}
 
 
 def test_gpu_run_archives_stats_file():

@@ -53,8 +53,11 @@ def test_kernel_totals():
 def test_kernel_validation():
     with pytest.raises(ValidationError):
         GPUKernel(name="", num_workgroups=1)
-    with pytest.raises(ValidationError):
-        GPUKernel(name="k", num_workgroups=0)
+    for field in ("num_workgroups", "wavefronts_per_workgroup",
+                  "vregs_per_wavefront", "instructions_per_wavefront"):
+        for bad in (0, 2.5, True, "4"):
+            with pytest.raises(ValidationError):
+                GPUKernel(**{"name": "k", "num_workgroups": 1, field: bad})
     with pytest.raises(ValidationError):
         GPUKernel(name="k", num_workgroups=1, memory_intensity=1.5)
     with pytest.raises(ValidationError):

@@ -54,6 +54,12 @@ def test_execution_deterministic(device):
     )
 
 
+def test_a_trillion_workgroups_execute(device):
+    kernel = GPUKernel(name="huge", num_workgroups=10**12)
+    per_cu = device.execute(kernel).stats["cu_wavefronts"]
+    assert per_cu == {f"cu{i}": 2.5e11 for i in range(4)}
+
+
 def test_memory_bound_kernel_benefits_from_occupancy(device):
     kernel = GPUKernel(
         name="membound",

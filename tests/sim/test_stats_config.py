@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.common.statsdb import StatsDB
+from repro.common.statsdb import StatsDB, render_stats
 from repro.sim import CacheConfig, SystemConfig
 from repro.sim.buildinfo import Gem5Build
 
@@ -36,15 +36,6 @@ def test_stats_ratio():
     stats.set("accesses", 100)
     assert stats.ratio("hits", "accesses") == 0.9
     assert stats.ratio("hits", "zero") == 0.0
-
-
-def test_stats_dump_format():
-    stats = StatsDB()
-    stats.set("system.cpu0.committedInsts", 12345)
-    text = stats.dump()
-    assert text.startswith("---------- Begin Simulation Statistics")
-    assert "system.cpu0.committedInsts" in text
-    assert "12345" in text
 
 
 def test_stats_dump_bytes_are_pinned(monkeypatch):
@@ -87,17 +78,15 @@ def test_stats_dump_bytes_are_pinned(monkeypatch):
     assert len(flattened) == 1
 
 
-def test_stats_to_dict_flattens_vectors():
-    stats = StatsDB()
-    stats.vec_inc("v", "k", 2)
-    assert stats.to_dict() == {"v::k": 2.0}
-
-
 def test_stats_bad_name():
     with pytest.raises(ValidationError):
         StatsDB().set(" padded ", 1)
     with pytest.raises(ValidationError):
         StatsDB().inc("", 1)
+    with pytest.raises(ValidationError):
+        StatsDB().vec_inc("padded ", "key")
+    with pytest.raises(ValidationError):
+        render_stats({"": 1.0})
 
 
 def test_config_defaults_valid():

@@ -1,70 +1,37 @@
 """Regenerates **Fig 6**: absolute execution-time difference of each
 PARSEC application on Ubuntu 18.04 vs 20.04, at 1, 2 and 8 cores.
 
-Paper's shape, asserted here:
-
-- applications *typically* take longer on Ubuntu 18.04 (positive diffs
-  dominate);
-- the difference shrinks as more cores are used;
-- the 20.04 binaries execute **more** instructions but at higher
-  utilization (checked in the engine-level tests; here we check the net
-  time effect).
+The paper's shape is gated in ``examples/paper-full.yaml``'s ``fig6-7``
+stage: applications *typically* take longer on Ubuntu 18.04 (at least
+8 of 10 at every core count), and the mean difference shrinks as more
+cores are used.  This file renders the figure and keeps the one claim
+a gate cannot state.
 """
 
-import pytest
-
-from repro.analysis import Series, bar_chart, difference_series
+from repro.analysis import Series, bar_chart
 from repro.art import ArtifactDB, Gem5Run, register_disk_image, \
     register_gem5_binary, register_kernel_binary, register_repo, run_job
-from repro.art.studies import PARSEC_CPU_COUNTS
 from repro.guest import get_distro
 from repro.resources import build_resource
 from repro.sim import Gem5Build
 
 
-def diff_series(parsec_seconds, cpus):
-    apps = sorted(parsec_seconds["ubuntu-18.04"])
-    bionic = Series(
-        "18.04", {a: parsec_seconds["ubuntu-18.04"][a][cpus] for a in apps}
-    )
-    focal = Series(
-        "20.04", {a: parsec_seconds["ubuntu-20.04"][a][cpus] for a in apps}
-    )
-    return difference_series(f"{cpus}c", bionic, focal)
-
-
-def test_fig6_1804_typically_slower(parsec_seconds):
-    for cpus in PARSEC_CPU_COUNTS:
-        diff = diff_series(parsec_seconds, cpus)
-        positive = sum(1 for v in diff.values.values() if v > 0)
-        assert positive >= 8, (
-            f"at {cpus} cores only {positive}/10 apps were slower on "
-            "18.04; the paper reports apps 'typically' take longer there"
-        )
-
-
-def test_fig6_difference_shrinks_with_cores(parsec_seconds):
-    means = {
-        cpus: diff_series(parsec_seconds, cpus).mean()
-        for cpus in PARSEC_CPU_COUNTS
-    }
-    assert means[1] > means[2] > means[8] > 0
-
-
-def test_fig6_compute_bound_apps_can_invert(parsec_seconds):
+def test_fig6_compute_bound_apps_can_invert(paper):
     """swaptions (tiny working set, compute bound) pays GCC 9.3's larger
-    instruction count without the memory win — the 'typically' caveat."""
-    diff = diff_series(parsec_seconds, 1)
-    assert diff["swaptions"] < diff["ferret"]
+    instruction count without the memory win — the 'typically' caveat.
+    It stays an assertion: it compares two plotted values, and a gate
+    compares one value with a constant."""
+    difference = paper["fig6-7"]["fig6"]["difference"]["1"]
+    assert difference["swaptions"] < difference["ferret"]
 
 
-def test_fig6_render(parsec_seconds, capsys, benchmark):
+def test_fig6_render(paper, capsys, benchmark):
     def render():
         blocks = []
-        for cpus in PARSEC_CPU_COUNTS:
-            blocks.append(f"--- {cpus} core(s) ---")
+        for cores, difference in paper["fig6-7"]["fig6"]["difference"].items():
+            blocks.append(f"--- {cores} core(s) ---")
             blocks.append(
-                bar_chart([diff_series(parsec_seconds, cpus)], unit="s")
+                bar_chart([Series(f"{cores}c", difference)], unit="s")
             )
         return "\n".join(blocks)
 

@@ -10,9 +10,7 @@ chart.
 Run with:  python examples/gpu_regalloc_study.py
 """
 
-import collections
-
-from repro.analysis import Series, bar_chart, normalize_to
+from repro.analysis import Series, bar_chart, fig9
 from repro.art import ArtifactDB, gpu_regalloc_study
 from repro.gpu import GPU_WORKLOADS, GPUConfig
 
@@ -23,34 +21,23 @@ def main() -> None:
     print(f"GPU config: {GPUConfig().describe()}\n")
     print(f"launching {experiment.size()} GPU runs ...")
     experiment.launch(substrate="processes", workers=8)
+    claims = fig9(experiment.records())["fig9"]
 
-    ticks = collections.defaultdict(dict)
-    for record in experiment.records():
-        ticks[record["register_allocator"]][record["workload"]] = (
-            record["shader_ticks"]
-        )
-    order = sorted(ticks["simple"], key=lambda n: GPU_WORKLOADS[n].suite)
-    simple = Series("simple", {n: ticks["simple"][n] for n in order})
-    dynamic = Series("dynamic", {n: ticks["dynamic"][n] for n in order})
-
-    # Fig 9: speedup of each allocator normalized to simple.
-    speedup = normalize_to(simple, dynamic)
-    speedup.name = "dynamic-vs-simple"
+    # Fig 9: the dynamic allocator's speedup normalized to simple.
+    speedup = claims["speedup"]
+    order = sorted(speedup, key=lambda n: GPU_WORKLOADS[n].suite)
     print(bar_chart(
-        [speedup],
+        [Series("dynamic-vs-simple", {n: speedup[n] for n in order})],
         title="Fig 9: dynamic allocator speedup (normalized to simple; "
         ">1 means dynamic wins)",
         unit="x",
     ))
-    mean_relative_time = sum(
-        dynamic[n] / simple[n] for n in order
-    ) / len(order)
     print(f"\nmean relative execution time (dynamic/simple): "
-          f"{mean_relative_time:.3f} "
+          f"{claims['mean']:.3f} "
           "(paper: simple better by ~8% on average)")
-    worst = max(order, key=lambda n: dynamic[n] / simple[n])
+    worst = claims["worst"]
     print(f"worst regression: {worst} "
-          f"({dynamic[worst] / simple[worst]:.2f}x slower under dynamic; "
+          f"({claims['relative_time'][worst]:.2f}x slower under dynamic; "
           "paper: FAMutex, 61% worse)")
 
 

@@ -11,52 +11,28 @@ results.
 Run with:  python examples/parsec_study.py
 """
 
-from repro.analysis import (
-    Series,
-    bar_chart,
-    difference_series,
-    speedup_series,
-)
+from repro.analysis import Series, bar_chart, figs6_7
 from repro.art import ArtifactDB, parsec_study
-from repro.art.studies import PARSEC_CPU_COUNTS, PARSEC_OSES
 
 
 def main() -> None:
     experiment = parsec_study(ArtifactDB())
     print(f"launching {experiment.size()} gem5 runs ...")
     experiment.launch(substrate="processes", workers=8)
-
-    # {os: {app: {cpus: workload seconds}}}
-    tables = {os_key: {} for os_key in PARSEC_OSES}
-    for record in experiment.records():
-        tables[record["stack"]].setdefault(record["benchmark"], {})[
-            record["num_cpus"]
-        ] = record["workload_seconds"]
-
-    def series(name, os_key, cpus):
-        table = tables[os_key]
-        return Series(name, {a: table[a][cpus] for a in sorted(table)})
+    claims = figs6_7(experiment.records())
 
     # ------------------------------------------------------------- Fig 6
     print("\nFig 6: execution-time difference, Ubuntu 18.04 - 20.04")
-    for cpus in PARSEC_CPU_COUNTS:
-        diff = difference_series(
-            f"{cpus} cores",
-            series("18.04", "ubuntu-18.04", cpus),
-            series("20.04", "ubuntu-20.04", cpus),
-        )
-        print(f"\n--- {cpus} core(s) ---")
-        print(bar_chart([diff], unit="s"))
+    for cores, difference in claims["fig6"]["difference"].items():
+        print(f"\n--- {cores} core(s) ---")
+        print(bar_chart([Series(f"{cores} cores", difference)], unit="s"))
 
     # ------------------------------------------------------------- Fig 7
     print("\nFig 7: 1 -> 8 core speedup per OS")
-    for os_key in PARSEC_OSES:
-        speedup = speedup_series(
-            os_key, series("1", os_key, 1), series("8", os_key, 8)
-        )
-        print(f"\n--- {os_key} (mean speedup "
-              f"{speedup.mean():.2f}x) ---")
-        print(bar_chart([speedup], unit="x"))
+    fig7 = claims["fig7"]
+    for stack, speedup in fig7["speedup"].items():
+        print(f"\n--- {stack} (mean speedup {fig7['mean'][stack]:.2f}x) ---")
+        print(bar_chart([Series(stack, speedup)], unit="x"))
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ Two halves share this package:
 
 - **Result analysis** — the Jupyter/Matplotlib stage of the paper's
   workflow: :mod:`queries` groups and pivots a sweep's flat records
-  (:meth:`repro.art.Experiment.records` reads them; nothing here reads
-  the database), :mod:`series` turns them into speedups and
-  normalizations, and :mod:`charts` renders ASCII bar charts and the
-  Fig 8 status grid.  This half is what the package exports.
+  (:meth:`repro.art.Experiment.records` reads them), :mod:`claims`
+  turns them into Figs 6, 7 and 9's values and claimed quantities (only
+  its two pipeline-stage targets load a sweep from the database), and
+  :mod:`charts` renders ASCII bar charts and the Fig 8 status grid.
+  This half is what the package exports.
 - **Static analysis of the codebase itself** — the determinism and
   hygiene rule packs (:mod:`rules_determinism`, :mod:`rules_hygiene`)
   on the :mod:`engine` and the three whole-program passes in
@@ -18,8 +19,8 @@ Two halves share this package:
   used — ``repro lint`` and CI are its consumers.
 
 Every export is lazy (the submodule ``_LAZY`` names): ``from
-repro.analysis import status_grid`` loads :mod:`charts` and
-:mod:`series` and nothing that reads the database.
+repro.analysis import status_grid`` loads :mod:`charts` and nothing
+that reads the database.
 """
 
 import importlib
@@ -33,10 +34,9 @@ _LAZY = {
     "within_tolerance": "validation",
     "group_by": "queries",
     "pivot": "queries",
-    "Series": "series",
-    "speedup_series": "series",
-    "difference_series": "series",
-    "normalize_to": "series",
+    "figs6_7": "claims",
+    "fig9": "claims",
+    "Series": "charts",
     "bar_chart": "charts",
     "status_grid": "charts",
 }

@@ -7,12 +7,10 @@ over configuration cross products).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.errors import ValidationError
-
-if TYPE_CHECKING:
-    from repro.analysis.series import Series
+from repro.common.records import Record
 
 #: Columns the longest bar of a chart spans.
 BAR_WIDTH = 40
@@ -28,6 +26,21 @@ STATUS_GLYPHS = {
     "failed": "F",  # the run itself failed: no simulation outcome
     "timed_out": "H",  # the run outlived its host deadline: none either
 }
+
+
+class Series(Record):
+    """One named bar series: an ordered label → value mapping."""
+
+    _fields = ("name", "values")
+
+    def __init__(self, name: str, values: Dict[str, float]):
+        vars(self).update(name=name, values=values)
+
+    def labels(self) -> List[str]:
+        return list(self.values)
+
+    def __getitem__(self, label: str) -> float:
+        return self.values[label]
 
 
 def bar_chart(

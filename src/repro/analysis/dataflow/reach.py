@@ -8,7 +8,9 @@ gone?"; this pass answers it for the case "nothing but a test".
   :data:`~repro.analysis.dataflow.layering.ROOT_DIRECTORIES`
   (``examples/``, ``benchmarks/``) — what it imports from the package,
   names in its code, or spells in a string constant (``"pkg.mod:func"``
-  pool targets, the perf harness's ``TARGETS`` table) — and every
+  pool targets, the perf harness's ``TARGETS`` table), and the
+  ``target:`` of every python stage a manifest there (``*.yaml``)
+  declares — and every
   module-level statement of a module that ``repro.cli``,
   ``repro.__main__`` or a root file imports, directly or transitively
   (``repro.__main__`` calling ``repro.cli:main`` is one; a module
@@ -37,6 +39,7 @@ mode; a definition kept for a reason no analysis sees carries
 from __future__ import annotations
 
 import ast
+import glob
 import os
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -268,7 +271,8 @@ def _import_closure(project: Project, seeds: Iterable[str]) -> Set[str]:
 
 def _root_trees(package_dir: str) -> Iterator[ast.Module]:
     """Parsed files of the root directories, found from the repository
-    root: the package's parent, or its grandparent under ``src/``."""
+    root: the package's parent, or its grandparent under ``src/``.  A
+    manifest's python-stage targets parse as a list of strings."""
     root = os.path.dirname(os.path.abspath(package_dir))
     if os.path.basename(root) == "src":
         root = os.path.dirname(root)
@@ -280,6 +284,13 @@ def _root_trees(package_dir: str) -> Iterator[ast.Module]:
                 yield ast.parse(handle.read(), filename=path)
             except SyntaxError:
                 continue  # not ours to report; it just roots nothing
+    for name in ROOT_DIRECTORIES:
+        for path in sorted(glob.glob(os.path.join(root, name, "*.yaml"))):
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            yield ast.parse(
+                repr(re.findall(r"target:\s*[\"']?([\w.]+:[\w.]+)", text))
+            )
 
 
 def find_unreachable(liveness: Liveness) -> List[Finding]:

@@ -176,7 +176,7 @@ def _cmd_boot_tests(args) -> int:
 
 
 def _cmd_parsec(args) -> int:
-    from repro.analysis import Series, bar_chart, difference_series
+    from repro.analysis import Series, bar_chart, figs6_7
     from repro.art import parsec_study
     from repro.sim.workload import PARSEC_WORKING_APPS
 
@@ -190,38 +190,21 @@ def _cmd_parsec(args) -> int:
         return 1
     experiment = parsec_study(db, apps)
     experiment.launch()
-    times = {
-        (record["stack"], record["benchmark"], record["num_cpus"]):
-        record["workload_seconds"]
-        for record in experiment.records()
-    }
-    bionic = Series(
-        "18.04", {a: times[("ubuntu-18.04", a, 1)] for a in apps}
-    )
-    focal = Series(
-        "20.04", {a: times[("ubuntu-20.04", a, 1)] for a in apps}
-    )
+    claims = figs6_7(experiment.records())
     print(bar_chart(
-        [difference_series("18.04-20.04 (1 core)", bionic, focal)],
+        [Series("18.04-20.04 (1 core)", claims["fig6"]["difference"]["1"])],
         title="Fig 6 (1 core)", unit="s",
     ))
     print()
-    for os_key, series in (("18.04", bionic), ("20.04", focal)):
-        speedups = Series(
-            os_key,
-            {
-                a: times[(f"ubuntu-{os_key}", a, 1)]
-                / times[(f"ubuntu-{os_key}", a, 8)]
-                for a in apps
-            },
-        )
-        print(f"Fig 7 mean speedup {os_key}: {speedups.mean():.2f}x")
+    for stack, mean in claims["fig7"]["mean"].items():
+        print(f"Fig 7 mean speedup {stack.removeprefix('ubuntu-')}: "
+              f"{mean:.2f}x")
     _archived(args, experiment)
     return 0
 
 
 def _cmd_gpu(args) -> int:
-    from repro.analysis import Series, bar_chart
+    from repro.analysis import Series, bar_chart, fig9
     from repro.art import gpu_regalloc_study
 
     db = _archive(args)
@@ -229,19 +212,12 @@ def _cmd_gpu(args) -> int:
         return 1
     experiment = gpu_regalloc_study(db)
     experiment.launch()
-    ticks = {
-        (record["workload"], record["register_allocator"]):
-        record["shader_ticks"]
-        for record in experiment.records()
-    }
-    speedups = {
-        name: ticks[(name, "simple")] / ticks[(name, "dynamic")]
-        for name, _ in ticks
-    }
-    series = Series("dynamic-vs-simple", dict(sorted(speedups.items())))
-    print(bar_chart([series], title="Fig 9", unit="x"))
-    mean_rel = sum(1.0 / v for v in speedups.values()) / len(speedups)
-    print(f"\nmean relative time (dynamic/simple): {mean_rel:.3f}")
+    claims = fig9(experiment.records())["fig9"]
+    speedup = dict(sorted(claims["speedup"].items()))
+    print(bar_chart(
+        [Series("dynamic-vs-simple", speedup)], title="Fig 9", unit="x"
+    ))
+    print(f"\nmean relative time (dynamic/simple): {claims['mean']:.3f}")
     _archived(args, experiment)
     return 0
 

@@ -75,10 +75,6 @@ class StatsDB:
                 data[f"{name}::{key}"] = value
         return data
 
-    def dump(self) -> str:
-        """Render in the two-column gem5 ``stats.txt`` format."""
-        return render_stats(self.to_dict())
-
 
 def render_stats(stats: Mapping[str, Any]) -> str:
     """Render ``name -> value`` in the two-column gem5 ``stats.txt``

@@ -1,6 +1,6 @@
 """``"package.module:attr"`` targets: the one place a dotted path that
-names a function as data — in a pool envelope, a manifest's python
-stage, a callable gate — becomes the object."""
+names a function as data — in a pool envelope or a manifest's python
+stage — becomes the object."""
 
 import importlib
 from typing import Any

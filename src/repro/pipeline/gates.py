@@ -16,24 +16,25 @@ Gate kinds:
 ``at_most``             ``outputs[path] <= value`` (numeric)
 ``within``              ``|outputs[path] - value| <= tolerance``
 ``all_terminal``        no run of a sweep stage is still created/running
-``callable``            dotted-path predicate ``pkg.mod:func(outputs)``
 ======================  ==================================================
 
 ``path`` is a dotted path into the outputs document (``status_counts.done``,
 ``groups.kvm|classic.ok``); missing paths fail the gate rather than
 raising, because "the stage did not even produce that output" is itself
-a verdict.  The ``pipeline.gate`` chaos point can inject evaluation
-faults; an injected fault is a *failed verdict* (never a crash), so a
-fault drill ends the pipeline ``failed`` with the reason journaled.
+a verdict.  A claim about many runs (a figure's ratios and orderings)
+is a ``python`` stage over the sweep that computes the quantity, gated
+like any other output.  The ``pipeline.gate`` chaos point can inject
+evaluation faults; an injected fault is a *failed verdict* (never a
+crash), so a fault drill ends the pipeline ``failed`` with the reason
+journaled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro import chaos
 from repro.common.errors import FaultInjectedError, ValidationError
-from repro.common.targets import resolve_target
 
 #: Gate kinds and the parameter keys each requires beyond ``kind``.
 GATE_KINDS: Dict[str, Tuple[str, ...]] = {
@@ -42,7 +43,6 @@ GATE_KINDS: Dict[str, Tuple[str, ...]] = {
     "at_most": ("path", "value"),
     "within": ("path", "value", "tolerance"),
     "all_terminal": (),
-    "callable": ("target",),
 }
 
 #: Run statuses that mean "still owed" for ``all_terminal``.
@@ -84,11 +84,6 @@ def validate_gate_spec(gate: Mapping[str, Any], stage: str) -> None:
                 f"stage {stage!r}: gate tolerance must be a "
                 f"non-negative number (got {tolerance!r})"
             )
-    if kind == "callable" and ":" not in str(gate["target"]):
-        raise ValidationError(
-            f"stage {stage!r}: callable gate target must be "
-            f"'package.module:function' (got {gate['target']!r})"
-        )
 
 
 def resolve_path(outputs: Mapping[str, Any], path: str):
@@ -116,9 +111,9 @@ def evaluate_gate(
 ) -> Dict[str, Any]:
     """Evaluate one gate; always returns a verdict, never raises.
 
-    An injected ``pipeline.gate`` fault or a crashed callable predicate
-    is recorded as a failed verdict — a reviewer that cannot review has
-    not approved anything.
+    An injected ``pipeline.gate`` fault or an evaluation that raises (a
+    non-numeric operand) is recorded as a failed verdict: a reviewer
+    that cannot review has not approved anything.
     """
     kind = gate["kind"]
     verdict: Dict[str, Any] = {
@@ -134,7 +129,7 @@ def evaluate_gate(
         return verdict
     try:
         ok, observed, detail = _evaluate(kind, gate, outputs)
-    except Exception as error:  # a broken predicate is a failed review
+    except Exception as error:  # a broken review is a failed review
         verdict["detail"] = f"gate evaluation crashed: {error}"
         return verdict
     verdict["ok"] = bool(ok)
@@ -155,8 +150,6 @@ def evaluate_gates(
 def _evaluate(kind, gate, outputs):
     if kind == "all_terminal":
         return _evaluate_all_terminal(outputs)
-    if kind == "callable":
-        return _evaluate_callable(gate, outputs)
     found, observed = resolve_path(outputs, gate["path"])
     if not found:
         return (
@@ -220,16 +213,3 @@ def _evaluate_all_terminal(outputs):
             f"runs still pending: {pending}",
         )
     return True, dict(counts), "every run reached a terminal status"
-
-
-def _evaluate_callable(gate, outputs):
-    target = str(gate["target"])
-    predicate = resolve_target(target)
-    result = predicate(outputs)
-    if isinstance(result, Mapping):
-        return (
-            bool(result.get("ok")),
-            result.get("observed"),
-            str(result.get("detail", target)),
-        )
-    return bool(result), None, f"{target} -> {bool(result)}"

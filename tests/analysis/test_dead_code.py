@@ -115,7 +115,8 @@ def test_class_whose_only_reference_is_a_reexport_is_dead(tmp_path):
 
 def test_examples_and_benchmarks_are_roots_tests_are_not(tmp_path):
     """A root file keeps alive what it imports, names, or spells in a
-    string — a pool target, a row of a patch table."""
+    string — a pool target, a row of a patch table, a manifest's
+    python-stage target."""
     findings = lint(
         tmp_path,
         {
@@ -126,6 +127,9 @@ def test_examples_and_benchmarks_are_roots_tests_are_not(tmp_path):
 
                 def pool_target(payload):
                     return payload
+
+                def stage_target(ctx):
+                    return {}
 
                 class Patched:
                     def traced(self):
@@ -142,6 +146,12 @@ def test_examples_and_benchmarks_are_roots_tests_are_not(tmp_path):
             "benchmarks/perf/harness.py": """
                 TARGETS = (("layer.op", "repro.api", "Patched.traced"),)
                 JOB = "repro.api:pool_target"
+            """,
+            "examples/claims.yaml": """
+                stages:
+                  - name: claims
+                    kind: python
+                    params: {target: "repro.api:stage_target"}
             """,
             "tests/test_api.py": """
                 from repro.api import for_tests_only

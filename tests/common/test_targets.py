@@ -1,8 +1,7 @@
-"""One ``"package.module:attr"`` resolver, three callers: a process-pool
-envelope, a manifest's python stage and a callable gate each report a
-target they cannot resolve the same way — a ValidationError that names
-it — in their own failure idiom (a failed job, a failed stage, a failed
-verdict)."""
+"""One ``"package.module:attr"`` resolver, two callers: a process-pool
+envelope and a manifest's python stage each report a target they cannot
+resolve the same way — a ValidationError that names it — in their own
+failure idiom (a failed job, a failed stage)."""
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.art import ArtifactDB
 from repro.common.errors import ValidationError
 from repro.common.targets import resolve_target
 from repro.pipeline import PipelineJournal, run_pipeline
-from repro.pipeline.gates import evaluate_gate
 from repro.scheduler import JobEnvelope, ProcessPool, WorkerJobError
 
 from tests.helpers import parse_manifest_text, result_of
@@ -44,22 +42,14 @@ def through_a_python_stage(target):
     return doc["error"]
 
 
-def through_a_callable_gate(target):
-    verdict = evaluate_gate(
-        {"kind": "callable", "target": target}, {}, stage="s"
-    )
-    assert not verdict["ok"]
-    return verdict["detail"]
-
-
 @pytest.mark.parametrize(
     "caller",
-    [through_the_pool, through_a_python_stage, through_a_callable_gate],
+    [through_the_pool, through_a_python_stage],
 )
 @pytest.mark.parametrize("target", BAD_TARGETS.values(), ids=list(BAD_TARGETS))
 def test_unresolvable_target_is_named_by_every_caller(caller, target):
     report = caller(target)
-    assert "ValidationError" in report or "crashed" in report
+    assert "ValidationError" in report
     assert repr(target) in report
 
 

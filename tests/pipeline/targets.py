@@ -45,13 +45,3 @@ def unserializable(ctx) -> Dict[str, Any]:
     """Returns outputs canonical JSON cannot encode; records the call."""
     CALLS.append(ctx.stage.name)
     return {"value": object()}
-
-
-def check_even(outputs) -> Dict[str, Any]:
-    """Callable-gate predicate: passes when ``value`` is even."""
-    value = outputs.get("value")
-    return {
-        "ok": isinstance(value, int) and value % 2 == 0,
-        "observed": value,
-        "detail": f"value={value!r} must be even",
-    }

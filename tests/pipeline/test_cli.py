@@ -15,7 +15,7 @@ stages:
     kind: python
     params: {target: "tests.pipeline.targets:emit", value: 4}
     gates:
-      - {kind: callable, target: "tests.pipeline.targets:check_even"}
+      - {kind: at_least, path: value, value: 3.5}
   - name: sum
     kind: python
     inputs: [make]
@@ -146,7 +146,7 @@ def test_pipeline_status_and_explain(manifest_path, db_uri, capsys):
     assert "make" in out and "sum" in out
     assert "cache_hit" in out
     # Gate verdicts are part of the provenance record.
-    assert "gate pass: value=4 must be even" in out
+    assert "gate pass: value=4 >= 3.5: pass" in out
 
 
 def test_pipeline_explain_unknown_target(db_uri, manifest_path, capsys):

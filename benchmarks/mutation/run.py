@@ -5,10 +5,11 @@ Usage::
     python benchmarks/mutation/run.py MODULE_PATH [PYTEST_ARGS...]
 
 ``MODULE_PATH`` is relative to the repository root, for example
-``src/repro/common/records.py``.  ``PYTEST_ARGS`` default to tier-1 with
-``-x`` (``-x -q``); any given replace them, so
-``... records.py tests/common/test_records.py -x -q`` holds one test file
-to the module.
+``src/repro/common/records.py``.  ``PYTEST_ARGS`` default to tier-1
+(``-q``); any given replace them, so ``... records.py
+tests/common/test_records.py -q`` holds one test file to the module.
+The census refuses ``-x``, ``--exitfirst`` and ``--maxfail``: a run that
+stops at its first failure hides every other test that kills the mutant.
 
 Each mutant is one token-level change:
 
@@ -30,19 +31,35 @@ stale ``.pyc`` outlives its mutant.  The working tree is never written:
 a census that is killed cannot leave a module mutated.
 
 It prints one line per mutant, ``LINE:COL BEFORE -> AFTER`` (columns
-count from 1) and then the first test that failed (``exit N`` if pytest
-names none), ``timeout``, ``SURVIVED``, or ``invalid``.  A mutant that
-does not ``compile()`` is invalid and is never counted as killed: ``for
-name in`` -> ``for name not in`` would otherwise "die" by a collection
-error.
+count from 1) and then every test that failed (``killed by`` and their
+ids; ``exit N`` if pytest names none), ``timeout``, ``SURVIVED``, or
+``invalid``.  A mutant that does not ``compile()`` is invalid and is
+never counted as killed: ``for name in`` -> ``for name not in`` would
+otherwise "die" by a collection error.
+
+It ends with the kill table: one row per test that passed unmutated,
+with the mutants it kills, the mutants it alone kills, and ``cover``
+if a greedy cover of the killed mutants (see :func:`kill_table`) needs
+it; a sole killer always is.
 
 It exits 1 if any survivor is not listed in
-``benchmarks/mutation/equivalent.txt``, 2 if the unmutated copy fails,
-and 0 otherwise.  That file holds one survivor per line, as
-``MODULE_PATH:LINE:COL BEFORE -> AFTER  # REASON``: the mutant exactly
-as the census prints it, two spaces, ``#`` and why no test should kill
-it.  Blank lines and lines starting with ``#`` are comments; an entry
-without a reason is an error.
+``benchmarks/mutation/equivalent.txt`` or an entry there for
+``MODULE_PATH`` matched no survivor of this run (a stale entry: its
+mutant is killed now, or its line moved), 2 if the unmutated copy
+fails or the arguments stop early, and 0 otherwise.  That file holds
+one survivor per line, as ``MODULE_PATH:LINE:COL BEFORE -> AFTER  #
+REASON``: the mutant exactly as the census prints it, two spaces,
+``#`` and why no test should kill it.  Blank lines and lines starting
+with ``#`` are comments; an entry without a reason is an error.
+
+The kill table decides which tests stay.  A test the cover does not
+need may be retired only if it lives in a censused module's own test
+file; if after the cut the census of every censused module still
+kills every mutant it killed before; if it is no reference-oracle
+comparison nor part of the storage engine's model, and no gate,
+figure, ``EXPERIMENTS.md``, doc or CI step names it; if it asserts no
+behaviour owned by a module outside the census; and if the change
+that retires it names it with the tests that still kill its mutants.
 """
 
 import io
@@ -58,7 +75,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 EQUIVALENT = Path(__file__).with_name("equivalent.txt")
-DEFAULT_ARGS = ["-x", "-q"]
+DEFAULT_ARGS = ["-q"]
+STOP_EARLY = ("-x", "--exitfirst", "--maxfail")
 
 SWAPS = {
     "==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">",
@@ -171,21 +189,23 @@ def load_equivalent():
     return listed
 
 
-def _first_failure(output):
-    for line in output.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split()[1]
-    return None
+def _tests(output, outcomes):
+    """The test ids of the ``-r`` summary lines whose outcome is in
+    ``outcomes`` (``FAILED tests/x.py::test_a - message``)."""
+    return list(dict.fromkeys(
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in output.splitlines()
+        if line.startswith(tuple(f"{o} " for o in outcomes))))
 
 
-def _pytest(copy, args, timeout):
+def _pytest(copy, args, timeout, report="fE"):
     """(exit code, output) of pytest in ``copy``; the code is None on a
     timeout."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(copy / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     command = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
-               "-rfE", *args]
+               f"-r{report}", *args]
     try:
         done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
                               capture_output=True, text=True)
@@ -194,14 +214,40 @@ def _pytest(copy, args, timeout):
     return done.returncode, done.stdout + done.stderr
 
 
+def kill_table(killers, order):
+    """The kill table's lines, from ``killers`` (mutant -> the tests that
+    killed it) and ``order`` (the tests as they ran).  The greedy cover
+    takes the test with most uncovered kills, ties to the earlier one."""
+    kills = {test: set() for test in order}
+    for mutant, tests in killers.items():
+        for test in tests:
+            kills.setdefault(test, set()).add(mutant)
+    uncovered, cover = set(killers), set()
+    while uncovered:
+        best = max(kills, key=lambda test: len(kills[test] & uncovered))
+        cover.add(best)
+        uncovered -= kills[best]
+    return ["kills   sole  cover  test", *(
+        f"{len(mutants):5} {sum(t == [test] for t in killers.values()):6}"
+        f"  {'cover' if test in cover else '     '}  {test}"
+        for test, mutants in kills.items()
+    ), f"cover: {len(cover)} of {len(kills)} tests kill all "
+       f"{len(killers)} mutants a named test kills"]
+
+
 def main(argv):
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 0 if argv else 2
     module, args = argv[0], argv[1:] or DEFAULT_ARGS
+    stops = [arg for arg in args if arg.split("=")[0] in STOP_EARLY]
+    if stops:
+        print(f"refused {stops}: a run that stops early hides the other "
+              "tests that kill a mutant")
+        return 2
     source = (ROOT / module).read_text()
     listed = load_equivalent()
-    unlisted = []
+    unlisted, survivors, killers = [], set(), {}
     counts = dict(killed=0, survived=0, invalid=0)
     with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
         copy = Path(scratch) / "tree"
@@ -210,13 +256,15 @@ def main(argv):
             ".bench_*", ".benchmarks"))
         target = copy / module
         started = time.monotonic()
-        code, output = _pytest(copy, args, timeout=None)
+        code, output = _pytest(copy, args, timeout=None, report="A")
         seconds = time.monotonic() - started
         if code != 0:
             print(output[-2000:])
             print(f"the unmutated tree fails (exit {code}): no census")
             return 2
-        print(f"{module}: unmutated run passes in {seconds:.1f}s")
+        order = _tests(output, ("PASSED",))
+        print(f"{module}: unmutated run passes {len(order)} tests "
+              f"in {seconds:.1f}s")
         limit = 3 * seconds + 30
         for start, end, before, after in mutants(source):
             name = describe(start, before, after)
@@ -234,6 +282,7 @@ def main(argv):
             if code == 0:
                 counts["survived"] += 1
                 key = f"{module}:{name}"
+                survivors.add(key)
                 verdict = "SURVIVED"
                 if key in listed:
                     verdict += f" (equivalent: {listed[key]})"
@@ -241,13 +290,22 @@ def main(argv):
                     unlisted.append(key)
             else:
                 counts["killed"] += 1
+                failed = _tests(output, ("FAILED", "ERROR"))
+                if failed:
+                    killers[name] = failed
                 verdict = ("timeout" if code is None
-                           else _first_failure(output) or f"exit {code}")
+                           else f"killed by {' '.join(failed)}" if failed
+                           else f"exit {code}")
             print(f"{name}  {verdict}", flush=True)
     print(", ".join(f"{count} {kind}" for kind, count in counts.items()))
+    print("\n".join(kill_table(killers, order)))
+    stale = [key for key in listed
+             if key.startswith(f"{module}:") and key not in survivors]
     for key in unlisted:
         print(f"unlisted survivor: {key}")
-    return 1 if unlisted else 0
+    for key in stale:
+        print(f"stale equivalent entry: {key}")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ class MemoStore:
         they were served (see :meth:`tallies`), and entries per label."""
         entries, tallies = self.entries(), self.tallies()
         by_label = collections.Counter(
-            entry.get(self.label_field) or "unknown" for entry in entries
+            entry[self.label_field] for entry in entries
         )
         return {
             "entries": len(entries),
@@ -192,10 +192,7 @@ class MemoStore:
             if self._verified is not None:
                 self._verified.add(blob_id)
         value = self.decode(entry, payload)
-        self._count(
-            "hits",
-            **{self.label_field: entry.get(self.label_field, "unknown")},
-        )
+        self._count("hits", **{self.label_field: entry[self.label_field]})
         self._emit("hit", **self._names(entry))
         return value
 

@@ -96,9 +96,9 @@ class RunSpec(Frozen):
     def from_artifacts(
         cls,
         kind: str,
-        artifacts: Mapping[str, "object"],
+        artifacts: Mapping[str, object],
         params: Mapping[str, object],
-    ) -> "RunSpec":
+    ) -> RunSpec:
         """Build a spec from role → :class:`~repro.art.artifact.Artifact`.
 
         When a ``gem5`` artifact is present, the simulator build info is
@@ -106,15 +106,12 @@ class RunSpec(Frozen):
         layer uses to reconstruct the binary.
         """
         hashes = {role: art.hash for role, art in artifacts.items()}
-        build = {}
-        gem5 = artifacts.get("gem5")
-        if gem5 is not None:
-            meta = getattr(gem5, "metadata", {}) or {}
-            build = {
-                key: str(meta[key])
-                for key in ("version", "isa", "variant")
-                if key in meta
-            }
+        meta = getattr(artifacts.get("gem5"), "metadata", {}) or {}
+        build = {
+            key: str(meta[key])
+            for key in ("version", "isa", "variant")
+            if key in meta
+        }
         return cls(kind=kind, artifacts=hashes, params=params, build=build)
 
     # ------------------------------------------------------------ identity
@@ -195,7 +192,7 @@ class RunSpec(Frozen):
         return self.canonical_document()
 
     @classmethod
-    def from_document(cls, document: Mapping[str, object]) -> "RunSpec":
+    def from_document(cls, document: Mapping[str, object]) -> RunSpec:
         return cls(
             kind=document["kind"],
             artifacts=dict(document.get("artifacts") or {}),

@@ -215,7 +215,7 @@ class WalWriter:
         chaos.fire(
             "wal.append",
             collection=self.collection,
-            op=record.get("op", "?"),
+            op=record["op"],
         )
         start = self.size()
         try:
@@ -237,7 +237,7 @@ class WalWriter:
         ):
             self._fsync()
         _records_counter().inc(
-            collection=self.collection, op=record.get("op", "?")
+            collection=self.collection, op=record["op"]
         )
 
     def flush(self) -> None:

@@ -2,9 +2,9 @@
 
 The bugs and gaps of gem5 v20.1.0.4 are an *artifact we cannot download*;
 per the reproduction rules they are replaced by :data:`RULES`.  A row is
-(cpus, memory systems, cores, kernel series, boot types) → (status, bug
-id, reason): ``None`` matches anything, any other field is a collection
-the run's value must be in.  The first matching row decides; a run no
+(cpus, memory systems, cores, kernel series, boot types) → (status,
+reason): ``None`` matches anything, any other field is a collection the
+run's value must be in.  The first matching row decides; a run no
 row matches boots.
 
 1. **Structural rows** come first, from the paper's Fig 8 text: classic
@@ -19,8 +19,8 @@ row matches boots.
 
 A later release is an overlay: :func:`repro.sim.buildinfo.release_of`
 lists the bug ids it fixed (v21.0: ``GEM5-782``).  When the first
-matching row names one of them the run boots; it never falls through to
-a later row.
+matching row's reason names one of them the run boots; it never falls
+through to a later row.
 """
 
 from __future__ import annotations
@@ -65,76 +65,74 @@ _OLD_SERIES = ("4.4", "4.9")
 #: run's kernel version and memory system.
 RULES = (
     (("timing", "o3"), ("classic",), range(2, sys.maxsize), None, None,
-     SimulationStatus.UNSUPPORTED, None, "classic memory system cannot "
+     SimulationStatus.UNSUPPORTED, "classic memory system cannot "
      "serve multiple timing-mode requestors (gem5 v20.1 port limitation)"),
     (("atomic",), ("MI_example", "MESI_Two_Level"), None, None, None,
-     SimulationStatus.UNSUPPORTED, None,
+     SimulationStatus.UNSUPPORTED,
      "Ruby does not support atomic memory accesses ({mem})"),
     (("o3",), ("classic",), None, _OLD_SERIES, None,
-     SimulationStatus.KERNEL_PANIC, None, "kernel {kernel} panics under "
+     SimulationStatus.KERNEL_PANIC, "kernel {kernel} panics under "
      "O3 speculation (missing spin-loop workaround in old kernels)"),
     (("o3",), ("MI_example",), (8,), _OLD_SERIES, None,
-     SimulationStatus.DEADLOCK, None, "possible deadlock detected: "
+     SimulationStatus.DEADLOCK, "possible deadlock detected: "
      "MI_example protocol at 8 cores with an old SMP kernel"),
     (("o3",), ("MI_example",), None, _OLD_SERIES, None,
-     SimulationStatus.KERNEL_PANIC, None,
+     SimulationStatus.KERNEL_PANIC,
      "kernel {kernel} panics under O3 on Ruby"),
     (("o3",), ("MI_example",), (4,), ("4.14",), None,
-     SimulationStatus.KERNEL_PANIC, None,
+     SimulationStatus.KERNEL_PANIC,
      "kernel 4.14 panic: O3/MI_example race at 4 cores"),
     (("o3",), ("MI_example",), (8,), ("4.14",), ("systemd",),
-     SimulationStatus.KERNEL_PANIC, None,
+     SimulationStatus.KERNEL_PANIC,
      "kernel 4.14 panic reaching runlevel 5 at 8 cores"),
     (("o3",), ("MI_example",), (8,), ("4.14",), None,
-     SimulationStatus.TIMEOUT, None,
+     SimulationStatus.TIMEOUT,
      "run exceeded the 24-hour wall-clock budget"),
     (("o3",), ("MI_example",), None, ("4.14",), None,
-     SimulationStatus.OK, None, ""),
+     SimulationStatus.OK, ""),
     (("o3",), ("MI_example",), range(4, sys.maxsize), ("4.19",), None,
-     SimulationStatus.TIMEOUT, None,
+     SimulationStatus.TIMEOUT,
      "run exceeded the 24-hour wall-clock budget"),
     (("o3",), ("MI_example",), None, ("4.19",), None,
-     SimulationStatus.OK, None, ""),
+     SimulationStatus.OK, ""),
     # Every other series on MI_example fails as 5.4 does.
     (("o3",), ("MI_example",), (2,), None, None,
-     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     SimulationStatus.GEM5_SEGFAULT,
      "gem5 segmentation fault (tracked as GEM5-782)"),
     (("o3",), ("MI_example",), (4,), None, ("init",),
-     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     SimulationStatus.GEM5_SEGFAULT,
      "gem5 segmentation fault (tracked as GEM5-782)"),
     (("o3",), ("MI_example",), range(4, sys.maxsize), None, None,
-     SimulationStatus.TIMEOUT, None,
+     SimulationStatus.TIMEOUT,
      "run exceeded the 24-hour wall-clock budget"),
     (("o3",), ("MESI_Two_Level",), None, ("4.4",), None,
-     SimulationStatus.KERNEL_PANIC, None,
+     SimulationStatus.KERNEL_PANIC,
      "kernel 4.4 panics under O3/MESI_Two_Level"),
     (("o3",), ("MESI_Two_Level",), (4,), None, None,
-     SimulationStatus.GEM5_SEGFAULT, "GEM5-782",
+     SimulationStatus.GEM5_SEGFAULT,
      "gem5 segmentation fault (tracked as GEM5-782)"),
     (("o3",), ("MESI_Two_Level",), range(3, sys.maxsize), None, None,
-     SimulationStatus.TIMEOUT, None,
+     SimulationStatus.TIMEOUT,
      "run exceeded the 24-hour wall-clock budget"),
 )
 
 
 def check_run(
-    version: str, config: SystemConfig, kernel_version: str,
-    boot_type: str = "systemd",
+    version: str, config: SystemConfig, kernel_version: str, boot_type: str,
 ) -> FaultVerdict:
     """Classify a full-system run before it executes, on the simulator
     release ``version`` names (see the module docstring)."""
     cpu, mem, cores = config.cpu_type, config.memory_system, config.num_cpus
     series = ".".join(kernel_version.split(".")[:2])
-    for cpus, mems, core_counts, kernels, boots, status, bug, reason in RULES:
+    for cpus, mems, core_counts, kernels, boots, status, reason in RULES:
         if (
             cpu in cpus and mem in mems
             and (core_counts is None or cores in core_counts)
             and (kernels is None or series in kernels)
             and (boots is None or boot_type in boots)
         ):
-            if bug is not None and bug in release_of(version).fixes:
+            if any(bug in reason for bug in release_of(version).fixes):
                 return FaultVerdict(SimulationStatus.OK)
-            if "{" in reason:
-                reason = reason.format(kernel=kernel_version, mem=mem)
+            reason = reason.format(kernel=kernel_version, mem=mem)
             return FaultVerdict(status, reason)
     return FaultVerdict(SimulationStatus.OK)

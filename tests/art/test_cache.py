@@ -314,8 +314,14 @@ def test_artifact_invalidation_cascades_to_dependents_only(db, monkeypatch):
 
     cache = RunCache(db)
     assert len(cache.entries()) == 4
-    evicted = cache.invalidate(bionic["disk_image"].hash)
+    with telemetry.session() as session:
+        evicted = cache.invalidate(bionic["disk_image"].hash)
     assert evicted == 2  # only the bionic points consumed that image
+    revoked = db.runs.find({"cache_revoked": "invalidated"})
+    assert all(bionic["disk_image"].hash in cache.tokens(d) for d in revoked)
+    assert sorted(d["_id"] for d in revoked) == sorted(
+        r["attributes"]["run_id"] for r in session.events.records()
+        if r["kind"] == "runcache.invalidate")
 
     executed = count_simulations(monkeypatch)
     relaunch = Experiment(db, "two-stacks-relaunch")

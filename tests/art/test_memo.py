@@ -239,6 +239,10 @@ def test_consult_degrades_to_one_recompute_then_heals(db, user, reason):
     [(entry, blob_present)] = user.recomputes
     assert (entry is None) == (reason in ("absent", "corrupt", "store-fault"))
     assert blob_present == (reason == "read-fault")
+    # The checkpoint store deletes a rotten entry; the others revoke it.
+    revoked = user.store.collection.count({"cache_revoked": "corrupt"})
+    assert bool(revoked) == (
+        reason == "corrupt" and not isinstance(user.store, CheckpointStore))
     if reason == "store-fault":
         assert user.state() == (None, False)
         second = user.use()
@@ -349,6 +353,7 @@ def test_racing_store_loses_quietly(
     assert store.store("k" * 64, value) is False
     monkeypatch.undo()
     assert store.lookup("k" * 64)[field] == kept
+    assert store.invalidate("k" * 8) == 1  # a prefix of its one token
 
 
 def test_the_earliest_stage_producer_answers_until_revoked(db):

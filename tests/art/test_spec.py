@@ -58,6 +58,22 @@ def test_fingerprint_is_sha256_hex_and_stable():
     assert spec.prefix_fingerprint() == (
         "37aecda8ebd248aa8077e44a1172183ce73a6bc15a1d7d4dc865a150a00446b8"
     )
+    # The prefix keeps the guest-state roles and platform-shape params;
+    # a GPU run and a spec without a kernel or disk have none.
+    booted = make_spec(
+        artifacts={"gem5": HASH_A, "linux_binary": HASH_A,
+                   "disk_image": HASH_B},
+        params={"cpu_type": "o3", "num_cpus": 2,
+                "memory_system": "classic", "boot_type": "init"},
+    )
+    assert booted.prefix_document() == {
+        "schema": 1, "kind": "fs", "build": spec.build,
+        "artifacts": {"linux_binary": HASH_A, "disk_image": HASH_B},
+        "params": {"num_cpus": 2, "memory_system": "classic",
+                   "boot_type": "init"},
+    }
+    assert make_spec(kind="gpu").prefix_fingerprint() is None
+    assert make_spec(artifacts={"gem5": HASH_A}).prefix_fingerprint() is None
 
 
 def test_fingerprint_is_order_independent():
@@ -121,7 +137,7 @@ def test_create_fs_run_persists_spec_and_fingerprint(db, fs_artifacts):
     # Identity keys on content hashes, never instance UUIDs.
     assert doc["spec"]["artifacts"]["gem5"] == fs_artifacts["gem5"].hash
     # Build info lifted from the gem5 artifact metadata.
-    assert doc["spec"]["build"].get("version")
+    assert set(doc["spec"]["build"]) == {"version", "isa", "variant"}
 
 
 def test_identical_runs_share_a_fingerprint_distinct_uuids(db, fs_artifacts):

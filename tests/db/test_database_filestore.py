@@ -81,6 +81,9 @@ def test_filestore_memory_roundtrip():
     assert store.get_bytes(digest) == b"vmlinux contents"
     assert digest in store
     assert len(store) == 1
+    assert store.stats() == {"blobs": 1, "bytes": 16}
+    assert store.delete(digest) and not store.delete(digest)
+    store.close()  # no pack to close
 
 
 def test_filestore_disk_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from repro import telemetry
 from repro.common.errors import CorruptRecordError, ValidationError
 from repro.db import Database
 from repro.db.engine.wal import (
@@ -141,10 +142,17 @@ def test_durability_knob_validated(tmp_path):
 def test_batch_mode_fsyncs_on_flush(tmp_path):
     path = str(tmp_path / "wal.log")
     writer = WalWriter(path, durability="batch", collection="t")
-    writer.append({"op": "insert", "doc": {"_id": "a"}})
-    writer.flush()
+    with telemetry.session() as session:
+        fsyncs = session.metrics.counter("db_wal_fsyncs_total")
+        for _ in range(writer.batch_size - 1):
+            writer.append({"op": "insert", "doc": {"_id": "a"}})
+        assert fsyncs.value(collection="t") == 0
+        writer.flush()
+        assert fsyncs.value(collection="t") == 1
+        assert session.metrics.counter("db_wal_records_total").value(
+            collection="t", op="insert") == writer.batch_size - 1
     records, _, tear = read_log(path, tolerate_torn_tail=True)
-    assert len(records) == 1 and tear is None
+    assert len(records) == writer.batch_size - 1 and tear is None
     writer.close()
 
 
@@ -154,6 +162,7 @@ def test_size_tracks_appends(tmp_path):
     writer.append({"op": "insert", "doc": {"_id": "a"}})
     assert writer.size() > 0
     writer.close()
+    assert writer.size() == 0  # a closed log reports no bytes
 
 
 DOCS = [{"_id": f"d{n}", "v": "x" * 40} for n in range(4)]

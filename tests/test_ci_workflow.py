@@ -94,3 +94,14 @@ def test_every_job_installs_what_its_test_files_import():
             if not (path.parent / f"{module}.py").is_file()
         }
         assert imported - ours <= set(installed), f"job {name!r}"
+
+
+def test_every_module_with_a_listed_survivor_has_a_census_step():
+    """An ``equivalent.txt`` entry is checked only where a step of the
+    weekly ``mutation`` job runs the census of its module."""
+    listed = pathlib.Path(REPO_ROOT, "benchmarks", "mutation",
+                          "equivalent.txt").read_text().splitlines()
+    job = _workflow_text().split("\n  mutation:\n")[1].split("\n  lint:")[0]
+    assert {line.split(":")[0] for line in listed
+            if line.strip() and not line.startswith("#")} <= set(
+        re.findall(r"benchmarks/mutation/run\.py (\S+)", job))

@@ -86,7 +86,7 @@ class Artifact(Record):
             return cls._reconcile(db, existing, name, typ, input_ids)
         file_id = None
         if payload is not None:
-            file_id = db.upload_file(payload, filename=os.path.basename(path))
+            file_id = db.upload_file(payload)
         document = {
             "_id": new_uuid(),
             "name": name,

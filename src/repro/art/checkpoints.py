@@ -64,9 +64,7 @@ class CheckpointStore(MemoStore):
         writer that then loses the insert race leaves at worst an
         unreferenced blob: equal checkpoints share one address)."""
         payload = canonical_dumps(checkpoint.to_dict()).encode("utf-8")
-        file_id = self.db.upload_file(
-            payload, filename=f"checkpoint-{checkpoint.checkpoint_id}.json"
-        )
+        file_id = self.db.upload_file(payload)
         return {
             "_id": f"ckpt-{prefix}",
             "prefix": prefix,
@@ -120,7 +118,9 @@ class CheckpointStore(MemoStore):
         """The prefix fingerprint of every matching run document that
         has one (an fs run whose boot a checkpoint can stand in for)."""
         prefixes = (
-            RunSpec.from_document(doc["spec"]).prefix_fingerprint()
+            RunSpec.from_document(
+                self.db.resolve_run(doc)["spec"]
+            ).prefix_fingerprint()
             for doc in self.db.runs.find(query)
         )
         return [prefix for prefix in prefixes if prefix]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.common.errors import NotFoundError
+from repro.common.errors import NotFoundError, ValidationError
 from repro.db import Database, connect
 
 ARTIFACTS = "artifacts"
@@ -47,8 +47,8 @@ class ArtifactDB:
 
     # --------------------------------------------------------------- files
 
-    def upload_file(self, data: bytes, filename: str = None) -> str:
-        return self.database.files.put_bytes(data, filename=filename)
+    def upload_file(self, data: bytes) -> str:
+        return self.database.files.put_bytes(data)
 
     def download_file(self, file_id: str) -> bytes:
         return self.database.files.get_bytes(file_id)
@@ -78,6 +78,21 @@ class ArtifactDB:
         if doc is None:
             raise NotFoundError(f"no run with id {run_id}")
         return doc
+
+    def resolve_run(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """``doc`` with its inputs.  An adopter has its producer's
+        fingerprint, so its inputs: its document is a reference, which
+        takes them from the producer that ``cached_from`` names."""
+        if "spec" in doc or "cached_from" not in doc:
+            return doc
+        producer = self.find_run(doc["cached_from"])
+        if producer is None:
+            raise ValidationError(
+                f"run document {doc['_id']} refers to its producer "
+                f"{doc['cached_from']}, which is not in the database"
+            )
+        inputs = ("kind", "artifacts", "params", "spec")
+        return dict(doc, **{key: producer.get(key) for key in inputs})
 
     # --------------------------------------------------------------- misc
 

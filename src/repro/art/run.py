@@ -14,8 +14,9 @@ only step that may leave the thread that owns the database — and
 
 A run's document is written once, by the step that gives it an outcome
 (``finish``, ``fail`` or a cache adoption): one ``insert`` holding its
-inputs, fingerprint, status and results.  A run without an outcome has
-no document; the experiment that lists it is its durable record.
+inputs, fingerprint, status and results — an adoption's holds no inputs
+but names its producer, whose are the same.  A run without an outcome
+has no document; the experiment that lists it is its durable record.
 
 Run identity is two-layered.  The UUID (``run_id``) is the *instance* id:
 it names one attempt, one document, one row in an experiment.  The
@@ -202,7 +203,9 @@ class Gem5Run(Record):
 
     @classmethod
     def from_document(cls, db: ArtifactDB, doc: Dict) -> "Gem5Run":
-        """The run a stored document describes (it has an outcome)."""
+        """The run a stored document describes (it has an outcome); a
+        reference takes its inputs from its producer's."""
+        doc = db.resolve_run(doc)
         if not doc.get("spec") or not doc.get("fingerprint"):
             raise ValidationError(
                 f"run document {doc['_id']} carries no spec/fingerprint: "
@@ -361,10 +364,7 @@ class Gem5Run(Record):
             )
             return self.results
         try:
-            stats_file_id = self.db.upload_file(
-                stats_txt.encode("utf-8"),
-                filename=f"stats-{self.run_id}.txt",
-            )
+            stats_file_id = self.db.upload_file(stats_txt.encode("utf-8"))
         except Exception as error:
             self.fail(attempt, str(error))
             raise
@@ -470,24 +470,29 @@ class Gem5Run(Record):
         """Write the run's outcome.  A run has a document exactly when
         it has an outcome: a ``CREATED`` run's is inserted whole, and one
         that already has an outcome — a failure being retried — has its
-        outcome fields updated in place."""
+        outcome fields updated in place.  An adopter's inputs are its
+        producer's (the same fingerprint), so a ``CREATED`` run that
+        adopts inserts a reference without them, which readers complete
+        from ``cached_from`` (:meth:`ArtifactDB.resolve_run`)."""
         chaos.fire(
             "run.status", run_id=self.run_id, status=status.value
         )
         outcome = {"status": status.value, "results": results, **extra}
         if self.status is RunStatus.CREATED:
-            self.db.put_run(
-                {
-                    "_id": self.run_id,
-                    "kind": self.kind,
-                    "artifacts": self.artifacts,
-                    "params": self.params,
-                    "timeout": self.timeout,
-                    "fingerprint": self.fingerprint,
-                    "spec": self.spec.to_document(),
-                    **outcome,
-                }
-            )
+            document = {
+                "_id": self.run_id,
+                "timeout": self.timeout,
+                "fingerprint": self.fingerprint,
+                **outcome,
+            }
+            if "cached_from" not in extra:
+                document.update(
+                    kind=self.kind,
+                    artifacts=self.artifacts,
+                    params=self.params,
+                    spec=self.spec.to_document(),
+                )
+            self.db.put_run(document)
         else:
             self.db.update_run(self.run_id, {"$set": outcome})
         # Only what the database acknowledged: ``results`` is what a

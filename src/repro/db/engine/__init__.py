@@ -20,7 +20,7 @@ from repro.db.engine.wal import DURABILITY_MODES, check_durability
 __all__ = ["DURABILITY_MODES", "FORMAT", "CollectionStore", "check_durability"]
 
 #: The number a ``file://`` root's ``FORMAT`` file holds (docs/storage.md).
-FORMAT = 1
+FORMAT = 2
 
 
 def __getattr__(name: str):

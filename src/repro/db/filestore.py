@@ -212,11 +212,11 @@ class FileStore:
 
     # ----------------------------------------------------------------- put
 
-    def put_bytes(self, data: bytes, filename: Optional[str] = None) -> str:
+    def put_bytes(self, data: bytes) -> str:
         """Store a byte string; returns its content id.  Idempotent: a
         digest already stored is neither deflated nor written again."""
         digest = sha256_bytes(data)
-        chaos.fire("filestore.put", digest=digest, filename=filename)
+        chaos.fire("filestore.put", digest=digest)
         if self.root is None:
             self._memory.setdefault(digest, data)
         elif digest not in self._index:

@@ -145,7 +145,7 @@ class PipelineJournal:
         JSON, so equal outputs share one blob across stages and runs.
         """
         payload = canonical_dumps(outputs).encode("utf-8")
-        return self.db.upload_file(payload, filename="stage-outputs.json")
+        return self.db.upload_file(payload)
 
     def record_stage(
         self,

@@ -269,9 +269,7 @@ def stage_render(ctx: StageContext) -> Dict[str, Any]:
         f"done={source.get('done_runs', 0)}"
     )
     text = "\n".join(lines) + "\n"
-    blob_id = ctx.db.upload_file(
-        text.encode("utf-8"), filename="report.txt"
-    )
+    blob_id = ctx.db.upload_file(text.encode("utf-8"))
     return {
         "report_blob": blob_id,
         "line_count": len(lines),

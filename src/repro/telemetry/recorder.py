@@ -54,10 +54,7 @@ def archive_telemetry(
     ``owner_id`` is the run or experiment the snapshot belongs to; the
     blob sits in the same file store as the run's ``stats.txt``.
     """
-    blob_id = db.upload_file(
-        dumps(data).encode("utf-8"),
-        filename=f"telemetry-{owner_id}.json",
-    )
+    blob_id = db.upload_file(dumps(data).encode("utf-8"))
     doc_id = new_uuid()
     db.database.collection(TELEMETRY).insert_one(
         {

@@ -13,7 +13,9 @@ from repro.art import (
     register_repo,
     verify_archive,
 )
+from repro.art.studies import boot_tests
 from repro.common.errors import StateError, ValidationError
+from repro.db import connect
 from repro.guest import get_distro
 from repro.resources import build_resource
 from repro.sim import Gem5Build
@@ -163,6 +165,35 @@ def test_export_verify_import_roundtrip(db, tmp_path):
     # Every payload travelled: the stats file of each run is readable.
     for doc in other.runs.all_documents():
         assert other.download_file(doc["results"]["stats_file_id"])
+
+
+def test_a_warm_sweep_reads_through_its_references(tmp_path):
+    """An adopter's document is a reference to its producer's: the warm
+    experiment loads, resumes and travels as the cold one does."""
+    db = ArtifactDB(connect(f"file://{tmp_path / 'db'}"))
+    cold, warm = boot_tests(db, quick=True), boot_tests(db, quick=True)
+    for experiment in (cold, warm):
+        experiment.launch()
+
+    def records(db, experiment):
+        loaded = Experiment.load(db, experiment.experiment_id).records()
+        return [dict(record, run_id=None) for record in loaded]
+
+    assert records(db, warm) == records(db, cold)
+    stored = db.runs.find()
+    Experiment.load(db, warm.experiment_id).resume()
+    assert db.runs.find() == stored
+    archive, other = str(tmp_path / "archive"), ArtifactDB()
+    export_archive(db, archive)
+    verify_archive(archive)
+    import_archive(archive, other)
+    assert records(other, warm) == records(db, cold)
+
+    reference = db.find_run(warm.records()[0]["run_id"])
+    producer = reference["cached_from"]
+    db.runs.delete_one({"_id": producer})
+    with pytest.raises(ValidationError, match=f"{reference['_id']}.*{producer}"):
+        Experiment.load(db, warm.experiment_id)
 
 
 def test_import_is_idempotent(db, tmp_path):

@@ -124,9 +124,10 @@ def run_cell(grid, path, traced, use_checkpoints, runs_digest):
         PATHS[path](GRIDS[grid](db), use_checkpoints)
         cold, cold_digest = runs.find(), runs_digest(db.database)
         PATHS[path](GRIDS[grid](db), use_checkpoints)
+    # A warm document is a reference: read it through its producer's.
+    warm = [db.resolve_run(doc) for doc in runs.find() if doc not in cold]
     for doc in cold:
         runs.delete_one({"_id": doc["_id"]})
-    warm = runs.find()
     return points(cold), cold_digest, points(warm), runs_digest(db.database)
 
 

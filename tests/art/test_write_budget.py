@@ -1,8 +1,8 @@
 """What a sweep appends to its database, as exact record counts.
 
 A run's document is written once, by the step that gives it an
-outcome: one ``insert`` holding its inputs, fingerprint, status and
-results, and nothing before it — nor after it: a ``done`` document is
+outcome: one ``insert`` holding its inputs (an adopter's: its
+producer's id), fingerprint, status and results, and nothing before it — nor after it: a ``done`` document is
 its own run-cache entry, found through the ``runs`` index on
 ``fingerprint`` (declared by ``ArtifactDB`` on open, never logged), and
 a warm run (an adoption) writes its own document and nothing else.
@@ -31,15 +31,16 @@ from tests.helpers import WEDGED_CPUS, wedge_simulations
 
 PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
+#: A run's inputs: an adopter's document leaves them to its producer's.
+INPUTS = {"kind", "artifacts", "params", "spec"}
 #: What every run document holds: its inputs and its outcome.
-CREATED_WITH = {
-    "_id", "kind", "artifacts", "params", "timeout", "fingerprint",
-    "spec", "status", "results",
+CREATED_WITH = INPUTS | {
+    "_id", "timeout", "fingerprint", "status", "results",
 }
 #: The key set of a document by how its run ended — the same sets the
 #: three-write lifecycle (``created`` → ``running`` → outcome) left.
 EXECUTED_KEYS = CREATED_WITH | {"started_at_wall", "finished_at_wall"}
-ADOPTED_KEYS = CREATED_WITH | {
+ADOPTED_KEYS = CREATED_WITH - INPUTS | {
     "cache_hit", "cached_from", "finished_at_wall",
 }
 
@@ -201,6 +202,7 @@ def test_every_outcome_leaves_the_documented_key_set(
         assert doc["status"] == ("done" if outcome == "adopted" else outcome)
         expected = ADOPTED_KEYS if outcome == "adopted" else EXECUTED_KEYS
         assert set(doc) == expected, outcome
+        assert set(db.resolve_run(doc)) == expected | INPUTS
 
 
 def test_nothing_reaches_the_runs_log_before_an_outcome(

@@ -607,8 +607,8 @@ def test_inspection_is_a_pure_read(inspected, argv, tmp_path, capsys):
     assert tree(root) == before
 
 
-@pytest.mark.parametrize("stamp", [f"{FORMAT + 1}\n", None],
-                         ids=["newer", "unstamped"])
+@pytest.mark.parametrize("stamp", [f"{FORMAT + 1}\n", "1\n", None],
+                         ids=["newer", "older", "unstamped"])
 @pytest.mark.parametrize("argv", list(db_verbs(True)), ids=" ".join)
 def test_every_db_verb_refuses_a_format_it_cannot_read(
     inspected, argv, stamp, tmp_path, capsys

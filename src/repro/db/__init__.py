@@ -5,8 +5,9 @@ and content hash) and stores the associated binary blobs in GridFS.  Neither
 is available offline, so this package provides behaviour-compatible
 replacements:
 
-- :class:`Collection` — documents with Mongo-style queries, unique indexes
-  and non-unique secondary indexes,
+- :class:`Collection` — documents with the Mongo queries the artifact
+  layer sends (equality, ``$ne``, ``$exists``), ``$set``/``$unset``
+  updates, unique indexes and non-unique secondary indexes,
 - :class:`Database` — a set of named collections persisted through the
   embedded storage engine (:mod:`repro.db.engine`: write-ahead log,
   one sealed segment, compaction, crash recovery),
@@ -17,7 +18,6 @@ replacements:
   ``file:///path?durability=batch|strict``).
 """
 
-from repro.db.query import matches, sort_documents, project
 from repro.db.collection import Collection
 from repro.db.engine import DURABILITY_MODES
 from repro.db.database import Database
@@ -25,9 +25,6 @@ from repro.db.filestore import FileStore
 from repro.db.client import connect
 
 __all__ = [
-    "matches",
-    "sort_documents",
-    "project",
     "Collection",
     "Database",
     "DURABILITY_MODES",

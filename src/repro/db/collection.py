@@ -1,10 +1,11 @@
 """A collection of documents with Mongo-like operations.
 
-Supports the operations the artifact layer relies on: insert with duplicate
-protection via unique indexes, querying with the operator language from
-:mod:`repro.db.query`, field updates, and deletion.  Documents are plain
-dicts; what ``insert_one``/``replace_one`` store, what ``find`` and
-iteration hand out and every ``$set``/``$push`` value is a
+Supports the operations the artifact layer relies on: insert with
+duplicate protection via unique indexes, querying with the equality,
+``$ne`` and ``$exists`` forms of :mod:`repro.db.query`,
+``$set``/``$unset`` updates, and deletion.  Documents are plain dicts;
+what ``insert_one``/``replace_one`` store, what ``find`` and iteration
+hand out and every ``$set`` value is a
 :func:`~repro.common.jsonutil.json_copy`, so callers can never mutate
 the database behind its back.  That copy is the form the log replays (a
 tuple becomes a list, a non-``str`` key ``str(key)``): a query matches
@@ -19,7 +20,7 @@ Two kinds of indexes serve ``find()`` without scanning:
   doubling as the uniqueness constraint;
 - **secondary non-unique** (:meth:`Collection.create_index`) — field →
   set of doc ids, multikey over list values (each element is indexed, as
-  in Mongo), serving equality and scalar ``$in`` fast paths.
+  in Mongo), serving equality fast paths.
 
 An index is schema, not data: it is never logged, and the code that
 owns a collection declares it every time it opens the collection.
@@ -52,7 +53,7 @@ from repro.common.errors import DuplicateError, ValidationError
 from repro.common.ids import new_uuid
 from repro.common.jsonutil import json_copy
 from repro.db.query import (
-    MISSING as _MISSING,
+    MISSING,
     get_path,
     matches,
     project,
@@ -99,7 +100,7 @@ class Collection:
         seen: Dict[Any, str] = {}
         for doc_id, doc in self._documents.items():
             value = get_path(doc, field)
-            if value is _MISSING or _unset(value):
+            if value is MISSING or _unset(value):
                 continue
             key = _index_key(value)
             if key in seen:
@@ -113,10 +114,10 @@ class Collection:
     def create_index(self, field: str) -> None:
         """Build a non-unique secondary index over ``field``.
 
-        Serves ``find()`` equality and scalar ``$in`` queries from the
-        index instead of a collection scan.  List values are multikey:
-        each element is indexed, so equality-with-element matches keep
-        working through the fast path.  Idempotent.
+        Serves ``find()`` equality queries from the index instead of a
+        collection scan.  List values are multikey: each element is
+        indexed, so equality-with-element matches keep working through
+        the fast path.  Idempotent.
         """
         if field in self._secondary_indexes:
             return
@@ -130,7 +131,7 @@ class Collection:
     def _entry_keys(doc: Dict[str, Any], field: str) -> List[Any]:
         """Index keys a document contributes to a secondary index."""
         value = get_path(doc, field)
-        if value is _MISSING or _unset(value):
+        if value is MISSING or _unset(value):
             return []
         keys = [_index_key(value)]
         if isinstance(value, list):
@@ -142,7 +143,7 @@ class Collection:
     ) -> None:
         for field, index in self._unique_indexes.items():
             value = get_path(document, field)
-            if value is _MISSING or _unset(value):
+            if value is MISSING or _unset(value):
                 continue
             holder = index.get(_index_key(value))
             if holder is not None and holder != ignore_id:
@@ -154,7 +155,7 @@ class Collection:
     def _index_add(self, document: Dict[str, Any]) -> None:
         for field, index in self._unique_indexes.items():
             value = get_path(document, field)
-            if value is _MISSING or _unset(value):
+            if value is MISSING or _unset(value):
                 continue
             index[_index_key(value)] = document["_id"]
         for field, sets in self._secondary_indexes.items():
@@ -164,7 +165,7 @@ class Collection:
     def _index_remove(self, document: Dict[str, Any]) -> None:
         for field, index in self._unique_indexes.items():
             value = get_path(document, field)
-            if value is _MISSING or _unset(value):
+            if value is MISSING or _unset(value):
                 continue
             key = _index_key(value)
             if index.get(key) == document["_id"]:
@@ -182,68 +183,25 @@ class Collection:
         """The documents a query can possibly match, cheaply.
 
         Equality on ``_id`` or on a uniquely-indexed field pins the
-        search to at most one document; equality or scalar ``$in`` on a
-        secondary-indexed field pins it to the index buckets.  Anything
-        else falls back to a full scan.  Every candidate is still
-        filtered through ``matches``, so this is purely an access-path
-        decision.
+        search to at most one document; equality on a secondary-indexed
+        field pins it to that value's bucket.  Anything else falls back
+        to a full scan.  Every candidate is still filtered through
+        ``matches``, so this is purely an access-path decision.
         """
-        for field in ("_id", *self._unique_indexes):
+        for field in ("_id", *self._unique_indexes, *self._secondary_indexes):
             if field not in query:
                 continue
             value = query[field]
             if isinstance(value, (dict, list)) or _unset(value):
                 continue  # operator / non-scalar / sparse: no fast path
             if field == "_id":
-                doc_id = value if value in self._documents else None
+                ids = (value,)
+            elif field in self._unique_indexes:
+                ids = (self._unique_indexes[field].get(_index_key(value)),)
             else:
-                doc_id = self._unique_indexes[field].get(
-                    _index_key(value)
-                )
-            if doc_id is None or doc_id not in self._documents:
-                return []
-            return [self._documents[doc_id]]
-        hit = self._secondary_candidates(query)
-        if hit is not None:
-            return hit
+                ids = self._secondary_indexes[field].get(_index_key(value), ())
+            return [self._documents[i] for i in ids if i in self._documents]
         return self._documents.values()
-
-    def _secondary_candidates(
-        self, query: Dict[str, Any]
-    ) -> Optional[List[Dict[str, Any]]]:
-        for field, index in self._secondary_indexes.items():
-            if field not in query:
-                continue
-            condition = query[field]
-            keys = self._condition_keys(condition)
-            if keys is None:
-                continue
-            ids: Set[str] = set()
-            for key in keys:
-                ids.update(index.get(key, ()))
-            return [
-                self._documents[doc_id]
-                for doc_id in ids
-                if doc_id in self._documents
-            ]
-        return None
-
-    @staticmethod
-    def _condition_keys(condition: Any) -> Optional[List[Any]]:
-        """Index keys answering a field condition, or None for no fast
-        path (operators other than ``$in``, lists, unset values)."""
-        if isinstance(condition, list) or _unset(condition):
-            return None
-        if isinstance(condition, dict):
-            if set(condition) != {"$in"}:
-                return None
-            values = condition["$in"]
-            if not isinstance(values, (list, tuple)):
-                return None  # matches() raises the ValidationError
-            if any(_unset(value) for value in values):
-                return None  # sparse values are not indexed; scan
-            return [_index_key(value) for value in values]
-        return [_index_key(condition)]
 
     # -------------------------------------------------------------- insert
 
@@ -309,7 +267,7 @@ class Collection:
     def update_one(
         self, query: Dict[str, Any], update: Dict[str, Any]
     ) -> bool:
-        """Apply ``$set``/``$inc``/``$push``/``$unset`` to the first match.
+        """Apply ``$set``/``$unset`` to the first match.
 
         Returns True when a document was updated.  The next version is
         built beside the stored one (:func:`_updated`), checked, logged
@@ -382,18 +340,14 @@ def _updated(
 
     The new version is a path copy (:func:`~repro.db.query.set_path`):
     ``document`` and every dict in it are left exactly as they are, so
-    raising half-way — a later operator that does not apply, the
-    caller's unique check — abandons the update whole.
+    raising half-way — a later path at or below ``_id``, the caller's
+    unique check — abandons the update whole.
     """
-    if not update or not all(key.startswith("$") for key in update):
-        raise ValidationError(
-            "updates must use operators such as $set / $inc / $push"
-        )
+    if not update or not set(update) <= {"$set", "$unset"}:
+        raise ValidationError(f"updates are $set/$unset: {sorted(update)}")
     candidate = dict(document)
     touched: List[str] = []
     for op, changes in update.items():
-        if op not in ("$set", "$inc", "$push", "$unset"):
-            raise ValidationError(f"unknown update operator: {op}")
         for path in changes:
             if path.split(".", 1)[0] == "_id":
                 # The id is the document's key in the collection and in
@@ -403,21 +357,9 @@ def _updated(
             if op == "$unset":
                 unset_path(candidate, path)
                 touched.append(path)
-                continue
-            if op == "$set":
-                value = json_copy(changes[path])
             else:
-                current = get_path(candidate, path)
-                if op == "$inc":
-                    base = 0 if current is _MISSING else current
-                    value = base + changes[path]
-                elif current is _MISSING:
-                    value = [json_copy(changes[path])]
-                elif isinstance(current, list):
-                    value = [*current, json_copy(changes[path])]
-                else:
-                    raise ValidationError(f"$push target {path!r} not a list")
-            touched.append(set_path(candidate, path, value))
+                value = json_copy(changes[path])
+                touched.append(set_path(candidate, path, value))
     return candidate, touched
 
 
@@ -426,10 +368,10 @@ def _effect(
 ) -> Tuple[Dict[str, Any], List[str]]:
     """An update as absolute facts: ``({path: value}, [path gone])``.
 
-    Read off the finished ``candidate``, so ``$inc``/``$push`` and paths
-    assigned twice give their results; a path below another touched one
-    is covered by it, which leaves paths that cannot overlap and so
-    apply in any order.
+    Read off the finished ``candidate``, so a path assigned or removed
+    twice gives its result; a path below another touched one is covered
+    by it, which leaves paths that cannot overlap and so apply in any
+    order.
     """
     assigned: Dict[str, Any] = {}
     gone: Set[str] = set()
@@ -437,7 +379,7 @@ def _effect(
         if any(path.startswith(other + ".") for other in touched):
             continue
         value = get_path(candidate, path)
-        if value is _MISSING:
+        if value is MISSING:
             gone.add(path)
         else:
             assigned[path] = value

@@ -20,9 +20,10 @@ truncate the WAL.
 **Replay is idempotent**, and that is the whole crash-safety argument.
 Every record is absolute — ``insert``/``replace`` carry the whole
 document, ``delete`` an id, and ``update`` the *effect* of an update:
-the value each path it touched holds afterwards (``set``) or that the
-path is gone (``unset``), never the operators, so an ``$inc`` is logged
-as its sum and a ``$push`` as the list it made.
+the value each path a ``$set``/``$unset`` touched holds afterwards
+(``set``) or that the path is gone (``unset``), never the operators, so
+a ``$set`` of ``q`` then an ``$unset`` of ``q.a`` is logged as the one
+value ``q`` ended with.
 At any one path a record therefore either fixes what is there, whatever
 was there before, or leaves it alone — and which of the two does not
 depend on the state it is applied to (``set_path`` makes every step

@@ -8,9 +8,9 @@ cache of it.  A record on disk is::
 
 where the payload is ``0xFF`` and then the record's deflated bytes.  A
 record is the canonical JSON of one operation document, of four kinds:
-``insert`` and ``replace`` carry a whole document, ``update`` what an
-update left at the paths it touched (``set``: path → value, ``unset``:
-paths now gone), ``delete`` an id.  Indexes are not logged: the code
+``insert`` and ``replace`` carry a whole document, ``update`` what a
+``$set``/``$unset`` left at the paths it touched (``set``: path →
+value, ``unset``: paths now gone), ``delete`` an id.  Indexes are not logged: the code
 that owns a collection declares them each time it opens it.
 
 Each log file is **one raw-deflate stream**: a writer session compresses

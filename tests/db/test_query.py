@@ -23,6 +23,8 @@ def test_empty_query_matches():
 def test_implicit_equality():
     assert matches(DOC, {"name": "gem5"})
     assert not matches(DOC, {"name": "linux"})
+    assert matches(DOC, {"git": {"hash": "abc123", "url": "https://gem5"}})
+    assert not matches(DOC, {"git": {"hash": "abc123"}})
 
 
 def test_dotted_path():
@@ -32,36 +34,9 @@ def test_dotted_path():
 
 
 def test_eq_ne():
-    assert matches(DOC, {"version": {"$eq": 20}})
+    assert matches(DOC, {"version": 20})
     assert matches(DOC, {"version": {"$ne": 21}})
     assert not matches(DOC, {"version": {"$ne": 20}})
-
-
-def test_comparisons():
-    assert matches(DOC, {"version": {"$gt": 19}})
-    assert matches(DOC, {"version": {"$gte": 20}})
-    assert matches(DOC, {"version": {"$lt": 21}})
-    assert matches(DOC, {"version": {"$lte": 20}})
-    assert not matches(DOC, {"version": {"$gt": 20}})
-
-
-def test_comparison_of_missing_field_is_false():
-    assert not matches(DOC, {"nope": {"$gt": 0}})
-
-
-def test_comparison_type_mismatch_is_false():
-    assert not matches(DOC, {"name": {"$gt": 3}})
-
-
-def test_in_nin():
-    assert matches(DOC, {"name": {"$in": ["gem5", "linux"]}})
-    assert matches(DOC, {"name": {"$nin": ["linux"]}})
-    assert not matches(DOC, {"name": {"$in": ["linux"]}})
-
-
-def test_in_on_array_field_matches_any_element():
-    assert matches(DOC, {"tags": {"$in": ["x86"]}})
-    assert not matches(DOC, {"tags": {"$in": ["arm"]}})
 
 
 def test_array_equality_by_membership():
@@ -74,29 +49,21 @@ def test_exists():
     assert not matches(DOC, {"nope": {"$exists": True}})
 
 
-def test_regex():
-    assert matches(DOC, {"git.url": {"$regex": r"^https://"}})
-    assert not matches(DOC, {"git.url": {"$regex": r"^ftp://"}})
-    assert not matches(DOC, {"version": {"$regex": "2"}})
-
-
-def test_not():
-    assert matches(DOC, {"version": {"$not": {"$gt": 30}}})
-    assert not matches(DOC, {"version": {"$not": {"$gt": 10}}})
-
-
-def test_and_or_nor():
-    assert matches(DOC, {"$and": [{"name": "gem5"}, {"version": 20}]})
-    assert matches(DOC, {"$or": [{"name": "wrong"}, {"version": 20}]})
-    assert not matches(DOC, {"$or": [{"name": "wrong"}, {"version": 1}]})
-    assert matches(DOC, {"$nor": [{"name": "wrong"}]})
-
-
 def test_unknown_operator_raises():
-    with pytest.raises(ValidationError):
-        matches(DOC, {"name": {"$frobnicate": 1}})
-    with pytest.raises(ValidationError):
-        matches(DOC, {"$frobnicate": []})
+    """Equality, ``$ne`` and ``$exists`` are the language: every other
+    Mongo operator is refused, in a field condition or at the top."""
+    for op, argument in [
+        ("$frobnicate", 1), ("$eq", 20), ("$gt", 19), ("$gte", 20),
+        ("$lt", 21), ("$lte", 20), ("$in", [20]), ("$nin", [21]),
+        ("$regex", "2"), ("$size", 2), ("$all", [20]), ("$not", {"$ne": 21}),
+    ]:
+        with pytest.raises(ValidationError, match="unknown query operator"):
+            matches(DOC, {"version": {op: argument}})
+    for op in ("$frobnicate", "$and", "$or", "$nor"):
+        with pytest.raises(ValidationError, match="unknown top-level"):
+            matches(DOC, {op: [{"version": 20}]})
+    with pytest.raises(ValidationError, match="must be a dict"):
+        matches(DOC, [("version", 20)])
 
 
 def test_sort_ascending_descending():
@@ -125,7 +92,7 @@ def test_sort_missing_fields_first():
 
 
 def test_sort_invalid_direction():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="direction"):
         sort_documents([], [("v", 0)])
 
 
@@ -145,58 +112,11 @@ simple_docs = st.dictionaries(
 )
 
 
-@given(simple_docs, st.integers(min_value=-5, max_value=5))
-def test_property_eq_equivalent_to_implicit(doc, value):
-    assert matches(doc, {"a": value}) == matches(doc, {"a": {"$eq": value}})
-
-
-@given(simple_docs, st.integers(min_value=-5, max_value=5))
-def test_property_not_inverts(doc, value):
-    if "a" in doc:
-        direct = matches(doc, {"a": {"$gt": value}})
-        inverted = matches(doc, {"a": {"$not": {"$gt": value}}})
-        assert direct != inverted
-
-
 @given(st.lists(simple_docs, max_size=8))
 def test_property_sort_is_ordered(docs):
     ordered = sort_documents(docs, [("a", 1)])
     values = [d["a"] for d in ordered if "a" in d]
     assert values == sorted(values)
-
-
-def test_size_operator():
-    assert matches(DOC, {"tags": {"$size": 2}})
-    assert not matches(DOC, {"tags": {"$size": 3}})
-    assert not matches(DOC, {"name": {"$size": 1}})  # not an array
-    assert not matches(DOC, {"missing": {"$size": 0}})
-
-
-def test_all_operator():
-    assert matches(DOC, {"tags": {"$all": ["x86"]}})
-    assert matches(DOC, {"tags": {"$all": ["x86", "opt"]}})
-    assert not matches(DOC, {"tags": {"$all": ["x86", "arm"]}})
-    assert not matches(DOC, {"name": {"$all": ["gem5"]}})
-
-
-def test_all_requires_sequence():
-    with pytest.raises(ValidationError):
-        matches(DOC, {"tags": {"$all": "x86"}})
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
-def test_property_size_matches_len(values):
-    doc = {"items": values}
-    assert matches(doc, {"items": {"$size": len(values)}})
-    assert not matches(doc, {"items": {"$size": len(values) + 1}})
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
-def test_property_all_with_subset(values):
-    doc = {"items": values}
-    # Any subset of the array satisfies $all.
-    subset = values[: len(values) // 2]
-    assert matches(doc, {"items": {"$all": subset}})
 
 
 # ----------------------------------------------------------- edge cases
@@ -218,23 +138,6 @@ def test_sort_missing_is_stable_across_keys():
     docs = [{"a": 1, "b": 2}, {"b": 1}, {"a": 1, "b": 1}]
     out = sort_documents(docs, [("a", 1), ("b", 1)])
     assert out == [{"b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 2}]
-
-
-def test_in_against_non_list_raises():
-    with pytest.raises(ValidationError):
-        matches(DOC, {"version": {"$in": 20}})
-    with pytest.raises(ValidationError):
-        matches(DOC, {"version": {"$nin": "20"}})
-
-
-def test_in_against_missing_field_is_false():
-    assert not matches(DOC, {"absent": {"$in": [1, 2]}})
-    assert matches(DOC, {"absent": {"$nin": [1, 2]}})
-
-
-def test_in_with_empty_sequence_matches_nothing():
-    assert not matches(DOC, {"version": {"$in": []}})
-    assert not matches(DOC, {"tags": {"$in": ()}})
 
 
 def test_project_nested_path_through_absent_intermediate():

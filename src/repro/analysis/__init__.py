@@ -9,10 +9,9 @@ Two halves share this package:
   its two pipeline-stage targets load a sweep from the database), and
   :mod:`charts` renders ASCII bar charts and the Fig 8 status grid.
   This half is what the package exports.
-- **Static analysis of the codebase itself** — the determinism and
-  hygiene rule packs (:mod:`rules_determinism`, :mod:`rules_hygiene`)
-  on the :mod:`engine` and the three whole-program passes in
-  :mod:`dataflow`.  This half is a
+- **Static analysis of the codebase itself** — the determinism rules
+  (:mod:`rules_determinism`) on the :mod:`engine` and the three
+  whole-program passes in :mod:`dataflow`.  This half is a
   *dev-tool layer*: it reads source text and imports nothing of the
   package it checks, no runtime subsystem (scheduler, sim, art, db)
   imports it, and it is imported only when ``lint_paths`` is first

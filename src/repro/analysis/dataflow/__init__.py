@@ -1,9 +1,10 @@
 """The lint driver and its whole-program passes.
 
 :func:`lint_paths` is the one way in: it parses every file once into a
-:class:`~repro.analysis.dataflow.graph.Project`, runs the two
-single-file rule packs over each parsed file, and then the three
-whole-program passes over the project and its call graph:
+:class:`~repro.analysis.dataflow.graph.Project`, runs the determinism
+rules (:mod:`~repro.analysis.rules_determinism`) over each parsed file,
+and then the three whole-program passes over the project and its call
+graph:
 
 - :mod:`~repro.analysis.dataflow.layering` — the architecture layer DAG,
   machine-enforced (``ARCH-LAYER``);
@@ -32,14 +33,13 @@ from repro.analysis.dataflow.reach import (
 )
 from repro.analysis.engine import Finding, run_rules
 from repro.analysis.rules_determinism import DETERMINISM_RULES
-from repro.analysis.rules_hygiene import HYGIENE_RULES
 
 
 def lint_paths(paths: Iterable[str]) -> List[Finding]:
     """Every rule and pass over files/directories: sorted findings with
     ``# repro: noqa`` pragmas already applied."""
     project = Project.load(paths)
-    rules = [cls() for cls in DETERMINISM_RULES + HYGIENE_RULES]
+    rules = [cls() for cls in DETERMINISM_RULES]
     findings = list(project.parse_findings)
     for name in sorted(project.modules):
         findings.extend(run_rules(project.modules[name], rules))

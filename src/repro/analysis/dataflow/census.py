@@ -35,7 +35,6 @@ from repro.analysis.dataflow.reach import (
 from repro.analysis.engine import Finding
 
 RULE_ID = "DEAD-PARAM"
-SEVERITY = "warning"
 
 #: Node fields that hold a value being handed on (not called, not
 #: merely named as a namespace or a type).
@@ -161,7 +160,6 @@ def find_unpassed_parameters(liveness: Liveness) -> List[Finding]:
                 fn.module.finding(
                     arg,
                     RULE_ID,
-                    SEVERITY,
                     f"parameter {arg.arg}= of {qualname} is passed "
                     "by no non-test caller; make its default a "
                     "constant and delete what only other values reach",

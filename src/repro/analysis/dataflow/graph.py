@@ -87,7 +87,6 @@ class Project:
                         line=error.lineno or 1,
                         col=error.offset or 0,
                         rule_id="PARSE",
-                        severity="error",
                         message=f"syntax error: {error.msg}",
                     )
                 )

@@ -27,7 +27,6 @@ from repro.analysis.engine import Finding
 from repro.analysis.dataflow.graph import ImportEdge, Project, top_package
 
 RULE_ID = "ARCH-LAYER"
-SEVERITY = "error"
 
 #: Everything ``art`` — the paper's framework layer — is built on.
 _BELOW_ART = frozenset(
@@ -117,7 +116,6 @@ def _upward_findings(project: Project) -> List[Finding]:
                 module.finding(
                     edge,
                     RULE_ID,
-                    SEVERITY,
                     f"layering violation: {module.name} (layer "
                     f"'{source_pkg}') imports {edge.target} (layer "
                     f"'{target_pkg}'); '{source_pkg}' may only "
@@ -162,7 +160,6 @@ def _cycle_findings(project: Project) -> List[Finding]:
                     project.modules[name].finding(
                         edge,
                         RULE_ID,
-                        SEVERITY,
                         "import cycle: "
                         + " -> ".join(cycle)
                         + "; break the cycle (move the shared "

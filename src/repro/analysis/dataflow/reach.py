@@ -54,7 +54,6 @@ from repro.analysis.dataflow.layering import ROOT_DIRECTORIES
 from repro.analysis.engine import FileContext, Finding, iter_python_files
 
 RULE_ID = "DEAD-REACH"
-SEVERITY = "warning"
 
 #: The module whose presence makes a linted tree a program.
 ENTRY_MODULE = "repro.cli"
@@ -315,7 +314,6 @@ def find_unreachable(liveness: Liveness) -> List[Finding]:
                 definition.module.finding(
                     definition.node,
                     RULE_ID,
-                    SEVERITY,
                     f"{kind} {qualname} is reached by no root "
                     "(cli, module level, examples/, benchmarks/); "
                     "delete it with the tests only it keeps alive",

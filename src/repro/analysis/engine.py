@@ -18,9 +18,8 @@ Design (one parse, one pass, many rules):
   dispatching every node to the rules that registered interest in its
   type (``Rule.interests``) and maintaining the ancestor stack (for "am
   I inside a sorted(...) call?" questions).
-- Findings are plain :class:`Finding` records with a content-based
-  fingerprint (module + rule + stripped source line) that SARIF
-  consumers use to track a finding across line-number churn.
+- Findings are plain :class:`Finding` records; every one fails the
+  run.
 - ``# repro: noqa`` / ``# repro: noqa[RULE-ID,...]`` on the offending
   line is the only way to accept a finding, auditable by grep;
   :func:`repro.analysis.lint_paths` applies it to every rule alike.
@@ -42,11 +41,7 @@ from typing import (
     Type,
 )
 
-from repro.common.hashing import sha256
 from repro.common.records import Frozen
-
-#: Finding severities, most severe first (sort order relies on this).
-SEVERITIES = ("error", "warning", "info")
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9\-, ]+)\])?", re.IGNORECASE
@@ -56,29 +51,16 @@ _NOQA_RE = re.compile(
 class Finding(Frozen):
     """One rule violation at one source location."""
 
-    _fields = (
-        "file", "line", "col", "rule_id", "severity", "message", "snippet",
-    )
+    _fields = ("file", "line", "col", "rule_id", "message", "snippet")
 
     def __init__(
-        self, file: str, line: int, col: int, rule_id: str, severity: str,
-        message: str, snippet: str = "",
+        self, file: str, line: int, col: int, rule_id: str, message: str,
+        snippet: str = "",
     ):
         vars(self).update(
-            file=file, line=line, col=col, rule_id=rule_id, severity=severity,
-            message=message, snippet=snippet,
+            file=file, line=line, col=col, rule_id=rule_id, message=message,
+            snippet=snippet,
         )
-
-    @property
-    def fingerprint(self) -> str:
-        """Content-based identity (SARIF partial fingerprint): stable
-        across line-number churn, invalidated when the offending line
-        changes."""
-        digest = sha256()
-        for part in (self.file, self.rule_id, self.snippet.strip()):
-            digest.update(part.encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()[:16]
 
     def sort_key(self) -> Tuple:
         return (self.file, self.line, self.col, self.rule_id)
@@ -115,30 +97,21 @@ class FileContext:
 
     def in_module(self, *prefixes: str) -> bool:
         """True when the file's logical module matches any dotted prefix."""
-        for prefix in prefixes:
-            if self.name == prefix or self.name.startswith(prefix + "."):
-                return True
-        return False
+        return any(
+            self.name == prefix or self.name.startswith(prefix + ".")
+            for prefix in prefixes
+        )
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-    def finding(
-        self, where: Any, rule_id: str, severity: str, message: str
-    ) -> Finding:
-        """A finding at ``where`` — an AST node, or anything else with a
-        ``lineno`` — carrying that line as its snippet."""
-        lineno = getattr(where, "lineno", 1)
+    def finding(self, where: Any, rule_id: str, message: str) -> Finding:
+        """A finding at ``where`` — an AST node, or an import edge —
+        carrying its source line as its snippet."""
         return Finding(
             file=self.path,
-            line=lineno,
+            line=where.lineno,
             col=getattr(where, "col_offset", 0),
             rule_id=rule_id,
-            severity=severity,
             message=message,
-            snippet=self.line_text(lineno).strip(),
+            snippet=self.lines[where.lineno - 1].strip(),
         )
 
     def qualified_name(self, node: ast.AST) -> Optional[str]:
@@ -169,24 +142,18 @@ class FileContext:
 class Rule:
     """Base class for all rules.
 
-    Subclasses set ``rule_id`` and ``severity``, say what they catch in
-    their docstring, declare the node types they want in ``interests``,
-    and implement :meth:`visit`.
+    Subclasses set ``rule_id``, say what they catch in their docstring,
+    declare the node types they want in ``interests``, and implement
+    ``visit(node, ctx)``, which yields findings.
     """
 
-    rule_id: str = "RULE"
-    severity: str = "warning"
-    interests: Tuple[Type[ast.AST], ...] = ()
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    # ----------------------------------------------------------- helpers
+    rule_id: str
+    interests: Tuple[Type[ast.AST], ...]
 
     def finding(
         self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
-        return ctx.finding(node, self.rule_id, self.severity, message)
+        return ctx.finding(node, self.rule_id, message)
 
 
 def run_rules(ctx: FileContext, rules: Iterable[Rule]) -> List[Finding]:

@@ -20,6 +20,7 @@ matter where results are computed.
 from __future__ import annotations
 
 import ast
+import itertools
 from typing import FrozenSet, Iterator, Optional
 
 from repro.analysis.engine import FileContext, Finding, Rule
@@ -48,10 +49,9 @@ class SourceRule(Rule):
     """A raw nondeterminism source called outside the choke points; the
     subclasses are rows of a table (id, calls, what to use instead)."""
 
-    severity = "error"
     interests = (ast.Call,)
-    calls: FrozenSet[str] = frozenset()
-    advice = ""
+    calls: FrozenSet[str]
+    advice: str
 
     def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*SANCTIONED_MODULES):
@@ -144,7 +144,6 @@ class IterationOrderRule(Rule):
     Python sneaks hash/OS ordering into 'deterministic' loops."""
 
     rule_id = "DET-ORDER"
-    severity = "warning"
     interests = (ast.For, ast.comprehension, ast.Call)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
@@ -185,15 +184,18 @@ class IterationOrderRule(Rule):
                 )
 
     def _sorted(self, ctx: FileContext) -> bool:
-        """True when the immediately enclosing expression already sorts."""
-        for ancestor in reversed(ctx.ancestors):
-            if isinstance(ancestor, ast.Call):
-                name = ctx.qualified_name(ancestor.func)
-                if name in ("sorted", "min", "max", "len", "set"):
-                    return True
-            if isinstance(ancestor, (ast.stmt,)):
-                break
-        return False
+        """True when a call around the node, within its statement,
+        already sorts (or does not care about order)."""
+        enclosing = itertools.takewhile(
+            lambda ancestor: not isinstance(ancestor, ast.stmt),
+            reversed(ctx.ancestors),
+        )
+        return any(
+            isinstance(ancestor, ast.Call)
+            and ctx.qualified_name(ancestor.func)
+            in ("sorted", "min", "max", "len", "set")
+            for ancestor in enclosing
+        )
 
 
 DETERMINISM_RULES = (

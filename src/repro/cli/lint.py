@@ -11,22 +11,18 @@ def _lint_arguments(parser) -> None:
         "paths", nargs="*", default=None,
         help="files or directories to analyze (default: src/repro)",
     )
-    parser.add_argument(
-        "--format", default="text", choices=("text", "sarif"),
-        help="report format (sarif for code-scanning UIs)",
-    )
 
 
 def _cmd_lint(args) -> int:
-    """Run the analyzer; the exit code is the CI contract.
+    """Run the analyzer and print one line per finding (its source line
+    indented below it) and a tally; the exit code is the CI contract.
 
-    0 — clean; 1 — findings (any rule, any severity: the pragma is the
-    only way to accept one); 2 — usage error (bad paths).
+    0 — clean; 1 — findings (any rule: the pragma is the only way to
+    accept one); 2 — usage error (bad paths).
     """
     import os
 
     from repro.analysis import lint_paths
-    from repro.analysis.reporters import render_sarif, render_text
 
     paths = args.paths or ["src/repro"]
     missing = [path for path in paths if not os.path.exists(path)]
@@ -34,9 +30,17 @@ def _cmd_lint(args) -> int:
         error(f"no such path(s): {', '.join(missing)}")
         return 2
     findings = lint_paths(paths)
-    render = render_sarif if args.format == "sarif" else render_text
-    output = render(findings)
-    print(output, end="" if output.endswith("\n") else "\n")
+    for finding in findings:
+        print(
+            f"{finding.file}:{finding.line}:{finding.col}: "
+            f"{finding.rule_id} {finding.message}"
+        )
+        if finding.snippet:
+            print(f"    {finding.snippet}")
+    print(
+        f"found {len(findings)} finding(s)" if findings
+        else "clean: no findings"
+    )
     return 1 if findings else 0
 
 

@@ -54,6 +54,7 @@ from repro.common.ids import new_uuid
 from repro.common.jsonutil import json_copy
 from repro.db.query import (
     MISSING,
+    check_query,
     get_path,
     matches,
     project,
@@ -186,8 +187,12 @@ class Collection:
         search to at most one document; equality on a secondary-indexed
         field pins it to that value's bucket.  Anything else falls back
         to a full scan.  Every candidate is still filtered through
-        ``matches``, so this is purely an access-path decision.
+        ``matches``, so this is purely an access-path decision.  All
+        five query entry points come through here, so
+        :func:`check_query` refuses a query outside the language first,
+        whatever the collection holds.
         """
+        check_query(query)
         for field in ("_id", *self._unique_indexes, *self._secondary_indexes):
             if field not in query:
                 continue

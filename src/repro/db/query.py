@@ -2,10 +2,12 @@
 
 Implements what the artifact layer asks of MongoDB's query language:
 equality on a field or a dotted path (an array field also equals each of
-its elements, as in Mongo), ``$ne`` and ``$exists``.  Any other
-``$``-operator is a :class:`ValidationError`, never a silent mismatch.
-The evaluator is pure (no collection state), which makes it easy to
-property-test.
+its elements, as in Mongo), ``$ne`` and ``$exists``.
+:func:`check_query` refuses any other ``$``-operator with a
+:class:`ValidationError` before a document is read, so a query outside
+the language never returns a silent empty answer; :func:`matches`
+evaluates a query that passed it.  The evaluator is pure (no collection
+state), which makes it easy to property-test.
 """
 
 from __future__ import annotations
@@ -75,21 +77,37 @@ def unset_path(document: Dict[str, Any], path: str) -> None:
     target.pop(parts[-1], None)
 
 
+def _is_operator_document(condition: Any) -> bool:
+    return isinstance(condition, dict) and any(
+        key.startswith("$") for key in condition
+    )
+
+
+def check_query(query: Any) -> None:
+    """Raise :class:`ValidationError` unless ``query`` is in the
+    language: a dict with no top-level ``$`` key, whose operator
+    documents hold only ``$ne`` and ``$exists``."""
+    if not isinstance(query, dict):
+        raise ValidationError("query must be a dict")
+    for key, condition in query.items():
+        if key.startswith("$"):
+            raise ValidationError(f"unknown top-level operator: {key}")
+        if _is_operator_document(condition):
+            for op in condition:
+                if op not in ("$ne", "$exists"):
+                    raise ValidationError(f"unknown query operator: {op}")
+
+
 def _match_condition(actual: Any, condition: Any) -> bool:
     """Match one field against its condition: a literal, or an operator
     document of ``$ne`` and ``$exists``."""
-    if isinstance(condition, dict) and any(
-        key.startswith("$") for key in condition
-    ):
+    if _is_operator_document(condition):
         for op, expected in condition.items():
             if op == "$ne":
                 if _values_equal(actual, expected):
                     return False
-            elif op == "$exists":
-                if bool(expected) != (actual is not MISSING):
-                    return False
-            else:
-                raise ValidationError(f"unknown query operator: {op}")
+            elif bool(expected) != (actual is not MISSING):  # $exists
+                return False
         return True
     return _values_equal(actual, condition)
 
@@ -103,15 +121,12 @@ def _values_equal(actual: Any, expected: Any) -> bool:
 
 
 def matches(document: Dict[str, Any], query: Dict[str, Any]) -> bool:
-    """Return ``True`` when ``document`` satisfies ``query``.
+    """Return ``True`` when ``document`` satisfies ``query``, which
+    :func:`check_query` has accepted.
 
     An empty query matches every document, mirroring MongoDB.
     """
-    if not isinstance(query, dict):
-        raise ValidationError("query must be a dict")
     for key, condition in query.items():
-        if key.startswith("$"):
-            raise ValidationError(f"unknown top-level operator: {key}")
         if not _match_condition(get_path(document, key), condition):
             return False
     return True

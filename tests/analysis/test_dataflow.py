@@ -7,14 +7,12 @@ names) and runs :func:`repro.analysis.lint_paths` over it.
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.analysis import lint_paths
-from repro.analysis.reporters import render_sarif
 from tests.analysis.helpers import write_tree as _write_tree
 
 
@@ -173,38 +171,3 @@ def test_every_lazy_table_names_submodules_of_its_package():
                         init.parent / value / "__init__.py"
                     ).is_file(), (str(init), value)
     assert tables >= 8
-
-
-# ------------------------------------------------------------------ sarif
-
-
-def test_sarif_reporter_shape(tmp_path):
-    paths = _write_tree(
-        tmp_path,
-        {
-            "repro/sim/unordered.py": """
-                def walk():
-                    for x in {1, 2, 3}:
-                        pass
-            """
-        },
-    )
-    findings = lint_paths(paths)
-    document = json.loads(render_sarif(findings))
-    assert document["version"] == "2.1.0"
-    (run,) = document["runs"]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    (result,) = run["results"]
-    assert result["ruleId"] == "DET-ORDER"
-    assert result["level"] == "warning"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] >= 1 and region["startColumn"] >= 1
-    assert result["partialFingerprints"][
-        "reproFindingFingerprint/v1"
-    ] == findings[0].fingerprint
-    # Deterministic: same findings, byte-identical report — and a
-    # second run over the same tree prints the same bytes.
-    assert render_sarif(findings) == json.dumps(
-        document, indent=2, sort_keys=True
-    ) + "\n"
-    assert render_sarif(lint_paths(paths)) == render_sarif(findings)

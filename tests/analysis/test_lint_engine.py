@@ -1,16 +1,9 @@
 """Tests for the static-analysis engine: walker, dispatch, pragmas,
-fingerprints, reporters, and the ``repro lint`` CLI."""
-
-import json
+and the ``repro lint`` CLI and its text report."""
 
 from repro.analysis import lint_paths
-from repro.analysis.dataflow import DETERMINISM_RULES, HYGIENE_RULES
-from repro.analysis.engine import (
-    SEVERITIES,
-    iter_python_files,
-    logical_module,
-)
-from repro.analysis.reporters import render_text
+from repro.analysis.dataflow import DETERMINISM_RULES
+from repro.analysis.engine import Finding, iter_python_files, logical_module
 from repro.cli import main
 from tests.analysis.helpers import lint_source as analyze
 
@@ -23,6 +16,7 @@ def test_logical_module_maps_paths_to_dotted_modules():
     assert logical_module("src/repro/sim/__init__.py") == "repro.sim"
     assert logical_module("/tmp/x/repro/chaos/a.py") == "repro.chaos.a"
     assert logical_module("standalone.py") == "standalone"
+    assert logical_module("src/repro/sim") == "repro.sim"
 
 
 def test_iter_python_files_is_sorted_and_skips_pycache(tmp_path):
@@ -38,8 +32,7 @@ def test_iter_python_files_is_sorted_and_skips_pycache(tmp_path):
 def test_syntax_error_becomes_parse_finding():
     findings = analyze("def broken(:\n")
     assert len(findings) == 1
-    assert findings[0].rule_id == "PARSE"
-    assert findings[0].severity == "error"
+    assert (findings[0].rule_id, findings[0].snippet) == ("PARSE", "")
 
 
 def test_import_alias_resolution_catches_renamed_wallclock():
@@ -67,40 +60,18 @@ def test_noqa_pragma_suppresses_named_rule_only():
 def test_bare_noqa_suppresses_all_rules_on_line():
     source = (
         "import time\n"
-        "def f(x=[]):  # repro: noqa\n"
-        "    return time.time()  # repro: noqa\n"
+        "import uuid\n"
+        "def f():\n"
+        "    return time.time(), uuid.uuid4()  # repro: noqa\n"
     )
     assert analyze(source) == []
 
 
-def test_findings_sorted_and_fingerprint_stable_across_line_shift(tmp_path):
-    source = "import time\ndef f():\n    return time.time()\n"
-    shifted = "import time\n\n\ndef f():\n    return time.time()\n"
-    first = analyze(source, root=tmp_path)
-    second = analyze(shifted, root=tmp_path)
-    assert first[0].line != second[0].line
-    assert first[0].fingerprint == second[0].fingerprint
-
-
-def test_rule_ids_are_unique_and_severities_valid():
-    """One finding per violation: the driver instantiates every rule of
-    the two packs, so an id may appear in only one of them."""
-    rules = DETERMINISM_RULES + HYGIENE_RULES
-    ids = [rule.rule_id for rule in rules]
-    assert len(ids) == len(set(ids)) == 7
-    assert all(rule.severity in SEVERITIES for rule in rules)
-
-
-# --------------------------------------------------------------- reporters
-
-
-def test_text_reporter_mentions_location_and_counts():
-    findings = analyze("import time\ndef f():\n    return time.time()\n")
-    text = render_text(findings)
-    assert "DET-WALLCLOCK" in text
-    assert "error" in text
-    assert "fixture.py:3" in text
-    assert render_text([]) == "clean: no findings"
+def test_rule_ids_are_unique():
+    """One finding per violation: ``lint_paths`` instantiates every
+    rule class, so an id may belong to only one of them."""
+    ids = [rule.rule_id for rule in DETERMINISM_RULES]
+    assert len(ids) == len(set(ids)) == 4
 
 
 # --------------------------------------------------------------------- cli
@@ -122,28 +93,42 @@ def test_cli_lint_clean_tree_exits_zero(tmp_path, capsys):
     good = tmp_path / "good.py"
     good.write_text("def f():\n    return 1\n")
     assert main(["lint", str(good)]) == 0
-    assert "clean" in capsys.readouterr().out
+    assert capsys.readouterr().out == "clean: no findings\n"
 
 
 def test_cli_lint_error_exits_one_with_text_report(tmp_path, capsys):
+    """``FILE:LINE:COL: RULE-ID message``, the offending line indented
+    below it, and a tally."""
     bad = _write_bad_module(tmp_path)
     assert main(["lint", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "DET-WALLCLOCK" in out
-    assert "time.time" in out
+    first, snippet, tally = capsys.readouterr().out.splitlines()
+    assert first.startswith(
+        f"{bad}:3:11: DET-WALLCLOCK time.time() outside the choke points;"
+    )
+    assert snippet == "    return time.time()"
+    assert tally == "found 1 finding(s)"
 
 
-def test_cli_lint_sarif_format(tmp_path, capsys):
-    """What CI uploads: the same finding, as one SARIF result."""
-    bad = _write_bad_module(tmp_path)
-    assert main(["lint", str(bad), "--format", "sarif"]) == 1
-    (run,) = json.loads(capsys.readouterr().out)["runs"]
-    assert [r["ruleId"] for r in run["results"]] == ["DET-WALLCLOCK"]
+def test_text_reporter_mentions_location_and_counts(tmp_path, capsys):
+    """The text report names the rule and ``FILE:LINE`` of every
+    finding, and tallies them; an empty report says it is clean."""
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text("import time\ndef f():\n    return time.time()\n")
+    assert main(["lint", str(fixture)]) == 1
+    text = capsys.readouterr().out
+    assert "DET-WALLCLOCK" in text
+    assert "fixture.py:3" in text
+    assert text.endswith("found 1 finding(s)\n")
+    good = tmp_path / "good.py"
+    good.write_text("x = 1\n")
+    assert main(["lint", str(good)]) == 0
+    assert capsys.readouterr().out == "clean: no findings\n"
 
 
 def test_cli_lint_fails_on_warnings_too(tmp_path, capsys):
-    """One mode: a warning-severity finding fails the run with no flag
-    (tests/test_cli.py pins that the old mode flags no longer parse)."""
+    """One mode: every finding fails the run, ``DET-ORDER``'s as much as
+    a raw clock read's, with no flag (tests/test_cli.py pins that the
+    old mode and format flags no longer parse)."""
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     warn = pkg / "warn.py"
@@ -161,16 +146,19 @@ def test_cli_lint_usage_errors(tmp_path, capsys):
 
 
 def test_cli_lint_usage_error_leaves_stdout_to_the_report(tmp_path, capsys):
-    """``repro lint /missing --format sarif > out.sarif``: the error goes
-    to stderr, so the redirected report is not polluted by it."""
+    """``repro lint /missing > report.txt``: the error goes to stderr,
+    so the redirected report is not polluted by it."""
     missing = tmp_path / "nope"
-    assert main(["lint", str(missing), "--format", "sarif"]) == 2
+    assert main(["lint", str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: no such path(s): {missing}\n"
 
 
 def test_lint_paths_walks_directories(tmp_path):
-    _write_bad_module(tmp_path)
-    findings = lint_paths([str(tmp_path)])
-    assert [f.rule_id for f in findings] == ["DET-WALLCLOCK"]
+    bad = _write_bad_module(tmp_path)
+    (finding,) = lint_paths([str(tmp_path)])
+    assert finding == Finding(
+        str(bad), 3, 11, "DET-WALLCLOCK", finding.message,
+        "return time.time()",
+    )

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.analysis import lint_paths
-from tests.analysis.helpers import lint_source, write_tree
+from tests.analysis.helpers import lint_source
 
 SPEC_PY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
@@ -25,10 +25,49 @@ def reported(findings):
 
 # ------------------------------------------------------------- determinism
 
+#: Every call a source rule reports, spelled as it resolves: a name the
+#: file does not import resolves to itself (``from uuid import *`` then
+#: ``uuid4()``; ``from datetime import *`` then ``datetime.now()``).
+SOURCE_CALLS = [
+    ("DET-WALLCLOCK", "time.time"),
+    ("DET-WALLCLOCK", "time.time_ns"),
+    ("DET-WALLCLOCK", "datetime.datetime.now"),
+    ("DET-WALLCLOCK", "datetime.datetime.utcnow"),
+    ("DET-WALLCLOCK", "datetime.datetime.today"),
+    ("DET-WALLCLOCK", "datetime.date.today"),
+    ("DET-WALLCLOCK", "datetime.now"),
+    ("DET-WALLCLOCK", "datetime.utcnow"),
+    ("DET-UUID", "uuid.uuid4"),
+    ("DET-UUID", "uuid.uuid1"),
+    ("DET-UUID", "uuid4"),
+    ("DET-UUID", "uuid1"),
+    ("DET-RANDOM", "random.random"),
+    ("DET-RANDOM", "random.randint"),
+    ("DET-RANDOM", "random.randrange"),
+    ("DET-RANDOM", "random.uniform"),
+    ("DET-RANDOM", "random.choice"),
+    ("DET-RANDOM", "random.choices"),
+    ("DET-RANDOM", "random.sample"),
+    ("DET-RANDOM", "random.shuffle"),
+    ("DET-RANDOM", "random.gauss"),
+    ("DET-RANDOM", "random.getrandbits"),
+    ("DET-RANDOM", "random.randbytes"),
+    ("DET-RANDOM", "random.seed"),
+    ("DET-RANDOM", "random.Random"),
+    ("DET-RANDOM", "os.urandom"),
+    ("DET-RANDOM", "secrets.token_hex"),
+    ("DET-RANDOM", "secrets.token_bytes"),
+    ("DET-RANDOM", "secrets.token_urlsafe"),
+    ("DET-RANDOM", "secrets.randbelow"),
+    ("DET-RANDOM", "secrets.randbits"),
+    ("DET-RANDOM", "secrets.choice"),
+]
+
 
 def test_acceptance_fixture_all_three_nondeterminism_kinds():
-    """The ISSUE acceptance fixture: time.time(), unseeded
-    random.random(), and datetime.now() in a sim module."""
+    """time.time(), unseeded random.random() and datetime.now() in a
+    sim module are reported; so is every call of ``SOURCE_CALLS``, each
+    at its own line, and a seeded ``random.Random`` is not."""
     source = (
         "import time\n"
         "import random\n"
@@ -42,25 +81,11 @@ def test_acceptance_fixture_all_three_nondeterminism_kinds():
     ids = rule_ids(source)
     assert ids.count("DET-WALLCLOCK") == 2
     assert ids.count("DET-RANDOM") == 1
-
-
-def test_source_rules_apply_everywhere_but_the_choke_points():
-    """A raw clock read is a finding wherever it is — telemetry stamps
-    its spans through ``timeutil`` like everyone else — and only
-    ``DET-ORDER`` is still a matter of zones."""
-    source = "import time\ndef f():\n    return time.time()\n"
-    for path in (
-        "src/repro/chaos/fixture.py",
-        "src/repro/art/artifact.py",
-        "src/repro/scheduler/fixture.py",
-        "src/repro/telemetry/events.py",
-    ):
-        assert rule_ids(source, path) == ["DET-WALLCLOCK"], path
-    for module in ("timeutil", "rng", "ids"):
-        assert rule_ids(source, f"src/repro/common/{module}.py") == []
-    order = "def f(xs):\n    for x in set(xs):\n        pass\n"
-    assert rule_ids(order, "src/repro/sim/fixture.py") == ["DET-ORDER"]
-    assert rule_ids(order, "src/repro/scheduler/fixture.py") == []
+    every_call = "".join(f"{name}()\n" for _, name in SOURCE_CALLS)
+    seeded = "random.Random(1234)\nrandom.Random(x=1)\n"
+    assert reported(lint_source(every_call + seeded)) == [
+        (rule, f"{name}()") for rule, name in SOURCE_CALLS
+    ]
 
 
 def test_os_entropy_is_a_random_source():
@@ -95,96 +120,35 @@ def test_unseeded_random_constructor_flagged_seeded_not():
     assert rule_ids("import random\nr = random.Random(1234)\n") == []
 
 
-# A raw read on its way into run identity: however many calls lie
-# between it and the fingerprint or memo key, the finding is the read
-# itself, at its own line (the clean twin, which routes through
-# ``timeutil``, is ``test_dataflow.py::test_sanctioned_chokepoint_is_clean``).
-
-
-def test_wallclock_into_fingerprint_is_flagged(tmp_path):
-    paths = write_tree(
-        tmp_path,
-        {
-            "repro/expt/flow.py": """
-                import time
-
-                from repro.common.jsonutil import canonical_dumps
-
-                def fingerprint_payload():
-                    stamp = time.time()
-                    return canonical_dumps({"at": stamp})
-            """
-        },
-    )
-    assert reported(lint_paths(paths)) == [
-        ("DET-WALLCLOCK", "stamp = time.time()")
-    ]
-
-
-def test_taint_through_call_hops_is_flagged(tmp_path):
-    """Source and sink two call hops apart: minted in one helper,
-    passed through another that forwards to the sink."""
-    paths = write_tree(
-        tmp_path,
-        {
-            "repro/expt/hops.py": """
-                import time
-
-                from repro.common.jsonutil import canonical_dumps
-
-                def mint():
-                    return time.time()
-
-                def serialize(payload):
-                    return canonical_dumps(payload)
-
-                def leak():
-                    stamp = mint()
-                    return serialize({"at": stamp})
-            """
-        },
-    )
-    assert reported(lint_paths(paths)) == [
-        ("DET-WALLCLOCK", "return time.time()")
-    ]
-
-
-def test_memo_store_key_sink_is_inherited(tmp_path):
-    """A clock read on its way to a memo-store key, through an inherited
-    method of another module's class."""
-    paths = write_tree(
-        tmp_path,
-        {
-            "repro/art/cache.py": """
-                class MemoStore:
-                    def consult(self, key):
-                        return None
-            """,
-            "repro/art/checkpoints.py": """
-                from repro.art.cache import MemoStore
-
-                class CheckpointStore(MemoStore):
-                    def get(self, prefix):
-                        return self.consult(prefix)
-            """,
-            "repro/expt/plan.py": """
-                import time
-
-                from repro.art.checkpoints import CheckpointStore
-
-                class Planner:
-                    def __init__(self):
-                        self.store = CheckpointStore()
-
-                    def boot_stage(self):
-                        return self.store.get(str(time.time()))
-            """,
-        },
-    )
-    (finding,) = lint_paths(paths)
-    assert finding.rule_id == "DET-WALLCLOCK"
-    assert finding.file.endswith("plan.py")
-    assert finding.snippet == "return self.store.get(str(time.time()))"
+def test_source_rules_apply_everywhere_but_the_choke_points():
+    """A raw clock read is a finding wherever it is — telemetry stamps
+    its spans through ``timeutil`` like everyone else — and only
+    ``DET-ORDER`` is still a matter of zones."""
+    source = "import time\ndef f():\n    return time.time()\n"
+    for path in (
+        "src/repro/chaos/fixture.py",
+        "src/repro/art/artifact.py",
+        "src/repro/scheduler/fixture.py",
+        "src/repro/telemetry/events.py",
+    ):
+        assert rule_ids(source, path) == ["DET-WALLCLOCK"], path
+    for module in ("timeutil", "rng", "ids"):
+        assert rule_ids(source, f"src/repro/common/{module}.py") == []
+    order = "def f(xs):\n    for x in set(xs):\n        pass\n"
+    for path in (
+        "src/repro/sim/fixture.py",
+        "src/repro/chaos/fixture.py",
+        "src/repro/art/artifact.py",
+        "src/repro/common/hashing.py",
+    ):
+        assert rule_ids(order, path) == ["DET-ORDER"], path
+    for path in (
+        "src/repro/scheduler/fixture.py",
+        "src/repro/art/run.py",
+        "src/repro/art/artifacts.py",
+        "src/repro/common/jsonutil.py",
+    ):
+        assert rule_ids(order, path) == [], path
 
 
 #: Nondeterminism seeded into the module that defines run identity:
@@ -242,9 +206,10 @@ def test_nondeterminism_seeded_into_run_identity_is_reported(seed, tmp_path):
 
 
 def test_set_iteration_flagged_sorted_not():
-    assert "DET-ORDER" in rule_ids(
-        "def f(xs):\n    for x in set(xs):\n        pass\n"
-    )
+    for iterable in ("set(xs)", "frozenset(xs)", "{1, 2}", "{x for x in xs}"):
+        assert rule_ids(
+            f"def f(xs):\n    for x in {iterable}:\n        pass\n"
+        ) == ["DET-ORDER"], iterable
     assert (
         rule_ids("def f(xs):\n    for x in sorted(set(xs)):\n        pass\n")
         == []
@@ -252,96 +217,11 @@ def test_set_iteration_flagged_sorted_not():
 
 
 def test_listdir_flagged_unless_sorted():
-    assert "DET-ORDER" in rule_ids(
-        "import os\ndef f(p):\n    return [x for x in os.listdir(p)]\n"
-    )
-    assert (
-        rule_ids("import os\ndef f(p):\n    return sorted(os.listdir(p))\n")
-        == []
-    )
-
-
-# ----------------------------------------------------------------- hygiene
-
-
-def test_swallowed_exception_flagged_logged_not():
-    bad = (
-        "def f():\n"
-        "    try:\n"
-        "        work()\n"
-        "    except Exception:\n"
-        "        pass\n"
-        "def work():\n"
-        "    pass\n"
-    )
-    assert "HYG-SWALLOW" in rule_ids(bad, "src/repro/art/run.py")
-    logged = (
-        "def f(log):\n"
-        "    try:\n"
-        "        work()\n"
-        "    except Exception as error:\n"
-        "        log.emit('failed', error=str(error))\n"
-        "def work():\n"
-        "    pass\n"
-    )
-    assert rule_ids(logged, "src/repro/art/run.py") == []
-    narrow = (
-        "def f():\n"
-        "    try:\n"
-        "        work()\n"
-        "    except KeyError:\n"
-        "        pass\n"
-        "def work():\n"
-        "    pass\n"
-    )
-    assert rule_ids(narrow, "src/repro/art/run.py") == []
-
-
-def test_bare_except_flagged():
-    source = (
-        "def f():\n"
-        "    try:\n"
-        "        pass\n"
-        "    except:\n"
-        "        pass\n"
-    )
-    assert "HYG-SWALLOW" in rule_ids(source, "src/repro/db/query.py")
-
-
-def test_mutable_default_flagged_none_not():
-    assert "HYG-MUTABLE-DEFAULT" in rule_ids(
-        "def f(x=[]):\n    return x\n", "src/repro/db/query.py"
-    )
-    assert "HYG-MUTABLE-DEFAULT" in rule_ids(
-        "def f(*, x={}):\n    return x\n", "src/repro/db/query.py"
-    )
-    assert (
-        rule_ids("def f(x=None):\n    return x\n", "src/repro/db/query.py")
-        == []
-    )
-
-
-def test_metric_name_conventions():
-    bad_case = (
-        "from repro.telemetry import get_metrics\n"
-        "def f():\n"
-        "    get_metrics().counter('BadName').inc()\n"
-    )
-    assert "HYG-METRIC-NAME" in rule_ids(
-        bad_case, "src/repro/scheduler/fixture.py"
-    )
-    bad_counter = (
-        "from repro.telemetry import get_metrics\n"
-        "def f():\n"
-        "    get_metrics().counter('jobs_done').inc()\n"
-    )
-    assert "HYG-METRIC-NAME" in rule_ids(
-        bad_counter, "src/repro/scheduler/fixture.py"
-    )
-    good = (
-        "from repro.telemetry import get_metrics\n"
-        "def f():\n"
-        "    get_metrics().counter('jobs_done_total').inc()\n"
-        "    get_metrics().gauge('queue_depth').set(1)\n"
-    )
-    assert rule_ids(good, "src/repro/scheduler/fixture.py") == []
+    for listing in ("os.listdir", "os.scandir"):
+        assert rule_ids(
+            f"import os\ndef f(p):\n    return [x for x in {listing}(p)]\n"
+        ) == ["DET-ORDER"], listing
+    for wrapper in ("sorted", "min", "max", "len", "set"):
+        assert rule_ids(
+            f"import os\ndef f(p):\n    return {wrapper}(os.listdir(p))\n"
+        ) == [], wrapper

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ValidationError
+from repro.db.collection import Collection
 from repro.db.query import matches, project, sort_documents
 
 
@@ -51,19 +52,41 @@ def test_exists():
 
 def test_unknown_operator_raises():
     """Equality, ``$ne`` and ``$exists`` are the language: every other
-    Mongo operator is refused, in a field condition or at the top."""
+    Mongo operator is refused, in a field condition or at the top, by
+    all five entry points, whatever the collection holds — nothing, a
+    document an earlier key rules out (indexed or not), or one that
+    reaches the operator."""
+    empty, held = Collection("empty"), Collection("held")
+    held.create_index("s")
+    held.insert_one(dict(DOC, s="y"))
+    calls = (
+        lambda coll, query: coll.find(query),
+        lambda coll, query: coll.count(query),
+        lambda coll, query: coll.update_one(query, {"$set": {"x": 1}}),
+        lambda coll, query: coll.replace_one(query, {}),
+        lambda coll, query: coll.delete_one(query),
+    )
+
+    def refused(query, message):
+        for coll in (empty, held):
+            for call in calls:
+                with pytest.raises(ValidationError, match=message):
+                    call(coll, query)
+
     for op, argument in [
         ("$frobnicate", 1), ("$eq", 20), ("$gt", 19), ("$gte", 20),
         ("$lt", 21), ("$lte", 20), ("$in", [20]), ("$nin", [21]),
         ("$regex", "2"), ("$size", 2), ("$all", [20]), ("$not", {"$ne": 21}),
     ]:
-        with pytest.raises(ValidationError, match="unknown query operator"):
-            matches(DOC, {"version": {op: argument}})
+        for earlier in ({}, {"s": "x"}, {"name": "linux"}):
+            refused(dict(earlier, version={op: argument}),
+                    "unknown query operator")
+    refused({"version": {"$ne": 21, "size": 2}}, "unknown query operator")
     for op in ("$frobnicate", "$and", "$or", "$nor"):
-        with pytest.raises(ValidationError, match="unknown top-level"):
-            matches(DOC, {op: [{"version": 20}]})
-    with pytest.raises(ValidationError, match="must be a dict"):
-        matches(DOC, [("version", 20)])
+        refused({op: [{"version": 20}]}, "unknown top-level")
+    refused([("version", 20)], "must be a dict")
+    (stored,) = held.find()  # no refused write was applied
+    assert stored == dict(DOC, s="y", _id=stored["_id"])
 
 
 def test_sort_ascending_descending():

@@ -1,7 +1,13 @@
-"""Metrics: instruments, labels, determinism, the null twins."""
+"""Metrics: instruments, labels, determinism, the null twins, and the
+naming convention of every metric the package declares."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import ValidationError
 from repro.telemetry import (
     NULL_METRICS,
@@ -98,3 +104,24 @@ def test_null_metrics_absorb_everything():
     NULL_METRICS.histogram("h").observe(2)
     assert counter.value() == 0.0
     assert NULL_METRICS.collect() == []
+
+
+def test_metric_names_follow_the_documented_convention():
+    """``docs/telemetry.md``'s names, Prometheus-style: snake case, and
+    ``_total`` ends every counter's name and no other kind's."""
+    declared = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                declared.append((node.func.attr, node.args[0].value))
+    assert len(declared) >= 20
+    for kind, name in declared:
+        assert re.fullmatch(r"[a-z][a-z0-9_]*", name), name
+        assert name.endswith("_total") == (kind == "counter"), (kind, name)

@@ -368,12 +368,14 @@ def test_workers_below_one_is_a_usage_error(verb, workers, capsys):
         ["--write-baseline"],
         ["--format", "xml"],
         ["--format", "json"],
+        ["--format", "text"],
+        ["--format", "sarif"],
     ],
 )
 def test_lint_has_one_mode(flags):
-    """`repro lint [paths] [--format F]` always runs every rule and
-    pass and fails on any finding; the flags that used to choose a mode
-    (and any format but text and sarif) are usage errors."""
+    """`repro lint [paths]` always runs every rule and pass, prints one
+    text report and fails on any finding; the flags that used to choose
+    a mode or a format are usage errors."""
     with pytest.raises(SystemExit) as excinfo:
         main(["lint", "src/repro"] + flags)
     assert excinfo.value.code == 2
